@@ -37,7 +37,7 @@ from .tla import (
     STRATEGY_REGISTRY,
     GPTuneBand,
     MultiFidelityObjective,
-    TransferTuner,
+    StrategyProvider,
     get_strategy,
     pool_table,
 )
@@ -88,14 +88,20 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         leaf_size=args.leaf_size,
     )
 
-    if args.workers > 1 and args.tla:
-        raise SystemExit("--workers > 1 supports NoTLA only (drop --tla)")
+    if args.workers > 1 or args.batch > 1:
+        from .engine import AsyncTuner, EngineOptions
+
+        tuner: Tuner = AsyncTuner(
+            problem,
+            options,
+            EngineOptions(n_workers=args.workers, batch=args.batch, lie=args.lie),
+        )
+    else:
+        tuner = Tuner(problem, options=options)
 
     if args.tla:
-        strategy = get_strategy(args.tla)
         rng = np.random.default_rng(args.seed + 1000)
         space = problem.parameter_space
-        sources = []
         src_task = json.loads(args.source_task) if args.source_task else task
         configs, ys = [], []
         while len(ys) < args.source_samples:
@@ -104,20 +110,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             if y is not None:
                 configs.append(c)
                 ys.append(y)
-        sources.append(
-            TaskData(src_task, space.to_unit_array(configs), np.array(ys), "cli-source")
-        )
-        tuner: Tuner = TransferTuner(problem, strategy, sources, options=options)
-    elif args.workers > 1 or args.batch > 1:
-        from .engine import AsyncTuner, EngineOptions
-
-        tuner = AsyncTuner(
-            problem,
-            options,
-            EngineOptions(n_workers=args.workers, batch=args.batch, lie=args.lie),
-        )
-    else:
-        tuner = Tuner(problem, options=options)
+        source = TaskData(src_task, space.to_unit_array(configs), np.array(ys), "cli-source")
+        tuner.provider = StrategyProvider(get_strategy(args.tla), [source])
 
     result = tuner.tune(task, args.samples, seed=args.seed)
     print(json.dumps(result.summary(), indent=2, default=str))

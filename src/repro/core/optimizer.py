@@ -318,6 +318,16 @@ def propose_batch(
         if X_pending is None
         else np.atleast_2d(np.asarray(X_pending, dtype=float))
     )
+    if q == 1 and X_pending.shape[0] == 0:
+        # nothing in flight, one pick: plain sequential BO — the raw
+        # acquisition on the caller's model, whose caches stay warm
+        return [
+            search_next(
+                predict, space, acquisition, rng, X_obs=X_obs, evaluated=evaluated,
+                X_failed=X_failed, p_feasible=p_feasible, feasible=feasible,
+                options=options,
+            )
+        ]
     use_gp = (
         gp is not None
         and getattr(gp, "fitted", False)

@@ -1,19 +1,35 @@
 """The Bayesian-optimization tuning loop (system S5).
 
-:class:`Tuner` is the non-transfer-learning autotuner — the paper's
-``NoTLA`` baseline, equivalent to plain GPTune single-task tuning: an
-initial random design followed by GP fit + expected-improvement search
-after every function evaluation.
+There is one loop, :meth:`Tuner.tune`: keep the *executor* full with
+proposals, fold every terminal outcome into the history in completion
+order, repeat until the budget is spent.  What varies is composed in:
 
-The loop structure is deliberately hookable: the transfer-learning tuner
-in :mod:`repro.tla.tuner` overrides a single method (:meth:`_model`) to
-swap the target-only GP for a TLA surrogate, so all bookkeeping (budget,
-failures, deduplication, callbacks, result assembly) is shared and tested
-once.
+* a **model provider** (``tuner.provider``) turns the history into a
+  surrogate ``predict`` and a learned ``p_feasible``, and hears about
+  every proposal and the result of that proposal.  :class:`GPProvider`
+  is the paper's ``NoTLA`` baseline — an initial random design, then a
+  target-only GP refreshed after every evaluation;
+  :class:`repro.tla.tuner.StrategyProvider` wraps any TLA strategy.
+* an **executor** runs the evaluations: a context manager with
+  ``submit(config) -> job_id``, ``get(timeout) -> EvalOutcome`` (terminal
+  outcomes only — retry and re-dispatch happen inside; ``queue.Empty`` on
+  timeout), ``inflight`` and ``n_workers`` (which bound the proposals
+  kept in flight) and ``step`` (the name of the loop's per-step timer).
+  :class:`InlineExecutor` evaluates in the calling thread; the thread
+  :class:`~repro.engine.pool.WorkerPool` and the process
+  :class:`~repro.fabric.coordinator.FabricCoordinator` also report
+  utilization gauges under their own prefix.
+
+:class:`Tuner`, :class:`~repro.tla.tuner.TransferTuner`,
+:class:`~repro.engine.tuner.AsyncTuner` and
+:class:`~repro.fabric.tuner.FabricTuner` name the common pairs; any
+other pair is one assignment to ``tuner.provider`` away.
 """
 
 from __future__ import annotations
 
+import itertools
+import queue
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -25,12 +41,21 @@ from .gp import GaussianProcess, GPFitError
 from .feasibility import KnnFeasibility
 from .history import History
 from .kernels import kernel_from_name
-from .optimizer import SearchOptions, search_next
+from .optimizer import SearchOptions, propose_batch
 from .problem import Evaluation, TuningProblem
 from .samplers import Sampler, get_sampler
+from .space import Space
 from .sparse import make_surrogate, resolve_surrogate_kind
 
-__all__ = ["Tuner", "TunerOptions", "TuningResult"]
+__all__ = [
+    "EvalJob",
+    "EvalOutcome",
+    "GPProvider",
+    "InlineExecutor",
+    "Tuner",
+    "TunerOptions",
+    "TuningResult",
+]
 
 EvaluationCallback = Callable[[Evaluation], None]
 
@@ -119,88 +144,110 @@ class TuningResult:
         return out
 
 
-class Tuner:
-    """Single-task Bayesian-optimization autotuner (``NoTLA``).
+@dataclass
+class EvalJob:
+    """One evaluation request (possibly a retry of an earlier attempt)."""
 
-    Parameters
-    ----------
-    problem:
-        The tuning problem to minimize.
-    options:
-        Loop controls; defaults are sensible for the paper's budgets
-        (10-20 evaluations).
-    callbacks:
-        Called with every :class:`Evaluation` (success or failure); the
-        crowd layer uses this to stream records to the shared repository
-        when ``sync_crowd_repo`` is on.
+    job_id: int
+    config: dict[str, Any]
+    attempt: int = 0
+    #: earliest monotonic time the job may start (retry backoff)
+    not_before: float = 0.0
+
+
+@dataclass
+class EvalOutcome:
+    """What an executor reports for one job's last attempt."""
+
+    job_id: int
+    config: dict[str, Any]
+    attempt: int
+    #: the completed evaluation; ``None`` when the job was lost
+    evaluation: Evaluation | None
+    #: ``None`` on success, else ``"crash"`` / ``"timeout"`` /
+    #: ``"lease-exhausted"`` / ``"error: ..."``
+    error: str | None = None
+    worker_id: int | None = None
+    #: simulated execution latency (seconds) of this attempt
+    latency_s: float = 0.0
+    #: executor bookkeeping merged into the evaluation's metadata
+    metadata: dict[str, Any] = field(default_factory=dict)
+    #: times the fabric re-leased the job after losing it
+    redispatches: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+    @property
+    def job(self) -> EvalJob:
+        return EvalJob(self.job_id, self.config, self.attempt)
+
+
+class InlineExecutor:
+    """Evaluates in the calling thread: ``submit`` runs the objective and
+    queues its outcome for ``get``, so one loop step is one whole BO
+    iteration (propose, then evaluate)."""
+
+    n_workers = 1
+    step = "iteration"
+
+    def __init__(self, evaluate: Callable[[dict[str, Any]], Evaluation]) -> None:
+        self._evaluate = evaluate
+        self._done: queue.SimpleQueue[EvalOutcome] = queue.SimpleQueue()
+        self._job_ids = itertools.count()
+
+    def __enter__(self) -> "InlineExecutor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    @property
+    def inflight(self) -> int:
+        return self._done.qsize()
+
+    def submit(self, config: dict[str, Any]) -> int:
+        job_id = next(self._job_ids)
+        with perf.timer("evaluate"):
+            evaluation = self._evaluate(config)
+        self._done.put(EvalOutcome(job_id, config, 0, evaluation))
+        return job_id
+
+    def get(self, timeout: float | None = None) -> EvalOutcome:
+        return self._done.get_nowait()
+
+
+class GPProvider:
+    """Model provider of the ``NoTLA`` baseline: a target-only GP.
+
+    The surface the loop relies on: ``name``, ``n_initial`` (random
+    evaluations before the model takes over), ``gp`` (the surrogate
+    batch proposal may fantasize on, or ``None``) and the methods below.
     """
 
     name = "NoTLA"
 
-    def __init__(
-        self,
-        problem: TuningProblem,
-        options: TunerOptions | None = None,
-        callbacks: list[EvaluationCallback] | None = None,
-    ) -> None:
-        self.problem = problem
-        self.options = options or TunerOptions()
-        self.callbacks = list(callbacks or [])
+    def __init__(self, space: Space, options: TunerOptions) -> None:
+        self.space = space
+        self.options = options
+        self.prepare(None)
 
-    # -- main loop -------------------------------------------------------
-    def tune(
-        self,
-        task: Mapping[str, Any],
-        n_samples: int,
-        *,
-        seed: int | None = None,
-        history: History | None = None,
-    ) -> TuningResult:
-        """Run ``n_samples`` function evaluations on ``task``.
+    @property
+    def n_initial(self) -> int:
+        return self.options.n_initial
 
-        An existing ``history`` may be passed to continue a previous run
-        (its evaluations count toward the surrogate but not the budget).
-        """
-        if n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        self.problem.input_space.validate(task)
-        rng = np.random.default_rng(seed)
-        hist = history if history is not None else History(task, self.problem.parameter_space)
-
-        sampler = self.options.make_sampler()
-        feasible = lambda cfg: self.problem.feasible(task, cfg)
-        with perf.collect() as stats:
-            # inside the collect window so preparation work (e.g. TLA
-            # source-surrogate fits and store hits) shows up in .perf
-            with perf.timer("prepare"):
-                self._prepare(task, rng)
-            for _ in range(n_samples):
-                with perf.timer("iteration"):
-                    if hist.n_successes < self.options.n_initial:
-                        config = self._initial_config(sampler, hist, feasible, rng)
-                    else:
-                        config = self._propose(hist, rng)
-                    with perf.timer("evaluate"):
-                        evaluation = self.problem.evaluate(task, config)
-                hist.append(evaluation)
-                for cb in self.callbacks:
-                    cb(evaluation)
-        return TuningResult(
-            problem_name=self.problem.name,
-            tuner_name=self.name,
-            task=dict(task),
-            history=hist,
-            seed=seed,
-            perf=stats.snapshot(),
-        )
-
-    # -- hooks -------------------------------------------------------------
-    def _prepare(self, task: Mapping[str, Any], rng: np.random.Generator) -> None:
-        """One-time setup before the loop (TLA tuner loads sources here)."""
+    def prepare(self, rng: np.random.Generator | None) -> None:
+        """One-time setup before the loop: forget the previous run's model."""
         self._iteration = 0
-        self._gp: GaussianProcess | None = None
-        self._surrogate_kind: str | None = None
-        self._task = dict(task)
+        self.gp: GaussianProcess | None = None
+        self.kind: str | None = None
+
+    def notify_proposal(self, x_unit: np.ndarray, rng: np.random.Generator) -> None:
+        """Called with every unit-cube point chosen for evaluation."""
+
+    def notify_result(self, x_unit: np.ndarray, y: float | None) -> None:
+        """Called with that point's outcome (``None`` on failure)."""
 
     def _resolve_kind(self, n: int) -> str:
         """The concrete surrogate kind for an ``n``-observation history.
@@ -215,51 +262,13 @@ class Tuner:
             return "dense"
         return resolve_surrogate_kind(self.options.surrogate, n, self.options.n_dense_max)
 
-    def _feasible(self, config: Mapping[str, Any]) -> bool:
-        return self.problem.feasible(self._task, config)
-
-    def _initial_config(self, sampler, hist: History, feasible, rng):
-        """A fresh random configuration, preferring feasible ones."""
-        for _ in range(50):
-            batch = sampler.sample(
-                self.problem.parameter_space, 1, rng, exclude=hist.configs()
-            )
-            config = batch[0] if batch else self.problem.parameter_space.sample(rng)
-            if feasible(config):
-                return config
-        return config
-
-    def _propose(self, hist: History, rng: np.random.Generator) -> dict[str, Any]:
-        with perf.timer("surrogate"):
-            predict = self._model(hist, rng)
-        if predict is None:  # modeling failed: fall back to random search
-            return self._initial_config(
-                self.options.make_sampler(), hist, self._feasible, rng
-            )
-        X_obs, _ = hist.arrays()
-        X_failed = hist.failed_array()
-        p_feasible = self._feasibility_model(X_obs, X_failed)
-        with perf.timer("search"):
-            return search_next(
-                predict,
-                self.problem.parameter_space,
-                self.options.acquisition,
-                rng,
-                X_obs=X_obs,
-                evaluated=hist.configs(),
-                X_failed=X_failed,
-                p_feasible=p_feasible,
-                feasible=self._feasible,
-                options=self.options.search,
-            )
-
-    def _feasibility_model(self, X_obs, X_failed):
+    def p_feasible(self, X_obs: np.ndarray, X_failed: np.ndarray):
         """A learned P(feasible) when failures have been observed."""
-        if not self.options.learn_feasibility or X_failed.shape[0] == 0:
+        if X_failed.shape[0] == 0:
             return None
         return KnnFeasibility(X_obs, X_failed).predict_proba
 
-    def _model(self, hist: History, rng: np.random.Generator) -> PredictFn | None:
+    def model(self, hist: History, rng: np.random.Generator) -> PredictFn | None:
         """Fit (or refresh) the surrogate; returns its predict function.
 
         On ``refit_every`` boundaries the GP is refit from scratch with
@@ -273,27 +282,27 @@ class Tuner:
             return None
         opts = self.options
         kind = self._resolve_kind(X.shape[0])
-        if self._gp is not None and kind != self._surrogate_kind:
-            self._gp = None  # history crossed n_dense_max: rebuild as the new kind
-        refit = self._gp is None or (self._iteration % max(opts.refit_every, 1) == 0)
+        if self.gp is not None and kind != self.kind:
+            self.gp = None  # history crossed n_dense_max: rebuild as the new kind
+        refit = self.gp is None or (self._iteration % max(opts.refit_every, 1) == 0)
         self._iteration += 1
-        if self._gp is None:
-            self._surrogate_kind = kind
+        if self.gp is None:
+            self.kind = kind
             if kind == "dense":
                 if opts.kernel == "mixed":
                     from .mixed import mixed_kernel_for_space
 
-                    kernel = mixed_kernel_for_space(self.problem.parameter_space)
+                    kernel = mixed_kernel_for_space(self.space)
                 else:
                     kernel = kernel_from_name(opts.kernel, X.shape[1])
-                self._gp = GaussianProcess(
+                self.gp = GaussianProcess(
                     kernel,
                     max_fun=opts.gp_max_fun,
                     n_restarts=opts.gp_restarts,
                     seed=int(rng.integers(0, 2**31 - 1)),
                 )
             else:
-                self._gp = make_surrogate(
+                self.gp = make_surrogate(
                     kind,
                     opts.kernel,
                     seed=int(rng.integers(0, 2**31 - 1)),
@@ -302,7 +311,7 @@ class Tuner:
                     n_inducing=opts.n_inducing,
                     leaf_size=opts.leaf_size,
                 )
-        gp = self._gp
+        gp = self.gp
         if not refit and opts.incremental and gp.fitted:
             n_new = gp.extends_training_data(X, y)
             if n_new == 0:
@@ -320,3 +329,185 @@ class Tuner:
         except GPFitError:
             return None
         return gp.predict
+
+
+class Tuner:
+    """Bayesian-optimization autotuner: the one loop (``NoTLA`` as built).
+
+    Parameters
+    ----------
+    problem:
+        The tuning problem to minimize.
+    options:
+        Loop controls; defaults are sensible for the paper's budgets
+        (10-20 evaluations).
+    callbacks:
+        Called with every :class:`Evaluation` (success or failure) in
+        completion order from the loop's thread; the crowd layer uses
+        this to stream records to the shared repository when
+        ``sync_crowd_repo`` is on.
+    """
+
+    #: prepended to the provider's name in :attr:`name`
+    prefix = ""
+    #: max proposals per refill round and the fantasy lie for in-flight ones
+    batch, lie = 1, "cl-min"
+
+    def __init__(
+        self,
+        problem: TuningProblem,
+        options: TunerOptions | None = None,
+        callbacks: list[EvaluationCallback] | None = None,
+    ) -> None:
+        self.problem = problem
+        self.options = options or TunerOptions()
+        self.callbacks = list(callbacks or [])
+        self.provider = GPProvider(problem.parameter_space, self.options)
+
+    @property
+    def name(self) -> str:
+        return self.prefix + self.provider.name
+
+    # the plain-GP provider's state, read after a run by tests and benchmarks
+    _gp = property(lambda self: self.provider.gp)
+    _surrogate_kind = property(lambda self: self.provider.kind)
+
+    def _model(self, hist: History, rng: np.random.Generator) -> PredictFn | None:
+        """The provider's surrogate for ``hist`` (tests patch this)."""
+        return self.provider.model(hist, rng)
+
+    def _executor(self, evaluate, seed: int | None):
+        """The executor of one run; ``evaluate(config) -> Evaluation``."""
+        return InlineExecutor(evaluate)
+
+    def _seed_history(self, task: Mapping[str, Any]) -> History:
+        """The history a run without a continuation starts from."""
+        return History(task, self.problem.parameter_space)
+
+    # -- main loop -------------------------------------------------------
+    def tune(
+        self,
+        task: Mapping[str, Any],
+        n_samples: int,
+        *,
+        seed: int | None = None,
+        history: History | None = None,
+    ) -> TuningResult:
+        """Run ``n_samples`` function evaluations on ``task``.
+
+        Every terminal outcome (success, objective failure, or a job
+        the executor lost for good) consumes one sample; retries and
+        re-dispatches of the same job do not.  An existing ``history``
+        may be passed to continue a previous run (its evaluations count
+        toward the surrogate but not the budget).
+        """
+        if n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
+        self.problem.input_space.validate(task)
+        rng = np.random.default_rng(seed)
+        space = self.problem.parameter_space
+        feasible = lambda cfg: self.problem.feasible(task, cfg)
+        executor = self._executor(lambda cfg: self.problem.evaluate(task, cfg), seed)
+        pending: dict[int, dict[str, Any]] = {}  # job_id -> config
+        completed = 0
+        with perf.collect() as stats, executor:
+            # inside the collect window so preparation work (e.g. TLA
+            # source-surrogate fits and store hits) shows up in .perf
+            with perf.timer("prepare"):
+                hist = history if history is not None else self._seed_history(task)
+                self.provider.prepare(rng)
+
+            while completed < n_samples:
+                # keep the executor full
+                while completed + len(pending) < n_samples:
+                    free = max(executor.n_workers, 1) - executor.inflight
+                    if free < 1:
+                        break
+                    k = min(self.batch, free, n_samples - completed - len(pending))
+                    with perf.timer(executor.step):
+                        in_flight = list(pending.values())
+                        for cfg in self._propose(hist, rng, k, in_flight, feasible):
+                            pending[executor.submit(cfg)] = cfg
+                try:
+                    outcome = executor.get(timeout=120.0)
+                except queue.Empty:  # pragma: no cover - watchdog
+                    raise RuntimeError(
+                        f"{type(executor).__name__} stalled: {len(pending)} "
+                        f"evaluations pending, {completed}/{n_samples} completed, "
+                        f"{executor.n_workers} workers live"
+                    )
+                config = pending.pop(outcome.job_id, outcome.config)
+                evaluation = outcome.evaluation
+                if evaluation is None:
+                    # the executor gave the job up (retries or leases
+                    # exhausted, or a hard error): a crowd-style failure
+                    # record — consumes budget, feeds feasibility
+                    failure = {"failure": outcome.error or "unknown"}
+                    evaluation = Evaluation(dict(task), dict(config), None, failure)
+                evaluation.metadata.update(outcome.metadata)
+                hist.append(evaluation)
+                completed += 1
+                for cb in self.callbacks:
+                    cb(evaluation)
+                self.provider.notify_result(
+                    space.to_unit(config),
+                    None if evaluation.failed else float(evaluation.output),
+                )
+        return TuningResult(
+            problem_name=self.problem.name,
+            tuner_name=self.name,
+            task=dict(task),
+            history=hist,
+            seed=seed,
+            perf=stats.snapshot(),
+        )
+
+    # -- proposal ----------------------------------------------------------
+    def _propose(
+        self,
+        hist: History,
+        rng: np.random.Generator,
+        k: int,
+        pending: list[dict[str, Any]],
+        feasible: Callable[[dict[str, Any]], bool],
+    ) -> list[dict[str, Any]]:
+        """``k`` fresh configurations, fantasy-conditioned on ``pending``."""
+        space = self.problem.parameter_space
+        provider = self.provider
+        evaluated = hist.configs() + pending
+        predict = None
+        if hist.n_successes >= provider.n_initial:
+            with perf.timer("surrogate"):
+                predict = self._model(hist, rng)
+        if predict is None:  # initial design, or modeling failed: random search
+            sampler = self.options.make_sampler()
+            configs: list[dict[str, Any]] = []
+            for _ in range(k):
+                configs.append(self._sample(sampler, evaluated + configs, feasible, rng))
+        else:
+            X_obs, y_obs = hist.arrays()
+            X_failed = hist.failed_array()
+            learn = self.options.learn_feasibility
+            # exact fantasies only on the provider's own surrogate
+            own = getattr(predict, "__self__", None) is provider.gp
+            with perf.timer("search"):
+                configs = propose_batch(
+                    predict, space, self.options.acquisition, rng, q=k,
+                    gp=provider.gp if own else None, X_obs=X_obs, y_obs=y_obs,
+                    X_pending=space.to_unit_array(pending) if pending else None,
+                    evaluated=evaluated, X_failed=X_failed,
+                    p_feasible=provider.p_feasible(X_obs, X_failed) if learn else None,
+                    feasible=feasible, lie=self.lie, options=self.options.search,
+                )
+        for cfg in configs:
+            provider.notify_proposal(space.to_unit(cfg), rng)
+        return configs
+
+    def _sample(self, sampler: Sampler, evaluated, feasible, rng) -> dict[str, Any]:
+        """A fresh random configuration, preferring feasible ones."""
+        for _ in range(50):
+            batch = sampler.sample(self.problem.parameter_space, 1, rng, exclude=evaluated)
+            config = batch[0] if batch else self.problem.parameter_space.sample(rng)
+            if feasible(config):
+                return config
+        return config

@@ -7,8 +7,8 @@ fantasy-conditioned batch proposals, surviving worker crashes and
 timeouts through bounded retry, and streaming each completed evaluation
 to the crowd repository the moment it lands.
 
-Layering: :mod:`repro.engine` sits above :mod:`repro.core` (surrogates,
-acquisition, batch proposal), :mod:`repro.hpc` (the simulated cluster
+Layering: :mod:`repro.engine` sits above :mod:`repro.core` (the loop,
+surrogates, batch proposal), :mod:`repro.hpc` (the simulated cluster
 workers allocate from), and :mod:`repro.crowd` (the upload route the
 streamer posts to).  Nothing in those packages imports the engine.
 """

@@ -10,9 +10,11 @@ crowd of machines of different generations.
 
 The pool is deliberately simple: an input queue, an output queue, and
 cooperative sleeping so shutdown and timeouts never block on a stuck
-thread.  All fault *policy* (retry, backoff budgets) lives in the
-:class:`~repro.engine.tuner.AsyncTuner` event loop; the pool only
-executes and reports.
+thread.  Given a :class:`~repro.engine.faults.RetryPolicy` it re-runs
+crashed and timed-out attempts itself (with backoff, charged to the
+worker that picks the retry up), so the tuning loop only ever collects
+terminal outcomes — the same contract the fabric's lease re-dispatch
+gives.
 """
 
 from __future__ import annotations
@@ -20,51 +22,20 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
 from ..core import perf
 from ..core.problem import Evaluation
+from ..core.tuner import EvalJob, EvalOutcome
 from ..hpc.scheduler import SlurmJob, SlurmSim
-from .faults import FaultSource
+from .faults import FaultSource, RetryPolicy
 
 __all__ = ["EvalJob", "EvalOutcome", "WorkerPool"]
 
 #: pseudo-config put on the input queue to stop a worker
 _SHUTDOWN = object()
-
-
-@dataclass
-class EvalJob:
-    """One evaluation request (possibly a retry of an earlier attempt)."""
-
-    job_id: int
-    config: dict[str, Any]
-    attempt: int = 0
-    #: earliest monotonic time the job may start (retry backoff)
-    not_before: float = 0.0
-
-
-@dataclass
-class EvalOutcome:
-    """What came back from a worker for one :class:`EvalJob`."""
-
-    job: EvalJob
-    #: the completed evaluation; ``None`` when the worker crashed/timed out
-    evaluation: Evaluation | None
-    #: ``None`` on success, else ``"crash"`` / ``"timeout"`` / ``"error: ..."``
-    error: str | None
-    worker_id: int
-    #: simulated execution latency (seconds) of this attempt
-    latency_s: float
-    #: engine bookkeeping merged into the evaluation's metadata
-    metadata: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
 
 class WorkerPool:
@@ -96,7 +67,13 @@ class WorkerPool:
     timeout_s:
         Per-evaluation ceiling on simulated latency; slower runs are
         reported as ``"timeout"`` after ``timeout_s`` of wall time.
+    retry:
+        Re-run crashed/timed-out attempts while the policy allows and
+        report only the last one; ``None`` reports every attempt.
     """
+
+    #: the tuning loop's per-step timer: a step proposes and enqueues
+    step = "propose"
 
     def __init__(
         self,
@@ -109,6 +86,7 @@ class WorkerPool:
         heterogeneity: float = 0.0,
         fault_injector: FaultSource | None = None,
         timeout_s: float | None = None,
+        retry: RetryPolicy | None = None,
         seed: int | None = None,
         tick_s: float = 0.002,
     ) -> None:
@@ -123,6 +101,7 @@ class WorkerPool:
         self._nodes_per_worker = int(nodes_per_worker)
         self._fault_injector = fault_injector
         self._timeout_s = timeout_s
+        self._retry = retry
         self._tick_s = float(tick_s)
         rng = np.random.default_rng(seed)
         sigma = float(heterogeneity)
@@ -145,6 +124,7 @@ class WorkerPool:
     def start(self) -> "WorkerPool":
         if self._started:
             return self
+        self._t0 = time.perf_counter()
         if self._scheduler is not None:
             for wid in range(self.n_workers):
                 # raises AllocationError when the cluster is too small
@@ -161,6 +141,9 @@ class WorkerPool:
     def close(self) -> None:
         if not self._started:
             return
+        wall = time.perf_counter() - self._t0
+        perf.gauge("engine_worker_utilization", self.utilization(wall))
+        perf.gauge("engine_wall_s", wall)
         self._stop.set()
         for _ in self._threads:
             self._in.put(_SHUTDOWN)
@@ -186,14 +169,20 @@ class WorkerPool:
             job_id = self._next_job_id
             self._next_job_id += 1
             self._inflight += 1
+            inflight = self._inflight
         self._in.put(EvalJob(job_id, dict(config)))
+        # every job in flight is a fantasy the next proposal conditions on
+        perf.gauge("engine_pending_fantasies", inflight)
         perf.gauge("engine_queue_depth", self._in.qsize())
         return job_id
 
     def resubmit(self, job: EvalJob, delay_s: float = 0.0) -> None:
-        """Re-enqueue a failed job for another attempt after ``delay_s``."""
+        """Re-enqueue a collected failed job for another attempt after ``delay_s``."""
         with self._lock:
             self._inflight += 1
+        self._requeue(job, delay_s)
+
+    def _requeue(self, job: EvalJob, delay_s: float) -> None:
         self._in.put(
             EvalJob(
                 job.job_id,
@@ -298,18 +287,24 @@ class WorkerPool:
             with self._lock:
                 self._busy_s[wid] += busy
             perf.incr("engine_evaluations")
+            if (
+                error in ("crash", "timeout")
+                and self._retry is not None
+                and self._retry.allows(job.attempt)
+            ):
+                perf.incr("engine_retries")
+                self._requeue(job, self._retry.backoff_s(job.attempt))
+                continue
+            metadata = {
+                "worker": wid,
+                "attempt": job.attempt,
+                "latency_s": round(latency, 6),
+                **slurm_meta,
+                "attempts": job.attempt + 1,
+            }
             self._out.put(
                 EvalOutcome(
-                    job=job,
-                    evaluation=evaluation,
-                    error=error,
-                    worker_id=wid,
-                    latency_s=latency,
-                    metadata={
-                        "worker": wid,
-                        "attempt": job.attempt,
-                        "latency_s": round(latency, 6),
-                        **slurm_meta,
-                    },
+                    job.job_id, job.config, job.attempt, evaluation, error,
+                    worker_id=wid, latency_s=latency, metadata=metadata,
                 )
             )

@@ -1,40 +1,34 @@
 """Asynchronous batched Bayesian-optimization tuning.
 
-:class:`AsyncTuner` keeps a :class:`~repro.engine.pool.WorkerPool`
-saturated: whenever workers are idle it proposes new configurations —
-conditioned on *fantasy observations* at every evaluation still in
-flight (:func:`repro.core.optimizer.propose_batch`) so concurrent
-proposals stay diverse — and folds results into the surrogate in
-completion order through the incremental ``GaussianProcess.update``
-path.  Crashed or timed-out evaluations are retried with exponential
-backoff up to the retry budget, then recorded as *failures* in the
-history, where they feed the KNN feasibility model and (via callbacks
-such as :class:`~repro.engine.stream.CrowdStreamer`) the crowd
-repository — exactly how the paper's database treats bad
-configurations.
+:class:`AsyncTuner` is the one tuning loop
+(:meth:`repro.core.tuner.Tuner.tune`) run on a
+:class:`~repro.engine.pool.WorkerPool`: whenever workers are idle the
+loop proposes new configurations — conditioned on *fantasy
+observations* at every evaluation still in flight
+(:func:`repro.core.optimizer.propose_batch`) so concurrent proposals
+stay diverse — and folds results into the surrogate in completion
+order.  The pool retries crashed or timed-out evaluations with
+exponential backoff up to the retry budget; what is still lost after
+that the loop records as a *failure* in the history, where it feeds the
+KNN feasibility model and (via callbacks such as
+:class:`~repro.engine.stream.CrowdStreamer`) the crowd repository —
+exactly how the paper's database treats bad configurations.
 
-With one worker and no faults the engine degenerates to the sequential
-loop: propose, wait, fold, repeat — and reproduces
-:class:`~repro.core.tuner.Tuner` trajectories bit-for-bit (a regression
-test pins this), so every speedup measured by
+With one worker and no faults the loop degenerates to propose, wait,
+fold, repeat — and reproduces the sequential tuner's trajectories
+bit-for-bit, for the plain GP and for any TLA provider (regression
+tests pin both), so every speedup measured by
 ``benchmarks/bench_async.py`` is pure overlap, not a different
 algorithm.
 """
 
 from __future__ import annotations
 
-import queue
-import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping
 
-import numpy as np
-
-from ..core import perf
-from ..core.history import History
-from ..core.optimizer import LIE_STRATEGIES, propose_batch
-from ..core.problem import Evaluation, TuningProblem
-from ..core.tuner import EvaluationCallback, Tuner, TunerOptions, TuningResult
+from ..core.optimizer import LIE_STRATEGIES
+from ..core.problem import TuningProblem
+from ..core.tuner import EvaluationCallback, Tuner, TunerOptions
 from ..hpc.scheduler import SlurmSim
 from .faults import FaultInjector, FaultSource, RetryPolicy
 from .pool import WorkerPool
@@ -86,7 +80,7 @@ class EngineOptions:
 
 
 class AsyncTuner(Tuner):
-    """Asynchronous batched NoTLA tuner over a simulated worker pool.
+    """The tuning loop over a simulated thread worker pool.
 
     Parameters
     ----------
@@ -107,7 +101,7 @@ class AsyncTuner(Tuner):
         :class:`~repro.engine.faults.ScriptedFaults`).
     """
 
-    name = "AsyncNoTLA"
+    prefix = "Async"
 
     def __init__(
         self,
@@ -121,195 +115,25 @@ class AsyncTuner(Tuner):
     ) -> None:
         super().__init__(problem, options, callbacks)
         self.engine = engine or EngineOptions()
+        self.batch, self.lie = self.engine.batch, self.engine.lie
         self.scheduler = scheduler
         if fault_injector is None and self.engine.fault_rate > 0.0:
             fault_injector = FaultInjector(self.engine.fault_rate, self.engine.fault_seed)
         self.fault_injector = fault_injector
 
-    # -- latency model -----------------------------------------------------
-    def _latency_fn(self):
+    def _executor(self, evaluate, seed: int | None) -> WorkerPool:
         eng = self.engine
-        if eng.latency_scale <= 0 and eng.base_latency_s <= 0 and (
-            eng.failure_latency_s <= 0
-        ):
-            return None
-
-        def latency(evaluation: Evaluation) -> float:
-            if evaluation.failed:
-                return eng.failure_latency_s
-            return eng.base_latency_s + eng.latency_scale * max(evaluation.output, 0.0)
-
-        return latency
-
-    # -- main loop ---------------------------------------------------------
-    def tune(
-        self,
-        task: Mapping[str, Any],
-        n_samples: int,
-        *,
-        seed: int | None = None,
-        history: History | None = None,
-    ) -> TuningResult:
-        """Run ``n_samples`` evaluations on ``task`` across the pool.
-
-        Budget semantics match the sequential tuner: every *resolved*
-        evaluation (success, objective failure, or a crash/timeout that
-        exhausted its retries) consumes one sample; retries of the same
-        job do not.  An existing ``history`` continues a previous run —
-        its evaluations feed the surrogate but not the budget.
-        """
-        if n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        self.problem.input_space.validate(task)
-        rng = np.random.default_rng(seed)
-        hist = history if history is not None else History(task, self.problem.parameter_space)
-        eng = self.engine
-
-        evaluate = lambda cfg: self.problem.evaluate(task, cfg)
-        pool = WorkerPool(
+        return WorkerPool(
             evaluate,
             eng.n_workers,
-            latency_fn=self._latency_fn(),
+            latency_fn=lambda ev: eng.failure_latency_s
+            if ev.failed
+            else eng.base_latency_s + eng.latency_scale * max(ev.output, 0.0),
             scheduler=self.scheduler,
             nodes_per_worker=eng.nodes_per_worker,
             heterogeneity=eng.heterogeneity,
             fault_injector=self.fault_injector,
             timeout_s=eng.timeout_s,
+            retry=eng.retry,
             seed=seed,
         )
-        pending: dict[int, dict[str, Any]] = {}  # job_id -> config
-        completed = 0
-        t0 = time.perf_counter()
-        with perf.collect() as stats, pool:
-            # same scoping as the sequential tuner: preparation counters
-            # (TLA source fits, store hits) belong to this run's .perf
-            with perf.timer("prepare"):
-                self._prepare(task, rng)
-
-            def refill() -> None:
-                while (
-                    completed + len(pending) < n_samples
-                    and pool.inflight < eng.n_workers
-                ):
-                    k = min(
-                        eng.batch,
-                        eng.n_workers - pool.inflight,
-                        n_samples - completed - len(pending),
-                    )
-                    with perf.timer("propose"):
-                        configs = self._propose_batch(hist, rng, k, list(pending.values()))
-                    if not configs:
-                        return
-                    for cfg in configs:
-                        pending[pool.submit(cfg)] = cfg
-                    perf.gauge("engine_pending_fantasies", len(pending))
-
-            refill()
-            while completed < n_samples:
-                try:
-                    outcome = pool.get(timeout=60.0)
-                except queue.Empty:  # pragma: no cover - watchdog
-                    raise RuntimeError(
-                        f"engine stalled: {len(pending)} evaluations pending, "
-                        f"{completed}/{n_samples} completed"
-                    )
-                job = outcome.job
-                if outcome.error in ("crash", "timeout") and eng.retry.allows(job.attempt):
-                    perf.incr("engine_retries")
-                    pool.resubmit(job, delay_s=eng.retry.backoff_s(job.attempt))
-                    continue
-                evaluation = outcome.evaluation
-                if evaluation is None:
-                    # retries exhausted (or a hard error): a crowd-style
-                    # failure record — consumes budget, feeds feasibility
-                    evaluation = Evaluation(
-                        dict(task),
-                        dict(job.config),
-                        None,
-                        {"failure": outcome.error or "unknown"},
-                    )
-                evaluation.metadata.update(outcome.metadata)
-                evaluation.metadata["attempts"] = job.attempt + 1
-                pending.pop(job.job_id, None)
-                hist.append(evaluation)
-                completed += 1
-                for cb in self.callbacks:
-                    cb(evaluation)
-                refill()
-            wall = time.perf_counter() - t0
-            perf.gauge("engine_worker_utilization", pool.utilization(wall))
-            perf.gauge("engine_wall_s", wall)
-        return TuningResult(
-            problem_name=self.problem.name,
-            tuner_name=self.name,
-            task=dict(task),
-            history=hist,
-            seed=seed,
-            perf=stats.snapshot(),
-        )
-
-    # -- proposal ----------------------------------------------------------
-    def _propose_batch(
-        self,
-        hist: History,
-        rng: np.random.Generator,
-        k: int,
-        pending_configs: list[dict[str, Any]],
-    ) -> list[dict[str, Any]]:
-        """``k`` fresh configurations, fantasy-conditioned on ``pending``."""
-        space = self.problem.parameter_space
-        sampler = self.options.make_sampler()
-        evaluated = hist.configs() + pending_configs
-        if hist.n_successes < self.options.n_initial:
-            out = []
-            for _ in range(k):
-                cfg = self._initial_sample(sampler, evaluated + [], rng)
-                out.append(cfg)
-                evaluated.append(cfg)
-            return out
-        with perf.timer("surrogate"):
-            predict = self._model(hist, rng)
-        if predict is None:  # modeling failed: random fallback
-            out = []
-            for _ in range(k):
-                cfg = self._initial_sample(sampler, evaluated, rng)
-                out.append(cfg)
-                evaluated.append(cfg)
-            return out
-        X_obs, y_obs = hist.arrays()
-        X_failed = hist.failed_array()
-        p_feasible = self._feasibility_model(X_obs, X_failed)
-        gp = self._gp if (
-            self._gp is not None and getattr(predict, "__self__", None) is self._gp
-        ) else None
-        X_pending = (
-            space.to_unit_array(pending_configs) if pending_configs else None
-        )
-        with perf.timer("search"):
-            return propose_batch(
-                predict,
-                space,
-                self.options.acquisition,
-                rng,
-                q=k,
-                gp=gp,
-                X_obs=X_obs,
-                y_obs=y_obs,
-                X_pending=X_pending,
-                evaluated=evaluated,
-                X_failed=X_failed,
-                p_feasible=p_feasible,
-                feasible=self._feasible,
-                lie=self.engine.lie,
-                options=self.options.search,
-            )
-
-    def _initial_sample(self, sampler, evaluated, rng) -> dict[str, Any]:
-        """A fresh random configuration avoiding all known/pending ones."""
-        config = None
-        for _ in range(50):
-            batch = sampler.sample(self.problem.parameter_space, 1, rng, exclude=evaluated)
-            config = batch[0] if batch else self.problem.parameter_space.sample(rng)
-            if self._feasible(config):
-                return config
-        return config

@@ -13,19 +13,19 @@ is the real distribution layer:
 * :mod:`~repro.fabric.coordinator` — leases jobs to workers, tracks
   liveness by heartbeat, re-dispatches expired leases and dead workers'
   jobs, and grows/drains/kills workers elastically mid-run,
-* :mod:`~repro.fabric.tuner` — :class:`FabricTuner` drives the
-  engine's constant-liar batch-proposal loop over the fabric and
-  streams every completed evaluation through the crowd service, so one
-  tuning run feeds (and optionally consults) the shared database end
-  to end.
+* :mod:`~repro.fabric.tuner` — :class:`FabricTuner` runs the one
+  tuning loop (:meth:`repro.core.tuner.Tuner.tune`) with the
+  coordinator as its executor and streams every completed evaluation
+  through the crowd service, so one tuning run feeds (and optionally
+  consults) the shared database end to end.
 
-Layering: the fabric sits above :mod:`repro.engine` (proposal loop and
-streaming reused by subclassing) and talks to :mod:`repro.service`
-only through the public ``handle()`` protocol.  Nothing below imports
-the fabric.
+Layering: the fabric sits above :mod:`repro.core` (the loop) and
+:mod:`repro.engine` (the crowd streamer) and talks to
+:mod:`repro.service` only through the public ``handle()`` protocol.
+Nothing below imports the fabric.
 """
 
-from .coordinator import FabricCoordinator, FabricOptions, FabricOutcome
+from .coordinator import FabricCoordinator, FabricOptions
 from .jobqueue import DurableJobQueue, FabricJob, JobState
 from .tuner import FabricTuner
 
@@ -34,7 +34,6 @@ __all__ = [
     "FabricCoordinator",
     "FabricJob",
     "FabricOptions",
-    "FabricOutcome",
     "FabricTuner",
     "JobState",
 ]

@@ -7,8 +7,8 @@ pump, driven from :meth:`get`, does four things each tick:
 1. **drain** every worker's outbox — heartbeats refresh liveness,
    ``done`` payloads go through the queue's exactly-once
    :meth:`~repro.fabric.jobqueue.DurableJobQueue.complete` and (when
-   applied) surface as :class:`FabricOutcome`\\ s, with the worker's
-   perf snapshot merged into the parent's collectors;
+   applied) surface as :class:`~repro.core.tuner.EvalOutcome`\\ s,
+   with the worker's perf snapshot merged into the parent's collectors;
 2. **reap** dead processes — a worker that exited without being asked
    (kill -9, segfault, OOM) has its leased job re-dispatched
    immediately;
@@ -38,18 +38,20 @@ from __future__ import annotations
 import multiprocessing as mp
 import queue as queue_mod
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
 from ..core import perf
+from ..core.optimizer import LIE_STRATEGIES
 from ..core.problem import Evaluation
+from ..core.tuner import EvalOutcome
 from .jobqueue import DurableJobQueue, JobState
 from .worker import MSG_DONE, MSG_HEARTBEAT, MSG_READY, worker_main
 
-__all__ = ["FabricCoordinator", "FabricOptions", "FabricOutcome"]
+__all__ = ["FabricCoordinator", "FabricOptions"]
 
 
 @dataclass
@@ -96,33 +98,14 @@ class FabricOptions:
             raise ValueError("n_procs must be >= 1")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
+        if self.lie not in LIE_STRATEGIES:
+            raise ValueError(f"lie must be one of {LIE_STRATEGIES}, got {self.lie!r}")
         if self.lease_s <= 0:
             raise ValueError("lease_s must be positive")
         if self.heartbeat_s <= 0:
             raise ValueError("heartbeat_s must be positive")
         if self.max_redispatch < 0:
             raise ValueError("max_redispatch must be >= 0")
-
-
-@dataclass
-class FabricOutcome:
-    """One terminal job outcome delivered to the tuning loop."""
-
-    job_id: int
-    config: dict[str, Any]
-    #: completed evaluation; None when the job was abandoned as a failure
-    evaluation: Evaluation | None
-    #: None on success, else "lease-exhausted" / "error: ..."
-    error: str | None
-    worker_id: int | None
-    attempt: int
-    redispatches: int
-    latency_s: float = 0.0
-    metadata: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
 
 @dataclass
@@ -163,7 +146,14 @@ class FabricCoordinator:
     fault:
         Deterministic worker-crash injector forwarded to every worker
         (see :func:`~repro.fabric.worker.worker_main`).
+    on_progress:
+        ``on_progress(collected, coordinator)`` as :meth:`get` hands out
+        each outcome — the hook benchmarks and the CLI use to kill or
+        add workers mid-run.
     """
+
+    #: the tuning loop's per-step timer: a step proposes and enqueues
+    step = "propose"
 
     def __init__(
         self,
@@ -173,10 +163,13 @@ class FabricCoordinator:
         queue: DurableJobQueue | None = None,
         seed: int | None = None,
         fault: Callable[[int, int], bool] | None = None,
+        on_progress: Callable[[int, "FabricCoordinator"], None] | None = None,
     ) -> None:
         self.options = options or FabricOptions()
         self._evaluate = evaluate
         self._fault = fault
+        self._on_progress = on_progress
+        self._collected = 0
         self.queue = queue if queue is not None else DurableJobQueue(
             self.options.data_dir,
             snapshot_every=self.options.snapshot_every,
@@ -189,7 +182,7 @@ class FabricCoordinator:
         self._rng = np.random.default_rng(seed)
         self._workers: dict[int, _WorkerHandle] = {}
         self._next_wid = 0
-        self._completed: "queue_mod.SimpleQueue[FabricOutcome]" = (
+        self._completed: "queue_mod.SimpleQueue[EvalOutcome]" = (
             queue_mod.SimpleQueue()
         )
         self._inflight = 0
@@ -201,6 +194,7 @@ class FabricCoordinator:
     def start(self) -> "FabricCoordinator":
         if self._started:
             return self
+        self._t0 = time.perf_counter()
         for _ in range(self.options.n_procs):
             self._spawn_worker()
         self._started = True
@@ -220,6 +214,11 @@ class FabricCoordinator:
         if self._closed:
             return
         self._closed = True
+        if self._started:
+            wall = time.perf_counter() - self._t0
+            perf.gauge("fabric_worker_utilization", self.utilization(wall))
+            perf.gauge("fabric_wall_s", wall)
+            perf.gauge("fabric_workers", max(self.n_workers, 1))
         for handle in list(self._workers.values()):
             handle.stopping = True
             try:
@@ -326,6 +325,8 @@ class FabricCoordinator:
         job_id = self.queue.enqueue(config)
         self._inflight += 1
         perf.gauge("fabric_queue_depth", self.queue.n_pending)
+        # every job in flight is a fantasy the next proposal conditions on
+        perf.gauge("fabric_pending_fantasies", self._inflight)
         return job_id
 
     @property
@@ -333,7 +334,7 @@ class FabricCoordinator:
         """Jobs submitted (or recovered) whose outcome was not collected."""
         return self._inflight
 
-    def get(self, timeout: float | None = None) -> FabricOutcome:
+    def get(self, timeout: float | None = None) -> EvalOutcome:
         """Next terminal outcome (raises ``queue.Empty`` on timeout)."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
@@ -346,6 +347,9 @@ class FabricCoordinator:
                 time.sleep(self.options.tick_s)
                 continue
             self._inflight -= 1
+            self._collected += 1
+            if self._on_progress is not None:
+                self._on_progress(self._collected, self)
             return outcome
 
     # -- accounting ----------------------------------------------------------
@@ -407,21 +411,19 @@ class FabricCoordinator:
             if body.get("evaluation") is not None
             else None
         )
+        attempt = int(body["attempt"])
+        latency = float(body.get("latency_s", 0.0))
+        metadata = {
+            "worker": handle.worker_id,
+            "attempt": attempt,
+            "latency_s": round(latency, 6),
+            "attempts": attempt + 1,
+        }
         self._completed.put(
-            FabricOutcome(
-                job_id=job.job_id,
-                config=dict(job.config),
-                evaluation=evaluation,
-                error=body.get("error"),
-                worker_id=handle.worker_id,
-                attempt=int(body["attempt"]),
+            EvalOutcome(
+                job.job_id, dict(job.config), attempt, evaluation, body.get("error"),
+                worker_id=handle.worker_id, latency_s=latency, metadata=metadata,
                 redispatches=job.redispatches,
-                latency_s=float(body.get("latency_s", 0.0)),
-                metadata={
-                    "worker": handle.worker_id,
-                    "attempt": int(body["attempt"]),
-                    "latency_s": round(float(body.get("latency_s", 0.0)), 6),
-                },
             )
         )
 
@@ -467,16 +469,11 @@ class FabricCoordinator:
             )
             if status == "applied":
                 perf.incr("fabric_jobs_abandoned")
+                metadata = {"attempt": job.attempt, "attempts": job.attempt + 1}
                 self._completed.put(
-                    FabricOutcome(
-                        job_id=job_id,
-                        config=dict(job.config),
-                        evaluation=None,
-                        error="lease-exhausted",
-                        worker_id=None,
-                        attempt=job.attempt,
-                        redispatches=job.redispatches,
-                        metadata={"attempt": job.attempt},
+                    EvalOutcome(
+                        job_id, dict(job.config), job.attempt, None, "lease-exhausted",
+                        metadata=metadata, redispatches=job.redispatches,
                     )
                 )
             return

@@ -1,14 +1,11 @@
 """Crowd tuning over the process fabric: propose, lease, stream, fold.
 
-:class:`FabricTuner` is the distribution layer's face to the BO loop.
-It reuses the asynchronous engine's whole proposal machinery —
-constant-liar fantasy batches via
-:meth:`~repro.engine.tuner.AsyncTuner._propose_batch`, incremental
-GP/sparse-surrogate fold-in through the shared :class:`~repro.core.
-tuner.Tuner` hooks — but evaluations execute on a
+:class:`FabricTuner` is the one tuning loop
+(:meth:`repro.core.tuner.Tuner.tune` — constant-liar fantasy batches,
+incremental surrogate fold-in, any model provider) run on a
 :class:`~repro.fabric.coordinator.FabricCoordinator` of worker
-*processes* over a durable job queue, and every completed evaluation
-streams through the crowd service (:class:`~repro.service.router.
+*processes* over a durable job queue, with every completed evaluation
+streamed through the crowd service (:class:`~repro.service.router.
 CrowdRouter` or any ``handle()`` endpoint) the moment it lands.  One
 tuning run therefore both **feeds** the shared database (uploads, which
 also trigger the registry's debounced rebuilds) and can **consult** it
@@ -18,33 +15,30 @@ end).
 
 Determinism contract: with one process, no faults and default
 latencies, the fabric degenerates to propose → wait → fold and
-reproduces the sequential :class:`~repro.core.tuner.Tuner` trajectory
-bit-for-bit (pinned by ``tests/fabric/test_fabric_tuner.py``), exactly
-as the threaded engine does — every speedup the fabric benchmark
-measures is overlap, not a different algorithm.
+reproduces the sequential tuner's trajectory bit-for-bit, for the plain
+GP and for any TLA provider (pinned by
+``tests/fabric/test_fabric_tuner.py``), exactly as the threaded engine
+does — every speedup the fabric benchmark measures is overlap, not a
+different algorithm.
 """
 
 from __future__ import annotations
 
-import queue as queue_mod
-import time
 from typing import Any, Callable, Mapping
-
-import numpy as np
 
 from ..core import perf
 from ..core.history import History
 from ..core.problem import Evaluation, TuningProblem
-from ..core.tuner import EvaluationCallback, TunerOptions, TuningResult
+from ..core.space import SpaceError
+from ..core.tuner import EvaluationCallback, Tuner, TunerOptions
 from ..engine.stream import CrowdStreamer
-from ..engine.tuner import AsyncTuner, EngineOptions
 from .coordinator import FabricCoordinator, FabricOptions
 
 __all__ = ["FabricTuner"]
 
 
-class FabricTuner(AsyncTuner):
-    """Asynchronous batched tuner over the multi-process fabric.
+class FabricTuner(Tuner):
+    """The tuning loop over the multi-process fabric.
 
     Parameters
     ----------
@@ -69,14 +63,14 @@ class FabricTuner(AsyncTuner):
         and seed the surrogate with the records found (they feed the
         model, not the budget).
     on_progress:
-        ``on_progress(completed, coordinator)`` after every collected
+        ``on_progress(completed, coordinator)`` for every collected
         evaluation — the hook benchmarks and the CLI use to kill or
         add workers mid-run.
     fault:
         Deterministic worker-crash injector (tests, benchmarks).
     """
 
-    name = "FabricNoTLA"
+    prefix = "Fabric"
 
     def __init__(
         self,
@@ -93,13 +87,9 @@ class FabricTuner(AsyncTuner):
         on_progress: Callable[[int, FabricCoordinator], None] | None = None,
         fault: Callable[[int, int], bool] | None = None,
     ) -> None:
+        super().__init__(problem, options, callbacks)
         self.fabric = fabric or FabricOptions()
-        engine = EngineOptions(
-            n_workers=self.fabric.n_procs,
-            batch=self.fabric.batch,
-            lie=self.fabric.lie,
-        )
-        super().__init__(problem, options, engine, callbacks)
+        self.batch, self.lie = self.fabric.batch, self.fabric.lie
         self.crowd = crowd
         self.api_key = api_key
         self.consult = bool(consult)
@@ -127,7 +117,9 @@ class FabricTuner(AsyncTuner):
         Successes and failures both load (failures feed the feasibility
         model, the paper's treatment of bad configurations); records
         whose configurations do not fit this problem's parameter space
-        are skipped.  The returned history is passed as a continuation,
+        (names, ranges, types) or whose output is not a number are
+        skipped and counted in ``fabric_consult_skipped``.  The
+        returned history is passed as a continuation,
         so crowd records feed the surrogate but never the budget.
         """
         assert self.crowd is not None and self.api_key is not None
@@ -143,131 +135,46 @@ class FabricTuner(AsyncTuner):
         )
         if not response.get("ok"):
             return hist
-        names = set(self.problem.parameter_space.names)
+        space = self.problem.parameter_space
+        names = set(space.names)
         docs = sorted(
             response.get("records", []),
             key=lambda d: (float(d.get("timestamp", 0.0) or 0.0), d.get("uid", 0)),
         )
         for doc in docs:
-            config = doc.get("tuning_parameters") or {}
-            if set(config) != names:
-                continue
+            config = dict(doc.get("tuning_parameters") or {})
             try:
-                hist.append(
-                    Evaluation(
-                        dict(task),
-                        dict(config),
-                        doc.get("output"),
-                        {"crowd_uid": doc.get("uid"), "crowd_seed": True},
-                    )
-                )
-                perf.incr("fabric_consulted_records")
-            except Exception:  # malformed crowd record: skip, don't die
+                if set(config) != names:
+                    raise SpaceError(f"parameters {sorted(config)} are not {space.names}")
+                space.validate(config)
+                output = doc.get("output")
+                output = None if output is None else float(output)
+            except (SpaceError, TypeError, ValueError):
+                # a record that does not fit this problem: skip, don't die
+                perf.incr("fabric_consult_skipped")
                 continue
+            hist.append(
+                Evaluation(
+                    dict(task),
+                    config,
+                    output,
+                    {"crowd_uid": doc.get("uid"), "crowd_seed": True},
+                )
+            )
+            perf.incr("fabric_consulted_records")
         return hist
 
-    # -- main loop -----------------------------------------------------------
-    def tune(
-        self,
-        task: Mapping[str, Any],
-        n_samples: int,
-        *,
-        seed: int | None = None,
-        history: History | None = None,
-    ) -> TuningResult:
-        """Run ``n_samples`` evaluations on ``task`` across the fabric.
+    # -- the loop's two run-scoped pieces -------------------------------------
+    def _seed_history(self, task: Mapping[str, Any]) -> History:
+        return self.consult_crowd(task) if self.consult else super()._seed_history(task)
 
-        Budget semantics match the engine: every terminal outcome
-        (success, objective failure, or a job abandoned after
-        ``max_redispatch`` lost leases) consumes one sample;
-        re-dispatches of the same job do not.
-        """
-        if n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        self.problem.input_space.validate(task)
-        rng = np.random.default_rng(seed)
-        fab = self.fabric
-        coordinator = FabricCoordinator(
-            lambda cfg: self.problem.evaluate(task, cfg),
-            fab,
-            seed=seed,
-            fault=self._fault,
+    def _executor(self, evaluate, seed: int | None) -> FabricCoordinator:
+        self._coordinator = FabricCoordinator(
+            evaluate, self.fabric, seed=seed, fault=self._fault, on_progress=self.on_progress
         )
-        pending: dict[int, dict[str, Any]] = {}  # job_id -> config
-        completed = 0
-        t0 = time.perf_counter()
-        with perf.collect() as stats, coordinator:
-            with perf.timer("prepare"):
-                if history is not None:
-                    hist = history
-                elif self.consult:
-                    hist = self.consult_crowd(task)
-                else:
-                    hist = History(task, self.problem.parameter_space)
-                self._prepare(task, rng)
+        return self._coordinator
 
-            def refill() -> None:
-                while (
-                    completed + len(pending) < n_samples
-                    and coordinator.inflight < max(coordinator.n_workers, 1)
-                ):
-                    k = min(
-                        fab.batch,
-                        max(coordinator.n_workers, 1) - coordinator.inflight,
-                        n_samples - completed - len(pending),
-                    )
-                    with perf.timer("propose"):
-                        configs = self._propose_batch(
-                            hist, rng, k, list(pending.values())
-                        )
-                    if not configs:
-                        return
-                    for cfg in configs:
-                        pending[coordinator.submit(cfg)] = cfg
-                    perf.gauge("fabric_pending_fantasies", len(pending))
-
-            refill()
-            while completed < n_samples:
-                try:
-                    outcome = coordinator.get(timeout=120.0)
-                except queue_mod.Empty:  # pragma: no cover - watchdog
-                    raise RuntimeError(
-                        f"fabric stalled: {len(pending)} evaluations pending, "
-                        f"{completed}/{n_samples} completed, "
-                        f"{coordinator.n_workers} workers live"
-                    )
-                evaluation = outcome.evaluation
-                if evaluation is None:
-                    # abandoned job or objective exception: a crowd-style
-                    # failure record — consumes budget, feeds feasibility
-                    evaluation = Evaluation(
-                        dict(task),
-                        dict(outcome.config),
-                        None,
-                        {"failure": outcome.error or "unknown"},
-                    )
-                evaluation.metadata.update(outcome.metadata)
-                evaluation.metadata["attempts"] = outcome.attempt + 1
-                pending.pop(outcome.job_id, None)
-                hist.append(evaluation)
-                completed += 1
-                for cb in self.callbacks:
-                    cb(evaluation)
-                if self.on_progress is not None:
-                    self.on_progress(completed, coordinator)
-                refill()
-            wall = time.perf_counter() - t0
-            perf.gauge(
-                "fabric_worker_utilization", coordinator.utilization(wall)
-            )
-            perf.gauge("fabric_wall_s", wall)
-            perf.gauge("fabric_workers", max(coordinator.n_workers, 1))
-        self._last_redispatches = coordinator.redispatches
-        return TuningResult(
-            problem_name=self.problem.name,
-            tuner_name=self.name,
-            task=dict(task),
-            history=hist,
-            seed=seed,
-            perf=stats.snapshot(),
-        )
+    @property
+    def _last_redispatches(self) -> int:
+        """Lease re-dispatches of the most recent run."""
+        return self._coordinator.redispatches

@@ -2,7 +2,8 @@
 
 Exposes the five TLA algorithms plus the three ensemble selectors, a
 registry (:func:`get_strategy`, :func:`pool_table`) mirroring Table I, and
-the :class:`TransferTuner` driver.
+the :class:`StrategyProvider` that plugs a strategy into the tuning loop
+(:class:`TransferTuner` is the sequential tuner built with it).
 """
 
 from .base import TLAStrategy, combine_weighted, equal_weight_model, fit_source_gps
@@ -21,7 +22,7 @@ from .ensemble import (
 from .multitask import MultitaskPS, MultitaskTS
 from .stacking import Stacking
 from .store import FrozenGP, SourceModelStore
-from .tuner import TransferTuner
+from .tuner import StrategyProvider, TransferTuner
 from .weighted_sum import WeightedSumDynamic, WeightedSumStatic, dynamic_weights
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "MultitaskTS",
     "SourceModelStore",
     "Stacking",
+    "StrategyProvider",
     "TLAStrategy",
     "TransferTuner",
     "WeightedSumDynamic",

@@ -4,14 +4,16 @@ A :class:`TLAStrategy` turns *source-task datasets* (queried from the
 crowd repository) plus the growing *target-task history* into a surrogate
 ``predict(X) -> (mean, std)`` that the shared acquisition search consumes.
 
-The lifecycle, driven by :class:`repro.tla.tuner.TransferTuner`:
+The lifecycle, driven by :class:`repro.tla.tuner.StrategyProvider`:
 
 1. :meth:`prepare` — once, with the source datasets (pre-train source GPs).
 2. per iteration: :meth:`model` — build/refresh the transfer surrogate
    from current target data; the tuner then searches and evaluates.
 3. :meth:`notify_proposal` / :meth:`notify_result` — hooks for stateful
    strategies (Multitask(PS) grows pseudo samples on proposals; the
-   ensemble updates its per-algorithm best outputs on results).
+   ensemble updates its per-algorithm best outputs on results); each
+   result arrives with the point of its own proposal, in completion
+   order.
 
 When the target task has no data at all, every strategy falls back to the
 equal-weight combination of the source surrogates — the paper's choice
@@ -178,8 +180,8 @@ class TLAStrategy(ABC):
         self.n_inducing = int(n_inducing)
         self.sources: list[TaskData] = []
         self.source_gps: list[GaussianProcess] = []
-        #: set once prepare()/prepare_from_models() has run; the transfer
-        #: tuner skips re-preparation for already-prepared strategies
+        #: set once prepare()/prepare_from_models() has run; the provider
+        #: skips re-preparation for already-prepared strategies
         self.prepared = False
         self._tgt_gp: GaussianProcess | None = None
         self._tgt_kind: str | None = None

@@ -1,43 +1,92 @@
-"""Transfer-learning tuning loop (system S7's driver).
+"""Transfer-learning model provider (system S7's driver).
 
-:class:`TransferTuner` extends the core BO loop: instead of an initial
-random design plus a target-only GP, every proposal comes from the TLA
-strategy's transfer surrogate.  The very first evaluation — when no
-target data exists and neither dynamic weights nor an LCM has anything to
-fit — falls back to the equal-weight combination of the source
-surrogates, matching the paper's experimental protocol (Sec. VI-A).
+:class:`StrategyProvider` plugs a :class:`~repro.tla.base.TLAStrategy`
+into the one tuning loop (:meth:`repro.core.tuner.Tuner.tune`): instead
+of an initial random design plus a target-only GP, every proposal comes
+from the strategy's transfer surrogate.  The very first evaluation —
+when no target data exists and neither dynamic weights nor an LCM has
+anything to fit — falls back to the equal-weight combination of the
+source surrogates, matching the paper's experimental protocol
+(Sec. VI-A).  :class:`TransferTuner` is the sequential tuner built with
+it; assigning a :class:`StrategyProvider` to ``provider`` of an
+:class:`~repro.engine.tuner.AsyncTuner` or
+:class:`~repro.fabric.tuner.FabricTuner` runs the same strategy over
+threads or processes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from dataclasses import replace
 
 import numpy as np
 
-from ..core import perf
+from ..core.acquisition import PredictFn
 from ..core.feasibility import KnnFeasibility
 from ..core.history import History, TaskData
-from ..core.optimizer import search_next
 from ..core.problem import TuningProblem
 from ..core.tuner import Tuner, TunerOptions
 from .base import TLAStrategy, equal_weight_model
 
-__all__ = ["TransferTuner"]
+__all__ = ["StrategyProvider", "TransferTuner"]
 
 
-class TransferTuner(Tuner):
-    """BO tuner whose surrogate is a TLA strategy over crowd source data.
+class StrategyProvider:
+    """Model provider whose surrogate is a TLA strategy over source data.
 
     Parameters
     ----------
-    problem:
-        Target tuning problem.
     strategy:
         A :class:`repro.tla.base.TLAStrategy` (one of the paper's
         Table I pool).
     sources:
         Source-task datasets, e.g. from
         :meth:`repro.crowd.api.CrowdClient.query_source_data`.
+    """
+
+    n_initial = 0  # transfer replaces the random initial design
+    gp = None  # combined predictors have no fantasy-update path
+
+    def __init__(self, strategy: TLAStrategy, sources: list[TaskData]) -> None:
+        self.strategy = strategy
+        self.sources = list(sources)
+        self.name = strategy.name
+        self.notify_proposal = strategy.notify_proposal
+        self.notify_result = strategy.notify_result
+
+    def prepare(self, rng: np.random.Generator) -> None:
+        if not self.strategy.prepared:
+            self.strategy.prepare(self.sources, rng)
+
+    def model(self, hist: History, rng: np.random.Generator) -> PredictFn | None:
+        predict = self.strategy.model(hist.as_task_data(), rng)
+        if predict is None:
+            try:
+                predict = equal_weight_model(
+                    self.strategy.source_gps, store=self.strategy.store
+                )
+            except ValueError:
+                return None  # no source surrogate either: random search
+        return predict
+
+    def p_feasible(self, X_obs: np.ndarray, X_failed: np.ndarray):
+        """P(feasible) learned from target history *and* the sources'
+        recorded failures (the crowd database stores failed samples too;
+        an OOM region observed on a source task warns the target run)."""
+        fails = [X_failed] + [
+            s.X_failed for s in self.sources if s.X_failed is not None
+        ]
+        fails = [f for f in fails if len(f)]
+        if not fails:
+            return None
+        oks = [X_obs] + [s.X for s in self.sources]
+        return KnnFeasibility(np.vstack(oks), np.vstack(fails)).predict_proba
+
+
+class TransferTuner(Tuner):
+    """Sequential tuner whose model provider is a :class:`StrategyProvider`.
+
+    ``strategy`` and ``sources`` are the provider's; ``options`` and
+    ``callbacks`` are :class:`~repro.core.tuner.Tuner`'s.
     """
 
     def __init__(
@@ -48,83 +97,7 @@ class TransferTuner(Tuner):
         options: TunerOptions | None = None,
         callbacks=None,
     ) -> None:
-        opts = options or TunerOptions()
-        opts.n_initial = 0  # transfer replaces the random initial design
-        super().__init__(problem, opts, callbacks)
-        self.strategy = strategy
-        self.sources = list(sources)
-        self.name = strategy.name
-
-    # -- hooks ------------------------------------------------------------
-    def _prepare(self, task: Mapping[str, Any], rng: np.random.Generator) -> None:
-        super()._prepare(task, rng)
-        if not self.strategy.prepared:
-            self.strategy.prepare(self.sources, rng)
-
-    def _propose(self, hist: History, rng: np.random.Generator) -> dict[str, Any]:
-        target = hist.as_task_data()
-        with perf.timer("surrogate"):
-            predict = self.strategy.model(target, rng)
-        if predict is None:
-            try:
-                predict = equal_weight_model(
-                    self.strategy.source_gps, store=self.strategy.store
-                )
-            except ValueError:
-                return self._initial_config(
-                    self.options.make_sampler(), hist, self._feasible, rng
-                )
-        X_failed = hist.failed_array()
-        with perf.timer("search"):
-            config = search_next(
-                predict,
-                self.problem.parameter_space,
-                self.options.acquisition,
-                rng,
-                X_obs=target.X,
-                evaluated=hist.configs(),
-                X_failed=X_failed,
-                p_feasible=self._crowd_feasibility(target, X_failed),
-                feasible=self._feasible,
-                options=self.options.search,
-            )
-        x_unit = self.problem.parameter_space.to_unit(config)
-        self.strategy.notify_proposal(x_unit, rng)
-        self._last_x_unit = x_unit
-        return config
-
-    def _crowd_feasibility(self, target: TaskData, X_failed):
-        """P(feasible) learned from target history *and* the sources'
-        recorded failures (the crowd database stores failed samples too;
-        an OOM region observed on a source task warns the target run)."""
-        if not self.options.learn_feasibility:
-            return None
-        fails = [X_failed] + [
-            s.X_failed for s in self.sources if s.X_failed is not None
-        ]
-        fails = [f for f in fails if f is not None and len(f)]
-        if not fails:
-            return None
-        oks = [target.X] + [s.X for s in self.sources]
-        model = KnnFeasibility(np.vstack(oks), np.vstack(fails))
-        return model.predict_proba
-
-    def tune(self, task, n_samples, *, seed=None, history=None):
-        """Run the transfer-tuning loop (see :meth:`Tuner.tune`).
-
-        Wraps the parent loop so strategy result-notifications fire after
-        each evaluation (the base loop invokes callbacks; we register a
-        bridge callback bound to this run).
-        """
-        self._last_x_unit = None
-
-        def _notify(evaluation):
-            if self._last_x_unit is not None:
-                y = None if evaluation.failed else float(evaluation.output)
-                self.strategy.notify_result(self._last_x_unit, y)
-
-        self.callbacks.append(_notify)
-        try:
-            return super().tune(task, n_samples, seed=seed, history=history)
-        finally:
-            self.callbacks.remove(_notify)
+        # a copy: the caller's options keep their own n_initial
+        options = replace(options or TunerOptions(), n_initial=0)
+        super().__init__(problem, options, callbacks)
+        self.provider = StrategyProvider(strategy, sources)

@@ -9,6 +9,7 @@ from repro.core.history import History
 from repro.crowd.server import CrowdServer
 from repro.engine import AsyncTuner, CrowdStreamer, EngineOptions
 from repro.hpc import SlurmSim, cori_haswell
+from repro.tla import StrategyProvider, TransferTuner, WeightedSumStatic, get_strategy
 
 
 def opts(**kw):
@@ -26,6 +27,58 @@ class TestSequentialParity:
         ).tune(task, 10, seed=42)
         assert [e.config for e in asy.history] == [e.config for e in seq.history]
         assert asy.best_so_far() == seq.best_so_far()
+
+    @pytest.mark.parametrize("key", ["weighted-sum-dynamic", "stacking"])
+    def test_one_worker_matches_sequential_transfer_tuner(
+        self, key, shifted_quadratics, source_factory
+    ):
+        """The same composition with a TLA provider: one worker replays the
+        sequential TransferTuner bit-for-bit."""
+        task = {"t": 5}
+        src = source_factory(shifted_quadratics, {"t": 0}, 30, seed=0)
+        seq = TransferTuner(shifted_quadratics, get_strategy(key), [src]).tune(
+            task, 8, seed=42
+        )
+        tuner = AsyncTuner(shifted_quadratics, None, EngineOptions(n_workers=1))
+        tuner.provider = StrategyProvider(get_strategy(key), [src])
+        asy = tuner.tune(task, 8, seed=42)
+        assert asy.tuner_name == "Async" + seq.tuner_name
+        assert [e.config for e in asy.history] == [e.config for e in seq.history]
+        assert [e.output for e in asy.history] == [e.output for e in seq.history]
+        assert asy.best_so_far() == seq.best_so_far()
+
+    def test_each_result_notified_once_with_its_own_point(
+        self, shifted_quadratics, source_factory
+    ):
+        """Four workers, batches of two: several proposals are always in
+        flight, so "last proposal" bookkeeping would pair results with the
+        wrong x."""
+
+        class Recording(WeightedSumStatic):
+            def __init__(self):
+                super().__init__()
+                self.proposed, self.results = [], []
+
+            def notify_proposal(self, x_unit, rng):
+                self.proposed.append(float(x_unit[0]))
+
+            def notify_result(self, x_unit, y):
+                self.results.append((float(x_unit[0]), y))
+
+        task = {"t": 5}
+        src = source_factory(shifted_quadratics, {"t": 0}, 30, seed=0)
+        strategy = Recording()
+        tuner = AsyncTuner(
+            shifted_quadratics,
+            None,
+            EngineOptions(n_workers=4, batch=2, base_latency_s=0.01),
+        )
+        tuner.provider = StrategyProvider(strategy, [src])
+        res = tuner.tune(task, 12, seed=3)
+        assert len(strategy.results) == 12
+        assert sorted(x for x, _ in strategy.results) == sorted(strategy.proposed)
+        # the parameter space is x in [0, 1], so the unit point is x itself
+        assert strategy.results == [(e.config["x"], e.output) for e in res.history]
 
 
 class TestBudgetAndProgress:

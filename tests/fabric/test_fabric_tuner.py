@@ -13,6 +13,7 @@ import pytest
 from repro.core import Tuner, TunerOptions
 from repro.fabric import DurableJobQueue, FabricOptions, FabricTuner
 from repro.service import build_service
+from repro.tla import StrategyProvider, TransferTuner, get_strategy
 
 
 def opts(**kw):
@@ -29,6 +30,25 @@ class TestSequentialParity:
         assert [e.config for e in fab.history] == [e.config for e in seq.history]
         assert fab.best_so_far() == seq.best_so_far()
         assert [e.output for e in fab.history] == [e.output for e in seq.history]
+
+    @pytest.mark.parametrize("key", ["weighted-sum-dynamic", "stacking"])
+    def test_one_process_matches_sequential_transfer_tuner(
+        self, key, shifted_quadratics, source_factory
+    ):
+        """The same composition with a TLA provider, across the process
+        boundary: one process replays the sequential TransferTuner."""
+        task = {"t": 5}
+        src = source_factory(shifted_quadratics, {"t": 0}, 30, seed=0)
+        seq = TransferTuner(shifted_quadratics, get_strategy(key), [src]).tune(
+            task, 8, seed=42
+        )
+        tuner = FabricTuner(shifted_quadratics, None, FabricOptions(n_procs=1))
+        tuner.provider = StrategyProvider(get_strategy(key), [src])
+        fab = tuner.tune(task, 8, seed=42)
+        assert fab.tuner_name == "Fabric" + seq.tuner_name
+        assert [e.config for e in fab.history] == [e.config for e in seq.history]
+        assert [e.output for e in fab.history] == [e.output for e in seq.history]
+        assert fab.best_so_far() == seq.best_so_far()
 
 
 class TestBudgetAndOutcomes:
@@ -161,6 +181,44 @@ class TestCrowdIntegration:
             seeded = [e for e in res.history if e.metadata.get("crowd_seed")]
             assert len(seeded) == 6
             assert res.perf["counters"]["fabric_consulted_records"] == 6
+
+    def test_consult_skips_records_that_do_not_fit_the_space(self, quadratic_problem):
+        """An out-of-range or wrong-typed crowd value must cost the run one
+        skipped record, not a SpaceError/TypeError on the first model fit."""
+
+        class CannedCrowd:
+            def __init__(self, configs_outputs):
+                self.records = [
+                    {"uid": i, "timestamp": float(i), "tuning_parameters": c, "output": y}
+                    for i, (c, y) in enumerate(configs_outputs)
+                ]
+
+            def handle(self, request):
+                if request["route"] == "query":
+                    return {"ok": True, "records": self.records}
+                return {"ok": True, "uid": "u"}
+
+        crowd = CannedCrowd([({"x": 0.5}, 0.1169), ({"x": 7.0}, 0.2), ({"x": "fast"}, 0.3)])
+        res = FabricTuner(
+            quadratic_problem,
+            opts(),
+            FabricOptions(n_procs=1),
+            crowd=crowd,
+            api_key="k",
+            consult=True,
+        ).tune({"t": 1}, 4, seed=0)
+        assert res.n_evaluations == 5  # the good record + 4 new
+        seeded = [e for e in res.history if e.metadata.get("crowd_seed")]
+        assert [e.config for e in seeded] == [{"x": 0.5}]
+        assert res.perf["counters"]["fabric_consulted_records"] == 1
+        assert res.perf["counters"]["fabric_consult_skipped"] == 2
+
+        # a non-numeric output is the same kind of record
+        crowd = CannedCrowd([({"x": 0.5}, "n/a"), ({"x": 0.6}, "0.25"), ({"x": 0.7}, None)])
+        hist = FabricTuner(
+            quadratic_problem, crowd=crowd, api_key="k"
+        ).consult_crowd({"t": 1})
+        assert [(e.config["x"], e.output) for e in hist] == [(0.6, 0.25), (0.7, None)]
 
     def test_consult_empty_crowd_is_a_fresh_run(self, quadratic_problem):
         with build_service(1) as svc:

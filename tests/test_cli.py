@@ -75,14 +75,19 @@ class TestCommands:
         assert payload["tuner"] == "AsyncNoTLA"
         assert payload["n_evaluations"] == 6
 
-    def test_tune_workers_conflicts_with_tla(self):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "tune", "--app", "demo", "--samples", "3",
-                    "--workers", "4", "--tla", "stacking",
-                ]
-            )
+    def test_tune_workers_with_tla(self, capsys):
+        rc = main(
+            [
+                "tune", "--app", "demo", "--samples", "6", "--seed", "0",
+                "--workers", "4", "--batch", "2", "--tla", "stacking",
+                "--source-samples", "15",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out[: out.index("best-so-far")])
+        assert payload["tuner"] == "AsyncStacking"
+        assert payload["n_evaluations"] == 6
 
     def test_tune_custom_task(self, capsys):
         rc = main(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,19 @@ class TestTransferTunerMechanics:
         )
         assert tuner.options.n_initial == 0
 
+    def test_caller_options_left_untouched(self, shifted_quadratics, source_factory):
+        """The same options object must still drive a NoTLA run afterwards
+        (CrowdClient.tune(options=o, strategy=s) then tune(options=o))."""
+        src = source_factory(shifted_quadratics, {"t": 5}, 20, seed=0)
+        opts = TunerOptions(n_initial=5)
+        before = dataclasses.replace(opts)
+        tuner = TransferTuner(
+            shifted_quadratics, get_strategy("weighted-sum-equal"), [src], options=opts
+        )
+        assert opts == before
+        tuner.tune({"t": 5}, 3, seed=0)
+        assert opts == before
+
     def test_callbacks_preserved(self, shifted_quadratics, source_factory):
         src = source_factory(shifted_quadratics, {"t": 5}, 20, seed=0)
         seen = []
@@ -117,7 +132,7 @@ class TestTransferTunerMechanics:
         )
         tuner.tune({"t": 5}, 3, seed=0)
         assert len(seen) == 3
-        # the bridge callback added during tune() must have been removed
+        # strategy notifications do not ride on the caller's callback list
         assert len(tuner.callbacks) == 1
 
     def test_reproducible(self, shifted_quadratics, source_factory):
