@@ -92,9 +92,7 @@ def bench_curves() -> dict:
             # factorization (a real refit pays many of these per L-BFGS
             # step) — so the reported speedup is a floor
             curves["dense"][n] = _time_fit_predict(
-                lambda: GaussianProcess(
-                    kernel_from_name("rbf", DIM), optimize=False, cache=False
-                ),
+                lambda: GaussianProcess(kernel_from_name("rbf", DIM), optimize=False),
                 X, y, Xq,
                 repeats=1 if n >= 5000 else REPEATS,
             )

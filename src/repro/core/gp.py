@@ -10,20 +10,27 @@ guides' "vectorize, avoid copies, profile the Cholesky" advice):
 * The noise variance is a trainable hyperparameter with a floor, so
   deterministic objectives interpolate while noisy ones smooth.
 * Hyperparameters are fit by multi-start L-BFGS-B on the negative log
-  marginal likelihood, with analytic gradients when the kernel provides
-  them (RBF) and finite differences otherwise.
+  marginal likelihood.  For the RBF kernel the objective is
+  :func:`_nll_grad`: a pure function of ``theta`` over a workspace built
+  once per :meth:`fit` (the theta-independent squared differences).  One
+  evaluation is one covariance build, one jitter-ladder Cholesky,
+  ``K^-1`` by LAPACK ``potri`` on that factor (:func:`chol_solve_inv`,
+  shared with the LCM) and one GEMV for all lengthscale gradients; it
+  neither reads nor writes the kernel object, which is set once, at the
+  winning theta.  Other kernels take the finite-difference :meth:`_nll`.
+* The factor :meth:`fit` stores is always recomputed as
+  ``cholesky_with_jitter(kernel(X) + noise I)`` after the search — one
+  extra Cholesky per fit — because that is the matrix
+  :meth:`from_dict` rebuilds: the workspace's covariance differs from
+  ``kernel(X)`` in the last bits, and a replica replaying a snapshot must
+  serve the same bytes as the process that fit it.
 * A progressively increased jitter guards Cholesky factorizations.
-* The BO hot path is amortized two ways: :meth:`update` appends
-  observations to the cached factorization in O(n^2) per point (no O(n^3)
-  refit when hyperparameters are unchanged), and factorizations are
-  cached keyed on the hyperparameter vector so :meth:`fit` reuses the
-  Cholesky already computed at the MLE optimum instead of recomputing
-  ``K``.  Both paths feed the :mod:`repro.core.perf` counters.
+* :meth:`update` appends observations to the stored factorization in
+  O(n^2) per point (no O(n^3) refit when hyperparameters are unchanged).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,18 +39,15 @@ from scipy import optimize as sopt
 from scipy.linalg import get_lapack_funcs
 
 from . import perf
-from .kernels import RBF, Kernel
+from .kernels import RBF, Kernel, pairwise_sq_diffs
 
-__all__ = ["GaussianProcess", "GPFitError", "cholesky_with_jitter"]
+__all__ = ["GaussianProcess", "GPFitError", "cholesky_with_jitter", "chol_solve_inv"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 #: objective values at or above this are treated as "factorization failed"
 #: sentinels by the MLE (they must stay finite so L-BFGS-B can retreat)
 _NLL_FAIL = 1e25
-
-#: bound on the per-fit factorization cache (entries are n-by-n factors)
-_FACTOR_CACHE_MAX = 16
 
 
 class GPFitError(RuntimeError):
@@ -60,9 +64,12 @@ class GPFitError(RuntimeError):
         self.jitters = tuple(jitters)
 
 
-#: raw LAPACK triangular solve — the scipy wrappers spend more time on
-#: input validation than the O(n^2) solve itself on the update hot path
-(_trtrs,) = get_lapack_funcs(("trtrs",), (np.empty(0, dtype=np.float64),))
+#: raw LAPACK triangular / Cholesky solves — the scipy wrappers spend more
+#: time on input validation than the O(n^2) solve itself on the update and
+#: MLE hot paths — and the inverse-from-factor routine scipy does not wrap
+_trtrs, _potrs, _potri = get_lapack_funcs(
+    ("trtrs", "potrs", "potri"), (np.empty(0, dtype=np.float64),)
+)
 
 
 def cholesky_with_jitter(K: np.ndarray, max_tries: int = 8) -> tuple[np.ndarray, float]:
@@ -73,16 +80,20 @@ def cholesky_with_jitter(K: np.ndarray, max_tries: int = 8) -> tuple[np.ndarray,
     starting at ``1e-10 * mean(diag)`` and growing tenfold per retry up to
     ``10 ** (max_tries - 11) * mean(diag)`` (``1e-3`` for the default 8).
     """
-    diag_mean = float(np.mean(np.diag(K)))
+    diag = np.diag(K)
+    diag_mean = float(np.mean(diag))
     if not np.isfinite(diag_mean) or diag_mean <= 0:
         diag_mean = 1.0
-    eye = np.eye(K.shape[0])
     tried: list[float] = []
     for attempt in range(max_tries + 1):
         jitter = 0.0 if attempt == 0 else diag_mean * 10.0 ** (attempt - 11)
         tried.append(jitter)
+        if attempt == 1:
+            K = K.copy()  # retries are rare: only they pay for a copy
+        if attempt:
+            K.flat[:: K.shape[0] + 1] = diag + jitter
         try:
-            L = sla.cholesky(K if attempt == 0 else K + jitter * eye, lower=True)
+            L = sla.cholesky(K, lower=True)
             if attempt:
                 perf.incr("cholesky_retries", attempt)
                 perf.incr("gp_jitter_retries", attempt)
@@ -96,6 +107,64 @@ def cholesky_with_jitter(K: np.ndarray, max_tries: int = 8) -> tuple[np.ndarray,
         + ", ".join(f"{j:.2e}" for j in tried),
         jitters=tuple(tried),
     )
+
+
+def chol_solve_inv(L: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """``(K^-1 y, 0.5 log det K, K^-1)`` from the lower Cholesky factor of ``K``.
+
+    The step every analytic marginal-likelihood gradient shares
+    (``W = alpha alpha^T - K^-1``).  ``K^-1`` comes from LAPACK ``potri``
+    on the factor — n^3/3 flops where solving against a dense identity
+    takes n^3.  ``L`` must be as :func:`cholesky_with_jitter` returns it
+    (upper triangle zero); it is not modified and everything returned is
+    freshly allocated, so concurrent MLE starts can call this on a
+    thread pool.
+    """
+    alpha, info = _potrs(L, y, lower=1)
+    Kinv, info_inv = _potri(L, lower=1)
+    if info or info_inv:
+        raise GPFitError(f"LAPACK potrs/potri failed on the factor ({info}, {info_inv})")
+    # potri fills the lower triangle and leaves L's zeros above it: mirror
+    Kinv = Kinv + Kinv.T
+    Kinv.flat[:: L.shape[0] + 1] *= 0.5
+    return alpha, float(np.sum(np.log(np.diag(L)))), Kinv
+
+
+def _nll_grad(theta: np.ndarray, D: np.ndarray, ys: np.ndarray) -> tuple[float, np.ndarray]:
+    """NLL of an ARD-RBF GP and its gradient, a pure function of ``theta``.
+
+    ``theta = [log v, log ls_1..d, log noise]``; ``D`` is the fit-scoped
+    workspace, :func:`pairwise_sq_diffs` flattened to ``(d, n * n)``.  With
+    ``W = alpha alpha^T - K^-1`` and ``P = W * K_rbf`` the gradient is
+    ``-0.5 * [sum(P), (D @ P) / ls^2, noise * tr(W)]`` — one GEMV for all
+    lengthscales, no per-parameter derivative matrix.  A covariance the
+    3-rung jitter ladder cannot factorize yields the finite ``_NLL_FAIL``
+    sentinel with a zero gradient so L-BFGS-B can retreat.
+    """
+    n = ys.shape[0]
+    inv_ls2, noise = np.exp(-2.0 * theta[1:-1]), np.exp(theta[-1])
+    K = (-0.5 * inv_ls2) @ D
+    np.exp(K, out=K)
+    K *= np.exp(theta[0])
+    Kn = K.reshape(n, n).copy()
+    Kn.flat[:: n + 1] += noise
+    try:
+        L, _ = cholesky_with_jitter(Kn, max_tries=3)
+        alpha, half_logdet, Kinv = chol_solve_inv(L, ys)
+    except GPFitError:
+        return _NLL_FAIL, np.zeros_like(theta)
+    nll = 0.5 * ys @ alpha + half_logdet + 0.5 * n * _LOG_2PI
+    if not np.isfinite(nll):
+        return _NLL_FAIL, np.zeros_like(theta)
+    W = np.outer(alpha, alpha)
+    W -= Kinv
+    P = W.ravel() * K
+    grad = np.empty_like(theta)
+    grad[0] = P.sum()
+    grad[1:-1] = (D @ P) * inv_ls2
+    grad[-1] = noise * np.trace(W)
+    grad *= -0.5
+    return float(nll), grad
 
 
 @dataclass
@@ -131,10 +200,6 @@ class GaussianProcess:
         Extra random restarts for the MLE multi-start.
     max_fun:
         L-BFGS-B function-evaluation cap per start.
-    cache:
-        Whether to cache Cholesky factorizations keyed on the
-        hyperparameter vector (on by default; benchmarks disable it to
-        measure the baseline).
     """
 
     def __init__(
@@ -146,23 +211,17 @@ class GaussianProcess:
         n_restarts: int = 1,
         max_fun: int = 80,
         seed: int | None = None,
-        cache: bool = True,
     ) -> None:
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
         self.optimize = optimize
         self.n_restarts = int(n_restarts)
         self.max_fun = int(max_fun)
-        self.cache = bool(cache)
         self._rng = np.random.default_rng(seed)
         self._state: _FitState | None = None
         #: bumped on every fit()/update(); lets external caches (the TLA
         #: frozen-prediction memo) detect that a model changed
         self.version = 0
-        #: theta-keyed factorization cache, valid for the current data only
-        self._factor_cache: OrderedDict[bytes, tuple[np.ndarray, float]] = OrderedDict()
-        #: pinned factorization at the best NLL seen during the current MLE
-        self._mle_best: tuple[float, bytes, np.ndarray, float] | None = None
 
     # -- public API ---------------------------------------------------------
     @property
@@ -199,9 +258,6 @@ class GaussianProcess:
             raise ValueError(
                 f"kernel dimension {self.kernel.dim} != data dimension {X.shape[1]}"
             )
-        # the cache is keyed on theta only; new data invalidates it
-        self._factor_cache.clear()
-        self._mle_best = None
 
         y_mean = float(np.mean(y))
         y_std = float(np.std(y))
@@ -213,7 +269,7 @@ class GaussianProcess:
             with perf.timer("gp_mle"):
                 self._optimize_hyperparameters(X, ys)
 
-        L, jitter = self._factorization(X)
+        L, jitter = cholesky_with_jitter(self._cov(X))
         alpha = sla.cho_solve((L, True), ys, check_finite=False)
         self._state = _FitState(
             X=X,
@@ -304,7 +360,6 @@ class GaussianProcess:
             y_raw=y_raw,
             jitter=st.jitter,
         )
-        self._factor_cache.clear()
         self.version += 1
         perf.incr("gp_incremental_updates", m)
         return self
@@ -359,41 +414,6 @@ class GaussianProcess:
             - 0.5 * st.X.shape[0] * _LOG_2PI
         )
 
-    # -- factorization cache -------------------------------------------------
-    def _factorization(
-        self, X: np.ndarray, max_tries: int = 8
-    ) -> tuple[np.ndarray, float]:
-        """Cholesky of ``kernel(X) + noise I`` at the current theta, cached.
-
-        The cache is keyed on the hyperparameter vector and cleared
-        whenever the training data changes, so :meth:`fit` and the MLE
-        objective never factorize the same ``(theta, X)`` pair twice.
-        """
-        if not self.cache:
-            K = self.kernel(X) + self.noise_variance * np.eye(X.shape[0])
-            return cholesky_with_jitter(K, max_tries=max_tries)
-        key = self._theta().tobytes()
-        if self._mle_best is not None and self._mle_best[1] == key:
-            perf.incr("kernel_cache_hits")
-            return self._mle_best[2], self._mle_best[3]
-        hit = self._factor_cache.get(key)
-        if hit is not None:
-            self._factor_cache.move_to_end(key)
-            perf.incr("kernel_cache_hits")
-            return hit
-        perf.incr("kernel_cache_misses")
-        K = self.kernel(X) + self.noise_variance * np.eye(X.shape[0])
-        L, jitter = cholesky_with_jitter(K, max_tries=max_tries)
-        self._factor_cache[key] = (L, jitter)
-        while len(self._factor_cache) > _FACTOR_CACHE_MAX:
-            self._factor_cache.popitem(last=False)
-        return L, jitter
-
-    def _note_mle_eval(self, nll: float, L: np.ndarray, jitter: float) -> None:
-        """Pin the factorization at the best NLL seen (LRU-eviction-proof)."""
-        if self._mle_best is None or nll < self._mle_best[0]:
-            self._mle_best = (nll, self._theta().tobytes(), L, jitter)
-
     # -- MLE ---------------------------------------------------------------
     def _theta(self) -> np.ndarray:
         return np.concatenate([self.kernel.get_theta(), [np.log(self.noise_variance)]])
@@ -405,48 +425,33 @@ class GaussianProcess:
     def _bounds(self) -> list[tuple[float, float]]:
         return self.kernel.bounds() + [(np.log(1e-8), np.log(1.0))]
 
+    def _cov(self, X: np.ndarray) -> np.ndarray:
+        """``kernel(X) + noise I`` at the current hyperparameters."""
+        K = self.kernel(X)
+        K.flat[:: X.shape[0] + 1] += self.noise_variance
+        return K
+
     def _nll(self, theta: np.ndarray, X: np.ndarray, ys: np.ndarray) -> float:
+        """Finite-difference objective for kernels without a closed form."""
         self._set_theta(theta)
         try:
-            L, jitter = self._factorization(X, max_tries=3)
+            L, _ = cholesky_with_jitter(self._cov(X), max_tries=3)
         except GPFitError:
             return _NLL_FAIL
         alpha = sla.cho_solve((L, True), ys, check_finite=False)
         nll = 0.5 * ys @ alpha + np.sum(np.log(np.diag(L))) + 0.5 * len(ys) * _LOG_2PI
         if not np.isfinite(nll):
             return _NLL_FAIL
-        self._note_mle_eval(float(nll), L, jitter)
         return float(nll)
-
-    def _nll_grad(self, theta, X, ys):
-        """NLL and analytic gradient (requires kernel gradients)."""
-        self._set_theta(theta)
-        n = X.shape[0]
-        try:
-            L, jitter = self._factorization(X, max_tries=3)
-        except GPFitError:
-            return _NLL_FAIL, np.zeros_like(theta)
-        alpha = sla.cho_solve((L, True), ys, check_finite=False)
-        nll = 0.5 * ys @ alpha + np.sum(np.log(np.diag(L))) + 0.5 * n * _LOG_2PI
-        if not np.isfinite(nll):
-            return _NLL_FAIL, np.zeros_like(theta)
-        self._note_mle_eval(float(nll), L, jitter)
-        Kinv = sla.cho_solve((L, True), np.eye(n), check_finite=False)
-        W = np.outer(alpha, alpha) - Kinv  # dLML/dK = 0.5 W
-        grads = np.empty_like(theta)
-        dK = self.kernel.gradient(X)
-        for i in range(dK.shape[0]):
-            grads[i] = -0.5 * np.sum(W * dK[i])
-        # noise term: dK/d log(noise) = noise * I
-        grads[-1] = -0.5 * self.noise_variance * np.trace(W)
-        return float(nll), grads
 
     def _optimize_hyperparameters(self, X: np.ndarray, ys: np.ndarray) -> None:
         bounds = self._bounds()
         theta0 = self._theta()
-        use_grad = getattr(self.kernel, "has_gradient", False)
+        # exact type: a subclass may redefine the covariance
+        use_grad = type(self.kernel) is RBF
         if use_grad:
-            fun = lambda th: self._nll_grad(th, X, ys)
+            D = pairwise_sq_diffs(X).reshape(X.shape[1], -1)
+            fun = lambda th: _nll_grad(th, D, ys)
         else:
             fun = lambda th: self._nll(th, X, ys)
 
@@ -471,8 +476,8 @@ class GaussianProcess:
         if best_theta is not None and np.isfinite(best_val) and best_val < _NLL_FAIL:
             self._set_theta(best_theta)
         else:
-            # every start failed: the L-BFGS-B probes left the kernel at an
-            # arbitrary theta — restore the pre-optimization state
+            # every start failed: the finite-difference probes left the
+            # kernel at an arbitrary theta — restore the pre-optimization state
             self._set_theta(theta0)
             perf.incr("gp_mle_restores")
 
@@ -530,14 +535,15 @@ class GaussianProcess:
             theta = np.asarray(doc["theta"], dtype=float)
             gp.kernel.set_theta(theta[:-1])
             gp.noise_variance = float(np.exp(theta[-1]))
-        eye = np.eye(X.shape[0])
-        K = gp.kernel(X) + gp.noise_variance * eye
+        K = gp._cov(X)
         jitter = float(doc.get("jitter", 0.0))
         if "jitter" in doc:
             # replay the fit's factorization exactly: same matrix, same
             # jitter rung, one cholesky call — identical L to the fit's
             try:
-                L = sla.cholesky(K if jitter == 0.0 else K + jitter * eye, lower=True)
+                Kj = K.copy()
+                Kj.flat[:: X.shape[0] + 1] += jitter
+                L = sla.cholesky(Kj, lower=True)
             except sla.LinAlgError:
                 # snapshot from a different BLAS/platform: fall back to
                 # the ladder rather than refusing to load

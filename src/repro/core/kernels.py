@@ -2,8 +2,9 @@
 
 Kernels expose their hyperparameters as a flat vector ``theta`` in log
 space, which is what the marginal-likelihood optimizer in
-:mod:`repro.core.gp` manipulates.  The RBF kernel provides analytic
-gradients (the common fast path); the Matern kernels fall back to finite
+:mod:`repro.core.gp` manipulates.  The RBF kernel has a closed-form
+likelihood gradient there (the common fast path, built on
+:func:`pairwise_sq_diffs`); the Matern kernels fall back to finite
 differences inside the optimizer.
 
 All kernels operate on points in the unit hypercube produced by
@@ -35,6 +36,17 @@ def sq_dists(X: np.ndarray, Y: np.ndarray, lengthscales: np.ndarray) -> np.ndarr
         - 2.0 * (A @ B.T)
     )
     return np.maximum(d2, 0.0)
+
+
+def pairwise_sq_diffs(X: np.ndarray) -> np.ndarray:
+    """Per-dimension squared differences ``D[j, a, b] = (X[a, j] - X[b, j])^2``.
+
+    The theta-independent part of an ARD squared-exponential covariance,
+    computed once per fit; ``(d, n, n)``, C-contiguous (``reshape(d, -1)``
+    is a view).
+    """
+    diff = X[:, None, :] - X[None, :, :]
+    return np.ascontiguousarray(np.moveaxis(diff * diff, -1, 0))
 
 
 class Kernel(ABC):
@@ -87,13 +99,6 @@ class Kernel(ABC):
     def diag(self, X: np.ndarray) -> np.ndarray:
         return np.full(X.shape[0], self.variance)
 
-    #: whether :meth:`gradient` is implemented
-    has_gradient: bool = False
-
-    def gradient(self, X: np.ndarray) -> np.ndarray:
-        """``dK/dtheta`` stacked as ``(n_params, n, n)`` (optional)."""
-        raise NotImplementedError
-
     def clone(self) -> "Kernel":
         return type(self)(self.dim, self.variance, self.lengthscales.copy())
 
@@ -103,25 +108,12 @@ class Kernel(ABC):
 
 
 class RBF(Kernel):
-    """Squared-exponential kernel with ARD lengthscales (analytic grads)."""
-
-    has_gradient = True
+    """Squared-exponential kernel with ARD lengthscales."""
 
     def __call__(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
         Y = X if Y is None else Y
         d2 = sq_dists(X, Y, self.lengthscales)
         return self.variance * np.exp(-0.5 * d2)
-
-    def gradient(self, X: np.ndarray) -> np.ndarray:
-        K = self(X)
-        n = X.shape[0]
-        G = np.empty((self.n_params, n, n))
-        G[0] = K  # d/d log(variance)
-        # d/d log(ls_j) = K * d_j^2 / ls_j^2, all dims in one broadcast
-        diff = (X[:, None, :] - X[None, :, :]) / self.lengthscales
-        G[1:] = np.moveaxis(diff * diff, -1, 0)
-        G[1:] *= K
-        return G
 
 
 class Matern52(Kernel):

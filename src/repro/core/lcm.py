@@ -46,22 +46,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 from scipy import optimize as sopt
-from scipy.linalg import get_lapack_funcs
 
 from . import perf
-from .gp import GPFitError, cholesky_with_jitter
-from .kernels import sq_dists
+from .gp import _LOG_2PI, _NLL_FAIL, GPFitError, _trtrs, chol_solve_inv, cholesky_with_jitter
+from .kernels import pairwise_sq_diffs, sq_dists
 
 __all__ = ["LCM", "LCMFitError"]
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
-
-#: finite sentinel for "factorization failed" MLE evaluations
-_NLL_FAIL = 1e25
-
-#: raw LAPACK triangular solve, as in repro.core.gp (skips scipy's
-#: validation overhead on the O(n^2) incremental-update hot path)
-(_trtrs,) = get_lapack_funcs(("trtrs",), (np.empty(0, dtype=np.float64),))
 
 
 class LCMFitError(GPFitError):
@@ -105,11 +95,9 @@ class _Workspace:
 
 
 def _make_workspace(X: np.ndarray, t: np.ndarray, n_tasks: int) -> _Workspace:
-    diff = X[:, None, :] - X[None, :, :]
-    D = np.ascontiguousarray(np.moveaxis(diff * diff, -1, 0))
     E = np.zeros((X.shape[0], n_tasks))
     E[np.arange(X.shape[0]), t] = 1.0
-    return _Workspace(X=X, t=t, D=D, E=E, grid=np.ix_(t, t))
+    return _Workspace(X=X, t=t, D=pairwise_sq_diffs(X), E=E, grid=np.ix_(t, t))
 
 
 class _BestFactor:
@@ -546,15 +534,14 @@ class LCM:
         K, kqs, Bgrids = self._assemble(ws, theta)
         try:
             L, jitter = cholesky_with_jitter(K, max_tries=3)
+            alpha, half_logdet, Kinv = chol_solve_inv(L, y)
         except GPFitError:
             return _NLL_FAIL, np.zeros_like(theta)
-        alpha = sla.cho_solve((L, True), y, check_finite=False)
-        nll = 0.5 * y @ alpha + np.sum(np.log(np.diag(L))) + 0.5 * n * _LOG_2PI
+        nll = 0.5 * y @ alpha + half_logdet + 0.5 * n * _LOG_2PI
         if not np.isfinite(nll):
             return _NLL_FAIL, np.zeros_like(theta)
         if pin is not None:
             pin.note(float(nll), theta, L, jitter)
-        Kinv = sla.cho_solve((L, True), np.eye(n), check_finite=False)
         W = np.outer(alpha, alpha) - Kinv  # dNLL/dtheta = -0.5 sum(W * dK)
         grad = np.empty_like(theta)
         off = 0

@@ -50,8 +50,7 @@ class MixedKernel(Kernel):
         unit coordinate back to its category cell.
     """
 
-    #: theta layout: [log variance, log ls (numeric dims), log w (categorical dims)]
-    has_gradient = False
+    # theta layout: [log variance, log ls (numeric dims), log w (categorical dims)]
 
     def __init__(
         self,

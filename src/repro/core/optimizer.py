@@ -419,11 +419,6 @@ def propose_batch(
     finally:
         # the fantasies must never leak into the caller's model
         gp._state = saved_state
-        cache = getattr(gp, "_factor_cache", None)  # dense-GP only
-        if cache is not None:
-            cache.clear()
-        if hasattr(gp, "_mle_best"):
-            gp._mle_best = None
     if n_fantasies:
         perf.incr("fantasy_updates", n_fantasies)
     return proposals

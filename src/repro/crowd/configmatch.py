@@ -38,12 +38,25 @@ class CanonicalEntry:
         return {_normalize(self.canonical)} | {_normalize(a) for a in self.aliases}
 
 
+def _name_table(entries: dict[str, CanonicalEntry]) -> dict[str, str]:
+    """Normalized name -> canonical; the first-registered entry keeps a name."""
+    table: dict[str, str] = {}
+    for entry in entries.values():
+        for name in entry.all_names():
+            table.setdefault(name, entry.canonical)
+    return table
+
+
 class TagMatcher:
     """Alias + fuzzy matching of free-form names to canonical tags."""
 
     def __init__(self, *, fuzzy_cutoff: float = 0.82) -> None:
         self._machines: dict[str, CanonicalEntry] = {}
         self._software: dict[str, CanonicalEntry] = {}
+        # normalized-name lookup tables, rebuilt on registration so a
+        # match (one per uploaded tag) never re-normalizes the aliases
+        self._machine_names: dict[str, str] = {}
+        self._software_names: dict[str, str] = {}
         self.fuzzy_cutoff = fuzzy_cutoff
 
     # -- registration ----------------------------------------------------
@@ -53,6 +66,7 @@ class TagMatcher:
         self._machines[canonical] = CanonicalEntry(
             canonical, set(aliases or []), dict(info)
         )
+        self._machine_names = _name_table(self._machines)
 
     def add_software(
         self, canonical: str, aliases: list[str] | None = None, **info
@@ -60,6 +74,7 @@ class TagMatcher:
         self._software[canonical] = CanonicalEntry(
             canonical, set(aliases or []), dict(info)
         )
+        self._software_names = _name_table(self._software)
 
     def machines(self) -> list[str]:
         return sorted(self._machines)
@@ -69,29 +84,24 @@ class TagMatcher:
 
     # -- matching -----------------------------------------------------------
     def match_machine(self, name: str) -> str | None:
-        return self._match(name, self._machines)
+        return self._match(name, self._machine_names)
 
     def match_software(self, name: str) -> str | None:
-        return self._match(name, self._software)
+        return self._match(name, self._software_names)
 
     def machine_info(self, canonical: str) -> dict:
         return dict(self._machines[canonical].info)
 
-    def _match(self, name: str, table: dict[str, CanonicalEntry]) -> str | None:
+    def _match(self, name: str, names: dict[str, str]) -> str | None:
         if not name:
             return None
         norm = _normalize(name)
-        # exact / alias hit
-        for entry in table.values():
-            if norm in entry.all_names():
-                return entry.canonical
+        hit = names.get(norm)  # exact / alias hit
+        if hit is not None:
+            return hit
         # fuzzy fallback over all known names
-        universe: dict[str, str] = {}
-        for entry in table.values():
-            for n in entry.all_names():
-                universe[n] = entry.canonical
-        close = difflib.get_close_matches(norm, universe, n=1, cutoff=self.fuzzy_cutoff)
-        return universe[close[0]] if close else None
+        close = difflib.get_close_matches(norm, names, n=1, cutoff=self.fuzzy_cutoff)
+        return names[close[0]] if close else None
 
     def normalize_machine_configuration(self, config: dict) -> dict:
         """Rewrite a machine-configuration block onto canonical tag names.

@@ -1,4 +1,4 @@
-"""Tests for the GP hot path: incremental updates and the factor cache."""
+"""Tests for the GP hot path: incremental updates."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ class TestUpdateEquivalence:
         Xq = rng.random((40, 3))
         for i in range(15, 35):
             inc.update(X[i : i + 1], y[i : i + 1])
-            ref = GaussianProcess(RBF(3), optimize=False, cache=False)
+            ref = GaussianProcess(RBF(3), optimize=False)
             ref.fit(X[: i + 1], y[: i + 1])
             m1, s1 = inc.predict(Xq)
             m2, s2 = ref.predict(Xq)
@@ -35,7 +35,7 @@ class TestUpdateEquivalence:
         X, y = _data(rng, 30)
         inc = GaussianProcess(RBF(3), optimize=False).fit(X[:20], y[:20])
         inc.update(X[20:], y[20:])
-        ref = GaussianProcess(RBF(3), optimize=False, cache=False).fit(X, y)
+        ref = GaussianProcess(RBF(3), optimize=False).fit(X, y)
         Xq = rng.random((25, 3))
         np.testing.assert_allclose(inc.predict_mean(Xq), ref.predict_mean(Xq), atol=1e-8)
 
@@ -48,7 +48,7 @@ class TestUpdateEquivalence:
         kernel = RBF(3)
         kernel.set_theta(theta[:-1])
         ref = GaussianProcess(
-            kernel, noise_variance=float(np.exp(theta[-1])), optimize=False, cache=False
+            kernel, noise_variance=float(np.exp(theta[-1])), optimize=False
         ).fit(X, y)
         np.testing.assert_allclose(inc.predict_mean(X), ref.predict_mean(X), atol=1e-8)
 
@@ -65,7 +65,7 @@ class TestUpdateEquivalence:
         fitted = GaussianProcess(RBF(3), optimize=False).fit(X[:18], y[:18])
         clone = GaussianProcess.from_dict(fitted.to_dict())
         clone.update(X[18:], y[18:])
-        ref = GaussianProcess(RBF(3), optimize=False, cache=False).fit(X, y)
+        ref = GaussianProcess(RBF(3), optimize=False).fit(X, y)
         np.testing.assert_allclose(clone.predict_mean(X), ref.predict_mean(X), atol=1e-6)
 
     def test_update_before_fit_raises(self):
@@ -108,7 +108,7 @@ class TestUpdateFallback:
             model.update(X[10:], y[10:])
         assert stats.snapshot()["counters"]["gp_update_fallbacks"] == 1
         assert model.n_train == 12
-        ref = GaussianProcess(RBF(3), optimize=False, cache=False).fit(X, y)
+        ref = GaussianProcess(RBF(3), optimize=False).fit(X, y)
         np.testing.assert_allclose(model.predict_mean(X), ref.predict_mean(X), atol=1e-8)
 
 
@@ -139,24 +139,3 @@ class TestExtendsTrainingData:
         X, y = _data(rng, 5)
         assert GaussianProcess(RBF(3)).extends_training_data(X, y) is None
 
-
-class TestFactorCache:
-    def test_fit_reuses_mle_factorization(self, rng):
-        X, y = _data(rng, 20)
-        with perf.collect() as stats:
-            GaussianProcess(RBF(3), optimize=True, seed=0).fit(X, y)
-        assert stats.snapshot()["counters"].get("kernel_cache_hits", 0) >= 1
-
-    def test_cache_disabled_never_hits(self, rng):
-        X, y = _data(rng, 20)
-        with perf.collect() as stats:
-            GaussianProcess(RBF(3), optimize=True, seed=0, cache=False).fit(X, y)
-        assert stats.snapshot()["counters"].get("kernel_cache_hits", 0) == 0
-
-    def test_cache_invalidated_on_new_data(self, rng):
-        X, y = _data(rng, 20)
-        model = GaussianProcess(RBF(3), optimize=False).fit(X[:10], y[:10])
-        model.fit(X, y)  # same theta, different data: must refactorize
-        assert model.n_train == 20
-        ref = GaussianProcess(RBF(3), optimize=False, cache=False).fit(X, y)
-        np.testing.assert_allclose(model.predict_mean(X), ref.predict_mean(X), atol=1e-10)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core import RBF, Matern32, Matern52, kernel_from_name
-from repro.core.kernels import sq_dists
+from repro.core.gp import _nll_grad
+from repro.core.kernels import pairwise_sq_diffs, sq_dists
 
 ALL_KERNELS = [RBF, Matern52, Matern32]
 
@@ -88,29 +89,57 @@ class TestKernelCommon:
         assert not np.allclose(c.get_theta(), k.get_theta())
 
 
+def _nll_gradient_wrt_K(theta, X, ys):
+    """``dNLL/dK = -0.5 (alpha alpha^T - K^-1)`` at ``K = rbf(X) + noise I``."""
+    k = RBF(X.shape[1])
+    k.set_theta(theta[:-1])
+    Kinv = np.linalg.inv(k(X) + np.exp(theta[-1]) * np.eye(X.shape[0]))
+    alpha = Kinv @ ys
+    return -0.5 * (np.outer(alpha, alpha) - Kinv)
+
+
 class TestRBFGradient:
     def test_gradient_matches_finite_difference(self, rng):
+        """The fused objective's kernel-parameter gradients are the chain
+        rule through ``dK/dtheta``, the latter by central differences of
+        ``kernel(X)``."""
         k = RBF(3, variance=1.7, lengthscales=[0.2, 0.5, 1.1])
         X = rng.random((8, 3))
-        G = k.gradient(X)
-        theta0 = k.get_theta()
+        ys = rng.standard_normal(8)
+        theta = np.concatenate([k.get_theta(), [np.log(0.05)]])
+        _, grad = _nll_grad(theta, pairwise_sq_diffs(X).reshape(3, -1), ys)
+        G = _nll_gradient_wrt_K(theta, X, ys)
         eps = 1e-6
         for i in range(k.n_params):
-            th = theta0.copy()
+            th = theta[:-1].copy()
             th[i] += eps
             k.set_theta(th)
             K_plus = k(X)
             th[i] -= 2 * eps
             k.set_theta(th)
             K_minus = k(X)
-            k.set_theta(theta0)
             fd = (K_plus - K_minus) / (2 * eps)
-            assert np.allclose(G[i], fd, atol=1e-5), f"param {i}"
+            assert grad[i] == pytest.approx(np.sum(G * fd), rel=1e-6, abs=1e-8), f"param {i}"
 
-    def test_matern_has_no_gradient(self):
-        assert not Matern52(2).has_gradient
-        with pytest.raises(NotImplementedError):
-            Matern52(2).gradient(np.zeros((2, 2)))
+    def test_matern_has_no_gradient(self, rng):
+        """No analytic form: the fit takes the finite-difference objective."""
+        from repro.core import GaussianProcess
+        from repro.core import gp as gp_mod
+
+        X = rng.random((12, 2))
+        y = np.sin(3 * X[:, 0]) + X[:, 1]
+        calls = []
+        real = gp_mod.sopt.minimize
+
+        def spy(fun, x0, **kwargs):
+            calls.append(kwargs["jac"])
+            return real(fun, x0, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gp_mod.sopt, "minimize", spy)
+            GaussianProcess(Matern52(2), seed=0).fit(X, y)
+            GaussianProcess(RBF(2), seed=0).fit(X, y)
+        assert calls == [False, False, True, True]  # theta0 + one restart each
 
 
 class TestRegistry:
@@ -126,22 +155,30 @@ class TestRegistry:
 
 class TestRBFGradientVectorized:
     def test_matches_naive_per_dimension_loop(self, rng):
-        """The broadcast gradient equals the obvious one-dim-at-a-time form."""
+        """The one-GEMV lengthscale gradient equals the obvious
+        one-derivative-matrix-per-dimension form."""
         k = RBF(4, variance=2.3, lengthscales=[0.1, 0.4, 0.9, 2.0])
         X = rng.random((20, 4))
-        G = k.gradient(X)
+        ys = rng.standard_normal(20)
+        theta = np.concatenate([k.get_theta(), [np.log(0.1)]])
+        D = pairwise_sq_diffs(X)
+        _, grad = _nll_grad(theta, D.reshape(4, -1), ys)
+        G = _nll_gradient_wrt_K(theta, X, ys)
         K = k(X)
-        assert np.allclose(G[0], K)
+        assert grad[0] == pytest.approx(np.sum(G * K))
         for j in range(4):
             d = X[:, j][:, None] - X[:, j][None, :]
+            assert np.array_equal(D[j], d * d)
             naive = K * d * d / k.lengthscales[j] ** 2
-            assert np.allclose(G[1 + j], naive), f"dim {j}"
+            assert grad[1 + j] == pytest.approx(np.sum(G * naive)), f"dim {j}"
 
     def test_no_cross_dimension_leakage(self, rng):
         """Points varying only along dim 0 give zero gradient for other dims."""
-        k = RBF(3)
         X = np.zeros((6, 3))
         X[:, 0] = np.linspace(0.0, 1.0, 6)
-        G = k.gradient(X)
-        assert np.any(G[1] != 0.0)
-        assert np.allclose(G[2], 0.0) and np.allclose(G[3], 0.0)
+        D = pairwise_sq_diffs(X)
+        assert np.any(D[0] != 0.0) and not D[1].any() and not D[2].any()
+        theta = np.concatenate([RBF(3).get_theta(), [np.log(0.1)]])
+        _, grad = _nll_grad(theta, D.reshape(3, -1), rng.standard_normal(6))
+        assert grad[1] != 0.0
+        assert grad[2] == 0.0 and grad[3] == 0.0

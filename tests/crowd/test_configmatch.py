@@ -53,3 +53,58 @@ class TestTagMatcher:
         m = default_matcher()
         for package in ("scalapack", "superlu-dist", "hypre", "nimrod", "gcc"):
             assert m.match_software(package) == package
+
+
+def _scan_match(name, entries, cutoff):
+    """The matcher as it was before the lookup tables: scan every entry,
+    normalizing its aliases on the way (kept as the oracle)."""
+    import difflib
+
+    from repro.crowd.configmatch import _normalize
+
+    if not name:
+        return None
+    norm = _normalize(name)
+    for entry in entries.values():
+        if norm in entry.all_names():
+            return entry.canonical
+    universe = {n: e.canonical for e in entries.values() for n in e.all_names()}
+    close = difflib.get_close_matches(norm, universe, n=1, cutoff=cutoff)
+    return universe[close[0]] if close else None
+
+
+class TestLookupTables:
+    def test_default_matcher_resolves_as_the_scan_did(self):
+        m = default_matcher()
+        for entries, match in (
+            (m._machines, m.match_machine),
+            (m._software, m.match_software),
+        ):
+            names = [n for e in entries.values() for n in (e.canonical, *e.aliases)]
+            probes = []
+            for n in names:
+                probes += [n, n.upper(), n.lower(), f"  {n} ", n.replace("-", "_"),
+                           n.replace("_", " "), n.replace("-", "."), n + "x", n[1:]]
+            probes += ["Fugaku", "Unknown9000", "", "intel-mpi", "c"]
+            for probe in probes:
+                assert match(probe) == _scan_match(probe, entries, m.fuzzy_cutoff), probe
+            for n in names:
+                assert match(n) is not None
+
+    def test_unknown_names_pass_through(self):
+        out = default_matcher().normalize_machine_configuration({"Fugaku": {"n": 1}})
+        assert out == {"Fugaku": {"n": 1}}
+
+    def test_first_registered_entry_keeps_a_shared_alias(self):
+        m = TagMatcher()
+        m.add_software("first", aliases=["shared-name"])
+        m.add_software("second", aliases=["shared_name"])
+        assert m.match_software("Shared Name") == "first"
+
+    def test_reregistration_replaces_aliases(self):
+        m = TagMatcher()
+        m.add_machine("Box", aliases=["old-alias"])
+        m.add_machine("Box", aliases=["new-alias"])
+        assert m.match_machine("new_alias") == "Box"
+        assert m.match_machine("zzz-old-alias-zzz") is None
+        assert m._machine_names == {"box": "Box", "newalias": "Box"}

@@ -238,6 +238,43 @@ class TestReplicationHooks:
         assert registry.apply_entry(newer)
         assert registry.entry_for("demo", TASK).data_version == doc["data_version"] + 1
 
+    def test_replica_serves_the_builders_bytes(self, repo, key):
+        """The shard that built an entry (an optimized fit) and a shard that
+        only received it through ``apply_entry`` serve identical bytes."""
+        space = {
+            "parameter_space": [
+                {"name": n, "type": "real", "lower_bound": 0.0, "upper_bound": 1.0}
+                for n in ("x", "y", "z")
+            ]
+        }
+        rng = np.random.default_rng(7)
+        builder = ModelRegistry(repo)
+        builder.register_problem("demo", space)
+        for _ in range(40):
+            cfg = {n: float(v) for n, v in zip("xyz", rng.random(3))}
+            rec = PerformanceRecord(
+                problem_name="demo",
+                task_parameters=dict(TASK),
+                tuning_parameters=cfg,
+                output=float(np.sin(3 * cfg["x"]) + cfg["y"] ** 2 - 0.5 * cfg["z"]),
+                accessibility=Accessibility(level="public"),
+            )
+            repo.upload(rec, key)
+            builder.notify_record(rec)
+        entry = builder.entry_for("demo", TASK)
+        assert entry is not None and entry.n_samples >= 32
+
+        replica = ModelRegistry(CrowdRepository())
+        replica.register_problem("demo", space)
+        assert replica.apply_entry(entry.to_doc())
+        probe = [{n: float(v) for n, v in zip("xyz", row)} for row in rng.random((16, 3))]
+        with perf.collect() as stats:
+            served = replica.predict("demo", TASK, probe)
+        assert stats.counters.get("gp_fits", 0) == 0
+        built = builder.predict("demo", TASK, probe)
+        assert np.array_equal(served["mean"], built["mean"])
+        assert np.array_equal(served["std"], built["std"])
+
     def test_applied_entry_evicts_resident_predictor(self, repo, key):
         registry = ModelRegistry(repo)
         registry.register_problem("demo", SPACE)
