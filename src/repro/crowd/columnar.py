@@ -1,80 +1,83 @@
-"""Columnar record plane: vectorized filters + zero-copy frozen reads.
+"""Columnar record plane: the document store's one query engine.
 
-The document store's row path evaluates Mongo-style filters one Python
-dict at a time and ``deepcopy``-s every match — O(rows x interpreter
-overhead), the last scalar bottleneck of the crowd read stack.  This
-module supplies the two pieces that remove it while keeping the
-``Collection`` API and its semantics bit-identical:
+Every :class:`~repro.crowd.database.Collection` answers ``find`` /
+``count`` / ``update`` / ``delete`` through the :class:`ColumnarView` it
+owns: a filter document compiles to one boolean row mask, a mask
+materializes through :meth:`ColumnarView.select`.  There is no second
+interpreter and no index to keep in step with it.
 
 **Frozen documents** (:class:`FrozenDict` / :class:`FrozenList`).
 Collections store every document deep-frozen.  Read-only callers can
 then receive the *stored* objects directly (``find(..., frozen=True)``)
 — zero copies, and any attempted mutation raises ``TypeError`` instead
-of silently corrupting shared state.  Legacy callers keep getting
-mutable deep copies: :func:`thaw` rebuilds plain dicts/lists (much
-faster than ``copy.deepcopy``), and both frozen classes define
-``__reduce__`` so ``copy.deepcopy``/``pickle`` of a frozen view also
-yields plain mutable objects.  The store holds JSON-shaped documents;
-non-JSON leaf objects (arrays, sets) pass through both :func:`freeze`
-and :func:`thaw` by reference, exactly as callers that insert them must
-already expect.
+of silently corrupting shared state.  Other callers get mutable deep
+copies: :func:`thaw` rebuilds plain dicts/lists (much faster than
+``copy.deepcopy``), and both frozen classes define ``__reduce__`` so
+``copy.deepcopy``/``pickle`` of a frozen view also yields plain mutable
+objects.  The store holds JSON-shaped documents; non-JSON leaf objects
+(arrays, sets) pass through both :func:`freeze` and :func:`thaw` by
+reference, exactly as callers that insert them must already expect.
 
 **ColumnarView**: a numpy-backed dictionary-encoded column per queried
-dotted path, maintained incrementally from the collection's mutation
-flow (inserts append in ``_id`` order; updates/deletes/out-of-order
-restores mark the view dirty and the next read rebuilds).  Each column
-interns distinct values — the interning key matches the store's hash
-indexes (:func:`hashable_key`), so ``1``/``1.0``/``True`` share a code
-exactly like they compare ``==`` on the row path — and keeps a parallel
-``float64`` array for range comparisons.
+dotted path, built lazily on the first read and maintained
+incrementally from the collection's mutation flow (inserts append in
+``_id`` order; updates/deletes/out-of-order restores mark the view dirty
+and the next read rebuilds).  Each column interns distinct values under
+:func:`hashable_key`, so ``1``/``1.0``/``True`` share a code exactly
+like they compare ``==``, and keeps a parallel ``float64`` array for
+range comparisons.  At most ``MAX_COLUMNS`` columns are cached per
+view; a path past the bound gets a transient column built for the one
+query.
 
-The filter compiler lowers what :func:`repro.crowd.query.build_filter`
-produces:
+The filter compiler is total over the Mongo subset the store speaks:
 
 * equality / ``$eq`` / ``$ne`` on scalars — one code lookup + one
   vector compare,
 * ``$gt``/``$gte``/``$lt``/``$lte`` with numeric arguments — float
-  column compare when every stored value is float64-exact (``NaN``
-  slots compare ``False``, matching the row path's ``TypeError`` /
-  ``None`` handling),
-* ``$in``/``$nin`` over scalar lists — unioned code compares,
+  column compare when every stored value and the argument are
+  float64-exact (``NaN`` slots compare ``False``: ``None`` and
+  non-numeric values never satisfy a range),
+* ``$in``/``$nin`` over scalar lists — one code-set membership test,
 * ``$exists`` — a compare against the interned ``None`` code (missing
   paths intern as ``None``, same as :func:`get_path`),
 * ``$and`` / ``$or`` / ``$not`` — recursive mask combination,
-* everything else (``$regex``, container arguments, mixed-type range
-  comparisons) — a per-distinct-code evaluation of the *actual* row
-  comparator broadcast through the code array, sound because ``==``
-  -equal JSON values give identical comparator results; bounded by
-  ``PERCODE_LIMIT`` distinct values.
+* everything else (``$regex``, container arguments, mixed-type or
+  beyond-2**53 range comparisons) — the plain Python comparison
+  evaluated once per *distinct* value and broadcast through the code
+  array; sound because ``==``-equal JSON values give identical results,
+  and never more work than one pass over the rows.
 
-Any shape the compiler does not fully cover returns ``None`` and the
-caller falls back to the row path (perf counter
-``store_row_fallbacks``), so unsupported filters — including malformed
-ones, which must keep raising ``QuerySyntaxError`` with the row path's
-exact reach-a-document semantics — behave exactly as before.
+Malformed filters — a non-mapping filter, a non-string key, an unknown
+operator, ``$and``/``$or`` that is not a non-empty list of mappings,
+``$not`` of a non-mapping, ``$in``/``$nin`` of a non-list, a ``$regex``
+that does not compile — raise :class:`QuerySyntaxError` from the
+compiler, whatever the collection holds: an empty collection rejects
+the same filters a full one does.
+
+Callers that compose their own predicates (record visibility, registry
+eligibility) use :meth:`ColumnarView.path_eq_mask` and
+:meth:`ColumnarView.path_value_mask`; the latter takes ``within=mask``
+so a caller-supplied function — which may raise on a malformed stored
+block — runs only on the distinct values that occur under ``mask``,
+i.e. only on documents the preceding predicates selected.
 
 Sorting uses a stable argsort: all-numeric columns through one
 ``np.lexsort`` (``None`` ranks first, as :func:`sort_key` orders), any
-other column through per-distinct-value ranks computed with the row
-path's :func:`sort_key` — equal sort keys share a rank so stability
-ties break by row order, identical to ``list.sort``.
+other column through per-distinct-value ranks computed with
+:func:`sort_key` — equal sort keys share a rank so ties break by row
+(ascending ``_id``) order, identical to ``list.sort`` over the rows.
 
-Caveat (documented contract): the float fast path requires every stored
-value and the filter argument to be exactly representable in float64;
-columns containing integers beyond 2**53 (or ``NaN``) automatically
-drop to per-code / row evaluation, so parity is preserved there too.
-
-Concurrency: every query runs under the owning collection's lock (the
-same boundary the row path uses), so incremental column maintenance can
-never yield stale or torn reads — pinned by the writers-vs-readers
-stress test.
+Concurrency: every query runs under the owning collection's lock, so
+incremental column maintenance can never yield stale or torn reads —
+pinned by the writers-vs-readers stress test.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import re
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from typing import Any, Callable
 
 import numpy as np
@@ -85,29 +88,19 @@ __all__ = [
     "freeze",
     "thaw",
     "ColumnarView",
+    "QuerySyntaxError",
     "get_path",
     "hashable_key",
     "sort_key",
-    "COMPARATORS",
 ]
 
 
 # ---------------------------------------------------------------------------
-# row-path building blocks (shared with repro.crowd.database)
+# value semantics (shared with the router's cross-shard merges)
 # ---------------------------------------------------------------------------
 
-COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "$eq": lambda v, arg: v == arg,
-    "$ne": lambda v, arg: v != arg,
-    "$gt": lambda v, arg: v is not None and v > arg,
-    "$gte": lambda v, arg: v is not None and v >= arg,
-    "$lt": lambda v, arg: v is not None and v < arg,
-    "$lte": lambda v, arg: v is not None and v <= arg,
-    "$in": lambda v, arg: v in arg,
-    "$nin": lambda v, arg: v not in arg,
-    "$exists": lambda v, arg: (v is not None) == bool(arg),
-    "$regex": lambda v, arg: isinstance(v, str) and re.search(arg, v) is not None,
-}
+class QuerySyntaxError(ValueError):
+    """Raised for malformed filter documents."""
 
 
 def get_path(doc: Mapping[str, Any], path: str) -> Any:
@@ -233,12 +226,16 @@ def thaw(value: Any) -> Any:
 _SCALARS = (str, int, float, bool, type(None))
 #: largest integer magnitude exactly representable in float64
 _FLOAT_EXACT = 2 ** 53
-#: distinct-value bound for per-code comparator tables; beyond it the
-#: query falls back to the row path instead of looping Python per value
-PERCODE_LIMIT = 4096
 #: bound on cached columns per view (distinct dotted paths ever queried)
 MAX_COLUMNS = 64
 _GROW = 256
+#: range operators: float-column ufunc, exact per-value comparison
+_RANGE = {
+    "$gt": (np.greater, operator.gt),
+    "$gte": (np.greater_equal, operator.ge),
+    "$lt": (np.less, operator.lt),
+    "$lte": (np.less_equal, operator.le),
+}
 
 
 def _float_exact(value: Any) -> bool:
@@ -290,50 +287,63 @@ class _Column:
         self.n += 1
 
     # -- masks (all sized self.n) -------------------------------------------
-    def eq_mask(self, arg: Any) -> np.ndarray | None:
-        """Rows whose value ``== arg``; None unless ``arg`` is a scalar."""
-        if not isinstance(arg, _SCALARS):
-            return None
-        if isinstance(arg, float) and arg != arg:
-            # NaN equals nothing on the row path
-            return np.zeros(self.n, dtype=bool)
-        return self.codes[: self.n] == self.lookup.get(arg, -1)
-
-    def percode_mask(self, fn: Callable[[Any], Any]) -> np.ndarray | None:
+    def percode_mask(
+        self, fn: Callable[[Any], Any], within: np.ndarray | None = None
+    ) -> np.ndarray:
         """``fn`` evaluated once per distinct value, broadcast to rows.
 
-        Sound for row-comparator semantics because interning groups
-        exactly the ``==``-equal JSON values, and every supported
-        comparator is a function of the ``==``-class of its input.
+        Sound because interning groups exactly the ``==``-equal JSON
+        values and every predicate evaluated here is a function of the
+        ``==``-class of its input.  With ``within`` (a row mask), ``fn``
+        runs only on the values occurring under it; rows outside it
+        whose value occurs nowhere inside read ``False``.
         """
-        if len(self.values) > PERCODE_LIMIT:
-            return None
-        if not self.values:
-            return np.zeros(self.n, dtype=bool)
-        table = np.fromiter(
-            (bool(fn(v)) for v in self.values), dtype=bool, count=len(self.values)
-        )
-        return table[self.codes[: self.n]]
+        codes = self.codes[: self.n]
+        table = np.zeros(len(self.values), dtype=bool)
+        if within is None:
+            live: Any = range(len(self.values))
+        else:
+            seen = np.zeros(len(self.values), dtype=bool)
+            seen[codes[within]] = True
+            live = np.nonzero(seen)[0]
+        table[live] = [bool(fn(self.values[code])) for code in live]
+        return table[codes]
 
-    def range_mask(self, op: str, arg: Any) -> np.ndarray | None:
-        """Vector float compare; None when exactness can't be guaranteed."""
-        if isinstance(arg, bool) or not isinstance(arg, (int, float)):
-            return None
-        if not self.numeric_ok or not _float_exact(arg):
-            return None
-        f = self.floats[: self.n]
-        a = float(arg)
-        # NaN slots (None / non-numeric) compare False — identical to the
-        # row path's `v is not None and v OP arg` + TypeError handling
-        if op == "$gt":
-            return f > a
-        if op == "$gte":
-            return f >= a
-        if op == "$lt":
-            return f < a
-        if op == "$lte":
-            return f <= a
-        return None
+    def eq_mask(self, arg: Any) -> np.ndarray:
+        """Rows whose value ``== arg``."""
+        if not isinstance(arg, _SCALARS):
+            return self.percode_mask(lambda v: v == arg)
+        if isinstance(arg, float) and arg != arg:
+            return np.zeros(self.n, dtype=bool)  # NaN equals nothing
+        return self.codes[: self.n] == self.lookup.get(arg, -1)
+
+    def in_mask(self, args: Sequence[Any]) -> np.ndarray:
+        """Rows whose value is ``in args``."""
+        if all(isinstance(a, _SCALARS) and a == a for a in args):
+            wanted = [self.lookup[a] for a in args if a in self.lookup]
+            return np.isin(self.codes[: self.n], wanted)
+        return self.percode_mask(lambda v: v in args)
+
+    def range_mask(self, op: str, arg: Any) -> np.ndarray:
+        """Rows whose value is not ``None`` and satisfies ``value OP arg``
+        (incomparable types never do)."""
+        vector_op, value_op = _RANGE[op]
+        if (
+            self.numeric_ok
+            and isinstance(arg, (int, float))
+            and not isinstance(arg, bool)
+            and _float_exact(arg)
+        ):
+            # NaN slots (None) compare False, like the per-value form
+            return vector_op(self.floats[: self.n], float(arg))
+
+        def check(value: Any) -> bool:
+            try:
+                return value is not None and value_op(value, arg)
+            except TypeError:
+                return False
+
+        return self.percode_mask(check)
 
     def sort_ranks(self) -> np.ndarray:
         """Per-code ranks under :func:`sort_key`; equal keys share a rank
@@ -351,16 +361,6 @@ class _Column:
         return ranks
 
 
-def _safe(fn: Callable[[Any, Any], bool], arg: Any) -> Callable[[Any], bool]:
-    def check(value: Any) -> bool:
-        try:
-            return fn(value, arg)
-        except TypeError:
-            return False
-
-    return check
-
-
 # ---------------------------------------------------------------------------
 # the view
 # ---------------------------------------------------------------------------
@@ -374,7 +374,7 @@ class ColumnarView:
     a consistent row/column state.
 
     Rows are kept in ascending ``_id`` order — the canonical unsorted
-    result order of both paths.  In-order inserts append; anything else
+    result order.  In-order inserts append; anything else
     (update, delete, out-of-order restore) marks the view dirty and the
     next read rebuilds rows and drops cached columns.
     """
@@ -417,147 +417,105 @@ class ColumnarView:
         self._dirty = False
 
     # -- columns ------------------------------------------------------------
-    def _column(self, path: str) -> _Column | None:
+    def _column(self, path: str) -> _Column:
         col = self._columns.get(path)
-        if col is not None:
-            return col
-        if len(self._columns) >= MAX_COLUMNS or not isinstance(path, str):
-            return None
-        col = _Column()
-        for doc in self._rows:
-            col.append(get_path(doc, path))
-        self._columns[path] = col
+        if col is None:
+            col = _Column()
+            for doc in self._rows:
+                col.append(get_path(doc, path))
+            if len(self._columns) < MAX_COLUMNS:
+                self._columns[path] = col
         return col
 
     # -- filter compilation --------------------------------------------------
-    def filter_mask(self, flt: Mapping[str, Any]) -> np.ndarray | None:
-        """Boolean row mask for a Mongo-style filter document, or None
-        when any part does not vectorize (callers fall back to the row
-        path, which also owns raising on malformed filters)."""
-        try:
-            return self._filter_mask(flt)
-        except (TypeError, AttributeError):
-            # pathologically malformed filter (non-string keys, ...):
-            # never raise at compile time — the row path only raises
-            # when a document is actually evaluated
-            return None
+    def filter_mask(self, flt: Mapping[str, Any]) -> np.ndarray:
+        """Boolean row mask for a Mongo-style filter document.
 
-    def _filter_mask(self, flt: Mapping[str, Any]) -> np.ndarray | None:
-        n = len(self._rows)
-        if not flt:
-            return np.ones(n, dtype=bool)
-        masks: list[np.ndarray] = []
+        Raises :class:`QuerySyntaxError` for a malformed filter; that
+        verdict depends on the filter alone, never on the stored rows.
+        """
+        if not isinstance(flt, Mapping):
+            raise QuerySyntaxError("a filter must be a mapping")
+        mask = np.ones(len(self._rows), dtype=bool)
         for key, cond in flt.items():
+            if not isinstance(key, str):
+                raise QuerySyntaxError(f"filter keys must be strings, got {key!r}")
             if key == "$and":
-                subs = self._submasks(cond)
-                if subs is None:
-                    return None
-                masks.extend(subs)
+                for sub in self._submasks(key, cond):
+                    mask &= sub
             elif key == "$or":
-                subs = self._submasks(cond)
-                if subs is None:
-                    return None
-                masks.append(np.logical_or.reduce(subs))
+                mask &= np.logical_or.reduce(self._submasks(key, cond))
             elif key == "$not":
                 if not isinstance(cond, Mapping):
-                    return None
-                m = self.filter_mask(cond)
-                if m is None:
-                    return None
-                masks.append(~m)
+                    raise QuerySyntaxError("$not takes a filter document")
+                mask &= ~self.filter_mask(cond)
             elif key.startswith("$"):
-                return None  # unknown top-level operator: row path raises
+                raise QuerySyntaxError(f"unknown top-level operator {key!r}")
             else:
                 col = self._column(key)
-                if col is None:
-                    return None
                 if isinstance(cond, Mapping) and any(
-                    k.startswith("$") for k in cond
+                    isinstance(k, str) and k.startswith("$") for k in cond
                 ):
                     for op, arg in cond.items():
-                        m = self._op_mask(col, op, arg)
-                        if m is None:
-                            return None
-                        masks.append(m)
+                        mask &= self._op_mask(col, op, arg)
                 else:
-                    m = self._value_mask(col, cond)
-                    if m is None:
-                        return None
-                    masks.append(m)
-        if not masks:
-            return np.ones(n, dtype=bool)
-        return np.logical_and.reduce(masks)
+                    mask &= col.eq_mask(cond)
+        return mask
 
-    def _submasks(self, cond: Any) -> list[np.ndarray] | None:
-        if not isinstance(cond, (list, tuple)) or not cond:
-            return None  # malformed: row path raises QuerySyntaxError
-        out: list[np.ndarray] = []
-        for sub in cond:
-            if not isinstance(sub, Mapping):
-                return None
-            m = self.filter_mask(sub)
-            if m is None:
-                return None
-            out.append(m)
-        return out
+    def _submasks(self, op: str, cond: Any) -> list[np.ndarray]:
+        if (
+            not isinstance(cond, (list, tuple))
+            or not cond
+            or not all(isinstance(sub, Mapping) for sub in cond)
+        ):
+            raise QuerySyntaxError(f"{op} takes a non-empty list of filters")
+        return [self.filter_mask(sub) for sub in cond]
 
-    def _value_mask(self, col: _Column, arg: Any) -> np.ndarray | None:
-        m = col.eq_mask(arg)
-        if m is not None:
-            return m
-        return col.percode_mask(_safe(COMPARATORS["$eq"], arg))
-
-    def _op_mask(self, col: _Column, op: str, arg: Any) -> np.ndarray | None:
+    def _op_mask(self, col: _Column, op: Any, arg: Any) -> np.ndarray:
         if op == "$eq":
-            return self._value_mask(col, arg)
+            return col.eq_mask(arg)
         if op == "$ne":
-            m = self._value_mask(col, arg)
-            return None if m is None else ~m
-        if op in ("$gt", "$gte", "$lt", "$lte"):
-            m = col.range_mask(op, arg)
-            if m is not None:
-                return m
-            return col.percode_mask(_safe(COMPARATORS[op], arg))
+            return ~col.eq_mask(arg)
+        if op in _RANGE:
+            return col.range_mask(op, arg)
         if op in ("$in", "$nin"):
-            if (
-                isinstance(arg, (list, tuple))
-                and len(arg) <= 64
-                and all(
-                    isinstance(a, _SCALARS) and a == a for a in arg
-                )
-            ):
-                m = np.zeros(col.n, dtype=bool)
-                for a in arg:
-                    m |= col.eq_mask(a)
-                return ~m if op == "$nin" else m
-            return col.percode_mask(_safe(COMPARATORS[op], arg))
+            if not isinstance(arg, (list, tuple)):
+                raise QuerySyntaxError(f"{op} takes a list of values")
+            m = col.in_mask(arg)
+            return ~m if op == "$nin" else m
         if op == "$exists":
             none = col.eq_mask(None)
             return ~none if arg else none
         if op == "$regex":
             try:
-                re.compile(arg)
-            except (re.error, TypeError):
-                return None  # row path owns the error semantics
-            return col.percode_mask(_safe(COMPARATORS["$regex"], arg))
-        return None  # unknown operator: row path raises QuerySyntaxError
+                pattern = re.compile(arg)
+            except (re.error, TypeError) as exc:
+                raise QuerySyntaxError(f"bad $regex {arg!r}: {exc}") from None
+            return col.percode_mask(
+                lambda v: isinstance(v, str) and pattern.search(v) is not None
+            )
+        raise QuerySyntaxError(f"unknown operator {op!r}")
 
     # -- extra masks for callers composing their own predicates --------------
-    def path_eq_mask(self, path: str, value: Any) -> np.ndarray | None:
-        """Scalar equality mask on one dotted path."""
-        col = self._column(path)
-        return col.eq_mask(value) if col is not None else None
+    def path_eq_mask(self, path: str, value: Any) -> np.ndarray:
+        """Equality mask on one dotted path."""
+        return self._column(path).eq_mask(value)
 
     def path_value_mask(
-        self, path: str, fn: Callable[[Any], Any]
-    ) -> np.ndarray | None:
+        self,
+        path: str,
+        fn: Callable[[Any], Any],
+        within: np.ndarray | None = None,
+    ) -> np.ndarray:
         """``fn`` over the path's distinct values, broadcast to rows.
 
-        ``fn`` must be a pure function of the value's ``==``-class;
-        exceptions propagate (callers mirror their row-path semantics).
+        ``fn`` must be a pure function of the value's ``==``-class; its
+        exceptions propagate.  ``within`` restricts evaluation to the
+        values occurring under that row mask, so a stored value only
+        the caller's earlier predicates exclude is never handed to
+        ``fn``; AND the result with ``within``.
         """
-        col = self._column(path)
-        return col.percode_mask(fn) if col is not None else None
+        return self._column(path).percode_mask(fn, within)
 
     # -- selection ------------------------------------------------------------
     def select(
@@ -568,19 +526,16 @@ class ColumnarView:
         descending: bool = False,
         limit: int | None = None,
         frozen: bool = False,
-    ) -> list[dict[str, Any]] | None:
-        """Materialize the masked rows (row-path-identical ordering).
+    ) -> list[dict[str, Any]]:
+        """Materialize the masked rows: ascending ``_id``, or stably
+        sorted by :func:`sort_key` of the ``sort`` path, then limited.
 
-        Returns None when the sort column is unavailable (caller falls
-        back).  ``frozen=True`` returns the stored frozen documents —
-        zero copies; otherwise each row is thawed into a mutable dict.
+        ``frozen=True`` returns the stored frozen documents — zero
+        copies; otherwise each row is thawed into a mutable dict.
         """
         idx = np.nonzero(mask)[0]
         if sort is not None and len(idx):
-            col = self._column(sort)
-            if col is None:
-                return None
-            idx = idx[self._sort_order(col, idx, descending)]
+            idx = idx[self._sort_order(self._column(sort), idx, descending)]
         if limit is not None:
             idx = idx[: max(limit, 0)]
         rows = self._rows
@@ -608,6 +563,5 @@ class ColumnarView:
             return np.argsort(-keys, kind="stable")
         return np.argsort(keys, kind="stable")
 
-    def count(self, flt: Mapping[str, Any]) -> int | None:
-        mask = self.filter_mask(flt)
-        return None if mask is None else int(mask.sum())
+    def count(self, flt: Mapping[str, Any]) -> int:
+        return int(np.count_nonzero(self.filter_mask(flt)))

@@ -11,24 +11,23 @@ persistence:
   ``$gte``, ``$lt``, ``$lte``, ``$in``, ``$nin``, ``$exists``,
   ``$regex``, logical ``$and`` / ``$or`` / ``$not``, and dotted paths
   into nested documents,
-* sorting, limiting, update/delete with the same filters,
-* hash indexes on equality-queried fields (a genuine index: equality
-  queries on an indexed field skip the collection scan).
+* sorting, limiting, update/delete with the same filters.
+
+One query engine answers all of it: every :class:`Collection` owns a
+:class:`~repro.crowd.columnar.ColumnarView` (built lazily on the first
+read), and ``find`` / ``find_one`` / ``count`` / ``update`` / ``delete``
+compile their filter to a boolean row mask there and materialize the
+selection (perf counter ``store_columnar_queries``).  Unsorted results
+come in ascending ``_id`` order.  A malformed filter raises
+:class:`QuerySyntaxError` whatever the collection holds.
 
 Documents are stored deep-frozen (:mod:`repro.crowd.columnar`) and
 copied on the way in and out, so callers can never mutate stored state
 by aliasing — important because the repository layer enforces access
 control on these documents.  ``find(..., frozen=True)`` hands read-only
 callers the stored immutable views directly (zero copies, mutation
-raises); the default remains a mutable deep copy.
-
-Collections with :meth:`Collection.enable_columnar` additionally keep a
-numpy-backed :class:`~repro.crowd.columnar.ColumnarView`: supported
-filters evaluate as vectorized boolean masks with argsort-based
-sort/limit (perf counter ``store_columnar_queries``), anything else
-falls back to the row scan below (``store_row_fallbacks``) with
-bit-identical results.  The canonical unsorted result order of both
-paths is ascending ``_id``.
+raises; counter ``store_zero_copy_reads``); the default remains a
+mutable deep copy.
 
 Thread-safety: every :class:`Collection` guards its mutation/read
 boundary with an :class:`~threading.RLock` — the asynchronous engine's
@@ -38,11 +37,12 @@ threads while queries run concurrently, and the sharded service
 
 Durability hook: a store-level *mutation observer* receives one
 JSON-serializable op dict per mutation (insert / insert_many / update /
-delete / create_index / drop), in application order.  The service
-layer's write-ahead log (:mod:`repro.service.wal`) attaches here; replay
-goes through :meth:`Collection.restore` / :meth:`DocumentStore.apply_op`
-(which accepts both the batched ``insert_many`` op and the historical
-one-``insert``-per-document form).
+delete / drop), in application order.  The service layer's write-ahead
+log (:mod:`repro.service.wal`) attaches here; replay goes through
+:meth:`Collection.restore` / :meth:`DocumentStore.apply_op`, which also
+accepts what earlier store versions wrote: one ``insert`` op per
+document, ``create_index`` ops and per-collection ``indexes`` lists in
+snapshots (both ignored — there are no indexes to rebuild).
 """
 
 from __future__ import annotations
@@ -55,81 +55,9 @@ from collections.abc import Iterable, Iterator, Mapping
 from typing import Any, Callable
 
 from ..core import perf
-from .columnar import (
-    COMPARATORS as _COMPARATORS,
-    ColumnarView,
-    freeze,
-    get_path as _get_path,
-    hashable_key as _hashable,
-    sort_key as _sort_key,
-    thaw,
-)
+from .columnar import ColumnarView, QuerySyntaxError, freeze, thaw
 
 __all__ = ["DocumentStore", "Collection", "QuerySyntaxError"]
-
-
-class QuerySyntaxError(ValueError):
-    """Raised for malformed filter documents."""
-
-
-def _matches(doc: Mapping[str, Any], flt: Mapping[str, Any]) -> bool:
-    """Evaluate a Mongo-style filter document against ``doc``."""
-    for key, cond in flt.items():
-        if key == "$and":
-            if not all(_matches(doc, sub) for sub in _as_list(cond, "$and")):
-                return False
-        elif key == "$or":
-            if not any(_matches(doc, sub) for sub in _as_list(cond, "$or")):
-                return False
-        elif key == "$not":
-            if not isinstance(cond, Mapping):
-                raise QuerySyntaxError("$not takes a filter document")
-            if _matches(doc, cond):
-                return False
-        elif key.startswith("$"):
-            raise QuerySyntaxError(f"unknown top-level operator {key!r}")
-        else:
-            value = _get_path(doc, key)
-            if isinstance(cond, Mapping) and any(k.startswith("$") for k in cond):
-                for op, arg in cond.items():
-                    fn = _COMPARATORS.get(op)
-                    if fn is None:
-                        raise QuerySyntaxError(f"unknown operator {op!r}")
-                    try:
-                        ok = fn(value, arg)
-                    except TypeError:
-                        ok = False
-                    if not ok:
-                        return False
-            else:
-                if value != cond:
-                    return False
-    return True
-
-
-def _equality_conditions(flt: Mapping[str, Any]) -> Iterable[tuple[str, Any]]:
-    """Yield ``(field, value)`` exact-equality conditions a conjunctive
-    filter imposes: top-level entries plus those nested under ``$and``."""
-    for field, cond in flt.items():
-        if field == "$and" and isinstance(cond, (list, tuple)):
-            for sub in cond:
-                if isinstance(sub, Mapping):
-                    yield from _equality_conditions(sub)
-        elif (
-            not field.startswith("$")
-            and cond is not None
-            and not (
-                isinstance(cond, Mapping)
-                and any(k.startswith("$") for k in cond)
-            )
-        ):
-            yield field, cond
-
-
-def _as_list(cond: Any, op: str) -> list:
-    if not isinstance(cond, (list, tuple)) or not cond:
-        raise QuerySyntaxError(f"{op} takes a non-empty list of filters")
-    return list(cond)
 
 
 class Collection:
@@ -139,17 +67,14 @@ class Collection:
         self.name = name
         self._docs: dict[int, dict[str, Any]] = {}
         self._next_id = 1
-        self._indexes: dict[str, dict[Any, set[int]]] = {}
         #: guards every mutation and read (reentrant: observers and the
         #: persistence path run under the same lock)
         self._lock = threading.RLock()
         #: mutation observer installed by :meth:`DocumentStore.set_observer`
         self._observer: Callable[[dict[str, Any]], None] | None = None
-        #: optional vectorized query plane (see :meth:`enable_columnar`)
-        self._columnar: ColumnarView | None = None
-        #: whether ``self._docs`` iteration order is ascending ``_id``
-        #: (true unless ``restore`` inserted an id out of order)
-        self._id_ordered = True
+        #: the query engine over ``self._docs`` (rows/columns built on
+        #: the first read)
+        self._columnar = ColumnarView(self._docs)
 
     def __len__(self) -> int:
         with self._lock:
@@ -159,65 +84,20 @@ class Collection:
         if self._observer is not None:
             self._observer(op)
 
-    # -- columnar plane ------------------------------------------------------
-    def enable_columnar(self) -> None:
-        """Attach (idempotently) the vectorized query plane."""
-        with self._lock:
-            if self._columnar is None:
-                self._columnar = ColumnarView(self._docs)
-
-    def set_columnar(self, enabled: bool) -> None:
-        """Enable or drop the columnar plane (benchmarks compare paths)."""
-        with self._lock:
-            if enabled:
-                self.enable_columnar()
-            else:
-                self._columnar = None
-
     @contextmanager
-    def columnar_snapshot(self) -> Iterator[ColumnarView | None]:
+    def columnar_snapshot(self) -> Iterator[ColumnarView]:
         """The columnar view, consistent under the collection lock.
 
-        Yields ``None`` when the plane is disabled.  Callers compose
-        extra vectorized predicates (e.g. the repository's per-record
-        visibility mask) with :meth:`ColumnarView.filter_mask` and
-        materialize with :meth:`ColumnarView.select` — all inside the
-        lock, so the snapshot can never be stale or torn.
+        Callers compose extra vectorized predicates (e.g. the
+        repository's per-record visibility mask) with
+        :meth:`ColumnarView.filter_mask` and materialize with
+        :meth:`ColumnarView.select` — all inside the lock, so the
+        snapshot can never be stale or torn.
         """
+        perf.incr("store_columnar_queries")
         with self._lock:
-            view = self._columnar
-            if view is not None:
-                view.ensure_clean()
-            yield view
-
-    # -- indexing ------------------------------------------------------------
-    def create_index(self, field: str) -> None:
-        """Build (or rebuild) a hash index on ``field`` (dotted ok)."""
-        with self._lock:
-            idx: dict[Any, set[int]] = {}
-            for _id, doc in self._docs.items():
-                key = _hashable(_get_path(doc, field))
-                idx.setdefault(key, set()).add(_id)
-            self._indexes[field] = idx
-            self._notify({"op": "create_index", "c": self.name, "field": field})
-
-    def _index_candidates(self, flt: Mapping[str, Any]) -> set[int] | None:
-        """Doc ids from the narrowest usable index, or ``None`` for a scan.
-
-        Usable conditions are exact-value equalities on an indexed
-        field, at the top level or nested anywhere under ``$and`` —
-        every match must satisfy them, so one index bucket is a sound
-        candidate pool for the full filter.
-        """
-        best: set[int] | None = None
-        for field, cond in _equality_conditions(flt):
-            idx = self._indexes.get(field)
-            if idx is None:
-                continue
-            ids = idx.get(_hashable(cond), set())
-            if best is None or len(ids) < len(best):
-                best = ids
-        return best
+            self._columnar.ensure_clean()
+            yield self._columnar
 
     # -- CRUD ------------------------------------------------------------------
     def insert(self, doc: Mapping[str, Any]) -> int:
@@ -251,15 +131,13 @@ class Collection:
         return {k: freeze(v) for k, v in doc.items()}
 
     def _store_new(self, stored: dict[str, Any]) -> int:
-        """Assign an id, freeze, index, and column-append (lock held)."""
+        """Assign an id, freeze, and column-append (lock held)."""
         _id = self._next_id
         self._next_id += 1
         stored["_id"] = _id
         frozen = freeze(stored)
         self._docs[_id] = frozen
-        self._reindex(_id, frozen)
-        if self._columnar is not None:
-            self._columnar.on_insert(_id, frozen)
+        self._columnar.on_insert(_id, frozen)
         return _id
 
     def restore(self, doc: Mapping[str, Any]) -> int:
@@ -272,31 +150,14 @@ class Collection:
         stored = freeze(self._freeze_doc(doc))
         _id = int(stored["_id"])
         with self._lock:
-            old = self._docs.get(_id)
-            if old is not None:
-                self._unindex(_id, old)
-            else:
-                last = next(reversed(self._docs)) if self._docs else 0
-                if _id < last:
-                    self._id_ordered = False
+            known = _id in self._docs
             self._docs[_id] = stored
             self._next_id = max(self._next_id, _id + 1)
-            self._reindex(_id, stored)
-            if self._columnar is not None:
-                if old is None:
-                    self._columnar.on_insert(_id, stored)
-                else:
-                    self._columnar.mark_dirty()
+            if known:
+                self._columnar.mark_dirty()
+            else:
+                self._columnar.on_insert(_id, stored)
         return _id
-
-    def _pool(self, flt: Mapping[str, Any]) -> Iterable[dict[str, Any]]:
-        """Candidate documents in canonical (ascending ``_id``) order."""
-        candidates = self._index_candidates(flt)
-        if candidates is not None:
-            return (self._docs[i] for i in sorted(candidates))
-        if self._id_ordered:
-            return self._docs.values()
-        return (self._docs[i] for i in sorted(self._docs))
 
     def find(
         self,
@@ -313,47 +174,16 @@ class Collection:
         immutable views, zero copies (counter ``store_zero_copy_reads``)
         — strictly read-only callers only.
         """
-        flt = flt or {}
-        with self._lock:
-            view = self._columnar
-            if view is not None:
-                view.ensure_clean()
-                mask = view.filter_mask(flt)
-                if mask is not None:
-                    out = view.select(
-                        mask,
-                        sort=sort,
-                        descending=descending,
-                        limit=limit,
-                        frozen=frozen,
-                    )
-                    if out is not None:
-                        perf.incr("store_columnar_queries")
-                        if frozen:
-                            perf.incr("store_zero_copy_reads")
-                        return out
-                perf.incr("store_row_fallbacks")
-            copy_out = (lambda d: d) if frozen else thaw
-            if sort is None and limit is not None:
-                # unsorted + limited: stop matching (and copying) as
-                # soon as the limit is reached
-                n = max(limit, 0)
-                out = []
-                for d in self._pool(flt):
-                    if len(out) >= n:
-                        break
-                    if _matches(d, flt):
-                        out.append(copy_out(d))
-                if frozen:
-                    perf.incr("store_zero_copy_reads")
-                return out
-            out = [copy_out(d) for d in self._pool(flt) if _matches(d, flt)]
+        with self.columnar_snapshot() as view:
+            out = view.select(
+                view.filter_mask(flt or {}),
+                sort=sort,
+                descending=descending,
+                limit=limit,
+                frozen=frozen,
+            )
         if frozen:
             perf.incr("store_zero_copy_reads")
-        if sort is not None:
-            out.sort(key=lambda d: _sort_key(_get_path(d, sort)), reverse=descending)
-        if limit is not None:
-            out = out[: max(limit, 0)]
         return out
 
     def find_one(
@@ -363,37 +193,27 @@ class Collection:
         return found[0] if found else None
 
     def count(self, flt: Mapping[str, Any] | None = None) -> int:
-        """Matching-document count — same matcher as :meth:`find`, so the
-        columnar fast path accelerates counting for free."""
-        flt = flt or {}
-        with self._lock:
-            view = self._columnar
-            if view is not None:
-                view.ensure_clean()
-                n = view.count(flt)
-                if n is not None:
-                    perf.incr("store_columnar_queries")
-                    return n
-                perf.incr("store_row_fallbacks")
-            return sum(1 for d in self._pool(flt) if _matches(d, flt))
+        """Matching-document count — same compiler as :meth:`find`."""
+        with self.columnar_snapshot() as view:
+            return view.count(flt or {})
+
+    def _matching(self, flt: Mapping[str, Any]) -> list[dict[str, Any]]:
+        """The stored documents a mutation targets (lock held).  Unlike
+        :meth:`find`, no filter is not "everything": ``None`` raises."""
+        self._columnar.ensure_clean()
+        return self._columnar.select(self._columnar.filter_mask(flt), frozen=True)
 
     def update(self, flt: Mapping[str, Any], changes: Mapping[str, Any]) -> int:
         """Shallow-merge ``changes`` into matching docs; returns count."""
-        n = 0
         with self._lock:
-            for _id, doc in list(self._docs.items()):
-                if _matches(doc, flt):
-                    self._unindex(_id, doc)
-                    merged = dict(doc)
-                    merged.update({k: freeze(v) for k, v in changes.items()})
-                    merged["_id"] = _id  # _id is immutable
-                    stored = freeze(merged)
-                    self._docs[_id] = stored
-                    self._reindex(_id, stored)
-                    n += 1
-            if n:
-                if self._columnar is not None:
-                    self._columnar.mark_dirty()
+            matched = self._matching(flt)
+            for doc in matched:
+                merged = dict(doc)
+                merged.update({k: freeze(v) for k, v in changes.items()})
+                merged["_id"] = doc["_id"]  # _id is immutable
+                self._docs[doc["_id"]] = freeze(merged)
+            if matched:
+                self._columnar.mark_dirty()
                 self._notify(
                     {
                         "op": "update",
@@ -402,37 +222,20 @@ class Collection:
                         "changes": thaw(dict(changes)),
                     }
                 )
-        return n
+        return len(matched)
 
     def delete(self, flt: Mapping[str, Any]) -> int:
         """Delete matching docs; returns count."""
         with self._lock:
-            doomed = [i for i, d in self._docs.items() if _matches(d, flt)]
-            for _id in doomed:
-                self._unindex(_id, self._docs[_id])
-                del self._docs[_id]
-            if doomed:
-                if self._columnar is not None:
-                    self._columnar.mark_dirty()
+            matched = self._matching(flt)
+            for doc in matched:
+                del self._docs[doc["_id"]]
+            if matched:
+                self._columnar.mark_dirty()
                 self._notify(
                     {"op": "delete", "c": self.name, "flt": thaw(dict(flt))}
                 )
-        return len(doomed)
-
-    def _unindex(self, _id: int, doc: Mapping[str, Any]) -> None:
-        for field, idx in self._indexes.items():
-            key = _hashable(_get_path(doc, field))
-            bucket = idx.get(key)
-            if bucket is not None:
-                bucket.discard(_id)
-                if not bucket:
-                    # prune — empty buckets would otherwise accumulate
-                    # for every distinct value ever deleted
-                    del idx[key]
-
-    def _reindex(self, _id: int, doc: Mapping[str, Any]) -> None:
-        for field, idx in self._indexes.items():
-            idx.setdefault(_hashable(_get_path(doc, field)), set()).add(_id)
+        return len(matched)
 
     # -- persistence ------------------------------------------------------------
     def to_jsonable(self) -> dict[str, Any]:
@@ -441,7 +244,6 @@ class Collection:
                 "name": self.name,
                 "next_id": self._next_id,
                 "docs": [thaw(d) for d in self._docs.values()],
-                "indexes": sorted(self._indexes),
             }
 
     @staticmethod
@@ -450,10 +252,6 @@ class Collection:
         coll._next_id = int(blob["next_id"])
         for doc in blob["docs"]:
             coll._docs[int(doc["_id"])] = freeze(dict(doc))
-        ids = list(coll._docs)
-        coll._id_ordered = all(a < b for a, b in zip(ids, ids[1:]))
-        for field in blob.get("indexes", []):
-            coll.create_index(field)
         return coll
 
 
@@ -493,8 +291,9 @@ class DocumentStore:
         """Re-apply one observed op (WAL replay / journal shipping).
 
         Accepts both the historical one-document ``insert`` form and
-        the batched ``insert_many`` form, so journals written by either
-        store version replay on this one.
+        the batched ``insert_many`` form, and skips the ``create_index``
+        ops older journals carry, so journals written by any store
+        version replay on this one.
         """
         kind = op.get("op")
         if kind == "drop":
@@ -511,7 +310,7 @@ class DocumentStore:
         elif kind == "delete":
             coll.delete(op["flt"])
         elif kind == "create_index":
-            coll.create_index(op["field"])
+            pass  # an older store's journal: there is no index to rebuild
         else:
             raise ValueError(f"unknown journal op {kind!r}")
 

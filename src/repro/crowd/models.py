@@ -57,8 +57,7 @@ class ModelStore:
 
     def __init__(self, repository: CrowdRepository) -> None:
         self.repository = repository
-        coll = repository.store.collection(_MODELS)
-        coll.create_index("problem_name")
+        repository.store.collection(_MODELS)
 
     # -- upload ------------------------------------------------------------
     def upload_model(

@@ -75,9 +75,8 @@ def build_filter(
 
     if not clauses:
         return {}
-    # fold single-key clauses with distinct paths into one flat document:
-    # flat filters match in one pass and expose their equality conditions
-    # to the store's hash indexes
+    # fold single-key clauses with distinct paths into one flat document
+    # (one mask per path, no nested compile)
     merged: dict[str, Any] = {}
     rest: list[dict[str, Any]] = []
     for clause in clauses:

@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from ..core import perf
-from .columnar import thaw
 from .configmatch import TagMatcher, default_matcher
 from .database import DocumentStore
 from .query import SqlQuery, build_filter
@@ -33,9 +32,9 @@ __all__ = ["CrowdRepository"]
 
 _RECORDS = "performance_records"
 
-#: sentinel owner that matches no username, so the vectorized
-#: accessibility mask evaluates pure level/group visibility and the
-#: owner==viewer grant is a separate equality mask
+#: sentinel owner that matches no username, so the accessibility mask
+#: evaluates pure level/group visibility and the owner==viewer grant is
+#: a separate equality mask
 _NOT_OWNER = object()
 
 
@@ -51,15 +50,7 @@ class CrowdRepository:
         self.store = store if store is not None else DocumentStore()
         self.users = users if users is not None else UserRegistry()
         self.matcher = matcher if matcher is not None else default_matcher()
-        coll = self.store.collection(_RECORDS)
-        coll.create_index("problem_name")
-        coll.create_index("owner")
-        # router-stamped uids: the service's idempotent-upload dedup and
-        # anti-entropy replication both look records up by uid
-        coll.create_index("uid")
-        # the hot read path (queries, leaderboards, registry builds)
-        # evaluates filters + visibility as vectorized column masks
-        coll.enable_columnar()
+        self.store.collection(_RECORDS)
         self._clock = 0.0
         self._clock_lock = threading.Lock()
 
@@ -131,39 +122,6 @@ class CrowdRepository:
         return self.store[_RECORDS].insert_many(docs)
 
     # -- download ----------------------------------------------------------------
-    def _visible(self, doc: Mapping[str, Any], user: User) -> bool:
-        record = PerformanceRecord.from_doc(doc)
-        return record.accessibility.visible_to(
-            user.username, record.owner, sorted(user.groups)
-        )
-
-    def _doc_visible(
-        self, doc: Mapping[str, Any], username: str, groups: list[str]
-    ) -> bool:
-        """Row-fallback visibility without a full record round-trip."""
-        if doc.get("owner", "") == username:
-            return True
-        return Accessibility.from_dict(doc.get("accessibility")).visible_to(
-            username, _NOT_OWNER, groups
-        )
-
-    def _visibility_mask(self, view, username: str, groups: list[str]):
-        """Vectorized per-record visibility: owner grant OR'd with the
-        per-distinct-accessibility level/group policy.  ``None`` when the
-        view can't build the columns (caller falls back to rows)."""
-        owner = view.path_eq_mask("owner", username)
-        if owner is None:
-            return None
-        policy = view.path_value_mask(
-            "accessibility",
-            lambda v: Accessibility.from_dict(v).visible_to(
-                username, _NOT_OWNER, groups
-            ),
-        )
-        if policy is None:
-            return None
-        return owner | policy
-
     def query_docs(
         self,
         api_key: str,
@@ -206,48 +164,36 @@ class CrowdRepository:
         limit: int | None = None,
         frozen: bool = True,
     ) -> list[dict[str, Any]]:
-        """Filter + visibility + sort + limit in one pass.
+        """Filter + visibility + sort + limit in one pass: one boolean
+        mask (filter AND (owner grant OR level/group policy)) and one
+        stable argsort.
 
-        Columnar fast path: one boolean-mask evaluation (filter AND
-        visibility) and one stable argsort.  Parity with the legacy
-        sort-then-filter row order holds because both sorts are stable:
-        filtering a stably-sorted sequence equals stably sorting the
-        filtered one.
+        The policy is read only off records the filter matched and the
+        owner grant does not already admit, so a malformed stored
+        ``accessibility`` block fails exactly the queries that reach it
+        (``ValueError`` from :class:`Accessibility`).
         """
-        coll = self.store[_RECORDS]
         groups = sorted(user.groups)
-        with coll.columnar_snapshot() as view:
-            if view is not None:
-                mask = view.filter_mask(flt)
-                if mask is not None:
-                    try:
-                        vis = self._visibility_mask(view, user.username, groups)
-                    except ValueError:
-                        # a stored accessibility block failed validation:
-                        # only the row path knows whether the offending
-                        # record even matches the filter
-                        vis = None
-                    if vis is not None:
-                        out = view.select(
-                            mask & vis,
-                            sort=sort,
-                            descending=descending,
-                            limit=limit,
-                            frozen=frozen,
-                        )
-                        if out is not None:
-                            perf.incr("store_columnar_queries")
-                            if frozen:
-                                perf.incr("store_zero_copy_reads")
-                            return out
-                perf.incr("store_row_fallbacks")
-        docs = coll.find(flt, sort=sort, descending=descending, frozen=True)
-        visible = [
-            d for d in docs if self._doc_visible(d, user.username, groups)
-        ]
-        if limit is not None:
-            visible = visible[: max(limit, 0)]
-        return visible if frozen else [thaw(d) for d in visible]
+        with self.store[_RECORDS].columnar_snapshot() as view:
+            mask = view.filter_mask(flt)
+            owner = view.path_eq_mask("owner", user.username)
+            policy = view.path_value_mask(
+                "accessibility",
+                lambda v: Accessibility.from_dict(v).visible_to(
+                    user.username, _NOT_OWNER, groups
+                ),
+                within=mask & ~owner,
+            )
+            out = view.select(
+                mask & (owner | policy),
+                sort=sort,
+                descending=descending,
+                limit=limit,
+                frozen=frozen,
+            )
+        if frozen:
+            perf.incr("store_zero_copy_reads")
+        return out
 
     def query(
         self,

@@ -33,7 +33,7 @@ from .repository import CrowdRepository
 from .users import AuthError
 from .views import contributor_stats, leaderboard, render_html
 
-__all__ = ["CrowdServer"]
+__all__ = ["CrowdServer", "bad_request"]
 
 
 class CrowdServer:
@@ -73,7 +73,7 @@ class CrowdServer:
     def handle(self, request: Mapping[str, Any]) -> dict[str, Any]:
         """Process one request dict; never raises."""
         if not isinstance(request, Mapping):
-            return _bad_request("request must be an object")
+            return bad_request("request must be an object")
         route = request.get("route")
         handler = self._routes.get(route)
         if handler is None:
@@ -87,7 +87,7 @@ class CrowdServer:
         except AuthError as exc:
             return {"ok": False, "error": "auth", "message": str(exc)}
         except (KeyError, TypeError, ValueError) as exc:
-            return _bad_request(str(exc))
+            return bad_request(str(exc))
         # KeyError (missing request field -> bad_request) is a LookupError
         # subclass, so this clause must stay below the tuple above; what
         # reaches it is the registry's "no such model" signal
@@ -99,7 +99,7 @@ class CrowdServer:
         try:
             request = json.loads(payload)
         except json.JSONDecodeError as exc:
-            return json.dumps(_bad_request(f"invalid JSON: {exc.msg}"))
+            return json.dumps(bad_request(f"invalid JSON: {exc.msg}"))
         return json.dumps(self.handle(request), default=str)
 
     def routes(self) -> list[str]:
@@ -299,5 +299,6 @@ class CrowdServer:
         return {"ok": True, "html": html}
 
 
-def _bad_request(message: str) -> dict[str, Any]:
+def bad_request(message: str) -> dict[str, Any]:
+    """The protocol's ``bad_request`` failure response."""
     return {"ok": False, "error": "bad_request", "message": message}

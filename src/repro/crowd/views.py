@@ -22,17 +22,14 @@ from typing import Any
 
 from ..core.problem import task_key
 from .columnar import thaw
-from .records import PerformanceRecord
 from .repository import CrowdRepository
 
 __all__ = [
     "LeaderboardRow",
     "leaderboard",
     "leaderboard_from_docs",
-    "leaderboard_from_records",
     "contributor_stats",
     "contributor_stats_from_docs",
-    "contributor_stats_from_records",
     "machine_breakdown",
     "machine_breakdown_from_docs",
     "render_text",
@@ -72,10 +69,9 @@ def leaderboard(
 def leaderboard_from_docs(docs: list[Any]) -> list[LeaderboardRow]:
     """The leaderboard computed from raw (possibly frozen) documents.
 
-    This is the aggregation core: :func:`leaderboard_from_records` — the
-    sharded router's cross-shard merge, which must aggregate over the
-    *deduplicated* record set because replicated records appear on
-    several shards — lowers records to the same document shape.
+    This is the aggregation core, also called by the sharded router's
+    cross-shard merge — which must aggregate over the *deduplicated*
+    record set because replicated records appear on several shards.
     """
     groups: dict[tuple, list[Any]] = {}
     for d in docs:
@@ -101,13 +97,6 @@ def leaderboard_from_docs(docs: list[Any]) -> list[LeaderboardRow]:
     return rows
 
 
-def leaderboard_from_records(
-    records: list[PerformanceRecord],
-) -> list[LeaderboardRow]:
-    """The leaderboard computed from an already-queried record list."""
-    return leaderboard_from_docs([r.to_doc() for r in records])
-
-
 def contributor_stats(
     repo: CrowdRepository, api_key: str, problem: str
 ) -> list[dict[str, Any]]:
@@ -130,13 +119,6 @@ def contributor_stats_from_docs(docs: list[Any]) -> list[dict[str, Any]]:
         elif entry["best"] is None or output < entry["best"]:
             entry["best"] = float(output)
     return sorted(per_user.values(), key=lambda e: e["samples"], reverse=True)
-
-
-def contributor_stats_from_records(
-    records: list[PerformanceRecord],
-) -> list[dict[str, Any]]:
-    """Contributor stats from an already-deduplicated record list."""
-    return contributor_stats_from_docs([r.to_doc() for r in records])
 
 
 def machine_breakdown(

@@ -97,11 +97,8 @@ class ModelRegistry:
     ) -> None:
         self.repository = repository
         self.options = options if options is not None else RegistryOptions()
-        models = repository.store.collection(REGISTRY_MODELS)
-        models.create_index("problem_name")
-        models.create_index("task_key")
-        problems = repository.store.collection(REGISTRY_PROBLEMS)
-        problems.create_index("problem_name")
+        repository.store.collection(REGISTRY_MODELS)
+        repository.store.collection(REGISTRY_PROBLEMS)
         self.versions = DataVersionTracker()
         self._init_versions()
         self.builder = RegistryBuilder(
@@ -233,49 +230,31 @@ class ModelRegistry:
     ) -> list[dict[str, Any]]:
         """The build's record set, selected exactly like the client's
         fit-locally path: problem-space filter, timestamp sort, then task
-        grouping by :func:`task_key` — restricted to public records."""
-        flt = build_filter(problem_name, problem_space, None, require_success=True)
-        coll = self.repository.store[_RECORDS]
-        target = repr(task_key(task_parameters))
-        with coll.columnar_snapshot() as view:
-            if view is not None:
-                docs = self._eligible_columnar(view, flt, target)
-                if docs is not None:
-                    perf.incr("store_columnar_queries")
-                    perf.incr("store_zero_copy_reads")
-                    return docs
-                perf.incr("store_row_fallbacks")
-        docs = coll.find(flt, sort="timestamp", frozen=True)
-        return [
-            d
-            for d in docs
-            if record_counts(d)
-            and repr(task_key(d.get("task_parameters", {}))) == target
-        ]
+        grouping by :func:`task_key` — restricted to public records.
 
-    def _eligible_columnar(self, view, flt, target):
-        """One fused mask: filter AND :func:`record_counts` AND exact
-        task-key match, then a stable timestamp sort — zero copies."""
-        mask = view.filter_mask(flt)
-        if mask is None:
-            return None
-        try:
-            public = view.path_value_mask(
+        One fused mask — filter (which already requires an output) AND
+        public AND exact task-key match — then a stable timestamp sort,
+        zero copies.  Each stored block is read only off records the
+        predicates before it kept, so a malformed block fails exactly
+        the builds that reach it.
+        """
+        flt = build_filter(problem_name, problem_space, None, require_success=True)
+        target = repr(task_key(task_parameters))
+        with self.repository.store[_RECORDS].columnar_snapshot() as view:
+            mask = view.filter_mask(flt)
+            mask &= view.path_value_mask(
                 "accessibility",
                 lambda v: (v or {}).get("level", "public") == "public",
+                within=mask,
             )
-            task = view.path_value_mask(
+            mask &= view.path_value_mask(
                 "task_parameters",
                 lambda v: repr(task_key(v if v is not None else {})) == target,
+                within=mask,
             )
-        except (TypeError, AttributeError, ValueError):
-            # a malformed stored block: the row path decides whether the
-            # offending record is even reached
-            return None
-        failed = view.path_eq_mask("output", None)
-        if public is None or task is None or failed is None:
-            return None
-        return view.select(mask & public & ~failed & task, sort="timestamp", frozen=True)
+            docs = view.select(mask, sort="timestamp", frozen=True)
+        perf.incr("store_zero_copy_reads")
+        return docs
 
     def build(
         self, problem_name: str, task_parameters: Mapping[str, Any]

@@ -70,9 +70,9 @@ from collections.abc import Mapping
 from typing import Any, Callable
 
 from ..core import perf
-from ..crowd.columnar import freeze
-from ..crowd.database import _get_path, _sort_key
+from ..crowd.columnar import freeze, get_path, sort_key
 from ..crowd.query import SqlQuery
+from ..crowd.server import bad_request
 from ..crowd.views import contributor_stats_from_docs, leaderboard_from_docs
 from ..engine.faults import RetryPolicy
 from ..registry import REGISTRY_PROBLEMS
@@ -415,7 +415,7 @@ class CrowdRouter:
     def handle(self, request: Mapping[str, Any]) -> dict[str, Any]:
         """Process one request dict; never raises (protocol contract)."""
         if not isinstance(request, Mapping):
-            return _bad_request("request must be an object")
+            return bad_request("request must be an object")
         perf.incr("service_requests")
         route = request.get("route")
         throttled = self._throttle(str(request.get("api_key", "")))
@@ -453,7 +453,7 @@ class CrowdRouter:
         elif route in _REGISTRY_READS:
             response, tags = self._route_pinned_registry(request)
         elif route == "browse_html":
-            return _bad_request(
+            return bad_request(
                 "browse_html is not served by the sharded router; "
                 "render locally from a query"
             )
@@ -474,7 +474,7 @@ class CrowdRouter:
             problem = request["problem_name"]
             task = dict(request["task_parameters"])
         except (KeyError, TypeError) as exc:
-            return _bad_request(str(exc))
+            return bad_request(str(exc))
         key = shard_key(problem, task)
         prefs = self.ring.preference(key, self.options.replication)
         quorum = min(self.options.write_quorum, len(prefs))
@@ -543,7 +543,7 @@ class CrowdRouter:
                 request["problem_name"], dict(request["task_parameters"])
             )
         except (KeyError, TypeError) as exc:
-            return _bad_request(str(exc))
+            return bad_request(str(exc))
         primary = self.ring.primary(key)
         response = self._shards[primary].handle(request)
         self._cache.invalidate(frozenset([primary]))
@@ -558,7 +558,7 @@ class CrowdRouter:
         and converge when it replays (or via anti-entropy).
         """
         if not request.get("problem_name"):
-            return _bad_request("register_problem needs a problem_name")
+            return bad_request("register_problem needs a problem_name")
         uid, ts = self._stamp(request.get("idempotency_key"))
         stamped = {k: v for k, v in request.items() if k not in ("uid", "timestamp")}
         stamped["uid"] = uid
@@ -616,7 +616,7 @@ class CrowdRouter:
         problem = request.get("problem_name")
         if task is None or not problem:
             return (
-                _bad_request("registry reads need problem_name and task_parameters"),
+                bad_request("registry reads need problem_name and task_parameters"),
                 frozenset(),
             )
         prefs = self.ring.preference(
@@ -670,7 +670,7 @@ class CrowdRouter:
         docs, error, tags = self._gather_records(request)
         if error is not None:
             return error, tags
-        docs.sort(key=lambda d: _sort_key(d.get("timestamp")))
+        docs.sort(key=lambda d: sort_key(d.get("timestamp")))
         limit = request.get("limit")
         if limit is not None:
             docs = docs[: max(int(limit), 0)]
@@ -721,12 +721,12 @@ class CrowdRouter:
                 ident = record_ident(doc)
                 view[ident] = doc.get("timestamp")
                 current = merged.get(ident)
-                if current is None or _sort_key(doc.get("timestamp")) > _sort_key(
+                if current is None or sort_key(doc.get("timestamp")) > sort_key(
                     current.get("timestamp")
                 ):
                     merged[ident] = doc
             replica_view[name] = view
-        docs = sorted(merged.values(), key=lambda d: _sort_key(d.get("timestamp")))
+        docs = sorted(merged.values(), key=lambda d: sort_key(d.get("timestamp")))
         limit = request.get("limit")
         if limit is None and len(consulted) > 1:
             repaired: set[str] = set()
@@ -736,7 +736,7 @@ class CrowdRouter:
                     doc
                     for ident, doc in merged.items()
                     if ident not in view
-                    or _sort_key(view[ident]) < _sort_key(doc.get("timestamp"))
+                    or sort_key(view[ident]) < sort_key(doc.get("timestamp"))
                 ]
                 if not stale:
                     continue
@@ -758,13 +758,13 @@ class CrowdRouter:
         try:
             q = SqlQuery.parse(request.get("sql", ""))
         except Exception as exc:
-            return _bad_request(str(exc)), frozenset()
+            return bad_request(str(exc)), frozenset()
         docs, error, tags = self._gather_records(request)
         if error is not None:
             return error, tags
         if q.order_by is not None:
             docs.sort(
-                key=lambda d: _sort_key(_get_path(d, q.order_by)),
+                key=lambda d: sort_key(get_path(d, q.order_by)),
                 reverse=q.descending,
             )
         if q.limit is not None:
@@ -798,7 +798,7 @@ class CrowdRouter:
                 if at is None:
                     position[dedup] = len(docs)
                     docs.append(doc)
-                elif _sort_key(doc.get("timestamp")) > _sort_key(
+                elif sort_key(doc.get("timestamp")) > sort_key(
                     docs[at].get("timestamp")
                 ):
                     docs[at] = doc
@@ -1044,15 +1044,15 @@ class CrowdRouter:
                 for doc in response.get("buckets", {}).get(key, []):
                     ident = record_ident(doc)
                     current = merged.get(ident)
-                    if current is None or _sort_key(
+                    if current is None or sort_key(
                         doc.get("timestamp")
-                    ) > _sort_key(current.get("timestamp")):
+                    ) > sort_key(current.get("timestamp")):
                         merged[ident] = doc
             if not merged:
                 continue
             records = sorted(
                 merged.values(),
-                key=lambda d: (_sort_key(d.get("timestamp")), record_ident(d)),
+                key=lambda d: (sort_key(d.get("timestamp")), record_ident(d)),
             )
             bucket_applied = 0
             replicated_all = len(reachable_prefs) == len(prefs)
@@ -1190,7 +1190,3 @@ class CrowdRouter:
             | _CACHEABLE
             | {"upload", "upload_model", "register_problem"}
         )
-
-
-def _bad_request(message: str) -> dict[str, Any]:
-    return {"ok": False, "error": "bad_request", "message": message}

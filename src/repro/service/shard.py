@@ -28,7 +28,7 @@ from typing import Any, Mapping
 from ..core import perf
 from ..crowd.configmatch import TagMatcher
 from ..crowd.repository import CrowdRepository
-from ..crowd.server import CrowdServer
+from ..crowd.server import CrowdServer, bad_request
 from ..crowd.users import UserRegistry
 from ..registry import (
     REGISTRY_MODELS,
@@ -197,10 +197,8 @@ class CrowdShard:
         # uploads keep strictly increasing timestamps
         for doc in self.repository.store["performance_records"].find({}, frozen=True):
             self.repository.advance_clock(float(doc.get("timestamp", 0.0)))
-        # the registry is built before the WAL observer is installed, so
-        # its collection/index setup (like the repository's own) is never
-        # journaled; its entries recover from snapshot + WAL like records,
-        # and the version tracker's construction scan sees the recovered
+        # registry entries recover from snapshot + WAL like records, and
+        # the version tracker's construction scan sees the recovered
         # store, so staleness accounting survives a crash too
         self.registry: ModelRegistry | None = (
             ModelRegistry(self.repository, registry) if registry is not None else None
@@ -261,11 +259,7 @@ class CrowdShard:
                 try:
                     response = getattr(self, f"_route_{route}")(request)
                 except (KeyError, TypeError, ValueError) as exc:
-                    response = {
-                        "ok": False,
-                        "error": "bad_request",
-                        "message": str(exc),
-                    }
+                    response = bad_request(str(exc))
                 finally:
                     ops = self._buffers.ops
                     self._buffers.ops = None

@@ -25,10 +25,9 @@ The journal and snapshots cover the *whole* document store, not just
 performance records: ops carry their collection name and snapshots are
 full store images, so collections added later — the frozen-model
 registry's ``registry_models`` / ``registry_problems`` — inherit crash
-durability with no WAL changes.  (Registry index creation, like the
-repository's, runs before the shard installs its observer and is never
-journaled; snapshots carry index names and the registry re-creates its
-indexes at construction, so they exist after any recovery path.)
+durability with no WAL changes.  (Snapshots and journals written before
+the store dropped its hash indexes carry ``indexes`` lists and
+``create_index`` ops; recovery ignores both.)
 
 * snapshots are written to a temp file and ``os.replace``-d into place,
   so a crash mid-snapshot leaves the previous snapshot intact; the

@@ -1,9 +1,10 @@
-"""Columnar record plane: frozen views, row-vs-column parity, batching.
+"""Columnar record plane: frozen views, row-oracle parity, batching.
 
-The columnar fast path must be *bit-identical* to the row path for every
-filter shape it accepts (and transparently fall back for the rest), the
-frozen zero-copy views must be immutable-but-compatible stand-ins for
-the old deep copies, and batched journaling must replay exactly like the
+The columnar compiler is the store's only query engine; it must agree
+with the reference row interpreter (``row_oracle``) on every well-formed
+filter and reject every malformed one whatever the collection holds.
+The frozen zero-copy views must be immutable-but-compatible stand-ins
+for deep copies, and batched journaling must replay exactly like the
 historical one-op-per-insert form.
 """
 
@@ -18,6 +19,7 @@ import threading
 import pytest
 
 from repro.crowd.columnar import (
+    MAX_COLUMNS,
     ColumnarView,
     FrozenDict,
     FrozenList,
@@ -25,6 +27,8 @@ from repro.crowd.columnar import (
     thaw,
 )
 from repro.crowd.database import Collection, DocumentStore, QuerySyntaxError
+
+from . import row_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +112,44 @@ class TestFrozen:
 # ---------------------------------------------------------------------------
 
 
+class _Rows:
+    """The oracle's half of a pair: the same mutations as a
+    :class:`Collection`, every read row-interpreted."""
+
+    def __init__(self) -> None:
+        self.docs: dict[int, dict] = {}
+        self.next_id = 1
+
+    def insert(self, doc):
+        self.restore({**doc, "_id": self.next_id})
+
+    def restore(self, doc):
+        self.docs[doc["_id"]] = copy.deepcopy(doc)
+        self.next_id = max(self.next_id, doc["_id"] + 1)
+
+    def find(self, flt=None, **kwargs):
+        ordered = [self.docs[i] for i in sorted(self.docs)]
+        return row_oracle.find(ordered, flt, **kwargs)
+
+    def count(self, flt=None):
+        return len(self.find(flt))
+
+    def update(self, flt, changes):
+        hit = self.find(flt)
+        for d in hit:
+            self.docs[d["_id"]] = {**d, **changes, "_id": d["_id"]}
+        return len(hit)
+
+    def delete(self, flt):
+        hit = self.find(flt)
+        for d in hit:
+            del self.docs[d["_id"]]
+        return len(hit)
+
+
 def _pair(docs):
-    """(columnar, row-only) collections holding identical documents."""
-    fast = Collection("c")
-    fast.enable_columnar()
-    slow = Collection("c")
+    """(collection, row oracle) holding identical documents."""
+    fast, slow = Collection("c"), _Rows()
     for d in docs:
         fast.insert(d)
         slow.insert(d)
@@ -122,7 +159,6 @@ def _pair(docs):
 class TestCollectionFrozenReads:
     def test_default_find_returns_mutable_copies(self):
         coll = Collection("c")
-        coll.enable_columnar()
         coll.insert({"a": {"b": [1]}})
         out = coll.find({})[0]
         out["a"]["b"].append(2)
@@ -130,7 +166,6 @@ class TestCollectionFrozenReads:
 
     def test_frozen_find_returns_immutable_views(self):
         coll = Collection("c")
-        coll.enable_columnar()
         coll.insert({"a": {"b": [1]}})
         out = coll.find({}, frozen=True)[0]
         assert isinstance(out, FrozenDict)
@@ -197,7 +232,7 @@ class TestInsertManyBatching:
 
 
 # ---------------------------------------------------------------------------
-# row-vs-column parity
+# row-oracle parity
 # ---------------------------------------------------------------------------
 
 _OWNERS = ["alice", "bob", "carol"]
@@ -318,8 +353,6 @@ class TestRowColumnParity:
         fast, slow = _pair(
             [{"k": v, "King": i} for i, v in enumerate(["a", "b", "a", "c"])]
         )
-        fast.create_index("k")
-        slow.create_index("k")
         for flt in ({"k": "a"}, {"k": "zzz"}, {"$and": [{"k": "a"}, {"King": 0}]}):
             assert fast.find(flt) == slow.find(flt)
 
@@ -354,7 +387,8 @@ class TestRowColumnParity:
             fast.find({"$and": "not-a-list"})
 
     def test_unsupported_shapes_fall_back_not_crash(self):
-        # huge ints past float64 exactness, NaN arguments, bad regexes
+        # shapes the float/code fast paths cannot take — huge ints past
+        # float64 exactness, NaN arguments — go per distinct value
         fast, slow = _pair(
             [{"v": 2**60}, {"v": 2**60 + 1}, {"v": 1}, {"v": float("nan")}]
         )
@@ -365,12 +399,79 @@ class TestRowColumnParity:
             {"v": {"$in": [float("nan"), 1]}},
         ):
             assert fast.find(flt) == slow.find(flt)
-        # a bad regex only raises when it meets a string value — on both paths
-        fast2, slow2 = _pair([{"v": "text"}])
-        with pytest.raises(Exception):
-            slow2.find({"v": {"$regex": "("}})
-        with pytest.raises(Exception):
-            fast2.find({"v": {"$regex": "("}})
+
+    def test_long_in_list_parity(self):
+        fast, slow = _pair([{"v": i % 150} for i in range(300)])
+        wanted = list(range(0, 150, 2)) + ["x", None, 3.0]
+        for op in ("$in", "$nin"):
+            assert fast.find({"v": {op: wanted}}) == slow.find({"v": {op: wanted}})
+
+    def test_paths_past_the_column_cache_still_answer(self):
+        fast, slow = _pair([{f"f{j}": i % (j + 2) for j in range(70)} for i in range(20)])
+        for j in range(70):  # 70 > MAX_COLUMNS: the tail is transient
+            flt = {f"f{j}": {"$gte": 1}}
+            assert fast.find(flt, sort=f"f{69 - j}") == slow.find(flt, sort=f"f{69 - j}")
+        assert len(fast._columnar._columns) == MAX_COLUMNS
+
+
+#: filters the compiler must reject whatever the collection holds
+_MALFORMED = [
+    {"a": {"$regexp": "x"}},
+    {"a": {"$gt": 1, "plain": 2}},
+    {"$xor": [{"a": 1}]},
+    {1: 2},
+    {"$and": "not-a-list"},
+    {"$and": []},
+    {"$or": [{"a": 1}, "not-a-filter"]},
+    {"$not": [{"a": 1}]},
+    {"a": {"$in": 5}},
+    {"a": {"$in": "abc"}},
+    {"a": {"$nin": {"b": 1}}},
+    {"a": {"$regex": "("}},
+    {"a": {"$regex": 5}},
+    {"b": 1, "$and": [{"a": {"$regex": "("}}]},
+    {"$or": [{"b": 1}, {"$not": {"a": {"$in": None}}}]},
+]
+
+
+class TestMalformedFilters:
+    """Malformed is a property of the filter, not of the stored rows."""
+
+    @pytest.mark.parametrize("flt", _MALFORMED, ids=repr)
+    def test_rejected_independent_of_the_data(self, flt):
+        empty = Collection("c")
+        unreached = Collection("c")  # no row gets past ``b`` / has ``a``
+        unreached.insert_many([{"b": 2}, {"b": 3}])
+        reached = Collection("c")
+        reached.insert_many([{"a": "text", "b": 1}, {"a": 5, "b": 1}])
+        for coll in (empty, unreached, reached):
+            for call in (coll.find, coll.count, coll.delete):
+                with pytest.raises(QuerySyntaxError):
+                    call(flt)
+            with pytest.raises(QuerySyntaxError):
+                coll.update(flt, {"touched": True})
+            with pytest.raises(QuerySyntaxError):
+                coll.find_one(flt)
+        assert len(reached) == 2 and reached.count({"touched": True}) == 0
+
+    def test_non_mapping_filter(self):
+        coll = Collection("c")
+        coll.insert({"a": 1})
+        with pytest.raises(QuerySyntaxError):
+            coll.find(["a"])
+        # "no filter" means everything only for reads
+        for nothing in (None, 0, []):
+            with pytest.raises(QuerySyntaxError):
+                coll.delete(nothing)
+            with pytest.raises(QuerySyntaxError):
+                coll.update(nothing, {"a": 2})
+        assert coll.find() == [{"_id": 1, "a": 1}]
+
+    def test_in_takes_lists_and_tuples(self):
+        coll = Collection("c")
+        coll.insert_many([{"a": "abc"}, {"a": "b"}, {"a": 5}])
+        assert [d["a"] for d in coll.find({"a": {"$in": ["b", 5]}})] == ["b", 5]
+        assert [d["a"] for d in coll.find({"a": {"$nin": ("b", 5)}})] == ["abc"]
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +482,6 @@ class TestRowColumnParity:
 class TestConcurrentWritersVsReaders:
     def test_no_stale_or_torn_reads(self):
         coll = Collection("c")
-        coll.enable_columnar()
-        coll.create_index("owner")
         stop = threading.Event()
         errors: list[BaseException] = []
         old_interval = sys.getswitchinterval()
@@ -432,10 +531,9 @@ class TestConcurrentWritersVsReaders:
             sys.setswitchinterval(old_interval)
         assert errors == []
         # final state visible and consistent: columnar count == row scan
-        slow = Collection("c")
-        for d in coll.find({}):
-            slow.insert({k: v for k, v in d.items() if k != "_id"})
-        assert coll.count({"owner": "w1"}) == slow.count({"owner": "w1"})
+        assert coll.count({"owner": "w1"}) == len(
+            row_oracle.find(coll.find({}), {"owner": "w1"})
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +544,6 @@ class TestConcurrentWritersVsReaders:
 class TestViewMaintenance:
     def test_in_order_inserts_append_without_rebuild(self):
         coll = Collection("c")
-        coll.enable_columnar()
         coll.insert({"a": 1})
         assert coll.find({"a": 1})  # builds the column
         view = coll._columnar
@@ -457,7 +554,6 @@ class TestViewMaintenance:
 
     def test_update_marks_dirty_and_rebuild_recovers(self):
         coll = Collection("c")
-        coll.enable_columnar()
         coll.insert_many([{"a": 1}, {"a": 2}])
         assert coll.count({"a": 1}) == 1
         coll.update({"a": 1}, {"a": 9})
@@ -467,7 +563,6 @@ class TestViewMaintenance:
 
     def test_out_of_order_restore_keeps_id_order(self):
         coll = Collection("c")
-        coll.enable_columnar()
         coll.restore({"_id": 5, "a": "late"})
         coll.restore({"_id": 2, "a": "early"})
         assert [d["_id"] for d in coll.find({})] == [2, 5]
@@ -480,6 +575,6 @@ class TestViewMaintenance:
         docs[2] = freeze({"_id": 2, "v": 1})
         view.ensure_clean()
         mask = view.filter_mask({"v": {"$gt": 0}})
-        assert mask is not None and mask.sum() == 2
+        assert mask.sum() == 2
         out = view.select(mask, sort="v")
         assert [d["v"] for d in out] == [1, 3]

@@ -98,6 +98,44 @@ class TestAccessControl:
         assert repo.problems(users["alice"]) == ["hidden", "open"]
 
 
+class TestMalformedStoredAccessibility:
+    """A stored ``accessibility`` block that fails validation breaks
+    exactly the reads whose filter reaches it."""
+
+    @staticmethod
+    def _store_bad(repo, problem):
+        repo.store["performance_records"].insert(
+            {
+                "uid": 999,
+                "problem_name": problem,
+                "task_parameters": {"t": 1},
+                "tuning_parameters": {"x": 0.9},
+                "output": 9.0,
+                "owner": "alice",
+                "accessibility": {"level": "bogus"},
+                "timestamp": 99.0,
+            }
+        )
+
+    def test_unmatched_record_leaves_reads_unaffected(self, repo, users):
+        for out in (1.0, 2.0):
+            repo.upload(_rec(out), users["alice"])
+        self._store_bad(repo, "other")
+        assert len(repo.query(users["bob"], problem_name="demo")) == 2
+        sql = "SELECT * WHERE problem_name = 'demo' ORDER BY output DESC"
+        assert [r.output for r in repo.query_sql(users["bob"], sql)] == [2.0, 1.0]
+
+    def test_matched_record_raises_the_validation_error(self, repo, users):
+        repo.upload(_rec(1.0), users["alice"])
+        self._store_bad(repo, "demo")
+        with pytest.raises(ValueError, match="accessibility level"):
+            repo.query_docs(users["bob"], problem_name="demo")
+        with pytest.raises(ValueError, match="accessibility level"):
+            repo.query_sql(users["bob"], "SELECT * WHERE problem_name = 'demo'")
+        # the owner grant admits the record without reading its policy
+        assert len(repo.query_docs(users["alice"], problem_name="demo")) == 2
+
+
 class TestQuery:
     def test_failures_excluded_by_default(self, repo, users):
         repo.upload(_rec(output=None), users["alice"])

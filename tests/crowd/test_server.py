@@ -138,6 +138,74 @@ class TestRecordRoutes:
         assert resp["problems"] == ["p"]
 
 
+class TestMalformedQueries:
+    """A malformed filter is ``bad_request`` whatever the store holds —
+    never an exception, never an empty result that depends on the data."""
+
+    @pytest.fixture
+    def servers(self):
+        """(server, key) x3: empty store / no row reaches the bad
+        clause / a row does."""
+        out = []
+        for uploads in ([], ["other"], ["other", "p"]):
+            server = CrowdServer()
+            key = server.handle(
+                {"route": "register", "username": "alice", "email": "a@lab.gov"}
+            )["api_key"]
+            for problem in uploads:
+                _upload(server, key, task={"m": "text"}, problem_name=problem)
+            out.append((server, key))
+        return out
+
+    @pytest.mark.parametrize(
+        "task_parameters",
+        [{"m": {"$regex": "("}}, {"m": {"$in": 5}}, {"m": {"$bogus": 1}}],
+    )
+    def test_client_supplied_operator_documents(self, servers, task_parameters):
+        for server, key in servers:
+            resp = server.handle(
+                {
+                    "route": "query",
+                    "api_key": key,
+                    "problem_name": "p",
+                    "task_parameters": task_parameters,
+                }
+            )
+            assert not resp["ok"] and resp["error"] == "bad_request"
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"name": "m", "lower_bound": {"$regex": "("}},
+            {"name": "m", "categories": [{"$regex": "("}]},
+        ],
+    )
+    def test_operator_documents_under_bounds_are_plain_values(self, servers, entry):
+        # bounds and categories are comparison *arguments*: a document
+        # there is a value no stored scalar equals, never a pattern
+        for server, key in servers:
+            resp = server.handle(
+                {
+                    "route": "query",
+                    "api_key": key,
+                    "problem_name": "p",
+                    "problem_space": {"input_space": [entry]},
+                }
+            )
+            assert resp == {"ok": True, "records": []}
+
+    def test_non_list_categories(self, servers):
+        for server, key in servers:
+            resp = server.handle(
+                {
+                    "route": "query",
+                    "api_key": key,
+                    "problem_space": {"input_space": [{"name": "m", "categories": 5}]},
+                }
+            )
+            assert not resp["ok"] and resp["error"] == "bad_request"
+
+
 class TestModelRoutes:
     def test_model_roundtrip_over_protocol(self, server, key):
         rng = np.random.default_rng(0)

@@ -211,6 +211,41 @@ class TestBuildAndServe:
         assert again["S1"] == out["S1"] and again["ST"] == out["ST"]
 
 
+class TestMalformedStoredBlocks:
+    """A stored block the eligibility predicates cannot read fails
+    exactly the builds whose filter reaches it."""
+
+    @staticmethod
+    def _store_bad(repo, problem):
+        repo.store["performance_records"].insert(
+            {
+                "uid": 999,
+                "problem_name": problem,
+                "task_parameters": dict(TASK),
+                "tuning_parameters": {"x": 0.9},
+                "output": 9.0,
+                "owner": "alice",
+                "accessibility": "not-a-mapping",
+                "timestamp": 99.0,
+            }
+        )
+
+    def test_unmatched_record_leaves_builds_unaffected(self, repo, key):
+        registry = ModelRegistry(repo, RegistryOptions(min_new_samples=100))
+        registry.register_problem("demo", SPACE)
+        _feed(registry, repo, key, 4)
+        self._store_bad(repo, "other")
+        assert registry.build("demo", TASK).n_samples == 4
+
+    def test_matched_record_raises_what_reading_it_raises(self, repo, key):
+        registry = ModelRegistry(repo, RegistryOptions(min_new_samples=100))
+        registry.register_problem("demo", SPACE)
+        _feed(registry, repo, key, 4)
+        self._store_bad(repo, "demo")
+        with pytest.raises(AttributeError, match="no attribute 'get'"):
+            registry.build("demo", TASK)
+
+
 class TestResidentCache:
     def test_lru_bounded_by_max_resident(self, repo, key):
         registry = ModelRegistry(

@@ -58,6 +58,25 @@ def _manual_router(**options):
     return router, api_key, clock
 
 
+class TestMalformedQueries:
+    def test_bad_regex_is_bad_request_not_an_exception(self):
+        # 2 shards x replication 2: every shard holds the record, so the
+        # bad pattern meets a stored string wherever the query lands
+        with build_service(2, replication=2) as svc:
+            key = svc.register_user("alice", "alice@lab.gov")[1]
+            assert _upload(svc.client, key, 0, task={"m": "text"})["ok"]
+            for task in ({"m": {"$regex": "("}}, {"m": {"$in": "abc"}}):
+                resp = svc.router.handle(
+                    {
+                        "route": "query",
+                        "api_key": key,
+                        "problem_name": "demo",
+                        "task_parameters": task,
+                    }
+                )
+                assert not resp["ok"] and resp["error"] == "bad_request"
+
+
 class TestReplication:
     def test_each_record_stored_on_replication_shards(self, svc, key):
         for i in range(20):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.crowd.database import DocumentStore
 from repro.crowd.users import UserRegistry
 from repro.service import CrowdShard, WriteAheadLog, load_shard_state
 from repro.service.wal import read_wal, wal_path, write_snapshot
@@ -115,8 +116,6 @@ class TestWriteAheadLog:
     def test_mixed_op_form_journal_recovers(self, tmp_path):
         """A journal holding both historical per-insert ops and the
         batched ``insert_many`` form replays to the same store."""
-        from repro.crowd.database import DocumentStore
-
         src = DocumentStore()
         wal = WriteAheadLog(tmp_path / "wal.jsonl")
         src.set_observer(lambda op: wal.append(json.loads(json.dumps(op))))
@@ -276,3 +275,94 @@ class TestCrashRecovery:
         assert shard.count() == 1
         assert list(Path(tmp_path).iterdir()) == []
         shard.close()
+
+
+# ---------------------------------------------------------------------------
+# on-disk compatibility with stores that still had hash indexes
+# ---------------------------------------------------------------------------
+
+#: a snapshot exactly as the indexed store wrote it (``indexes`` per
+#: collection) ...
+_OLD_SNAPSHOT = (
+    '{"format": "gptunecrowd-shard-snapshot-v1", "store": {"collections": ['
+    '{"docs": [{"_id": 1, "output": 1.5, "owner": "alice", "problem_name": "p",'
+    ' "task_parameters": {"m": 1}, "uid": 7}], "indexes": ["owner", "problem_name",'
+    ' "uid"], "name": "performance_records", "next_id": 2},'
+    ' {"docs": [], "indexes": ["problem_name"], "name": "surrogate_models",'
+    ' "next_id": 1}], "format": "gptunecrowd-store-v1"}, "wal_seq": 1}'
+)
+#: ... and a journal tail with a ``create_index`` op and both insert forms
+_OLD_WAL = """\
+{"c": "performance_records", "doc": {"_id": 1, "output": 1.5, "owner": "alice", "problem_name": "p", "task_parameters": {"m": 1}, "uid": 7}, "op": "insert", "seq": 1}
+{"c": "registry_models", "field": "task_key", "op": "create_index", "seq": 2}
+{"c": "performance_records", "doc": {"_id": 2, "output": null, "owner": "bob", "problem_name": "p", "task_parameters": {"m": 2}, "uid": 8}, "op": "insert", "seq": 3}
+{"c": "performance_records", "docs": [{"_id": 3, "output": 0.25, "owner": "alice", "problem_name": "q", "task_parameters": {"m": 1}, "uid": 9}, {"_id": 4, "output": 4.0, "owner": "bob", "problem_name": "q", "task_parameters": {"m": 1}, "uid": 10}], "op": "insert_many", "seq": 4}
+{"c": "performance_records", "changes": {"output": 2.5, "tags": ["x"]}, "flt": {"output": {"$gt": 1}, "owner": "alice"}, "op": "update", "seq": 5}
+{"c": "performance_records", "flt": {"uid": {"$in": [8]}}, "op": "delete", "seq": 6}
+"""
+
+#: what a fixed call sequence journaled on the indexed store, byte for byte
+_OLD_JOURNAL = [
+    '{"c": "performance_records", "doc": {"_id": 1, "output": 1.5, "owner": "alice", "problem_name": "p", "task_parameters": {"m": 1}, "uid": 7}, "op": "insert"}',
+    '{"c": "performance_records", "docs": [{"_id": 2, "output": null, "owner": "bob", "problem_name": "p", "task_parameters": {"m": 2}, "uid": 8}, {"_id": 3, "output": 0.25, "owner": "alice", "problem_name": "q", "task_parameters": {"m": 1}, "uid": 9}], "op": "insert_many"}',
+    '{"c": "performance_records", "changes": {"output": 2.5, "tags": ["x"]}, "flt": {"output": {"$gt": 1}, "owner": "alice"}, "op": "update"}',
+    '{"c": "performance_records", "flt": {"uid": {"$in": [8]}}, "op": "delete"}',
+    '{"c": "scratch", "doc": {"_id": 1, "a": [1, {"b": null}]}, "op": "insert"}',
+    '{"c": "scratch", "op": "drop"}',
+]
+
+
+class TestIndexedStoreCompatibility:
+    def test_old_snapshot_and_wal_tail_recover(self, tmp_path):
+        (tmp_path / "snapshot.json").write_text(_OLD_SNAPSHOT)
+        (tmp_path / "wal.jsonl").write_text(_OLD_WAL)
+        store, last_seq = load_shard_state(tmp_path)
+        assert last_seq == 6
+        assert store.collection_names() == [
+            "performance_records",
+            "registry_models",
+            "surrogate_models",
+        ]
+        assert store["performance_records"].find({}) == [
+            {"_id": 1, "output": 2.5, "owner": "alice", "problem_name": "p",
+             "tags": ["x"], "task_parameters": {"m": 1}, "uid": 7},
+            {"_id": 3, "output": 0.25, "owner": "alice", "problem_name": "q",
+             "task_parameters": {"m": 1}, "uid": 9},
+            {"_id": 4, "output": 4.0, "owner": "bob", "problem_name": "q",
+             "task_parameters": {"m": 1}, "uid": 10},
+        ]
+        assert store["performance_records"].find_one({"uid": 10})["owner"] == "bob"
+        assert store["performance_records"].insert({"uid": 11}) == 5
+        # a shard opens the directory and re-snapshots without the key
+        users = UserRegistry()
+        shard = CrowdShard("s0", tmp_path, users=users)
+        assert shard.count() == 3
+        shard.snapshot()
+        shard.close()
+        blob = json.loads((tmp_path / "snapshot.json").read_text())
+        assert all("indexes" not in c for c in blob["store"]["collections"])
+        assert len(load_shard_state(tmp_path)[0]["performance_records"]) == 3
+
+    def test_journaled_ops_are_byte_identical(self):
+        store = DocumentStore()
+        lines: list[str] = []
+        store.set_observer(lambda op: lines.append(json.dumps(op, sort_keys=True)))
+        recs = store["performance_records"]
+        recs.insert({"uid": 7, "problem_name": "p", "task_parameters": {"m": 1},
+                     "output": 1.5, "owner": "alice"})
+        recs.insert_many(
+            [
+                {"uid": 8, "problem_name": "p", "task_parameters": {"m": 2},
+                 "output": None, "owner": "bob"},
+                {"uid": 9, "problem_name": "q", "task_parameters": {"m": 1},
+                 "output": 0.25, "owner": "alice"},
+            ]
+        )
+        recs.update({"owner": "alice", "output": {"$gt": 1}},
+                    {"output": 2.5, "tags": ["x"]})
+        recs.update({"owner": "nobody"}, {"output": 0})  # no match: no op
+        recs.delete({"uid": {"$in": [8]}})
+        recs.delete({"uid": 1234})  # no match: no op
+        store["scratch"].insert({"a": [1, {"b": None}]})
+        store.drop("scratch")
+        assert lines == _OLD_JOURNAL

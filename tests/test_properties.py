@@ -25,6 +25,8 @@ from repro.crowd.query import SqlQuery
 from repro.hpc import NetworkModel, block_cyclic_rows
 from repro.sensitivity import saltelli_sample, sobol_indices
 
+from .crowd import row_oracle
+
 # ---------------------------------------------------------------------------
 # strategies
 # ---------------------------------------------------------------------------
@@ -102,6 +104,70 @@ class TestDocumentStoreProperties:
         deleted = c.delete({"v": {"$gte": 5}})
         assert deleted == matching
         assert c.count({}) == len(values) - deleted
+
+
+# the filter grammar: every comparator, nested logic, awkward arguments
+_NAN = float("nan")
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([2**53 + 1, 2**60, 2**60 + 1]),
+    st.floats(-3, 3, allow_nan=False).map(lambda v: round(v, 1)),
+    st.sampled_from(["", "a", "ab", "b"]),
+)
+_containers = st.sampled_from([[], [1], [1, 2], ["a"], {"k": 1}, {"k": [1]}])
+_sortable = _scalars | _containers
+_values = _sortable | st.just(_NAN)
+_paths = st.sampled_from(["a", "b", "n.k", "missing"])
+_operators = st.one_of(
+    st.tuples(st.sampled_from(["$eq", "$ne", "$gt", "$gte", "$lt", "$lte"]), _values),
+    st.tuples(st.sampled_from(["$in", "$nin"]), st.lists(_values, max_size=4)),
+    st.tuples(st.just("$exists"), st.booleans()),
+    st.tuples(st.just("$regex"), st.sampled_from(["^a", "b$", "", "a|b", "."])),
+)
+_conditions = _values | st.lists(_operators, min_size=1, max_size=2).map(dict)
+_leaves = st.dictionaries(_paths, _conditions, max_size=2)
+_filters = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=1, max_size=3).map(lambda subs: {"$and": subs}),
+        st.lists(inner, min_size=1, max_size=3).map(lambda subs: {"$or": subs}),
+        inner.map(lambda sub: {"$not": sub}),
+        st.tuples(_leaves, inner).map(lambda pair: {**pair[0], "$or": [pair[1]]}),
+    ),
+    max_leaves=6,
+)
+_documents = st.fixed_dictionaries(
+    {"s": _sortable},  # the sort field: NaN has no place in a total order
+    optional={
+        "a": _values,
+        "b": _values,
+        "n": _values | st.fixed_dictionaries({"k": _values}),
+    },
+)
+
+
+class TestFilterCompilerProperties:
+    @given(
+        st.lists(_documents, max_size=12),
+        _filters,
+        st.booleans(),
+        st.booleans(),
+        st.none() | st.integers(-1, 5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_compiler_agrees_with_the_row_oracle(
+        self, docs, flt, sorted_, descending, limit
+    ):
+        c = Collection("t")
+        c.insert_many(docs)
+        stored = c.find({}, frozen=True)
+        kwargs = {"sort": "s" if sorted_ else None, "descending": descending}
+        got = c.find(flt, limit=limit, **kwargs)
+        want = row_oracle.find(stored, flt, limit=limit, **kwargs)
+        assert [d["_id"] for d in got] == [d["_id"] for d in want]
+        assert c.count(flt) == len(row_oracle.find(stored, flt))
 
 
 class TestSaltelliSobolProperties:
