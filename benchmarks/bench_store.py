@@ -14,7 +14,7 @@ return is pinned by the row-oracle tests, not here):
   (public + successful + exact task key, timestamp-sorted).
 
 ``test_batched_insert_and_journal`` compares N single-op journaled
-inserts with one batched op through :meth:`WriteAheadLog.append_many`
+inserts with one batched op through :meth:`DurableLog.append_many`
 (>= 2x required; ``REPRO_BENCH_SMOKE=1`` shrinks sizes and drops the
 threshold to a sanity check — shared CI runners are noisy).
 """
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import tempfile
 import time
-from pathlib import Path
 
 from repro.core import perf
 from repro.crowd.database import DocumentStore
@@ -31,7 +30,7 @@ from repro.crowd.records import Accessibility, PerformanceRecord
 from repro.crowd.repository import CrowdRepository
 from repro.crowd.views import leaderboard_from_docs
 from repro.registry import ModelRegistry
-from repro.service.wal import WriteAheadLog
+from repro.service.wal import DurableLog
 
 from harness import FULL, SMOKE, save_results
 
@@ -114,13 +113,19 @@ def test_columnar_read_paths():
     save_results("store_columnar", {"rows": rows, "smoke": SMOKE, "full": FULL})
 
 
+def _journal(tmp: str) -> DurableLog:
+    log = DurableLog(tmp, "wal.jsonl", "snapshot.json", "bench-v1", snapshot_every=10**9)
+    log.recover()
+    return log
+
+
 def test_batched_insert_and_journal():
     n = SIZES[0]
     docs = [{"problem_name": "bench", "x": float(i)} for i in range(n)]
 
     def one_by_one(tmp: str) -> DocumentStore:
         store = DocumentStore()
-        wal = WriteAheadLog(Path(tmp) / "wal.jsonl")
+        wal = _journal(tmp)
         store.set_observer(lambda op: wal.append(op))
         for d in docs:
             store["c"].insert(d)
@@ -129,7 +134,7 @@ def test_batched_insert_and_journal():
 
     def batched(tmp: str) -> DocumentStore:
         store = DocumentStore()
-        wal = WriteAheadLog(Path(tmp) / "wal.jsonl")
+        wal = _journal(tmp)
         ops: list = []
         store.set_observer(ops.append)
         store["c"].insert_many(docs)

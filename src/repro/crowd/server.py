@@ -75,14 +75,14 @@ class CrowdServer:
         if not isinstance(request, Mapping):
             return bad_request("request must be an object")
         route = request.get("route")
-        handler = self._routes.get(route)
-        if handler is None:
-            return {
-                "ok": False,
-                "error": "not_found",
-                "message": f"unknown route {route!r}",
-            }
         try:
+            handler = self._routes.get(route)  # an unhashable route: TypeError
+            if handler is None:
+                return {
+                    "ok": False,
+                    "error": "not_found",
+                    "message": f"unknown route {route!r}",
+                }
             return handler(request)
         except AuthError as exc:
             return {"ok": False, "error": "auth", "message": str(exc)}
@@ -131,6 +131,8 @@ class CrowdServer:
         # router stamps every replica of one logical write identically so
         # cross-shard reads deduplicate.  End users talk to the router,
         # which never forwards client-supplied values for them.
+        if not isinstance(req.get("idempotency_key", ""), str):
+            raise TypeError("idempotency_key must be a string")
         uid = int(req.get("uid", 0))
         if uid:
             # idempotent replay: the router re-sends a stamped write when
@@ -159,12 +161,13 @@ class CrowdServer:
         return {"ok": True, "uid": record.uid}
 
     def _route_query(self, req: Mapping[str, Any]) -> dict[str, Any]:
+        task = req.get("task_parameters")
         records = self.repository.query(
             req["api_key"],
             problem_name=req.get("problem_name"),
             problem_space=req.get("problem_space"),
             configuration_space=req.get("configuration_space"),
-            task_parameters=req.get("task_parameters"),
+            task_parameters=None if task is None else dict(task),
             require_success=bool(req.get("require_success", True)),
             limit=req.get("limit"),
         )

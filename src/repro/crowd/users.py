@@ -152,6 +152,8 @@ class UserRegistry:
     # -- authentication ----------------------------------------------------------------
     def authenticate(self, api_key: str) -> User:
         """Resolve an API key (random or keypair-private) to its user."""
+        if not isinstance(api_key, str):
+            raise AuthError("API key must be a string")
         if not api_key:
             raise AuthError("empty API key")
         h = _hash(api_key)

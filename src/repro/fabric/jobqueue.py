@@ -7,8 +7,9 @@ evaluation jobs::
         queue.wal.jsonl       append-only journal, one JSON op per line
         queue.snapshot.json   latest full queue image (atomic replace)
 
-Durability contract (the same WAL-then-ack discipline as the crowd
-shards, :mod:`repro.service.wal`):
+Both files belong to a :class:`~repro.service.wal.DurableLog` — the
+same primitive, and the same journal-then-ack contract, as the crowd
+shards.  What is the queue's own:
 
 * ``enqueue`` and ``complete`` are journaled *before* they return — an
   acknowledged completion survives any coordinator crash;
@@ -17,8 +18,9 @@ shards, :mod:`repro.service.wal`):
   been running was never acknowledged, re-running it is correct);
 * ``redispatch`` ops are journaled so attempt counts survive recovery
   and a recovered queue keeps issuing fresh lease tokens;
-* a snapshot embeds the WAL sequence number it covers; recovery loads
-  the snapshot and replays only the tail, tolerating a torn final line.
+* snapshots are taken under the queue lock, so the image holds exactly
+  the ops the snapshot covers (a replayed ``redispatch`` would count
+  twice over an image that already held it).
 
 Exactly-once completion reuses the idempotency-token pattern of the
 replicated service (PR 6): every lease carries a token
@@ -34,7 +36,6 @@ runs) with identical semantics minus persistence.
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -42,7 +43,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from ..core import perf
-from ..service.wal import WriteAheadLog, read_wal, write_json_atomic
+from ..service.wal import DurableLog
 
 __all__ = ["DurableJobQueue", "FabricJob", "JobState"]
 
@@ -137,37 +138,30 @@ class DurableJobQueue:
         self._jobs: dict[int, FabricJob] = {}
         self._pending: deque[int] = deque()
         self._next_job_id = 0
-        self._ops_since_snapshot = 0
-        self._wal: WriteAheadLog | None = None
+        self._log: DurableLog | None = None
         if self.data_dir is not None:
-            last_seq = self._recover()
-            self._wal = WriteAheadLog(
-                self.data_dir / _WAL_NAME, fsync_every=fsync_every
+            self._log = DurableLog(
+                self.data_dir,
+                _WAL_NAME,
+                _SNAP_NAME,
+                _SNAP_FORMAT,
+                snapshot_every=self.snapshot_every,
+                fsync_every=fsync_every,
             )
-            self._wal.start_from(last_seq)
+            self._recover()
 
     # -- recovery ------------------------------------------------------------
-    def _recover(self) -> int:
-        """Load snapshot + WAL tail; returns the last applied sequence."""
-        assert self.data_dir is not None
-        snap_path = self.data_dir / _SNAP_NAME
-        snap_seq = 0
-        if snap_path.exists():
-            blob = json.loads(snap_path.read_text())
-            if blob.get("format") != _SNAP_FORMAT:
-                raise ValueError(f"{snap_path}: not a fabric queue snapshot")
-            snap_seq = int(blob["wal_seq"])
-            self._next_job_id = int(blob["next_job_id"])
-            for doc in blob["jobs"]:
+    def _recover(self) -> None:
+        """Rebuild the job table from the log's snapshot + journal tail."""
+        assert self._log is not None
+        image, tail = self._log.recover()
+        if image is not None:
+            self._next_job_id = int(image["next_job_id"])
+            for doc in image["jobs"]:
                 job = FabricJob.from_doc(doc)
                 self._jobs[job.job_id] = job
-        last_seq = snap_seq
-        for entry in read_wal(self.data_dir / _WAL_NAME):
-            seq = int(entry.get("seq", 0))
-            if seq <= snap_seq:
-                continue  # already covered by the snapshot
-            self._apply_op(entry)
-            last_seq = max(last_seq, seq)
+        for op in tail:
+            self._apply_op(op)
             perf.incr("fabric_queue_replayed")
         # un-completed jobs go back to pending in enqueue order: their
         # leases (if any) died with the coordinator
@@ -177,7 +171,6 @@ class DurableJobQueue:
                 job.state = JobState.PENDING
                 job.worker = None
                 self._pending.append(job_id)
-        return last_seq
 
     def _apply_op(self, entry: Mapping[str, Any]) -> None:
         op = entry["op"]
@@ -199,32 +192,28 @@ class DurableJobQueue:
 
     # -- journaling ----------------------------------------------------------
     def _journal(self, op: dict[str, Any]) -> None:
-        if self._wal is None:
+        """Journal one op (queue lock held); snapshot when one is due."""
+        if self._log is None:
             return
-        self._wal.append(op)
-        self._ops_since_snapshot += 1
-        if self._ops_since_snapshot >= self.snapshot_every:
-            self._snapshot_locked()
+        self._log.append(op)
+        if self._log.snapshot_due:
+            self._write_snapshot()
 
-    def _snapshot_locked(self) -> None:
-        assert self.data_dir is not None and self._wal is not None
-        blob = {
-            "format": _SNAP_FORMAT,
-            "wal_seq": self._wal.seq,
-            "next_job_id": self._next_job_id,
-            "jobs": [self._jobs[i].to_doc() for i in sorted(self._jobs)],
-        }
-        write_json_atomic(self.data_dir / _SNAP_NAME, blob)
-        self._wal.truncate()
-        self._ops_since_snapshot = 0
+    def _write_snapshot(self) -> None:
+        assert self._log is not None
+        self._log.snapshot(
+            lambda: {
+                "next_job_id": self._next_job_id,
+                "jobs": [self._jobs[i].to_doc() for i in sorted(self._jobs)],
+            }
+        )
         perf.incr("fabric_queue_snapshots")
 
     def snapshot(self) -> None:
         """Write a full queue image and truncate the journal."""
         with self._lock:
-            if self._wal is not None:
-                self._wal.sync()
-                self._snapshot_locked()
+            if self._log is not None:
+                self._write_snapshot()
 
     # -- producing -----------------------------------------------------------
     def enqueue(self, config: Mapping[str, Any]) -> int:
@@ -360,8 +349,8 @@ class DurableJobQueue:
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
         """Flush and close the journal (idempotent)."""
-        if self._wal is not None:
-            self._wal.close()
+        if self._log is not None:
+            self._log.close()
 
     def __enter__(self) -> "DurableJobQueue":
         return self

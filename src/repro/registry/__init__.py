@@ -26,7 +26,7 @@ from .entry import (
     record_counts,
     space_fingerprint,
 )
-from .registry import ModelRegistry, RegistryOptions
+from .registry import ModelRegistry, RegistryOptions, upsert_newest
 from .versions import DataVersionTracker
 
 __all__ = [
@@ -39,4 +39,5 @@ __all__ = [
     "RegistryOptions",
     "record_counts",
     "space_fingerprint",
+    "upsert_newest",
 ]

@@ -43,6 +43,7 @@ from ..core.kernels import kernel_from_name
 from ..core.sparse import make_surrogate, resolve_surrogate_kind, surrogate_from_dict
 from ..core.problem import task_key
 from ..core.space import Space
+from ..crowd.database import Collection
 from ..crowd.query import build_filter
 from ..crowd.records import PerformanceRecord
 from ..crowd.repository import CrowdRepository
@@ -56,9 +57,31 @@ from .entry import (
 )
 from .versions import DataVersionTracker
 
-__all__ = ["ModelRegistry", "RegistryOptions"]
+__all__ = ["ModelRegistry", "RegistryOptions", "upsert_newest"]
 
 _RECORDS = "performance_records"
+
+
+def upsert_newest(
+    coll: Collection,
+    match: Mapping[str, Any],
+    version: tuple[str, ...],
+    doc: Mapping[str, Any],
+) -> bool:
+    """Newest-wins upsert of one keyed document (registration,
+    replication, healing): ``doc`` replaces the document matching
+    ``match`` unless the held one's ``version`` fields compare at least
+    as new; returns whether the collection changed."""
+
+    def rank(d: Mapping[str, Any]) -> tuple[float, ...]:
+        return tuple(float(d.get(field, 0.0)) for field in version)
+
+    existing = coll.find_one(match)
+    if existing is not None and rank(existing) >= rank(doc):
+        return False
+    coll.delete(match)
+    coll.insert({k: v for k, v in doc.items() if k != "_id"})
+    return True
 
 
 @dataclass(frozen=True)
@@ -163,13 +186,8 @@ class ModelRegistry:
         replication/healing); returns whether the store changed."""
         name = doc["problem_name"]
         coll = self.repository.store[REGISTRY_PROBLEMS]
-        existing = coll.find_one({"problem_name": name})
-        ts = float(doc.get("timestamp", 0.0))
-        if existing is not None and float(existing.get("timestamp", 0.0)) >= ts:
+        if not upsert_newest(coll, {"problem_name": name}, ("timestamp",), doc):
             return False
-        clean = {k: v for k, v in doc.items() if k != "_id"}
-        coll.delete({"problem_name": name})
-        coll.insert(clean)
         with self._lock:
             self._space_cache.pop(name, None)
         return True
@@ -321,19 +339,10 @@ class ModelRegistry:
         """Upsert a replicated/healed entry document, newest-wins by
         ``(data_version, timestamp)``; returns whether the store changed."""
         name, tk = doc["problem_name"], doc["task_key"]
+        match = {"problem_name": name, "task_key": tk}
         coll = self.repository.store[REGISTRY_MODELS]
-        existing = coll.find_one({"problem_name": name, "task_key": tk})
-        incoming = (int(doc.get("data_version", 0)), float(doc.get("timestamp", 0.0)))
-        if existing is not None:
-            held = (
-                int(existing.get("data_version", 0)),
-                float(existing.get("timestamp", 0.0)),
-            )
-            if held >= incoming:
-                return False
-        clean = {k: v for k, v in doc.items() if k != "_id"}
-        coll.delete({"problem_name": name, "task_key": tk})
-        coll.insert(clean)
+        if not upsert_newest(coll, match, ("data_version", "timestamp"), doc):
+            return False
         with self._lock:
             self._resident.pop((name, tk), None)
             perf.gauge("registry_models_resident", len(self._resident))

@@ -8,7 +8,8 @@ multi-node deployment able to take concurrent traffic:
 * :mod:`~repro.service.shard` — consistent-hash sharding of performance
   records by ``(problem_name, task)`` over N :class:`CrowdShard` nodes
   with K-way replication,
-* :mod:`~repro.service.wal` — per-shard write-ahead log + snapshots;
+* :mod:`~repro.service.wal` — :class:`DurableLog`, the journal +
+  snapshot primitive under every shard (and the fabric's job queue);
   a killed shard recovers bit-identical state from disk,
 * :mod:`~repro.service.router` — protocol-compatible front-end: smart
   routing, parallel cross-shard fan-out with exact deduplication,
@@ -40,12 +41,13 @@ from .client import RemoteRepository, ServiceClient
 from .router import CrowdRouter, RouterOptions, TokenBucket
 from .shard import CrowdShard, ShardRing, shard_key
 from .transport import SimTransport, TransportError
-from .wal import WriteAheadLog, load_shard_state
+from .wal import DurableLog
 
 __all__ = [
     "CrowdRouter",
     "CrowdService",
     "CrowdShard",
+    "DurableLog",
     "ModelRegistry",
     "RegistryOptions",
     "RemoteRepository",
@@ -55,9 +57,7 @@ __all__ = [
     "SimTransport",
     "TokenBucket",
     "TransportError",
-    "WriteAheadLog",
     "build_service",
-    "load_shard_state",
     "shard_key",
 ]
 
@@ -121,7 +121,7 @@ class CrowdService:
             old.data_dir,
             users=self.users,
             snapshot_every=old.snapshot_every,
-            fsync_every=old._wal.fsync_every if old._wal is not None else 1,
+            fsync_every=old.fsync_every,
             registry=self.registry,
         )
         self.shards[name] = shard

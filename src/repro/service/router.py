@@ -4,27 +4,37 @@
 single :class:`~repro.crowd.server.CrowdServer`, so every existing
 client (:class:`~repro.engine.stream.CrowdStreamer`,
 :class:`~repro.service.client.RemoteRepository`, plain dict calls) works
-unchanged against the sharded deployment.  Behind the protocol it:
+unchanged against the sharded deployment.  :meth:`CrowdRouter.handle`
+dispatches through one route table — writes answer with a response,
+reads with ``(response, shard tags)`` and go through the cache — inside
+the same ``(KeyError, TypeError, ValueError) -> bad_request`` clause as
+``CrowdServer.handle``, so a missing or mistyped field never escapes as
+an exception, whichever route trips on it.  Each replica policy is
+written once and named; behind the protocol the router:
 
 * **routes writes** to the ``(problem_name, task)`` key's preference
   list on the consistent-hash ring — K-way replication, every replica
   stamped with the same router-assigned ``uid`` and logical timestamp so
-  cross-shard reads deduplicate exactly.  The router acknowledges only
-  after ``write_quorum`` replicas confirm, reports
-  ``replicas_acked``/``replicas_total`` (plus a ``degraded`` status) in
-  every upload response, and buffers a **hint** for each unreachable
-  replica — replayed automatically when the shard's transport comes
-  back up (hinted handoff);
-* **serves task-pinned reads** from the primary with fallback through
-  the replicas when shards are unreachable; with ``read_quorum`` > 1 it
-  reads R replicas, merges newest-wins by ``(uid, timestamp)``, and
-  **read-repairs** stale replicas by streaming them the records they
-  miss;
+  cross-shard reads deduplicate exactly (``_stamped_write``: ``upload``
+  to the key's replicas, ``register_problem`` to every shard).  The
+  router acknowledges only after ``write_quorum`` replicas confirm,
+  reports ``replicas_acked``/``replicas_total`` (plus a ``degraded``
+  status) in every upload response, and buffers a **hint** for each
+  unreachable replica — replayed automatically when the shard's
+  transport comes back up (hinted handoff);
+* **serves task-pinned reads** — ``query`` with a task, ``predict``,
+  ``model_meta``, ``sensitivity`` — from the primary with fallback
+  through the replicas when shards are unreachable
+  (``_first_reachable``); with ``read_quorum`` > 1 a pinned ``query``
+  reads R replicas, merges them with
+  :func:`~repro.service.shard.newest_wins` (the one newest-wins rule:
+  per ``record_ident``, the greater timestamp), and **read-repairs**
+  stale replicas by streaming them the records they miss;
 * **heals in the background** — :meth:`CrowdRouter.anti_entropy_round`
   exchanges per-bucket digests of each shard's journaled records
-  (bucketed by ``shard_key``) and streams missing or stale records
-  between replicas; an optional interval thread runs rounds
-  continuously;
+  (bucketed by ``shard_key``) and streams the ``newest_wins`` merge of
+  every holder's copy to the replicas that miss it; an optional
+  interval thread runs rounds continuously;
 * **resizes the cluster** — :meth:`CrowdRouter.add_shard` /
   :meth:`CrowdRouter.remove_shard` rebuild the consistent-hash ring and
   stream each rekeyed bucket to its new owners before dropping the old
@@ -32,8 +42,10 @@ unchanged against the sharded deployment.  Behind the protocol it:
   anti-entropy restores the replication factor from the survivors);
 * **fans out** problem-wide reads (``query``, ``query_sql``,
   ``problems``, ``leaderboard``, ``contributors``, ``query_models``)
-  across all shards in parallel and merges: records deduplicate by
-  ``uid``, orderings and limits are re-applied globally, aggregates are
+  across all shards in parallel and merges (``_collect``: unreachable
+  shards skipped, a refusal is every shard's verdict, nobody reachable
+  is ``unavailable``): records deduplicate by ``uid`` newest-wins,
+  orderings and limits are re-applied globally, aggregates are
   recomputed from the deduplicated record set;
 * **caches** read responses in a TTL+LRU cache tagged with the shards
   each response was served from; a write invalidates every cached entry
@@ -77,29 +89,18 @@ from ..crowd.views import contributor_stats_from_docs, leaderboard_from_docs
 from ..engine.faults import RetryPolicy
 from ..registry import REGISTRY_PROBLEMS
 from .client import ServiceClient
-from .shard import ShardRing, record_ident, shard_key, split_bucket_key
+from .shard import ShardRing, newest_wins, record_ident, shard_key, split_bucket_key
 
 __all__ = ["CrowdRouter", "RouterOptions", "TokenBucket"]
 
-#: read routes whose responses may be cached
-_CACHEABLE = frozenset(
-    {
-        "query",
-        "query_sql",
-        "problems",
-        "leaderboard",
-        "contributors",
-        "query_models",
-        "predict",
-        "model_meta",
-        "sensitivity",
-    }
-)
-#: account routes served by the admin shard (accounts are not sharded)
-_ACCOUNT = frozenset({"register", "issue_key", "whoami"})
-#: registry reads pinned to the task's preference list (like a pinned
-#: query: the owning shard holds the records the entry was built from)
-_REGISTRY_READS = frozenset({"predict", "model_meta", "sensitivity"})
+
+def _unavailable(message: str, **extra: Any) -> dict[str, Any]:
+    """The one shape of "no replica could be reached"."""
+    return {"ok": False, "error": "unavailable", "message": message, **extra}
+
+
+def _limited(docs: list[dict], limit: Any) -> list[dict]:
+    return docs if limit is None else docs[: max(int(limit), 0)]
 
 
 @dataclass
@@ -298,14 +299,8 @@ class CrowdRouter:
             raise ValueError("router needs at least one shard")
         self.options = options if options is not None else RouterOptions()
         self._clock = clock
-        retry = self.options.retry
         self._shards: dict[str, ServiceClient] = {
-            name: (
-                channel
-                if isinstance(channel, ServiceClient)
-                else ServiceClient(channel, retry=retry)
-            )
-            for name, channel in shards.items()
+            name: self._connect(channel) for name, channel in shards.items()
         }
         self.ring = ShardRing(list(self._shards), vnodes=self.options.vnodes)
         self._admin = next(iter(self._shards))
@@ -327,10 +322,38 @@ class CrowdRouter:
         self._membership_lock = threading.Lock()
         self._ae_stop: threading.Event | None = None
         self._ae_thread: threading.Thread | None = None
+        #: the route table: writes answer with a response, reads with
+        #: ``(response, shard tags)`` and go through the cache; account
+        #: routes are the admin shard's, the registry reads are pinned to
+        #: the task's preference list like a pinned query
+        self._writes: dict[str, Callable[..., dict[str, Any]]] = {
+            "register": self._route_account,
+            "issue_key": self._route_account,
+            "whoami": self._route_account,
+            "upload": self._route_upload,
+            "upload_model": self._route_upload_model,
+            "register_problem": self._route_register_problem,
+        }
+        self._reads: dict[str, Callable[..., tuple[dict[str, Any], frozenset[str]]]] = {
+            "query": self._route_query,
+            "query_sql": self._route_query_sql,
+            "problems": self._merge_problems,
+            "leaderboard": self._route_leaderboard,
+            "contributors": self._route_contributors,
+            "query_models": self._route_query_models,
+            "predict": self._route_pinned_registry,
+            "model_meta": self._route_pinned_registry,
+            "sensitivity": self._route_pinned_registry,
+        }
         if self.options.anti_entropy_interval_s is not None:
             self.start_anti_entropy(self.options.anti_entropy_interval_s)
 
     # -- plumbing ------------------------------------------------------------
+    def _connect(self, channel: Any) -> ServiceClient:
+        if isinstance(channel, ServiceClient):
+            return channel
+        return ServiceClient(channel, retry=self.options.retry)
+
     def _stamp(self, idempotency_key: str | None = None) -> tuple[int, float]:
         """Router-global uid + logical timestamp for one logical write.
 
@@ -393,10 +416,7 @@ class CrowdRouter:
     def close(self) -> None:
         """Stop background healing and the fan-out pool (idempotent)."""
         self.stop_anti_entropy()
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
+        self._shutdown_pool()
 
     def __enter__(self) -> "CrowdRouter":
         return self
@@ -405,7 +425,7 @@ class CrowdRouter:
         self.close()
 
     def _shutdown_pool(self) -> None:
-        """Drop the fan-out pool (membership changed its sizing)."""
+        """Drop the fan-out pool (closing, or membership changed its sizing)."""
         with self._pool_lock:
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
@@ -417,101 +437,143 @@ class CrowdRouter:
         if not isinstance(request, Mapping):
             return bad_request("request must be an object")
         perf.incr("service_requests")
-        route = request.get("route")
-        throttled = self._throttle(str(request.get("api_key", "")))
-        if throttled is not None:
-            return throttled
-
-        if route in _ACCOUNT:
-            return self._shards[self._admin].handle(request)
-        if route == "upload":
-            return self._route_upload(request)
-        if route == "upload_model":
-            return self._route_upload_model(request)
-        if route == "register_problem":
-            return self._route_register_problem(request)
-
-        cache_key = None
-        if route in _CACHEABLE and self._cache.size > 0:
-            cache_key = _cache_key(request)
-            cached = self._cache.get(cache_key)
-            if cached is not None:
-                return cached
-
-        if route == "query":
-            response, tags = self._route_query(request)
-        elif route == "query_sql":
-            response, tags = self._route_query_sql(request)
-        elif route == "problems":
-            response, tags = self._merge_problems(request)
-        elif route == "leaderboard":
-            response, tags = self._route_leaderboard(request)
-        elif route == "contributors":
-            response, tags = self._route_contributors(request)
-        elif route == "query_models":
-            response, tags = self._route_query_models(request)
-        elif route in _REGISTRY_READS:
-            response, tags = self._route_pinned_registry(request)
-        elif route == "browse_html":
-            return bad_request(
-                "browse_html is not served by the sharded router; "
-                "render locally from a query"
-            )
-        else:
-            return {
-                "ok": False,
-                "error": "not_found",
-                "message": f"unknown route {route!r}",
-            }
-
-        if cache_key is not None and response.get("ok"):
-            self._cache.put(cache_key, response, tags)
-        return response
-
-    # -- writes --------------------------------------------------------------
-    def _route_upload(self, request: Mapping[str, Any]) -> dict[str, Any]:
         try:
-            problem = request["problem_name"]
-            task = dict(request["task_parameters"])
-        except (KeyError, TypeError) as exc:
+            route = request.get("route")
+            throttled = self._throttle(str(request.get("api_key", "")))
+            if throttled is not None:
+                return throttled
+            write = self._writes.get(route)
+            if write is not None:
+                return write(request)
+            read = self._reads.get(route)
+            if read is None:
+                if route == "browse_html":
+                    return bad_request(
+                        "browse_html is not served by the sharded router; "
+                        "render locally from a query"
+                    )
+                return {
+                    "ok": False,
+                    "error": "not_found",
+                    "message": f"unknown route {route!r}",
+                }
+            cache_key = None
+            if self._cache.size > 0:
+                cache_key = _cache_key(request)
+                cached = self._cache.get(cache_key)
+                if cached is not None:
+                    return cached
+            response, tags = read(request)
+            if cache_key is not None and response.get("ok"):
+                self._cache.put(cache_key, response, tags)
+            return response
+        # a missing or mistyped request field, wherever a route trips on it
+        except (KeyError, TypeError, ValueError) as exc:
             return bad_request(str(exc))
-        key = shard_key(problem, task)
-        prefs = self.ring.preference(key, self.options.replication)
-        quorum = min(self.options.write_quorum, len(prefs))
+
+    # -- replica policies ------------------------------------------------------
+    def _task_prefs(self, request: Mapping[str, Any]) -> list[str]:
+        """The preference list of the request's ``(problem, task)`` key."""
+        key = shard_key(request["problem_name"], dict(request["task_parameters"]))
+        return self.ring.preference(key, self.options.replication)
+
+    def _first_reachable(
+        self, prefs: list[str], request: Mapping[str, Any]
+    ) -> tuple[dict[str, Any], frozenset[str]]:
+        """The answer of the first reachable replica, in preference order.
+
+        The response is tagged with the full preference list, so a write
+        to the key (which invalidates exactly those shards) also evicts
+        whatever was cached from the pre-write state.
+        """
+        for i, name in enumerate(prefs):
+            response = self._shards[name].handle(request)
+            if response.get("error") == "unavailable":
+                continue
+            if i > 0:
+                perf.incr("service_replica_fallbacks")
+            return response, frozenset(prefs)
+        return (
+            _unavailable(f"all replicas of {prefs} are unreachable"),
+            frozenset(prefs),
+        )
+
+    def _collect(
+        self, request: Mapping[str, Any], field: str
+    ) -> tuple[list, dict[str, Any] | None, frozenset[str]]:
+        """Fan out and concatenate the reachable shards' ``field`` lists
+        (in shard-name order); returns ``(items, error, tags)``.
+
+        Unreachable shards are skipped; a shard that answers but refuses
+        (auth / bad_request) gives the uniform verdict every shard would,
+        so its response is the error; no shard reachable is an error too.
+        """
+        responses = self._fanout(request)
+        tags = frozenset(responses)
+        items: list = []
+        reachable = 0
+        for _, response in sorted(responses.items()):
+            if response.get("error") == "unavailable":
+                continue
+            if not response.get("ok"):
+                return [], response, tags
+            reachable += 1
+            items.extend(response.get(field, []))
+        if reachable == 0:
+            return [], _unavailable("no shard reachable"), tags
+        return items, None, tags
+
+    def _stamped_write(
+        self, request: Mapping[str, Any], targets: list[str]
+    ) -> tuple[int, list[dict[str, Any]], list[str], dict[str, Any] | None]:
+        """One logical write under one router stamp, to every target.
+
+        Returns ``(uid, oks, unreachable, rejected)``: the ok responses
+        in target order, the targets that could not be reached, and a
+        refusal (auth / bad_request — the same on every shard, so the
+        loop stops at the first).  When the write exists on at least one
+        replica, each unreachable target gets a hint, so it reaches full
+        replication when they rejoin.
+        """
         uid, ts = self._stamp(request.get("idempotency_key"))
         stamped = {k: v for k, v in request.items() if k not in ("uid", "timestamp")}
         stamped["uid"] = uid
         stamped["timestamp"] = ts
-        acked = 0
+        oks: list[dict[str, Any]] = []
         unreachable: list[str] = []
         rejected: dict[str, Any] | None = None
-        for name in prefs:
+        for name in targets:
             response = self._shards[name].handle(stamped)
             if response.get("ok"):
-                acked += 1
+                oks.append(response)
             elif response.get("error") == "unavailable":
                 unreachable.append(name)
             else:
-                rejected = response  # auth / bad_request: same on every shard
+                rejected = response
                 break
-        self._cache.invalidate(frozenset(prefs))
+        self._cache.invalidate(frozenset(targets))
+        if oks and rejected is None:
+            for name in unreachable:
+                self._store_hint(name, stamped)
+        return uid, oks, unreachable, rejected
+
+    # -- writes --------------------------------------------------------------
+    def _route_account(self, request: Mapping[str, Any]) -> dict[str, Any]:
+        """Accounts are not sharded: the admin shard serves them."""
+        return self._shards[self._admin].handle(request)
+
+    def _route_upload(self, request: Mapping[str, Any]) -> dict[str, Any]:
+        prefs = self._task_prefs(request)
+        quorum = min(self.options.write_quorum, len(prefs))
+        uid, oks, unreachable, rejected = self._stamped_write(request, prefs)
         if rejected is not None:
             return rejected
+        acked = len(oks)
+        counts = {"replicas_acked": acked, "replicas_total": len(prefs)}
         if acked == 0:
-            return {
-                "ok": False,
-                "error": "unavailable",
-                "message": f"no replica of {prefs} accepted the write",
-                "replicas_acked": 0,
-                "replicas_total": len(prefs),
-            }
-        # the write exists on >= 1 replica: buffer a hint per unreachable
-        # replica so the record reaches full replication when they rejoin
-        for name in unreachable:
-            self._store_hint(name, stamped)
+            return _unavailable(f"no replica of {prefs} accepted the write", **counts)
         if unreachable:
             perf.incr("service_underreplicated_writes")
-        degraded = acked < quorum or acked < len(prefs)
         if acked < quorum:
             # quorum missed: never report a half-lost write as success —
             # the client may safely retry (idempotency token + shard uid
@@ -526,25 +588,13 @@ class CrowdRouter:
                 ),
                 "uid": uid,
                 "status": "degraded",
-                "replicas_acked": acked,
-                "replicas_total": len(prefs),
+                **counts,
             }
-        return {
-            "ok": True,
-            "uid": uid,
-            "status": "degraded" if degraded else "ok",
-            "replicas_acked": acked,
-            "replicas_total": len(prefs),
-        }
+        status = "degraded" if acked < len(prefs) else "ok"
+        return {"ok": True, "uid": uid, "status": status, **counts}
 
     def _route_upload_model(self, request: Mapping[str, Any]) -> dict[str, Any]:
-        try:
-            key = shard_key(
-                request["problem_name"], dict(request["task_parameters"])
-            )
-        except (KeyError, TypeError) as exc:
-            return bad_request(str(exc))
-        primary = self.ring.primary(key)
+        primary = self._task_prefs(request)[0]
         response = self._shards[primary].handle(request)
         self._cache.invalidate(frozenset([primary]))
         return response
@@ -559,122 +609,53 @@ class CrowdRouter:
         """
         if not request.get("problem_name"):
             return bad_request("register_problem needs a problem_name")
-        uid, ts = self._stamp(request.get("idempotency_key"))
-        stamped = {k: v for k, v in request.items() if k not in ("uid", "timestamp")}
-        stamped["uid"] = uid
-        stamped["timestamp"] = ts
-        acked = 0
-        unreachable: list[str] = []
-        rejected: dict[str, Any] | None = None
-        first_ok: dict[str, Any] | None = None
-        for name in sorted(self._shards):
-            response = self._shards[name].handle(stamped)
-            if response.get("ok"):
-                acked += 1
-                if first_ok is None:
-                    first_ok = response
-            elif response.get("error") == "unavailable":
-                unreachable.append(name)
-            else:
-                rejected = response  # bad space / auth: same everywhere
-                break
-        self._cache.invalidate(frozenset(self._shards))
+        uid, oks, unreachable, rejected = self._stamped_write(
+            request, sorted(self._shards)
+        )
         if rejected is not None:
             return rejected
-        if acked == 0:
-            return {
-                "ok": False,
-                "error": "unavailable",
-                "message": "no shard accepted the problem registration",
-            }
-        for name in unreachable:
-            self._store_hint(name, stamped)
-        out = dict(first_ok or {})
-        out.update(
-            {
-                "ok": True,
-                "uid": uid,
-                "replicas_acked": acked,
-                "replicas_total": len(self._shards),
-                "status": "degraded" if unreachable else "ok",
-            }
-        )
-        return out
+        if not oks:
+            return _unavailable("no shard accepted the problem registration")
+        return {
+            **oks[0],
+            "ok": True,
+            "uid": uid,
+            "replicas_acked": len(oks),
+            "replicas_total": len(self._shards),
+            "status": "degraded" if unreachable else "ok",
+        }
 
+    # -- reads ---------------------------------------------------------------
     def _route_pinned_registry(
         self, request: Mapping[str, Any]
     ) -> tuple[dict[str, Any], frozenset[str]]:
         """Serve a registry read from the task key's preference list.
 
         Same placement as a task-pinned query: the primary owns the
-        records the entry was fit on, replicas hold healed copies.  The
-        response is tagged with the full preference list, so an upload
-        to the key (which invalidates exactly those shards) also evicts
-        any cached predictions built from the pre-upload data version.
+        records the entry was fit on, replicas hold healed copies.
         """
-        task = request.get("task_parameters")
-        problem = request.get("problem_name")
-        if task is None or not problem:
+        if request.get("task_parameters") is None or not request.get("problem_name"):
             return (
                 bad_request("registry reads need problem_name and task_parameters"),
                 frozenset(),
             )
-        prefs = self.ring.preference(
-            shard_key(problem, dict(task)), self.options.replication
-        )
-        for i, name in enumerate(prefs):
-            response = self._shards[name].handle(request)
-            if response.get("error") == "unavailable":
-                continue
-            if i > 0:
-                perf.incr("service_replica_fallbacks")
-            return response, frozenset(prefs)
-        return (
-            {
-                "ok": False,
-                "error": "unavailable",
-                "message": f"all replicas of {prefs} are unreachable",
-            },
-            frozenset(prefs),
-        )
+        return self._first_reachable(self._task_prefs(request), request)
 
-    # -- reads ---------------------------------------------------------------
     def _route_query(
         self, request: Mapping[str, Any]
     ) -> tuple[dict[str, Any], frozenset[str]]:
-        task = request.get("task_parameters")
-        problem = request.get("problem_name")
-        if task is not None and problem:
+        if request.get("task_parameters") is not None and request.get("problem_name"):
             # task-pinned: the single owning shard has every record of
             # the key; fall back through the replicas when shards die
-            prefs = self.ring.preference(
-                shard_key(problem, dict(task)), self.options.replication
-            )
+            prefs = self._task_prefs(request)
             if min(self.options.read_quorum, len(prefs)) > 1:
                 return self._quorum_pinned_read(request, prefs)
-            for i, name in enumerate(prefs):
-                response = self._shards[name].handle(request)
-                if response.get("error") == "unavailable":
-                    continue
-                if i > 0:
-                    perf.incr("service_replica_fallbacks")
-                return response, frozenset(prefs)
-            return (
-                {
-                    "ok": False,
-                    "error": "unavailable",
-                    "message": f"all replicas of {prefs} are unreachable",
-                },
-                frozenset(prefs),
-            )
+            return self._first_reachable(prefs, request)
         docs, error, tags = self._gather_records(request)
         if error is not None:
             return error, tags
         docs.sort(key=lambda d: sort_key(d.get("timestamp")))
-        limit = request.get("limit")
-        if limit is not None:
-            docs = docs[: max(int(limit), 0)]
-        return {"ok": True, "records": docs}, tags
+        return {"ok": True, "records": _limited(docs, request.get("limit"))}, tags
 
     def _quorum_pinned_read(
         self, request: Mapping[str, Any], prefs: list[str]
@@ -688,7 +669,9 @@ class CrowdRouter:
         the comparison unsound, so repairs are skipped.
         """
         quorum = min(self.options.read_quorum, len(prefs))
-        consulted: list[tuple[str, dict[str, Any]]] = []
+        tags = frozenset(prefs)
+        #: replica name -> the records it returned, ``_id`` stripped
+        consulted: dict[str, list[dict[str, Any]]] = {}
         skipped = 0
         for name in prefs:
             if len(consulted) == quorum:
@@ -698,45 +681,27 @@ class CrowdRouter:
                 skipped += 1
                 continue
             if not response.get("ok"):
-                return response, frozenset(prefs)
-            consulted.append((name, response))
+                return response, tags
+            consulted[name] = [
+                {k: v for k, v in doc.items() if k != "_id"}
+                for doc in response.get("records", [])
+            ]
         if not consulted:
-            return (
-                {
-                    "ok": False,
-                    "error": "unavailable",
-                    "message": f"all replicas of {prefs} are unreachable",
-                },
-                frozenset(prefs),
-            )
+            return _unavailable(f"all replicas of {prefs} are unreachable"), tags
         if skipped:
             perf.incr("service_replica_fallbacks")
-        merged: dict[str, dict[str, Any]] = {}
-        replica_view: dict[str, dict[str, Any]] = {}
-        for name, response in consulted:
-            view: dict[str, Any] = {}
-            for doc in response.get("records", []):
-                doc = dict(doc)
-                doc.pop("_id", None)
-                ident = record_ident(doc)
-                view[ident] = doc.get("timestamp")
-                current = merged.get(ident)
-                if current is None or sort_key(doc.get("timestamp")) > sort_key(
-                    current.get("timestamp")
-                ):
-                    merged[ident] = doc
-            replica_view[name] = view
-        docs = sorted(merged.values(), key=lambda d: sort_key(d.get("timestamp")))
+        merged = newest_wins(doc for docs in consulted.values() for doc in docs)
         limit = request.get("limit")
         if limit is None and len(consulted) > 1:
             repaired: set[str] = set()
-            for name, _ in consulted:
-                view = replica_view[name]
+            for name, docs in consulted.items():
+                # the merged copy carries the newest timestamp, so a
+                # replica is stale exactly where it holds another one
+                held = {(record_ident(d), d.get("timestamp")) for d in docs}
                 stale = [
                     doc
                     for ident, doc in merged.items()
-                    if ident not in view
-                    or sort_key(view[ident]) < sort_key(doc.get("timestamp"))
+                    if (ident, doc.get("timestamp")) not in held
                 ]
                 if not stale:
                     continue
@@ -748,17 +713,13 @@ class CrowdRouter:
                     repaired.add(name)
             if repaired:
                 self._cache.invalidate(frozenset(repaired))
-        if limit is not None:
-            docs = docs[: max(int(limit), 0)]
-        return {"ok": True, "records": docs}, frozenset(prefs)
+        docs = sorted(merged.values(), key=lambda d: sort_key(d.get("timestamp")))
+        return {"ok": True, "records": _limited(docs, limit)}, tags
 
     def _route_query_sql(
         self, request: Mapping[str, Any]
     ) -> tuple[dict[str, Any], frozenset[str]]:
-        try:
-            q = SqlQuery.parse(request.get("sql", ""))
-        except Exception as exc:
-            return bad_request(str(exc)), frozenset()
+        q = SqlQuery.parse(request.get("sql", ""))
         docs, error, tags = self._gather_records(request)
         if error is not None:
             return error, tags
@@ -767,9 +728,7 @@ class CrowdRouter:
                 key=lambda d: sort_key(get_path(d, q.order_by)),
                 reverse=q.descending,
             )
-        if q.limit is not None:
-            docs = docs[: q.limit]
-        return {"ok": True, "records": docs}, tags
+        return {"ok": True, "records": _limited(docs, q.limit)}, tags
 
     def _gather_records(
         self, request: Mapping[str, Any]
@@ -780,60 +739,26 @@ class CrowdRouter:
         may return different versions under one uid — the merge keeps
         the newest timestamp, matching read-repair's newest-wins rule.
         """
-        responses = self._fanout(request)
-        tags = frozenset(responses)
-        docs: list[dict] = []
-        position: dict[str, int] = {}
-        reachable = 0
-        for name, response in sorted(responses.items()):
-            if response.get("error") == "unavailable":
-                continue
-            if not response.get("ok"):
-                return [], response, tags  # auth/bad_request: uniform verdict
-            reachable += 1
-            for doc in response.get("records", []):
-                doc.pop("_id", None)  # shard-local ids are meaningless here
-                dedup = record_ident(doc)
-                at = position.get(dedup)
-                if at is None:
-                    position[dedup] = len(docs)
-                    docs.append(doc)
-                elif sort_key(doc.get("timestamp")) > sort_key(
-                    docs[at].get("timestamp")
-                ):
-                    docs[at] = doc
-        if reachable == 0:
-            return (
-                [],
-                {"ok": False, "error": "unavailable", "message": "no shard reachable"},
-                tags,
-            )
-        return docs, None, tags
+        docs, error, tags = self._collect(request, "records")
+        for doc in docs:
+            doc.pop("_id", None)  # shard-local ids are meaningless here
+        return list(newest_wins(docs).values()), error, tags
 
     def _merge_problems(
         self, request: Mapping[str, Any]
     ) -> tuple[dict[str, Any], frozenset[str]]:
-        responses = self._fanout(request)
-        tags = frozenset(responses)
-        names: set[str] = set()
-        reachable = 0
-        for _, response in sorted(responses.items()):
-            if response.get("error") == "unavailable":
-                continue
-            if not response.get("ok"):
-                return response, tags
-            reachable += 1
-            names.update(response.get("problems", []))
-        if reachable == 0:
-            return (
-                {"ok": False, "error": "unavailable", "message": "no shard reachable"},
-                tags,
-            )
-        return {"ok": True, "problems": sorted(names)}, tags
+        names, error, tags = self._collect(request, "problems")
+        return error or {"ok": True, "problems": sorted(set(names))}, tags
+
+    def _route_query_models(
+        self, request: Mapping[str, Any]
+    ) -> tuple[dict[str, Any], frozenset[str]]:
+        models, error, tags = self._collect(request, "models")
+        return error or {"ok": True, "models": models}, tags
 
     def _dedup_problem_docs(
         self, request: Mapping[str, Any]
-    ) -> tuple[list[dict] | None, dict[str, Any] | None, frozenset[str]]:
+    ) -> tuple[list[dict], dict[str, Any] | None, frozenset[str]]:
         """Deduplicated record documents of one problem (failures
         included) — aggregated as raw docs, no per-row record round-trip."""
         inner = {
@@ -879,27 +804,6 @@ class CrowdRouter:
             {"ok": True, "contributors": contributor_stats_from_docs(docs)},
             tags,
         )
-
-    def _route_query_models(
-        self, request: Mapping[str, Any]
-    ) -> tuple[dict[str, Any], frozenset[str]]:
-        responses = self._fanout(request)
-        tags = frozenset(responses)
-        models: list[dict] = []
-        reachable = 0
-        for _, response in sorted(responses.items()):
-            if response.get("error") == "unavailable":
-                continue
-            if not response.get("ok"):
-                return response, tags
-            reachable += 1
-            models.extend(response.get("models", []))
-        if reachable == 0:
-            return (
-                {"ok": False, "error": "unavailable", "message": "no shard reachable"},
-                tags,
-            )
-        return {"ok": True, "models": models}, tags
 
     # -- hinted handoff ------------------------------------------------------
     def _store_hint(self, name: str, stamped: Mapping[str, Any]) -> None:
@@ -981,9 +885,8 @@ class CrowdRouter:
         Every reachable shard reports a digest per ``shard_key`` bucket
         of its journaled records.  For each bucket whose preference-list
         replicas disagree (or miss it entirely), the round pulls the
-        bucket from every holder, merges newest-wins by
-        ``(uid, timestamp)``, and streams the merged records to each
-        replica.  With ``cleanup`` (used by shard handoff), a bucket
+        bucket from every holder, merges the copies (``newest_wins``),
+        and streams the merged records to each replica.  With ``cleanup`` (used by shard handoff), a bucket
         held by a shard outside its preference list is dropped — but
         only once every replica in the list holds the identical digest,
         so a copy is never destroyed before the ring's owners have it.
@@ -1026,28 +929,16 @@ class CrowdRouter:
                 holders[n] == next(iter(pref_digests)) for n in extras
             ):
                 if cleanup:
-                    for name in extras:
-                        response = self._shards[name].handle(
-                            {"route": "drop_bucket", "key": key}
-                        )
-                        if response.get("ok") and response.get("dropped", 0):
-                            dropped += int(response["dropped"])
-                            touched.add(name)
+                    dropped += self._drop_bucket(key, extras, touched)
                 continue
-            merged: dict[str, dict[str, Any]] = {}
+            fetched: list[dict[str, Any]] = []
             for name in sorted(set(holders) | set(reachable_prefs)):
                 response = self._shards[name].handle(
                     {"route": "fetch", "keys": [key]}
                 )
-                if not response.get("ok"):
-                    continue
-                for doc in response.get("buckets", {}).get(key, []):
-                    ident = record_ident(doc)
-                    current = merged.get(ident)
-                    if current is None or sort_key(
-                        doc.get("timestamp")
-                    ) > sort_key(current.get("timestamp")):
-                        merged[ident] = doc
+                if response.get("ok"):
+                    fetched.extend(response.get("buckets", {}).get(key, []))
+            merged = newest_wins(fetched)
             if not merged:
                 continue
             records = sorted(
@@ -1072,13 +963,7 @@ class CrowdRouter:
                 # applies), so the extras' records — all part of the
                 # merge — are provably covered: safe to drop even though
                 # a stale extra's digest will never match the owners'
-                for name in extras:
-                    response = self._shards[name].handle(
-                        {"route": "drop_bucket", "key": key}
-                    )
-                    if response.get("ok") and response.get("dropped", 0):
-                        dropped += int(response["dropped"])
-                        touched.add(name)
+                dropped += self._drop_bucket(key, extras, touched)
         if touched:
             self._cache.invalidate(frozenset(touched))
         perf.incr("service_antientropy_rounds")
@@ -1090,6 +975,17 @@ class CrowdRouter:
             "buckets": len(all_keys),
             "reachable": sorted(digests),
         }
+
+    def _drop_bucket(self, key: str, names: list[str], touched: set[str]) -> int:
+        """Drop bucket ``key`` on each named shard (handoff cleanup);
+        returns the documents dropped and notes the shards that had any."""
+        dropped = 0
+        for name in names:
+            response = self._shards[name].handle({"route": "drop_bucket", "key": key})
+            if response.get("ok") and response.get("dropped", 0):
+                dropped += int(response["dropped"])
+                touched.add(name)
+        return dropped
 
     def start_anti_entropy(self, interval_s: float) -> None:
         """Run :meth:`anti_entropy_round` every ``interval_s`` seconds."""
@@ -1130,12 +1026,7 @@ class CrowdRouter:
         with self._membership_lock:
             if name in self._shards:
                 raise ValueError(f"shard {name!r} already in the cluster")
-            retry = self.options.retry
-            self._shards[name] = (
-                channel
-                if isinstance(channel, ServiceClient)
-                else ServiceClient(channel, retry=retry)
-            )
+            self._shards[name] = self._connect(channel)
             self.ring = ShardRing(list(self._shards), vnodes=self.options.vnodes)
             self._shutdown_pool()
             self._cache.invalidate(frozenset(self._shards))
@@ -1185,8 +1076,4 @@ class CrowdRouter:
         return list(self._shards)
 
     def routes(self) -> list[str]:
-        return sorted(
-            _ACCOUNT
-            | _CACHEABLE
-            | {"upload", "upload_model", "register_problem"}
-        )
+        return sorted({**self._writes, **self._reads})

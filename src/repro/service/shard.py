@@ -9,7 +9,8 @@ queries fan out.
 
 :class:`CrowdShard` is one storage node: a full
 :class:`~repro.crowd.server.CrowdServer` whose document store is made
-durable by the write-ahead log of :mod:`repro.service.wal`.  Shards
+durable by a :class:`~repro.service.wal.DurableLog` (journal-then-ack,
+snapshots, crash recovery: the contract is stated there, once).  Shards
 share one :class:`~repro.crowd.users.UserRegistry` (accounts are not
 sharded, mirroring the usual service split of an auth tier in front of
 storage tiers); credentials never touch the WAL or snapshots, matching
@@ -23,10 +24,12 @@ import json
 import threading
 from bisect import bisect_right
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from ..core import perf
+from ..crowd.columnar import sort_key
 from ..crowd.configmatch import TagMatcher
+from ..crowd.database import DocumentStore
 from ..crowd.repository import CrowdRepository
 from ..crowd.server import CrowdServer, bad_request
 from ..crowd.users import UserRegistry
@@ -35,14 +38,16 @@ from ..registry import (
     REGISTRY_PROBLEMS,
     ModelRegistry,
     RegistryOptions,
+    upsert_newest,
 )
-from . import wal as _wal
+from .wal import DurableLog
 
 __all__ = [
     "ShardRing",
     "CrowdShard",
     "shard_key",
     "record_ident",
+    "newest_wins",
     "bucket_digest",
     "bucket_key",
     "split_bucket_key",
@@ -55,6 +60,9 @@ __all__ = [
 _INTERNAL_ROUTES = frozenset({"replicate", "digest", "fetch", "drop_bucket"})
 
 _RECORDS = "performance_records"
+_WAL_NAME = "wal.jsonl"
+_SNAP_NAME = "snapshot.json"
+_SNAP_FORMAT = "gptunecrowd-shard-snapshot-v1"
 
 
 def shard_key(problem_name: str, task_parameters: Mapping[str, Any] | None) -> str:
@@ -102,6 +110,25 @@ def record_ident(doc: Mapping[str, Any]) -> str:
         {k: v for k, v in doc.items() if k != "_id"}, sort_keys=True, default=str
     )
     return "#" + hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def newest_wins(docs: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
+    """Merge replica copies of records: ``record_ident -> document``.
+
+    The replication rule, spelled once: an incoming copy replaces the
+    held one iff its timestamp is greater (first seen wins a tie).  Keys
+    keep first-seen order, so a caller's shard-name iteration order is
+    the order of the merged values.
+    """
+    merged: dict[str, Any] = {}
+    for doc in docs:
+        ident = record_ident(doc)
+        held = merged.get(ident)
+        if held is None or sort_key(doc.get("timestamp")) > sort_key(
+            held.get("timestamp")
+        ):
+            merged[ident] = doc
+    return merged
 
 
 def bucket_digest(entries: list[tuple[str, Any]]) -> str:
@@ -182,16 +209,22 @@ class CrowdShard:
         self.name = name
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.snapshot_every = int(snapshot_every)
-        self._wal: _wal.WriteAheadLog | None = None
-        self._ops_since_snapshot = 0
-        self._snapshot_due = False
+        self.fsync_every = int(fsync_every)
+        self._log: DurableLog | None = None
         # per-thread journal batching for internal routes (see handle())
         self._buffers = threading.local()
 
+        store = None
         if self.data_dir is not None:
-            store, last_seq = _wal.load_shard_state(self.data_dir)
-        else:
-            store, last_seq = None, 0
+            self._log = DurableLog(
+                self.data_dir,
+                _WAL_NAME,
+                _SNAP_NAME,
+                _SNAP_FORMAT,
+                snapshot_every=self.snapshot_every,
+                fsync_every=self.fsync_every,
+            )
+            store = self._recover_store()
         self.repository = CrowdRepository(store=store, users=users, matcher=matcher)
         # resume the logical clock past every recovered record so new
         # uploads keep strictly increasing timestamps
@@ -205,50 +238,59 @@ class CrowdShard:
         )
         self.server = CrowdServer(self.repository, registry=self.registry)
 
-        if self.data_dir is not None:
-            self._wal = _wal.WriteAheadLog(
-                _wal.wal_path(self.data_dir), fsync_every=fsync_every
-            )
-            self._wal.start_from(last_seq)
+        if self._log is not None:
             # journal every mutation from here on (recovery replay above
             # ran before the observer existed, so it never re-journals)
             self.repository.store.set_observer(self._journal)
 
     # -- durability ---------------------------------------------------------
+    def _recover_store(self) -> DocumentStore:
+        """The store as of the last acknowledged op: image + journal tail."""
+        assert self._log is not None
+        image, tail = self._log.recover()
+        store = (
+            DocumentStore.from_jsonable(image["store"])
+            if image is not None
+            else DocumentStore()
+        )
+        for op in tail:
+            store.apply_op(op)
+            perf.incr("wal_replayed")
+        return store
+
     def _journal(self, op: dict[str, Any]) -> None:
-        assert self._wal is not None
+        assert self._log is not None
         buffered = getattr(self._buffers, "ops", None)
         if buffered is not None:
             # an internal route is batching on this thread: hold the op,
             # handle() writes the whole request's ops as one WAL batch
             buffered.append(op)
             return
-        self._wal.append(op)
-        self._count_ops(1)
-
-    def _count_ops(self, n: int) -> None:
-        self._ops_since_snapshot += n
-        if self._ops_since_snapshot >= self.snapshot_every:
-            # deferred: snapshotting inside the observer runs under the
-            # collection lock; handle() runs it after the request instead
-            self._snapshot_due = True
+        # runs under the collection lock, so a due snapshot is deferred:
+        # handle() takes it after the request instead
+        self._log.append(op)
 
     def snapshot(self) -> None:
-        """Write a full store image and truncate the journal."""
-        if self._wal is None:
+        """Write a full store image and trim the journal.
+
+        The image is taken collection by collection while other threads
+        keep writing; whatever they journal meanwhile stays in the
+        journal (:meth:`DurableLog.snapshot`), and replaying it over an
+        image that already holds some of it is sound because the ops a
+        shard journals — ``insert``/``insert_many`` (restore by ``_id``),
+        ``delete``, ``drop`` — are idempotent over such an image.
+        """
+        if self._log is None:
             return
-        self._wal.sync()
-        _wal.write_snapshot(self.data_dir, self.repository.store, self._wal.seq)
-        self._wal.truncate()
-        self._ops_since_snapshot = 0
-        self._snapshot_due = False
+        self._log.snapshot(lambda: {"store": self.repository.store.to_jsonable()})
+        perf.incr("wal_snapshots")
 
     # -- serving ------------------------------------------------------------
     def handle(self, request: Mapping[str, Any]) -> dict[str, Any]:
         """Serve one request; durability holds before the response."""
         route = request.get("route") if isinstance(request, Mapping) else None
         with perf.timer(f"shard.{self.name}"):
-            if route in _INTERNAL_ROUTES:
+            if isinstance(route, str) and route in _INTERNAL_ROUTES:
                 # internal routes stream many documents per request
                 # (replication, hint replay, rebalance): batch this
                 # thread's journal ops into one WAL write + fsync pass.
@@ -264,13 +306,12 @@ class CrowdShard:
                     ops = self._buffers.ops
                     self._buffers.ops = None
                     if ops:
-                        assert self._wal is not None
-                        self._wal.append_many(ops)
-                        self._count_ops(len(ops))
+                        assert self._log is not None
+                        self._log.append_many(ops)
             else:
                 response = self.server.handle(request)
         perf.incr(f"shard_requests.{self.name}")
-        if self._snapshot_due:
+        if self._log is not None and self._log.snapshot_due:
             self.snapshot()
         perf.gauge(f"shard_records.{self.name}", self.repository.count())
         return response
@@ -299,24 +340,12 @@ class CrowdShard:
             return self.registry.apply_entry(doc)
         # registry-less shard: still hold the healed data so a later
         # restart with a registry (or a fetch by a peer) serves it
-        coll = self.repository.store[collection]
-        if collection == REGISTRY_PROBLEMS:
-            match = {"problem_name": doc["problem_name"]}
-            newer = (float(doc.get("timestamp", 0.0)),)
-            held = lambda d: (float(d.get("timestamp", 0.0)),)
-        else:
-            match = {"problem_name": doc["problem_name"], "task_key": doc["task_key"]}
-            newer = (int(doc.get("data_version", 0)), float(doc.get("timestamp", 0.0)))
-            held = lambda d: (
-                int(d.get("data_version", 0)),
-                float(d.get("timestamp", 0.0)),
-            )
-        existing = coll.find_one(match)
-        if existing is not None and held(existing) >= newer:
-            return False
-        coll.delete(match)
-        coll.insert(doc)
-        return True
+        match = {"problem_name": doc["problem_name"]}
+        version: tuple[str, ...] = ("timestamp",)
+        if collection == REGISTRY_MODELS:
+            match["task_key"] = doc["task_key"]
+            version = ("data_version", "timestamp")
+        return upsert_newest(self.repository.store[collection], match, version, doc)
 
     def _route_replicate(self, req: Mapping[str, Any]) -> dict[str, Any]:
         """Store full docs verbatim, newest-wins.
@@ -440,8 +469,8 @@ class CrowdShard:
         """Stop the registry builder and close the journal (idempotent)."""
         if self.registry is not None:
             self.registry.close()
-        if self._wal is not None:
-            self._wal.close()
+        if self._log is not None:
+            self._log.close()
 
     def __enter__(self) -> "CrowdShard":
         return self

@@ -1,43 +1,44 @@
-"""Per-shard durability: write-ahead log + snapshots + crash recovery.
+"""The one durability primitive: journal + snapshot + crash recovery.
 
-Each :class:`~repro.service.shard.CrowdShard` owns one data directory::
+:class:`DurableLog` owns one data directory::
 
     <data_dir>/
-        wal.jsonl            append-only journal, one JSON op per line
-        snapshot.json        latest full DocumentStore image (atomic)
+        <wal_name>           append-only journal, one JSON op per line
+        <snapshot_name>      latest full state image (atomic replace)
 
-Every mutation the shard's :class:`~repro.crowd.database.DocumentStore`
-applies is journaled *before* the request is acknowledged (the observer
-runs inside the collection lock, ahead of the response leaving the
-shard), each line carrying a monotonically increasing sequence number.
-A snapshot embeds the sequence number of the last op it contains;
-recovery loads the snapshot and replays only the WAL tail with
-``seq > snapshot.wal_seq`` — so a crash *anywhere* (mid-append, between
-snapshot and WAL truncation, mid-truncation) recovers to exactly the
-acknowledged state:
+and has two callers: :class:`~repro.service.shard.CrowdShard`
+(``wal.jsonl`` / ``snapshot.json``, a full ``DocumentStore`` image) and
+:class:`~repro.fabric.jobqueue.DurableJobQueue` (``queue.wal.jsonl`` /
+``queue.snapshot.json``, the job table).  The contract both inherit:
+**an acknowledged op is in the snapshot or in the journal, whatever
+thread wrote it** (``docs/architecture.md``, "Durability").
 
-* a torn final WAL line (the classic power-cut artifact) is detected and
-  discarded (``wal_torn_tail`` counter) — the op it belonged to was
-  never acknowledged,
-* replay is idempotent: ops already covered by the snapshot are skipped
-  by sequence number even if truncation never ran,
-The journal and snapshots cover the *whole* document store, not just
-performance records: ops carry their collection name and snapshots are
-full store images, so collections added later — the frozen-model
-registry's ``registry_models`` / ``registry_problems`` — inherit crash
-durability with no WAL changes.  (Snapshots and journals written before
-the store dropped its hash indexes carry ``indexes`` lists and
-``create_index`` ops; recovery ignores both.)
+* Every op is appended — with a monotonically increasing sequence
+  number — *before* the caller acknowledges it.
+* A snapshot embeds the sequence number it covers (``wal_seq``);
+  recovery loads the snapshot and replays only journal entries with
+  ``seq > wal_seq``, so a crash between the snapshot write and the
+  journal trim replays nothing twice.
+* :meth:`DurableLog.snapshot` records the covered sequence *before* it
+  asks the caller for the image and afterwards drops only entries
+  ``<= covered``: a plain truncate when nothing was appended in between,
+  otherwise an atomic keep-the-tail rewrite.  An op a second thread
+  journals while the image is being taken or written therefore stays in
+  the journal (the image may already contain it — see the caller's op
+  vocabulary for why replaying it again is sound).
+* A torn final journal line (the classic power-cut artifact) is
+  discarded on recovery (``wal_torn_tail`` counter) — the op it belonged
+  to was never acknowledged — and cut off before the journal is reopened
+  for append.
+* Snapshots and journal rewrites go through a temp file, ``os.replace``
+  and a parent-directory fsync (POSIX), so a crash leaves the old file
+  or the new one, never a mix, and a power cut after return cannot roll
+  the rename back behind an already-trimmed journal.
 
-* snapshots are written to a temp file and ``os.replace``-d into place,
-  so a crash mid-snapshot leaves the previous snapshot intact; the
-  parent directory is fsynced after the rename (POSIX), so a crash
-  right after :func:`write_snapshot` returns cannot roll the rename
-  back and resurrect a pre-snapshot image older than the truncated WAL
-  expects.
-
-Perf counters: ``wal_appends``, ``wal_fsyncs``, ``wal_snapshots``,
-``wal_replayed``, ``wal_torn_tail``.
+Perf counters: ``wal_appends``, ``wal_batch_appends``, ``wal_fsyncs``,
+``wal_torn_tail`` (the callers count their own replays and snapshots:
+``wal_replayed`` / ``wal_snapshots``, ``fabric_queue_replayed`` /
+``fabric_queue_snapshots``).
 """
 
 from __future__ import annotations
@@ -46,38 +47,89 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from ..core import perf
-from ..crowd.database import DocumentStore
 
-__all__ = ["WriteAheadLog", "load_shard_state", "read_wal", "write_json_atomic"]
-
-_WAL_NAME = "wal.jsonl"
-_SNAP_NAME = "snapshot.json"
-_SNAP_FORMAT = "gptunecrowd-shard-snapshot-v1"
+__all__ = ["DurableLog", "read_wal", "write_json_atomic"]
 
 
-class WriteAheadLog:
-    """Append-only JSONL journal with group-able fsync.
+class DurableLog:
+    """Append-only JSONL journal + atomic snapshots over one directory.
 
     ``fsync_every=1`` (the default) syncs every append — the durable
     choice.  Larger values amortize the sync over batches of appends at
     the cost of possibly losing the unsynced tail on an OS-level crash
     (a process crash alone loses nothing: appends always reach the OS).
+
+    ``snapshot_every`` journaled ops after the last snapshot,
+    :attr:`snapshot_due` turns true; the caller then calls
+    :meth:`snapshot` from wherever it can produce a consistent image.
+    Call :meth:`recover` once before the first append.
     """
 
-    def __init__(self, path: str | Path, *, fsync_every: int = 1) -> None:
+    def __init__(
+        self,
+        data_dir: str | Path,
+        wal_name: str,
+        snapshot_name: str,
+        snapshot_format: str,
+        *,
+        snapshot_every: int,
+        fsync_every: int = 1,
+    ) -> None:
         if fsync_every < 1:
             raise ValueError("fsync_every must be >= 1")
-        self.path = Path(path)
+        data_dir = Path(data_dir)
+        data_dir.mkdir(parents=True, exist_ok=True)
+        self.wal_path = data_dir / wal_name
+        self.snapshot_path = data_dir / snapshot_name
+        self.snapshot_format = snapshot_format
+        self.snapshot_every = int(snapshot_every)
         self.fsync_every = int(fsync_every)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._repair_tail()
-        self._fh = open(self.path, "a", encoding="utf-8")
+        #: ``snapshot_every`` ops were journaled since the last snapshot
+        self.snapshot_due = False
         self._lock = threading.Lock()
-        self._since_sync = 0
+        #: one snapshot at a time; never taken with ``_lock`` held
+        self._snapshot_lock = threading.Lock()
+        self._fh: Any = None
         self._seq = 0  # last sequence number handed out
+        self._since_sync = 0
+        self._since_snapshot = 0
+
+    @property
+    def seq(self) -> int:
+        """Sequence number of the most recently appended op."""
+        with self._lock:
+            return self._seq
+
+    # -- recovery ------------------------------------------------------------
+    def recover(self) -> tuple[dict[str, Any] | None, list[dict[str, Any]]]:
+        """Read the directory and open the journal for append.
+
+        Returns the snapshot payload (``None`` without a snapshot) and
+        the journal ops it does not cover, in order, sequence numbers
+        stripped; numbering continues after the last one seen.
+        """
+        payload = None
+        if self.snapshot_path.exists():
+            payload = json.loads(self.snapshot_path.read_text())
+            if payload.get("format") != self.snapshot_format:
+                raise ValueError(
+                    f"{self.snapshot_path}: not a {self.snapshot_format} snapshot"
+                )
+            self._seq = int(payload["wal_seq"])
+        covered = self._seq
+        tail = []
+        for entry in read_wal(self.wal_path):
+            seq = int(entry.pop("seq", 0))
+            if seq <= covered:
+                continue  # already in the snapshot (the trim never ran)
+            tail.append(entry)
+            self._seq = max(self._seq, seq)
+        self._repair_tail()
+        self._fh = open(self.wal_path, "a", encoding="utf-8")
+        return payload, tail
 
     def _repair_tail(self) -> None:
         """Truncate a torn final line before reopening for append.
@@ -86,39 +138,21 @@ class WriteAheadLog:
         (recovery already discarded it); left in place, the next append
         would glue onto it and corrupt a *valid* entry.
         """
-        if not self.path.exists():
+        if not self.wal_path.exists():
             return
-        data = self.path.read_bytes()
+        data = self.wal_path.read_bytes()
         if not data or data.endswith(b"\n"):
             return
-        with open(self.path, "r+b") as fh:
+        with open(self.wal_path, "r+b") as fh:
             fh.truncate(data.rfind(b"\n") + 1)
             os.fsync(fh.fileno())
 
-    @property
-    def seq(self) -> int:
-        """Sequence number of the most recently appended op."""
-        with self._lock:
-            return self._seq
-
-    def start_from(self, seq: int) -> None:
-        """Continue numbering after ``seq`` (recovery sets this)."""
-        with self._lock:
-            self._seq = max(self._seq, int(seq))
-
+    # -- journaling ----------------------------------------------------------
     def append(self, op: Mapping[str, Any]) -> int:
         """Journal one op; returns its sequence number."""
         with self._lock:
             self._seq += 1
-            entry = {"seq": self._seq, **op}
-            self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            self._fh.flush()
-            self._since_sync += 1
-            if self._since_sync >= self.fsync_every:
-                os.fsync(self._fh.fileno())
-                self._since_sync = 0
-                perf.incr("wal_fsyncs")
-            perf.incr("wal_appends")
+            self._write_locked(json.dumps({"seq": self._seq, **op}, sort_keys=True), 1)
             return self._seq
 
     def append_many(self, ops: list[Mapping[str, Any]]) -> int:
@@ -132,38 +166,69 @@ class WriteAheadLog:
             for op in ops:
                 self._seq += 1
                 lines.append(json.dumps({"seq": self._seq, **op}, sort_keys=True))
-            self._fh.write("\n".join(lines) + "\n")
-            self._fh.flush()
-            self._since_sync += len(ops)
-            if self._since_sync >= self.fsync_every:
-                os.fsync(self._fh.fileno())
-                self._since_sync = 0
-                perf.incr("wal_fsyncs")
-            perf.incr("wal_appends", len(ops))
+            self._write_locked("\n".join(lines), len(ops))
             perf.incr("wal_batch_appends")
             return self._seq
 
-    def sync(self) -> None:
-        """Force any batched appends to stable storage."""
-        with self._lock:
-            self._fh.flush()
-            if self._since_sync:
-                os.fsync(self._fh.fileno())
-                self._since_sync = 0
-                perf.incr("wal_fsyncs")
+    def _write_locked(self, text: str, n: int) -> None:
+        self._fh.write(text + "\n")
+        self._fh.flush()
+        self._since_sync += n
+        if self._since_sync >= self.fsync_every:
+            self._sync_locked()
+        perf.incr("wal_appends", n)
+        self._since_snapshot += n
+        if self._since_snapshot >= self.snapshot_every:
+            self.snapshot_due = True
 
-    def truncate(self) -> None:
-        """Discard all journaled ops (they are covered by a snapshot)."""
-        with self._lock:
-            self._fh.close()
-            self._fh = open(self.path, "w", encoding="utf-8")
-            self._fh.flush()
+    def _sync_locked(self) -> None:
+        """Force any batched appends to stable storage."""
+        if self._since_sync:
             os.fsync(self._fh.fileno())
             self._since_sync = 0
+            perf.incr("wal_fsyncs")
+
+    # -- snapshots -----------------------------------------------------------
+    def snapshot(self, payload_fn: Callable[[], Mapping[str, Any]]) -> None:
+        """Write ``payload_fn()`` as the new snapshot and trim the journal.
+
+        The covered sequence is fixed first; ``payload_fn`` then runs
+        *without* the log lock (it may take whatever locks the caller's
+        state needs, and concurrent appends proceed), so the image holds
+        every op ``<= covered`` and possibly some later ones — which stay
+        in the journal, because only entries ``<= covered`` are dropped.
+        """
+        with self._snapshot_lock:
+            with self._lock:
+                self._sync_locked()
+                covered = self._seq
+                self._since_snapshot = 0
+                self.snapshot_due = False
+            blob = {"format": self.snapshot_format, "wal_seq": covered, **payload_fn()}
+            write_json_atomic(self.snapshot_path, blob)
+            with self._lock:
+                self._trim_locked(covered)
+
+    def _trim_locked(self, covered: int) -> None:
+        """Drop journal entries ``<= covered`` (they are in the snapshot)."""
+        self._fh.close()
+        if self._seq == covered:
+            self._fh = open(self.wal_path, "w", encoding="utf-8")
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+        else:
+            kept = [e for e in read_wal(self.wal_path) if e["seq"] > covered]
+            _replace_atomic(
+                self.wal_path,
+                "".join(json.dumps(e, sort_keys=True) + "\n" for e in kept),
+            )
+            self._fh = open(self.wal_path, "a", encoding="utf-8")
+        self._since_sync = 0
 
     def close(self) -> None:
+        """Flush, sync and close the journal (idempotent)."""
         with self._lock:
-            if not self._fh.closed:
+            if self._fh is not None and not self._fh.closed:
                 self._fh.flush()
                 os.fsync(self._fh.fileno())
                 self._fh.close()
@@ -192,36 +257,23 @@ def read_wal(path: str | Path) -> list[dict[str, Any]]:
     return ops
 
 
-def write_json_atomic(path: str | Path, blob: Mapping[str, Any]) -> Path:
-    """Durably replace ``path`` with ``blob`` as sorted JSON.
+def write_json_atomic(path: str | Path, blob: Mapping[str, Any]) -> None:
+    """Durably replace ``path`` with ``blob`` as sorted JSON."""
+    _replace_atomic(Path(path), json.dumps(blob, sort_keys=True))
 
-    Write-to-temp + fsync + ``os.replace`` + parent-directory fsync: a
-    crash at any point leaves either the old file or the new one, never
-    a torn mix, and a power cut after return cannot roll the rename
-    back.  Shared by shard snapshots and the fabric job-queue snapshots.
-    """
-    path = Path(path)
+
+def _replace_atomic(path: Path, text: str) -> None:
+    """Write-to-temp + fsync + ``os.replace`` + parent-directory fsync:
+    a crash at any point leaves either the old file or the new one,
+    never a torn mix, and a power cut after return cannot roll the
+    rename back."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / (path.name + ".tmp")
-    tmp.write_text(json.dumps(blob, sort_keys=True))
+    tmp.write_text(text)
     with open(tmp, "r+", encoding="utf-8") as fh:
         os.fsync(fh.fileno())
     os.replace(tmp, path)
     _fsync_dir(path.parent)
-    return path
-
-
-def write_snapshot(data_dir: str | Path, store: DocumentStore, wal_seq: int) -> Path:
-    """Atomically write a full store image covering ops ``<= wal_seq``."""
-    data_dir = Path(data_dir)
-    blob = {
-        "format": _SNAP_FORMAT,
-        "wal_seq": int(wal_seq),
-        "store": store.to_jsonable(),
-    }
-    final = write_json_atomic(data_dir / _SNAP_NAME, blob)
-    perf.incr("wal_snapshots")
-    return final
 
 
 def _fsync_dir(path: Path) -> None:
@@ -239,36 +291,3 @@ def _fsync_dir(path: Path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
-
-
-def load_shard_state(data_dir: str | Path) -> tuple[DocumentStore, int]:
-    """Recover a shard's store: snapshot (if any) + WAL tail replay.
-
-    Returns the recovered store and the sequence number the WAL should
-    continue from.  A missing directory yields an empty store.
-    """
-    data_dir = Path(data_dir)
-    snap_path = data_dir / _SNAP_NAME
-    if snap_path.exists():
-        blob = json.loads(snap_path.read_text())
-        if blob.get("format") != _SNAP_FORMAT:
-            raise ValueError(f"{snap_path}: not a shard snapshot")
-        store = DocumentStore.from_jsonable(blob["store"])
-        snap_seq = int(blob["wal_seq"])
-    else:
-        store = DocumentStore()
-        snap_seq = 0
-    last_seq = snap_seq
-    for entry in read_wal(data_dir / _WAL_NAME):
-        seq = int(entry.get("seq", 0))
-        if seq <= snap_seq:
-            continue  # already covered by the snapshot
-        op = {k: v for k, v in entry.items() if k != "seq"}
-        store.apply_op(op)
-        last_seq = max(last_seq, seq)
-        perf.incr("wal_replayed")
-    return store, last_seq
-
-
-def wal_path(data_dir: str | Path) -> Path:
-    return Path(data_dir) / _WAL_NAME

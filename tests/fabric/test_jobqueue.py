@@ -5,7 +5,12 @@ any point mid-stream, recover the queue from its directory, and
 
 * no acknowledged completion is lost (WAL-then-ack),
 * no job is ever *applied* twice (exactly-once via lease tokens),
-* the WAL tail past the last snapshot replays, torn final line included.
+* the WAL tail past the last snapshot replays.
+
+The kill points of the journal/snapshot protocol (torn final line,
+snapshot written but journal not trimmed, ...) are in
+``tests/service/test_durable_log.py``, run against this queue and the
+crowd shard alike.
 """
 
 from __future__ import annotations
@@ -168,23 +173,6 @@ class TestCrashRecovery:
         assert rec.n_done == 1
         assert rec.job(job.job_id).result == {"y": 0.5}
 
-    def test_torn_final_wal_line_is_tolerated(self, tmp_path):
-        q = DurableJobQueue(tmp_path)
-        fill(q, 3)
-        job = q.lease(0, 0.0, 10.0)
-        q.complete(job.job_id, job.lease_token, {"y": 1.0})
-        del q
-        wal = tmp_path / _WAL_NAME
-        wal.write_bytes(wal.read_bytes() + b'{"op": "enq')  # torn write
-
-        rec = DurableJobQueue(tmp_path)
-        assert rec.n_jobs == 3
-        assert rec.n_done == 1
-        # and the recovered queue keeps journaling correctly
-        jid = rec.enqueue({"x": 0.9})
-        del rec
-        assert DurableJobQueue(tmp_path).job(jid).config == {"x": 0.9}
-
     def test_explicit_snapshot_truncates_wal(self, tmp_path):
         q = DurableJobQueue(tmp_path)
         fill(q, 4)
@@ -198,7 +186,7 @@ class TestCrashRecovery:
 
     def test_foreign_snapshot_rejected(self, tmp_path):
         (tmp_path / _SNAP_NAME).write_text(json.dumps({"format": "other"}))
-        with pytest.raises(ValueError, match="not a fabric queue snapshot"):
+        with pytest.raises(ValueError, match="not a gptunecrowd-fabric-queue-v1 snapshot"):
             DurableJobQueue(tmp_path)
 
 

@@ -1,0 +1,445 @@
+"""One durability contract, held against both users of ``DurableLog``.
+
+``CrowdShard`` and ``DurableJobQueue`` sit on the same primitive
+(:class:`repro.service.wal.DurableLog`), so every test here runs against
+both through one parametrized fixture:
+
+* **no lost acknowledged write** — an op acknowledged while a snapshot
+  is being written (deterministic interleaving), and under four
+  concurrent writers with a snapshot every 8 ops, is there after a
+  restart from disk;
+* **the crash matrix** — kill the process at each point of the
+  journal/snapshot protocol, reopen the directory: every acknowledged op
+  is present, nothing that was never attempted is;
+* **on-disk compatibility** — the bytes a fixed single-threaded call
+  sequence writes equal the ones commit ``c5d1889`` wrote, and the
+  directories that commit wrote (torn final line included) recover to
+  the same documents / jobs.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import threading
+
+import pytest
+
+from repro.crowd.users import UserRegistry
+from repro.fabric import DurableJobQueue
+from repro.service import CrowdShard
+from repro.service import wal
+from repro.service.shard import shard_key
+
+
+# ---------------------------------------------------------------------------
+# the two users behind one small driver interface
+# ---------------------------------------------------------------------------
+
+
+class _User:
+    """Opens handles and remembers them, so the fixture can release the
+    file handles of the ones a test abandoned (= killed) at teardown."""
+
+    def __init__(self) -> None:
+        self.opened: list = []
+
+    def open(self, data_dir, snapshot_every=10_000):
+        self.opened.append(self._open(data_dir, snapshot_every))
+        return self.opened[-1]
+
+
+class ShardUser(_User):
+    """Acknowledged write ``i`` = one stamped upload (uid ``i + 1``)."""
+
+    name = "shard"
+    ops_per_write = 1
+    wal_name, snapshot_name = "wal.jsonl", "snapshot.json"
+    #: a second thread's write proceeds while a snapshot is being written
+    writes_during_snapshot = True
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.users = UserRegistry()
+        self.users.register("alice", "a@lab.gov")
+        self.key = self.users.issue_api_key("alice")
+
+    def _open(self, data_dir, snapshot_every):
+        return CrowdShard("s0", data_dir, users=self.users, snapshot_every=snapshot_every)
+
+    def write(self, shard, i: int) -> int:
+        response = shard.handle(
+            {
+                "route": "upload",
+                "api_key": self.key,
+                "problem_name": "demo",
+                "task_parameters": {"t": i % 3},
+                "tuning_parameters": {"x": i},
+                "output": float(i),
+                "uid": i + 1,
+                "timestamp": float(i + 1),
+            }
+        )
+        assert response["ok"], response
+        return i
+
+    def present(self, shard) -> set[int]:
+        docs = shard.repository.store["performance_records"].find({}, frozen=True)
+        assert shard.count() == len(docs)
+        return {int(doc["uid"]) - 1 for doc in docs}
+
+
+class QueueUser(_User):
+    """Acknowledged write ``i`` = enqueue + complete of one job tagged
+    ``i``; present once the job is DONE with its result."""
+
+    name = "queue"
+    ops_per_write = 2
+    wal_name, snapshot_name = "queue.wal.jsonl", "queue.snapshot.json"
+    #: the queue snapshots under its own lock: writers wait for it
+    writes_during_snapshot = False
+
+    def _open(self, data_dir, snapshot_every):
+        return DurableJobQueue(data_dir, snapshot_every=snapshot_every)
+
+    def write(self, queue, i: int) -> int:
+        job_id = queue.enqueue({"i": i})
+        assert queue.complete(job_id, f"{job_id}.0", {"y": float(i)}) == "applied"
+        return i
+
+    def present(self, queue) -> set[int]:
+        done = queue.completed_jobs()
+        assert all(job.result == {"y": float(job.config["i"])} for job in done)
+        return {int(job.config["i"]) for job in done}
+
+
+@pytest.fixture(params=[ShardUser, QueueUser], ids=lambda cls: cls.name)
+def user(request):
+    user = request.param()
+    yield user
+    for handle in user.opened:
+        handle.close()
+
+
+def _restart(user, tmp_path, handle=None):
+    """Reopen the directory; ``handle`` (if given) is closed first, else
+    the previous object is simply abandoned — a process kill."""
+    if handle is not None:
+        handle.close()
+    return user.open(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# no acknowledged write is lost to a snapshot
+# ---------------------------------------------------------------------------
+
+
+def test_write_acked_during_a_snapshot_survives(user, tmp_path, monkeypatch):
+    """A second thread's write lands between the image and the journal
+    trim.  (At c5d1889 the shard acknowledged it, counted it, and lost it
+    on restart: ``truncate()`` wiped an op the image did not hold.)"""
+    handle = user.open(tmp_path, snapshot_every=3)
+    acked: list[int] = []
+    inside_window: list[bool] = []
+    real = wal.write_json_atomic
+
+    def write_with_a_concurrent_writer(path, blob):
+        monkeypatch.setattr(wal, "write_json_atomic", real)  # first snapshot only
+        writer = threading.Thread(target=lambda: acked.append(user.write(handle, 100)))
+        writer.start()
+        # the shard's writer finishes inside the window; the queue's waits
+        # for the queue lock the snapshot holds, so stop waiting for it
+        writer.join(timeout=30 if user.writes_during_snapshot else 0.2)
+        inside_window.append(not writer.is_alive())
+        real(path, blob)
+        writers.append(writer)
+
+    writers: list[threading.Thread] = []
+    monkeypatch.setattr(wal, "write_json_atomic", write_with_a_concurrent_writer)
+    for i in range(3):
+        acked.append(user.write(handle, i))
+    for writer in writers:
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+    assert inside_window == [user.writes_during_snapshot]
+    assert (tmp_path / user.snapshot_name).exists()
+    assert len(acked) == 4 and user.present(handle) == set(acked)
+    assert user.present(_restart(user, tmp_path, handle)) == set(acked)
+
+
+def test_concurrent_writers_lose_nothing_across_a_restart(user, tmp_path):
+    handle = user.open(tmp_path, snapshot_every=8)
+    acked: list[list[int]] = [[] for _ in range(4)]
+
+    def writer(t: int) -> None:
+        for i in range(200):
+            acked[t].append(user.write(handle, 1000 * t + i))
+
+    threads = [threading.Thread(target=writer, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads mid-operation, often
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    everything = {ident for per_thread in acked for ident in per_thread}
+    assert len(everything) == 800
+    assert user.present(_restart(user, tmp_path, handle)) == everything
+    # and without the clean close: whatever was acknowledged is on disk
+    handle = user.open(tmp_path, snapshot_every=8)
+    user.write(handle, 5000)
+    assert user.present(_restart(user, tmp_path)) >= everything
+
+
+# ---------------------------------------------------------------------------
+# the crash matrix
+# ---------------------------------------------------------------------------
+
+
+class _Kill(BaseException):
+    """The process dies here (BaseException: no handler swallows it)."""
+
+
+def _kill_after_append(monkeypatch, user):
+    real = wal.DurableLog.append
+
+    def append_then_die(self, op):
+        real(self, op)
+        raise _Kill
+
+    monkeypatch.setattr(wal.DurableLog, "append", append_then_die)
+
+
+def _kill_before_replacing(name_of):
+    def arm(monkeypatch, user):
+        real = os.replace
+
+        def replace_or_die(src, dst):
+            if os.path.basename(dst) == name_of(user):
+                raise _Kill
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_or_die)
+
+    return arm
+
+
+def _kill_before_trim(monkeypatch, user):
+    def die(self, covered):
+        raise _Kill
+
+    monkeypatch.setattr(wal.DurableLog, "_trim_locked", die)
+
+
+#: kill point -> how to arm it; each fires inside write number 5 (the
+#: one that makes the snapshot due) or, for the append point, write 5's
+#: first journaled op
+KILL_POINTS = {
+    "appended-not-acked": _kill_after_append,
+    "snapshot-tmp-not-replaced": _kill_before_replacing(
+        lambda user: user.snapshot_name
+    ),
+    "snapshot-replaced-not-trimmed": _kill_before_trim,
+    "mid-tail-rewrite": _kill_before_replacing(lambda user: user.wal_name),
+}
+
+
+@pytest.mark.parametrize("point", sorted(KILL_POINTS))
+def test_acked_ops_survive_kill(user, point, tmp_path, monkeypatch):
+    if point == "mid-tail-rewrite" and not user.writes_during_snapshot:
+        pytest.skip("the queue snapshots under its lock: its trim is a plain truncate")
+    handle = user.open(tmp_path, snapshot_every=5 * user.ops_per_write)
+    acked = {user.write(handle, i) for i in range(4)}
+    if point == "mid-tail-rewrite":
+        # a second writer gets in while the snapshot file is written, so
+        # the trim has a tail to keep and goes through temp + replace
+        real = wal.write_json_atomic
+
+        def write_with_a_concurrent_writer(path, blob):
+            monkeypatch.setattr(wal, "write_json_atomic", real)
+            writer = threading.Thread(target=lambda: acked.add(user.write(handle, 50)))
+            writer.start()
+            writer.join(timeout=30)
+            assert not writer.is_alive()
+            real(path, blob)
+
+        monkeypatch.setattr(wal, "write_json_atomic", write_with_a_concurrent_writer)
+    KILL_POINTS[point](monkeypatch, user)
+    with pytest.raises(_Kill):
+        user.write(handle, 4)  # in flight: never acknowledged
+    monkeypatch.undo()
+    if point != "appended-not-acked":
+        # the dying write had journaled everything before the snapshot began
+        acked.add(4)
+    recovered = _restart(user, tmp_path)
+    assert acked <= user.present(recovered) <= acked | {4}
+    # the recovered directory keeps working: write, restart, still there
+    acked.add(user.write(recovered, 7))
+    assert acked <= user.present(_restart(user, tmp_path, recovered)) <= acked | {4}
+
+
+def test_torn_final_journal_line_is_discarded_and_cut_off(user, tmp_path):
+    handle = user.open(tmp_path, snapshot_every=3 * user.ops_per_write)
+    acked = {user.write(handle, i) for i in range(5)}  # snapshot + a tail
+    journal = tmp_path / user.wal_name
+    assert (tmp_path / user.snapshot_name).exists() and journal.stat().st_size > 0
+    journal.write_bytes(journal.read_bytes() + b'{"seq": 999, "op": "ins')  # power cut
+    recovered = _restart(user, tmp_path)
+    assert user.present(recovered) == acked
+    # the fragment is gone, so the next entry starts on its own line
+    acked.add(user.write(recovered, 9))
+    assert user.present(_restart(user, tmp_path)) == acked
+    assert all(json.loads(line) for line in journal.read_text().splitlines())
+
+
+# ---------------------------------------------------------------------------
+# on-disk compatibility with c5d1889
+# ---------------------------------------------------------------------------
+
+
+def _record(uid: int, task: int) -> dict:
+    return {
+        "problem_name": "demo",
+        "task_parameters": {"t": task},
+        "tuning_parameters": {"x": uid},
+        "output": float(uid),
+        "uid": uid,
+        "timestamp": float(uid),
+    }
+
+
+def shard_sequence(data_dir) -> dict[str, list]:
+    """A fixed call sequence: a snapshot after op 5, then a tail holding
+    an ``insert``, a batched ``insert_many`` and a ``delete``."""
+    who = ShardUser()
+    shard = CrowdShard("s0", data_dir, users=who.users, snapshot_every=5)
+    for uid in range(1, 7):
+        assert shard.handle({"route": "upload", "api_key": who.key, **_record(uid, uid % 2)})["ok"]
+    healed = [{**_record(uid, 1), "owner": "bob"} for uid in (50, 51)]
+    assert shard.handle({"route": "replicate", "records": healed})["applied"] == 2
+    assert shard.handle({"route": "drop_bucket", "key": shard_key("demo", {"t": 0})})["dropped"] == 3
+    shard.close()
+    return _shard_state(shard)
+
+
+def _shard_state(shard) -> dict[str, list]:
+    store = shard.repository.store
+    return {name: store[name].find({}) for name in store.collection_names()}
+
+
+def queue_sequence(data_dir) -> list[dict]:
+    """A fixed call sequence: a snapshot after op 5, then a tail holding
+    a ``redispatch``, a ``complete`` and an ``enqueue``."""
+    queue = DurableJobQueue(data_dir, snapshot_every=5)
+    for i in range(4):
+        queue.enqueue({"x": i / 4})
+    first = queue.lease(0, 0.0, 1.0)
+    assert queue.complete(first.job_id, first.lease_token, {"y": 0.5}) == "applied"
+    second = queue.lease(0, 0.0, 1.0)
+    queue.redispatch(second.job_id)
+    third = queue.lease(1, 2.0, 1.0)
+    assert queue.complete(third.job_id, third.lease_token, {"y": 1.5, "worker": 1}) == "applied"
+    queue.enqueue({"x": 0.9})
+    queue.close()
+    return _queue_state(queue)
+
+
+def _queue_state(queue) -> list[dict]:
+    return [job.to_doc() for job in sorted(queue.jobs(), key=lambda j: j.job_id)]
+
+
+#: what the two sequences left on disk at c5d1889, byte for byte
+PARENT_BYTES = {
+    'snapshot.json': (
+        '{"format": "gptunecrowd-shard-snapshot-v1", '
+        '"store": {"collections": [{"docs": [{"_id": 1, "accessibility": {"groups": [], '
+        '"level": "public"}, "machine_configuration": {}, "output": 1.0, "owner": "alice", '
+        '"problem_name": "demo", "software_configuration": {}, "task_parameters": {"t": 1}, '
+        '"timestamp": 1.0, "tuning_parameters": {"x": 1}, "uid": 1}, {"_id": 2, '
+        '"accessibility": {"groups": [], "level": "public"}, "machine_configuration": {}, '
+        '"output": 2.0, "owner": "alice", "problem_name": "demo", "software_configuration": {}, '
+        '"task_parameters": {"t": 0}, "timestamp": 2.0, "tuning_parameters": {"x": 2}, '
+        '"uid": 2}, {"_id": 3, "accessibility": {"groups": [], "level": "public"}, '
+        '"machine_configuration": {}, "output": 3.0, "owner": "alice", "problem_name": "demo", '
+        '"software_configuration": {}, "task_parameters": {"t": 1}, "timestamp": 3.0, '
+        '"tuning_parameters": {"x": 3}, "uid": 3}, {"_id": 4, "accessibility": {"groups": [], '
+        '"level": "public"}, "machine_configuration": {}, "output": 4.0, "owner": "alice", '
+        '"problem_name": "demo", "software_configuration": {}, "task_parameters": {"t": 0}, '
+        '"timestamp": 4.0, "tuning_parameters": {"x": 4}, "uid": 4}, {"_id": 5, '
+        '"accessibility": {"groups": [], "level": "public"}, "machine_configuration": {}, '
+        '"output": 5.0, "owner": "alice", "problem_name": "demo", "software_configuration": {}, '
+        '"task_parameters": {"t": 1}, "timestamp": 5.0, "tuning_parameters": {"x": 5}, '
+        '"uid": 5}], "name": "performance_records", "next_id": 6}, {"docs": [], '
+        '"name": "surrogate_models", "next_id": 1}], "format": "gptunecrowd-store-v1"}, '
+        '"wal_seq": 5}'
+    ),
+    'wal.jsonl': (
+        '{"c": "performance_records", "doc": {"_id": 6, "accessibility": {"groups": [], '
+        '"level": "public"}, "machine_configuration": {}, "output": 6.0, "owner": "alice", '
+        '"problem_name": "demo", "software_configuration": {}, "task_parameters": {"t": 0}, '
+        '"timestamp": 6.0, "tuning_parameters": {"x": 6}, "uid": 6}, "op": "insert", "seq": 6}\n'
+        '{"c": "performance_records", "docs": [{"_id": 7, "output": 50.0, "owner": "bob", '
+        '"problem_name": "demo", "task_parameters": {"t": 1}, "timestamp": 50.0, '
+        '"tuning_parameters": {"x": 50}, "uid": 50}, {"_id": 8, "output": 51.0, "owner": "bob", '
+        '"problem_name": "demo", "task_parameters": {"t": 1}, "timestamp": 51.0, '
+        '"tuning_parameters": {"x": 51}, "uid": 51}], "op": "insert_many", "seq": 7}\n'
+        '{"c": "performance_records", "flt": {"_id": {"$in": [2, 4, 6]}}, "op": "delete", '
+        '"seq": 8}\n'
+    ),
+    'queue.snapshot.json': (
+        '{"format": "gptunecrowd-fabric-queue-v1", "jobs": [{"attempt": 0, "config": {"x": 0.0}, '
+        '"job_id": 0, "redispatches": 0, "result": {"y": 0.5}, "state": "done", "token": "0.0"}, '
+        '{"attempt": 0, "config": {"x": 0.25}, "job_id": 1, "redispatches": 0, "result": null, '
+        '"state": "pending", "token": null}, {"attempt": 0, "config": {"x": 0.5}, "job_id": 2, '
+        '"redispatches": 0, "result": null, "state": "pending", "token": null}, {"attempt": 0, '
+        '"config": {"x": 0.75}, "job_id": 3, "redispatches": 0, "result": null, '
+        '"state": "pending", "token": null}], "next_job_id": 4, "wal_seq": 5}'
+    ),
+    'queue.wal.jsonl': (
+        '{"attempt": 1, "job_id": 1, "op": "redispatch", "seq": 6}\n'
+        '{"job_id": 2, "op": "complete", "result": {"worker": 1, "y": 1.5}, "seq": 7, '
+        '"token": "2.0"}\n'
+        '{"config": {"x": 0.9}, "job_id": 4, "op": "enqueue", "seq": 8}\n'
+    ),
+}
+SEQUENCES = {"shard": (shard_sequence, _shard_state), "queue": (queue_sequence, _queue_state)}
+
+
+def test_fixed_sequence_writes_the_parents_bytes(user, tmp_path):
+    SEQUENCES[user.name][0](tmp_path)
+    written = {path.name: path.read_text() for path in tmp_path.iterdir()}
+    assert written == {
+        name: PARENT_BYTES[name] for name in (user.wal_name, user.snapshot_name)
+    }
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["intact", "torn-final-line"])
+def test_parent_written_directory_recovers(user, torn, tmp_path):
+    sequence, state = SEQUENCES[user.name]
+    expected = sequence(tmp_path / "live")
+    old = tmp_path / "old"
+    old.mkdir()
+    for name in (user.wal_name, user.snapshot_name):
+        (old / name).write_text(PARENT_BYTES[name])
+    if torn:
+        with open(old / user.wal_name, "a") as fh:
+            fh.write('{"seq": 9, "op": "enq')
+    recovered = user.open(old)
+    assert state(recovered) == expected
+    recovered.close()
+
+
+if __name__ == "__main__":  # prints the literals above (run at c5d1889)
+    import tempfile
+    from pathlib import Path
+
+    for label, sequence in (("SHARD", shard_sequence), ("QUEUE", queue_sequence)):
+        with tempfile.TemporaryDirectory() as tmp:
+            sequence(tmp)
+            for path in sorted(Path(tmp).iterdir()):
+                sys.stdout.write(f"{label} {path.name} = {path.read_text()!r}\n")

@@ -3,15 +3,21 @@ throttling, and degraded-mode behavior."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.crowd.users import UserRegistry
+from repro.registry import RegistryOptions
 from repro.service import (
     CrowdRouter,
     CrowdShard,
     RouterOptions,
     build_service,
 )
+
+from . import golden_transcript
 
 
 def _upload(endpoint, key, i, problem="demo", task=None):
@@ -58,7 +64,53 @@ def _manual_router(**options):
     return router, api_key, clock
 
 
+_UPLOAD = {
+    "route": "upload",
+    "problem_name": "demo",
+    "task_parameters": {"t": 1},
+    "tuning_parameters": {"x": 1},
+    "output": 1.0,
+}
+#: id -> (request without its api_key, expected error) — every one of
+#: them used to escape at least one dispatcher's ``handle`` as an exception
+_MALFORMED = {
+    **{
+        f"{route}-{kind}": (
+            {"route": route, "problem_name": "demo", "task_parameters": task,
+             "configurations": [{"x": 1}]},
+            "bad_request",
+        )
+        for route in ("query", "predict", "model_meta", "sensitivity")
+        for kind, task in (("int", 5), ("list", [1, 2]), ("str", "ab"))
+    },
+    "idempotency-key": ({**_UPLOAD, "idempotency_key": ["k"]}, "bad_request"),
+    "list-route": ({**_UPLOAD, "route": ["upload"]}, "bad_request"),
+    "upload-api-key": ({**_UPLOAD, "api_key": ["k"]}, "auth"),
+    "whoami-api-key": ({"route": "whoami", "api_key": {"k": 1}}, "auth"),
+}
+
+
+@pytest.fixture(scope="module")
+def dispatchers():
+    """The three ``handle`` implementations of the protocol, one key."""
+    users = UserRegistry()
+    users.register("alice", "alice@lab.gov")
+    api_key = users.issue_api_key("alice")
+    shard = CrowdShard("s0", None, users=users, registry=RegistryOptions())
+    with build_service(2, users=users, registry=RegistryOptions()) as svc:
+        yield api_key, {"server": shard.server, "shard": shard, "router": svc.router}
+    shard.close()
+
+
 class TestMalformedQueries:
+    @pytest.mark.parametrize("endpoint", ["server", "shard", "router"])
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_handle_never_raises(self, dispatchers, case, endpoint):
+        api_key, endpoints = dispatchers
+        request_, error = _MALFORMED[case]
+        response = endpoints[endpoint].handle({"api_key": api_key, **request_})
+        assert response["ok"] is False and response["error"] == error, response
+
     def test_bad_regex_is_bad_request_not_an_exception(self):
         # 2 shards x replication 2: every shard holds the record, so the
         # bad pattern meets a stored string wherever the query lands
@@ -395,3 +447,19 @@ class TestAccounts:
             RouterOptions(replication=0)
         with pytest.raises(ValueError):
             build_service(0)
+
+
+
+class TestGoldenTranscript:
+    def test_every_response_equals_the_parents(self):
+        """Every response of a fixed ~70-step script (all routes, quorum
+        failures, outages, hint replay, anti-entropy, membership) and
+        the final ``service_*`` counters equal the ones c5d1889 produced."""
+        golden = json.loads(
+            Path(golden_transcript.__file__).with_suffix(".json").read_text()
+        )
+        observed = golden_transcript.run_script()
+        for i, (line, expected) in enumerate(zip(observed["lines"], golden["lines"])):
+            assert line == expected, f"step {i} diverged"
+        assert len(observed["lines"]) == len(golden["lines"])
+        assert observed["counters"] == golden["counters"]

@@ -1,10 +1,13 @@
-"""Durability tests: WAL, snapshots, and crash recovery.
+"""Durability tests: the journal, snapshots, and shard crash recovery.
 
 The pinned acceptance test is :func:`TestCrashRecovery.
 test_shard_killed_mid_stream_recovers_bit_identical`: a shard is killed
 (its in-memory state simply dropped, no close/snapshot) in the middle of
 a write stream and must recover snapshot + WAL tail to *bit-identical*
-``DocumentStore`` contents.
+``DocumentStore`` contents.  The kill points of the journal/snapshot
+protocol itself (torn tail, snapshot written but journal not trimmed,
+...) are in ``test_durable_log.py``, run against the shard and the
+fabric's job queue alike.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import pytest
 
 from repro.crowd.database import DocumentStore
 from repro.crowd.users import UserRegistry
-from repro.service import CrowdShard, WriteAheadLog, load_shard_state
-from repro.service.wal import read_wal, wal_path, write_snapshot
+from repro.service import CrowdShard, DurableLog
+from repro.service.wal import read_wal
 
 
 def _upload(shard, key, i, problem="demo"):
@@ -45,9 +48,26 @@ def _store_bytes(shard) -> str:
     return json.dumps(shard.repository.store.to_jsonable(), sort_keys=True)
 
 
+def _journal(data_dir, **kwargs) -> DurableLog:
+    """A bare log over ``data_dir/wal.jsonl``, open for append."""
+    log = DurableLog(
+        data_dir, "wal.jsonl", "snapshot.json", "test-v1", snapshot_every=10_000, **kwargs
+    )
+    log.recover()
+    return log
+
+
+def _recovered(data_dir):
+    """The store and last sequence number a shard recovers from disk."""
+    with CrowdShard("s0", data_dir, users=UserRegistry()) as shard:
+        store, last_seq = shard.repository.store, shard._log.seq
+    store.set_observer(None)  # the shard is closed: a plain store from here on
+    return store, last_seq
+
+
 class TestWriteAheadLog:
     def test_append_assigns_increasing_seq(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.jsonl")
+        wal = _journal(tmp_path)
         assert wal.append({"op": "insert", "c": "x", "doc": {"_id": 1}}) == 1
         assert wal.append({"op": "delete", "c": "x", "flt": {}}) == 2
         wal.close()
@@ -56,7 +76,7 @@ class TestWriteAheadLog:
 
     def test_torn_tail_is_discarded(self, tmp_path):
         path = tmp_path / "wal.jsonl"
-        wal = WriteAheadLog(path)
+        wal = _journal(tmp_path)
         wal.append({"op": "insert", "c": "x", "doc": {"_id": 1}})
         wal.close()
         with open(path, "a") as fh:
@@ -71,19 +91,18 @@ class TestWriteAheadLog:
             read_wal(path)
 
     def test_fsync_batching(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync_every=3)
+        wal = _journal(tmp_path, fsync_every=3)
         for i in range(4):
             wal.append({"op": "drop", "c": f"c{i}"})
-        wal.sync()
         wal.close()
         assert len(read_wal(tmp_path / "wal.jsonl")) == 4
 
     def test_rejects_bad_config(self, tmp_path):
         with pytest.raises(ValueError):
-            WriteAheadLog(tmp_path / "w", fsync_every=0)
+            _journal(tmp_path, fsync_every=0)
 
     def test_append_many_numbers_like_individual_appends(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.jsonl")
+        wal = _journal(tmp_path)
         wal.append({"op": "drop", "c": "a"})
         last = wal.append_many(
             [
@@ -100,16 +119,15 @@ class TestWriteAheadLog:
         assert [o["op"] for o in ops] == ["drop", "insert", "insert", "delete", "drop"]
 
     def test_append_many_empty_batch_is_a_noop(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.jsonl")
+        wal = _journal(tmp_path)
         wal.append({"op": "drop", "c": "a"})
         assert wal.append_many([]) == 1
         wal.close()
         assert len(read_wal(tmp_path / "wal.jsonl")) == 1
 
     def test_append_many_respects_fsync_batching(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync_every=100)
+        wal = _journal(tmp_path, fsync_every=100)
         wal.append_many([{"op": "drop", "c": f"c{i}"} for i in range(10)])
-        wal.sync()
         wal.close()
         assert len(read_wal(tmp_path / "wal.jsonl")) == 10
 
@@ -117,7 +135,7 @@ class TestWriteAheadLog:
         """A journal holding both historical per-insert ops and the
         batched ``insert_many`` form replays to the same store."""
         src = DocumentStore()
-        wal = WriteAheadLog(tmp_path / "wal.jsonl")
+        wal = _journal(tmp_path)
         src.set_observer(lambda op: wal.append(json.loads(json.dumps(op))))
         src["c"].insert({"a": 1})  # historical one-doc op
         src["c"].insert_many([{"a": 2}, {"a": 3}])  # batched op
@@ -125,7 +143,7 @@ class TestWriteAheadLog:
         wal.close()
         ops = read_wal(tmp_path / "wal.jsonl")
         assert [o["op"] for o in ops] == ["insert", "insert_many", "update"]
-        store, last_seq = load_shard_state(tmp_path)
+        store, last_seq = _recovered(tmp_path)
         assert last_seq == 3
         assert store["c"].find({}) == src["c"].find({})
 
@@ -154,35 +172,6 @@ class TestCrashRecovery:
         assert _store_bytes(recovered) == pre
         assert recovered.count() == 5
         recovered.close()
-
-    def test_recovery_tolerates_torn_wal_tail(self, tmp_path):
-        shard, key = _new_shard(tmp_path)
-        for i in range(6):
-            _upload(shard, key, i)
-        pre = _store_bytes(shard)
-        del shard
-        with open(wal_path(tmp_path / "s0"), "a") as fh:
-            fh.write('{"seq": 999, "op": "insert", "c": "performance_re')
-        recovered, _ = _new_shard(tmp_path)
-        assert _store_bytes(recovered) == pre
-        recovered.close()
-
-    def test_replay_skips_ops_covered_by_snapshot(self, tmp_path):
-        """Even if WAL truncation never ran after a snapshot, replay is
-        idempotent: ops with seq <= snapshot.wal_seq are skipped."""
-        shard, key = _new_shard(tmp_path, snapshot_every=10_000)
-        for i in range(4):
-            _upload(shard, key, i)
-        data_dir = tmp_path / "s0"
-        # snapshot manually but DO NOT truncate the WAL (simulates a
-        # crash between snapshot write and truncation)
-        shard._wal.sync()
-        write_snapshot(data_dir, shard.repository.store, shard._wal.seq)
-        pre = _store_bytes(shard)
-        del shard
-        store, last_seq = load_shard_state(data_dir)
-        assert json.dumps(store.to_jsonable(), sort_keys=True) == pre
-        assert store["performance_records"].count({}) == 4
 
     def test_uploads_continue_after_recovery(self, tmp_path):
         users = UserRegistry()
@@ -256,9 +245,9 @@ class TestCrashRecovery:
         shard, key = _new_shard(tmp_path, snapshot_every=10_000)
         for i in range(5):
             _upload(shard, key, i)
-        assert len(read_wal(wal_path(tmp_path / "s0"))) == 5
+        assert len(read_wal(tmp_path / "s0" / "wal.jsonl")) == 5
         shard.snapshot()
-        assert read_wal(wal_path(tmp_path / "s0")) == []
+        assert read_wal(tmp_path / "s0" / "wal.jsonl") == []
         # state still fully recoverable from the snapshot alone
         pre = _store_bytes(shard)
         del shard
@@ -316,7 +305,7 @@ class TestIndexedStoreCompatibility:
     def test_old_snapshot_and_wal_tail_recover(self, tmp_path):
         (tmp_path / "snapshot.json").write_text(_OLD_SNAPSHOT)
         (tmp_path / "wal.jsonl").write_text(_OLD_WAL)
-        store, last_seq = load_shard_state(tmp_path)
+        store, last_seq = _recovered(tmp_path)
         assert last_seq == 6
         assert store.collection_names() == [
             "performance_records",
@@ -341,7 +330,7 @@ class TestIndexedStoreCompatibility:
         shard.close()
         blob = json.loads((tmp_path / "snapshot.json").read_text())
         assert all("indexes" not in c for c in blob["store"]["collections"])
-        assert len(load_shard_state(tmp_path)[0]["performance_records"]) == 3
+        assert len(_recovered(tmp_path)[0]["performance_records"]) == 3
 
     def test_journaled_ops_are_byte_identical(self):
         store = DocumentStore()
