@@ -59,7 +59,7 @@ def test_table1_pool(benchmark):
     del rows
 
 
-def _sweep(app, sources, n_jobs):
+def _sweep(app, sources, n_jobs, store=None):
     return run_comparison(
         app,
         {"t": 1.1},
@@ -67,6 +67,7 @@ def _sweep(app, sources, n_jobs):
         tuners=SWEEP_TUNERS,
         n_evals=N_EVALS,
         repeats=REPEATS,
+        strategy_kwargs={"store": store},
         show_perf=False,
         n_jobs=n_jobs,
     )
@@ -96,7 +97,9 @@ def test_parallel_sweep_matches_sequential(benchmark):
 
 
 def test_shared_store_fits_each_source_once():
-    """A pool sweep through one store: 1x source fits, rest are hits."""
+    """A pool sweep through one store: 1x source fits, rest are hits —
+    and the warm store, pickled to a process pool's workers, gives the
+    in-process sweep's matrices."""
     app = DemoFunction()
     sources = [
         collect_source(app, {"t": t}, N_SRC, seed=i, label=f"t={t}")
@@ -106,7 +109,12 @@ def test_shared_store_fits_each_source_once():
     rng = np.random.default_rng(0)
     with perf.collect() as stats:
         for key in SWEEP_TUNERS:
-            get_strategy(key).prepare_from_store(store, sources, rng)
+            get_strategy(key, store=store).prepare(sources, rng)
     counters = stats.snapshot()["counters"]
     assert counters["tla_source_fits"] == len(sources)
     assert counters["tla_source_cache_hits"] == (len(SWEEP_TUNERS) - 1) * len(sources)
+
+    seq = _sweep(app, sources, n_jobs=1, store=store)
+    par = _sweep(app, sources, n_jobs=2, store=store)
+    for key in seq:
+        assert np.array_equal(seq[key], par[key], equal_nan=True), key

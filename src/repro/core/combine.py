@@ -10,8 +10,8 @@ so the accumulation lives here, in ``core``, where both can import it.
 
 The accumulation is a plain per-model loop (``mean += w * mu``), not an
 einsum: it replays the historical TLA loop operation for operation, so
-moving the math down a layer changed nothing bit-wise (the TLA store
-tests pin exact equality between the fast and plain paths).
+moving the math down a layer changed nothing bit-wise (the TLA oracle
+tests pin exact equality with the loop written over plain ``predict``).
 """
 
 from __future__ import annotations

@@ -8,12 +8,13 @@ solve done through raw LAPACK ``trtrs``.  The arithmetic mirrors
 path is bit-identical to the plain one — pure amortization, not an
 approximation.
 
-This machinery started life in :mod:`repro.tla.store` (which re-exports
-it for compatibility); it lives in ``core`` so the large-n surrogates of
-:mod:`repro.core.sparse` can provide frozen views of themselves without
-an upward import.  :func:`frozen_view` dispatches on a ``frozen_view()``
-method when the surrogate provides its own (the sparse classes do), and
-falls back to the dense :class:`FrozenGP` extraction otherwise.
+It lives in ``core`` because every layer above uses it: the TLA pool
+predicts its source and stack GPs through frozen views, the registry
+serves resident ones, and the large-n surrogates of
+:mod:`repro.core.sparse` provide frozen views of themselves.
+:func:`frozen_view` dispatches on a ``frozen_view()`` method when the
+surrogate provides its own (the sparse classes do), and falls back to
+the dense :class:`FrozenGP` extraction otherwise.
 """
 
 from __future__ import annotations

@@ -41,7 +41,13 @@ from scipy.linalg import get_lapack_funcs
 from . import perf
 from .kernels import RBF, Kernel, pairwise_sq_diffs
 
-__all__ = ["GaussianProcess", "GPFitError", "cholesky_with_jitter", "chol_solve_inv"]
+__all__ = [
+    "GaussianProcess",
+    "GPFitError",
+    "cholesky_with_jitter",
+    "cholesky_at",
+    "chol_solve_inv",
+]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -107,6 +113,27 @@ def cholesky_with_jitter(K: np.ndarray, max_tries: int = 8) -> tuple[np.ndarray,
         + ", ".join(f"{j:.2e}" for j in tried),
         jitters=tuple(tried),
     )
+
+
+def cholesky_at(K: np.ndarray, jitter: float) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of ``K`` at a recorded jitter-ladder rung.
+
+    Replays the factorization a snapshot was taken from — same matrix,
+    same rung, one ``cholesky`` call, hence the same factor bit for bit.
+    A snapshot from another BLAS or platform may not factorize there:
+    the ladder is walked again instead of refusing to load (counted as
+    ``gp_jitter_replay_fallbacks``).  Returns the factor and the jitter
+    actually used; ``K`` is not modified.
+    """
+    Kj = K
+    if jitter:
+        Kj = K.copy()
+        Kj.flat[:: K.shape[0] + 1] += jitter
+    try:
+        return sla.cholesky(Kj, lower=True), jitter
+    except sla.LinAlgError:
+        perf.incr("gp_jitter_replay_fallbacks")
+        return cholesky_with_jitter(K)
 
 
 def chol_solve_inv(L: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
@@ -219,8 +246,8 @@ class GaussianProcess:
         self.max_fun = int(max_fun)
         self._rng = np.random.default_rng(seed)
         self._state: _FitState | None = None
-        #: bumped on every fit()/update(); lets external caches (the TLA
-        #: frozen-prediction memo) detect that a model changed
+        #: bumped on every fit()/update(); lets external caches (the
+        #: frozen views) detect that a model changed
         self.version = 0
 
     # -- public API ---------------------------------------------------------
@@ -236,7 +263,7 @@ class GaussianProcess:
     def fit_state(self) -> _FitState:
         """The cached factorization (read-only view for fast predictors).
 
-        External consumers (:class:`repro.tla.store.FrozenGP`) use this
+        External consumers (:class:`repro.core.frozen.FrozenGP`) use this
         to pre-extract ``(X, alpha, L, y-statistics)`` once for frozen
         models; they must treat the arrays as immutable.
         """
@@ -536,18 +563,8 @@ class GaussianProcess:
             gp.kernel.set_theta(theta[:-1])
             gp.noise_variance = float(np.exp(theta[-1]))
         K = gp._cov(X)
-        jitter = float(doc.get("jitter", 0.0))
         if "jitter" in doc:
-            # replay the fit's factorization exactly: same matrix, same
-            # jitter rung, one cholesky call — identical L to the fit's
-            try:
-                Kj = K.copy()
-                Kj.flat[:: X.shape[0] + 1] += jitter
-                L = sla.cholesky(Kj, lower=True)
-            except sla.LinAlgError:
-                # snapshot from a different BLAS/platform: fall back to
-                # the ladder rather than refusing to load
-                L, jitter = cholesky_with_jitter(K)
+            L, jitter = cholesky_at(K, float(doc["jitter"]))
         else:
             L, jitter = cholesky_with_jitter(K)
         alpha = np.asarray(doc["alpha"], dtype=float)

@@ -56,7 +56,7 @@ from scipy.linalg import get_lapack_funcs
 
 from . import perf
 from .combine import combine_stacked, normalized_weight_matrix
-from .gp import GaussianProcess, GPFitError, cholesky_with_jitter
+from .gp import GaussianProcess, GPFitError, cholesky_at, cholesky_with_jitter
 from .kernels import Kernel, kernel_from_name
 
 __all__ = [
@@ -133,8 +133,9 @@ def surrogate_kind_of(model: object) -> str:
 
 def make_surrogate(
     kind: str,
-    kernel: str = "rbf",
+    kernel: str | Kernel = "rbf",
     *,
+    dim: int | None = None,
     seed: int | None = None,
     max_fun: int = 80,
     n_restarts: int = 1,
@@ -146,13 +147,18 @@ def make_surrogate(
     """Construct an unfitted surrogate of the given concrete ``kind``.
 
     The shared factory behind the tuners' ``surrogate=`` policy and the
-    registry's large-history builds, so every layer creates the sparse
-    classes with the same knobs.  ``kind`` must already be concrete
-    (resolve ``"auto"`` with :func:`resolve_surrogate_kind` first).
+    registry's builds, so every layer creates each class with the same
+    knobs.  ``kind`` must already be concrete (resolve ``"auto"`` with
+    :func:`resolve_surrogate_kind` first).  ``"dense"`` takes a
+    :class:`Kernel` instance (the mixed-space kernel), or a kernel name
+    plus the input dimension ``dim``.
     """
     if kind == "dense":
-        raise ValueError("make_surrogate builds the sparse kinds; construct "
-                         "GaussianProcess directly for the dense path")
+        if isinstance(kernel, str):
+            if dim is None:
+                raise ValueError("a dense surrogate from a kernel name needs dim")
+            kernel = kernel_from_name(kernel, dim)
+        return GaussianProcess(kernel, max_fun=max_fun, n_restarts=n_restarts, seed=seed)
     if kind == "sparse":
         return SparseGP(
             kernel,
@@ -366,38 +372,16 @@ class SparseGP:
         perf.incr("sparse_fits")
         return self
 
-    def _build_state(
-        self,
-        X: np.ndarray,
-        y_raw: np.ndarray,
-        Z: np.ndarray,
-        jitter_m: float | None = None,
-    ) -> _SparseState:
-        """The O(nm^2) SGPR factorization at the current hyperparameters.
-
-        With ``jitter_m`` given, the inducing-block Cholesky replays that
-        exact rung (the deserialization path) instead of walking the
-        ladder again.
-        """
-        Kmm = self.kernel(Z)
-        if jitter_m is None:
-            Lm, jitter_m = cholesky_with_jitter(Kmm)
-        else:
-            try:
-                from scipy import linalg as sla
-
-                M = Kmm if jitter_m == 0.0 else Kmm + jitter_m * np.eye(Z.shape[0])
-                Lm = sla.cholesky(M, lower=True)
-            except Exception:
-                # snapshot from another BLAS/platform: fall back to the ladder
-                Lm, jitter_m = cholesky_with_jitter(Kmm)
+    def _build_state(self, X: np.ndarray, y_raw: np.ndarray, Z: np.ndarray) -> _SparseState:
+        """The O(nm^2) SGPR factorization at the current hyperparameters."""
+        Lm, jitter_m = cholesky_with_jitter(self.kernel(Z))
         Lm = np.asfortranarray(Lm)
         Kmn = self.kernel(Z, X)
         U, _ = _trtrs(Lm, Kmn, lower=1, trans=0)
         UUt = U @ U.T
         U1 = U.sum(axis=1)
         Uy = U @ y_raw
-        return self._refresh(X, y_raw, Z, Lm, float(jitter_m), UUt, U1, Uy)
+        return self._refresh(X, y_raw, Z, Lm, jitter_m, UUt, U1, Uy)
 
     def _refresh(
         self,
@@ -422,13 +406,7 @@ class SparseGP:
         if jitter_b is None:
             LB, jitter_b = cholesky_with_jitter(B)
         else:
-            try:
-                from scipy import linalg as sla
-
-                M = B if jitter_b == 0.0 else B + jitter_b * np.eye(Z.shape[0])
-                LB = sla.cholesky(M, lower=True)
-            except Exception:
-                LB, jitter_b = cholesky_with_jitter(B)
+            LB, jitter_b = cholesky_at(B, jitter_b)
         LB = np.asfortranarray(LB)
         Uys = (Uy - y_mean * U1) / y_std
         c0, _ = _trtrs(LB, Uys, lower=1, trans=0)
@@ -571,15 +549,7 @@ class SparseGP:
             noise_variance=float(doc["noise_variance"]),
             optimize=False,
         )
-        Kmm = kernel(Z)
-        jitter_m = float(doc.get("jitter_m", 0.0))
-        try:
-            from scipy import linalg as sla
-
-            M = Kmm if jitter_m == 0.0 else Kmm + jitter_m * np.eye(Z.shape[0])
-            Lm = sla.cholesky(M, lower=True)
-        except Exception:
-            Lm, jitter_m = cholesky_with_jitter(Kmm)
+        Lm, jitter_m = cholesky_at(kernel(Z), float(doc.get("jitter_m", 0.0)))
         gp._state = gp._refresh(
             X,
             y_raw,

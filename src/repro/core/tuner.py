@@ -40,7 +40,6 @@ from .acquisition import Acquisition, ExpectedImprovement, PredictFn
 from .gp import GaussianProcess, GPFitError
 from .feasibility import KnnFeasibility
 from .history import History
-from .kernels import kernel_from_name
 from .optimizer import SearchOptions, propose_batch
 from .problem import Evaluation, TuningProblem
 from .samplers import Sampler, get_sampler
@@ -288,29 +287,21 @@ class GPProvider:
         self._iteration += 1
         if self.gp is None:
             self.kind = kind
-            if kind == "dense":
-                if opts.kernel == "mixed":
-                    from .mixed import mixed_kernel_for_space
+            kernel = opts.kernel
+            if kernel == "mixed":
+                from .mixed import mixed_kernel_for_space
 
-                    kernel = mixed_kernel_for_space(self.space)
-                else:
-                    kernel = kernel_from_name(opts.kernel, X.shape[1])
-                self.gp = GaussianProcess(
-                    kernel,
-                    max_fun=opts.gp_max_fun,
-                    n_restarts=opts.gp_restarts,
-                    seed=int(rng.integers(0, 2**31 - 1)),
-                )
-            else:
-                self.gp = make_surrogate(
-                    kind,
-                    opts.kernel,
-                    seed=int(rng.integers(0, 2**31 - 1)),
-                    max_fun=opts.gp_max_fun,
-                    n_restarts=opts.gp_restarts,
-                    n_inducing=opts.n_inducing,
-                    leaf_size=opts.leaf_size,
-                )
+                kernel = mixed_kernel_for_space(self.space)
+            self.gp = make_surrogate(
+                kind,
+                kernel,
+                dim=X.shape[1],
+                seed=int(rng.integers(0, 2**31 - 1)),
+                max_fun=opts.gp_max_fun,
+                n_restarts=opts.gp_restarts,
+                n_inducing=opts.n_inducing,
+                leaf_size=opts.leaf_size,
+            )
         gp = self.gp
         if not refit and opts.incremental and gp.fitted:
             n_new = gp.extends_training_data(X, y)

@@ -17,7 +17,7 @@ prediction from the frozen factorization:
   heals them exactly like performance records.
 * **read side** — ``predict`` / ``model_meta`` / ``sensitivity``
   deserialize the entry once into a resident
-  :class:`~repro.tla.store.FrozenGP` (bounded LRU, gauge
+  :class:`~repro.core.frozen.FrozenGP` (bounded LRU, gauge
   ``registry_models_resident``) and serve batched vectorized
   predictions.  Zero GP fits after the first build.
 
@@ -38,8 +38,6 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..core import perf
-from ..core.gp import GaussianProcess
-from ..core.kernels import kernel_from_name
 from ..core.sparse import make_surrogate, resolve_surrogate_kind, surrogate_from_dict
 from ..core.problem import task_key
 from ..core.space import Space
@@ -298,21 +296,15 @@ class ModelRegistry:
             kind = resolve_surrogate_kind(
                 self.options.surrogate, len(docs), self.options.n_dense_max
             )
-            if kind == "dense":
-                gp = GaussianProcess(
-                    kernel_from_name(self.options.kernel, space.dim),
-                    n_restarts=1,
-                    seed=self.options.seed,
-                )
-            else:
-                gp = make_surrogate(
-                    kind,
-                    self.options.kernel,
-                    seed=self.options.seed,
-                    n_restarts=1,
-                    n_inducing=self.options.n_inducing,
-                    leaf_size=self.options.leaf_size,
-                )
+            gp = make_surrogate(
+                kind,
+                self.options.kernel,
+                dim=space.dim,
+                seed=self.options.seed,
+                n_restarts=1,
+                n_inducing=self.options.n_inducing,
+                leaf_size=self.options.leaf_size,
+            )
             with perf.timer("registry_build"):
                 gp.fit(X, y)
             entry = RegistryEntry(

@@ -6,6 +6,7 @@ the :class:`StrategyProvider` that plugs a strategy into the tuning loop
 (:class:`TransferTuner` is the sequential tuner built with it).
 """
 
+from ..core.frozen import FrozenGP
 from .base import TLAStrategy, combine_weighted, equal_weight_model, fit_source_gps
 from .gptuneband import (
     BanditResult,
@@ -21,7 +22,7 @@ from .ensemble import (
 )
 from .multitask import MultitaskPS, MultitaskTS
 from .stacking import Stacking
-from .store import FrozenGP, SourceModelStore
+from .store import SourceModelStore
 from .tuner import StrategyProvider, TransferTuner
 from .weighted_sum import WeightedSumDynamic, WeightedSumStatic, dynamic_weights
 

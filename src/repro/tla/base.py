@@ -19,16 +19,19 @@ When the target task has no data at all, every strategy falls back to the
 equal-weight combination of the source surrogates — the paper's choice
 for the first function evaluation (Sec. VI-A).
 
-Fast-pool controls (all off by default, preserving bit-identical
-behavior):
+There is one pool path.  Source surrogates never change after
+:meth:`prepare`, so they are always predicted through their frozen view
+(:func:`frozen_predict`); the per-iteration *target-side* GPs are kept by
+a :class:`RefitCadence`.  Its two controls:
 
-* ``store`` — a shared :class:`repro.tla.store.SourceModelStore`; source
-  GPs for identical data are fitted once across strategies/repeats and
-  frozen predictions are batched and memoized.
-* ``refit_every`` — refit cadence for the per-iteration *target-side*
-  GPs (the same knob the LCM members expose): between boundaries the
-  hyperparameters stay frozen and new target observations are absorbed
-  through rank-1 :meth:`GaussianProcess.update` appends.
+* ``store`` — a shared :class:`repro.tla.store.SourceModelStore`; it only
+  decides where a fitted source GP comes from (:func:`fit_source_gps`):
+  source GPs for identical data are fitted once across strategies and
+  repeats.  ``None`` means "fit it yourself".
+* ``refit_every`` — refit cadence for the target-side GPs (the same knob
+  the LCM members expose): between boundaries the hyperparameters stay
+  frozen and new target observations are absorbed through rank-1
+  :meth:`GaussianProcess.update` appends.
 """
 
 from __future__ import annotations
@@ -39,14 +42,21 @@ import numpy as np
 
 from ..core import perf
 from ..core.acquisition import PredictFn
-from ..core.combine import normalized_weights
+from ..core.combine import combine_stacked, normalized_weights
+from ..core.frozen import frozen_view
 from ..core.gp import GaussianProcess, GPFitError
 from ..core.history import TaskData
-from ..core.kernels import kernel_from_name
 from ..core.sparse import make_surrogate, resolve_surrogate_kind
-from .store import SourceModelStore, frozen_view
+from .store import SourceModelStore, fit_gp
 
-__all__ = ["TLAStrategy", "fit_source_gps", "equal_weight_model", "combine_weighted"]
+__all__ = [
+    "TLAStrategy",
+    "RefitCadence",
+    "fit_source_gps",
+    "frozen_predict",
+    "equal_weight_model",
+    "combine_weighted",
+]
 
 
 def fit_source_gps(
@@ -56,85 +66,58 @@ def fit_source_gps(
     kernel: str = "rbf",
     max_fun: int = 80,
     store: SourceModelStore | None = None,
+    counter: str = "source",
 ) -> list[GaussianProcess]:
     """Pre-train one GP surrogate per source dataset.
 
-    With a ``store``, datasets already fitted (same content, kernel and
-    ``max_fun``) reuse the cached GP instead of re-running the MLE.  The
-    per-source seed is drawn from ``rng`` unconditionally so cache hits
-    never shift the caller's random stream.
+    The one place a ``store`` is consulted: with one, datasets already
+    fitted (same content, kernel and ``max_fun``) reuse the cached GP
+    instead of re-running the MLE.  The per-source seed is drawn from
+    ``rng`` unconditionally so cache hits never shift the caller's
+    random stream.  ``counter`` names the perf counters
+    (``tla_{counter}_fits`` / ``tla_{counter}_cache_hits``).
     """
+    fit = fit_gp if store is None else store.fit_gp
     gps = []
     for src in sources:
         if src.n == 0:
             raise ValueError(f"source dataset {src.label!r} is empty")
         seed = int(rng.integers(0, 2**31 - 1))
-        if store is not None:
-            gp = store.fit_gp(src.X, src.y, seed, kernel=kernel, max_fun=max_fun)
-        else:
-            gp = GaussianProcess(
-                kernel_from_name(kernel, src.dim), max_fun=max_fun, seed=seed
-            )
-            gp.fit(src.X, src.y)
-            perf.incr("tla_source_fits")
-        gps.append(gp)
+        gps.append(fit(src.X, src.y, seed, kernel=kernel, max_fun=max_fun, counter=counter))
     return gps
 
 
-def combine_weighted(
-    models: list[PredictFn],
-    weights: np.ndarray,
-    *,
-    store: SourceModelStore | None = None,
-) -> PredictFn:
+def frozen_predict(model) -> PredictFn:
+    """``model.predict`` through the model's frozen view.
+
+    :func:`repro.core.frozen.frozen_view` replays ``predict`` bit for
+    bit with the train-side quantities extracted once; where it has no
+    view (a kernel it does not cover, a surrogate that is not a GP) the
+    plain bound ``predict`` is returned.  For models that are never
+    refit again — a strategy's source and stack GPs.
+    """
+    return (frozen_view(model) or model).predict
+
+
+def combine_weighted(models: list[PredictFn], weights: np.ndarray) -> PredictFn:
     """The paper's Eq. (1)-(2): weighted arithmetic mean of the means and
     weighted geometric mean of the standard deviations.
 
     Weights must be non-negative with a positive sum; they are
     normalized to sum 1 (a convex combination), so the combined surrogate
     lives on the same scale as its members.
-
-    With a ``store``, members that are frozen fitted GPs are served
-    through their pre-extracted :class:`repro.tla.store.FrozenGP` fast
-    path: the per-model cross-covariance against the candidate batch is
-    computed in one vectorized pass over cached train-side quantities,
-    and the Eq. (1)-(2) reduction is fused over the stacked per-model
-    means/log-stds.  The fast path replays the plain per-model arithmetic
-    exactly, so enabling it does not change results.
     """
     weights = normalized_weights(weights, len(models))
 
-    entries: list = list(models)
-    if store is not None:
-        for i, m in enumerate(entries):
-            gp = getattr(m, "__self__", None) or getattr(m, "__wrapped_gp__", None)
-            if isinstance(gp, GaussianProcess):
-                frozen = frozen_view(gp)
-                if frozen is not None:
-                    entries[i] = frozen.predict
-        batched = True
-    else:
-        batched = False
-
     def predict(X: np.ndarray):
-        if batched:
-            perf.incr("tla_batched_predicts")
-        mean = np.zeros(X.shape[0])
-        log_std = np.zeros(X.shape[0])
-        for w, m in zip(weights, entries):
-            mu, sd = m(X)
-            mean += w * mu
-            log_std += w * np.log(np.maximum(sd, 1e-12))
-        return mean, np.exp(log_std)
+        perf.incr("tla_batched_predicts")
+        means, stds = zip(*(m(X) for m in models))
+        return combine_stacked(means, stds, weights)
 
     return predict
 
 
-def equal_weight_model(
-    source_gps: list[GaussianProcess],
-    *,
-    store: SourceModelStore | None = None,
-) -> PredictFn:
+def equal_weight_model(source_gps: list[GaussianProcess]) -> PredictFn:
     """Equal-weight combination of the source surrogates only.
 
     Used for the very first target evaluation, when neither dynamic
@@ -143,8 +126,85 @@ def equal_weight_model(
     if not source_gps:
         raise ValueError("need at least one source surrogate")
     return combine_weighted(
-        [gp.predict for gp in source_gps], np.ones(len(source_gps)), store=store
+        [frozen_predict(gp) for gp in source_gps], np.ones(len(source_gps))
     )
+
+
+class RefitCadence:
+    """One per-iteration target-side GP under its owner's ``refit_every``.
+
+    Every :meth:`refresh` returns a surrogate of the data it is given.
+    On ``refit_every`` boundaries the GP is refit from scratch with
+    hyperparameter MLE — at the default cadence of 1 that is every
+    call.  Between boundaries the hyperparameters stay frozen: an
+    unchanged history reuses the model outright, appended observations
+    are absorbed through O(n^2) rank-1 :meth:`GaussianProcess.update`
+    appends, and a diverged history falls back to a non-optimizing
+    refit.  The kernel, ``gp_max_fun``, ``refit_every`` and the
+    surrogate policy are read off the owning strategy.
+    """
+
+    def __init__(self, owner: "TLAStrategy") -> None:
+        self._owner = owner
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget the model: the next :meth:`refresh` is a boundary fit."""
+        self.gp = None
+        self._kind: str | None = None
+        self._calls = 0
+
+    def refresh(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator):
+        """The surrogate of ``(X, y)``; ``None`` without data or when the
+        covariance cannot be factorized.
+
+        The per-call seed is drawn from ``rng`` unconditionally so the
+        cadence never shifts the caller's random stream.
+        """
+        if X.shape[0] == 0:
+            return None
+        own = self._owner
+        seed = int(rng.integers(0, 2**31 - 1))
+        kind = resolve_surrogate_kind(own.surrogate, X.shape[0], own.n_dense_max)
+        if kind != self._kind:
+            self.gp = None  # history crossed n_dense_max: rebuild as the new kind
+        prev = self.gp
+        refit = prev is None or self._calls % own.refit_every == 0
+        self._calls += 1
+        try:
+            if not refit:
+                n_new = prev.extends_training_data(X, y)
+                if n_new is None:
+                    # history diverged: refit without re-optimizing hyperparameters
+                    prev.optimize = False
+                    try:
+                        prev.fit(X, y)
+                    finally:
+                        prev.optimize = True
+                elif n_new:
+                    prev.update(X[-n_new:], y[-n_new:])
+                    perf.incr("tla_incremental_refits")
+                return prev
+            gp = make_surrogate(
+                kind,
+                own.kernel,
+                dim=X.shape[1],
+                seed=seed,
+                max_fun=own.gp_max_fun,
+                n_inducing=own.n_inducing,
+            )
+            if own.refit_every > 1 and prev is not None and kind == "dense":
+                # boundary refit under an amortized cadence: hyperparameters
+                # move little between boundaries, so start the MLE at the
+                # previous optimum and skip the random restarts
+                gp.kernel.set_theta(prev.kernel.get_theta())
+                gp.noise_variance = prev.noise_variance
+                gp.n_restarts = 0
+            gp.fit(X, y)
+        except GPFitError:
+            return None
+        self.gp, self._kind = gp, kind
+        return gp
 
 
 class TLAStrategy(ABC):
@@ -183,9 +243,7 @@ class TLAStrategy(ABC):
         #: set once prepare()/prepare_from_models() has run; the provider
         #: skips re-preparation for already-prepared strategies
         self.prepared = False
-        self._tgt_gp: GaussianProcess | None = None
-        self._tgt_kind: str | None = None
-        self._tgt_iter = 0
+        self._target = RefitCadence(self)
 
     # -- lifecycle -----------------------------------------------------------
     def prepare(self, sources: list[TaskData], rng: np.random.Generator) -> None:
@@ -199,24 +257,8 @@ class TLAStrategy(ABC):
         self.source_gps = fit_source_gps(
             sources, rng, kernel=self.kernel, max_fun=self.gp_max_fun, store=self.store
         )
-        self._tgt_gp = None
-        self._tgt_iter = 0
+        self._target.reset()
         self.prepared = True
-
-    def prepare_from_store(
-        self,
-        store: SourceModelStore,
-        sources: list[TaskData],
-        rng: np.random.Generator,
-    ) -> None:
-        """Prepare with source surrogates shared through ``store``.
-
-        Sugar for attaching the store then calling :meth:`prepare`; pool
-        sweeps use it to fit each source dataset exactly once across
-        many strategies and repeats.
-        """
-        self.store = store
-        self.prepare(sources, rng)
 
     @abstractmethod
     def model(self, target: TaskData, rng: np.random.Generator) -> PredictFn | None:
@@ -234,99 +276,10 @@ class TLAStrategy(ABC):
     def notify_result(self, x_unit: np.ndarray, y: float | None) -> None:
         """Called with the evaluation outcome (``None`` on failure)."""
 
-    # -- fallback shared by subclasses ----------------------------------------------
-    def _source_predict_fns(self) -> list[PredictFn]:
-        """One ``PredictFn`` per source GP, memoized through the store.
-
-        Strategies that re-evaluate the frozen source surrogates at
-        recurring points every iteration (``dynamic_weights`` over the
-        growing target history) use these so only the new rows are
-        computed.
-        """
-        if self.store is None:
-            return [gp.predict for gp in self.source_gps]
-        return [self.store.cached_predict_fn(gp) for gp in self.source_gps]
-
-    def _target_gp(
-        self, target: TaskData, rng: np.random.Generator
-    ) -> GaussianProcess | None:
-        """Fit (or incrementally refresh) the target-task GP.
-
-        On ``refit_every`` boundaries the GP is refit from scratch with
-        hyperparameter MLE — at the default cadence of 1 this happens
-        every call, exactly the pre-store behavior.  Between boundaries
-        the hyperparameters stay frozen: an unchanged history reuses the
-        model outright, appended observations are absorbed through
-        O(n^2) rank-1 :meth:`GaussianProcess.update` appends, and a
-        diverged history falls back to a non-optimizing refit.
-
-        The per-call seed is drawn from ``rng`` unconditionally so the
-        cadence never shifts the caller's random stream.
-        """
-        if target.n == 0:
-            return None
-        seed = int(rng.integers(0, 2**31 - 1))
-        kind = resolve_surrogate_kind(self.surrogate, target.n, self.n_dense_max)
-        if self._tgt_gp is not None and kind != self._tgt_kind:
-            self._tgt_gp = None  # history crossed n_dense_max: rebuild sparse
-        refit = self._tgt_gp is None or (self._tgt_iter % self.refit_every == 0)
-        self._tgt_iter += 1
-        gp = self._tgt_gp
-        if not refit and gp is not None and gp.fitted:
-            n_new = gp.extends_training_data(target.X, target.y)
-            if n_new == 0:
-                return gp
-            if n_new is not None:
-                try:
-                    gp.update(target.X[-n_new:], target.y[-n_new:])
-                except GPFitError:
-                    return None
-                perf.incr("tla_incremental_refits")
-                return gp
-            # history diverged: refit without re-optimizing hyperparameters
-            gp.optimize = False
-            try:
-                gp.fit(target.X, target.y)
-            except GPFitError:
-                return None
-            finally:
-                gp.optimize = True
-            return gp
-        prev = self._tgt_gp
-        if kind == "dense":
-            gp = GaussianProcess(
-                kernel_from_name(self.kernel, target.dim),
-                max_fun=self.gp_max_fun,
-                seed=seed,
-            )
-        else:
-            gp = make_surrogate(
-                kind,
-                self.kernel,
-                seed=seed,
-                max_fun=self.gp_max_fun,
-                n_inducing=self.n_inducing,
-            )
-        if (
-            self.refit_every > 1
-            and prev is not None
-            and prev.fitted
-            and isinstance(gp, GaussianProcess)
-            and isinstance(prev, GaussianProcess)
-        ):
-            # boundary refit under an amortized cadence: hyperparameters
-            # move little between boundaries, so start the MLE at the
-            # previous optimum and skip the random restarts
-            gp.kernel.set_theta(prev.kernel.get_theta())
-            gp.noise_variance = prev.noise_variance
-            gp.n_restarts = 0
-        try:
-            gp.fit(target.X, target.y)
-        except GPFitError:
-            return None
-        self._tgt_gp = gp
-        self._tgt_kind = kind
-        return gp
+    # -- shared by subclasses -------------------------------------------------
+    def _target_gp(self, target: TaskData, rng: np.random.Generator):
+        """The target-task GP, refreshed under the ``refit_every`` cadence."""
+        return self._target.refresh(target.X, target.y, rng)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name!r}>"

@@ -76,6 +76,9 @@ class _EnsembleBase(TLAStrategy):
             raise ValueError("ensemble pool must not be empty")
         self.best_outputs: list[float] = [math.inf] * len(self.pool)
         self._chosen: int | None = None
+        #: unit-vector bytes of each in-flight proposal -> the member that
+        #: made it; results can land after later model() calls moved _chosen
+        self._proposer: dict[bytes, int] = {}
         self._n_parameters: int | None = None
 
     def prepare(self, sources: list[TaskData], rng: np.random.Generator) -> None:
@@ -91,6 +94,7 @@ class _EnsembleBase(TLAStrategy):
             strategy.prepare(sources, rng)
         self.best_outputs = [math.inf] * len(self.pool)
         self._chosen = None
+        self._proposer = {}
 
     # -- selection machinery ----------------------------------------------
     def _probabilities(self) -> np.ndarray:
@@ -127,13 +131,18 @@ class _EnsembleBase(TLAStrategy):
     def notify_proposal(self, x_unit: np.ndarray, rng: np.random.Generator) -> None:
         for strategy in self.pool:  # stateful members stay in sync
             strategy.notify_proposal(x_unit, rng)
+        if self._chosen is not None:
+            self._proposer[np.asarray(x_unit, dtype=float).tobytes()] = self._chosen
 
     def notify_result(self, x_unit: np.ndarray, y: float | None) -> None:
         for strategy in self.pool:
             strategy.notify_result(x_unit, y)
-        if self._chosen is not None and y is not None:
-            if y < self.best_outputs[self._chosen]:
-                self.best_outputs[self._chosen] = float(y)
+        # Algorithm 1 credits the member that proposed this point; a
+        # result announced without its proposal goes to the latest choice
+        key = np.asarray(x_unit, dtype=float).tobytes()
+        member = self._proposer.pop(key, self._chosen)
+        if member is not None and y is not None and y < self.best_outputs[member]:
+            self.best_outputs[member] = float(y)
 
     @property
     def chosen_name(self) -> str | None:

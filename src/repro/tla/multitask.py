@@ -163,7 +163,7 @@ class MultitaskPS(_MultitaskBase):
 
     def model(self, target: TaskData, rng: np.random.Generator) -> PredictFn | None:
         if target.n == 0:
-            return equal_weight_model(self.source_gps, store=self.store)
+            return equal_weight_model(self.source_gps)
         source_sets = [
             (np.vstack(xs), np.asarray(ys, dtype=float)) for xs, ys in self._pseudo
         ]

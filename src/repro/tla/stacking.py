@@ -15,16 +15,17 @@ geometric means:
 
 ending with ``beta = n_target / (n_target + n_src_last)`` for the target.
 
-Fast-pool hooks: with a :class:`repro.tla.store.SourceModelStore` the
-stack GPs are content-cached (the first stack entry is the raw largest
-source, shared with every other strategy; later residual entries are
-shared across repeats of the same sweep — counted under
-``tla_stack_fits``/``tla_stack_cache_hits``) and the frozen stack's
-predictions at the recurring target anchor points are memoized.  With
-``refit_every > 1`` the per-iteration target residual GP freezes its
-hyperparameters between boundaries and absorbs appended observations
-through rank-1 updates; this is sound because the source stack never
-changes after :meth:`prepare`, so old rows' residuals are stable.
+The source stack never changes after :meth:`prepare`, so its GPs are
+predicted through their frozen views, each once per call
+(:meth:`Stacking._stack_predict`), and old rows' residuals are stable:
+with ``refit_every > 1`` the per-iteration target residual GP — a second
+:class:`repro.tla.base.RefitCadence` beside the base class's — freezes
+its hyperparameters between boundaries and absorbs appended observations
+through rank-1 updates.  The stack is fitted through
+:func:`repro.tla.base.fit_source_gps` under the ``tla_stack_*`` counters,
+so with a :class:`repro.tla.store.SourceModelStore` the first entry (the
+raw largest source) is shared with every other strategy and the residual
+entries with repeats of the same sweep.
 """
 
 from __future__ import annotations
@@ -33,11 +34,15 @@ import numpy as np
 
 from ..core import perf
 from ..core.acquisition import PredictFn
-from ..core.gp import GaussianProcess, GPFitError
+from ..core.gp import GaussianProcess
 from ..core.history import TaskData
-from ..core.kernels import kernel_from_name
-from .base import TLAStrategy, equal_weight_model
-from .store import frozen_view
+from .base import (
+    RefitCadence,
+    TLAStrategy,
+    equal_weight_model,
+    fit_source_gps,
+    frozen_predict,
+)
 
 __all__ = ["Stacking"]
 
@@ -59,8 +64,7 @@ class Stacking(TLAStrategy):
         self.order = order
         self._stack: list[GaussianProcess] = []
         self._stack_ns: list[int] = []
-        self._res_gp: GaussianProcess | None = None
-        self._res_iter = 0
+        self._residual = RefitCadence(self)
 
     # -- source stack (built once) ----------------------------------------
     def prepare(self, sources: list[TaskData], rng: np.random.Generator) -> None:
@@ -73,164 +77,53 @@ class Stacking(TLAStrategy):
             ordered = list(sources)
         self._stack = []
         self._stack_ns = []
-        self._res_gp = None
-        self._res_iter = 0
+        self._residual.reset()
         for src in ordered:
             if self._stack:
-                residual = src.y - self._stack_mean(src.X)
-            else:
-                residual = src.y
-            seed = int(rng.integers(0, 2**31 - 1))
-            if self.store is not None:
-                gp = self.store.fit_gp(
-                    src.X,
-                    residual,
-                    seed,
-                    kernel=self.kernel,
-                    max_fun=self.gp_max_fun,
-                    counter="stack",
-                )
-            else:
-                gp = GaussianProcess(
-                    kernel_from_name(self.kernel, src.dim),
-                    max_fun=self.gp_max_fun,
-                    seed=seed,
-                )
-                gp.fit(src.X, residual)
-            self._stack.append(gp)
+                src = TaskData(src.task, src.X, src.y - self._stack_mean(src.X), src.label)
+            self._stack += fit_source_gps(
+                [src],
+                rng,
+                kernel=self.kernel,
+                max_fun=self.gp_max_fun,
+                store=self.store,
+                counter="stack",
+            )
             self._stack_ns.append(src.n)
 
-    def _stack_predict(
-        self, gp: GaussianProcess, X: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Predict with one frozen stack GP (memoized through the store)."""
-        if self.store is not None:
-            return self.store.predict(gp, X)
-        return gp.predict(X)
-
-    def _stack_mean(self, X: np.ndarray) -> np.ndarray:
+    def _stack_predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The frozen source stack at ``X``: the sum of its means and the
+        iterative sample-weighted geometric mean of its stds."""
+        preds = [frozen_predict(gp)(X) for gp in self._stack]
         mean = np.zeros(X.shape[0])
-        if self.store is not None:
-            for gp in self._stack:
-                mean += self.store.predict(gp, X)[0]
-            return mean
-        for gp in self._stack:
-            mean += gp.predict_mean(X)
-        return mean
-
-    def _stack_std(self, X: np.ndarray) -> np.ndarray:
-        """Iterative sample-weighted geometric mean over the source stack."""
-        _, std = self._stack_predict(self._stack[0], X)
-        running = np.maximum(std, 1e-12)
-        for gp, n_i, n_prev in zip(
-            self._stack[1:], self._stack_ns[1:], self._stack_ns[:-1]
+        for mu_i, _ in preds:
+            mean += mu_i
+        running = np.maximum(preds[0][1], 1e-12)
+        for (_, s_i), n_i, n_prev in zip(
+            preds[1:], self._stack_ns[1:], self._stack_ns[:-1]
         ):
-            _, s_i = self._stack_predict(gp, X)
             beta = n_i / (n_i + n_prev)
             running = np.maximum(s_i, 1e-12) ** beta * running ** (1.0 - beta)
-        return running
+        return mean, running
 
-    def _stack_fast_predicts(self) -> list | None:
-        """Frozen fast predictors for the whole stack, or ``None``.
-
-        The acquisition search evaluates the combined surrogate at fresh
-        candidate batches, where the per-row memo cannot hit; the frozen
-        extraction (cached train-side quantities, raw LAPACK solves)
-        still pays there.
-        """
-        fast = [frozen_view(gp) for gp in self._stack]
-        if any(f is None for f in fast):
-            return None
-        return fast
+    def _stack_mean(self, X: np.ndarray) -> np.ndarray:
+        return self._stack_predict(X)[0]
 
     # -- per-iteration target residual ------------------------------------
-    def _residual_gp(
-        self, target: TaskData, residual: np.ndarray, rng: np.random.Generator
-    ) -> GaussianProcess | None:
-        """The target residual GP, incrementally refreshed off-boundary.
-
-        Same cadence contract as :meth:`TLAStrategy._target_gp`: the seed
-        is drawn unconditionally, ``refit_every`` boundaries re-run the
-        MLE, and in between appended rows grow the cached factorization.
-        """
-        seed = int(rng.integers(0, 2**31 - 1))
-        refit = self._res_gp is None or (self._res_iter % self.refit_every == 0)
-        self._res_iter += 1
-        gp = self._res_gp
-        if not refit and gp is not None and gp.fitted:
-            n_new = gp.extends_training_data(target.X, residual)
-            if n_new == 0:
-                return gp
-            if n_new is not None:
-                try:
-                    gp.update(target.X[-n_new:], residual[-n_new:])
-                except GPFitError:
-                    return None
-                perf.incr("tla_incremental_refits")
-                return gp
-            gp.optimize = False
-            try:
-                gp.fit(target.X, residual)
-            except GPFitError:
-                return None
-            finally:
-                gp.optimize = True
-            return gp
-        prev = self._res_gp
-        gp = GaussianProcess(
-            kernel_from_name(self.kernel, target.dim),
-            max_fun=self.gp_max_fun,
-            seed=seed,
-        )
-        if self.refit_every > 1 and prev is not None and prev.fitted:
-            # amortized cadence: warm-start the boundary MLE from the
-            # previous optimum (see TLAStrategy._target_gp)
-            gp.kernel.set_theta(prev.kernel.get_theta())
-            gp.noise_variance = prev.noise_variance
-            gp.n_restarts = 0
-        try:
-            gp.fit(target.X, residual)
-        except GPFitError:
-            return None
-        self._res_gp = gp
-        return gp
-
     def model(self, target: TaskData, rng: np.random.Generator) -> PredictFn | None:
         if target.n == 0:
-            return equal_weight_model(self.source_gps, store=self.store)
+            return equal_weight_model(self.source_gps)
         residual = target.y - self._stack_mean(target.X)
-        tgt = self._residual_gp(target, residual, rng)
+        tgt = self._residual.refresh(target.X, residual, rng)
         if tgt is None:
             return None
         n_t, n_last = target.n, self._stack_ns[-1]
         beta = n_t / (n_t + n_last)
 
-        fast = self._stack_fast_predicts() if self.store is not None else None
-        if fast is not None:
-            stack_ns = list(self._stack_ns)
-
-            def predict(X: np.ndarray):
-                perf.incr("tla_batched_predicts")
-                mu_t, sd_t = tgt.predict(X)
-                preds = [f.predict(X) for f in fast]
-                mean = mu_t
-                for mu_i, _ in preds:
-                    mean = mean + mu_i
-                running = np.maximum(preds[0][1], 1e-12)
-                for (_, s_i), n_i, n_prev in zip(
-                    preds[1:], stack_ns[1:], stack_ns[:-1]
-                ):
-                    b = n_i / (n_i + n_prev)
-                    running = np.maximum(s_i, 1e-12) ** b * running ** (1.0 - b)
-                sd = np.maximum(sd_t, 1e-12) ** beta * running ** (1.0 - beta)
-                return mean, sd
-
-            return predict
-
         def predict(X: np.ndarray):
+            perf.incr("tla_batched_predicts")
             mu_t, sd_t = tgt.predict(X)
-            mean = mu_t + self._stack_mean(X)
-            sd = np.maximum(sd_t, 1e-12) ** beta * self._stack_std(X) ** (1.0 - beta)
-            return mean, sd
+            mean, std = self._stack_predict(X)
+            return mu_t + mean, np.maximum(sd_t, 1e-12) ** beta * std ** (1.0 - beta)
 
         return predict

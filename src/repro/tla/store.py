@@ -1,35 +1,23 @@
-"""Shared source-surrogate store for the fast TLA pool (paper Sec. V).
+"""Where a fitted source GP comes from (paper Sec. V).
 
 Every strategy in the paper's Table I pool pre-trains one GP per source
-dataset during :meth:`TLAStrategy.prepare`.  Without sharing, an
-``Ensemble(proposed)`` run fits every source four times (the shell plus
-its three members), and a full Table-I sweep fits them once per strategy
-per repeat.  The :class:`SourceModelStore` removes that redundancy:
+dataset during :meth:`TLAStrategy.prepare`; :func:`fit_gp` is that fit.
+A :class:`SourceModelStore` is the same call behind a content-keyed
+cache: fitted GPs are kept under ``(sha1(X, y), kernel, max_fun)``, so
+any strategy (or repeat) asking for a surrogate of the *same data with
+the same model settings* gets the already-fitted GP back instead of
+re-running the MLE.  Without one, an ``Ensemble(proposed)`` prepare fits
+every source four times (the shell plus its three members) and a
+Table-I sweep once per strategy per repeat; with one, once.  Fits and
+hits are counted (``tla_source_fits`` / ``tla_source_cache_hits``).
 
-* **Content-keyed model cache** — fitted GPs are cached under
-  ``(sha1(X, y), kernel, max_fun)``, so any strategy (or repeat) asking
-  for a surrogate of the *same data with the same model settings* gets
-  the already-fitted GP back instead of re-running the MLE.  Hits and
-  misses are counted (``tla_source_cache_hits`` / ``tla_source_fits``).
-* **Frozen-prediction memo** — source GPs never change after
-  ``prepare()``, so their predictions at re-used points (the growing
-  target history that ``dynamic_weights`` re-evaluates every iteration,
-  the stacking residual anchor points) are memoized per row with a
-  bounded LRU.
-* **Frozen fast predictors** — :class:`FrozenGP` pre-extracts a fitted
-  GP's ``(alpha, L, scaled train inputs, y-statistics)`` once and serves
-  batch predictions with the train-side quantities cached and the
-  triangular solve done through raw LAPACK ``trtrs``.  The arithmetic
-  mirrors :meth:`GaussianProcess.predict` operation for operation, so
-  the fast path is bit-identical to the plain one — pure amortization,
-  not an approximation.
+The store decides nothing else: how a fitted GP is *predicted* (through
+its frozen view, :mod:`repro.core.frozen`) is the same with and without.
 
-Determinism contract: strategies draw their GP seeds from the shared
-``rng`` stream *before* consulting the store, so enabling the store
-never shifts the random stream.  A cache hit reuses the GP fitted by
-the first requester (whose MLE used the first requester's seed); with
-the store disabled every strategy fits its own GP exactly as before,
-bit for bit.
+Determinism contract: callers draw the GP seed from their ``rng`` stream
+*before* asking, so a store never shifts the random stream.  A cache hit
+returns the GP fitted by the first requester, whose MLE used the first
+requester's seed — the one way a store can change a result.
 """
 
 from __future__ import annotations
@@ -41,17 +29,33 @@ from collections import OrderedDict
 import numpy as np
 
 from ..core import perf
-from ..core.frozen import FrozenGP, frozen_view
 from ..core.gp import GaussianProcess
 from ..core.kernels import kernel_from_name
 
-__all__ = ["SourceModelStore", "FrozenGP", "frozen_view"]
+__all__ = ["SourceModelStore", "fit_gp"]
+
+
+def fit_gp(
+    X: np.ndarray,
+    y: np.ndarray,
+    seed: int,
+    *,
+    kernel: str = "rbf",
+    max_fun: int = 80,
+    counter: str = "source",
+) -> GaussianProcess:
+    """Fit a dense GP to ``(X, y)``, counted as ``tla_{counter}_fits``."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    gp = GaussianProcess(kernel_from_name(kernel, X.shape[1]), max_fun=max_fun, seed=seed)
+    gp.fit(X, y)
+    perf.incr(f"tla_{counter}_fits")
+    return gp
 
 
 def _data_key(X: np.ndarray, y: np.ndarray) -> bytes:
     """Content hash of a dataset (the cache key's data component)."""
     h = hashlib.sha1()
-    X = np.ascontiguousarray(np.asarray(X, dtype=float))
+    X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)))
     y = np.ascontiguousarray(np.asarray(y, dtype=float).ravel())
     h.update(str(X.shape).encode())
     h.update(X.tobytes())
@@ -60,48 +64,31 @@ def _data_key(X: np.ndarray, y: np.ndarray) -> bytes:
 
 
 class SourceModelStore:
-    """Content-keyed cache of fitted source GPs + frozen-prediction memo.
+    """Content-keyed LRU cache of fitted source GPs (at most ``max_models``).
 
-    Thread-safe for concurrent readers/writers (a single lock guards the
-    two LRU maps; GP fitting itself happens outside the lock).
-
-    Parameters
-    ----------
-    max_models:
-        Bound on cached fitted GPs (LRU-evicted beyond this).
-    max_memo_rows:
-        Bound on memoized per-point predictions across all models.
+    Thread-safe for concurrent readers/writers (a lock guards the map;
+    GP fitting itself happens outside the lock).
     """
 
-    def __init__(self, *, max_models: int = 128, max_memo_rows: int = 100_000) -> None:
+    def __init__(self, *, max_models: int = 128) -> None:
         self.max_models = int(max_models)
-        self.max_memo_rows = int(max_memo_rows)
         self._models: OrderedDict[tuple, GaussianProcess] = OrderedDict()
-        self._memo: OrderedDict[tuple, tuple[float, float]] = OrderedDict()
         self._lock = threading.Lock()
 
     # -- pickling (process-pool benchmarks ship stores to workers) --------
     def __getstate__(self):
         with self._lock:
-            return {
-                "max_models": self.max_models,
-                "max_memo_rows": self.max_memo_rows,
-                "_models": OrderedDict(self._models),
-                "_memo": OrderedDict(self._memo),
-            }
+            return {"max_models": self.max_models, "_models": OrderedDict(self._models)}
 
     def __setstate__(self, state):
         self.max_models = state["max_models"]
-        self.max_memo_rows = state["max_memo_rows"]
         self._models = state["_models"]
-        self._memo = state["_memo"]
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._models)
 
-    # -- fitted-model cache ----------------------------------------------
     def fit_gp(
         self,
         X: np.ndarray,
@@ -112,15 +99,12 @@ class SourceModelStore:
         max_fun: int = 80,
         counter: str = "source",
     ) -> GaussianProcess:
-        """A GP fitted to ``(X, y)``, reusing a cached fit when available.
+        """:func:`fit_gp`, reusing a cached fit of the same content.
 
         ``seed`` must be drawn from the caller's rng *unconditionally*
-        (also on what turns out to be a cache hit), so the store never
-        shifts the caller's random stream.  ``counter`` names the perf
-        counters (``tla_{counter}_fits`` / ``tla_{counter}_cache_hits``).
+        (also on what turns out to be a cache hit).  Hits are counted as
+        ``tla_{counter}_cache_hits``.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
         key = (_data_key(X, y), str(kernel), int(max_fun))
         with self._lock:
             gp = self._models.get(key)
@@ -129,11 +113,7 @@ class SourceModelStore:
         if gp is not None:
             perf.incr(f"tla_{counter}_cache_hits")
             return gp
-        gp = GaussianProcess(
-            kernel_from_name(kernel, X.shape[1]), max_fun=max_fun, seed=seed
-        )
-        gp.fit(X, y)
-        perf.incr(f"tla_{counter}_fits")
+        gp = fit_gp(X, y, seed, kernel=kernel, max_fun=max_fun, counter=counter)
         with self._lock:
             self._models[key] = gp
             while len(self._models) > self.max_models:
@@ -141,52 +121,3 @@ class SourceModelStore:
             n_models = len(self._models)
         perf.gauge("tla_store_models", n_models)
         return gp
-
-    # -- frozen-prediction memo ------------------------------------------
-    def predict(self, gp: GaussianProcess, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Predict with ``gp`` at ``X``, memoizing per-row results.
-
-        Only worthwhile for *frozen* GPs evaluated at recurring points
-        (the target history, the incumbent): rows already seen are
-        served from the memo and only the new rows are computed, in one
-        batch.  The memo key includes the GP's fit version, so a GP that
-        is ever refit simply stops hitting its stale entries.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        frozen = frozen_view(gp)
-        token = (id(gp), gp.version)
-        keys = [token + (row.tobytes(),) for row in X]
-        mean = np.empty(X.shape[0])
-        std = np.empty(X.shape[0])
-        miss: list[int] = []
-        with self._lock:
-            for i, k in enumerate(keys):
-                hit = self._memo.get(k)
-                if hit is None:
-                    miss.append(i)
-                else:
-                    self._memo.move_to_end(k)
-                    mean[i], std[i] = hit
-        n_hits = X.shape[0] - len(miss)
-        if n_hits:
-            perf.incr("tla_pred_memo_hits", n_hits)
-        if miss:
-            predictor = frozen.predict if frozen is not None else gp.predict
-            mu, sd = predictor(X[miss])
-            mean[miss] = mu
-            std[miss] = sd
-            with self._lock:
-                for j, i in enumerate(miss):
-                    self._memo[keys[i]] = (float(mu[j]), float(sd[j]))
-                while len(self._memo) > self.max_memo_rows:
-                    self._memo.popitem(last=False)
-        return mean, std
-
-    def cached_predict_fn(self, gp: GaussianProcess):
-        """A ``PredictFn`` bound to :meth:`predict` for this store."""
-
-        def predict(X: np.ndarray):
-            return self.predict(gp, X)
-
-        predict.__wrapped_gp__ = gp
-        return predict

@@ -61,9 +61,7 @@ class StrategyProvider:
         predict = self.strategy.model(hist.as_task_data(), rng)
         if predict is None:
             try:
-                predict = equal_weight_model(
-                    self.strategy.source_gps, store=self.strategy.store
-                )
+                predict = equal_weight_model(self.strategy.source_gps)
             except ValueError:
                 return None  # no source surrogate either: random search
         return predict

@@ -27,9 +27,10 @@ from __future__ import annotations
 import numpy as np
 from scipy import optimize as sopt
 
+from ..core import perf
 from ..core.acquisition import PredictFn
 from ..core.history import TaskData
-from .base import TLAStrategy, combine_weighted, equal_weight_model
+from .base import TLAStrategy, combine_weighted, equal_weight_model, frozen_predict
 
 __all__ = ["WeightedSumStatic", "WeightedSumDynamic", "dynamic_weights"]
 
@@ -56,7 +57,8 @@ def dynamic_weights(
         return None
     try:
         w, _ = sopt.nnls(A, lhs)
-    except Exception:
+    except (RuntimeError, ValueError):  # iteration cap hit / malformed system
+        perf.incr("tla_weight_solver_failures")
         return None
     if not np.any(w > 0):
         return None
@@ -79,8 +81,8 @@ class WeightedSumStatic(TLAStrategy):
     def model(self, target: TaskData, rng: np.random.Generator) -> PredictFn | None:
         target_gp = self._target_gp(target, rng)
         if target_gp is None:
-            return equal_weight_model(self.source_gps, store=self.store)
-        models = [gp.predict for gp in self.source_gps] + [target_gp.predict]
+            return equal_weight_model(self.source_gps)
+        models = [frozen_predict(gp) for gp in self.source_gps] + [target_gp.predict]
         if self.static_weights is not None:
             if self.static_weights.shape != (len(models),):
                 raise ValueError(
@@ -90,7 +92,7 @@ class WeightedSumStatic(TLAStrategy):
             w = self.static_weights
         else:
             w = np.ones(len(models))
-        return combine_weighted(models, w, store=self.store)
+        return combine_weighted(models, w)
 
 
 class WeightedSumDynamic(TLAStrategy):
@@ -102,12 +104,9 @@ class WeightedSumDynamic(TLAStrategy):
     def model(self, target: TaskData, rng: np.random.Generator) -> PredictFn | None:
         target_gp = self._target_gp(target, rng)
         if target_gp is None:
-            return equal_weight_model(self.source_gps, store=self.store)
-        # the Sec. V-C regression re-evaluates the frozen source
-        # surrogates at the growing target history every iteration;
-        # the store-memoized predictors only compute the new rows
-        models = self._source_predict_fns() + [target_gp.predict]
+            return equal_weight_model(self.source_gps)
+        models = [frozen_predict(gp) for gp in self.source_gps] + [target_gp.predict]
         w = dynamic_weights(models, target)
         if w is None:  # not enough target data yet: paper's equal fallback
             w = np.ones(len(models))
-        return combine_weighted(models, w, store=self.store)
+        return combine_weighted(models, w)

@@ -191,7 +191,7 @@ class TestSerialization:
         assert np.array_equal(s1, s2)
 
     def test_roundtrip_bitwise_through_frozen_view(self, rng):
-        from repro.tla.store import frozen_view
+        from repro.core.frozen import frozen_view
 
         X, y = _train(rng)
         gp = GaussianProcess(RBF(2), seed=0).fit(X, y)

@@ -13,7 +13,8 @@ import pytest
 
 from repro.core import perf
 from repro.core.frozen import frozen_view
-from repro.core.gp import GaussianProcess, GPFitError, cholesky_with_jitter
+from repro.core.gp import GaussianProcess, GPFitError, cholesky_at, cholesky_with_jitter
+from repro.core.kernels import RBF, Matern52
 from repro.core.sparse import (
     PartitionedGP,
     SparseGP,
@@ -292,7 +293,12 @@ class TestFactoryAndPolicy:
     def test_make_surrogate(self):
         assert isinstance(make_surrogate("sparse", "rbf", n_inducing=7), SparseGP)
         assert isinstance(make_surrogate("partitioned", "rbf"), PartitionedGP)
-        with pytest.raises(ValueError):
+        dense = make_surrogate("dense", "matern52", dim=3, max_fun=40, n_restarts=2)
+        assert type(dense) is GaussianProcess and isinstance(dense.kernel, Matern52)
+        assert (dense.kernel.dim, dense.max_fun, dense.n_restarts) == (3, 40, 2)
+        kernel = RBF(2)  # a Kernel instance (the mixed-space kernel) needs no dim
+        assert make_surrogate("dense", kernel).kernel is kernel
+        with pytest.raises(ValueError, match="dim"):
             make_surrogate("dense", "rbf")
         with pytest.raises(ValueError):
             make_surrogate("bogus", "rbf")
@@ -336,3 +342,20 @@ class TestJitterLadderFailure:
             _, jitter = cholesky_with_jitter(np.eye(4))
         assert jitter == 0.0
         assert "gp_jitter_retries" not in stats.snapshot()["counters"]
+
+    def test_replay_at_the_recorded_rung(self):
+        """``cholesky_at`` reproduces the ladder's factor from its rung, and
+        walks the ladder again (counted) when that rung no longer factorizes."""
+        v = np.array([[1.0], [1.0], [1.0]])
+        K = v @ v.T
+        L, jitter = cholesky_with_jitter(K)
+        K_before = K.copy()
+        with perf.collect() as stats:
+            L2, jitter2 = cholesky_at(K, jitter)
+        assert np.array_equal(L2, L) and jitter2 == jitter
+        assert np.array_equal(K, K_before)
+        assert "gp_jitter_replay_fallbacks" not in stats.snapshot()["counters"]
+        with perf.collect() as stats:
+            L3, jitter3 = cholesky_at(K, 0.0)  # a rung too low for this matrix
+        assert np.array_equal(L3, L) and jitter3 == jitter
+        assert stats.snapshot()["counters"]["gp_jitter_replay_fallbacks"] == 1

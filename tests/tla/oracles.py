@@ -1,0 +1,70 @@
+"""Reference surrogates for the TLA pool, over plain ``gp.predict``.
+
+:mod:`repro.tla` serves source and stack GPs through frozen views and
+evaluates each once per call.  These are the formulas as the paper
+states them — the per-model Eq. (1)-(2) loop and the Stacking mean/std
+recursion of Sec. V-D — written one model at a time over the GPs' own
+``predict``, kept as the test oracle the pool must equal bit for bit on
+the same batch.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.tla import Stacking, WeightedSumDynamic, dynamic_weights
+from repro.tla.ensemble import _EnsembleBase
+from repro.tla.multitask import _MultitaskBase
+
+
+def weighted_sum(gps, weights, X):
+    """Eq. (1)-(2): weights normalized to sum 1, arithmetic mean of the
+    means, geometric mean of the standard deviations."""
+    weights = np.asarray(weights, dtype=float)
+    weights = weights / float(np.sum(weights))
+    mean = np.zeros(X.shape[0])
+    log_std = np.zeros(X.shape[0])
+    for w, gp in zip(weights, gps):
+        mu, sd = gp.predict(X)
+        mean += w * mu
+        log_std += w * np.log(np.maximum(sd, 1e-12))
+    return mean, np.exp(log_std)
+
+
+def stacking(stack, stack_ns, residual_gp, n_target, X):
+    """Sec. V-D: the residual GP's mean on top of the summed stack means;
+    stds combined down the stack by sample-count-weighted geometric means."""
+    stack_mean = np.zeros(X.shape[0])
+    for gp in stack:
+        stack_mean += gp.predict(X, return_std=False)
+    running = np.maximum(stack[0].predict(X)[1], 1e-12)
+    for gp, n_i, n_prev in zip(stack[1:], stack_ns[1:], stack_ns[:-1]):
+        beta = n_i / (n_i + n_prev)
+        running = np.maximum(gp.predict(X)[1], 1e-12) ** beta * running ** (1.0 - beta)
+    mu_t, sd_t = residual_gp.predict(X)
+    beta = n_target / (n_target + stack_ns[-1])
+    return mu_t + stack_mean, np.maximum(sd_t, 1e-12) ** beta * running ** (1.0 - beta)
+
+
+def strategy_surrogate(strategy, target, X):
+    """What ``strategy.model(target, rng)``, just called, must return at ``X``.
+
+    Reads the fitted pieces off the strategy (source GPs, the stack, the
+    target-side GP of the latest call, the ensemble's chosen member) and
+    combines them with the oracles above.
+    """
+    if isinstance(strategy, _EnsembleBase):
+        return strategy_surrogate(strategy.pool[strategy._chosen], target, X)
+    if isinstance(strategy, _MultitaskBase) and strategy._lcm is not None:
+        return strategy._lcm.predict(len(strategy.source_gps), X)
+    if target.n == 0:
+        return weighted_sum(strategy.source_gps, np.ones(len(strategy.source_gps)), X)
+    if isinstance(strategy, Stacking):
+        return stacking(
+            strategy._stack, strategy._stack_ns, strategy._residual.gp, target.n, X
+        )
+    gps = strategy.source_gps + [strategy._target.gp]
+    weights = None
+    if isinstance(strategy, WeightedSumDynamic):
+        weights = dynamic_weights([gp.predict for gp in gps], target)
+    return weighted_sum(gps, np.ones(len(gps)) if weights is None else weights, X)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import TaskData
+from repro.core import TaskData, perf
+from repro.tla import Stacking, WeightedSumStatic
 from repro.tla.base import combine_weighted, equal_weight_model, fit_source_gps
 
 
@@ -97,3 +98,83 @@ class TestEqualWeightModel:
         # normalized equal weights: average of the source means
         assert mean[0] == pytest.approx(1.5, abs=0.2)
         assert std[0] > 0
+
+
+@pytest.mark.parametrize(
+    "cadence_of",
+    [
+        lambda **kw: WeightedSumStatic(**kw)._target,
+        lambda **kw: Stacking(**kw)._residual,
+    ],
+    ids=["target-gp", "stacking-residual"],
+)
+class TestRefitCadence:
+    """The one refit-cadence state machine, driven for both of its users:
+    the base class's target GP and Stacking's residual GP."""
+
+    @staticmethod
+    def _data(n, seed=0):
+        X = np.random.default_rng(seed).random((n, 2))
+        return X, np.sin(3 * X[:, 0]) + X[:, 1] ** 2
+
+    def test_boundaries_refit_and_steps_between_absorb(self, cadence_of, rng):
+        cadence = cadence_of(refit_every=3)
+        X, y = self._data(12)
+        first = cadence.refresh(X[:6], y[:6], rng)
+        assert first.n_train == 6 and first.n_restarts == 1  # cold boundary fit
+        with perf.collect() as stats:
+            # unchanged data off the boundary: the model is reused outright
+            assert cadence.refresh(X[:6], y[:6], rng) is first
+            assert first.version == 1
+            # appended rows: absorbed by rank-1 updates, hyperparameters frozen
+            theta = first.kernel.get_theta().copy()
+            assert cadence.refresh(X[:8], y[:8], rng) is first
+        assert first.n_train == 8 and np.array_equal(first.kernel.get_theta(), theta)
+        counters = stats.snapshot()["counters"]
+        assert counters["tla_incremental_refits"] == 1
+        assert counters["gp_incremental_updates"] == 2 and "gp_fits" not in counters
+        # the next boundary re-runs the MLE in a fresh GP, warm-started
+        second = cadence.refresh(X[:9], y[:9], rng)
+        assert second is not first and second.n_train == 9
+        assert second.n_restarts == 0
+
+    def test_diverged_history_refits_without_reoptimizing(self, cadence_of, rng):
+        cadence = cadence_of(refit_every=4)
+        X, y = self._data(10)
+        gp = cadence.refresh(X[:6], y[:6], rng)
+        theta = gp.kernel.get_theta().copy()
+        with perf.collect() as stats:
+            assert cadence.refresh(X[2:9], y[2:9], rng) is gp  # not a prefix
+        assert gp.n_train == 7 and gp.optimize is True
+        assert np.array_equal(gp.kernel.get_theta(), theta)
+        counters = stats.snapshot()["counters"]
+        assert counters["gp_fits"] == 1 and "tla_incremental_refits" not in counters
+
+    def test_default_cadence_cold_fits_every_call(self, cadence_of, rng):
+        cadence = cadence_of()  # refit_every=1: no warm start, restarts kept
+        X, y = self._data(8)
+        first = cadence.refresh(X[:6], y[:6], rng)
+        second = cadence.refresh(X[:6], y[:6], rng)
+        assert second is not first and second.n_restarts == 1
+
+    def test_seed_drawn_on_every_call(self, cadence_of):
+        """Reuse, append, diverged refit and boundary fit each consume exactly
+        one draw, so the cadence never shifts the caller's random stream."""
+        cadence = cadence_of(refit_every=3)
+        X, y = self._data(10)
+        rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+        for lo, hi in [(0, 5), (0, 5), (0, 7), (0, 8), (1, 8), (1, 9)]:
+            cadence.refresh(X[lo:hi], y[lo:hi], rng)
+            reference.integers(0, 2**31 - 1)
+            assert rng.bit_generator.state == reference.bit_generator.state
+        empty = cadence.refresh(X[:0], y[:0], rng)  # no data: no model, no draw
+        assert empty is None
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_reset_forgets_the_model(self, cadence_of, rng):
+        cadence = cadence_of(refit_every=5)
+        X, y = self._data(8)
+        first = cadence.refresh(X, y, rng)
+        cadence.reset()
+        assert cadence.gp is None
+        assert cadence.refresh(X, y, rng) is not first

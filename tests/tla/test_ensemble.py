@@ -217,6 +217,59 @@ class TestRePrepare:
         assert pool[0].store is own
 
 
+class TestCreditWithSeveralProposalsInFlight:
+    """Algorithm 1 charges an outcome to the member that proposed the
+    point, not to whichever member the latest ``model()`` call picked."""
+
+    def test_result_after_a_later_model_call_credits_its_proposer(self):
+        ens, _ = _make(EnsembleToggling)
+        rng = np.random.default_rng(0)
+        x1, x2 = np.array([0.1, 0.2]), np.array([0.7, 0.8])
+        ens.model(_target(), rng)  # member 0
+        ens.notify_proposal(x1, rng)
+        ens.model(_target(), rng)  # member 1
+        ens.notify_proposal(x2, rng)
+        ens.notify_result(x1, 1.5)  # lands late: member 1 is the latest choice
+        assert ens.best_outputs == [1.5, math.inf, math.inf]
+        ens.notify_result(x2, 0.5)
+        assert ens.best_outputs == [1.5, 0.5, math.inf]
+        assert not ens._proposer  # settled proposals are forgotten
+
+    def test_async_engine_with_a_scripted_pool(self, shifted_quadratics, source_factory):
+        """Four workers, batches of two: the members themselves log whose
+        ``model()`` preceded each proposal, and every member's recorded best
+        must be the best outcome among its own proposals."""
+        from repro.engine import AsyncTuner, EngineOptions
+        from repro.tla import StrategyProvider
+
+        script = {"current": None, "owner": {}}
+
+        class Scripted(_StubStrategy):
+            def model(self, target, rng):
+                script["current"] = self.name
+                return super().model(target, rng)
+
+            def notify_proposal(self, x_unit, rng):
+                script["owner"][x_unit.tobytes()] = script["current"]
+
+        pool = [Scripted(f"s{i}") for i in range(3)]
+        ens = EnsembleToggling(pool=pool)
+        tuner = AsyncTuner(
+            shifted_quadratics,
+            None,
+            EngineOptions(n_workers=4, batch=2, base_latency_s=0.01),
+        )
+        src = source_factory(shifted_quadratics, {"t": 0}, 10, seed=0)
+        tuner.provider = StrategyProvider(ens, [src])
+        res = tuner.tune({"t": 5}, 14, seed=3)
+        space = shifted_quadratics.parameter_space
+        expected = {m.name: math.inf for m in pool}
+        for e in res.history.evaluations:
+            owner = script["owner"][space.to_unit(e.config).tobytes()]
+            expected[owner] = min(expected[owner], float(e.output))
+        assert ens.best_outputs == [expected[m.name] for m in pool]
+
+
 class TestFailureBookkeeping:
     """Best-output tracking under failed evaluations (paper Alg. 1)."""
 

@@ -1,4 +1,5 @@
-"""Tests for repro.tla.store: model cache, frozen fast path, prediction memo."""
+"""Tests for repro.tla.store (the fitted-model cache) and the frozen views
+the pool predicts source GPs through."""
 
 from __future__ import annotations
 
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 from repro.core import perf
+from repro.core.frozen import frozen_view
 from repro.core.gp import GaussianProcess
 from repro.core.kernels import Matern52, kernel_from_name
-from repro.tla.store import FrozenGP, SourceModelStore, frozen_view
+from repro.tla import FrozenGP, SourceModelStore
 
 
 def _data(seed=0, n=30, d=2):
@@ -105,67 +107,6 @@ class TestFrozenGP:
 
     def test_unfitted_gp_has_no_view(self):
         assert frozen_view(GaussianProcess()) is None
-
-
-class TestPredictionMemo:
-    def test_rows_memoized(self):
-        store = SourceModelStore()
-        X, y = _data()
-        gp = store.fit_gp(X, y, seed=1)
-        Xq = np.random.default_rng(2).random((8, 2))
-        mu1, sd1 = store.predict(gp, Xq)
-        with perf.collect() as stats:
-            mu2, sd2 = store.predict(gp, Xq)
-        assert stats.snapshot()["counters"]["tla_pred_memo_hits"] == 8
-        assert np.array_equal(mu1, mu2) and np.array_equal(sd1, sd2)
-
-    def test_partial_hit_computes_only_new_rows(self):
-        store = SourceModelStore()
-        X, y = _data()
-        gp = store.fit_gp(X, y, seed=1)
-        Xq = np.random.default_rng(2).random((8, 2))
-        store.predict(gp, Xq[:5])
-        with perf.collect() as stats:
-            mu, sd = store.predict(gp, Xq)
-        assert stats.snapshot()["counters"]["tla_pred_memo_hits"] == 5
-        mu_ref, sd_ref = gp.predict(Xq)
-        assert np.allclose(mu, mu_ref, atol=1e-12)
-        assert np.allclose(sd, sd_ref, atol=1e-12)
-
-    def test_memo_matches_direct_predict(self):
-        store = SourceModelStore()
-        X, y = _data()
-        gp = store.fit_gp(X, y, seed=1)
-        Xq = np.random.default_rng(3).random((10, 2))
-        mu, sd = store.predict(gp, Xq)
-        mu_ref, sd_ref = gp.predict(Xq)
-        assert np.array_equal(mu, mu_ref) and np.array_equal(sd, sd_ref)
-
-    def test_refit_invalidates_memo(self):
-        store = SourceModelStore()
-        X, y = _data()
-        gp = store.fit_gp(X, y, seed=1)
-        Xq = np.random.default_rng(3).random((4, 2))
-        store.predict(gp, Xq)
-        gp.fit(X, -y)  # version bump: memo keys go stale
-        mu, _ = store.predict(gp, Xq)
-        assert np.array_equal(mu, gp.predict(Xq)[0])
-
-    def test_memo_bounded(self):
-        store = SourceModelStore(max_memo_rows=6)
-        X, y = _data()
-        gp = store.fit_gp(X, y, seed=1)
-        store.predict(gp, np.random.default_rng(4).random((10, 2)))
-        assert len(store._memo) <= 6
-
-    def test_cached_predict_fn_exposes_gp(self):
-        store = SourceModelStore()
-        X, y = _data()
-        gp = store.fit_gp(X, y, seed=1)
-        fn = store.cached_predict_fn(gp)
-        assert fn.__wrapped_gp__ is gp
-        Xq = np.random.default_rng(5).random((3, 2))
-        assert np.array_equal(fn(Xq)[0], gp.predict(Xq)[0])
 
 
 class TestSeedBurning:
