@@ -16,19 +16,31 @@ history sizes for both paths and checks the two hot-path guarantees:
 * a tuner run with the incremental path enabled produces the *identical*
   best-so-far trajectory as one with it disabled (same seed) — the
   optimization is a pure amortization, not an approximation.
+
+It also records what one ``predict`` call costs (absolute microseconds,
+dense and sparse, at the acquisition search's two batch shapes: the
+16-row polish batch, where per-call overhead dominates, and the 1024-row
+candidate sweep), checked against the textbook predictor of
+:mod:`tests.core.oracles` — a trajectory to diff, not a ratio.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.apps.synthetic import DemoFunction
-from repro.core import RBF, GaussianProcess, Tuner, TunerOptions, perf
+from repro.core import RBF, GaussianProcess, SparseGP, Tuner, TunerOptions, perf
 from repro.core import gp as gp_mod
 
 from harness import FULL, SMOKE, save_results
+
+sys.path.insert(0, str(Path(__file__).parent.parent))  # the repo root, for the oracle
+
+from tests.core import oracles  # noqa: E402
 
 HISTORY_SIZES = [25, 50, 100, 200]
 DIM = 4
@@ -182,3 +194,57 @@ def test_trajectories_identical_with_incremental():
     np.testing.assert_allclose(
         trajs[True], trajs[False], rtol=0.0, atol=0.0, equal_nan=True
     )
+
+
+#: (surrogate, history sizes); the sparse model keeps m = min(100, n) inducing points
+PREDICT_MODELS = (("dense", (50, 200)), ("sparse", (50, 200, 1200)))
+PREDICT_ROWS = (16, 1024)
+
+
+def _predict_us(model, Xq: np.ndarray) -> float:
+    """Best-of-REPEATS mean microseconds per ``predict(Xq)`` call."""
+    calls = max(5, (4800 if SMOKE else 48000) // Xq.shape[0])
+    best = np.inf
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            model.predict(Xq)
+        best = min(best, (time.perf_counter() - t0) / calls)
+    return 1e6 * best
+
+
+def test_predict_cost_per_call():
+    """What one ``predict`` costs, by surrogate, history size and batch rows."""
+    rows = []
+    for kind, sizes in PREDICT_MODELS:
+        for n in sizes:
+            X, y = _training_data(n - 1)
+            if kind == "dense":
+                model, oracle = GaussianProcess(RBF(DIM), optimize=False), oracles.gp_predict
+            else:
+                model = SparseGP(RBF(DIM), n_inducing=100, optimize=False)
+                oracle = oracles.sparse_predict
+            model.fit(X, y)
+            for n_rows in PREDICT_ROWS:
+                Xq = np.random.default_rng(n_rows).random((n_rows, DIM))
+                mean, std = model.predict(Xq)
+                mean_ref, std_ref = oracle(model, Xq)
+                assert np.array_equal(mean, mean_ref) and np.array_equal(std, std_ref)
+                rows.append(
+                    {
+                        "surrogate": kind,
+                        "history_size": n,
+                        "rows": n_rows,
+                        "us_per_call": _predict_us(model, Xq),
+                    }
+                )
+
+    print("\npredict cost per call (RBF, optimize off)")
+    print(f"{'surrogate':>9}  {'n':>5}  {'rows':>5}  {'us / call':>10}")
+    for r in rows:
+        print(
+            f"{r['surrogate']:>9}  {r['history_size']:>5}  {r['rows']:>5}"
+            f"  {r['us_per_call']:>10.1f}"
+        )
+    save_results("hotpath_predict", {"rows": rows, "dim": DIM, "repeats": REPEATS})
+    assert all(r["us_per_call"] > 0 for r in rows)

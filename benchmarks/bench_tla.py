@@ -1,7 +1,7 @@
 """TLA-pool benchmark: what an ensemble run costs, and that the pool is exact.
 
-The TLA pool (paper Sec. V, Table I) has one path: source and stack GPs
-are served through frozen views, target-side GPs by a ``refit_every``
+The TLA pool (paper Sec. V, Table I) has one path: every member is called
+through its own ``predict``, target-side GPs are kept by a ``refit_every``
 cadence, and a :class:`repro.tla.SourceModelStore` only decides where a
 fitted source GP comes from.  This benchmark records, with no baseline
 path to beat:
@@ -14,9 +14,9 @@ path to beat:
   members each fit every source (``tla_source_fits == 4 * n_sources``);
   with one each source is fitted once and the members hit the cache
   (``tla_source_cache_hits == 3 * n_sources``).
-* **Exactness** — ``combine_weighted`` over frozen views and every
+* **Exactness** — ``combine_weighted`` over the source GPs and every
   strategy's surrogate equal the test oracle (:mod:`tests.tla.oracles`,
-  the paper's formulas over plain ``gp.predict``) bit for bit.
+  the paper's formulas over the textbook GP predictor) bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from repro.apps.synthetic import DemoFunction
 from repro.core import perf
 from repro.tla import STRATEGY_REGISTRY, SourceModelStore, TransferTuner, get_strategy
-from repro.tla.base import combine_weighted, fit_source_gps, frozen_predict
+from repro.tla.base import combine_weighted, fit_source_gps
 
 from harness import SMOKE, collect_source, save_results
 
@@ -115,7 +115,7 @@ def test_ensemble_prepare_tune_timings():
 
 
 def test_pool_matches_oracle():
-    """Acceptance pin: the pool's surrogates equal the plain-predict oracle."""
+    """Acceptance pin: the pool's surrogates equal the one-at-a-time oracle."""
     app = DemoFunction()
     sources = _sources(app)
     rng = np.random.default_rng(0)
@@ -124,7 +124,7 @@ def test_pool_matches_oracle():
     weights = np.array([1.0, 0.5, 2.0, 1.5])
     Xq = np.random.default_rng(1).random((256, dim))
 
-    mu, sd = combine_weighted([frozen_predict(gp) for gp in gps], weights)(Xq)
+    mu, sd = combine_weighted([gp.predict for gp in gps], weights)(Xq)
     mu_ref, sd_ref = oracles.weighted_sum(gps, weights, Xq)
     err_mu = float(np.max(np.abs(mu - mu_ref)))
     err_ls = float(np.max(np.abs(np.log(sd) - np.log(sd_ref))))

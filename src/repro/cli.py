@@ -68,11 +68,19 @@ def build_app(name: str, machine_key: str | None, nodes: int) -> HPCApplication:
     return cls()
 
 
-def _parse_task(app: HPCApplication, text: str | None) -> dict[str, Any]:
+def _parse_task(
+    app: HPCApplication, text: str | None, flag: str = "--task"
+) -> dict[str, Any]:
+    """The task named by a JSON ``flag`` value (the app's default without one)."""
     if text is None:
         return app.default_task()
-    task = json.loads(text)
-    app.input_space().validate(task)
+    try:
+        task = json.loads(text)
+        if not isinstance(task, dict):
+            raise ValueError(f"expected a JSON object, got {text!r}")
+        app.input_space().validate(task)
+    except ValueError as exc:  # malformed JSON, or a SpaceError from validate()
+        raise SystemExit(f"{flag}: {exc}")
     return task
 
 
@@ -102,7 +110,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if args.tla:
         rng = np.random.default_rng(args.seed + 1000)
         space = problem.parameter_space
-        src_task = json.loads(args.source_task) if args.source_task else task
+        src_task = task
+        if args.source_task:
+            src_task = _parse_task(app, args.source_task, "--source-task")
         configs, ys = [], []
         while len(ys) < args.source_samples:
             c = space.sample(rng)

@@ -14,8 +14,7 @@ from .acquisition import (
 )
 from .combine import combine_stacked, normalized_weight_matrix, normalized_weights
 from .feasibility import KnnFeasibility
-from .frozen import FrozenGP, frozen_view
-from .gp import GaussianProcess, GPFitError
+from .gp import GaussianProcess, GPFitError, Surrogate
 from .history import History, TaskData
 from .kernels import RBF, Matern32, Matern52, kernel_from_name
 from .lcm import LCM, LCMFitError
@@ -55,7 +54,6 @@ __all__ = [
     "Evaluation",
     "ExpectedImprovement",
     "FixedSpace",
-    "FrozenGP",
     "GaussianProcess",
     "GPFitError",
     "History",
@@ -81,6 +79,7 @@ __all__ = [
     "SparseGP",
     "Space",
     "SpaceError",
+    "Surrogate",
     "TaskAwareSurrogate",
     "TaskData",
     "Tuner",
@@ -88,7 +87,6 @@ __all__ = [
     "TuningProblem",
     "TuningResult",
     "combine_stacked",
-    "frozen_view",
     "get_acquisition",
     "get_sampler",
     "kernel_from_name",

@@ -27,6 +27,18 @@ guides' "vectorize, avoid copies, profile the Cholesky" advice):
 * A progressively increased jitter guards Cholesky factorizations.
 * :meth:`update` appends observations to the stored factorization in
   O(n^2) per point (no O(n^3) refit when hyperparameters are unchanged).
+* There is one predictor.  The fit state carries everything a prediction
+  reuses — the kernel's train side (``X / lengthscales`` and its squared
+  norms, :meth:`Kernel.train_side`) and the factor in Fortran order — so
+  :meth:`predict` pays for the training inputs once per fit and solves
+  through raw ``trtrs``; per call that is what matters on the 16-row
+  batches the acquisition polish issues.  ``fit`` / ``update`` /
+  ``from_dict`` *replace* the state and never mutate it, so holding
+  ``gp._state`` is holding a snapshot (the fantasy save/restore in
+  :func:`repro.core.optimizer.propose_batch` does exactly that).
+
+:class:`Surrogate` is the part of the interface the dense GP shares with
+the large-n classes of :mod:`repro.core.sparse`, written once.
 """
 
 from __future__ import annotations
@@ -39,11 +51,12 @@ from scipy import optimize as sopt
 from scipy.linalg import get_lapack_funcs
 
 from . import perf
-from .kernels import RBF, Kernel, pairwise_sq_diffs
+from .kernels import RBF, Kernel, kernel_from_name, kernel_name, pairwise_sq_diffs
 
 __all__ = [
     "GaussianProcess",
     "GPFitError",
+    "Surrogate",
     "cholesky_with_jitter",
     "cholesky_at",
     "chol_solve_inv",
@@ -194,22 +207,113 @@ def _nll_grad(theta: np.ndarray, D: np.ndarray, ys: np.ndarray) -> tuple[float, 
     return float(nll), grad
 
 
+def target_scale(y: np.ndarray) -> tuple[float, float]:
+    """``(mean, std)`` the targets are standardized by; a constant (or
+    non-finite-spread) history keeps unit scale."""
+    y_mean = float(np.mean(y))
+    y_std = float(np.std(y))
+    if not np.isfinite(y_std) or y_std < 1e-12:
+        y_std = 1.0
+    return y_mean, y_std
+
+
+def _as_xy(X: np.ndarray, y: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(n, d)`` inputs and ``(n,)`` targets as float arrays, row counts checked."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    if X.shape[0] != y.shape[0]:
+        raise ValueError(f"{name} rows ({X.shape[0]}) != y length ({y.shape[0]})")
+    return X, y
+
+
+class Surrogate:
+    """What the tuners, the TLA pool and the registry hold a model by.
+
+    ``fit`` / ``update`` / ``predict`` / ``to_dict`` / ``from_dict`` are
+    each surrogate's own; the rest of the contract follows from one
+    accessor, :meth:`_data`, and lives here.
+    """
+
+    #: how :meth:`fit` names the class when it refuses an empty history
+    _noun = "GP"
+
+    def _data(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(X, y_raw)`` of the current fit in insertion order; ``None``
+        before :meth:`fit`."""
+        st = self._state
+        return None if st is None else (st.X, st.y_raw)
+
+    @property
+    def fitted(self) -> bool:
+        return self._data() is not None
+
+    @property
+    def n_train(self) -> int:
+        data = self._data()
+        return 0 if data is None else data[0].shape[0]
+
+    def predict_mean(self, X: np.ndarray) -> np.ndarray:
+        return self.predict(X, return_std=False)
+
+    def extends_training_data(self, X: np.ndarray, y: np.ndarray) -> int | None:
+        """Number of rows ``(X, y)`` appends to the fitted data, else ``None``.
+
+        Returns 0 when the data is exactly the fitted training set (the
+        model can be reused as-is), a positive count when the fitted set is
+        a row-for-row prefix (eligible for :meth:`update`), and ``None``
+        when the histories diverge (a full refit is required).
+        """
+        data = self._data()
+        if data is None:
+            return None
+        X_fit, y_fit = data
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        y = np.asarray(y, dtype=float).ravel()
+        n = X_fit.shape[0]
+        if X.shape[0] < n or X.shape[1] != X_fit.shape[1]:
+            return None
+        if not np.array_equal(X[:n], X_fit) or not np.array_equal(y[:n], y_fit):
+            return None
+        return X.shape[0] - n
+
+    def _fit_data(self, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The checked arrays :meth:`fit` works on."""
+        X, y = _as_xy(X, y, "X")
+        if X.shape[0] == 0:
+            raise ValueError(f"cannot fit a {self._noun} to zero observations")
+        return X, y
+
+    def _update_data(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The checked arrays :meth:`update` appends (possibly zero rows)."""
+        data = self._data()
+        if data is None:
+            raise RuntimeError("update() before fit()")
+        X_new, y_new = _as_xy(x, y, "x")
+        if X_new.shape[0] and X_new.shape[1] != data[0].shape[1]:
+            raise ValueError(
+                f"x dimension {X_new.shape[1]} != training dimension {data[0].shape[1]}"
+            )
+        return X_new, y_new
+
+
 @dataclass
 class _FitState:
-    """Cached factorization for predictions."""
+    """Everything a prediction reuses; replaced, never mutated."""
 
     X: np.ndarray
     alpha: np.ndarray  # K^{-1} y_std
-    L: np.ndarray
+    L: np.ndarray  # lower Cholesky factor, Fortran order (copy-free trtrs)
     y_mean: float
     y_std: float
     #: raw (unstandardized) targets; needed to re-standardize on append
     y_raw: np.ndarray
     #: diagonal jitter baked into ``L`` (appended rows must match it)
-    jitter: float = 0.0
+    jitter: float
+    #: ``kernel.train_side(X)`` at the fitted hyperparameters
+    train: tuple[np.ndarray, np.ndarray] | None
 
 
-class GaussianProcess:
+class GaussianProcess(Surrogate):
     """GP regressor ``y ~ GP(0, k(x, x') + noise * I)`` on unit-cube inputs.
 
     Parameters
@@ -246,39 +350,24 @@ class GaussianProcess:
         self.max_fun = int(max_fun)
         self._rng = np.random.default_rng(seed)
         self._state: _FitState | None = None
-        #: bumped on every fit()/update(); lets external caches (the
-        #: frozen views) detect that a model changed
-        self.version = 0
+
+    def _set_state(self, X, y_raw, y_mean, y_std, L, alpha, jitter) -> None:
+        """Install a new fit state, with what :meth:`predict` reuses of it."""
+        self._state = _FitState(
+            X=X,
+            alpha=alpha,
+            L=np.asfortranarray(L),
+            y_mean=y_mean,
+            y_std=y_std,
+            y_raw=y_raw,
+            jitter=jitter,
+            train=self.kernel.train_side(X),
+        )
 
     # -- public API ---------------------------------------------------------
-    @property
-    def fitted(self) -> bool:
-        return self._state is not None
-
-    @property
-    def n_train(self) -> int:
-        return 0 if self._state is None else self._state.X.shape[0]
-
-    @property
-    def fit_state(self) -> _FitState:
-        """The cached factorization (read-only view for fast predictors).
-
-        External consumers (:class:`repro.core.frozen.FrozenGP`) use this
-        to pre-extract ``(X, alpha, L, y-statistics)`` once for frozen
-        models; they must treat the arrays as immutable.
-        """
-        if self._state is None:
-            raise RuntimeError("fit_state before fit()")
-        return self._state
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianProcess":
         """Fit to data; ``X`` is ``(n, d)`` in the unit cube, ``y`` ``(n,)``."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
-        if X.shape[0] != y.shape[0]:
-            raise ValueError(f"X rows ({X.shape[0]}) != y length ({y.shape[0]})")
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit a GP to zero observations")
+        X, y = self._fit_data(X, y)
         if self.kernel is None:
             self.kernel = RBF(X.shape[1])
         elif self.kernel.dim != X.shape[1]:
@@ -286,10 +375,7 @@ class GaussianProcess:
                 f"kernel dimension {self.kernel.dim} != data dimension {X.shape[1]}"
             )
 
-        y_mean = float(np.mean(y))
-        y_std = float(np.std(y))
-        if not np.isfinite(y_std) or y_std < 1e-12:
-            y_std = 1.0
+        y_mean, y_std = target_scale(y)
         ys = (y - y_mean) / y_std
 
         if self.optimize and X.shape[0] >= 2:
@@ -298,16 +384,7 @@ class GaussianProcess:
 
         L, jitter = cholesky_with_jitter(self._cov(X))
         alpha = sla.cho_solve((L, True), ys, check_finite=False)
-        self._state = _FitState(
-            X=X,
-            alpha=alpha,
-            L=L,
-            y_mean=y_mean,
-            y_std=y_std,
-            y_raw=y.copy(),
-            jitter=jitter,
-        )
-        self.version += 1
+        self._set_state(X, y.copy(), y_mean, y_std, L, alpha, jitter)
         perf.incr("gp_fits")
         return self
 
@@ -323,19 +400,10 @@ class GaussianProcess:
         Falls back to a full (non-optimizing) refit if the appended rows
         make the factorization numerically degenerate.
         """
-        if self._state is None:
-            raise RuntimeError("update() before fit()")
-        st = self._state
-        X_new = np.atleast_2d(np.asarray(x, dtype=float))
-        y_new = np.asarray(y, dtype=float).ravel()
-        if X_new.shape[0] != y_new.shape[0]:
-            raise ValueError(f"x rows ({X_new.shape[0]}) != y length ({y_new.shape[0]})")
+        X_new, y_new = self._update_data(x, y)
         if X_new.shape[0] == 0:
             return self
-        if X_new.shape[1] != st.X.shape[1]:
-            raise ValueError(
-                f"x dimension {X_new.shape[1]} != training dimension {st.X.shape[1]}"
-            )
+        st = self._state
         n_old, m = st.X.shape[0], X_new.shape[0]
         X_all = np.vstack([st.X, X_new])
         y_raw = np.concatenate([st.y_raw, y_new])
@@ -372,62 +440,27 @@ class GaussianProcess:
             finally:
                 self.optimize = saved
 
-        y_mean = float(np.mean(y_raw))
-        y_std = float(np.std(y_raw))
-        if not np.isfinite(y_std) or y_std < 1e-12:
-            y_std = 1.0
+        y_mean, y_std = target_scale(y_raw)
         z, _ = _trtrs(L, (y_raw - y_mean) / y_std, lower=1, trans=0)
         alpha, _ = _trtrs(L, z, lower=1, trans=1)
-        self._state = _FitState(
-            X=X_all,
-            alpha=alpha,
-            L=L,
-            y_mean=y_mean,
-            y_std=y_std,
-            y_raw=y_raw,
-            jitter=st.jitter,
-        )
-        self.version += 1
+        self._set_state(X_all, y_raw, y_mean, y_std, L, alpha, st.jitter)
         perf.incr("gp_incremental_updates", m)
         return self
 
-    def extends_training_data(self, X: np.ndarray, y: np.ndarray) -> int | None:
-        """Number of rows ``(X, y)`` appends to the fitted data, else ``None``.
-
-        Returns 0 when the data is exactly the fitted training set (the
-        model can be reused as-is), a positive count when the fitted set is
-        a row-for-row prefix (eligible for :meth:`update`), and ``None``
-        when the histories diverge (a full refit is required).
-        """
-        if self._state is None:
-            return None
-        st = self._state
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
-        n = st.X.shape[0]
-        if X.shape[0] < n or X.shape[1] != st.X.shape[1]:
-            return None
-        if not np.array_equal(X[:n], st.X) or not np.array_equal(y[:n], st.y_raw):
-            return None
-        return X.shape[0] - n
-
     def predict(self, X: np.ndarray, return_std: bool = True):
         """Posterior mean (and standard deviation) at ``X``, original scale."""
-        if self._state is None:
-            raise RuntimeError("predict() before fit()")
         st = self._state
+        if st is None:
+            raise RuntimeError("predict() before fit()")
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        Ks = self.kernel(X, st.X)
+        Ks = self.kernel(X, st.X, st.train)
         mean = Ks @ st.alpha * st.y_std + st.y_mean
         if not return_std:
             return mean
-        v = sla.solve_triangular(st.L, Ks.T, lower=True, check_finite=False)
+        v, _ = _trtrs(st.L, Ks.T, lower=1, trans=0)
         var = self.kernel.diag(X) + self.noise_variance - np.sum(v * v, axis=0)
         std = np.sqrt(np.maximum(var, 1e-12)) * st.y_std
         return mean, std
-
-    def predict_mean(self, X: np.ndarray) -> np.ndarray:
-        return self.predict(X, return_std=False)
 
     def log_marginal_likelihood(self) -> float:
         """LML of the training data under the current hyperparameters."""
@@ -526,7 +559,7 @@ class GaussianProcess:
             raise RuntimeError("cannot serialize an unfitted GP")
         st = self._state
         return {
-            "kernel": type(self.kernel).__name__.lower(),
+            "kernel": kernel_name(self.kernel),
             "theta": self._theta().tolist(),
             "variance": float(self.kernel.variance),
             "lengthscales": self.kernel.lengthscales.tolist(),
@@ -541,8 +574,6 @@ class GaussianProcess:
 
     @staticmethod
     def from_dict(doc: dict) -> "GaussianProcess":
-        from .kernels import kernel_from_name
-
         X = np.asarray(doc["X"], dtype=float)
         if "variance" in doc:
             # exact path: raw parameters, no log round-trip
@@ -574,14 +605,7 @@ class GaussianProcess:
             # reconstruct the raw targets so incremental updates keep working
             ys = L @ (L.T @ alpha)
             y_raw = ys * float(doc["y_std"]) + float(doc["y_mean"])
-        gp._state = _FitState(
-            X=X,
-            alpha=alpha,
-            L=L,
-            y_mean=float(doc["y_mean"]),
-            y_std=float(doc["y_std"]),
-            y_raw=y_raw,
-            jitter=jitter,
+        gp._set_state(
+            X, y_raw, float(doc["y_mean"]), float(doc["y_std"]), L, alpha, jitter
         )
-        gp.version += 1
         return gp

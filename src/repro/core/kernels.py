@@ -7,6 +7,15 @@ likelihood gradient there (the common fast path, built on
 :func:`pairwise_sq_diffs`); the Matern kernels fall back to finite
 differences inside the optimizer.
 
+A stationary kernel is *a function of the ARD-scaled squared distance*:
+:meth:`Kernel.__call__` builds that distance once, on the base class
+(:func:`sq_dists`), and each kernel contributes only its formula
+(:meth:`Kernel._from_sq_dists`).  The half of the distance that depends on
+the second argument alone — its scaled rows and their squared norms,
+:meth:`Kernel.train_side` — can be computed once and passed back in, so a
+fitted model pays for its training inputs per fit instead of per
+prediction; the result is the same bits either way.
+
 All kernels operate on points in the unit hypercube produced by
 :class:`repro.core.space.Space`, so lengthscale bounds are expressed
 relative to a [0, 1] domain.
@@ -21,20 +30,28 @@ import numpy as np
 __all__ = ["Kernel", "RBF", "Matern52", "Matern32", "kernel_from_name"]
 
 
-def sq_dists(X: np.ndarray, Y: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
+def _scaled_side(Y: np.ndarray, lengthscales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Y / lengthscales, row squared norms)``: one side of :func:`sq_dists`."""
+    B = Y / lengthscales
+    return B, np.sum(B * B, axis=1)
+
+
+def sq_dists(
+    X: np.ndarray,
+    Y: np.ndarray,
+    lengthscales: np.ndarray | float,
+    train: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Pairwise squared distances after per-dimension scaling.
 
     Computed via the expanded form ``|a|^2 + |b|^2 - 2 a.b`` which is the
     vectorized idiom (no Python loops); clipped at zero to absorb
-    round-off.
+    round-off.  ``train`` is ``_scaled_side(Y, lengthscales)`` computed
+    ahead of time (``Y`` is then not read).
     """
-    A = X / lengthscales
-    B = Y / lengthscales
-    d2 = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
+    A, a_norms = _scaled_side(X, lengthscales)
+    B, b_norms = _scaled_side(Y, lengthscales) if train is None else train
+    d2 = a_norms[:, None] + b_norms[None, :] - 2.0 * (A @ B.T)
     return np.maximum(d2, 0.0)
 
 
@@ -92,15 +109,26 @@ class Kernel(ABC):
         return [var_b] + [ls_b] * self.dim
 
     # -- evaluation ----------------------------------------------------------
+    def __call__(self, X: np.ndarray, Y: np.ndarray | None = None, train=None) -> np.ndarray:
+        """Covariance matrix ``K[i, j] = k(X[i], Y[j])`` (``Y=None`` → X).
+
+        ``train`` is :meth:`train_side` of ``Y`` at the current
+        hyperparameters, when the caller kept it.
+        """
+        Y = X if Y is None else Y
+        return self._from_sq_dists(sq_dists(X, Y, self.lengthscales, train))
+
     @abstractmethod
-    def __call__(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-        """Covariance matrix ``K[i, j] = k(X[i], Y[j])`` (``Y=None`` → X)."""
+    def _from_sq_dists(self, d2: np.ndarray) -> np.ndarray:
+        """The covariance at ARD-scaled squared distances ``d2``: a
+        stationary kernel's whole contribution."""
+
+    def train_side(self, Y: np.ndarray):
+        """What ``self(X, Y)`` needs of ``Y`` alone, or ``None`` (nothing)."""
+        return _scaled_side(Y, self.lengthscales)
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         return np.full(X.shape[0], self.variance)
-
-    def clone(self) -> "Kernel":
-        return type(self)(self.dim, self.variance, self.lengthscales.copy())
 
     def __repr__(self) -> str:  # pragma: no cover
         ls = np.array2string(self.lengthscales, precision=3)
@@ -110,29 +138,23 @@ class Kernel(ABC):
 class RBF(Kernel):
     """Squared-exponential kernel with ARD lengthscales."""
 
-    def __call__(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-        Y = X if Y is None else Y
-        d2 = sq_dists(X, Y, self.lengthscales)
+    def _from_sq_dists(self, d2: np.ndarray) -> np.ndarray:
         return self.variance * np.exp(-0.5 * d2)
 
 
 class Matern52(Kernel):
     """Matern-5/2 kernel with ARD lengthscales."""
 
-    def __call__(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-        Y = X if Y is None else Y
-        r = np.sqrt(sq_dists(X, Y, self.lengthscales))
-        s = np.sqrt(5.0) * r
+    def _from_sq_dists(self, d2: np.ndarray) -> np.ndarray:
+        s = np.sqrt(5.0) * np.sqrt(d2)
         return self.variance * (1.0 + s + s * s / 3.0) * np.exp(-s)
 
 
 class Matern32(Kernel):
     """Matern-3/2 kernel with ARD lengthscales."""
 
-    def __call__(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-        Y = X if Y is None else Y
-        r = np.sqrt(sq_dists(X, Y, self.lengthscales))
-        s = np.sqrt(3.0) * r
+    def _from_sq_dists(self, d2: np.ndarray) -> np.ndarray:
+        s = np.sqrt(3.0) * np.sqrt(d2)
         return self.variance * (1.0 + s) * np.exp(-s)
 
 
@@ -145,3 +167,19 @@ def kernel_from_name(name: str, dim: int, **kwargs) -> Kernel:
         return _KERNELS[name](dim, **kwargs)
     except KeyError:
         raise ValueError(f"unknown kernel {name!r}; choose from {sorted(_KERNELS)}")
+
+
+def kernel_name(kernel: Kernel) -> str:
+    """The name :func:`kernel_from_name` rebuilds ``kernel``'s class from.
+
+    What a model snapshot records; a kernel outside the table (the
+    mixed-space kernel, whose switch weights no snapshot carries) is
+    refused here rather than written as a document nothing can load.
+    """
+    name = type(kernel).__name__.lower()
+    if _KERNELS.get(name) is not type(kernel):
+        raise TypeError(
+            f"a {type(kernel).__name__} model cannot be serialized: "
+            f"snapshots rebuild kernels by name, one of {sorted(_KERNELS)}"
+        )
+    return name

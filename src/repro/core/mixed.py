@@ -134,7 +134,16 @@ class MixedKernel(Kernel):
         n = self.n_choices[self.cat_idx][None, :]
         return np.minimum((cols * n).astype(int), n - 1)
 
-    def __call__(self, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+    def _from_sq_dists(self, d2: np.ndarray) -> np.ndarray:
+        """The numeric factor alone, over the numeric columns' distances
+        (``__call__`` scales the numeric x categorical product)."""
+        return np.exp(-0.5 * d2)
+
+    def train_side(self, Y: np.ndarray) -> None:
+        """Nothing to keep: not a function of one scaled distance."""
+        return None
+
+    def __call__(self, X: np.ndarray, Y: np.ndarray | None = None, train=None) -> np.ndarray:
         Y = X if Y is None else Y
         if len(self.numeric_idx):
             d2 = sq_dists(
@@ -142,7 +151,7 @@ class MixedKernel(Kernel):
                 Y[:, self.numeric_idx],
                 self.lengthscales[self.numeric_idx],
             )
-            K = np.exp(-0.5 * d2)
+            K = self._from_sq_dists(d2)
         else:
             K = np.ones((X.shape[0], Y.shape[0]))
         if len(self.cat_idx):
@@ -153,16 +162,6 @@ class MixedKernel(Kernel):
             penalty = np.sum(mismatch * self.switch_weights[None, None, :], axis=2)
             K = K * np.exp(-penalty)
         return self.variance * K
-
-    def clone(self) -> "MixedKernel":
-        return MixedKernel(
-            self.dim,
-            self.categorical,
-            self.n_choices.tolist(),
-            self.variance,
-            self.lengthscales.copy(),
-            self.switch_weights.copy(),
-        )
 
 
 def mixed_kernel_for_space(space: Space, **kwargs) -> MixedKernel:

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import perf
 from .acquisition import Acquisition, PendingPenalty, PredictFn
+from .gp import GPFitError
 from .samplers import _config_key
 from .space import Space
 
@@ -369,7 +370,8 @@ def propose_batch(
             try:
                 gp.update(X_pending, np.asarray(lies))
                 n_fantasies += X_pending.shape[0]
-            except Exception:  # degenerate fantasy: fall back to penalties
+            except GPFitError:  # degenerate fantasy: fall back to penalties
+                perf.incr("fantasy_update_failures")
                 gp._state = saved_state
                 return propose_batch(
                     predict, space, acquisition, rng, q=q, X_obs=X_obs,
@@ -398,7 +400,8 @@ def propose_batch(
             try:
                 gp.update(u, np.array([_lie_value(lie, gp.predict, u[0], y_obs)]))
                 n_fantasies += 1
-            except Exception:
+            except GPFitError:
+                perf.incr("fantasy_update_failures")
                 break  # keep the picks made so far; stop fantasizing
             X_aug = np.vstack([X_aug, u])
         if len(proposals) < q:

@@ -5,9 +5,11 @@ O(n^2) memory — which is fine at the paper's n≈200 histories but
 collapses at the 10^4–10^6 record histories a real crowd database
 accumulates.  This module adds two complementary large-n surrogates
 behind the :class:`~repro.core.gp.GaussianProcess` interface (``fit`` /
-``update`` / ``predict`` / ``extends_training_data`` / ``to_dict``),
-so the incremental and freeze machinery of the tuner, the TLA pool and
-the model registry keep working unchanged:
+``update`` / ``predict`` / ``to_dict`` of their own, the rest inherited
+from the shared :class:`~repro.core.gp.Surrogate` base), so the
+incremental machinery of the tuner, the TLA pool and the model registry
+keep working unchanged.  Like the dense GP, each has one ``predict``
+and a fit state that ``fit`` / ``update`` replace rather than mutate:
 
 * :class:`SparseGP` — an inducing-point SGPR/Nyström GP.  ``m``
   inducing points are chosen deterministically by greedy max-min
@@ -56,17 +58,21 @@ from scipy.linalg import get_lapack_funcs
 
 from . import perf
 from .combine import combine_stacked, normalized_weight_matrix
-from .gp import GaussianProcess, GPFitError, cholesky_at, cholesky_with_jitter
-from .kernels import Kernel, kernel_from_name
+from .gp import (
+    GaussianProcess,
+    GPFitError,
+    Surrogate,
+    cholesky_at,
+    cholesky_with_jitter,
+    target_scale,
+)
+from .kernels import Kernel, kernel_from_name, kernel_name, sq_dists
 
 __all__ = [
     "SparseGP",
     "PartitionedGP",
-    "FrozenSparseGP",
-    "FrozenPartitionedGP",
     "select_inducing",
     "resolve_surrogate_kind",
-    "surrogate_kind_of",
     "make_surrogate",
     "surrogate_from_dict",
 ]
@@ -120,15 +126,6 @@ def resolve_surrogate_kind(policy: str, n: int, n_dense_max: int) -> str:
     if policy != "auto":
         return policy
     return "dense" if n <= int(n_dense_max) else "sparse"
-
-
-def surrogate_kind_of(model: object) -> str:
-    """The policy kind a fitted/unfitted surrogate instance belongs to."""
-    if isinstance(model, SparseGP):
-        return "sparse"
-    if isinstance(model, PartitionedGP):
-        return "partitioned"
-    return "dense"
 
 
 def make_surrogate(
@@ -203,9 +200,9 @@ class _SparseState:
     """Immutable-by-convention cached SGPR factorization.
 
     ``update()`` replaces the state object instead of mutating arrays in
-    place, so frozen views and the batch-proposal fantasy save/restore
-    (``gp._state`` snapshotting in :func:`repro.core.optimizer.propose_batch`)
-    stay valid.
+    place, so the batch-proposal fantasy save/restore (``gp._state``
+    snapshotting in :func:`repro.core.optimizer.propose_batch`) stays
+    valid.
     """
 
     X: np.ndarray  # (n, d) training inputs, insertion order
@@ -224,43 +221,8 @@ class _SparseState:
     c: np.ndarray  # LB^{-1} (U ys) / sigma2
 
 
-def _sgpr_predict(
-    kernel: Kernel, st: _SparseState, X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The SGPR posterior at ``X`` — shared by live and frozen predictors."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Ksm = kernel(X, st.Z)  # (n*, m)
-    t1, _ = _trtrs(st.Lm, Ksm.T, lower=1, trans=0)  # Lm^{-1} K_ms
-    t2, _ = _trtrs(st.LB, t1, lower=1, trans=0)  # LB^{-1} Lm^{-1} K_ms
-    mean = t2.T @ st.c * st.y_std + st.y_mean
-    var = kernel.diag(X) + st.sigma2 - np.sum(t1 * t1, axis=0) + np.sum(t2 * t2, axis=0)
-    std = np.sqrt(np.maximum(var, 1e-12)) * st.y_std
-    return mean, std
-
-
-class FrozenSparseGP:
-    """Frozen view of a fitted :class:`SparseGP` (kernel clone + state).
-
-    The state object is never mutated after creation (``update()``
-    replaces it), so the view replays the live model's prediction at
-    freeze time bit for bit, forever.
-    """
-
-    __slots__ = ("kernel", "_st")
-
-    def __init__(self, kernel: Kernel, st: _SparseState) -> None:
-        self.kernel = kernel
-        self._st = st
-
-    def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _sgpr_predict(self.kernel, self._st, X)
-
-
-class SparseGP:
+class SparseGP(Surrogate):
     """Inducing-point SGPR/Nyström GP on unit-cube inputs.
-
-    Mirrors the :class:`GaussianProcess` interface so the tuners, the
-    TLA target models and the registry can hold either interchangeably.
 
     Parameters
     ----------
@@ -274,12 +236,12 @@ class SparseGP:
         selection (tests pin update-vs-refit equivalence with it).
     noise_variance / optimize / n_restarts / max_fun / seed:
         As in :class:`GaussianProcess`.  Hyperparameters are optimized
-        by an *exact* GP MLE on the deterministic k-center subset of
-        ``max(n_inducing, n_hyper)`` points — O(subset^3) independent of
-        n — then frozen into the O(nm^2) SGPR factorization.
-    n_hyper:
-        Size of the MLE subset (default: the inducing set itself).
+        by an *exact* GP MLE on the inducing set (the deterministic
+        k-center subset) — O(m^3) independent of n — then frozen into
+        the O(nm^2) SGPR factorization.
     """
+
+    _noun = "SparseGP"
 
     def __init__(
         self,
@@ -292,7 +254,6 @@ class SparseGP:
         n_restarts: int = 1,
         max_fun: int = 80,
         seed: int | None = None,
-        n_hyper: int | None = None,
     ) -> None:
         if n_inducing < 1:
             raise ValueError("n_inducing must be >= 1")
@@ -306,21 +267,10 @@ class SparseGP:
         self.optimize = optimize
         self.n_restarts = int(n_restarts)
         self.max_fun = int(max_fun)
-        self.n_hyper = None if n_hyper is None else int(n_hyper)
         self.seed = seed
         self._state: _SparseState | None = None
-        self.version = 0
-        self._frozen: tuple[int, FrozenSparseGP] | None = None
 
     # -- public API ---------------------------------------------------------
-    @property
-    def fitted(self) -> bool:
-        return self._state is not None
-
-    @property
-    def n_train(self) -> int:
-        return 0 if self._state is None else self._state.X.shape[0]
-
     @property
     def inducing_points(self) -> np.ndarray:
         if self._state is None:
@@ -329,12 +279,7 @@ class SparseGP:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "SparseGP":
         """Fit to data: select inducing points, MLE on the subset, factorize."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
-        if X.shape[0] != y.shape[0]:
-            raise ValueError(f"X rows ({X.shape[0]}) != y length ({y.shape[0]})")
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit a SparseGP to zero observations")
+        X, y = self._fit_data(X, y)
         n, d = X.shape
         if self.kernel is None:
             name = self._kernel_name or "rbf"
@@ -343,15 +288,15 @@ class SparseGP:
             raise ValueError(f"kernel dimension {self.kernel.dim} != data dimension {d}")
 
         m = min(self.n_inducing, n)
-        n_hyper = min(n, max(m, self.n_hyper or m, 2))
+        n_sub = min(n, max(m, 2))
         if self.inducing is not None:
             Z = self.inducing
-            sub = np.unique(np.linspace(0, n - 1, n_hyper).astype(np.intp))
+            sub = np.unique(np.linspace(0, n - 1, n_sub).astype(np.intp))
         else:
             with perf.timer("sparse_select_inducing"):
-                idx = select_inducing(X, max(m, n_hyper))
+                idx = select_inducing(X, n_sub)
             Z = X[idx[:m]].copy()
-            sub = idx[:n_hyper]
+            sub = idx[:n_sub]
 
         if self.optimize and n >= 2:
             # exact-GP MLE on the k-center subset; the helper shares this
@@ -367,8 +312,6 @@ class SparseGP:
             self.noise_variance = helper.noise_variance
 
         self._state = self._build_state(X, y, Z)
-        self.version += 1
-        self._frozen = None
         perf.incr("sparse_fits")
         return self
 
@@ -397,10 +340,7 @@ class SparseGP:
     ) -> _SparseState:
         """Rebuild the y-dependent tail of the state (standardization,
         information-matrix Cholesky, projected coefficients) — O(m^3)."""
-        y_mean = float(np.mean(y_raw))
-        y_std = float(np.std(y_raw))
-        if not np.isfinite(y_std) or y_std < 1e-12:
-            y_std = 1.0
+        y_mean, y_std = target_scale(y_raw)
         sigma2 = max(float(self.noise_variance), _NOISE_FLOOR)
         B = np.eye(Z.shape[0]) + UUt / sigma2
         if jitter_b is None:
@@ -437,19 +377,10 @@ class SparseGP:
         again.  Hyperparameters and inducing points stay frozen, exactly
         like the dense ``update()`` freezes theta.
         """
-        if self._state is None:
-            raise RuntimeError("update() before fit()")
-        st = self._state
-        X_new = np.atleast_2d(np.asarray(x, dtype=float))
-        y_new = np.asarray(y, dtype=float).ravel()
-        if X_new.shape[0] != y_new.shape[0]:
-            raise ValueError(f"x rows ({X_new.shape[0]}) != y length ({y_new.shape[0]})")
+        X_new, y_new = self._update_data(x, y)
         if X_new.shape[0] == 0:
             return self
-        if X_new.shape[1] != st.X.shape[1]:
-            raise ValueError(
-                f"x dimension {X_new.shape[1]} != training dimension {st.X.shape[1]}"
-            )
+        st = self._state
         k_new = self.kernel(st.Z, X_new)  # (m, k)
         u_new, _ = _trtrs(st.Lm, k_new, lower=1, trans=0)
         self._state = self._refresh(
@@ -462,45 +393,25 @@ class SparseGP:
             st.U1 + u_new.sum(axis=1),
             st.Uy + u_new @ y_new,
         )
-        self.version += 1
-        self._frozen = None
         perf.incr("sparse_updates", X_new.shape[0])
         return self
 
-    def extends_training_data(self, X: np.ndarray, y: np.ndarray) -> int | None:
-        """Number of rows ``(X, y)`` appends to the fitted data, else ``None``
-        (same contract as :meth:`GaussianProcess.extends_training_data`)."""
-        if self._state is None:
-            return None
-        st = self._state
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
-        n = st.X.shape[0]
-        if X.shape[0] < n or X.shape[1] != st.X.shape[1]:
-            return None
-        if not np.array_equal(X[:n], st.X) or not np.array_equal(y[:n], st.y_raw):
-            return None
-        return X.shape[0] - n
-
     def predict(self, X: np.ndarray, return_std: bool = True):
         """SGPR posterior mean (and std) at ``X``, original target scale."""
-        if self._state is None:
+        st = self._state
+        if st is None:
             raise RuntimeError("predict() before fit()")
-        mean, std = _sgpr_predict(self.kernel, self._state, X)
-        return (mean, std) if return_std else mean
-
-    def predict_mean(self, X: np.ndarray) -> np.ndarray:
-        return self.predict(X, return_std=False)
-
-    def frozen_view(self) -> FrozenSparseGP | None:
-        """A frozen fast predictor of the current fit (version-cached)."""
-        if self._state is None:
-            return None
-        if self._frozen is not None and self._frozen[0] == self.version:
-            return self._frozen[1]
-        frozen = FrozenSparseGP(self.kernel.clone(), self._state)
-        self._frozen = (self.version, frozen)
-        return frozen
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        Ksm = self.kernel(X, st.Z)  # (n*, m)
+        t1, _ = _trtrs(st.Lm, Ksm.T, lower=1, trans=0)  # Lm^{-1} K_ms
+        t2, _ = _trtrs(st.LB, t1, lower=1, trans=0)  # LB^{-1} Lm^{-1} K_ms
+        mean = t2.T @ st.c * st.y_std + st.y_mean
+        if not return_std:
+            return mean
+        var = (
+            self.kernel.diag(X) + st.sigma2 - np.sum(t1 * t1, axis=0) + np.sum(t2 * t2, axis=0)
+        )
+        return mean, np.sqrt(np.maximum(var, 1e-12)) * st.y_std
 
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> dict:
@@ -517,7 +428,7 @@ class SparseGP:
         st = self._state
         return {
             "type": "sparse",
-            "kernel": type(self.kernel).__name__.lower(),
+            "kernel": kernel_name(self.kernel),
             "variance": float(self.kernel.variance),
             "lengthscales": self.kernel.lengthscales.tolist(),
             "noise_variance": float(self.noise_variance),
@@ -561,7 +472,6 @@ class SparseGP:
             np.asarray(doc["Uy"], dtype=float),
             jitter_b=float(doc.get("jitter_b", 0.0)) if "jitter_b" in doc else None,
         )
-        gp.version += 1
         return gp
 
 
@@ -605,68 +515,7 @@ def _median_split_indices(
     return out
 
 
-def _partitioned_predict(
-    predictors: list,
-    centroids: np.ndarray,
-    top_k: int,
-    X: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eq. (1)-(2) merge of the ``top_k`` nearest leaves per query point.
-
-    Weights are inverse squared centroid distances, column-normalized by
-    :func:`~repro.core.combine.normalized_weight_matrix`; the reduction
-    is :func:`~repro.core.combine.combine_stacked` — the exact machinery
-    the TLA weighted-sum strategies run, one weight per model per point.
-    Shared by live and frozen predictors, so freezing changes nothing.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    n_leaves = centroids.shape[0]
-    d2 = (
-        np.sum(X * X, axis=1)[:, None]
-        + np.sum(centroids * centroids, axis=1)[None, :]
-        - 2.0 * (X @ centroids.T)
-    )
-    d2 = np.maximum(d2, 0.0)
-    k = min(max(int(top_k), 1), n_leaves)
-    if k == n_leaves:
-        sel = np.broadcast_to(np.arange(n_leaves), (n, n_leaves))
-    else:
-        sel = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    rows = np.arange(n)[:, None]
-    W = normalized_weight_matrix(1.0 / (d2[rows, sel] + 1e-9).T)  # (k, n)
-    means = np.empty((k, n))
-    stds = np.empty((k, n))
-    for leaf_id in np.unique(sel):
-        pos_i, pos_j = np.nonzero(sel == leaf_id)
-        mu, sd = predictors[leaf_id](X[pos_i])
-        means[pos_j, pos_i] = mu
-        stds[pos_j, pos_i] = sd
-    mean, std = combine_stacked(list(means), list(stds), W)
-    perf.incr("partition_merges")
-    return mean, std
-
-
-class FrozenPartitionedGP:
-    """Frozen view of a fitted :class:`PartitionedGP`.
-
-    Captures the per-leaf frozen predictors and the centroid array at
-    freeze time; replays :meth:`PartitionedGP.predict` through the same
-    merge function, so the view is bit-identical to the live model.
-    """
-
-    __slots__ = ("_predictors", "_centroids", "_top_k")
-
-    def __init__(self, predictors: list, centroids: np.ndarray, top_k: int) -> None:
-        self._predictors = predictors
-        self._centroids = centroids
-        self._top_k = top_k
-
-    def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _partitioned_predict(self._predictors, self._centroids, self._top_k, X)
-
-
-class PartitionedGP:
+class PartitionedGP(Surrogate):
     """Partitioned local-GP surrogate: exact GPs on k-d leaves, merged
     at predict with per-point Eq. (1)-(2) weights.
 
@@ -685,6 +534,8 @@ class PartitionedGP:
         Thread-parallel leaf fitting when > 1 (per-leaf seeds are drawn
         up front, so results are scheduling-independent).
     """
+
+    _noun = "PartitionedGP"
 
     def __init__(
         self,
@@ -714,21 +565,21 @@ class PartitionedGP:
         self.n_jobs = int(n_jobs)
         self.seed = seed
         self._leaves: list[_Leaf] | None = None
+        #: (n_leaves, d) leaf centroids, kept in step with ``_leaves``
+        self._centroids: np.ndarray | None = None
         self._X: np.ndarray | None = None
         self._y: np.ndarray | None = None
         self._seed_rng = np.random.default_rng(seed)
-        self.version = 0
-        self._frozen: tuple[int, FrozenPartitionedGP] | None = None
+
+    def _data(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The insertion-order history (not the per-leaf order)."""
+        return None if self._X is None else (self._X, self._y)
+
+    def _set_leaves(self, leaves: list[_Leaf]) -> None:
+        self._leaves = leaves
+        self._centroids = np.array([leaf.centroid for leaf in leaves])
 
     # -- public API ---------------------------------------------------------
-    @property
-    def fitted(self) -> bool:
-        return self._leaves is not None
-
-    @property
-    def n_train(self) -> int:
-        return 0 if self._X is None else self._X.shape[0]
-
     @property
     def n_leaves(self) -> int:
         return 0 if self._leaves is None else len(self._leaves)
@@ -748,12 +599,7 @@ class PartitionedGP:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "PartitionedGP":
         """Partition the history and fit one exact GP per leaf."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
-        if X.shape[0] != y.shape[0]:
-            raise ValueError(f"X rows ({X.shape[0]}) != y length ({y.shape[0]})")
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit a PartitionedGP to zero observations")
+        X, y = self._fit_data(X, y)
         groups = _median_split_indices(X, np.arange(X.shape[0], dtype=np.intp),
                                        self.leaf_size)
         # seeds drawn up front in group order: thread scheduling cannot
@@ -769,13 +615,9 @@ class PartitionedGP:
                 )
         else:
             gps = [self._fit_leaf(X[g], y[g], s) for g, s in zip(groups, seeds)]
-        self._leaves = [
-            _Leaf(gp, X[g].copy(), y[g].copy()) for gp, g in zip(gps, groups)
-        ]
+        self._set_leaves([_Leaf(gp, X[g].copy(), y[g].copy()) for gp, g in zip(gps, groups)])
         self._X = X.copy()
         self._y = y.copy()
-        self.version += 1
-        self._frozen = None
         return self
 
     def update(self, x: np.ndarray, y: np.ndarray) -> "PartitionedGP":
@@ -788,25 +630,10 @@ class PartitionedGP:
         refit with fresh MLEs — the only O(leaf^3) work on the update
         path, amortized over ``leaf_size`` appends.
         """
-        if self._leaves is None:
-            raise RuntimeError("update() before fit()")
-        X_new = np.atleast_2d(np.asarray(x, dtype=float))
-        y_new = np.asarray(y, dtype=float).ravel()
-        if X_new.shape[0] != y_new.shape[0]:
-            raise ValueError(f"x rows ({X_new.shape[0]}) != y length ({y_new.shape[0]})")
+        X_new, y_new = self._update_data(x, y)
         if X_new.shape[0] == 0:
             return self
-        if X_new.shape[1] != self._X.shape[1]:
-            raise ValueError(
-                f"x dimension {X_new.shape[1]} != training dimension {self._X.shape[1]}"
-            )
-        centroids = np.array([leaf.centroid for leaf in self._leaves])
-        d2 = (
-            np.sum(X_new * X_new, axis=1)[:, None]
-            + np.sum(centroids * centroids, axis=1)[None, :]
-            - 2.0 * (X_new @ centroids.T)
-        )
-        nearest = np.argmin(d2, axis=1)
+        nearest = np.argmin(sq_dists(X_new, self._centroids, 1.0), axis=1)
         touched: dict[int, list[int]] = {}
         for row, leaf_id in enumerate(nearest):
             touched.setdefault(int(leaf_id), []).append(row)
@@ -830,10 +657,9 @@ class PartitionedGP:
                 split_queue.append(leaf)
         for leaf in split_queue:
             self._split_leaf(leaf)
+        self._set_leaves(self._leaves)
         self._X = np.vstack([self._X, X_new])
         self._y = np.concatenate([self._y, y_new])
-        self.version += 1
-        self._frozen = None
         perf.incr("partition_updates", X_new.shape[0])
         return self
 
@@ -850,50 +676,36 @@ class PartitionedGP:
             children.append(_Leaf(gp, leaf.X[g].copy(), leaf.y[g].copy()))
         self._leaves[pos : pos + 1] = children
 
-    def extends_training_data(self, X: np.ndarray, y: np.ndarray) -> int | None:
-        """Same prefix contract as :meth:`GaussianProcess.extends_training_data`,
-        against the insertion-order history (not the per-leaf order)."""
-        if self._X is None:
-            return None
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
-        n = self._X.shape[0]
-        if X.shape[0] < n or X.shape[1] != self._X.shape[1]:
-            return None
-        if not np.array_equal(X[:n], self._X) or not np.array_equal(y[:n], self._y):
-            return None
-        return X.shape[0] - n
-
-    def _predictors(self) -> list:
-        from .frozen import frozen_view
-
-        out = []
-        for leaf in self._leaves:
-            fv = frozen_view(leaf.gp)
-            out.append(fv.predict if fv is not None else leaf.gp.predict)
-        return out
-
     def predict(self, X: np.ndarray, return_std: bool = True):
-        """Merged posterior over the ``top_k`` nearest leaves per point."""
+        """Eq. (1)-(2) merge of the ``top_k`` nearest leaves per query point.
+
+        Weights are inverse squared centroid distances, column-normalized by
+        :func:`~repro.core.combine.normalized_weight_matrix`; the reduction
+        is :func:`~repro.core.combine.combine_stacked` — the exact machinery
+        the TLA weighted-sum strategies run, one weight per model per point.
+        """
         if self._leaves is None:
             raise RuntimeError("predict() before fit()")
-        centroids = np.array([leaf.centroid for leaf in self._leaves])
-        mean, std = _partitioned_predict(self._predictors(), centroids, self.top_k, X)
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        n, n_leaves = X.shape[0], len(self._leaves)
+        d2 = sq_dists(X, self._centroids, 1.0)
+        k = min(max(int(self.top_k), 1), n_leaves)
+        if k == n_leaves:
+            sel = np.broadcast_to(np.arange(n_leaves), (n, n_leaves))
+        else:
+            sel = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        rows = np.arange(n)[:, None]
+        W = normalized_weight_matrix(1.0 / (d2[rows, sel] + 1e-9).T)  # (k, n)
+        means = np.empty((k, n))
+        stds = np.empty((k, n))
+        for leaf_id in np.unique(sel):
+            pos_i, pos_j = np.nonzero(sel == leaf_id)
+            mu, sd = self._leaves[leaf_id].gp.predict(X[pos_i])
+            means[pos_j, pos_i] = mu
+            stds[pos_j, pos_i] = sd
+        mean, std = combine_stacked(list(means), list(stds), W)
+        perf.incr("partition_merges")
         return (mean, std) if return_std else mean
-
-    def predict_mean(self, X: np.ndarray) -> np.ndarray:
-        return self.predict(X, return_std=False)
-
-    def frozen_view(self) -> FrozenPartitionedGP | None:
-        """A frozen fast predictor of the current fit (version-cached)."""
-        if self._leaves is None:
-            return None
-        if self._frozen is not None and self._frozen[0] == self.version:
-            return self._frozen[1]
-        centroids = np.array([leaf.centroid for leaf in self._leaves])
-        frozen = FrozenPartitionedGP(self._predictors(), centroids, self.top_k)
-        self._frozen = (self.version, frozen)
-        return frozen
 
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> dict:
@@ -928,10 +740,8 @@ class PartitionedGP:
         leaves = []
         for leaf_doc in doc["leaves"]:
             gp = GaussianProcess.from_dict(leaf_doc)
-            st = gp.fit_state
-            leaves.append(_Leaf(gp, st.X, st.y_raw))
-        model._leaves = leaves
+            leaves.append(_Leaf(gp, gp._state.X, gp._state.y_raw))
+        model._set_leaves(leaves)
         model._X = np.asarray(doc["X"], dtype=float)
         model._y = np.asarray(doc["y_raw"], dtype=float)
-        model.version += 1
         return model

@@ -196,14 +196,11 @@ class CrowdClient:
         """Register this problem's space with the service once."""
         if self._registry_ready:
             return True
-        try:
-            response = self.repository.register_problem(
-                self.meta.api_key,
-                self.meta.tuning_problem_name,
-                self.meta.problem_space,
-            )
-        except Exception:
-            response = {"ok": False}
+        response = self.repository.register_problem(
+            self.meta.api_key,
+            self.meta.tuning_problem_name,
+            self.meta.problem_space,
+        )
         if not response.get("ok"):
             # no registry attached (or the space was rejected): stop
             # paying a round-trip per query, this client fits locally

@@ -26,7 +26,7 @@ from .configmatch import TagMatcher, default_matcher
 from .database import DocumentStore
 from .query import SqlQuery, build_filter
 from .records import Accessibility, PerformanceRecord
-from .users import AuthError, User, UserRegistry
+from .users import User, UserRegistry
 
 __all__ = ["CrowdRepository"]
 
@@ -294,8 +294,4 @@ class CrowdRepository:
     def register_user(self, username: str, email: str) -> tuple[User, str]:
         """Register a user and hand back their first API key."""
         user = self.users.register(username, email)
-        try:
-            key = self.users.issue_api_key(username)
-        except Exception:
-            raise AuthError(f"could not issue key for {username}")
-        return user, key
+        return user, self.users.issue_api_key(username)

@@ -5,7 +5,8 @@ utilities: each ``(problem_name, task)`` surrogate is fitted once per
 data version on the write side (debounced by
 :class:`~repro.registry.builder.RegistryBuilder`), frozen, persisted
 through the owning shard's WAL, and served as batched vectorized
-predictions from a resident :class:`~repro.core.frozen.FrozenGP`.
+predictions from the resident surrogate (the object the build fitted,
+or its deserialized snapshot).
 
 Entry points:
 

@@ -16,10 +16,12 @@ prediction from the frozen factorization:
   shard's WAL + snapshot machinery persists, recovers and anti-entropy
   heals them exactly like performance records.
 * **read side** — ``predict`` / ``model_meta`` / ``sensitivity``
-  deserialize the entry once into a resident
-  :class:`~repro.core.frozen.FrozenGP` (bounded LRU, gauge
-  ``registry_models_resident``) and serve batched vectorized
-  predictions.  Zero GP fits after the first build.
+  deserialize the entry once into a resident surrogate (bounded LRU,
+  gauge ``registry_models_resident``) and serve batched vectorized
+  predictions through its ``predict``.  Zero GP fits after the first
+  build.  A resident model is never refit or updated — a rebuild makes a
+  new object and swaps the resident tuple under the lock — so a reader
+  that already took one keeps a consistent model without any snapshot.
 
 Entries are *content determined* (see :mod:`repro.registry.entry`):
 the fit consumes the timestamp-sorted public successful records under
@@ -352,10 +354,7 @@ class ModelRegistry:
         )
         return RegistryEntry.from_doc(doc) if doc is not None else None
 
-    def _install_resident(self, entry: RegistryEntry, gp: Any) -> Any:
-        from ..core.frozen import frozen_view
-
-        predictor = frozen_view(gp) or gp
+    def _install_resident(self, entry: RegistryEntry, predictor: Any) -> Any:
         key = (entry.problem_name, entry.task_key)
         with self._lock:
             self._resident[key] = (
@@ -371,7 +370,7 @@ class ModelRegistry:
         return predictor
 
     def _predictor_for(self, entry: RegistryEntry) -> Any:
-        """The resident frozen predictor of one entry (LRU, doc-validated:
+        """The resident surrogate of one entry (LRU, doc-validated:
         a healed/rebuilt entry evicts the stale resident automatically)."""
         key = (entry.problem_name, entry.task_key)
         with self._lock:
@@ -382,8 +381,7 @@ class ModelRegistry:
             ):
                 self._resident.move_to_end(key)
                 return cached[2]
-        gp = surrogate_from_dict(entry.model)
-        return self._install_resident(entry, gp)
+        return self._install_resident(entry, surrogate_from_dict(entry.model))
 
     def _serve(
         self, problem_name: str, task_parameters: Mapping[str, Any]
@@ -477,7 +475,7 @@ class ModelRegistry:
         if space is None:
             raise LookupError(f"problem {problem_name!r} is not registered")
         indices = sobol_analyze_function(
-            lambda X: np.asarray(predictor.predict(X)[0]),
+            predictor.predict_mean,
             space.dim,
             n_base=n_base,
             names=space.names,

@@ -6,7 +6,6 @@ the :class:`StrategyProvider` that plugs a strategy into the tuning loop
 (:class:`TransferTuner` is the sequential tuner built with it).
 """
 
-from ..core.frozen import FrozenGP
 from .base import TLAStrategy, combine_weighted, equal_weight_model, fit_source_gps
 from .gptuneband import (
     BanditResult,
@@ -31,7 +30,6 @@ __all__ = [
     "EnsembleProb",
     "EnsembleProposed",
     "EnsembleToggling",
-    "FrozenGP",
     "GPTuneBand",
     "MultiFidelityObjective",
     "MultitaskPS",

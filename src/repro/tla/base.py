@@ -19,10 +19,11 @@ When the target task has no data at all, every strategy falls back to the
 equal-weight combination of the source surrogates — the paper's choice
 for the first function evaluation (Sec. VI-A).
 
-There is one pool path.  Source surrogates never change after
-:meth:`prepare`, so they are always predicted through their frozen view
-(:func:`frozen_predict`); the per-iteration *target-side* GPs are kept by
-a :class:`RefitCadence`.  Its two controls:
+There is one pool path and one way to predict: every member — source
+GPs fitted once in :meth:`prepare`, the per-iteration *target-side* GPs a
+:class:`RefitCadence` keeps — is called through its own ``predict``,
+which already reuses everything its fit computed
+(:mod:`repro.core.gp`).  The pool's two controls:
 
 * ``store`` — a shared :class:`repro.tla.store.SourceModelStore`; it only
   decides where a fitted source GP comes from (:func:`fit_source_gps`):
@@ -43,7 +44,6 @@ import numpy as np
 from ..core import perf
 from ..core.acquisition import PredictFn
 from ..core.combine import combine_stacked, normalized_weights
-from ..core.frozen import frozen_view
 from ..core.gp import GaussianProcess, GPFitError
 from ..core.history import TaskData
 from ..core.sparse import make_surrogate, resolve_surrogate_kind
@@ -53,7 +53,6 @@ __all__ = [
     "TLAStrategy",
     "RefitCadence",
     "fit_source_gps",
-    "frozen_predict",
     "equal_weight_model",
     "combine_weighted",
 ]
@@ -87,18 +86,6 @@ def fit_source_gps(
     return gps
 
 
-def frozen_predict(model) -> PredictFn:
-    """``model.predict`` through the model's frozen view.
-
-    :func:`repro.core.frozen.frozen_view` replays ``predict`` bit for
-    bit with the train-side quantities extracted once; where it has no
-    view (a kernel it does not cover, a surrogate that is not a GP) the
-    plain bound ``predict`` is returned.  For models that are never
-    refit again — a strategy's source and stack GPs.
-    """
-    return (frozen_view(model) or model).predict
-
-
 def combine_weighted(models: list[PredictFn], weights: np.ndarray) -> PredictFn:
     """The paper's Eq. (1)-(2): weighted arithmetic mean of the means and
     weighted geometric mean of the standard deviations.
@@ -125,9 +112,7 @@ def equal_weight_model(source_gps: list[GaussianProcess]) -> PredictFn:
     """
     if not source_gps:
         raise ValueError("need at least one source surrogate")
-    return combine_weighted(
-        [frozen_predict(gp) for gp in source_gps], np.ones(len(source_gps))
-    )
+    return combine_weighted([gp.predict for gp in source_gps], np.ones(len(source_gps)))
 
 
 class RefitCadence:

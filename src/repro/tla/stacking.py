@@ -15,9 +15,9 @@ geometric means:
 
 ending with ``beta = n_target / (n_target + n_src_last)`` for the target.
 
-The source stack never changes after :meth:`prepare`, so its GPs are
-predicted through their frozen views, each once per call
-(:meth:`Stacking._stack_predict`), and old rows' residuals are stable:
+The source stack never changes after :meth:`prepare`: its GPs are
+predicted each once per call (:meth:`Stacking._stack_predict`), and old
+rows' residuals are stable:
 with ``refit_every > 1`` the per-iteration target residual GP — a second
 :class:`repro.tla.base.RefitCadence` beside the base class's — freezes
 its hyperparameters between boundaries and absorbs appended observations
@@ -36,13 +36,7 @@ from ..core import perf
 from ..core.acquisition import PredictFn
 from ..core.gp import GaussianProcess
 from ..core.history import TaskData
-from .base import (
-    RefitCadence,
-    TLAStrategy,
-    equal_weight_model,
-    fit_source_gps,
-    frozen_predict,
-)
+from .base import RefitCadence, TLAStrategy, equal_weight_model, fit_source_gps
 
 __all__ = ["Stacking"]
 
@@ -92,9 +86,9 @@ class Stacking(TLAStrategy):
             self._stack_ns.append(src.n)
 
     def _stack_predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The frozen source stack at ``X``: the sum of its means and the
+        """The source stack at ``X``: the sum of its means and the
         iterative sample-weighted geometric mean of its stds."""
-        preds = [frozen_predict(gp)(X) for gp in self._stack]
+        preds = [gp.predict(X) for gp in self._stack]
         mean = np.zeros(X.shape[0])
         for mu_i, _ in preds:
             mean += mu_i

@@ -11,8 +11,8 @@ every source four times (the shell plus its three members) and a
 Table-I sweep once per strategy per repeat; with one, once.  Fits and
 hits are counted (``tla_source_fits`` / ``tla_source_cache_hits``).
 
-The store decides nothing else: how a fitted GP is *predicted* (through
-its frozen view, :mod:`repro.core.frozen`) is the same with and without.
+The store decides nothing else: a fitted GP is *predicted* the same way
+(its own ``predict``) with and without.
 
 Determinism contract: callers draw the GP seed from their ``rng`` stream
 *before* asking, so a store never shifts the random stream.  A cache hit

@@ -30,7 +30,7 @@ from scipy import optimize as sopt
 from ..core import perf
 from ..core.acquisition import PredictFn
 from ..core.history import TaskData
-from .base import TLAStrategy, combine_weighted, equal_weight_model, frozen_predict
+from .base import TLAStrategy, combine_weighted, equal_weight_model
 
 __all__ = ["WeightedSumStatic", "WeightedSumDynamic", "dynamic_weights"]
 
@@ -82,7 +82,7 @@ class WeightedSumStatic(TLAStrategy):
         target_gp = self._target_gp(target, rng)
         if target_gp is None:
             return equal_weight_model(self.source_gps)
-        models = [frozen_predict(gp) for gp in self.source_gps] + [target_gp.predict]
+        models = [gp.predict for gp in (*self.source_gps, target_gp)]
         if self.static_weights is not None:
             if self.static_weights.shape != (len(models),):
                 raise ValueError(
@@ -105,7 +105,7 @@ class WeightedSumDynamic(TLAStrategy):
         target_gp = self._target_gp(target, rng)
         if target_gp is None:
             return equal_weight_model(self.source_gps)
-        models = [frozen_predict(gp) for gp in self.source_gps] + [target_gp.predict]
+        models = [gp.predict for gp in (*self.source_gps, target_gp)]
         w = dynamic_weights(models, target)
         if w is None:  # not enough target data yet: paper's equal fallback
             w = np.ones(len(models))

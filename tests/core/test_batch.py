@@ -12,7 +12,9 @@ from repro.core import (
     RBF,
     RealParameter,
     Space,
+    perf,
 )
+from repro.core.gp import GPFitError
 from repro.core.optimizer import LIE_STRATEGIES, _lie_value, propose_batch
 
 
@@ -89,6 +91,54 @@ class TestProposeBatchGP:
         mean_after, std_after = gp.predict(grid)
         np.testing.assert_allclose(mean_after, mean_before)
         np.testing.assert_allclose(std_after, std_before)
+        # with points in flight too: the restored state carries the
+        # prediction cache of the real fit, so the bytes come back as well
+        state = gp._state
+        with perf.collect() as stats:
+            propose_batch(
+                gp.predict, space_1d, ExpectedImprovement(),
+                np.random.default_rng(3), q=3, gp=gp, X_obs=X, y_obs=y,
+                X_pending=np.array([[0.15], [0.85]]),
+            )
+        assert stats.snapshot()["counters"]["fantasy_updates"] == 4
+        assert gp._state is state
+        mean_after, std_after = gp.predict(grid)
+        assert np.array_equal(mean_after, mean_before)
+        assert np.array_equal(std_after, std_before)
+
+    def test_degenerate_fantasy_is_counted_and_penalized(
+        self, fitted_gp, space_1d, monkeypatch
+    ):
+        """A fantasy append the jitter ladder cannot absorb (GPFitError) is
+        counted and the batch finishes on pending penalties; anything else
+        update() raises is a bug and surfaces, with the model restored."""
+        gp, X, y = fitted_gp
+        state = gp._state
+
+        def refuse(x, y):
+            raise GPFitError("covariance not positive definite")
+
+        monkeypatch.setattr(gp, "update", refuse)
+        with perf.collect() as stats:
+            batch = propose_batch(
+                gp.predict, space_1d, ExpectedImprovement(),
+                np.random.default_rng(3), q=3, gp=gp, X_obs=X, y_obs=y,
+            )
+        counters = stats.snapshot()["counters"]
+        assert len(batch) == 3 and len({c["x"] for c in batch}) == 3
+        assert counters["fantasy_update_failures"] == 1
+        assert "fantasy_updates" not in counters
+
+        def bug(x, y):
+            raise TypeError("not a fit failure")
+
+        monkeypatch.setattr(gp, "update", bug)
+        with pytest.raises(TypeError):
+            propose_batch(
+                gp.predict, space_1d, ExpectedImprovement(),
+                np.random.default_rng(3), q=3, gp=gp, X_obs=X, y_obs=y,
+            )
+        assert gp._state is state
 
     def test_pending_points_not_reproposed(self, fitted_gp, space_1d):
         gp, X, y = fitted_gp

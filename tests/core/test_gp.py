@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import RBF, GaussianProcess, Matern52
+from repro.core import RBF, GaussianProcess, Matern52, MixedKernel, kernel_from_name
 from repro.core.gp import cholesky_with_jitter
+
+from .oracles import gp_predict
 
 
 def _train(rng, n=25, d=2, noise=0.0):
@@ -190,19 +192,6 @@ class TestSerialization:
         assert np.array_equal(m1, m2)
         assert np.array_equal(s1, s2)
 
-    def test_roundtrip_bitwise_through_frozen_view(self, rng):
-        from repro.core.frozen import frozen_view
-
-        X, y = _train(rng)
-        gp = GaussianProcess(RBF(2), seed=0).fit(X, y)
-        frozen = frozen_view(GaussianProcess.from_dict(gp.to_dict()))
-        assert frozen is not None
-        Xq = rng.random((16, 2))
-        m1, s1 = gp.predict(Xq)
-        m2, s2 = frozen.predict(Xq)
-        assert np.array_equal(m1, m2)
-        assert np.array_equal(s1, s2)
-
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             GaussianProcess().to_dict()
@@ -213,3 +202,56 @@ class TestSerialization:
         X, y = _train(rng, n=8)
         gp = GaussianProcess(RBF(2), seed=0).fit(X, y)
         json.dumps(gp.to_dict())
+
+
+class TestPredictEqualsOracle:
+    """``predict`` is the only predictor and reuses what the fit state
+    keeps; on every path that installs a state it must equal the textbook
+    posterior of :mod:`tests.core.oracles` bit for bit."""
+
+    ROWS = (1, 16, 64, 1024)
+
+    @staticmethod
+    def _kernel(name, d):
+        if name == "mixed":
+            return MixedKernel(d, [False, True, False, True], [1, 3, 1, 4])
+        return kernel_from_name(name, d)
+
+    def _assert_exact(self, gp):
+        for rows in self.ROWS:
+            Xq = np.random.default_rng(rows).random((rows, 4))
+            mean, std = gp.predict(Xq)
+            mean_ref, std_ref = gp_predict(gp, Xq)
+            assert np.array_equal(mean, mean_ref)
+            assert np.array_equal(std, std_ref)
+            assert np.array_equal(gp.predict_mean(Xq), mean_ref)
+
+    @pytest.mark.parametrize("n", [20, 50, 200])
+    @pytest.mark.parametrize("kernel", ["rbf", "matern52", "matern32", "mixed"])
+    def test_after_fit_update_and_roundtrip(self, kernel, n):
+        rng = np.random.default_rng(n)
+        X = rng.random((n + 5, 4))
+        y = np.sin(3 * X[:, 0]) + X[:, 1] ** 2 + 0.1 * rng.standard_normal(n + 5)
+        gp = GaussianProcess(self._kernel(kernel, 4), seed=1, max_fun=15).fit(X[:n], y[:n])
+        self._assert_exact(gp)
+        gp.update(X[n:], y[n:])
+        assert gp.n_train == n + 5
+        self._assert_exact(gp)
+        if kernel != "mixed":  # no snapshot format carries the switch weights
+            self._assert_exact(GaussianProcess.from_dict(gp.to_dict()))
+
+    def test_state_carries_the_train_side(self, rng):
+        """What makes the one path the cheap one: the scaled training rows
+        and a Fortran-ordered factor are in the fit state, rebuilt by every
+        fit/update and absent (not stale) for a kernel with nothing to keep."""
+        X, y = _train(rng, n=12)
+        gp = GaussianProcess(RBF(2), seed=0).fit(X[:10], y[:10])
+        for n in (10, 12):
+            if n == 12:
+                gp.update(X[10:], y[10:])
+            B, b_norms = gp._state.train
+            assert np.array_equal(B, X[:n] / gp.kernel.lengthscales)
+            assert np.array_equal(b_norms, np.sum(B * B, axis=1))
+            assert gp._state.L.flags.f_contiguous
+        mixed = GaussianProcess(MixedKernel(2, [False, True], [1, 3]), seed=0).fit(X, y)
+        assert mixed._state.train is None

@@ -321,7 +321,7 @@ class TestStoredFactorReplay:
         X, y = _data(n, n, 3)
         gp = GaussianProcess(RBF(3), n_restarts=1, seed=0).fit(X, y)
         clone = GaussianProcess.from_dict(gp.to_dict())
-        assert np.array_equal(clone.fit_state.L, gp.fit_state.L)
+        assert np.array_equal(clone._state.L, gp._state.L)
         Xq = np.random.default_rng(1).random((64, 3))
         m1, s1 = gp.predict(Xq)
         m2, s2 = clone.predict(Xq)
@@ -331,17 +331,17 @@ class TestStoredFactorReplay:
         X, y = _data(4, 12, 2)
         X[5:8] = X[4]  # duplicate rows, noise below an ulp: the ladder engages
         gp = GaussianProcess(RBF(2), noise_variance=1e-20, optimize=False).fit(X, y)
-        assert gp.fit_state.jitter > 0.0
+        assert gp._state.jitter > 0.0
         clone = GaussianProcess.from_dict(gp.to_dict())
-        assert clone.fit_state.jitter == gp.fit_state.jitter
-        assert np.array_equal(clone.fit_state.L, gp.fit_state.L)
+        assert clone._state.jitter == gp._state.jitter
+        assert np.array_equal(clone._state.L, gp._state.L)
 
     def test_stored_factor_is_the_kernel_matrix_factor(self):
         X, y = _data(3, 40, 3)
         gp = GaussianProcess(RBF(3), seed=0).fit(X, y)
         K = gp.kernel(X) + gp.noise_variance * np.eye(40)
         L, jitter = cholesky_with_jitter(K)
-        assert np.array_equal(gp.fit_state.L, L) and gp.fit_state.jitter == jitter
+        assert np.array_equal(gp._state.L, L) and gp._state.jitter == jitter
 
 
 # -- finite-difference kernels keep their objective -----------------------------
@@ -352,7 +352,7 @@ class TestFiniteDifferencePath:
         gp = GaussianProcess(Matern52(2), seed=0).fit(X, y)
         assert calls[0] == 0
         clone = GaussianProcess.from_dict(gp.to_dict())
-        assert np.array_equal(clone.fit_state.L, gp.fit_state.L)
+        assert np.array_equal(clone._state.L, gp._state.L)
 
 
 # -- (f) the helper shared with the LCM -----------------------------------------

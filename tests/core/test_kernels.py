@@ -82,11 +82,15 @@ class TestKernelCommon:
         with pytest.raises(ValueError):
             cls(2, lengthscales=[0.5])
 
-    def test_clone_independent(self, cls):
-        k = cls(2)
-        c = k.clone()
-        c.set_theta(c.get_theta() + 1.0)
-        assert not np.allclose(c.get_theta(), k.get_theta())
+    def test_kept_train_side_gives_the_same_bytes(self, cls, rng):
+        """``train_side(Y)`` is the half of the scaled distance that is Y's
+        alone; handing it back changes the cost of a call, not its result."""
+        k = cls(3, variance=1.7, lengthscales=[0.2, 0.5, 1.3])
+        X, Y = rng.random((9, 3)), rng.random((14, 3))
+        B, b_norms = k.train_side(Y)
+        assert np.array_equal(B, Y / k.lengthscales)
+        assert np.array_equal(b_norms, np.sum(B * B, axis=1))
+        assert np.array_equal(k(X, Y, (B, b_norms)), k(X, Y))
 
 
 def _nll_gradient_wrt_K(theta, X, ys):

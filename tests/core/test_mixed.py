@@ -97,11 +97,13 @@ class TestKernelProperties:
         for v, (lo, hi) in zip(k.get_theta(), k.bounds()):
             assert lo <= v <= hi
 
-    def test_clone_independent(self, space):
+    def test_keeps_no_train_side(self, space, rng):
+        """Not a function of one scaled distance: nothing to keep per fit,
+        and the slot the GP passes back is accepted and ignored."""
         k = mixed_kernel_for_space(space)
-        c = k.clone()
-        c.set_theta(c.get_theta() + 1.0)
-        assert not np.allclose(c.get_theta(), k.get_theta())
+        U = rng.random((6, space.dim))
+        assert k.train_side(U) is None
+        assert np.array_equal(k(U[:2], U, None), k(U[:2], U))
 
     def test_pure_numeric_space(self, rng):
         k = MixedKernel(2, [False, False])
@@ -146,6 +148,27 @@ class TestGPIntegration:
 
         assert rms_mixed < 0.5
         assert rms_mixed <= rms_rbf * 1.2
+
+    def test_snapshot_is_refused_not_written_unreadable(self, space, rng):
+        """Regression: ``to_dict`` used to write ``"kernel": "mixedkernel"``
+        and drop the switch weights — a document ``from_dict`` could only
+        answer with ``ValueError: unknown kernel``.  It now refuses, naming
+        the kernel class, and so does the sparse surrogate's snapshot."""
+        from repro.core import SparseGP, surrogate_from_dict
+
+        U = rng.random((20, space.dim))
+        y = np.sin(3 * U[:, 0]) + U[:, 1]
+        gp = GaussianProcess(mixed_kernel_for_space(space), max_fun=15, seed=0).fit(U, y)
+        with pytest.raises(TypeError, match="MixedKernel"):
+            gp.to_dict()
+        sp = SparseGP(mixed_kernel_for_space(space), n_inducing=8, max_fun=15, seed=0)
+        sp.fit(U, y)
+        with pytest.raises(TypeError, match="MixedKernel"):
+            sp.to_dict()
+        # what a snapshot can carry still round-trips
+        dense = GaussianProcess(max_fun=15, seed=0).fit(U, y)
+        clone = surrogate_from_dict(dense.to_dict())
+        assert np.array_equal(clone.predict_mean(U), dense.predict_mean(U))
 
     def test_tuner_accepts_mixed_kernel(self, rng):
         """End-to-end: a GP with a MixedKernel drives a tuning loop."""

@@ -1,9 +1,9 @@
 """Unit tests for repro.core.sparse: the large-n surrogate layer.
 
 Covers the deterministic k-center inducing selection, SGPR accuracy and
-incremental updates, the partitioned local-GP ensemble, bitwise frozen
-views and dict round-trips for both classes, the structured jitter-ladder
-failure, and the new perf counters.
+incremental updates, the partitioned local-GP ensemble, oracle-exact
+predictions and bitwise dict round-trips for both classes, the structured
+jitter-ladder failure, and the new perf counters.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core import perf
-from repro.core.frozen import frozen_view
 from repro.core.gp import GaussianProcess, GPFitError, cholesky_at, cholesky_with_jitter
 from repro.core.kernels import RBF, Matern52
 from repro.core.sparse import (
@@ -23,6 +22,8 @@ from repro.core.sparse import (
     select_inducing,
     surrogate_from_dict,
 )
+
+from .oracles import sparse_predict
 
 
 def _toy(n, d=2, seed=0, noise=0.01):
@@ -116,29 +117,38 @@ class TestSparseGP:
         assert np.array_equal(sd, sd2)
         assert clone.n_train == sp.n_train
 
-    def test_frozen_view_bitwise_and_cached(self):
+    def test_predict_equals_oracle(self):
+        """One predictor: after fit, update and a dict round-trip it is the
+        textbook SGPR posterior bit for bit, at every batch size."""
         X, y = _toy(200, seed=5)
-        sp = SparseGP("rbf", n_inducing=30, seed=2).fit(X, y)
-        Xt, _ = _toy(40, seed=6)
-        mu, sd = sp.predict(Xt)
-        fv = frozen_view(sp)
-        mu2, sd2 = fv.predict(Xt)
-        assert np.array_equal(mu, mu2)
-        assert np.array_equal(sd, sd2)
-        assert frozen_view(sp) is fv  # cached until the version moves
-        sp.update(X[:1], y[:1])
-        assert frozen_view(sp) is not fv
+        sp = SparseGP("rbf", n_inducing=30, seed=2).fit(X[:180], y[:180])
+        stages = (
+            lambda: sp,
+            lambda: sp.update(X[180:], y[180:]),
+            lambda: surrogate_from_dict(sp.to_dict()),
+        )
+        for stage in stages:
+            model = stage()
+            for rows in (1, 16, 1024):
+                Xt, _ = _toy(rows, seed=6)
+                mu, sd = model.predict(Xt)
+                mu_ref, sd_ref = sparse_predict(model, Xt)
+                assert np.array_equal(mu, mu_ref)
+                assert np.array_equal(sd, sd_ref)
+                assert np.array_equal(model.predict_mean(Xt), mu_ref)
 
-    def test_frozen_view_survives_update(self):
-        """States are replaced, not mutated: an old view keeps serving the
-        predictions of its freeze-time fit."""
+    def test_held_state_survives_update(self):
+        """States are replaced, not mutated: putting back a state taken
+        before an update serves the predictions of that fit, bit for bit."""
         X, y = _toy(150, seed=11)
         sp = SparseGP("rbf", n_inducing=25, seed=3).fit(X, y)
         Xt, _ = _toy(30, seed=12)
-        fv = frozen_view(sp)
-        mu_before, sd_before = fv.predict(Xt)
+        held = sp._state
+        mu_before, sd_before = sp.predict(Xt)
         sp.update(*_toy(20, seed=13))
-        mu_after, sd_after = fv.predict(Xt)
+        assert not np.array_equal(sp.predict(Xt)[0], mu_before)
+        sp._state = held
+        mu_after, sd_after = sp.predict(Xt)
         assert np.array_equal(mu_before, mu_after)
         assert np.array_equal(sd_before, sd_after)
 
@@ -238,15 +248,24 @@ class TestPartitionedGP:
         assert clone.n_leaves == pg.n_leaves
         assert clone.n_train == pg.n_train
 
-    def test_frozen_view_bitwise(self):
-        X, y = _toy(200, seed=7)
-        pg = PartitionedGP("rbf", leaf_size=50, seed=3).fit(X, y)
-        Xt, _ = _toy(40, seed=17)
-        mu, sd = pg.predict(Xt)
-        fv = frozen_view(pg)
-        mu2, sd2 = fv.predict(Xt)
-        assert np.array_equal(mu, mu2)
-        assert np.array_equal(sd, sd2)
+    def test_centroids_track_leaves(self):
+        """The centroid array predict() and update() route by is kept in
+        step with the leaves by fit, update (re-split included) and load."""
+        X, y = _toy(120, seed=7)
+        pg = PartitionedGP("rbf", leaf_size=30, seed=3, max_fun=15).fit(X, y)
+
+        def check(model):
+            assert model._centroids.shape == (model.n_leaves, 2)
+            for row, leaf in zip(model._centroids, model._leaves):
+                assert np.array_equal(row, leaf.X.mean(axis=0))
+
+        check(pg)
+        n_before = pg.n_leaves
+        Xn = np.full((40, 2), 0.1) + 0.01 * np.random.default_rng(0).random((40, 2))
+        pg.update(Xn, _truth(Xn))  # one leaf grows past 2 * leaf_size
+        assert pg.n_leaves > n_before
+        check(pg)
+        check(surrogate_from_dict(pg.to_dict()))
 
     def test_extends_training_data_contract(self):
         X, y = _toy(100)

@@ -115,6 +115,8 @@ class TestBatchProposerGuard:
         X = rng.random((50, 2))
         y = (X[:, 0] - 0.4) ** 2 + (X[:, 1] - 0.6) ** 2
         sp = SparseGP("rbf", n_inducing=15, seed=0).fit(X, y)
+        Xq = np.random.default_rng(2).random((16, 2))
+        mean_before, std_before = sp.predict(Xq)
         batch = propose_batch(
             sp.predict,
             space,
@@ -124,9 +126,13 @@ class TestBatchProposerGuard:
             gp=sp,
             X_obs=X,
             y_obs=y,
+            X_pending=np.array([[0.2, 0.2], [0.8, 0.7]]),
         )
         assert len(batch) == 3
         assert sp.n_train == 50  # fantasies restored
+        mean_after, std_after = sp.predict(Xq)
+        assert np.array_equal(mean_after, mean_before)
+        assert np.array_equal(std_after, std_before)
 
 
 class _MinimalStrategy(TLAStrategy):

@@ -61,6 +61,19 @@ class TestUploadQuery:
         with pytest.raises(ValueError):
             store.upload_model(keys["alice"], "", {"t": 1}, _trained_gp())
 
+    def test_unloadable_model_is_refused_before_insert(self, store, keys):
+        """Regression: a mixed-kernel GP used to be stored as a document no
+        ``load()`` could rebuild; the upload now fails and stores nothing."""
+        from repro.core import MixedKernel
+
+        rng = np.random.default_rng(0)
+        X = rng.random((20, 2))
+        gp = GaussianProcess(MixedKernel(2, [False, True], [1, 3]), max_fun=15, seed=0)
+        gp.fit(X, np.sin(4 * X[:, 0]) + X[:, 1])
+        with pytest.raises(TypeError, match="MixedKernel"):
+            store.upload_model(keys["alice"], "demo", {"t": 0.8}, gp)
+        assert store.query_models(keys["bob"], "demo") == []
+
     def test_task_filter(self, store, keys):
         store.upload_model(keys["alice"], "demo", {"t": 0.8}, _trained_gp(1))
         store.upload_model(keys["alice"], "demo", {"t": 1.2}, _trained_gp(2))

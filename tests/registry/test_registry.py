@@ -347,6 +347,44 @@ class TestBackgroundBuilder:
         finally:
             registry.close()
 
+    def test_reader_keeps_its_model_across_a_rebuild(self, repo, key):
+        """Why the registry needs no snapshot type: a resident model is
+        never refit — a rebuild fits a new object and swaps the resident
+        tuple — so a reader holding the old one keeps serving the old
+        entry bit for bit, and the next read gets the new entry's model."""
+        from repro.core import surrogate_from_dict
+
+        registry = ModelRegistry(
+            repo, RegistryOptions(background=True, min_samples=2)
+        )
+        try:
+            registry.register_problem("demo", SPACE)
+            _feed(registry, repo, key, 6)
+            assert registry.flush(timeout_s=10.0)
+            configs = [{"x": float(v)} for v in np.linspace(0.0, 0.9, 16)]
+            X = registry.problem_space("demo").to_unit_array(configs)
+            old_entry, held, _ = registry._serve("demo", TASK)
+            mean_before, std_before = held.predict(X)
+            served_old = registry.predict("demo", TASK, configs)
+
+            _feed(registry, repo, key, 5, start=6)
+            assert registry.flush(timeout_s=10.0)
+            new_entry = registry.entry_for("demo", TASK)
+            assert new_entry.data_version > old_entry.data_version
+
+            mean_after, std_after = held.predict(X)
+            assert np.array_equal(mean_after, mean_before)
+            assert np.array_equal(std_after, std_before)
+            served_new = registry.predict("demo", TASK, configs)
+            assert served_new["data_version"] == new_entry.data_version
+            assert served_new["mean"] != served_old["mean"]
+            assert registry._predictor_for(new_entry) is not held
+            mean_new, std_new = surrogate_from_dict(dict(new_entry.model)).predict(X)
+            assert served_new["mean"] == [float(v) for v in mean_new]
+            assert served_new["std"] == [float(v) for v in std_new]
+        finally:
+            registry.close()
+
     def test_builder_survives_a_failing_build(self):
         calls = []
 

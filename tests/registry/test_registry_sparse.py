@@ -2,7 +2,7 @@
 
 A crowd-sized ``(problem, task)`` history must build in bounded time
 (the sparse surrogate's O(nm^2), not the dense O(n^3)) and serve every
-subsequent ``predict`` fit-free from the resident frozen view.
+subsequent ``predict`` fit-free from the resident surrogate.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import perf
-from repro.core.sparse import FrozenSparseGP, surrogate_from_dict
+from repro.core.sparse import SparseGP, surrogate_from_dict
 from repro.crowd import CrowdRepository, PerformanceRecord
 from repro.crowd.records import Accessibility
 from repro.registry import ModelRegistry, RegistryOptions
@@ -80,9 +80,16 @@ class TestSparseRegistryBuilds:
         assert len(out["mean"]) == 32 and len(out["std"]) == 32
         assert np.all(np.isfinite(out["mean"]))
 
-        # the resident predictor is the frozen sparse view
-        predictor = registry._predictor_for(entry)
-        assert isinstance(predictor, FrozenSparseGP)
+        # the resident predictor is the surrogate itself: the object the
+        # build fitted, and once that is evicted the deserialized snapshot
+        built = registry._predictor_for(entry)
+        assert isinstance(built, SparseGP)
+        registry._resident.clear()
+        loaded = registry._predictor_for(entry)
+        assert isinstance(loaded, SparseGP) and loaded is not built
+        assert registry._predictor_for(entry) is loaded
+        again = registry.predict("demo", TASK, configs)
+        assert again["mean"] == out["mean"] and again["std"] == out["std"]
 
     def test_served_model_reconstructs_bitwise_client_side(self, repo, key):
         registry = ModelRegistry(

@@ -301,13 +301,13 @@ class TestCache:
         second = svc.client.handle(request)
         assert second["records"][0]["output"] == 0.0
 
-    def test_cache_hits_are_frozen_views(self, svc, key):
+    def test_cache_hits_are_frozen_documents(self, svc, key):
         import pytest
 
         _upload(svc.client, key, 0)
         request = {"route": "query", "api_key": key, "problem_name": "demo"}
         svc.client.handle(request)  # miss: populate
-        hit = svc.client.handle(request)  # hit: pinned frozen view
+        hit = svc.client.handle(request)  # hit: pinned frozen document
         with pytest.raises(TypeError):
             hit["records"][0]["output"] = -1.0
         with pytest.raises(TypeError):

@@ -97,8 +97,26 @@ class TestCommands:
         assert '"t": 2.5' in capsys.readouterr().out
 
     def test_tune_invalid_task_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(SystemExit, match="--task: value 99 invalid"):
             main(["tune", "--app", "demo", "--samples", "2", "--task", '{"t": 99}'])
+
+    @pytest.mark.parametrize(
+        "flag, text, reason",
+        [
+            ("--task", "{bad", "Expecting property name"),
+            ("--task", '{"nope": 1}', "missing parameter 't'"),
+            ("--task", "3", "expected a JSON object"),
+            ("--source-task", "{bad", "Expecting property name"),
+            ("--source-task", '{"t": 99}', "value 99 invalid"),
+        ],
+    )
+    def test_malformed_task_exits_with_the_reason(self, flag, text, reason):
+        """Regression: these died with a raw JSONDecodeError / SpaceError
+        traceback; like an unknown app, they now exit naming the flag."""
+        argv = ["tune", "--app", "demo", "--samples", "2", "--tla", "stacking", flag, text]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value).startswith(f"{flag}: ") and reason in str(exc.value)
 
     def test_sensitivity_demo(self, capsys):
         rc = main(

@@ -125,7 +125,8 @@ class TestRefitCadence:
         with perf.collect() as stats:
             # unchanged data off the boundary: the model is reused outright
             assert cadence.refresh(X[:6], y[:6], rng) is first
-            assert first.version == 1
+            reused = stats.snapshot()["counters"]
+            assert "gp_fits" not in reused and "gp_incremental_updates" not in reused
             # appended rows: absorbed by rank-1 updates, hyperparameters frozen
             theta = first.kernel.get_theta().copy()
             assert cadence.refresh(X[:8], y[:8], rng) is first

@@ -1,14 +1,14 @@
 """TLA-pool determinism and exactness pins.
 
-The pool has one path: source and stack GPs are served through frozen
-views, target-side GPs by a refit cadence, and a shared store only
-decides where a fitted source GP comes from.  These tests pin the
-contracts:
+The pool has one path: every member is called through its own
+``predict``, target-side GPs are kept by a refit cadence, and a shared
+store only decides where a fitted source GP comes from.  These tests pin
+the contracts:
 
 * fixed-seed runs are bit-identical across repeats,
 * every strategy's surrogate equals, bit for bit, the paper's formulas
-  written over plain ``gp.predict`` (:mod:`tests.tla.oracles`), with and
-  without a store,
+  written over the textbook GP predictor (:mod:`tests.tla.oracles`),
+  with and without a store,
 * a store leaves the trajectory of every strategy whose fits cannot hit
   exactly unchanged (Stacking's first stack entry does hit, on the base
   class's source fit, and inherits that fit's seed),
@@ -31,7 +31,7 @@ from repro.core import (
     perf,
 )
 from repro.tla import STRATEGY_REGISTRY, SourceModelStore, TransferTuner, get_strategy
-from repro.tla.base import combine_weighted, fit_source_gps, frozen_predict
+from repro.tla.base import combine_weighted, fit_source_gps
 
 from . import oracles
 
@@ -70,13 +70,13 @@ def _source_set(problem, source_factory, tasks=(0, 2, 4, 6), n=20):
 
 
 class TestBatchedCombineEquivalence:
-    """Acceptance pin: the frozen-view pool equals the plain-predict oracle."""
+    """Acceptance pin: the pool equals the one-model-at-a-time oracle."""
 
     def test_frozen_path_matches_loop(self, rng, shifted_quadratics, source_factory):
         gps = fit_source_gps(_source_set(shifted_quadratics, source_factory), rng)
         w = np.array([1.0, 2.0, 0.5, 1.5])
         Xq = np.random.default_rng(9).random((64, 1))
-        mu, sd = combine_weighted([frozen_predict(gp) for gp in gps], w)(Xq)
+        mu, sd = combine_weighted([gp.predict for gp in gps], w)(Xq)
         mu_ref, sd_ref = oracles.weighted_sum(gps, w, Xq)
         assert np.array_equal(mu, mu_ref) and np.array_equal(sd, sd_ref)
 
@@ -115,20 +115,18 @@ class TestBatchedCombineEquivalence:
     def test_batched_counter_increments(self, rng, shifted_quadratics, source_factory):
         src = source_factory(shifted_quadratics, {"t": 1}, 20, seed=1)
         gps = fit_source_gps([src], rng)
-        fast = combine_weighted([frozen_predict(gps[0])], np.ones(1))
+        fast = combine_weighted([gps[0].predict], np.ones(1))
         with perf.collect() as stats:
             fast(np.random.default_rng(0).random((4, 1)))
         assert stats.snapshot()["counters"]["tla_batched_predicts"] == 1
 
     def test_non_gp_members_still_work(self):
-        # a model without a frozen view is predicted through its own predict
+        # a pool member is anything with a predict(X) -> (mean, std)
         class Constant:
             def predict(self, X):
                 return np.full(X.shape[0], 2.0), np.ones(X.shape[0])
 
-        model = Constant()
-        assert frozen_predict(model) == model.predict
-        mu, sd = combine_weighted([frozen_predict(model)], np.ones(1))(np.zeros((3, 1)))
+        mu, sd = combine_weighted([Constant().predict], np.ones(1))(np.zeros((3, 1)))
         assert np.allclose(mu, 2.0) and np.allclose(sd, 1.0)
 
 

@@ -1,18 +1,13 @@
-"""Tests for repro.tla.store (the fitted-model cache) and the frozen views
-the pool predicts source GPs through."""
+"""Tests for repro.tla.store (the fitted-model cache)."""
 
 from __future__ import annotations
 
 import pickle
 
 import numpy as np
-import pytest
 
 from repro.core import perf
-from repro.core.frozen import frozen_view
-from repro.core.gp import GaussianProcess
-from repro.core.kernels import Matern52, kernel_from_name
-from repro.tla import FrozenGP, SourceModelStore
+from repro.tla import SourceModelStore
 
 
 def _data(seed=0, n=30, d=2):
@@ -72,41 +67,16 @@ class TestModelCache:
     def test_pickle_roundtrip(self):
         store = SourceModelStore()
         X, y = _data()
-        store.fit_gp(X, y, seed=1)
+        gp = store.fit_gp(X, y, seed=1)
         clone = pickle.loads(pickle.dumps(store))
         assert len(clone) == 1
         with perf.collect() as stats:
-            clone.fit_gp(X, y, seed=2)
+            shipped = clone.fit_gp(X, y, seed=2)
         assert stats.snapshot()["counters"]["tla_source_cache_hits"] == 1
-
-
-class TestFrozenGP:
-    @pytest.mark.parametrize("kernel", ["rbf", "matern52", "matern32"])
-    def test_bitwise_identical_to_gp_predict(self, kernel):
-        X, y = _data()
-        gp = GaussianProcess(kernel_from_name(kernel, 2), seed=0)
-        gp.fit(X, y)
-        frozen = frozen_view(gp)
-        assert frozen is not None
-        Xq = np.random.default_rng(5).random((40, 2))
-        mu_ref, sd_ref = gp.predict(Xq)
-        mu, sd = frozen.predict(Xq)
-        assert np.array_equal(mu, mu_ref)
-        assert np.array_equal(sd, sd_ref)
-
-    def test_view_cached_per_version(self):
-        X, y = _data()
-        gp = GaussianProcess(Matern52(2), seed=0)
-        gp.fit(X, y)
-        f1 = frozen_view(gp)
-        assert frozen_view(gp) is f1
-        gp.fit(X, y + 1.0)  # version bump invalidates
-        f2 = frozen_view(gp)
-        assert f2 is not f1
-        assert isinstance(f2, FrozenGP)
-
-    def test_unfitted_gp_has_no_view(self):
-        assert frozen_view(GaussianProcess()) is None
+        # the fit state (train-side cache included) ships with the model
+        Xq = np.random.default_rng(5).random((16, 2))
+        for a, b in zip(gp.predict(Xq), shipped.predict(Xq)):
+            assert np.array_equal(a, b)
 
 
 class TestSeedBurning:
