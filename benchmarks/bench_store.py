@@ -17,19 +17,31 @@ return is pinned by the row-oracle tests, not here):
 inserts with one batched op through :meth:`DurableLog.append_many`
 (>= 2x required; ``REPRO_BENCH_SMOKE=1`` shrinks sizes and drops the
 threshold to a sanity check — shared CI runners are noisy).
+
+``test_store_memory_and_checkpoints`` records absolute rows
+(``results/store_memory.json``) for one durable shard fed uploads shaped
+like the end-to-end benchmark's (3 machine x 2 software x 64 task
+blocks): traced bytes per stored record, images written and image bytes
+for the run, journal and image bytes left on disk, and the seconds a
+restart takes with none and with half of the records in the journal tail.
 """
 
 from __future__ import annotations
 
+import gc
+import json
 import tempfile
 import time
+import tracemalloc
 
 from repro.core import perf
 from repro.crowd.database import DocumentStore
 from repro.crowd.records import Accessibility, PerformanceRecord
 from repro.crowd.repository import CrowdRepository
 from repro.crowd.views import leaderboard_from_docs
+from repro.crowd.users import UserRegistry
 from repro.registry import ModelRegistry
+from repro.service import CrowdShard
 from repro.service.wal import DurableLog
 
 from harness import FULL, SMOKE, save_results
@@ -181,6 +193,96 @@ def test_batched_insert_and_journal():
     assert speedup >= MIN_BATCH_SPEEDUP, speedup
 
 
+_MACHINES = [
+    {"machine_name": "cori", "haswell": {"nodes": 8, "cores": 32}},
+    {"machine_name": "Cori-Haswell", "haswell": {"nodes": 8, "cores": 32}},
+    {"machine_name": "cori", "haswell": {"nodes": 4, "cores": 32}},
+]
+_SOFTWARE = [
+    {"scalapack": {"version_split": [2, 1, 0]}, "gcc": {"version_split": [8, 3, 0]}},
+    {"scalapack": {"version_split": [2, 2, 0]}, "gcc": {"version_split": [9, 1, 0]}},
+]
+
+
+def _upload(key: str, i: int) -> dict:
+    """One upload request as it comes off a wire (nothing shared)."""
+    return json.loads(
+        json.dumps(
+            {
+                "route": "upload",
+                "api_key": key,
+                "problem_name": "PDGEQRF-ingest",
+                "task_parameters": {"m": 2000 + 500 * (i % 8), "n": 2000 + 500 * (i // 8 % 8)},
+                "tuning_parameters": {"mb": i % 16 + 1, "nb": i * 7 % 16 + 1, "p": i + 1},
+                "output": None if i % 20 == 0 else 1.0 + i / 7.0,
+                "machine_configuration": _MACHINES[i % 3],
+                "software_configuration": _SOFTWARE[i % 2],
+            }
+        )
+    )
+
+
+def test_store_memory_and_checkpoints():
+    n = 1_000 if SMOKE else 10_000
+    users = UserRegistry()
+    users.register("alice", "a@lab.gov")
+    key = users.issue_api_key("alice")
+
+    # the library's defaults: what a record costs, what the images cost
+    stats = perf.PerfStats()
+    with tempfile.TemporaryDirectory() as tmp:
+        gc.collect()
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        with perf.collect(stats), CrowdShard("s0", tmp, users=users) as shard:
+            for i in range(n):
+                assert shard.handle(_upload(key, i))["ok"]
+            gc.collect()
+            bytes_per_record = (tracemalloc.get_traced_memory()[0] - before) / n
+        tracemalloc.stop()
+        on_disk = {p.name: p.stat().st_size for p in shard.data_dir.iterdir()}
+    counters = stats.snapshot()["counters"]
+
+    # a restart, with half of the store in the journal tail and with none
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def restart_s() -> float:
+            t0 = time.perf_counter()
+            with CrowdShard("s0", tmp, users=users, snapshot_every=10**9) as shard:
+                assert shard.count() == n
+            return time.perf_counter() - t0
+
+        with CrowdShard("s0", tmp, users=users, snapshot_every=10**9) as shard:
+            for i in range(n):
+                assert shard.handle(_upload(key, i))["ok"]
+                if i == n // 2 - 1:
+                    shard.snapshot()
+        recover_half_tail_s = _wall(restart_s)
+        with CrowdShard("s0", tmp, users=users, snapshot_every=10**9) as shard:
+            shard.snapshot()
+        recover_no_tail_s = _wall(restart_s)
+
+    row = {
+        "records": n,
+        "traced_bytes_per_record": bytes_per_record,
+        "images_written": counters.get("wal_snapshots", 0),
+        "image_bytes_written": counters.get("wal_snapshot_bytes", 0),
+        "interned_values": counters.get("store_interned_values", 0),
+        "intern_overflows": counters.get("store_intern_overflows", 0),
+        "image_bytes_on_disk": on_disk.get("snapshot.json", 0),
+        "journal_bytes_on_disk": on_disk.get("wal.jsonl", 0),
+        "recover_s_tail_0pct": recover_no_tail_s,
+        "recover_s_tail_50pct": recover_half_tail_s,
+        "smoke": SMOKE,
+    }
+    print()
+    print(f"durable shard, {n} uploads")
+    for name, value in row.items():
+        print(f"  {name:<26} {value:.4g}" if isinstance(value, float) else f"  {name:<26} {value}")
+    save_results("store_memory", row)
+    assert row["images_written"] >= 1 and row["interned_values"] > n
+
+
 def test_read_counters_flow_to_perf():
     repo, key = _build(SIZES[0])
     stats = perf.PerfStats()
@@ -200,4 +302,5 @@ def test_read_counters_flow_to_perf():
 if __name__ == "__main__":
     test_columnar_read_paths()
     test_batched_insert_and_journal()
+    test_store_memory_and_checkpoints()
     test_read_counters_flow_to_perf()

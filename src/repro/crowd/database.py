@@ -24,10 +24,17 @@ come in ascending ``_id`` order.  A malformed filter raises
 Documents are stored deep-frozen (:mod:`repro.crowd.columnar`) and
 copied on the way in and out, so callers can never mutate stored state
 by aliasing — important because the repository layer enforces access
-control on these documents.  ``find(..., frozen=True)`` hands read-only
-callers the stored immutable views directly (zero copies, mutation
-raises; counter ``store_zero_copy_reads``); the default remains a
-mutable deep copy.
+control on these documents.  Every way in (``insert`` / ``insert_many``
+/ ``restore`` / ``update`` / ``from_jsonable``) goes through the
+collection's :class:`~repro.crowd.columnar.Interner`, so equal small
+sub-documents — the machine, software, task and accessibility blocks
+every crowd record repeats — are one shared immutable object per
+collection (counters ``store_interned_values``,
+``store_intern_overflows``); ``to_jsonable`` hands out the stored frozen
+documents themselves, so an image is serialized without a copy.
+``find(..., frozen=True)`` hands read-only callers the stored immutable
+views directly (zero copies, mutation raises; counter
+``store_zero_copy_reads``); the default remains a mutable deep copy.
 
 Thread-safety: every :class:`Collection` guards its mutation/read
 boundary with an :class:`~threading.RLock` — the asynchronous engine's
@@ -55,7 +62,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from typing import Any, Callable
 
 from ..core import perf
-from .columnar import ColumnarView, QuerySyntaxError, freeze, thaw
+from .columnar import ColumnarView, FrozenDict, Interner, QuerySyntaxError, thaw
 
 __all__ = ["DocumentStore", "Collection", "QuerySyntaxError"]
 
@@ -75,6 +82,9 @@ class Collection:
         #: the query engine over ``self._docs`` (rows/columns built on
         #: the first read)
         self._columnar = ColumnarView(self._docs)
+        #: shares equal sub-documents between this collection's documents
+        #: (per collection: a shard shares nothing with its peers)
+        self._interner = Interner()
 
     def __len__(self) -> int:
         with self._lock:
@@ -102,20 +112,21 @@ class Collection:
     # -- CRUD ------------------------------------------------------------------
     def insert(self, doc: Mapping[str, Any]) -> int:
         """Insert a document; returns its assigned ``_id``."""
-        stored = self._freeze_doc(doc)
         with self._lock:
-            _id = self._store_new(stored)
+            _id = self._store_new(doc)
             self._notify({"op": "insert", "c": self.name, "doc": self._docs[_id]})
         return _id
 
     def insert_many(self, docs: Iterable[Mapping[str, Any]]) -> list[int]:
         """Insert a batch under one lock acquisition, journaled as one
         batched ``insert_many`` op (one WAL line / fsync for the lot)."""
-        frozen = [self._freeze_doc(d) for d in docs]
-        if not frozen:
+        docs = list(docs)
+        if not all(isinstance(doc, Mapping) for doc in docs):
+            raise TypeError("documents must be mappings")
+        if not docs:
             return []
         with self._lock:
-            ids = [self._store_new(stored) for stored in frozen]
+            ids = [self._store_new(doc) for doc in docs]
             self._notify(
                 {
                     "op": "insert_many",
@@ -125,17 +136,22 @@ class Collection:
             )
         return ids
 
-    def _freeze_doc(self, doc: Mapping[str, Any]) -> dict[str, Any]:
+    def _frozen(self, doc: Mapping[str, Any], _id: int | None = None) -> FrozenDict:
+        """The stored form of ``doc`` (lock held): deep-frozen, its small
+        sub-documents shared with every equal one already stored; with
+        ``_id``, stamped (in place if the document carries the key)."""
         if not isinstance(doc, Mapping):
             raise TypeError("documents must be mappings")
-        return {k: freeze(v) for k, v in doc.items()}
+        fields = self._interner.freeze_fields(doc)
+        if _id is not None:
+            fields["_id"] = _id
+        return FrozenDict(fields)
 
-    def _store_new(self, stored: dict[str, Any]) -> int:
-        """Assign an id, freeze, and column-append (lock held)."""
+    def _store_new(self, doc: Mapping[str, Any]) -> int:
+        """Freeze under the next id and column-append (lock held)."""
         _id = self._next_id
+        frozen = self._frozen(doc, _id)
         self._next_id += 1
-        stored["_id"] = _id
-        frozen = freeze(stored)
         self._docs[_id] = frozen
         self._columnar.on_insert(_id, frozen)
         return _id
@@ -147,9 +163,9 @@ class Collection:
         overwrites it with the same content.  The observer is *not*
         notified — replay must never re-journal itself.
         """
-        stored = freeze(self._freeze_doc(doc))
-        _id = int(stored["_id"])
         with self._lock:
+            stored = self._frozen(doc)
+            _id = int(stored["_id"])
             known = _id in self._docs
             self._docs[_id] = stored
             self._next_id = max(self._next_id, _id + 1)
@@ -207,11 +223,12 @@ class Collection:
         """Shallow-merge ``changes`` into matching docs; returns count."""
         with self._lock:
             matched = self._matching(flt)
+            frozen_changes = self._interner.freeze_fields(changes) if matched else {}
             for doc in matched:
                 merged = dict(doc)
-                merged.update({k: freeze(v) for k, v in changes.items()})
+                merged.update(frozen_changes)
                 merged["_id"] = doc["_id"]  # _id is immutable
-                self._docs[doc["_id"]] = freeze(merged)
+                self._docs[doc["_id"]] = FrozenDict(merged)
             if matched:
                 self._columnar.mark_dirty()
                 self._notify(
@@ -239,19 +256,24 @@ class Collection:
 
     # -- persistence ------------------------------------------------------------
     def to_jsonable(self) -> dict[str, Any]:
+        """The collection's image.  ``docs`` are the stored frozen
+        documents themselves — they cannot change, so serializing them
+        needs no copy; ``thaw`` one before editing it."""
         with self._lock:
             return {
                 "name": self.name,
                 "next_id": self._next_id,
-                "docs": [thaw(d) for d in self._docs.values()],
+                "docs": list(self._docs.values()),
             }
 
     @staticmethod
     def from_jsonable(blob: Mapping[str, Any]) -> "Collection":
+        """Inverse of :meth:`to_jsonable`; ``docs`` may be any iterable
+        and is consumed one document at a time."""
         coll = Collection(blob["name"])
         coll._next_id = int(blob["next_id"])
         for doc in blob["docs"]:
-            coll._docs[int(doc["_id"])] = freeze(dict(doc))
+            coll._docs[int(doc["_id"])] = coll._frozen(doc)
         return coll
 
 

@@ -18,7 +18,9 @@ shards.  What is the queue's own:
   been running was never acknowledged, re-running it is correct);
 * ``redispatch`` ops are journaled so attempt counts survive recovery
   and a recovered queue keeps issuing fresh lease tokens;
-* snapshots are taken under the queue lock, so the image holds exactly
+* snapshots follow the log's checkpoint rule (``snapshot_every`` ops
+  at least, and a journal that outgrew the last image) and are taken
+  under the queue lock, so the image holds exactly
   the ops the snapshot covers (a replayed ``redispatch`` would count
   twice over an image that already held it).
 
@@ -117,8 +119,10 @@ class DurableJobQueue:
         Directory for the WAL and snapshots; ``None`` keeps the queue in
         memory only.
     snapshot_every:
-        Journaled ops between automatic snapshots (snapshot + WAL
-        truncation keeps recovery bounded on long runs).
+        Fewest journaled ops between automatic snapshots; past that
+        floor one is taken once the journal has outgrown the last image
+        (snapshot + WAL truncation keeps recovery within about twice
+        the live queue, at O(journal) total image bytes).
     fsync_every:
         Passed through to the WAL — 1 (default) syncs every op.
     """
@@ -154,15 +158,18 @@ class DurableJobQueue:
     def _recover(self) -> None:
         """Rebuild the job table from the log's snapshot + journal tail."""
         assert self._log is not None
-        image, tail = self._log.recover()
-        if image is not None:
+
+        def load(image: Mapping[str, Any]) -> None:
             self._next_job_id = int(image["next_job_id"])
             for doc in image["jobs"]:
                 job = FabricJob.from_doc(doc)
                 self._jobs[job.job_id] = job
-        for op in tail:
+
+        def apply(op: Mapping[str, Any]) -> None:
             self._apply_op(op)
             perf.incr("fabric_queue_replayed")
+
+        self._log.recover(load, apply)
         # un-completed jobs go back to pending in enqueue order: their
         # leases (if any) died with the coordinator
         for job_id in sorted(self._jobs):

@@ -3,8 +3,10 @@
 The builder never fits anything itself — it decides *when* the
 registry's build function runs.  Record uploads call :meth:`notify`;
 a key becomes due when ``min_new_samples`` notifications accumulated
-since its last build, or (with ``max_staleness_s``) when the last build
-is old enough.  In synchronous mode (the default, and what the tests
+since its last build *attempt* (a due build that produces nothing — the
+problem is not registered yet, or has too few samples — spends the count
+like one that succeeds; reads still build on first demand), or (with
+``max_staleness_s``) when the last build is old enough.  In synchronous mode (the default, and what the tests
 pin) the build runs inline on the notifying thread — the upload request
 pays for the refit, reads stay pure.  In background mode due keys are
 queued and a daemon worker drains them, so uploads return immediately
@@ -46,7 +48,7 @@ class RegistryBuilder:
         self.background = bool(background)
         self._clock = clock if clock is not None else time.monotonic
         self._lock = threading.Lock()
-        #: (problem, task_key) -> notifications since the last build
+        #: (problem, task_key) -> notifications since the last build attempt
         self._pending: dict[tuple[str, str], int] = {}
         self._last_built: dict[tuple[str, str], float] = {}
         #: queued background builds, deduplicated by key (FIFO)
@@ -71,16 +73,17 @@ class RegistryBuilder:
         key = (problem_name, task_key)
         with self._lock:
             pending = self._pending.get(key, 0) + 1
-            self._pending[key] = pending
             last = self._last_built.get(key)
-        due = pending >= self.min_new_samples
-        if (
-            not due
-            and self.max_staleness_s is not None
-            and last is not None
-            and self._clock() - last >= self.max_staleness_s
-        ):
-            due = True
+            due = pending >= self.min_new_samples or (
+                self.max_staleness_s is not None
+                and last is not None
+                and self._clock() - last >= self.max_staleness_s
+            )
+            # a due attempt spends the count whatever it produces: a build
+            # that yields nothing (problem not registered, too few samples)
+            # is tried again after another ``min_new_samples``
+            # notifications, not on every upload from then on
+            self._pending[key] = 0 if due else pending
         if not due:
             return False
         if self.background:

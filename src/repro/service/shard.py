@@ -10,7 +10,13 @@ queries fan out.
 :class:`CrowdShard` is one storage node: a full
 :class:`~repro.crowd.server.CrowdServer` whose document store is made
 durable by a :class:`~repro.service.wal.DurableLog` (journal-then-ack,
-snapshots, crash recovery: the contract is stated there, once).  Shards
+snapshots paid for by journal growth, crash recovery: the contract is
+stated there, once).  The shard never copies its store to persist or
+recover it: an image is serialized straight from the stored frozen
+documents, and a restart drains the parsed image document by document
+into the store (which shares equal sub-documents,
+:class:`~repro.crowd.columnar.Interner`) and applies the journal tail
+one op at a time.  Shards
 share one :class:`~repro.crowd.users.UserRegistry` (accounts are not
 sharded, mirroring the usual service split of an auth tier in front of
 storage tiers); credentials never touch the WAL or snapshots, matching
@@ -24,7 +30,7 @@ import json
 import threading
 from bisect import bisect_right
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from ..core import perf
 from ..crowd.columnar import sort_key
@@ -137,6 +143,13 @@ def bucket_digest(entries: list[tuple[str, Any]]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _drain(items: list[Any]) -> Iterator[Any]:
+    """The items in order, each released from the list as it is yielded."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
 def _ring_hash(value: str) -> int:
     return int.from_bytes(hashlib.sha256(value.encode()).digest()[:8], "little")
 
@@ -187,10 +200,11 @@ class CrowdShard:
 
     Without ``data_dir`` the shard is memory-only (tests, throwaway
     demos).  With it, every store mutation is journaled before the
-    response leaves :meth:`handle`, a snapshot is taken every
-    ``snapshot_every`` journaled ops, and constructing a shard over an
-    existing directory recovers snapshot + WAL tail to exactly the last
-    acknowledged state.
+    response leaves :meth:`handle`, a snapshot is taken once at least
+    ``snapshot_every`` ops were journaled since the last one and the
+    journal has outgrown it (counter ``wal_snapshots``), and
+    constructing a shard over an existing directory recovers snapshot +
+    WAL tail to exactly the last acknowledged state.
     """
 
     def __init__(
@@ -245,17 +259,26 @@ class CrowdShard:
 
     # -- durability ---------------------------------------------------------
     def _recover_store(self) -> DocumentStore:
-        """The store as of the last acknowledged op: image + journal tail."""
+        """The store as of the last acknowledged op: image + journal tail.
+
+        Neither is ever whole in memory beside the store it becomes: the
+        parsed image is drained document by document as the store freezes
+        (and shares) them, and the tail's ops are applied as they are read.
+        """
         assert self._log is not None
-        image, tail = self._log.recover()
-        store = (
-            DocumentStore.from_jsonable(image["store"])
-            if image is not None
-            else DocumentStore()
-        )
-        for op in tail:
+        store = DocumentStore()
+
+        def load(image: dict[str, Any]) -> None:
+            nonlocal store
+            for blob in image["store"]["collections"]:
+                blob["docs"] = _drain(blob["docs"])
+            store = DocumentStore.from_jsonable(image["store"])
+
+        def apply(op: dict[str, Any]) -> None:
             store.apply_op(op)
             perf.incr("wal_replayed")
+
+        self._log.recover(load, apply)
         return store
 
     def _journal(self, op: dict[str, Any]) -> None:

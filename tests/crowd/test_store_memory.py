@@ -1,0 +1,151 @@
+"""What a stored record costs, measured deterministically (tracemalloc
+counts the interpreter's allocations; no RSS, no timing).
+
+Records are shaped like the end-to-end benchmark's uploads — 3 machine
+blocks x 2 software blocks x 16 tasks, every tuning configuration its
+own — and the yardstick is the same ``Collection`` with sharing off
+(:mod:`tests.crowd.intern_oracle`)."""
+
+from __future__ import annotations
+
+import gc
+import json
+import tracemalloc
+
+from repro.crowd.database import DocumentStore
+from repro.crowd.users import UserRegistry
+from repro.service import CrowdShard
+
+from .intern_oracle import PrivateStore
+
+N = 2000
+MACHINES = [
+    {"machine_name": "cori", "haswell": {"nodes": 8, "cores": 32}},
+    {"machine_name": "Cori-Haswell", "haswell": {"nodes": 8, "cores": 32}},
+    {"machine_name": "cori", "haswell": {"nodes": 4, "cores": 32}},
+]
+SOFTWARE = [
+    {"scalapack": {"version_split": [2, 1, 0]}, "gcc": {"version_split": [8, 3, 0]}},
+    {"scalapack": {"version_split": [2, 2, 0]}, "gcc": {"version_split": [9, 1, 0]}},
+]
+
+
+def record(i: int) -> dict:
+    """One upload as it arrives off the wire: nothing shared with the last."""
+    return json.loads(
+        json.dumps(
+            {
+                "uid": i + 1,
+                "problem_name": "PDGEQRF-ingest",
+                "task_parameters": {"m": 2000 + 500 * (i % 4), "n": 2000 + 500 * (i // 4 % 4)},
+                "tuning_parameters": {"mb": i % 16 + 1, "nb": i * 7 % 16 + 1, "p": i + 1},
+                "output": 1.0 + i / 7.0,
+                "owner": "user_a",
+                "machine_configuration": MACHINES[i % 3],
+                "software_configuration": SOFTWARE[i % 2],
+                "accessibility": {"level": "public", "groups": []},
+                "timestamp": float(i + 1),
+            }
+        )
+    )
+
+
+def traced(build):
+    """``(build(), bytes still allocated by it)``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = build()
+        gc.collect()
+        return built, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def filled(store: DocumentStore) -> DocumentStore:
+    for i in range(N):
+        store["performance_records"].insert(record(i))
+    return store
+
+
+def test_a_stored_record_costs_under_half_of_a_private_copy():
+    _, private = traced(lambda: filled(PrivateStore()))
+    store, shared = traced(lambda: filled(DocumentStore()))
+    assert shared <= 0.45 * private
+
+    # the same after a trip through an image on disk ...
+    image = json.dumps(store.to_jsonable(), sort_keys=True)
+    reloaded, from_image = traced(lambda: DocumentStore.from_jsonable(json.loads(image)))
+    assert from_image <= 0.45 * private
+
+    # ... and after replaying the journal, one separately parsed line per op
+    lines: list[str] = []
+    journaling = DocumentStore()
+    journaling.set_observer(lambda op: lines.append(json.dumps(op, sort_keys=True)))
+    filled(journaling)
+
+    def replay() -> DocumentStore:
+        replayed = DocumentStore()
+        for line in lines:
+            replayed.apply_op(json.loads(line))
+        return replayed
+
+    replayed, from_journal = traced(replay)
+    assert from_journal <= 0.45 * private
+    assert json.dumps(replayed.to_jsonable(), sort_keys=True) == image
+    assert json.dumps(reloaded.to_jsonable(), sort_keys=True) == image
+
+
+def _shard(data_dir, users) -> CrowdShard:
+    return CrowdShard("s0", data_dir, users=users, snapshot_every=10**9)
+
+
+def _upload(shard: CrowdShard, key: str, i: int) -> None:
+    assert shard.handle({"route": "upload", "api_key": key, **record(i)})["ok"]
+
+
+def test_a_snapshot_builds_no_second_document_tree(tmp_path):
+    users = UserRegistry()
+    users.register("alice", "a@lab.gov")
+    key = users.issue_api_key("alice")
+    with _shard(tmp_path, users) as shard:
+        for i in range(N):
+            _upload(shard, key, i)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            shard.snapshot()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        image_bytes = (tmp_path / "snapshot.json").stat().st_size
+        assert image_bytes > 400 * N
+        # a thawed copy of the store alone is several times the image
+        assert peak <= 1.1 * image_bytes
+
+
+def test_a_restart_from_image_plus_a_long_tail_costs_what_the_live_shard_did(tmp_path):
+    users = UserRegistry()
+    users.register("alice", "a@lab.gov")
+    key = users.issue_api_key("alice")
+
+    def live() -> CrowdShard:
+        shard = _shard(tmp_path, users)
+        for i in range(N):
+            _upload(shard, key, i)
+            if i == N // 2 - 1:
+                shard.snapshot()  # the other half stays in the journal
+        return shard
+
+    shard, before = traced(live)
+    image = json.dumps(shard.repository.store.to_jsonable(), sort_keys=True)
+    shard.close()
+    del shard
+    restarted, after = traced(lambda: _shard(tmp_path, users))
+    with restarted:
+        assert restarted.count() == N
+        assert json.dumps(restarted.repository.store.to_jsonable(), sort_keys=True) == image
+    assert abs(after - before) <= 0.15 * before

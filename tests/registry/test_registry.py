@@ -166,6 +166,37 @@ class TestBuildAndServe:
         assert stats.counters["registry_builds"] == 1
         assert registry.entry_for("demo", TASK).data_version == 3
 
+    @pytest.mark.parametrize("background", [False, True], ids=["sync", "background"])
+    def test_a_build_that_yields_nothing_waits_for_new_samples(self, repo, key, background):
+        """An unregistered problem: every due build returns ``None``.  (A
+        key whose count had reached ``min_new_samples`` used to attempt a
+        build on *every* later upload — the count was only ever reset by
+        a build that succeeded.)"""
+        registry = ModelRegistry(
+            repo, RegistryOptions(min_new_samples=4, background=background)
+        )
+        attempts = []
+        build = registry.builder._build
+
+        def counted(problem, task):
+            attempts.append(problem)
+            return build(problem, task)
+
+        registry.builder._build = counted
+        try:
+            _feed(registry, repo, key, 22)
+            assert registry.flush(timeout_s=10.0)
+            assert 1 <= len(attempts) <= -(-22 // 4)
+            assert registry.entry_for("demo", TASK) is None
+            # registering late is still served on the first read
+            registry.register_problem("demo", SPACE)
+            with perf.collect() as stats:
+                meta = registry.model_meta("demo", TASK)
+            assert stats.counters["registry_builds"] == 1
+            assert meta["data_version"] == 22 and not meta["stale"]
+        finally:
+            registry.close()
+
     def test_stale_entry_is_served_and_counted(self, repo, key):
         registry = ModelRegistry(
             repo, RegistryOptions(min_new_samples=100, min_samples=2)

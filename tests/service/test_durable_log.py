@@ -11,6 +11,11 @@ both through one parametrized fixture:
 * **the crash matrix** — kill the process at each point of the
   journal/snapshot protocol, reopen the directory: every acknowledged op
   is present, nothing that was never attempted is;
+* **the checkpoint rule** — an image is due after ``snapshot_every`` ops
+  *and* a journal that outgrew the last image, counted from what is on
+  disk: restarting before every ``snapshot_every``-th op still
+  checkpoints, and an insert-only run writes O(log n) images whose bytes
+  sum to O(final image);
 * **on-disk compatibility** — the bytes a fixed single-threaded call
   sequence writes equal the ones commit ``c5d1889`` wrote, and the
   directories that commit wrote (torn final line included) recover to
@@ -20,6 +25,7 @@ both through one parametrized fixture:
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import threading
@@ -295,6 +301,57 @@ def test_torn_final_journal_line_is_discarded_and_cut_off(user, tmp_path):
     acked.add(user.write(recovered, 9))
     assert user.present(_restart(user, tmp_path)) == acked
     assert all(json.loads(line) for line in journal.read_text().splitlines())
+
+
+# ---------------------------------------------------------------------------
+# the checkpoint rule
+# ---------------------------------------------------------------------------
+
+
+def test_restarting_before_every_checkpoint_still_checkpoints(user, tmp_path):
+    """Five runs of ``snapshot_every - 1`` ops each.  (Before the counts
+    came from disk, every run started its op count at zero, no run ever
+    reached ``snapshot_every``, and the journal grew without bound.)"""
+    writes = 5
+    every = writes * user.ops_per_write + 1
+    acked = set()
+    for cycle in range(5):
+        handle = user.open(tmp_path, snapshot_every=every)
+        acked |= {user.write(handle, 10 * cycle + i) for i in range(writes)}
+        handle.close()
+    image, journal = tmp_path / user.snapshot_name, tmp_path / user.wal_name
+    assert image.exists()
+    # what the rule leaves behind: fewer than the floor of ops, or a
+    # journal smaller than the image it would be folded into
+    journaled = len(wal.read_wal(journal))
+    assert journaled < every + user.ops_per_write or (
+        journal.stat().st_size < image.stat().st_size
+    )
+    assert user.present(_restart(user, tmp_path)) == acked
+
+
+def test_images_are_paid_for_by_journal_growth(user, tmp_path, monkeypatch):
+    """Insert-only: each image is at least ~twice the last, so a run of
+    N ops writes O(log N) images and their bytes sum to a small multiple
+    of the final one (every ``snapshot_every`` ops it was O(N) images and
+    O(N^2 / snapshot_every) bytes)."""
+    every = 4 * user.ops_per_write
+    writes = 60 * 4
+    sizes: list[int] = []
+    real = wal.write_json_atomic
+
+    def measured(path, blob):
+        real(path, blob)
+        sizes.append(os.path.getsize(path))
+
+    monkeypatch.setattr(wal, "write_json_atomic", measured)
+    handle = user.open(tmp_path, snapshot_every=every)
+    acked = {user.write(handle, i) for i in range(writes)}
+    assert 2 <= len(sizes) <= math.ceil(math.log2(writes * user.ops_per_write / every)) + 1
+    assert sizes == sorted(sizes) and sum(sizes) <= 3 * sizes[-1]
+    # recovery reads at most about twice the live data
+    assert (tmp_path / user.wal_name).stat().st_size <= sizes[-1] + sizes[-1] // 4
+    assert user.present(_restart(user, tmp_path, handle)) == acked
 
 
 # ---------------------------------------------------------------------------
