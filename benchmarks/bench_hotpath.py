@@ -9,13 +9,11 @@ here as a per-evaluation cost table (no threshold: it is a trajectory to
 diff commit over commit, not a ratio to a legacy path).
 
 This benchmark records the per-iteration surrogate latency across
-history sizes for both paths and checks the two hot-path guarantees:
-
-* at history size 200 the incremental path is at least 3x faster than a
-  full refactorization, and
-* a tuner run with the incremental path enabled produces the *identical*
-  best-so-far trajectory as one with it disabled (same seed) — the
-  optimization is a pure amortization, not an approximation.
+history sizes for both paths and checks that at history size 200 the
+incremental path is at least 3x faster than a full refactorization; it
+also records the best-so-far trajectory and surrogate time of a tuner
+run whose between-boundary steps take the incremental path (the tuner
+has no other).
 
 It also records what one ``predict`` call costs (absolute microseconds,
 dense and sparse, at the acquisition search's two batch shapes: the
@@ -157,43 +155,27 @@ def test_mle_cost_per_evaluation():
     assert all(r["evaluations_per_fit"] > 0 for r in rows)
 
 
-def test_trajectories_identical_with_incremental():
-    """Incremental path changes latency, not results (fixed seed)."""
+def test_tuner_incremental_trajectory_recorded():
+    """Between refit boundaries the tuner runs the incremental path; its
+    trajectory (fixed seed) and surrogate time are recorded to diff
+    commit over commit.  That the path is an amortization and not an
+    approximation is pinned where it is exact:
+    ``tests/core/test_gp_incremental.py::TestUpdateEquivalence``."""
     app = DemoFunction()
-    task = {"t": 1.0}
     n_evals = 30 if FULL else 20
-    trajs = {}
-    perf_surrogate = {}
-    for incremental in (False, True):
-        options = TunerOptions(refit_every=5, incremental=incremental)
-        result = Tuner(app.make_problem(), options).tune(task, n_evals, seed=7)
-        trajs[incremental] = result.best_so_far()
-        timers = (result.perf or {}).get("timers", {})
-        perf_surrogate[incremental] = timers.get(
-            "iteration.surrogate", {"total_s": 0.0}
-        )["total_s"]
-        counters = (result.perf or {}).get("counters", {})
-        if incremental:
-            assert counters.get("gp_incremental_updates", 0) > 0
-
-    print(
-        f"\ntuner surrogate time over {n_evals} evals: "
-        f"full {1e3 * perf_surrogate[False]:.1f} ms, "
-        f"incremental {1e3 * perf_surrogate[True]:.1f} ms"
-    )
+    options = TunerOptions(refit_every=5)
+    result = Tuner(app.make_problem(), options).tune({"t": 1.0}, n_evals, seed=7)
+    surrogate_s = result.perf["timers"]["iteration.surrogate"]["total_s"]
+    print(f"\ntuner surrogate time over {n_evals} evals: {1e3 * surrogate_s:.1f} ms")
     save_results(
         "hotpath_trajectory",
         {
             "n_evals": n_evals,
-            "best_so_far_full": trajs[False],
-            "best_so_far_incremental": trajs[True],
-            "surrogate_s_full": perf_surrogate[False],
-            "surrogate_s_incremental": perf_surrogate[True],
+            "best_so_far": result.best_so_far(),
+            "surrogate_s": surrogate_s,
         },
     )
-    np.testing.assert_allclose(
-        trajs[True], trajs[False], rtol=0.0, atol=0.0, equal_nan=True
-    )
+    assert result.perf["counters"].get("gp_incremental_updates", 0) > 0
 
 
 #: (surrogate, history sizes); the sparse model keeps m = min(100, n) inducing points

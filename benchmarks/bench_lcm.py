@@ -1,31 +1,23 @@
-"""LCM fit-path benchmark: analytic gradients, cached assembly,
-incremental refits.
+"""LCM fit-path benchmark: the analytic-gradient MLE and incremental
+refits.
 
-The LCM refit dominates Multitask(TS) iterations: with
-``n_params = Q (d + 2 T) + T`` hyperparameters, every finite-difference
-L-BFGS-B gradient costs ``n_params + 1`` full covariance assemblies and
-Cholesky factorizations, while the analytic-gradient path
-(:meth:`repro.core.lcm.LCM._nll_grad`) pays for exactly one plus an
-O(n^3) solve.  This benchmark pins the two guarantees of the fast path:
+The LCM refit dominates Multitask(TS) iterations.  Its MLE evaluates the
+NLL and every one of its ``n_params = Q (d + 2 T) + T`` partial
+derivatives from one covariance assembly and one Cholesky
+(:meth:`repro.core.lcm.LCM._nll_grad`), under the search every surrogate
+shares (:func:`repro.core.fit.multistart_mle`).  This benchmark
 
-* at (T=4, n=200, d=8, Q=2) the analytic-gradient MLE is at least 4x
-  faster than the finite-difference baseline and reaches an NLL at
-  least as good on the same data, and
-* absorbing appended target observations through :meth:`LCM.update` is
-  much faster than a full non-optimizing refit and yields identical
-  predictions (pure amortization, not an approximation).
+* records what one MLE costs at (T=4, n=200, d=8, Q=2) — seconds,
+  the NLL reached and the number of objective evaluations — as absolute
+  numbers to track commit over commit (there is no second gradient mode
+  to compare against), and
+* pins that absorbing appended target observations through
+  :meth:`LCM.update` is much faster than a full non-optimizing refit and
+  yields identical predictions (pure amortization, not an
+  approximation).
 
-The MLE protocol gives both modes the *same objective-evaluation
-budget*: scipy counts every finite-difference probe against ``maxfun``,
-so equal ``maxfun`` means equal work allowance.  The budget is sized so
-the analytic path converges well inside it (L-BFGS-B terminates on its
-own), while the FD baseline — whose ``n_params + 1``-evaluations-per-
-step gradients are also too noisy to ever satisfy the gradient
-tolerance — spends the whole allowance and still lands at a slightly
-worse optimum.  That is the production trade-off this benchmark pins,
-not an artifact of cutting the baseline short: at the seed's default
-budget (``max_fun=60``) the FD fit used to complete under two optimizer
-steps.
+``EVAL_BUDGET`` is sized so the search converges well inside it:
+L-BFGS-B terminates on its own after ~200 evaluations.
 """
 
 from __future__ import annotations
@@ -42,14 +34,11 @@ T_TASKS = 4
 DIM = 8
 Q_LATENT = 2
 N_PER_TASK = 50  # n_total = 200
-#: shared objective-evaluation budget for both gradient modes (see
-#: module docstring); the analytic path converges in ~200 evaluations
+#: objective-evaluation budget of the one start (see module docstring)
 EVAL_BUDGET = 2000 if SMOKE else 8000
 ITERS = 3 if SMOKE else 20  # warm-up budget for the update benchmark
 REPEATS = 1 if SMOKE else (3 if FULL else 2)
 
-#: smoke mode only sanity-checks that analytic gradients win at all
-MIN_MLE_SPEEDUP = 1.5 if SMOKE else 4.0
 MIN_UPDATE_SPEEDUP = 1.2 if SMOKE else 3.0
 
 
@@ -70,11 +59,9 @@ def _datasets(seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
     return sets
 
 
-def _fit_once(mode: str, sets) -> tuple[float, float, dict]:
+def _fit_once(sets) -> tuple[float, float, dict]:
     """One MLE fit; returns (mle_seconds, final_nll, counters)."""
-    model = LCM(
-        T_TASKS, DIM, n_latent=Q_LATENT, gradient=mode, max_fun=EVAL_BUDGET, seed=0
-    )
+    model = LCM(T_TASKS, DIM, n_latent=Q_LATENT, max_fun=EVAL_BUDGET, seed=0)
     with perf.collect() as stats:
         model.fit(sets)
     snap = stats.snapshot()
@@ -85,26 +72,19 @@ def _fit_once(mode: str, sets) -> tuple[float, float, dict]:
     )
 
 
-def test_lcm_mle_speedup():
-    """Analytic-gradient MLE >= 4x faster than FD at equal eval budget."""
+def test_lcm_mle_cost():
+    """What one LCM MLE costs: seconds, NLL reached, objective evaluations."""
     sets = _datasets()
-    rows = {}
-    for mode in ("fd", "analytic"):
-        best_t, nll, counters = np.inf, np.nan, {}
-        for _ in range(REPEATS):
-            t, nll, counters = _fit_once(mode, sets)
-            best_t = min(best_t, t)
-        rows[mode] = {"mle_s": best_t, "nll": nll, "counters": counters}
-
-    speedup = rows["fd"]["mle_s"] / rows["analytic"]["mle_s"]
+    best_t, nll, counters = np.inf, np.nan, {}
+    for _ in range(REPEATS):
+        t, nll, counters = _fit_once(sets)
+        best_t = min(best_t, t)
+    grad_evals = counters.get("lcm_grad_evals", 0)
     print(
         f"\nLCM MLE at T={T_TASKS}, n={T_TASKS * N_PER_TASK}, d={DIM}, "
-        f"Q={Q_LATENT} (budget: {EVAL_BUDGET} objective evaluations):"
+        f"Q={Q_LATENT} (budget: {EVAL_BUDGET} objective evaluations): "
+        f"{1e3 * best_t:.1f} ms, nll {nll:.3f}, {grad_evals} evaluations"
     )
-    for mode in ("fd", "analytic"):
-        r = rows[mode]
-        print(f"  {mode:<9} {1e3 * r['mle_s']:9.1f} ms   nll {r['nll']:.3f}")
-    print(f"  speedup  {speedup:.1f}x")
     save_results(
         "lcm_mle",
         {
@@ -113,23 +93,14 @@ def test_lcm_mle_speedup():
             "n_latent": Q_LATENT,
             "n_total": T_TASKS * N_PER_TASK,
             "eval_budget": EVAL_BUDGET,
-            "fd_mle_s": rows["fd"]["mle_s"],
-            "analytic_mle_s": rows["analytic"]["mle_s"],
-            "fd_nll": rows["fd"]["nll"],
-            "analytic_nll": rows["analytic"]["nll"],
-            "speedup": speedup,
-            "lcm_grad_evals": rows["analytic"]["counters"].get("lcm_grad_evals", 0),
+            "mle_s": best_t,
+            "nll": nll,
+            "lcm_grad_evals": grad_evals,
         },
     )
-    assert rows["analytic"]["counters"].get("lcm_grad_evals", 0) > 0
-    assert speedup >= MIN_MLE_SPEEDUP, (
-        f"analytic-gradient MLE only {speedup:.1f}x faster"
-    )
-    tol = 1e-6 * max(1.0, abs(rows["fd"]["nll"]))
-    assert rows["analytic"]["nll"] <= rows["fd"]["nll"] + tol, (
-        f"analytic NLL {rows['analytic']['nll']:.4f} worse than "
-        f"FD baseline {rows['fd']['nll']:.4f}"
-    )
+    assert np.isfinite(nll)
+    # converged on its own: the budget was not what stopped the search
+    assert 0 < grad_evals < EVAL_BUDGET
 
 
 def test_lcm_incremental_update_speedup():

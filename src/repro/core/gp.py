@@ -9,8 +9,9 @@ guides' "vectorize, avoid copies, profile the Cholesky" advice):
   predictions are returned in the original scale.
 * The noise variance is a trainable hyperparameter with a floor, so
   deterministic objectives interpolate while noisy ones smooth.
-* Hyperparameters are fit by multi-start L-BFGS-B on the negative log
-  marginal likelihood.  For the RBF kernel the objective is
+* Hyperparameters are fit by :func:`repro.core.fit.multistart_mle` — the
+  one multi-start L-BFGS-B search, shared with the LCM — on the negative
+  log marginal likelihood.  For the RBF kernel the objective is
   :func:`_nll_grad`: a pure function of ``theta`` over a workspace built
   once per :meth:`fit` (the theta-independent squared differences).  One
   evaluation is one covariance build, one jitter-ladder Cholesky,
@@ -47,10 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import optimize as sopt
 from scipy.linalg import get_lapack_funcs
 
 from . import perf
+from .fit import NLL_FAIL, multistart_mle
 from .kernels import RBF, Kernel, kernel_from_name, kernel_name, pairwise_sq_diffs
 
 __all__ = [
@@ -63,11 +64,6 @@ __all__ = [
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-#: objective values at or above this are treated as "factorization failed"
-#: sentinels by the MLE (they must stay finite so L-BFGS-B can retreat)
-_NLL_FAIL = 1e25
-
 
 class GPFitError(RuntimeError):
     """Raised when a covariance matrix cannot be factorized.
@@ -178,7 +174,7 @@ def _nll_grad(theta: np.ndarray, D: np.ndarray, ys: np.ndarray) -> tuple[float, 
     ``W = alpha alpha^T - K^-1`` and ``P = W * K_rbf`` the gradient is
     ``-0.5 * [sum(P), (D @ P) / ls^2, noise * tr(W)]`` — one GEMV for all
     lengthscales, no per-parameter derivative matrix.  A covariance the
-    3-rung jitter ladder cannot factorize yields the finite ``_NLL_FAIL``
+    3-rung jitter ladder cannot factorize yields the finite ``NLL_FAIL``
     sentinel with a zero gradient so L-BFGS-B can retreat.
     """
     n = ys.shape[0]
@@ -192,10 +188,10 @@ def _nll_grad(theta: np.ndarray, D: np.ndarray, ys: np.ndarray) -> tuple[float, 
         L, _ = cholesky_with_jitter(Kn, max_tries=3)
         alpha, half_logdet, Kinv = chol_solve_inv(L, ys)
     except GPFitError:
-        return _NLL_FAIL, np.zeros_like(theta)
+        return NLL_FAIL, np.zeros_like(theta)
     nll = 0.5 * ys @ alpha + half_logdet + 0.5 * n * _LOG_2PI
     if not np.isfinite(nll):
-        return _NLL_FAIL, np.zeros_like(theta)
+        return NLL_FAIL, np.zeros_like(theta)
     W = np.outer(alpha, alpha)
     W -= Kinv
     P = W.ravel() * K
@@ -497,15 +493,14 @@ class GaussianProcess(Surrogate):
         try:
             L, _ = cholesky_with_jitter(self._cov(X), max_tries=3)
         except GPFitError:
-            return _NLL_FAIL
+            return NLL_FAIL
         alpha = sla.cho_solve((L, True), ys, check_finite=False)
         nll = 0.5 * ys @ alpha + np.sum(np.log(np.diag(L))) + 0.5 * len(ys) * _LOG_2PI
         if not np.isfinite(nll):
-            return _NLL_FAIL
+            return NLL_FAIL
         return float(nll)
 
     def _optimize_hyperparameters(self, X: np.ndarray, ys: np.ndarray) -> None:
-        bounds = self._bounds()
         theta0 = self._theta()
         # exact type: a subclass may redefine the covariance
         use_grad = type(self.kernel) is RBF
@@ -514,32 +509,20 @@ class GaussianProcess(Surrogate):
             fun = lambda th: _nll_grad(th, D, ys)
         else:
             fun = lambda th: self._nll(th, X, ys)
-
-        starts = [theta0]
-        for _ in range(self.n_restarts):
-            starts.append(
-                np.array([self._rng.uniform(lo, hi) for lo, hi in bounds])
-            )
-        best_theta, best_val = None, np.inf
-        for x0 in starts:
-            x0 = np.clip(x0, [b[0] for b in bounds], [b[1] for b in bounds])
-            res = sopt.minimize(
-                fun,
-                x0,
-                jac=use_grad,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={"maxfun": self.max_fun},
-            )
-            if res.fun < best_val:
-                best_val, best_theta = float(res.fun), res.x
-        if best_theta is not None and np.isfinite(best_val) and best_val < _NLL_FAIL:
-            self._set_theta(best_theta)
-        else:
+        best = multistart_mle(
+            fun,
+            theta0,
+            self._bounds(),
+            rng=self._rng,
+            n_restarts=self.n_restarts,
+            max_fun=self.max_fun,
+            jac=use_grad,
+        )
+        if best is None:
             # every start failed: the finite-difference probes left the
             # kernel at an arbitrary theta — restore the pre-optimization state
-            self._set_theta(theta0)
             perf.incr("gp_mle_restores")
+        self._set_theta(theta0 if best is None else best)
 
     # -- serialization ---------------------------------------------------------
     def to_dict(self) -> dict:

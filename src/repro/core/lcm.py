@@ -22,15 +22,16 @@ iterations, cf. the GPTune line of work on LCM hyperparameter tuning):
 * **Analytic NLL gradients** for every hyperparameter — lengthscales,
   coregionalization vectors ``a_q``, diagonals ``kappa_q``, per-task
   noise — via the trace identity ``dNLL/dtheta = -0.5 tr(W dK/dtheta)``
-  with ``W = alpha alpha^T - K^{-1}``.  One Cholesky per objective
-  evaluation replaces the ``n_params + 1`` factorizations of the
-  finite-difference fallback (still available via ``gradient="fd"``).
+  with ``W = alpha alpha^T - K^{-1}``: one Cholesky per objective
+  evaluation.
 * **Fit-scoped workspace**: the per-dimension squared-difference tensor
   and the task-index grids are precomputed once per :meth:`fit`, so each
   covariance/gradient evaluation is allocation-light O(n^2 (d + Q)).
-* **Parallel multi-start MLE**: restarts run on a thread pool (NumPy and
-  SciPy release the GIL inside BLAS/LAPACK) with per-start deterministic
-  seeds and a deterministic winner selection.
+* **Parallel multi-start MLE**: the search is
+  :func:`repro.core.fit.multistart_mle`, the driver the GP uses, with the
+  restarts on a thread pool (NumPy and SciPy release the GIL inside
+  BLAS/LAPACK); each start pins the best factorization it saw in its own
+  :class:`_BestFactor`, merged in start order afterwards.
 * **Incremental refits**: :meth:`update` appends observations to the
   pinned joint Cholesky via rank-1 block growth — O(n^2) per point
   instead of the O(n^3) refactorization — mirroring
@@ -39,16 +40,14 @@ iterations, cf. the GPTune line of work on LCM hyperparameter tuning):
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import optimize as sopt
 
 from . import perf
-from .gp import _LOG_2PI, _NLL_FAIL, GPFitError, _trtrs, chol_solve_inv, cholesky_with_jitter
+from .fit import NLL_FAIL, multistart_mle
+from .gp import _LOG_2PI, GPFitError, _trtrs, chol_solve_inv, cholesky_with_jitter
 from .kernels import pairwise_sq_diffs, sq_dists
 
 __all__ = ["LCM", "LCMFitError"]
@@ -136,11 +135,6 @@ class LCM:
     optimize / max_fun / n_restarts:
         Hyperparameter-MLE controls, as in
         :class:`repro.core.gp.GaussianProcess`.
-    gradient:
-        ``"analytic"`` (default) evaluates the NLL gradient in closed
-        form — one Cholesky per theta; ``"fd"`` keeps the L-BFGS-B
-        finite-difference fallback (``n_params + 1`` factorizations per
-        gradient), retained as the benchmark baseline.
     n_jobs:
         Thread-pool width for multi-start MLE (``None``: one thread per
         start up to the CPU count).  Results are independent of the
@@ -157,30 +151,22 @@ class LCM:
         max_fun: int = 60,
         n_restarts: int = 0,
         seed: int | None = None,
-        gradient: str = "analytic",
         n_jobs: int | None = None,
     ) -> None:
         if n_tasks < 1 or dim < 1 or n_latent < 1:
             raise ValueError("n_tasks, dim, n_latent must all be >= 1")
-        if gradient not in ("analytic", "fd"):
-            raise ValueError(f"gradient must be 'analytic' or 'fd', got {gradient!r}")
         self.n_tasks = n_tasks
         self.dim = dim
         self.n_latent = n_latent
         self.optimize = optimize
         self.max_fun = int(max_fun)
         self.n_restarts = int(n_restarts)
-        self.gradient = gradient
         self.n_jobs = n_jobs
         self._rng = np.random.default_rng(seed)
         self._theta = self._default_theta()
         self._state: _LCMState | None = None
         #: NLL of the training data at the adopted theta (set by fit/update)
         self.last_nll_: float | None = None
-        #: factorization pinned at the best NLL seen during the current
-        #: MLE, keyed on theta bytes; lets fit() reuse the Cholesky already
-        #: computed at the optimum instead of reassembling the covariance
-        self._best_factor: tuple[float, bytes, np.ndarray, float] | None = None
 
     # -- theta packing ------------------------------------------------------
     # Layout per latent q: [log ls (dim), a (n_tasks), log kappa (n_tasks)];
@@ -304,18 +290,17 @@ class LCM:
         y_means, y_stds = _task_standardization(y_tasks)
         y_all = (y_raw - y_means[t_all]) / y_stds[t_all]
 
-        self._best_factor = None  # keyed on data as well as theta: reset
+        best = None
         if self.optimize:
             with perf.timer("lcm_mle"):
-                self._optimize_theta(X_all, t_all, y_all)
+                best = self._optimize_theta(X_all, t_all, y_all)
 
-        L, jitter = None, 0.0
-        if self._best_factor is not None and self._best_factor[1] == self._theta.tobytes():
+        if best is not None and best.key == self._theta.tobytes():
             # the MLE already factorized the covariance at the adopted
             # theta — reuse it instead of reassembling and refactorizing
             perf.incr("kernel_cache_hits")
-            L, jitter = self._best_factor[2], self._best_factor[3]
-        if L is None:
+            L, jitter = best.L, best.jitter
+        else:
             perf.incr("kernel_cache_misses")
             K = self._joint_cov(X_all, t_all, self._theta)
             try:
@@ -497,21 +482,6 @@ class LCM:
         return out
 
     # -- MLE objective -------------------------------------------------------
-    def _nll(self, theta, X, t, y, pin: _BestFactor | None = None) -> float:
-        """Finite-difference objective (baseline path, ``gradient="fd"``)."""
-        K = self._joint_cov(X, t, theta)
-        try:
-            L, jitter = cholesky_with_jitter(K, max_tries=3)
-        except GPFitError:
-            return _NLL_FAIL
-        alpha = sla.cho_solve((L, True), y, check_finite=False)
-        nll = 0.5 * y @ alpha + np.sum(np.log(np.diag(L))) + 0.5 * y.size * _LOG_2PI
-        if not np.isfinite(nll):
-            return _NLL_FAIL
-        if pin is not None:
-            pin.note(float(nll), theta, L, jitter)
-        return float(nll)
-
     def _nll_grad(self, theta, ws: _Workspace, y, pin: _BestFactor | None = None):
         """NLL and its analytic gradient — one Cholesky per evaluation.
 
@@ -536,10 +506,10 @@ class LCM:
             L, jitter = cholesky_with_jitter(K, max_tries=3)
             alpha, half_logdet, Kinv = chol_solve_inv(L, y)
         except GPFitError:
-            return _NLL_FAIL, np.zeros_like(theta)
+            return NLL_FAIL, np.zeros_like(theta)
         nll = 0.5 * y @ alpha + half_logdet + 0.5 * n * _LOG_2PI
         if not np.isfinite(nll):
-            return _NLL_FAIL, np.zeros_like(theta)
+            return NLL_FAIL, np.zeros_like(theta)
         if pin is not None:
             pin.note(float(nll), theta, L, jitter)
         W = np.outer(alpha, alpha) - Kinv  # dNLL/dtheta = -0.5 sum(W * dK)
@@ -564,70 +534,34 @@ class LCM:
         grad[off:] = -0.5 * noise * (ws.E.T @ np.diagonal(W))
         return float(nll), grad
 
-    def _optimize_theta(self, X, t, y) -> None:
-        bounds = self._bounds()
-        lo = np.array([b[0] for b in bounds])
-        hi = np.array([b[1] for b in bounds])
-        theta0 = self._theta.copy()
-        starts = [np.clip(theta0, lo, hi)]
-        for _ in range(self.n_restarts):
-            starts.append(self._rng.uniform(lo, hi))
-        use_grad = self.gradient == "analytic"
-        ws = _make_workspace(X, t, self.n_tasks) if use_grad else None
+    def _optimize_theta(self, X, t, y) -> _BestFactor | None:
+        """Adopt the MLE theta; returns the best factorization any start
+        evaluated (``None`` if none factorized)."""
+        ws = _make_workspace(X, t, self.n_tasks)
+        pins: list[_BestFactor] = []
 
-        def run_start(x0):
-            pin = _BestFactor()
-            if use_grad:
-                res = sopt.minimize(
-                    self._nll_grad,
-                    x0,
-                    args=(ws, y, pin),
-                    jac=True,
-                    method="L-BFGS-B",
-                    bounds=bounds,
-                    options={"maxfun": self.max_fun},
-                )
-            else:
-                res = sopt.minimize(
-                    self._nll,
-                    x0,
-                    args=(X, t, y, pin),
-                    method="L-BFGS-B",
-                    bounds=bounds,
-                    options={"maxfun": self.max_fun, "eps": 1e-4},
-                )
-            return float(res.fun), res.x, pin
+        def start_args() -> tuple:
+            pins.append(_BestFactor())
+            return ws, y, pins[-1]
 
-        workers = 1
-        if len(starts) > 1:
-            workers = min(
-                len(starts), self.n_jobs if self.n_jobs else (os.cpu_count() or 1)
-            )
-        if workers > 1:
-            # NumPy/SciPy release the GIL in BLAS/LAPACK, so restarts
-            # overlap; ex.map preserves start order, keeping the winner
-            # selection deterministic regardless of thread timing
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                results = list(ex.map(run_start, starts))
-            perf.incr("lcm_parallel_starts", len(starts))
-        else:
-            results = [run_start(x0) for x0 in starts]
-
-        best_theta, best_val = None, np.inf
-        for val, x, pin in results:
-            if val < best_val:
-                best_val, best_theta = val, x
-            if pin.nll is not None and (
-                self._best_factor is None or pin.nll < self._best_factor[0]
-            ):
-                self._best_factor = (pin.nll, pin.key, pin.L, pin.jitter)
-        if best_theta is not None and np.isfinite(best_val) and best_val < _NLL_FAIL:
-            self._theta = best_theta
-        else:
-            # every start failed: keep (restore) the pre-optimization theta
-            # rather than whatever the last probe happened to evaluate
-            self._theta = theta0
+        best = multistart_mle(
+            self._nll_grad,
+            self._theta,
+            self._bounds(),
+            rng=self._rng,
+            n_restarts=self.n_restarts,
+            max_fun=self.max_fun,
+            jac=True,
+            start_args=start_args,
+            n_jobs=self.n_jobs,
+        )
+        if best is None:
+            # every start failed: keep the pre-optimization theta rather
+            # than whatever the last probe happened to evaluate
             perf.incr("lcm_mle_restores")
+        else:
+            self._theta = best
+        return min((p for p in pins if p.nll is not None), key=lambda p: p.nll, default=None)
 
     # -- prediction -------------------------------------------------------------
     def predict(self, task: int, Xs: np.ndarray, return_std: bool = True):

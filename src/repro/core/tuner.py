@@ -8,7 +8,8 @@ order, repeat until the budget is spent.  What varies is composed in:
   surrogate ``predict`` and a learned ``p_feasible``, and hears about
   every proposal and the result of that proposal.  :class:`GPProvider`
   is the paper's ``NoTLA`` baseline — an initial random design, then a
-  target-only GP refreshed after every evaluation;
+  target-only GP refreshed after every evaluation under the
+  ``refit_every`` cadence of :mod:`repro.core.fit`;
   :class:`repro.tla.tuner.StrategyProvider` wraps any TLA strategy.
 * an **executor** runs the evaluations: a context manager with
   ``submit(config) -> job_id``, ``get(timeout) -> EvalOutcome`` (terminal
@@ -18,7 +19,8 @@ order, repeat until the budget is spent.  What varies is composed in:
   :class:`InlineExecutor` evaluates in the calling thread; the thread
   :class:`~repro.engine.pool.WorkerPool` and the process
   :class:`~repro.fabric.coordinator.FabricCoordinator` also report
-  utilization gauges under their own prefix.
+  utilization gauges under their own prefix, and are configured through
+  one base, :class:`ExecutorOptions`.
 
 :class:`Tuner`, :class:`~repro.tla.tuner.TransferTuner`,
 :class:`~repro.engine.tuner.AsyncTuner` and
@@ -37,10 +39,11 @@ import numpy as np
 
 from . import perf
 from .acquisition import Acquisition, ExpectedImprovement, PredictFn
-from .gp import GaussianProcess, GPFitError
 from .feasibility import KnnFeasibility
+from .fit import RefitCadence, grow_gp
+from .gp import GPFitError, Surrogate
 from .history import History
-from .optimizer import SearchOptions, propose_batch
+from .optimizer import LIE_STRATEGIES, SearchOptions, propose_batch
 from .problem import Evaluation, TuningProblem
 from .samplers import Sampler, get_sampler
 from .space import Space
@@ -49,6 +52,7 @@ from .sparse import make_surrogate, resolve_surrogate_kind
 __all__ = [
     "EvalJob",
     "EvalOutcome",
+    "ExecutorOptions",
     "GPProvider",
     "InlineExecutor",
     "Tuner",
@@ -67,10 +71,9 @@ class TunerOptions:
     typical setting starts BO after a random phase, Sec. VI-B);
     ``refit_every`` re-runs hyperparameter MLE only every k-th iteration
     (data is always refreshed), amortizing optimization cost on large
-    histories.  On the in-between iterations ``incremental`` appends the
-    new observations to the GP's cached Cholesky factor in O(n^2) instead
-    of refactorizing from scratch (identical predictions, measured by
-    ``benchmarks/bench_hotpath.py``).
+    histories; on the in-between iterations the new observations are
+    appended to the GP's cached Cholesky factor in O(n^2) instead of
+    refactorizing from scratch (:class:`repro.core.fit.RefitCadence`).
     """
 
     n_initial: int = 2
@@ -78,8 +81,6 @@ class TunerOptions:
     kernel: str = "rbf"
     acquisition: Acquisition = field(default_factory=ExpectedImprovement)
     refit_every: int = 1
-    #: use rank-1 Cholesky appends on non-refit iterations
-    incremental: bool = True
     gp_max_fun: int = 80
     gp_restarts: int = 1
     #: surrogate policy: ``"auto"`` keeps the exact dense GP (bit-identical
@@ -183,6 +184,46 @@ class EvalOutcome:
         return EvalJob(self.job_id, self.config, self.attempt)
 
 
+@dataclass(kw_only=True)
+class ExecutorOptions:
+    """What the thread engine and the process fabric are configured by
+    alike: batch proposal and the simulated-latency model.
+
+    Latency simulation maps the application's *modeled* runtime onto
+    wall time (:meth:`latency_s`).  With the default scales of 0 an
+    executor runs as fast as the objective computes — unit tests stay
+    instant, benchmarks dial in realistic latencies.  Keyword-only, like
+    the option classes built on it.
+    """
+
+    #: max proposals per refill round (the ``q`` of batch proposal)
+    batch: int = 1
+    #: fantasy strategy for in-flight evaluations (see LIE_STRATEGIES)
+    lie: str = "cl-min"
+    #: simulated seconds per unit of objective output
+    latency_scale: float = 0.0
+    #: fixed simulated seconds per evaluation
+    base_latency_s: float = 0.0
+    #: simulated seconds charged to failed evaluations
+    failure_latency_s: float = 0.0
+    #: log-normal sigma of per-worker speed factors
+    heterogeneity: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.batch < 1:
+            raise ValueError("batch must be >= 1")
+        if self.lie not in LIE_STRATEGIES:
+            raise ValueError(f"lie must be one of {LIE_STRATEGIES}, got {self.lie!r}")
+
+    def latency_s(self, evaluation: Evaluation | None) -> float:
+        """Simulated seconds ``evaluation`` occupies a unit-speed worker:
+        ``base_latency_s + latency_scale * max(y, 0)`` for an objective of
+        ``y``, ``failure_latency_s`` for a failed or lost one."""
+        if evaluation is None or evaluation.failed:
+            return max(self.failure_latency_s, 0.0)
+        return max(self.base_latency_s + self.latency_scale * max(evaluation.output, 0.0), 0.0)
+
+
 class InlineExecutor:
     """Evaluates in the calling thread: ``submit`` runs the objective and
     queues its outcome for ``get``, so one loop step is one whole BO
@@ -238,8 +279,10 @@ class GPProvider:
 
     def prepare(self, rng: np.random.Generator | None) -> None:
         """One-time setup before the loop: forget the previous run's model."""
-        self._iteration = 0
-        self.gp: GaussianProcess | None = None
+        self._cadence = RefitCadence(self.options.refit_every, GPFitError)
+        #: the one surrogate made for ``kind`` — also while no fit of it
+        #: has succeeded yet, so a retry neither reseeds nor restarts it
+        self.gp: Surrogate | None = None
         self.kind: str | None = None
 
     def notify_proposal(self, x_unit: np.ndarray, rng: np.random.Generator) -> None:
@@ -270,9 +313,10 @@ class GPProvider:
     def model(self, hist: History, rng: np.random.Generator) -> PredictFn | None:
         """Fit (or refresh) the surrogate; returns its predict function.
 
-        On ``refit_every`` boundaries the GP is refit from scratch with
-        hyperparameter MLE.  In between, when ``options.incremental`` is
-        on and the history has only grown, the new observations are
+        On ``refit_every`` boundaries the surrogate is refit with
+        hyperparameter MLE — the same object every time, so its kernel
+        starts the search at the previous optimum and its rng continues
+        the restart stream.  In between, a history that has only grown is
         appended to the cached factorization in O(n^2) per point (and an
         iteration with no new successes reuses the model outright).
         """
@@ -281,18 +325,16 @@ class GPProvider:
             return None
         opts = self.options
         kind = self._resolve_kind(X.shape[0])
-        if self.gp is not None and kind != self.kind:
-            self.gp = None  # history crossed n_dense_max: rebuild as the new kind
-        refit = self.gp is None or (self._iteration % max(opts.refit_every, 1) == 0)
-        self._iteration += 1
-        if self.gp is None:
-            self.kind = kind
+
+        def build(previous: Surrogate | None, optimize: bool) -> Surrogate:
+            if kind == self.kind:
+                return self.gp
             kernel = opts.kernel
             if kernel == "mixed":
                 from .mixed import mixed_kernel_for_space
 
                 kernel = mixed_kernel_for_space(self.space)
-            self.gp = make_surrogate(
+            self.kind, self.gp = kind, make_surrogate(
                 kind,
                 kernel,
                 dim=X.shape[1],
@@ -302,24 +344,16 @@ class GPProvider:
                 n_inducing=opts.n_inducing,
                 leaf_size=opts.leaf_size,
             )
-        gp = self.gp
-        if not refit and opts.incremental and gp.fitted:
-            n_new = gp.extends_training_data(X, y)
+            return self.gp
+
+        def grow(gp: Surrogate, X: np.ndarray, y: np.ndarray) -> bool:
+            n_new = grow_gp(gp, X, y)
             if n_new == 0:
                 perf.incr("gp_model_reuses")  # e.g. the evaluation failed
-                return gp.predict
-            if n_new is not None:
-                try:
-                    gp.update(X[-n_new:], y[-n_new:])
-                except GPFitError:
-                    return None
-                return gp.predict
-        gp.optimize = refit
-        try:
-            gp.fit(X, y)
-        except GPFitError:
-            return None
-        return gp.predict
+            return n_new is not None
+
+        gp = self._cadence.refresh((X, y), build=build, grow=grow, key=kind)
+        return None if gp is None else gp.predict
 
 
 class Tuner:

@@ -529,13 +529,6 @@ class ColumnarView:
         self._last_id = 0
         self._dirty = True
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    @property
-    def rows(self) -> list[Mapping[str, Any]]:
-        return self._rows
-
     # -- maintenance (collection lock held) ---------------------------------
     def mark_dirty(self) -> None:
         self._dirty = True

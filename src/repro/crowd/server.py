@@ -276,20 +276,7 @@ class CrowdServer:
     # -- browse routes ------------------------------------------------------------------
     def _route_leaderboard(self, req: Mapping[str, Any]) -> dict[str, Any]:
         rows = leaderboard(self.repository, req["api_key"], req["problem_name"])
-        return {
-            "ok": True,
-            "rows": [
-                {
-                    "task_parameters": r.task_parameters,
-                    "best_output": r.best_output,
-                    "best_configuration": r.best_configuration,
-                    "best_owner": r.best_owner,
-                    "n_samples": r.n_samples,
-                    "n_failures": r.n_failures,
-                }
-                for r in rows
-            ],
-        }
+        return {"ok": True, "rows": [r.to_response() for r in rows]}
 
     def _route_contributors(self, req: Mapping[str, Any]) -> dict[str, Any]:
         stats = contributor_stats(

@@ -49,6 +49,17 @@ class LeaderboardRow:
     n_failures: int
     contributors: list[str] = field(default_factory=list)
 
+    def to_response(self) -> dict[str, Any]:
+        """The row as the ``leaderboard`` route answers it."""
+        return {
+            "task_parameters": self.task_parameters,
+            "best_output": self.best_output,
+            "best_configuration": self.best_configuration,
+            "best_owner": self.best_owner,
+            "n_samples": self.n_samples,
+            "n_failures": self.n_failures,
+        }
+
 
 def _query_docs(repo: CrowdRepository, api_key: str, problem: str):
     """All visible raw documents for one problem — the store's frozen

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.optimizer import LIE_STRATEGIES
 from ..core.problem import TuningProblem
-from ..core.tuner import EvaluationCallback, Tuner, TunerOptions
+from ..core.tuner import EvaluationCallback, ExecutorOptions, Tuner, TunerOptions
 from ..hpc.scheduler import SlurmSim
 from .faults import FaultInjector, FaultSource, RetryPolicy
 from .pool import WorkerPool
@@ -36,31 +35,13 @@ from .pool import WorkerPool
 __all__ = ["AsyncTuner", "EngineOptions"]
 
 
-@dataclass
-class EngineOptions:
-    """Controls for the asynchronous engine.
-
-    Latency simulation maps the application's *modeled* runtime onto
-    wall time: an evaluation whose objective is ``y`` occupies its
-    worker for ``base_latency_s + latency_scale * max(y, 0)`` seconds
-    (failures cost ``failure_latency_s``).  With the default scales of 0
-    the engine runs as fast as the objective computes — unit tests stay
-    instant, benchmarks dial in realistic latencies.
-    """
+@dataclass(kw_only=True)
+class EngineOptions(ExecutorOptions):
+    """Controls for the asynchronous engine: batch proposal and latency
+    simulation as in :class:`~repro.core.tuner.ExecutorOptions`, plus the
+    thread pool's own."""
 
     n_workers: int = 4
-    #: max proposals per refill round (the ``q`` of batch proposal)
-    batch: int = 1
-    #: fantasy strategy for in-flight evaluations (see LIE_STRATEGIES)
-    lie: str = "cl-min"
-    #: simulated seconds per unit of objective output
-    latency_scale: float = 0.0
-    #: fixed simulated seconds per evaluation
-    base_latency_s: float = 0.0
-    #: simulated seconds charged to failed evaluations
-    failure_latency_s: float = 0.0
-    #: log-normal sigma of per-worker speed factors
-    heterogeneity: float = 0.0
     #: per-evaluation simulated-latency ceiling (None = no timeout)
     timeout_s: float | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -73,10 +54,7 @@ class EngineOptions:
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-        if self.lie not in LIE_STRATEGIES:
-            raise ValueError(f"lie must be one of {LIE_STRATEGIES}, got {self.lie!r}")
+        super().__post_init__()
 
 
 class AsyncTuner(Tuner):
@@ -126,9 +104,7 @@ class AsyncTuner(Tuner):
         return WorkerPool(
             evaluate,
             eng.n_workers,
-            latency_fn=lambda ev: eng.failure_latency_s
-            if ev.failed
-            else eng.base_latency_s + eng.latency_scale * max(ev.output, 0.0),
+            latency_fn=eng.latency_s,
             scheduler=self.scheduler,
             nodes_per_worker=eng.nodes_per_worker,
             heterogeneity=eng.heterogeneity,

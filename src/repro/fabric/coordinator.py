@@ -45,40 +45,26 @@ from typing import Any, Callable
 import numpy as np
 
 from ..core import perf
-from ..core.optimizer import LIE_STRATEGIES
 from ..core.problem import Evaluation
-from ..core.tuner import EvalOutcome
+from ..core.tuner import EvalOutcome, ExecutorOptions
 from .jobqueue import DurableJobQueue, JobState
 from .worker import MSG_DONE, MSG_HEARTBEAT, MSG_READY, worker_main
 
 __all__ = ["FabricCoordinator", "FabricOptions"]
 
 
-@dataclass
-class FabricOptions:
-    """Controls for the multi-process tuning fabric.
+@dataclass(kw_only=True)
+class FabricOptions(ExecutorOptions):
+    """Controls for the multi-process tuning fabric: batch proposal and
+    latency simulation as in :class:`~repro.core.tuner.ExecutorOptions`
+    (and so as in the thread engine), plus the fabric's own.
 
-    Latency semantics match :class:`~repro.engine.tuner.EngineOptions`:
-    with the default zero latencies the fabric runs as fast as the
-    objective computes, benchmarks dial in realistic per-evaluation
-    costs.  ``lease_s`` bounds how long the coordinator waits for a
-    leased evaluation before re-dispatching it elsewhere; it must
-    comfortably exceed the longest real evaluation.
+    ``lease_s`` bounds how long the coordinator waits for a leased
+    evaluation before re-dispatching it elsewhere; it must comfortably
+    exceed the longest real evaluation.
     """
 
     n_procs: int = 2
-    #: max proposals per refill round (the ``q`` of batch proposal)
-    batch: int = 1
-    #: fantasy strategy for in-flight evaluations (see LIE_STRATEGIES)
-    lie: str = "cl-min"
-    #: simulated seconds per unit of objective output
-    latency_scale: float = 0.0
-    #: fixed simulated seconds per evaluation
-    base_latency_s: float = 0.0
-    #: simulated seconds charged to failed evaluations
-    failure_latency_s: float = 0.0
-    #: log-normal sigma of per-worker speed factors
-    heterogeneity: float = 0.0
     #: seconds a leased job may run before straggler re-dispatch
     lease_s: float = 30.0
     #: worker heartbeat cadence (liveness resolution)
@@ -96,10 +82,7 @@ class FabricOptions:
     def __post_init__(self) -> None:
         if self.n_procs < 1:
             raise ValueError("n_procs must be >= 1")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-        if self.lie not in LIE_STRATEGIES:
-            raise ValueError(f"lie must be one of {LIE_STRATEGIES}, got {self.lie!r}")
+        super().__post_init__()
         if self.lease_s <= 0:
             raise ValueError("lease_s must be positive")
         if self.heartbeat_s <= 0:
@@ -259,11 +242,7 @@ class FabricCoordinator:
                 inbox,
                 outbox,
                 self._evaluate,
-                (
-                    self.options.base_latency_s,
-                    self.options.latency_scale,
-                    self.options.failure_latency_s,
-                ),
+                self.options.latency_s,
                 speed,
                 self.options.heartbeat_s,
                 self._fault,

@@ -14,10 +14,9 @@ coordinator folds it into the parent's collectors with ``perf.merge``,
 so counters incremented in worker processes are not silently lost (the
 cross-process aggregation contract).
 
-Simulated latency follows the engine's model: an evaluation whose
-objective is ``y`` occupies its worker for
-``base + scale * max(y, 0)`` seconds (failures cost the failure
-latency), scaled by the worker's persistent speed factor.  The sleep is
+Simulated latency follows the engine's model
+(:meth:`repro.core.tuner.ExecutorOptions.latency_s`), scaled by the
+worker's persistent speed factor.  The sleep is
 sliced so heartbeats keep flowing mid-evaluation — a *slow* worker and
 a *dead* worker look different to the coordinator.
 """
@@ -40,21 +39,12 @@ MSG_HEARTBEAT = "hb"
 MSG_DONE = "done"
 
 
-def _latency_for(
-    evaluation: Evaluation | None, latency_cfg: tuple[float, float, float]
-) -> float:
-    base, scale, failure = latency_cfg
-    if evaluation is None or evaluation.failed:
-        return max(failure, 0.0)
-    return max(base + scale * max(evaluation.output, 0.0), 0.0)
-
-
 def worker_main(
     worker_id: int,
     inbox: Any,
     outbox: Any,
     evaluate: Callable[[dict[str, Any]], Evaluation],
-    latency_cfg: tuple[float, float, float],
+    latency_fn: Callable[[Evaluation | None], float],
     speed: float,
     heartbeat_s: float,
     fault: Callable[[int, int], bool] | None = None,
@@ -106,7 +96,7 @@ def worker_main(
                     evaluation = evaluate(body["config"])
                 except Exception as exc:  # objective bug: report, don't die
                     evaluation, error = None, f"error: {exc!r}"
-            latency = _latency_for(evaluation, latency_cfg) * speed
+            latency = latency_fn(evaluation) * speed
             if fault is not None and fault(body["job_id"], body["attempt"]):
                 # die partway through the run, result lost with us
                 time.sleep(0.5 * latency)

@@ -776,23 +776,7 @@ class CrowdRouter:
         if error is not None:
             return error, tags
         rows = leaderboard_from_docs(docs)
-        return (
-            {
-                "ok": True,
-                "rows": [
-                    {
-                        "task_parameters": r.task_parameters,
-                        "best_output": r.best_output,
-                        "best_configuration": r.best_configuration,
-                        "best_owner": r.best_owner,
-                        "n_samples": r.n_samples,
-                        "n_failures": r.n_failures,
-                    }
-                    for r in rows
-                ],
-            },
-            tags,
-        )
+        return {"ok": True, "rows": [r.to_response() for r in rows]}, tags
 
     def _route_contributors(
         self, request: Mapping[str, Any]

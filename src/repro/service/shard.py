@@ -143,6 +143,12 @@ def bucket_digest(entries: list[tuple[str, Any]]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _refuse_after_close(op: Mapping[str, Any]) -> None:
+    """The store observer of a closed durable shard: nothing may be
+    acknowledged that the journal did not take."""
+    raise ValueError("shard is closed: the mutation was not journaled")
+
+
 def _drain(items: list[Any]) -> Iterator[Any]:
     """The items in order, each released from the list as it is yielded."""
     items.reverse()
@@ -489,11 +495,19 @@ class CrowdShard:
         return self.repository.count()
 
     def close(self) -> None:
-        """Stop the registry builder and close the journal (idempotent)."""
+        """Stop the registry builder and close the journal (idempotent).
+
+        The store stops journaling through this node — a mutation after
+        close is refused, as a write to the closed journal was — which
+        also breaks the store → observer → shard reference cycle: a
+        closed node nobody else holds is freed at once, not by the next
+        collector pass.
+        """
         if self.registry is not None:
             self.registry.close()
         if self._log is not None:
             self._log.close()
+            self.repository.store.set_observer(_refuse_after_close)
 
     def __enter__(self) -> "CrowdShard":
         return self

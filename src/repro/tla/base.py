@@ -20,19 +20,21 @@ equal-weight combination of the source surrogates — the paper's choice
 for the first function evaluation (Sec. VI-A).
 
 There is one pool path and one way to predict: every member — source
-GPs fitted once in :meth:`prepare`, the per-iteration *target-side* GPs a
-:class:`RefitCadence` keeps — is called through its own ``predict``,
-which already reuses everything its fit computed
+GPs fitted once in :meth:`prepare`, the per-iteration *target-side* models
+a :class:`repro.core.fit.RefitCadence` keeps — is called through its own
+``predict``, which already reuses everything its fit computed
 (:mod:`repro.core.gp`).  The pool's two controls:
 
 * ``store`` — a shared :class:`repro.tla.store.SourceModelStore`; it only
   decides where a fitted source GP comes from (:func:`fit_source_gps`):
   source GPs for identical data are fitted once across strategies and
   repeats.  ``None`` means "fit it yourself".
-* ``refit_every`` — refit cadence for the target-side GPs (the same knob
-  the LCM members expose): between boundaries the hyperparameters stay
-  frozen and new target observations are absorbed through rank-1
-  :meth:`GaussianProcess.update` appends.
+* ``refit_every`` — refit cadence for the target-side models, GP and LCM
+  alike: between boundaries the hyperparameters stay frozen and new
+  target observations are absorbed through rank-1
+  :meth:`GaussianProcess.update` appends.  The state machine is the
+  NoTLA tuner's (:mod:`repro.core.fit`); what is the strategies' own is
+  what a boundary carries over (:meth:`TLAStrategy._refresh_gp`).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import numpy as np
 from ..core import perf
 from ..core.acquisition import PredictFn
 from ..core.combine import combine_stacked, normalized_weights
+from ..core.fit import RefitCadence, grow_gp
 from ..core.gp import GaussianProcess, GPFitError
 from ..core.history import TaskData
 from ..core.sparse import make_surrogate, resolve_surrogate_kind
@@ -51,7 +54,6 @@ from .store import SourceModelStore, fit_gp
 
 __all__ = [
     "TLAStrategy",
-    "RefitCadence",
     "fit_source_gps",
     "equal_weight_model",
     "combine_weighted",
@@ -115,83 +117,6 @@ def equal_weight_model(source_gps: list[GaussianProcess]) -> PredictFn:
     return combine_weighted([gp.predict for gp in source_gps], np.ones(len(source_gps)))
 
 
-class RefitCadence:
-    """One per-iteration target-side GP under its owner's ``refit_every``.
-
-    Every :meth:`refresh` returns a surrogate of the data it is given.
-    On ``refit_every`` boundaries the GP is refit from scratch with
-    hyperparameter MLE — at the default cadence of 1 that is every
-    call.  Between boundaries the hyperparameters stay frozen: an
-    unchanged history reuses the model outright, appended observations
-    are absorbed through O(n^2) rank-1 :meth:`GaussianProcess.update`
-    appends, and a diverged history falls back to a non-optimizing
-    refit.  The kernel, ``gp_max_fun``, ``refit_every`` and the
-    surrogate policy are read off the owning strategy.
-    """
-
-    def __init__(self, owner: "TLAStrategy") -> None:
-        self._owner = owner
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget the model: the next :meth:`refresh` is a boundary fit."""
-        self.gp = None
-        self._kind: str | None = None
-        self._calls = 0
-
-    def refresh(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator):
-        """The surrogate of ``(X, y)``; ``None`` without data or when the
-        covariance cannot be factorized.
-
-        The per-call seed is drawn from ``rng`` unconditionally so the
-        cadence never shifts the caller's random stream.
-        """
-        if X.shape[0] == 0:
-            return None
-        own = self._owner
-        seed = int(rng.integers(0, 2**31 - 1))
-        kind = resolve_surrogate_kind(own.surrogate, X.shape[0], own.n_dense_max)
-        if kind != self._kind:
-            self.gp = None  # history crossed n_dense_max: rebuild as the new kind
-        prev = self.gp
-        refit = prev is None or self._calls % own.refit_every == 0
-        self._calls += 1
-        try:
-            if not refit:
-                n_new = prev.extends_training_data(X, y)
-                if n_new is None:
-                    # history diverged: refit without re-optimizing hyperparameters
-                    prev.optimize = False
-                    try:
-                        prev.fit(X, y)
-                    finally:
-                        prev.optimize = True
-                elif n_new:
-                    prev.update(X[-n_new:], y[-n_new:])
-                    perf.incr("tla_incremental_refits")
-                return prev
-            gp = make_surrogate(
-                kind,
-                own.kernel,
-                dim=X.shape[1],
-                seed=seed,
-                max_fun=own.gp_max_fun,
-                n_inducing=own.n_inducing,
-            )
-            if own.refit_every > 1 and prev is not None and kind == "dense":
-                # boundary refit under an amortized cadence: hyperparameters
-                # move little between boundaries, so start the MLE at the
-                # previous optimum and skip the random restarts
-                gp.kernel.set_theta(prev.kernel.get_theta())
-                gp.noise_variance = prev.noise_variance
-                gp.n_restarts = 0
-            gp.fit(X, y)
-        except GPFitError:
-            return None
-        self.gp, self._kind = gp, kind
-        return gp
-
-
 class TLAStrategy(ABC):
     """Base class for the TLA pool entries of the paper's Table I."""
 
@@ -199,6 +124,9 @@ class TLAStrategy(ABC):
     name: str = "abstract"
     #: provenance per Table I ("[11]", "[6]", "[12]", or "GPTuneCrowd")
     provenance: str = ""
+    #: what fitting or growing the target-side model raises when its
+    #: covariance cannot be factorized (the strategy then has no model)
+    _fit_errors: type | tuple = GPFitError
 
     def __init__(
         self,
@@ -228,7 +156,9 @@ class TLAStrategy(ABC):
         #: set once prepare()/prepare_from_models() has run; the provider
         #: skips re-preparation for already-prepared strategies
         self.prepared = False
-        self._target = RefitCadence(self)
+        #: keeps the per-iteration target-side model (the multitask
+        #: strategies keep their joint LCM here)
+        self._target = RefitCadence(self.refit_every, self._fit_errors)
 
     # -- lifecycle -----------------------------------------------------------
     def prepare(self, sources: list[TaskData], rng: np.random.Generator) -> None:
@@ -262,9 +192,53 @@ class TLAStrategy(ABC):
         """Called with the evaluation outcome (``None`` on failure)."""
 
     # -- shared by subclasses -------------------------------------------------
+    def _refresh_gp(
+        self, cadence: RefitCadence, X: np.ndarray, y: np.ndarray, rng: np.random.Generator
+    ):
+        """The surrogate of ``(X, y)`` under ``cadence``; ``None`` without
+        data or when the covariance cannot be factorized.
+
+        A boundary fits a fresh surrogate from a seed drawn from ``rng``
+        on every call, boundary or not, so the cadence never shifts the
+        caller's random stream.  A history that diverged between
+        boundaries refits the held surrogate at its hyperparameters.
+        """
+        if X.shape[0] == 0:
+            return None
+        seed = int(rng.integers(0, 2**31 - 1))
+        kind = resolve_surrogate_kind(self.surrogate, X.shape[0], self.n_dense_max)
+
+        def build(previous, optimize: bool):
+            if not optimize:
+                return previous
+            gp = make_surrogate(
+                kind,
+                self.kernel,
+                dim=X.shape[1],
+                seed=seed,
+                max_fun=self.gp_max_fun,
+                n_inducing=self.n_inducing,
+            )
+            if self.refit_every > 1 and previous is not None and kind == "dense":
+                # boundary refit under an amortized cadence: hyperparameters
+                # move little between boundaries, so start the MLE at the
+                # previous optimum and skip the random restarts
+                gp.kernel.set_theta(previous.kernel.get_theta())
+                gp.noise_variance = previous.noise_variance
+                gp.n_restarts = 0
+            return gp
+
+        def grow(gp, X: np.ndarray, y: np.ndarray) -> bool:
+            n_new = grow_gp(gp, X, y)
+            if n_new:
+                perf.incr("tla_incremental_refits")
+            return n_new is not None
+
+        return cadence.refresh((X, y), build=build, grow=grow, key=kind)
+
     def _target_gp(self, target: TaskData, rng: np.random.Generator):
         """The target-task GP, refreshed under the ``refit_every`` cadence."""
-        return self._target.refresh(target.X, target.y, rng)
+        return self._refresh_gp(self._target, target.X, target.y, rng)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name!r}>"

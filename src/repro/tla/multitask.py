@@ -15,6 +15,9 @@ stands in for the source tasks' knowledge:
   full, target growing from zero).  The evaluation (paper Fig. 3)
   shows TS dominating PS, which our benchmarks reproduce.
 
+The joint LCM is refit under the same ``refit_every`` state machine as
+every other surrogate (:class:`repro.core.fit.RefitCadence`).
+
 ``max_source_samples`` bounds LCM cost on huge source datasets (e.g.
 NIMROD's 500 samples): a uniform subsample that always keeps the source
 optimum.  Set to ``None`` to use everything, as the paper does.
@@ -36,11 +39,16 @@ __all__ = ["MultitaskPS", "MultitaskTS"]
 class _MultitaskBase(TLAStrategy):
     """Shared LCM plumbing: warm-started refits, target-task prediction.
 
-    Between ``refit_every`` boundaries hyperparameters are frozen, and a
-    step that only *appends* observations (the target's new sample; PS's
-    pseudo samples) skips the O(n^3) refactorization entirely: the cached
-    LCM grows its joint Cholesky incrementally (:meth:`LCM.update_many`).
+    The joint LCM is kept by the base class's
+    :class:`~repro.core.fit.RefitCadence`: every fit — boundary or not —
+    is a fresh ``LCM`` started at the previous one's theta, and between
+    ``refit_every`` boundaries a step that only *appends* observations
+    (the target's new sample; PS's pseudo samples) skips the O(n^3)
+    refactorization entirely: the held LCM grows its joint Cholesky
+    incrementally (:meth:`LCM.update_many`).
     """
+
+    _fit_errors = (LCMFitError, ValueError)
 
     def __init__(
         self,
@@ -60,8 +68,6 @@ class _MultitaskBase(TLAStrategy):
         self.max_source_samples = max_source_samples
         self.lcm_n_restarts = int(lcm_n_restarts)
         self.lcm_n_jobs = lcm_n_jobs
-        self._lcm: LCM | None = None
-        self._iteration = 0
 
     def _fit_lcm(
         self,
@@ -72,44 +78,36 @@ class _MultitaskBase(TLAStrategy):
         n_tasks = len(source_sets) + 1
         target_index = n_tasks - 1
         dim = target.dim if target.n else source_sets[0][0].shape[1]
-        refit = self._lcm is None or (self._iteration % self.refit_every == 0)
-        self._iteration += 1
         seed = int(rng.integers(0, 2**31 - 1))
         datasets = source_sets + [(target.X, target.y)]
 
-        if not refit and self._lcm is not None:
-            # hyperparameters are frozen this iteration; if the datasets
-            # only grew by appended rows, grow the cached factorization
-            # instead of refactorizing the full joint covariance
-            appends = self._lcm.extends_fitted(datasets)
-            if appends is not None:
-                lcm = self._lcm
-                try:
-                    lcm.update_many(appends)
-                except (LCMFitError, ValueError):
-                    pass  # fall through to the full (non-optimizing) fit
-                else:
-                    perf.incr("tla_incremental_refits")
-                    return lambda X: lcm.predict(target_index, X)
+        def build(previous: LCM | None, optimize: bool) -> LCM:
+            lcm = LCM(
+                n_tasks,
+                dim,
+                n_latent=self.n_latent,
+                max_fun=self.lcm_max_fun,
+                n_restarts=self.lcm_n_restarts,
+                n_jobs=self.lcm_n_jobs,
+                seed=seed,
+            )
+            if previous is not None:
+                lcm.warm_start_from(previous)
+            return lcm
 
-        lcm = LCM(
-            n_tasks,
-            dim,
-            n_latent=self.n_latent,
-            optimize=refit,
-            max_fun=self.lcm_max_fun,
-            n_restarts=self.lcm_n_restarts,
-            n_jobs=self.lcm_n_jobs,
-            seed=seed,
-        )
-        if self._lcm is not None:
-            lcm.warm_start_from(self._lcm)
-        try:
-            lcm.fit(datasets)
-        except (LCMFitError, ValueError):
-            return None
-        self._lcm = lcm
-        return lambda X: lcm.predict(target_index, X)
+        def grow(lcm: LCM, datasets) -> bool:
+            appends = lcm.extends_fitted(datasets)
+            if appends is None:
+                return False
+            try:
+                lcm.update_many(appends)
+            except (LCMFitError, ValueError):
+                return False  # refit in full, hyperparameters kept
+            perf.incr("tla_incremental_refits")
+            return True
+
+        lcm = self._target.refresh((datasets,), build=build, grow=grow)
+        return None if lcm is None else (lambda X: lcm.predict(target_index, X))
 
 
 class MultitaskPS(_MultitaskBase):
@@ -141,6 +139,7 @@ class MultitaskPS(_MultitaskBase):
         self.sources = []
         self.source_gps = list(models)
         self._seed_pseudo(dim, rng)
+        self._target.reset()
         self.prepared = True
 
     def _seed_pseudo(self, dim: int, rng: np.random.Generator) -> None:

@@ -19,7 +19,7 @@ The source stack never changes after :meth:`prepare`: its GPs are
 predicted each once per call (:meth:`Stacking._stack_predict`), and old
 rows' residuals are stable:
 with ``refit_every > 1`` the per-iteration target residual GP — a second
-:class:`repro.tla.base.RefitCadence` beside the base class's — freezes
+:class:`repro.core.fit.RefitCadence` beside the base class's — freezes
 its hyperparameters between boundaries and absorbs appended observations
 through rank-1 updates.  The stack is fitted through
 :func:`repro.tla.base.fit_source_gps` under the ``tla_stack_*`` counters,
@@ -34,9 +34,10 @@ import numpy as np
 
 from ..core import perf
 from ..core.acquisition import PredictFn
+from ..core.fit import RefitCadence
 from ..core.gp import GaussianProcess
 from ..core.history import TaskData
-from .base import RefitCadence, TLAStrategy, equal_weight_model, fit_source_gps
+from .base import TLAStrategy, equal_weight_model, fit_source_gps
 
 __all__ = ["Stacking"]
 
@@ -58,7 +59,7 @@ class Stacking(TLAStrategy):
         self.order = order
         self._stack: list[GaussianProcess] = []
         self._stack_ns: list[int] = []
-        self._residual = RefitCadence(self)
+        self._residual = RefitCadence(self.refit_every, self._fit_errors)
 
     # -- source stack (built once) ----------------------------------------
     def prepare(self, sources: list[TaskData], rng: np.random.Generator) -> None:
@@ -108,7 +109,7 @@ class Stacking(TLAStrategy):
         if target.n == 0:
             return equal_weight_model(self.source_gps)
         residual = target.y - self._stack_mean(target.X)
-        tgt = self._residual.refresh(target.X, residual, rng)
+        tgt = self._refresh_gp(self._residual, target.X, residual, rng)
         if tgt is None:
             return None
         n_t, n_last = target.n, self._stack_ns[-1]

@@ -146,7 +146,7 @@ class TestMLERestore:
         whatever theta the last L-BFGS-B probe happened to evaluate."""
         from types import SimpleNamespace
 
-        from repro.core import gp as gp_mod
+        from repro.core import fit as fit_mod
         from repro.core import perf
 
         X, y = _train(rng)
@@ -158,7 +158,7 @@ class TestMLERestore:
             fun(np.asarray(x0) + 3.0)  # probe a garbage theta, then fail
             return SimpleNamespace(fun=float("nan"), x=np.asarray(x0) + 3.0)
 
-        monkeypatch.setattr(gp_mod.sopt, "minimize", failing_minimize)
+        monkeypatch.setattr(fit_mod.sopt, "minimize", failing_minimize)
         with perf.collect() as stats:
             model.fit(X, y)
         np.testing.assert_allclose(model._theta(), theta0)

@@ -20,8 +20,10 @@ from scipy import linalg as sla
 from scipy import optimize as sopt
 
 from repro.core import RBF, GaussianProcess, Matern52, perf
+from repro.core import fit as fit_mod
 from repro.core import gp as gp_mod
-from repro.core.gp import _NLL_FAIL, _nll_grad, chol_solve_inv, cholesky_with_jitter
+from repro.core.fit import NLL_FAIL as _NLL_FAIL
+from repro.core.gp import _nll_grad, chol_solve_inv, cholesky_with_jitter
 from repro.core.kernels import pairwise_sq_diffs
 from repro.core.lcm import LCM, _make_workspace
 
@@ -253,7 +255,7 @@ class TestMatchesReplacedObjective:
             starts.append(np.array(x0))
             return real(fun, x0, **kwargs)
 
-        monkeypatch.setattr(gp_mod.sopt, "minimize", spy)
+        monkeypatch.setattr(fit_mod.sopt, "minimize", spy)
         gp = GaussianProcess(RBF(d), n_restarts=2, seed=seed).fit(X, y)
         assert len(starts) == 3
         for got, want in zip(starts, ref_starts):

@@ -128,19 +128,19 @@ class TestRBFGradient:
     def test_matern_has_no_gradient(self, rng):
         """No analytic form: the fit takes the finite-difference objective."""
         from repro.core import GaussianProcess
-        from repro.core import gp as gp_mod
+        from repro.core import fit as fit_mod
 
         X = rng.random((12, 2))
         y = np.sin(3 * X[:, 0]) + X[:, 1]
         calls = []
-        real = gp_mod.sopt.minimize
+        real = fit_mod.sopt.minimize
 
         def spy(fun, x0, **kwargs):
             calls.append(kwargs["jac"])
             return real(fun, x0, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gp_mod.sopt, "minimize", spy)
+            mp.setattr(fit_mod.sopt, "minimize", spy)
             GaussianProcess(Matern52(2), seed=0).fit(X, y)
             GaussianProcess(RBF(2), seed=0).fit(X, y)
         assert calls == [False, False, True, True]  # theta0 + one restart each

@@ -7,6 +7,8 @@ import pytest
 
 from repro.core import LCM
 
+from . import oracles
+
 
 def _correlated_tasks(rng, n_per_task=(30, 20), shift=0.05):
     """Two tasks sharing a sine landscape, the second shifted slightly."""
@@ -111,7 +113,7 @@ class TestMLERestore:
         an arbitrary probed theta instead of keeping the one it started with."""
         from types import SimpleNamespace
 
-        from repro.core import lcm as lcm_mod
+        from repro.core import fit as fit_mod
         from repro.core import perf
 
         datasets = _correlated_tasks(rng)
@@ -122,7 +124,7 @@ class TestMLERestore:
             fun(np.asarray(x0) + 1.0, *args)  # probe garbage, then fail
             return SimpleNamespace(fun=float("nan"), x=np.asarray(x0) + 1.0)
 
-        monkeypatch.setattr(lcm_mod.sopt, "minimize", failing_minimize)
+        monkeypatch.setattr(fit_mod.sopt, "minimize", failing_minimize)
         with perf.collect() as stats:
             model.fit(datasets)
         np.testing.assert_allclose(model._theta, theta0)
@@ -185,7 +187,7 @@ class TestAnalyticGradient:
         theta = model._theta + 0.05 * rng.standard_normal(model.n_params)
 
         nll, grad = model._nll_grad(theta, ws, y)
-        assert nll == pytest.approx(model._nll(theta, st.X, st.t, y), rel=1e-10)
+        assert nll == pytest.approx(oracles.lcm_nll(model, theta, st.X, st.t, y), rel=1e-10)
 
         eps = 1e-5
         fd = np.empty_like(grad)
@@ -194,7 +196,7 @@ class TestAnalyticGradient:
             tp[i] += eps
             tm[i] -= eps
             fd[i] = (
-                model._nll(tp, st.X, st.t, y) - model._nll(tm, st.X, st.t, y)
+                model._nll_grad(tp, ws, y)[0] - model._nll_grad(tm, ws, y)[0]
             ) / (2 * eps)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6)
 
@@ -205,15 +207,6 @@ class TestAnalyticGradient:
         with perf.collect() as stats:
             LCM(2, 1, max_fun=10, seed=0).fit(sets)
         assert stats.snapshot()["counters"]["lcm_grad_evals"] >= 1
-
-    def test_fd_mode_still_supported(self, rng):
-        sets = _correlated_tasks(rng)
-        a = LCM(2, 1, max_fun=40, gradient="fd", seed=0).fit(sets)
-        assert np.all(np.isfinite(a.predict(0, rng.random((4, 1)))[0]))
-
-    def test_gradient_mode_validated(self):
-        with pytest.raises(ValueError):
-            LCM(2, 1, gradient="symbolic")
 
 
 class TestParallelRestarts:

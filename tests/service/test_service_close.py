@@ -8,8 +8,10 @@ across test boundaries and fabric runs.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 
 from repro.registry import RegistryOptions
 from repro.service import build_service
@@ -96,3 +98,57 @@ class TestServiceClose:
             shard.close()
         svc.close()
         assert wait_gone() == []
+
+
+class TestClosedShardIsFreed:
+    def _service(self, tmp_path):
+        svc = build_service(
+            2, data_dir=tmp_path, registry=RegistryOptions(background=True)
+        )
+        _, key = svc.register_user("closer", "c@crowd.io")
+        for i in range(6):
+            assert svc.client.handle(
+                {
+                    "route": "upload",
+                    "api_key": key,
+                    "problem_name": "p",
+                    "task_parameters": {"t": i},
+                    "tuning_parameters": {"x": 0.1 * i},
+                    "output": float(i),
+                }
+            )["ok"]
+        return svc, key
+
+    def test_restart_frees_the_old_node_by_refcount(self, tmp_path):
+        """``close()`` breaks the store -> observer -> shard cycle, so the
+        node a restart replaces is gone at once — no collector pass, no
+        second copy of the store waiting for one."""
+        svc, _ = self._service(tmp_path)
+        gc.collect()
+        gc.disable()
+        try:
+            old = weakref.ref(svc.shards["shard-0"])
+            records = svc.shards["shard-0"].count()
+            svc.restart_shard("shard-0")
+            assert old() is None
+            assert svc.shards["shard-0"].count() == records
+        finally:
+            gc.enable()
+            svc.close()
+
+    def test_closed_shard_refuses_unjournaled_writes(self, tmp_path):
+        svc, key = self._service(tmp_path)
+        shard = svc.shards["shard-0"]
+        shard.close()
+        response = shard.handle(
+            {
+                "route": "upload",
+                "api_key": key,
+                "problem_name": "p",
+                "task_parameters": {"t": 99},
+                "tuning_parameters": {"x": 0.5},
+                "output": 1.0,
+            }
+        )
+        assert not response["ok"]
+        svc.close()

@@ -64,15 +64,15 @@ def strategy_surrogate(strategy, target, X):
     """
     if isinstance(strategy, _EnsembleBase):
         return strategy_surrogate(strategy.pool[strategy._chosen], target, X)
-    if isinstance(strategy, _MultitaskBase) and strategy._lcm is not None:
-        return strategy._lcm.predict(len(strategy.source_gps), X)
+    if isinstance(strategy, _MultitaskBase) and strategy._target.model is not None:
+        return strategy._target.model.predict(len(strategy.source_gps), X)
     if target.n == 0:
         return weighted_sum(strategy.source_gps, np.ones(len(strategy.source_gps)), X)
     if isinstance(strategy, Stacking):
         return stacking(
-            strategy._stack, strategy._stack_ns, strategy._residual.gp, target.n, X
+            strategy._stack, strategy._stack_ns, strategy._residual.model, target.n, X
         )
-    gps = strategy.source_gps + [strategy._target.gp]
+    gps = strategy.source_gps + [strategy._target.model]
     weights = None
     if isinstance(strategy, WeightedSumDynamic):
         weights = dynamic_weights([lambda X, gp=gp: _predict(gp, X) for gp in gps], target)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import TaskData, perf
-from repro.tla import Stacking, WeightedSumStatic
+from repro.tla import MultitaskTS, Stacking, WeightedSumStatic
 from repro.tla.base import combine_weighted, equal_weight_model, fit_source_gps
 
 
@@ -100,82 +100,176 @@ class TestEqualWeightModel:
         assert std[0] > 0
 
 
+class _GPUser:
+    """The base class's target GP, driven the way a strategy drives it."""
+
+    fits, updates = "gp_fits", "gp_incremental_updates"
+    #: a diverged history refits the held surrogate in place
+    frozen_refit_in_place = True
+
+    def __init__(self, **kw):
+        self.strategy = WeightedSumStatic(**kw)
+        self.cadence = self.strategy._target
+
+    def refresh(self, X, y, rng):
+        return self.strategy._target_gp(TaskData({}, X, y), rng)
+
+    @staticmethod
+    def n_train(gp):
+        return gp.n_train
+
+    @staticmethod
+    def theta(gp):
+        return gp.kernel.get_theta().copy()
+
+    @staticmethod
+    def is_cold(gp):
+        """Fit from default hyperparameters with the random restarts on."""
+        return gp.n_restarts == 1
+
+
+class _ResidualUser(_GPUser):
+    """Stacking's residual GP: a second cadence beside the base class's."""
+
+    def __init__(self, **kw):
+        self.strategy = Stacking(**kw)
+        self.cadence = self.strategy._residual
+
+    def refresh(self, X, y, rng):
+        return self.strategy._refresh_gp(self.cadence, X, y, rng)
+
+
+class _LCMUser:
+    """The multitask strategies' joint LCM, kept by the same cadence."""
+
+    fits, updates = "lcm_fits", "lcm_incremental_updates"
+    #: every LCM fit is a fresh object started at the previous theta
+    frozen_refit_in_place = False
+
+    def __init__(self, **kw):
+        self.strategy = MultitaskTS(lcm_max_fun=15, **kw)
+        self.cadence = self.strategy._target
+        Xs = np.random.default_rng(5).random((10, 2))
+        self.sources = [(Xs, np.sin(3 * Xs[:, 0]) + Xs[:, 1] ** 2 + 0.1)]
+
+    def refresh(self, X, y, rng):
+        if self.strategy._fit_lcm(self.sources, TaskData({}, X, y), rng) is None:
+            return None
+        return self.cadence.model
+
+    @staticmethod
+    def n_train(lcm):
+        return lcm._state.y_tasks[-1].size
+
+    @staticmethod
+    def theta(lcm):
+        return lcm._theta.copy()
+
+    @staticmethod
+    def is_cold(lcm):
+        return False  # a boundary LCM is always warm-started
+
+
 @pytest.mark.parametrize(
-    "cadence_of",
-    [
-        lambda **kw: WeightedSumStatic(**kw)._target,
-        lambda **kw: Stacking(**kw)._residual,
-    ],
-    ids=["target-gp", "stacking-residual"],
+    "user_of",
+    [_GPUser, _ResidualUser, _LCMUser],
+    ids=["target-gp", "stacking-residual", "multitask-lcm"],
 )
 class TestRefitCadence:
-    """The one refit-cadence state machine, driven for both of its users:
-    the base class's target GP and Stacking's residual GP."""
+    """The one refit-cadence state machine (:mod:`repro.core.fit`), driven
+    through each of its TLA users: the base class's target GP, Stacking's
+    residual GP and the multitask LCM."""
 
     @staticmethod
     def _data(n, seed=0):
         X = np.random.default_rng(seed).random((n, 2))
         return X, np.sin(3 * X[:, 0]) + X[:, 1] ** 2
 
-    def test_boundaries_refit_and_steps_between_absorb(self, cadence_of, rng):
-        cadence = cadence_of(refit_every=3)
+    def test_boundaries_refit_and_steps_between_absorb(self, user_of, rng):
+        user = user_of(refit_every=3)
         X, y = self._data(12)
-        first = cadence.refresh(X[:6], y[:6], rng)
-        assert first.n_train == 6 and first.n_restarts == 1  # cold boundary fit
+        first = user.refresh(X[:6], y[:6], rng)
+        assert user.n_train(first) == 6
+        if user_of is not _LCMUser:  # the first boundary of a GP is a cold fit
+            assert user.is_cold(first)
         with perf.collect() as stats:
             # unchanged data off the boundary: the model is reused outright
-            assert cadence.refresh(X[:6], y[:6], rng) is first
+            assert user.refresh(X[:6], y[:6], rng) is first
             reused = stats.snapshot()["counters"]
-            assert "gp_fits" not in reused and "gp_incremental_updates" not in reused
+            assert user.fits not in reused and user.updates not in reused
             # appended rows: absorbed by rank-1 updates, hyperparameters frozen
-            theta = first.kernel.get_theta().copy()
-            assert cadence.refresh(X[:8], y[:8], rng) is first
-        assert first.n_train == 8 and np.array_equal(first.kernel.get_theta(), theta)
+            theta = user.theta(first)
+            assert user.refresh(X[:8], y[:8], rng) is first
+        assert user.n_train(first) == 8 and np.array_equal(user.theta(first), theta)
         counters = stats.snapshot()["counters"]
-        assert counters["tla_incremental_refits"] == 1
-        assert counters["gp_incremental_updates"] == 2 and "gp_fits" not in counters
-        # the next boundary re-runs the MLE in a fresh GP, warm-started
-        second = cadence.refresh(X[:9], y[:9], rng)
-        assert second is not first and second.n_train == 9
-        assert second.n_restarts == 0
-
-    def test_diverged_history_refits_without_reoptimizing(self, cadence_of, rng):
-        cadence = cadence_of(refit_every=4)
-        X, y = self._data(10)
-        gp = cadence.refresh(X[:6], y[:6], rng)
-        theta = gp.kernel.get_theta().copy()
+        # the absorbing call counts once (an LCM also counts its reuses)
+        before = reused.get("tla_incremental_refits", 0)
+        assert counters["tla_incremental_refits"] - before == 1
+        assert before == (1 if user_of is _LCMUser else 0)
+        assert counters[user.updates] == 2 and user.fits not in counters
+        # the next boundary re-runs the MLE in a fresh model, warm-started
         with perf.collect() as stats:
-            assert cadence.refresh(X[2:9], y[2:9], rng) is gp  # not a prefix
-        assert gp.n_train == 7 and gp.optimize is True
-        assert np.array_equal(gp.kernel.get_theta(), theta)
-        counters = stats.snapshot()["counters"]
-        assert counters["gp_fits"] == 1 and "tla_incremental_refits" not in counters
+            second = user.refresh(X[:9], y[:9], rng)
+        assert second is not first and user.n_train(second) == 9
+        assert not user.is_cold(second)
+        timers = stats.snapshot()["timers"]
+        assert "gp_mle" in timers or "lcm_mle" in timers
 
-    def test_default_cadence_cold_fits_every_call(self, cadence_of, rng):
-        cadence = cadence_of()  # refit_every=1: no warm start, restarts kept
+    def test_diverged_history_refits_without_reoptimizing(self, user_of, rng):
+        user = user_of(refit_every=4)
+        X, y = self._data(10)
+        held = user.refresh(X[:6], y[:6], rng)
+        theta = user.theta(held)
+        with perf.collect() as stats:
+            refit = user.refresh(X[2:9], y[2:9], rng)  # not a prefix
+        assert (refit is held) == user.frozen_refit_in_place
+        assert user.n_train(refit) == 7 and refit.optimize is True
+        assert np.array_equal(user.theta(refit), theta)
+        snap = stats.snapshot()
+        assert snap["counters"][user.fits] == 1
+        assert "tla_incremental_refits" not in snap["counters"]
+        assert "gp_mle" not in snap["timers"] and "lcm_mle" not in snap["timers"]
+
+    def test_default_cadence_cold_fits_every_call(self, user_of, rng):
+        user = user_of()  # refit_every=1: every call is a boundary
         X, y = self._data(8)
-        first = cadence.refresh(X[:6], y[:6], rng)
-        second = cadence.refresh(X[:6], y[:6], rng)
-        assert second is not first and second.n_restarts == 1
+        first = user.refresh(X[:6], y[:6], rng)
+        with perf.collect() as stats:
+            second = user.refresh(X[:6], y[:6], rng)
+        assert second is not first
+        assert stats.snapshot()["counters"][user.fits] == 1
+        if user_of is not _LCMUser:  # the GPs: no warm start, restarts kept
+            assert user.is_cold(first) and user.is_cold(second)
 
-    def test_seed_drawn_on_every_call(self, cadence_of):
+    def test_seed_drawn_on_every_call(self, user_of):
         """Reuse, append, diverged refit and boundary fit each consume exactly
         one draw, so the cadence never shifts the caller's random stream."""
-        cadence = cadence_of(refit_every=3)
+        user = user_of(refit_every=3)
         X, y = self._data(10)
         rng, reference = np.random.default_rng(7), np.random.default_rng(7)
         for lo, hi in [(0, 5), (0, 5), (0, 7), (0, 8), (1, 8), (1, 9)]:
-            cadence.refresh(X[lo:hi], y[lo:hi], rng)
+            user.refresh(X[lo:hi], y[lo:hi], rng)
             reference.integers(0, 2**31 - 1)
             assert rng.bit_generator.state == reference.bit_generator.state
-        empty = cadence.refresh(X[:0], y[:0], rng)  # no data: no model, no draw
-        assert empty is None
-        assert rng.bit_generator.state == reference.bit_generator.state
+        if user_of is not _LCMUser:  # an LCM fits its sources without a target
+            empty = user.refresh(X[:0], y[:0], rng)  # no data: no model, no draw
+            assert empty is None
+            assert rng.bit_generator.state == reference.bit_generator.state
 
-    def test_reset_forgets_the_model(self, cadence_of, rng):
-        cadence = cadence_of(refit_every=5)
+    def test_reset_forgets_the_model(self, user_of, rng):
+        user = user_of(refit_every=5)
         X, y = self._data(8)
-        first = cadence.refresh(X, y, rng)
-        cadence.reset()
-        assert cadence.gp is None
-        assert cadence.refresh(X, y, rng) is not first
+        first = user.refresh(X, y, rng)
+        user.cadence.reset()
+        assert user.cadence.model is None
+        with perf.collect() as stats:
+            assert user.refresh(X, y, rng) is not first
+        timers = stats.snapshot()["timers"]
+        assert "gp_mle" in timers or "lcm_mle" in timers  # a boundary again
+
+    def test_prepare_resets_the_cadence(self, user_of, rng):
+        user = user_of(refit_every=5)
+        X, y = self._data(8)
+        user.refresh(X, y, rng)
+        user.strategy.prepare([_linear_source(1.0, d=2)], rng)
+        assert user.cadence.model is None

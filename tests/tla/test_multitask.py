@@ -102,10 +102,10 @@ class TestRefitAmortization:
         strat = MultitaskTS(refit_every=3, lcm_max_fun=20)
         strat.prepare([_source()], rng)
         strat.model(_target(2), rng)
-        theta_after_first = strat._lcm._theta.copy()
+        theta_after_first = strat._target.model._theta.copy()
         # second call should reuse hyperparameters (optimize=False)
         strat.model(_target(3), rng)
-        assert np.allclose(strat._lcm._theta, theta_after_first)
+        assert np.allclose(strat._target.model._theta, theta_after_first)
 
     def test_incremental_update_between_refits(self, rng):
         """Between refit boundaries an append-only step grows the cached
@@ -115,14 +115,14 @@ class TestRefitAmortization:
         strat = MultitaskTS(refit_every=4, lcm_max_fun=20)
         strat.prepare([_source()], rng)
         strat.model(_target(2), rng)
-        cached = strat._lcm
+        cached = strat._target.model
         target3 = _target(3)  # same seed: _target(2)'s rows are a prefix
         with perf.collect() as stats:
             predict = strat.model(target3, rng)
         counters = stats.snapshot()["counters"]
         assert counters.get("lcm_incremental_updates", 0) == 1
         assert counters.get("lcm_fits", 0) == 0  # no refactorization
-        assert strat._lcm is cached  # the cached model object was grown
+        assert strat._target.model is cached  # the cached model object was grown
 
         ref = LCM(2, 1, optimize=False)
         ref.warm_start_from(cached)
@@ -141,11 +141,11 @@ class TestRefitAmortization:
         strat = MultitaskTS(refit_every=4, lcm_max_fun=20)
         strat.prepare([_source()], rng)
         strat.model(_target(2), rng)
-        cached = strat._lcm
+        cached = strat._target.model
         with perf.collect() as stats:
             predict = strat.model(_target(2, seed=9), rng)
         counters = stats.snapshot()["counters"]
         assert counters.get("lcm_incremental_updates", 0) == 0
         assert counters.get("lcm_fits", 0) == 1
-        assert strat._lcm is not cached
+        assert strat._target.model is not cached
         assert predict is not None
