@@ -2,9 +2,8 @@
 
 The dense GP's O(n^3) fit and O(n^2) predict cap histories at a few
 thousand points; the sparse inducing-point GP (O(nm^2) fit, O(m^2)
-predict) and the partitioned local-GP ensemble (O(n * leaf^2) fit) are
-the crowd-scale replacements.  This benchmark records fit+predict wall
-clock across n for all three and checks the tentpole guarantees:
+predict) is the crowd-scale replacement.  This benchmark records
+fit+predict wall clock across n for both and checks the guarantees:
 
 * at n = 5000 the sparse surrogate's fit+predict is at least 10x faster
   than the dense GP's — conservatively: the dense side is timed at its
@@ -29,7 +28,7 @@ import numpy as np
 
 from repro.core import GaussianProcess, Tuner, TunerOptions
 from repro.core.kernels import kernel_from_name
-from repro.core.sparse import PartitionedGP, SparseGP
+from repro.core.sparse import SparseGP
 
 from harness import FULL, SMOKE, save_results
 
@@ -40,7 +39,6 @@ SIZES = [200, 1000, 5000, 20000] if (FULL or not SMOKE) else [200, 1000, 2500]
 DENSE_MAX_N = 5000 if (FULL or not SMOKE) else 2500
 
 N_INDUCING = 100
-LEAF_SIZE = 200
 N_PREDICT = 512
 REPEATS = 3 if FULL else (1 if SMOKE else 2)
 
@@ -82,9 +80,9 @@ def _time_fit_predict(make_model, X, y, Xq, repeats: int = REPEATS) -> float:
 
 
 def bench_curves() -> dict:
-    """Fit+predict wall clock for dense/sparse/partitioned across n."""
+    """Fit+predict wall clock for dense/sparse across n."""
     Xq = np.random.default_rng(99).random((N_PREDICT, DIM))
-    curves: dict[str, dict[int, float]] = {"dense": {}, "sparse": {}, "partitioned": {}}
+    curves: dict[str, dict[int, float]] = {"dense": {}, "sparse": {}}
     for n in SIZES:
         X, y = _data(n)
         if n <= DENSE_MAX_N:
@@ -98,12 +96,6 @@ def bench_curves() -> dict:
             )
         curves["sparse"][n] = _time_fit_predict(
             lambda: SparseGP("rbf", n_inducing=N_INDUCING, n_restarts=0, seed=0),
-            X, y, Xq,
-        )
-        curves["partitioned"][n] = _time_fit_predict(
-            lambda: PartitionedGP(
-                "rbf", leaf_size=LEAF_SIZE, n_restarts=0, seed=0, n_jobs=1
-            ),
             X, y, Xq,
         )
         row = "  ".join(
@@ -135,7 +127,6 @@ def test_sparse_beats_dense_at_scale():
             "mode": "full" if FULL else ("smoke" if SMOKE else "default"),
             "sizes": SIZES,
             "n_inducing": N_INDUCING,
-            "leaf_size": LEAF_SIZE,
             "curves_s": curves,
             "speedup_at_n_big": speedup,
             "n_big": n_big,

@@ -31,6 +31,7 @@ import numpy as np
 from .apps import NIMROD, PDGEQRF, BraninFunction, DemoFunction, HypreAMG, SuperLUDist2D
 from .apps.base import HPCApplication
 from .core import TaskData, Tuner, TunerOptions
+from .core.sparse import SURROGATE_KINDS
 from .hpc import MACHINE_PRESETS, get_machine
 from .sensitivity import SensitivityAnalyzer
 from .tla import (
@@ -93,7 +94,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         surrogate=args.surrogate,
         n_dense_max=args.n_dense_max,
         n_inducing=args.n_inducing,
-        leaf_size=args.leaf_size,
     )
 
     if args.workers > 1 or args.batch > 1:
@@ -449,15 +449,13 @@ def main(argv: list[str] | None = None) -> int:
                         choices=["cl-min", "cl-mean", "cl-max", "kb"],
                         help="fantasy strategy for in-flight evaluations")
     p_tune.add_argument("--surrogate", default="auto",
-                        choices=["auto", "dense", "sparse", "partitioned"],
+                        choices=SURROGATE_KINDS,
                         help="surrogate policy: auto switches dense->sparse "
                              "past --n-dense-max observations")
     p_tune.add_argument("--n-dense-max", type=int, default=1000,
                         help="history size beyond which auto goes sparse")
     p_tune.add_argument("--n-inducing", type=int, default=100,
                         help="inducing points for the sparse surrogate")
-    p_tune.add_argument("--leaf-size", type=int, default=200,
-                        help="max points per local GP (partitioned surrogate)")
     p_tune.add_argument("--tla", choices=sorted(STRATEGY_REGISTRY))
     p_tune.add_argument("--source-task", help="source task as JSON (with --tla)")
     p_tune.add_argument("--source-samples", type=int, default=50)

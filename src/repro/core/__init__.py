@@ -12,7 +12,7 @@ from .acquisition import (
     PendingPenalty,
     get_acquisition,
 )
-from .combine import combine_stacked, normalized_weight_matrix, normalized_weights
+from .combine import combine_stacked, normalized_weights
 from .feasibility import KnnFeasibility
 from .gp import GaussianProcess, GPFitError, Surrogate
 from .history import History, TaskData
@@ -29,7 +29,6 @@ from .samplers import (
     get_sampler,
 )
 from .sparse import (
-    PartitionedGP,
     SparseGP,
     make_surrogate,
     resolve_surrogate_kind,
@@ -68,7 +67,6 @@ __all__ = [
     "MixedKernel",
     "OutputParameter",
     "Parameter",
-    "PartitionedGP",
     "PendingPenalty",
     "RBF",
     "RandomSampler",
@@ -92,7 +90,6 @@ __all__ = [
     "kernel_from_name",
     "make_surrogate",
     "mixed_kernel_for_space",
-    "normalized_weight_matrix",
     "normalized_weights",
     "perf",
     "propose_batch",

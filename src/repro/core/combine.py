@@ -1,12 +1,9 @@
 """The paper's Eq. (1)-(2) surrogate combination, as reusable math.
 
-Several layers merge per-model posteriors into one surrogate: the TLA
-weighted-sum strategies and the ensemble shell (:mod:`repro.tla.base`,
-one fixed weight per model) and the partitioned local-GP surrogate
-(:mod:`repro.core.sparse`, one weight per model *per query point*).
-Both reductions are the same formula — a weighted arithmetic mean of
-the means and a weighted geometric mean of the standard deviations —
-so the accumulation lives here, in ``core``, where both can import it.
+The TLA weighted-sum strategies and the ensemble shell
+(:mod:`repro.tla.base`) merge per-model posteriors into one surrogate
+with one fixed weight per model: a weighted arithmetic mean of the means
+and a weighted geometric mean of the standard deviations.
 
 The accumulation is a plain per-model loop (``mean += w * mu``), not an
 einsum: it replays the historical TLA loop operation for operation, so
@@ -20,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["normalized_weights", "normalized_weight_matrix", "combine_stacked"]
+__all__ = ["normalized_weights", "combine_stacked"]
 
 #: standard-deviation floor inside the geometric mean (Eq. (2) takes a
 #: log; an exactly-zero std from an interpolating model must not -inf it)
@@ -48,24 +45,6 @@ def normalized_weights(weights: np.ndarray, n_models: int) -> np.ndarray:
     return weights / total
 
 
-def normalized_weight_matrix(W: np.ndarray) -> np.ndarray:
-    """Per-point Eq. (1)-(2) weights: normalize each column of ``(k, n)``.
-
-    Row ``j`` holds model ``j``'s weight at every query point; every
-    column (one query point) must be non-negative with a positive sum,
-    and is normalized to a convex combination.
-    """
-    W = np.asarray(W, dtype=float)
-    if W.ndim != 2:
-        raise ValueError(f"weight matrix must be 2-D, got shape {W.shape}")
-    if not np.all(np.isfinite(W)) or np.any(W < 0):
-        raise ValueError("per-point weights must be finite and non-negative")
-    totals = W.sum(axis=0)
-    if np.any(totals <= 0):
-        raise ValueError("every query point needs a positive total weight")
-    return W / totals
-
-
 def combine_stacked(
     means: Sequence[np.ndarray],
     stds: Sequence[np.ndarray],
@@ -74,10 +53,9 @@ def combine_stacked(
     """Eq. (1)-(2) over per-model posteriors already evaluated at the
     query batch.
 
-    ``means``/``stds`` hold one ``(n,)`` array per model.  ``weights`` is
-    either ``(k,)`` (one weight per model, already normalized) or
-    ``(k, n)`` (one weight per model per point, columns already
-    normalized).  Returns the combined ``(mean, std)``.
+    ``means``/``stds`` hold one ``(n,)`` array per model, ``weights`` one
+    (already normalized) weight per model.  Returns the combined
+    ``(mean, std)``.
     """
     n = np.asarray(means[0]).shape[0]
     mean = np.zeros(n)

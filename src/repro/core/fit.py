@@ -5,8 +5,8 @@ tuning loop:
 
 * :func:`multistart_mle` — the multi-start L-BFGS-B search over a
   negative log marginal likelihood, under
-  :class:`~repro.core.gp.GaussianProcess` (and through it the sparse and
-  partitioned surrogates) and :class:`~repro.core.lcm.LCM`.  It is the
+  :class:`~repro.core.gp.GaussianProcess` (and through it the sparse
+  surrogate) and :class:`~repro.core.lcm.LCM`.  It is the
   only ``scipy.optimize.minimize`` call in the package: how starts are
   drawn, clipped, bounded in evaluations, run (in order, or on a thread
   pool) and compared is decided here.

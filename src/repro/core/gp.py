@@ -39,7 +39,7 @@ guides' "vectorize, avoid copies, profile the Cholesky" advice):
   :func:`repro.core.optimizer.propose_batch` does exactly that).
 
 :class:`Surrogate` is the part of the interface the dense GP shares with
-the large-n classes of :mod:`repro.core.sparse`, written once.
+the sparse GP of :mod:`repro.core.sparse`, written once.
 """
 
 from __future__ import annotations
@@ -226,27 +226,25 @@ class Surrogate:
     """What the tuners, the TLA pool and the registry hold a model by.
 
     ``fit`` / ``update`` / ``predict`` / ``to_dict`` / ``from_dict`` are
-    each surrogate's own; the rest of the contract follows from one
-    accessor, :meth:`_data`, and lives here.
+    each surrogate's own.  The rest of the contract follows from the one
+    shape every surrogate has — a ``_state`` (``None`` before :meth:`fit`)
+    that carries ``X`` and ``y_raw`` in insertion order and that ``fit`` /
+    ``update`` replace, never mutate — and lives here.  Holding
+    ``model._state`` is therefore holding a snapshot: speculative updates
+    are undone by putting the held reference back.
     """
 
     #: how :meth:`fit` names the class when it refuses an empty history
     _noun = "GP"
 
-    def _data(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(X, y_raw)`` of the current fit in insertion order; ``None``
-        before :meth:`fit`."""
-        st = self._state
-        return None if st is None else (st.X, st.y_raw)
-
     @property
     def fitted(self) -> bool:
-        return self._data() is not None
+        return self._state is not None
 
     @property
     def n_train(self) -> int:
-        data = self._data()
-        return 0 if data is None else data[0].shape[0]
+        st = self._state
+        return 0 if st is None else st.X.shape[0]
 
     def predict_mean(self, X: np.ndarray) -> np.ndarray:
         return self.predict(X, return_std=False)
@@ -259,16 +257,15 @@ class Surrogate:
         a row-for-row prefix (eligible for :meth:`update`), and ``None``
         when the histories diverge (a full refit is required).
         """
-        data = self._data()
-        if data is None:
+        st = self._state
+        if st is None:
             return None
-        X_fit, y_fit = data
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
-        n = X_fit.shape[0]
-        if X.shape[0] < n or X.shape[1] != X_fit.shape[1]:
+        n = st.X.shape[0]
+        if X.shape[0] < n or X.shape[1] != st.X.shape[1]:
             return None
-        if not np.array_equal(X[:n], X_fit) or not np.array_equal(y[:n], y_fit):
+        if not np.array_equal(X[:n], st.X) or not np.array_equal(y[:n], st.y_raw):
             return None
         return X.shape[0] - n
 
@@ -281,13 +278,13 @@ class Surrogate:
 
     def _update_data(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The checked arrays :meth:`update` appends (possibly zero rows)."""
-        data = self._data()
-        if data is None:
+        st = self._state
+        if st is None:
             raise RuntimeError("update() before fit()")
         X_new, y_new = _as_xy(x, y, "x")
-        if X_new.shape[0] and X_new.shape[1] != data[0].shape[1]:
+        if X_new.shape[0] and X_new.shape[1] != st.X.shape[1]:
             raise ValueError(
-                f"x dimension {X_new.shape[1]} != training dimension {data[0].shape[1]}"
+                f"x dimension {X_new.shape[1]} != training dimension {st.X.shape[1]}"
             )
         return X_new, y_new
 

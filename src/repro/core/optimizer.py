@@ -300,11 +300,11 @@ def propose_batch(
     under a surrogate conditioned on *fantasy observations* at every
     point already in flight — the ``X_pending`` rows plus the picks made
     earlier in this call.  When ``gp`` is a fitted
-    :class:`~repro.core.gp.GaussianProcess` the fantasies are exact
-    conditioning via its O(n^2) rank-1 :meth:`update` (restored before
-    returning, so the caller's model is untouched).  For surrogates
-    without an update path (combined TLA predictors) the fallback damps
-    the acquisition around in-flight points instead
+    :class:`~repro.core.gp.Surrogate` the fantasies are exact
+    conditioning via its incremental :meth:`update` (its fit state is put
+    back before returning, so the caller's model is untouched).  For
+    predictors without an update path (combined TLA surrogates) the
+    fallback damps the acquisition around in-flight points instead
     (:class:`~repro.core.acquisition.PendingPenalty`).
 
     ``lie`` selects the fantasy value: ``cl-min`` / ``cl-mean`` /
@@ -329,16 +329,8 @@ def propose_batch(
                 options=options,
             )
         ]
-    use_gp = (
-        gp is not None
-        and getattr(gp, "fitted", False)
-        # fantasization snapshots/restores gp._state around speculative
-        # updates; surrogates without that single-state shape (the
-        # partitioned ensemble) take the pending-penalty fallback instead
-        and getattr(gp, "_state", None) is not None
-        and y_obs is not None
-        and np.asarray(y_obs).size > 0
-    )
+    y_obs = np.empty(0) if y_obs is None else np.asarray(y_obs, dtype=float).ravel()
+    use_gp = gp is not None and gp.fitted and y_obs.size
     proposals: list[dict[str, Any]] = []
     if not use_gp:
         # model-agnostic fallback: penalize in-flight neighborhoods
@@ -361,7 +353,8 @@ def propose_batch(
             pend = np.vstack([pend, space.to_unit_array([config])])
         return proposals
 
-    y_obs = np.asarray(y_obs, dtype=float).ravel()
+    # every Surrogate's fit state is replaced, never mutated, by update():
+    # the held reference is the snapshot the fantasies are undone with
     saved_state = gp._state
     n_fantasies = 0
     try:

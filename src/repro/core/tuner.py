@@ -47,7 +47,7 @@ from .optimizer import LIE_STRATEGIES, SearchOptions, propose_batch
 from .problem import Evaluation, TuningProblem
 from .samplers import Sampler, get_sampler
 from .space import Space
-from .sparse import make_surrogate, resolve_surrogate_kind
+from .sparse import check_surrogate_policy, make_surrogate, resolve_surrogate_kind
 
 __all__ = [
     "EvalJob",
@@ -86,17 +86,18 @@ class TunerOptions:
     #: surrogate policy: ``"auto"`` keeps the exact dense GP (bit-identical
     #: to the historical loop) up to ``n_dense_max`` observations and
     #: switches to the O(nm^2) sparse inducing-point GP past it;
-    #: ``"dense"`` / ``"sparse"`` / ``"partitioned"`` force one kind
+    #: ``"dense"`` / ``"sparse"`` force one kind
     surrogate: str = "auto"
     n_dense_max: int = 1000
     #: inducing points for the sparse surrogate (``m`` in the O(nm^2) fit)
     n_inducing: int = 100
-    #: max points per local GP for the partitioned surrogate
-    leaf_size: int = 200
     #: learn P(feasible) from observed failures and steer the acquisition
     #: away from them (ablation: bench_ablation_failures.py)
     learn_feasibility: bool = True
     search: SearchOptions = field(default_factory=SearchOptions)
+
+    def __post_init__(self) -> None:
+        check_surrogate_policy(self.surrogate)
 
     def make_sampler(self) -> Sampler:
         return get_sampler(self.sampler)
@@ -342,7 +343,6 @@ class GPProvider:
                 max_fun=opts.gp_max_fun,
                 n_restarts=opts.gp_restarts,
                 n_inducing=opts.n_inducing,
-                leaf_size=opts.leaf_size,
             )
             return self.gp
 

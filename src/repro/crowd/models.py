@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from ..core.gp import GaussianProcess
+from ..core.gp import Surrogate
 from ..core.problem import task_key
+from ..core.sparse import surrogate_from_dict
 from .records import Accessibility
 from .repository import CrowdRepository
 
@@ -36,9 +37,9 @@ class StoredModel:
         self.timestamp: float = float(doc.get("timestamp", 0.0))
         self._payload = dict(doc["model"])
 
-    def load(self) -> GaussianProcess:
-        """Reconstruct the trained GP (no refitting)."""
-        return GaussianProcess.from_dict(self._payload)
+    def load(self) -> Surrogate:
+        """Reconstruct the trained surrogate (no refitting)."""
+        return surrogate_from_dict(self._payload)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -65,7 +66,7 @@ class ModelStore:
         api_key: str,
         problem_name: str,
         task: Mapping[str, Any],
-        gp: GaussianProcess,
+        gp: Surrogate,
         *,
         accessibility: Accessibility | None = None,
     ) -> int:

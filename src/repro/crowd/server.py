@@ -140,7 +140,8 @@ class CrowdServer:
             # -> same uid) and when replaying hinted handoff; a record
             # already stored under this uid must not be duplicated
             self.repository.users.authenticate(req["api_key"])
-            if self.repository.store["performance_records"].find_one({"uid": uid}):
+            records = self.repository.store["performance_records"]
+            if records.find_one({"uid": uid}, frozen=True):
                 return {"ok": True, "uid": uid, "duplicate": True}
         record = PerformanceRecord(
             problem_name=req["problem_name"],
@@ -182,9 +183,9 @@ class CrowdServer:
 
     # -- model routes ---------------------------------------------------------------
     def _route_upload_model(self, req: Mapping[str, Any]) -> dict[str, Any]:
-        from ..core.gp import GaussianProcess
+        from ..core.sparse import surrogate_from_dict
 
-        gp = GaussianProcess.from_dict(dict(req["model"]))
+        gp = surrogate_from_dict(dict(req["model"]))
         uid = self.models.upload_model(
             req["api_key"],
             req["problem_name"],

@@ -40,7 +40,12 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..core import perf
-from ..core.sparse import make_surrogate, resolve_surrogate_kind, surrogate_from_dict
+from ..core.sparse import (
+    check_surrogate_policy,
+    make_surrogate,
+    resolve_surrogate_kind,
+    surrogate_from_dict,
+)
 from ..core.problem import task_key
 from ..core.space import Space
 from ..crowd.database import Collection
@@ -76,7 +81,7 @@ def upsert_newest(
     def rank(d: Mapping[str, Any]) -> tuple[float, ...]:
         return tuple(float(d.get(field, 0.0)) for field in version)
 
-    existing = coll.find_one(match)
+    existing = coll.find_one(match, frozen=True)
     if existing is not None and rank(existing) >= rank(doc):
         return False
     coll.delete(match)
@@ -107,7 +112,11 @@ class RegistryOptions:
     surrogate: str = "auto"
     n_dense_max: int = 2048
     n_inducing: int = 128
-    leaf_size: int = 256
+
+    def __post_init__(self) -> None:
+        # here, not at the first build: a build runs on the upload path,
+        # after the record that triggered it has been stored
+        check_surrogate_policy(self.surrogate)
 
 
 class ModelRegistry:
@@ -194,7 +203,7 @@ class ModelRegistry:
 
     def problem_doc(self, problem_name: str) -> dict[str, Any] | None:
         return self.repository.store[REGISTRY_PROBLEMS].find_one(
-            {"problem_name": problem_name}
+            {"problem_name": problem_name}, frozen=True
         )
 
     def _space_for(
@@ -305,7 +314,6 @@ class ModelRegistry:
                 seed=self.options.seed,
                 n_restarts=1,
                 n_inducing=self.options.n_inducing,
-                leaf_size=self.options.leaf_size,
             )
             with perf.timer("registry_build"):
                 gp.fit(X, y)
@@ -350,7 +358,8 @@ class ModelRegistry:
             {
                 "problem_name": problem_name,
                 "task_key": repr(task_key(task_parameters)),
-            }
+            },
+            frozen=True,
         )
         return RegistryEntry.from_doc(doc) if doc is not None else None
 

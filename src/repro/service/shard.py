@@ -424,7 +424,7 @@ class CrowdShard:
                 pending_uid[uid] = len(pending)
             else:
                 blob = json.dumps(doc, sort_keys=True, default=str)
-                if blob in pending_content or coll.find_one(doc) is not None:
+                if blob in pending_content or coll.find_one(doc, frozen=True) is not None:
                     continue  # unstamped record already present field-for-field
                 pending_content.add(blob)
             pending.append(doc)

@@ -49,7 +49,7 @@ from ..core.combine import combine_stacked, normalized_weights
 from ..core.fit import RefitCadence, grow_gp
 from ..core.gp import GaussianProcess, GPFitError
 from ..core.history import TaskData
-from ..core.sparse import make_surrogate, resolve_surrogate_kind
+from ..core.sparse import check_surrogate_policy, make_surrogate, resolve_surrogate_kind
 from .store import SourceModelStore, fit_gp
 
 __all__ = [
@@ -148,7 +148,7 @@ class TLAStrategy(ABC):
         #: switches to the sparse inducing-point GP past it — target
         #: histories grown from a large crowd transfer can be huge even
         #: when each tuning run adds only tens of points
-        self.surrogate = surrogate
+        self.surrogate = check_surrogate_policy(surrogate)
         self.n_dense_max = int(n_dense_max)
         self.n_inducing = int(n_inducing)
         self.sources: list[TaskData] = []

@@ -1,9 +1,9 @@
 """Unit tests for repro.core.sparse: the large-n surrogate layer.
 
 Covers the deterministic k-center inducing selection, SGPR accuracy and
-incremental updates, the partitioned local-GP ensemble, oracle-exact
-predictions and bitwise dict round-trips for both classes, the structured
-jitter-ladder failure, and the new perf counters.
+incremental updates, oracle-exact predictions and bitwise dict
+round-trips, the structured jitter-ladder failure, and the new perf
+counters.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from repro.core import perf
 from repro.core.gp import GaussianProcess, GPFitError, cholesky_at, cholesky_with_jitter
 from repro.core.kernels import RBF, Matern52
 from repro.core.sparse import (
-    PartitionedGP,
     SparseGP,
     make_surrogate,
     resolve_surrogate_kind,
@@ -184,134 +183,17 @@ class TestSparseGP:
             sp.fit(np.zeros((0, 2)), np.zeros(0))
 
 
-class TestPartitionedGP:
-    def test_accuracy_and_leaf_structure(self):
-        X, y = _toy(600, seed=1)
-        Xt, _ = _toy(80, seed=9)
-        yt = _truth(Xt)
-        pg = PartitionedGP("rbf", leaf_size=100, top_k=3, seed=0).fit(X, y)
-        assert pg.n_leaves >= 600 // 100
-        mu, sd = pg.predict(Xt)
-        rmse = float(np.sqrt(np.mean((mu - yt) ** 2)))
-        assert rmse < 0.08
-        assert np.all(sd > 0)
-
-    def test_parallel_fit_matches_serial(self):
-        X, y = _toy(400, seed=2)
-        Xt, _ = _toy(50, seed=8)
-        serial = PartitionedGP("rbf", leaf_size=80, seed=5, n_jobs=1).fit(X, y)
-        parallel = PartitionedGP("rbf", leaf_size=80, seed=5, n_jobs=4).fit(X, y)
-        mu_s, sd_s = serial.predict(Xt)
-        mu_p, sd_p = parallel.predict(Xt)
-        assert np.array_equal(mu_s, mu_p)
-        assert np.array_equal(sd_s, sd_p)
-
-    def test_update_agrees_with_refit_loosely(self):
-        """Different partitions (grown vs rebuilt) cannot match bitwise;
-        both must still model the function."""
-        X, y = _toy(400, seed=3, noise=0.0)
-        Xn, yn = _toy(40, seed=14, noise=0.0)
-        inc = PartitionedGP("rbf", leaf_size=80, seed=1).fit(X, y)
-        inc.update(Xn, yn)
-        full = PartitionedGP("rbf", leaf_size=80, seed=1).fit(
-            np.vstack([X, Xn]), np.concatenate([y, yn])
-        )
-        Xt, _ = _toy(60, seed=15)
-        yt = _truth(Xt)
-        mu_i, _ = inc.predict(Xt)
-        mu_f, _ = full.predict(Xt)
-        assert float(np.sqrt(np.mean((mu_i - yt) ** 2))) < 0.08
-        assert float(np.sqrt(np.mean((mu_f - yt) ** 2))) < 0.08
-        np.testing.assert_allclose(mu_i, mu_f, atol=0.15)
-
-    def test_update_resplits_oversized_leaf(self):
-        X, y = _toy(60, seed=4)
-        pg = PartitionedGP("rbf", leaf_size=30, seed=0).fit(X, y)
-        before = pg.n_leaves
-        # 50 points in one corner overflow the nearest leaf past 2x
-        Xn = 0.05 * np.random.default_rng(0).random((70, 2))
-        pg.update(Xn, _truth(Xn))
-        assert pg.n_leaves > before
-        assert pg.n_train == 130
-        for leaf in pg._leaves:
-            assert leaf.X.shape[0] <= 2 * pg.leaf_size
-
-    def test_dict_roundtrip_bitwise(self):
-        X, y = _toy(250, seed=6)
-        pg = PartitionedGP("rbf", leaf_size=60, seed=2).fit(X, y)
-        Xt, _ = _toy(40, seed=16)
-        mu, sd = pg.predict(Xt)
-        clone = surrogate_from_dict(pg.to_dict())
-        mu2, sd2 = clone.predict(Xt)
-        assert np.array_equal(mu, mu2)
-        assert np.array_equal(sd, sd2)
-        assert clone.n_leaves == pg.n_leaves
-        assert clone.n_train == pg.n_train
-
-    def test_centroids_track_leaves(self):
-        """The centroid array predict() and update() route by is kept in
-        step with the leaves by fit, update (re-split included) and load."""
-        X, y = _toy(120, seed=7)
-        pg = PartitionedGP("rbf", leaf_size=30, seed=3, max_fun=15).fit(X, y)
-
-        def check(model):
-            assert model._centroids.shape == (model.n_leaves, 2)
-            for row, leaf in zip(model._centroids, model._leaves):
-                assert np.array_equal(row, leaf.X.mean(axis=0))
-
-        check(pg)
-        n_before = pg.n_leaves
-        Xn = np.full((40, 2), 0.1) + 0.01 * np.random.default_rng(0).random((40, 2))
-        pg.update(Xn, _truth(Xn))  # one leaf grows past 2 * leaf_size
-        assert pg.n_leaves > n_before
-        check(pg)
-        check(surrogate_from_dict(pg.to_dict()))
-
-    def test_extends_training_data_contract(self):
-        X, y = _toy(100)
-        pg = PartitionedGP("rbf", leaf_size=40, seed=0).fit(X, y)
-        Xn, yn = _toy(10, seed=21)
-        X2 = np.vstack([X, Xn])
-        y2 = np.concatenate([y, yn])
-        assert pg.extends_training_data(X2, y2) == 10
-        assert pg.extends_training_data(X[:50], y[:50]) is None
-
-    def test_no_state_attribute(self):
-        """The ensemble has no single-state snapshot; the batch proposer's
-        guard must see _state as absent/None and take the fallback."""
-        X, y = _toy(80)
-        pg = PartitionedGP("rbf", leaf_size=40, seed=0).fit(X, y)
-        assert getattr(pg, "_state", None) is None
-
-    def test_perf_counters(self):
-        X, y = _toy(200)
-        with perf.collect() as stats:
-            pg = PartitionedGP("rbf", leaf_size=50, seed=0).fit(X, y)
-            pg.predict(X[:10])
-        snap = stats.snapshot()
-        assert snap["counters"]["partition_leaf_fits"] == pg.n_leaves
-        assert snap["counters"]["partition_merges"] == 1
-
-    def test_rejects_kernel_instances(self):
-        from repro.core.kernels import RBF
-
-        with pytest.raises(TypeError):
-            PartitionedGP(RBF(2))
-
-
 class TestFactoryAndPolicy:
     def test_resolve_kinds(self):
         assert resolve_surrogate_kind("auto", 100, 1000) == "dense"
         assert resolve_surrogate_kind("auto", 1000, 1000) == "dense"
         assert resolve_surrogate_kind("auto", 1001, 1000) == "sparse"
         assert resolve_surrogate_kind("dense", 10**6, 1000) == "dense"
-        assert resolve_surrogate_kind("partitioned", 5, 1000) == "partitioned"
         with pytest.raises(ValueError):
             resolve_surrogate_kind("bogus", 10, 1000)
 
     def test_make_surrogate(self):
         assert isinstance(make_surrogate("sparse", "rbf", n_inducing=7), SparseGP)
-        assert isinstance(make_surrogate("partitioned", "rbf"), PartitionedGP)
         dense = make_surrogate("dense", "matern52", dim=3, max_fun=40, n_restarts=2)
         assert type(dense) is GaussianProcess and isinstance(dense.kernel, Matern52)
         assert (dense.kernel.dim, dense.max_fun, dense.n_restarts) == (3, 40, 2)
@@ -328,6 +210,14 @@ class TestFactoryAndPolicy:
         assert isinstance(surrogate_from_dict(dense.to_dict()), GaussianProcess)
         sp = SparseGP("rbf", n_inducing=10, seed=0).fit(X, y)
         assert isinstance(surrogate_from_dict(sp.to_dict()), SparseGP)
+
+    @pytest.mark.parametrize("tag", ["partitioned", "sparce", None])
+    def test_from_dict_refuses_unknown_tags(self, tag):
+        """A snapshot is outside input: a tag this build does not load is
+        named in a ValueError, not read as a dense document (KeyError 'X')."""
+        doc = {"type": tag, "kernel": "rbf", "leaves": []}
+        with pytest.raises(ValueError, match=f"{tag!r}.*'dense', 'sparse'"):
+            surrogate_from_dict(doc)
 
 
 class TestJitterLadderFailure:

@@ -1,9 +1,11 @@
 """The shared surrogate contract, driven once over every class that has it.
 
 :class:`repro.core.gp.Surrogate` is what the tuners, the TLA pool and the
-registry hold a model by; the dense GP, the sparse GP and the partitioned
-ensemble inherit it instead of each spelling it out, so one parametrized
-test covers all three.
+registry hold a model by; the dense GP and the sparse GP inherit it
+instead of each spelling it out, so one parametrized test covers both.
+Part of it is the shape itself: a ``_state`` that ``fit`` / ``update``
+replace and never mutate, which is what lets the batch proposer fantasize
+on any surrogate and undo it by putting one reference back.
 """
 
 from __future__ import annotations
@@ -11,14 +13,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import GaussianProcess, PartitionedGP, SparseGP, Surrogate
+from repro.core import (
+    ExpectedImprovement,
+    GaussianProcess,
+    GPFitError,
+    RealParameter,
+    Space,
+    SparseGP,
+    Surrogate,
+    propose_batch,
+)
+from repro.core import gp as gp_mod
+from repro.core import sparse as sparse_mod
 
 FACTORIES = {
     "dense": lambda: GaussianProcess(max_fun=15, seed=0),
     "sparse": lambda: SparseGP("rbf", n_inducing=12, max_fun=15, seed=0),
-    "partitioned": lambda: PartitionedGP("rbf", leaf_size=20, max_fun=15, seed=0),
 }
-NOUNS = {"dense": "GP", "sparse": "SparseGP", "partitioned": "PartitionedGP"}
+NOUNS = {"dense": "GP", "sparse": "SparseGP"}
 
 
 def _data(n, seed=0):
@@ -73,3 +85,55 @@ class TestSurrogateContract:
         with pytest.raises(ValueError, match="x dimension 3 != training dimension 2"):
             model.update(np.zeros((1, 3)), np.zeros(1))
         assert model.n_train == 30
+
+    def test_held_state_survives_update_and_failed_update(self, kind, monkeypatch):
+        """States are replaced, never mutated: a held one still serves the
+        predictions of its fit after a later update, and a failed update
+        leaves the model on the state it had."""
+        X, y = _data(60)
+        model = FACTORIES[kind]().fit(X[:40], y[:40])
+        Xq = np.random.default_rng(1).random((16, 2))
+        held = model._state
+        mu, sd = model.predict(Xq)
+
+        model.update(X[40:50], y[40:50])
+        assert model._state is not held
+        assert not np.array_equal(model.predict(Xq)[0], mu)
+        grown = model._state
+        model._state = held
+        assert all(np.array_equal(a, b) for a, b in zip(model.predict(Xq), (mu, sd)))
+
+        def refuse(K, *args, **kwargs):
+            raise GPFitError("not positive definite")
+
+        # the sparse update refactorizes its information matrix; the dense
+        # one does only after an append its triangular solve calls degenerate
+        model._state = grown
+        real = gp_mod._trtrs
+        monkeypatch.setattr(gp_mod, "_trtrs", lambda *a, **kw: (real(*a, **kw)[0], 1))
+        monkeypatch.setattr(gp_mod, "cholesky_with_jitter", refuse)
+        monkeypatch.setattr(sparse_mod, "cholesky_with_jitter", refuse)
+        with pytest.raises(GPFitError):
+            model.update(X[50:], y[50:])
+        assert model._state is grown and model.n_train == 50
+
+    def test_propose_batch_restores_the_very_state(self, kind):
+        """Fantasies (pending rows and the batch's own picks) are undone by
+        swapping one reference: the caller's model ends on the same object."""
+        X, y = _data(40)
+        model = FACTORIES[kind]().fit(X, y)
+        held = model._state
+        space = Space([RealParameter("x", 0.0, 1.0), RealParameter("z", 0.0, 1.0)])
+        batch = propose_batch(
+            model.predict,
+            space,
+            ExpectedImprovement(),
+            np.random.default_rng(1),
+            q=3,
+            gp=model,
+            X_obs=X,
+            y_obs=y,
+            X_pending=np.array([[0.2, 0.2], [0.8, 0.7]]),
+        )
+        assert len(batch) == 3
+        assert model._state is held and model.n_train == 40

@@ -15,7 +15,7 @@ from repro.core.acquisition import ExpectedImprovement
 from repro.core.history import History, TaskData
 from repro.core.optimizer import propose_batch
 from repro.core.problem import Evaluation
-from repro.core.sparse import PartitionedGP, SparseGP
+from repro.core.sparse import SparseGP
 from repro.tla.base import TLAStrategy
 
 
@@ -48,14 +48,6 @@ class TestTunerPolicy:
         res = Tuner(quadratic_problem, opts).tune({"t": 1}, 20, seed=0)
         assert res.best_output == pytest.approx(0.1, abs=0.02)
 
-    def test_explicit_partitioned_runs(self, quadratic_problem):
-        opts = TunerOptions(surrogate="partitioned", leaf_size=6)
-        tuner = Tuner(quadratic_problem, opts)
-        res = tuner.tune({"t": 1}, 12, seed=0)
-        assert isinstance(tuner._gp, PartitionedGP)
-        assert res.perf["counters"]["partition_leaf_fits"] >= 1
-        assert res.best_output == pytest.approx(0.1, abs=0.05)
-
     def test_mixed_kernel_stays_dense(self, quadratic_problem):
         opts = TunerOptions(surrogate="auto", kernel="mixed", n_dense_max=2)
         tuner = Tuner(quadratic_problem, opts)
@@ -84,29 +76,6 @@ class TestTunerPolicy:
 
 
 class TestBatchProposerGuard:
-    def test_partitioned_gp_takes_pending_penalty_fallback(self):
-        """PartitionedGP has no _state snapshot; propose_batch must not
-        crash on it and still produce a batch."""
-        from repro.core.space import RealParameter, Space
-
-        space = Space([RealParameter("x", 0.0, 1.0), RealParameter("z", 0.0, 1.0)])
-        rng = np.random.default_rng(0)
-        X = rng.random((60, 2))
-        y = (X[:, 0] - 0.4) ** 2 + (X[:, 1] - 0.6) ** 2
-        pg = PartitionedGP("rbf", leaf_size=30, seed=0).fit(X, y)
-        batch = propose_batch(
-            pg.predict,
-            space,
-            ExpectedImprovement(),
-            np.random.default_rng(1),
-            q=3,
-            gp=pg,
-            X_obs=X,
-            y_obs=y,
-        )
-        assert len(batch) == 3
-        assert pg.n_train == 60  # no fantasy updates leaked in
-
     def test_sparse_gp_supports_fantasization(self):
         from repro.core.space import RealParameter, Space
 
@@ -173,3 +142,25 @@ class TestTLATargetPolicy:
         assert isinstance(gp_small, GaussianProcess)
         gp_big = strat._target_gp(self._target(60), rng)
         assert isinstance(gp_big, SparseGP)
+
+
+@pytest.mark.parametrize("policy", ["sparce", "partitioned"])
+class TestPolicyValidatedWhereWritten:
+    """A bad ``surrogate=`` fails at construction, listing the valid kinds —
+    not after ``n_initial`` evaluations, at the first ``model()`` call, or
+    inside a registry build on the upload path (where the uploader would
+    see ``bad_request`` for a record that has already been stored)."""
+
+    def test_tuner_options(self, policy):
+        with pytest.raises(ValueError, match=r"'auto', 'dense', 'sparse'"):
+            TunerOptions(surrogate=policy)
+
+    def test_tla_strategy(self, policy):
+        with pytest.raises(ValueError, match=r"'auto', 'dense', 'sparse'"):
+            _MinimalStrategy(surrogate=policy)
+
+    def test_registry_options(self, policy):
+        from repro.registry import RegistryOptions
+
+        with pytest.raises(ValueError, match=r"'auto', 'dense', 'sparse'"):
+            RegistryOptions(surrogate=policy)

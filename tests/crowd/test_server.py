@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import GaussianProcess
+from repro.core import GaussianProcess, SparseGP, task_key
 from repro.crowd.server import CrowdServer
 
 
@@ -228,6 +228,83 @@ class TestModelRoutes:
         clone = GaussianProcess.from_dict(down["models"][0]["model"])
         Xq = rng.random((5, 2))
         assert np.allclose(clone.predict_mean(Xq), gp.predict_mean(Xq), atol=1e-8)
+
+
+    def test_sparse_snapshot_roundtrips_through_model_routes(self, server, key):
+        """One loader behind the registry and the model routes: a tagged
+        sparse snapshot uploads and loads like the untagged dense one."""
+        rng = np.random.default_rng(0)
+        X = rng.random((40, 2))
+        y = X[:, 0] + X[:, 1]
+        Xq = rng.random((5, 2))
+        for task, gp in (
+            ({"m": 1}, SparseGP("rbf", n_inducing=10, seed=0).fit(X, y)),
+            ({"m": 2}, GaussianProcess(seed=0).fit(X, y)),
+        ):
+            snapshot = gp.to_dict()
+            up = server.handle(
+                {
+                    "route": "upload_model",
+                    "api_key": key,
+                    "problem_name": "p",
+                    "task_parameters": task,
+                    "model": snapshot,
+                }
+            )
+            assert up["ok"]
+            stored = server.models.load_latest(key, "p", task)
+            clone = stored.load()
+            assert type(clone) is type(gp) and clone.to_dict() == snapshot
+            assert np.array_equal(clone.predict_mean(Xq), gp.predict_mean(Xq))
+
+    @pytest.mark.parametrize("tag", ["partitioned", "sparce"])
+    def test_unknown_snapshot_tag_is_bad_request_naming_it(self, tag):
+        """A snapshot whose ``"type"`` this build does not load (one a peer
+        built with a removed kind, or a typo) is refused by name on upload
+        and on serving — not read as a dense document (``'X'``)."""
+        from repro.registry import ModelRegistry, RegistryEntry, RegistryOptions
+
+        server = CrowdServer()
+        server.registry = ModelRegistry(server.repository, RegistryOptions())
+        key = server.handle(
+            {"route": "register", "username": "alice", "email": "a@lab.gov"}
+        )["api_key"]
+        model = {"type": tag, "kernel": "rbf", "leaves": []}
+
+        up = server.handle(
+            {
+                "route": "upload_model",
+                "api_key": key,
+                "problem_name": "p",
+                "task_parameters": {"m": 1},
+                "model": model,
+            }
+        )
+        assert up["error"] == "bad_request" and repr(tag) in up["message"]
+
+        space = {"parameter_space": [
+            {"name": "x", "type": "real", "lower_bound": 0.0, "upper_bound": 1.0}
+        ]}
+        assert server.handle(
+            {"route": "register_problem", "api_key": key, "problem_name": "p",
+             "problem_space": space}
+        )["ok"]
+        entry = RegistryEntry(
+            problem_name="p", task_parameters={"m": 1}, task_key=repr(task_key({"m": 1})),
+            data_version=3, n_samples=3, kernel="rbf", seed=0, model=model,
+            timestamp=1.0,
+        )
+        assert server.registry.apply_entry(entry.to_doc())  # as replication does
+        served = server.handle(
+            {
+                "route": "predict",
+                "api_key": key,
+                "problem_name": "p",
+                "task_parameters": {"m": 1},
+                "configurations": [{"x": 0.5}],
+            }
+        )
+        assert served["error"] == "bad_request" and repr(tag) in served["message"]
 
 
 class TestBrowseRoutes:

@@ -15,6 +15,8 @@ from repro.crowd import CrowdRepository, PerformanceRecord
 from repro.core.problem import task_key
 from repro.crowd.records import Accessibility
 from repro.registry import (
+    REGISTRY_MODELS,
+    REGISTRY_PROBLEMS,
     DataVersionTracker,
     ModelRegistry,
     RegistryBuilder,
@@ -120,6 +122,30 @@ class TestBuildAndServe:
         _feed(registry, repo, key, 1)
         with pytest.raises(LookupError):
             registry.predict("demo", TASK, [{"x": 0.5}])
+
+    def test_reads_share_the_stored_payload(self, repo, key):
+        """A lookup does not thaw what it only looks at: the served entry's
+        nested arrays are the stored (frozen) objects, while the top-level
+        containers it hands out are the caller's own."""
+        registry = ModelRegistry(repo)
+        registry.register_problem("demo", SPACE)
+        _feed(registry, repo, key, 5)
+        stored = repo.store[REGISTRY_MODELS].find_one({"problem_name": "demo"}, frozen=True)
+        entry = registry.entry_for("demo", TASK)
+        for field in ("X", "y_raw", "alpha", "lengthscales"):
+            assert entry.model[field] is stored["model"][field]
+        assert registry.problem_doc("demo")["problem_space"]["parameter_space"] is (
+            repo.store[REGISTRY_PROBLEMS].find_one({}, frozen=True)
+        )["problem_space"]["parameter_space"]
+
+        meta = registry.model_meta("demo", TASK, include_model=True)
+        before = registry.predict("demo", TASK, [{"x": 0.3}])
+        meta["model"]["X"] = []
+        meta["model"].pop("alpha")
+        meta["task_parameters"]["t"] = 99
+        assert registry.entry_for("demo", TASK).to_doc() == entry.to_doc()
+        registry._resident.clear()  # next predict reloads from the store
+        assert registry.predict("demo", TASK, [{"x": 0.3}]) == before
 
     def test_build_on_upload_then_serve_without_fits(self, repo, key):
         registry = ModelRegistry(repo)

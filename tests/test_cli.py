@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.cli import build_app, main
+from repro.core.sparse import SURROGATE_KINDS
 
 
 class TestBuildApp:
@@ -133,6 +135,16 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "Sobol sensitivity" in out and "x" in out
+
+    def test_surrogate_choices_are_the_policy_kinds(self, capsys):
+        """``--surrogate`` offers exactly ``SURROGATE_KINDS`` (derived, not a
+        second hand-written list), and every kind runs."""
+        with pytest.raises(SystemExit):
+            main(["tune", "--app", "demo", "--surrogate", "partitioned"])
+        offered = capsys.readouterr().err.split("choose from")[1]
+        assert tuple(re.findall(r"[a-z]+", offered)) == SURROGATE_KINDS
+        for kind in SURROGATE_KINDS:
+            assert main(["tune", "--app", "demo", "--samples", "4", "--surrogate", kind]) == 0
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
