@@ -18,6 +18,12 @@ The service layer's two performance promises:
   replays the backlog on revival, and one anti-entropy round restores
   full replication for every acked uid.
 
+``test_problem_wide_leaderboard`` records one absolute row
+(``results/service_leaderboard.json``): the wall time and the peak traced
+bytes of one uncached router ``leaderboard`` over 3 200 records / 64
+tasks on 4 shards at replication 2 — each shard reduces its own columns
+and ships one partial row per task.
+
 Checks: >= 3x read throughput at 4 shards vs 1, >= 3x latency win for
 cached repeats, and every acked write readable at full replication
 after the kill-and-rejoin cycle.  Smoke mode (``REPRO_BENCH_SMOKE=1``)
@@ -30,6 +36,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -217,6 +224,63 @@ def test_cache_hit_speedup():
     assert speedup >= MIN_CACHE_SPEEDUP, (
         f"cached repeat only {speedup:.2f}x faster than the fan-out miss "
         f"(need >= {MIN_CACHE_SPEEDUP}x)"
+    )
+
+
+LB_RECORDS = 320 if SMOKE else 3200
+LB_TASKS = 64
+LB_REPEATS = 5 if SMOKE else 20
+
+
+def test_problem_wide_leaderboard():
+    options = RouterOptions(replication=2, cache_size=0)
+    with build_service(4, options=options) as svc:
+        key = svc.register_user("bench", "bench@hpc.org")[1]
+        rng = np.random.default_rng(0)
+        for i in range(LB_RECORDS):
+            response = svc.client.handle(
+                {
+                    "route": "upload",
+                    "api_key": key,
+                    "problem_name": "bench",
+                    "task_parameters": {"t": int(rng.integers(LB_TASKS))},
+                    "tuning_parameters": {"x": float(rng.uniform(-5, 5))},
+                    "output": None if i % 20 == 0 else float(rng.uniform(0, 9)),
+                    "machine_configuration": {"machine_name": "cori", "nodes": 1 + i % 3},
+                }
+            )
+            assert response["ok"]
+        request = {"route": "leaderboard", "api_key": key, "problem_name": "bench"}
+        first = svc.client.handle(request)  # builds the columns
+        assert first["ok"] and sum(r["n_samples"] for r in first["rows"]) == LB_RECORDS
+        walls = []
+        for _ in range(LB_REPEATS):
+            t0 = time.perf_counter()
+            svc.client.handle(request)
+            walls.append(time.perf_counter() - t0)
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        svc.client.handle(request)
+        peak_kb = (tracemalloc.get_traced_memory()[1] - before) / 1024
+        tracemalloc.stop()
+    ms = 1e3 * float(np.median(walls))
+    print(
+        f"\nleaderboard: {LB_RECORDS} records / {len(first['rows'])} tasks / 4 shards / "
+        f"replication 2: median {ms:.2f} ms, peak traced {peak_kb:.0f} KB"
+    )
+    save_results(
+        "service_leaderboard",
+        {
+            "records": LB_RECORDS,
+            "tasks": len(first["rows"]),
+            "shards": 4,
+            "replication": 2,
+            "median_ms": ms,
+            "peak_traced_kb": peak_kb,
+            "repeats": LB_REPEATS,
+            "smoke": SMOKE,
+        },
     )
 
 

@@ -9,7 +9,8 @@ return is pinned by the row-oracle tests, not here):
 
 * ``find`` — selective filter + timestamp sort at the collection level,
 * ``query`` — repository query with accessibility enforcement,
-* ``leaderboard`` — per-task best aggregation over all records,
+* ``leaderboard`` — the grouped reduction behind every browse
+  aggregate (visibility mask + per-task summary + leaderboard rows),
 * ``registry`` — the registry build's eligible-record extraction
   (public + successful + exact task key, timestamp-sorted).
 
@@ -38,7 +39,7 @@ from repro.core import perf
 from repro.crowd.database import DocumentStore
 from repro.crowd.records import Accessibility, PerformanceRecord
 from repro.crowd.repository import CrowdRepository
-from repro.crowd.views import leaderboard_from_docs
+from repro.crowd.views import leaderboard
 from repro.crowd.users import UserRegistry
 from repro.registry import ModelRegistry
 from repro.service import CrowdShard
@@ -105,12 +106,11 @@ def test_columnar_read_paths():
         repo, key = _build(n)
         coll = repo.store["performance_records"]
         flt = {"output": {"$ne": None}, "task_parameters.t": 3}
-        docs = repo.query_docs(key, problem_name="bench", require_success=False)
         registry = ModelRegistry(repo)
         legs = {
             "find": lambda: coll.find(flt, sort="timestamp", frozen=True),
             "query": lambda: repo.query_docs(key, problem_name="bench"),
-            "leaderboard": lambda: leaderboard_from_docs(docs),
+            "leaderboard": lambda: leaderboard(repo, key, "bench"),
             "registry": lambda: registry._eligible_docs("bench", _SPACE, {"t": 3}),
         }
         for leg, fn in legs.items():

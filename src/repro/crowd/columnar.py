@@ -78,6 +78,18 @@ other column through per-distinct-value ranks computed with
 :func:`sort_key` — equal sort keys share a rank so ties break by row
 (ascending ``_id``) order, identical to ``list.sort`` over the rows.
 
+**The grouped reduction** (:meth:`ColumnarView.task_summary`): the
+browse aggregates — leaderboard, contributor stats, machine breakdown —
+are one reduction over the columns under a row mask, one partial row
+per task, so an aggregate costs a sort of the selected rows and
+materializes only the best record of each task.  Groups are the
+``task_parameters`` codes folded by :func:`~repro.core.problem.task_key`
+(type-exact ``repr``: ``{"t": 1}`` and ``{"t": 1.0}`` are two tasks,
+while ``None`` / ``{}`` / a missing block are one), not the column's own
+:func:`hashable_key` classes; an ``output`` that is not a finite number
+(``None``, a string, ``NaN``) is a failure and never a best; ties go to
+the earliest ``(timestamp, uid)``.
+
 Concurrency: every query runs under the owning collection's lock, so
 incremental column maintenance can never yield stale or torn reads —
 pinned by the writers-vs-readers stress test.
@@ -90,11 +102,12 @@ import operator
 import re
 import sys
 from collections.abc import Mapping, Sequence
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from ..core import perf
+from ..core.problem import task_key
 
 __all__ = [
     "FrozenDict",
@@ -547,8 +560,9 @@ class ColumnarView:
     def ensure_clean(self) -> None:
         if not self._dirty:
             return
-        self._rows = [self._docs[i] for i in sorted(self._docs)]
-        self._last_id = int(self._rows[-1]["_id"]) if self._rows else 0
+        ids = sorted(self._docs)
+        self._rows = [self._docs[i] for i in ids]
+        self._last_id = ids[-1] if ids else 0
         self._columns = {}
         self._dirty = False
 
@@ -701,3 +715,167 @@ class ColumnarView:
 
     def count(self, flt: Mapping[str, Any]) -> int:
         return int(np.count_nonzero(self.filter_mask(flt)))
+
+    # -- the grouped reduction -------------------------------------------------
+    def task_summary(self, mask: np.ndarray) -> list[dict[str, Any]]:
+        """One partial row per task among the masked performance records.
+
+        Each row holds everything the browse aggregates of those records
+        need, JSON-shaped so a shard can ship it instead of the records:
+
+        * ``task_parameters`` — the task, as its earliest record spells it,
+        * ``samples`` / ``failures`` — record counts; a failure is an
+          ``output`` that is not a finite number,
+        * ``first`` — ``[timestamp, uid]`` of the earliest record,
+        * ``best`` — the four fields of the lowest-output record that a
+          leaderboard row shows (``None`` when every record failed); a
+          tie goes to the earliest ``(timestamp, uid)``,
+        * ``owners`` / ``machines`` — ``[name, samples, failures, best
+          output or None, first]`` per owner and per machine tag,
+        * ``witness`` — ``[samples, digest]`` with ``digest`` the sum
+          mod 2**64 of a fixed integer mix of each record's ``(uid,
+          timestamp)``: two replicas of a task that hold the same
+          versions of the same records produce the same witness whatever
+          their row order.  ``None`` when a record is unstamped
+          (``uid`` 0), since those are not identified by their stamp.
+
+        Missing or non-numeric ``timestamp`` / ``uid`` read as 0, the
+        convention of the replication routes.
+        """
+        perf.incr("store_grouped_reductions")
+        rows = np.nonzero(mask)[0]
+        if not len(rows):
+            return []
+
+        def floats(path: str, missing: float) -> np.ndarray:
+            column = self._column(path).floats[rows]
+            column[~np.isfinite(column)] = missing
+            return column
+
+        value = floats("output", np.inf)  # inf: not a result
+        ts = floats("timestamp", 0.0)
+        uid = floats("uid", 0.0)
+
+        def classes(path: str, name: Callable[[Any], Any]) -> tuple[np.ndarray, list]:
+            """Per masked row the id of ``name(value)``, and the names."""
+            column = self._column(path)
+            codes = column.codes[rows]
+            ids: dict[Any, int] = {}
+            id_of_code = np.zeros(len(column.values), dtype=np.int64)
+            for code in np.unique(codes):
+                id_of_code[code] = ids.setdefault(name(column.values[code]), len(ids))
+            return id_of_code[codes], list(ids)
+
+        task, _ = classes("task_parameters", lambda v: task_key(v or {}))
+        tasks = _reduce_groups(task, ts, uid, value)
+        stamp = _mix64(uid.view(np.uint64) ^ _mix64(ts.view(np.uint64)))
+        digest = np.add.reduceat(stamp[tasks.order], tasks.starts)
+        unstamped = np.logical_or.reduceat((uid == 0.0)[tasks.order], tasks.starts)
+
+        def within(path: str, name: Callable[[Any], Any]) -> list[list[list]]:
+            """Per task (in ``tasks`` order) its ``[name, samples,
+            failures, best, first]`` entries under ``path``."""
+            sub, names = classes(path, name)
+            groups = _reduce_groups(task * len(names) + sub, ts, uid, value)
+            out: list[list[list]] = [[] for _ in tasks.ids]
+            for gid, *entry in groups.entries():  # task ids are 0..n-1
+                out[gid // len(names)].append([names[gid % len(names)], *entry])
+            return out
+
+        owners = within("owner", lambda v: "" if v is None else v)
+        machines = within("machine_configuration", _machine_tag)
+        summary = []
+        for i, (_, samples, failures, best, first) in enumerate(tasks.entries()):
+            doc = self._rows[rows[tasks.best_row[i]]]
+            summary.append(
+                {
+                    "task_parameters": self._rows[rows[tasks.first_row[i]]].get(
+                        "task_parameters"
+                    ),
+                    "samples": samples,
+                    "failures": failures,
+                    "first": first,
+                    "best": None
+                    if best is None
+                    else {
+                        "task_parameters": doc.get("task_parameters"),
+                        "tuning_parameters": doc.get("tuning_parameters"),
+                        "output": best,
+                        "owner": doc.get("owner", ""),
+                    },
+                    "owners": owners[i],
+                    "machines": machines[i],
+                    "witness": None if unstamped[i] else [samples, int(digest[i])],
+                }
+            )
+        return summary
+
+
+def _machine_tag(machine: Any) -> str:
+    """``name/partition`` of a ``machine_configuration`` block."""
+    machine = machine or {}
+    name = machine.get("machine_name", "unknown")
+    partition = machine.get("partition", "")
+    return f"{name}/{partition}" if partition else str(name)
+
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer over a ``uint64`` array (wraps mod 2**64):
+    a fixed mixing, the same in every process, unlike ``hash()``."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+class _Groups(NamedTuple):
+    """Rows reduced per distinct group id, ids ascending."""
+
+    ids: np.ndarray
+    samples: np.ndarray
+    failures: np.ndarray
+    #: lowest value per group (``inf``: none) and the row holding it
+    best: np.ndarray
+    best_row: np.ndarray
+    #: the row with the earliest ``(timestamp, uid)``, and that stamp
+    first_row: np.ndarray
+    first: list[list[float]]
+    #: the sort behind it: rows by ``(group, timestamp, uid)``, group starts
+    order: np.ndarray
+    starts: np.ndarray
+
+    def entries(self) -> Iterator[tuple]:
+        """``(id, samples, failures, best or None, first)`` per group, as
+        plain Python values."""
+        return zip(
+            self.ids.tolist(),
+            self.samples.tolist(),
+            self.failures.tolist(),
+            [b if b != np.inf else None for b in self.best.tolist()],
+            self.first,
+        )
+
+
+def _reduce_groups(
+    group: np.ndarray, ts: np.ndarray, uid: np.ndarray, value: np.ndarray
+) -> _Groups:
+    """One sort, then ``reduceat``: ``value`` is ``inf`` where a row holds
+    no result, and the best row of a group is the first one, in
+    ``(timestamp, uid)`` order, holding the group's minimum."""
+    order = np.lexsort((uid, ts, group))
+    g, v = group[order], value[order]
+    starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+    samples = np.diff(np.r_[starts, len(g)])
+    best = np.minimum.reduceat(v, starts)
+    at_best = np.where(v == np.repeat(best, samples), np.arange(len(g)), len(g))
+    first_row = order[starts]
+    return _Groups(
+        ids=g[starts],
+        samples=samples,
+        failures=np.add.reduceat(np.isinf(v), starts, dtype=np.int64),
+        best=best,
+        best_row=order[np.minimum.reduceat(at_best, starts)],
+        first_row=first_row,
+        first=[list(stamp) for stamp in zip(ts[first_row].tolist(), uid[first_row].tolist())],
+        order=order,
+        starts=starts,
+    )

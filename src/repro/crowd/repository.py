@@ -17,11 +17,15 @@ server-side semantics live here and are exercised by the test suite.
 
 from __future__ import annotations
 
+import math
 import threading
 from pathlib import Path
 from typing import Any, Mapping
 
+import numpy as np
+
 from ..core import perf
+from .columnar import ColumnarView
 from .configmatch import TagMatcher, default_matcher
 from .database import DocumentStore
 from .query import SqlQuery, build_filter
@@ -36,6 +40,46 @@ _RECORDS = "performance_records"
 #: evaluates pure level/group visibility and the owner==viewer grant is
 #: a separate equality mask
 _NOT_OWNER = object()
+
+
+def _check_output(output: Any) -> None:
+    """``output`` is ``None`` (a failed run) or a finite ``int`` /
+    ``float``.  Anything else would be journaled and replicated like a
+    result and then met by every comparison over the problem's results;
+    ``NaN`` / ``inf`` are not JSON either."""
+    if output is None:
+        return
+    ok = isinstance(output, (int, float)) and not isinstance(output, bool)
+    try:
+        ok = ok and math.isfinite(output)
+    except OverflowError:  # an int no float holds
+        ok = False
+    if not ok:
+        raise ValueError(f"output must be null or a finite number, got {output!r}")
+
+
+def _visible_mask(
+    view: ColumnarView, flt: Mapping[str, Any], user: User
+) -> np.ndarray:
+    """Rows that match ``flt`` and that ``user`` may read: filter AND
+    (owner grant OR level/group policy).
+
+    The policy is read only off records the filter matched and the
+    owner grant does not already admit, so a malformed stored
+    ``accessibility`` block fails exactly the reads that reach it
+    (``ValueError`` from :class:`Accessibility`).
+    """
+    groups = sorted(user.groups)
+    mask = view.filter_mask(flt)
+    owner = view.path_eq_mask("owner", user.username)
+    policy = view.path_value_mask(
+        "accessibility",
+        lambda v: Accessibility.from_dict(v).visible_to(
+            user.username, _NOT_OWNER, groups
+        ),
+        within=mask & ~owner,
+    )
+    return mask & (owner | policy)
 
 
 class CrowdRepository:
@@ -92,7 +136,9 @@ class CrowdRepository:
     def _prepare(
         self, record: PerformanceRecord, user: User, timestamp: float | None
     ) -> None:
-        """Stamp ownership/time and normalize tags, in place."""
+        """Check the result, stamp ownership/time and normalize tags, in
+        place."""
+        _check_output(record.output)
         record.owner = user.username
         if timestamp is not None:
             record.timestamp = float(timestamp)
@@ -135,8 +181,7 @@ class CrowdRepository:
         frozen: bool = True,
     ) -> list[dict[str, Any]]:
         """The visible raw documents a :meth:`query` would return,
-        timestamp-sorted — the shared zero-copy read core for queries,
-        leaderboard/contributor views and the model registry.
+        timestamp-sorted — the zero-copy read core of :meth:`query`.
 
         Default ``frozen=True`` returns the store's immutable views
         (zero copies — treat them as read-only); ``frozen=False`` thaws
@@ -165,27 +210,10 @@ class CrowdRepository:
         frozen: bool = True,
     ) -> list[dict[str, Any]]:
         """Filter + visibility + sort + limit in one pass: one boolean
-        mask (filter AND (owner grant OR level/group policy)) and one
-        stable argsort.
-
-        The policy is read only off records the filter matched and the
-        owner grant does not already admit, so a malformed stored
-        ``accessibility`` block fails exactly the queries that reach it
-        (``ValueError`` from :class:`Accessibility`).
-        """
-        groups = sorted(user.groups)
+        mask (:func:`_visible_mask`) and one stable argsort."""
         with self.store[_RECORDS].columnar_snapshot() as view:
-            mask = view.filter_mask(flt)
-            owner = view.path_eq_mask("owner", user.username)
-            policy = view.path_value_mask(
-                "accessibility",
-                lambda v: Accessibility.from_dict(v).visible_to(
-                    user.username, _NOT_OWNER, groups
-                ),
-                within=mask & ~owner,
-            )
             out = view.select(
-                mask & (owner | policy),
+                _visible_mask(view, flt, user),
                 sort=sort,
                 descending=descending,
                 limit=limit,
@@ -194,6 +222,19 @@ class CrowdRepository:
         if frozen:
             perf.incr("store_zero_copy_reads")
         return out
+
+    def task_summary(self, api_key: str, problem_name: str) -> list[dict[str, Any]]:
+        """One partial aggregate row per task of ``problem_name`` over the
+        records the user may see, failures included
+        (:meth:`ColumnarView.task_summary`) — what the browse views
+        project and what a shard ships in place of those records."""
+        if not isinstance(problem_name, str) or not problem_name:
+            # build_filter reads a missing name as "every problem"
+            raise ValueError("problem_name must be a non-empty string")
+        user = self.users.authenticate(api_key)
+        flt = build_filter(problem_name, require_success=False)
+        with self.store[_RECORDS].columnar_snapshot() as view:
+            return view.task_summary(_visible_mask(view, flt, user))
 
     def query(
         self,

@@ -74,9 +74,27 @@ class CrowdServer:
         """Process one request dict; never raises."""
         if not isinstance(request, Mapping):
             return bad_request("request must be an object")
+        return self._answer(request, self._routes)
+
+    def summary(self, request: Mapping[str, Any]) -> dict[str, Any]:
+        """The shard-level ``summary`` route: the partial aggregate rows
+        of one problem as one user may see them (``tasks``), for the
+        router to merge.  Not a public route — :meth:`routes` and
+        :meth:`handle` do not know it; :class:`CrowdShard` serves it
+        beside ``digest`` / ``fetch`` — but answered under the same
+        error mapping as one."""
+        return self._answer(request, {"summary": self._route_summary})
+
+    @staticmethod
+    def _answer(
+        request: Mapping[str, Any],
+        routes: Mapping[str, Callable[[Mapping[str, Any]], dict[str, Any]]],
+    ) -> dict[str, Any]:
+        """Run the request's route out of ``routes``, mapping what the
+        handler raises to the protocol's failure responses."""
         route = request.get("route")
         try:
-            handler = self._routes.get(route)  # an unhashable route: TypeError
+            handler = routes.get(route)  # an unhashable route: TypeError
             if handler is None:
                 return {
                     "ok": False,
@@ -275,18 +293,24 @@ class CrowdServer:
         return out
 
     # -- browse routes ------------------------------------------------------------------
+    # a missing ``problem_name`` reaches ``CrowdRepository.task_summary``
+    # as None and is refused there with every other non-name
+    def _route_summary(self, req: Mapping[str, Any]) -> dict[str, Any]:
+        tasks = self.repository.task_summary(req["api_key"], req.get("problem_name"))
+        return {"ok": True, "tasks": tasks}
+
     def _route_leaderboard(self, req: Mapping[str, Any]) -> dict[str, Any]:
-        rows = leaderboard(self.repository, req["api_key"], req["problem_name"])
+        rows = leaderboard(self.repository, req["api_key"], req.get("problem_name"))
         return {"ok": True, "rows": [r.to_response() for r in rows]}
 
     def _route_contributors(self, req: Mapping[str, Any]) -> dict[str, Any]:
         stats = contributor_stats(
-            self.repository, req["api_key"], req["problem_name"]
+            self.repository, req["api_key"], req.get("problem_name")
         )
         return {"ok": True, "contributors": stats}
 
     def _route_browse_html(self, req: Mapping[str, Any]) -> dict[str, Any]:
-        html = render_html(self.repository, req["api_key"], req["problem_name"])
+        html = render_html(self.repository, req["api_key"], req.get("problem_name"))
         return {"ok": True, "html": html}
 
 

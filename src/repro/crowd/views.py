@@ -10,28 +10,33 @@ renderings — the exact content a web frontend would serve:
 * :func:`machine_breakdown` — samples per machine/partition,
 * :func:`render_text` / :func:`render_html` — terminal and web output.
 
-All views run through an authenticated query, so they show exactly the
-records the requesting user may see.
+Every view is a projection (``summary_*``) of one task summary —
+:meth:`CrowdRepository.task_summary`, a grouped reduction over the
+store's columns under the requesting user's visibility mask — so they
+show exactly the records that user may see, cost one pass over the
+columns, and build documents only for the rows they print.  The sharded
+router projects the same summary, merged from its shards' partial rows.
+Row order is pinned: most samples first, then the group whose earliest
+record ``(timestamp, uid)`` is oldest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from html import escape
-from typing import Any
+from typing import Any, Mapping
 
-from ..core.problem import task_key
 from .columnar import thaw
 from .repository import CrowdRepository
 
 __all__ = [
     "LeaderboardRow",
     "leaderboard",
-    "leaderboard_from_docs",
+    "summary_leaderboard",
     "contributor_stats",
-    "contributor_stats_from_docs",
+    "summary_contributors",
     "machine_breakdown",
-    "machine_breakdown_from_docs",
+    "summary_machines",
     "render_text",
     "render_html",
 ]
@@ -61,102 +66,85 @@ class LeaderboardRow:
         }
 
 
-def _query_docs(repo: CrowdRepository, api_key: str, problem: str):
-    """All visible raw documents for one problem — the store's frozen
-    zero-copy views, read straight off the columnar plane.  Views
-    aggregate documents directly; no per-row record construction."""
-    return repo.query_docs(
-        api_key, problem_name=problem, require_success=False, frozen=True
-    )
-
-
 def leaderboard(
     repo: CrowdRepository, api_key: str, problem: str
 ) -> list[LeaderboardRow]:
     """Per-task best results, most-sampled tasks first."""
-    return leaderboard_from_docs(_query_docs(repo, api_key, problem))
+    return summary_leaderboard(repo.task_summary(api_key, problem))
 
 
-def leaderboard_from_docs(docs: list[Any]) -> list[LeaderboardRow]:
-    """The leaderboard computed from raw (possibly frozen) documents.
-
-    This is the aggregation core, also called by the sharded router's
-    cross-shard merge — which must aggregate over the *deduplicated*
-    record set because replicated records appear on several shards.
-    """
-    groups: dict[tuple, list[Any]] = {}
-    for d in docs:
-        groups.setdefault(task_key(d.get("task_parameters") or {}), []).append(d)
-    rows = []
-    for group in groups.values():
-        ok = [d for d in group if d.get("output") is not None]
-        if not ok:
-            continue
-        best = min(ok, key=lambda d: d["output"])
-        rows.append(
-            LeaderboardRow(
-                task_parameters=thaw(dict(best.get("task_parameters") or {})),
-                best_output=float(best["output"]),
-                best_configuration=thaw(dict(best.get("tuning_parameters") or {})),
-                best_owner=best.get("owner", ""),
-                n_samples=len(group),
-                n_failures=sum(1 for d in group if d.get("output") is None),
-                contributors=sorted({d.get("owner", "") for d in group}),
-            )
+def summary_leaderboard(summary: list[Mapping[str, Any]]) -> list[LeaderboardRow]:
+    """The leaderboard of a task summary: one row per task with a
+    result, by ``(-n_samples, earliest record)``."""
+    ranked = sorted(
+        (task for task in summary if task["best"] is not None),
+        key=lambda task: (-task["samples"], task["first"]),
+    )
+    return [
+        LeaderboardRow(
+            task_parameters=thaw(dict(task["best"]["task_parameters"] or {})),
+            best_output=task["best"]["output"],
+            best_configuration=thaw(dict(task["best"]["tuning_parameters"] or {})),
+            best_owner=task["best"]["owner"],
+            n_samples=task["samples"],
+            n_failures=task["failures"],
+            contributors=sorted({entry[0] for entry in task["owners"]}),
         )
-    rows.sort(key=lambda r: r.n_samples, reverse=True)
-    return rows
+        for task in ranked
+    ]
+
+
+def _totals(summary: list[Mapping[str, Any]], field: str) -> list[tuple]:
+    """``(name, samples, failures, best)`` summed over the tasks' ``field``
+    entries, by ``(-samples, earliest record)``."""
+    totals: dict[str, list] = {}
+    for task in summary:
+        for name, samples, failures, best, first in task[field]:
+            held = totals.setdefault(name, [0, 0, None, first])
+            held[0] += samples
+            held[1] += failures
+            if best is not None and (held[2] is None or best < held[2]):
+                held[2] = best
+            held[3] = min(held[3], first)
+    ranked = sorted(totals.items(), key=lambda kv: (-kv[1][0], kv[1][3]))
+    return [(name, *held[:3]) for name, held in ranked]
 
 
 def contributor_stats(
     repo: CrowdRepository, api_key: str, problem: str
 ) -> list[dict[str, Any]]:
     """Upload counts and best results per contributing user."""
-    return contributor_stats_from_docs(_query_docs(repo, api_key, problem))
+    return summary_contributors(repo.task_summary(api_key, problem))
 
 
-def contributor_stats_from_docs(docs: list[Any]) -> list[dict[str, Any]]:
-    """Contributor stats from raw (possibly frozen) documents."""
-    per_user: dict[str, dict[str, Any]] = {}
-    for d in docs:
-        owner = d.get("owner", "")
-        entry = per_user.setdefault(
-            owner, {"user": owner, "samples": 0, "failures": 0, "best": None}
-        )
-        entry["samples"] += 1
-        output = d.get("output")
-        if output is None:
-            entry["failures"] += 1
-        elif entry["best"] is None or output < entry["best"]:
-            entry["best"] = float(output)
-    return sorted(per_user.values(), key=lambda e: e["samples"], reverse=True)
+def summary_contributors(summary: list[Mapping[str, Any]]) -> list[dict[str, Any]]:
+    """Contributor stats of a task summary, busiest user first."""
+    return [
+        {"user": user, "samples": samples, "failures": failures, "best": best}
+        for user, samples, failures, best in _totals(summary, "owners")
+    ]
 
 
 def machine_breakdown(
     repo: CrowdRepository, api_key: str, problem: str
 ) -> dict[str, int]:
     """Samples per ``machine/partition`` tag."""
-    return machine_breakdown_from_docs(_query_docs(repo, api_key, problem))
+    return summary_machines(repo.task_summary(api_key, problem))
 
 
-def machine_breakdown_from_docs(docs: list[Any]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for d in docs:
-        mc = d.get("machine_configuration") or {}
-        name = mc.get("machine_name", "unknown")
-        partition = mc.get("partition", "")
-        tag = f"{name}/{partition}" if partition else str(name)
-        counts[tag] = counts.get(tag, 0) + 1
-    return dict(sorted(counts.items(), key=lambda kv: -kv[1]))
+def summary_machines(summary: list[Mapping[str, Any]]) -> dict[str, int]:
+    """Samples per machine tag of a task summary, busiest first."""
+    return {tag: samples for tag, samples, _, _ in _totals(summary, "machines")}
 
 
 def render_text(
     repo: CrowdRepository, api_key: str, problem: str, *, max_rows: int = 10
 ) -> str:
     """Terminal rendering of the problem's browse page."""
-    rows = leaderboard(repo, api_key, problem)
-    stats = contributor_stats(repo, api_key, problem)
-    machines = machine_breakdown(repo, api_key, problem)
+    summary = repo.task_summary(api_key, problem)
+    rows = summary_leaderboard(summary)
+    stats = summary_contributors(summary)
+    machines = summary_machines(summary)
     lines = [f"=== {problem} ==="]
     lines.append(f"tasks: {len(rows)}   contributors: {len(stats)}")
     if machines:
@@ -184,8 +172,9 @@ def render_html(
 
     All user-provided strings are escaped — the crowd is untrusted input.
     """
-    rows = leaderboard(repo, api_key, problem)
-    stats = contributor_stats(repo, api_key, problem)
+    summary = repo.task_summary(api_key, problem)
+    rows = summary_leaderboard(summary)
+    stats = summary_contributors(summary)
     parts = [
         "<!DOCTYPE html><html><head><meta charset='utf-8'>",
         f"<title>{escape(problem)} — GPTuneCrowd</title></head><body>",

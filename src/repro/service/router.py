@@ -40,13 +40,26 @@ written once and named; behind the protocol the router:
   stream each rekeyed bucket to its new owners before dropping the old
   copies (graceful handoff; a crashed shard is simply removed and
   anti-entropy restores the replication factor from the survivors);
-* **fans out** problem-wide reads (``query``, ``query_sql``,
-  ``problems``, ``leaderboard``, ``contributors``, ``query_models``)
-  across all shards in parallel and merges (``_collect``: unreachable
-  shards skipped, a refusal is every shard's verdict, nobody reachable
-  is ``unavailable``): records deduplicate by ``uid`` newest-wins,
-  orderings and limits are re-applied globally, aggregates are
-  recomputed from the deduplicated record set;
+* **fans out** problem-wide reads across all shards in parallel and
+  merges (``_collect``: unreachable shards skipped, a refusal is every
+  shard's verdict, nobody reachable is ``unavailable``):
+
+  ================================ ======================= ==========================
+  public read                      each shard is asked     the router merges
+  ================================ ======================= ==========================
+  ``query`` (no task),             the same request        records, deduplicated by
+  ``query_sql``                                            ``uid`` newest-wins;
+                                                           order and limit re-applied
+  ``problems``, ``query_models``   the same request        union / concatenation
+  ``leaderboard``,                 ``summary`` (shard-     one partial row per task,
+  ``contributors``                 level): one partial     taken when the holders'
+                                   aggregate row per task  witnesses agree; a task
+                                                           that diverges is re-read
+                                                           as documents
+                                                           (``_problem_summary``)
+  ================================ ======================= ==========================
+
+  A problem-wide read ships what it answers, not what it scanned;
 * **caches** read responses in a TTL+LRU cache tagged with the shards
   each response was served from; a write invalidates every cached entry
   that touched one of the written shards;
@@ -65,7 +78,9 @@ Perf wiring: counters ``service_requests``, ``service_cache_hits`` /
 ``service_fanouts``, ``service_replica_fallbacks``,
 ``service_underreplicated_writes``, ``service_quorum_failures``,
 ``service_read_repairs``, ``service_hints_stored`` / ``_replayed`` /
-``_dropped``, ``service_antientropy_rounds`` / ``_records_healed``;
+``_dropped``, ``service_antientropy_rounds`` / ``_records_healed``,
+``service_summary_divergent_tasks`` (tasks an aggregate re-read as
+documents);
 gauges ``service_cache_size``, ``service_cache_hit_rate`` and
 ``service_hints_pending`` (plus the per-shard ``shard_depth.*`` /
 ``shard_records.*`` gauges exported by the transport and shard layers).
@@ -82,10 +97,11 @@ from collections.abc import Mapping
 from typing import Any, Callable
 
 from ..core import perf
-from ..crowd.columnar import freeze, get_path, sort_key
+from ..core.problem import task_key
+from ..crowd.columnar import ColumnarView, freeze, get_path, sort_key
 from ..crowd.query import SqlQuery
 from ..crowd.server import bad_request
-from ..crowd.views import contributor_stats_from_docs, leaderboard_from_docs
+from ..crowd.views import summary_contributors, summary_leaderboard
 from ..engine.faults import RetryPolicy
 from ..registry import REGISTRY_PROBLEMS
 from .client import ServiceClient
@@ -756,38 +772,78 @@ class CrowdRouter:
         models, error, tags = self._collect(request, "models")
         return error or {"ok": True, "models": models}, tags
 
-    def _dedup_problem_docs(
+    def _problem_summary(
         self, request: Mapping[str, Any]
-    ) -> tuple[list[dict], dict[str, Any] | None, frozenset[str]]:
-        """Deduplicated record documents of one problem (failures
-        included) — aggregated as raw docs, no per-row record round-trip."""
-        inner = {
-            "route": "query",
+    ) -> tuple[list[dict[str, Any]], dict[str, Any] | None, frozenset[str]]:
+        """One partial aggregate row per task of a problem, merged from
+        the shards' ``summary`` answers; ``(rows, error, tags)``.
+
+        Replicas are byte-identical per ``(uid, timestamp)``, so holders
+        that report one witness for a task hold one record set and the
+        first partial (shard-name order) is the task's.  A task whose
+        holders disagree — a stale replica before healing, a copy left
+        behind by a handoff — or that holds unstamped records (no
+        witness) is re-read as documents, deduplicated newest-wins like
+        any fanned-out query, and reduced by the same
+        :meth:`ColumnarView.task_summary`: the union, at the cost of the
+        tasks that diverge.
+        """
+        base = {
             "api_key": request.get("api_key"),
             "problem_name": request.get("problem_name"),
-            "require_success": False,
         }
-        return self._gather_records(inner)
+        partials, error, tags = self._collect({"route": "summary", **base}, "tasks")
+        if error is not None:
+            return [], error, tags
+        held: dict[tuple, list[dict[str, Any]]] = {}
+        for partial in partials:
+            held.setdefault(task_key(partial["task_parameters"] or {}), []).append(partial)
+        merged: list[dict[str, Any]] = []
+        for key, copies in held.items():
+            witness = copies[0]["witness"]
+            if witness is not None and all(c["witness"] == witness for c in copies):
+                merged.append(copies[0])
+                continue
+            perf.incr("service_summary_divergent_tasks")
+            # the pinned filter matches per parameter under ``==``, which
+            # is wider than the task (1 == 1.0, extra parameters)
+            docs, error, _ = self._gather_records(
+                {
+                    "route": "query",
+                    **base,
+                    "task_parameters": dict(copies[0]["task_parameters"] or {}),
+                    "require_success": False,
+                }
+            )
+            if error is not None:
+                return [], error, tags
+            view = ColumnarView(
+                {
+                    i: doc
+                    for i, doc in enumerate(docs)
+                    if task_key(doc.get("task_parameters") or {}) == key
+                }
+            )
+            view.ensure_clean()
+            merged.extend(view.task_summary(view.filter_mask({})))
+        return merged, None, tags
 
     def _route_leaderboard(
         self, request: Mapping[str, Any]
     ) -> tuple[dict[str, Any], frozenset[str]]:
-        docs, error, tags = self._dedup_problem_docs(request)
+        summary, error, tags = self._problem_summary(request)
         if error is not None:
             return error, tags
-        rows = leaderboard_from_docs(docs)
+        rows = summary_leaderboard(summary)
         return {"ok": True, "rows": [r.to_response() for r in rows]}, tags
 
     def _route_contributors(
         self, request: Mapping[str, Any]
     ) -> tuple[dict[str, Any], frozenset[str]]:
-        docs, error, tags = self._dedup_problem_docs(request)
+        summary, error, tags = self._problem_summary(request)
         if error is not None:
             return error, tags
-        return (
-            {"ok": True, "contributors": contributor_stats_from_docs(docs)},
-            tags,
-        )
+        return {"ok": True, "contributors": summary_contributors(summary)}, tags
 
     # -- hinted handoff ------------------------------------------------------
     def _store_hint(self, name: str, stamped: Mapping[str, Any]) -> None:

@@ -59,11 +59,12 @@ __all__ = [
     "split_bucket_key",
 ]
 
-#: trusted intra-cluster routes served by the shard itself, never by the
-#: public :class:`CrowdServer` protocol and never forwarded by the
-#: router's public dispatch — only the router's healing machinery
-#: (read-repair, anti-entropy, hinted handoff, shard handoff) calls them
-_INTERNAL_ROUTES = frozenset({"replicate", "digest", "fetch", "drop_bucket"})
+#: intra-cluster routes served by the shard itself, never by the public
+#: :class:`CrowdServer` protocol and never forwarded by the router's
+#: public dispatch — only the router's healing machinery (read-repair,
+#: anti-entropy, hinted handoff, shard handoff) and its aggregate reads
+#: (``summary``, the one of them that authenticates a user) call them
+_INTERNAL_ROUTES = frozenset({"replicate", "digest", "fetch", "drop_bucket", "summary"})
 
 _RECORDS = "performance_records"
 _WAL_NAME = "wal.jsonl"
@@ -475,6 +476,12 @@ class CrowdShard:
                 if key in keys:
                     out[key].append({k: v for k, v in doc.items() if k != "_id"})
         return {"ok": True, "buckets": out}
+
+    def _route_summary(self, req: Mapping[str, Any]) -> dict[str, Any]:
+        """Per-task partial aggregates of one problem for one api key:
+        what a problem-wide ``leaderboard`` / ``contributors`` needs of
+        this shard, in place of the records."""
+        return self.server.summary(req)
 
     def _route_drop_bucket(self, req: Mapping[str, Any]) -> dict[str, Any]:
         """Drop one bucket this shard no longer owns (post-handoff)."""

@@ -330,3 +330,77 @@ class TestBrowseRoutes:
             {"route": "browse_html", "api_key": key, "problem_name": "p"}
         )
         assert resp["ok"] and resp["html"].startswith("<!DOCTYPE html>")
+
+    @pytest.mark.parametrize("route", ["leaderboard", "contributors", "browse_html"])
+    @pytest.mark.parametrize("name", [{}, {"problem_name": ""}, {"problem_name": 5},
+                                      {"problem_name": ["p"]}, {"problem_name": None}],
+                             ids=["missing", "empty", "int", "list", "null"])
+    def test_browse_routes_need_a_problem_name(self, server, key, route, name):
+        _upload(server, key)
+        resp = server.handle({"route": route, "api_key": key, **name})
+        assert resp == {
+            "ok": False,
+            "error": "bad_request",
+            "message": "problem_name must be a non-empty string",
+        }
+
+
+#: not a failed run (``None``) and not a finite number
+NON_RESULTS = ["fast", [1, 2], {"v": 1}, True, float("nan"), float("inf"),
+               -float("inf"), 10**400]
+
+
+class TestPoisonedOutput:
+    """One record must not take a route down for a whole problem."""
+
+    @pytest.mark.parametrize("output", NON_RESULTS, ids=lambda v: repr(v)[:8])
+    def test_upload_refuses_a_non_result(self, server, key, output):
+        assert _upload(server, key, out=3.0)["ok"]
+        resp = _upload(server, key, out=output)
+        assert not resp["ok"] and resp["error"] == "bad_request"
+        assert "output" in resp["message"]
+        assert server.repository.count() == 1
+        for route in ("leaderboard", "contributors"):
+            assert server.handle(
+                {"route": route, "api_key": key, "problem_name": "p"}
+            )["ok"]
+
+    def test_finite_numbers_and_failures_are_accepted(self, server, key):
+        for output in (None, 0, -2, 1.5, np.float64(2.5)):
+            assert _upload(server, key, out=output)["ok"], output
+        assert server.repository.count() == 5
+
+    def test_library_uploads_are_checked_too(self, server, key):
+        from repro.crowd import PerformanceRecord
+
+        def record(output):
+            return PerformanceRecord("p", {"m": 1}, {"x": 1}, output)
+
+        repo = server.repository
+        with pytest.raises(ValueError, match="output"):
+            repo.upload(record("fast"), key)
+        with pytest.raises(ValueError, match="output"):
+            repo.upload_many([record(1.0), record(float("nan"))], key)
+        assert repo.count() == 0
+
+    @pytest.mark.parametrize("output", ["fast", [1, 2], float("nan"), float("inf")],
+                             ids=repr)
+    def test_a_stored_non_result_counts_as_a_failure(self, server, key, output):
+        """A journal written before the check existed: the record comes
+        back through ``apply_op`` and reads as a failed run."""
+        _upload(server, key, out=3.0)
+        _upload(server, key, out=None, cfg={"x": 0.1})
+        (doc,) = server.repository.store["performance_records"].find({"output": 3.0})
+        server.repository.store.apply_op(
+            {
+                "op": "insert",
+                "c": "performance_records",
+                "doc": {**doc, "_id": 99, "uid": 99, "timestamp": 9.0, "output": output},
+            }
+        )
+        request = {"api_key": key, "problem_name": "p"}
+        (row,) = server.handle({"route": "leaderboard", **request})["rows"]
+        assert (row["n_samples"], row["n_failures"], row["best_output"]) == (3, 2, 3.0)
+        (entry,) = server.handle({"route": "contributors", **request})["contributors"]
+        assert entry == {"user": "alice", "samples": 3, "failures": 2, "best": 3.0}
+        assert server.handle({"route": "browse_html", **request})["ok"]

@@ -13,6 +13,8 @@ from repro.crowd.views import (
     render_text,
 )
 
+from . import views_oracle
+
 
 @pytest.fixture
 def repo_with_data():
@@ -91,6 +93,61 @@ class TestStats:
         counts = machine_breakdown(repo, key_a, "p")
         assert counts["Cori/haswell"] == 5
         assert counts["Cori/knl"] == 1
+
+
+class TestSummary:
+    """The views are projections of one grouped reduction; the document
+    loops they replaced are the oracle."""
+
+    def test_views_equal_the_document_loops(self, repo_with_data):
+        repo, key_a, key_b = repo_with_data
+        for key in (key_a, key_b):
+            docs = repo.query_docs(key, problem_name="p", require_success=False)
+            assert leaderboard(repo, key, "p") == views_oracle.leaderboard_from_docs(docs)
+            assert contributor_stats(repo, key, "p") == (
+                views_oracle.contributor_stats_from_docs(docs)
+            )
+            breakdown = machine_breakdown(repo, key, "p")
+            assert list(breakdown.items()) == list(
+                views_oracle.machine_breakdown_from_docs(docs).items()
+            )
+
+    def test_ties_go_to_the_earliest_record(self, repo_with_data):
+        repo, key_a, key_b = repo_with_data
+        for key, x in ((key_b, 7), (key_a, 8)):
+            repo.upload(PerformanceRecord("p", {"m": 1}, {"x": x}, 3.0), key)
+        row = next(r for r in leaderboard(repo, key_a, "p") if r.task_parameters == {"m": 1})
+        assert (row.best_output, row.best_configuration, row.n_samples) == (3.0, {"x": 4}, 6)
+
+    def test_near_equal_tasks_are_separate_rows(self, repo_with_data):
+        repo, key_a, _ = repo_with_data
+        repo.upload(PerformanceRecord("p", {"m": 1.0}, {"x": 9}, 0.5), key_a)
+        repo.upload(PerformanceRecord("p", {"m": True}, {"x": 10}, 0.25), key_a)
+        best = {repr(r.task_parameters): r.best_output for r in leaderboard(repo, key_a, "p")}
+        assert best["{'m': 1}"] == 3.0 and best["{'m': 1.0}"] == 0.5
+        assert best["{'m': True}"] == 0.25
+
+    def test_an_invisible_record_contributes_nothing(self, repo_with_data):
+        repo, key_a, key_b = repo_with_data
+        before = repo.task_summary(key_b, "p")
+        # alice's private record would be task m=1's best and a new owner
+        repo.upload(
+            PerformanceRecord(
+                "p", {"m": 1}, {"x": 0}, 0.01, accessibility=Accessibility("private")
+            ),
+            key_a,
+        )
+        assert repo.task_summary(key_b, "p") == before
+        mine = {repr(t["task_parameters"]): t for t in repo.task_summary(key_a, "p")}
+        theirs = {repr(t["task_parameters"]): t for t in before}
+        assert mine["{'m': 1}"]["witness"] != theirs["{'m': 1}"]["witness"]
+        assert mine["{'m': 1}"]["best"]["output"] == 0.01
+
+    def test_summary_needs_a_problem_name(self, repo_with_data):
+        repo, key_a, _ = repo_with_data
+        for name in ("", None, 5):
+            with pytest.raises(ValueError, match="problem_name"):
+                leaderboard(repo, key_a, name)
 
 
 class TestRendering:

@@ -83,6 +83,9 @@ _MALFORMED = {
         for route in ("query", "predict", "model_meta", "sensitivity")
         for kind, task in (("int", 5), ("list", [1, 2]), ("str", "ab"))
     },
+    # without a problem the router used to aggregate every problem together
+    "leaderboard-no-problem": ({"route": "leaderboard"}, "bad_request"),
+    "contributors-no-problem": ({"route": "contributors"}, "bad_request"),
     "idempotency-key": ({**_UPLOAD, "idempotency_key": ["k"]}, "bad_request"),
     "list-route": ({**_UPLOAD, "route": ["upload"]}, "bad_request"),
     "upload-api-key": ({**_UPLOAD, "api_key": ["k"]}, "auth"),
@@ -273,12 +276,71 @@ class TestMerges:
         assert row["user"] == "alice"
         assert row["samples"] == 7
 
+    @pytest.mark.parametrize("route", ["leaderboard", "contributors"])
+    @pytest.mark.parametrize("name", [{}, {"problem_name": ""}, {"problem_name": 5},
+                                      {"problem_name": ["demo"]}],
+                             ids=["missing", "empty", "int", "list"])
+    def test_aggregates_need_a_problem_name_like_the_server(self, svc, key, route, name):
+        # equal tasks of two problems: merged into one row when the router
+        # read a missing name as "every problem"
+        _upload(svc.client, key, 0, problem="p", task={"t": 1})
+        _upload(svc.client, key, 1, problem="q", task={"t": 1})
+        request = {"route": route, "api_key": key, **name}
+        response = svc.router.handle(request)
+        assert response["error"] == "bad_request"
+        server = next(iter(svc.shards.values())).server
+        assert response == server.handle(request)
+
+    @pytest.mark.parametrize("output", ["fast", [1, 2], True, float("nan"), float("inf")],
+                             ids=repr)
+    def test_a_non_result_is_refused_before_any_replica_stores_it(self, svc, key, output):
+        assert _upload(svc.client, key, 0)["ok"]
+        before = svc.total_records()
+        response = svc.client.handle({**_UPLOAD, "api_key": key, "output": output})
+        assert response["error"] == "bad_request" and "output" in response["message"]
+        assert svc.total_records() == before
+        for route in ("leaderboard", "contributors"):
+            assert svc.client.handle(
+                {"route": route, "api_key": key, "problem_name": "demo"}
+            )["ok"]
+
+    def test_a_stored_non_result_counts_as_a_failure(self, svc, key):
+        """Replicas restored from a journal that predates the upload
+        check: the poisoned record is a failed run, not an error."""
+        for i in range(3):
+            assert _upload(svc.client, key, i, task={"t": 1})["ok"]
+        for shard in svc.shards.values():
+            store = shard.repository.store
+            for doc in store["performance_records"].find({"output": 0.0}):
+                store.apply_op(
+                    {
+                        "op": "insert",
+                        "c": "performance_records",
+                        "doc": {**doc, "_id": 99, "uid": 99, "timestamp": 99.0,
+                                "output": "fast"},
+                    }
+                )
+        request = {"api_key": key, "problem_name": "demo"}
+        (row,) = svc.client.handle({"route": "leaderboard", **request})["rows"]
+        assert (row["n_samples"], row["n_failures"], row["best_output"]) == (4, 1, 0.0)
+        (entry,) = svc.client.handle({"route": "contributors", **request})["contributors"]
+        assert entry == {"user": "alice", "samples": 4, "failures": 1, "best": 0.0}
+
     def test_browse_html_is_rejected(self, svc, key):
         response = svc.client.handle({"route": "browse_html", "api_key": key})
         assert response["error"] == "bad_request"
 
     def test_unknown_route(self, svc, key):
         assert svc.client.handle({"route": "nope"})["error"] == "not_found"
+
+    def test_summary_is_a_shard_level_route(self, svc, key):
+        request = {"route": "summary", "api_key": key, "problem_name": "demo"}
+        shard = next(iter(svc.shards.values()))
+        assert shard.handle(request) == {"ok": True, "tasks": []}
+        assert shard.handle({**request, "api_key": "nope"})["error"] == "auth"
+        for public in (svc.router, shard.server):
+            assert "summary" not in public.routes()
+            assert public.handle(request)["error"] == "not_found"
 
 
 class TestCache:
