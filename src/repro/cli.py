@@ -89,12 +89,14 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     app = build_app(args.app, args.machine, args.nodes)
     problem = app.make_problem(run=args.seed)
     task = _parse_task(app, args.task)
-    options = TunerOptions(
-        n_initial=args.n_initial,
-        surrogate=args.surrogate,
-        n_dense_max=args.n_dense_max,
-        n_inducing=args.n_inducing,
-    )
+    # the target task's model policy: a TunerOptions field where the tuner
+    # fits the model, a strategy argument where a TLA strategy does
+    model_policy = {
+        "surrogate": args.surrogate,
+        "n_dense_max": args.n_dense_max,
+        "n_inducing": args.n_inducing,
+    }
+    options = TunerOptions(n_initial=args.n_initial, **model_policy)
 
     if args.workers > 1 or args.batch > 1:
         from .engine import AsyncTuner, EngineOptions
@@ -121,7 +123,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
                 configs.append(c)
                 ys.append(y)
         source = TaskData(src_task, space.to_unit_array(configs), np.array(ys), "cli-source")
-        tuner.provider = StrategyProvider(get_strategy(args.tla), [source])
+        tuner.provider = StrategyProvider(get_strategy(args.tla, **model_policy), [source])
 
     result = tuner.tune(task, args.samples, seed=args.seed)
     print(json.dumps(result.summary(), indent=2, default=str))

@@ -29,13 +29,16 @@ __all__ = ["LIE_STRATEGIES", "SearchOptions", "propose_batch", "search_next", "r
 
 ScoreFn = Callable[[np.ndarray], np.ndarray]
 
+#: Gaussian perturbations per polished candidate per local round
+_LOCAL_PROBES = 8
+
 
 class SearchOptions:
     """Knobs for the candidate search.
 
     ``n_candidates`` random probes; the ``n_local`` best candidates get a
-    batched stochastic polish: ``local_iters`` rounds of ``local_probes``
-    Gaussian perturbations each, with the step scale shrinking on rounds
+    batched stochastic polish: ``local_iters`` rounds of Gaussian
+    perturbations, with the step scale shrinking on rounds
     that fail to improve (cheap, derivative-free, robust for mixed spaces
     where the acquisition is piecewise constant along integer axes).
     """
@@ -45,19 +48,15 @@ class SearchOptions:
         n_candidates: int = 1024,
         n_local: int = 2,
         local_iters: int = 40,
-        local_probes: int = 8,
         incumbent_fraction: float = 0.25,
         incumbent_scale: float = 0.08,
         failure_radius: float = 0.12,
     ) -> None:
         if n_candidates < 1:
             raise ValueError("n_candidates must be positive")
-        if local_probes < 1:
-            raise ValueError("local_probes must be positive")
         self.n_candidates = n_candidates
         self.n_local = n_local
         self.local_iters = local_iters
-        self.local_probes = local_probes
         self.incumbent_fraction = incumbent_fraction
         self.incumbent_scale = incumbent_scale
         self.failure_radius = failure_radius
@@ -132,10 +131,10 @@ def _refine_local(
     rows = np.arange(len(top))
     for _ in range(opts.local_iters):
         probes = best_u[:, None, :] + rng.normal(
-            size=(len(top), opts.local_probes, dim)
+            size=(len(top), _LOCAL_PROBES, dim)
         ) * scale
         np.clip(probes, 0.0, 1.0, out=probes)
-        s = score(probes.reshape(-1, dim)).reshape(len(top), opts.local_probes)
+        s = score(probes.reshape(-1, dim)).reshape(len(top), _LOCAL_PROBES)
         j = np.argmax(s, axis=1)
         s_round = s[rows, j]
         improved = s_round > best_s

@@ -190,23 +190,19 @@ class ExecutorOptions:
     """What the thread engine and the process fabric are configured by
     alike: batch proposal and the simulated-latency model.
 
-    Latency simulation maps the application's *modeled* runtime onto
-    wall time (:meth:`latency_s`).  With the default scales of 0 an
-    executor runs as fast as the objective computes — unit tests stay
-    instant, benchmarks dial in realistic latencies.  Keyword-only, like
-    the option classes built on it.
+    Latency simulation charges each successful evaluation a fixed wall
+    time (:meth:`latency_s`).  With the default of 0 an executor runs as
+    fast as the objective computes — unit tests stay instant, benchmarks
+    dial in realistic latencies.  Keyword-only, like the option classes
+    built on it.
     """
 
     #: max proposals per refill round (the ``q`` of batch proposal)
     batch: int = 1
     #: fantasy strategy for in-flight evaluations (see LIE_STRATEGIES)
     lie: str = "cl-min"
-    #: simulated seconds per unit of objective output
-    latency_scale: float = 0.0
-    #: fixed simulated seconds per evaluation
+    #: fixed simulated seconds per successful evaluation
     base_latency_s: float = 0.0
-    #: simulated seconds charged to failed evaluations
-    failure_latency_s: float = 0.0
     #: log-normal sigma of per-worker speed factors
     heterogeneity: float = 0.0
 
@@ -218,11 +214,10 @@ class ExecutorOptions:
 
     def latency_s(self, evaluation: Evaluation | None) -> float:
         """Simulated seconds ``evaluation`` occupies a unit-speed worker:
-        ``base_latency_s + latency_scale * max(y, 0)`` for an objective of
-        ``y``, ``failure_latency_s`` for a failed or lost one."""
+        ``base_latency_s``, or nothing for a failed or lost one."""
         if evaluation is None or evaluation.failed:
-            return max(self.failure_latency_s, 0.0)
-        return max(self.base_latency_s + self.latency_scale * max(evaluation.output, 0.0), 0.0)
+            return 0.0
+        return max(self.base_latency_s, 0.0)
 
 
 class InlineExecutor:

@@ -176,7 +176,7 @@ class CrowdServer:
             record, req["api_key"], timestamp=None if ts is None else float(ts)
         )
         if self.registry is not None:
-            self.registry.notify_record(record)
+            self.registry.notify([record.to_doc()])
         return {"ok": True, "uid": record.uid}
 
     def _route_query(self, req: Mapping[str, Any]) -> dict[str, Any]:

@@ -3,8 +3,8 @@
 Each worker models one crowd participant: it holds a node allocation on
 the shared :class:`~repro.hpc.scheduler.SlurmSim` cluster for its whole
 lifetime, executes one evaluation at a time, and "runs" each evaluation
-for a simulated latency derived from the application's own analytic
-performance model (the modeled runtime *is* the latency, scaled).
+for a simulated latency (``latency_fn``; the engine charges a fixed
+:meth:`~repro.core.tuner.ExecutorOptions.latency_s` per success).
 Workers are heterogeneous — each draws a persistent speed factor, like a
 crowd of machines of different generations.
 
@@ -36,6 +36,8 @@ __all__ = ["EvalJob", "EvalOutcome", "WorkerPool"]
 
 #: pseudo-config put on the input queue to stop a worker
 _SHUTDOWN = object()
+#: longest a sleeping worker waits before it looks at the stop flag again
+_TICK_S = 0.002
 
 
 class WorkerPool:
@@ -51,8 +53,7 @@ class WorkerPool:
         Number of concurrent workers.
     latency_fn:
         ``latency_fn(evaluation) -> seconds`` of simulated execution
-        time, typically proportional to the application's modeled
-        runtime.  ``None`` disables latency simulation (unit tests).
+        time.  ``None`` disables latency simulation (unit tests).
     scheduler:
         Optional :class:`SlurmSim`; each worker sallocs
         ``nodes_per_worker`` nodes for its lifetime, and the allocation
@@ -88,7 +89,6 @@ class WorkerPool:
         timeout_s: float | None = None,
         retry: RetryPolicy | None = None,
         seed: int | None = None,
-        tick_s: float = 0.002,
     ) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
@@ -102,7 +102,6 @@ class WorkerPool:
         self._fault_injector = fault_injector
         self._timeout_s = timeout_s
         self._retry = retry
-        self._tick_s = float(tick_s)
         rng = np.random.default_rng(seed)
         sigma = float(heterogeneity)
         self._speeds = [
@@ -235,7 +234,7 @@ class WorkerPool:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return
-            time.sleep(min(self._tick_s, remaining))
+            time.sleep(min(_TICK_S, remaining))
 
     def _worker(self, wid: int) -> None:
         speed = self._speeds[wid]

@@ -27,7 +27,7 @@ evaluation first — the stop message queues behind the job), and
 dispatch loop sees only the current membership, so the run continues at
 whatever capacity survives.
 
-Start method: ``fork`` by default (evaluation closures need no
+Start method: ``fork`` (evaluation closures need no
 pickling — they are inherited), falling back to the platform default
 where ``fork`` is unavailable, in which case ``evaluate`` must be
 picklable.
@@ -52,6 +52,9 @@ from .worker import MSG_DONE, MSG_HEARTBEAT, MSG_READY, worker_main
 
 __all__ = ["FabricCoordinator", "FabricOptions"]
 
+#: coordinator pump tick (seconds) while waiting for an outcome
+_TICK_S = 0.003
+
 
 @dataclass(kw_only=True)
 class FabricOptions(ExecutorOptions):
@@ -75,9 +78,6 @@ class FabricOptions(ExecutorOptions):
     data_dir: str | Path | None = None
     snapshot_every: int = 512
     fsync_every: int = 1
-    start_method: str = "fork"
-    #: coordinator pump tick (seconds)
-    tick_s: float = 0.003
 
     def __post_init__(self) -> None:
         if self.n_procs < 1:
@@ -159,7 +159,7 @@ class FabricCoordinator:
             fsync_every=self.options.fsync_every,
         )
         try:
-            self._ctx = mp.get_context(self.options.start_method)
+            self._ctx = mp.get_context("fork")
         except ValueError:  # platform without fork: evaluate must pickle
             self._ctx = mp.get_context()
         self._rng = np.random.default_rng(seed)
@@ -323,7 +323,7 @@ class FabricCoordinator:
             except queue_mod.Empty:
                 if deadline is not None and time.monotonic() > deadline:
                     raise queue_mod.Empty from None
-                time.sleep(self.options.tick_s)
+                time.sleep(_TICK_S)
                 continue
             self._inflight -= 1
             self._collected += 1

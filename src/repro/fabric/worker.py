@@ -14,11 +14,11 @@ coordinator folds it into the parent's collectors with ``perf.merge``,
 so counters incremented in worker processes are not silently lost (the
 cross-process aggregation contract).
 
-Simulated latency follows the engine's model
-(:meth:`repro.core.tuner.ExecutorOptions.latency_s`), scaled by the
-worker's persistent speed factor.  The sleep is
-sliced so heartbeats keep flowing mid-evaluation — a *slow* worker and
-a *dead* worker look different to the coordinator.
+Simulated latency is the engine's fixed per-success charge
+(:meth:`repro.core.tuner.ExecutorOptions.latency_s`) times the worker's
+persistent speed factor.  The sleep is sliced so heartbeats keep
+flowing mid-evaluation — a *slow* worker and a *dead* worker look
+different to the coordinator.
 """
 
 from __future__ import annotations

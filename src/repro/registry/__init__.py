@@ -3,10 +3,10 @@
 The registry removes the per-query GP refits from the crowd prediction
 utilities: each ``(problem_name, task)`` surrogate is fitted once per
 data version on the write side (debounced by
-:class:`~repro.registry.builder.RegistryBuilder`), frozen, persisted
-through the owning shard's WAL, and served as batched vectorized
-predictions from the resident surrogate (the object the build fitted,
-or its deserialized snapshot).
+:meth:`ModelRegistry.notify`, on the thread that stored the record),
+frozen, persisted through the owning shard's WAL, and served as batched
+vectorized predictions from the resident surrogate (the object the
+build fitted, or its deserialized snapshot).
 
 Entry points:
 
@@ -14,12 +14,10 @@ Entry points:
   attached per shard (``CrowdShard(..., registry=RegistryOptions())``
   or ``build_service(..., registry=...)``).
 * :class:`RegistryEntry` — the stored document schema.
-* :class:`DataVersionTracker` — per-key eligible-record counters.
 * :func:`space_fingerprint` — the registered-space hash clients use to
   confirm a served model answers *their* query semantics.
 """
 
-from .builder import RegistryBuilder
 from .entry import (
     REGISTRY_MODELS,
     REGISTRY_PROBLEMS,
@@ -28,14 +26,11 @@ from .entry import (
     space_fingerprint,
 )
 from .registry import ModelRegistry, RegistryOptions, upsert_newest
-from .versions import DataVersionTracker
 
 __all__ = [
     "REGISTRY_MODELS",
     "REGISTRY_PROBLEMS",
-    "DataVersionTracker",
     "ModelRegistry",
-    "RegistryBuilder",
     "RegistryEntry",
     "RegistryOptions",
     "record_counts",

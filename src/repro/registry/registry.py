@@ -8,13 +8,16 @@ the registry fits each surrogate **once** per
 ``(problem_name, task, data_version)`` and answers every subsequent
 prediction from the frozen factorization:
 
-* **write side** — every eligible record upload bumps the key's data
-  version (:class:`~repro.registry.versions.DataVersionTracker`) and
-  notifies the :class:`~repro.registry.builder.RegistryBuilder`, which
-  refits when the debounce policy says so.  Built entries are plain
-  store documents in the ``registry_models`` collection, so the owning
-  shard's WAL + snapshot machinery persists, recovers and anti-entropy
-  heals them exactly like performance records.
+* **write side** — :meth:`ModelRegistry.notify` is the one way in: each
+  stored record that :func:`~repro.registry.entry.record_counts` advances
+  its key's data version, and once ``min_new_samples`` of them arrived
+  since the version a build was last attempted at, the key is rebuilt
+  inline on the notifying thread.  Both numbers come back from the store
+  after a restart (the version is a record count, ``attempted`` the
+  stored entry's ``data_version``).  Built entries are plain store
+  documents in the ``registry_models`` collection, so the owning shard's
+  WAL + snapshot machinery persists, recovers and anti-entropy heals
+  them exactly like performance records.
 * **read side** — ``predict`` / ``model_meta`` / ``sensitivity``
   deserialize the entry once into a resident surrogate (bounded LRU,
   gauge ``registry_models_resident``) and serve batched vectorized
@@ -35,11 +38,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
 from ..core import perf
+from ..core.gp import GPFitError
 from ..core.sparse import (
     check_surrogate_policy,
     make_surrogate,
@@ -50,9 +54,7 @@ from ..core.problem import task_key
 from ..core.space import Space
 from ..crowd.database import Collection
 from ..crowd.query import build_filter
-from ..crowd.records import PerformanceRecord
 from ..crowd.repository import CrowdRepository
-from .builder import RegistryBuilder
 from .entry import (
     REGISTRY_MODELS,
     REGISTRY_PROBLEMS,
@@ -60,11 +62,13 @@ from .entry import (
     record_counts,
     space_fingerprint,
 )
-from .versions import DataVersionTracker
 
 __all__ = ["ModelRegistry", "RegistryOptions", "upsert_newest"]
 
 _RECORDS = "performance_records"
+#: what a build can raise on records that are already stored: a covariance
+#: that cannot be factorized, or a malformed stored block it had to read
+_STORED_DATA_ERRORS = (GPFitError, ValueError, KeyError, TypeError, AttributeError)
 
 
 def upsert_newest(
@@ -102,8 +106,6 @@ class RegistryOptions:
     seed: int = 0
     min_samples: int = 2
     min_new_samples: int = 1
-    max_staleness_s: float | None = None
-    background: bool = False
     max_resident: int = 64
     #: surrogate policy for builds: ``"auto"`` fits the exact dense GP up
     #: to ``n_dense_max`` eligible records (entries byte-identical to the
@@ -117,6 +119,8 @@ class RegistryOptions:
         # here, not at the first build: a build runs on the upload path,
         # after the record that triggered it has been stored
         check_surrogate_policy(self.surrogate)
+        if self.min_new_samples < 1:
+            raise ValueError("min_new_samples must be >= 1")
 
 
 class ModelRegistry:
@@ -131,31 +135,37 @@ class ModelRegistry:
         self.options = options if options is not None else RegistryOptions()
         repository.store.collection(REGISTRY_MODELS)
         repository.store.collection(REGISTRY_PROBLEMS)
-        self.versions = DataVersionTracker()
-        self._init_versions()
-        self.builder = RegistryBuilder(
-            self.build,
-            min_new_samples=self.options.min_new_samples,
-            max_staleness_s=self.options.max_staleness_s,
-            background=self.options.background,
+        # the whole write-side state, per (problem, task_key): the data
+        # version (how many stored records ``record_counts``) and the
+        # version a build was last attempted at.  Both are read back from
+        # the store, so a restart recovers the debounce with the records
+        self._version: dict[tuple[str, str], int] = {}
+        for doc in repository.store[_RECORDS].find({}, frozen=True):
+            if record_counts(doc):
+                key = (
+                    doc.get("problem_name", ""),
+                    repr(task_key(doc.get("task_parameters", {}))),
+                )
+                self._version[key] = self._version.get(key, 0) + 1
+        self._attempted: dict[tuple[str, str], int] = {
+            (doc["problem_name"], doc["task_key"]): int(doc.get("data_version", 0))
+            for doc in repository.store[REGISTRY_MODELS].find({}, frozen=True)
+        }
+        #: ``(problem, task_key, repr(exc))`` of the last failed build
+        self.last_build_error: tuple[str, str, str] | None = None
+        # (problem, task_key) -> (predictor, entry it was made from)
+        self._resident: OrderedDict[tuple[str, str], tuple[Any, RegistryEntry]] = (
+            OrderedDict()
         )
-        # (problem, task_key) -> (data_version, timestamp, predictor, entry)
-        self._resident: OrderedDict[
-            tuple[str, str], tuple[int, float, Any, RegistryEntry]
-        ] = OrderedDict()
         # problem -> (doc timestamp, Space, fingerprint, problem_space dict)
         self._space_cache: dict[str, tuple[float, Space, str, dict[str, Any]]] = {}
         self._lock = threading.Lock()
         self._build_lock = threading.Lock()
 
-    def _init_versions(self) -> None:
-        """Rebuild the version counters from the store (WAL recovery)."""
-        for doc in self.repository.store[_RECORDS].find({}, frozen=True):
-            if record_counts(doc):
-                self.versions.bump(
-                    doc.get("problem_name", ""),
-                    repr(task_key(doc.get("task_parameters", {}))),
-                )
+    def data_version(self, problem_name: str, tk: str) -> int:
+        """How many stored records of one key feed its fit."""
+        with self._lock:
+            return self._version.get((problem_name, tk), 0)
 
     # -- problem registration ------------------------------------------------
     def register_problem(
@@ -229,24 +239,40 @@ class ModelRegistry:
         resolved = self._space_for(problem_name)
         return resolved[0] if resolved is not None else None
 
-    # -- write-side notifications --------------------------------------------
-    def notify_record(self, record: PerformanceRecord) -> None:
-        """One record was uploaded to this shard's repository."""
-        if record.output is None or record.accessibility.level != "public":
-            return
-        tk = repr(task_key(record.task_parameters))
-        self.versions.bump(record.problem_name, tk)
-        self.builder.notify(record.problem_name, dict(record.task_parameters), tk)
+    # -- write side ----------------------------------------------------------
+    def notify(self, docs: Iterable[Mapping[str, Any]]) -> None:
+        """Record documents were stored on this shard (an upload, or
+        replication / healing below the upload path).
 
-    def notify_docs(self, docs: list[Mapping[str, Any]]) -> None:
-        """Records arrived below the upload path (replication / healing)."""
+        A key is due once ``min_new_samples`` counted records arrived
+        since its last build attempt; the attempt spends them whatever it
+        produces (nothing for an unregistered problem or too few samples;
+        reads still build on first demand) and runs here, on the
+        notifying thread.  The records are already stored, so a build
+        that fails on them is counted and kept as
+        :attr:`last_build_error`, not raised: the previous entry keeps
+        being served, stale.
+        """
         for doc in docs:
             if not record_counts(doc):
                 continue
             task = dict(doc.get("task_parameters", {}))
-            tk = repr(task_key(task))
-            self.versions.bump(doc.get("problem_name", ""), tk)
-            self.builder.notify(doc.get("problem_name", ""), task, tk)
+            key = (doc.get("problem_name", ""), repr(task_key(task)))
+            with self._lock:
+                version = self._version[key] = self._version.get(key, 0) + 1
+                due = (
+                    version - self._attempted.get(key, 0)
+                    >= self.options.min_new_samples
+                )
+                if due:
+                    self._attempted[key] = version
+            if not due:
+                continue
+            try:
+                self.build(key[0], task)
+            except _STORED_DATA_ERRORS as exc:
+                perf.incr("registry_build_errors")
+                self.last_build_error = (*key, repr(exc))
 
     # -- building ------------------------------------------------------------
     def _eligible_docs(
@@ -333,7 +359,10 @@ class ModelRegistry:
             coll.delete({"problem_name": problem_name, "task_key": tk})
             coll.insert(entry.to_doc())
             self._install_resident(entry, gp)
-            self.builder.note_built(problem_name, tk)
+            with self._lock:  # a first-demand build is an attempt too
+                self._attempted[problem_name, tk] = self._version.get(
+                    (problem_name, tk), 0
+                )
             perf.incr("registry_builds")
         return entry
 
@@ -366,12 +395,7 @@ class ModelRegistry:
     def _install_resident(self, entry: RegistryEntry, predictor: Any) -> Any:
         key = (entry.problem_name, entry.task_key)
         with self._lock:
-            self._resident[key] = (
-                entry.data_version,
-                entry.timestamp,
-                predictor,
-                entry,
-            )
+            self._resident[key] = (predictor, entry)
             self._resident.move_to_end(key)
             while len(self._resident) > max(1, self.options.max_resident):
                 self._resident.popitem(last=False)
@@ -384,12 +408,12 @@ class ModelRegistry:
         key = (entry.problem_name, entry.task_key)
         with self._lock:
             cached = self._resident.get(key)
-            if cached is not None and cached[:2] == (
-                entry.data_version,
-                entry.timestamp,
-            ):
+            if cached is not None and (
+                cached[1].data_version,
+                cached[1].timestamp,
+            ) == (entry.data_version, entry.timestamp):
                 self._resident.move_to_end(key)
-                return cached[2]
+                return cached[0]
         return self._install_resident(entry, surrogate_from_dict(entry.model))
 
     def _serve(
@@ -411,8 +435,7 @@ class ModelRegistry:
         else:
             perf.incr("registry_hits")
         predictor = self._predictor_for(entry)
-        current = self.versions.get(problem_name, entry.task_key)
-        stale = entry.data_version < current
+        stale = entry.data_version < self.data_version(problem_name, entry.task_key)
         if stale:
             perf.incr("registry_stale_served")
         return entry, predictor, stale
@@ -507,14 +530,6 @@ class ModelRegistry:
             out["model"] = dict(entry.model)
         return out
 
-    # -- lifecycle -----------------------------------------------------------
     def resident_count(self) -> int:
         with self._lock:
             return len(self._resident)
-
-    def flush(self, timeout_s: float = 30.0) -> bool:
-        """Wait for queued background builds (no-op in sync mode)."""
-        return self.builder.flush(timeout_s)
-
-    def close(self) -> None:
-        self.builder.close()

@@ -31,8 +31,10 @@ multi-node deployment able to take concurrent traffic:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable, Mapping
 
 from ..crowd.users import UserRegistry
 from ..engine.faults import RetryPolicy
@@ -60,6 +62,32 @@ __all__ = [
     "build_service",
     "shard_key",
 ]
+
+
+def _node(
+    name: str,
+    data_dir: str | Path | None,
+    replay_hints: Callable[[str], None],
+    *,
+    transport: SimTransport | None = None,
+    link: Mapping[str, Any] | None = None,
+    **shard_options: Any,
+) -> tuple[CrowdShard, SimTransport]:
+    """One shard node (``shard_options`` are :class:`CrowdShard`'s) behind
+    its transport.
+
+    A new transport (``link`` holds its latency / fault settings) fires
+    ``replay_hints`` the moment it comes back up: hinted handoff.  A
+    restart passes the ``transport`` the router already holds, which is
+    pointed at the new node and keeps its hooks.
+    """
+    shard = CrowdShard(name, data_dir, **shard_options)
+    if transport is None:
+        transport = SimTransport(shard.handle, name, **(link or {}))
+        transport.on_up(replay_hints)
+    else:
+        transport.target = shard.handle
+    return shard, transport
 
 
 @dataclass
@@ -116,16 +144,16 @@ class CrowdService:
         if old.data_dir is None:
             raise ValueError(f"shard {name!r} is memory-only; nothing to recover")
         old.close()
-        shard = CrowdShard(
+        self.shards[name], _ = _node(
             name,
             old.data_dir,
+            self.router.replay_hints,
             users=self.users,
+            registry=self.registry,
             snapshot_every=old.snapshot_every,
             fsync_every=old.fsync_every,
-            registry=self.registry,
+            transport=self.transports[name],
         )
-        self.shards[name] = shard
-        self.transports[name].target = shard.handle
 
     def add_shard(
         self,
@@ -147,25 +175,17 @@ class CrowdService:
             name = f"shard-{i}"
         if name in self.shards:
             raise ValueError(f"shard {name!r} already exists")
-        shard = CrowdShard(
+        self.shards[name], self.transports[name] = _node(
             name,
             data_dir,
+            self.router.replay_hints,
             users=self.users,
+            registry=self.registry,
             snapshot_every=snapshot_every,
             fsync_every=fsync_every,
-            registry=self.registry,
+            link={"latency_s": latency_s, "fault_rate": fault_rate, "seed": seed},
         )
-        transport = SimTransport(
-            shard.handle,
-            name,
-            latency_s=latency_s,
-            fault_rate=fault_rate,
-            seed=seed,
-        )
-        transport.on_up(self.router.replay_hints)
-        self.shards[name] = shard
-        self.transports[name] = transport
-        self.router.add_shard(name, transport, rebalance=rebalance)
+        self.router.add_shard(name, self.transports[name], rebalance=rebalance)
         return name
 
     def remove_shard(self, name: str, *, graceful: bool = True) -> None:
@@ -186,11 +206,11 @@ class CrowdService:
     def close(self) -> None:
         """Shut the whole deployment down (idempotent).
 
-        Stops the router's anti-entropy thread and fan-out pool, every
-        shard's registry-builder thread, and closes every WAL.  Safe to
-        call repeatedly and after partial teardown — fabric runs and
-        tests can always ``with build_service(...) as svc:`` without
-        leaking daemon threads across test boundaries.
+        Stops the router's anti-entropy thread and fan-out pool and
+        closes every WAL.  Safe to call repeatedly and after partial
+        teardown — fabric runs and tests can always
+        ``with build_service(...) as svc:`` without leaking daemon
+        threads across test boundaries.
         """
         if self._closed:
             return
@@ -234,39 +254,48 @@ def build_service(
     write/read paths; the ``(1, 1)`` default reproduces the original
     fire-and-forget behavior.  ``anti_entropy_interval_s`` starts the
     router's background healing thread (rounds can always be driven
-    manually via ``svc.router.anti_entropy_round()``).
+    manually via ``svc.router.anti_entropy_round()``).  These, with
+    ``replication`` and ``retry``, are shorthand for the ``options``
+    fields of the same names: give ``options`` or any of the five, not
+    both (``ValueError``).
     """
     if n_shards < 1:
         raise ValueError("need at least one shard")
     users = users if users is not None else UserRegistry()
+    shorthand = {
+        "replication": replication,
+        "write_quorum": write_quorum,
+        "read_quorum": read_quorum,
+        "anti_entropy_interval_s": anti_entropy_interval_s,
+        "retry": retry,
+    }
     if options is None:
-        options = RouterOptions(
-            replication=replication,
-            retry=retry,
-            write_quorum=write_quorum,
-            read_quorum=read_quorum,
-            anti_entropy_interval_s=anti_entropy_interval_s,
-        )
+        options = RouterOptions(**shorthand)
+    else:
+        defaults = inspect.signature(build_service).parameters
+        for name, given in shorthand.items():
+            if given != defaults[name].default:
+                raise ValueError(
+                    f"build_service got both options= and {name}={given!r}; "
+                    f"set RouterOptions.{name} instead"
+                )
+
+    def replay_hints(name: str) -> None:
+        router.replay_hints(name)  # the router is built from the nodes, below
+
     shards: dict[str, CrowdShard] = {}
     transports: dict[str, SimTransport] = {}
     for i in range(n_shards):
         name = f"shard-{i}"
-        shard_dir = Path(data_dir) / name if data_dir is not None else None
-        shard = CrowdShard(
+        shards[name], transports[name] = _node(
             name,
-            shard_dir,
+            Path(data_dir) / name if data_dir is not None else None,
+            replay_hints,
             users=users,
+            registry=registry,
             snapshot_every=snapshot_every,
             fsync_every=fsync_every,
-            registry=registry,
-        )
-        shards[name] = shard
-        transports[name] = SimTransport(
-            shard.handle,
-            name,
-            latency_s=latency_s,
-            fault_rate=fault_rate,
-            seed=seed + i,
+            link={"latency_s": latency_s, "fault_rate": fault_rate, "seed": seed + i},
         )
     # resume the router's global stamps past everything the shards
     # recovered from disk: a fresh counter would re-issue old uids and
@@ -278,10 +307,6 @@ def build_service(
                 max_uid = max(max_uid, int(doc.get("uid", 0) or 0))
                 max_ts = max(max_ts, float(doc.get("timestamp", 0.0) or 0.0))
     router = CrowdRouter(transports, options, next_uid=max_uid + 1, write_clock=max_ts)
-    # hinted handoff: the moment a shard's transport comes back up, the
-    # router replays every write buffered for it while it was down
-    for transport in transports.values():
-        transport.on_up(router.replay_hints)
     return CrowdService(
         router=router,
         shards=shards,

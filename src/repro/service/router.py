@@ -109,6 +109,10 @@ from .shard import ShardRing, newest_wins, record_ident, shard_key, split_bucket
 
 __all__ = ["CrowdRouter", "RouterOptions", "TokenBucket"]
 
+#: remembered ``idempotency_key -> (uid, timestamp)`` stamps, so a client
+#: retry after a lost ack reuses its original stamp
+_IDEMPOTENCY_CACHE_SIZE = 4096
+
 
 def _unavailable(message: str, **extra: Any) -> dict[str, Any]:
     """The one shape of "no replica could be reached"."""
@@ -149,9 +153,6 @@ class RouterOptions:
     #: buffered hinted-handoff writes kept per unreachable shard; the
     #: oldest hints are dropped beyond this (anti-entropy still heals)
     max_hints_per_shard: int = 10_000
-    #: remembered ``idempotency_key -> (uid, timestamp)`` stamps, so a
-    #: client retry after a lost ack reuses its original stamp
-    idempotency_cache_size: int = 4096
 
     def __post_init__(self) -> None:
         if self.replication < 1:
@@ -390,7 +391,7 @@ class CrowdRouter:
             stamp = (uid, self._write_clock)
             if idempotency_key:
                 self._idempotency[idempotency_key] = stamp
-                while len(self._idempotency) > self.options.idempotency_cache_size:
+                while len(self._idempotency) > _IDEMPOTENCY_CACHE_SIZE:
                     self._idempotency.popitem(last=False)
             return stamp
 

@@ -437,7 +437,7 @@ class CrowdShard:
         if applied_docs and self.registry is not None:
             # replicated records advance data versions and (policy
             # permitting) trigger a rebuild, same as direct uploads
-            self.registry.notify_docs(applied_docs)
+            self.registry.notify(applied_docs)
         return {"ok": True, "applied": applied}
 
     def _route_digest(self, req: Mapping[str, Any]) -> dict[str, Any]:
@@ -502,7 +502,7 @@ class CrowdShard:
         return self.repository.count()
 
     def close(self) -> None:
-        """Stop the registry builder and close the journal (idempotent).
+        """Close the journal (idempotent).
 
         The store stops journaling through this node — a mutation after
         close is refused, as a write to the closed journal was — which
@@ -510,8 +510,6 @@ class CrowdShard:
         closed node nobody else holds is freed at once, not by the next
         collector pass.
         """
-        if self.registry is not None:
-            self.registry.close()
         if self._log is not None:
             self._log.close()
             self.repository.store.set_observer(_refuse_after_close)

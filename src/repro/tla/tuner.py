@@ -84,7 +84,12 @@ class TransferTuner(Tuner):
     """Sequential tuner whose model provider is a :class:`StrategyProvider`.
 
     ``strategy`` and ``sources`` are the provider's; ``options`` and
-    ``callbacks`` are :class:`~repro.core.tuner.Tuner`'s.
+    ``callbacks`` are :class:`~repro.core.tuner.Tuner`'s.  The strategy
+    fits the target task's model, so what that model is — ``surrogate``,
+    ``n_dense_max``, ``n_inducing``, ``refit_every``, ``kernel`` — is set
+    on the strategy (``get_strategy(key, surrogate="sparse", ...)``);
+    the ``options`` fields of the same names are read only by a tuner
+    that fits its own GP and do nothing here.
     """
 
     def __init__(

@@ -194,3 +194,21 @@ class TestOptions:
         opts = TunerOptions(kernel="matern52")
         res = Tuner(quadratic_problem, opts).tune({"t": 1}, 6, seed=0)
         assert res.n_evaluations == 6
+
+    def test_acquisition_option(self):
+        """DESIGN.md S4 lists LCB beside EI: selecting it changes what is
+        proposed once the surrogate takes over, and nothing before."""
+        from repro.apps import DemoFunction
+        from repro.core import LowerConfidenceBound
+
+        problem = DemoFunction().make_problem()
+
+        def proposals(**options):
+            opts = TunerOptions(n_initial=3, **options)
+            res = Tuner(problem, opts).tune({"t": 1.0}, 9, seed=5)
+            return [c["x"] for c in res.history.configs()]
+
+        ei, lcb = proposals(), proposals(acquisition=LowerConfidenceBound())
+        assert lcb[:3] == ei[:3]  # the random design is the seed's
+        assert lcb[3:] != ei[3:]
+        assert lcb == proposals(acquisition=LowerConfidenceBound())

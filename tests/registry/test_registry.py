@@ -1,7 +1,7 @@
 """Unit tests for the frozen surrogate-model registry core.
 
-Covers the write side (version tracking, debounced builds, background
-mode), the read side (serving, staleness, the resident LRU) and the
+Covers the write side (version counting, debounced builds, a failing
+build), the read side (serving, staleness, the resident LRU) and the
 replication hooks (newest-wins apply of problem/entry documents).
 """
 
@@ -17,9 +17,7 @@ from repro.crowd.records import Accessibility
 from repro.registry import (
     REGISTRY_MODELS,
     REGISTRY_PROBLEMS,
-    DataVersionTracker,
     ModelRegistry,
-    RegistryBuilder,
     RegistryEntry,
     RegistryOptions,
     record_counts,
@@ -59,19 +57,7 @@ def _feed(registry, repo, key, n, *, task=None, start=0):
     for i in range(start, start + n):
         rec = _record(i, task=task, output=float(i))
         repo.upload(rec, key)
-        registry.notify_record(rec)
-
-
-class TestVersionTracker:
-    def test_bump_get_and_keys(self):
-        v = DataVersionTracker()
-        assert v.get("p", "t1") == 0
-        assert v.bump("p", "t1") == 1
-        assert v.bump("p", "t1", 2) == 3
-        v.bump("q", "t2")
-        assert v.keys() == [("p", "t1"), ("q", "t2")]
-        assert v.keys(problem_name="q") == [("q", "t2")]
-        assert len(v) == 2
+        registry.notify([rec.to_doc()])
 
 
 class TestEligibility:
@@ -85,9 +71,10 @@ class TestEligibility:
     def test_ineligible_records_bump_nothing(self, repo, key):
         registry = ModelRegistry(repo)
         registry.register_problem("demo", SPACE)
-        registry.notify_record(_record(0, output=None))
-        registry.notify_record(_record(1, level="private"))
-        assert registry.versions.get("demo", repr(task_key(TASK))) == 0
+        registry.notify(
+            [_record(0, output=None).to_doc(), _record(1, level="private").to_doc()]
+        )
+        assert registry.data_version("demo", repr(task_key(TASK))) == 0
 
 
 class TestRegisterProblem:
@@ -192,36 +179,31 @@ class TestBuildAndServe:
         assert stats.counters["registry_builds"] == 1
         assert registry.entry_for("demo", TASK).data_version == 3
 
-    @pytest.mark.parametrize("background", [False, True], ids=["sync", "background"])
-    def test_a_build_that_yields_nothing_waits_for_new_samples(self, repo, key, background):
+    def test_a_build_that_yields_nothing_waits_for_new_samples(
+        self, repo, key, monkeypatch
+    ):
         """An unregistered problem: every due build returns ``None``.  (A
         key whose count had reached ``min_new_samples`` used to attempt a
         build on *every* later upload — the count was only ever reset by
         a build that succeeded.)"""
-        registry = ModelRegistry(
-            repo, RegistryOptions(min_new_samples=4, background=background)
-        )
+        registry = ModelRegistry(repo, RegistryOptions(min_new_samples=4))
         attempts = []
-        build = registry.builder._build
+        build = registry.build
 
         def counted(problem, task):
             attempts.append(problem)
             return build(problem, task)
 
-        registry.builder._build = counted
-        try:
-            _feed(registry, repo, key, 22)
-            assert registry.flush(timeout_s=10.0)
-            assert 1 <= len(attempts) <= -(-22 // 4)
-            assert registry.entry_for("demo", TASK) is None
-            # registering late is still served on the first read
-            registry.register_problem("demo", SPACE)
-            with perf.collect() as stats:
-                meta = registry.model_meta("demo", TASK)
-            assert stats.counters["registry_builds"] == 1
-            assert meta["data_version"] == 22 and not meta["stale"]
-        finally:
-            registry.close()
+        monkeypatch.setattr(registry, "build", counted)
+        _feed(registry, repo, key, 22)
+        assert 1 <= len(attempts) <= -(-22 // 4)
+        assert registry.entry_for("demo", TASK) is None
+        # registering late is still served on the first read
+        registry.register_problem("demo", SPACE)
+        with perf.collect() as stats:
+            meta = registry.model_meta("demo", TASK)
+        assert stats.counters["registry_builds"] == 1
+        assert meta["data_version"] == 22 and not meta["stale"]
 
     def test_stale_entry_is_served_and_counted(self, repo, key):
         registry = ModelRegistry(
@@ -302,6 +284,20 @@ class TestMalformedStoredBlocks:
         with pytest.raises(AttributeError, match="no attribute 'get'"):
             registry.build("demo", TASK)
 
+    def test_notify_counts_the_failed_build_and_keeps_the_reason(self, repo, key):
+        registry = ModelRegistry(repo, RegistryOptions(min_new_samples=2))
+        registry.register_problem("demo", SPACE)
+        _feed(registry, repo, key, 2)
+        self._store_bad(repo, "demo")
+        with perf.collect() as stats:
+            _feed(registry, repo, key, 3, start=2)  # one due attempt, spent
+        assert stats.counters["registry_build_errors"] == 1
+        assert stats.counters.get("registry_builds", 0) == 0
+        problem, tk, reason = registry.last_build_error
+        assert (problem, tk) == ("demo", repr(task_key(TASK)))
+        assert "AttributeError" in reason
+        assert registry.predict("demo", TASK, [{"x": 0.5}])["stale"]
+
 
 class TestResidentCache:
     def test_lru_bounded_by_max_resident(self, repo, key):
@@ -316,6 +312,37 @@ class TestResidentCache:
         with perf.collect() as stats:
             registry.predict("demo", {"t": 0}, [{"x": 0.5}])
         assert stats.counters.get("gp_fits", 0) == 0
+
+    def test_reader_keeps_its_model_across_a_rebuild(self, repo, key):
+        """Why the registry needs no snapshot type: a resident model is
+        never refit — a rebuild fits a new object and swaps the resident
+        tuple — so a reader holding the old one keeps serving the old
+        entry bit for bit, and the next read gets the new entry's model."""
+        from repro.core import surrogate_from_dict
+
+        registry = ModelRegistry(repo, RegistryOptions(min_samples=2))
+        registry.register_problem("demo", SPACE)
+        _feed(registry, repo, key, 6)
+        configs = [{"x": float(v)} for v in np.linspace(0.0, 0.9, 16)]
+        X = registry.problem_space("demo").to_unit_array(configs)
+        old_entry, held, _ = registry._serve("demo", TASK)
+        mean_before, std_before = held.predict(X)
+        served_old = registry.predict("demo", TASK, configs)
+
+        _feed(registry, repo, key, 5, start=6)
+        new_entry = registry.entry_for("demo", TASK)
+        assert new_entry.data_version > old_entry.data_version
+
+        mean_after, std_after = held.predict(X)
+        assert np.array_equal(mean_after, mean_before)
+        assert np.array_equal(std_after, std_before)
+        served_new = registry.predict("demo", TASK, configs)
+        assert served_new["data_version"] == new_entry.data_version
+        assert served_new["mean"] != served_old["mean"]
+        assert registry._predictor_for(new_entry) is not held
+        mean_new, std_new = surrogate_from_dict(dict(new_entry.model)).predict(X)
+        assert served_new["mean"] == [float(v) for v in mean_new]
+        assert served_new["std"] == [float(v) for v in std_new]
 
 
 class TestReplicationHooks:
@@ -352,7 +379,7 @@ class TestReplicationHooks:
                 accessibility=Accessibility(level="public"),
             )
             repo.upload(rec, key)
-            builder.notify_record(rec)
+            builder.notify([rec.to_doc()])
         entry = builder.entry_for("demo", TASK)
         assert entry is not None and entry.n_samples >= 32
 
@@ -378,7 +405,7 @@ class TestReplicationHooks:
         out = registry.predict("demo", TASK, [{"x": 0.5}])
         assert out["data_version"] == doc["data_version"] + 1
 
-    def test_notify_docs_mirrors_notify_record(self, repo, key):
+    def test_notify_takes_a_batch_of_stored_docs(self, repo, key):
         registry = ModelRegistry(repo)
         registry.register_problem("demo", SPACE)
         docs = []
@@ -386,78 +413,9 @@ class TestReplicationHooks:
             rec = _record(i, output=float(i))
             repo.upload(rec, key)
             docs.append(rec.to_doc())
-        registry.notify_docs(docs)
+        registry.notify(docs)
         assert registry.entry_for("demo", TASK) is not None
-        assert registry.versions.get("demo", repr(task_key(TASK))) == 3
-
-
-class TestBackgroundBuilder:
-    def test_background_build_flush(self, repo, key):
-        registry = ModelRegistry(
-            repo, RegistryOptions(background=True, min_samples=2)
-        )
-        try:
-            registry.register_problem("demo", SPACE)
-            _feed(registry, repo, key, 4)
-            assert registry.flush(timeout_s=10.0)
-            assert registry.entry_for("demo", TASK) is not None
-        finally:
-            registry.close()
-
-    def test_reader_keeps_its_model_across_a_rebuild(self, repo, key):
-        """Why the registry needs no snapshot type: a resident model is
-        never refit — a rebuild fits a new object and swaps the resident
-        tuple — so a reader holding the old one keeps serving the old
-        entry bit for bit, and the next read gets the new entry's model."""
-        from repro.core import surrogate_from_dict
-
-        registry = ModelRegistry(
-            repo, RegistryOptions(background=True, min_samples=2)
-        )
-        try:
-            registry.register_problem("demo", SPACE)
-            _feed(registry, repo, key, 6)
-            assert registry.flush(timeout_s=10.0)
-            configs = [{"x": float(v)} for v in np.linspace(0.0, 0.9, 16)]
-            X = registry.problem_space("demo").to_unit_array(configs)
-            old_entry, held, _ = registry._serve("demo", TASK)
-            mean_before, std_before = held.predict(X)
-            served_old = registry.predict("demo", TASK, configs)
-
-            _feed(registry, repo, key, 5, start=6)
-            assert registry.flush(timeout_s=10.0)
-            new_entry = registry.entry_for("demo", TASK)
-            assert new_entry.data_version > old_entry.data_version
-
-            mean_after, std_after = held.predict(X)
-            assert np.array_equal(mean_after, mean_before)
-            assert np.array_equal(std_after, std_before)
-            served_new = registry.predict("demo", TASK, configs)
-            assert served_new["data_version"] == new_entry.data_version
-            assert served_new["mean"] != served_old["mean"]
-            assert registry._predictor_for(new_entry) is not held
-            mean_new, std_new = surrogate_from_dict(dict(new_entry.model)).predict(X)
-            assert served_new["mean"] == [float(v) for v in mean_new]
-            assert served_new["std"] == [float(v) for v in std_new]
-        finally:
-            registry.close()
-
-    def test_builder_survives_a_failing_build(self):
-        calls = []
-
-        def build(problem, task):
-            calls.append(problem)
-            if problem == "bad":
-                raise RuntimeError("boom")
-
-        builder = RegistryBuilder(build, background=True)
-        try:
-            builder.notify("bad", {}, "tk1")
-            builder.notify("good", {}, "tk2")
-            assert builder.flush(timeout_s=10.0)
-            assert calls == ["bad", "good"]
-        finally:
-            builder.close()
+        assert registry.data_version("demo", repr(task_key(TASK))) == 3
 
 
 class TestEntrySchema:

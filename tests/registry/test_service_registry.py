@@ -8,10 +8,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import perf
+from repro.core import GaussianProcess, perf
+from repro.core.gp import GPFitError
 from repro.crowd import CrowdClient, MetaDescription
 from repro.registry import REGISTRY_MODELS, REGISTRY_PROBLEMS, RegistryOptions
-from repro.service import RouterOptions, build_service
+from repro.service import CrowdShard, RouterOptions, build_service
 from repro.service.shard import shard_key
 
 PROBLEM = "demo"
@@ -296,3 +297,136 @@ class TestDurabilityAndHealing:
         svc.router.anti_entropy_round()
         stats = svc.router.anti_entropy_round()
         assert stats["healed"] == 0
+
+
+def _boom(self, X, y):
+    raise GPFitError("covariance not factorizable (scripted)")
+
+
+def _records(service):
+    return {n: s.count() for n, s in service.shards.items()}
+
+
+class TestBuildFailure:
+    """A build runs on the upload path, after the record is stored: it
+    may fail, the write it rode on may not."""
+
+    def test_upload_answer_does_not_depend_on_the_build(self, monkeypatch):
+        service = build_service(
+            2, replication=2, write_quorum=2, registry=RegistryOptions()
+        )
+        try:
+            _, k = service.register_user("bob", "b@lab.gov")
+            _register(service.client, k)
+            for i in range(2):
+                assert _upload(service.client, k, i)["ok"]
+            served = _predict(service.client, k)
+            assert served["data_version"] == 2 and not served["stale"]
+
+            monkeypatch.setattr(GaussianProcess, "fit", _boom)
+            with perf.collect() as stats:
+                response = _upload(service.client, k, 2)
+            assert response["ok"] and response["replicas_acked"] == 2, response
+            assert _records(service) == {"shard-0": 3, "shard-1": 3}
+            assert stats.counters["registry_build_errors"] == 2  # one a replica
+            assert stats.counters.get("registry_builds", 0) == 0
+            for shard in service.shards.values():
+                problem, _, reason = shard.registry.last_build_error
+                assert problem == PROBLEM and "GPFitError" in reason
+            # the previous entry keeps being served, and says it is stale
+            stale = _predict(service.client, k)
+            assert stale["stale"] and stale["data_version"] == 2
+            assert stale["mean"] == served["mean"]
+
+            monkeypatch.undo()
+            assert _upload(service.client, k, 3)["ok"]
+            fresh = _predict(service.client, k)
+            assert fresh["data_version"] == 4 and not fresh["stale"]
+        finally:
+            service.close()
+
+    def test_one_bad_key_does_not_abort_a_healing_round(self, monkeypatch):
+        service = build_service(
+            2,
+            registry=RegistryOptions(),
+            options=RouterOptions(replication=2, max_hints_per_shard=0),
+        )
+        try:
+            _, k = service.register_user("bob", "b@lab.gov")
+            _register(service.client, k)
+            service.kill_shard("shard-1")
+            for task in ({"t": 1}, {"t": 2}, {"t": 3}):
+                for i in range(3):
+                    assert _upload(service.client, k, i, task=task)["ok"]
+            service.revive_shard("shard-1")
+            assert _records(service) == {"shard-0": 9, "shard-1": 0}
+
+            monkeypatch.setattr(GaussianProcess, "fit", _boom)
+            with perf.collect() as stats:
+                service.router.anti_entropy_round()
+            assert _records(service) == {"shard-0": 9, "shard-1": 9}
+            assert stats.counters["registry_build_errors"] >= 3
+        finally:
+            service.close()
+
+
+class TestDebounceRecovery:
+    """Both write-side numbers are functions of the store, so a restart
+    keeps the build schedule of the shard that never went down."""
+
+    @pytest.mark.parametrize("restart", [False, True], ids=["steady", "restarted"])
+    def test_restart_keeps_the_build_schedule(self, tmp_path, restart):
+        service = build_service(
+            1, replication=1, data_dir=tmp_path,
+            registry=RegistryOptions(min_new_samples=4),
+        )
+        try:
+            _, k = service.register_user("bob", "b@lab.gov")
+            _register(service.client, k)
+            with perf.collect() as stats:
+                for i in range(7):
+                    assert _upload(service.client, k, i)["ok"]
+                if restart:  # 3 of the 4 notifications pending
+                    service.restart_shard("shard-0")
+                assert _upload(service.client, k, 7)["ok"]
+            assert stats.counters["registry_builds"] == 2
+            entry = service.shards["shard-0"].registry.entry_for(PROBLEM, TASK)
+            assert entry.data_version == 8
+        finally:
+            service.close()
+
+    def test_a_healed_in_entry_sets_where_the_debounce_resumes(self, tmp_path):
+        """A registry-less node holds an entry a peer built at version 4
+        and 7 records; restarted with a registry, it owes the next build
+        at version 8 — not at 11, and not on every upload."""
+        opts = RegistryOptions(min_new_samples=4)
+        with build_service(1, replication=1, registry=opts) as peer:
+            users = peer.users
+            _, k = peer.register_user("bob", "b@lab.gov")
+            _register(peer.client, k)
+            for i in range(7):
+                assert _upload(peer.client, k, i)["ok"]
+            store = peer.shards["shard-0"].repository.store
+            held = {
+                name: store[name].find({})
+                for name in (REGISTRY_PROBLEMS, "performance_records", REGISTRY_MODELS)
+            }
+        (entry,) = held[REGISTRY_MODELS]
+        assert entry["data_version"] == 4
+
+        with CrowdShard("s0", tmp_path, users=users) as bare:
+            for name, docs in held.items():
+                response = bare.handle(
+                    {"route": "replicate", "collection": name, "records": docs}
+                )
+                assert response["ok"] and response["applied"] == len(docs)
+        with CrowdShard("s0", tmp_path, users=users, registry=opts) as shard:
+            assert shard.registry.data_version(PROBLEM, entry["task_key"]) == 7
+            with perf.collect() as stats:
+                assert _upload(shard, k, 7)["ok"]
+            assert stats.counters["registry_builds"] == 1
+            assert shard.registry.entry_for(PROBLEM, TASK).data_version == 8
+            with perf.collect() as stats:
+                for i in range(8, 11):
+                    assert _upload(shard, k, i)["ok"]
+            assert stats.counters.get("registry_builds", 0) == 0

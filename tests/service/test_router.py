@@ -3,12 +3,16 @@ throttling, and degraded-mode behavior."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.core import GaussianProcess, perf
+from repro.core.gp import GPFitError
 from repro.crowd.users import UserRegistry
+from repro.engine.faults import RetryPolicy
 from repro.registry import RegistryOptions
 from repro.service import (
     CrowdRouter,
@@ -93,8 +97,8 @@ _MALFORMED = {
 }
 
 
-@pytest.fixture(scope="module")
-def dispatchers():
+@contextlib.contextmanager
+def _dispatchers():
     """The three ``handle`` implementations of the protocol, one key."""
     users = UserRegistry()
     users.register("alice", "alice@lab.gov")
@@ -105,6 +109,12 @@ def dispatchers():
     shard.close()
 
 
+@pytest.fixture(scope="module")
+def dispatchers():
+    with _dispatchers() as shared:
+        yield shared
+
+
 class TestMalformedQueries:
     @pytest.mark.parametrize("endpoint", ["server", "shard", "router"])
     @pytest.mark.parametrize("case", sorted(_MALFORMED))
@@ -113,6 +123,31 @@ class TestMalformedQueries:
         request_, error = _MALFORMED[case]
         response = endpoints[endpoint].handle({"api_key": api_key, **request_})
         assert response["ok"] is False and response["error"] == error, response
+
+    @pytest.mark.parametrize("endpoint", ["server", "shard", "router"])
+    def test_an_upload_whose_build_raises_is_still_answered(
+        self, endpoint, monkeypatch
+    ):
+        with _dispatchers() as (api_key, endpoints):  # its own: it writes
+            target = endpoints[endpoint]
+            space = {"parameter_space": [
+                {"name": "x", "type": "real", "lower_bound": 0.0, "upper_bound": 9.0}
+            ]}
+            assert target.handle(
+                {"route": "register_problem", "api_key": api_key,
+                 "problem_name": "demo", "problem_space": space}
+            )["ok"]
+            for i in range(2):
+                assert _upload(target, api_key, i, task={"t": 1})["ok"]
+
+            def boom(self, X, y):
+                raise GPFitError("scripted")
+
+            monkeypatch.setattr(GaussianProcess, "fit", boom)
+            with perf.collect() as stats:
+                response = _upload(target, api_key, 2, task={"t": 1})
+            assert response["ok"], response
+            assert stats.counters["registry_build_errors"] >= 1
 
     def test_bad_regex_is_bad_request_not_an_exception(self):
         # 2 shards x replication 2: every shard holds the record, so the
@@ -510,6 +545,26 @@ class TestAccounts:
         with pytest.raises(ValueError):
             build_service(0)
 
+    @pytest.mark.parametrize(
+        "shorthand",
+        [
+            {"replication": 1},
+            {"write_quorum": 2},
+            {"read_quorum": 2},
+            {"anti_entropy_interval_s": 0.5},
+            {"retry": RetryPolicy(max_retries=1)},
+        ],
+        ids=lambda kw: next(iter(kw)),
+    )
+    def test_build_service_has_one_way_to_say_replication(self, shorthand):
+        """``options=`` used to win silently over the keyword beside it."""
+        (name,) = shorthand
+        with pytest.raises(ValueError, match=name):
+            build_service(2, options=RouterOptions(), **shorthand)
+        with build_service(2, **shorthand) as svc:
+            assert getattr(svc.router.options, name) == shorthand[name]
+        with build_service(2, replication=2, options=RouterOptions()) as svc:
+            assert svc.router.options.replication == 2
 
 
 class TestGoldenTranscript:

@@ -1,9 +1,8 @@
 """Shutdown tests: no daemon thread outlives a closed deployment.
 
 Regression coverage for the background-thread leak: the router's
-anti-entropy loop and each shard registry's builder thread kept running
-after teardown, bleeding work (and file handles, with ``data_dir``)
-across test boundaries and fabric runs.
+anti-entropy loop kept running after teardown, bleeding work (and file
+handles, with ``data_dir``) across test boundaries and fabric runs.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import weakref
 from repro.registry import RegistryOptions
 from repro.service import build_service
 
-BACKGROUND = ("crowd-antientropy", "registry-builder")
+BACKGROUND = ("crowd-antientropy",)
 
 
 def background_threads() -> list[str]:
@@ -45,19 +44,11 @@ class TestServiceClose:
         svc.close()
         assert wait_gone() == []
 
-    def test_close_stops_registry_builder_threads(self):
-        svc = build_service(
-            2, registry=RegistryOptions(background=True)
-        )
-        assert any(n.startswith("registry-builder") for n in background_threads())
-        svc.close()
-        assert wait_gone() == []
-
     def test_context_manager_closes_everything(self):
         with build_service(
             3,
             anti_entropy_interval_s=0.01,
-            registry=RegistryOptions(background=True),
+            registry=RegistryOptions(),
         ) as svc:
             _, key = svc.register_user("closer", "c@crowd.io")
             assert svc.client.handle(
@@ -71,6 +62,39 @@ class TestServiceClose:
                 }
             )["ok"]
         assert wait_gone() == []
+
+    def test_a_registry_starts_no_thread_of_its_own(self, tmp_path, monkeypatch):
+        """Builds run on the thread that stored the record: the only
+        threads a serving deployment starts are the router's fan-out
+        workers, and ``close()`` leaves none."""
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        before = set(threading.enumerate())
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        with build_service(4, data_dir=tmp_path, registry=RegistryOptions()) as svc:
+            _, key = svc.register_user("closer", "c@crowd.io")
+            space = {"parameter_space": [
+                {"name": "x", "type": "real", "lower_bound": 0.0, "upper_bound": 1.0}
+            ]}
+            request = {"api_key": key, "problem_name": "p", "task_parameters": {"t": 0}}
+            assert svc.client.handle(
+                {**request, "route": "register_problem", "problem_space": space}
+            )["ok"]
+            for i in range(60):
+                assert svc.client.handle(
+                    {**request, "route": "upload", "task_parameters": {"t": i % 12},
+                     "tuning_parameters": {"x": (i % 10) / 10.0}, "output": float(i)}
+                )["ok"]
+            assert svc.client.handle(
+                {**request, "route": "predict", "configurations": [{"x": 0.5}]}
+            )["ok"]
+        assert all(n.startswith("crowd-fanout") for n in started), started
+        assert set(threading.enumerate()) <= before
 
     def test_close_is_idempotent(self):
         svc = build_service(2, anti_entropy_interval_s=0.01)
@@ -86,9 +110,7 @@ class TestServiceClose:
         assert wait_gone() == []
 
     def test_router_and_shard_close_idempotent(self):
-        svc = build_service(
-            2, registry=RegistryOptions(background=True)
-        )
+        svc = build_service(2, registry=RegistryOptions())
         with svc.router:
             pass
         svc.router.close()
@@ -102,9 +124,7 @@ class TestServiceClose:
 
 class TestClosedShardIsFreed:
     def _service(self, tmp_path):
-        svc = build_service(
-            2, data_dir=tmp_path, registry=RegistryOptions(background=True)
-        )
+        svc = build_service(2, data_dir=tmp_path, registry=RegistryOptions())
         _, key = svc.register_user("closer", "c@crowd.io")
         for i in range(6):
             assert svc.client.handle(

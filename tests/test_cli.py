@@ -64,6 +64,16 @@ class TestCommands:
         assert rc == 0
         assert '"tuner": "Stacking"' in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tla", [[], ["--tla", "stacking"]], ids=["notla", "tla"])
+    def test_surrogate_flags_reach_whoever_fits_the_model(self, capsys, tla):
+        """``--tla`` used to drop them: the strategy fits the target's
+        model, and only ``TunerOptions`` was told."""
+        argv = ["tune", "--app", "demo", "--samples", "6", "--surrogate", "sparse"]
+        assert main(argv + tla) == 0
+        out = capsys.readouterr().out
+        counters = json.loads(out[: out.index("best-so-far")])["perf"]["counters"]
+        assert counters["sparse_fits"] > 0
+
     def test_tune_async_workers(self, capsys):
         rc = main(
             [
