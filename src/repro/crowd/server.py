@@ -35,6 +35,13 @@ from .views import contributor_stats, leaderboard, render_html
 
 __all__ = ["CrowdServer", "bad_request"]
 
+#: the largest ``n_base`` / ``n_bootstrap`` a ``sensitivity`` request may
+#: ask for: the first sizes the Saltelli design (``n_base * (d + 2)``
+#: predictions), both scale the CPU time of a shard that serves one
+#: request at a time
+_SENSITIVITY_MAX_BASE = 1 << 14
+_SENSITIVITY_MAX_BOOTSTRAP = 10_000
+
 
 class CrowdServer:
     """Transport-free request dispatcher for the crowd service."""
@@ -280,12 +287,18 @@ class CrowdServer:
     def _route_sensitivity(self, req: Mapping[str, Any]) -> dict[str, Any]:
         registry = self._registry()
         self.repository.users.authenticate(req["api_key"])
+        n_base = int(req.get("n_base", 1024))
+        n_bootstrap = int(req.get("n_bootstrap", 100))
+        if n_base > _SENSITIVITY_MAX_BASE:
+            raise ValueError(f"n_base must be <= {_SENSITIVITY_MAX_BASE}")
+        if n_bootstrap > _SENSITIVITY_MAX_BOOTSTRAP:
+            raise ValueError(f"n_bootstrap must be <= {_SENSITIVITY_MAX_BOOTSTRAP}")
         seed = req.get("seed")
         out = registry.sensitivity(
             req["problem_name"],
             dict(req["task_parameters"]),
-            n_base=int(req.get("n_base", 1024)),
-            n_bootstrap=int(req.get("n_bootstrap", 100)),
+            n_base=n_base,
+            n_bootstrap=n_bootstrap,
             seed=None if seed is None else int(seed),
             include_model=bool(req.get("include_model", False)),
         )

@@ -25,6 +25,10 @@ __all__ = ["SobolIndices", "sobol_indices", "sobol_analyze_function"]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
+#: float64 elements per bootstrap scratch array (1 MiB): the replicates
+#: are drawn and reduced this many ``dim * n_base`` cells at a time
+_BLOCK_ELEMS = 1 << 17
+
 
 @dataclass
 class SobolIndices:
@@ -88,8 +92,13 @@ def sobol_indices(
     """Estimate Sobol' indices from model outputs on a Saltelli design.
 
     ``values`` must be the outputs for :meth:`SaltelliDesign.stacked`
-    rows, in order.
+    rows, in order.  ``n_bootstrap`` is 0 (no intervals) or at least 2,
+    the fewest replicates a spread can be taken over.
     """
+    if n_bootstrap == 1 or n_bootstrap < 0:
+        raise ValueError(
+            f"n_bootstrap must be 0 (no intervals) or >= 2, got {n_bootstrap}"
+        )
     f_A, f_B, f_AB = design.split(values)
     names = list(names) if names is not None else [f"x{i}" for i in range(design.dim)]
     if len(names) != design.dim:
@@ -100,12 +109,21 @@ def sobol_indices(
     rng = np.random.default_rng(seed)
     n = design.n_base
     if n_bootstrap > 0 and n >= 4:
-        # one (n_bootstrap, n) index matrix + one batched estimate instead
-        # of n_bootstrap Python-level iterations; the C-order fill of
-        # Generator.integers draws the same stream as that many sequential
-        # size-n calls, so the resampled rows are identical to the loop
-        idx = rng.integers(0, n, size=(n_bootstrap, n))
-        s1_bs, st_bs = _estimate_batch(f_A[idx], f_B[idx], f_AB[:, idx])
+        # replicates are drawn and reduced a block at a time, so scratch
+        # stays at about _BLOCK_ELEMS doubles per array whatever
+        # n_bootstrap.  Consecutive C-order fills of Generator.integers
+        # draw the stream of one (n_bootstrap, n) call, and every
+        # reduction runs per replicate along the contiguous last axis, so
+        # the result does not depend on where the blocks split
+        rows = max(1, _BLOCK_ELEMS // (design.dim * n))
+        s1_bs = np.empty((n_bootstrap, design.dim))
+        st_bs = np.empty((n_bootstrap, design.dim))
+        for lo in range(0, n_bootstrap, rows):
+            hi = min(lo + rows, n_bootstrap)
+            idx = rng.integers(0, n, size=(hi - lo, n))
+            s1_bs[lo:hi], st_bs[lo:hi] = _estimate_batch(
+                f_A[idx], f_B[idx], f_AB[:, idx]
+            )
         S1_conf = _Z95 * np.std(s1_bs, axis=0, ddof=1)
         ST_conf = _Z95 * np.std(st_bs, axis=0, ddof=1)
     else:
@@ -145,7 +163,6 @@ def _estimate_batch(f_A, f_B, f_AB):
 def _estimate(f_A, f_B, f_AB):
     """Core estimators (Saltelli 2010 for S1, Jansen 1999 for ST)."""
     all_f = np.concatenate([f_A, f_B])
-    mean = np.mean(all_f)
     var = np.var(all_f)
     if var < 1e-300:
         d = f_AB.shape[0]
@@ -154,7 +171,6 @@ def _estimate(f_A, f_B, f_AB):
     S1 = np.mean(f_B[None, :] * (f_AB - f_A[None, :]), axis=1) / var
     # ST_i = 0.5 * mean((f_A - f_AB_i)^2) / var
     ST = 0.5 * np.mean((f_A[None, :] - f_AB) ** 2, axis=1) / var
-    del mean
     return S1, ST, var
 
 

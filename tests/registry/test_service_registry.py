@@ -10,8 +10,13 @@ import pytest
 
 from repro.core import GaussianProcess, perf
 from repro.core.gp import GPFitError
-from repro.crowd import CrowdClient, MetaDescription
-from repro.registry import REGISTRY_MODELS, REGISTRY_PROBLEMS, RegistryOptions
+from repro.crowd import CrowdClient, CrowdRepository, CrowdServer, MetaDescription
+from repro.registry import (
+    REGISTRY_MODELS,
+    REGISTRY_PROBLEMS,
+    ModelRegistry,
+    RegistryOptions,
+)
 from repro.service import CrowdShard, RouterOptions, build_service
 from repro.service.shard import shard_key
 
@@ -61,6 +66,19 @@ def _predict(endpoint, key, *, task=None, configs=PROBE):
             "problem_name": PROBLEM,
             "task_parameters": dict(TASK if task is None else task),
             "configurations": list(configs),
+        }
+    )
+
+
+def _sensitivity(endpoint, key, **params):
+    return endpoint.handle(
+        {
+            "route": "sensitivity",
+            "api_key": key,
+            "problem_name": PROBLEM,
+            "task_parameters": dict(TASK),
+            "seed": 0,
+            **params,
         }
     )
 
@@ -147,6 +165,50 @@ class TestRegistryRoutes:
         for i in range(3):
             _upload(svc.client, key, i, task={"t": 9})
         assert _predict(svc.client, key)["data_version"] == first["data_version"]
+
+
+class TestSensitivityRequests:
+    """Sizes a ``sensitivity`` request may not ask for are refused as
+    ``bad_request`` by the shard's server and through the router."""
+
+    @pytest.fixture()
+    def server(self):
+        repo = CrowdRepository()
+        return CrowdServer(repo, registry=ModelRegistry(repo))
+
+    @staticmethod
+    def _loaded(endpoint, key):
+        _register(endpoint, key)
+        for i in range(6):
+            assert _upload(endpoint, key, i)["ok"]
+
+    @pytest.mark.parametrize("n_bootstrap", [1, -1])
+    def test_server_refuses_a_bootstrap_without_spread(self, server, n_bootstrap):
+        k = server.handle(
+            {"route": "register", "username": "bob", "email": "b@lab.gov"}
+        )["api_key"]
+        self._loaded(server, k)
+        assert _sensitivity(server, k, n_base=16, n_bootstrap=2)["ok"]
+        response = _sensitivity(server, k, n_base=16, n_bootstrap=n_bootstrap)
+        assert response["error"] == "bad_request", response
+
+    @pytest.mark.parametrize("n_bootstrap", [1, -1])
+    def test_router_refuses_a_bootstrap_without_spread(self, svc, key, n_bootstrap):
+        self._loaded(svc.client, key)
+        response = _sensitivity(svc.client, key, n_base=16, n_bootstrap=n_bootstrap)
+        assert response["error"] == "bad_request", response
+
+    def test_router_bounds_n_base(self, svc, key):
+        self._loaded(svc.client, key)
+        assert _sensitivity(svc.client, key, n_base=2**14, n_bootstrap=0)["ok"]
+        response = _sensitivity(svc.client, key, n_base=2**14 + 1, n_bootstrap=0)
+        assert response["error"] == "bad_request", response
+
+    def test_router_bounds_n_bootstrap(self, svc, key):
+        self._loaded(svc.client, key)
+        assert _sensitivity(svc.client, key, n_base=16, n_bootstrap=10_000)["ok"]
+        response = _sensitivity(svc.client, key, n_base=16, n_bootstrap=10_001)
+        assert response["error"] == "bad_request", response
 
 
 class TestCrowdClientConsultation:

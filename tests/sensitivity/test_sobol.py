@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,3 +165,77 @@ class TestVectorizedBootstrap:
         assert S1.shape == (B, d) and ST.shape == (B, d)
         assert np.all(S1[2] == 0.0) and np.all(ST[2] == 0.0)
         assert np.all(np.isfinite(S1)) and np.all(np.isfinite(ST))
+
+
+def _one_shot_reference(design, values, n_bootstrap, seed):
+    """Every replicate at once: one ``(n_bootstrap, n)`` draw and one
+    batched estimate, ``dim * n_bootstrap * n`` doubles per array."""
+    from repro.sensitivity.sobol import _estimate, _estimate_batch
+
+    f_A, f_B, f_AB = design.split(values)
+    S1, ST, var = _estimate(f_A, f_B, f_AB)
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, design.n_base, size=(n_bootstrap, design.n_base))
+    s1_bs, st_bs = _estimate_batch(f_A[idx], f_B[idx], f_AB[:, idx])
+    z95 = 1.959963984540054
+    return (
+        S1,
+        ST,
+        z95 * np.std(s1_bs, axis=0, ddof=1),
+        z95 * np.std(st_bs, axis=0, ddof=1),
+        float(var),
+    )
+
+
+def _smooth(U):
+    w = np.linspace(1.0, 2.0, U.shape[1])
+    return np.sin(3.0 * U @ w) + U[:, 0] ** 2
+
+
+# the reference holds the whole bootstrap at once; cells past 2**23
+# doubles per array (~0.3 GB of reference scratch) are left out
+_BLOCK_CASES = [
+    (dim, n_base, n_bootstrap)
+    for dim in (1, 3, 6)
+    for n_base in (4, 5, 64, 1024, 4097)
+    for n_bootstrap in (2, 7, 31, 32, 33, 100, 1000)
+    if dim * n_base * n_bootstrap <= 1 << 23
+]
+
+
+class TestBlockedBootstrap:
+    """The block-by-block bootstrap reproduces the one-shot estimate
+    byte for byte, with block boundaries on both sides of every size."""
+
+    @pytest.mark.parametrize("dim,n_base,n_bootstrap", _BLOCK_CASES)
+    def test_matches_one_shot_reference(self, dim, n_base, n_bootstrap):
+        design = saltelli_sample(n_base, dim, seed=dim)
+        values = _smooth(design.stacked())
+        res = sobol_indices(design, values, n_bootstrap=n_bootstrap, seed=5)
+        S1, ST, S1_conf, ST_conf, var = _one_shot_reference(
+            design, values, n_bootstrap, seed=5
+        )
+        assert np.array_equal(res.S1, S1) and np.array_equal(res.ST, ST)
+        assert np.array_equal(res.S1_conf, S1_conf)
+        assert np.array_equal(res.ST_conf, ST_conf)
+        assert res.variance == var
+
+    @pytest.mark.parametrize(
+        "dim,n_base,n_bootstrap", [(6, 4096, 200), (4, 1024, 1000)]
+    )
+    def test_scratch_is_one_block(self, dim, n_base, n_bootstrap):
+        design = saltelli_sample(n_base, dim, seed=0)
+        values = _smooth(design.stacked())
+        tracemalloc.start()
+        try:
+            sobol_indices(design, values, n_bootstrap=n_bootstrap, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("n_bootstrap", [1, -1, -100])
+    def test_rejects_a_bootstrap_without_spread(self, n_bootstrap):
+        design = saltelli_sample(16, 2)
+        with pytest.raises(ValueError, match="n_bootstrap"):
+            sobol_indices(design, np.zeros(16 * 4), n_bootstrap=n_bootstrap)
