@@ -24,13 +24,17 @@ threshold to a sanity check — shared CI runners are noisy).
 like the end-to-end benchmark's (3 machine x 2 software x 64 task
 blocks): traced bytes per stored record, images written and image bytes
 for the run, journal and image bytes left on disk, and the seconds a
-restart takes with none and with half of the records in the journal tail.
+restart takes with none and with half of the records in the journal tail
+— plus its traced peak above the store it rebuilds, which must stay
+within 1.5x the image it read when there is no tail (the image is
+decoded a document at a time, never parsed whole).
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import os
 import tempfile
 import time
 import tracemalloc
@@ -243,7 +247,8 @@ def test_store_memory_and_checkpoints():
         on_disk = {p.name: p.stat().st_size for p in shard.data_dir.iterdir()}
     counters = stats.snapshot()["counters"]
 
-    # a restart, with half of the store in the journal tail and with none
+    # a restart, with half of the store in the journal tail and with none:
+    # its wall time, and its traced peak above the store it rebuilds
     with tempfile.TemporaryDirectory() as tmp:
 
         def restart_s() -> float:
@@ -252,15 +257,30 @@ def test_store_memory_and_checkpoints():
                 assert shard.count() == n
             return time.perf_counter() - t0
 
+        def restart_peak_bytes() -> int:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                with CrowdShard("s0", tmp, users=users, snapshot_every=10**9) as shard:
+                    gc.collect()
+                    kept, peak = tracemalloc.get_traced_memory()
+                    assert shard.count() == n
+            finally:
+                tracemalloc.stop()
+            return peak - kept
+
         with CrowdShard("s0", tmp, users=users, snapshot_every=10**9) as shard:
             for i in range(n):
                 assert shard.handle(_upload(key, i))["ok"]
                 if i == n // 2 - 1:
                     shard.snapshot()
         recover_half_tail_s = _wall(restart_s)
+        recover_half_tail_peak = restart_peak_bytes()
         with CrowdShard("s0", tmp, users=users, snapshot_every=10**9) as shard:
             shard.snapshot()
         recover_no_tail_s = _wall(restart_s)
+        recover_no_tail_peak = restart_peak_bytes()
+        recover_image_bytes = os.path.getsize(os.path.join(tmp, "snapshot.json"))
 
     row = {
         "records": n,
@@ -273,14 +293,20 @@ def test_store_memory_and_checkpoints():
         "journal_bytes_on_disk": on_disk.get("wal.jsonl", 0),
         "recover_s_tail_0pct": recover_no_tail_s,
         "recover_s_tail_50pct": recover_half_tail_s,
+        "recover_image_bytes": recover_image_bytes,
+        "recover_peak_bytes_tail_0pct": recover_no_tail_peak,
+        "recover_peak_bytes_tail_50pct": recover_half_tail_peak,
         "smoke": SMOKE,
     }
     print()
     print(f"durable shard, {n} uploads")
     for name, value in row.items():
-        print(f"  {name:<26} {value:.4g}" if isinstance(value, float) else f"  {name:<26} {value}")
+        print(f"  {name:<30} {value:.4g}" if isinstance(value, float) else f"  {name:<30} {value}")
     save_results("store_memory", row)
     assert row["images_written"] >= 1 and row["interned_values"] > n
+    # recovery decodes the image a document at a time: its scratch is the
+    # image's text, never the parsed image (that was 4.45x its bytes)
+    assert recover_no_tail_peak <= 1.5 * recover_image_bytes
 
 
 def test_read_counters_flow_to_perf():

@@ -269,11 +269,14 @@ class Collection:
     @staticmethod
     def from_jsonable(blob: Mapping[str, Any]) -> "Collection":
         """Inverse of :meth:`to_jsonable`; ``docs`` may be any iterable
-        and is consumed one document at a time."""
-        coll = Collection(blob["name"])
-        coll._next_id = int(blob["next_id"])
+        and is consumed one document at a time.  Members are read in
+        sorted-key order — ``docs``, ``name``, ``next_id`` — the order an
+        image streamed off disk hands them out in."""
+        coll = Collection("")
         for doc in blob["docs"]:
             coll._docs[int(doc["_id"])] = coll._frozen(doc)
+        coll.name = blob["name"]
+        coll._next_id = int(blob["next_id"])
         return coll
 
 
@@ -367,11 +370,14 @@ class DocumentStore:
 
     @staticmethod
     def from_jsonable(blob: Mapping[str, Any]) -> "DocumentStore":
+        """Inverse of :meth:`to_jsonable`, reading ``collections`` before
+        ``format`` (sorted-key order, see :meth:`Collection.from_jsonable`)."""
+        store = DocumentStore()
+        for cblob in blob.get("collections", ()):
+            coll = Collection.from_jsonable(cblob)
+            store._collections[coll.name] = coll
         if blob.get("format") != "gptunecrowd-store-v1":
             raise ValueError("not a GPTuneCrowd store blob")
-        store = DocumentStore()
-        for cblob in blob["collections"]:
-            store._collections[cblob["name"]] = Collection.from_jsonable(cblob)
         return store
 
     @staticmethod

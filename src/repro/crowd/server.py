@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..registry import ModelRegistry
@@ -46,6 +46,31 @@ _SENSITIVITY_MAX_BOOTSTRAP = 10_000
 class CrowdServer:
     """Transport-free request dispatcher for the crowd service."""
 
+    #: route -> handler method name, resolved per request (a table of
+    #: bound methods would make every server a reference cycle, alive
+    #: after its last holder until the next collector pass)
+    _ROUTES = {
+        route: f"_route_{route}"
+        for route in (
+            "register",
+            "issue_key",
+            "whoami",
+            "upload",
+            "query",
+            "query_sql",
+            "problems",
+            "upload_model",
+            "query_models",
+            "leaderboard",
+            "contributors",
+            "browse_html",
+            "register_problem",
+            "predict",
+            "model_meta",
+            "sensitivity",
+        )
+    }
+
     def __init__(
         self,
         repository: CrowdRepository | None = None,
@@ -57,31 +82,13 @@ class CrowdServer:
         #: optional frozen-model registry (repro.registry); the four
         #: registry routes answer not_found when none is attached
         self.registry = registry
-        self._routes: dict[str, Callable[[Mapping[str, Any]], dict[str, Any]]] = {
-            "register": self._route_register,
-            "issue_key": self._route_issue_key,
-            "whoami": self._route_whoami,
-            "upload": self._route_upload,
-            "query": self._route_query,
-            "query_sql": self._route_query_sql,
-            "problems": self._route_problems,
-            "upload_model": self._route_upload_model,
-            "query_models": self._route_query_models,
-            "leaderboard": self._route_leaderboard,
-            "contributors": self._route_contributors,
-            "browse_html": self._route_browse_html,
-            "register_problem": self._route_register_problem,
-            "predict": self._route_predict,
-            "model_meta": self._route_model_meta,
-            "sensitivity": self._route_sensitivity,
-        }
 
     # -- dispatch ----------------------------------------------------------
     def handle(self, request: Mapping[str, Any]) -> dict[str, Any]:
         """Process one request dict; never raises."""
         if not isinstance(request, Mapping):
             return bad_request("request must be an object")
-        return self._answer(request, self._routes)
+        return self._answer(request, self._ROUTES)
 
     def summary(self, request: Mapping[str, Any]) -> dict[str, Any]:
         """The shard-level ``summary`` route: the partial aggregate rows
@@ -90,15 +97,13 @@ class CrowdServer:
         :meth:`handle` do not know it; :class:`CrowdShard` serves it
         beside ``digest`` / ``fetch`` — but answered under the same
         error mapping as one."""
-        return self._answer(request, {"summary": self._route_summary})
+        return self._answer(request, {"summary": "_route_summary"})
 
-    @staticmethod
     def _answer(
-        request: Mapping[str, Any],
-        routes: Mapping[str, Callable[[Mapping[str, Any]], dict[str, Any]]],
+        self, request: Mapping[str, Any], routes: Mapping[str, str]
     ) -> dict[str, Any]:
-        """Run the request's route out of ``routes``, mapping what the
-        handler raises to the protocol's failure responses."""
+        """Run the request's route (``routes`` names its method), mapping
+        what the handler raises to the protocol's failure responses."""
         route = request.get("route")
         try:
             handler = routes.get(route)  # an unhashable route: TypeError
@@ -108,7 +113,7 @@ class CrowdServer:
                     "error": "not_found",
                     "message": f"unknown route {route!r}",
                 }
-            return handler(request)
+            return getattr(self, handler)(request)
         except AuthError as exc:
             return {"ok": False, "error": "auth", "message": str(exc)}
         except (KeyError, TypeError, ValueError) as exc:
@@ -128,7 +133,7 @@ class CrowdServer:
         return json.dumps(self.handle(request), default=str)
 
     def routes(self) -> list[str]:
-        return sorted(self._routes)
+        return sorted(self._ROUTES)
 
     # -- account routes -------------------------------------------------------
     def _route_register(self, req: Mapping[str, Any]) -> dict[str, Any]:

@@ -160,10 +160,11 @@ class DurableJobQueue:
         assert self._log is not None
 
         def load(image: Mapping[str, Any]) -> None:
-            self._next_job_id = int(image["next_job_id"])
+            # members in file order (DurableLog.recover); a job is read whole
             for doc in image["jobs"]:
-                job = FabricJob.from_doc(doc)
+                job = FabricJob.from_doc(dict(doc))
                 self._jobs[job.job_id] = job
+            self._next_job_id = int(image["next_job_id"])
 
         def apply(op: Mapping[str, Any]) -> None:
             self._apply_op(op)

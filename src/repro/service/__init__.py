@@ -64,6 +64,11 @@ __all__ = [
 ]
 
 
+def _restarting(request: Mapping[str, Any]) -> dict[str, Any]:
+    """A restarting node's transport target: the node is not there."""
+    raise TransportError("endpoint is restarting")
+
+
 def _node(
     name: str,
     data_dir: str | Path | None,
@@ -135,25 +140,42 @@ class CrowdService:
     def restart_shard(self, name: str) -> None:
         """Crash-restart a shard from its data directory.
 
-        The in-memory node is discarded and rebuilt by WAL/snapshot
-        recovery — the simulation of a real process restart.  Anything
-        the shard missed while down (or lost to an old snapshot image)
-        is healed by hint replay and the next anti-entropy round.
+        The in-memory node is closed and freed first, then rebuilt by
+        WAL/snapshot recovery — the simulation of a real process restart,
+        which never holds two copies of a node.  The node is down while
+        it recovers: a request for it fails over (writes are hinted, like
+        during any outage) instead of reaching the closed node.  Its
+        transport then goes back to the state it was in; if that was up,
+        the hints stored meanwhile replay at once.  Anything else the
+        shard missed (or lost to an old snapshot image) is healed by hint
+        replay and the next anti-entropy round.  If recovery raises, the
+        node stays down and out of :attr:`shards`.
         """
-        old = self.shards[name]
-        if old.data_dir is None:
+        shard = self.shards[name]
+        if shard.data_dir is None:
             raise ValueError(f"shard {name!r} is memory-only; nothing to recover")
-        old.close()
+        data_dir, snapshot_every, fsync_every = (
+            shard.data_dir,
+            shard.snapshot_every,
+            shard.fsync_every,
+        )
+        transport = self.transports[name]
+        was_down = transport.down
+        transport.down = True
+        transport.retarget(_restarting)
+        shard.close()
+        del self.shards[name], shard  # nothing refers to the old node now
         self.shards[name], _ = _node(
             name,
-            old.data_dir,
+            data_dir,
             self.router.replay_hints,
             users=self.users,
             registry=self.registry,
-            snapshot_every=old.snapshot_every,
-            fsync_every=old.fsync_every,
-            transport=self.transports[name],
+            snapshot_every=snapshot_every,
+            fsync_every=fsync_every,
+            transport=transport,
         )
+        transport.down = was_down
 
     def add_shard(
         self,

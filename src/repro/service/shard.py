@@ -13,10 +13,13 @@ durable by a :class:`~repro.service.wal.DurableLog` (journal-then-ack,
 snapshots paid for by journal growth, crash recovery: the contract is
 stated there, once).  The shard never copies its store to persist or
 recover it: an image is serialized straight from the stored frozen
-documents, and a restart drains the parsed image document by document
-into the store (which shares equal sub-documents,
+documents, and a restart decodes the image one document at a time, in
+file order, into the store (which shares equal sub-documents,
 :class:`~repro.crowd.columnar.Interner`) and applies the journal tail
-one op at a time.  Shards
+one op at a time — beside the store it holds the image's text and one
+document, never the parsed image.  A closed node keeps nothing alive:
+its store stops referring to it, and nothing in it refers to itself, so
+it is freed by refcount the moment its last holder lets go.  Shards
 share one :class:`~repro.crowd.users.UserRegistry` (accounts are not
 sharded, mirroring the usual service split of an auth tier in front of
 storage tiers); credentials never touch the WAL or snapshots, matching
@@ -30,7 +33,7 @@ import json
 import threading
 from bisect import bisect_right
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping
 
 from ..core import perf
 from ..crowd.columnar import sort_key
@@ -150,13 +153,6 @@ def _refuse_after_close(op: Mapping[str, Any]) -> None:
     raise ValueError("shard is closed: the mutation was not journaled")
 
 
-def _drain(items: list[Any]) -> Iterator[Any]:
-    """The items in order, each released from the list as it is yielded."""
-    items.reverse()
-    while items:
-        yield items.pop()
-
-
 def _ring_hash(value: str) -> int:
     return int.from_bytes(hashlib.sha256(value.encode()).digest()[:8], "little")
 
@@ -268,17 +264,17 @@ class CrowdShard:
     def _recover_store(self) -> DocumentStore:
         """The store as of the last acknowledged op: image + journal tail.
 
-        Neither is ever whole in memory beside the store it becomes: the
-        parsed image is drained document by document as the store freezes
-        (and shares) them, and the tail's ops are applied as they are read.
+        Beside the store it becomes, recovery holds the image's text and
+        one document: :meth:`DurableLog.recover` decodes the image one
+        document at a time, in file order, as the store freezes (and
+        shares) them; the text is released before the tail is replayed,
+        and the tail's ops are applied as they are read.
         """
         assert self._log is not None
         store = DocumentStore()
 
-        def load(image: dict[str, Any]) -> None:
+        def load(image: Mapping[str, Any]) -> None:
             nonlocal store
-            for blob in image["store"]["collections"]:
-                blob["docs"] = _drain(blob["docs"])
             store = DocumentStore.from_jsonable(image["store"])
 
         def apply(op: dict[str, Any]) -> None:

@@ -118,6 +118,12 @@ class SimTransport:
             for callback in list(self._on_up):
                 callback(self.name)
 
+    def retarget(self, target: Callable[[Mapping[str, Any]], dict[str, Any]]) -> None:
+        """Point the channel at ``target`` once the delivery in progress
+        (if any) is done; deliveries still waiting get the new one."""
+        with self._lock:
+            self.target = target
+
     def on_up(self, callback: Callable[[str], None]) -> None:
         """Register ``callback(name)`` to fire when ``down`` clears.
 

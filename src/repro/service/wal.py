@@ -38,9 +38,14 @@ thread wrote it** (``docs/architecture.md``, "Durability").
   :meth:`DurableLog.recover` and the trim, so a process that restarts
   often checkpoints as if it had never stopped.
 * Images are written member by member (:func:`_json_chunks`), never as
-  one string; recovery hands the snapshot payload to the caller's
-  ``load`` and then every uncovered journal op to its ``apply`` *as it
-  is parsed* — the tail can be as large as the image and is never a list.
+  one string, and read back the same way: recovery hands the caller's
+  ``load`` a lazy image whose outer containers are walked member by
+  member down to the depth they were written at, each document below
+  that decoded by one ``raw_decode`` call as it is reached — the scratch
+  is one document plus the image text, never the parsed image.  So a
+  ``load`` reads members in file order (keys are sorted).  Then every
+  uncovered journal op goes to ``apply`` *as it is parsed* — the tail
+  can be as large as the image and is never a list.
 * A torn final journal line (the classic power-cut artifact) is
   discarded on recovery (``wal_torn_tail`` counter) — the op it belonged
   to was never acknowledged — and cut off before the journal is reopened
@@ -60,6 +65,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -127,29 +133,27 @@ class DurableLog:
     # -- recovery ------------------------------------------------------------
     def recover(
         self,
-        load: Callable[[dict[str, Any]], None] | None = None,
+        load: Callable[[Mapping[str, Any]], None] | None = None,
         apply: Callable[[dict[str, Any]], None] | None = None,
     ) -> None:
         """Read the directory and open the journal for append.
 
         ``load`` receives the snapshot payload (not called without a
-        snapshot); ``apply`` then receives each journal op the snapshot
-        does not cover, in order, sequence number stripped, *as it is
-        parsed* — the tail may be as large as the image, and is never
-        held as a list.  Numbering continues after the last op seen, and
-        the checkpoint rule resumes from what is on disk: the image's
-        size, the journal's size, the ops in the tail.
+        snapshot) as a lazy, read-once mapping: its members must be read
+        in file order, which is sorted-key order.  Asking for a member
+        decodes the ones it passes whole; a container asked for above the
+        documents is handed out lazily in turn, and asking past an array
+        that was handed out but not read to its end raises ``ValueError``
+        — its items are never skipped.
+        ``apply`` then receives each journal op the snapshot does not
+        cover, in order, sequence number stripped, *as it is parsed* —
+        the tail may be as large as the image, and is never held as a
+        list.  Numbering continues after the last op seen, and the
+        checkpoint rule resumes from what is on disk: the image's size,
+        the journal's size, the ops in the tail.
         """
         if self.snapshot_path.exists():
-            payload = json.loads(self.snapshot_path.read_text())
-            if payload.get("format") != self.snapshot_format:
-                raise ValueError(
-                    f"{self.snapshot_path}: not a {self.snapshot_format} snapshot"
-                )
-            self._seq = int(payload["wal_seq"])
-            self._image_bytes = self.snapshot_path.stat().st_size
-            if load is not None:
-                load(payload)
+            self._load_image(load)
         covered = self._seq
         for entry in iter_wal(self.wal_path):
             seq = int(entry.pop("seq", 0))
@@ -164,20 +168,49 @@ class DurableLog:
         self._wal_bytes = self.wal_path.stat().st_size
         self._check_due_locked()
 
+    def _load_image(self, load: Callable[[Mapping[str, Any]], None] | None) -> None:
+        """Hand the snapshot to ``load`` and resume numbering after it;
+        the image text is released on return, before the journal tail is
+        replayed."""
+        cursor = _Cursor(self.snapshot_path.read_text())
+        image = _LazyObject(cursor, _CHUNK_DEPTH)
+        if image.get("format") != self.snapshot_format:
+            raise ValueError(f"{self.snapshot_path}: not a {self.snapshot_format} snapshot")
+        self._image_bytes = self.snapshot_path.stat().st_size
+        if load is not None:
+            load(image)
+        self._seq = int(image["wal_seq"])
+        _finish(image)
+        if cursor.peek():
+            raise ValueError(f"{self.snapshot_path}: data after the image at {cursor.pos}")
+
     def _repair_tail(self) -> None:
         """Truncate a torn final line before reopening for append.
 
         The fragment belongs to an op that was never acknowledged
         (recovery already discarded it); left in place, the next append
-        would glue onto it and corrupt a *valid* entry.
+        would glue onto it and corrupt a *valid* entry.  Only the end of
+        the journal is read: its last byte, and when that is not a
+        newline, blocks backwards up to the last one.
         """
         if not self.wal_path.exists():
             return
-        data = self.wal_path.read_bytes()
-        if not data or data.endswith(b"\n"):
-            return
         with open(self.wal_path, "r+b") as fh:
-            fh.truncate(data.rfind(b"\n") + 1)
+            cut = fh.seek(0, os.SEEK_END)
+            if cut == 0:
+                return
+            fh.seek(cut - 1)
+            if fh.read(1) == b"\n":
+                return
+            while cut > 0:
+                start = max(0, cut - _TAIL_BLOCK)
+                fh.seek(start)
+                newline = fh.read(cut - start).rfind(b"\n")
+                if newline >= 0:
+                    cut = start + newline + 1
+                    break
+                cut = start
+            fh.truncate(cut)
             os.fsync(fh.fileno())
 
     # -- journaling ----------------------------------------------------------
@@ -310,6 +343,10 @@ def read_wal(path: str | Path) -> list[dict[str, Any]]:
 #: collections, collection, ``docs``); below that it is one C-encoder call
 _CHUNK_DEPTH = 5
 _encode = json.JSONEncoder(sort_keys=True).encode
+_decode = json.JSONDecoder().raw_decode
+_BLANK = re.compile(r"[ \t\n\r]*")
+#: how far back :meth:`DurableLog._repair_tail` reads at a time
+_TAIL_BLOCK = 1 << 16
 
 
 def _json_chunks(value: Any, depth: int = _CHUNK_DEPTH) -> Iterator[str]:
@@ -332,6 +369,145 @@ def _json_chunks(value: Any, depth: int = _CHUNK_DEPTH) -> Iterator[str]:
         yield "]"
     else:
         yield _encode(value)
+
+
+class _Cursor:
+    """One forward position in an image's text, shared by all of its
+    lazy containers."""
+
+    __slots__ = ("text", "pos")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.pos = 0
+
+    def peek(self) -> str:
+        """The next non-blank character (``""`` at the end), not consumed."""
+        self.pos = _BLANK.match(self.text, self.pos).end()
+        return self.text[self.pos : self.pos + 1]
+
+    def expect(self, char: str) -> None:
+        if self.peek() != char:
+            raise ValueError(f"image: expected {char!r} at character {self.pos}")
+        self.pos += 1
+
+    def value(self, depth: int) -> Any:
+        """The value at the cursor: a lazy container while ``depth``
+        lasts, below that one document decoded whole."""
+        char = self.peek()
+        if depth and char == "{":
+            return _LazyObject(self, depth)
+        if depth and char == "[":
+            return _LazyArray(self, depth)
+        value, self.pos = _decode(self.text, self.pos)
+        return value
+
+
+class _LazyObject(Mapping[str, Any]):
+    """An image object, read member by member in file order.
+
+    Asking for a key reads up to it: members passed on the way are
+    decoded whole and kept, the one asked for is handed out lazily if it
+    is a container above the documents (:meth:`DurableLog.recover`).
+    """
+
+    def __init__(self, cursor: _Cursor, depth: int) -> None:
+        cursor.expect("{")
+        self._cursor = cursor
+        self._depth = depth
+        self._members: dict[str, Any] = {}
+        #: the container last handed out, which the cursor may be inside
+        self._open: Any = None
+        self._done = cursor.peek() == "}"
+        if self._done:
+            cursor.pos += 1
+
+    def _advance(self, wanted: str | None) -> bool:
+        """Read the next member (lazily only if it is ``wanted``);
+        ``False`` once the object is over."""
+        if self._done:
+            return False
+        cursor = self._cursor
+        _finish(self._open)
+        self._open = None
+        if cursor.peek() == "}":
+            cursor.pos += 1
+            self._done = True
+            return False
+        if self._members:
+            cursor.expect(",")
+        cursor.peek()
+        key, cursor.pos = _decode(cursor.text, cursor.pos)
+        if type(key) is not str:
+            raise ValueError(f"image: expected a key at character {cursor.pos}")
+        cursor.expect(":")
+        value = cursor.value(self._depth - 1 if key == wanted else 0)
+        self._members[key] = value
+        if type(value) in (_LazyObject, _LazyArray):
+            self._open = value
+        return True
+
+    def __getitem__(self, key: str) -> Any:
+        while key not in self._members:
+            if not self._advance(key):
+                raise KeyError(key)
+        return self._members[key]
+
+    def __iter__(self) -> Iterator[str]:
+        while self._advance(None):
+            pass
+        return iter(self._members)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
+class _LazyArray:
+    """An image array, iterated once, one item at a time."""
+
+    def __init__(self, cursor: _Cursor, depth: int) -> None:
+        cursor.expect("[")
+        self._cursor = cursor
+        self._depth = depth
+        self._started = False
+        self._done = cursor.peek() == "]"
+        if self._done:
+            cursor.pos += 1
+
+    def __iter__(self) -> Iterator[Any]:
+        if self._started:
+            raise ValueError("image: an array is read once")
+        self._started = True
+        return self._items()
+
+    def _items(self) -> Iterator[Any]:
+        cursor = self._cursor
+        first = True
+        while not self._done:
+            if cursor.peek() == "]":
+                cursor.pos += 1
+                self._done = True
+                return
+            if not first:
+                cursor.expect(",")
+            first = False
+            item = cursor.value(self._depth - 1)
+            yield item
+            _finish(item)
+
+
+def _finish(value: Any) -> None:
+    """Move the cursor past a container handed out of an image: an
+    object's unread members are decoded and kept, but an array left
+    before its end is an error — its remaining items would be skipped."""
+    if type(value) is _LazyObject:
+        while value._advance(None):
+            pass
+    elif type(value) is _LazyArray and not value._done:
+        raise ValueError(
+            "image: an array was left before its end; read an image's "
+            "members in file order"
+        )
 
 
 def write_json_atomic(path: str | Path, blob: Mapping[str, Any]) -> None:

@@ -63,6 +63,19 @@ def traced(build):
         tracemalloc.stop()
 
 
+def scratch(build):
+    """``(build(), traced peak while it ran above what it kept)``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        built = build()
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+        return built, peak - kept
+    finally:
+        tracemalloc.stop()
+
+
 def filled(store: DocumentStore) -> DocumentStore:
     for i in range(N):
         store["performance_records"].insert(record(i))
@@ -105,10 +118,23 @@ def _upload(shard: CrowdShard, key: str, i: int) -> None:
     assert shard.handle({"route": "upload", "api_key": key, **record(i)})["ok"]
 
 
-def test_a_snapshot_builds_no_second_document_tree(tmp_path):
+def _alice() -> tuple[UserRegistry, str]:
     users = UserRegistry()
     users.register("alice", "a@lab.gov")
-    key = users.issue_api_key("alice")
+    return users, users.issue_api_key("alice")
+
+
+def _filled_shard(data_dir, users, key, *, image: bool) -> None:
+    """N uploads, all in an image (``image``) or all in the journal."""
+    with _shard(data_dir, users) as shard:
+        for i in range(N):
+            _upload(shard, key, i)
+        if image:
+            shard.snapshot()
+
+
+def test_a_snapshot_builds_no_second_document_tree(tmp_path):
+    users, key = _alice()
     with _shard(tmp_path, users) as shard:
         for i in range(N):
             _upload(shard, key, i)
@@ -127,10 +153,36 @@ def test_a_snapshot_builds_no_second_document_tree(tmp_path):
         assert peak <= 1.1 * image_bytes
 
 
+def test_an_image_only_restart_holds_the_image_text_and_one_document(tmp_path):
+    """The image is decoded a document at a time as the store takes
+    them, so the scratch is about the image's text.  (Parsed whole, the
+    image's plain tree beside the store it became was 4.45x its bytes.)"""
+    users, key = _alice()
+    _filled_shard(tmp_path, users, key, image=True)
+    assert (tmp_path / "wal.jsonl").stat().st_size == 0
+    image_bytes = (tmp_path / "snapshot.json").stat().st_size
+    restarted, extra = scratch(lambda: _shard(tmp_path, users))
+    with restarted:
+        assert restarted.count() == N
+    assert extra <= 1.5 * image_bytes
+
+
+def test_a_tail_only_restart_never_holds_the_journal(tmp_path):
+    """No image: every op is replayed as its line is read, and the torn
+    tail check reads the journal's end, not the whole file."""
+    users, key = _alice()
+    _filled_shard(tmp_path, users, key, image=False)
+    assert not (tmp_path / "snapshot.json").exists()
+    journal_bytes = (tmp_path / "wal.jsonl").stat().st_size
+    assert journal_bytes > 400 * N
+    restarted, extra = scratch(lambda: _shard(tmp_path, users))
+    with restarted:
+        assert restarted.count() == N
+    assert extra < 0.5 * journal_bytes
+
+
 def test_a_restart_from_image_plus_a_long_tail_costs_what_the_live_shard_did(tmp_path):
-    users = UserRegistry()
-    users.register("alice", "a@lab.gov")
-    key = users.issue_api_key("alice")
+    users, key = _alice()
 
     def live() -> CrowdShard:
         shard = _shard(tmp_path, users)

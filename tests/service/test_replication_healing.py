@@ -10,6 +10,7 @@ import pytest
 from repro.core import perf
 from repro.engine.faults import RetryPolicy
 from repro.service import (
+    CrowdShard,
     RouterOptions,
     ServiceClient,
     SimTransport,
@@ -324,6 +325,58 @@ class TestIdempotentRetry:
         assert first["uid"] != second["uid"]
         response = _pinned_query(svc.client, key, {"t": 0})
         assert len(response["records"]) == 2
+
+
+class TestRestartShard:
+    def _holders(self, svc, uid: int) -> list[str]:
+        return sorted(
+            name
+            for name, shard in svc.shards.items()
+            if shard.repository.store[_RECORDS].find({"uid": uid})
+        )
+
+    def test_a_write_racing_a_restart_is_hinted_not_refused(self, tmp_path, monkeypatch):
+        """An upload that arrives while a shard recovers finds the node
+        down: the other replica takes it, the router hints it, and the
+        hint replays once the node is back.  (While the upload reached
+        the closed node being replaced, its store refused the write as
+        unjournaled, and the client got ``bad_request`` for a valid
+        upload that no replica kept.)"""
+        svc = build_service(2, replication=2, data_dir=tmp_path)
+        try:
+            key = svc.register_user("alice", "a@lab.gov")[1]
+            assert _upload(svc.client, key, 0)["ok"]
+            racing: list[dict] = []
+            recover = CrowdShard._recover_store
+
+            def recover_with_a_racing_upload(shard):
+                racing.append(_upload(svc.client, key, 1))
+                return recover(shard)
+
+            monkeypatch.setattr(CrowdShard, "_recover_store", recover_with_a_racing_upload)
+            svc.restart_shard("shard-0")
+            assert len(racing) == 1
+            assert racing[0]["ok"] and racing[0]["status"] == "degraded", racing[0]
+            assert not svc.transports["shard-0"].down
+            assert svc.router.hints_pending() == 0
+            assert self._holders(svc, racing[0]["uid"]) == ["shard-0", "shard-1"]
+        finally:
+            svc.close()
+
+    def test_a_down_shard_stays_down_across_a_restart(self, tmp_path):
+        svc = build_service(2, replication=2, data_dir=tmp_path)
+        try:
+            key = svc.register_user("alice", "a@lab.gov")[1]
+            svc.kill_shard("shard-0")
+            uid = _upload(svc.client, key, 0)["uid"]
+            svc.restart_shard("shard-0")
+            assert svc.transports["shard-0"].down
+            assert svc.router.hints_pending("shard-0") == 1
+            svc.revive_shard("shard-0")
+            assert svc.router.hints_pending() == 0
+            assert self._holders(svc, uid) == ["shard-0", "shard-1"]
+        finally:
+            svc.close()
 
 
 class TestAntiEntropy:

@@ -140,17 +140,24 @@ class TestClosedShardIsFreed:
         return svc, key
 
     def test_restart_frees_the_old_node_by_refcount(self, tmp_path):
-        """``close()`` breaks the store -> observer -> shard cycle, so the
-        node a restart replaces is gone at once — no collector pass, no
-        second copy of the store waiting for one."""
+        """``close()`` breaks the store -> observer -> shard cycle and the
+        server holds no bound methods of itself, so the node a restart
+        replaces — its store, server and registry included — is gone at
+        once: no collector pass, no second copy of the store waiting for
+        one."""
         svc, _ = self._service(tmp_path)
         gc.collect()
         gc.disable()
         try:
-            old = weakref.ref(svc.shards["shard-0"])
-            records = svc.shards["shard-0"].count()
+            node = svc.shards["shard-0"]
+            old = [
+                weakref.ref(part)
+                for part in (node, node.repository.store, node.server, node.registry)
+            ]
+            records = node.count()
+            del node
             svc.restart_shard("shard-0")
-            assert old() is None
+            assert [ref() for ref in old] == [None] * len(old)
             assert svc.shards["shard-0"].count() == records
         finally:
             gc.enable()

@@ -20,6 +20,7 @@ import pytest
 from repro.crowd.database import DocumentStore
 from repro.crowd.users import UserRegistry
 from repro.service import CrowdShard, DurableLog
+from repro.service import wal as wal_module
 from repro.service.wal import read_wal
 
 
@@ -264,6 +265,117 @@ class TestCrashRecovery:
         assert shard.count() == 1
         assert list(Path(tmp_path).iterdir()) == []
         shard.close()
+
+
+# ---------------------------------------------------------------------------
+# the image is read a member at a time, in file order
+# ---------------------------------------------------------------------------
+
+
+def _image_log(data_dir, text: str | None = None) -> DurableLog:
+    """A log over ``data_dir`` not yet recovered, its image ``text`` if given."""
+    if text is not None:
+        (data_dir / "snapshot.json").write_text(text)
+    return DurableLog(data_dir, "wal.jsonl", "snapshot.json", "test-v1", snapshot_every=10)
+
+
+class TestStreamedImage:
+    PAYLOAD = {
+        "store": {
+            "collections": [
+                {"docs": [{"_id": 1, "a": [1, {"b": None}]}, {"_id": 2}], "name": "x", "next_id": 3},
+                {"docs": [], "name": "y", "next_id": 1},
+            ],
+            "format": "gptunecrowd-store-v1",
+        },
+        "empty": {},
+        "text": 'a "quoted" é value',
+    }
+
+    def _written(self, data_dir) -> str:
+        log = _journal(data_dir)
+        log.append({"op": "drop", "c": "z"})
+        log.snapshot(lambda: self.PAYLOAD)
+        log.close()
+        return (data_dir / "snapshot.json").read_text()
+
+    def test_every_member_reads_back_as_written(self, tmp_path):
+        text = self._written(tmp_path)
+        seen = []
+        log = _image_log(tmp_path)
+        log.recover(lambda image: seen.append(dict(image)))
+        log.close()
+        assert seen == [json.loads(text)]
+        assert log.seq == 1
+
+    def test_blank_space_anywhere_is_read(self, tmp_path):
+        text = json.dumps({"format": "test-v1", "wal_seq": 4, **self.PAYLOAD}, indent=2)
+        stores = []
+        log = _image_log(tmp_path, "\n " + text + "\n")
+        log.recover(lambda image: stores.append(DocumentStore.from_jsonable(image["store"])))
+        log.close()
+        assert stores[0]["x"].find({}) == self.PAYLOAD["store"]["collections"][0]["docs"]
+        assert stores[0].collection_names() == ["x", "y"] and log.seq == 4
+
+    def test_reading_past_an_unread_array_raises(self, tmp_path):
+        self._written(tmp_path)
+
+        def load(image):
+            collection = next(iter(image["store"]["collections"]))
+            collection["docs"]  # handed out, never read
+            collection["name"]
+
+        log = _image_log(tmp_path)
+        with pytest.raises(ValueError, match="left before its end"):
+            log.recover(load)
+
+    def test_an_array_is_read_once(self, tmp_path):
+        self._written(tmp_path)
+
+        def load(image):
+            docs = next(iter(image["store"]["collections"]))["docs"]
+            list(docs)
+            list(docs)
+
+        log = _image_log(tmp_path)
+        with pytest.raises(ValueError, match="read once"):
+            log.recover(load)
+
+    def test_a_member_passed_on_the_way_is_decoded_whole(self, tmp_path):
+        self._written(tmp_path)
+        seen = []
+
+        def load(image):
+            seen.append(image["text"])
+            seen.append(image["store"])  # before "text" in file order
+
+        log = _image_log(tmp_path)
+        log.recover(load)
+        log.close()
+        assert seen == [self.PAYLOAD["text"], self.PAYLOAD["store"]]
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"format": "test-v1", "wal_seq": 1} {}', '{"format": "test-v1", "wal_seq": 1', "[]", ""],
+        ids=["trailing-data", "truncated", "not-an-object", "empty"],
+    )
+    def test_a_malformed_image_raises(self, tmp_path, text):
+        with pytest.raises(ValueError):
+            _image_log(tmp_path, text).recover()
+
+    def test_a_torn_tail_longer_than_a_read_block_is_cut(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wal_module, "_TAIL_BLOCK", 4)
+        log = _journal(tmp_path)
+        log.append({"op": "drop", "c": "a"})
+        log.close()
+        journal = tmp_path / "wal.jsonl"
+        intact = journal.read_bytes()
+        journal.write_bytes(intact + b'{"seq": 2, "op": "drop", "c": "torn')
+        _journal(tmp_path).close()
+        assert journal.read_bytes() == intact
+        journal.write_bytes(b'{"seq": 1, "op": "drop", "c"')  # no newline at all
+        _journal(tmp_path).close()
+        assert journal.read_bytes() == b""
 
 
 # ---------------------------------------------------------------------------
