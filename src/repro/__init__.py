@@ -16,7 +16,9 @@ Subpackages
 ``repro.crowd``
     Document store, records, users, queries, environment parsing, API.
 ``repro.engine``
-    Asynchronous batched evaluation: worker pool, faults, streaming.
+    Crowd streaming of evaluations, fault hooks, client retry policy.
+``repro.fabric``
+    The one parallel executor: forked workers over a durable job queue.
 ``repro.service``
     Sharded, durable, cached serving layer for the crowd repository.
 ``repro.sensitivity``

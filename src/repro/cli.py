@@ -99,12 +99,12 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     options = TunerOptions(n_initial=args.n_initial, **model_policy)
 
     if args.workers > 1 or args.batch > 1:
-        from .engine import AsyncTuner, EngineOptions
+        from .fabric import FabricOptions, FabricTuner
 
-        tuner: Tuner = AsyncTuner(
+        tuner: Tuner = FabricTuner(
             problem,
             options,
-            EngineOptions(n_workers=args.workers, batch=args.batch, lie=args.lie),
+            FabricOptions(n_procs=args.workers, batch=args.batch, lie=args.lie),
         )
     else:
         tuner = Tuner(problem, options=options)
@@ -444,9 +444,9 @@ def main(argv: list[str] | None = None) -> int:
     p_tune.add_argument("--seed", type=int, default=0)
     p_tune.add_argument("--n-initial", type=int, default=2)
     p_tune.add_argument("--workers", type=int, default=1,
-                        help="evaluation workers (>1 uses the async engine)")
+                        help="evaluation worker processes (>1 runs on the fabric)")
     p_tune.add_argument("--batch", type=int, default=1,
-                        help="configurations proposed per batch (async engine)")
+                        help="configurations proposed per batch (fabric)")
     p_tune.add_argument("--lie", default="cl-min",
                         choices=["cl-min", "cl-mean", "cl-max", "kb"],
                         help="fantasy strategy for in-flight evaluations")

@@ -4,7 +4,7 @@ The tuning loop is instrumented with *counters* (how many GP fits,
 incremental updates, Cholesky retries, acquisition evaluations, kernel
 cache hits), *nested timers* (where the per-iteration wall time goes:
 surrogate fit vs acquisition search) and *gauges* (sampled quantities
-like engine queue depth or worker utilization).  The overhead is a few
+like fabric queue depth or worker utilization).  The overhead is a few
 hundred nanoseconds per event, so the instrumentation stays on
 permanently.
 
@@ -15,8 +15,9 @@ carries the stats of exactly its own run.  Events are recorded into
 *all* active collectors, which makes nested tuning runs (ensembles,
 GPTuneBand brackets) compose naturally.
 
-Thread-safety: the asynchronous engine (:mod:`repro.engine`) records
-events from worker threads concurrently with the event loop.  The
+Thread-safety: multi-start MLE (:mod:`repro.core.fit`, ``n_jobs``) and
+the service router's fan-out record events from pool threads
+concurrently with the calling thread.  The
 collector stack is process-global (worker events reach the collectors
 the main thread pushed), every mutation is lock-guarded, and the
 *timer nesting path* is thread-local so concurrent workers cannot

@@ -12,18 +12,18 @@ order, repeat until the budget is spent.  What varies is composed in:
   ``refit_every`` cadence of :mod:`repro.core.fit`;
   :class:`repro.tla.tuner.StrategyProvider` wraps any TLA strategy.
 * an **executor** runs the evaluations: a context manager with
-  ``submit(config) -> job_id``, ``get(timeout) -> EvalOutcome`` (terminal
-  outcomes only — retry and re-dispatch happen inside; ``queue.Empty`` on
-  timeout), ``inflight`` and ``n_workers`` (which bound the proposals
-  kept in flight) and ``step`` (the name of the loop's per-step timer).
-  :class:`InlineExecutor` evaluates in the calling thread; the thread
-  :class:`~repro.engine.pool.WorkerPool` and the process
-  :class:`~repro.fabric.coordinator.FabricCoordinator` also report
-  utilization gauges under their own prefix, and are configured through
-  one base, :class:`ExecutorOptions`.
+  ``submit(config) -> job_id`` (ids count up from 0),
+  ``get(timeout) -> EvalOutcome`` (terminal outcomes only — re-dispatch
+  happens inside; ``queue.Empty`` on timeout), ``inflight`` (submitted,
+  not yet collected) and ``n_workers`` (which bound the proposals kept
+  in flight) and ``step`` (the name of the loop's per-step timer).
+  There are two: :class:`InlineExecutor` evaluates in the calling
+  thread and is the sequential reference; the process
+  :class:`~repro.fabric.coordinator.FabricCoordinator` is the one
+  parallel executor — leases, re-dispatch bounded by
+  ``max_redispatch``, a durable queue, utilization gauges.
 
-:class:`Tuner`, :class:`~repro.tla.tuner.TransferTuner`,
-:class:`~repro.engine.tuner.AsyncTuner` and
+:class:`Tuner`, :class:`~repro.tla.tuner.TransferTuner` and
 :class:`~repro.fabric.tuner.FabricTuner` name the common pairs; any
 other pair is one assignment to ``tuner.provider`` away.
 """
@@ -43,16 +43,14 @@ from .feasibility import KnnFeasibility
 from .fit import RefitCadence, grow_gp
 from .gp import GPFitError, Surrogate
 from .history import History
-from .optimizer import LIE_STRATEGIES, SearchOptions, propose_batch
+from .optimizer import SearchOptions, propose_batch
 from .problem import Evaluation, TuningProblem
 from .samplers import Sampler, get_sampler
 from .space import Space
 from .sparse import check_surrogate_policy, make_surrogate, resolve_surrogate_kind
 
 __all__ = [
-    "EvalJob",
     "EvalOutcome",
-    "ExecutorOptions",
     "GPProvider",
     "InlineExecutor",
     "Tuner",
@@ -146,17 +144,6 @@ class TuningResult:
 
 
 @dataclass
-class EvalJob:
-    """One evaluation request (possibly a retry of an earlier attempt)."""
-
-    job_id: int
-    config: dict[str, Any]
-    attempt: int = 0
-    #: earliest monotonic time the job may start (retry backoff)
-    not_before: float = 0.0
-
-
-@dataclass
 class EvalOutcome:
     """What an executor reports for one job's last attempt."""
 
@@ -165,8 +152,7 @@ class EvalOutcome:
     attempt: int
     #: the completed evaluation; ``None`` when the job was lost
     evaluation: Evaluation | None
-    #: ``None`` on success, else ``"crash"`` / ``"timeout"`` /
-    #: ``"lease-exhausted"`` / ``"error: ..."``
+    #: ``None`` on success, else ``"lease-exhausted"`` / ``"error: ..."``
     error: str | None = None
     worker_id: int | None = None
     #: simulated execution latency (seconds) of this attempt
@@ -179,45 +165,6 @@ class EvalOutcome:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-    @property
-    def job(self) -> EvalJob:
-        return EvalJob(self.job_id, self.config, self.attempt)
-
-
-@dataclass(kw_only=True)
-class ExecutorOptions:
-    """What the thread engine and the process fabric are configured by
-    alike: batch proposal and the simulated-latency model.
-
-    Latency simulation charges each successful evaluation a fixed wall
-    time (:meth:`latency_s`).  With the default of 0 an executor runs as
-    fast as the objective computes — unit tests stay instant, benchmarks
-    dial in realistic latencies.  Keyword-only, like the option classes
-    built on it.
-    """
-
-    #: max proposals per refill round (the ``q`` of batch proposal)
-    batch: int = 1
-    #: fantasy strategy for in-flight evaluations (see LIE_STRATEGIES)
-    lie: str = "cl-min"
-    #: fixed simulated seconds per successful evaluation
-    base_latency_s: float = 0.0
-    #: log-normal sigma of per-worker speed factors
-    heterogeneity: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-        if self.lie not in LIE_STRATEGIES:
-            raise ValueError(f"lie must be one of {LIE_STRATEGIES}, got {self.lie!r}")
-
-    def latency_s(self, evaluation: Evaluation | None) -> float:
-        """Simulated seconds ``evaluation`` occupies a unit-speed worker:
-        ``base_latency_s``, or nothing for a failed or lost one."""
-        if evaluation is None or evaluation.failed:
-            return 0.0
-        return max(self.base_latency_s, 0.0)
 
 
 class InlineExecutor:
@@ -416,10 +363,10 @@ class Tuner:
         """Run ``n_samples`` function evaluations on ``task``.
 
         Every terminal outcome (success, objective failure, or a job
-        the executor lost for good) consumes one sample; retries and
-        re-dispatches of the same job do not.  An existing ``history``
-        may be passed to continue a previous run (its evaluations count
-        toward the surrogate but not the budget).
+        the executor lost for good) consumes one sample; re-dispatches
+        of the same job do not.  An existing ``history`` may be passed
+        to continue a previous run (its evaluations count toward the
+        surrogate but not the budget).
         """
         if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
@@ -459,9 +406,9 @@ class Tuner:
                 config = pending.pop(outcome.job_id, outcome.config)
                 evaluation = outcome.evaluation
                 if evaluation is None:
-                    # the executor gave the job up (retries or leases
-                    # exhausted, or a hard error): a crowd-style failure
-                    # record — consumes budget, feeds feasibility
+                    # the executor gave the job up (re-dispatches
+                    # exhausted, or the objective raised): a crowd-style
+                    # failure record — consumes budget, feeds feasibility
                     failure = {"failure": outcome.error or "unknown"}
                     evaluation = Evaluation(dict(task), dict(config), None, failure)
                 evaluation.metadata.update(outcome.metadata)

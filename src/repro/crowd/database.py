@@ -37,9 +37,9 @@ views directly (zero copies, mutation raises; counter
 ``store_zero_copy_reads``); the default remains a mutable deep copy.
 
 Thread-safety: every :class:`Collection` guards its mutation/read
-boundary with an :class:`~threading.RLock` — the asynchronous engine's
-:class:`~repro.engine.stream.CrowdStreamer` uploads from multiple worker
-threads while queries run concurrently, and the sharded service
+boundary with an :class:`~threading.RLock` — uploads (e.g. from
+:class:`~repro.engine.stream.CrowdStreamer`) may land while queries run
+concurrently, and the sharded service
 (:mod:`repro.service`) serves each shard from router worker threads.
 
 Durability hook: a store-level *mutation observer* receives one

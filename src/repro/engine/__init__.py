@@ -1,32 +1,26 @@
-"""Asynchronous batched evaluation engine (system S12).
+"""Crowd streaming, fault hooks and the client retry policy (system S12).
 
-The sequential tuner evaluates one configuration at a time; real crowd
-tuning does not.  This package runs the same Bayesian-optimization loop
-against a pool of simulated workers, keeping every worker busy with
-fantasy-conditioned batch proposals, surviving worker crashes and
-timeouts through bounded retry, and streaming each completed evaluation
-to the crowd repository the moment it lands.
+What is left of the evaluation engine once the process fabric
+(:mod:`repro.fabric`) became the one parallel executor:
 
-Layering: :mod:`repro.engine` sits above :mod:`repro.core` (the loop,
-surrogates, batch proposal), :mod:`repro.hpc` (the simulated cluster
-workers allocate from), and :mod:`repro.crowd` (the upload route the
-streamer posts to).  Nothing in those packages imports the engine.
+* :class:`CrowdStreamer` — the callback that uploads every completed
+  evaluation to the crowd repository the moment it lands;
+* :class:`FaultInjector` / :class:`ScriptedFaults` — deterministic
+  worker-crash hooks, ``fault(job_id, attempt) -> bool``, handed to the
+  fabric coordinator;
+* :class:`RetryPolicy` — the service client's bounded backoff.
+
+Layering: :mod:`repro.engine` sits above :mod:`repro.core` (evaluations,
+perf counters).  It reaches the crowd repository only through the
+``handle()`` protocol, and nothing in :mod:`repro.core` imports it.
 """
 
-from .faults import FaultInjector, RetryPolicy, ScriptedFaults, WorkerCrash
-from .pool import EvalJob, EvalOutcome, WorkerPool
+from .faults import FaultInjector, RetryPolicy, ScriptedFaults
 from .stream import CrowdStreamer
-from .tuner import AsyncTuner, EngineOptions
 
 __all__ = [
-    "AsyncTuner",
     "CrowdStreamer",
-    "EngineOptions",
-    "EvalJob",
-    "EvalOutcome",
     "FaultInjector",
     "RetryPolicy",
     "ScriptedFaults",
-    "WorkerCrash",
-    "WorkerPool",
 ]

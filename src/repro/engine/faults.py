@@ -1,14 +1,17 @@
-"""Fault injection and retry policy for the asynchronous engine.
+"""Fault injection for the fabric, and the service client's retry policy.
 
-Real crowd tuning loses evaluations: nodes die, jobs hit their wall
-time, file systems hiccup.  The engine simulates those failure modes so
-the recovery paths (bounded retry with exponential backoff, failure
-records feeding the feasibility model) are continuously exercised.
+Real crowd tuning loses evaluations: nodes die, processes segfault, file
+systems hiccup.  The fabric simulates the first two so its recovery path
+(lease re-dispatch up to ``max_redispatch``, then a failure record
+feeding the feasibility model) is continuously exercised.  A fault hook
+is any ``fault(job_id, attempt) -> bool``; the worker process that runs
+an attempt the hook picks dies mid-evaluation
+(:func:`repro.fabric.worker.worker_main`).
 
 Determinism contract: :class:`FaultInjector` decides crashes by hashing
-``(seed, job_id, attempt)`` — *never* from wall-clock or thread timing —
-so a run with a fixed seed injects exactly the same faults regardless of
-worker interleaving.  :class:`ScriptedFaults` pins specific
+``(seed, job_id, attempt)`` — *never* from wall-clock or process timing
+— so a run with a fixed seed injects exactly the same faults regardless
+of which worker picks a job up.  :class:`ScriptedFaults` pins specific
 ``(job_id, attempt)`` pairs for regression tests.
 """
 
@@ -16,17 +19,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable
 
-__all__ = ["FaultInjector", "RetryPolicy", "ScriptedFaults", "WorkerCrash"]
-
-
-class WorkerCrash(RuntimeError):
-    """A simulated worker death mid-evaluation."""
-
-
-class FaultSource(Protocol):  # pragma: no cover - typing helper
-    def should_crash(self, worker_id: int, job_id: int, attempt: int) -> bool: ...
+__all__ = ["FaultInjector", "RetryPolicy", "ScriptedFaults"]
 
 
 class FaultInjector:
@@ -35,7 +30,7 @@ class FaultInjector:
     ``rate`` is the per-attempt crash probability.  The decision for a
     given ``(job_id, attempt)`` is a pure function of the seed, so the
     same tuning run injects the same faults no matter which worker picks
-    the job up or how threads interleave.
+    the job up or how processes interleave.
     """
 
     def __init__(self, rate: float, seed: int = 0) -> None:
@@ -44,7 +39,7 @@ class FaultInjector:
         self.rate = float(rate)
         self.seed = int(seed)
 
-    def should_crash(self, worker_id: int, job_id: int, attempt: int) -> bool:
+    def __call__(self, job_id: int, attempt: int) -> bool:
         if self.rate <= 0.0:
             return False
         blob = f"{self.seed}:{job_id}:{attempt}".encode()
@@ -58,24 +53,18 @@ class ScriptedFaults:
 
     def __init__(self, crashes: Iterable[tuple[int, int]]) -> None:
         self.crashes = {(int(j), int(a)) for j, a in crashes}
-        self.triggered: list[tuple[int, int]] = []
 
-    def should_crash(self, worker_id: int, job_id: int, attempt: int) -> bool:
-        if (job_id, attempt) in self.crashes:
-            self.triggered.append((job_id, attempt))
-            return True
-        return False
+    def __call__(self, job_id: int, attempt: int) -> bool:
+        return (job_id, attempt) in self.crashes
 
 
 @dataclass
 class RetryPolicy:
-    """Bounded retry with exponential backoff.
+    """Bounded retry with exponential backoff (the service client's).
 
-    A crashed or timed-out evaluation is retried up to ``max_retries``
+    A faulted or throttled request is retried up to ``max_retries``
     times; retry ``k`` waits ``base_s * factor**k`` (capped at
-    ``cap_s``) before re-executing.  The backoff is charged to the
-    worker that picks the retry up, not to the event loop, so other
-    in-flight evaluations keep completing during the wait.
+    ``cap_s``) before it is sent again.
     """
 
     max_retries: int = 2
@@ -94,5 +83,5 @@ class RetryPolicy:
         return attempt < self.max_retries
 
     def backoff_s(self, attempt: int) -> float:
-        """Delay before re-running a job that failed on ``attempt``."""
+        """Delay before re-sending a request that failed on ``attempt``."""
         return min(self.cap_s, self.base_s * self.factor**attempt)

@@ -10,22 +10,26 @@ pump, driven from :meth:`get`, does four things each tick:
    applied) surface as :class:`~repro.core.tuner.EvalOutcome`\\ s,
    with the worker's perf snapshot merged into the parent's collectors;
 2. **reap** dead processes — a worker that exited without being asked
-   (kill -9, segfault, OOM) has its leased job re-dispatched
-   immediately;
+   (kill -9, segfault, OOM, an injected fault) has its leased job
+   re-dispatched immediately and is replaced by a fresh process;
 3. **expire** leases — a leased job past its deadline while its worker
    is merely *slow* is re-dispatched to another worker (straggler
-   mitigation); if the straggler eventually reports, the stale token is
-   rejected by the queue, so the completion is never applied twice.  A
-   job that exhausts ``max_redispatch`` is completed as a failure
-   rather than looping forever;
+   mitigation).  The straggler is handed nothing else until it reports;
+   if its stale token then loses the race, the queue rejects it, so the
+   completion is never applied twice;
 4. **dispatch** pending jobs to idle workers under fresh leases.
+
+``max_redispatch`` is the one retry bound: a job lost (to a crash or an
+expired lease) that many times is completed as a ``"lease-exhausted"``
+failure by :meth:`_recover_lost_job`, the one place an executor gives a
+job up, rather than looping forever.
 
 Elasticity: :meth:`add_worker` joins a new process mid-run,
 :meth:`remove_worker` drains one gracefully (it finishes its current
 evaluation first — the stop message queues behind the job), and
 :meth:`kill_worker` hard-terminates one to simulate a crash.  The
-dispatch loop sees only the current membership, so the run continues at
-whatever capacity survives.
+dispatch loop sees only the current membership; a crashed worker's
+replacement keeps it at the size it had.
 
 Start method: ``fork`` (evaluation closures need no
 pickling — they are inherited), falling back to the platform default
@@ -45,8 +49,9 @@ from typing import Any, Callable
 import numpy as np
 
 from ..core import perf
+from ..core.optimizer import LIE_STRATEGIES
 from ..core.problem import Evaluation
-from ..core.tuner import EvalOutcome, ExecutorOptions
+from ..core.tuner import EvalOutcome
 from .jobqueue import DurableJobQueue, JobState
 from .worker import MSG_DONE, MSG_HEARTBEAT, MSG_READY, worker_main
 
@@ -57,16 +62,30 @@ _TICK_S = 0.003
 
 
 @dataclass(kw_only=True)
-class FabricOptions(ExecutorOptions):
-    """Controls for the multi-process tuning fabric: batch proposal and
-    latency simulation as in :class:`~repro.core.tuner.ExecutorOptions`
-    (and so as in the thread engine), plus the fabric's own.
+class FabricOptions:
+    """Controls for the multi-process tuning fabric: batch proposal, the
+    simulated-latency model, and leases.
+
+    Latency simulation charges each successful evaluation a fixed wall
+    time (:meth:`latency_s`).  With the default of 0 the fabric runs as
+    fast as the objective computes — unit tests stay instant, benchmarks
+    dial in realistic latencies.
 
     ``lease_s`` bounds how long the coordinator waits for a leased
     evaluation before re-dispatching it elsewhere; it must comfortably
-    exceed the longest real evaluation.
+    exceed the longest real evaluation.  The queue's checkpoint cadence
+    is :class:`DurableJobQueue`'s default; pass the coordinator a
+    ``queue=`` for another.
     """
 
+    #: max proposals per refill round (the ``q`` of batch proposal)
+    batch: int = 1
+    #: fantasy strategy for in-flight evaluations (see LIE_STRATEGIES)
+    lie: str = "cl-min"
+    #: fixed simulated seconds per successful evaluation
+    base_latency_s: float = 0.0
+    #: log-normal sigma of per-worker speed factors
+    heterogeneity: float = 0.0
     n_procs: int = 2
     #: seconds a leased job may run before straggler re-dispatch
     lease_s: float = 30.0
@@ -76,19 +95,27 @@ class FabricOptions(ExecutorOptions):
     max_redispatch: int = 4
     #: queue directory (None = memory-only queue)
     data_dir: str | Path | None = None
-    snapshot_every: int = 512
-    fsync_every: int = 1
 
     def __post_init__(self) -> None:
         if self.n_procs < 1:
             raise ValueError("n_procs must be >= 1")
-        super().__post_init__()
+        if self.batch < 1:
+            raise ValueError("batch must be >= 1")
+        if self.lie not in LIE_STRATEGIES:
+            raise ValueError(f"lie must be one of {LIE_STRATEGIES}, got {self.lie!r}")
         if self.lease_s <= 0:
             raise ValueError("lease_s must be positive")
         if self.heartbeat_s <= 0:
             raise ValueError("heartbeat_s must be positive")
         if self.max_redispatch < 0:
             raise ValueError("max_redispatch must be >= 0")
+
+    def latency_s(self, evaluation: Evaluation | None) -> float:
+        """Simulated seconds ``evaluation`` occupies a unit-speed worker:
+        ``base_latency_s``, or nothing for a failed or lost one."""
+        if evaluation is None or evaluation.failed:
+            return 0.0
+        return max(self.base_latency_s, 0.0)
 
 
 @dataclass
@@ -127,8 +154,10 @@ class FabricCoordinator:
     seed:
         Seeds the per-worker speed factors (heterogeneity).
     fault:
-        Deterministic worker-crash injector forwarded to every worker
-        (see :func:`~repro.fabric.worker.worker_main`).
+        ``fault(job_id, attempt) -> bool``, the one fault hook (e.g.
+        :class:`~repro.engine.faults.FaultInjector` or
+        :class:`~repro.engine.faults.ScriptedFaults`), inherited by every
+        worker; see :func:`~repro.fabric.worker.worker_main`.
     on_progress:
         ``on_progress(collected, coordinator)`` as :meth:`get` hands out
         each outcome — the hook benchmarks and the CLI use to kill or
@@ -153,11 +182,7 @@ class FabricCoordinator:
         self._fault = fault
         self._on_progress = on_progress
         self._collected = 0
-        self.queue = queue if queue is not None else DurableJobQueue(
-            self.options.data_dir,
-            snapshot_every=self.options.snapshot_every,
-            fsync_every=self.options.fsync_every,
-        )
+        self.queue = queue if queue is not None else DurableJobQueue(self.options.data_dir)
         try:
             self._ctx = mp.get_context("fork")
         except ValueError:  # platform without fork: evaluate must pickle
@@ -193,7 +218,12 @@ class FabricCoordinator:
         self.close()
 
     def close(self) -> None:
-        """Stop all workers and the queue (idempotent)."""
+        """Stop all workers and the queue (idempotent).
+
+        A worker still holding a job is terminated rather than waited
+        for: nobody will collect that evaluation, and since leases are
+        soft state its job reverts to pending when the queue is reopened.
+        """
         if self._closed:
             return
         self._closed = True
@@ -208,6 +238,8 @@ class FabricCoordinator:
                 handle.inbox.put(("stop", None))
             except (OSError, ValueError):  # pragma: no cover - queue gone
                 pass
+            if handle.job_id is not None:
+                handle.process.terminate()
         deadline = time.monotonic() + 5.0
         for handle in list(self._workers.values()):
             handle.process.join(timeout=max(deadline - time.monotonic(), 0.1))
@@ -277,7 +309,8 @@ class FabricCoordinator:
         perf.incr("fabric_workers_removed")
 
     def kill_worker(self, worker_id: int) -> None:
-        """Hard-kill one worker (crash simulation); its job re-dispatches."""
+        """Hard-kill one worker (crash simulation); its job re-dispatches
+        and the pump replaces it."""
         handle = self._workers[worker_id]
         handle.process.terminate()
         perf.incr("fabric_workers_killed")
@@ -426,15 +459,16 @@ class FabricCoordinator:
             perf.incr("fabric_worker_deaths")
             if handle.job_id is not None:
                 self._recover_lost_job(handle.job_id)
-            perf.gauge("fabric_workers", len(self._workers))
+            # the crowd participant's machine comes back: a fresh process
+            # keeps the membership at its size
+            self._spawn_worker()
 
     def _expire_leases(self, now: float) -> None:
         for job in self.queue.expired(now):
-            # the worker may be slow rather than dead — leave it running;
-            # token dedup disarms whichever attempt loses the race
-            owner = self._workers.get(job.worker) if job.worker is not None else None
-            if owner is not None and owner.job_id == job.job_id:
-                owner.job_id = None  # stop waiting on the straggler
+            # the worker may be slow rather than dead — leave it running,
+            # and busy until it reports (:meth:`_on_done` frees it), so no
+            # job queues behind the straggler; token dedup disarms
+            # whichever attempt loses the race
             self._recover_lost_job(job.job_id)
 
     def _recover_lost_job(self, job_id: int) -> None:

@@ -13,13 +13,21 @@ also trigger the registry's debounced rebuilds) and can **consult** it
 records before the first proposal — the paper's crowd premise end to
 end).
 
+Whenever workers are idle the loop proposes up to ``batch`` new
+configurations, conditioned on *fantasy observations* at every
+evaluation still in flight (:func:`repro.core.optimizer.propose_batch`)
+so concurrent proposals stay diverse, and folds results into the
+surrogate in completion order.  A job lost more than ``max_redispatch``
+times is recorded as a *failure* in the history, where it feeds the KNN
+feasibility model and the crowd repository — how the paper's database
+treats bad configurations.
+
 Determinism contract: with one process, no faults and default
 latencies, the fabric degenerates to propose → wait → fold and
 reproduces the sequential tuner's trajectory bit-for-bit, for the plain
 GP and for any TLA provider (pinned by
-``tests/fabric/test_fabric_tuner.py``), exactly as the threaded engine
-does — every speedup the fabric benchmark measures is overlap, not a
-different algorithm.
+``tests/fabric/test_fabric_tuner.py``) — every speedup the fabric
+benchmark measures is overlap, not a different algorithm.
 """
 
 from __future__ import annotations
@@ -67,7 +75,8 @@ class FabricTuner(Tuner):
         evaluation — the hook benchmarks and the CLI use to kill or
         add workers mid-run.
     fault:
-        Deterministic worker-crash injector (tests, benchmarks).
+        ``fault(job_id, attempt) -> bool`` worker-crash hook (tests,
+        benchmarks), e.g. :class:`~repro.engine.faults.FaultInjector`.
     """
 
     prefix = "Fabric"

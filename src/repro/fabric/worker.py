@@ -14,8 +14,8 @@ coordinator folds it into the parent's collectors with ``perf.merge``,
 so counters incremented in worker processes are not silently lost (the
 cross-process aggregation contract).
 
-Simulated latency is the engine's fixed per-success charge
-(:meth:`repro.core.tuner.ExecutorOptions.latency_s`) times the worker's
+Simulated latency is the fabric's fixed per-success charge
+(:meth:`repro.fabric.coordinator.FabricOptions.latency_s`) times the worker's
 persistent speed factor.  The sleep is sliced so heartbeats keep
 flowing mid-evaluation — a *slow* worker and a *dead* worker look
 different to the coordinator.
@@ -51,10 +51,10 @@ def worker_main(
 ) -> None:
     """Run the worker loop until a ``stop`` message arrives.
 
-    ``fault(job_id, attempt) -> bool`` is a deterministic crash
-    injector: when it returns True the process dies mid-evaluation with
-    ``os._exit`` (no cleanup, no goodbye — exactly what a segfaulting
-    tuner process looks like to the coordinator).
+    ``fault(job_id, attempt) -> bool`` is the deterministic crash hook
+    (:mod:`repro.engine.faults`): when it returns True the process dies
+    mid-evaluation with ``os._exit`` (no cleanup, no goodbye — exactly
+    what a segfaulting tuner process looks like to the coordinator).
     """
     outbox.put((MSG_READY, worker_id, None))
     hb_every = max(float(heartbeat_s), 1e-3)

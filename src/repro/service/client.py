@@ -4,7 +4,7 @@
 protocol (:class:`~repro.engine.stream.CrowdStreamer`, the router's own
 shard connections, user code) a reliable ``handle()`` on top of an
 unreliable channel: transport faults and ``throttled`` backpressure
-responses are retried with the engine's bounded exponential backoff
+responses are retried with bounded exponential backoff
 (:class:`~repro.engine.faults.RetryPolicy`), honoring the server's
 ``retry_after`` hint.  Exhausted retries surface as an ``unavailable``
 error response — protocol shaped, never an exception — so callers like

@@ -1,7 +1,7 @@
 """Simulated in-process transport with deterministic latency and faults.
 
 No network exists in this environment, so shard RPC is modeled the same
-way the async engine models worker crashes
+way the fabric's fault hooks model worker crashes
 (:mod:`repro.engine.faults`): every behavioral decision is a pure
 function of ``(seed, endpoint, sequence number)`` — never of wall-clock
 or thread timing — so a run with a fixed seed drops exactly the same

@@ -8,10 +8,9 @@ when no target data exists and neither dynamic weights nor an LCM has
 anything to fit — falls back to the equal-weight combination of the
 source surrogates, matching the paper's experimental protocol
 (Sec. VI-A).  :class:`TransferTuner` is the sequential tuner built with
-it; assigning a :class:`StrategyProvider` to ``provider`` of an
-:class:`~repro.engine.tuner.AsyncTuner` or
-:class:`~repro.fabric.tuner.FabricTuner` runs the same strategy over
-threads or processes.
+it; assigning a :class:`StrategyProvider` to ``provider`` of a
+:class:`~repro.fabric.tuner.FabricTuner` runs the same strategy with
+evaluations in flight on worker processes.
 """
 
 from __future__ import annotations

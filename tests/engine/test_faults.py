@@ -1,16 +1,17 @@
-"""Fault injection and recovery: retries, backoff, failure records."""
+"""Fault hooks and recovery on the fabric: re-dispatch, failure records."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import AsyncTuner, EngineOptions, FaultInjector, RetryPolicy, ScriptedFaults
+from repro.engine import FaultInjector, RetryPolicy, ScriptedFaults
+from repro.fabric import FabricOptions, FabricTuner
 
 
 class TestFaultInjector:
     def test_rate_zero_never_crashes(self):
         inj = FaultInjector(0.0)
-        assert not any(inj.should_crash(0, j, 0) for j in range(100))
+        assert not any(inj(j, 0) for j in range(100))
 
     def test_rate_validated(self):
         with pytest.raises(ValueError):
@@ -22,18 +23,16 @@ class TestFaultInjector:
         a = FaultInjector(0.3, seed=9)
         b = FaultInjector(0.3, seed=9)
         decisions = [(j, k) for j in range(50) for k in range(3)]
-        assert [a.should_crash(0, j, k) for j, k in decisions] == [
-            b.should_crash(1, j, k) for j, k in decisions  # worker id irrelevant
-        ]
+        assert [a(j, k) for j, k in decisions] == [b(j, k) for j, k in decisions]
 
     def test_rate_roughly_respected(self):
         inj = FaultInjector(0.25, seed=0)
-        hits = sum(inj.should_crash(0, j, 0) for j in range(2000))
+        hits = sum(inj(j, 0) for j in range(2000))
         assert 0.18 < hits / 2000 < 0.32
 
     def test_different_seeds_differ(self):
-        a = [FaultInjector(0.5, seed=1).should_crash(0, j, 0) for j in range(64)]
-        b = [FaultInjector(0.5, seed=2).should_crash(0, j, 0) for j in range(64)]
+        a = [FaultInjector(0.5, seed=1)(j, 0) for j in range(64)]
+        b = [FaultInjector(0.5, seed=2)(j, 0) for j in range(64)]
         assert a != b
 
 
@@ -56,88 +55,68 @@ class TestRetryPolicy:
 
 
 class TestRecovery:
+    """Every injected fault kills the worker process running the attempt;
+    the coordinator replaces it and re-dispatches the job."""
+
     def test_killed_worker_retried_then_recorded_as_failure(self, quadratic_problem):
-        """A job that crashes on every attempt exhausts its retries and is
-        recorded as a failure feeding the feasibility model."""
+        """A job that crashes on every attempt exhausts its re-dispatches
+        and is recorded as a failure feeding the feasibility model."""
         faults = ScriptedFaults({(2, 0), (2, 1), (2, 2)})
-        retry = RetryPolicy(max_retries=2, base_s=0.0)
-        res = AsyncTuner(
+        res = FabricTuner(
             quadratic_problem,
             None,
-            EngineOptions(n_workers=2, retry=retry),
-            fault_injector=faults,
+            FabricOptions(n_procs=2, max_redispatch=2),
+            fault=faults,
         ).tune({"t": 1}, 8, seed=0)
         assert res.n_evaluations == 8
         assert res.history.n_failures == 1
-        assert sorted(faults.triggered) == [(2, 0), (2, 1), (2, 2)]
         failed = [e for e in res.history if e.failed]
-        assert failed[0].metadata["failure"] == "crash"
+        assert failed[0].metadata["failure"] == "lease-exhausted"
         assert failed[0].metadata["attempts"] == 3
         # the failed configuration lands in the feasibility training set
         assert res.history.failed_array().shape == (1, 1)
-        assert res.perf["counters"]["engine_worker_crashes"] == 3
-        assert res.perf["counters"]["engine_retries"] == 2
+        assert res.perf["counters"]["fabric_worker_deaths"] == 3
+        assert res.perf["counters"]["fabric_redispatches"] == 2
 
     def test_transient_crash_retried_to_success(self, quadratic_problem):
-        """One crash then success: the retry recovers, nothing is lost."""
+        """One crash then success: the re-dispatch recovers, nothing is lost."""
         faults = ScriptedFaults({(1, 0)})
-        res = AsyncTuner(
+        res = FabricTuner(
             quadratic_problem,
             None,
-            EngineOptions(n_workers=2, retry=RetryPolicy(max_retries=2, base_s=0.0)),
-            fault_injector=faults,
+            FabricOptions(n_procs=2, max_redispatch=2),
+            fault=faults,
         ).tune({"t": 1}, 6, seed=0)
         assert res.n_evaluations == 6
         assert res.history.n_failures == 0
-        assert faults.triggered == [(1, 0)]
-        assert res.perf["counters"]["engine_retries"] == 1
+        assert res.perf["counters"]["fabric_worker_deaths"] == 1
+        assert res.perf["counters"]["fabric_redispatches"] == 1
         recovered = [
             e for e in res.history if e.metadata.get("attempts", 1) == 2
         ]
         assert len(recovered) == 1
 
-    def test_timeout_retries_exhaust_to_failure(self, quadratic_problem):
-        """Latency above the ceiling: timeout, retries, failure record."""
-        res = AsyncTuner(
-            quadratic_problem,
-            None,
-            EngineOptions(
-                n_workers=2,
-                base_latency_s=5.0,
-                timeout_s=0.02,
-                retry=RetryPolicy(max_retries=1, base_s=0.0),
-            ),
-        ).tune({"t": 1}, 2, seed=0)
-        assert res.n_evaluations == 2
-        assert res.history.n_failures == 2
-        assert all(e.metadata["failure"] == "timeout" for e in res.history)
-        assert res.perf["counters"]["engine_timeouts"] == 4  # 2 jobs x 2 attempts
-
     def test_no_retries_policy(self, quadratic_problem):
         faults = ScriptedFaults({(0, 0)})
-        res = AsyncTuner(
+        res = FabricTuner(
             quadratic_problem,
             None,
-            EngineOptions(n_workers=1, retry=RetryPolicy(max_retries=0)),
-            fault_injector=faults,
+            FabricOptions(n_procs=1, max_redispatch=0),
+            fault=faults,
         ).tune({"t": 1}, 3, seed=0)
         assert res.history.n_failures == 1
-        assert res.perf["counters"].get("engine_retries", 0) == 0
+        assert res.perf["counters"].get("fabric_redispatches", 0) == 0
 
     def test_random_faults_reproducible_end_to_end(self, quadratic_problem):
         """Same seed + same fault seed => identical histories, despite
-        threads: fault decisions hash (seed, job, attempt), not timing."""
+        processes: fault decisions hash (seed, job, attempt), not timing."""
 
         def run():
-            return AsyncTuner(
+            return FabricTuner(
                 quadratic_problem,
                 None,
-                EngineOptions(
-                    n_workers=1,
-                    fault_rate=0.3,
-                    fault_seed=11,
-                    retry=RetryPolicy(max_retries=0),
-                ),
+                FabricOptions(n_procs=1, max_redispatch=0),
+                fault=FaultInjector(0.3, seed=11),
             ).tune({"t": 1}, 10, seed=4)
 
         a, b = run(), run()

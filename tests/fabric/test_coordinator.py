@@ -14,15 +14,29 @@ import pytest
 
 from repro.core import perf
 from repro.core.problem import Evaluation
-from repro.fabric import DurableJobQueue, FabricCoordinator, FabricOptions
+from repro.fabric import DurableJobQueue, FabricCoordinator, FabricOptions, JobState
 
 
 def evaluate(cfg):
     return Evaluation({"t": 1}, dict(cfg), (cfg["x"] - 0.37) ** 2 + 0.1, {})
 
 
+def slow_first(cfg):
+    """Job 0 (x = 0) takes 1 s of real work, every other job 0.05 s."""
+    time.sleep(1.0 if cfg["x"] == 0 else 0.05)
+    return evaluate(cfg)
+
+
 def collect(coordinator, n, timeout=30.0):
     return [coordinator.get(timeout=timeout) for _ in range(n)]
+
+
+def wait_until_busy(coordinator, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not coordinator.busy_workers():
+        coordinator._pump()
+        time.sleep(0.01)
+        assert time.monotonic() < deadline, "workers never got busy"
 
 
 class TestBasicExecution:
@@ -77,20 +91,37 @@ class TestBasicExecution:
         with pytest.raises(RuntimeError):
             c.add_worker()
 
+    def test_close_does_not_wait_out_an_uncollected_evaluation(self, tmp_path):
+        """A 10 s evaluation nobody will collect: close() terminates its
+        worker at once, and since leases are soft state the job is
+        pending — neither done nor lost — when the queue is reopened."""
+        opts = FabricOptions(n_procs=1, base_latency_s=10.0, data_dir=tmp_path)
+        c = FabricCoordinator(evaluate, opts).start()
+        jid = c.submit({"x": 0.5})
+        wait_until_busy(c)
+        t0 = time.perf_counter()
+        c.close()
+        assert time.perf_counter() - t0 < 1.0
+        reopened = DurableJobQueue(tmp_path)
+        try:
+            assert reopened.n_jobs == 1
+            assert reopened.job(jid).state == JobState.PENDING
+            assert reopened.n_done == 0
+        finally:
+            reopened.close()
+
 
 class TestKillAndRedispatch:
     def test_killed_workers_job_is_redispatched(self):
         opts = FabricOptions(n_procs=2, base_latency_s=0.25, lease_s=30.0)
         with FabricCoordinator(evaluate, opts) as c:
             ids = [c.submit({"x": i / 4}) for i in range(4)]
-            deadline = time.monotonic() + 10.0
-            while not c.busy_workers():
-                c._pump()
-                time.sleep(0.01)
-                assert time.monotonic() < deadline, "workers never got busy"
+            wait_until_busy(c)
             victim = c.busy_workers()[0]
             c.kill_worker(victim)
             outcomes = collect(c, 4)
+            assert victim not in c.liveness()
+            assert c.n_workers == 2  # a fresh process replaced the victim
         assert sorted(o.job_id for o in outcomes) == ids
         assert all(o.ok for o in outcomes)
         assert c.queue.redispatches >= 1
@@ -143,6 +174,22 @@ class TestStragglers:
         counters = stats.snapshot()["counters"]
         assert counters["fabric_jobs_completed"] == 4
 
+    def test_a_straggler_is_handed_no_other_job(self):
+        """Job 0 outlives its lease while the rest are quick.  Its worker
+        stays busy until it reports, so no quick job queues behind the
+        straggler and runs out its own lease: only job 0 is ever
+        re-dispatched, and every job is still applied exactly once."""
+        opts = FabricOptions(n_procs=2, lease_s=0.3)
+        with perf.collect() as stats:
+            with FabricCoordinator(slow_first, opts) as c:
+                ids = [c.submit({"x": i / 8}) for i in range(8)]
+                outcomes = collect(c, 8)
+        assert sorted(o.job_id for o in outcomes) == ids
+        assert all(o.ok for o in outcomes)
+        assert {j.job_id for j in c.queue.jobs() if j.redispatches} == {0}
+        assert c.queue.n_done == 8
+        assert stats.snapshot()["counters"]["fabric_jobs_completed"] == 8
+
 
 class TestElasticity:
     def test_add_and_remove_workers_mid_run(self):
@@ -169,11 +216,7 @@ class TestElasticity:
         opts = FabricOptions(n_procs=1, base_latency_s=0.2)
         with FabricCoordinator(evaluate, opts) as c:
             jid = c.submit({"x": 0.5})
-            deadline = time.monotonic() + 10.0
-            while not c.busy_workers():
-                c._pump()
-                time.sleep(0.01)
-                assert time.monotonic() < deadline
+            wait_until_busy(c)
             c.remove_worker(0)  # stop queues behind the running job
             c.add_worker()  # capacity to absorb any (unexpected) redispatch
             [o] = collect(c, 1)
@@ -202,6 +245,24 @@ class TestLivenessAndAccounting:
             wall = time.perf_counter() - t0
         assert c.busy_s >= 4 * 0.1 * 0.9
         assert 0.0 < c.utilization(wall) <= 1.0
+
+    def test_latency_recorded_in_metadata(self):
+        opts = FabricOptions(n_procs=1, base_latency_s=0.03)
+        with FabricCoordinator(evaluate, opts) as c:
+            c.submit({"x": 1.0})
+            [o] = collect(c, 1)
+        assert o.latency_s == pytest.approx(0.03)
+        assert o.metadata["latency_s"] == pytest.approx(0.03)
+
+    def test_heterogeneous_speeds_are_seeded(self):
+        def speeds():
+            opts = FabricOptions(n_procs=4, heterogeneity=0.5)
+            with FabricCoordinator(evaluate, opts, seed=7) as c:
+                return [w.speed for w in c._workers.values()]
+
+        first = speeds()
+        assert len(set(first)) > 1
+        assert first == speeds()  # seeded => reproducible
 
     def test_recovered_queue_jobs_run_without_resubmission(self, tmp_path):
         q = DurableJobQueue(tmp_path)

@@ -2,8 +2,7 @@
 
 The load-bearing assertion is sequential parity: one fabric process, no
 faults, no latency must reproduce the sequential :class:`Tuner`
-trajectory bit-for-bit — same contract the threaded engine pins, now
-across a process boundary and a durable queue.
+trajectory bit-for-bit, across a process boundary and a durable queue.
 """
 
 from __future__ import annotations

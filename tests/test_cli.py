@@ -84,7 +84,7 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         payload = json.loads(out[: out.index("best-so-far")])
-        assert payload["tuner"] == "AsyncNoTLA"
+        assert payload["tuner"] == "FabricNoTLA"
         assert payload["n_evaluations"] == 6
 
     def test_tune_workers_with_tla(self, capsys):
@@ -98,7 +98,7 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         payload = json.loads(out[: out.index("best-so-far")])
-        assert payload["tuner"] == "AsyncStacking"
+        assert payload["tuner"] == "FabricStacking"
         assert payload["n_evaluations"] == 6
 
     def test_tune_custom_task(self, capsys):

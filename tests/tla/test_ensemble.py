@@ -239,7 +239,7 @@ class TestCreditWithSeveralProposalsInFlight:
         """Four workers, batches of two: the members themselves log whose
         ``model()`` preceded each proposal, and every member's recorded best
         must be the best outcome among its own proposals."""
-        from repro.engine import AsyncTuner, EngineOptions
+        from repro.fabric import FabricOptions, FabricTuner
         from repro.tla import StrategyProvider
 
         script = {"current": None, "owner": {}}
@@ -254,10 +254,10 @@ class TestCreditWithSeveralProposalsInFlight:
 
         pool = [Scripted(f"s{i}") for i in range(3)]
         ens = EnsembleToggling(pool=pool)
-        tuner = AsyncTuner(
+        tuner = FabricTuner(
             shifted_quadratics,
             None,
-            EngineOptions(n_workers=4, batch=2, base_latency_s=0.01),
+            FabricOptions(n_procs=4, batch=2, base_latency_s=0.01),
         )
         src = source_factory(shifted_quadratics, {"t": 0}, 10, seed=0)
         tuner.provider = StrategyProvider(ens, [src])
