@@ -25,7 +25,11 @@ guides' "vectorize, avoid copies, profile the Cholesky" advice):
   :meth:`from_dict` rebuilds: the workspace's covariance differs from
   ``kernel(X)`` in the last bits, and a replica replaying a snapshot must
   serve the same bytes as the process that fit it.
-* A progressively increased jitter guards Cholesky factorizations.
+* A progressively increased jitter guards Cholesky factorizations.  Its
+  first rung — the only one almost any factorization reaches — is one
+  bare LAPACK ``potrf`` behind the finite check, the factor
+  ``scipy.linalg.cholesky`` would return, bit for bit, without its
+  wrapper; the ladder's statistics are computed only on a retry.
 * :meth:`update` appends observations to the stored factorization in
   O(n^2) per point (no O(n^3) refit when hyperparameters are unchanged).
 * There is one predictor.  The fit state carries everything a prediction
@@ -79,42 +83,57 @@ class GPFitError(RuntimeError):
         self.jitters = tuple(jitters)
 
 
-#: raw LAPACK triangular / Cholesky solves — the scipy wrappers spend more
-#: time on input validation than the O(n^2) solve itself on the update and
-#: MLE hot paths — and the inverse-from-factor routine scipy does not wrap
-_trtrs, _potrs, _potri = get_lapack_funcs(
-    ("trtrs", "potrs", "potri"), (np.empty(0, dtype=np.float64),)
+#: raw LAPACK factorization / triangular / Cholesky solves — the scipy
+#: wrappers spend more time on input validation than the work itself on the
+#: update and MLE hot paths — and the inverse-from-factor routine scipy does
+#: not wrap
+_potrf, _trtrs, _potrs, _potri = get_lapack_funcs(
+    ("potrf", "trtrs", "potrs", "potri"), (np.empty(0, dtype=np.float64),)
 )
+
+
+def _cholesky(K: np.ndarray) -> np.ndarray | None:
+    """``scipy.linalg.cholesky(K, lower=True)`` of a float64 ``K`` without
+    the wrapper: the same finite check (the same ``ValueError``) and the
+    same LAPACK ``potrf`` call, hence the same factor bit for bit; ``None``
+    when ``K`` is not positive definite."""
+    if not np.isfinite(K).all():
+        raise ValueError("array must not contain infs or NaNs")
+    L, info = _potrf(K, lower=1, overwrite_a=0, clean=1)
+    if info < 0:  # pragma: no cover - a malformed call, not a matrix
+        raise ValueError(f"LAPACK potrf: illegal value in argument {-info}")
+    return None if info else L
 
 
 def cholesky_with_jitter(K: np.ndarray, max_tries: int = 8) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``K``, adding diagonal jitter on failure.
 
     Returns the factor and the jitter actually used.  The matrix is first
-    tried as-is; on failure all ``max_tries`` ladder rungs are attempted,
-    starting at ``1e-10 * mean(diag)`` and growing tenfold per retry up to
-    ``10 ** (max_tries - 11) * mean(diag)`` (``1e-3`` for the default 8).
+    tried as-is — one bare ``potrf`` (:func:`_cholesky`), which is all
+    almost every call does; on failure all ``max_tries`` ladder rungs are
+    attempted, starting at ``1e-10 * mean(diag)`` and growing tenfold per
+    retry up to ``10 ** (max_tries - 11) * mean(diag)`` (``1e-3`` for the
+    default 8).
     """
+    L = _cholesky(K)
+    if L is not None:
+        return L, 0.0
+    # the ladder: only a retry pays for its statistics and a copy of K
     diag = np.diag(K)
     diag_mean = float(np.mean(diag))
     if not np.isfinite(diag_mean) or diag_mean <= 0:
         diag_mean = 1.0
-    tried: list[float] = []
-    for attempt in range(max_tries + 1):
-        jitter = 0.0 if attempt == 0 else diag_mean * 10.0 ** (attempt - 11)
+    K = K.copy()
+    tried = [0.0]
+    for attempt in range(1, max_tries + 1):
+        jitter = diag_mean * 10.0 ** (attempt - 11)
         tried.append(jitter)
-        if attempt == 1:
-            K = K.copy()  # retries are rare: only they pay for a copy
-        if attempt:
-            K.flat[:: K.shape[0] + 1] = diag + jitter
-        try:
-            L = sla.cholesky(K, lower=True)
-            if attempt:
-                perf.incr("cholesky_retries", attempt)
-                perf.incr("gp_jitter_retries", attempt)
+        K.flat[:: K.shape[0] + 1] = diag + jitter
+        L = _cholesky(K)
+        if L is not None:
+            perf.incr("cholesky_retries", attempt)
+            perf.incr("gp_jitter_retries", attempt)
             return L, jitter
-        except sla.LinAlgError:
-            continue
     perf.incr("cholesky_failures")
     perf.incr("gp_jitter_retries", max_tries)
     raise GPFitError(
@@ -138,11 +157,11 @@ def cholesky_at(K: np.ndarray, jitter: float) -> tuple[np.ndarray, float]:
     if jitter:
         Kj = K.copy()
         Kj.flat[:: K.shape[0] + 1] += jitter
-    try:
-        return sla.cholesky(Kj, lower=True), jitter
-    except sla.LinAlgError:
-        perf.incr("gp_jitter_replay_fallbacks")
-        return cholesky_with_jitter(K)
+    L = _cholesky(Kj)
+    if L is not None:
+        return L, jitter
+    perf.incr("gp_jitter_replay_fallbacks")
+    return cholesky_with_jitter(K)
 
 
 def chol_solve_inv(L: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:

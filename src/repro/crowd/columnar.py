@@ -402,6 +402,16 @@ def _float_exact(value: Any) -> bool:
     return isinstance(value, float) and value == value
 
 
+def _as_float(value: Any) -> float:
+    """A value's slot in a float column: numbers as float64, else NaN."""
+    if isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:
+            return np.nan
+    return np.nan
+
+
 class _Column:
     """One dotted path, dictionary-encoded: ``codes`` index ``values``."""
 
@@ -418,28 +428,56 @@ class _Column:
         self.numeric_ok = True
         self.none_code = -1
 
-    def append(self, value: Any) -> None:
-        code = self.lookup.get(hashable_key(value))
+    @classmethod
+    def of(cls, rows: Sequence[Mapping[str, Any]], path: str) -> "_Column":
+        """The column of ``path`` over ``rows``: what appending each row's
+        value builds, with each distinct container *object* keyed once —
+        rows share their interned sub-documents, and every value stays
+        alive in its row meanwhile, so its ``id`` names it — and the codes
+        and floats written as two vectors."""
+        col = cls()
+        by_id: dict[int, int] = {}
+
+        def code(value: Any) -> int:
+            if not isinstance(value, (dict, list)):
+                return col._code(value)  # a scalar's key costs nothing
+            known = by_id.get(id(value))
+            if known is None:
+                known = by_id[id(value)] = col._code(value)
+            return known
+
+        n = len(rows)
+        codes = np.fromiter((code(get_path(doc, path)) for doc in rows), np.int32, n)
+        size = _GROW  # the capacity appending would have reached
+        while size < n:
+            size *= 2
+        col.codes = np.empty(size, dtype=np.int32)
+        col.floats = np.empty(size, dtype=np.float64)
+        col.codes[:n] = codes
+        col.floats[:n] = np.array([_as_float(v) for v in col.values], dtype=np.float64)[codes]
+        col.n = n
+        return col
+
+    def _code(self, value: Any) -> int:
+        """``value``'s code, interned on first sight."""
+        key = hashable_key(value)
+        code = self.lookup.get(key)
         if code is None:
-            code = len(self.values)
+            code = self.lookup[key] = len(self.values)
             self.values.append(value)
-            self.lookup[hashable_key(value)] = code
             if value is None:
                 self.none_code = code
             elif not _float_exact(value):
                 self.numeric_ok = False
+        return code
+
+    def append(self, value: Any) -> None:
+        code = self._code(value)
         if self.n == len(self.codes):
             self.codes = np.concatenate([self.codes, np.empty_like(self.codes)])
             self.floats = np.concatenate([self.floats, np.empty_like(self.floats)])
         self.codes[self.n] = code
-        rep = self.values[code]
-        if isinstance(rep, (int, float)):
-            try:
-                self.floats[self.n] = float(rep)
-            except OverflowError:
-                self.floats[self.n] = np.nan
-        else:
-            self.floats[self.n] = np.nan
+        self.floats[self.n] = _as_float(self.values[code])
         self.n += 1
 
     # -- masks (all sized self.n) -------------------------------------------
@@ -570,9 +608,7 @@ class ColumnarView:
     def _column(self, path: str) -> _Column:
         col = self._columns.get(path)
         if col is None:
-            col = _Column()
-            for doc in self._rows:
-                col.append(get_path(doc, path))
+            col = _Column.of(self._rows, path)
             if len(self._columns) < MAX_COLUMNS:
                 self._columns[path] = col
         return col
@@ -645,6 +681,13 @@ class ColumnarView:
                 lambda v: isinstance(v, str) and pattern.search(v) is not None
             )
         raise QuerySyntaxError(f"unknown operator {op!r}")
+
+    def holds(self, path: str, value: Any) -> bool:
+        """Whether some row's ``path`` equals the scalar ``value`` (what a
+        non-empty :meth:`path_eq_mask` means): one hit in the
+        column's dictionary, no row mask — every code of a clean view's
+        column is held by at least one row.  ``NaN`` equals nothing."""
+        return value == value and value in self._column(path).lookup
 
     # -- extra masks for callers composing their own predicates --------------
     def path_eq_mask(self, path: str, value: Any) -> np.ndarray:

@@ -20,6 +20,11 @@ from dataclasses import dataclass, field
 
 __all__ = ["TagMatcher", "CanonicalEntry", "default_matcher"]
 
+#: bound on the names one table's memo holds
+_MEMO_MAX = 1024
+
+_Table = tuple[dict[str, str], dict[str, str | None]]
+
 
 def _normalize(name: str) -> str:
     """Lowercase and strip separators: ``Cori-Haswell`` -> ``corihaswell``."""
@@ -53,10 +58,13 @@ class TagMatcher:
     def __init__(self, *, fuzzy_cutoff: float = 0.82) -> None:
         self._machines: dict[str, CanonicalEntry] = {}
         self._software: dict[str, CanonicalEntry] = {}
-        # normalized-name lookup tables, rebuilt on registration so a
-        # match (one per uploaded tag) never re-normalizes the aliases
-        self._machine_names: dict[str, str] = {}
-        self._software_names: dict[str, str] = {}
+        # (normalized name -> canonical, memo) per kind, replaced as one
+        # pair on registration: the table spares a match (one per uploaded
+        # tag) re-normalizing the aliases; the memo keeps the answers given
+        # — a match is a pure function of (name, table), and uploads repeat
+        # a handful of names — and is emptied when full
+        self._machine_table: _Table = ({}, {})
+        self._software_table: _Table = ({}, {})
         self.fuzzy_cutoff = fuzzy_cutoff
 
     # -- registration ----------------------------------------------------
@@ -66,7 +74,7 @@ class TagMatcher:
         self._machines[canonical] = CanonicalEntry(
             canonical, set(aliases or []), dict(info)
         )
-        self._machine_names = _name_table(self._machines)
+        self._machine_table = (_name_table(self._machines), {})
 
     def add_software(
         self, canonical: str, aliases: list[str] | None = None, **info
@@ -74,7 +82,7 @@ class TagMatcher:
         self._software[canonical] = CanonicalEntry(
             canonical, set(aliases or []), dict(info)
         )
-        self._software_names = _name_table(self._software)
+        self._software_table = (_name_table(self._software), {})
 
     def machines(self) -> list[str]:
         return sorted(self._machines)
@@ -84,24 +92,33 @@ class TagMatcher:
 
     # -- matching -----------------------------------------------------------
     def match_machine(self, name: str) -> str | None:
-        return self._match(name, self._machine_names)
+        return self._match(name, *self._machine_table)
 
     def match_software(self, name: str) -> str | None:
-        return self._match(name, self._software_names)
+        return self._match(name, *self._software_table)
 
     def machine_info(self, canonical: str) -> dict:
         return dict(self._machines[canonical].info)
 
-    def _match(self, name: str, names: dict[str, str]) -> str | None:
+    def _match(
+        self, name: str, names: dict[str, str], memo: dict[str, str | None]
+    ) -> str | None:
         if not name:
             return None
+        try:
+            return memo[name]
+        except (KeyError, TypeError):  # new, or unhashable: refused below
+            pass
         norm = _normalize(name)
         hit = names.get(norm)  # exact / alias hit
-        if hit is not None:
-            return hit
-        # fuzzy fallback over all known names
-        close = difflib.get_close_matches(norm, names, n=1, cutoff=self.fuzzy_cutoff)
-        return names[close[0]] if close else None
+        if hit is None:
+            # fuzzy fallback over all known names
+            close = difflib.get_close_matches(norm, names, n=1, cutoff=self.fuzzy_cutoff)
+            hit = names[close[0]] if close else None
+        if len(memo) >= _MEMO_MAX:
+            memo.clear()
+        memo[name] = hit
+        return hit
 
     def normalize_machine_configuration(self, config: dict) -> dict:
         """Rewrite a machine-configuration block onto canonical tag names.

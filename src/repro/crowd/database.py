@@ -112,10 +112,15 @@ class Collection:
     # -- CRUD ------------------------------------------------------------------
     def insert(self, doc: Mapping[str, Any]) -> int:
         """Insert a document; returns its assigned ``_id``."""
+        return self.insert_frozen(doc)["_id"]
+
+    def insert_frozen(self, doc: Mapping[str, Any]) -> FrozenDict:
+        """:meth:`insert`, returning the stored frozen document itself
+        (zero copies; read-only, like ``find(..., frozen=True)``)."""
         with self._lock:
-            _id = self._store_new(doc)
-            self._notify({"op": "insert", "c": self.name, "doc": self._docs[_id]})
-        return _id
+            stored = self._store_new(doc)
+            self._notify({"op": "insert", "c": self.name, "doc": stored})
+        return stored
 
     def insert_many(self, docs: Iterable[Mapping[str, Any]]) -> list[int]:
         """Insert a batch under one lock acquisition, journaled as one
@@ -126,15 +131,9 @@ class Collection:
         if not docs:
             return []
         with self._lock:
-            ids = [self._store_new(doc) for doc in docs]
-            self._notify(
-                {
-                    "op": "insert_many",
-                    "c": self.name,
-                    "docs": [self._docs[i] for i in ids],
-                }
-            )
-        return ids
+            stored = [self._store_new(doc) for doc in docs]
+            self._notify({"op": "insert_many", "c": self.name, "docs": stored})
+        return [doc["_id"] for doc in stored]
 
     def _frozen(self, doc: Mapping[str, Any], _id: int | None = None) -> FrozenDict:
         """The stored form of ``doc`` (lock held): deep-frozen, its small
@@ -147,14 +146,14 @@ class Collection:
             fields["_id"] = _id
         return FrozenDict(fields)
 
-    def _store_new(self, doc: Mapping[str, Any]) -> int:
+    def _store_new(self, doc: Mapping[str, Any]) -> FrozenDict:
         """Freeze under the next id and column-append (lock held)."""
         _id = self._next_id
         frozen = self._frozen(doc, _id)
         self._next_id += 1
         self._docs[_id] = frozen
         self._columnar.on_insert(_id, frozen)
-        return _id
+        return frozen
 
     def restore(self, doc: Mapping[str, Any]) -> int:
         """Re-insert a document preserving its ``_id`` (WAL replay/import).
@@ -207,6 +206,15 @@ class Collection:
     ) -> dict[str, Any] | None:
         found = self.find(flt, limit=1, frozen=frozen)
         return found[0] if found else None
+
+    def contains(self, path: str, value: Any) -> bool:
+        """Whether a document's ``path`` equals the scalar ``value`` — what
+        ``find_one({path: value}) is not None`` answers, by one dictionary
+        hit in the path's column (:meth:`ColumnarView.holds`) instead of a
+        row mask and a select."""
+        with self._lock:
+            self._columnar.ensure_clean()
+            return self._columnar.holds(path, value)
 
     def count(self, flt: Mapping[str, Any] | None = None) -> int:
         """Matching-document count — same compiler as :meth:`find`."""

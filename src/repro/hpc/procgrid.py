@@ -119,10 +119,13 @@ def load_imbalance(m: int, mb: int, p: int) -> float:
 
     1.0 means perfectly balanced; large blocks on small matrices yield
     ratios well above 1 — the effect that makes ScaLAPACK block sizes a
-    real tuning parameter.
+    real tuning parameter.  O(1): the fullest grid row is row 0, which
+    holds ``max(block_cyclic_rows(m, mb, p, r) for r in range(p))``.
     """
-    counts = [block_cyclic_rows(m, mb, p, r) for r in range(p)]
-    mean = m / p
-    if mean <= 0:
+    if m < 0 or mb < 1 or p < 1:
+        raise ValueError("invalid block-cyclic parameters")
+    if m == 0:
         return 1.0
-    return max(counts) / mean
+    nblocks = m // mb
+    most = (nblocks // p) * mb + (mb if nblocks % p else m % mb)
+    return most / (m / p)

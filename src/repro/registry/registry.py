@@ -241,8 +241,9 @@ class ModelRegistry:
 
     # -- write side ----------------------------------------------------------
     def notify(self, docs: Iterable[Mapping[str, Any]]) -> None:
-        """Record documents were stored on this shard (an upload, or
-        replication / healing below the upload path).
+        """Record documents were stored on this shard: an upload hands
+        the stored frozen document, replication / healing below the
+        upload path the documents it applied; none is modified.
 
         A key is due once ``min_new_samples`` counted records arrived
         since its last build attempt; the attempt spends them whatever it

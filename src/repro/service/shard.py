@@ -224,6 +224,10 @@ class CrowdShard:
         if snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
         self.name = name
+        # the per-request perf names, built once
+        self._timer = f"shard.{name}"
+        self._requests = f"shard_requests.{name}"
+        self._records = f"shard_records.{name}"
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.snapshot_every = int(snapshot_every)
         self.fsync_every = int(fsync_every)
@@ -315,7 +319,7 @@ class CrowdShard:
     def handle(self, request: Mapping[str, Any]) -> dict[str, Any]:
         """Serve one request; durability holds before the response."""
         route = request.get("route") if isinstance(request, Mapping) else None
-        with perf.timer(f"shard.{self.name}"):
+        with perf.timer(self._timer):
             if isinstance(route, str) and route in _INTERNAL_ROUTES:
                 # internal routes stream many documents per request
                 # (replication, hint replay, rebalance): batch this
@@ -336,10 +340,10 @@ class CrowdShard:
                         self._log.append_many(ops)
             else:
                 response = self.server.handle(request)
-        perf.incr(f"shard_requests.{self.name}")
+        perf.incr(self._requests)
         if self._log is not None and self._log.snapshot_due:
             self.snapshot()
-        perf.gauge(f"shard_records.{self.name}", self.repository.count())
+        perf.gauge(self._records, self.repository.count())
         return response
 
     # -- intra-cluster healing protocol --------------------------------------

@@ -94,6 +94,7 @@ class SimTransport:
             raise ValueError("latency must be >= 0")
         self.target = target
         self.name = name
+        self._depth_gauge = f"shard_depth.{name}"
         self.latency_s = float(latency_s)
         self.fault_rate = float(fault_rate)
         self.seed = int(seed)
@@ -149,7 +150,12 @@ class SimTransport:
         if self.down:
             perf.incr("transport_faults")
             raise TransportError(f"endpoint {self.name} is down")
-        u = _draw(self.seed, self.name, seq)
+        # the draw is read only by a fault rate or a latency
+        u = (
+            _draw(self.seed, self.name, seq)
+            if self.fault_rate > 0.0 or self.latency_s > 0.0
+            else 0.0
+        )
         if seq in self.scripted_faults or (
             self.fault_rate > 0.0 and u < self.fault_rate
         ):
@@ -158,7 +164,7 @@ class SimTransport:
         with self._seq_lock:
             self._waiting += 1
             depth = self._waiting
-        perf.gauge(f"shard_depth.{self.name}", depth)
+        perf.gauge(self._depth_gauge, depth)
         try:
             with self._lock:  # one request at a time per endpoint
                 if self.latency_s > 0.0:

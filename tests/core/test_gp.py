@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
-from repro.core import RBF, GaussianProcess, Matern52, MixedKernel, kernel_from_name
+from repro.core import RBF, GaussianProcess, Matern52, MixedKernel, kernel_from_name, perf
 from repro.core.gp import cholesky_with_jitter
 
 from .oracles import gp_predict
@@ -46,6 +47,47 @@ class TestCholeskyJitter:
         L, jitter = cholesky_with_jitter(K)
         assert jitter == pytest.approx(1e-3 * diag_mean)
         assert np.all(np.isfinite(L))
+
+
+class TestFirstRung:
+    """The first rung is a bare LAPACK ``potrf``: the factor, and the
+    failures, of ``scipy.linalg.cholesky``."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 2, 50, 170])
+    def test_factor_is_scipy_cholesky_bit_for_bit(self, n, order):
+        X = np.random.default_rng(n).random((n, 3))
+        K = np.asarray(RBF(3)(X) + 1e-6 * np.eye(n), order=order)
+        K_before = K.copy()
+        with perf.collect() as stats:
+            L, jitter = cholesky_with_jitter(K)
+        expected = sla.cholesky(K, lower=True)
+        assert jitter == 0.0
+        assert L.dtype == expected.dtype and L.shape == expected.shape
+        assert L.tobytes(order="A") == expected.tobytes(order="A")
+        assert np.array_equal(L, expected)
+        assert np.array_equal(K, K_before)  # the input is not overwritten
+        assert "gp_jitter_retries" not in stats.snapshot()["counters"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_raises_scipys_value_error(self, bad):
+        K = 2.0 * np.eye(4)
+        K[1, 2] = K[2, 1] = bad
+        with pytest.raises(ValueError) as ours:
+            cholesky_with_jitter(K)
+        with pytest.raises(ValueError) as scipys:
+            sla.cholesky(K, lower=True)
+        assert str(ours.value) == str(scipys.value)
+
+    def test_indefinite_matrix_walks_the_ladder(self):
+        K = np.ones((5, 5))  # rank 1: the first rung fails
+        with perf.collect() as stats:
+            L, jitter = cholesky_with_jitter(K)
+        retries = stats.snapshot()["counters"]["gp_jitter_retries"]
+        assert jitter == 10.0 ** (retries - 11)  # mean(diag) is 1
+        Kj = K + jitter * np.eye(5)
+        assert np.array_equal(L, sla.cholesky(Kj, lower=True))
+        assert np.array_equal(K, np.ones((5, 5)))
 
 
 class TestFitting:

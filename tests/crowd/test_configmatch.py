@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.crowd.configmatch import TagMatcher, default_matcher
 
 
@@ -107,4 +109,32 @@ class TestLookupTables:
         m.add_machine("Box", aliases=["new-alias"])
         assert m.match_machine("new_alias") == "Box"
         assert m.match_machine("zzz-old-alias-zzz") is None
-        assert m._machine_names == {"box": "Box", "newalias": "Box"}
+        assert m._machine_table[0] == {"box": "Box", "newalias": "Box"}
+
+    def test_registration_invalidates_remembered_answers(self):
+        m = TagMatcher()
+        m.add_software("gcc")
+        assert m.match_machine("Frontier-GPU") is None  # remembered
+        assert m.match_software("gnu") is None
+        m.add_machine("Frontier", aliases=["frontier-gpu"])
+        assert m.match_machine("Frontier-GPU") == "Frontier"
+        assert m.match_software("gnu") is None  # the other table kept its memo
+        m.add_software("gcc", aliases=["gnu"])
+        assert m.match_software("gnu") == "gcc"
+
+    def test_memo_is_bounded_and_answers_as_before(self, monkeypatch):
+        from repro.crowd import configmatch
+
+        monkeypatch.setattr(configmatch, "_MEMO_MAX", 4)
+        m = default_matcher()
+        names = [f"cori-{i}" for i in range(10)] + ["Cori-Haswell", "perlmuter"]
+        first = [m.match_machine(n) for n in names]
+        assert len(m._machine_table[1]) <= 4
+        assert [m.match_machine(n) for n in names] == first
+        assert first == [_scan_match(n, m._machines, m.fuzzy_cutoff) for n in names]
+
+    def test_non_string_names_fail_as_before(self):
+        m = default_matcher()
+        for bad in (["cori"], 5):
+            with pytest.raises(AttributeError):
+                m.match_machine(bad)

@@ -254,3 +254,37 @@ class TestPropertyBased:
         lo = c.count({"v": {"$lt": 0}})
         hi = c.count({"v": {"$gte": 0}})
         assert lo + hi == len(values)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete", "update", "query"]),
+                st.one_of(
+                    st.integers(-3, 3),
+                    st.sampled_from([None, True, 1.0, 2.5, "1", float("nan")]),
+                ),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.one_of(st.integers(-3, 3), st.sampled_from([None, True, 1.0, "1", float("nan")])),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_contains_is_find_one_not_none(self, ops, needle):
+        """``contains`` answers from the column's dictionary what a masked
+        ``find_one`` answers, through inserts, and through the deletes and
+        updates that rebuild the view."""
+        c = Collection("x")
+        for op, value in ops:
+            if op == "insert":
+                c.insert({"v": value, "w": [value]})
+            elif op == "delete":
+                c.delete({"v": value})
+            elif op == "update":
+                c.update({"v": value}, {"v": "changed"})
+            else:
+                c.find({"v": value})  # builds (or rebuilds) the column
+            for probe in (value, needle):
+                assert c.contains("v", probe) == (c.find_one({"v": probe}) is not None)
+        present = c.find_one({"missing.path": None}) is not None
+        assert c.contains("missing.path", None) == present

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.hpc import (
     Grid2D,
@@ -88,3 +90,19 @@ class TestBlockCyclic:
         for m, mb, p in [(1000, 8, 7), (123, 16, 3), (50, 7, 4)]:
             ratio = load_imbalance(m, mb, p)
             assert 1.0 <= ratio <= p
+
+    @given(
+        m=st.integers(0, 20_000),
+        mb=st.integers(1, 512),
+        p=st.integers(1, 128),
+    )
+    def test_load_imbalance_is_the_fullest_row_over_the_mean(self, m, mb, p):
+        """The closed form equals the definition, bit for bit."""
+        counts = [block_cyclic_rows(m, mb, p, r) for r in range(p)]
+        expected = max(counts) / (m / p) if m else 1.0
+        assert load_imbalance(m, mb, p) == expected
+
+    @pytest.mark.parametrize("m, mb, p", [(-1, 4, 2), (10, 0, 2), (10, 4, 0), (10, 4, -3)])
+    def test_load_imbalance_validation(self, m, mb, p):
+        with pytest.raises(ValueError):
+            load_imbalance(m, mb, p)
