@@ -3,13 +3,17 @@
 Every strategy in the paper's Table I pool pre-trains one GP per source
 dataset during :meth:`TLAStrategy.prepare`; :func:`fit_gp` is that fit.
 A :class:`SourceModelStore` is the same call behind a content-keyed
-cache: fitted GPs are kept under ``(sha1(X, y), kernel, max_fun)``, so
-any strategy (or repeat) asking for a surrogate of the *same data with
-the same model settings* gets the already-fitted GP back instead of
-re-running the MLE.  Without one, an ``Ensemble(proposed)`` prepare fits
-every source four times (the shell plus its three members) and a
-Table-I sweep once per strategy per repeat; with one, once.  Fits and
-hits are counted (``tla_source_fits`` / ``tla_source_cache_hits``).
+cache: fitted GPs are kept under ``(counter, sha1(X, y), kernel,
+max_fun)``, so any strategy (or repeat) asking for a surrogate of the
+*same data with the same model settings, for the same role* gets the
+already-fitted GP back instead of re-running the MLE.  Without one, an
+``Ensemble(proposed)`` prepare fits every source four times (the shell
+plus its three members) and a Table-I sweep once per strategy per
+repeat; with one, once.  Fits and hits are counted per role
+(``tla_source_fits`` / ``tla_source_cache_hits``).  The role keeps
+Stacking's stack (``counter="stack"``) apart from the source fits: its
+first entry is the raw largest source, the same data as that source's
+fit, and is fitted from the stack's own seed as it is without a store.
 
 The store decides nothing else: a fitted GP is *predicted* the same way
 (its own ``predict``) with and without.
@@ -99,13 +103,14 @@ class SourceModelStore:
         max_fun: int = 80,
         counter: str = "source",
     ) -> GaussianProcess:
-        """:func:`fit_gp`, reusing a cached fit of the same content.
+        """:func:`fit_gp`, reusing a cached fit of the same content asked
+        for under the same ``counter``.
 
         ``seed`` must be drawn from the caller's rng *unconditionally*
         (also on what turns out to be a cache hit).  Hits are counted as
         ``tla_{counter}_cache_hits``.
         """
-        key = (_data_key(X, y), str(kernel), int(max_fun))
+        key = (str(counter), _data_key(X, y), str(kernel), int(max_fun))
         with self._lock:
             gp = self._models.get(key)
             if gp is not None:

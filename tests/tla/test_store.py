@@ -57,6 +57,18 @@ class TestModelCache:
         assert snap["tla_stack_cache_hits"] == 1
         assert "tla_source_fits" not in snap
 
+    def test_counter_keys_the_fit(self):
+        """The same data asked for under another counter is another fit,
+        from its own seed (Stacking's raw first stack entry vs. the base
+        class's source fit of the same source)."""
+        store = SourceModelStore()
+        X, y = _data()
+        source = store.fit_gp(X, y, seed=1)
+        stack = store.fit_gp(X, y, seed=2, counter="stack")
+        assert stack is not source
+        assert store.fit_gp(X, y, seed=3, counter="stack") is stack
+        assert len(store) == 2
+
     def test_lru_eviction(self):
         store = SourceModelStore(max_models=2)
         for s in range(3):
