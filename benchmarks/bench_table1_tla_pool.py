@@ -7,9 +7,7 @@ Two parts:
 * the pool *sweep* — repeats x strategies fanned across a process pool
   (``run_comparison(n_jobs=...)``) with deterministic per-cell seeding.
   The parallel sweep must return exactly the sequential sweep's
-  matrices, and running the strategies through a shared
-  :class:`repro.tla.SourceModelStore` must fit each source dataset once
-  instead of once per strategy.
+  matrices.
 """
 
 from __future__ import annotations
@@ -17,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.synthetic import DemoFunction
-from repro.core import perf
-from repro.tla import STRATEGY_REGISTRY, SourceModelStore, get_strategy, pool_table
+from repro.tla import STRATEGY_REGISTRY, get_strategy, pool_table
 
 from harness import SMOKE, collect_source, run_comparison, save_results
 
@@ -59,7 +56,7 @@ def test_table1_pool(benchmark):
     del rows
 
 
-def _sweep(app, sources, n_jobs, store=None):
+def _sweep(app, sources, n_jobs):
     return run_comparison(
         app,
         {"t": 1.1},
@@ -67,7 +64,6 @@ def _sweep(app, sources, n_jobs, store=None):
         tuners=SWEEP_TUNERS,
         n_evals=N_EVALS,
         repeats=REPEATS,
-        strategy_kwargs={"store": store},
         show_perf=False,
         n_jobs=n_jobs,
     )
@@ -95,26 +91,3 @@ def test_parallel_sweep_matches_sequential(benchmark):
          "parallel_equals_sequential": True},
     )
 
-
-def test_shared_store_fits_each_source_once():
-    """A pool sweep through one store: 1x source fits, rest are hits —
-    and the warm store, pickled to a process pool's workers, gives the
-    in-process sweep's matrices."""
-    app = DemoFunction()
-    sources = [
-        collect_source(app, {"t": t}, N_SRC, seed=i, label=f"t={t}")
-        for i, t in enumerate((0.8, 1.0))
-    ]
-    store = SourceModelStore()
-    rng = np.random.default_rng(0)
-    with perf.collect() as stats:
-        for key in SWEEP_TUNERS:
-            get_strategy(key, store=store).prepare(sources, rng)
-    counters = stats.snapshot()["counters"]
-    assert counters["tla_source_fits"] == len(sources)
-    assert counters["tla_source_cache_hits"] == (len(SWEEP_TUNERS) - 1) * len(sources)
-
-    seq = _sweep(app, sources, n_jobs=1, store=store)
-    par = _sweep(app, sources, n_jobs=2, store=store)
-    for key in seq:
-        assert np.array_equal(seq[key], par[key], equal_nan=True), key

@@ -2,18 +2,14 @@
 
 The TLA pool (paper Sec. V, Table I) has one path: every member is called
 through its own ``predict``, target-side GPs are kept by a ``refit_every``
-cadence, and a :class:`repro.tla.SourceModelStore` only decides where a
-fitted source GP comes from.  This benchmark records, with no baseline
-path to beat:
+cadence, and each source is fitted once per prepare.  This benchmark
+records, with no baseline path to beat:
 
 * **Wall-clock** — absolute ``Ensemble(proposed)`` prepare+tune timings
-  at ``refit_every`` 1 and 5, without and with a store (tracked commit
-  over commit in ``results/tla_pool_speedup.json``; no ratio is
-  asserted).
-* **Source-fit counts** — without a store the shell and its three
-  members each fit every source (``tla_source_fits == 4 * n_sources``);
-  with one each source is fitted once and the members hit the cache
-  (``tla_source_cache_hits == 3 * n_sources``).
+  at ``refit_every`` 1 and 5 (tracked commit over commit in
+  ``results/tla_pool_speedup.json``; no ratio is asserted).
+* **Source-fit counts** — the shell fits every source once and hands the
+  fitted GPs to its three members (``tla_source_fits == n_sources``).
 * **Exactness** — ``combine_weighted`` over the source GPs and every
   strategy's surrogate equal the test oracle (:mod:`tests.tla.oracles`,
   the paper's formulas over the textbook GP predictor) bit for bit.
@@ -29,7 +25,7 @@ import numpy as np
 
 from repro.apps.synthetic import DemoFunction
 from repro.core import perf
-from repro.tla import STRATEGY_REGISTRY, SourceModelStore, TransferTuner, get_strategy
+from repro.tla import STRATEGY_REGISTRY, TransferTuner, get_strategy
 from repro.tla.base import combine_weighted, fit_source_gps
 
 from harness import SMOKE, collect_source, save_results
@@ -57,17 +53,16 @@ def _sources(app):
     ]
 
 
-def _run_ensemble(app, sources, refit_every: int, with_store: bool):
+def _run_ensemble(app, sources, refit_every: int):
     """Best-of-``REPEATS`` ensemble prepare+tune wall-clock.
 
-    A fresh strategy (and a fresh store, when one is used) is built per
-    repeat so every pass pays the same cold-start costs.  Returns
-    ``(seconds, best_output, perf counters)``; counters come from a
-    single pass (they are deterministic across repeats)."""
+    A fresh strategy is built per repeat so every pass pays the same
+    cold-start costs.  Returns ``(seconds, best_output, perf counters)``;
+    counters come from a single pass (they are deterministic across
+    repeats)."""
     elapsed = np.inf
     for _ in range(REPEATS):
-        store = SourceModelStore() if with_store else None
-        strategy = get_strategy("ensemble-proposed", store=store, refit_every=refit_every)
+        strategy = get_strategy("ensemble-proposed", refit_every=refit_every)
         tuner = TransferTuner(app.make_problem(run=0), strategy, sources)
         with perf.collect() as stats:
             t0 = time.perf_counter()
@@ -77,7 +72,7 @@ def _run_ensemble(app, sources, refit_every: int, with_store: bool):
 
 
 def test_ensemble_prepare_tune_timings():
-    """Absolute timings and fit counters of the four ensemble configurations."""
+    """Absolute timings and fit counters of the ensemble at each cadence."""
     app = DemoFunction()
     sources = _sources(app)
 
@@ -87,22 +82,16 @@ def test_ensemble_prepare_tune_timings():
     )
     runs = {}
     for refit_every in REFIT_CADENCES:
-        for with_store in (False, True):
-            seconds, best, counters = _run_ensemble(app, sources, refit_every, with_store)
-            label = f"refit_every={refit_every},{'store' if with_store else 'no-store'}"
-            print(f"  {label:<28} {seconds:8.2f} s   best {best:.4f}")
-            runs[label] = {"seconds": seconds, "best": best, "counters": counters}
+        seconds, best, counters = _run_ensemble(app, sources, refit_every)
+        label = f"refit_every={refit_every}"
+        print(f"  {label:<16} {seconds:8.2f} s   best {best:.4f}")
+        runs[label] = {"seconds": seconds, "best": best, "counters": counters}
 
-            # source fits: shell + 3 members without a store, once with one
-            if with_store:
-                assert counters["tla_source_fits"] == N_SOURCES
-                assert counters["tla_source_cache_hits"] == 3 * N_SOURCES
-            else:
-                assert counters["tla_source_fits"] == 4 * N_SOURCES
-                assert "tla_source_cache_hits" not in counters
-            # the cadence engages exactly when it is asked for
-            assert (counters.get("tla_incremental_refits", 0) > 0) == (refit_every > 1)
-            assert counters["tla_batched_predicts"] > 0
+        # the shell fits each source once; its members predict from those fits
+        assert counters["tla_source_fits"] == N_SOURCES
+        # the cadence engages exactly when it is asked for
+        assert (counters.get("tla_incremental_refits", 0) > 0) == (refit_every > 1)
+        assert counters["tla_batched_predicts"] > 0
     save_results(
         "tla_pool_speedup",
         {
@@ -131,10 +120,9 @@ def test_pool_matches_oracle():
     print(f"\ncombine_weighted vs oracle: |d mean| {err_mu:.2e}, |d log-std| {err_ls:.2e}")
 
     target = collect_source(app, TARGET_TASK, 6, seed=9, label="target")
-    store = SourceModelStore()
     exact = {}
     for key in sorted(STRATEGY_REGISTRY):
-        strategy = get_strategy(key, store=store)
+        strategy = get_strategy(key)
         strategy.prepare(sources, rng)
         got = strategy.model(target, rng)(Xq)
         ref = oracles.strategy_surrogate(strategy, target, Xq)

@@ -158,9 +158,9 @@ def run_comparison(
     ``n_jobs > 1`` fans the repeats x strategies cells across a process
     pool.  Each cell is seeded by its coordinates alone, so parallel and
     sequential runs produce identical matrices (pinned by the Table-I
-    pool benchmark).  A ``SourceModelStore`` in ``strategy_kwargs`` is
-    pickled per worker: sharing amortizes fits *within* each cell (e.g.
-    across an ensemble's members), not across processes.
+    pool benchmark).  Each cell fits its own source GPs; nothing is
+    shared across cells (within a cell, an ensemble hands its source
+    fits to its members).
     """
     kwargs = dict(strategy_kwargs or {})
     cells = [(key, rep) for key in tuners for rep in range(repeats)]

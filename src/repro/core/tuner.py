@@ -379,7 +379,7 @@ class Tuner:
         completed = 0
         with perf.collect() as stats, executor:
             # inside the collect window so preparation work (e.g. TLA
-            # source-surrogate fits and store hits) shows up in .perf
+            # source-surrogate fits) shows up in .perf
             with perf.timer("prepare"):
                 hist = history if history is not None else self._seed_history(task)
                 self.provider.prepare(rng)

@@ -21,7 +21,6 @@ from .ensemble import (
 )
 from .multitask import MultitaskPS, MultitaskTS
 from .stacking import Stacking
-from .store import SourceModelStore
 from .tuner import StrategyProvider, TransferTuner
 from .weighted_sum import WeightedSumDynamic, WeightedSumStatic, dynamic_weights
 
@@ -34,7 +33,6 @@ __all__ = [
     "MultiFidelityObjective",
     "MultitaskPS",
     "MultitaskTS",
-    "SourceModelStore",
     "Stacking",
     "StrategyProvider",
     "TLAStrategy",

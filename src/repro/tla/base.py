@@ -6,7 +6,10 @@ crowd repository) plus the growing *target-task history* into a surrogate
 
 The lifecycle, driven by :class:`repro.tla.tuner.StrategyProvider`:
 
-1. :meth:`prepare` — once, with the source datasets (pre-train source GPs).
+1. :meth:`prepare` — once, with the source datasets: fits one GP per
+   source (:func:`fit_source_gps`) and hands the fitted GPs to
+   :meth:`TLAStrategy._adopt`, the hook a strategy with state of its own
+   (a stack, pseudo samples, an ensemble's members) extends.
 2. per iteration: :meth:`model` — build/refresh the transfer surrogate
    from current target data; the tuner then searches and evaluates.
 3. :meth:`notify_proposal` / :meth:`notify_result` — hooks for stateful
@@ -23,18 +26,12 @@ There is one pool path and one way to predict: every member — source
 GPs fitted once in :meth:`prepare`, the per-iteration *target-side* models
 a :class:`repro.core.fit.RefitCadence` keeps — is called through its own
 ``predict``, which already reuses everything its fit computed
-(:mod:`repro.core.gp`).  The pool's two controls:
-
-* ``store`` — a shared :class:`repro.tla.store.SourceModelStore`; it only
-  decides where a fitted source GP comes from (:func:`fit_source_gps`):
-  source GPs for identical data are fitted once across strategies and
-  repeats.  ``None`` means "fit it yourself".
-* ``refit_every`` — refit cadence for the target-side models, GP and LCM
-  alike: between boundaries the hyperparameters stay frozen and new
-  target observations are absorbed through rank-1
-  :meth:`GaussianProcess.update` appends.  The state machine is the
-  NoTLA tuner's (:mod:`repro.core.fit`); what is the strategies' own is
-  what a boundary carries over (:meth:`TLAStrategy._refresh_gp`).
+(:mod:`repro.core.gp`).  ``refit_every`` is the refit cadence for the
+target-side models, GP and LCM alike: between boundaries the
+hyperparameters stay frozen and new target observations are absorbed
+through rank-1 :meth:`GaussianProcess.update` appends.  The state machine
+is the NoTLA tuner's (:mod:`repro.core.fit`); what is the strategies' own
+is what a boundary carries over (:meth:`TLAStrategy._refresh_gp`).
 """
 
 from __future__ import annotations
@@ -49,8 +46,8 @@ from ..core.combine import combine_stacked, normalized_weights
 from ..core.fit import RefitCadence, grow_gp
 from ..core.gp import GaussianProcess, GPFitError
 from ..core.history import TaskData
+from ..core.kernels import kernel_from_name
 from ..core.sparse import check_surrogate_policy, make_surrogate, resolve_surrogate_kind
-from .store import SourceModelStore, fit_gp
 
 __all__ = [
     "TLAStrategy",
@@ -66,25 +63,19 @@ def fit_source_gps(
     *,
     kernel: str = "rbf",
     max_fun: int = 80,
-    store: SourceModelStore | None = None,
     counter: str = "source",
 ) -> list[GaussianProcess]:
-    """Pre-train one GP surrogate per source dataset.
-
-    The one place a ``store`` is consulted: with one, datasets already
-    fitted (same content, kernel and ``max_fun``) reuse the cached GP
-    instead of re-running the MLE.  The per-source seed is drawn from
-    ``rng`` unconditionally so cache hits never shift the caller's
-    random stream.  ``counter`` names the perf counters
-    (``tla_{counter}_fits`` / ``tla_{counter}_cache_hits``).
-    """
-    fit = fit_gp if store is None else store.fit_gp
+    """Pre-train one dense GP surrogate per source dataset, each from a
+    seed drawn from ``rng``; ``counter`` names the perf counter
+    (``tla_{counter}_fits``)."""
     gps = []
     for src in sources:
         if src.n == 0:
             raise ValueError(f"source dataset {src.label!r} is empty")
         seed = int(rng.integers(0, 2**31 - 1))
-        gps.append(fit(src.X, src.y, seed, kernel=kernel, max_fun=max_fun, counter=counter))
+        gp = GaussianProcess(kernel_from_name(kernel, src.dim), max_fun=max_fun, seed=seed)
+        gps.append(gp.fit(src.X, src.y))
+        perf.incr(f"tla_{counter}_fits")
     return gps
 
 
@@ -134,7 +125,6 @@ class TLAStrategy(ABC):
         kernel: str = "rbf",
         gp_max_fun: int = 80,
         refit_every: int = 1,
-        store: SourceModelStore | None = None,
         surrogate: str = "auto",
         n_dense_max: int = 1000,
         n_inducing: int = 100,
@@ -142,7 +132,6 @@ class TLAStrategy(ABC):
         self.kernel = kernel
         self.gp_max_fun = gp_max_fun
         self.refit_every = max(int(refit_every), 1)
-        self.store = store
         #: target-side surrogate policy: ``"auto"`` keeps the dense GP
         #: (bit-identical) up to ``n_dense_max`` target observations and
         #: switches to the sparse inducing-point GP past it — target
@@ -153,8 +142,8 @@ class TLAStrategy(ABC):
         self.n_inducing = int(n_inducing)
         self.sources: list[TaskData] = []
         self.source_gps: list[GaussianProcess] = []
-        #: set once prepare()/prepare_from_models() has run; the provider
-        #: skips re-preparation for already-prepared strategies
+        #: set once prepare()/prepare_from_models() has run; a provider
+        #: without sources keeps a strategy prepared from models as it is
         self.prepared = False
         #: keeps the per-iteration target-side model (the multitask
         #: strategies keep their joint LCM here)
@@ -162,16 +151,28 @@ class TLAStrategy(ABC):
 
     # -- lifecycle -----------------------------------------------------------
     def prepare(self, sources: list[TaskData], rng: np.random.Generator) -> None:
-        """One-time setup with the queried source datasets."""
+        """One-time setup with the queried source datasets: fits each
+        source once and hands the fitted GPs to :meth:`_adopt`."""
         if not sources:
             raise ValueError(f"{self.name}: transfer learning needs >= 1 source task")
         dims = {s.dim for s in sources}
         if len(dims) != 1:
             raise ValueError(f"{self.name}: source dims differ: {dims}")
+        source_gps = fit_source_gps(sources, rng, kernel=self.kernel, max_fun=self.gp_max_fun)
+        self._adopt(sources, source_gps, rng)
+
+    def _adopt(
+        self,
+        sources: list[TaskData],
+        source_gps: list[GaussianProcess],
+        rng: np.random.Generator,
+    ) -> None:
+        """Take ``source_gps`` (one fitted GP per source, under this
+        strategy's ``kernel`` and ``gp_max_fun``) as this strategy's and
+        start from an empty target.  Subclasses extend it with their own
+        setup, which may draw from ``rng``."""
         self.sources = list(sources)
-        self.source_gps = fit_source_gps(
-            sources, rng, kernel=self.kernel, max_fun=self.gp_max_fun, store=self.store
-        )
+        self.source_gps = list(source_gps)
         self._target.reset()
         self.prepared = True
 

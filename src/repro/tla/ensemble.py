@@ -81,17 +81,16 @@ class _EnsembleBase(TLAStrategy):
         self._proposer: dict[bytes, int] = {}
         self._n_parameters: int | None = None
 
-    def prepare(self, sources: list[TaskData], rng: np.random.Generator) -> None:
-        super().prepare(sources, rng)
+    def _adopt(self, sources: list[TaskData], source_gps, rng: np.random.Generator) -> None:
+        super()._adopt(sources, source_gps, rng)
         self._n_parameters = sources[0].dim
         for strategy in self.pool:
-            # share the ensemble's surrogate store with its members: the
-            # shell fit above already populated it, so each member's
-            # prepare() reuses the fitted source GPs instead of re-running
-            # the MLE (1x fits per ensemble prepare instead of 1 + pool)
-            if self.store is not None and strategy.store is None:
-                strategy.store = self.store
-            strategy.prepare(sources, rng)
+            # a member that would fit the sources the way the shell did
+            # takes the shell's GPs; any other fits its own
+            if (strategy.kernel, strategy.gp_max_fun) == (self.kernel, self.gp_max_fun):
+                strategy._adopt(sources, source_gps, rng)
+            else:
+                strategy.prepare(sources, rng)
         self.best_outputs = [math.inf] * len(self.pool)
         self._chosen = None
         self._proposer = {}
@@ -173,10 +172,10 @@ class EnsembleToggling(_EnsembleBase):
         super().__init__(pool, **kwargs)
         self._counter = 0
 
-    def prepare(self, sources: list[TaskData], rng: np.random.Generator) -> None:
+    def _adopt(self, sources: list[TaskData], source_gps, rng: np.random.Generator) -> None:
         # re-preparation must restart the round-robin cycle at member 0;
         # a surviving cursor would skew the toggling baseline on reuse
-        super().prepare(sources, rng)
+        super()._adopt(sources, source_gps, rng)
         self._counter = 0
 
     def _choose(self, target: TaskData, rng: np.random.Generator) -> int:

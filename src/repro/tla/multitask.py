@@ -121,8 +121,8 @@ class MultitaskPS(_MultitaskBase):
         self.n_pseudo_init = n_pseudo_init
         self._pseudo: list[tuple[list[np.ndarray], list[float]]] = []
 
-    def prepare(self, sources: list[TaskData], rng: np.random.Generator) -> None:
-        super().prepare(sources, rng)
+    def _adopt(self, sources: list[TaskData], source_gps, rng: np.random.Generator) -> None:
+        super()._adopt(sources, source_gps, rng)
         self._seed_pseudo(sources[0].dim, rng)
 
     def prepare_from_models(
@@ -136,11 +136,8 @@ class MultitaskPS(_MultitaskBase):
         """
         if not models:
             raise ValueError("need at least one pre-trained source model")
-        self.sources = []
-        self.source_gps = list(models)
+        super()._adopt([], models, rng)
         self._seed_pseudo(dim, rng)
-        self._target.reset()
-        self.prepared = True
 
     def _seed_pseudo(self, dim: int, rng: np.random.Generator) -> None:
         # Seed each source with a few pseudo samples so the first LCM fit
@@ -179,8 +176,8 @@ class MultitaskTS(_MultitaskBase):
         super().__init__(**kwargs)
         self._source_sets: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def prepare(self, sources: list[TaskData], rng: np.random.Generator) -> None:
-        super().prepare(sources, rng)
+    def _adopt(self, sources: list[TaskData], source_gps, rng: np.random.Generator) -> None:
+        super()._adopt(sources, source_gps, rng)
         trimmed = sources
         if self.max_source_samples is not None:
             trimmed = [s.subsample(self.max_source_samples, rng) for s in sources]

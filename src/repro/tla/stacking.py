@@ -22,12 +22,9 @@ with ``refit_every > 1`` the per-iteration target residual GP — a second
 :class:`repro.core.fit.RefitCadence` beside the base class's — freezes
 its hyperparameters between boundaries and absorbs appended observations
 through rank-1 updates.  The stack is fitted through
-:func:`repro.tla.base.fit_source_gps` under the ``tla_stack_*`` counters,
-so a :class:`repro.tla.store.SourceModelStore` shares its entries with
-repeats of the same sweep — never with the base class's source fits,
-not even the first entry's (the raw largest source): the store keys a
-fit by its counter, so that entry is fitted from the stack's own seed
-with or without a store.
+:func:`repro.tla.base.fit_source_gps` under the ``tla_stack_fits``
+counter; its first entry (the raw largest source) is fitted from the
+stack's own seed, not taken from the source GPs.
 """
 
 from __future__ import annotations
@@ -64,8 +61,8 @@ class Stacking(TLAStrategy):
         self._residual = RefitCadence(self.refit_every, self._fit_errors)
 
     # -- source stack (built once) ----------------------------------------
-    def prepare(self, sources: list[TaskData], rng: np.random.Generator) -> None:
-        super().prepare(sources, rng)
+    def _adopt(self, sources: list[TaskData], source_gps, rng: np.random.Generator) -> None:
+        super()._adopt(sources, source_gps, rng)
         if self.order == "samples":
             ordered = sorted(sources, key=lambda s: s.n, reverse=True)
         elif self.order == "reverse":
@@ -79,12 +76,7 @@ class Stacking(TLAStrategy):
             if self._stack:
                 src = TaskData(src.task, src.X, src.y - self._stack_mean(src.X), src.label)
             self._stack += fit_source_gps(
-                [src],
-                rng,
-                kernel=self.kernel,
-                max_fun=self.gp_max_fun,
-                store=self.store,
-                counter="stack",
+                [src], rng, kernel=self.kernel, max_fun=self.gp_max_fun, counter="stack"
             )
             self._stack_ns.append(src.n)
 

@@ -53,7 +53,10 @@ class StrategyProvider:
         self.notify_result = strategy.notify_result
 
     def prepare(self, rng: np.random.Generator) -> None:
-        if not self.strategy.prepared:
+        # every run starts from the sources again, so a reused tuner does
+        # not inherit the previous run's cadence, credit or rng position;
+        # only a strategy prepared from models alone has nothing to redo
+        if self.sources or not self.strategy.prepared:
             self.strategy.prepare(self.sources, rng)
 
     def model(self, hist: History, rng: np.random.Generator) -> PredictFn | None:

@@ -78,20 +78,23 @@ class WeightedSumStatic(TLAStrategy):
         if weights is not None:
             self.name = "WeightedSum (static)"
 
+    def _adopt(self, sources: list[TaskData], source_gps, rng: np.random.Generator) -> None:
+        # checked here, before the tuner spends an evaluation on a model
+        # that could never be combined
+        n = len(source_gps) + 1
+        if self.static_weights is not None and self.static_weights.shape != (n,):
+            raise ValueError(
+                f"need {n} static weights (sources then target), "
+                f"got {self.static_weights.shape}"
+            )
+        super()._adopt(sources, source_gps, rng)
+
     def model(self, target: TaskData, rng: np.random.Generator) -> PredictFn | None:
         target_gp = self._target_gp(target, rng)
         if target_gp is None:
             return equal_weight_model(self.source_gps)
         models = [gp.predict for gp in (*self.source_gps, target_gp)]
-        if self.static_weights is not None:
-            if self.static_weights.shape != (len(models),):
-                raise ValueError(
-                    f"need {len(models)} static weights "
-                    f"(sources then target), got {self.static_weights.shape}"
-                )
-            w = self.static_weights
-        else:
-            w = np.ones(len(models))
+        w = self.static_weights if self.static_weights is not None else np.ones(len(models))
         return combine_weighted(models, w)
 
 

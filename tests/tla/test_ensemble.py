@@ -27,9 +27,6 @@ class _StubStrategy(TLAStrategy):
         self.name = name
         self.model_calls = 0
 
-    def prepare(self, sources, rng):
-        self.sources = sources  # skip GP fitting entirely
-
     def model(self, target, rng):
         self.model_calls += 1
         return lambda X: (np.zeros(X.shape[0]), np.ones(X.shape[0]))
@@ -196,25 +193,6 @@ class TestRePrepare:
         ens.prepare(_sources(), np.random.default_rng(1))
         assert all(math.isinf(v) for v in ens.best_outputs)
         assert ens._chosen is None
-
-    def test_store_propagates_to_members(self):
-        from repro.tla import SourceModelStore
-
-        pool = [_StubStrategy(f"s{i}") for i in range(2)]
-        store = SourceModelStore()
-        ens = EnsembleProb(pool=pool, store=store)
-        ens.prepare(_sources(), np.random.default_rng(0))
-        assert all(m.store is store for m in pool)
-
-    def test_member_store_not_overridden(self):
-        from repro.tla import SourceModelStore
-
-        own = SourceModelStore()
-        pool = [_StubStrategy("s0")]
-        pool[0].store = own
-        ens = EnsembleProb(pool=pool, store=SourceModelStore())
-        ens.prepare(_sources(), np.random.default_rng(0))
-        assert pool[0].store is own
 
 
 class TestCreditWithSeveralProposalsInFlight:

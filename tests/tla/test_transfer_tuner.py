@@ -146,6 +146,33 @@ class TestTransferTunerMechanics:
             runs.append(res.best_so_far())
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize(
+        "key, kwargs",
+        [
+            ("weighted-sum-dynamic", {"refit_every": 3}),
+            ("stacking", {"refit_every": 3}),
+            ("ensemble-proposed", {}),
+        ],
+        ids=["weighted-sum-dynamic", "stacking", "ensemble-proposed"],
+    )
+    def test_reused_tuner_runs_like_a_fresh_one(
+        self, key, kwargs, shifted_quadratics, source_factory
+    ):
+        """A second tune() starts from the sources again: no target model,
+        ensemble credit or rng position carries over from the first."""
+        src = source_factory(shifted_quadratics, {"t": 4}, 25, seed=0)
+
+        def make():
+            return TransferTuner(shifted_quadratics, get_strategy(key, **kwargs), [src])
+
+        def run(tuner):
+            res = tuner.tune({"t": 5}, 6, seed=1)
+            return [e.config for e in res.history.evaluations]
+
+        reused = make()
+        run(reused)
+        assert run(reused) == run(make())
+
 
 class TestCrowdFeasibilityLearning:
     def test_source_failures_warn_target_search(self):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import TaskData
-from repro.tla import WeightedSumDynamic, WeightedSumStatic, dynamic_weights
+from repro.tla import TransferTuner, WeightedSumDynamic, WeightedSumStatic, dynamic_weights
 
 
 def _source(shift, n=40, seed=0):
@@ -60,11 +62,18 @@ class TestWeightedSumStatic:
         assert np.sqrt(np.mean((mean - target.y) ** 2)) < 0.05
         assert strat.name == "WeightedSum (static)"
 
-    def test_wrong_weight_count(self, rng):
-        strat = WeightedSumStatic(weights=[1.0])
-        strat.prepare([_source(0.0)], rng)
-        with pytest.raises(ValueError):
-            strat.model(_target_data(), rng)
+    def test_wrong_weight_count(self, shifted_quadratics, source_factory):
+        """One source needs two weights (sources then target): the run is
+        refused before it spends an evaluation."""
+        calls = []
+        problem = dataclasses.replace(
+            shifted_quadratics, objective=lambda task, cfg: calls.append(cfg) or 1.0
+        )
+        src = source_factory(shifted_quadratics, {"t": 4}, 20)
+        tuner = TransferTuner(problem, WeightedSumStatic(weights=[1.0]), [src])
+        with pytest.raises(ValueError, match="need 2 static weights"):
+            tuner.tune({"t": 5}, 3, seed=0)
+        assert calls == []
 
 
 class TestDynamicWeights:
