@@ -16,7 +16,6 @@ from .analytics import (
     group_repeats,
     variability_report,
 )
-from .models import ModelStore, StoredModel
 from .environment import (
     EnvironmentParseError,
     parse_ck_meta,
@@ -52,8 +51,6 @@ __all__ = [
     "KeyPair",
     "LeaderboardRow",
     "MetaDescription",
-    "ModelStore",
-    "StoredModel",
     "PerformanceRecord",
     "QuerySyntaxError",
     "RepeatGroup",

@@ -323,8 +323,8 @@ class CrowdRepository:
         return len(docs)
 
     def merge_from(self, path: str | Path) -> dict[str, int]:
-        """Merge *every* collection of a saved store (records, stored
-        surrogate models, anything future) into this repository.
+        """Merge *every* collection of a saved store (records, registry
+        models, anything future) into this repository.
 
         Returns per-collection merged-document counts.  This is the
         import path for federating repositories — e.g. combining dumps

@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..registry import ModelRegistry
 
-from .models import ModelStore
 from .records import Accessibility, PerformanceRecord
 from .repository import CrowdRepository
 from .users import AuthError
@@ -59,8 +58,6 @@ class CrowdServer:
             "query",
             "query_sql",
             "problems",
-            "upload_model",
-            "query_models",
             "leaderboard",
             "contributors",
             "browse_html",
@@ -78,7 +75,6 @@ class CrowdServer:
         registry: "ModelRegistry | None" = None,
     ) -> None:
         self.repository = repository if repository is not None else CrowdRepository()
-        self.models = ModelStore(self.repository)
         #: optional frozen-model registry (repro.registry); the four
         #: registry routes answer not_found when none is attached
         self.registry = registry
@@ -209,38 +205,6 @@ class CrowdServer:
 
     def _route_problems(self, req: Mapping[str, Any]) -> dict[str, Any]:
         return {"ok": True, "problems": self.repository.problems(req["api_key"])}
-
-    # -- model routes ---------------------------------------------------------------
-    def _route_upload_model(self, req: Mapping[str, Any]) -> dict[str, Any]:
-        from ..core.sparse import surrogate_from_dict
-
-        gp = surrogate_from_dict(dict(req["model"]))
-        uid = self.models.upload_model(
-            req["api_key"],
-            req["problem_name"],
-            dict(req["task_parameters"]),
-            gp,
-            accessibility=Accessibility.from_dict(req.get("accessibility")),
-        )
-        return {"ok": True, "uid": uid}
-
-    def _route_query_models(self, req: Mapping[str, Any]) -> dict[str, Any]:
-        models = self.models.query_models(
-            req["api_key"], req["problem_name"], task=req.get("task_parameters")
-        )
-        return {
-            "ok": True,
-            "models": [
-                {
-                    "problem_name": m.problem_name,
-                    "task_parameters": m.task_parameters,
-                    "owner": m.owner,
-                    "n_samples": m.n_samples,
-                    "model": m._payload,
-                }
-                for m in models
-            ],
-        }
 
     # -- registry routes ---------------------------------------------------------------
     def _registry(self) -> "ModelRegistry":

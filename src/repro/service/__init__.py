@@ -40,7 +40,7 @@ from ..crowd.users import UserRegistry
 from ..engine.faults import RetryPolicy
 from ..registry import REGISTRY_PROBLEMS, ModelRegistry, RegistryOptions
 from .client import RemoteRepository, ServiceClient
-from .router import CrowdRouter, RouterOptions, TokenBucket
+from .router import CrowdRouter, RouterOptions
 from .shard import CrowdShard, ShardRing, shard_key
 from .transport import SimTransport, TransportError
 from .wal import DurableLog
@@ -57,7 +57,6 @@ __all__ = [
     "ServiceClient",
     "ShardRing",
     "SimTransport",
-    "TokenBucket",
     "TransportError",
     "build_service",
     "shard_key",

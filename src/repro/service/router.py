@@ -50,7 +50,7 @@ written once and named; behind the protocol the router:
   ``query`` (no task),             the same request        records, deduplicated by
   ``query_sql``                                            ``uid`` newest-wins;
                                                            order and limit re-applied
-  ``problems``, ``query_models``   the same request        union / concatenation
+  ``problems``                     the same request        union
   ``leaderboard``,                 ``summary`` (shard-     one partial row per task,
   ``contributors``                 level): one partial     taken when the holders'
                                    aggregate row per task  witnesses agree; a task
@@ -107,7 +107,7 @@ from ..registry import REGISTRY_PROBLEMS
 from .client import ServiceClient
 from .shard import ShardRing, newest_wins, record_ident, shard_key, split_bucket_key
 
-__all__ = ["CrowdRouter", "RouterOptions", "TokenBucket"]
+__all__ = ["CrowdRouter", "RouterOptions"]
 
 #: remembered ``idempotency_key -> (uid, timestamp)`` stamps, so a client
 #: retry after a lost ack reuses its original stamp
@@ -348,7 +348,6 @@ class CrowdRouter:
             "issue_key": self._route_account,
             "whoami": self._route_account,
             "upload": self._route_upload,
-            "upload_model": self._route_upload_model,
             "register_problem": self._route_register_problem,
         }
         self._reads: dict[str, Callable[..., tuple[dict[str, Any], frozenset[str]]]] = {
@@ -357,7 +356,6 @@ class CrowdRouter:
             "problems": self._merge_problems,
             "leaderboard": self._route_leaderboard,
             "contributors": self._route_contributors,
-            "query_models": self._route_query_models,
             "predict": self._route_pinned_registry,
             "model_meta": self._route_pinned_registry,
             "sensitivity": self._route_pinned_registry,
@@ -610,12 +608,6 @@ class CrowdRouter:
         status = "degraded" if acked < len(prefs) else "ok"
         return {"ok": True, "uid": uid, "status": status, **counts}
 
-    def _route_upload_model(self, request: Mapping[str, Any]) -> dict[str, Any]:
-        primary = self._task_prefs(request)[0]
-        response = self._shards[primary].handle(request)
-        self._cache.invalidate(frozenset([primary]))
-        return response
-
     def _route_register_problem(self, request: Mapping[str, Any]) -> dict[str, Any]:
         """Broadcast a problem-space registration to every shard.
 
@@ -766,12 +758,6 @@ class CrowdRouter:
     ) -> tuple[dict[str, Any], frozenset[str]]:
         names, error, tags = self._collect(request, "problems")
         return error or {"ok": True, "problems": sorted(set(names))}, tags
-
-    def _route_query_models(
-        self, request: Mapping[str, Any]
-    ) -> tuple[dict[str, Any], frozenset[str]]:
-        models, error, tags = self._collect(request, "models")
-        return error or {"ok": True, "models": models}, tags
 
     def _problem_summary(
         self, request: Mapping[str, Any]

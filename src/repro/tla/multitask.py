@@ -131,8 +131,9 @@ class MultitaskPS(_MultitaskBase):
         """Prepare from pre-trained surrogate models alone (no raw data).
 
         This is the pure history-database mode of [11]: the crowd
-        repository ships only black-box surrogate models (see
-        :class:`repro.crowd.models.ModelStore`), never the samples.
+        repository ships only black-box surrogate models, never the
+        samples — e.g. :meth:`repro.crowd.api.CrowdClient.query_surrogate_model`
+        per source task (the registry's model first, a local fit else).
         """
         if not models:
             raise ValueError("need at least one pre-trained source model")

@@ -1,12 +1,10 @@
-"""Full-repository persistence: records + models across save/load."""
+"""Full-repository persistence: records across save/load."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core import GaussianProcess
-from repro.crowd import CrowdRepository, ModelStore, PerformanceRecord
+from repro.crowd import CrowdRepository, PerformanceRecord
 
 
 @pytest.fixture
@@ -23,39 +21,20 @@ def populated(tmp_path):
             ),
             key,
         )
-    store = ModelStore(repo)
-    rng = np.random.default_rng(0)
-    X = rng.random((15, 1))
-    gp = GaussianProcess(seed=0).fit(X, np.sin(4 * X[:, 0]))
-    store.upload_model(key, "p", {"m": 1}, gp)
     path = tmp_path / "dump.json"
     repo.save(path)
-    return repo, key, path, gp
+    return path
 
 
 class TestMergeFrom:
     def test_merges_all_collections(self, populated):
-        _, _, path, _ = populated
         fresh = CrowdRepository()
-        merged = fresh.merge_from(path)
+        merged = fresh.merge_from(populated)
         assert merged["performance_records"] == 5
-        assert merged["surrogate_models"] == 1
         assert fresh.count() == 5
-
-    def test_models_survive_roundtrip(self, populated):
-        _, _, path, gp = populated
-        fresh = CrowdRepository()
-        fresh.merge_from(path)
-        _, key2 = fresh.register_user("bob", "b@lab.gov")
-        models = ModelStore(fresh).query_models(key2, "p")
-        assert len(models) == 1
-        clone = models[0].load()
-        Xq = np.linspace(0, 1, 7)[:, None]
-        assert np.allclose(clone.predict_mean(Xq), gp.predict_mean(Xq), atol=1e-8)
 
     def test_federating_two_sites(self, populated, tmp_path):
         """Merging dumps from two repositories accumulates both."""
-        _, _, path_a, _ = populated
         site_b = CrowdRepository()
         _, key_b = site_b.register_user("carol", "c@lab.gov")
         site_b.upload(
@@ -71,12 +50,11 @@ class TestMergeFrom:
         site_b.save(path_b)
 
         combined = CrowdRepository()
-        combined.merge_from(path_a)
+        combined.merge_from(populated)
         combined.merge_from(path_b)
         _, key = combined.register_user("dan", "d@lab.gov")
         assert set(combined.problems(key)) == {"p", "q"}
 
     def test_load_records_still_works(self, populated):
-        _, _, path, _ = populated
         fresh = CrowdRepository()
-        assert fresh.load_records(path) == 5
+        assert fresh.load_records(populated) == 5

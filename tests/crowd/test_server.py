@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import GaussianProcess, SparseGP, task_key
+from repro.core import task_key
 from repro.crowd.server import CrowdServer
 
 
@@ -207,61 +207,11 @@ class TestMalformedQueries:
 
 
 class TestModelRoutes:
-    def test_model_roundtrip_over_protocol(self, server, key):
-        rng = np.random.default_rng(0)
-        X = rng.random((20, 2))
-        gp = GaussianProcess(seed=0).fit(X, X[:, 0] + X[:, 1])
-        up = server.handle(
-            {
-                "route": "upload_model",
-                "api_key": key,
-                "problem_name": "p",
-                "task_parameters": {"m": 1},
-                "model": gp.to_dict(),
-            }
-        )
-        assert up["ok"]
-        down = server.handle(
-            {"route": "query_models", "api_key": key, "problem_name": "p"}
-        )
-        assert down["ok"] and len(down["models"]) == 1
-        clone = GaussianProcess.from_dict(down["models"][0]["model"])
-        Xq = rng.random((5, 2))
-        assert np.allclose(clone.predict_mean(Xq), gp.predict_mean(Xq), atol=1e-8)
-
-
-    def test_sparse_snapshot_roundtrips_through_model_routes(self, server, key):
-        """One loader behind the registry and the model routes: a tagged
-        sparse snapshot uploads and loads like the untagged dense one."""
-        rng = np.random.default_rng(0)
-        X = rng.random((40, 2))
-        y = X[:, 0] + X[:, 1]
-        Xq = rng.random((5, 2))
-        for task, gp in (
-            ({"m": 1}, SparseGP("rbf", n_inducing=10, seed=0).fit(X, y)),
-            ({"m": 2}, GaussianProcess(seed=0).fit(X, y)),
-        ):
-            snapshot = gp.to_dict()
-            up = server.handle(
-                {
-                    "route": "upload_model",
-                    "api_key": key,
-                    "problem_name": "p",
-                    "task_parameters": task,
-                    "model": snapshot,
-                }
-            )
-            assert up["ok"]
-            stored = server.models.load_latest(key, "p", task)
-            clone = stored.load()
-            assert type(clone) is type(gp) and clone.to_dict() == snapshot
-            assert np.array_equal(clone.predict_mean(Xq), gp.predict_mean(Xq))
-
     @pytest.mark.parametrize("tag", ["partitioned", "sparce"])
     def test_unknown_snapshot_tag_is_bad_request_naming_it(self, tag):
         """A snapshot whose ``"type"`` this build does not load (one a peer
-        built with a removed kind, or a typo) is refused by name on upload
-        and on serving — not read as a dense document (``'X'``)."""
+        built with a removed kind, or a typo) is refused by name when the
+        registry serves it — not read as a dense document (``'X'``)."""
         from repro.registry import ModelRegistry, RegistryEntry, RegistryOptions
 
         server = CrowdServer()
@@ -270,18 +220,6 @@ class TestModelRoutes:
             {"route": "register", "username": "alice", "email": "a@lab.gov"}
         )["api_key"]
         model = {"type": tag, "kernel": "rbf", "leaves": []}
-
-        up = server.handle(
-            {
-                "route": "upload_model",
-                "api_key": key,
-                "problem_name": "p",
-                "task_parameters": {"m": 1},
-                "model": model,
-            }
-        )
-        assert up["error"] == "bad_request" and repr(tag) in up["message"]
-
         space = {"parameter_space": [
             {"name": "x", "type": "real", "lower_bound": 0.0, "upper_bound": 1.0}
         ]}

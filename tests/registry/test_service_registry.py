@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.apps.synthetic import DemoFunction
 from repro.core import GaussianProcess, perf
 from repro.core.gp import GPFitError
 from repro.crowd import CrowdClient, CrowdRepository, CrowdServer, MetaDescription
@@ -19,6 +20,7 @@ from repro.registry import (
 )
 from repro.service import CrowdShard, RouterOptions, build_service
 from repro.service.shard import shard_key
+from repro.tla import MultitaskPS, TransferTuner
 
 PROBLEM = "demo"
 TASK = {"t": 2}
@@ -278,6 +280,39 @@ class TestCrowdClientConsultation:
             assert not client._use_registry  # one failed probe disables it
         finally:
             service.close()
+
+
+class TestMultitaskPSFromRegistryModels:
+    def test_transfer_from_registry_models_only(self, svc, key):
+        """The [11] history-database mode: bob transfer-tunes from the
+        registry's model of alice's task, never seeing her raw samples."""
+        problem = DemoFunction().make_problem(noisy=False)
+        space = problem.parameter_space
+        rng = np.random.default_rng(0)
+        for config in (space.sample(rng) for _ in range(60)):
+            assert svc.client.handle(
+                {
+                    "route": "upload",
+                    "api_key": key,
+                    "problem_name": PROBLEM,
+                    "task_parameters": {"t": 0.8},
+                    "tuning_parameters": config,
+                    "output": problem.objective({"t": 0.8}, config),
+                }
+            )["ok"]
+
+        _, bob = svc.register_user("bob", "bob@lab.gov")
+        client = CrowdClient(svc.repository_view(), _meta(bob))
+        client.query_predict_output(PROBE, {"t": 0.8})  # triggers the build
+        with perf.collect() as stats:
+            gp = client.query_surrogate_model({"t": 0.8})
+        assert stats.counters.get("gp_fits", 0) == 0
+
+        strategy = MultitaskPS()
+        strategy.prepare_from_models([gp], dim=space.dim, rng=np.random.default_rng(1))
+        res = TransferTuner(problem, strategy, sources=[]).tune({"t": 1.0}, 6, seed=2)
+        assert res.n_evaluations == 6
+        assert res.best_output < 1.0  # beats the y=1 baseline easily
 
 
 class TestDurabilityAndHealing:

@@ -11,7 +11,12 @@ the router's replica policies were folded into shared helpers)::
         > tests/service/golden_transcript.json
 
 and ``tests/service/test_router.py`` compares against it, so the wire
-behaviour of the router is pinned response by response.
+behaviour of the router is pinned response by response.  It was
+regenerated once, by the same command on the current checkout, when the
+model-store routes ``upload_model`` / ``query_models`` were deleted: their
+five steps stay in place as probes answering ``not_found`` (so the clock
+and every later step keep their place), and only those lines, the
+``routes`` line and the counters those routes fed changed.
 
 Normalization: API keys (random) become ``<key:NAME>``, floats are
 rounded to 9 decimals (GP arithmetic), and the router's clock is a
@@ -23,9 +28,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-import numpy as np
-
-from repro.core import GaussianProcess, perf
+from repro.core import perf
 from repro.registry import RegistryOptions
 from repro.service import build_service
 from repro.service.shard import shard_key
@@ -144,19 +147,10 @@ def run_script() -> dict[str, Any]:
         read("problems")
         read("leaderboard", problem_name=PROBLEM)
         read("contributors", problem_name=PROBLEM)
+        # the removed model-store routes: probes, answered not_found
         read("query_models", problem_name=PROBLEM)
-        rng = np.random.default_rng(0)
-        gp = GaussianProcess(seed=0).fit(rng.random((4, 1)), rng.random(4))
-        send(
-            {
-                "route": "upload_model",
-                "api_key": keys["alice"],
-                "problem_name": PROBLEM,
-                "task_parameters": {"t": 2},
-                "model": gp.to_dict(),
-            }
-        )
-        send({"route": "upload_model", "api_key": keys["alice"]})
+        read("upload_model", problem_name=PROBLEM, task_parameters={"t": 2})
+        read("upload_model")
         read("query_models", problem_name=PROBLEM)
         read("predict", **pinned, configurations=[{"x": 0.15}, {"x": 0.85}])
         read("model_meta", **pinned)
@@ -208,7 +202,7 @@ def run_script() -> dict[str, Any]:
             svc.kill_shard(name)
         read("query", problem_name=PROBLEM, limit=5)
         read("problems")
-        read("query_models", problem_name=PROBLEM)
+        read("query_models", problem_name=PROBLEM)  # a probe, as above
         send({**other, "problem_name": "third"})
         note("hints_pending", svc.router.hints_pending())
         for name in sorted(svc.transports):

@@ -19,7 +19,10 @@ both through one parametrized fixture:
 * **on-disk compatibility** — the bytes a fixed single-threaded call
   sequence writes equal the ones commit ``c5d1889`` wrote, and the
   directories that commit wrote (torn final line included) recover to
-  the same documents / jobs.
+  the same documents / jobs.  The shard snapshot literal since lost one
+  element, the empty ``surrogate_models`` collection the deleted model
+  store created in every shard's store (an image that still holds it
+  recovers: ``test_wal_recovery.py`` pins that).
 """
 
 from __future__ import annotations
@@ -431,8 +434,8 @@ PARENT_BYTES = {
         '"accessibility": {"groups": [], "level": "public"}, "machine_configuration": {}, '
         '"output": 5.0, "owner": "alice", "problem_name": "demo", "software_configuration": {}, '
         '"task_parameters": {"t": 1}, "timestamp": 5.0, "tuning_parameters": {"x": 5}, '
-        '"uid": 5}], "name": "performance_records", "next_id": 6}, {"docs": [], '
-        '"name": "surrogate_models", "next_id": 1}], "format": "gptunecrowd-store-v1"}, '
+        '"uid": 5}], "name": "performance_records", "next_id": 6}], '
+        '"format": "gptunecrowd-store-v1"}, '
         '"wal_seq": 5}'
     ),
     'wal.jsonl': (

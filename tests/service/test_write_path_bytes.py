@@ -8,7 +8,9 @@ stamped upload, a snapshot, then a journal tail.  The responses, the
 bytes of ``wal.jsonl`` and of the snapshot, and the registry's per-key
 data versions must equal what the sequence produced before the upload
 route built its stored document in one pass (the literals below; run
-this module to print them for the checkout on ``PYTHONPATH``).
+this module to print them for the checkout on ``PYTHONPATH``).  The
+snapshot literal since lost one element, the empty ``surrogate_models``
+collection: the deleted model store created it in every shard's store.
 
 Every upload is router-stamped (``uid`` given): an unstamped one draws
 from the process-wide uid counter, whose value depends on what ran
@@ -175,9 +177,8 @@ PARENT = {
             'ion_split": [2, 1, 0]}}, "task_parameters": {"t": 0}, "timestamp": 6.0, "tun'
             'ing_parameters": {"mb": 24, "x": 0.75}, "uid": 6}], "name": "performance_rec'
             'ords", "next_id": 6}, {"docs": [], "name": "registry_models", "next_id": 1},'
-            ' {"docs": [], "name": "registry_problems", "next_id": 1}, {"docs": [], "name'
-            '": "surrogate_models", "next_id": 1}], "format": "gptunecrowd-store-v1"}, "w'
-            'al_seq": 5}'
+            ' {"docs": [], "name": "registry_problems", "next_id": 1}], "format": "gptune'
+            'crowd-store-v1"}, "wal_seq": 5}'
         ),
     },
     "versions": {"0": 2, "1": 1},

@@ -96,6 +96,10 @@ class TestMultitaskPS:
         mean, std = predict(np.array([[0.2], [0.8]]))
         assert np.all(np.isfinite(mean)) and np.all(std > 0)
 
+    def test_prepare_from_models_requires_models(self):
+        with pytest.raises(ValueError):
+            MultitaskPS().prepare_from_models([], dim=1, rng=np.random.default_rng(0))
+
 
 class TestRefitAmortization:
     def test_refit_every_skips_optimization(self, rng):
