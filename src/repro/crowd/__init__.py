@@ -26,7 +26,6 @@ from .environment import (
 from .query import SqlQuery, SqlSyntaxError, build_filter
 from .records import ACCESS_LEVELS, Accessibility, PerformanceRecord
 from .repository import CrowdRepository
-from .server import CrowdServer
 from .users import AuthError, KeyPair, User, UserRegistry
 from .views import (
     LeaderboardRow,
@@ -45,7 +44,6 @@ __all__ = [
     "Collection",
     "CrowdClient",
     "CrowdRepository",
-    "CrowdServer",
     "DocumentStore",
     "EnvironmentParseError",
     "KeyPair",

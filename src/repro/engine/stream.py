@@ -8,7 +8,7 @@ mode, where every participant's history becomes everyone else's
 transfer-learning source data).
 
 The endpoint is anything with a ``handle(request) -> response`` method:
-a bare :class:`~repro.crowd.server.CrowdServer`, the sharded
+a bare :class:`~repro.service.shard.CrowdShard`, the sharded
 :class:`~repro.service.router.CrowdRouter`, or — against a flaky
 transport — a retrying :class:`~repro.service.client.ServiceClient`,
 which turns transport faults into bounded-backoff retries instead of

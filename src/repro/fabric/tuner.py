@@ -64,7 +64,7 @@ class FabricTuner(Tuner):
         Any upload endpoint with ``handle(request) -> response`` — a
         :class:`~repro.service.client.ServiceClient`, a
         :class:`~repro.service.router.CrowdRouter`, or a bare
-        :class:`~repro.crowd.server.CrowdServer`.  Every evaluation is
+        :class:`~repro.service.shard.CrowdShard`.  Every evaluation is
         uploaded as it lands (requires ``api_key``).
     consult:
         Query the crowd database for this problem+task before tuning

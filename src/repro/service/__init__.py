@@ -1,9 +1,9 @@
 """`repro.service` — the sharded, durable, cached crowd-serving layer.
 
 The paper's crowd repository is one shared service (gptune.lbl.gov)
-that every tuner reads from and writes to.  This package turns the
-transport-free :class:`~repro.crowd.server.CrowdServer` into a
-multi-node deployment able to take concurrent traffic:
+that every tuner reads from and writes to.  This package serves it over
+a transport-free request/response protocol, as a multi-node deployment
+able to take concurrent traffic:
 
 * :mod:`~repro.service.shard` — consistent-hash sharding of performance
   records by ``(problem_name, task)`` over N :class:`CrowdShard` nodes

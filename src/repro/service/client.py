@@ -58,7 +58,7 @@ class ServiceClient:
 
     ``endpoint`` may be a :class:`SimTransport` (``request()``) or any
     object with ``handle()`` (a :class:`CrowdRouter`,
-    :class:`CrowdServer`, or another client).
+    :class:`CrowdShard`, or another client).
     """
 
     def __init__(

@@ -1,16 +1,17 @@
 """The crowd service front-end: routing, fan-out, caching, backpressure.
 
-:class:`CrowdRouter` speaks the same request/response protocol as a
-single :class:`~repro.crowd.server.CrowdServer`, so every existing
-client (:class:`~repro.engine.stream.CrowdStreamer`,
+:class:`CrowdRouter` serves the public routes of one
+:class:`~repro.service.shard.CrowdShard`, under the same protocol, so
+every client (:class:`~repro.engine.stream.CrowdStreamer`,
 :class:`~repro.service.client.RemoteRepository`, plain dict calls) works
-unchanged against the sharded deployment.  :meth:`CrowdRouter.handle`
-dispatches through one route table — writes answer with a response,
-reads with ``(response, shard tags)`` and go through the cache — inside
-the same ``(KeyError, TypeError, ValueError) -> bad_request`` clause as
-``CrowdServer.handle``, so a missing or mistyped field never escapes as
-an exception, whichever route trips on it.  Each replica policy is
-written once and named; behind the protocol the router:
+the same against one node or the sharded deployment.
+:meth:`CrowdRouter.handle` dispatches through one route table — writes
+answer with a response, reads with ``(response, shard tags)`` and go
+through the cache — inside the node's ``(KeyError, TypeError,
+ValueError) -> bad_request`` clause, so a missing or mistyped field
+never escapes as an exception, whichever route trips on it.  Each
+replica policy is written once and named; behind the protocol the
+router:
 
 * **routes writes** to the ``(problem_name, task)`` key's preference
   list on the consistent-hash ring — K-way replication, every replica
@@ -67,11 +68,12 @@ written once and named; behind the protocol the router:
   get ``{"ok": false, "error": "throttled", "retry_after": ...}``
   instead of service time (clients retry after the hint).
 
-The default ``(write_quorum=1, read_quorum=1, anti-entropy off)``
-configuration reproduces the original fire-and-forget behavior: reads
-take exactly the legacy single-replica path and upload responses are
-unchanged except for the documented ``replicas_acked`` /
-``replicas_total`` / ``status`` fields.
+With the default ``(write_quorum=1, read_quorum=1, anti-entropy off)``
+an upload is acknowledged once one replica stores it (the others are
+written or hinted in the same call), a pinned read answers from the
+first reachable replica in preference order, and nothing heals in the
+background.  Upload responses carry ``replicas_acked`` /
+``replicas_total`` / ``status`` whatever the quorum.
 
 Perf wiring: counters ``service_requests``, ``service_cache_hits`` /
 ``_misses`` / ``_invalidations``, ``service_throttled``,
@@ -100,12 +102,13 @@ from ..core import perf
 from ..core.problem import task_key
 from ..crowd.columnar import ColumnarView, freeze, get_path, sort_key
 from ..crowd.query import SqlQuery
-from ..crowd.server import bad_request
 from ..crowd.views import summary_contributors, summary_leaderboard
 from ..engine.faults import RetryPolicy
 from ..registry import REGISTRY_PROBLEMS
 from .client import ServiceClient
-from .shard import ShardRing, newest_wins, record_ident, shard_key, split_bucket_key
+from .shard import (
+    ShardRing, bad_request, newest_wins, record_ident, shard_key, split_bucket_key
+)
 
 __all__ = ["CrowdRouter", "RouterOptions"]
 
@@ -142,10 +145,11 @@ class RouterOptions:
     #: retry policy of the router's own shard connections
     retry: RetryPolicy | None = None
     #: replicas that must ack before an upload is acknowledged (W);
-    #: 1 = legacy fire-and-forget acknowledgment
+    #: 1 = acknowledged once any one replica stores it
     write_quorum: int = 1
-    #: replicas consulted by a task-pinned read (R); 1 = legacy
-    #: primary-with-fallback, >1 adds newest-wins merge + read-repair
+    #: replicas consulted by a task-pinned read (R); 1 = the primary,
+    #: falling back through the replicas, >1 adds newest-wins merge +
+    #: read-repair
     read_quorum: int = 1
     #: seconds between background anti-entropy rounds (None = no thread;
     #: rounds can always be driven manually via ``anti_entropy_round``)
@@ -159,6 +163,10 @@ class RouterOptions:
             raise ValueError("replication must be >= 1")
         if self.cache_size < 0:
             raise ValueError("cache_size must be >= 0")
+        if self.rate_limit is not None and self.rate_limit <= 0:
+            raise ValueError("rate_limit must be positive (None = unlimited)")
+        if self.burst < 1:
+            raise ValueError("burst must be >= 1")
         if not 1 <= self.write_quorum <= self.replication:
             raise ValueError("write_quorum must be in [1, replication]")
         if not 1 <= self.read_quorum <= self.replication:
@@ -195,10 +203,10 @@ class TokenBucket:
 def _cache_key(value: Any) -> Any:
     """Cheap canonical hashable key of a request document.
 
-    Replaces the old full-JSON serialization per lookup: mappings become
-    key-sorted ``("d", ...)`` tuples, sequences ``("l", ...)`` tuples,
-    and scalars ``(type-name, value)`` pairs — the type name keeps
-    ``1`` / ``1.0`` / ``True`` (JSON-distinct requests) from colliding.
+    Mappings become key-sorted ``("d", ...)`` tuples, sequences
+    ``("l", ...)`` tuples, and scalars ``(type-name, value)`` pairs — the
+    type name keeps ``1`` / ``1.0`` / ``True`` (JSON-distinct requests)
+    from colliding.
     """
     if isinstance(value, Mapping):
         return ("d",) + tuple(
@@ -462,11 +470,6 @@ class CrowdRouter:
                 return write(request)
             read = self._reads.get(route)
             if read is None:
-                if route == "browse_html":
-                    return bad_request(
-                        "browse_html is not served by the sharded router; "
-                        "render locally from a query"
-                    )
                 return {
                     "ok": False,
                     "error": "not_found",
@@ -1098,9 +1101,6 @@ class CrowdRouter:
             if stats["healed"] == 0 and stats["dropped"] == 0:
                 break
         return totals
-
-    def shard_names(self) -> list[str]:
-        return list(self._shards)
 
     def routes(self) -> list[str]:
         return sorted({**self._writes, **self._reads})

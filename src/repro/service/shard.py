@@ -7,23 +7,35 @@ parameters)`` — one task's samples always live together, so the router
 serves a task-pinned query from a single shard while problem-wide
 queries fan out.
 
-:class:`CrowdShard` is one storage node: a full
-:class:`~repro.crowd.server.CrowdServer` whose document store is made
-durable by a :class:`~repro.service.wal.DurableLog` (journal-then-ack,
-snapshots paid for by journal growth, crash recovery: the contract is
-stated there, once).  The shard never copies its store to persist or
-recover it: an image is serialized straight from the stored frozen
-documents, and a restart decodes the image one document at a time, in
-file order, into the store (which shares equal sub-documents,
-:class:`~repro.crowd.columnar.Interner`) and applies the journal tail
-one op at a time — beside the store it holds the image's text and one
-document, never the parsed image.  A closed node keeps nothing alive:
-its store stops referring to it, and nothing in it refers to itself, so
-it is freed by refcount the moment its last holder lets go.  Shards
-share one :class:`~repro.crowd.users.UserRegistry` (accounts are not
-sharded, mirroring the usual service split of an auth tier in front of
-storage tiers); credentials never touch the WAL or snapshots, matching
-the repository's existing never-persist-credentials rule.
+:class:`CrowdShard` is one crowd node: it maps JSON-shaped request dicts
+to JSON-shaped response dicts over a
+:class:`~repro.crowd.repository.CrowdRepository`, with the transport
+factored out (a deployment wraps :meth:`CrowdShard.handle` in any HTTP
+framework).  The node and :class:`~repro.service.router.CrowdRouter`
+share the protocol's conventions:
+
+* every request: ``{"route": <name>, "api_key": <key>, ...params}``
+  (``register`` alone requires no key),
+* success: ``{"ok": true, ...payload}``,
+* failure: ``{"ok": false, "error": <kind>, "message": <detail>}`` with
+  ``error`` in {"auth", "bad_request", "not_found"} — internal details
+  never leak into responses.
+
+A :class:`~repro.service.wal.DurableLog` makes the node's document store
+durable (journal-then-ack, snapshots paid for by journal growth, crash
+recovery: the contract is stated there, once).  The shard never copies
+its store to persist or recover it: an image is serialized straight from
+the stored frozen documents, and a restart decodes the image one
+document at a time, in file order, into the store (which shares equal
+sub-documents, :class:`~repro.crowd.columnar.Interner`) and applies the
+journal tail one op at a time — beside the store it holds the image's
+text and one document, never the parsed image.  A closed node keeps
+nothing alive: its store stops referring to it, and nothing in it refers
+to itself, so it is freed by refcount the moment its last holder lets
+go.  Shards share one :class:`~repro.crowd.users.UserRegistry` (accounts
+are not sharded, mirroring the usual service split of an auth tier in
+front of storage tiers); credentials never touch the WAL or snapshots,
+matching the repository's existing never-persist-credentials rule.
 """
 
 from __future__ import annotations
@@ -32,21 +44,24 @@ import hashlib
 import json
 import threading
 from bisect import bisect_right
+from collections.abc import Iterable, Mapping
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from ..core import perf
 from ..crowd.columnar import sort_key
 from ..crowd.configmatch import TagMatcher
 from ..crowd.database import DocumentStore
+from ..crowd.records import Accessibility, PerformanceRecord
 from ..crowd.repository import CrowdRepository
-from ..crowd.server import CrowdServer, bad_request
-from ..crowd.users import UserRegistry
+from ..crowd.users import AuthError, UserRegistry
+from ..crowd.views import contributor_stats, leaderboard
 from ..registry import (
     REGISTRY_MODELS,
     REGISTRY_PROBLEMS,
     ModelRegistry,
     RegistryOptions,
+    space_fingerprint,
     upsert_newest,
 )
 from .wal import DurableLog
@@ -57,17 +72,30 @@ __all__ = [
     "shard_key",
     "record_ident",
     "newest_wins",
-    "bucket_digest",
-    "bucket_key",
     "split_bucket_key",
+    "bad_request",
 ]
 
-#: intra-cluster routes served by the shard itself, never by the public
-#: :class:`CrowdServer` protocol and never forwarded by the router's
-#: public dispatch — only the router's healing machinery (read-repair,
-#: anti-entropy, hinted handoff, shard handoff) and its aggregate reads
-#: (``summary``, the one of them that authenticates a user) call them
+#: the public routes: what :meth:`CrowdShard.routes` lists, and exactly
+#: what :class:`~repro.service.router.CrowdRouter` serves
+_PUBLIC_ROUTES = (
+    "register", "issue_key", "whoami",
+    "upload", "query", "query_sql", "problems", "leaderboard", "contributors",
+    "register_problem", "predict", "model_meta", "sensitivity",
+)
+#: intra-cluster routes, never listed by :meth:`CrowdShard.routes` and
+#: never forwarded by the router's public dispatch — only the router's
+#: healing machinery (read-repair, anti-entropy, hinted handoff, shard
+#: handoff) and its aggregate reads (``summary``, the one of them that
+#: authenticates a user) call them
 _INTERNAL_ROUTES = frozenset({"replicate", "digest", "fetch", "drop_bucket", "summary"})
+
+#: the largest ``n_base`` / ``n_bootstrap`` a ``sensitivity`` request may
+#: ask for: the first sizes the Saltelli design (``n_base * (d + 2)``
+#: predictions), both scale the CPU time of a shard that serves one
+#: request at a time
+_SENSITIVITY_MAX_BASE = 1 << 14
+_SENSITIVITY_MAX_BOOTSTRAP = 10_000
 
 _RECORDS = "performance_records"
 _WAL_NAME = "wal.jsonl"
@@ -147,6 +175,11 @@ def bucket_digest(entries: list[tuple[str, Any]]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def bad_request(message: str) -> dict[str, Any]:
+    """The protocol's ``bad_request`` failure response."""
+    return {"ok": False, "error": "bad_request", "message": message}
+
+
 def _refuse_after_close(op: Mapping[str, Any]) -> None:
     """The store observer of a closed durable shard: nothing may be
     acknowledged that the journal did not take."""
@@ -210,6 +243,12 @@ class CrowdShard:
     WAL tail to exactly the last acknowledged state.
     """
 
+    #: route -> handler method name, public and internal routes alike,
+    #: resolved per request (a table of bound methods would make every
+    #: node a reference cycle, alive after its last holder until the
+    #: next collector pass)
+    _ROUTES = {route: f"_route_{route}" for route in (*_PUBLIC_ROUTES, *_INTERNAL_ROUTES)}
+
     def __init__(
         self,
         name: str,
@@ -257,7 +296,6 @@ class CrowdShard:
         self.registry: ModelRegistry | None = (
             ModelRegistry(self.repository, registry) if registry is not None else None
         )
-        self.server = CrowdServer(self.repository, registry=self.registry)
 
         if self._log is not None:
             # journal every mutation from here on (recovery replay above
@@ -317,10 +355,12 @@ class CrowdShard:
 
     # -- serving ------------------------------------------------------------
     def handle(self, request: Mapping[str, Any]) -> dict[str, Any]:
-        """Serve one request; durability holds before the response."""
-        route = request.get("route") if isinstance(request, Mapping) else None
+        """Serve one request; never raises, and durability holds before
+        the response."""
         with perf.timer(self._timer):
-            if isinstance(route, str) and route in _INTERNAL_ROUTES:
+            if not isinstance(request, Mapping):
+                response = bad_request("request must be an object")
+            elif isinstance(route := request.get("route"), str) and route in _INTERNAL_ROUTES:
                 # internal routes stream many documents per request
                 # (replication, hint replay, rebalance): batch this
                 # thread's journal ops into one WAL write + fsync pass.
@@ -329,9 +369,7 @@ class CrowdShard:
                 # concurrent public writes.
                 self._buffers.ops = []
                 try:
-                    response = getattr(self, f"_route_{route}")(request)
-                except (KeyError, TypeError, ValueError) as exc:
-                    response = bad_request(str(exc))
+                    response = self._answer(route, request)
                 finally:
                     ops = self._buffers.ops
                     self._buffers.ops = None
@@ -339,19 +377,194 @@ class CrowdShard:
                         assert self._log is not None
                         self._log.append_many(ops)
             else:
-                response = self.server.handle(request)
+                response = self._answer(route, request)
         perf.incr(self._requests)
         if self._log is not None and self._log.snapshot_due:
             self.snapshot()
         perf.gauge(self._records, self.repository.count())
         return response
 
+    def _answer(self, route: Any, request: Mapping[str, Any]) -> dict[str, Any]:
+        """Run ``route``'s handler, mapping what it raises to the
+        protocol's failure responses."""
+        try:
+            handler = self._ROUTES.get(route)  # an unhashable route: TypeError
+            if handler is None:
+                raise LookupError(f"unknown route {route!r}")
+            return getattr(self, handler)(request)
+        except AuthError as exc:
+            return {"ok": False, "error": "auth", "message": str(exc)}
+        except (KeyError, TypeError, ValueError) as exc:
+            return bad_request(str(exc))
+        # KeyError (missing request field -> bad_request) is a LookupError
+        # subclass, so this clause must stay below the tuple above; what
+        # reaches it is an unknown route or the registry's "no such model"
+        except LookupError as exc:
+            return {"ok": False, "error": "not_found", "message": str(exc)}
+
+    def routes(self) -> list[str]:
+        """The public routes (the internal ones are not listed)."""
+        return sorted(_PUBLIC_ROUTES)
+
+    # -- account routes -------------------------------------------------------
+    def _route_register(self, req: Mapping[str, Any]) -> dict[str, Any]:
+        user = self.repository.users.register(req["username"], req["email"])
+        key = self.repository.users.issue_api_key(user.username)
+        return {"ok": True, "username": user.username, "api_key": key}
+
+    def _route_issue_key(self, req: Mapping[str, Any]) -> dict[str, Any]:
+        user = self.repository.users.authenticate(req["api_key"])
+        new_key = self.repository.users.issue_api_key(user.username)
+        return {"ok": True, "api_key": new_key}
+
+    def _route_whoami(self, req: Mapping[str, Any]) -> dict[str, Any]:
+        user = self.repository.users.authenticate(req["api_key"])
+        return {
+            "ok": True,
+            "username": user.username,
+            "email": user.email,
+            "groups": sorted(user.groups),
+        }
+
+    # -- record routes -----------------------------------------------------------
+    def _route_upload(self, req: Mapping[str, Any]) -> dict[str, Any]:
+        # "uid"/"timestamp" are trusted-front-end fields: the sharded
+        # router stamps every replica of one logical write identically so
+        # cross-shard reads deduplicate.  End users talk to the router,
+        # which never forwards client-supplied values for them.
+        if not isinstance(req.get("idempotency_key", ""), str):
+            raise TypeError("idempotency_key must be a string")
+        uid = int(req.get("uid", 0))
+        if uid:
+            # idempotent replay: the router re-sends a stamped write when
+            # a client retries after a lost ack (same idempotency token
+            # -> same uid) and when replaying hinted handoff; a record
+            # already stored under this uid must not be duplicated
+            self.repository.users.authenticate(req["api_key"])
+            if self.repository.store[_RECORDS].contains("uid", uid):
+                return {"ok": True, "uid": uid, "duplicate": True}
+        record = PerformanceRecord(
+            problem_name=req["problem_name"],
+            task_parameters=dict(req["task_parameters"]),
+            tuning_parameters=dict(req["tuning_parameters"]),
+            output=req.get("output"),
+            machine_configuration=dict(req.get("machine_configuration", {})),
+            software_configuration=dict(req.get("software_configuration", {})),
+            accessibility=Accessibility.from_dict(req.get("accessibility")),
+            uid=int(req.get("uid", 0)),
+        )
+        ts = req.get("timestamp")
+        stored = self.repository.upload_doc(
+            record.to_doc(), req["api_key"], timestamp=None if ts is None else float(ts)
+        )
+        if self.registry is not None:
+            self.registry.notify([stored])
+        return {"ok": True, "uid": stored["uid"]}
+
+    def _route_query(self, req: Mapping[str, Any]) -> dict[str, Any]:
+        task = req.get("task_parameters")
+        records = self.repository.query(
+            req["api_key"],
+            problem_name=req.get("problem_name"),
+            problem_space=req.get("problem_space"),
+            configuration_space=req.get("configuration_space"),
+            task_parameters=None if task is None else dict(task),
+            require_success=bool(req.get("require_success", True)),
+            limit=req.get("limit"),
+        )
+        return {"ok": True, "records": [r.to_doc() for r in records]}
+
+    def _route_query_sql(self, req: Mapping[str, Any]) -> dict[str, Any]:
+        records = self.repository.query_sql(req["api_key"], req["sql"])
+        return {"ok": True, "records": [r.to_doc() for r in records]}
+
+    def _route_problems(self, req: Mapping[str, Any]) -> dict[str, Any]:
+        return {"ok": True, "problems": self.repository.problems(req["api_key"])}
+
+    # -- registry routes ---------------------------------------------------------------
+    def _registry(self) -> ModelRegistry:
+        if self.registry is None:
+            raise LookupError("no model registry attached to this node")
+        return self.registry
+
+    def _route_register_problem(self, req: Mapping[str, Any]) -> dict[str, Any]:
+        registry = self._registry()
+        self.repository.users.authenticate(req["api_key"])
+        ts = req.get("timestamp")
+        changed = registry.register_problem(
+            req["problem_name"],
+            dict(req["problem_space"]),
+            uid=str(req.get("uid", "")),
+            timestamp=None if ts is None else float(ts),
+        )
+        return {
+            "ok": True,
+            "changed": changed,
+            "space_fingerprint": space_fingerprint(req["problem_space"]),
+        }
+
+    def _route_predict(self, req: Mapping[str, Any]) -> dict[str, Any]:
+        registry = self._registry()
+        self.repository.users.authenticate(req["api_key"])
+        out = registry.predict(
+            req["problem_name"],
+            dict(req["task_parameters"]),
+            list(req["configurations"]),
+        )
+        out["ok"] = True
+        return out
+
+    def _route_model_meta(self, req: Mapping[str, Any]) -> dict[str, Any]:
+        registry = self._registry()
+        self.repository.users.authenticate(req["api_key"])
+        out = registry.model_meta(
+            req["problem_name"],
+            dict(req["task_parameters"]),
+            include_model=bool(req.get("include_model", False)),
+        )
+        out["ok"] = True
+        return out
+
+    def _route_sensitivity(self, req: Mapping[str, Any]) -> dict[str, Any]:
+        registry = self._registry()
+        self.repository.users.authenticate(req["api_key"])
+        n_base = int(req.get("n_base", 1024))
+        n_bootstrap = int(req.get("n_bootstrap", 100))
+        if n_base > _SENSITIVITY_MAX_BASE:
+            raise ValueError(f"n_base must be <= {_SENSITIVITY_MAX_BASE}")
+        if n_bootstrap > _SENSITIVITY_MAX_BOOTSTRAP:
+            raise ValueError(f"n_bootstrap must be <= {_SENSITIVITY_MAX_BOOTSTRAP}")
+        seed = req.get("seed")
+        out = registry.sensitivity(
+            req["problem_name"],
+            dict(req["task_parameters"]),
+            n_base=n_base,
+            n_bootstrap=n_bootstrap,
+            seed=None if seed is None else int(seed),
+            include_model=bool(req.get("include_model", False)),
+        )
+        out["ok"] = True
+        return out
+
+    # -- browse routes ------------------------------------------------------------------
+    # a missing ``problem_name`` reaches ``CrowdRepository.task_summary``
+    # as None and is refused there with every other non-name
+    def _route_leaderboard(self, req: Mapping[str, Any]) -> dict[str, Any]:
+        rows = leaderboard(self.repository, req["api_key"], req.get("problem_name"))
+        return {"ok": True, "rows": [r.to_response() for r in rows]}
+
+    def _route_contributors(self, req: Mapping[str, Any]) -> dict[str, Any]:
+        stats = contributor_stats(
+            self.repository, req["api_key"], req.get("problem_name")
+        )
+        return {"ok": True, "contributors": stats}
+
     # -- intra-cluster healing protocol --------------------------------------
     # These routes are the trust boundary of the replication machinery:
     # they move full record documents (owner, uid, timestamp included)
     # between replicas, so they are reachable only over the router's own
-    # shard connections — the public router dispatch rejects the route
-    # names and CrowdServer does not know them.
+    # shard connections — the router's public dispatch does not know the
+    # route names.
 
     @staticmethod
     def _doc_ring_key(collection: str, doc: Mapping[str, Any]) -> str:
@@ -481,7 +694,8 @@ class CrowdShard:
         """Per-task partial aggregates of one problem for one api key:
         what a problem-wide ``leaderboard`` / ``contributors`` needs of
         this shard, in place of the records."""
-        return self.server.summary(req)
+        tasks = self.repository.task_summary(req["api_key"], req.get("problem_name"))
+        return {"ok": True, "tasks": tasks}
 
     def _route_drop_bucket(self, req: Mapping[str, Any]) -> dict[str, Any]:
         """Drop one bucket this shard no longer owns (post-handoff)."""

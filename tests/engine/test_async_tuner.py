@@ -13,9 +13,9 @@ import pytest
 
 from repro.core import Tuner, TunerOptions
 from repro.core.history import History
-from repro.crowd.server import CrowdServer
 from repro.engine import CrowdStreamer
 from repro.fabric import FabricOptions, FabricTuner
+from repro.service import CrowdShard
 from repro.tla import StrategyProvider, WeightedSumStatic
 
 
@@ -115,7 +115,7 @@ class TestLatencyOverlap:
 
 class TestCrowdStreaming:
     def test_bad_key_counts_errors_but_does_not_kill_tuning(self, quadratic_problem):
-        streamer = CrowdStreamer(CrowdServer(), "bogus", quadratic_problem.name)
+        streamer = CrowdStreamer(CrowdShard("node"), "bogus", quadratic_problem.name)
         res = FabricTuner(
             quadratic_problem, opts(), FabricOptions(n_procs=2), callbacks=[streamer]
         ).tune({"t": 1}, 5, seed=0)

@@ -4,14 +4,13 @@ lost records."""
 from __future__ import annotations
 
 from repro.core.problem import Evaluation
-from repro.crowd.server import CrowdServer
 from repro.engine.faults import RetryPolicy
 from repro.engine.stream import CrowdStreamer
-from repro.service import ServiceClient, SimTransport, build_service
+from repro.service import CrowdShard, ServiceClient, SimTransport, build_service
 
 
 def _make_server():
-    server = CrowdServer()
+    server = CrowdShard("node")
     response = server.handle(
         {"route": "register", "username": "alice", "email": "a@lab.gov"}
     )

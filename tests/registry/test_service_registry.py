@@ -11,11 +11,10 @@ import pytest
 from repro.apps.synthetic import DemoFunction
 from repro.core import GaussianProcess, perf
 from repro.core.gp import GPFitError
-from repro.crowd import CrowdClient, CrowdRepository, CrowdServer, MetaDescription
+from repro.crowd import CrowdClient, MetaDescription
 from repro.registry import (
     REGISTRY_MODELS,
     REGISTRY_PROBLEMS,
-    ModelRegistry,
     RegistryOptions,
 )
 from repro.service import CrowdShard, RouterOptions, build_service
@@ -171,12 +170,11 @@ class TestRegistryRoutes:
 
 class TestSensitivityRequests:
     """Sizes a ``sensitivity`` request may not ask for are refused as
-    ``bad_request`` by the shard's server and through the router."""
+    ``bad_request`` by one node and through the router."""
 
     @pytest.fixture()
     def server(self):
-        repo = CrowdRepository()
-        return CrowdServer(repo, registry=ModelRegistry(repo))
+        return CrowdShard("node", registry=RegistryOptions())
 
     @staticmethod
     def _loaded(endpoint, key):

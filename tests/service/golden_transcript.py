@@ -16,7 +16,10 @@ regenerated once, by the same command on the current checkout, when the
 model-store routes ``upload_model`` / ``query_models`` were deleted: their
 five steps stay in place as probes answering ``not_found`` (so the clock
 and every later step keep their place), and only those lines, the
-``routes`` line and the counters those routes fed changed.
+``routes`` line and the counters those routes fed changed.  It was
+regenerated again, the same way, when the node stopped serving
+``browse_html``: only that step changed, from the router's
+``bad_request`` refusal to the ``not_found`` of any unknown route.
 
 Normalization: API keys (random) become ``<key:NAME>``, floats are
 rounded to 9 decimals (GP arithmetic), and the router's clock is a

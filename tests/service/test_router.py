@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import contextlib
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from repro.core import GaussianProcess, perf
 from repro.core.gp import GPFitError
-from repro.crowd.server import CrowdServer
 from repro.crowd.users import UserRegistry
 from repro.engine.faults import RetryPolicy
 from repro.registry import RegistryOptions
@@ -100,14 +100,19 @@ _MALFORMED = {
 
 @contextlib.contextmanager
 def _dispatchers():
-    """The three ``handle`` implementations of the protocol, one key."""
+    """The protocol's front ends, one key: a standalone durable node (a
+    single-server deployment, journaling every write), an in-memory
+    shard, and a router over two shards."""
     users = UserRegistry()
     users.register("alice", "alice@lab.gov")
     api_key = users.issue_api_key("alice")
-    shard = CrowdShard("s0", None, users=users, registry=RegistryOptions())
-    with build_service(2, users=users, registry=RegistryOptions()) as svc:
-        yield api_key, {"server": shard.server, "shard": shard, "router": svc.router}
-    shard.close()
+    with tempfile.TemporaryDirectory() as data_dir:
+        server = CrowdShard("node", data_dir, users=users, registry=RegistryOptions())
+        shard = CrowdShard("s0", None, users=users, registry=RegistryOptions())
+        with build_service(2, users=users, registry=RegistryOptions()) as svc:
+            yield api_key, {"server": server, "shard": shard, "router": svc.router}
+        shard.close()
+        server.close()
 
 
 @pytest.fixture(scope="module")
@@ -324,8 +329,8 @@ class TestMerges:
         request = {"route": route, "api_key": key, **name}
         response = svc.router.handle(request)
         assert response["error"] == "bad_request"
-        server = next(iter(svc.shards.values())).server
-        assert response == server.handle(request)
+        node = next(iter(svc.shards.values()))
+        assert response == node.handle(request)
 
     @pytest.mark.parametrize("output", ["fast", [1, 2], True, float("nan"), float("inf")],
                              ids=repr)
@@ -364,7 +369,7 @@ class TestMerges:
 
     def test_browse_html_is_rejected(self, svc, key):
         response = svc.client.handle({"route": "browse_html", "api_key": key})
-        assert response["error"] == "bad_request"
+        assert response["ok"] is False and response["error"] == "not_found"
 
     def test_unknown_route(self, svc, key):
         assert svc.client.handle({"route": "nope"})["error"] == "not_found"
@@ -374,18 +379,18 @@ class TestMerges:
         shard = next(iter(svc.shards.values()))
         assert shard.handle(request) == {"ok": True, "tasks": []}
         assert shard.handle({**request, "api_key": "nope"})["error"] == "auth"
-        for public in (svc.router, shard.server):
-            assert "summary" not in public.routes()
-            assert public.handle(request)["error"] == "not_found"
+        assert "summary" not in shard.routes()
+        assert "summary" not in svc.router.routes()
+        assert svc.router.handle(request)["error"] == "not_found"
 
     def test_both_front_ends_serve_one_route_set(self, svc, key):
         """A route added to (or removed from) only one front end shows
-        here; the router answers ``browse_html`` with a refusal instead."""
-        server = CrowdServer()
-        assert set(svc.router.routes()) == set(server.routes()) - {"browse_html"}
-        for route in ("upload_model", "query_models"):
+        here."""
+        node = CrowdShard("node")
+        assert set(svc.router.routes()) == set(node.routes())
+        for route in ("upload_model", "query_models", "browse_html"):
             request = {"route": route, "api_key": key, "problem_name": "demo"}
-            for front in (svc.router, server):
+            for front in (svc.router, node):
                 assert front.handle(request)["error"] == "not_found"
 
 
@@ -490,6 +495,22 @@ class TestThrottling:
         clock.now += response["retry_after"] + 0.001
         assert router.handle(request)["ok"]
         router.close()
+
+    @pytest.mark.parametrize(
+        "options, field",
+        [
+            ({"rate_limit": 0.0, "burst": 2}, "rate_limit"),
+            ({"rate_limit": -1.0}, "rate_limit"),
+            ({"rate_limit": 1.0, "burst": 0}, "burst"),
+        ],
+        ids=["zero-rate", "negative-rate", "zero-burst"],
+    )
+    def test_a_bucket_that_cannot_refill_is_refused(self, options, field):
+        """A zero rate would divide by zero in ``handle`` once the burst is
+        spent; a zero burst would throttle every request forever."""
+        with pytest.raises(ValueError, match=field):
+            RouterOptions(**options)
+        assert RouterOptions(rate_limit=None, burst=1).rate_limit is None
 
     def test_keys_are_throttled_independently(self):
         router, api_key, _ = _manual_router(replication=1, rate_limit=1.0, burst=1)

@@ -141,10 +141,9 @@ class TestClosedShardIsFreed:
 
     def test_restart_frees_the_old_node_by_refcount(self, tmp_path):
         """``close()`` breaks the store -> observer -> shard cycle and the
-        server holds no bound methods of itself, so the node a restart
-        replaces — its store, server and registry included — is gone at
-        once: no collector pass, no second copy of the store waiting for
-        one."""
+        node holds no bound methods of itself, so the node a restart
+        replaces — its store and registry included — is gone at once: no
+        collector pass, no second copy of the store waiting for one."""
         svc, _ = self._service(tmp_path)
         gc.collect()
         gc.disable()
@@ -152,7 +151,7 @@ class TestClosedShardIsFreed:
             node = svc.shards["shard-0"]
             old = [
                 weakref.ref(part)
-                for part in (node, node.repository.store, node.server, node.registry)
+                for part in (node, node.repository.store, node.registry)
             ]
             records = node.count()
             del node

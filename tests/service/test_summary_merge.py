@@ -8,7 +8,7 @@ answer is the aggregate of the deduplicated union: over
 Hypothesis-generated upload sequences and divergence — writes during an
 outage with the hints dropped, a replica restarted from an old image, a
 shard joined without cleanup — the router, the document-loop oracle
-(:mod:`tests.crowd.views_oracle`) and a single ``CrowdServer`` fed the
+(:mod:`tests.crowd.views_oracle`) and a single ``CrowdShard`` fed the
 same stamped records answer the same bytes for every user.
 """
 
@@ -24,9 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core import perf
 from repro.crowd.records import Accessibility
-from repro.crowd.repository import CrowdRepository
-from repro.crowd.server import CrowdServer
-from repro.service import RouterOptions, build_service
+from repro.service import CrowdShard, RouterOptions, build_service
 from repro.service.shard import newest_wins
 
 from ..crowd import views_oracle
@@ -144,9 +142,9 @@ class Cluster:
         ]
         return list(newest_wins(docs).values())
 
-    def single_server(self, docs: list[dict]) -> CrowdServer:
-        """One ``CrowdServer`` holding ``docs`` under their router stamps."""
-        server = CrowdServer(CrowdRepository(users=self.svc.users))
+    def single_server(self, docs: list[dict]) -> CrowdShard:
+        """One ``CrowdShard`` holding ``docs`` under their router stamps."""
+        server = CrowdShard("oracle", users=self.svc.users)
         for doc in sorted(docs, key=views_oracle.stamp):
             response = server.handle(
                 {**doc, "route": "upload", "api_key": self.keys[doc["owner"]]}
