@@ -30,7 +30,7 @@ import numpy as np
 from repro.core import perf
 from repro.crowd import CrowdClient, MetaDescription
 from repro.registry import RegistryOptions
-from repro.service import RouterOptions, build_service
+from repro.service import build_service
 
 from harness import SMOKE, save_results
 
@@ -58,9 +58,7 @@ MIN_QPS = 1e3 if SMOKE else 1e4
 
 def _build_service():
     svc = build_service(
-        1,
-        registry=RegistryOptions(min_new_samples=10**6),
-        options=RouterOptions(replication=1, cache_size=0),
+        1, replication=1, registry=RegistryOptions(min_new_samples=10**6)
     )
     _, key = svc.register_user("bench", "bench@lab.gov")
     rng = np.random.default_rng(0)

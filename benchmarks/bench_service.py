@@ -1,6 +1,7 @@
-"""Crowd-service benchmark: sharded read scaling and cache-hit speedup.
+"""Crowd-service benchmark: sharded read scaling, write durability under
+a shard kill, and one problem-wide leaderboard.
 
-The service layer's two performance promises:
+The service layer's performance promises:
 
 * **shard scaling** — task-pinned reads land on single shards, so with
   N shards behind the router an open pool of clients sustains ~N times
@@ -8,10 +9,6 @@ The service layer's two performance promises:
   requests behind a simulated 2 ms service time (the transport models a
   single-threaded node), so the scaling measured here is real routing
   concurrency, not Python thread noise.
-* **query caching** — repeated fan-out queries (the TLA
-  ``query_source_data`` pattern: one problem, all tasks) are served
-  from the router's TTL+LRU cache without touching any shard.
-
 * **no silent write loss** — with K-way replication, a shard killed
   under sustained mixed read/write load and re-added later costs zero
   acknowledged writes: survivors absorb the traffic, hinted handoff
@@ -20,15 +17,14 @@ The service layer's two performance promises:
 
 ``test_problem_wide_leaderboard`` records one absolute row
 (``results/service_leaderboard.json``): the wall time and the peak traced
-bytes of one uncached router ``leaderboard`` over 3 200 records / 64
-tasks on 4 shards at replication 2 — each shard reduces its own columns
-and ships one partial row per task.
+bytes of one router ``leaderboard`` over 3 200 records / 64 tasks on 4
+shards at replication 2 — each shard reduces its own columns and ships
+one partial row per task.
 
-Checks: >= 3x read throughput at 4 shards vs 1, >= 3x latency win for
-cached repeats, and every acked write readable at full replication
-after the kill-and-rejoin cycle.  Smoke mode (``REPRO_BENCH_SMOKE=1``)
-shrinks budgets and drops the thresholds to sanity checks — shared CI
-runners have noisy clocks.
+Checks: >= 3x read throughput at 4 shards vs 1, and every acked write
+readable at full replication after the kill-and-rejoin cycle.  Smoke
+mode (``REPRO_BENCH_SMOKE=1``) shrinks budgets and drops the thresholds
+to sanity checks — shared CI runners have noisy clocks.
 """
 
 from __future__ import annotations
@@ -53,19 +49,12 @@ N_TASKS = 32
 RECORDS_PER_TASK = 4 if SMOKE else 8
 N_CLIENT_THREADS = 8
 QUERIES_PER_THREAD = 25 if SMOKE else (80 if FULL else 40)
-N_CACHE_REPEATS = 30 if SMOKE else 100
 
 MIN_SCALING_AT_4 = 1.5 if SMOKE else 3.0
-MIN_CACHE_SPEEDUP = 1.5 if SMOKE else 3.0
 
 
-def _build(n_shards: int, *, cache: bool):
-    options = RouterOptions(
-        replication=1,
-        cache_size=256 if cache else 0,
-        cache_ttl_s=300.0,
-    )
-    svc = build_service(n_shards, latency_s=LATENCY_S, options=options)
+def _build(n_shards: int):
+    svc = build_service(n_shards, replication=1, latency_s=LATENCY_S)
     _, key = svc.register_user("bench", "bench@lab.gov")
     for t in range(N_TASKS):
         for i in range(RECORDS_PER_TASK):
@@ -138,8 +127,7 @@ def test_read_throughput_scales_with_shards():
     rows = []
     throughput: dict[int, float] = {}
     for n_shards in SHARD_COUNTS:
-        # caching off: every query must hit its owning shard
-        svc, key = _build(n_shards, cache=False)
+        svc, key = _build(n_shards)
         try:
             wall = _pinned_read_wall(svc, key)
         finally:
@@ -181,60 +169,13 @@ def test_read_throughput_scales_with_shards():
     )
 
 
-def test_cache_hit_speedup():
-    svc, key = _build(4, cache=True)
-    stats = perf.PerfStats()
-    request = {"route": "query", "api_key": key, "problem_name": "bench"}
-    try:
-        with perf.collect(stats):
-            # first fan-out populates the cache
-            t0 = time.perf_counter()
-            first = svc.client.handle(request)
-            miss_s = time.perf_counter() - t0
-            assert first["ok"] and len(first["records"]) == N_TASKS * RECORDS_PER_TASK
-
-            hit_times = []
-            for _ in range(N_CACHE_REPEATS):
-                t0 = time.perf_counter()
-                response = svc.client.handle(request)
-                hit_times.append(time.perf_counter() - t0)
-            assert response == first
-    finally:
-        svc.close()
-
-    hit_s = float(np.median(hit_times))
-    speedup = miss_s / hit_s
-    counters = stats.snapshot()["counters"]
-    print(
-        f"\ncache: miss {miss_s * 1e3:.2f} ms, median hit {hit_s * 1e3:.3f} ms "
-        f"-> {speedup:.1f}x ({counters.get('service_cache_hits', 0)} hits, "
-        f"{counters.get('service_cache_misses', 0)} misses)"
-    )
-    save_results(
-        "service_cache",
-        {
-            "miss_s": miss_s,
-            "median_hit_s": hit_s,
-            "speedup": speedup,
-            "repeats": N_CACHE_REPEATS,
-        },
-    )
-
-    assert counters.get("service_cache_hits", 0) == N_CACHE_REPEATS
-    assert speedup >= MIN_CACHE_SPEEDUP, (
-        f"cached repeat only {speedup:.2f}x faster than the fan-out miss "
-        f"(need >= {MIN_CACHE_SPEEDUP}x)"
-    )
-
-
 LB_RECORDS = 320 if SMOKE else 3200
 LB_TASKS = 64
 LB_REPEATS = 5 if SMOKE else 20
 
 
 def test_problem_wide_leaderboard():
-    options = RouterOptions(replication=2, cache_size=0)
-    with build_service(4, options=options) as svc:
+    with build_service(4, replication=2) as svc:
         key = svc.register_user("bench", "bench@hpc.org")[1]
         rng = np.random.default_rng(0)
         for i in range(LB_RECORDS):
@@ -303,7 +244,7 @@ def test_kill_and_rejoin_loses_no_acked_writes():
     """
     from repro.service import shard_key
 
-    options = RouterOptions(replication=2, cache_size=0)
+    options = RouterOptions(replication=2)
     svc = build_service(KR_SHARDS, latency_s=LATENCY_S / 2, options=options)
     _, key = svc.register_user("bench", "bench@lab.gov")
 

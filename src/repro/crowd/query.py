@@ -46,7 +46,8 @@ def build_filter(
     block is absent, "a query will download all data available to the
     user" — i.e. no condition is emitted for it.  ``task_parameters``
     pins every named task parameter to an exact value (the sharded
-    router's single-shard read path).
+    router's single-shard read path).  A block, or an entry of one, that
+    is not a mapping raises ``TypeError``.
     """
     clauses: list[dict[str, Any]] = []
     if problem_name:
@@ -56,19 +57,23 @@ def build_filter(
     for name, value in (task_parameters or {}).items():
         clauses.append({f"task_parameters.{name}": value})
 
+    space = _mapping(problem_space or {}, "problem_space")
     for block_key, doc_prefix in (
         ("input_space", "task_parameters"),
         ("parameter_space", "tuning_parameters"),
     ):
-        for entry in (problem_space or {}).get(block_key, []):
-            clauses.extend(_space_entry_clauses(entry, doc_prefix))
+        for entry in space.get(block_key, []):
+            clauses.extend(_space_entry_clauses(_mapping(entry, block_key), doc_prefix))
 
-    config = configuration_space or {}
+    config = _mapping(configuration_space or {}, "configuration_space")
     machines = config.get("machine_configurations", [])
     if machines:
-        clauses.append({"$or": [_machine_clause(m) for m in machines]})
+        clauses.append(
+            {"$or": [_machine_clause(_mapping(m, "machine_configurations"))
+                     for m in machines]}
+        )
     for sw in config.get("software_configurations", []):
-        clauses.extend(_software_clauses(sw))
+        clauses.extend(_software_clauses(_mapping(sw, "software_configurations")))
     users = config.get("user_configurations", [])
     if users:
         clauses.append({"owner": {"$in": list(users)}})
@@ -93,6 +98,12 @@ def build_filter(
     if len(rest) == 1:
         return rest[0]
     return {"$and": rest}
+
+
+def _mapping(value: Any, what: str) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{what}: expected an object, got {value!r}")
+    return value
 
 
 def _space_entry_clauses(entry: Mapping[str, Any], prefix: str) -> list[dict]:

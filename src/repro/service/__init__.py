@@ -13,7 +13,7 @@ able to take concurrent traffic:
   a killed shard recovers bit-identical state from disk,
 * :mod:`~repro.service.router` — protocol-compatible front-end: smart
   routing, parallel cross-shard fan-out with exact deduplication,
-  token-bucket backpressure, TTL+LRU query caching,
+  token-bucket backpressure, no read cache,
 * :mod:`~repro.service.transport` — deterministic simulated RPC with
   fault injection, and the retrying :class:`ServiceClient` /
   :class:`RemoteRepository` adapters that let

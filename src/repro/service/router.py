@@ -1,17 +1,18 @@
-"""The crowd service front-end: routing, fan-out, caching, backpressure.
+"""The crowd service front-end: routing, fan-out, backpressure.
 
 :class:`CrowdRouter` serves the public routes of one
 :class:`~repro.service.shard.CrowdShard`, under the same protocol, so
 every client (:class:`~repro.engine.stream.CrowdStreamer`,
 :class:`~repro.service.client.RemoteRepository`, plain dict calls) works
 the same against one node or the sharded deployment.
-:meth:`CrowdRouter.handle` dispatches through one route table — writes
-answer with a response, reads with ``(response, shard tags)`` and go
-through the cache — inside the node's ``(KeyError, TypeError,
-ValueError) -> bad_request`` clause, so a missing or mistyped field
-never escapes as an exception, whichever route trips on it.  Each
-replica policy is written once and named; behind the protocol the
-router:
+:meth:`CrowdRouter.handle` dispatches reads and writes through one
+route table, every route answering with one response, inside the node's
+``(KeyError, TypeError, ValueError) -> bad_request`` clause, so a
+missing or mistyped field never escapes as an exception, whichever
+route trips on it.  The router keeps no read cache: every read goes to
+its shards, so it sees every write acknowledged before it without any
+invalidation.  Each replica policy is written once and named; behind
+the protocol the router:
 
 * **routes writes** to the ``(problem_name, task)`` key's preference
   list on the consistent-hash ring — K-way replication, every replica
@@ -61,9 +62,6 @@ router:
   ================================ ======================= ==========================
 
   A problem-wide read ships what it answers, not what it scanned;
-* **caches** read responses in a TTL+LRU cache tagged with the shards
-  each response was served from; a write invalidates every cached entry
-  that touched one of the written shards;
 * **backpressures** per API key with a token bucket: over-rate requests
   get ``{"ok": false, "error": "throttled", "retry_after": ...}``
   instead of service time (clients retry after the hint).
@@ -75,16 +73,14 @@ first reachable replica in preference order, and nothing heals in the
 background.  Upload responses carry ``replicas_acked`` /
 ``replicas_total`` / ``status`` whatever the quorum.
 
-Perf wiring: counters ``service_requests``, ``service_cache_hits`` /
-``_misses`` / ``_invalidations``, ``service_throttled``,
+Perf wiring: counters ``service_requests``, ``service_throttled``,
 ``service_fanouts``, ``service_replica_fallbacks``,
 ``service_underreplicated_writes``, ``service_quorum_failures``,
 ``service_read_repairs``, ``service_hints_stored`` / ``_replayed`` /
 ``_dropped``, ``service_antientropy_rounds`` / ``_records_healed``,
 ``service_summary_divergent_tasks`` (tasks an aggregate re-read as
 documents);
-gauges ``service_cache_size``, ``service_cache_hit_rate`` and
-``service_hints_pending`` (plus the per-shard ``shard_depth.*`` /
+gauge ``service_hints_pending`` (plus the per-shard ``shard_depth.*`` /
 ``shard_records.*`` gauges exported by the transport and shard layers).
 """
 
@@ -100,7 +96,7 @@ from typing import Any, Callable
 
 from ..core import perf
 from ..core.problem import task_key
-from ..crowd.columnar import ColumnarView, freeze, get_path, sort_key
+from ..crowd.columnar import ColumnarView, get_path, sort_key
 from ..crowd.query import SqlQuery
 from ..crowd.views import summary_contributors, summary_leaderboard
 from ..engine.faults import RetryPolicy
@@ -134,10 +130,6 @@ class RouterOptions:
     replication: int = 2
     #: virtual nodes per shard on the consistent-hash ring
     vnodes: int = 64
-    #: LRU capacity of the query cache (0 disables caching)
-    cache_size: int = 256
-    #: seconds a cached response stays valid
-    cache_ttl_s: float = 30.0
     #: sustained requests/second allowed per API key (None = unlimited)
     rate_limit: float | None = None
     #: burst capacity of each key's token bucket
@@ -161,8 +153,6 @@ class RouterOptions:
     def __post_init__(self) -> None:
         if self.replication < 1:
             raise ValueError("replication must be >= 1")
-        if self.cache_size < 0:
-            raise ValueError("cache_size must be >= 0")
         if self.rate_limit is not None and self.rate_limit <= 0:
             raise ValueError("rate_limit must be positive (None = unlimited)")
         if self.burst < 1:
@@ -200,105 +190,6 @@ class TokenBucket:
         return (1.0 - self._tokens) / self.rate
 
 
-def _cache_key(value: Any) -> Any:
-    """Cheap canonical hashable key of a request document.
-
-    Mappings become key-sorted ``("d", ...)`` tuples, sequences
-    ``("l", ...)`` tuples, and scalars ``(type-name, value)`` pairs — the
-    type name keeps ``1`` / ``1.0`` / ``True`` (JSON-distinct requests)
-    from colliding.
-    """
-    if isinstance(value, Mapping):
-        return ("d",) + tuple(
-            sorted((str(k), _cache_key(v)) for k, v in value.items())
-        )
-    if isinstance(value, (list, tuple)):
-        return ("l",) + tuple(_cache_key(v) for v in value)
-    if isinstance(value, (str, int, float, bool, type(None))):
-        return (type(value).__name__, value)
-    return (type(value).__name__, str(value))
-
-
-class _QueryCache:
-    """TTL+LRU response cache with shard-tag invalidation.
-
-    Entries are deep-frozen once at :meth:`put` (rebuilt containers, so
-    the entry shares nothing with the producer's response object) and
-    every hit returns the same frozen view — zero per-hit copies, and a
-    caller that tries to mutate a cached response gets ``TypeError``
-    instead of silently poisoning the cache.
-    """
-
-    def __init__(self, size: int, ttl_s: float, clock: Callable[[], float]) -> None:
-        self.size = int(size)
-        self.ttl_s = float(ttl_s)
-        self._clock = clock
-        #: key -> (frozen response, expires_at, shard_tags)
-        self._entries: OrderedDict[Any, tuple[Mapping, float, frozenset[str]]] = (
-            OrderedDict()
-        )
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: Any) -> Mapping | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[1] >= self._clock():
-                self._entries.move_to_end(key)
-                self.hits += 1
-                perf.incr("service_cache_hits")
-                self._gauge_rate()
-                return entry[0]  # frozen: immutable, safe to share
-            if entry is not None:
-                del self._entries[key]  # expired
-            self.misses += 1
-            perf.incr("service_cache_misses")
-            self._gauge_rate()
-            return None
-
-    def put(self, key: Any, response: Mapping[str, Any], tags: frozenset[str]) -> None:
-        if self.size <= 0:
-            return
-        with self._lock:
-            # sweep expired entries first: ``get`` only drops the entry
-            # it touched, so dead entries would otherwise count toward
-            # the size bound and push *live* LRU entries out below
-            now = self._clock()
-            expired = [k for k, e in self._entries.items() if e[1] < now]
-            for k in expired:
-                del self._entries[k]
-            self._entries[key] = (
-                freeze(dict(response)),
-                now + self.ttl_s,
-                tags,
-            )
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.size:
-                self._entries.popitem(last=False)
-            perf.gauge("service_cache_size", len(self._entries))
-
-    def invalidate(self, shards: frozenset[str]) -> int:
-        """Drop every entry served from any of the given shards."""
-        with self._lock:
-            doomed = [k for k, e in self._entries.items() if e[2] & shards]
-            for k in doomed:
-                del self._entries[k]
-            if doomed:
-                perf.incr("service_cache_invalidations", len(doomed))
-                perf.gauge("service_cache_size", len(self._entries))
-            return len(doomed)
-
-    def _gauge_rate(self) -> None:
-        total = self.hits + self.misses
-        if total:
-            perf.gauge("service_cache_hit_rate", self.hits / total)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
 class CrowdRouter:
     """Protocol-compatible front-end over N crowd shards."""
 
@@ -329,9 +220,6 @@ class CrowdRouter:
         }
         self.ring = ShardRing(list(self._shards), vnodes=self.options.vnodes)
         self._admin = next(iter(self._shards))
-        self._cache = _QueryCache(
-            self.options.cache_size, self.options.cache_ttl_s, clock
-        )
         self._buckets: dict[str, TokenBucket] = {}
         self._buckets_lock = threading.Lock()
         self._uid_lock = threading.Lock()
@@ -347,18 +235,15 @@ class CrowdRouter:
         self._membership_lock = threading.Lock()
         self._ae_stop: threading.Event | None = None
         self._ae_thread: threading.Thread | None = None
-        #: the route table: writes answer with a response, reads with
-        #: ``(response, shard tags)`` and go through the cache; account
-        #: routes are the admin shard's, the registry reads are pinned to
-        #: the task's preference list like a pinned query
-        self._writes: dict[str, Callable[..., dict[str, Any]]] = {
+        #: the route table: account routes are the admin shard's, the
+        #: registry reads are pinned to the task's preference list like a
+        #: pinned query
+        self._routes: dict[str, Callable[..., dict[str, Any]]] = {
             "register": self._route_account,
             "issue_key": self._route_account,
             "whoami": self._route_account,
             "upload": self._route_upload,
             "register_problem": self._route_register_problem,
-        }
-        self._reads: dict[str, Callable[..., tuple[dict[str, Any], frozenset[str]]]] = {
             "query": self._route_query,
             "query_sql": self._route_query_sql,
             "problems": self._merge_problems,
@@ -465,26 +350,14 @@ class CrowdRouter:
             throttled = self._throttle(str(request.get("api_key", "")))
             if throttled is not None:
                 return throttled
-            write = self._writes.get(route)
-            if write is not None:
-                return write(request)
-            read = self._reads.get(route)
-            if read is None:
+            handler = self._routes.get(route)
+            if handler is None:
                 return {
                     "ok": False,
                     "error": "not_found",
                     "message": f"unknown route {route!r}",
                 }
-            cache_key = None
-            if self._cache.size > 0:
-                cache_key = _cache_key(request)
-                cached = self._cache.get(cache_key)
-                if cached is not None:
-                    return cached
-            response, tags = read(request)
-            if cache_key is not None and response.get("ok"):
-                self._cache.put(cache_key, response, tags)
-            return response
+            return handler(request)
         # a missing or mistyped request field, wherever a route trips on it
         except (KeyError, TypeError, ValueError) as exc:
             return bad_request(str(exc))
@@ -495,51 +368,40 @@ class CrowdRouter:
         key = shard_key(request["problem_name"], dict(request["task_parameters"]))
         return self.ring.preference(key, self.options.replication)
 
-    def _first_reachable(
-        self, prefs: list[str], request: Mapping[str, Any]
-    ) -> tuple[dict[str, Any], frozenset[str]]:
-        """The answer of the first reachable replica, in preference order.
-
-        The response is tagged with the full preference list, so a write
-        to the key (which invalidates exactly those shards) also evicts
-        whatever was cached from the pre-write state.
-        """
+    def _first_reachable(self, prefs: list[str], request: Mapping[str, Any]) -> dict[str, Any]:
+        """The answer of the first reachable replica, in preference order."""
         for i, name in enumerate(prefs):
             response = self._shards[name].handle(request)
             if response.get("error") == "unavailable":
                 continue
             if i > 0:
                 perf.incr("service_replica_fallbacks")
-            return response, frozenset(prefs)
-        return (
-            _unavailable(f"all replicas of {prefs} are unreachable"),
-            frozenset(prefs),
-        )
+            return response
+        return _unavailable(f"all replicas of {prefs} are unreachable")
 
     def _collect(
         self, request: Mapping[str, Any], field: str
-    ) -> tuple[list, dict[str, Any] | None, frozenset[str]]:
+    ) -> tuple[list, dict[str, Any] | None]:
         """Fan out and concatenate the reachable shards' ``field`` lists
-        (in shard-name order); returns ``(items, error, tags)``.
+        (in shard-name order); returns ``(items, error)``.
 
         Unreachable shards are skipped; a shard that answers but refuses
         (auth / bad_request) gives the uniform verdict every shard would,
         so its response is the error; no shard reachable is an error too.
         """
         responses = self._fanout(request)
-        tags = frozenset(responses)
         items: list = []
         reachable = 0
         for _, response in sorted(responses.items()):
             if response.get("error") == "unavailable":
                 continue
             if not response.get("ok"):
-                return [], response, tags
+                return [], response
             reachable += 1
             items.extend(response.get(field, []))
         if reachable == 0:
-            return [], _unavailable("no shard reachable"), tags
-        return items, None, tags
+            return [], _unavailable("no shard reachable")
+        return items, None
 
     def _stamped_write(
         self, request: Mapping[str, Any], targets: list[str]
@@ -569,7 +431,6 @@ class CrowdRouter:
             else:
                 rejected = response
                 break
-        self._cache.invalidate(frozenset(targets))
         if oks and rejected is None:
             for name in unreachable:
                 self._store_hint(name, stamped)
@@ -638,24 +499,17 @@ class CrowdRouter:
         }
 
     # -- reads ---------------------------------------------------------------
-    def _route_pinned_registry(
-        self, request: Mapping[str, Any]
-    ) -> tuple[dict[str, Any], frozenset[str]]:
+    def _route_pinned_registry(self, request: Mapping[str, Any]) -> dict[str, Any]:
         """Serve a registry read from the task key's preference list.
 
         Same placement as a task-pinned query: the primary owns the
         records the entry was fit on, replicas hold healed copies.
         """
         if request.get("task_parameters") is None or not request.get("problem_name"):
-            return (
-                bad_request("registry reads need problem_name and task_parameters"),
-                frozenset(),
-            )
+            return bad_request("registry reads need problem_name and task_parameters")
         return self._first_reachable(self._task_prefs(request), request)
 
-    def _route_query(
-        self, request: Mapping[str, Any]
-    ) -> tuple[dict[str, Any], frozenset[str]]:
+    def _route_query(self, request: Mapping[str, Any]) -> dict[str, Any]:
         if request.get("task_parameters") is not None and request.get("problem_name"):
             # task-pinned: the single owning shard has every record of
             # the key; fall back through the replicas when shards die
@@ -663,15 +517,15 @@ class CrowdRouter:
             if min(self.options.read_quorum, len(prefs)) > 1:
                 return self._quorum_pinned_read(request, prefs)
             return self._first_reachable(prefs, request)
-        docs, error, tags = self._gather_records(request)
+        docs, error = self._gather_records(request)
         if error is not None:
-            return error, tags
+            return error
         docs.sort(key=lambda d: sort_key(d.get("timestamp")))
-        return {"ok": True, "records": _limited(docs, request.get("limit"))}, tags
+        return {"ok": True, "records": _limited(docs, request.get("limit"))}
 
     def _quorum_pinned_read(
         self, request: Mapping[str, Any], prefs: list[str]
-    ) -> tuple[dict[str, Any], frozenset[str]]:
+    ) -> dict[str, Any]:
         """Read R replicas, merge newest-wins, write repairs back.
 
         Visibility and ``require_success`` filtering are identical on
@@ -681,7 +535,6 @@ class CrowdRouter:
         the comparison unsound, so repairs are skipped.
         """
         quorum = min(self.options.read_quorum, len(prefs))
-        tags = frozenset(prefs)
         #: replica name -> the records it returned, ``_id`` stripped
         consulted: dict[str, list[dict[str, Any]]] = {}
         skipped = 0
@@ -693,19 +546,18 @@ class CrowdRouter:
                 skipped += 1
                 continue
             if not response.get("ok"):
-                return response, tags
+                return response
             consulted[name] = [
                 {k: v for k, v in doc.items() if k != "_id"}
                 for doc in response.get("records", [])
             ]
         if not consulted:
-            return _unavailable(f"all replicas of {prefs} are unreachable"), tags
+            return _unavailable(f"all replicas of {prefs} are unreachable")
         if skipped:
             perf.incr("service_replica_fallbacks")
         merged = newest_wins(doc for docs in consulted.values() for doc in docs)
         limit = request.get("limit")
         if limit is None and len(consulted) > 1:
-            repaired: set[str] = set()
             for name, docs in consulted.items():
                 # the merged copy carries the newest timestamp, so a
                 # replica is stale exactly where it holds another one
@@ -722,51 +574,44 @@ class CrowdRouter:
                 )
                 if fix.get("ok") and fix.get("applied", 0):
                     perf.incr("service_read_repairs", int(fix["applied"]))
-                    repaired.add(name)
-            if repaired:
-                self._cache.invalidate(frozenset(repaired))
         docs = sorted(merged.values(), key=lambda d: sort_key(d.get("timestamp")))
-        return {"ok": True, "records": _limited(docs, limit)}, tags
+        return {"ok": True, "records": _limited(docs, limit)}
 
-    def _route_query_sql(
-        self, request: Mapping[str, Any]
-    ) -> tuple[dict[str, Any], frozenset[str]]:
+    def _route_query_sql(self, request: Mapping[str, Any]) -> dict[str, Any]:
         q = SqlQuery.parse(request.get("sql", ""))
-        docs, error, tags = self._gather_records(request)
+        docs, error = self._gather_records(request)
         if error is not None:
-            return error, tags
+            return error
         if q.order_by is not None:
             docs.sort(
                 key=lambda d: sort_key(get_path(d, q.order_by)),
                 reverse=q.descending,
             )
-        return {"ok": True, "records": _limited(docs, q.limit)}, tags
+        return {"ok": True, "records": _limited(docs, q.limit)}
 
     def _gather_records(
         self, request: Mapping[str, Any]
-    ) -> tuple[list[dict], dict[str, Any] | None, frozenset[str]]:
+    ) -> tuple[list[dict], dict[str, Any] | None]:
         """Fan out a record-returning request; dedup replicas by uid.
 
         Divergent replicas (a stale node that rejoined before healing)
         may return different versions under one uid — the merge keeps
         the newest timestamp, matching read-repair's newest-wins rule.
         """
-        docs, error, tags = self._collect(request, "records")
+        docs, error = self._collect(request, "records")
         for doc in docs:
             doc.pop("_id", None)  # shard-local ids are meaningless here
-        return list(newest_wins(docs).values()), error, tags
+        return list(newest_wins(docs).values()), error
 
-    def _merge_problems(
-        self, request: Mapping[str, Any]
-    ) -> tuple[dict[str, Any], frozenset[str]]:
-        names, error, tags = self._collect(request, "problems")
-        return error or {"ok": True, "problems": sorted(set(names))}, tags
+    def _merge_problems(self, request: Mapping[str, Any]) -> dict[str, Any]:
+        names, error = self._collect(request, "problems")
+        return error or {"ok": True, "problems": sorted(set(names))}
 
     def _problem_summary(
         self, request: Mapping[str, Any]
-    ) -> tuple[list[dict[str, Any]], dict[str, Any] | None, frozenset[str]]:
+    ) -> tuple[list[dict[str, Any]], dict[str, Any] | None]:
         """One partial aggregate row per task of a problem, merged from
-        the shards' ``summary`` answers; ``(rows, error, tags)``.
+        the shards' ``summary`` answers; ``(rows, error)``.
 
         Replicas are byte-identical per ``(uid, timestamp)``, so holders
         that report one witness for a task hold one record set and the
@@ -782,9 +627,9 @@ class CrowdRouter:
             "api_key": request.get("api_key"),
             "problem_name": request.get("problem_name"),
         }
-        partials, error, tags = self._collect({"route": "summary", **base}, "tasks")
+        partials, error = self._collect({"route": "summary", **base}, "tasks")
         if error is not None:
-            return [], error, tags
+            return [], error
         held: dict[tuple, list[dict[str, Any]]] = {}
         for partial in partials:
             held.setdefault(task_key(partial["task_parameters"] or {}), []).append(partial)
@@ -797,7 +642,7 @@ class CrowdRouter:
             perf.incr("service_summary_divergent_tasks")
             # the pinned filter matches per parameter under ``==``, which
             # is wider than the task (1 == 1.0, extra parameters)
-            docs, error, _ = self._gather_records(
+            docs, error = self._gather_records(
                 {
                     "route": "query",
                     **base,
@@ -806,7 +651,7 @@ class CrowdRouter:
                 }
             )
             if error is not None:
-                return [], error, tags
+                return [], error
             view = ColumnarView(
                 {
                     i: doc
@@ -816,24 +661,20 @@ class CrowdRouter:
             )
             view.ensure_clean()
             merged.extend(view.task_summary(view.filter_mask({})))
-        return merged, None, tags
+        return merged, None
 
-    def _route_leaderboard(
-        self, request: Mapping[str, Any]
-    ) -> tuple[dict[str, Any], frozenset[str]]:
-        summary, error, tags = self._problem_summary(request)
+    def _route_leaderboard(self, request: Mapping[str, Any]) -> dict[str, Any]:
+        summary, error = self._problem_summary(request)
         if error is not None:
-            return error, tags
+            return error
         rows = summary_leaderboard(summary)
-        return {"ok": True, "rows": [r.to_response() for r in rows]}, tags
+        return {"ok": True, "rows": [r.to_response() for r in rows]}
 
-    def _route_contributors(
-        self, request: Mapping[str, Any]
-    ) -> tuple[dict[str, Any], frozenset[str]]:
-        summary, error, tags = self._problem_summary(request)
+    def _route_contributors(self, request: Mapping[str, Any]) -> dict[str, Any]:
+        summary, error = self._problem_summary(request)
         if error is not None:
-            return error, tags
-        return {"ok": True, "contributors": summary_contributors(summary)}, tags
+            return error
+        return {"ok": True, "contributors": summary_contributors(summary)}
 
     # -- hinted handoff ------------------------------------------------------
     def _store_hint(self, name: str, stamped: Mapping[str, Any]) -> None:
@@ -875,7 +716,6 @@ class CrowdRouter:
                 if name is not None
                 else sorted(n for n, q in self._hints.items() if q)
             )
-        replayed: set[str] = set()
         n_replayed = 0
         for shard_name in names:
             client = self._shards.get(shard_name)
@@ -899,9 +739,6 @@ class CrowdRouter:
                 if response.get("ok"):
                     n_replayed += 1
                     perf.incr("service_hints_replayed")
-                    replayed.add(shard_name)
-        if replayed:
-            self._cache.invalidate(frozenset(replayed))
         self._gauge_hints()
         return n_replayed
 
@@ -932,7 +769,6 @@ class CrowdRouter:
                 digests[name] = response.get("digests", {})
         healed = 0
         dropped = 0
-        touched: set[str] = set()
         all_keys = sorted({key for d in digests.values() for key in d})
         for key in all_keys:
             collection, ring_key = split_bucket_key(key)
@@ -959,7 +795,7 @@ class CrowdRouter:
                 holders[n] == next(iter(pref_digests)) for n in extras
             ):
                 if cleanup:
-                    dropped += self._drop_bucket(key, extras, touched)
+                    dropped += self._drop_bucket(key, extras)
                 continue
             fetched: list[dict[str, Any]] = []
             for name in sorted(set(holders) | set(reachable_prefs)):
@@ -987,15 +823,12 @@ class CrowdRouter:
                 if response.get("applied", 0):
                     bucket_applied += int(response["applied"])
                     healed += int(response["applied"])
-                    touched.add(name)
             if cleanup and extras and replicated_all and bucket_applied == 0:
                 # every replica already held the merged bucket (zero
                 # applies), so the extras' records — all part of the
                 # merge — are provably covered: safe to drop even though
                 # a stale extra's digest will never match the owners'
-                dropped += self._drop_bucket(key, extras, touched)
-        if touched:
-            self._cache.invalidate(frozenset(touched))
+                dropped += self._drop_bucket(key, extras)
         perf.incr("service_antientropy_rounds")
         if healed:
             perf.incr("service_antientropy_records_healed", healed)
@@ -1006,15 +839,14 @@ class CrowdRouter:
             "reachable": sorted(digests),
         }
 
-    def _drop_bucket(self, key: str, names: list[str], touched: set[str]) -> int:
+    def _drop_bucket(self, key: str, names: list[str]) -> int:
         """Drop bucket ``key`` on each named shard (handoff cleanup);
-        returns the documents dropped and notes the shards that had any."""
+        returns the documents dropped."""
         dropped = 0
         for name in names:
             response = self._shards[name].handle({"route": "drop_bucket", "key": key})
             if response.get("ok") and response.get("dropped", 0):
                 dropped += int(response["dropped"])
-                touched.add(name)
         return dropped
 
     def start_anti_entropy(self, interval_s: float) -> None:
@@ -1059,7 +891,6 @@ class CrowdRouter:
             self._shards[name] = self._connect(channel)
             self.ring = ShardRing(list(self._shards), vnodes=self.options.vnodes)
             self._shutdown_pool()
-            self._cache.invalidate(frozenset(self._shards))
             return self.rebalance() if rebalance else {}
 
     def remove_shard(self, name: str, *, graceful: bool = True) -> dict:
@@ -1086,7 +917,6 @@ class CrowdRouter:
             if self._admin == name:
                 self._admin = next(iter(self._shards))
             self._shutdown_pool()
-            self._cache.invalidate(frozenset(self._shards) | {name})
             self._gauge_hints()
             return stats
 
@@ -1103,4 +933,4 @@ class CrowdRouter:
         return totals
 
     def routes(self) -> list[str]:
-        return sorted({**self._writes, **self._reads})
+        return sorted(self._routes)

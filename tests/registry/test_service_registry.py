@@ -1,5 +1,5 @@
-"""The registry inside the sharded service: end-to-end serving, cache
-invalidation, WAL recovery, anti-entropy healing, and the CrowdClient
+"""The registry inside the sharded service: end-to-end serving, entry
+versions, WAL recovery, anti-entropy healing, and the CrowdClient
 consult-first/fit-locally fallback contract.
 """
 
@@ -143,20 +143,6 @@ class TestRegistryRoutes:
                 response = _predict(svc.client, key)
                 assert response["mean"] == first["mean"]
         assert stats.counters.get("gp_fits", 0) == 0
-
-    def test_predict_cache_hit_and_upload_invalidation(self, svc, key):
-        _register(svc.client, key)
-        for i in range(5):
-            _upload(svc.client, key, i)
-        first = _predict(svc.client, key)
-        before = {n: t.n_requests for n, t in svc.transports.items()}
-        assert _predict(svc.client, key) == first
-        # served from the router cache: no shard saw the second call
-        assert {n: t.n_requests for n, t in svc.transports.items()} == before
-        # a write to the same (problem, task) invalidates the entry
-        _upload(svc.client, key, 5)
-        fresh = _predict(svc.client, key)
-        assert fresh["data_version"] == first["data_version"] + 1
 
     def test_uploads_to_other_tasks_leave_entry_alone(self, svc, key):
         _register(svc.client, key)
@@ -320,7 +306,6 @@ class TestDurabilityAndHealing:
             replication=2,
             data_dir=tmp_path,
             registry=RegistryOptions(),
-            options=RouterOptions(replication=2, cache_size=0),
         )
         try:
             _, k = service.register_user("bob", "b@lab.gov")
@@ -349,7 +334,6 @@ class TestDurabilityAndHealing:
             3,
             replication=2,
             registry=RegistryOptions(min_new_samples=10**6),
-            options=RouterOptions(replication=2, cache_size=0),
         )
         try:
             _, k = service.register_user("bob", "b@lab.gov")

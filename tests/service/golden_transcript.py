@@ -20,10 +20,14 @@ and every later step keep their place), and only those lines, the
 regenerated again, the same way, when the node stopped serving
 ``browse_html``: only that step changed, from the router's
 ``bad_request`` refusal to the ``not_found`` of any unknown route.
+It was regenerated again, the same way, when the router's read cache was
+deleted: every response stayed byte-identical, and only the three
+``service_cache_hits`` / ``_invalidations`` / ``_misses`` counters
+disappeared.
 
 Normalization: API keys (random) become ``<key:NAME>``, floats are
 rounded to 9 decimals (GP arithmetic), and the router's clock is a
-manual one, so ``retry_after`` and cache expiry are deterministic.
+manual one, so ``retry_after`` is deterministic.
 """
 
 from __future__ import annotations
@@ -71,7 +75,6 @@ def run_script() -> dict[str, Any]:
     )
     clock = ManualClock()
     svc.router._clock = clock
-    svc.router._cache._clock = clock
     keys: dict[str, str] = {}
     lines: list[str] = []
 
@@ -137,7 +140,7 @@ def run_script() -> dict[str, Any]:
         # -- reads -----------------------------------------------------------
         pinned = {"problem_name": PROBLEM, "task_parameters": {"t": 2}}
         read("query", **pinned)
-        read("query", **pinned)  # cache hit
+        read("query", **pinned)  # the same read again
         read("query", **pinned, limit=2)
         read("query", "bob", problem_name=PROBLEM, task_parameters={"t": 5},
              require_success=False)

@@ -1,5 +1,5 @@
-"""Router semantics: replication, pinned reads, fan-out merge, cache,
-throttling, and degraded-mode behavior."""
+"""Router semantics: replication, pinned reads, fan-out merge,
+read-after-write, throttling, and degraded-mode behavior."""
 
 from __future__ import annotations
 
@@ -95,6 +95,25 @@ _MALFORMED = {
     "list-route": ({**_UPLOAD, "route": ["upload"]}, "bad_request"),
     "upload-api-key": ({**_UPLOAD, "api_key": ["k"]}, "auth"),
     "whoami-api-key": ({"route": "whoami", "api_key": {"k": 1}}, "auth"),
+    # a meta-description block, or an entry of one, that is not an object
+    **{
+        case: (
+            {"route": "query", "problem_name": "demo", block: value},
+            "bad_request",
+        )
+        for case, block, value in (
+            ("space-int", "problem_space", 1),
+            ("space-list", "problem_space", [1]),
+            ("space-str", "problem_space", "x"),
+            ("space-input-entry", "problem_space", {"input_space": [1]}),
+            ("space-param-entry", "problem_space", {"parameter_space": ["x"]}),
+            ("config-str", "configuration_space", "x"),
+            ("config-list", "configuration_space", [1, 2]),
+            ("config-machine-entry", "configuration_space", {"machine_configurations": [1]}),
+            ("config-machine-str", "configuration_space", {"machine_configurations": "ab"}),
+            ("config-sw-entry", "configuration_space", {"software_configurations": [1]}),
+        )
+    },
 }
 
 
@@ -394,89 +413,66 @@ class TestMerges:
                 assert front.handle(request)["error"] == "not_found"
 
 
-class TestCache:
-    def test_repeat_query_is_served_from_cache(self, svc, key):
-        for i in range(6):
-            _upload(svc.client, key, i)
-        request = {"route": "query", "api_key": key, "problem_name": "demo"}
-        first = svc.client.handle(request)
-        before = {n: t.n_requests for n, t in svc.transports.items()}
-        second = svc.client.handle(request)
-        assert second == first
-        # cache hit: no shard saw the second request
-        assert {n: t.n_requests for n, t in svc.transports.items()} == before
+_SQL = "SELECT * WHERE problem_name = 'demo'"
+#: id -> (a read of task {"t": 1}, what an upload to that task raises by 1)
+_READS_AFTER_WRITE = {
+    "pinned-query": (
+        {"route": "query", "problem_name": "demo", "task_parameters": {"t": 1}},
+        lambda r: len(r["records"]),
+    ),
+    "fanout-query": (
+        {"route": "query", "problem_name": "demo"},
+        lambda r: len(r["records"]),
+    ),
+    "query-sql": ({"route": "query_sql", "sql": _SQL}, lambda r: len(r["records"])),
+    "leaderboard": (
+        {"route": "leaderboard", "problem_name": "demo"},
+        lambda r: sum(row["n_samples"] for row in r["rows"]),
+    ),
+    "predict": (
+        {"route": "predict", "problem_name": "demo", "task_parameters": {"t": 1},
+         "configurations": [{"x": 0.5}]},
+        lambda r: r["data_version"],
+    ),
+}
 
-    def test_cached_response_is_a_copy(self, svc, key):
+
+class TestReadAfterWrite:
+    @pytest.mark.parametrize("read", sorted(_READS_AFTER_WRITE))
+    def test_read_sees_acked_upload(self, read):
+        """The router answers every read from its shards, so a read sees
+        each upload acknowledged before it."""
+        request, measure = _READS_AFTER_WRITE[read]
+        with build_service(4, replication=2, registry=RegistryOptions()) as svc:
+            key = svc.register_user("alice", "alice@lab.gov")[1]
+            space = {
+                "input_space": [
+                    {"name": "t", "type": "real", "lower_bound": 0, "upper_bound": 9}
+                ],
+                "parameter_space": [
+                    {"name": "x", "type": "real", "lower_bound": 0.0, "upper_bound": 9.0}
+                ],
+            }
+            assert svc.client.handle(
+                {"route": "register_problem", "api_key": key, "problem_name": "demo",
+                 "problem_space": space}
+            )["ok"]
+            for i in range(5):
+                assert _upload(svc.client, key, i, task={"t": 1})["ok"]
+            request = {"api_key": key, **request}
+            before = svc.client.handle(request)
+            assert before["ok"], before
+            assert _upload(svc.client, key, 5, task={"t": 1})["ok"]
+            after = svc.client.handle(request)
+            assert measure(after) == measure(before) + 1
+
+    def test_a_mutated_response_leaves_the_next_read_alone(self, svc, key):
         _upload(svc.client, key, 0)
         request = {"route": "query", "api_key": key, "problem_name": "demo"}
         first = svc.client.handle(request)
         first["records"][0]["output"] = -1.0
         second = svc.client.handle(request)
         assert second["records"][0]["output"] == 0.0
-
-    def test_cache_hits_are_frozen_documents(self, svc, key):
-        import pytest
-
-        _upload(svc.client, key, 0)
-        request = {"route": "query", "api_key": key, "problem_name": "demo"}
-        svc.client.handle(request)  # miss: populate
-        hit = svc.client.handle(request)  # hit: pinned frozen document
-        with pytest.raises(TypeError):
-            hit["records"][0]["output"] = -1.0
-        with pytest.raises(TypeError):
-            hit["records"].append({})
-        # the pinned response stays intact for later hits
-        again = svc.client.handle(request)
-        assert again["records"][0]["output"] == 0.0
-
-    def test_cache_key_canonicalization(self):
-        from repro.service.router import _cache_key
-
-        # key-order insensitive, value-identical requests share a key
-        assert _cache_key({"a": 1, "b": [2, {"c": 3}]}) == _cache_key(
-            {"b": [2, {"c": 3}], "a": 1}
-        )
-        # 1, 1.0 and True compare equal; the canonical key must not
-        keys = {_cache_key({"t": v}) for v in (1, 1.0, True)}
-        assert len(keys) == 3
-        # containers of different kinds never collide
-        assert _cache_key([1, 2]) != _cache_key({"0": 1, "1": 2})
-        assert _cache_key({"t": [1]}) != _cache_key({"t": {"0": 1}})
-        # keys are hashable (usable as OrderedDict keys)
-        hash(_cache_key({"a": {"b": [1, (2, 3)]}}))
-
-    def test_write_invalidates_cache_of_owning_shards(self, svc, key):
-        _upload(svc.client, key, 0, task={"t": 0})
-        request = {"route": "query", "api_key": key, "problem_name": "demo"}
-        assert len(svc.client.handle(request)["records"]) == 1
-        # fan-out queries are tagged with every shard, so any write
-        # invalidates them: the next read sees the new record, not stale
-        _upload(svc.client, key, 1, task={"t": 1})
-        assert len(svc.client.handle(request)["records"]) == 2
-
-    def test_cache_entry_expires_after_ttl(self):
-        router, api_key, clock = _manual_router(
-            replication=1, cache_ttl_s=10.0
-        )
-        _upload(router, api_key, 0)
-        request = {"route": "query", "api_key": api_key, "problem_name": "demo"}
-        router.handle(request)
-        assert router._cache.hits == 0
-        router.handle(request)
-        assert router._cache.hits == 1
-        clock.now = 11.0  # past the TTL
-        router.handle(request)
-        assert router._cache.hits == 1
-        router.close()
-
-    def test_cache_disabled_with_size_zero(self):
-        router, api_key, _ = _manual_router(replication=1, cache_size=0)
-        _upload(router, api_key, 0)
-        request = {"route": "query", "api_key": api_key, "problem_name": "demo"}
-        router.handle(request)
-        router.handle(request)
-        assert len(router._cache) == 0
-        router.close()
 
 
 class TestThrottling:

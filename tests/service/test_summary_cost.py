@@ -16,7 +16,7 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
-from repro.service import RouterOptions, build_service
+from repro.service import build_service
 
 RECORDS, TASKS = 3200, 64
 PROBLEM = "PDGEQRF"
@@ -56,9 +56,9 @@ def upload(key: str, i: int, rng: np.random.Generator) -> dict:
 
 @pytest.fixture(scope="module")
 def served():
-    """4 shards, replication 2, cache off; ``(service, api key)``."""
+    """4 shards, replication 2; ``(service, api key)``."""
     rng = np.random.default_rng(0)
-    with build_service(4, options=RouterOptions(replication=2, cache_size=0)) as svc:
+    with build_service(4, replication=2) as svc:
         key = svc.register_user("alice", "alice@lab.gov")[1]
         for i in range(RECORDS):
             assert svc.client.handle(upload(key, i, rng))["ok"]
