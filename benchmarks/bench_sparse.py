@@ -14,7 +14,7 @@ fit+predict wall clock across n for both and checks the guarantees:
   quadruples the time), and
 * a small-history tuning run with ``surrogate="auto"`` produces the
   *identical* trajectory as the dense path (same seed) — the policy is
-  pure routing, not an approximation, below ``n_dense_max``.
+  pure routing, not an approximation, below ``N_DENSE_MAX``.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks the size grid and loosens
 the ratio thresholds to sanity checks for shared CI runners.
@@ -159,7 +159,7 @@ def test_auto_policy_identical_below_threshold():
     assert auto.history.configs() == dense.history.configs()
 
 
-def test_sparse_mode_regret_within_noise():
+def test_sparse_mode_regret_within_noise(sparse_threshold):
     """Forcing the sparse surrogate onto a small run stays competitive."""
     from repro.apps.synthetic import DemoFunction
 
@@ -168,17 +168,14 @@ def test_sparse_mode_regret_within_noise():
     task = app.default_task()
     n = 8 if SMOKE else 25
     dense = Tuner(problem, TunerOptions(surrogate="dense")).tune(task, n, seed=3)
-    sparse = Tuner(
-        problem,
-        TunerOptions(surrogate="auto", n_dense_max=4, n_inducing=16),
-    ).tune(task, n, seed=3)
+    sparse_threshold(4, n_inducing=16)
+    sparse = Tuner(problem, TunerOptions(surrogate="auto")).tune(task, n, seed=3)
     # within-noise: the sparse run's final incumbent is no worse than the
     # dense run's by more than the demo function's observed spread
     assert sparse.best_output <= dense.best_output * 1.5 + 0.1
 
 
 if __name__ == "__main__":
-    test_sparse_beats_dense_at_scale()
-    test_auto_policy_identical_below_threshold()
-    test_sparse_mode_regret_within_noise()
-    print("bench_sparse: all checks passed")
+    import pytest
+
+    raise SystemExit(pytest.main([__file__, "-q", "-s"]))

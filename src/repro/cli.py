@@ -89,14 +89,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     app = build_app(args.app, args.machine, args.nodes)
     problem = app.make_problem(run=args.seed)
     task = _parse_task(app, args.task)
-    # the target task's model policy: a TunerOptions field where the tuner
-    # fits the model, a strategy argument where a TLA strategy does
-    model_policy = {
-        "surrogate": args.surrogate,
-        "n_dense_max": args.n_dense_max,
-        "n_inducing": args.n_inducing,
-    }
-    options = TunerOptions(n_initial=args.n_initial, **model_policy)
+    # the target task's surrogate policy: a TunerOptions field where the
+    # tuner fits the model, a strategy argument where a TLA strategy does
+    options = TunerOptions(n_initial=args.n_initial, surrogate=args.surrogate)
 
     if args.workers > 1 or args.batch > 1:
         from .fabric import FabricOptions, FabricTuner
@@ -123,7 +118,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
                 configs.append(c)
                 ys.append(y)
         source = TaskData(src_task, space.to_unit_array(configs), np.array(ys), "cli-source")
-        tuner.provider = StrategyProvider(get_strategy(args.tla, **model_policy), [source])
+        strategy = get_strategy(args.tla, surrogate=args.surrogate)
+        tuner.provider = StrategyProvider(strategy, [source])
 
     result = tuner.tune(task, args.samples, seed=args.seed)
     print(json.dumps(result.summary(), indent=2, default=str))
@@ -453,11 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     p_tune.add_argument("--surrogate", default="auto",
                         choices=SURROGATE_KINDS,
                         help="surrogate policy: auto switches dense->sparse "
-                             "past --n-dense-max observations")
-    p_tune.add_argument("--n-dense-max", type=int, default=1000,
-                        help="history size beyond which auto goes sparse")
-    p_tune.add_argument("--n-inducing", type=int, default=100,
-                        help="inducing points for the sparse surrogate")
+                             "past repro.core.sparse.N_DENSE_MAX observations")
     p_tune.add_argument("--tla", choices=sorted(STRATEGY_REGISTRY))
     p_tune.add_argument("--source-task", help="source task as JSON (with --tla)")
     p_tune.add_argument("--source-samples", type=int, default=50)

@@ -160,7 +160,8 @@ class RefitCadence:
         false when it cannot — then ``build(previous, False)`` names the
         model to refit with optimization off.  A ``key`` other than the
         last call's (the surrogate kind when a history crosses
-        ``n_dense_max``) forgets the model but not the count.
+        :data:`repro.core.sparse.N_DENSE_MAX`) forgets the model but not
+        the count.
         """
         if key != self.key:
             self.model, self.key = None, key

@@ -574,37 +574,17 @@ class GaussianProcess(Surrogate):
     @staticmethod
     def from_dict(doc: dict) -> "GaussianProcess":
         X = np.asarray(doc["X"], dtype=float)
-        if "variance" in doc:
-            # exact path: raw parameters, no log round-trip
-            kernel = kernel_from_name(
-                doc["kernel"],
-                X.shape[1],
-                variance=float(doc["variance"]),
-                lengthscales=doc["lengthscales"],
-            )
-            gp = GaussianProcess(
-                kernel, noise_variance=float(doc["noise_variance"]), optimize=False
-            )
-        else:  # legacy theta-only snapshot
-            gp = GaussianProcess(
-                kernel_from_name(doc["kernel"], X.shape[1]), optimize=False
-            )
-            theta = np.asarray(doc["theta"], dtype=float)
-            gp.kernel.set_theta(theta[:-1])
-            gp.noise_variance = float(np.exp(theta[-1]))
-        K = gp._cov(X)
-        if "jitter" in doc:
-            L, jitter = cholesky_at(K, float(doc["jitter"]))
-        else:
-            L, jitter = cholesky_with_jitter(K)
-        alpha = np.asarray(doc["alpha"], dtype=float)
-        if "y_raw" in doc:
-            y_raw = np.asarray(doc["y_raw"], dtype=float)
-        else:
-            # reconstruct the raw targets so incremental updates keep working
-            ys = L @ (L.T @ alpha)
-            y_raw = ys * float(doc["y_std"]) + float(doc["y_mean"])
-        gp._set_state(
-            X, y_raw, float(doc["y_mean"]), float(doc["y_std"]), L, alpha, jitter
+        # raw parameters, no log round-trip
+        kernel = kernel_from_name(
+            doc["kernel"],
+            X.shape[1],
+            variance=float(doc["variance"]),
+            lengthscales=doc["lengthscales"],
         )
+        gp = GaussianProcess(
+            kernel, noise_variance=float(doc["noise_variance"]), optimize=False
+        )
+        L, jitter = cholesky_at(gp._cov(X), float(doc["jitter"]))
+        y_raw, alpha = (np.asarray(doc[k], dtype=float) for k in ("y_raw", "alpha"))
+        gp._set_state(X, y_raw, float(doc["y_mean"]), float(doc["y_std"]), L, alpha, jitter)
         return gp

@@ -19,17 +19,20 @@ O(nm^2) fit, O(m^2) per prediction point, with a rank-1 ``update()``
 that folds new rows into the cached ``U U^T``-style factors in O(m^2)
 per point.  One global set of hyperparameters describes the whole
 history; where that underfits (different length scales in different
-regions) raise ``n_inducing``.
+regions) raise :data:`N_INDUCING`.
 
 Task-level grouping happens *above* this module: the registry builds
 one surrogate per ``(problem, task)`` and the tuners model one task at
 a time, so the class summarizes a single task's history.
 
-The ``surrogate="auto"`` policy (:func:`resolve_surrogate_kind`) keeps
-the dense GP — bit-identical to the historical behavior — up to
-``n_dense_max`` observations and switches to the sparse surrogate past
-it; :func:`make_surrogate` and :func:`surrogate_from_dict` are the
-construction/round-trip entry points the tuners and the registry share.
+This module owns the dense-or-sparse decision: the ``"auto"`` policy
+(:func:`resolve_surrogate_kind`) keeps the dense GP — bit-identical to
+the historical behavior — up to :data:`N_DENSE_MAX` observations and
+fits the sparse one past it.  Every fit of crowd data (tuner, TLA
+models, registry builds, the client's fit-locally paths, sensitivity
+analysis) resolves its kind here and builds through
+:func:`make_surrogate`, so a served model and a local fit of the same
+records agree by construction; :func:`surrogate_from_dict` loads either.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ from .kernels import Kernel, kernel_from_name, kernel_name
 
 __all__ = [
     "SURROGATE_KINDS",
+    "N_DENSE_MAX",
+    "N_INDUCING",
     "SparseGP",
     "select_inducing",
     "check_surrogate_policy",
@@ -61,8 +66,15 @@ __all__ = [
 
 (_trtrs,) = get_lapack_funcs(("trtrs",), (np.empty(0, dtype=np.float64),))
 
-#: surrogate policies accepted by the tuners and the registry
+#: surrogate policies accepted by the tuners and the TLA strategies
 SURROGATE_KINDS = ("auto", "dense", "sparse")
+
+#: past this many observations ``"auto"`` fits the sparse surrogate
+#: (read at call time, so a test can lower it with ``monkeypatch``)
+N_DENSE_MAX = 1000
+
+#: inducing points ``m`` of every sparse surrogate :func:`make_surrogate` builds
+N_INDUCING = 100
 
 #: noise-variance floor inside the SGPR factors (a zero noise would make
 #: the information matrix B = I + U U^T / sigma^2 singular in float64)
@@ -99,24 +111,24 @@ def check_surrogate_policy(policy: str) -> str:
     """``policy`` if it is one of :data:`SURROGATE_KINDS`, else ``ValueError``.
 
     Called where a policy is written down (``TunerOptions``,
-    ``TLAStrategy``, ``RegistryOptions``), so a bad one fails at
-    construction instead of at the first fit.
+    ``TLAStrategy``), so a bad one fails at construction instead of at
+    the first fit.
     """
     if policy not in SURROGATE_KINDS:
         raise ValueError(f"unknown surrogate policy {policy!r}; choose from {SURROGATE_KINDS}")
     return policy
 
 
-def resolve_surrogate_kind(policy: str, n: int, n_dense_max: int) -> str:
+def resolve_surrogate_kind(policy: str, n: int) -> str:
     """Map a surrogate policy to the concrete kind for ``n`` observations.
 
     ``"dense"`` / ``"sparse"`` are explicit; ``"auto"`` keeps the exact
-    dense GP (bit-identical to the historical path) up to ``n_dense_max``
-    points and switches to the sparse inducing-point GP past it.
+    dense GP (bit-identical to the historical path) up to
+    :data:`N_DENSE_MAX` points and the sparse inducing-point GP past it.
     """
     if check_surrogate_policy(policy) != "auto":
         return policy
-    return "dense" if n <= int(n_dense_max) else "sparse"
+    return "dense" if n <= N_DENSE_MAX else "sparse"
 
 
 def make_surrogate(
@@ -127,16 +139,15 @@ def make_surrogate(
     seed: int | None = None,
     max_fun: int = 80,
     n_restarts: int = 1,
-    n_inducing: int = 100,
 ):
     """Construct an unfitted surrogate of the given concrete ``kind``.
 
-    The shared factory behind the tuners' ``surrogate=`` policy and the
-    registry's builds, so every layer creates each class with the same
-    knobs.  ``kind`` must already be concrete (resolve ``"auto"`` with
-    :func:`resolve_surrogate_kind` first).  ``"dense"`` takes a
-    :class:`Kernel` instance (the mixed-space kernel), or a kernel name
-    plus the input dimension ``dim``.
+    The shared factory behind every fit of crowd data, so every layer
+    creates each class with the same knobs (a sparse one with
+    :data:`N_INDUCING` inducing points).  ``kind`` must already be
+    concrete (resolve ``"auto"`` with :func:`resolve_surrogate_kind`
+    first).  ``"dense"`` takes a :class:`Kernel` instance (the
+    mixed-space kernel), or a kernel name plus the input dimension ``dim``.
     """
     if kind == "dense":
         if isinstance(kernel, str):
@@ -147,7 +158,7 @@ def make_surrogate(
     if kind == "sparse":
         return SparseGP(
             kernel,
-            n_inducing=n_inducing,
+            n_inducing=N_INDUCING,
             max_fun=max_fun,
             n_restarts=n_restarts,
             seed=seed,

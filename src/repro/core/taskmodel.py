@@ -20,9 +20,8 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .gp import GaussianProcess
-from .kernels import kernel_from_name
 from .space import Space
+from .sparse import make_surrogate, resolve_surrogate_kind
 
 __all__ = ["TaskAwareSurrogate"]
 
@@ -42,6 +41,9 @@ class TaskAwareSurrogate:
     log_output:
         Model ``log(y)`` instead of ``y``; the right choice for runtimes,
         whose scale varies multiplicatively across task sizes.
+
+    Each :meth:`fit` makes its GP there, dense or sparse by the
+    ``"auto"`` policy of :mod:`repro.core.sparse` at the pooled size.
     """
 
     def __init__(
@@ -59,12 +61,9 @@ class TaskAwareSurrogate:
         self.parameter_space = parameter_space
         self.log_output = log_output
         self._dim = input_space.dim + parameter_space.dim
-        self._gp = GaussianProcess(
-            kernel_from_name(kernel, self._dim),
-            max_fun=gp_max_fun,
-            n_restarts=gp_restarts,
-            seed=seed,
-        )
+        self._kernel = kernel
+        self._gp_args = {"max_fun": gp_max_fun, "n_restarts": gp_restarts, "seed": seed}
+        self._gp = None
         self._n_tasks_seen = 0
 
     # -- encoding --------------------------------------------------------
@@ -95,13 +94,15 @@ class TaskAwareSurrogate:
                 raise ValueError("log_output requires strictly positive outputs")
             y = np.log(y)
         X = self._encode(tasks, configs)
+        kind = resolve_surrogate_kind("auto", y.size)
+        self._gp = make_surrogate(kind, self._kernel, dim=self._dim, **self._gp_args)
         self._gp.fit(X, y)
         self._n_tasks_seen = len({tuple(sorted(t.items())) for t in tasks})
         return self
 
     @property
     def fitted(self) -> bool:
-        return self._gp.fitted
+        return self._gp is not None and self._gp.fitted
 
     @property
     def n_tasks_seen(self) -> int:

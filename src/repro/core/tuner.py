@@ -37,7 +37,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from . import perf
+from . import perf, sparse
 from .acquisition import Acquisition, ExpectedImprovement, PredictFn
 from .feasibility import KnnFeasibility
 from .fit import RefitCadence, grow_gp
@@ -82,20 +82,25 @@ class TunerOptions:
     gp_max_fun: int = 80
     gp_restarts: int = 1
     #: surrogate policy: ``"auto"`` keeps the exact dense GP (bit-identical
-    #: to the historical loop) up to ``n_dense_max`` observations and
-    #: switches to the O(nm^2) sparse inducing-point GP past it;
-    #: ``"dense"`` / ``"sparse"`` force one kind
+    #: to the historical loop) up to :data:`repro.core.sparse.N_DENSE_MAX`
+    #: observations and switches to the O(nm^2) sparse inducing-point GP
+    #: past it; ``"dense"`` / ``"sparse"`` force one kind.  The mixed-space
+    #: kernel is dense only, so it refuses ``"sparse"``
     surrogate: str = "auto"
-    n_dense_max: int = 1000
-    #: inducing points for the sparse surrogate (``m`` in the O(nm^2) fit)
-    n_inducing: int = 100
     #: learn P(feasible) from observed failures and steer the acquisition
     #: away from them (ablation: bench_ablation_failures.py)
     learn_feasibility: bool = True
     search: SearchOptions = field(default_factory=SearchOptions)
 
     def __post_init__(self) -> None:
-        check_surrogate_policy(self.surrogate)
+        if check_surrogate_policy(self.surrogate) == "sparse" and self.kernel == "mixed":
+            raise ValueError("the mixed-space kernel has no sparse surrogate")
+
+    @property
+    def n_dense_max(self) -> int:
+        """:data:`repro.core.sparse.N_DENSE_MAX` for its one reader,
+        ``benchmarks/e2e/workloads.py``; read-only, not an option."""
+        return sparse.N_DENSE_MAX
 
     def make_sampler(self) -> Sampler:
         return get_sampler(self.sampler)
@@ -238,14 +243,14 @@ class GPProvider:
         """The concrete surrogate kind for an ``n``-observation history.
 
         Pure function of the options and ``n`` — it consumes no random
-        draws, so below ``n_dense_max`` the loop's rng stream (and hence
+        draws, so below ``N_DENSE_MAX`` the loop's rng stream (and hence
         its proposals) is bit-identical to the pre-policy tuner.  The
-        mixed-space kernel stays dense regardless of policy: the sparse
-        kinds cover the continuous kernel family only.
+        mixed-space kernel stays dense under ``"auto"``: the sparse kind
+        covers the continuous kernel family only.
         """
         if self.options.kernel == "mixed":
             return "dense"
-        return resolve_surrogate_kind(self.options.surrogate, n, self.options.n_dense_max)
+        return resolve_surrogate_kind(self.options.surrogate, n)
 
     def p_feasible(self, X_obs: np.ndarray, X_failed: np.ndarray):
         """A learned P(feasible) when failures have been observed."""
@@ -284,7 +289,6 @@ class GPProvider:
                 seed=int(rng.integers(0, 2**31 - 1)),
                 max_fun=opts.gp_max_fun,
                 n_restarts=opts.gp_restarts,
-                n_inducing=opts.n_inducing,
             )
             return self.gp
 

@@ -24,14 +24,15 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from ..core.gp import GaussianProcess
-from ..core.sparse import surrogate_from_dict
+from ..core.gp import Surrogate
+from ..core.sparse import make_surrogate, resolve_surrogate_kind, surrogate_from_dict
 from ..core.history import TaskData
 from ..core.problem import Evaluation, TuningProblem, task_key
 from ..core.space import Space
 from ..core.taskmodel import TaskAwareSurrogate
 from ..core.tuner import Tuner, TunerOptions, TuningResult
-from ..sensitivity.analyzer import SensitivityAnalyzer, SensitivityReport
+from ..sensitivity.analyzer import SensitivityReport
+from ..sensitivity.sobol import SobolIndices, sobol_analyze_function
 from ..tla.base import TLAStrategy
 from ..tla.tuner import TransferTuner
 from .environment import parse_slurm_environment, parse_spack_spec
@@ -255,7 +256,7 @@ class CrowdClient:
         *,
         kernel: str = "rbf",
         seed: int | None = None,
-    ) -> GaussianProcess:
+    ) -> Surrogate:
         """A surrogate of the queried data (optionally one task's).
 
         With a registry-backed repository and a task-pinned query, the
@@ -265,7 +266,8 @@ class CrowdClient:
         depend on private/group data, on ``configuration_space``
         restrictions, or on a different kernel fit locally.  ``seed``
         pins the local fit's MLE restart draw (the registry's own fits
-        are seeded by its options).
+        are seeded by its options); the local fit picks dense or sparse
+        by :mod:`repro.core.sparse`'s policy, as the registry's build does.
         """
         space = self.meta.parameter_space()
         if self._registry_usable(task) and self._ensure_registered():
@@ -288,13 +290,19 @@ class CrowdClient:
             raise ValueError(
                 f"need >= 2 queried samples to build a surrogate, got {len(records)}"
             )
+        return self._fit_locally(records, kernel, seed)
+
+    def _fit_locally(
+        self, records: list[PerformanceRecord], kernel: str, seed: int | None
+    ) -> Surrogate:
+        """The surrogate of ``records`` fitted the way a registry build
+        fits it — the kind :mod:`repro.core.sparse` picks for their count,
+        the factory's defaults — from ``seed``."""
+        space = self.meta.parameter_space()
         X = space.to_unit_array([r.tuning_parameters for r in records])
         y = np.array([r.output for r in records], dtype=float)
-        from ..core.kernels import kernel_from_name
-
-        gp = GaussianProcess(kernel_from_name(kernel, space.dim), n_restarts=1, seed=seed)
-        gp.fit(X, y)
-        return gp
+        kind = resolve_surrogate_kind("auto", len(records))
+        return make_surrogate(kind, kernel, dim=space.dim, seed=seed).fit(X, y)
 
     # -- QueryPredictOutput -----------------------------------------------------------
     def query_predict_output(
@@ -372,6 +380,9 @@ class CrowdClient:
         service runs the Sobol' analysis against its frozen surrogate and
         ships the indices plus the model snapshot back, so the client
         builds the same :class:`SensitivityReport` without fitting a GP.
+        Otherwise the analysis runs here on the surrogate
+        :meth:`query_surrogate_model` would fit, so with ``seed`` equal to
+        the registry's seed both paths give the same indices.
         """
         space = self.meta.parameter_space()
         if (
@@ -391,8 +402,6 @@ class CrowdClient:
                 response.get("ok")
                 and response.get("space_fingerprint") == self._meta_fingerprint()
             ):
-                from ..sensitivity.sobol import SobolIndices
-
                 indices = SobolIndices(
                     names=list(response["names"]),
                     S1=np.asarray(response["S1"], dtype=float),
@@ -418,10 +427,11 @@ class CrowdClient:
             rng = np.random.default_rng(seed)
             idx = rng.choice(len(records), size=max_samples, replace=False)
             records = [records[i] for i in idx]
-        X = space.to_unit_array([r.tuning_parameters for r in records])
-        y = np.array([r.output for r in records], dtype=float)
-        data = TaskData(dict(task or {}), X, y)
-        return SensitivityAnalyzer(space).analyze(data, n_base=n_base, seed=seed)
+        surrogate = self._fit_locally(records, "rbf", seed)
+        indices = sobol_analyze_function(
+            surrogate.predict_mean, space.dim, n_base=n_base, names=space.names, seed=seed
+        )
+        return SensitivityReport(indices, space, surrogate, len(records))
 
     # -- uploading ----------------------------------------------------------------------
     def record_evaluation(self, evaluation: Evaluation) -> int | None:

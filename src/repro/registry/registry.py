@@ -44,12 +44,7 @@ import numpy as np
 
 from ..core import perf
 from ..core.gp import GPFitError
-from ..core.sparse import (
-    check_surrogate_policy,
-    make_surrogate,
-    resolve_surrogate_kind,
-    surrogate_from_dict,
-)
+from ..core.sparse import make_surrogate, resolve_surrogate_kind, surrogate_from_dict
 from ..core.problem import task_key
 from ..core.space import Space
 from ..crowd.database import Collection
@@ -66,6 +61,8 @@ from .entry import (
 __all__ = ["ModelRegistry", "RegistryOptions", "upsert_newest"]
 
 _RECORDS = "performance_records"
+#: the kernel of every build, recorded in its entry
+_KERNEL = "rbf"
 #: what a build can raise on records that are already stored: a covariance
 #: that cannot be factorized, or a malformed stored block it had to read
 _STORED_DATA_ERRORS = (GPFitError, ValueError, KeyError, TypeError, AttributeError)
@@ -99,26 +96,22 @@ class RegistryOptions:
 
     The defaults favour freshness and determinism: rebuild after every
     eligible upload (``min_new_samples=1``), synchronously, with a fixed
-    fit seed so replicas converge on identical entries.
+    fit seed so replicas converge on identical entries.  What a build
+    fits is not a knob: the ``"auto"`` policy of :mod:`repro.core.sparse`
+    picks the dense GP up to ``N_DENSE_MAX`` eligible records (entries
+    byte-identical to the historical format) and the O(nm^2) sparse
+    inducing-point GP past it — the same kind a client fitting the same
+    records locally gets.
     """
 
-    kernel: str = "rbf"
     seed: int = 0
     min_samples: int = 2
     min_new_samples: int = 1
     max_resident: int = 64
-    #: surrogate policy for builds: ``"auto"`` fits the exact dense GP up
-    #: to ``n_dense_max`` eligible records (entries byte-identical to the
-    #: historical format) and the O(nm^2) sparse inducing-point GP past
-    #: it, so a crowd-sized history builds in bounded time
-    surrogate: str = "auto"
-    n_dense_max: int = 2048
-    n_inducing: int = 128
 
     def __post_init__(self) -> None:
         # here, not at the first build: a build runs on the upload path,
         # after the record that triggered it has been stored
-        check_surrogate_policy(self.surrogate)
         if self.min_new_samples < 1:
             raise ValueError("min_new_samples must be >= 1")
 
@@ -331,16 +324,11 @@ class ModelRegistry:
                 return None
             X = space.to_unit_array([d["tuning_parameters"] for d in docs])
             y = np.array([d["output"] for d in docs], dtype=float)
-            kind = resolve_surrogate_kind(
-                self.options.surrogate, len(docs), self.options.n_dense_max
-            )
             gp = make_surrogate(
-                kind,
-                self.options.kernel,
+                resolve_surrogate_kind("auto", len(docs)),
+                _KERNEL,
                 dim=space.dim,
                 seed=self.options.seed,
-                n_restarts=1,
-                n_inducing=self.options.n_inducing,
             )
             with perf.timer("registry_build"):
                 gp.fit(X, y)
@@ -350,7 +338,7 @@ class ModelRegistry:
                 task_key=tk,
                 data_version=len(docs),
                 n_samples=len(docs),
-                kernel=self.options.kernel,
+                kernel=_KERNEL,
                 seed=self.options.seed,
                 model=gp.to_dict(),
                 timestamp=float(docs[-1].get("timestamp", 0.0)),

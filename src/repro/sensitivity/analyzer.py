@@ -19,10 +19,10 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..core.gp import GaussianProcess
+from ..core.gp import Surrogate
 from ..core.history import TaskData
-from ..core.kernels import kernel_from_name
 from ..core.space import FixedSpace, Space
+from ..core.sparse import make_surrogate, resolve_surrogate_kind
 from .sobol import SobolIndices, sobol_analyze_function
 
 __all__ = ["SensitivityAnalyzer", "SensitivityReport", "reduce_space"]
@@ -34,7 +34,7 @@ class SensitivityReport:
 
     indices: SobolIndices
     space: Space
-    surrogate: GaussianProcess
+    surrogate: Surrogate
     n_samples: int
 
     def table(self) -> str:
@@ -85,15 +85,17 @@ class SensitivityAnalyzer:
         self.gp_max_fun = gp_max_fun
         self.gp_restarts = gp_restarts
 
-    def fit_surrogate(self, data: TaskData, seed: int | None = None) -> GaussianProcess:
-        gp = GaussianProcess(
-            kernel_from_name(self.kernel, self.space.dim),
+    def fit_surrogate(self, data: TaskData, seed: int | None = None) -> Surrogate:
+        """The surrogate of ``data``, dense or sparse by the ``"auto"`` policy."""
+        gp = make_surrogate(
+            resolve_surrogate_kind("auto", data.n),
+            self.kernel,
+            dim=self.space.dim,
+            seed=seed,
             max_fun=self.gp_max_fun,
             n_restarts=self.gp_restarts,
-            seed=seed,
         )
-        gp.fit(data.X, data.y)
-        return gp
+        return gp.fit(data.X, data.y)
 
     def analyze(
         self,

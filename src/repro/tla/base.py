@@ -44,9 +44,8 @@ from ..core import perf
 from ..core.acquisition import PredictFn
 from ..core.combine import combine_stacked, normalized_weights
 from ..core.fit import RefitCadence, grow_gp
-from ..core.gp import GaussianProcess, GPFitError
+from ..core.gp import GPFitError, Surrogate
 from ..core.history import TaskData
-from ..core.kernels import kernel_from_name
 from ..core.sparse import check_surrogate_policy, make_surrogate, resolve_surrogate_kind
 
 __all__ = [
@@ -64,16 +63,17 @@ def fit_source_gps(
     kernel: str = "rbf",
     max_fun: int = 80,
     counter: str = "source",
-) -> list[GaussianProcess]:
-    """Pre-train one dense GP surrogate per source dataset, each from a
-    seed drawn from ``rng``; ``counter`` names the perf counter
-    (``tla_{counter}_fits``)."""
+) -> list[Surrogate]:
+    """Pre-train one surrogate per source dataset (its kind by the
+    ``"auto"`` policy at the source's size), each from a seed drawn from
+    ``rng``; ``counter`` names the perf counter (``tla_{counter}_fits``)."""
     gps = []
     for src in sources:
         if src.n == 0:
             raise ValueError(f"source dataset {src.label!r} is empty")
         seed = int(rng.integers(0, 2**31 - 1))
-        gp = GaussianProcess(kernel_from_name(kernel, src.dim), max_fun=max_fun, seed=seed)
+        kind = resolve_surrogate_kind("auto", src.n)
+        gp = make_surrogate(kind, kernel, dim=src.dim, seed=seed, max_fun=max_fun)
         gps.append(gp.fit(src.X, src.y))
         perf.incr(f"tla_{counter}_fits")
     return gps
@@ -97,7 +97,7 @@ def combine_weighted(models: list[PredictFn], weights: np.ndarray) -> PredictFn:
     return predict
 
 
-def equal_weight_model(source_gps: list[GaussianProcess]) -> PredictFn:
+def equal_weight_model(source_gps: list[Surrogate]) -> PredictFn:
     """Equal-weight combination of the source surrogates only.
 
     Used for the very first target evaluation, when neither dynamic
@@ -126,22 +126,18 @@ class TLAStrategy(ABC):
         gp_max_fun: int = 80,
         refit_every: int = 1,
         surrogate: str = "auto",
-        n_dense_max: int = 1000,
-        n_inducing: int = 100,
     ) -> None:
         self.kernel = kernel
         self.gp_max_fun = gp_max_fun
         self.refit_every = max(int(refit_every), 1)
         #: target-side surrogate policy: ``"auto"`` keeps the dense GP
-        #: (bit-identical) up to ``n_dense_max`` target observations and
+        #: (bit-identical) up to ``N_DENSE_MAX`` target observations and
         #: switches to the sparse inducing-point GP past it — target
         #: histories grown from a large crowd transfer can be huge even
         #: when each tuning run adds only tens of points
         self.surrogate = check_surrogate_policy(surrogate)
-        self.n_dense_max = int(n_dense_max)
-        self.n_inducing = int(n_inducing)
         self.sources: list[TaskData] = []
-        self.source_gps: list[GaussianProcess] = []
+        self.source_gps: list[Surrogate] = []
         #: set once prepare()/prepare_from_models() has run; a provider
         #: without sources keeps a strategy prepared from models as it is
         self.prepared = False
@@ -164,7 +160,7 @@ class TLAStrategy(ABC):
     def _adopt(
         self,
         sources: list[TaskData],
-        source_gps: list[GaussianProcess],
+        source_gps: list[Surrogate],
         rng: np.random.Generator,
     ) -> None:
         """Take ``source_gps`` (one fitted GP per source, under this
@@ -207,7 +203,7 @@ class TLAStrategy(ABC):
         if X.shape[0] == 0:
             return None
         seed = int(rng.integers(0, 2**31 - 1))
-        kind = resolve_surrogate_kind(self.surrogate, X.shape[0], self.n_dense_max)
+        kind = resolve_surrogate_kind(self.surrogate, X.shape[0])
 
         def build(previous, optimize: bool):
             if not optimize:
@@ -218,7 +214,6 @@ class TLAStrategy(ABC):
                 dim=X.shape[1],
                 seed=seed,
                 max_fun=self.gp_max_fun,
-                n_inducing=self.n_inducing,
             )
             if self.refit_every > 1 and previous is not None and kind == "dense":
                 # boundary refit under an amortized cadence: hyperparameters

@@ -34,7 +34,7 @@ import numpy as np
 from ..core import perf
 from ..core.acquisition import PredictFn
 from ..core.fit import RefitCadence
-from ..core.gp import GaussianProcess
+from ..core.gp import Surrogate
 from ..core.history import TaskData
 from .base import TLAStrategy, equal_weight_model, fit_source_gps
 
@@ -56,7 +56,7 @@ class Stacking(TLAStrategy):
         if order not in self.ORDERS:
             raise ValueError(f"order must be one of {self.ORDERS}, got {order!r}")
         self.order = order
-        self._stack: list[GaussianProcess] = []
+        self._stack: list[Surrogate] = []
         self._stack_ns: list[int] = []
         self._residual = RefitCadence(self.refit_every, self._fit_errors)
 

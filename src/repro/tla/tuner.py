@@ -88,10 +88,11 @@ class TransferTuner(Tuner):
     ``strategy`` and ``sources`` are the provider's; ``options`` and
     ``callbacks`` are :class:`~repro.core.tuner.Tuner`'s.  The strategy
     fits the target task's model, so what that model is — ``surrogate``,
-    ``n_dense_max``, ``n_inducing``, ``refit_every``, ``kernel`` — is set
-    on the strategy (``get_strategy(key, surrogate="sparse", ...)``);
-    the ``options`` fields of the same names are read only by a tuner
-    that fits its own GP and do nothing here.
+    ``refit_every``, ``kernel`` — is set on the strategy
+    (``get_strategy(key, surrogate="sparse", ...)``); the ``options``
+    fields of the same names are read only by a tuner that fits its own
+    GP and do nothing here.  The threshold and inducing-point count of
+    ``"auto"`` are :mod:`repro.core.sparse`'s, shared by both.
     """
 
     def __init__(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import sparse
 from repro.core import (
     CategoricalParameter,
     IntegerParameter,
@@ -19,6 +20,21 @@ from repro.core import (
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def sparse_threshold(monkeypatch):
+    """Lower :mod:`repro.core.sparse`'s dense-or-sparse threshold for one
+    test: ``sparse_threshold(n_dense_max, n_inducing=None)`` makes every
+    ``"auto"`` fit past ``n_dense_max`` observations sparse (with
+    ``n_inducing`` inducing points, when given)."""
+
+    def lower(n_dense_max: int, n_inducing: int | None = None) -> None:
+        monkeypatch.setattr(sparse, "N_DENSE_MAX", n_dense_max)
+        if n_inducing is not None:
+            monkeypatch.setattr(sparse, "N_INDUCING", n_inducing)
+
+    return lower
 
 
 @pytest.fixture

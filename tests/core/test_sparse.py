@@ -184,16 +184,22 @@ class TestSparseGP:
 
 
 class TestFactoryAndPolicy:
-    def test_resolve_kinds(self):
-        assert resolve_surrogate_kind("auto", 100, 1000) == "dense"
-        assert resolve_surrogate_kind("auto", 1000, 1000) == "dense"
-        assert resolve_surrogate_kind("auto", 1001, 1000) == "sparse"
-        assert resolve_surrogate_kind("dense", 10**6, 1000) == "dense"
+    def test_resolve_kinds(self, sparse_threshold):
+        assert resolve_surrogate_kind("auto", 1000) == "dense"
+        assert resolve_surrogate_kind("auto", 1001) == "sparse"
+        sparse_threshold(40)  # read at call time
+        assert resolve_surrogate_kind("auto", 40) == "dense"
+        assert resolve_surrogate_kind("auto", 41) == "sparse"
+        assert resolve_surrogate_kind("dense", 10**6) == "dense"
+        assert resolve_surrogate_kind("sparse", 2) == "sparse"
         with pytest.raises(ValueError):
-            resolve_surrogate_kind("bogus", 10, 1000)
+            resolve_surrogate_kind("bogus", 10)
 
-    def test_make_surrogate(self):
-        assert isinstance(make_surrogate("sparse", "rbf", n_inducing=7), SparseGP)
+    def test_make_surrogate(self, sparse_threshold):
+        assert make_surrogate("sparse", "rbf").n_inducing == 100
+        sparse_threshold(40, n_inducing=7)  # read at call time
+        sp = make_surrogate("sparse", "rbf")
+        assert isinstance(sp, SparseGP) and sp.n_inducing == 7
         dense = make_surrogate("dense", "matern52", dim=3, max_fun=40, n_restarts=2)
         assert type(dense) is GaussianProcess and isinstance(dense.kernel, Matern52)
         assert (dense.kernel.dim, dense.max_fun, dense.n_restarts) == (3, 40, 2)

@@ -52,11 +52,11 @@ def _upload_history(repo, key, n, seed=0):
 
 
 class TestSparseRegistryBuilds:
-    def test_5k_history_builds_bounded_and_serves_fit_free(self, repo, key):
-        registry = ModelRegistry(
-            repo,
-            RegistryOptions(n_dense_max=512, n_inducing=48, min_new_samples=10**9),
-        )
+    def test_5k_history_builds_bounded_and_serves_fit_free(
+        self, repo, key, sparse_threshold
+    ):
+        sparse_threshold(512, n_inducing=48)
+        registry = ModelRegistry(repo, RegistryOptions(min_new_samples=10**9))
         registry.register_problem("demo", SPACE)
         _upload_history(repo, key, 5000)
 
@@ -91,11 +91,11 @@ class TestSparseRegistryBuilds:
         again = registry.predict("demo", TASK, configs)
         assert again["mean"] == out["mean"] and again["std"] == out["std"]
 
-    def test_served_model_reconstructs_bitwise_client_side(self, repo, key):
-        registry = ModelRegistry(
-            repo,
-            RegistryOptions(n_dense_max=100, n_inducing=24, min_new_samples=10**9),
-        )
+    def test_served_model_reconstructs_bitwise_client_side(
+        self, repo, key, sparse_threshold
+    ):
+        sparse_threshold(100, n_inducing=24)
+        registry = ModelRegistry(repo, RegistryOptions(min_new_samples=10**9))
         registry.register_problem("demo", SPACE)
         _upload_history(repo, key, 400)
         entry = registry.build("demo", TASK)
@@ -109,12 +109,11 @@ class TestSparseRegistryBuilds:
         assert [float(v) for v in mean] == served["mean"]
         assert [float(v) for v in std] == served["std"]
 
-    def test_small_history_keeps_dense_entries(self, repo, key):
-        """Below n_dense_max the entry format is the historical dense one
+    def test_small_history_keeps_dense_entries(self, repo, key, sparse_threshold):
+        """Below N_DENSE_MAX the entry format is the historical dense one
         (no "type" dispatch needed by old readers)."""
-        registry = ModelRegistry(
-            repo, RegistryOptions(n_dense_max=512, min_new_samples=10**9)
-        )
+        sparse_threshold(512)
+        registry = ModelRegistry(repo, RegistryOptions(min_new_samples=10**9))
         registry.register_problem("demo", SPACE)
         _upload_history(repo, key, 50)
         entry = registry.build("demo", TASK)
@@ -123,10 +122,11 @@ class TestSparseRegistryBuilds:
         out = registry.predict("demo", TASK, [{"x": 0.5}])
         assert len(out["mean"]) == 1
 
-    def test_sparse_build_deterministic_across_replicas(self, repo, key):
+    def test_sparse_build_deterministic_across_replicas(self, repo, key, sparse_threshold):
         """Content-determined entries: two registries over the same record
         set build byte-identical sparse models (anti-entropy convergence)."""
-        opts = RegistryOptions(n_dense_max=100, n_inducing=16, min_new_samples=10**9)
+        sparse_threshold(100, n_inducing=16)
+        opts = RegistryOptions(min_new_samples=10**9)
         registry = ModelRegistry(repo, opts)
         registry.register_problem("demo", SPACE)
         _upload_history(repo, key, 300)
