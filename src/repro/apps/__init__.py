@@ -6,29 +6,19 @@ each modeled as an :class:`~repro.apps.base.HPCApplication` over the
 simulated machines of :mod:`repro.hpc`.
 """
 
-from .base import HPCApplication, deterministic_seed
+from .base import HPCApplication
 from .hypre import HYPRE_DEFAULTS, HypreAMG
 from .nimrod import NIMROD
 from .scalapack import PDGEQRF
-from .sparse import (
-    COLPERM_CHOICES,
-    MATRIX_REGISTRY,
-    SymbolicStats,
-    get_matrix,
-    laplacian_3d,
-    parsec_like,
-    symbolic_stats,
-)
+from .sparse import COLPERM_CHOICES, MATRIX_REGISTRY, symbolic_stats
 from .superlu import SUPERLU_DEFAULTS, SuperLUDist2D
-from .superlu3d import Factor3DCost, SuperLU3DModel
-from .synthetic import BRANIN_CLASSIC_TASK, BraninFunction, DemoFunction
+from .superlu3d import SuperLU3DModel
+from .synthetic import BraninFunction, DemoFunction
 
 __all__ = [
-    "BRANIN_CLASSIC_TASK",
     "BraninFunction",
     "COLPERM_CHOICES",
     "DemoFunction",
-    "Factor3DCost",
     "HPCApplication",
     "HYPRE_DEFAULTS",
     "HypreAMG",
@@ -38,10 +28,5 @@ __all__ = [
     "SUPERLU_DEFAULTS",
     "SuperLU3DModel",
     "SuperLUDist2D",
-    "SymbolicStats",
-    "deterministic_seed",
-    "get_matrix",
-    "laplacian_3d",
-    "parsec_like",
     "symbolic_stats",
 ]

@@ -27,7 +27,7 @@ import numpy as np
 from ..core.problem import TuningProblem
 from ..core.space import OutputParameter, Space
 
-__all__ = ["HPCApplication", "deterministic_seed"]
+__all__ = ["HPCApplication"]
 
 
 def deterministic_seed(*parts: Any) -> int:

@@ -28,17 +28,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-__all__ = [
-    "COLPERM_CHOICES",
-    "SymbolicStats",
-    "MatrixSpec",
-    "MATRIX_REGISTRY",
-    "get_matrix",
-    "laplacian_3d",
-    "parsec_like",
-    "symbolic_stats",
-    "clear_symbolic_cache",
-]
+__all__ = ["COLPERM_CHOICES", "MATRIX_REGISTRY", "symbolic_stats"]
 
 #: SuperLU_DIST's COLPERM options (and scipy splu permc_spec values)
 COLPERM_CHOICES = ["NATURAL", "MMD_ATA", "MMD_AT_PLUS_A", "COLAMD"]
@@ -172,12 +162,6 @@ def symbolic_stats(matrix_name: str, colperm: str) -> SymbolicStats:
             flops=flops,
         )
     return _symbolic_cache[key]
-
-
-def clear_symbolic_cache() -> None:
-    """Drop cached matrices/factorizations (tests use this for isolation)."""
-    _matrix_cache.clear()
-    _symbolic_cache.clear()
 
 
 def supernode_sizes(n: int, nsup: int, nrel: int, *, seed: int = 0) -> np.ndarray:

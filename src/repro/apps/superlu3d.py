@@ -23,7 +23,7 @@ from ..hpc.mpi import CostComm
 from ..hpc.procgrid import Grid3D
 from .sparse import supernode_gemm_efficiency
 
-__all__ = ["SuperLU3DModel", "Factor3DCost"]
+__all__ = ["SuperLU3DModel"]
 
 
 @dataclass(frozen=True)

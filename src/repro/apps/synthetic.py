@@ -29,7 +29,7 @@ from typing import Any, Mapping
 from ..core.space import RealParameter, Space
 from .base import HPCApplication
 
-__all__ = ["DemoFunction", "BraninFunction", "BRANIN_CLASSIC_TASK"]
+__all__ = ["DemoFunction", "BraninFunction"]
 
 _PI = math.pi
 

@@ -43,7 +43,7 @@ from .tla import (
     pool_table,
 )
 
-__all__ = ["main", "build_app"]
+__all__ = ["main"]
 
 _APPS = {
     "demo": DemoFunction,

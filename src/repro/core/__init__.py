@@ -6,12 +6,7 @@ transfer-learning algorithm in :mod:`repro.tla` build on.
 """
 
 from . import perf
-from .acquisition import (
-    ExpectedImprovement,
-    LowerConfidenceBound,
-    PendingPenalty,
-    get_acquisition,
-)
+from .acquisition import ExpectedImprovement, LowerConfidenceBound, PendingPenalty
 from .combine import combine_stacked, normalized_weights
 from .feasibility import KnnFeasibility
 from .gp import GaussianProcess, GPFitError, Surrogate
@@ -19,7 +14,7 @@ from .history import History, TaskData
 from .kernels import RBF, Matern32, Matern52, kernel_from_name
 from .lcm import LCM, LCMFitError
 from .mixed import MixedKernel, mixed_kernel_for_space
-from .optimizer import SearchOptions, propose_batch, search_next
+from .optimizer import SearchOptions, propose_batch
 from .problem import Evaluation, TuningProblem, task_key
 from .samplers import (
     LatinHypercubeSampler,
@@ -32,7 +27,6 @@ from .sparse import (
     SparseGP,
     make_surrogate,
     resolve_surrogate_kind,
-    select_inducing,
     surrogate_from_dict,
 )
 from .taskmodel import TaskAwareSurrogate
@@ -85,7 +79,6 @@ __all__ = [
     "TuningProblem",
     "TuningResult",
     "combine_stacked",
-    "get_acquisition",
     "get_sampler",
     "kernel_from_name",
     "make_surrogate",
@@ -94,8 +87,6 @@ __all__ = [
     "perf",
     "propose_batch",
     "resolve_surrogate_kind",
-    "search_next",
-    "select_inducing",
     "surrogate_from_dict",
     "task_key",
 ]

@@ -22,7 +22,6 @@ __all__ = [
     "ExpectedImprovement",
     "LowerConfidenceBound",
     "PendingPenalty",
-    "get_acquisition",
 ]
 
 PredictFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]

@@ -25,7 +25,7 @@ from .gp import GPFitError
 from .samplers import _config_key
 from .space import Space
 
-__all__ = ["LIE_STRATEGIES", "SearchOptions", "propose_batch", "search_next", "reference_best"]
+__all__ = ["LIE_STRATEGIES", "SearchOptions", "propose_batch"]
 
 ScoreFn = Callable[[np.ndarray], np.ndarray]
 

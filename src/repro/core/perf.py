@@ -4,9 +4,9 @@ The tuning loop is instrumented with *counters* (how many GP fits,
 incremental updates, Cholesky retries, acquisition evaluations, kernel
 cache hits), *nested timers* (where the per-iteration wall time goes:
 surrogate fit vs acquisition search) and *gauges* (sampled quantities
-like fabric queue depth or worker utilization).  The overhead is a few
-hundred nanoseconds per event, so the instrumentation stays on
-permanently.
+like fabric queue depth or worker utilization).  An event costs about
+a microsecond with one :func:`collect` block active, so the
+instrumentation stays on permanently.
 
 Design: a stack of :class:`PerfStats` collectors.  A module-level default
 collector always exists (process-wide totals); :meth:`Tuner.tune` pushes
@@ -19,9 +19,11 @@ Thread-safety: multi-start MLE (:mod:`repro.core.fit`, ``n_jobs``) and
 the service router's fan-out record events from pool threads
 concurrently with the calling thread.  The
 collector stack is process-global (worker events reach the collectors
-the main thread pushed), every mutation is lock-guarded, and the
-*timer nesting path* is thread-local so concurrent workers cannot
-interleave each other's dotted timer names.
+the main thread pushed).  It is an immutable tuple that :func:`collect`
+replaces under a lock, so recording an event reads it without one; each
+collector guards its own counters, and the *timer nesting path* is
+thread-local so concurrent workers cannot interleave each other's
+dotted timer names.
 
 Timer names nest by call structure: a ``timer("fit")`` entered while
 ``timer("surrogate")`` is active records under ``"surrogate.fit"``.
@@ -46,13 +48,11 @@ from typing import Any, Iterator
 __all__ = [
     "PerfStats",
     "collect",
-    "current",
     "gauge",
     "incr",
     "merge",
     "snapshot",
     "timer",
-    "reset_global",
 ]
 
 
@@ -195,8 +195,9 @@ class PerfStats:
 #: process-wide collector; always active at the bottom of the stack
 GLOBAL = PerfStats()
 
-_stack: list[PerfStats] = [GLOBAL]
-#: guards push/pop/iteration of the collector stack (not the collectors
+#: the active collectors, outermost first; never mutated, only replaced
+_stack: tuple[PerfStats, ...] = (GLOBAL,)
+#: serializes replacing the collector stack (not the collectors
 #: themselves — each PerfStats carries its own lock)
 _stack_lock = threading.Lock()
 #: per-thread timer nesting, so concurrent workers keep separate paths
@@ -210,20 +211,9 @@ def _timer_path() -> list[str]:
     return path
 
 
-def _active() -> tuple[PerfStats, ...]:
-    with _stack_lock:
-        return tuple(_stack)
-
-
 def current() -> PerfStats:
     """The innermost active collector."""
-    with _stack_lock:
-        return _stack[-1]
-
-
-def reset_global() -> None:
-    """Clear the process-wide collector (benchmarks call this between runs)."""
-    GLOBAL.reset()
+    return _stack[-1]
 
 
 @contextmanager
@@ -235,25 +225,28 @@ def collect(stats: PerfStats | None = None) -> Iterator[PerfStats]:
     process-global: events recorded by worker threads while the block is
     active land in ``stats`` as well.
     """
+    global _stack
     stats = stats if stats is not None else PerfStats()
     with _stack_lock:
-        _stack.append(stats)
+        _stack = (*_stack, stats)
     try:
         yield stats
     finally:
         with _stack_lock:
-            _stack.remove(stats)
+            stack = list(_stack)
+            stack.remove(stats)
+            _stack = tuple(stack)
 
 
 def incr(name: str, n: int = 1) -> None:
     """Increment a counter in every active collector."""
-    for s in _active():
+    for s in _stack:
         s.incr(name, n)
 
 
 def gauge(name: str, value: float) -> None:
     """Record a gauge sample in every active collector."""
-    for s in _active():
+    for s in _stack:
         s.gauge(name, value)
 
 
@@ -272,7 +265,7 @@ def merge(snap: dict[str, Any]) -> None:
     ``TuningResult.perf``).  Without this every counter incremented in a
     forked worker is silently lost.
     """
-    for s in _active():
+    for s in _stack:
         s.merge(snap)
 
 
@@ -293,5 +286,5 @@ def timer(name: str) -> Iterator[None]:
         dt = time.perf_counter() - t0
         if path and path[-1] == name:
             path.pop()
-        for s in _active():
+        for s in _stack:
             s.add_time(key, dt)

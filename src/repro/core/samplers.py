@@ -30,7 +30,6 @@ __all__ = [
     "LatinHypercubeSampler",
     "SobolSampler",
     "get_sampler",
-    "unique_configs",
 ]
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "CategoricalParameter",
     "OutputParameter",
     "Space",
+    "FixedSpace",
     "SpaceError",
 ]
 

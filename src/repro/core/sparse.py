@@ -57,7 +57,6 @@ __all__ = [
     "N_DENSE_MAX",
     "N_INDUCING",
     "SparseGP",
-    "select_inducing",
     "check_surrogate_policy",
     "resolve_surrogate_kind",
     "make_surrogate",

@@ -51,8 +51,6 @@ from .sparse import check_surrogate_policy, make_surrogate, resolve_surrogate_ki
 
 __all__ = [
     "EvalOutcome",
-    "GPProvider",
-    "InlineExecutor",
     "Tuner",
     "TunerOptions",
     "TuningResult",
@@ -80,7 +78,6 @@ class TunerOptions:
     acquisition: Acquisition = field(default_factory=ExpectedImprovement)
     refit_every: int = 1
     gp_max_fun: int = 80
-    gp_restarts: int = 1
     #: surrogate policy: ``"auto"`` keeps the exact dense GP (bit-identical
     #: to the historical loop) up to :data:`repro.core.sparse.N_DENSE_MAX`
     #: observations and switches to the O(nm^2) sparse inducing-point GP
@@ -288,7 +285,6 @@ class GPProvider:
                 dim=X.shape[1],
                 seed=int(rng.integers(0, 2**31 - 1)),
                 max_fun=opts.gp_max_fun,
-                n_restarts=opts.gp_restarts,
             )
             return self.gp
 

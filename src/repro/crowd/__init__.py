@@ -7,52 +7,33 @@ and the user-facing crowd-tuning API with its utility functions.
 """
 
 from .api import CrowdClient, MetaDescription
-from .configmatch import CanonicalEntry, TagMatcher, default_matcher
+from .configmatch import TagMatcher, default_matcher
 from .database import Collection, DocumentStore, QuerySyntaxError
-from .analytics import (
-    RepeatGroup,
-    VariabilityReport,
-    detect_outliers,
-    group_repeats,
-    variability_report,
-)
+from .analytics import detect_outliers, variability_report
 from .environment import (
     EnvironmentParseError,
     parse_ck_meta,
     parse_slurm_environment,
     parse_spack_spec,
-    parse_version,
 )
 from .query import SqlQuery, SqlSyntaxError, build_filter
-from .records import ACCESS_LEVELS, Accessibility, PerformanceRecord
+from .records import Accessibility, PerformanceRecord
 from .repository import CrowdRepository
-from .users import AuthError, KeyPair, User, UserRegistry
-from .views import (
-    LeaderboardRow,
-    contributor_stats,
-    leaderboard,
-    machine_breakdown,
-    render_html,
-    render_text,
-)
+from .users import AuthError, User, UserRegistry
+from .views import LeaderboardRow, contributor_stats, leaderboard
 
 __all__ = [
-    "ACCESS_LEVELS",
     "Accessibility",
     "AuthError",
-    "CanonicalEntry",
     "Collection",
     "CrowdClient",
     "CrowdRepository",
     "DocumentStore",
     "EnvironmentParseError",
-    "KeyPair",
     "LeaderboardRow",
     "MetaDescription",
     "PerformanceRecord",
     "QuerySyntaxError",
-    "RepeatGroup",
-    "VariabilityReport",
     "SqlQuery",
     "SqlSyntaxError",
     "TagMatcher",
@@ -61,15 +42,10 @@ __all__ = [
     "build_filter",
     "default_matcher",
     "detect_outliers",
-    "group_repeats",
     "leaderboard",
     "contributor_stats",
-    "machine_breakdown",
-    "render_html",
-    "render_text",
     "parse_ck_meta",
     "parse_slurm_environment",
     "parse_spack_spec",
-    "parse_version",
     "variability_report",
 ]

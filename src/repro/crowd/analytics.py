@@ -27,13 +27,7 @@ import numpy as np
 from ..core.problem import task_key
 from .records import PerformanceRecord
 
-__all__ = [
-    "RepeatGroup",
-    "VariabilityReport",
-    "group_repeats",
-    "variability_report",
-    "detect_outliers",
-]
+__all__ = ["variability_report", "detect_outliers"]
 
 #: consistency constant making MAD comparable to a standard deviation
 _MAD_TO_SIGMA = 1.4826

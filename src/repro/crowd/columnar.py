@@ -79,10 +79,10 @@ other column through per-distinct-value ranks computed with
 (ascending ``_id``) order, identical to ``list.sort`` over the rows.
 
 **The grouped reduction** (:meth:`ColumnarView.task_summary`): the
-browse aggregates — leaderboard, contributor stats, machine breakdown —
-are one reduction over the columns under a row mask, one partial row
-per task, so an aggregate costs a sort of the selected rows and
-materializes only the best record of each task.  Groups are the
+browse aggregates — leaderboard and contributor stats — are one
+reduction over the columns under a row mask, one partial row per task,
+so an aggregate costs a sort of the selected rows and materializes only
+the best record of each task.  Groups are the
 ``task_parameters`` codes folded by :func:`~repro.core.problem.task_key`
 (type-exact ``repr``: ``{"t": 1}`` and ``{"t": 1.0}`` are two tasks,
 while ``None`` / ``{}`` / a missing block are one), not the column's own
@@ -111,14 +111,11 @@ from ..core.problem import task_key
 
 __all__ = [
     "FrozenDict",
-    "FrozenList",
-    "freeze",
     "thaw",
     "Interner",
     "ColumnarView",
     "QuerySyntaxError",
     "get_path",
-    "hashable_key",
     "sort_key",
 ]
 
@@ -773,8 +770,8 @@ class ColumnarView:
         * ``best`` — the four fields of the lowest-output record that a
           leaderboard row shows (``None`` when every record failed); a
           tie goes to the earliest ``(timestamp, uid)``,
-        * ``owners`` / ``machines`` — ``[name, samples, failures, best
-          output or None, first]`` per owner and per machine tag,
+        * ``owners`` — ``[owner, samples, failures, best output or
+          None, first]`` per owner,
         * ``witness`` — ``[samples, digest]`` with ``digest`` the sum
           mod 2**64 of a fixed integer mix of each record's ``(uid,
           timestamp)``: two replicas of a task that hold the same
@@ -826,7 +823,6 @@ class ColumnarView:
             return out
 
         owners = within("owner", lambda v: "" if v is None else v)
-        machines = within("machine_configuration", _machine_tag)
         summary = []
         for i, (_, samples, failures, best, first) in enumerate(tasks.entries()):
             doc = self._rows[rows[tasks.best_row[i]]]
@@ -847,19 +843,10 @@ class ColumnarView:
                         "owner": doc.get("owner", ""),
                     },
                     "owners": owners[i],
-                    "machines": machines[i],
                     "witness": None if unstamped[i] else [samples, int(digest[i])],
                 }
             )
         return summary
-
-
-def _machine_tag(machine: Any) -> str:
-    """``name/partition`` of a ``machine_configuration`` block."""
-    machine = machine or {}
-    name = machine.get("machine_name", "unknown")
-    partition = machine.get("partition", "")
-    return f"{name}/{partition}" if partition else str(name)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ __all__ = [
     "parse_spack_spec",
     "parse_slurm_environment",
     "parse_ck_meta",
-    "parse_version",
     "EnvironmentParseError",
 ]
 

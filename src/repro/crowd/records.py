@@ -15,7 +15,7 @@ from typing import Any, Mapping
 
 from .columnar import thaw
 
-__all__ = ["PerformanceRecord", "Accessibility", "ACCESS_LEVELS"]
+__all__ = ["PerformanceRecord", "Accessibility"]
 
 #: recognized accessibility levels
 ACCESS_LEVELS = ("public", "private", "group")

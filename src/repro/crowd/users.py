@@ -26,7 +26,7 @@ import string
 import threading
 from dataclasses import dataclass, field
 
-__all__ = ["User", "UserRegistry", "AuthError", "KeyPair"]
+__all__ = ["User", "UserRegistry", "AuthError"]
 
 _KEY_ALPHABET = string.ascii_letters + string.digits
 _KEY_LENGTH = 20

@@ -31,13 +31,12 @@ Nothing below imports the fabric.
 """
 
 from .coordinator import FabricCoordinator, FabricOptions
-from .jobqueue import DurableJobQueue, FabricJob, JobState
+from .jobqueue import DurableJobQueue, JobState
 from .tuner import FabricTuner
 
 __all__ = [
     "DurableJobQueue",
     "FabricCoordinator",
-    "FabricJob",
     "FabricOptions",
     "FabricTuner",
     "JobState",

@@ -47,7 +47,7 @@ from typing import Any, Iterator, Mapping
 from ..core import perf
 from ..service.wal import DurableLog
 
-__all__ = ["DurableJobQueue", "FabricJob", "JobState"]
+__all__ = ["DurableJobQueue", "JobState"]
 
 _WAL_NAME = "queue.wal.jsonl"
 _SNAP_NAME = "queue.snapshot.json"

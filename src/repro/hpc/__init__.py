@@ -1,45 +1,37 @@
 """Simulated HPC substrate (systems S20-S22).
 
 Machines (Cori Haswell/KNL presets), alpha-beta network models, MPI cost
-accounting, a virtual-time SPMD simulator, process grids and a Slurm-like
-scheduler — the platform the application performance models in
-:mod:`repro.apps` execute on.
+accounting, process grids and a Slurm-like scheduler — the platform the
+application performance models in :mod:`repro.apps` execute on.
 """
 
 from .machine import MACHINE_PRESETS, Machine, cori_haswell, cori_knl, get_machine
-from .mpi import CommStats, CostComm
+from .mpi import CostComm
 from .network import CORI_ARIES, SHARED_MEMORY, NetworkModel
 from .procgrid import (
     Grid2D,
     Grid3D,
     block_cyclic_rows,
-    factor_pairs,
     grid_for_rows,
     load_imbalance,
     squarest_grid,
 )
-from .scheduler import AllocationError, SlurmJob, SlurmSim
-from .simulator import DeadlockError, SpmdSimulator
+from .scheduler import AllocationError, SlurmSim
 
 __all__ = [
     "AllocationError",
     "CORI_ARIES",
-    "CommStats",
     "CostComm",
-    "DeadlockError",
     "Grid2D",
     "Grid3D",
     "MACHINE_PRESETS",
     "Machine",
     "NetworkModel",
     "SHARED_MEMORY",
-    "SlurmJob",
     "SlurmSim",
-    "SpmdSimulator",
     "block_cyclic_rows",
     "cori_haswell",
     "cori_knl",
-    "factor_pairs",
     "get_machine",
     "grid_for_rows",
     "load_imbalance",

@@ -1,18 +1,11 @@
 """Simulated MPI cost accounting (system S21).
 
-Two levels of fidelity are provided:
-
-* :class:`CostComm` — a *cost accumulator*: application performance
-  models call ``bcast``, ``allreduce`` etc. with message sizes and the
-  communicator tallies modeled communication seconds, splitting traffic
-  between the inter-node network and the intra-node transport according
-  to the rank->node placement.  This is what the PDGEQRF / SuperLU /
-  Hypre models use.
-
-* :class:`repro.hpc.simulator` — a functional SPMD simulator for
-  virtual-time execution of real rank programs (used by examples and
-  tests to validate collective cost formulas against a message-level
-  simulation).
+:class:`CostComm` is a *cost accumulator*: application performance
+models call ``bcast``, ``allreduce`` etc. with message sizes and the
+communicator tallies modeled communication seconds, splitting traffic
+between the inter-node network and the intra-node transport according
+to the rank->node placement.  This is what the PDGEQRF / SuperLU /
+Hypre models use.
 
 ``CostComm`` mirrors the mpi4py surface (lower-case object-ish methods)
 so code written against it reads like the mpi4py tutorial idioms.
@@ -25,7 +18,7 @@ from dataclasses import dataclass, field
 from .machine import Machine
 from .network import NetworkModel
 
-__all__ = ["CostComm", "CommStats"]
+__all__ = ["CostComm"]
 
 
 @dataclass

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 __all__ = [
     "Grid2D",
     "Grid3D",
-    "factor_pairs",
     "squarest_grid",
     "grid_for_rows",
     "block_cyclic_rows",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .machine import Machine
 
-__all__ = ["SlurmSim", "SlurmJob", "AllocationError"]
+__all__ = ["SlurmSim", "AllocationError"]
 
 
 class AllocationError(RuntimeError):

@@ -9,11 +9,10 @@ power the paper's Tables IV-V and Figures 6-7.
 from .analyzer import SensitivityAnalyzer, SensitivityReport, reduce_space
 from .saltelli import SaltelliDesign, saltelli_sample
 from .sobol import SobolIndices, sobol_analyze_function, sobol_indices
-from .sobol_sequence import MAX_DIM, N_BITS, SobolSequence, sobol_sample
+from .sobol_sequence import MAX_DIM, SobolSequence
 
 __all__ = [
     "MAX_DIM",
-    "N_BITS",
     "SaltelliDesign",
     "SensitivityAnalyzer",
     "SensitivityReport",
@@ -23,5 +22,4 @@ __all__ = [
     "saltelli_sample",
     "sobol_analyze_function",
     "sobol_indices",
-    "sobol_sample",
 ]

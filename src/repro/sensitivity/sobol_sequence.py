@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SobolSequence", "sobol_sample", "MAX_DIM", "N_BITS"]
+__all__ = ["SobolSequence", "MAX_DIM"]
 
 #: number of output bits per coordinate (points are multiples of 2**-N_BITS)
 N_BITS = 30

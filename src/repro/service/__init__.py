@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from ..crowd.users import UserRegistry
-from ..engine.faults import RetryPolicy
 from ..registry import REGISTRY_PROBLEMS, ModelRegistry, RegistryOptions
 from .client import RemoteRepository, ServiceClient
 from .router import CrowdRouter, RouterOptions
@@ -261,7 +260,6 @@ def build_service(
     snapshot_every: int = 256,
     fsync_every: int = 1,
     options: RouterOptions | None = None,
-    retry: RetryPolicy | None = None,
     users: UserRegistry | None = None,
     registry: RegistryOptions | None = None,
 ) -> CrowdService:
@@ -276,9 +274,10 @@ def build_service(
     fire-and-forget behavior.  ``anti_entropy_interval_s`` starts the
     router's background healing thread (rounds can always be driven
     manually via ``svc.router.anti_entropy_round()``).  These, with
-    ``replication`` and ``retry``, are shorthand for the ``options``
-    fields of the same names: give ``options`` or any of the five, not
-    both (``ValueError``).
+    ``replication``, are shorthand for the ``options`` fields of the
+    same names: give ``options`` or any of the four, not both
+    (``ValueError``).  The router's shard connections retry with
+    :class:`~repro.engine.faults.RetryPolicy`'s defaults.
     """
     if n_shards < 1:
         raise ValueError("need at least one shard")
@@ -288,7 +287,6 @@ def build_service(
         "write_quorum": write_quorum,
         "read_quorum": read_quorum,
         "anti_entropy_interval_s": anti_entropy_interval_s,
-        "retry": retry,
     }
     if options is None:
         options = RouterOptions(**shorthand)

@@ -40,7 +40,7 @@ from ..crowd.users import AuthError, User
 from ..engine.faults import RetryPolicy
 from .transport import SimTransport, TransportError
 
-__all__ = ["ServiceClient", "RemoteRepository", "Endpoint"]
+__all__ = ["ServiceClient", "RemoteRepository"]
 
 #: deployment-unique client tags for idempotency tokens (deterministic:
 #: tags follow client construction order, never wall-clock or pids)

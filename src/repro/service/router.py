@@ -99,7 +99,6 @@ from ..core.problem import task_key
 from ..crowd.columnar import ColumnarView, get_path, sort_key
 from ..crowd.query import SqlQuery
 from ..crowd.views import summary_contributors, summary_leaderboard
-from ..engine.faults import RetryPolicy
 from ..registry import REGISTRY_PROBLEMS
 from .client import ServiceClient
 from .shard import (
@@ -128,14 +127,10 @@ class RouterOptions:
 
     #: copies of every record, including the primary (1 = no replication)
     replication: int = 2
-    #: virtual nodes per shard on the consistent-hash ring
-    vnodes: int = 64
     #: sustained requests/second allowed per API key (None = unlimited)
     rate_limit: float | None = None
     #: burst capacity of each key's token bucket
     burst: int = 20
-    #: retry policy of the router's own shard connections
-    retry: RetryPolicy | None = None
     #: replicas that must ack before an upload is acknowledged (W);
     #: 1 = acknowledged once any one replica stores it
     write_quorum: int = 1
@@ -218,7 +213,7 @@ class CrowdRouter:
         self._shards: dict[str, ServiceClient] = {
             name: self._connect(channel) for name, channel in shards.items()
         }
-        self.ring = ShardRing(list(self._shards), vnodes=self.options.vnodes)
+        self.ring = ShardRing(list(self._shards))
         self._admin = next(iter(self._shards))
         self._buckets: dict[str, TokenBucket] = {}
         self._buckets_lock = threading.Lock()
@@ -260,7 +255,7 @@ class CrowdRouter:
     def _connect(self, channel: Any) -> ServiceClient:
         if isinstance(channel, ServiceClient):
             return channel
-        return ServiceClient(channel, retry=self.options.retry)
+        return ServiceClient(channel)
 
     def _stamp(self, idempotency_key: str | None = None) -> tuple[int, float]:
         """Router-global uid + logical timestamp for one logical write.
@@ -889,7 +884,7 @@ class CrowdRouter:
             if name in self._shards:
                 raise ValueError(f"shard {name!r} already in the cluster")
             self._shards[name] = self._connect(channel)
-            self.ring = ShardRing(list(self._shards), vnodes=self.options.vnodes)
+            self.ring = ShardRing(list(self._shards))
             self._shutdown_pool()
             return self.rebalance() if rebalance else {}
 
@@ -909,7 +904,7 @@ class CrowdRouter:
             if len(self._shards) == 1:
                 raise ValueError("cannot remove the last shard")
             survivors = [n for n in self._shards if n != name]
-            self.ring = ShardRing(survivors, vnodes=self.options.vnodes)
+            self.ring = ShardRing(survivors)
             stats = self.rebalance() if graceful else {}
             with self._hints_lock:
                 self._hints.pop(name, None)

@@ -72,7 +72,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..core import perf
 
-__all__ = ["DurableLog", "read_wal", "write_json_atomic"]
+__all__ = ["DurableLog"]
 
 
 class DurableLog:

@@ -7,25 +7,14 @@ the :class:`StrategyProvider` that plugs a strategy into the tuning loop
 """
 
 from .base import TLAStrategy, combine_weighted, equal_weight_model, fit_source_gps
-from .gptuneband import (
-    BanditResult,
-    GPTuneBand,
-    MultiFidelityObjective,
-    halving_schedule,
-)
-from .ensemble import (
-    EnsembleProb,
-    EnsembleProposed,
-    EnsembleToggling,
-    exploration_rate,
-)
+from .gptuneband import GPTuneBand, MultiFidelityObjective, halving_schedule
+from .ensemble import EnsembleProb, EnsembleProposed, EnsembleToggling
 from .multitask import MultitaskPS, MultitaskTS
 from .stacking import Stacking
 from .tuner import StrategyProvider, TransferTuner
-from .weighted_sum import WeightedSumDynamic, WeightedSumStatic, dynamic_weights
+from .weighted_sum import WeightedSumDynamic, WeightedSumStatic
 
 __all__ = [
-    "BanditResult",
     "EnsembleProb",
     "EnsembleProposed",
     "EnsembleToggling",
@@ -40,9 +29,7 @@ __all__ = [
     "WeightedSumDynamic",
     "WeightedSumStatic",
     "combine_weighted",
-    "dynamic_weights",
     "equal_weight_model",
-    "exploration_rate",
     "fit_source_gps",
     "halving_schedule",
     "get_strategy",

@@ -33,7 +33,7 @@ from .multitask import MultitaskTS
 from .stacking import Stacking
 from .weighted_sum import WeightedSumDynamic
 
-__all__ = ["EnsembleProposed", "EnsembleToggling", "EnsembleProb", "exploration_rate"]
+__all__ = ["EnsembleProposed", "EnsembleToggling", "EnsembleProb"]
 
 
 def exploration_rate(n_algorithms: int, n_parameters: int, n_samples: int) -> float:

@@ -34,7 +34,7 @@ import numpy as np
 from ..core.lcm import LCM, LCMFitError
 from ..core.space import Space
 
-__all__ = ["MultiFidelityObjective", "GPTuneBand", "BanditResult", "halving_schedule"]
+__all__ = ["MultiFidelityObjective", "GPTuneBand", "halving_schedule"]
 
 FidelityFn = Callable[[Mapping[str, Any], Mapping[str, Any], float], float | None]
 

@@ -32,7 +32,7 @@ from ..core.acquisition import PredictFn
 from ..core.history import TaskData
 from .base import TLAStrategy, combine_weighted, equal_weight_model
 
-__all__ = ["WeightedSumStatic", "WeightedSumDynamic", "dynamic_weights"]
+__all__ = ["WeightedSumStatic", "WeightedSumDynamic"]
 
 
 def dynamic_weights(

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ExpectedImprovement, LowerConfidenceBound, get_acquisition
+from repro.core import ExpectedImprovement, LowerConfidenceBound
+from repro.core.acquisition import get_acquisition
 
 
 def _const_predict(mean, std):

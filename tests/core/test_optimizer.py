@@ -11,9 +11,8 @@ from repro.core import (
     RealParameter,
     SearchOptions,
     Space,
-    search_next,
 )
-from repro.core.optimizer import reference_best
+from repro.core.optimizer import reference_best, search_next
 
 
 def _sphere_predict(center):

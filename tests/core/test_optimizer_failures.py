@@ -15,8 +15,8 @@ from repro.core import (
     Tuner,
     TunerOptions,
     TuningProblem,
-    search_next,
 )
+from repro.core.optimizer import search_next
 
 
 def _flat_predict(U):

@@ -187,3 +187,43 @@ class TestThreadSafety:
         timers = stats.snapshot()["timers"]
         assert "mainloop" in timers  # not "worker.mainloop"
         assert "worker" in timers
+
+    def test_collectors_come_and_go_while_threads_record(self):
+        """Pushing and popping collectors (from two threads) never loses
+        or repeats an event in a collector that stays active, nor raises."""
+        n_threads, n_incr = 4, 3000
+        name = "stack_churn_events"
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def record():
+            try:
+                for _ in range(n_incr):
+                    perf.incr(name)
+            except BaseException as exc:  # pragma: no cover - the failure
+                errors.append(exc)
+
+        def churn():
+            try:
+                while not done.is_set():
+                    with perf.collect():
+                        with perf.collect():
+                            pass
+            except BaseException as exc:  # pragma: no cover - the failure
+                errors.append(exc)
+
+        before = perf.GLOBAL.counters.get(name, 0)
+        with perf.collect() as held:
+            churners = [threading.Thread(target=churn) for _ in range(2)]
+            workers = [threading.Thread(target=record) for _ in range(n_threads)]
+            for t in churners + workers:
+                t.start()
+            for t in workers:
+                t.join()
+            done.set()
+            for t in churners:
+                t.join()
+        assert errors == []
+        assert held.counters[name] == n_threads * n_incr
+        assert perf.GLOBAL.counters[name] - before == n_threads * n_incr
+        assert perf.current() is perf.GLOBAL

@@ -5,13 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.crowd import Accessibility, CrowdRepository, PerformanceRecord
-from repro.crowd.views import (
-    contributor_stats,
-    leaderboard,
-    machine_breakdown,
-    render_html,
-    render_text,
-)
+from repro.crowd.views import contributor_stats, leaderboard
 
 from . import views_oracle
 
@@ -88,12 +82,6 @@ class TestStats:
         assert stats["alice"]["best"] == 1.0
         assert stats["bob"]["samples"] == 1 and stats["bob"]["best"] == 3.0
 
-    def test_machine_breakdown(self, repo_with_data):
-        repo, key_a, _ = repo_with_data
-        counts = machine_breakdown(repo, key_a, "p")
-        assert counts["Cori/haswell"] == 5
-        assert counts["Cori/knl"] == 1
-
 
 class TestSummary:
     """The views are projections of one grouped reduction; the document
@@ -106,10 +94,6 @@ class TestSummary:
             assert leaderboard(repo, key, "p") == views_oracle.leaderboard_from_docs(docs)
             assert contributor_stats(repo, key, "p") == (
                 views_oracle.contributor_stats_from_docs(docs)
-            )
-            breakdown = machine_breakdown(repo, key, "p")
-            assert list(breakdown.items()) == list(
-                views_oracle.machine_breakdown_from_docs(docs).items()
             )
 
     def test_ties_go_to_the_earliest_record(self, repo_with_data):
@@ -148,32 +132,3 @@ class TestSummary:
         for name in ("", None, 5):
             with pytest.raises(ValueError, match="problem_name"):
                 leaderboard(repo, key_a, name)
-
-
-class TestRendering:
-    def test_text_view(self, repo_with_data):
-        repo, key_a, _ = repo_with_data
-        text = render_text(repo, key_a, "p")
-        assert "=== p ===" in text
-        assert "Cori/haswell" in text
-        assert "bob" in text
-
-    def test_html_view_escapes_user_content(self, repo_with_data):
-        repo, key_a, _ = repo_with_data
-        evil = PerformanceRecord(
-            problem_name="p",
-            task_parameters={"m": "<script>alert(1)</script>"},
-            tuning_parameters={"x": 1},
-            output=2.0,
-        )
-        repo.upload(evil, key_a)
-        html = render_html(repo, key_a, "p")
-        assert "<script>alert(1)</script>" not in html
-        assert "&lt;script&gt;" in html
-        assert html.startswith("<!DOCTYPE html>")
-
-    def test_html_contains_leaderboard(self, repo_with_data):
-        repo, key_a, _ = repo_with_data
-        html = render_html(repo, key_a, "p")
-        assert "Leaderboard" in html and "Contributors" in html
-        assert "bob" in html

@@ -38,13 +38,6 @@ def stamp(doc: Mapping[str, Any]) -> list[float]:
     return [float(doc.get("timestamp") or 0.0), float(doc.get("uid") or 0.0)]
 
 
-def machine_tag(doc: Mapping[str, Any]) -> str:
-    mc = doc.get("machine_configuration") or {}
-    name = mc.get("machine_name", "unknown")
-    partition = mc.get("partition", "")
-    return f"{name}/{partition}" if partition else str(name)
-
-
 def leaderboard_from_docs(docs: Iterable[Mapping[str, Any]]) -> list[LeaderboardRow]:
     groups: dict[tuple, list[Any]] = {}
     for d in sorted(docs, key=stamp):
@@ -71,11 +64,12 @@ def leaderboard_from_docs(docs: Iterable[Mapping[str, Any]]) -> list[Leaderboard
     return rows
 
 
-def _totals(docs: Iterable[Mapping[str, Any]], name) -> list[dict[str, Any]]:
-    per_name: dict[str, dict[str, Any]] = {}
+def contributor_stats_from_docs(docs: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
+    per_owner: dict[str, dict[str, Any]] = {}
     for d in sorted(docs, key=stamp):
-        entry = per_name.setdefault(
-            name(d), {"user": name(d), "samples": 0, "failures": 0, "best": None}
+        owner = d.get("owner", "")
+        entry = per_owner.setdefault(
+            owner, {"user": owner, "samples": 0, "failures": 0, "best": None}
         )
         entry["samples"] += 1
         value = result(d)
@@ -83,12 +77,4 @@ def _totals(docs: Iterable[Mapping[str, Any]], name) -> list[dict[str, Any]]:
             entry["failures"] += 1
         elif entry["best"] is None or value < entry["best"]:
             entry["best"] = value
-    return sorted(per_name.values(), key=lambda e: -e["samples"])
-
-
-def contributor_stats_from_docs(docs: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
-    return _totals(docs, lambda d: d.get("owner", ""))
-
-
-def machine_breakdown_from_docs(docs: Iterable[Mapping[str, Any]]) -> dict[str, int]:
-    return {e["user"]: e["samples"] for e in _totals(docs, machine_tag)}
+    return sorted(per_owner.values(), key=lambda e: -e["samples"])

@@ -10,11 +10,11 @@ from repro.hpc import (
     Grid2D,
     Grid3D,
     block_cyclic_rows,
-    factor_pairs,
     grid_for_rows,
     load_imbalance,
     squarest_grid,
 )
+from repro.hpc.procgrid import factor_pairs
 
 
 class TestGrids:

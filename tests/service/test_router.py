@@ -13,7 +13,6 @@ import pytest
 from repro.core import GaussianProcess, perf
 from repro.core.gp import GPFitError
 from repro.crowd.users import UserRegistry
-from repro.engine.faults import RetryPolicy
 from repro.registry import RegistryOptions
 from repro.service import (
     CrowdRouter,
@@ -546,7 +545,6 @@ class TestAccounts:
             {"write_quorum": 2},
             {"read_quorum": 2},
             {"anti_entropy_interval_s": 0.5},
-            {"retry": RetryPolicy(max_retries=1)},
         ],
         ids=lambda kw: next(iter(kw)),
     )

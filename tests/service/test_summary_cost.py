@@ -101,8 +101,9 @@ class TestAggregateCost:
             assert set().union(*built.values()) == INGEST_COLUMNS
             request = {"route": "leaderboard", "api_key": key, "problem_name": PROBLEM}
             assert svc.client.handle(request)["ok"]
+            # the reduction adds the whole task only
             assert set().union(*columns(svc).values()) == INGEST_COLUMNS | {
-                "task_parameters", "machine_configuration"
+                "task_parameters"
             }  # fmt: skip
 
     @pytest.mark.parametrize("route", ["leaderboard", "contributors"])

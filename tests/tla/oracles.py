@@ -14,9 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import GaussianProcess
-from repro.tla import Stacking, WeightedSumDynamic, dynamic_weights
+from repro.tla import Stacking, WeightedSumDynamic
 from repro.tla.ensemble import _EnsembleBase
 from repro.tla.multitask import _MultitaskBase
+from repro.tla.weighted_sum import dynamic_weights
 
 from ..core.oracles import gp_predict
 

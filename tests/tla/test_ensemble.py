@@ -8,13 +8,9 @@ import numpy as np
 import pytest
 
 from repro.core import TaskData
-from repro.tla import (
-    EnsembleProb,
-    EnsembleProposed,
-    EnsembleToggling,
-    exploration_rate,
-)
+from repro.tla import EnsembleProb, EnsembleProposed, EnsembleToggling
 from repro.tla.base import TLAStrategy
+from repro.tla.ensemble import exploration_rate
 
 
 class _StubStrategy(TLAStrategy):

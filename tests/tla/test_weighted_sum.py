@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.core import TaskData
-from repro.tla import TransferTuner, WeightedSumDynamic, WeightedSumStatic, dynamic_weights
+from repro.tla import TransferTuner, WeightedSumDynamic, WeightedSumStatic
+from repro.tla.weighted_sum import dynamic_weights
 
 
 def _source(shift, n=40, seed=0):
