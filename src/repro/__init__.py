@@ -15,12 +15,12 @@ Subpackages
     The TLA pool of Table I and the transfer tuner.
 ``repro.crowd``
     Document store, records, users, queries, environment parsing, API.
-``repro.engine``
-    Crowd streaming of evaluations, fault hooks, client retry policy.
 ``repro.fabric``
-    The one parallel executor: forked workers over a durable job queue.
+    The one parallel executor: forked workers over a durable job queue,
+    streaming every evaluation to the crowd as it lands.
 ``repro.service``
-    Sharded, durable, cached serving layer for the crowd repository.
+    Sharded, durable serving layer for the crowd repository and its
+    retrying client.
 ``repro.sensitivity``
     Sobol' sequence, Saltelli sampling, indices, space reduction.
 ``repro.hpc``

@@ -21,7 +21,6 @@ behaviour, not a hand-shaped curve.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,11 +217,3 @@ def bandwidth(A: sparse.spmatrix) -> int:
     if coo.nnz == 0:
         return 0
     return int(np.max(np.abs(coo.row - coo.col)))
-
-
-def estimate_separator_flops(n: int, dim: int = 3) -> float:
-    """Nested-dissection flop lower bound for reference (George 1973):
-    ``O(n^2)`` for 3D grids, ``O(n^{3/2})`` for 2D."""
-    if dim == 3:
-        return float(n) ** 2
-    return float(n) ** 1.5 * math.log(max(n, 2))

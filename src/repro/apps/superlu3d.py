@@ -34,10 +34,6 @@ class Factor3DCost:
     solve_seconds: float  # one triangular solve (fw + bw)
     mem_per_rank: float  # bytes
 
-    @property
-    def total_for(self) -> float:  # pragma: no cover - convenience
-        return self.factor_seconds
-
 
 class SuperLU3DModel:
     """Cost model of one 3D sparse LU on a machine allocation."""

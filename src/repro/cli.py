@@ -389,6 +389,7 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
         result = tuner.tune(task, args.samples, seed=args.seed)
         wall = time.perf_counter() - t0
         gauges = (result.perf or {}).get("gauges", {})
+        counters = (result.perf or {}).get("counters", {})
         print(f"fabric: {args.procs} process(es), {args.samples} evaluations "
               f"in {wall:.2f}s")
         print(f"best output: {result.best_output:.6g}  "
@@ -397,9 +398,9 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
         print(f"worker utilization: {util:.0%}  "
               f"re-dispatches: {tuner._last_redispatches}  "
               f"workers killed: {len(killed)}")
-        print(f"streamed to crowd service: {tuner.streamer.n_uploaded} "
+        print(f"streamed to crowd service: {counters.get('crowd_uploads', 0)} "
               f"records across {args.shards} shard(s) "
-              f"({len(tuner.streamer.errors)} errors)")
+              f"({counters.get('crowd_upload_errors', 0)} errors)")
         if args.data_dir:
             queue = DurableJobQueue(args.data_dir)
             print(f"durable queue: {queue.n_done}/{queue.n_jobs} jobs "

@@ -4,7 +4,7 @@ The tuning loop is instrumented with *counters* (how many GP fits,
 incremental updates, Cholesky retries, acquisition evaluations, kernel
 cache hits), *nested timers* (where the per-iteration wall time goes:
 surrogate fit vs acquisition search) and *gauges* (sampled quantities
-like fabric queue depth or worker utilization).  An event costs about
+a run reports, like fabric worker utilization and wall time).  An event costs about
 a microsecond with one :func:`collect` block active, so the
 instrumentation stays on permanently.
 

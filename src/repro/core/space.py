@@ -401,9 +401,6 @@ class Space:
         """Draw one uniformly random configuration."""
         return {p.name: p.sample(rng) for p in self.parameters}
 
-    def sample_many(self, n: int, rng: np.random.Generator) -> list[dict[str, Any]]:
-        return [self.sample(rng) for _ in range(n)]
-
     # -- surgery ---------------------------------------------------------------
     def subspace(self, names: Sequence[str]) -> "Space":
         """The sub-space containing only the named parameters (in given order)."""

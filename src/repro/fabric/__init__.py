@@ -25,8 +25,8 @@ sequential reference it is pinned against.
   consults) the shared database end to end.
 
 Layering: the fabric sits above :mod:`repro.core` (the loop) and
-:mod:`repro.engine` (the crowd streamer) and talks to
-:mod:`repro.service` only through the public ``handle()`` protocol.
+talks to :mod:`repro.service` only through the public ``handle()``
+protocol.
 Nothing below imports the fabric.
 """
 

@@ -1,7 +1,8 @@
 """The fabric coordinator: leases, liveness, elasticity, re-dispatch.
 
-:class:`FabricCoordinator` owns a :class:`~repro.fabric.jobqueue.
-DurableJobQueue` and a set of :mod:`multiprocessing` workers.  Its event
+:class:`FabricCoordinator` owns a
+:class:`~repro.fabric.jobqueue.DurableJobQueue` and a set of
+:mod:`multiprocessing` workers.  Its event
 pump, driven from :meth:`get`, does four things each tick:
 
 1. **drain** every worker's outbox — heartbeats refresh liveness,
@@ -154,10 +155,9 @@ class FabricCoordinator:
     seed:
         Seeds the per-worker speed factors (heterogeneity).
     fault:
-        ``fault(job_id, attempt) -> bool``, the one fault hook (e.g.
-        :class:`~repro.engine.faults.FaultInjector` or
-        :class:`~repro.engine.faults.ScriptedFaults`), inherited by every
-        worker; see :func:`~repro.fabric.worker.worker_main`.
+        ``fault(job_id, attempt) -> bool``, the one fault hook,
+        inherited by every worker; see
+        :func:`~repro.fabric.worker.worker_main`.
     on_progress:
         ``on_progress(collected, coordinator)`` as :meth:`get` hands out
         each outcome — the hook benchmarks and the CLI use to kill or
@@ -231,7 +231,6 @@ class FabricCoordinator:
             wall = time.perf_counter() - self._t0
             perf.gauge("fabric_worker_utilization", self.utilization(wall))
             perf.gauge("fabric_wall_s", wall)
-            perf.gauge("fabric_workers", max(self.n_workers, 1))
         for handle in list(self._workers.values()):
             handle.stopping = True
             try:
@@ -293,9 +292,7 @@ class FabricCoordinator:
         """Elastically join one more worker process mid-run."""
         if self._closed:
             raise RuntimeError("coordinator is closed")
-        wid = self._spawn_worker()
-        perf.gauge("fabric_workers", len(self._workers))
-        return wid
+        return self._spawn_worker()
 
     def remove_worker(self, worker_id: int) -> None:
         """Gracefully drain one worker: it finishes its current job first.
@@ -336,9 +333,6 @@ class FabricCoordinator:
         """Durably enqueue one evaluation; returns its job id."""
         job_id = self.queue.enqueue(config)
         self._inflight += 1
-        perf.gauge("fabric_queue_depth", self.queue.n_pending)
-        # every job in flight is a fantasy the next proposal conditions on
-        perf.gauge("fabric_pending_fantasies", self._inflight)
         return job_id
 
     @property

@@ -4,14 +4,17 @@
 (:meth:`repro.core.tuner.Tuner.tune` — constant-liar fantasy batches,
 incremental surrogate fold-in, any model provider) run on a
 :class:`~repro.fabric.coordinator.FabricCoordinator` of worker
-*processes* over a durable job queue, with every completed evaluation
-streamed through the crowd service (:class:`~repro.service.router.
-CrowdRouter` or any ``handle()`` endpoint) the moment it lands.  One
-tuning run therefore both **feeds** the shared database (uploads, which
-also trigger the registry's debounced rebuilds) and can **consult** it
-(``consult=True`` seeds the surrogate with the task's existing crowd
-records before the first proposal — the paper's crowd premise end to
-end).
+*processes* over a durable job queue.  With a crowd endpoint
+(:class:`~repro.service.router.CrowdRouter`, a retrying
+:class:`~repro.service.client.ServiceClient` or any ``handle()``
+endpoint), every completed evaluation is uploaded the moment it lands
+by the tuner's own upload callback, which never raises into the loop
+(counters ``crowd_uploads`` / ``crowd_upload_errors``).  One tuning run
+therefore both **feeds** the shared database (uploads, each of which may
+trigger a registry rebuild on the shard that stores it) and can
+**consult** it (``consult=True`` seeds the surrogate with the task's
+existing crowd records before the first proposal — the paper's crowd
+premise end to end).
 
 Whenever workers are idle the loop proposes up to ``batch`` new
 configurations, conditioned on *fantasy observations* at every
@@ -39,10 +42,13 @@ from ..core.history import History
 from ..core.problem import Evaluation, TuningProblem
 from ..core.space import SpaceError
 from ..core.tuner import EvaluationCallback, Tuner, TunerOptions
-from ..engine.stream import CrowdStreamer
 from .coordinator import FabricCoordinator, FabricOptions
 
 __all__ = ["FabricTuner"]
+
+#: fabric bookkeeping copied from evaluation metadata into the uploaded
+#: record's machine configuration (its reproducibility block)
+_MACHINE_KEYS = ("worker", "slurm_job_id", "nodelist", "attempts")
 
 
 class FabricTuner(Tuner):
@@ -65,7 +71,13 @@ class FabricTuner(Tuner):
         :class:`~repro.service.client.ServiceClient`, a
         :class:`~repro.service.router.CrowdRouter`, or a bare
         :class:`~repro.service.shard.CrowdShard`.  Every evaluation is
-        uploaded as it lands (requires ``api_key``).
+        uploaded as it lands (requires ``api_key``); the run's perf
+        counters ``crowd_uploads`` / ``crowd_upload_errors`` count the
+        accepted and the rejected uploads.
+    machine_configuration, software_configuration:
+        Copied into every uploaded record; the fabric's ``worker``,
+        ``slurm_job_id``, ``nodelist`` and ``attempts`` metadata join
+        the machine block.
     consult:
         Query the crowd database for this problem+task before tuning
         and seed the surrogate with the records found (they feed the
@@ -76,7 +88,8 @@ class FabricTuner(Tuner):
         add workers mid-run.
     fault:
         ``fault(job_id, attempt) -> bool`` worker-crash hook (tests,
-        benchmarks), e.g. :class:`~repro.engine.faults.FaultInjector`.
+        benchmarks): the worker process running an attempt it picks
+        dies mid-evaluation.
     """
 
     prefix = "Fabric"
@@ -104,20 +117,40 @@ class FabricTuner(Tuner):
         self.consult = bool(consult)
         self.on_progress = on_progress
         self._fault = fault
-        self.streamer: CrowdStreamer | None = None
         if crowd is not None:
             if api_key is None:
                 raise ValueError("crowd streaming requires api_key")
-            self.streamer = CrowdStreamer(
-                crowd,
-                api_key,
-                problem.name,
-                machine_configuration=machine_configuration,
-                software_configuration=software_configuration,
-            )
-            self.callbacks.append(self.streamer)
+            self._machine = dict(machine_configuration or {})
+            self._software = dict(software_configuration or {})
+            self.callbacks.append(self._upload)
         elif consult:
             raise ValueError("consult=True requires a crowd endpoint")
+
+    # -- crowd write path ----------------------------------------------------
+    def _upload(self, evaluation: Evaluation) -> None:
+        """Upload one evaluation, success or failure, as it lands.
+
+        A rejected upload never raises into the loop: it is counted in
+        ``crowd_upload_errors`` (``crowd_uploads`` counts the accepted
+        ones) and tuning continues.
+        """
+        machine = dict(self._machine)
+        for key in _MACHINE_KEYS:
+            if key in evaluation.metadata:
+                machine[key] = evaluation.metadata[key]
+        response = self.crowd.handle(
+            {
+                "route": "upload",
+                "api_key": self.api_key,
+                "problem_name": self.problem.name,
+                "task_parameters": dict(evaluation.task),
+                "tuning_parameters": dict(evaluation.config),
+                "output": evaluation.output,
+                "machine_configuration": machine,
+                "software_configuration": dict(self._software),
+            }
+        )
+        perf.incr("crowd_uploads" if response.get("ok") else "crowd_upload_errors")
 
     # -- crowd read path -----------------------------------------------------
     def consult_crowd(self, task: Mapping[str, Any]) -> History:

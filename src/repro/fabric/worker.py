@@ -51,8 +51,9 @@ def worker_main(
 ) -> None:
     """Run the worker loop until a ``stop`` message arrives.
 
-    ``fault(job_id, attempt) -> bool`` is the deterministic crash hook
-    (:mod:`repro.engine.faults`): when it returns True the process dies
+    ``fault(job_id, attempt) -> bool`` is the crash hook (a pure
+    function of its arguments, so a fixed hook crashes the same attempts
+    whichever worker runs them): when it returns True the process dies
     mid-evaluation with ``os._exit`` (no cleanup, no goodbye — exactly
     what a segfaulting tuner process looks like to the coordinator).
     """

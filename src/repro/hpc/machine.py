@@ -64,10 +64,6 @@ class Machine:
     def total_flops(self) -> float:
         return self.total_cores * self.flops_per_core
 
-    @property
-    def total_memory(self) -> float:
-        return self.nodes * self.mem_per_node
-
     def with_nodes(self, nodes: int) -> "Machine":
         """The same machine with a different allocation size."""
         return replace(self, nodes=nodes)

@@ -97,8 +97,8 @@ class SlurmSim:
 
         Raises :class:`AllocationError` for a job this scheduler never
         granted (or granted and already released) — double-releasing
-        would silently corrupt the free pool under the engine's
-        concurrent workers.
+        would silently corrupt the free pool under concurrent
+        workers.
         """
         if self._jobs.get(job.job_id) is not job:
             raise AllocationError(

@@ -20,7 +20,7 @@ prediction from the frozen factorization:
   them exactly like performance records.
 * **read side** — ``predict`` / ``model_meta`` / ``sensitivity``
   deserialize the entry once into a resident surrogate (bounded LRU,
-  gauge ``registry_models_resident``) and serve batched vectorized
+  :meth:`~ModelRegistry.resident_count`) and serve batched vectorized
   predictions through its ``predict``.  Zero GP fits after the first
   build.  A resident model is never refit or updated — a rebuild makes a
   new object and swaps the resident tuple under the lock — so a reader
@@ -365,7 +365,6 @@ class ModelRegistry:
             return False
         with self._lock:
             self._resident.pop((name, tk), None)
-            perf.gauge("registry_models_resident", len(self._resident))
         return True
 
     # -- serving -------------------------------------------------------------
@@ -388,7 +387,6 @@ class ModelRegistry:
             self._resident.move_to_end(key)
             while len(self._resident) > max(1, self.options.max_resident):
                 self._resident.popitem(last=False)
-            perf.gauge("registry_models_resident", len(self._resident))
         return predictor
 
     def _predictor_for(self, entry: RegistryEntry) -> Any:

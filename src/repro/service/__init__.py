@@ -1,4 +1,4 @@
-"""`repro.service` — the sharded, durable, cached crowd-serving layer.
+"""`repro.service` — the sharded, durable crowd-serving layer.
 
 The paper's crowd repository is one shared service (gptune.lbl.gov)
 that every tuner reads from and writes to.  This package serves it over
@@ -15,10 +15,11 @@ able to take concurrent traffic:
   routing, parallel cross-shard fan-out with exact deduplication,
   token-bucket backpressure, no read cache,
 * :mod:`~repro.service.transport` — deterministic simulated RPC with
-  fault injection, and the retrying :class:`ServiceClient` /
-  :class:`RemoteRepository` adapters that let
-  :class:`~repro.engine.stream.CrowdStreamer` and the TLA query path
-  run unchanged on top.
+  fault injection,
+* :mod:`~repro.service.client` — the retrying :class:`ServiceClient`
+  (:class:`~repro.service.client.RetryPolicy`) and the
+  :class:`RemoteRepository` adapter, which let the fabric tuner's crowd
+  uploads and the TLA query path run unchanged on top.
 
 :func:`build_service` wires a whole deployment in one call::
 
@@ -277,7 +278,7 @@ def build_service(
     ``replication``, are shorthand for the ``options`` fields of the
     same names: give ``options`` or any of the four, not both
     (``ValueError``).  The router's shard connections retry with
-    :class:`~repro.engine.faults.RetryPolicy`'s defaults.
+    :class:`~repro.service.client.RetryPolicy`'s defaults.
     """
     if n_shards < 1:
         raise ValueError("need at least one shard")

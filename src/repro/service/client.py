@@ -1,14 +1,14 @@
 """Client side of the crowd service: retries and a repository adapter.
 
 :class:`ServiceClient` gives any consumer of the request/response
-protocol (:class:`~repro.engine.stream.CrowdStreamer`, the router's own
-shard connections, user code) a reliable ``handle()`` on top of an
+protocol (the fabric tuner's crowd uploads, the router's own shard
+connections, user code) a reliable ``handle()`` on top of an
 unreliable channel: transport faults and ``throttled`` backpressure
 responses are retried with bounded exponential backoff
-(:class:`~repro.engine.faults.RetryPolicy`), honoring the server's
-``retry_after`` hint.  Exhausted retries surface as an ``unavailable``
-error response — protocol shaped, never an exception — so callers like
-the streamer degrade exactly as they do against a rejecting server.
+(:class:`RetryPolicy`), honoring the server's ``retry_after`` hint.
+Exhausted retries surface as an ``unavailable`` error response —
+protocol shaped, never an exception — so callers like the fabric
+tuner's uploads degrade exactly as they do against a rejecting server.
 
 Uploads carry a client-generated **idempotency token**, stamped once
 per logical write and shared by every retry attempt.  Without it, an
@@ -32,12 +32,12 @@ import itertools
 import threading
 import time
 from collections.abc import Mapping
+from dataclasses import dataclass
 from typing import Any, Protocol
 
 from ..core import perf
 from ..crowd.records import PerformanceRecord
 from ..crowd.users import AuthError, User
-from ..engine.faults import RetryPolicy
 from .transport import SimTransport, TransportError
 
 __all__ = ["ServiceClient", "RemoteRepository"]
@@ -45,6 +45,35 @@ __all__ = ["ServiceClient", "RemoteRepository"]
 #: deployment-unique client tags for idempotency tokens (deterministic:
 #: tags follow client construction order, never wall-clock or pids)
 _client_tags = itertools.count(1)
+
+
+@dataclass
+class RetryPolicy:
+    """Bounded retry with exponential backoff.
+
+    A faulted or throttled request is retried up to ``max_retries``
+    times; retry ``k`` waits ``base_s * factor**k`` (capped at
+    ``cap_s``) before it is sent again.
+    """
+
+    max_retries: int = 2
+    base_s: float = 0.01
+    factor: float = 2.0
+    cap_s: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if self.base_s < 0 or self.cap_s < 0:
+            raise ValueError("backoff durations must be >= 0")
+
+    def allows(self, attempt: int) -> bool:
+        """Whether attempt index ``attempt`` (0-based) may be retried."""
+        return attempt < self.max_retries
+
+    def backoff_s(self, attempt: int) -> float:
+        """Delay before re-sending a request that failed on ``attempt``."""
+        return min(self.cap_s, self.base_s * self.factor**attempt)
 
 
 class Endpoint(Protocol):  # pragma: no cover - typing helper

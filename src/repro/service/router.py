@@ -2,7 +2,7 @@
 
 :class:`CrowdRouter` serves the public routes of one
 :class:`~repro.service.shard.CrowdShard`, under the same protocol, so
-every client (:class:`~repro.engine.stream.CrowdStreamer`,
+every client (a :class:`~repro.fabric.tuner.FabricTuner`'s uploads,
 :class:`~repro.service.client.RemoteRepository`, plain dict calls) works
 the same against one node or the sharded deployment.
 :meth:`CrowdRouter.handle` dispatches reads and writes through one
@@ -79,9 +79,9 @@ Perf wiring: counters ``service_requests``, ``service_throttled``,
 ``service_read_repairs``, ``service_hints_stored`` / ``_replayed`` /
 ``_dropped``, ``service_antientropy_rounds`` / ``_records_healed``,
 ``service_summary_divergent_tasks`` (tasks an aggregate re-read as
-documents);
-gauge ``service_hints_pending`` (plus the per-shard ``shard_depth.*`` /
-``shard_records.*`` gauges exported by the transport and shard layers).
+documents).  State is read where it lives, not mirrored into gauges:
+:meth:`CrowdRouter.hints_pending`, and each node's
+:meth:`~repro.service.shard.CrowdShard.count`.
 """
 
 from __future__ import annotations
@@ -165,18 +165,22 @@ class RouterOptions:
 
 
 class TokenBucket:
-    """Classic token bucket: ``rate`` tokens/s, ``burst`` capacity."""
+    """Classic token bucket: ``rate`` tokens/s, ``burst`` capacity,
+    starting full at ``now``."""
 
-    def __init__(self, rate: float, burst: int, clock: Callable[[], float]) -> None:
+    def __init__(self, rate: float, burst: int, now: float) -> None:
         self.rate = float(rate)
         self.burst = float(burst)
-        self._clock = clock
         self._tokens = self.burst
-        self._last = clock()
+        self._last = now
 
-    def acquire(self) -> float:
+    def full(self, now: float) -> bool:
+        """Whether the bucket has refilled to ``burst`` by ``now`` — it
+        then behaves exactly like a new one."""
+        return self._tokens + (now - self._last) * self.rate >= self.burst
+
+    def acquire(self, now: float) -> float:
         """Take one token; returns 0.0, or seconds until one is available."""
-        now = self._clock()
         self._tokens = min(self.burst, self._tokens + (now - self._last) * self.rate)
         self._last = now
         if self._tokens >= 1.0:
@@ -217,6 +221,9 @@ class CrowdRouter:
         self._admin = next(iter(self._shards))
         self._buckets: dict[str, TokenBucket] = {}
         self._buckets_lock = threading.Lock()
+        #: when the last bucket sweep may run again, and what it kept
+        self._sweep_due = float("-inf")
+        self._swept_kept = 0
         self._uid_lock = threading.Lock()
         self._next_uid = max(int(next_uid), 1)
         self._write_clock = float(write_clock)
@@ -300,12 +307,14 @@ class CrowdRouter:
         if self.options.rate_limit is None:
             return None
         with self._buckets_lock:
+            now = self._clock()
             bucket = self._buckets.get(api_key)
             if bucket is None:
+                self._sweep_buckets(now)
                 bucket = self._buckets[api_key] = TokenBucket(
-                    self.options.rate_limit, self.options.burst, self._clock
+                    self.options.rate_limit, self.options.burst, now
                 )
-            wait = bucket.acquire()
+            wait = bucket.acquire(now)
         if wait <= 0.0:
             return None
         perf.incr("service_throttled")
@@ -315,6 +324,21 @@ class CrowdRouter:
             "message": "rate limit exceeded",
             "retry_after": round(wait, 6),
         }
+
+    def _sweep_buckets(self, now: float) -> None:
+        """Drop the buckets that have refilled (caller holds the lock).
+
+        Keys are not authenticated before they are throttled, so made-up
+        keys would otherwise grow the dict forever.  Every bucket idle
+        for ``burst / rate`` seconds is full, so a sweep runs at most
+        once per that time, and only once the dict has doubled since
+        the last one: the buckets added since pay for it.
+        """
+        if now < self._sweep_due or len(self._buckets) < 2 * self._swept_kept:
+            return
+        self._buckets = {k: b for k, b in self._buckets.items() if not b.full(now)}
+        self._swept_kept = len(self._buckets)
+        self._sweep_due = now + self.options.burst / self.options.rate_limit
 
     def close(self) -> None:
         """Stop background healing and the fan-out pool (idempotent)."""
@@ -688,7 +712,6 @@ class CrowdRouter:
         perf.incr("service_hints_stored")
         if dropped:
             perf.incr("service_hints_dropped", dropped)
-        self._gauge_hints()
 
     def hints_pending(self, name: str | None = None) -> int:
         """Buffered hinted-handoff writes (for one shard or all)."""
@@ -734,11 +757,7 @@ class CrowdRouter:
                 if response.get("ok"):
                     n_replayed += 1
                     perf.incr("service_hints_replayed")
-        self._gauge_hints()
         return n_replayed
-
-    def _gauge_hints(self) -> None:
-        perf.gauge("service_hints_pending", self.hints_pending())
 
     # -- anti-entropy --------------------------------------------------------
     def anti_entropy_round(self, *, cleanup: bool = False) -> dict[str, Any]:
@@ -912,7 +931,6 @@ class CrowdRouter:
             if self._admin == name:
                 self._admin = next(iter(self._shards))
             self._shutdown_pool()
-            self._gauge_hints()
             return stats
 
     def rebalance(self, max_rounds: int = 5) -> dict:

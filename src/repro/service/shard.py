@@ -266,7 +266,6 @@ class CrowdShard:
         # the per-request perf names, built once
         self._timer = f"shard.{name}"
         self._requests = f"shard_requests.{name}"
-        self._records = f"shard_records.{name}"
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.snapshot_every = int(snapshot_every)
         self.fsync_every = int(fsync_every)
@@ -381,7 +380,6 @@ class CrowdShard:
         perf.incr(self._requests)
         if self._log is not None and self._log.snapshot_due:
             self.snapshot()
-        perf.gauge(self._records, self.repository.count())
         return response
 
     def _answer(self, route: Any, request: Mapping[str, Any]) -> dict[str, Any]:

@@ -1,8 +1,6 @@
 """Simulated in-process transport with deterministic latency and faults.
 
-No network exists in this environment, so shard RPC is modeled the same
-way the fabric's fault hooks model worker crashes
-(:mod:`repro.engine.faults`): every behavioral decision is a pure
+Shard RPC is simulated in-process: every behavioral decision is a pure
 function of ``(seed, endpoint, sequence number)`` — never of wall-clock
 or thread timing — so a run with a fixed seed drops exactly the same
 requests and charges exactly the same latencies regardless of how
@@ -12,8 +10,7 @@ client threads interleave.
 processes one request at a time, like a single-threaded server loop),
 which is what makes the sharding benchmark honest: aggregate read
 throughput grows with shard count only because independent shards really
-do serve concurrently.  The queue depth observed while waiting for the
-endpoint is exported as the ``shard_depth.<name>`` gauge.
+do serve concurrently.
 
 Faults use the *request-lost* model: a dropped request never reaches the
 endpoint (no half-applied writes), the client sees
@@ -62,7 +59,7 @@ class SimTransport:
         The endpoint's request handler (``request dict -> response
         dict``), e.g. :meth:`CrowdShard.handle`.
     name:
-        Endpoint name; part of the fault/latency hash and of gauge names.
+        Endpoint name; part of the fault/latency hash.
     latency_s:
         Base one-way service latency.  Each delivery is charged
         ``latency_s * (0.75 + 0.5 * u)`` with ``u`` the deterministic
@@ -94,7 +91,6 @@ class SimTransport:
             raise ValueError("latency must be >= 0")
         self.target = target
         self.name = name
-        self._depth_gauge = f"shard_depth.{name}"
         self.latency_s = float(latency_s)
         self.fault_rate = float(fault_rate)
         self.seed = int(seed)
@@ -105,7 +101,6 @@ class SimTransport:
         self._lock = threading.Lock()
         self._seq = 0
         self._seq_lock = threading.Lock()
-        self._waiting = 0
 
     @property
     def down(self) -> bool:
@@ -161,20 +156,12 @@ class SimTransport:
         ):
             perf.incr("transport_faults")
             raise TransportError(f"request {seq} to {self.name} lost")
-        with self._seq_lock:
-            self._waiting += 1
-            depth = self._waiting
-        perf.gauge(self._depth_gauge, depth)
-        try:
-            with self._lock:  # one request at a time per endpoint
-                if self.latency_s > 0.0:
-                    time.sleep(self.latency_s * (0.75 + 0.5 * u))
-                response = self.target(request)
-            if seq in self.scripted_response_faults:
-                # the endpoint applied the request; only the ack is lost
-                perf.incr("transport_faults")
-                raise TransportError(f"response {seq} from {self.name} lost")
-            return response
-        finally:
-            with self._seq_lock:
-                self._waiting -= 1
+        with self._lock:  # one request at a time per endpoint
+            if self.latency_s > 0.0:
+                time.sleep(self.latency_s * (0.75 + 0.5 * u))
+            response = self.target(request)
+        if seq in self.scripted_response_faults:
+            # the endpoint applied the request; only the ack is lost
+            perf.incr("transport_faults")
+            raise TransportError(f"response {seq} from {self.name} lost")
+        return response

@@ -96,9 +96,6 @@ class BanditResult:
     def n_evaluations(self) -> int:
         return len(self.evaluations)
 
-    def full_fidelity_history(self) -> list[tuple[dict[str, Any], float | None]]:
-        return [(c, y) for c, f, y in self.evaluations if f >= 1.0]
-
 
 class GPTuneBand:
     """Multi-fidelity bandit tuner over a fidelity ladder.

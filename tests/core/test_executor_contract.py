@@ -16,8 +16,8 @@ import pytest
 
 from repro.core.problem import Evaluation
 from repro.core.tuner import InlineExecutor
-from repro.engine import ScriptedFaults
 from repro.fabric import FabricCoordinator, FabricOptions
+from tests.fabric.faults import ScriptedFaults
 
 
 def evaluate(config):

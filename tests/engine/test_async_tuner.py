@@ -13,7 +13,6 @@ import pytest
 
 from repro.core import Tuner, TunerOptions
 from repro.core.history import History
-from repro.engine import CrowdStreamer
 from repro.fabric import FabricOptions, FabricTuner
 from repro.service import CrowdShard
 from repro.tla import StrategyProvider, WeightedSumStatic
@@ -109,19 +108,21 @@ class TestLatencyOverlap:
         ).tune({"t": 1}, 6, seed=0)
         gauges = res.perf["gauges"]
         assert "fabric_worker_utilization" in gauges
-        assert "fabric_pending_fantasies" in gauges
         assert 0.0 < gauges["fabric_worker_utilization"]["max"] <= 1.0
 
 
 class TestCrowdStreaming:
     def test_bad_key_counts_errors_but_does_not_kill_tuning(self, quadratic_problem):
-        streamer = CrowdStreamer(CrowdShard("node"), "bogus", quadratic_problem.name)
         res = FabricTuner(
-            quadratic_problem, opts(), FabricOptions(n_procs=2), callbacks=[streamer]
+            quadratic_problem,
+            opts(),
+            FabricOptions(n_procs=2),
+            crowd=CrowdShard("node"),
+            api_key="bogus",
         ).tune({"t": 1}, 5, seed=0)
         assert res.n_evaluations == 5
-        assert streamer.n_uploaded == 0
-        assert len(streamer.errors) == 5
+        assert "crowd_uploads" not in res.perf["counters"]
+        assert res.perf["counters"]["crowd_upload_errors"] == 5
 
 
 class TestHistoryContinuesSequentialRun:

@@ -1,11 +1,25 @@
-"""Fault hooks and recovery on the fabric: re-dispatch, failure records."""
+"""Fault hooks and recovery on the fabric (re-dispatch, failure records),
+and the service client's retry policy."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import FaultInjector, RetryPolicy, ScriptedFaults
 from repro.fabric import FabricOptions, FabricTuner
+from repro.service.client import RetryPolicy
+from tests.fabric.faults import FaultInjector, ScriptedFaults
+
+#: ``FaultInjector(0.3, seed=9)``'s crashes over jobs < 50 and attempts
+#: < 3, as ``(job_id, attempt)`` pairs (recorded when the hook hashed its
+#: own bytes, before it shared the transport's draw)
+SEED9_CRASHES = [
+    (0, 1), (1, 0), (2, 0), (2, 1), (3, 0), (4, 0), (4, 1), (4, 2), (9, 0),
+    (9, 2), (10, 2), (12, 1), (13, 0), (13, 1), (13, 2), (14, 1), (15, 2),
+    (16, 2), (17, 2), (18, 2), (19, 0), (19, 1), (20, 2), (21, 2), (24, 1),
+    (24, 2), (25, 0), (27, 0), (27, 1), (32, 0), (32, 2), (34, 1), (35, 2),
+    (36, 1), (39, 2), (40, 0), (40, 1), (40, 2), (42, 0), (42, 2), (43, 2),
+    (46, 1), (47, 0), (47, 1), (48, 1), (49, 0), (49, 1),
+]
 
 
 class TestFaultInjector:
@@ -24,6 +38,10 @@ class TestFaultInjector:
         b = FaultInjector(0.3, seed=9)
         decisions = [(j, k) for j in range(50) for k in range(3)]
         assert [a(j, k) for j, k in decisions] == [b(j, k) for j, k in decisions]
+
+    def test_decisions_match_recorded_literal(self):
+        inj = FaultInjector(0.3, seed=9)
+        assert [(j, k) for j in range(50) for k in range(3) if inj(j, k)] == SEED9_CRASHES
 
     def test_rate_roughly_respected(self):
         inj = FaultInjector(0.25, seed=0)

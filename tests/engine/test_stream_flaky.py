@@ -1,12 +1,10 @@
-"""CrowdStreamer over a flaky transport: faults become retries, not
-lost records."""
+"""Uploads through a ServiceClient over a flaky transport: faults become
+retries, not lost records."""
 
 from __future__ import annotations
 
-from repro.core.problem import Evaluation
-from repro.engine.faults import RetryPolicy
-from repro.engine.stream import CrowdStreamer
 from repro.service import CrowdShard, ServiceClient, SimTransport, build_service
+from repro.service.client import RetryPolicy
 
 
 def _make_server():
@@ -17,11 +15,28 @@ def _make_server():
     return server, response["api_key"]
 
 
-def _evaluations(n):
-    return [
-        Evaluation(task={"t": i % 3}, config={"x": float(i)}, output=float(i))
-        for i in range(n)
-    ]
+def _upload_all(client, key, n):
+    """Upload ``n`` evaluations through ``client``; returns the accepted
+    uids and the error responses."""
+    uids, errors = [], []
+    for i in range(n):
+        response = client.handle(
+            {
+                "route": "upload",
+                "api_key": key,
+                "problem_name": "demo",
+                "task_parameters": {"t": i % 3},
+                "tuning_parameters": {"x": float(i)},
+                "output": float(i),
+                "machine_configuration": {},
+                "software_configuration": {},
+            }
+        )
+        if response.get("ok"):
+            uids.append(response["uid"])
+        else:
+            errors.append(response)
+    return uids, errors
 
 
 class TestStreamerOverFlakyTransport:
@@ -33,11 +48,9 @@ class TestStreamerOverFlakyTransport:
             retry=RetryPolicy(max_retries=8, base_s=0.0),
             sleep=lambda s: None,
         )
-        streamer = CrowdStreamer(client, key, "demo")
-        for ev in _evaluations(40):
-            streamer(ev)
-        assert streamer.errors == []
-        assert streamer.n_uploaded == 40
+        uids, errors = _upload_all(client, key, 40)
+        assert errors == []
+        assert len(uids) == 40
         # faults really fired — the client had to retry to get here
         assert client.n_retries > 0
         # server-side count matches exactly: nothing lost, nothing doubled
@@ -53,26 +66,22 @@ class TestStreamerOverFlakyTransport:
         client = ServiceClient(
             transport, retry=RetryPolicy(max_retries=0), sleep=lambda s: None
         )
-        streamer = CrowdStreamer(client, key, "demo")
-        for ev in _evaluations(40):
-            streamer(ev)
-        assert streamer.n_uploaded < 40
-        assert len(streamer.errors) == 40 - streamer.n_uploaded
-        assert all(e["error"] == "unavailable" for e in streamer.errors)
+        uids, errors = _upload_all(client, key, 40)
+        assert len(uids) < 40
+        assert len(errors) == 40 - len(uids)
+        assert all(e["error"] == "unavailable" for e in errors)
         stored = server.repository.query(key, problem_name="demo")
-        assert len(stored) == streamer.n_uploaded
+        assert len(stored) == len(uids)
 
     def test_streamer_over_whole_flaky_service(self):
-        """End to end: streamer -> retrying client -> router -> flaky
-        shard transports; the deduplicated service view is complete."""
+        """End to end: retrying client -> router -> flaky shard
+        transports; the deduplicated service view is complete."""
         svc = build_service(3, replication=2, fault_rate=0.15, seed=5)
         try:
             _, key = svc.register_user("alice", "a@lab.gov")
-            streamer = CrowdStreamer(svc.client, key, "demo")
-            for ev in _evaluations(30):
-                streamer(ev)
-            assert streamer.n_uploaded == 30
-            assert streamer.errors == []
+            uids, errors = _upload_all(svc.client, key, 30)
+            assert len(uids) == 30
+            assert errors == []
             records = svc.client.handle(
                 {"route": "query", "api_key": key, "problem_name": "demo"}
             )["records"]

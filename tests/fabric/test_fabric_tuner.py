@@ -137,8 +137,8 @@ class TestCrowdIntegration:
                 machine_configuration={"machine": "testbox"},
             )
             res = tuner.tune({"t": 1}, 8, seed=0)
-            assert tuner.streamer.n_uploaded == 8
-            assert not tuner.streamer.errors
+            assert res.perf["counters"]["crowd_uploads"] == 8
+            assert "crowd_upload_errors" not in res.perf["counters"]
             records = svc.client.handle(
                 {
                     "route": "query",

@@ -8,7 +8,7 @@ import shutil
 import pytest
 
 from repro.core import perf
-from repro.engine.faults import RetryPolicy
+from repro.service.client import RetryPolicy
 from repro.service import (
     CrowdShard,
     RouterOptions,

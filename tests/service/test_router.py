@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -517,6 +518,48 @@ class TestThrottling:
         # a different key has its own bucket (fails auth, not throttle)
         other = router.handle({"route": "problems", "api_key": "nope"})
         assert other["error"] == "auth"
+        router.close()
+
+
+#: throttled positions of :func:`_throttle_schedule` (recorded before
+#: refilled buckets were swept: sweeping must not change a single answer)
+_THROTTLED_AT = [
+    14, 15, 47, 58, 59, 105, 163, 169, 185, 186, 187, 234, 258, 352, 373,
+    420, 421, 441, 464, 470, 551,
+]
+
+
+def _throttle_schedule(router, clock):
+    """600 requests from four returning keys and many one-off keys, the
+    clock advancing by seeded steps; returns the throttled positions."""
+    rng = random.Random(7)
+    throttled = []
+    for i in range(600):
+        clock.now += rng.choice([0.0, 0.0, 0.0, 0.05, 0.1, 0.5, 2.0])
+        key = f"k{rng.randrange(4)}" if rng.random() < 0.8 else f"once{i}"
+        response = router.handle({"route": "problems", "api_key": key})
+        if response.get("error") == "throttled":
+            throttled.append(i)
+    return throttled
+
+
+class TestBucketSweep:
+    def test_made_up_keys_do_not_grow_the_buckets_forever(self):
+        router, api_key, clock = _manual_router(replication=1, rate_limit=1.0, burst=3)
+        active = {"route": "problems", "api_key": api_key}
+        assert router.handle(active)["ok"]
+        for i in range(10_000):
+            router.handle({"route": "whoami", "api_key": f"made-up-{i}"})
+        assert len(router._buckets) == 10_001  # none has refilled yet
+        clock.now += 3.0  # burst / rate: every idle bucket is full again
+        assert router.handle(active)["ok"]
+        assert router.handle({"route": "whoami", "api_key": "newcomer"})["error"] == "auth"
+        assert set(router._buckets) == {api_key, "newcomer"}
+        router.close()
+
+    def test_sweeping_changes_no_answer(self):
+        router, _, clock = _manual_router(replication=1, rate_limit=2.0, burst=3)
+        assert _throttle_schedule(router, clock) == _THROTTLED_AT
         router.close()
 
 

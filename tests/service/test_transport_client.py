@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.faults import RetryPolicy
+from repro.service.client import RetryPolicy
 from repro.service import ServiceClient, SimTransport, TransportError
 
 

@@ -52,8 +52,6 @@ ALLOWED = {
         "raised by S13's environment parsers; callers catch it"
     ),
     "repro.crowd.views.LeaderboardRow": "return type of leaderboard",
-    "repro.engine.faults.FaultInjector": "a fault hook FabricTuner's fault= takes",
-    "repro.engine.faults.ScriptedFaults": "a fault hook FabricTuner's fault= takes",
     "repro.hpc.procgrid.Grid2D": "return type of squarest_grid and grid_for_rows",
     "repro.hpc.procgrid.block_cyclic_rows": "S22's 2D block-cyclic distribution",
     "repro.hpc.scheduler.AllocationError": (
