@@ -11,9 +11,10 @@ The service layer's performance promises:
   concurrency, not Python thread noise.
 * **no silent write loss** — with K-way replication, a shard killed
   under sustained mixed read/write load and re-added later costs zero
-  acknowledged writes: survivors absorb the traffic, hinted handoff
-  replays the backlog on revival, and one anti-entropy round restores
-  full replication for every acked uid.
+  acknowledged writes: survivors absorb the traffic, and the revived
+  shard's own anti-entropy round ships it exactly the writes it missed,
+  so every acked uid is at full replication when ``revive_shard``
+  returns (a trailing manual round then heals nothing).
 
 ``test_problem_wide_leaderboard`` records one absolute row
 (``results/service_leaderboard.json``): the wall time and the peak traced
@@ -238,9 +239,12 @@ def test_kill_and_rejoin_loses_no_acked_writes():
     The controller is count-driven, not clock-driven: the victim is
     killed after a third of the writes have been acked and revived after
     two thirds, so the outage window is deterministic regardless of
-    runner speed.  Afterward every acknowledged uid must be readable at
-    full replication — the bug this layer exists to prevent is an acked
-    write silently vanishing with the shard that briefly held it.
+    runner speed.  The revive waits for the uploads in flight and holds
+    new ones meanwhile, so "acked before the revive" is well defined.
+    Every acknowledged uid must be at full replication before the
+    trailing manual round and readable after it — the bug this layer
+    exists to prevent is an acked write silently vanishing with the
+    shard that briefly held it.
     """
     from repro.service import shard_key
 
@@ -251,15 +255,23 @@ def test_kill_and_rejoin_loses_no_acked_writes():
     total_writes = KR_WRITER_THREADS * KR_WRITES_PER_THREAD
     acked: list[int] = []
     outcomes = {"ok": 0, "degraded": 0, "failed": 0, "reads": 0}
-    lock = threading.Lock()
+    lock = threading.Condition()
+    in_flight = [0]
     killed = threading.Event()
+    reviving = threading.Event()
     revived = threading.Event()
+    #: acked uids short of full replication when the revive returned
+    at_revive: list[tuple[int, int]] = []
     # the victim owns real buckets, so the outage actually bites
     victim = svc.router.ring.primary(shard_key("bench", {"t": 0}))
 
     def writer(tid: int):
         for i in range(KR_WRITES_PER_THREAD):
             n = tid * KR_WRITES_PER_THREAD + i
+            with lock:
+                while reviving.is_set() and not revived.is_set():
+                    lock.wait()
+                in_flight[0] += 1
             response = svc.client.handle(
                 {
                     "route": "upload",
@@ -271,19 +283,28 @@ def test_kill_and_rejoin_loses_no_acked_writes():
                 }
             )
             with lock:
+                in_flight[0] -= 1
+                lock.notify_all()
                 if response.get("ok"):
                     acked.append(response["uid"])
                     outcomes[response.get("status", "ok")] += 1
-                    done = len(acked)
                 else:
                     outcomes["failed"] += 1
-                    done = len(acked)
+                done = len(acked)
+                revive = done >= 2 * total_writes // 3 and not reviving.is_set()
+                if revive:
+                    reviving.set()
+                    while in_flight[0]:
+                        lock.wait()
             if done >= total_writes // 3 and not killed.is_set():
                 killed.set()
                 svc.kill_shard(victim)
-            elif done >= 2 * total_writes // 3 and not revived.is_set():
-                revived.set()
-                svc.revive_shard(victim)  # on_up replays the hint backlog
+            elif revive:
+                svc.revive_shard(victim)  # runs the victim's anti-entropy round
+                with lock:
+                    at_revive.extend(under_replicated(acked))
+                    revived.set()
+                    lock.notify_all()
 
     def reader(tid: int):
         while not revived.is_set():
@@ -298,6 +319,17 @@ def test_kill_and_rejoin_loses_no_acked_writes():
             assert response["ok"], response
             with lock:
                 outcomes["reads"] += 1
+
+    def under_replicated(uids: list[int]) -> list[tuple[int, int]]:
+        short = []
+        for uid in uids:
+            copies = sum(
+                len(shard.repository.store["performance_records"].find({"uid": uid}))
+                for shard in svc.shards.values()
+            )
+            if copies != options.replication:
+                short.append((uid, copies))
+        return short
 
     stats = perf.PerfStats()
     threads = [
@@ -319,22 +351,16 @@ def test_kill_and_rejoin_loses_no_acked_writes():
             revived.set()  # release readers even if writers raced past
             if svc.transports[victim].down:
                 svc.revive_shard(victim)
+            # every acked uid is on both of its preference replicas
+            # before any manual round runs
+            lost = under_replicated(acked)
+            counters = stats.snapshot()["counters"]
             heal = svc.router.anti_entropy_round()
         wall = time.perf_counter() - t0
     finally:
         sys.setswitchinterval(old_interval)
 
-    counters = stats.snapshot()["counters"]
     try:
-        # every acked uid is present on both of its preference replicas
-        lost = []
-        for uid in acked:
-            copies = sum(
-                len(shard.repository.store["performance_records"].find({"uid": uid}))
-                for shard in svc.shards.values()
-            )
-            if copies != options.replication:
-                lost.append((uid, copies))
         # and readable through the public query path
         seen: set[int] = set()
         for t in range(KR_TASKS):
@@ -351,12 +377,14 @@ def test_kill_and_rejoin_loses_no_acked_writes():
     finally:
         svc.close()
 
+    healed = counters.get("service_antientropy_records_healed", 0)
     print(
         f"\nkill-and-rejoin: {len(acked)}/{total_writes} writes acked in "
         f"{wall:.2f}s ({outcomes['degraded']} degraded, "
         f"{outcomes['failed']} rejected, {outcomes['reads']} reads), victim "
-        f"{victim}: {counters.get('service_hints_replayed', 0)} hints "
-        f"replayed, {heal['healed']} records healed by anti-entropy"
+        f"{victim}: {healed} records healed on revive "
+        f"({counters.get('service_antientropy_records_shipped', 0)} shipped), "
+        f"{heal['healed']} by the trailing round"
     )
     save_results(
         "service_kill_rejoin",
@@ -366,8 +394,9 @@ def test_kill_and_rejoin_loses_no_acked_writes():
             "degraded": outcomes["degraded"],
             "rejected": outcomes["failed"],
             "reads": outcomes["reads"],
-            "hints_replayed": counters.get("service_hints_replayed", 0),
-            "antientropy_healed": heal["healed"],
+            "antientropy_healed": healed,
+            "records_shipped": counters.get("service_antientropy_records_shipped", 0),
+            "trailing_round_healed": heal["healed"],
             "wall_s": wall,
         },
     )
@@ -376,6 +405,7 @@ def test_kill_and_rejoin_loses_no_acked_writes():
     assert outcomes["degraded"] > 0, (
         "the killed shard took no write traffic; the scenario proved nothing"
     )
-    assert not lost, f"acked writes under-replicated after heal: {lost[:5]}"
+    assert not at_revive, f"acked writes under-replicated at revive: {at_revive[:5]}"
+    assert not lost, f"acked writes under-replicated before the round: {lost[:5]}"
     missing = set(acked) - seen
     assert not missing, f"acked writes unreadable after rejoin: {sorted(missing)[:5]}"

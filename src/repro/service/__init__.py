@@ -71,7 +71,7 @@ def _restarting(request: Mapping[str, Any]) -> dict[str, Any]:
 def _node(
     name: str,
     data_dir: str | Path | None,
-    replay_hints: Callable[[str], None],
+    heal: Callable[[str], Any],
     *,
     transport: SimTransport | None = None,
     link: Mapping[str, Any] | None = None,
@@ -80,15 +80,16 @@ def _node(
     """One shard node (``shard_options`` are :class:`CrowdShard`'s) behind
     its transport.
 
-    A new transport (``link`` holds its latency / fault settings) fires
-    ``replay_hints`` the moment it comes back up: hinted handoff.  A
-    restart passes the ``transport`` the router already holds, which is
-    pointed at the new node and keeps its hooks.
+    A new transport (``link`` holds its latency / fault settings) runs
+    ``heal(name)`` — the router's anti-entropy round over the node's
+    buckets — the moment it comes back up.  A restart passes the
+    ``transport`` the router already holds, which is pointed at the new
+    node and keeps its hooks.
     """
     shard = CrowdShard(name, data_dir, **shard_options)
     if transport is None:
         transport = SimTransport(shard.handle, name, **(link or {}))
-        transport.on_up(replay_hints)
+        transport.on_up(heal)
     else:
         transport.target = shard.handle
     return shard, transport
@@ -129,10 +130,11 @@ class CrowdService:
         self.transports[name].down = True
 
     def revive_shard(self, name: str) -> None:
-        """Bring a killed shard back; the router replays its hints.
+        """Bring a killed shard back, holding every write it missed.
 
-        (The transport's ``on_up`` hook fires the router's hinted-handoff
-        replay — wired by :func:`build_service` / :meth:`add_shard`.)
+        (The transport's ``on_up`` hook runs the router's anti-entropy
+        round over the shard's buckets before this returns — wired by
+        :func:`build_service` / :meth:`add_shard`.)
         """
         self.transports[name].down = False
 
@@ -142,13 +144,13 @@ class CrowdService:
         The in-memory node is closed and freed first, then rebuilt by
         WAL/snapshot recovery — the simulation of a real process restart,
         which never holds two copies of a node.  The node is down while
-        it recovers: a request for it fails over (writes are hinted, like
-        during any outage) instead of reaching the closed node.  Its
-        transport then goes back to the state it was in; if that was up,
-        the hints stored meanwhile replay at once.  Anything else the
-        shard missed (or lost to an old snapshot image) is healed by hint
-        replay and the next anti-entropy round.  If recovery raises, the
-        node stays down and out of :attr:`shards`.
+        it recovers: a request for it fails over (writes go to the other
+        replicas, like during any outage) instead of reaching the closed
+        node.  Its transport then goes back to the state it was in; if
+        that was up, the revive round heals at once whatever the shard
+        missed meanwhile or lost to an old snapshot image — a restart
+        that missed nothing costs the digests only.  If recovery raises,
+        the node stays down and out of :attr:`shards`.
         """
         shard = self.shards[name]
         if shard.data_dir is None:
@@ -167,7 +169,7 @@ class CrowdService:
         self.shards[name], _ = _node(
             name,
             data_dir,
-            self.router.replay_hints,
+            self.router.anti_entropy_round,
             users=self.users,
             registry=self.registry,
             snapshot_every=snapshot_every,
@@ -199,7 +201,7 @@ class CrowdService:
         self.shards[name], self.transports[name] = _node(
             name,
             data_dir,
-            self.router.replay_hints,
+            self.router.anti_entropy_round,
             users=self.users,
             registry=self.registry,
             snapshot_every=snapshot_every,
@@ -300,8 +302,8 @@ def build_service(
                     f"set RouterOptions.{name} instead"
                 )
 
-    def replay_hints(name: str) -> None:
-        router.replay_hints(name)  # the router is built from the nodes, below
+    def heal(name: str) -> None:
+        router.anti_entropy_round(name)  # the router is built from the nodes, below
 
     shards: dict[str, CrowdShard] = {}
     transports: dict[str, SimTransport] = {}
@@ -310,7 +312,7 @@ def build_service(
         shards[name], transports[name] = _node(
             name,
             Path(data_dir) / name if data_dir is not None else None,
-            replay_hints,
+            heal,
             users=users,
             registry=registry,
             snapshot_every=snapshot_every,

@@ -19,11 +19,11 @@ the protocol the router:
   stamped with the same router-assigned ``uid`` and logical timestamp so
   cross-shard reads deduplicate exactly (``_stamped_write``: ``upload``
   to the key's replicas, ``register_problem`` to every shard).  The
-  router acknowledges only after ``write_quorum`` replicas confirm,
+  router acknowledges only after ``write_quorum`` replicas confirm and
   reports ``replicas_acked``/``replicas_total`` (plus a ``degraded``
-  status) in every upload response, and buffers a **hint** for each
-  unreachable replica — replayed automatically when the shard's
-  transport comes back up (hinted handoff);
+  status) in every upload response; a replica that missed the write is
+  healed by anti-entropy, at the latest when its transport comes back
+  up;
 * **serves task-pinned reads** — ``query`` with a task, ``predict``,
   ``model_meta``, ``sensitivity`` — from the primary with fallback
   through the replicas when shards are unreachable
@@ -32,11 +32,11 @@ the protocol the router:
   :func:`~repro.service.shard.newest_wins` (the one newest-wins rule:
   per ``record_ident``, the greater timestamp), and **read-repairs**
   stale replicas by streaming them the records they miss;
-* **heals in the background** — :meth:`CrowdRouter.anti_entropy_round`
-  exchanges per-bucket digests of each shard's journaled records
-  (bucketed by ``shard_key``) and streams the ``newest_wins`` merge of
-  every holder's copy to the replicas that miss it; an optional
-  interval thread runs rounds continuously;
+* **heals by delta anti-entropy**, the one repair path —
+  :meth:`CrowdRouter.anti_entropy_round` compares per-bucket digests
+  and ships each replica only the documents it lacks; a revived shard
+  runs it over its own buckets, an optional interval thread runs full
+  rounds continuously;
 * **resizes the cluster** — :meth:`CrowdRouter.add_shard` /
   :meth:`CrowdRouter.remove_shard` rebuild the consistent-hash ring and
   stream each rekeyed bucket to its new owners before dropping the old
@@ -68,20 +68,20 @@ the protocol the router:
 
 With the default ``(write_quorum=1, read_quorum=1, anti-entropy off)``
 an upload is acknowledged once one replica stores it (the others are
-written or hinted in the same call), a pinned read answers from the
-first reachable replica in preference order, and nothing heals in the
-background.  Upload responses carry ``replicas_acked`` /
+written in the same call), a pinned read answers from the first
+reachable replica in preference order, and only a revived shard heals
+(its own buckets).  Upload responses carry ``replicas_acked`` /
 ``replicas_total`` / ``status`` whatever the quorum.
 
 Perf wiring: counters ``service_requests``, ``service_throttled``,
 ``service_fanouts``, ``service_replica_fallbacks``,
 ``service_underreplicated_writes``, ``service_quorum_failures``,
-``service_read_repairs``, ``service_hints_stored`` / ``_replayed`` /
-``_dropped``, ``service_antientropy_rounds`` / ``_records_healed``,
+``service_read_repairs``, ``service_antientropy_rounds`` /
+``_records_shipped`` / ``_records_healed`` / ``_errors``,
 ``service_summary_divergent_tasks`` (tasks an aggregate re-read as
 documents).  State is read where it lives, not mirrored into gauges:
-:meth:`CrowdRouter.hints_pending`, and each node's
-:meth:`~repro.service.shard.CrowdShard.count`.
+each node's :meth:`~repro.service.shard.CrowdShard.count`, and the
+router's ``last_antientropy_error``.
 """
 
 from __future__ import annotations
@@ -141,9 +141,6 @@ class RouterOptions:
     #: seconds between background anti-entropy rounds (None = no thread;
     #: rounds can always be driven manually via ``anti_entropy_round``)
     anti_entropy_interval_s: float | None = None
-    #: buffered hinted-handoff writes kept per unreachable shard; the
-    #: oldest hints are dropped beyond this (anti-entropy still heals)
-    max_hints_per_shard: int = 10_000
 
     def __post_init__(self) -> None:
         if self.replication < 1:
@@ -160,8 +157,6 @@ class RouterOptions:
             self.anti_entropy_interval_s <= 0
         ):
             raise ValueError("anti_entropy_interval_s must be positive")
-        if self.max_hints_per_shard < 0:
-            raise ValueError("max_hints_per_shard must be >= 0")
 
 
 class TokenBucket:
@@ -231,12 +226,11 @@ class CrowdRouter:
         self._pool_lock = threading.Lock()
         #: idempotency_key -> (uid, timestamp) of the original stamp
         self._idempotency: OrderedDict[str, tuple[int, float]] = OrderedDict()
-        #: shard name -> uid -> stamped upload request awaiting replay
-        self._hints: dict[str, OrderedDict[int, dict[str, Any]]] = {}
-        self._hints_lock = threading.Lock()
         self._membership_lock = threading.Lock()
         self._ae_stop: threading.Event | None = None
         self._ae_thread: threading.Thread | None = None
+        #: ``repr`` of what the last failed background round raised
+        self.last_antientropy_error: str | None = None
         #: the route table: account routes are the admin shard's, the
         #: registry reads are pinned to the task's preference list like a
         #: pinned query
@@ -424,36 +418,26 @@ class CrowdRouter:
 
     def _stamped_write(
         self, request: Mapping[str, Any], targets: list[str]
-    ) -> tuple[int, list[dict[str, Any]], list[str], dict[str, Any] | None]:
+    ) -> tuple[int, list[dict[str, Any]], dict[str, Any] | None]:
         """One logical write under one router stamp, to every target.
 
-        Returns ``(uid, oks, unreachable, rejected)``: the ok responses
-        in target order, the targets that could not be reached, and a
-        refusal (auth / bad_request — the same on every shard, so the
-        loop stops at the first).  When the write exists on at least one
-        replica, each unreachable target gets a hint, so it reaches full
-        replication when they rejoin.
+        Returns ``(uid, oks, rejected)``: the ok responses in target
+        order and a refusal (auth / bad_request — the same on every
+        shard, so the loop stops at the first).  A target that could not
+        be reached takes the write from a peer by anti-entropy.
         """
         uid, ts = self._stamp(request.get("idempotency_key"))
         stamped = {k: v for k, v in request.items() if k not in ("uid", "timestamp")}
         stamped["uid"] = uid
         stamped["timestamp"] = ts
         oks: list[dict[str, Any]] = []
-        unreachable: list[str] = []
-        rejected: dict[str, Any] | None = None
         for name in targets:
             response = self._shards[name].handle(stamped)
             if response.get("ok"):
                 oks.append(response)
-            elif response.get("error") == "unavailable":
-                unreachable.append(name)
-            else:
-                rejected = response
-                break
-        if oks and rejected is None:
-            for name in unreachable:
-                self._store_hint(name, stamped)
-        return uid, oks, unreachable, rejected
+            elif response.get("error") != "unavailable":
+                return uid, oks, response
+        return uid, oks, None
 
     # -- writes --------------------------------------------------------------
     def _route_account(self, request: Mapping[str, Any]) -> dict[str, Any]:
@@ -463,14 +447,14 @@ class CrowdRouter:
     def _route_upload(self, request: Mapping[str, Any]) -> dict[str, Any]:
         prefs = self._task_prefs(request)
         quorum = min(self.options.write_quorum, len(prefs))
-        uid, oks, unreachable, rejected = self._stamped_write(request, prefs)
+        uid, oks, rejected = self._stamped_write(request, prefs)
         if rejected is not None:
             return rejected
         acked = len(oks)
         counts = {"replicas_acked": acked, "replicas_total": len(prefs)}
         if acked == 0:
             return _unavailable(f"no replica of {prefs} accepted the write", **counts)
-        if unreachable:
+        if acked < len(prefs):
             perf.incr("service_underreplicated_writes")
         if acked < quorum:
             # quorum missed: never report a half-lost write as success —
@@ -496,12 +480,12 @@ class CrowdRouter:
 
         Each shard needs the space document to build and serve its own
         keys, so the write is stamped (uid + timestamp, newest-wins on
-        the shards) and sent everywhere; unreachable shards get a hint
-        and converge when it replays (or via anti-entropy).
+        the shards) and sent everywhere; unreachable shards converge by
+        anti-entropy when they rejoin.
         """
         if not request.get("problem_name"):
             return bad_request("register_problem needs a problem_name")
-        uid, oks, unreachable, rejected = self._stamped_write(
+        uid, oks, rejected = self._stamped_write(
             request, sorted(self._shards)
         )
         if rejected is not None:
@@ -514,7 +498,7 @@ class CrowdRouter:
             "uid": uid,
             "replicas_acked": len(oks),
             "replicas_total": len(self._shards),
-            "status": "degraded" if unreachable else "ok",
+            "status": "degraded" if len(oks) < len(self._shards) else "ok",
         }
 
     # -- reads ---------------------------------------------------------------
@@ -695,93 +679,30 @@ class CrowdRouter:
             return error
         return {"ok": True, "contributors": summary_contributors(summary)}
 
-    # -- hinted handoff ------------------------------------------------------
-    def _store_hint(self, name: str, stamped: Mapping[str, Any]) -> None:
-        """Buffer a stamped write for an unreachable replica."""
-        cap = self.options.max_hints_per_shard
-        if cap == 0:
-            perf.incr("service_hints_dropped")
-            return
-        dropped = 0
-        with self._hints_lock:
-            queue = self._hints.setdefault(name, OrderedDict())
-            queue[int(stamped["uid"])] = dict(stamped)
-            while len(queue) > cap:
-                queue.popitem(last=False)
-                dropped += 1
-        perf.incr("service_hints_stored")
-        if dropped:
-            perf.incr("service_hints_dropped", dropped)
-
-    def hints_pending(self, name: str | None = None) -> int:
-        """Buffered hinted-handoff writes (for one shard or all)."""
-        with self._hints_lock:
-            if name is not None:
-                return len(self._hints.get(name, ()))
-            return sum(len(q) for q in self._hints.values())
-
-    def replay_hints(self, name: str | None = None) -> int:
-        """Deliver buffered hints; returns how many were applied.
-
-        Wired to :meth:`SimTransport.on_up` by the service builder, so a
-        revived shard receives its missed writes immediately.  A replay
-        stops at the first still-unreachable delivery (the shard is down
-        again); hints rejected outright (e.g. a revoked key) are dropped.
-        """
-        with self._hints_lock:
-            names = (
-                [name]
-                if name is not None
-                else sorted(n for n, q in self._hints.items() if q)
-            )
-        n_replayed = 0
-        for shard_name in names:
-            client = self._shards.get(shard_name)
-            if client is None:  # shard left the cluster: hints are moot
-                with self._hints_lock:
-                    self._hints.pop(shard_name, None)
-                continue
-            while True:
-                with self._hints_lock:
-                    queue = self._hints.get(shard_name)
-                    if not queue:
-                        break
-                    uid, stamped = next(iter(queue.items()))
-                response = client.handle(stamped)
-                if response.get("error") == "unavailable":
-                    break  # still down: keep the remaining hints
-                with self._hints_lock:
-                    queue = self._hints.get(shard_name)
-                    if queue is not None:
-                        queue.pop(uid, None)
-                if response.get("ok"):
-                    n_replayed += 1
-                    perf.incr("service_hints_replayed")
-        return n_replayed
-
     # -- anti-entropy --------------------------------------------------------
-    def anti_entropy_round(self, *, cleanup: bool = False) -> dict[str, Any]:
+    def anti_entropy_round(
+        self, shard: str | None = None, *, cleanup: bool = False
+    ) -> dict[str, Any]:
         """One digest-exchange round across the cluster.
 
-        Every reachable shard reports a digest per ``shard_key`` bucket
-        of its journaled records.  For each bucket whose preference-list
-        replicas disagree (or miss it entirely), the round pulls the
-        bucket from every holder, merges the copies (``newest_wins``),
-        and streams the merged records to each replica.  With ``cleanup`` (used by shard handoff), a bucket
-        held by a shard outside its preference list is dropped — but
-        only once every replica in the list holds the identical digest,
-        so a copy is never destroyed before the ring's owners have it.
-
-        Pending hints are replayed first: a freshly revived shard takes
-        its buffered writes before digests are compared.
+        Each reachable shard reports the digest it keeps per bucket, so
+        a consistent cluster costs digests only, and a bucket whose
+        reachable copies agree ships nothing, even while a replica of it
+        is down; the others are repaired document by document
+        (:meth:`_repair`).  ``shard`` limits the round to that shard's
+        buckets, problem buckets included: what a revived shard runs
+        (:meth:`SimTransport.on_up`).  With ``cleanup`` (shard handoff),
+        a copy outside a bucket's preference list is repaired too while
+        every listed replica is reachable, then dropped once it agrees
+        with them, so no copy goes before the ring's owners have it.
         """
-        self.replay_hints()
-        digests: dict[str, dict[str, dict[str, Any]]] = {}
+        digests: dict[str, dict[str, str]] = {}
         for name in sorted(self._shards):
             response = self._shards[name].handle({"route": "digest"})
             if response.get("ok"):
-                digests[name] = response.get("digests", {})
-        healed = 0
+                digests[name] = response["digests"]
+        #: bucket -> (the shards to repair, the shards holding it)
+        diverged: dict[str, tuple[list[str], list[str]]] = {}
         dropped = 0
         all_keys = sorted({key for d in digests.values() for key in d})
         for key in all_keys:
@@ -792,57 +713,18 @@ class CrowdRouter:
                 prefs = sorted(self._shards)
             else:
                 prefs = self.ring.preference(ring_key, self.options.replication)
-            holders = {
-                name: digests[name][key]["digest"]
-                for name in digests
-                if key in digests[name]
-            }
-            reachable_prefs = [n for n in prefs if n in digests]
-            pref_digests = {holders.get(n) for n in reachable_prefs}
-            extras = sorted(n for n in holders if n not in prefs)
-            consistent = (
-                len(reachable_prefs) == len(prefs)
-                and len(pref_digests) == 1
-                and None not in pref_digests
-            )
-            if consistent and all(
-                holders[n] == next(iter(pref_digests)) for n in extras
-            ):
-                if cleanup:
-                    dropped += self._drop_bucket(key, extras)
+            if shard is not None and shard not in prefs:
                 continue
-            fetched: list[dict[str, Any]] = []
-            for name in sorted(set(holders) | set(reachable_prefs)):
-                response = self._shards[name].handle(
-                    {"route": "fetch", "keys": [key]}
-                )
-                if response.get("ok"):
-                    fetched.extend(response.get("buckets", {}).get(key, []))
-            merged = newest_wins(fetched)
-            if not merged:
-                continue
-            records = sorted(
-                merged.values(),
-                key=lambda d: (sort_key(d.get("timestamp")), record_ident(d)),
-            )
-            bucket_applied = 0
-            replicated_all = len(reachable_prefs) == len(prefs)
-            for name in reachable_prefs:
-                response = self._shards[name].handle(
-                    {"route": "replicate", "records": records, "collection": collection}
-                )
-                if not response.get("ok"):
-                    replicated_all = False
-                    continue
-                if response.get("applied", 0):
-                    bucket_applied += int(response["applied"])
-                    healed += int(response["applied"])
-            if cleanup and extras and replicated_all and bucket_applied == 0:
-                # every replica already held the merged bucket (zero
-                # applies), so the extras' records — all part of the
-                # merge — are provably covered: safe to drop even though
-                # a stale extra's digest will never match the owners'
+            holders = [n for n in digests if key in digests[n]]
+            reachable = [n for n in prefs if n in digests]
+            extras = [n for n in holders if n not in prefs]
+            if not (cleanup and len(reachable) == len(prefs)):
+                extras = []  # kept: no copy leaves before every owner has it
+            if len({digests[n].get(key) for n in reachable + holders}) == 1:
                 dropped += self._drop_bucket(key, extras)
+            elif reachable:
+                diverged[key] = (reachable + extras, holders)
+        healed = self._repair(diverged)
         perf.incr("service_antientropy_rounds")
         if healed:
             perf.incr("service_antientropy_records_healed", healed)
@@ -852,6 +734,61 @@ class CrowdRouter:
             "buckets": len(all_keys),
             "reachable": sorted(digests),
         }
+
+    def _repair(self, diverged: Mapping[str, tuple[list[str], list[str]]]) -> int:
+        """Send each target of a diverged bucket exactly the documents it
+        lacks or holds older; returns how many the targets applied.
+
+        The holders list their ``[record_ident, timestamp]`` entries;
+        per entry the newest wins (:func:`newest_wins`), one ``fetch``
+        per holder pulls what the targets need from it and one
+        ``replicate`` per target and collection ships it (counter
+        ``service_antientropy_records_shipped``).  Registry entries and
+        problem docs have one identity per version, so a target may get
+        a version older than its own: its newest-wins upsert skips it.
+        """
+        held: dict[str, dict[str, dict[str, Any]]] = {}  # holder -> bucket -> ident -> ts
+        for name in sorted({n for _, holders in diverged.values() for n in holders}):
+            keys = [key for key, (_, holders) in diverged.items() if name in holders]
+            response = self._shards[name].handle({"route": "digest", "keys": keys})
+            if response.get("ok"):
+                held[name] = {k: dict(entries) for k, entries in response["entries"].items()}
+        pull: dict[str, dict[str, list[str]]] = {}  # holder -> bucket -> idents
+        owed: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
+        for key, (targets, holders) in diverged.items():
+            newest: dict[str, tuple[Any, str]] = {}
+            for name in holders:
+                for ident, ts in held.get(name, {}).get(key, {}).items():
+                    if ident not in newest or sort_key(ts) > sort_key(newest[ident][0]):
+                        newest[ident] = (ts, name)
+            for name in targets:
+                if name in holders and name not in held:
+                    continue  # its entries did not arrive: the next round
+                mine = held.get(name, {}).get(key, {})
+                for ident, (ts, source) in newest.items():
+                    if ident not in mine or sort_key(mine[ident]) < sort_key(ts):
+                        pull.setdefault(source, {}).setdefault(key, []).append(ident)
+                        owed.setdefault((name, split_bucket_key(key)[0]), []).append(
+                            (source, key, ident)
+                        )
+        fetched: dict[tuple[str, str, str], dict[str, Any]] = {}
+        for source, idents in sorted(pull.items()):
+            response = self._shards[source].handle({"route": "fetch", "idents": idents})
+            for key, docs in response.get("buckets", {}).items():
+                fetched.update(((source, key, record_ident(d)), d) for d in docs)
+        healed = 0
+        for (name, collection), items in sorted(owed.items()):
+            docs = sorted(
+                (fetched[item] for item in items if item in fetched),
+                key=lambda d: (sort_key(d.get("timestamp")), record_ident(d)),
+            )
+            if docs:
+                perf.incr("service_antientropy_records_shipped", len(docs))
+                response = self._shards[name].handle(
+                    {"route": "replicate", "records": docs, "collection": collection}
+                )
+                healed += int(response.get("applied", 0))
+        return healed
 
     def _drop_bucket(self, key: str, names: list[str]) -> int:
         """Drop bucket ``key`` on each named shard (handoff cleanup);
@@ -873,7 +810,8 @@ class CrowdRouter:
             while not stop.wait(interval_s):
                 try:
                     self.anti_entropy_round()
-                except Exception:  # never kill the daemon on one bad round
+                except Exception as exc:  # never kill the daemon on one bad round
+                    self.last_antientropy_error = repr(exc)
                     perf.incr("service_antientropy_errors")
 
         self._ae_stop = stop
@@ -925,8 +863,6 @@ class CrowdRouter:
             survivors = [n for n in self._shards if n != name]
             self.ring = ShardRing(survivors)
             stats = self.rebalance() if graceful else {}
-            with self._hints_lock:
-                self._hints.pop(name, None)
             del self._shards[name]
             if self._admin == name:
                 self._admin = next(iter(self._shards))

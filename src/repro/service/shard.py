@@ -44,7 +44,7 @@ import hashlib
 import json
 import threading
 from bisect import bisect_right
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
 from typing import Any
 
@@ -85,9 +85,9 @@ _PUBLIC_ROUTES = (
 )
 #: intra-cluster routes, never listed by :meth:`CrowdShard.routes` and
 #: never forwarded by the router's public dispatch — only the router's
-#: healing machinery (read-repair, anti-entropy, hinted handoff, shard
-#: handoff) and its aggregate reads (``summary``, the one of them that
-#: authenticates a user) call them
+#: healing machinery (read-repair, anti-entropy, shard handoff) and its
+#: aggregate reads (``summary``, the one of them that authenticates a
+#: user) call them
 _INTERNAL_ROUTES = frozenset({"replicate", "digest", "fetch", "drop_bucket", "summary"})
 
 #: the largest ``n_base`` / ``n_bootstrap`` a ``sensitivity`` request may
@@ -114,13 +114,9 @@ _HEALED_COLLECTIONS = (REGISTRY_MODELS, REGISTRY_PROBLEMS)
 
 
 def bucket_key(collection: str, ring_key: str) -> str:
-    """Anti-entropy bucket name for one collection's ring key.
-
-    Performance-record buckets keep their historical bare shard-key form
-    (pre-registry routers and shards understand them); other collections
-    get a ``\\x01``-prefixed composite that no bare key can collide with
-    (shard keys never start with ``\\x01``).
-    """
+    """Anti-entropy bucket name for one collection's ring key: the bare
+    shard key for performance records, a ``\\x01``-prefixed composite
+    (no shard key starts with ``\\x01``) for the other collections."""
     if collection == _RECORDS:
         return ring_key
     return f"\x01{collection}\x01{ring_key}"
@@ -169,10 +165,70 @@ def newest_wins(docs: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
     return merged
 
 
-def bucket_digest(entries: list[tuple[str, Any]]) -> str:
-    """Order-independent digest of one bucket's ``(ident, timestamp)``s."""
-    lines = sorted(f"{ident}@{ts!r}" for ident, ts in entries)
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+def _bucket_keys(collection: str, docs: list) -> Iterator[tuple[str, Mapping[str, Any]]]:
+    """``(bucket key, doc)`` per stored document of a scan.  Records and
+    registry entries co-locate under their task's ring key, problem docs
+    (broadcast to every shard) under the problem name.  A scan computes
+    each task's key once: equal stored task blocks are one object
+    (:class:`~repro.crowd.columnar.Interner`), alive while ``docs`` is."""
+    known: dict[tuple[Any, int], str] = {}
+    for doc in docs:
+        name, task = doc.get("problem_name", ""), doc.get("task_parameters")
+        if (name, id(task)) not in known:
+            ring_key = str(name) if collection == REGISTRY_PROBLEMS else shard_key(name, task)
+            known[name, id(task)] = bucket_key(collection, ring_key)
+        yield known[name, id(task)], doc
+
+
+class _BucketDigests:
+    """One shard's anti-entropy digests, kept as documents are stored.
+
+    A bucket's digest is the sum, mod 2**128, of one hash per stored
+    ``(record_ident, timestamp)``: order-independent, so a stored
+    document costs one hash and one addition (the store's mutation
+    observer calls :meth:`observe`).  A delete or update (a newer
+    version replacing a record, a handoff drop, a registry upsert)
+    drops its collection's sums, and the next read rescans it.
+    """
+
+    def __init__(self) -> None:
+        #: collection -> bucket -> digest, for the collections kept current
+        self._sums: dict[str, dict[str, int]] = {}
+
+    def load(self, collection: str, docs: list) -> None:
+        """Rebuild one collection's sums from all its stored documents."""
+        self._sums[collection] = {}
+        self._add(collection, docs)
+
+    def _add(self, collection: str, docs: list) -> None:
+        sums = self._sums[collection]
+        for key, doc in _bucket_keys(collection, docs):
+            blob = f"{record_ident(doc)}@{doc.get('timestamp', 0.0)!r}".encode()
+            digest = hashlib.blake2s(blob, digest_size=16).digest()
+            sums[key] = (sums.get(key, 0) + int.from_bytes(digest, "little")) % (1 << 128)
+
+    def observe(self, op: Mapping[str, Any]) -> None:
+        """Fold one store mutation in (called under its collection lock)."""
+        collection = op["c"]
+        if collection not in self._sums:
+            return  # not healed, or rescanned on its next read anyway
+        if op["op"] == "insert":
+            self._add(collection, [op["doc"]])
+        elif op["op"] == "insert_many":
+            self._add(collection, op["docs"])
+        else:
+            del self._sums[collection]
+
+    def read(self, store: DocumentStore) -> dict[str, str]:
+        """``bucket -> digest`` (hex) over the healed collections."""
+        out: dict[str, str] = {}
+        for collection in (_RECORDS, *_HEALED_COLLECTIONS):
+            coll = store[collection]
+            with coll.columnar_snapshot():  # the lock: no write lands mid-scan
+                if collection not in self._sums:
+                    self.load(collection, coll.find({}, frozen=True))
+                out.update((key, f"{s:032x}") for key, s in self._sums[collection].items())
+        return out
 
 
 def bad_request(message: str) -> dict[str, Any]:
@@ -286,9 +342,13 @@ class CrowdShard:
             store = self._recover_store()
         self.repository = CrowdRepository(store=store, users=users, matcher=matcher)
         # resume the logical clock past every recovered record so new
-        # uploads keep strictly increasing timestamps
-        for doc in self.repository.store["performance_records"].find({}, frozen=True):
+        # uploads keep strictly increasing timestamps; the same scan
+        # builds the records' anti-entropy digests
+        records = self.repository.store[_RECORDS].find({}, frozen=True)
+        for doc in records:
             self.repository.advance_clock(float(doc.get("timestamp", 0.0)))
+        self._digests = _BucketDigests()
+        self._digests.load(_RECORDS, records)
         # registry entries recover from snapshot + WAL like records, and
         # the version tracker's construction scan sees the recovered
         # store, so staleness accounting survives a crash too
@@ -296,10 +356,12 @@ class CrowdShard:
             ModelRegistry(self.repository, registry) if registry is not None else None
         )
 
-        if self._log is not None:
-            # journal every mutation from here on (recovery replay above
-            # ran before the observer existed, so it never re-journals)
-            self.repository.store.set_observer(self._journal)
+        # from here on every mutation updates the digests and, on disk,
+        # is journaled (recovery replay above ran before the observer
+        # existed, so it never re-journals)
+        self.repository.store.set_observer(
+            self._digests.observe if self._log is None else self._journal
+        )
 
     # -- durability ---------------------------------------------------------
     def _recover_store(self) -> DocumentStore:
@@ -327,6 +389,7 @@ class CrowdShard:
 
     def _journal(self, op: dict[str, Any]) -> None:
         assert self._log is not None
+        self._digests.observe(op)
         buffered = getattr(self._buffers, "ops", None)
         if buffered is not None:
             # an internal route is batching on this thread: hold the op,
@@ -361,7 +424,7 @@ class CrowdShard:
                 response = bad_request("request must be an object")
             elif isinstance(route := request.get("route"), str) and route in _INTERNAL_ROUTES:
                 # internal routes stream many documents per request
-                # (replication, hint replay, rebalance): batch this
+                # (replication, read-repair, rebalance): batch this
                 # thread's journal ops into one WAL write + fsync pass.
                 # Safe because their ops commute — replicate/drop replay
                 # keys by ``_id``/content, never by arrival order against
@@ -436,8 +499,8 @@ class CrowdShard:
         if uid:
             # idempotent replay: the router re-sends a stamped write when
             # a client retries after a lost ack (same idempotency token
-            # -> same uid) and when replaying hinted handoff; a record
-            # already stored under this uid must not be duplicated
+            # -> same uid); a record already stored under this uid must
+            # not be duplicated
             self.repository.users.authenticate(req["api_key"])
             if self.repository.store[_RECORDS].contains("uid", uid):
                 return {"ok": True, "uid": uid, "duplicate": True}
@@ -564,15 +627,6 @@ class CrowdShard:
     # shard connections — the router's public dispatch does not know the
     # route names.
 
-    @staticmethod
-    def _doc_ring_key(collection: str, doc: Mapping[str, Any]) -> str:
-        """The ring key one stored document buckets under."""
-        if collection == REGISTRY_PROBLEMS:
-            # problem docs are broadcast to every shard, keyed by name
-            return str(doc.get("problem_name", ""))
-        # records and registry entries co-locate under the task's key
-        return shard_key(doc.get("problem_name", ""), doc.get("task_parameters"))
-
     def _apply_registry_doc(self, collection: str, doc: dict[str, Any]) -> bool:
         """Newest-wins upsert of a replicated registry document."""
         if self.registry is not None:
@@ -597,96 +651,82 @@ class CrowdShard:
         and problem docs upsert newest-wins per key.
         """
         collection = str(req.get("collection", _RECORDS))
+        docs = ({k: v for k, v in dict(doc).items() if k != "_id"} for doc in req["records"])
         if collection != _RECORDS:
             if collection not in _HEALED_COLLECTIONS:
                 raise ValueError(f"cannot replicate collection {collection!r}")
-            applied = 0
-            for doc in req["records"]:
-                doc = {k: v for k, v in dict(doc).items() if k != "_id"}
-                if self._apply_registry_doc(collection, doc):
-                    applied += 1
-            return {"ok": True, "applied": applied}
+            return {
+                "ok": True,
+                "applied": sum(self._apply_registry_doc(collection, doc) for doc in docs),
+            }
         coll = self.repository.store[_RECORDS]
-        applied = 0
-        applied_docs: list[dict[str, Any]] = []
-        # inserts are deferred into one batch (one lock acquisition, one
-        # journaled op), so intra-batch dedup checks the pending docs too
+        # the batch's own copies merge first; its inserts then go in as
+        # one batch (one lock acquisition, one journaled op)
         pending: list[dict[str, Any]] = []
-        pending_uid: dict[int, int] = {}  # uid -> index into pending
-        pending_content: set[str] = set()  # canonical JSON of uid-0 docs
-        for doc in req["records"]:
-            doc = {k: v for k, v in dict(doc).items() if k != "_id"}
+        for doc in newest_wins(docs).values():
             uid = int(doc.get("uid", 0) or 0)
             ts = float(doc.get("timestamp", 0.0) or 0.0)
-            if uid:
-                held = pending_uid.get(uid)
-                if held is not None:
-                    if float(pending[held].get("timestamp", 0.0) or 0.0) >= ts:
-                        continue  # pending copy is this version or newer
-                    pending[held] = doc  # newest-wins within the batch
-                    self.repository.advance_clock(ts)
-                    applied += 1
-                    applied_docs.append(doc)
-                    continue
-                existing = coll.find_one({"uid": uid}, frozen=True)
-                if existing is not None:
-                    if float(existing.get("timestamp", 0.0) or 0.0) >= ts:
-                        continue  # already have this version or newer
-                    coll.delete({"_id": existing["_id"]})
-                pending_uid[uid] = len(pending)
-            else:
-                blob = json.dumps(doc, sort_keys=True, default=str)
-                if blob in pending_content or coll.find_one(doc, frozen=True) is not None:
-                    continue  # unstamped record already present field-for-field
-                pending_content.add(blob)
+            held = coll.find_one({"uid": uid} if uid else doc, frozen=True)
+            if held is not None:
+                if not uid or float(held.get("timestamp", 0.0) or 0.0) >= ts:
+                    continue  # this version or a newer one is stored already
+                coll.delete({"_id": held["_id"]})
             pending.append(doc)
             self.repository.advance_clock(ts)
-            applied += 1
-            applied_docs.append(doc)
         if pending:
             coll.insert_many(pending)
-        if applied_docs and self.registry is not None:
-            # replicated records advance data versions and (policy
-            # permitting) trigger a rebuild, same as direct uploads
-            self.registry.notify(applied_docs)
-        return {"ok": True, "applied": applied}
+            if self.registry is not None:
+                # replicated records advance data versions and (policy
+                # permitting) trigger a rebuild, same as direct uploads
+                self.registry.notify(pending)
+        return {"ok": True, "applied": len(pending)}
+
+    def _bucket_docs(self, keys: Iterable[str]) -> dict[str, list[Mapping[str, Any]]]:
+        """The stored documents of each named bucket (one scan per
+        collection the keys name)."""
+        out: dict[str, list[Mapping[str, Any]]] = {str(key): [] for key in keys}
+        for collection in sorted({split_bucket_key(key)[0] for key in out}):
+            if collection != _RECORDS and collection not in _HEALED_COLLECTIONS:
+                raise ValueError(f"collection {collection!r} is not healed")
+            docs = self.repository.store[collection].find({}, frozen=True)
+            for key, doc in _bucket_keys(collection, docs):
+                if key in out:
+                    out[key].append(doc)
+        return out
 
     def _route_digest(self, req: Mapping[str, Any]) -> dict[str, Any]:
-        """Per-bucket digests of this shard's healed state (anti-entropy).
+        """Per-bucket digests of this shard's healed state (anti-entropy),
+        kept current as documents are stored; with ``keys``, each named
+        bucket's ``[record_ident, timestamp]`` entries instead.
 
         Registry collections digest alongside records under composite
         bucket keys; registry entries are content-determined (same record
         set -> same bytes), so replicas that independently built the same
         entry digest equal and cost the healer nothing.
         """
-        buckets: dict[str, list[tuple[str, Any]]] = {}
-        for collection in (_RECORDS, *_HEALED_COLLECTIONS):
-            for doc in self.repository.store[collection].find({}, frozen=True):
-                key = bucket_key(collection, self._doc_ring_key(collection, doc))
-                buckets.setdefault(key, []).append(
-                    (record_ident(doc), doc.get("timestamp", 0.0))
-                )
-        return {
-            "ok": True,
-            "digests": {
-                key: {"digest": bucket_digest(entries), "count": len(entries)}
-                for key, entries in buckets.items()
-            },
-        }
+        if req.get("keys") is not None:
+            entries = {
+                key: [[record_ident(doc), doc.get("timestamp", 0.0)] for doc in docs]
+                for key, docs in self._bucket_docs(req["keys"]).items()
+            }
+            return {"ok": True, "entries": entries}
+        return {"ok": True, "digests": self._digests.read(self.repository.store)}
 
     def _route_fetch(self, req: Mapping[str, Any]) -> dict[str, Any]:
-        """Full documents of the requested buckets (healing stream)."""
-        keys = {str(k) for k in req["keys"]}
-        out: dict[str, list[dict[str, Any]]] = {key: [] for key in keys}
-        wanted = {split_bucket_key(k)[0] for k in keys}
-        for collection in (_RECORDS, *_HEALED_COLLECTIONS):
-            if collection not in wanted:
-                continue
-            for doc in self.repository.store[collection].find({}, frozen=True):
-                key = bucket_key(collection, self._doc_ring_key(collection, doc))
-                if key in keys:
-                    out[key].append({k: v for k, v in doc.items() if k != "_id"})
-        return {"ok": True, "buckets": out}
+        """The named documents (``idents``: bucket -> record idents) in
+        full, the healing stream."""
+        wanted = {
+            str(key): {str(i) for i in idents} for key, idents in dict(req["idents"]).items()
+        }
+        buckets = {
+            key: [
+                {k: v for k, v in doc.items() if k != "_id"}
+                for doc in docs
+                if record_ident(doc) in wanted[key]
+            ]
+            for key, docs in self._bucket_docs(wanted).items()
+        }
+        return {"ok": True, "buckets": buckets}
 
     def _route_summary(self, req: Mapping[str, Any]) -> dict[str, Any]:
         """Per-task partial aggregates of one problem for one api key:
@@ -698,15 +738,8 @@ class CrowdShard:
     def _route_drop_bucket(self, req: Mapping[str, Any]) -> dict[str, Any]:
         """Drop one bucket this shard no longer owns (post-handoff)."""
         key = str(req["key"])
-        collection, _ = split_bucket_key(key)
-        if collection != _RECORDS and collection not in _HEALED_COLLECTIONS:
-            raise ValueError(f"cannot drop bucket of collection {collection!r}")
-        coll = self.repository.store[collection]
-        doomed = sorted(
-            doc["_id"]
-            for doc in coll.find({}, frozen=True)
-            if bucket_key(collection, self._doc_ring_key(collection, doc)) == key
-        )
+        doomed = sorted(doc["_id"] for doc in self._bucket_docs([key])[key])
+        coll = self.repository.store[split_bucket_key(key)[0]]
         dropped = coll.delete({"_id": {"$in": doomed}}) if doomed else 0
         return {"ok": True, "dropped": dropped}
 

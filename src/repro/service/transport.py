@@ -23,8 +23,9 @@ makes blind client retries duplicate writes unless an idempotency token
 deduplicates them (see :class:`~repro.service.client.ServiceClient`).
 
 ``down`` simulates a crashed endpoint; flipping it back to ``False``
-fires every callback registered with :meth:`on_up` — the router uses
-this to replay hinted-handoff writes the moment a shard rejoins.
+fires every callback registered with :meth:`on_up` — the service runs
+the router's anti-entropy round over the rejoining shard's buckets
+there, so it takes every write it missed.
 """
 
 from __future__ import annotations
@@ -123,8 +124,9 @@ class SimTransport:
     def on_up(self, callback: Callable[[str], None]) -> None:
         """Register ``callback(name)`` to fire when ``down`` clears.
 
-        The router registers its hinted-handoff replay here so writes
-        buffered while the endpoint was down land as soon as it rejoins.
+        :func:`~repro.service.build_service` registers the router's
+        anti-entropy round over the endpoint's buckets here, so the
+        writes it missed while down land as soon as it rejoins.
         """
         self._on_up.append(callback)
 

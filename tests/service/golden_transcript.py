@@ -23,7 +23,13 @@ regenerated again, the same way, when the node stopped serving
 It was regenerated again, the same way, when the router's read cache was
 deleted: every response stayed byte-identical, and only the three
 ``service_cache_hits`` / ``_invalidations`` / ``_misses`` counters
-disappeared.
+disappeared.  It was regenerated again, the same way, when hinted
+handoff was deleted: the first divergence became a lossy link (the same
+responses), the two ``hints_pending`` lines became ``shard_records``
+before and after the revives, the three ``service_hints_*`` counters
+went, and the revives' own rounds added three ``antientropy_rounds``,
+the ``antientropy_records_shipped`` counter and the client retries of
+their digest requests to shards still down.
 
 Normalization: API keys (random) become ``<key:NAME>``, floats are
 rounded to 9 decimals (GP arithmetic), and the router's clock is a
@@ -39,6 +45,8 @@ from repro.core import perf
 from repro.registry import RegistryOptions
 from repro.service import build_service
 from repro.service.shard import shard_key
+
+from .links import lossy
 
 PROBLEM = "demo"
 SPACE = {
@@ -184,16 +192,14 @@ def run_script() -> dict[str, Any]:
             "problem_name": "other",
             "problem_space": SPACE,
         }
-        # an outage with hinted handoff off: the reads have to heal it
-        svc.router.options.max_hints_per_shard = 0
-        svc.kill_shard(prefs[1])
-        upload("alice", {"t": 2}, 0.55, -1.5, idempotency_key="k3")  # quorum miss
-        send(other)  # degraded broadcast
-        svc.revive_shard(prefs[1])
+        # a lossy link, not an outage: nothing heals on revive, the reads
+        # have to
+        with lossy(svc.transports[prefs[1]]):
+            upload("alice", {"t": 2}, 0.55, -1.5, idempotency_key="k3")  # quorum miss
+            send(other)  # degraded broadcast
         read("query", **pinned)  # read-repairs the lagging replica
         note("anti_entropy", svc.router.anti_entropy_round())  # heals the problem doc
-        svc.router.options.max_hints_per_shard = 10_000
-        # the same outage with hints kept
+        # an outage: the revived shards heal themselves
         svc.kill_shard(prefs[1])
         upload("alice", {"t": 2}, 0.45, 1.5, idempotency_key="k4")  # quorum miss
         send({**other, "problem_name": "another"})
@@ -210,10 +216,10 @@ def run_script() -> dict[str, Any]:
         read("problems")
         read("query_models", problem_name=PROBLEM)  # a probe, as above
         send({**other, "problem_name": "third"})
-        note("hints_pending", svc.router.hints_pending())
+        note("shard_records", {n: s.count() for n, s in sorted(svc.shards.items())})
         for name in sorted(svc.transports):
-            svc.revive_shard(name)  # hint replay
-        note("hints_pending", svc.router.hints_pending())
+            svc.revive_shard(name)  # each runs its anti-entropy round
+        note("shard_records", {n: s.count() for n, s in sorted(svc.shards.items())})
         upload("alice", {"t": 2}, 0.45, 1.5, idempotency_key="k4")  # client retry
         read("query", **pinned)
         note("anti_entropy", svc.router.anti_entropy_round())

@@ -1,9 +1,11 @@
-"""Self-healing replication: quorum writes/reads, hinted handoff,
-read-repair, anti-entropy, idempotent retry, and live membership."""
+"""Self-healing replication: quorum writes/reads, read-repair, delta
+anti-entropy (also the round a revived shard runs), idempotent retry,
+and live membership."""
 
 from __future__ import annotations
 
 import shutil
+import time
 
 import pytest
 
@@ -53,6 +55,21 @@ def _copies(svc, uid: int) -> int:
     )
 
 
+def _count_shipped(svc) -> list[int]:
+    """Count the records the router sends shards by ``replicate`` from
+    now on (in the returned one-element list); a restart unwraps."""
+    shipped = [0]
+    for transport in svc.transports.values():
+
+        def counting(request, handle=transport.target):
+            if request.get("route") == "replicate":
+                shipped[0] += len(request["records"])
+            return handle(request)
+
+        transport.target = counting
+    return shipped
+
+
 @pytest.fixture()
 def svc():
     service = build_service(4, replication=2)
@@ -86,7 +103,9 @@ class TestUploadStatus:
         assert response["status"] == "degraded"
         assert response["replicas_acked"] == 1
         assert response["replicas_total"] == 2
-        assert svc.router.hints_pending(prefs[1]) == 1
+        assert _copies(svc, response["uid"]) == 1
+        svc.revive_shard(prefs[1])  # the revive round brings the copy
+        assert _copies(svc, response["uid"]) == 2
 
     def test_degraded_status_when_primary_is_down(self, svc, key):
         task = {"t": 1}
@@ -104,8 +123,10 @@ class TestUploadStatus:
         assert response["error"] == "unavailable"
         assert response["replicas_acked"] == 0
         assert response["replicas_total"] == 2
-        # nothing landed anywhere: no hint may resurrect a nacked write
-        assert svc.router.hints_pending() == 0
+        # nothing landed anywhere: no repair may resurrect a nacked write
+        for name in svc.transports:
+            svc.revive_shard(name)
+        assert svc.total_records() == 0
 
 
 class TestQuorumWrites:
@@ -137,8 +158,8 @@ class TestQuorumWrites:
             assert response["replicas_total"] == 2
             counters = stats.snapshot()["counters"]
             assert counters["service_quorum_failures"] == 1
-            # the surviving replica holds the write; the dead one is
-            # hinted, so the record reaches full replication on revive
+            # the surviving replica holds the write; the dead one takes
+            # it on revive, so the record reaches full replication
             assert _copies(svc, response["uid"]) == 1
             svc.revive_shard(prefs[1])
             assert _copies(svc, response["uid"]) == 2
@@ -156,51 +177,92 @@ class TestQuorumWrites:
             RouterOptions(anti_entropy_interval_s=0.0)
 
 
-class TestHintedHandoff:
-    def test_kill_mid_stream_then_replay_on_recovery(self, svc, key):
+class TestReviveHeals:
+    def test_kill_mid_stream_then_heal_on_revive(self, svc, key):
         victim = "shard-0"
         acked = []
         for i in range(10):
             acked.append(_upload(svc.client, key, i)["uid"])
         svc.kill_shard(victim)
+        shipped = _count_shipped(svc)
         stats = perf.PerfStats()
         with perf.collect(stats):
             for i in range(10, 30):
                 response = _upload(svc.client, key, i)
                 assert response["ok"]
                 acked.append(response["uid"])
-            pending = svc.router.hints_pending(victim)
-            # revive fires the transport's on_up hook -> automatic replay
+            missed = [uid for uid in acked if _copies(svc, uid) == 1]
+            # revive fires the transport's on_up hook -> the shard's round
             svc.revive_shard(victim)
         counters = stats.snapshot()["counters"]
-        assert pending > 0
-        assert counters["service_hints_stored"] == pending
-        assert counters["service_hints_replayed"] == pending
-        assert svc.router.hints_pending(victim) == 0
+        assert missed
+        # what was missing is what moved: no bucket is re-sent whole
+        assert shipped[0] == counters["service_antientropy_records_shipped"] == len(missed)
+        assert counters["service_antientropy_records_healed"] == len(missed)
         # every acked write is fully replicated again
         for uid in acked:
             assert _copies(svc, uid) == 2
 
-    def test_hint_buffer_is_bounded(self):
+    def test_a_round_during_an_outage_ships_nothing(self, svc, key):
+        """The reachable replica of a bucket whose other replica is down
+        agrees with itself: the round has nothing to send it."""
+        for i in range(20):
+            assert _upload(svc.client, key, i)["ok"]
+        svc.kill_shard("shard-0")
+        for i in range(20, 30):
+            assert _upload(svc.client, key, i)["ok"]
+        shipped = _count_shipped(svc)
+        for _ in range(2):
+            assert svc.router.anti_entropy_round()["healed"] == 0
+        assert shipped[0] == 0
+
+    def test_a_restart_that_missed_nothing_ships_nothing(self, tmp_path):
+        svc = build_service(4, replication=2, data_dir=tmp_path)
+        try:
+            key = svc.register_user("alice", "a@lab.gov")[1]
+            for i in range(20):
+                assert _upload(svc.client, key, i, task={"t": i % 7})["ok"]
+            stats = perf.PerfStats()
+            with perf.collect(stats):
+                for name in sorted(svc.shards):
+                    svc.restart_shard(name)
+            counters = stats.snapshot()["counters"]
+            assert counters["service_antientropy_rounds"] == 4
+            assert "service_antientropy_records_shipped" not in counters
+            assert svc.total_records() == 40
+        finally:
+            svc.close()
+
+    def test_a_failed_background_round_keeps_its_reason(self, monkeypatch):
         svc = build_service(
-            2,
-            options=RouterOptions(replication=2, max_hints_per_shard=3),
+            3,
+            options=RouterOptions(replication=2, anti_entropy_interval_s=0.02),
         )
         try:
             key = svc.register_user("alice", "a@lab.gov")[1]
-            svc.kill_shard("shard-0")
+            uid = _upload(svc.client, key, 0, task={"t": 0})["uid"]
+            prefs = svc.router.ring.preference(shard_key("demo", {"t": 0}), 2)
+            heal = svc.router.anti_entropy_round
+            failures = []
+
+            def fail_once(*args, **kwargs):
+                if not failures:
+                    failures.append(1)
+                    raise RuntimeError("digest exchange broke")
+                return heal(*args, **kwargs)
+
             stats = perf.PerfStats()
             with perf.collect(stats):
-                for i in range(8):
-                    # shard-0 is in every 2-of-2 preference list
-                    assert _upload(svc.client, key, i)["ok"]
-            assert svc.router.hints_pending("shard-0") == 3
-            counters = stats.snapshot()["counters"]
-            assert counters["service_hints_dropped"] == 5
-            # dropped hints are not lost data: anti-entropy still heals
-            svc.revive_shard("shard-0")
-            svc.router.anti_entropy_round()
-            assert svc.shards["shard-0"].count() == 8
+                monkeypatch.setattr(svc.router, "anti_entropy_round", fail_once)
+                svc.shards[prefs[1]].repository.store[_RECORDS].delete({"uid": uid})
+                deadline = time.monotonic() + 5.0
+                while _copies(svc, uid) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            assert _copies(svc, uid) == 2  # the next round healed
+            assert stats.snapshot()["counters"]["service_antientropy_errors"] == 1
+            assert svc.router.last_antientropy_error == (
+                "RuntimeError('digest exchange broke')"
+            )
         finally:
             svc.close()
 
@@ -335,10 +397,10 @@ class TestRestartShard:
             if shard.repository.store[_RECORDS].find({"uid": uid})
         )
 
-    def test_a_write_racing_a_restart_is_hinted_not_refused(self, tmp_path, monkeypatch):
+    def test_a_write_racing_a_restart_is_healed_not_refused(self, tmp_path, monkeypatch):
         """An upload that arrives while a shard recovers finds the node
-        down: the other replica takes it, the router hints it, and the
-        hint replays once the node is back.  (While the upload reached
+        down: the other replica takes it, and the revive round copies it
+        over once the node is back.  (While the upload reached
         the closed node being replaced, its store refused the write as
         unjournaled, and the client got ``bad_request`` for a valid
         upload that no replica kept.)"""
@@ -358,7 +420,6 @@ class TestRestartShard:
             assert len(racing) == 1
             assert racing[0]["ok"] and racing[0]["status"] == "degraded", racing[0]
             assert not svc.transports["shard-0"].down
-            assert svc.router.hints_pending() == 0
             assert self._holders(svc, racing[0]["uid"]) == ["shard-0", "shard-1"]
         finally:
             svc.close()
@@ -371,9 +432,8 @@ class TestRestartShard:
             uid = _upload(svc.client, key, 0)["uid"]
             svc.restart_shard("shard-0")
             assert svc.transports["shard-0"].down
-            assert svc.router.hints_pending("shard-0") == 1
+            assert self._holders(svc, uid) == ["shard-1"]
             svc.revive_shard("shard-0")
-            assert svc.router.hints_pending() == 0
             assert self._holders(svc, uid) == ["shard-0", "shard-1"]
         finally:
             svc.close()
@@ -388,29 +448,29 @@ class TestAntiEntropy:
                 assert _upload(svc.client, key, i, task={"t": i})["ok"]
             svc.snapshot_all()
             victim = max(svc.shards, key=lambda n: svc.shards[n].count())
+            stale_count = svc.shards[victim].count()
             backup = tmp_path / "backup"
             shutil.copytree(tmp_path / victim, backup)
             for i in range(8, 16):
                 assert _upload(svc.client, key, i, task={"t": i})["ok"]
             full_count = svc.shards[victim].count()
+            assert stale_count < full_count
 
-            # crash the node and restore it from the stale image
+            # crash the node and restore it from the stale image: the
+            # restart's revive round heals exactly what the image lacks
             svc.shards[victim].close()
             shutil.rmtree(tmp_path / victim)
             shutil.copytree(backup, tmp_path / victim)
-            svc.restart_shard(victim)
-            assert svc.shards[victim].count() < full_count
-
             stats = perf.PerfStats()
             with perf.collect(stats):
-                round_stats = svc.router.anti_entropy_round()
+                svc.restart_shard(victim)
             assert svc.shards[victim].count() == full_count
             counters = stats.snapshot()["counters"]
             assert counters["service_antientropy_rounds"] == 1
             assert (
                 counters["service_antientropy_records_healed"]
-                == round_stats["healed"]
-                > 0
+                == counters["service_antientropy_records_shipped"]
+                == full_count - stale_count
             )
             # converged: a second round heals nothing
             assert svc.router.anti_entropy_round()["healed"] == 0
@@ -419,6 +479,27 @@ class TestAntiEntropy:
                 assert len(response["records"]) == 1
         finally:
             svc.close()
+
+    def test_kept_digests_see_a_copy_lost_or_replaced_after_a_round(self, svc, key):
+        """Shards keep their digests between rounds: a copy deleted from
+        one replica, or replaced there by a newer version, must show in
+        the next round."""
+        uid = _upload(svc.client, key, 0, task={"t": 0})["uid"]
+        prefs = svc.router.ring.preference(shard_key("demo", {"t": 0}), 2)
+        assert svc.router.anti_entropy_round()["healed"] == 0
+        svc.shards[prefs[1]].repository.store[_RECORDS].delete({"uid": uid})
+        assert svc.router.anti_entropy_round()["healed"] == 1
+        assert _copies(svc, uid) == 2
+
+        doc = svc.shards[prefs[0]].repository.store[_RECORDS].find({"uid": uid})[0]
+        doc.pop("_id")
+        doc["output"] = 7.0
+        doc["timestamp"] += 0.5
+        svc.shards[prefs[0]].handle({"route": "replicate", "records": [doc]})
+        assert svc.router.anti_entropy_round()["healed"] == 1
+        for name in prefs:
+            (held,) = svc.shards[name].repository.store[_RECORDS].find({"uid": uid})
+            assert held["output"] == 7.0
 
     def test_background_thread_heals_without_manual_rounds(self):
         svc = build_service(
@@ -431,8 +512,6 @@ class TestAntiEntropy:
             prefs = svc.router.ring.preference(shard_key("demo", {"t": 0}), 2)
             svc.shards[prefs[1]].repository.store[_RECORDS].delete({"uid": uid})
             deadline = 200
-            import time
-
             while _copies(svc, uid) < 2 and deadline:
                 time.sleep(0.01)
                 deadline -= 1

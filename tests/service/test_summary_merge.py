@@ -5,11 +5,12 @@ partial row per task and shard (:meth:`ColumnarView.task_summary`,
 agreed by witness) and re-read as documents only the tasks whose
 holders diverge.  Whatever the placement and whatever diverged, the
 answer is the aggregate of the deduplicated union: over
-Hypothesis-generated upload sequences and divergence — writes during an
-outage with the hints dropped, a replica restarted from an old image, a
-shard joined without cleanup — the router, the document-loop oracle
-(:mod:`tests.crowd.views_oracle`) and a single ``CrowdShard`` fed the
-same stamped records answer the same bytes for every user.
+Hypothesis-generated upload sequences and divergence — writes a lossy
+link kept from a replica, an outage healed on revive, a replica
+restarted from an old image, a shard joined without cleanup — the
+router, the document-loop oracle (:mod:`tests.crowd.views_oracle`) and
+a single ``CrowdShard`` fed the same stamped records answer the same
+bytes for every user.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.service import CrowdShard, RouterOptions, build_service
 from repro.service.shard import newest_wins
 
 from ..crowd import views_oracle
+from .links import lossy
 
 PROBLEMS = ["p", "q"]
 #: near-equal tasks: ``==`` but not one task (1 / 1.0 / True), one task
@@ -59,10 +61,12 @@ uploads = st.tuples(
 )
 shard_index = st.integers(0, 3)
 missed = st.lists(uploads, min_size=1, max_size=6)
-#: each divergence comes with the writes that make it one: uploads a down
-#: shard misses, uploads an old image lacks, uploads placed by the new ring
+#: each divergence comes with the writes that make it one: uploads a lossy
+#: link drops, uploads a down shard misses until its revive round, uploads
+#: an old image lacks, uploads placed by the new ring
 operations = st.one_of(
     uploads,
+    st.tuples(st.just("lossy"), shard_index, missed),
     st.tuples(st.just("outage"), shard_index, missed),
     st.tuples(st.just("stale"), shard_index, missed),
     st.tuples(st.just("join"), missed),
@@ -74,12 +78,11 @@ class Cluster:
 
     def __init__(self, root: Path, n_shards: int, replication: int) -> None:
         self.root = root
-        # hints dropped: a write a replica misses stays missed until healed
         self.svc = build_service(
             n_shards,
             data_dir=root / "service",
             fsync_every=10_000,
-            options=RouterOptions(replication=replication, max_hints_per_shard=0),
+            options=RouterOptions(replication=replication),
         )
         self.keys = {}
         for user, groups in USERS.items():
@@ -107,6 +110,11 @@ class Cluster:
                     "machine_configuration": dict(machine),
                 }
             )
+        elif op[0] == "lossy":
+            # a write the replica misses stays missed until healed
+            with lossy(svc.transports[self.shard(op[1])]):
+                for upload in op[2]:
+                    self.apply(upload)
         elif op[0] == "outage":
             name = self.shard(op[1])
             svc.kill_shard(name)
