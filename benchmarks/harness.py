@@ -298,9 +298,14 @@ def render_trajectories(
 
 
 def save_results(name: str, payload: Mapping[str, Any]) -> Path:
-    """Dump a JSON result file for EXPERIMENTS.md bookkeeping."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
+    """Dump a JSON result file for EXPERIMENTS.md bookkeeping.
+
+    Smoke-scale results go to the git-ignored ``results/smoke/``, so a
+    smoke run never overwrites the committed default-scale files.
+    """
+    directory = RESULTS_DIR / "smoke" if SMOKE else RESULTS_DIR
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"{name}.json"
     path.write_text(json.dumps(_jsonable(payload), indent=1, sort_keys=True))
     return path
 

@@ -95,14 +95,15 @@ class CrowdRepository:
         self.users = users if users is not None else UserRegistry()
         self.matcher = matcher if matcher is not None else default_matcher()
         self.store.collection(_RECORDS)
-        self._clock = 0.0
+        #: the last timestamp issued or advanced to (written under the lock)
+        self.clock = 0.0
         self._clock_lock = threading.Lock()
 
     # -- time (deterministic, monotonic) ------------------------------------
     def _now(self) -> float:
         with self._clock_lock:
-            self._clock += 1.0
-            return self._clock
+            self.clock += 1.0
+            return self.clock
 
     def advance_clock(self, to: float) -> None:
         """Fast-forward the logical clock (never backwards).
@@ -111,7 +112,7 @@ class CrowdRepository:
         post-recovery uploads keep strictly increasing timestamps.
         """
         with self._clock_lock:
-            self._clock = max(self._clock, float(to))
+            self.clock = max(self.clock, float(to))
 
     # -- upload ---------------------------------------------------------------
     def upload(

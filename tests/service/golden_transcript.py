@@ -29,7 +29,15 @@ responses), the two ``hints_pending`` lines became ``shard_records``
 before and after the revives, the three ``service_hints_*`` counters
 went, and the revives' own rounds added three ``antientropy_rounds``,
 the ``antientropy_records_shipped`` counter and the client retries of
-their digest requests to shards still down.
+their digest requests to shards still down.  It was regenerated again,
+the same way, when a record's uid came to be derived from its upload
+token: the script's own tokens ``k1``–``k4`` became tokens of client 1,
+``[1, 1]``–``[1, 4]`` (a bare string is now refused as ``bad_request``),
+so those four writes' uids changed (12, 13, 15, 17 became
+``2**32 + 1`` … ``2**32 + 4``) wherever they appear and nothing else in
+those lines did, the ``routes`` line gained ``client_id``, and
+``service_client_retries`` fell 50 → 44 because anti-entropy sends each
+digest request once.
 
 Normalization: API keys (random) become ``<key:NAME>``, floats are
 rounded to 9 decimals (GP arithmetic), and the router's clock is a
@@ -139,9 +147,9 @@ def run_script() -> dict[str, Any]:
         for i in range(3):
             upload("bob", {"t": 5}, 0.2 * i, 1.0 + i)
         upload("bob", {"t": 5}, 0.9, None)  # a failed evaluation
-        upload("alice", {"t": 2}, 0.75, 0.5, idempotency_key="k1")
-        upload("alice", {"t": 2}, 0.75, 0.5, idempotency_key="k1")  # lost-ack retry
-        upload("alice", {"t": 7}, 0.35, 2.5, idempotency_key="k2", uid=999)
+        upload("alice", {"t": 2}, 0.75, 0.5, idempotency_key=[1, 1])
+        upload("alice", {"t": 2}, 0.75, 0.5, idempotency_key=[1, 1])  # lost-ack retry
+        upload("alice", {"t": 7}, 0.35, 2.5, idempotency_key=[1, 2], uid=999)
         send({"route": "upload", "api_key": keys["alice"], "problem_name": PROBLEM})
         upload("alice", {"t": 2}, 0.1, 1.0, api_key="no-such-key")
 
@@ -195,13 +203,13 @@ def run_script() -> dict[str, Any]:
         # a lossy link, not an outage: nothing heals on revive, the reads
         # have to
         with lossy(svc.transports[prefs[1]]):
-            upload("alice", {"t": 2}, 0.55, -1.5, idempotency_key="k3")  # quorum miss
+            upload("alice", {"t": 2}, 0.55, -1.5, idempotency_key=[1, 3])  # quorum miss
             send(other)  # degraded broadcast
         read("query", **pinned)  # read-repairs the lagging replica
         note("anti_entropy", svc.router.anti_entropy_round())  # heals the problem doc
         # an outage: the revived shards heal themselves
         svc.kill_shard(prefs[1])
-        upload("alice", {"t": 2}, 0.45, 1.5, idempotency_key="k4")  # quorum miss
+        upload("alice", {"t": 2}, 0.45, 1.5, idempotency_key=[1, 4])  # quorum miss
         send({**other, "problem_name": "another"})
         read("query", **pinned)  # served by the surviving replica
         read("predict", **pinned, configurations=[{"x": 0.15}])
@@ -220,7 +228,7 @@ def run_script() -> dict[str, Any]:
         for name in sorted(svc.transports):
             svc.revive_shard(name)  # each runs its anti-entropy round
         note("shard_records", {n: s.count() for n, s in sorted(svc.shards.items())})
-        upload("alice", {"t": 2}, 0.45, 1.5, idempotency_key="k4")  # client retry
+        upload("alice", {"t": 2}, 0.45, 1.5, idempotency_key=[1, 4])  # client retry
         read("query", **pinned)
         note("anti_entropy", svc.router.anti_entropy_round())
         read("problems")

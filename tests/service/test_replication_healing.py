@@ -18,7 +18,7 @@ from repro.service import (
     SimTransport,
     build_service,
 )
-from repro.service.shard import shard_key
+from repro.service.shard import TOKEN_N, shard_key
 
 _RECORDS = "performance_records"
 
@@ -88,7 +88,7 @@ class TestUploadStatus:
         # exactly the three replication-visibility keys, nothing else
         assert _upload(svc.client, key, 0) == {
             "ok": True,
-            "uid": 1,
+            "uid": TOKEN_N + 1,  # token [1, 1]: client 1's first upload
             "status": "ok",
             "replicas_acked": 2,
             "replicas_total": 2,
@@ -339,9 +339,10 @@ class TestIdempotentRetry:
         svc = build_service(2, replication=2)
         try:
             key = svc.register_user("alice", "a@lab.gov")[1]
-            # acks 1 and 2 are lost *after* the router applied the write
+            # request 1 asks for the client's id; the upload's acks 2
+            # and 3 are lost *after* the router applied the write
             flaky = SimTransport(
-                svc.router.handle, "router", scripted_response_faults=[1, 2]
+                svc.router.handle, "router", scripted_response_faults=[2, 3]
             )
             client = ServiceClient(
                 flaky,
@@ -350,10 +351,10 @@ class TestIdempotentRetry:
             )
             response = _upload(client, key, 0)
             assert response["ok"]
-            assert response["uid"] == 1  # retries reuse the original stamp
-            assert flaky.n_requests == 3  # two lost acks + the success
+            assert response["uid"] == TOKEN_N + 1  # every retry names one uid
+            assert flaky.n_requests == 4  # the id, two lost acks, the success
             assert svc.total_records() == 2  # replication, not duplication
-            assert _copies(svc, 1) == 2
+            assert _copies(svc, TOKEN_N + 1) == 2
         finally:
             svc.close()
 

@@ -92,6 +92,10 @@ _MALFORMED = {
     "leaderboard-no-problem": ({"route": "leaderboard"}, "bad_request"),
     "contributors-no-problem": ({"route": "contributors"}, "bad_request"),
     "idempotency-key": ({**_UPLOAD, "idempotency_key": ["k"]}, "bad_request"),
+    # a token is [client id, n], the uid it names exact below 2**53
+    "idempotency-key-str": ({**_UPLOAD, "idempotency_key": "k1"}, "bad_request"),
+    "idempotency-key-client": ({**_UPLOAD, "idempotency_key": [2**21, 1]}, "bad_request"),
+    "idempotency-key-n": ({**_UPLOAD, "idempotency_key": [1, 2**32]}, "bad_request"),
     "list-route": ({**_UPLOAD, "route": ["upload"]}, "bad_request"),
     "upload-api-key": ({**_UPLOAD, "api_key": ["k"]}, "auth"),
     "whoami-api-key": ({"route": "whoami", "api_key": {"k": 1}}, "auth"),

@@ -198,9 +198,10 @@ class TestCrashRecovery:
         recovered.close()
 
     def test_service_restart_resumes_router_uids(self, tmp_path):
-        # rebuilding a persisted deployment must seed the router past
-        # every recovered uid — a reset counter would re-issue uid 1 and
-        # the new record would dedup-collide with a pre-crash one
+        # rebuilding a persisted deployment must resume the router's
+        # clock past every recovered timestamp, and a new client must
+        # get a new id — reissuing client 1 would make the new record
+        # dedup-collide with a pre-crash one
         from repro.service import build_service
 
         svc = build_service(3, replication=2, data_dir=tmp_path, snapshot_every=8)
@@ -222,7 +223,7 @@ class TestCrashRecovery:
         revived = build_service(
             3, replication=2, data_dir=tmp_path, users=svc.users
         )
-        assert revived.router._next_uid == 18
+        assert revived.router._write_clock == 17.0
         response = revived.client.handle(
             {
                 "route": "upload",

@@ -131,3 +131,20 @@ class TestSaveResults:
         blob = json.loads(path.read_text())
         assert blob["a"] == [1.0, None]
         assert blob["b"] == 3
+
+    def test_a_smoke_save_leaves_every_committed_result_unchanged(self, tmp_path, monkeypatch):
+        import shutil
+
+        import harness
+
+        results = tmp_path / "results"
+        shutil.copytree(harness.RESULTS_DIR, results, ignore=shutil.ignore_patterns("smoke"))
+        committed = {p.name: p.read_bytes() for p in results.glob("*.json")}
+        assert committed
+        monkeypatch.setattr(harness, "RESULTS_DIR", results)
+        monkeypatch.setattr(harness, "SMOKE", True)
+        for name in committed:  # every committed file's own name, at smoke scale
+            path = save_results(name.removesuffix(".json"), {"smoke": True})
+            assert path.parent == results / "smoke"
+        assert {p.name: p.read_bytes() for p in results.glob("*.json")} == committed
+        assert len(list((results / "smoke").glob("*.json"))) == len(committed)
