@@ -20,14 +20,15 @@ reference, exactly as callers that insert them must already expect.
 
 **Hash-consed fields** (:class:`Interner`).  A crowd record carries its
 whole environment on every sample; each collection keeps one frozen
-object per distinct small container-valued field value and hands it to
-every later document with an equal one — equal meaning type- and
-order-exact (``repr``), never :func:`hashable_key`'s canonical JSON,
-which would serve a reader another record's key order.  Tables are per
-field name and bounded (``INTERN_MAX_DISTINCT`` values, then the field
-falls back to private copies; values past ``INTERN_MAX_NODES`` /
-``INTERN_MAX_DEPTH`` are never eligible).  On the end-to-end
-benchmark's records this takes a stored record from 3.3 KB to 0.9 KB.
+object per distinct small container or short string field value and
+hands it to every later document with an equal one — equal meaning
+type- and order-exact (``repr``; a string is keyed by itself and never
+shares with a container spelled alike), never :func:`hashable_key`'s
+canonical JSON, which would serve a reader another record's key order.
+Tables are per field name and bounded (``INTERN_MAX_DISTINCT`` values,
+then the field falls back to private copies; values past
+``INTERN_MAX_NODES`` / ``INTERN_MAX_DEPTH`` are never eligible).  On the end-to-end
+benchmark's records this takes a stored record from 3.3 KB to 0.8 KB.
 
 **ColumnarView**: a numpy-backed dictionary-encoded column per queried
 dotted path, built lazily on the first read and maintained
@@ -265,6 +266,8 @@ INTERN_MAX_DEPTH = 4
 INTERN_MAX_FIELDS = 64
 
 _TOO_BIG = INTERN_MAX_NODES + 1
+#: field values stored as they are: numbers (most differ per record) and None
+_NUMERIC = (int, float, bool, type(None))
 
 
 def _node_count(value: Any, depth: int) -> int:
@@ -301,20 +304,23 @@ class Interner:
     """One collection's hash-consed field values.
 
     A crowd record carries its whole environment — machine, software,
-    task, accessibility — and ten thousand records carry the same five
-    blocks.  Per top-level field name, each distinct small
-    container value is frozen once and every later equal value of that
-    field gets the same immutable object; sharing is sound because
-    frozen values cannot change and every way out of the store
-    (:func:`thaw`, ``deepcopy``) builds a fresh plain copy.
+    task, accessibility, problem name and owner — and ten thousand
+    records carry the same few blocks and strings.  Per top-level field
+    name, each distinct small container or short string value is frozen
+    once and every later equal value of that field gets the same
+    immutable object; sharing is sound because frozen values and strings
+    cannot change and every way out of the store (:func:`thaw`,
+    ``deepcopy``) builds a fresh plain copy.
 
-    "Equal" is **type- and order-exact**: the table key is ``repr``,
-    which is the same for a plain container and its frozen twin (so a
-    hit never builds the frozen copy) and separates ``1`` / ``1.0`` /
-    ``True`` / ``"1"``, ``0.0`` / ``-0.0``, lists from tuples and one
-    key order from another.  :func:`hashable_key`'s sorted canonical
-    JSON would hand a later record an earlier record's key order and
-    change the bytes a reader is served.
+    "Equal" is **type- and order-exact**: a container's table key is its
+    ``repr``, which is the same for a plain container and its frozen
+    twin (so a hit never builds the frozen copy) and separates ``1`` /
+    ``1.0`` / ``True`` / ``"1"``, ``0.0`` / ``-0.0``, lists from tuples
+    and one key order from another; a string's key is the string itself,
+    and a hit of the other kind (a string spelling a container's
+    ``repr``, or the reverse) is never shared.  :func:`hashable_key`'s
+    sorted canonical JSON would hand a later record an earlier record's
+    key order and change the bytes a reader is served.
 
     Bounded like any dictionary encoding: a value is eligible only when
     small and shallow (:func:`_node_count`), at most
@@ -328,32 +334,56 @@ class Interner:
     __slots__ = ("_tables",)
 
     def __init__(self) -> None:
-        #: field -> {repr(value): the one frozen value}; None = overflowed
+        #: field -> {key: the one frozen value}; None = overflowed
         self._tables: dict[str, dict[str, Any] | None] = {}
 
     def freeze_fields(self, doc: Mapping[str, Any]) -> dict[str, Any]:
-        """``{field: freeze(value)}`` with eligible values shared."""
+        """``{field: freeze(value)}`` with eligible values shared: a
+        container is weighed (and its types checked) before its ``repr``
+        is made."""
+        return self._freeze(doc, False)
+
+    def freeze_decoded(self, doc: Mapping[str, Any]) -> dict[str, Any]:
+        """:meth:`freeze_fields` for a document of a store image or
+        journal, built of exactly the JSON types (as a decoder or the
+        store hands them out): the ``repr`` of such a value identifies
+        it, so one equal to a table entry is that entry's twin and is
+        shared without being walked; only a new value is weighed."""
+        return self._freeze(doc, True)
+
+    def _freeze(self, doc: Mapping[str, Any], decoded: bool) -> dict[str, Any]:
         out: dict[str, Any] = {}
         hits = 0
         for field, value in doc.items():
             if type(field) is str:
                 field = sys.intern(field)
-            table = self._table(field) if type(value) not in _SCALARS else None
-            if (
-                table is None
-                or _node_count(value, INTERN_MAX_DEPTH) > INTERN_MAX_NODES
-            ):
+            t = type(value)
+            if t in _NUMERIC:
+                out[field] = value
+                continue
+            table = self._table(field)
+            if table is None:
                 out[field] = freeze(value)
                 continue
-            key = repr(value)
+            # a decoded container's repr identifies it: weighed only if new
+            weighed = not decoded or t is str
+            if weighed and _node_count(value, INTERN_MAX_DEPTH) > INTERN_MAX_NODES:
+                out[field] = freeze(value)
+                continue
+            key = value if t is str else repr(value)
             shared = table.get(key)
-            if shared is not None:
+            if shared is None:
+                if not weighed and _node_count(value, INTERN_MAX_DEPTH) > INTERN_MAX_NODES:
+                    shared = freeze(value)
+                elif len(table) < INTERN_MAX_DISTINCT:
+                    shared = table[key] = freeze(value)
+                else:
+                    self._tables[field] = None
+                    perf.incr("store_intern_overflows")
+                    shared = freeze(value)
+            elif (type(shared) is str) is (t is str):
                 hits += 1
-            elif len(table) < INTERN_MAX_DISTINCT:
-                shared = table[key] = freeze(value)
-            else:
-                self._tables[field] = None
-                perf.incr("store_intern_overflows")
+            else:  # a string spelling a container's repr, or the reverse
                 shared = freeze(value)
             out[field] = shared
         if hits:

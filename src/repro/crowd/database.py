@@ -27,11 +27,15 @@ by aliasing — important because the repository layer enforces access
 control on these documents.  Every way in (``insert`` / ``insert_many``
 / ``restore`` / ``update`` / ``from_jsonable``) goes through the
 collection's :class:`~repro.crowd.columnar.Interner`, so equal small
-sub-documents — the machine, software, task and accessibility blocks
-every crowd record repeats — are one shared immutable object per
-collection (counters ``store_interned_values``,
-``store_intern_overflows``); ``to_jsonable`` hands out the stored frozen
-documents themselves, so an image is serialized without a copy.
+sub-documents and short strings — the machine, software, task and
+accessibility blocks, problem name and owner every crowd record repeats
+— are one shared immutable object per collection (counters
+``store_interned_values``, ``store_intern_overflows``).  The replay
+paths, ``apply_op`` and ``from_jsonable``, take an image's or a
+journal's documents, built of exactly the JSON types, and share one
+equal to a stored value without walking it.  ``to_jsonable`` hands out
+the stored frozen documents themselves, so an image is serialized
+without a copy.
 ``find(..., frozen=True)`` hands read-only callers the stored immutable
 views directly (zero copies, mutation raises; counter
 ``store_zero_copy_reads``); the default remains a mutable deep copy.
@@ -135,13 +139,18 @@ class Collection:
             self._notify({"op": "insert_many", "c": self.name, "docs": stored})
         return [doc["_id"] for doc in stored]
 
-    def _frozen(self, doc: Mapping[str, Any], _id: int | None = None) -> FrozenDict:
+    def _frozen(
+        self, doc: Mapping[str, Any], _id: int | None = None, *, decoded: bool = False
+    ) -> FrozenDict:
         """The stored form of ``doc`` (lock held): deep-frozen, its small
-        sub-documents shared with every equal one already stored; with
-        ``_id``, stamped (in place if the document carries the key)."""
+        sub-documents and short strings shared with every equal one
+        already stored (``decoded``: ``doc`` comes from an image or a
+        journal, :meth:`Interner.freeze_decoded`); with ``_id``, stamped
+        (in place if the document carries the key)."""
         if not isinstance(doc, Mapping):
             raise TypeError("documents must be mappings")
-        fields = self._interner.freeze_fields(doc)
+        interner = self._interner
+        fields = (interner.freeze_decoded if decoded else interner.freeze_fields)(doc)
         if _id is not None:
             fields["_id"] = _id
         return FrozenDict(fields)
@@ -162,8 +171,11 @@ class Collection:
         overwrites it with the same content.  The observer is *not*
         notified — replay must never re-journal itself.
         """
+        return self._restore(doc, decoded=False)
+
+    def _restore(self, doc: Mapping[str, Any], *, decoded: bool) -> int:
         with self._lock:
-            stored = self._frozen(doc)
+            stored = self._frozen(doc, decoded=decoded)
             _id = int(stored["_id"])
             known = _id in self._docs
             self._docs[_id] = stored
@@ -282,7 +294,7 @@ class Collection:
         image streamed off disk hands them out in."""
         coll = Collection("")
         for doc in blob["docs"]:
-            coll._docs[int(doc["_id"])] = coll._frozen(doc)
+            coll._docs[int(doc["_id"])] = coll._frozen(doc, decoded=True)
         coll.name = blob["name"]
         coll._next_id = int(blob["next_id"])
         return coll
@@ -334,10 +346,10 @@ class DocumentStore:
             return
         coll = self.collection(op["c"])
         if kind == "insert":
-            coll.restore(op["doc"])
+            coll._restore(op["doc"], decoded=True)
         elif kind == "insert_many":
             for doc in op["docs"]:
-                coll.restore(doc)
+                coll._restore(doc, decoded=True)
         elif kind == "update":
             coll.update(op["flt"], op["changes"])
         elif kind == "delete":

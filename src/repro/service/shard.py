@@ -27,9 +27,10 @@ recovery: the contract is stated there, once).  The shard never copies
 its store to persist or recover it: an image is serialized straight from
 the stored frozen documents, and a restart decodes the image one
 document at a time, in file order, into the store (which shares equal
-sub-documents, :class:`~repro.crowd.columnar.Interner`) and applies the
-journal tail one op at a time — beside the store it holds the image's
-text and one document, never the parsed image.  A closed node keeps
+sub-documents and strings, :class:`~repro.crowd.columnar.Interner`) and
+applies the journal tail one op at a time — beside the store it holds a
+bounded window of the image file and one document, never the image's
+text or the parsed image.  A closed node keeps
 nothing alive: its store stops referring to it, and nothing in it refers
 to itself, so it is freed by refcount the moment its last holder lets
 go.  Shards share one :class:`~repro.crowd.users.UserRegistry` (accounts
@@ -41,6 +42,7 @@ matching the repository's existing never-persist-credentials rule.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import threading
 from bisect import bisect_right
@@ -367,7 +369,7 @@ class CrowdShard:
         problems = []
         if REGISTRY_PROBLEMS in store:
             problems = store[REGISTRY_PROBLEMS].find({}, frozen=True)
-        for doc in (*records, *problems):
+        for doc in itertools.chain(records, problems):
             self.repository.advance_clock(float(doc.get("timestamp", 0.0)))
         clients = store[_CLIENTS].find({}, frozen=True) if _CLIENTS in store else []
         #: the greatest client id journaled here (written under the lock)
@@ -393,10 +395,11 @@ class CrowdShard:
     def _recover_store(self) -> DocumentStore:
         """The store as of the last acknowledged op: image + journal tail.
 
-        Beside the store it becomes, recovery holds the image's text and
-        one document: :meth:`DurableLog.recover` decodes the image one
+        Beside the store it becomes, recovery holds a window of the image
+        file (64 KiB, longer only while one document is) and one
+        document: :meth:`DurableLog.recover` decodes the image one
         document at a time, in file order, as the store freezes (and
-        shares) them; the text is released before the tail is replayed,
+        shares) them; the file is closed before the tail is replayed,
         and the tail's ops are applied as they are read.
         """
         assert self._log is not None
@@ -532,11 +535,11 @@ class CrowdShard:
         # cross-shard reads deduplicate.  End users talk to the router,
         # which never forwards client-supplied values for them.
         uid = int(req.get("uid", 0)) or token_uid(req.get("idempotency_key"))
+        self.repository.users.authenticate(req["api_key"])
         if uid:
             # idempotent replay: a retry names the uid of its first
             # attempt, and a stored record is not duplicated; under a new
             # stamp the answer names the one kept (the new one is unused)
-            self.repository.users.authenticate(req["api_key"])
             coll = self.repository.store[_RECORDS]
             if coll.contains("uid", uid):
                 answer = {"ok": True, "uid": uid, "duplicate": True}
@@ -544,6 +547,14 @@ class CrowdShard:
                 if req.get("timestamp") not in (None, kept):
                     answer["timestamp"] = kept
                 return answer
+        ts = req.get("timestamp")
+        if not uid:
+            # an unnamed write (no uid, no token) is named as the router
+            # names one, by its stamp: a front end's, else this node's
+            # next clock tick — unique across restarts, because recovery
+            # resumes the clock past every stored stamp
+            ts = self.repository._now() if ts is None else ts
+            uid = int(ts)
         record = PerformanceRecord(
             problem_name=req["problem_name"],
             task_parameters=dict(req["task_parameters"]),
@@ -554,7 +565,6 @@ class CrowdShard:
             accessibility=Accessibility.from_dict(req.get("accessibility")),
             uid=uid,
         )
-        ts = req.get("timestamp")
         stored = self.repository.upload_doc(
             record.to_doc(), req["api_key"], timestamp=None if ts is None else float(ts)
         )

@@ -41,9 +41,11 @@ thread wrote it** (``docs/architecture.md``, "Durability").
   one string, and read back the same way: recovery hands the caller's
   ``load`` a lazy image whose outer containers are walked member by
   member down to the depth they were written at, each document below
-  that decoded by one ``raw_decode`` call as it is reached — the scratch
-  is one document plus the image text, never the parsed image.  So a
-  ``load`` reads members in file order (keys are sorted).  Then every
+  that decoded by one ``raw_decode`` call as it is reached, from a
+  window of the file 64 KiB long (longer only while one document is) —
+  the scratch is that window and one document, never the image's text
+  or the parsed image.  So a ``load`` reads members in file order (keys
+  are sorted).  Then every
   uncovered journal op goes to ``apply`` *as it is parsed* — the tail
   can be as large as the image and is never a list.
 * A torn final journal line (the classic power-cut artifact) is
@@ -63,12 +65,13 @@ callers count their own replays and snapshots: ``wal_replayed`` /
 
 from __future__ import annotations
 
+import codecs
 import json
 import os
 import re
 import threading
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping
 
 from ..core import perf
 
@@ -170,19 +173,24 @@ class DurableLog:
 
     def _load_image(self, load: Callable[[Mapping[str, Any]], None] | None) -> None:
         """Hand the snapshot to ``load`` and resume numbering after it;
-        the image text is released on return, before the journal tail is
-        replayed."""
-        cursor = _Cursor(self.snapshot_path.read_text())
-        image = _LazyObject(cursor, _CHUNK_DEPTH)
-        if image.get("format") != self.snapshot_format:
-            raise ValueError(f"{self.snapshot_path}: not a {self.snapshot_format} snapshot")
-        self._image_bytes = self.snapshot_path.stat().st_size
-        if load is not None:
-            load(image)
-        self._seq = int(image["wal_seq"])
-        _finish(image)
-        if cursor.peek():
-            raise ValueError(f"{self.snapshot_path}: data after the image at {cursor.pos}")
+        the file is read through the cursor's window and closed on return,
+        before the journal tail is replayed."""
+        with open(self.snapshot_path, "rb") as fh:
+            cursor = _Cursor(fh)
+            image = _LazyObject(cursor, _CHUNK_DEPTH)
+            if image.get("format") != self.snapshot_format:
+                raise ValueError(
+                    f"{self.snapshot_path}: not a {self.snapshot_format} snapshot"
+                )
+            self._image_bytes = self.snapshot_path.stat().st_size
+            if load is not None:
+                load(image)
+            self._seq = int(image["wal_seq"])
+            _finish(image)
+            if cursor.peek():
+                raise ValueError(
+                    f"{self.snapshot_path}: data after the image at {cursor.offset()}"
+                )
 
     def _repair_tail(self) -> None:
         """Truncate a torn final line before reopening for append.
@@ -347,6 +355,8 @@ _decode = json.JSONDecoder().raw_decode
 _BLANK = re.compile(r"[ \t\n\r]*")
 #: how far back :meth:`DurableLog._repair_tail` reads at a time
 _TAIL_BLOCK = 1 << 16
+#: how much of an image :class:`_Cursor` reads at a time, in bytes
+_WINDOW = 1 << 16
 
 
 def _json_chunks(value: Any, depth: int = _CHUNK_DEPTH) -> Iterator[str]:
@@ -372,24 +382,74 @@ def _json_chunks(value: Any, depth: int = _CHUNK_DEPTH) -> Iterator[str]:
 
 
 class _Cursor:
-    """One forward position in an image's text, shared by all of its
-    lazy containers."""
+    """One forward position in an image file, shared by all of its lazy
+    containers.
 
-    __slots__ = ("text", "pos")
+    Only a window of the text is held: what is unread of the last read,
+    plus the next ``_WINDOW`` bytes once that runs out.  A document that
+    does not fit is read again over a window twice the size, so the
+    window outgrows ``_WINDOW`` only while one document is larger.
+    """
 
-    def __init__(self, text: str) -> None:
-        self.text = text
+    __slots__ = ("_fh", "_utf8", "text", "pos", "_base", "_eof")
+
+    def __init__(self, fh: BinaryIO) -> None:
+        self._fh = fh  # binary: a text file's reads hold several copies
+        self._utf8 = codecs.getincrementaldecoder("utf-8")()
+        self.text = ""
         self.pos = 0
+        #: characters of the file before ``text``
+        self._base = 0
+        self._eof = False
+
+    def offset(self) -> int:
+        """The cursor's position in the file, in characters."""
+        return self._base + self.pos
+
+    def _more(self) -> bool:
+        """Drop the text read so far and append the next stretch of the
+        file to what is left (``_WINDOW`` bytes, or as many as are left if
+        that is more); ``False`` at the end of the file."""
+        if self._eof:
+            return False
+        # the read text goes before the next stretch comes in
+        rest, self.text = self.text[self.pos :], ""
+        self._base += self.pos
+        self.pos = 0
+        data = self._fh.read(max(_WINDOW, len(rest)))
+        self._eof = not data
+        chunk = self._utf8.decode(data, self._eof)
+        del data
+        self.text = rest + chunk
+        return not self._eof
 
     def peek(self) -> str:
         """The next non-blank character (``""`` at the end), not consumed."""
-        self.pos = _BLANK.match(self.text, self.pos).end()
-        return self.text[self.pos : self.pos + 1]
+        while True:
+            self.pos = _BLANK.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self._more():
+                return self.text[self.pos : self.pos + 1]
 
     def expect(self, char: str) -> None:
         if self.peek() != char:
-            raise ValueError(f"image: expected {char!r} at character {self.pos}")
+            raise ValueError(f"image: expected {char!r} at character {self.offset()}")
         self.pos += 1
+
+    def decode(self) -> Any:
+        """The JSON value at the cursor (which :meth:`peek` moved past
+        blank space), decoded whole.  A value that ends the window may go
+        on past it (a number) and one that fails may be cut by it, so
+        either is decoded again over more of the file."""
+        while True:
+            try:
+                value, end = _decode(self.text, self.pos)
+            except json.JSONDecodeError:
+                if self._more():
+                    continue
+                raise
+            if end < len(self.text) or not self._more():
+                self.pos = end
+                return value
 
     def value(self, depth: int) -> Any:
         """The value at the cursor: a lazy container while ``depth``
@@ -399,8 +459,7 @@ class _Cursor:
             return _LazyObject(self, depth)
         if depth and char == "[":
             return _LazyArray(self, depth)
-        value, self.pos = _decode(self.text, self.pos)
-        return value
+        return self.decode()
 
 
 class _LazyObject(Mapping[str, Any]):
@@ -437,9 +496,9 @@ class _LazyObject(Mapping[str, Any]):
         if self._members:
             cursor.expect(",")
         cursor.peek()
-        key, cursor.pos = _decode(cursor.text, cursor.pos)
+        key = cursor.decode()
         if type(key) is not str:
-            raise ValueError(f"image: expected a key at character {cursor.pos}")
+            raise ValueError(f"image: expected a key at character {cursor.offset()}")
         cursor.expect(":")
         value = cursor.value(self._depth - 1 if key == wanted else 0)
         self._members[key] = value

@@ -24,6 +24,8 @@ class PrivateCopies(Interner):
     def freeze_fields(self, doc: Mapping[str, Any]) -> dict[str, Any]:
         return {field: freeze(value) for field, value in doc.items()}
 
+    freeze_decoded = freeze_fields
+
 
 class PrivateStore(DocumentStore):
     """A ``DocumentStore`` whose collections share nothing."""

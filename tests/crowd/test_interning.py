@@ -55,7 +55,8 @@ scalars = st.one_of(
     st.integers(-2, 2),
     st.booleans(),
     st.none(),
-    st.sampled_from(["", "1", "a"]),
+    # strings, some spelling a sub-document's ``repr``
+    st.sampled_from(["", "1", "a", "{'a': 1}", "[]", "()", "[1, 2]"]),
     st.sampled_from([0.0, -0.0, 1.0, float("nan")]),
 )
 # deepcopy: equal values must not also be the same object going in
@@ -149,6 +150,21 @@ class TestInterningIsInvisible:
 
 
 class TestSharing:
+    def test_a_string_and_a_container_spelled_alike_never_share(self):
+        values = [{"a": 1}, "{'a': 1}", [1, 2], "[1, 2]", (), "()", "()"]
+        for order in (values, values[::-1]):
+            store = DocumentStore()
+            lines = run(store, [("insert", {"k": 0, "f": copy.deepcopy(v)}) for v in order])
+            replayed = DocumentStore()
+            for line in lines:
+                replayed.apply_op(json.loads(line))
+            for built in (store, DocumentStore.from_jsonable(store.to_jsonable()), replayed):
+                got = [doc["f"] for doc in built["c"].find({}, frozen=True)]
+                want = order if built is not replayed else json.loads(json.dumps(order))
+                assert all(same(columnar.thaw(g), w) for g, w in zip(got, want))
+                twins = [g for g in got if type(g) is str and g == "()"]
+                assert len(twins) == 2 and twins[0] is twins[1]
+
     def test_equal_sub_documents_are_one_object(self):
         store = DocumentStore()
         with perf.collect() as stats:
@@ -205,6 +221,14 @@ class TestSharing:
             coll.insert_many([{"f": value}, {"f": value}])
             a, b = coll.find({}, frozen=True)[-2:]
             assert a["f"] == b["f"] and a["f"] is not b["f"]
+
+        class Liar:
+            def __repr__(self) -> str:
+                return "1.0"
+
+        # spelled like a stored value, but its repr does not identify it
+        coll.insert_many([{"g": {"x": 1.0}}, {"g": {"x": Liar()}}])
+        assert type(coll.find({}, frozen=True)[-1]["g"]["x"]) is Liar
 
     def test_concurrent_inserts_lose_nothing(self):
         coll = DocumentStore()["c"]

@@ -355,14 +355,36 @@ class TestStreamedImage:
         log.close()
         assert seen == [self.PAYLOAD["text"], self.PAYLOAD["store"]]
 
+    @pytest.mark.parametrize("window", [1, 2, 5, 64])
+    def test_every_cut_of_the_read_window_reads_the_same(self, tmp_path, monkeypatch, window):
+        """The window ends inside numbers, strings, keys, blank space,
+        a two-byte character and documents longer than it; each reads
+        back whole."""
+        monkeypatch.setattr(wal_module, "_WINDOW", window)
+        written = json.loads(self._written(tmp_path))
+        seen = []
+        log = _image_log(tmp_path)
+        log.recover(lambda image: seen.append(dict(image)))
+        log.close()
+        assert seen == [written]
+        blob = {"format": "test-v1", "wal_seq": 123456789, **self.PAYLOAD}
+        text = "\n " + json.dumps(blob, indent=3, ensure_ascii=False) + "\n"
+        (tmp_path / "snapshot.json").write_bytes(text.encode("utf-8"))
+        log = _image_log(tmp_path)
+        log.recover(lambda image: seen.append(dict(image)))
+        log.close()
+        assert seen[1] == json.loads(json.dumps(blob)) and log.seq == 123456789
+
     @pytest.mark.parametrize(
         "text",
         ['{"format": "test-v1", "wal_seq": 1} {}', '{"format": "test-v1", "wal_seq": 1', "[]", ""],
         ids=["trailing-data", "truncated", "not-an-object", "empty"],
     )
-    def test_a_malformed_image_raises(self, tmp_path, text):
-        with pytest.raises(ValueError):
-            _image_log(tmp_path, text).recover()
+    def test_a_malformed_image_raises(self, tmp_path, monkeypatch, text):
+        for window in (1, 1 << 16):
+            monkeypatch.setattr(wal_module, "_WINDOW", window)
+            with pytest.raises(ValueError):
+                _image_log(tmp_path, text).recover()
 
     def test_a_torn_tail_longer_than_a_read_block_is_cut(self, tmp_path, monkeypatch):
         monkeypatch.setattr(wal_module, "_TAIL_BLOCK", 4)

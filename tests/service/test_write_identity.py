@@ -18,7 +18,9 @@ import json
 import tracemalloc
 
 from repro.core import perf
+from repro.crowd import records as records_module
 from repro.crowd.database import Collection
+from repro.crowd.users import UserRegistry
 from repro.registry import RegistryOptions
 from repro.service import CrowdShard, ServiceClient, TransportError, build_service
 from repro.service import client as client_module
@@ -230,6 +232,21 @@ class TestRetryNamesTheSameRecord:
         assert node.handle(request) == {"ok": True, "uid": 3 * TOKEN_N + 7}
         assert node.handle(request)["duplicate"]
         assert node.count() == 1
+
+    def test_a_restarted_node_never_reuses_an_unnamed_writes_uid(self, tmp_path, monkeypatch):
+        """Two processes each upload one raw request (no uid, no token) to
+        one durable node; a fresh process-wide record count stands in for
+        the second process."""
+        users = UserRegistry()
+        users.register("alice", "a@lab.gov")
+        key = users.issue_api_key("alice")
+        for i in range(2):
+            monkeypatch.setattr(records_module, "_uid_counter", itertools.count(1))
+            with CrowdShard("node", tmp_path, users=users) as node:
+                assert _upload(node, key, i)["uid"] == i + 1
+        with CrowdShard("node", tmp_path, users=users) as node:
+            stored = node.repository.store[_RECORDS].find({})
+        assert [(doc["uid"], doc["timestamp"]) for doc in stored] == [(1, 1.0), (2, 2.0)]
 
 
 class TestRouterStartUp:
