@@ -96,9 +96,7 @@ def test_registry_throughput_vs_refitting():
     )
     try:
         # cold path: the paper-faithful client, refitting per call
-        cold_client = CrowdClient(
-            svc.repository_view(), meta, use_registry=False
-        )
+        cold_client = CrowdClient(svc.client, meta, use_registry=False)
         probe = _probe_batch(rng)
         with perf.collect() as cold_stats:
             t0 = time.perf_counter()

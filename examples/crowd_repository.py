@@ -11,18 +11,30 @@ Recreates the paper's Fig. 1 workflow with two users:
   software version), groups them into source tasks, and transfer-tunes
   with Multitask(TS) — reaching a good configuration in a handful of
   evaluations;
-* finally the repository is queried with the SQL-like interface and
-  persisted to a JSON file.
+* finally the repository is queried with the SQL-like interface.
+
+The shared repository is one durable crowd node (``CrowdShard``): both
+users reach it through its routes, and its data directory (journal +
+snapshots) is the persistence — a restart recovers every record.
 
 Run:  python examples/crowd_repository.py
 """
 
 from __future__ import annotations
 
+import shutil
+import tempfile
+
 from repro.apps import PDGEQRF
-from repro.crowd import CrowdClient, CrowdRepository, MetaDescription
+from repro.crowd import CrowdClient, MetaDescription
 from repro.hpc import SlurmSim, cori_haswell
+from repro.service import CrowdShard
 from repro.tla import MultitaskTS
+
+
+def register(node: CrowdShard, username: str) -> str:
+    request = {"route": "register", "username": username, "email": f"{username}@lab.gov"}
+    return node.handle(request)["api_key"]
 
 
 def main() -> None:
@@ -31,9 +43,9 @@ def main() -> None:
     problem = app.make_problem(run=0)
 
     # --- stand up the shared repository and register both users --------
-    repo = CrowdRepository()
-    _, key_a = repo.register_user("user_A", "a@lab.gov")
-    _, key_b = repo.register_user("user_B", "b@lab.gov")
+    data_dir = tempfile.mkdtemp(prefix="gptunecrowd_demo_")
+    node = CrowdShard("crowd", data_dir)
+    key_a, key_b = register(node, "user_A"), register(node, "user_B")
 
     # --- user_A tunes m=n=10000 and shares everything ------------------
     # the Slurm allocation and Spack spec are parsed automatically and
@@ -53,11 +65,11 @@ def main() -> None:
             "sync_crowd_repo": "yes",
         }
     )
-    client_a = CrowdClient(repo, meta_a)
+    client_a = CrowdClient(node, meta_a)
     result_a = client_a.tune(problem, {"m": 10000, "n": 10000}, 25, seed=1)
     print(f"user_A tuned PDGEQRF: best {result_a.best_output:.2f} s "
           f"({result_a.history.n_failures} failed configs)")
-    print(f"repository now holds {repo.count()} records")
+    print(f"repository now holds {node.count()} records")
 
     # --- user_B transfers to a different task --------------------------
     # the configuration_space restricts the query exactly like the
@@ -77,7 +89,7 @@ def main() -> None:
             "sync_crowd_repo": "yes",
         }
     )
-    client_b = CrowdClient(repo, meta_b)
+    client_b = CrowdClient(node, meta_b)
     sources = client_b.query_source_data(problem.parameter_space)
     print(f"\nuser_B queried {sum(s.n for s in sources)} samples across "
           f"{len(sources)} source task(s)")
@@ -88,8 +100,8 @@ def main() -> None:
     print(f"user_B transfer-tuned m=n=8000 with {result_b.tuner_name}: "
           f"best {result_b.best_output:.2f} s in 8 evaluations")
 
-    # --- browse and persist ---------------------------------------------
-    fastest = repo.query_sql(
+    # --- browse, then restart the node from its data directory ----------
+    fastest = client_b.repository.query_sql(
         key_b,
         "SELECT * WHERE output != null AND task_parameters.m = 10000 "
         "ORDER BY output ASC LIMIT 3",
@@ -98,9 +110,10 @@ def main() -> None:
     for rec in fastest:
         print(f"  {rec.output:7.2f} s  {rec.tuning_parameters}  by {rec.owner}")
 
-    path = "/tmp/gptunecrowd_demo_repo.json"
-    repo.save(path)
-    print(f"\nrepository persisted to {path}")
+    node.close()
+    with CrowdShard("crowd", data_dir, users=node.repository.users) as restarted:
+        print(f"\nrestarted from its data directory: {restarted.count()} records recovered")
+    shutil.rmtree(data_dir)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ and the user-facing crowd-tuning API with its utility functions.
 """
 
 from .api import CrowdClient, MetaDescription
-from .configmatch import TagMatcher, default_matcher
+from .configmatch import default_matcher
 from .database import Collection, DocumentStore, QuerySyntaxError
 from .analytics import detect_outliers, variability_report
 from .environment import (
@@ -36,7 +36,6 @@ __all__ = [
     "QuerySyntaxError",
     "SqlQuery",
     "SqlSyntaxError",
-    "TagMatcher",
     "User",
     "UserRegistry",
     "build_filter",

@@ -5,7 +5,10 @@ paper's code snippet: API key, problem name, ``problem_space``,
 ``configuration_space``, machine/software blocks, ``sync_crowd_repo``).
 
 :class:`CrowdClient` is the programmable interface bound to one user's
-API key, exposing the paper's utility functions:
+API key.  It reaches the crowd only through the node's routes — over a
+:class:`~repro.service.client.RemoteRepository` to a bare
+:class:`~repro.service.shard.CrowdShard`, the router or a deployment's
+client — and exposes the paper's utility functions:
 
 * :meth:`query_function_evaluations` — raw records,
 * :meth:`query_surrogate_model` — a portable trained surrogate,
@@ -14,7 +17,7 @@ API key, exposing the paper's utility functions:
 * :meth:`query_source_data` — records grouped per task as
   :class:`~repro.core.history.TaskData` (the TLA layer's input),
 * :meth:`tune` — end-to-end: evaluate with any tuner and stream records
-  back to the repository when ``sync_crowd_repo`` is on.
+  back to the crowd when ``sync_crowd_repo`` is on.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
+from ..core import perf
 from ..core.gp import Surrogate
 from ..core.sparse import make_surrogate, resolve_surrogate_kind, surrogate_from_dict
 from ..core.history import TaskData
@@ -33,11 +37,11 @@ from ..core.taskmodel import TaskAwareSurrogate
 from ..core.tuner import Tuner, TunerOptions, TuningResult
 from ..sensitivity.analyzer import SensitivityReport
 from ..sensitivity.sobol import SobolIndices, sobol_analyze_function
+from ..service.client import Endpoint, RemoteRepository, observation
 from ..tla.base import TLAStrategy
 from ..tla.tuner import TransferTuner
 from .environment import parse_slurm_environment, parse_spack_spec
 from .records import Accessibility, PerformanceRecord
-from .repository import CrowdRepository
 
 __all__ = ["MetaDescription", "CrowdClient"]
 
@@ -162,21 +166,25 @@ class CrowdClient:
 
     def __init__(
         self,
-        repository: CrowdRepository,
+        repository: RemoteRepository | Endpoint,
         meta: MetaDescription,
         *,
         use_registry: bool = True,
     ) -> None:
-        self.repository = repository
+        # one path to the crowd: the node's routes, whatever answers them
+        self.repository = (
+            repository
+            if isinstance(repository, RemoteRepository)
+            else RemoteRepository(repository)
+        )
         self.meta = meta
         # authenticate eagerly so a bad key fails at construction
-        self.user = repository.users.authenticate(meta.api_key)
+        self.user = self.repository.authenticate(meta.api_key)
         self._machine_config, self._software_config = meta.resolve_environment()
-        # registry consultation is an optimization: it needs a repository
-        # that speaks the registry routes (the service's RemoteRepository;
-        # the in-process CrowdRepository does not) and degrades to the
-        # fit-locally path on any miss or mismatch
-        self._use_registry = bool(use_registry) and hasattr(repository, "predict")
+        # registry consultation is an optimization: a node without a
+        # registry refuses its routes, and the client then fits locally
+        # (as on any miss or mismatch)
+        self._use_registry = bool(use_registry)
         self._registry_ready = False
 
     # -- registry consultation ------------------------------------------------
@@ -233,18 +241,28 @@ class CrowdClient:
     def query_source_data(
         self, space: Space | None = None, *, min_samples: int = 2
     ) -> list[TaskData]:
-        """Group queried records per task — the TLA algorithms' input."""
+        """Group queried records per task — the TLA algorithms' input.
+
+        A record joins its task's data by :func:`~repro.service.client.observation`,
+        the rule the fabric's crowd consult uses too; one that does not
+        fit ``space`` is skipped and counted in ``crowd_source_skipped``.
+        """
         space = space if space is not None else self.meta.parameter_space()
-        groups: dict[tuple, list[PerformanceRecord]] = {}
+        groups: dict[tuple, tuple[dict, list]] = {}
         for rec in self.query_function_evaluations():
-            groups.setdefault(task_key(rec.task_parameters), []).append(rec)
-        out: list[TaskData] = []
-        for records in groups.values():
-            if len(records) < min_samples:
+            fitted = observation(rec.tuning_parameters, rec.output, space)
+            if fitted is None:
+                perf.incr("crowd_source_skipped")
                 continue
-            X = space.to_unit_array([r.tuning_parameters for r in records])
-            y = np.array([r.output for r in records], dtype=float)
-            task = dict(records[0].task_parameters)
+            task = rec.task_parameters
+            groups.setdefault(task_key(task), (task, []))[1].append(fitted)
+        out: list[TaskData] = []
+        for task, observed in groups.values():
+            if len(observed) < min_samples:
+                continue
+            X = space.to_unit_array([config for config, _ in observed])
+            y = np.array([output for _, output in observed], dtype=float)
+            task = dict(task)
             out.append(TaskData(task, X, y, label=str(sorted(task.items()))))
         out.sort(key=lambda d: d.n, reverse=True)
         return out
@@ -259,7 +277,7 @@ class CrowdClient:
     ) -> Surrogate:
         """A surrogate of the queried data (optionally one task's).
 
-        With a registry-backed repository and a task-pinned query, the
+        With a node that serves the registry and a task-pinned query, the
         service's frozen model is fetched and reconstructed instead of
         refitting — bit-identical to the served predictor.  Registry
         models are fit on the *public* record set; clients whose queries
@@ -438,16 +456,14 @@ class CrowdClient:
         """Upload one evaluation (no-op unless ``sync_crowd_repo``)."""
         if not self.meta.sync_crowd_repo:
             return None
-        record = PerformanceRecord(
-            problem_name=self.meta.tuning_problem_name,
-            task_parameters=dict(evaluation.task),
-            tuning_parameters=dict(evaluation.config),
-            output=None if evaluation.failed else float(evaluation.output),
-            machine_configuration=dict(self._machine_config),
-            software_configuration=dict(self._software_config),
-            accessibility=self.meta.accessibility,
+        return self.repository.upload(
+            self.meta.api_key,
+            self.meta.tuning_problem_name,
+            evaluation,
+            self._machine_config,
+            self._software_config,
+            self.meta.accessibility,
         )
-        return self.repository.upload(record, self.meta.api_key)
 
     # -- end-to-end tuning -----------------------------------------------------------------
     def tune(
@@ -463,12 +479,12 @@ class CrowdClient:
     ) -> TuningResult:
         """Tune ``task``: transfer-tune when the crowd has relevant data.
 
-        When ``strategy`` is given and the repository yields at least one
+        When ``strategy`` is given and the crowd yields at least one
         source task with ``min_source_samples`` successful samples (after
         excluding the target task itself), a
         :class:`~repro.tla.tuner.TransferTuner` drives the loop;
         otherwise plain single-task BO.  All evaluations stream back to
-        the repository when the meta description enables syncing.
+        the crowd when the meta description enables syncing.
         """
         callbacks: list[Callable[[Evaluation], None]] = [self.record_evaluation]
         sources: list[TaskData] = []

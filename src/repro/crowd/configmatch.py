@@ -18,7 +18,7 @@ import difflib
 import re
 from dataclasses import dataclass, field
 
-__all__ = ["TagMatcher", "default_matcher"]
+__all__ = ["default_matcher"]
 
 #: bound on the names one table's memo holds
 _MEMO_MAX = 1024

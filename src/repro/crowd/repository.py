@@ -1,32 +1,33 @@
-"""The shared crowd repository (system S12, paper Fig. 2).
+"""The crowd node's storage layer (system S12, paper Fig. 2).
 
 :class:`CrowdRepository` glues the document store, user registry and tag
-matcher into the service the paper hosts at gptune.lbl.gov: authenticated
-upload and download of performance records, with
+matcher into what one :class:`~repro.service.shard.CrowdShard` stores
+and reads: authenticated writes of performance-record documents and
+visible reads of them, with
 
 * tag normalization of machine/software configurations on upload,
-* per-record accessibility enforcement on download (public / private /
-  group, Sec. III),
-* meta-description and SQL-like query front-ends,
-* JSON persistence of the whole repository state.
+* per-record accessibility enforcement on every read (public / private /
+  group, Sec. III; :func:`_visible_mask`),
+* meta-description and SQL-like query front-ends, answering stored
+  documents.
 
-The HTTP transport of the real service is replaced by direct method
-calls (documented substitution: no network in this environment); all
-server-side semantics live here and are exercised by the test suite.
+Users never call it: every caller reaches the crowd through the node's
+routes (:class:`~repro.crowd.api.CrowdClient` over
+:class:`~repro.service.client.RemoteRepository`), and persistence is the
+durable node's journal and snapshots (:class:`~repro.service.wal.DurableLog`).
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
 
 from ..core import perf
 from .columnar import ColumnarView
-from .configmatch import TagMatcher, default_matcher
+from .configmatch import default_matcher
 from .database import DocumentStore
 from .query import SqlQuery, build_filter
 from .records import Accessibility, PerformanceRecord
@@ -86,14 +87,11 @@ class CrowdRepository:
     """Authenticated store of crowd performance data."""
 
     def __init__(
-        self,
-        store: DocumentStore | None = None,
-        users: UserRegistry | None = None,
-        matcher: TagMatcher | None = None,
+        self, store: DocumentStore | None = None, users: UserRegistry | None = None
     ) -> None:
         self.store = store if store is not None else DocumentStore()
         self.users = users if users is not None else UserRegistry()
-        self.matcher = matcher if matcher is not None else default_matcher()
+        self.matcher = default_matcher()
         self.store.collection(_RECORDS)
         #: the last timestamp issued or advanced to (written under the lock)
         self.clock = 0.0
@@ -115,18 +113,6 @@ class CrowdRepository:
             self.clock = max(self.clock, float(to))
 
     # -- upload ---------------------------------------------------------------
-    def upload(
-        self,
-        record: PerformanceRecord,
-        api_key: str,
-        *,
-        timestamp: float | None = None,
-    ) -> int:
-        """Store one record on behalf of the authenticated user; returns
-        its ``_id``.  A thin adapter over :meth:`upload_doc` (the record
-        itself is not modified)."""
-        return self.upload_doc(record.to_doc(), api_key, timestamp=timestamp)["_id"]
-
     def upload_doc(
         self,
         doc: dict[str, Any],
@@ -136,7 +122,7 @@ class CrowdRepository:
     ) -> Mapping[str, Any]:
         """Store one record document (a :meth:`PerformanceRecord.to_doc`,
         stamped in place) on behalf of the authenticated user; returns the
-        stored frozen document.
+        stored frozen document (the node's ``upload`` route).
 
         The owner is forced to the authenticated user (uploads cannot
         impersonate), and machine / software names are normalized against
@@ -189,14 +175,14 @@ class CrowdRepository:
         task_parameters: Mapping[str, Any] | None = None,
         require_success: bool = True,
         limit: int | None = None,
-        frozen: bool = True,
     ) -> list[dict[str, Any]]:
-        """The visible raw documents a :meth:`query` would return,
-        timestamp-sorted — the zero-copy read core of :meth:`query`.
+        """The visible stored documents of a meta-description query,
+        timestamp-sorted — what the node's ``query`` route answers.
 
-        Default ``frozen=True`` returns the store's immutable views
-        (zero copies — treat them as read-only); ``frozen=False`` thaws
-        each into a plain mutable dict.
+        ``task_parameters`` pins the query to one exact task (the router
+        serves such a query from the shards that own the task's key).
+        The documents are the store's immutable views: zero copies,
+        read-only.
         """
         user = self.users.authenticate(api_key)
         flt = build_filter(
@@ -206,9 +192,7 @@ class CrowdRepository:
             task_parameters=task_parameters,
             require_success=require_success,
         )
-        return self._visible_docs(
-            flt, user, sort="timestamp", limit=limit, frozen=frozen
-        )
+        return self._visible_docs(flt, user, sort="timestamp", limit=limit)
 
     def _visible_docs(
         self,
@@ -218,20 +202,19 @@ class CrowdRepository:
         sort: str | None,
         descending: bool = False,
         limit: int | None = None,
-        frozen: bool = True,
     ) -> list[dict[str, Any]]:
         """Filter + visibility + sort + limit in one pass: one boolean
-        mask (:func:`_visible_mask`) and one stable argsort."""
+        mask (:func:`_visible_mask`) and one stable argsort; the stored
+        frozen documents."""
         with self.store[_RECORDS].columnar_snapshot() as view:
             out = view.select(
                 _visible_mask(view, flt, user),
                 sort=sort,
                 descending=descending,
                 limit=limit,
-                frozen=frozen,
+                frozen=True,
             )
-        if frozen:
-            perf.incr("store_zero_copy_reads")
+        perf.incr("store_zero_copy_reads")
         return out
 
     def task_summary(self, api_key: str, problem_name: str) -> list[dict[str, Any]]:
@@ -247,103 +230,21 @@ class CrowdRepository:
         with self.store[_RECORDS].columnar_snapshot() as view:
             return view.task_summary(_visible_mask(view, flt, user))
 
-    def query(
-        self,
-        api_key: str,
-        *,
-        problem_name: str | None = None,
-        problem_space: Mapping[str, Any] | None = None,
-        configuration_space: Mapping[str, Any] | None = None,
-        task_parameters: Mapping[str, Any] | None = None,
-        require_success: bool = True,
-        limit: int | None = None,
-    ) -> list[PerformanceRecord]:
-        """Meta-description query (the crowd-tuning API's workhorse).
-
-        ``task_parameters`` pins the query to one exact task — the
-        sharded router uses this to serve the query from the single
-        shard that owns the ``(problem_name, task)`` key.
-        """
-        docs = self.query_docs(
-            api_key,
-            problem_name=problem_name,
-            problem_space=problem_space,
-            configuration_space=configuration_space,
-            task_parameters=task_parameters,
-            require_success=require_success,
-            limit=limit,
-            frozen=True,
-        )
-        return [PerformanceRecord.from_doc(d) for d in docs]
-
-    def query_sql(self, api_key: str, sql: str) -> list[PerformanceRecord]:
-        """SQL-like query front-end (paper Sec. II-B)."""
+    def query_sql(self, api_key: str, sql: str) -> list[dict[str, Any]]:
+        """SQL-like query front-end (paper Sec. II-B): the visible stored
+        documents, frozen, as :meth:`query_docs` answers."""
         user = self.users.authenticate(api_key)
         q = SqlQuery.parse(sql)
-        visible = self._visible_docs(
-            q.filter,
-            user,
-            sort=q.order_by,
-            descending=q.descending,
-            limit=q.limit,
-            frozen=True,
-        )
-        return [PerformanceRecord.from_doc(d) for d in visible]
-
-    def delete_own(self, api_key: str, problem_name: str) -> int:
-        """Users may delete their own records for a problem."""
-        user = self.users.authenticate(api_key)
-        return self.store[_RECORDS].delete(
-            {"problem_name": problem_name, "owner": user.username}
+        return self._visible_docs(
+            q.filter, user, sort=q.order_by, descending=q.descending, limit=q.limit
         )
 
     # -- introspection ---------------------------------------------------------------
     def problems(self, api_key: str) -> list[str]:
         """Distinct problem names visible to the user."""
         user = self.users.authenticate(api_key)
-        docs = self._visible_docs({}, user, sort=None, frozen=True)
+        docs = self._visible_docs({}, user, sort=None)
         return sorted({d["problem_name"] for d in docs})
 
     def count(self) -> int:
         return len(self.store[_RECORDS])
-
-    # -- persistence -------------------------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        """Persist records (user credentials are never written to disk)."""
-        self.store.save(path)
-
-    def load_records(self, path: str | Path) -> int:
-        """Merge performance records from a saved store into this one."""
-        other = DocumentStore.load(path)
-        if _RECORDS not in other:
-            raise ValueError(f"{path}: no {_RECORDS!r} collection")
-        docs = other[_RECORDS].find({})
-        for doc in docs:
-            doc.pop("_id", None)
-            self.store[_RECORDS].insert(doc)
-        return len(docs)
-
-    def merge_from(self, path: str | Path) -> dict[str, int]:
-        """Merge *every* collection of a saved store (records, registry
-        models, anything future) into this repository.
-
-        Returns per-collection merged-document counts.  This is the
-        import path for federating repositories — e.g. combining dumps
-        from two sites.
-        """
-        other = DocumentStore.load(path)
-        merged: dict[str, int] = {}
-        for name in other.collection_names():
-            docs = other[name].find({})
-            target = self.store.collection(name)
-            for doc in docs:
-                doc.pop("_id", None)
-                target.insert(doc)
-            merged[name] = len(docs)
-        return merged
-
-    # -- convenience for tests/examples ----------------------------------------------
-    def register_user(self, username: str, email: str) -> tuple[User, str]:
-        """Register a user and hand back their first API key."""
-        user = self.users.register(username, email)
-        return user, self.users.issue_api_key(username)

@@ -40,8 +40,8 @@ from typing import Any, Callable, Mapping
 from ..core import perf
 from ..core.history import History
 from ..core.problem import Evaluation, TuningProblem
-from ..core.space import SpaceError
 from ..core.tuner import EvaluationCallback, Tuner, TunerOptions
+from ..service.client import observation, query_request, upload_request
 from .coordinator import FabricCoordinator, FabricOptions
 
 __all__ = ["FabricTuner"]
@@ -134,22 +134,12 @@ class FabricTuner(Tuner):
         ``crowd_upload_errors`` (``crowd_uploads`` counts the accepted
         ones) and tuning continues.
         """
-        machine = dict(self._machine)
-        for key in _MACHINE_KEYS:
-            if key in evaluation.metadata:
-                machine[key] = evaluation.metadata[key]
-        response = self.crowd.handle(
-            {
-                "route": "upload",
-                "api_key": self.api_key,
-                "problem_name": self.problem.name,
-                "task_parameters": dict(evaluation.task),
-                "tuning_parameters": dict(evaluation.config),
-                "output": evaluation.output,
-                "machine_configuration": machine,
-                "software_configuration": dict(self._software),
-            }
+        md = evaluation.metadata
+        machine = {**self._machine, **{key: md[key] for key in _MACHINE_KEYS if key in md}}
+        request = upload_request(
+            self.api_key, self.problem.name, evaluation, machine, self._software
         )
+        response = self.crowd.handle(request)
         perf.incr("crowd_uploads" if response.get("ok") else "crowd_upload_errors")
 
     # -- crowd read path -----------------------------------------------------
@@ -157,52 +147,42 @@ class FabricTuner(Tuner):
         """Seed a history with the crowd's existing records for ``task``.
 
         Successes and failures both load (failures feed the feasibility
-        model, the paper's treatment of bad configurations); records
-        whose configurations do not fit this problem's parameter space
-        (names, ranges, types) or whose output is not a number are
-        skipped and counted in ``fabric_consult_skipped``.  The
+        model, the paper's treatment of bad configurations); a record
+        becomes an observation by the rule ``query_source_data`` uses
+        (:func:`~repro.service.client.observation`), and one that does
+        not fit is skipped and counted in ``fabric_consult_skipped``.  The
         returned history is passed as a continuation,
         so crowd records feed the surrogate but never the budget.
         """
         assert self.crowd is not None and self.api_key is not None
         hist = History(task, self.problem.parameter_space)
         response = self.crowd.handle(
-            {
-                "route": "query",
-                "api_key": self.api_key,
-                "problem_name": self.problem.name,
-                "task_parameters": dict(task),
-                "require_success": False,
-            }
+            query_request(
+                self.api_key,
+                problem_name=self.problem.name,
+                task_parameters=task,
+                require_success=False,
+            )
         )
         if not response.get("ok"):
             return hist
-        space = self.problem.parameter_space
-        names = set(space.names)
         docs = sorted(
             response.get("records", []),
             key=lambda d: (float(d.get("timestamp", 0.0) or 0.0), d.get("uid", 0)),
         )
         for doc in docs:
-            config = dict(doc.get("tuning_parameters") or {})
-            try:
-                if set(config) != names:
-                    raise SpaceError(f"parameters {sorted(config)} are not {space.names}")
-                space.validate(config)
-                output = doc.get("output")
-                output = None if output is None else float(output)
-            except (SpaceError, TypeError, ValueError):
+            seen = observation(
+                doc.get("tuning_parameters") or {},
+                doc.get("output"),
+                self.problem.parameter_space,
+            )
+            if seen is None:
                 # a record that does not fit this problem: skip, don't die
                 perf.incr("fabric_consult_skipped")
                 continue
-            hist.append(
-                Evaluation(
-                    dict(task),
-                    config,
-                    output,
-                    {"crowd_uid": doc.get("uid"), "crowd_seed": True},
-                )
-            )
+            config, output = seen
+            metadata = {"crowd_uid": doc.get("uid"), "crowd_seed": True}
+            hist.append(Evaluation(dict(task), config, output, metadata))
             perf.incr("fabric_consulted_records")
         return hist
 

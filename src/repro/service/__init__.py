@@ -17,9 +17,10 @@ able to take concurrent traffic:
 * :mod:`~repro.service.transport` — deterministic simulated RPC with
   fault injection,
 * :mod:`~repro.service.client` — the retrying :class:`ServiceClient`
-  (:class:`~repro.service.client.RetryPolicy`) and the
-  :class:`RemoteRepository` adapter, which let the fabric tuner's crowd
-  uploads and the TLA query path run unchanged on top.
+  (:class:`~repro.service.client.RetryPolicy`) and the one crowd client
+  path: :class:`RemoteRepository`, the node's routes as a
+  :class:`~repro.crowd.api.CrowdClient` calls them, and the request
+  builders and record → observation rule the fabric tuner shares.
 
 :func:`build_service` wires a whole deployment in one call::
 
@@ -28,6 +29,10 @@ able to take concurrent traffic:
     svc = build_service(4, replication=2, data_dir="/tmp/crowd")
     username, key = svc.register_user("alice", "alice@hpc.org")
     svc.client.handle({"route": "upload", "api_key": key, ...})
+
+A user's code reaches a deployment, or one in-process node, the same
+way: ``CrowdClient(svc.client, meta)`` or
+``CrowdClient(CrowdShard("node", registry=RegistryOptions()), meta)``.
 """
 
 from __future__ import annotations
@@ -151,10 +156,6 @@ class CrowdService:
         if not response.get("ok"):
             raise RuntimeError(f"registration failed: {response.get('message')}")
         return response["username"], response["api_key"]
-
-    def repository_view(self) -> RemoteRepository:
-        """A :class:`RemoteRepository` over this service (TLA/API use)."""
-        return RemoteRepository(self.client)
 
     def kill_shard(self, name: str) -> None:
         """Simulate a shard crash: its transport hard-fails from now on."""

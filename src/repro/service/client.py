@@ -1,4 +1,4 @@
-"""Client side of the crowd service: retries and a repository adapter.
+"""Client side of the crowd service: retries, and the one crowd client.
 
 :class:`ServiceClient` gives any consumer of the request/response
 protocol (the fabric tuner's crowd uploads, the router's own shard
@@ -20,12 +20,18 @@ uid, so N faulted attempts store exactly one record, whatever came
 between them.  A client's count lives in its process: a forked child
 that uploads through an inherited client names the parent's uids.
 
-:class:`RemoteRepository` adapts a :class:`ServiceClient` to the subset
-of the :class:`~repro.crowd.repository.CrowdRepository` surface the
-crowd-tuning API uses, so a :class:`~repro.crowd.api.CrowdClient` — and
-with it the whole TLA query path (``query_source_data`` feeding
-:class:`~repro.tla.tuner.TransferTuner`) — runs unchanged over the
-sharded service.
+Every caller reaches the crowd through the node's routes, one way.
+:class:`RemoteRepository` is the crowd as one user's code sees it:
+the routes a :class:`~repro.crowd.api.CrowdClient` calls, over a
+:class:`ServiceClient` to any ``handle()`` endpoint — a bare
+:class:`~repro.service.shard.CrowdShard` (memory-only or durable, with
+or without a registry), the router, or a deployment's client — with
+protocol errors turned back into exceptions.  The protocol is spelled
+here once: :func:`upload_request` builds every evaluation upload (the
+crowd client's and the fabric tuner's), :func:`query_request` every
+record query, and :func:`observation` is the one rule by which a
+queried record becomes a tuning observation (TLA source data, the
+fabric's crowd consult).
 """
 
 from __future__ import annotations
@@ -37,7 +43,9 @@ from dataclasses import dataclass
 from typing import Any, Protocol
 
 from ..core import perf
-from ..crowd.records import PerformanceRecord
+from ..core.problem import Evaluation
+from ..core.space import Space, SpaceError
+from ..crowd.records import Accessibility, PerformanceRecord
 from ..crowd.users import AuthError, User
 from .transport import SimTransport, TransportError
 
@@ -175,37 +183,93 @@ class ServiceClient:
             return dict(response)
 
 
-class _RemoteUsers:
-    """``repository.users`` shim: authentication via the whoami route."""
+def upload_request(
+    api_key: str,
+    problem_name: str,
+    evaluation: Evaluation,
+    machine: Mapping[str, Any],
+    software: Mapping[str, Any],
+    accessibility: Accessibility | None = None,
+) -> dict[str, Any]:
+    """The ``upload`` request of one evaluation (a failure's output is
+    ``null``); without ``accessibility`` the node stores it public."""
+    request = {
+        "route": "upload",
+        "api_key": api_key,
+        "problem_name": problem_name,
+        "task_parameters": dict(evaluation.task),
+        "tuning_parameters": dict(evaluation.config),
+        "output": None if evaluation.failed else float(evaluation.output),
+        "machine_configuration": dict(machine),
+        "software_configuration": dict(software),
+    }
+    if accessibility is not None:
+        request["accessibility"] = accessibility.to_dict()
+    return request
 
-    def __init__(self, client: ServiceClient) -> None:
-        self._client = client
 
-    def authenticate(self, api_key: str) -> User:
-        response = self._client.handle({"route": "whoami", "api_key": api_key})
-        if not response.get("ok"):
-            raise AuthError(response.get("message", "authentication failed"))
-        return User(
-            username=response["username"],
-            email=response.get("email", ""),
-            groups=set(response.get("groups", [])),
-        )
+def query_request(
+    api_key: str,
+    *,
+    problem_name: str | None = None,
+    problem_space: Mapping[str, Any] | None = None,
+    configuration_space: Mapping[str, Any] | None = None,
+    task_parameters: Mapping[str, Any] | None = None,
+    require_success: bool = True,
+    limit: int | None = None,
+) -> dict[str, Any]:
+    """The ``query`` request of a meta-description query (``task_parameters``
+    pins one task); a filter that is ``None`` or an empty space is left out."""
+    request: dict[str, Any] = {
+        "route": "query",
+        "api_key": api_key,
+        "require_success": require_success,
+    }
+    if problem_name is not None:
+        request["problem_name"] = problem_name
+    if problem_space:
+        request["problem_space"] = dict(problem_space)
+    if configuration_space:
+        request["configuration_space"] = dict(configuration_space)
+    if task_parameters is not None:
+        request["task_parameters"] = dict(task_parameters)
+    if limit is not None:
+        request["limit"] = limit
+    return request
+
+
+def observation(
+    config: Mapping[str, Any], output: Any, space: Space
+) -> tuple[dict[str, Any], float | None] | None:
+    """A queried record's ``(configuration, output)`` as an observation
+    in ``space``, or ``None`` for a record that does not fit: parameter
+    names other than exactly the space's, a value the space does not
+    hold, or an output that is neither null nor a number."""
+    config = dict(config)
+    if set(config) != set(space.names):
+        return None
+    try:
+        space.validate(config)
+        return config, None if output is None else float(output)
+    except (SpaceError, TypeError, ValueError):
+        return None
 
 
 class RemoteRepository:
-    """The crowd repository as seen through the service protocol.
+    """The crowd as one user's code sees it, through the node's routes.
 
-    Implements the methods :class:`~repro.crowd.api.CrowdClient` calls
-    (``users.authenticate``, ``query``, ``query_sql``, ``upload``,
-    ``problems``), translating protocol errors back into the exceptions
-    the in-process repository raises.
+    ``endpoint`` is a :class:`ServiceClient`, used as given, or anything
+    a :class:`ServiceClient` wraps.  Record routes raise
+    :class:`~repro.crowd.users.AuthError` for a refused key and
+    ``RuntimeError`` for any other refusal; the registry routes return
+    the raw response, ok or not, because the crowd client treats the
+    registry as an optimization and falls back to fitting locally.
     """
 
     def __init__(self, endpoint: ServiceClient | SimTransport | Endpoint) -> None:
         self.client = (
             endpoint if isinstance(endpoint, ServiceClient) else ServiceClient(endpoint)
         )
-        self.users = _RemoteUsers(self.client)
 
     def _call(self, request: Mapping[str, Any]) -> dict[str, Any]:
         response = self.client.handle(request)
@@ -216,6 +280,14 @@ class RemoteRepository:
         if kind == "auth":
             raise AuthError(message)
         raise RuntimeError(f"crowd service error ({kind}): {message}")
+
+    def authenticate(self, api_key: str) -> User:
+        response = self._call({"route": "whoami", "api_key": api_key})
+        return User(
+            username=response["username"],
+            email=response.get("email", ""),
+            groups=set(response.get("groups", [])),
+        )
 
     def query(
         self,
@@ -228,21 +300,16 @@ class RemoteRepository:
         require_success: bool = True,
         limit: int | None = None,
     ) -> list[PerformanceRecord]:
-        request: dict[str, Any] = {
-            "route": "query",
-            "api_key": api_key,
-            "require_success": require_success,
-        }
-        if problem_name is not None:
-            request["problem_name"] = problem_name
-        if problem_space:
-            request["problem_space"] = dict(problem_space)
-        if configuration_space:
-            request["configuration_space"] = dict(configuration_space)
-        if task_parameters is not None:
-            request["task_parameters"] = dict(task_parameters)
-        if limit is not None:
-            request["limit"] = limit
+        """The records the :func:`query_request` of these filters returns."""
+        request = query_request(
+            api_key,
+            problem_name=problem_name,
+            problem_space=problem_space,
+            configuration_space=configuration_space,
+            task_parameters=task_parameters,
+            require_success=require_success,
+            limit=limit,
+        )
         response = self._call(request)
         return [PerformanceRecord.from_doc(d) for d in response["records"]]
 
@@ -252,44 +319,34 @@ class RemoteRepository:
 
     def upload(
         self,
-        record: PerformanceRecord,
         api_key: str,
-        *,
-        timestamp: float | None = None,
+        problem_name: str,
+        evaluation: Evaluation,
+        machine: Mapping[str, Any],
+        software: Mapping[str, Any],
+        accessibility: Accessibility | None = None,
     ) -> int:
-        request = {
-            "route": "upload",
-            "api_key": api_key,
-            "problem_name": record.problem_name,
-            "task_parameters": dict(record.task_parameters),
-            "tuning_parameters": dict(record.tuning_parameters),
-            "output": record.output,
-            "machine_configuration": dict(record.machine_configuration),
-            "software_configuration": dict(record.software_configuration),
-            "accessibility": record.accessibility.to_dict(),
-        }
-        response = self._call(request)
-        return int(response["uid"])
+        """Upload one evaluation (:func:`upload_request`); its uid."""
+        request = upload_request(
+            api_key, problem_name, evaluation, machine, software, accessibility
+        )
+        return int(self._call(request)["uid"])
 
     def problems(self, api_key: str) -> list[str]:
         return list(self._call({"route": "problems", "api_key": api_key})["problems"])
 
-    # -- registry routes -----------------------------------------------------
-    # These return the RAW response dict (ok or not): the crowd client
-    # treats the registry as an optimization and decides for itself
-    # whether to fall back to fitting locally — an exception here would
-    # turn a missing registry into a query failure.
+    # -- registry routes: the raw response ------------------------------------
+    def _registry(
+        self, route: str, api_key: str, problem_name: str, **fields: Any
+    ) -> dict[str, Any]:
+        request = {"route": route, "api_key": api_key, "problem_name": problem_name}
+        return self.client.handle({**request, **fields})
 
     def register_problem(
         self, api_key: str, problem_name: str, problem_space: Mapping[str, Any]
     ) -> dict[str, Any]:
-        return self.client.handle(
-            {
-                "route": "register_problem",
-                "api_key": api_key,
-                "problem_name": problem_name,
-                "problem_space": dict(problem_space),
-            }
+        return self._registry(
+            "register_problem", api_key, problem_name, problem_space=dict(problem_space)
         )
 
     def predict(
@@ -299,14 +356,12 @@ class RemoteRepository:
         task_parameters: Mapping[str, Any],
         configurations: list[Mapping[str, Any]],
     ) -> dict[str, Any]:
-        return self.client.handle(
-            {
-                "route": "predict",
-                "api_key": api_key,
-                "problem_name": problem_name,
-                "task_parameters": dict(task_parameters),
-                "configurations": [dict(c) for c in configurations],
-            }
+        return self._registry(
+            "predict",
+            api_key,
+            problem_name,
+            task_parameters=dict(task_parameters),
+            configurations=[dict(c) for c in configurations],
         )
 
     def model_meta(
@@ -317,14 +372,12 @@ class RemoteRepository:
         *,
         include_model: bool = False,
     ) -> dict[str, Any]:
-        return self.client.handle(
-            {
-                "route": "model_meta",
-                "api_key": api_key,
-                "problem_name": problem_name,
-                "task_parameters": dict(task_parameters),
-                "include_model": include_model,
-            }
+        return self._registry(
+            "model_meta",
+            api_key,
+            problem_name,
+            task_parameters=dict(task_parameters),
+            include_model=include_model,
         )
 
     def sensitivity(
@@ -338,15 +391,13 @@ class RemoteRepository:
         seed: int | None = None,
         include_model: bool = False,
     ) -> dict[str, Any]:
-        return self.client.handle(
-            {
-                "route": "sensitivity",
-                "api_key": api_key,
-                "problem_name": problem_name,
-                "task_parameters": dict(task_parameters),
-                "n_base": n_base,
-                "n_bootstrap": n_bootstrap,
-                "seed": seed,
-                "include_model": include_model,
-            }
+        return self._registry(
+            "sensitivity",
+            api_key,
+            problem_name,
+            task_parameters=dict(task_parameters),
+            n_base=n_base,
+            n_bootstrap=n_bootstrap,
+            seed=seed,
+            include_model=include_model,
         )

@@ -559,7 +559,7 @@ class CrowdRouter:
         the comparison unsound, so repairs are skipped.
         """
         quorum = min(self.options.read_quorum, len(prefs))
-        #: replica name -> the records it returned, ``_id`` stripped
+        #: replica name -> the records it returned
         consulted: dict[str, list[dict[str, Any]]] = {}
         skipped = 0
         for name in prefs:
@@ -571,10 +571,7 @@ class CrowdRouter:
                 continue
             if not response.get("ok"):
                 return response
-            consulted[name] = [
-                {k: v for k, v in doc.items() if k != "_id"}
-                for doc in response.get("records", [])
-            ]
+            consulted[name] = response.get("records", [])
         if not consulted:
             return _unavailable(f"all replicas of {prefs} are unreachable")
         if skipped:
@@ -623,8 +620,6 @@ class CrowdRouter:
         the newest timestamp, matching read-repair's newest-wins rule.
         """
         docs, error = self._collect(request, "records")
-        for doc in docs:
-            doc.pop("_id", None)  # shard-local ids are meaningless here
         return list(newest_wins(docs).values()), error
 
     def _merge_problems(self, request: Mapping[str, Any]) -> dict[str, Any]:

@@ -51,8 +51,7 @@ from pathlib import Path
 from typing import Any
 
 from ..core import perf
-from ..crowd.columnar import sort_key
-from ..crowd.configmatch import TagMatcher
+from ..crowd.columnar import sort_key, thaw
 from ..crowd.database import DocumentStore
 from ..crowd.records import Accessibility, PerformanceRecord
 from ..crowd.repository import CrowdRepository
@@ -255,6 +254,12 @@ def bad_request(message: str) -> dict[str, Any]:
     return {"ok": False, "error": "bad_request", "message": message}
 
 
+def _answered(docs: list[Mapping[str, Any]]) -> list[dict[str, Any]]:
+    """Stored record documents as a read answers them: mutable copies,
+    without the node-local ``_id``."""
+    return [{k: thaw(v) for k, v in doc.items() if k != "_id"} for doc in docs]
+
+
 def _refuse_after_close(op: Mapping[str, Any]) -> None:
     """The store observer of a closed durable shard: nothing may be
     acknowledged that the journal did not take."""
@@ -330,7 +335,6 @@ class CrowdShard:
         data_dir: str | Path | None = None,
         *,
         users: UserRegistry | None = None,
-        matcher: TagMatcher | None = None,
         snapshot_every: int = 256,
         fsync_every: int = 1,
         registry: RegistryOptions | None = None,
@@ -359,7 +363,7 @@ class CrowdShard:
                 fsync_every=self.fsync_every,
             )
             store = self._recover_store()
-        self.repository = CrowdRepository(store=store, users=users, matcher=matcher)
+        self.repository = CrowdRepository(store=store, users=users)
         # resume the logical clock past every recovered record and
         # problem registration, and the client-id count past every
         # journaled id (a router resumes both from the nodes'); the same
@@ -574,7 +578,7 @@ class CrowdShard:
 
     def _route_query(self, req: Mapping[str, Any]) -> dict[str, Any]:
         task = req.get("task_parameters")
-        records = self.repository.query(
+        docs = self.repository.query_docs(
             req["api_key"],
             problem_name=req.get("problem_name"),
             problem_space=req.get("problem_space"),
@@ -583,11 +587,11 @@ class CrowdShard:
             require_success=bool(req.get("require_success", True)),
             limit=req.get("limit"),
         )
-        return {"ok": True, "records": [r.to_doc() for r in records]}
+        return {"ok": True, "records": _answered(docs)}
 
     def _route_query_sql(self, req: Mapping[str, Any]) -> dict[str, Any]:
-        records = self.repository.query_sql(req["api_key"], req["sql"])
-        return {"ok": True, "records": [r.to_doc() for r in records]}
+        docs = self.repository.query_sql(req["api_key"], req["sql"])
+        return {"ok": True, "records": _answered(docs)}
 
     def _route_problems(self, req: Mapping[str, Any]) -> dict[str, Any]:
         return {"ok": True, "problems": self.repository.problems(req["api_key"])}
@@ -798,6 +802,18 @@ class CrowdShard:
 
     def count(self) -> int:
         return self.repository.count()
+
+    def federate(self, records: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
+        """Merge the records another deployment answered (its ``query``
+        route's); the ``replicate`` response, ``applied`` the number stored.
+
+        A uid names a write only inside the deployment that issued it:
+        each issues client ids from 1, so two sites' first uploads share
+        one.  A foreign record therefore merges by content — its uid is
+        dropped, and a copy already held is not stored again.
+        """
+        docs = [{**doc, "uid": 0} for doc in records]
+        return self.handle({"route": "replicate", "records": docs})
 
     def close(self) -> None:
         """Close the journal (idempotent).

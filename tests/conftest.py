@@ -15,6 +15,14 @@ from repro.core import (
     TaskData,
     TuningProblem,
 )
+from repro.crowd.users import UserRegistry
+
+
+def register(users: UserRegistry, name: str) -> str:
+    """Register ``name`` (email ``name@lab.gov``) in ``users``; their
+    first API key.  A node's registry is ``node.repository.users``."""
+    users.register(name, f"{name}@lab.gov")
+    return users.issue_api_key(name)
 
 
 @pytest.fixture

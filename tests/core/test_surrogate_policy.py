@@ -218,7 +218,7 @@ class TestOnePolicyPastTheThreshold:
         meta = MetaDescription.from_dict(
             {"api_key": key, "tuning_problem_name": "demo", "problem_space": self.SPACE}
         )
-        repo = svc.repository_view()
+        repo = svc.client
         yield CrowdClient(repo, meta), CrowdClient(repo, meta, use_registry=False)
         svc.close()
 

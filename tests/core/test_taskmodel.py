@@ -128,26 +128,22 @@ class TestRecommendation:
 class TestCrowdIntegration:
     def test_query_task_model(self):
         from repro.apps import DemoFunction
-        from repro.crowd import CrowdClient, CrowdRepository, MetaDescription, PerformanceRecord
+        from repro.core.problem import Evaluation
+        from repro.crowd import CrowdClient, MetaDescription
+        from repro.service import CrowdShard, RemoteRepository
+        from tests.conftest import register
 
-        repo = CrowdRepository()
-        _, key = repo.register_user("u", "u@lab.gov")
+        node = CrowdShard("node")
+        key = register(node.repository.users, "u")
+        remote = RemoteRepository(node)
         app = DemoFunction()
         problem = app.make_problem(noisy=False)
         rng = np.random.default_rng(0)
         for t in (0.5, 0.8, 1.1, 1.4):
             for _ in range(25):
                 cfg = problem.parameter_space.sample(rng)
-                y = problem.objective({"t": t}, cfg)
-                repo.upload(
-                    PerformanceRecord(
-                        problem_name="demo",
-                        task_parameters={"t": t},
-                        tuning_parameters=cfg,
-                        output=y + 2.5,  # shift positive for log modeling
-                    ),
-                    key,
-                )
+                y = problem.objective({"t": t}, cfg) + 2.5  # positive for log modeling
+                remote.upload(key, "demo", Evaluation({"t": t}, cfg, y), {}, {})
         meta = MetaDescription.from_dict(
             {
                 "api_key": key,
@@ -155,7 +151,7 @@ class TestCrowdIntegration:
                 "problem_space": problem.describe(),
             }
         )
-        client = CrowdClient(repo, meta)
+        client = CrowdClient(remote, meta)
         model = client.query_task_model(problem.input_space, seed=0)
         assert model.n_tasks_seen == 4
         # prediction for an unseen task between measured ones

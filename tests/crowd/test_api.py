@@ -6,26 +6,23 @@ import numpy as np
 import pytest
 
 from repro.apps.synthetic import DemoFunction
-from repro.crowd import (
-    CrowdClient,
-    CrowdRepository,
-    MetaDescription,
-    PerformanceRecord,
-)
+from repro.core.problem import Evaluation
+from repro.crowd import CrowdClient, MetaDescription
 from repro.crowd.users import AuthError
+from repro.service import CrowdShard, RemoteRepository
 from repro.tla import MultitaskTS
+from tests.conftest import register
 
 
 @pytest.fixture
-def repo():
-    return CrowdRepository()
+def node():
+    """One in-process crowd node: the client reaches it through its routes."""
+    return CrowdShard("node")
 
 
 @pytest.fixture
-def keys(repo):
-    _, a = repo.register_user("user_A", "a@lab.gov")
-    _, b = repo.register_user("user_B", "b@lab.gov")
-    return {"user_A": a, "user_B": b}
+def keys(node):
+    return {name: register(node.repository.users, name) for name in ("user_A", "user_B")}
 
 
 @pytest.fixture
@@ -33,20 +30,14 @@ def demo_problem():
     return DemoFunction().make_problem(noisy=False)
 
 
-def _upload_source(repo, key, problem, task, n, seed=0):
+def _upload_source(node, key, problem, task, n, seed=0):
     rng = np.random.default_rng(seed)
     space = problem.parameter_space
+    remote = RemoteRepository(node)
     for _ in range(n):
         cfg = space.sample(rng)
-        repo.upload(
-            PerformanceRecord(
-                problem_name=problem.name,
-                task_parameters=dict(task),
-                tuning_parameters=cfg,
-                output=problem.objective(task, cfg),
-            ),
-            key,
-        )
+        evaluation = Evaluation(dict(task), cfg, problem.objective(task, cfg))
+        remote.upload(key, problem.name, evaluation, {}, {})
 
 
 def _meta(key, sync="no", **extra):
@@ -142,55 +133,55 @@ class TestMetaDescription:
 
 
 class TestCrowdClient:
-    def test_bad_key_fails_at_construction(self, repo, keys):
+    def test_bad_key_fails_at_construction(self, node, keys):
         meta = _meta(keys["user_A"])
         meta.api_key = "nope"
         with pytest.raises(AuthError):
-            CrowdClient(repo, meta)
+            CrowdClient(node, meta)
 
-    def test_query_function_evaluations(self, repo, keys, demo_problem):
-        _upload_source(repo, keys["user_A"], demo_problem, {"t": 0.8}, 10)
-        client = CrowdClient(repo, _meta(keys["user_B"]))
+    def test_query_function_evaluations(self, node, keys, demo_problem):
+        _upload_source(node, keys["user_A"], demo_problem, {"t": 0.8}, 10)
+        client = CrowdClient(node, _meta(keys["user_B"]))
         assert len(client.query_function_evaluations()) == 10
 
-    def test_query_source_data_groups_by_task(self, repo, keys, demo_problem):
-        _upload_source(repo, keys["user_A"], demo_problem, {"t": 0.8}, 12, seed=0)
-        _upload_source(repo, keys["user_A"], demo_problem, {"t": 1.2}, 7, seed=1)
-        client = CrowdClient(repo, _meta(keys["user_B"]))
+    def test_query_source_data_groups_by_task(self, node, keys, demo_problem):
+        _upload_source(node, keys["user_A"], demo_problem, {"t": 0.8}, 12, seed=0)
+        _upload_source(node, keys["user_A"], demo_problem, {"t": 1.2}, 7, seed=1)
+        client = CrowdClient(node, _meta(keys["user_B"]))
         sources = client.query_source_data()
         assert len(sources) == 2
         # sorted by sample count, largest first (stacking order)
         assert sources[0].n == 12 and sources[1].n == 7
         assert sources[0].task == {"t": 0.8}
 
-    def test_min_samples_filter(self, repo, keys, demo_problem):
-        _upload_source(repo, keys["user_A"], demo_problem, {"t": 0.8}, 3)
-        client = CrowdClient(repo, _meta(keys["user_B"]))
+    def test_min_samples_filter(self, node, keys, demo_problem):
+        _upload_source(node, keys["user_A"], demo_problem, {"t": 0.8}, 3)
+        client = CrowdClient(node, _meta(keys["user_B"]))
         assert client.query_source_data(min_samples=5) == []
 
-    def test_query_surrogate_model_predicts(self, repo, keys, demo_problem):
-        _upload_source(repo, keys["user_A"], demo_problem, {"t": 0.8}, 40)
-        client = CrowdClient(repo, _meta(keys["user_B"]))
+    def test_query_surrogate_model_predicts(self, node, keys, demo_problem):
+        _upload_source(node, keys["user_A"], demo_problem, {"t": 0.8}, 40)
+        client = CrowdClient(node, _meta(keys["user_B"]))
         gp = client.query_surrogate_model(task={"t": 0.8})
         x = np.array([[0.5]])
         pred = gp.predict_mean(x)[0]
         true = demo_problem.objective({"t": 0.8}, {"x": 0.5})
         assert pred == pytest.approx(true, abs=0.3)
 
-    def test_query_surrogate_needs_data(self, repo, keys):
-        client = CrowdClient(repo, _meta(keys["user_B"]))
+    def test_query_surrogate_needs_data(self, node, keys):
+        client = CrowdClient(node, _meta(keys["user_B"]))
         with pytest.raises(ValueError):
             client.query_surrogate_model()
 
-    def test_query_predict_output(self, repo, keys, demo_problem):
-        _upload_source(repo, keys["user_A"], demo_problem, {"t": 0.8}, 40)
-        client = CrowdClient(repo, _meta(keys["user_B"]))
+    def test_query_predict_output(self, node, keys, demo_problem):
+        _upload_source(node, keys["user_A"], demo_problem, {"t": 0.8}, 40)
+        client = CrowdClient(node, _meta(keys["user_B"]))
         preds = client.query_predict_output([{"x": 0.2}, {"x": 0.7}], task={"t": 0.8})
         assert preds.shape == (2,)
 
-    def test_query_sensitivity_analysis(self, repo, keys, demo_problem):
-        _upload_source(repo, keys["user_A"], demo_problem, {"t": 0.8}, 60)
-        client = CrowdClient(repo, _meta(keys["user_B"]))
+    def test_query_sensitivity_analysis(self, node, keys, demo_problem):
+        _upload_source(node, keys["user_A"], demo_problem, {"t": 0.8}, 60)
+        client = CrowdClient(node, _meta(keys["user_B"]))
         report = client.query_sensitivity_analysis(
             task={"t": 0.8}, n_base=128, seed=0
         )
@@ -198,57 +189,57 @@ class TestCrowdClient:
         # a 1-parameter problem: x explains everything
         assert report.indices.ST[0] > 0.8
 
-    def test_sensitivity_needs_enough_data(self, repo, keys, demo_problem):
-        _upload_source(repo, keys["user_A"], demo_problem, {"t": 0.8}, 2)
-        client = CrowdClient(repo, _meta(keys["user_B"]))
+    def test_sensitivity_needs_enough_data(self, node, keys, demo_problem):
+        _upload_source(node, keys["user_A"], demo_problem, {"t": 0.8}, 2)
+        client = CrowdClient(node, _meta(keys["user_B"]))
         with pytest.raises(ValueError):
             client.query_sensitivity_analysis()
 
 
 class TestEndToEndTuning:
-    def test_sync_uploads_evaluations(self, repo, keys, demo_problem):
-        client = CrowdClient(repo, _meta(keys["user_B"], sync="yes"))
+    def test_sync_uploads_evaluations(self, node, keys, demo_problem):
+        client = CrowdClient(node, _meta(keys["user_B"], sync="yes"))
         client.tune(demo_problem, {"t": 1.0}, 4, seed=0)
-        assert repo.count() == 4
+        assert node.count() == 4
 
-    def test_no_sync_no_uploads(self, repo, keys, demo_problem):
-        client = CrowdClient(repo, _meta(keys["user_B"], sync="no"))
+    def test_no_sync_no_uploads(self, node, keys, demo_problem):
+        client = CrowdClient(node, _meta(keys["user_B"], sync="no"))
         client.tune(demo_problem, {"t": 1.0}, 4, seed=0)
-        assert repo.count() == 0
+        assert node.count() == 0
 
-    def test_transfer_used_when_sources_exist(self, repo, keys, demo_problem):
-        _upload_source(repo, keys["user_A"], demo_problem, {"t": 0.8}, 30)
-        client = CrowdClient(repo, _meta(keys["user_B"]))
+    def test_transfer_used_when_sources_exist(self, node, keys, demo_problem):
+        _upload_source(node, keys["user_A"], demo_problem, {"t": 0.8}, 30)
+        client = CrowdClient(node, _meta(keys["user_B"]))
         res = client.tune(
             demo_problem, {"t": 1.0}, 4, strategy=MultitaskTS(), seed=0
         )
         assert res.tuner_name == "Multitask (TS)"
 
-    def test_target_task_excluded_from_sources(self, repo, keys, demo_problem):
+    def test_target_task_excluded_from_sources(self, node, keys, demo_problem):
         """Records for the target task itself must not be a TLA source."""
-        _upload_source(repo, keys["user_A"], demo_problem, {"t": 1.0}, 30)
-        client = CrowdClient(repo, _meta(keys["user_B"]))
+        _upload_source(node, keys["user_A"], demo_problem, {"t": 1.0}, 30)
+        client = CrowdClient(node, _meta(keys["user_B"]))
         res = client.tune(
             demo_problem, {"t": 1.0}, 3, strategy=MultitaskTS(), seed=0
         )
         assert res.tuner_name == "NoTLA"  # no *other* task available
 
-    def test_falls_back_to_notla_without_sources(self, repo, keys, demo_problem):
-        client = CrowdClient(repo, _meta(keys["user_B"]))
+    def test_falls_back_to_notla_without_sources(self, node, keys, demo_problem):
+        client = CrowdClient(node, _meta(keys["user_B"]))
         res = client.tune(
             demo_problem, {"t": 1.0}, 3, strategy=MultitaskTS(), seed=0
         )
         assert res.tuner_name == "NoTLA"
 
-    def test_crowd_accumulation_improves_later_users(self, repo, keys, demo_problem):
+    def test_crowd_accumulation_improves_later_users(self, node, keys, demo_problem):
         """The crowd story: user B tunes after user A's data exists and
         immediately starts near the transferred optimum."""
-        _upload_source(repo, keys["user_A"], demo_problem, {"t": 0.9}, 60)
-        client = CrowdClient(repo, _meta(keys["user_B"], sync="yes"))
+        _upload_source(node, keys["user_A"], demo_problem, {"t": 0.9}, 60)
+        client = CrowdClient(node, _meta(keys["user_B"], sync="yes"))
         res = client.tune(
             demo_problem, {"t": 1.0}, 5, strategy=MultitaskTS(), seed=0
         )
-        notla = CrowdClient(repo, _meta(keys["user_B"])).tune(
+        notla = CrowdClient(node, _meta(keys["user_B"])).tune(
             demo_problem, {"t": 1.0}, 5, seed=0
         )
         assert res.best_output <= notla.best_output + 0.05

@@ -19,6 +19,8 @@ import pytest
 from repro.crowd.database import Collection
 from repro.crowd.records import PerformanceRecord
 from repro.crowd.repository import CrowdRepository
+from tests.conftest import register
+
 
 N_WRITERS = 4
 N_READERS = 4
@@ -126,21 +128,19 @@ class TestCollectionConcurrency:
 class TestRepositoryConcurrency:
     def test_concurrent_upload_and_query(self):
         repo = CrowdRepository()
-        _, key = repo.register_user("alice", "a@lab.gov")
+        key = register(repo.users, "alice")
         stop = threading.Event()
 
         def uploader(wid):
             def run():
                 for i in range(N_OPS):
-                    repo.upload(
-                        PerformanceRecord(
-                            problem_name="demo",
-                            task_parameters={"t": i % 5},
-                            tuning_parameters={"x": float(i), "w": wid},
-                            output=float(i),
-                        ),
-                        key,
+                    record = PerformanceRecord(
+                        problem_name="demo",
+                        task_parameters={"t": i % 5},
+                        tuning_parameters={"x": float(i), "w": wid},
+                        output=float(i),
                     )
+                    repo.upload_many([record], key)
             return run
 
         query_errors: list[BaseException] = []
@@ -149,8 +149,8 @@ class TestRepositoryConcurrency:
             def run():
                 while not stop.is_set():
                     try:
-                        repo.query(key, problem_name="demo")
-                        repo.query(
+                        repo.query_docs(key, problem_name="demo")
+                        repo.query_docs(
                             key, problem_name="demo", task_parameters={"t": 1}
                         )
                         repo.problems(key)
@@ -168,10 +168,10 @@ class TestRepositoryConcurrency:
             t.join()
         assert upload_errors == []
         assert query_errors == []
-        records = repo.query(key, problem_name="demo")
+        records = repo.query_docs(key, problem_name="demo")
         assert len(records) == N_WRITERS * N_OPS
         # uids unique even though uploads raced on the uid counter
-        assert len({r.uid for r in records}) == N_WRITERS * N_OPS
+        assert len({r["uid"] for r in records}) == N_WRITERS * N_OPS
         # timestamps strictly increase — the logical clock never forked
-        stamps = sorted(r.timestamp for r in records)
+        stamps = sorted(r["timestamp"] for r in records)
         assert len(set(stamps)) == len(stamps)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.crowd import Accessibility, CrowdRepository, PerformanceRecord
 from repro.crowd.views import contributor_stats, leaderboard
+from tests.conftest import register
 
 from . import views_oracle
 
@@ -13,8 +14,8 @@ from . import views_oracle
 @pytest.fixture
 def repo_with_data():
     repo = CrowdRepository()
-    _, key_a = repo.register_user("alice", "a@lab.gov")
-    _, key_b = repo.register_user("bob", "b@lab.gov")
+    key_a = register(repo.users, "alice")
+    key_b = register(repo.users, "bob")
 
     def rec(task, cfg, out, machine=None, access=None):
         return PerformanceRecord(
@@ -27,20 +28,15 @@ def repo_with_data():
         )
 
     # task A: alice has 3 samples (one failure), bob has the best
-    repo.upload(rec({"m": 1}, {"x": 1}, 5.0), key_a)
-    repo.upload(rec({"m": 1}, {"x": 2}, None), key_a)
-    repo.upload(rec({"m": 1}, {"x": 3}, 7.0), key_a)
-    repo.upload(rec({"m": 1}, {"x": 4}, 3.0), key_b)
+    repo.upload_many([rec({"m": 1}, {"x": 1}, 5.0)], key_a)
+    repo.upload_many([rec({"m": 1}, {"x": 2}, None)], key_a)
+    repo.upload_many([rec({"m": 1}, {"x": 3}, 7.0)], key_a)
+    repo.upload_many([rec({"m": 1}, {"x": 4}, 3.0)], key_b)
     # task B: alice only, on KNL
-    repo.upload(
-        rec({"m": 2}, {"x": 5}, 11.0,
-            machine={"machine_name": "Cori", "partition": "knl"}),
-        key_a,
-    )
+    knl = {"machine_name": "Cori", "partition": "knl"}
+    repo.upload_many([rec({"m": 2}, {"x": 5}, 11.0, machine=knl)], key_a)
     # a private record bob can't see
-    repo.upload(
-        rec({"m": 3}, {"x": 6}, 1.0, access=Accessibility("private")), key_a
-    )
+    repo.upload_many([rec({"m": 3}, {"x": 6}, 1.0, access=Accessibility("private"))], key_a)
     return repo, key_a, key_b
 
 
@@ -99,14 +95,14 @@ class TestSummary:
     def test_ties_go_to_the_earliest_record(self, repo_with_data):
         repo, key_a, key_b = repo_with_data
         for key, x in ((key_b, 7), (key_a, 8)):
-            repo.upload(PerformanceRecord("p", {"m": 1}, {"x": x}, 3.0), key)
+            repo.upload_many([PerformanceRecord("p", {"m": 1}, {"x": x}, 3.0)], key)
         row = next(r for r in leaderboard(repo, key_a, "p") if r.task_parameters == {"m": 1})
         assert (row.best_output, row.best_configuration, row.n_samples) == (3.0, {"x": 4}, 6)
 
     def test_near_equal_tasks_are_separate_rows(self, repo_with_data):
         repo, key_a, _ = repo_with_data
-        repo.upload(PerformanceRecord("p", {"m": 1.0}, {"x": 9}, 0.5), key_a)
-        repo.upload(PerformanceRecord("p", {"m": True}, {"x": 10}, 0.25), key_a)
+        repo.upload_many([PerformanceRecord("p", {"m": 1.0}, {"x": 9}, 0.5)], key_a)
+        repo.upload_many([PerformanceRecord("p", {"m": True}, {"x": 10}, 0.25)], key_a)
         best = {repr(r.task_parameters): r.best_output for r in leaderboard(repo, key_a, "p")}
         assert best["{'m': 1}"] == 3.0 and best["{'m': 1.0}"] == 0.5
         assert best["{'m': True}"] == 0.25
@@ -115,12 +111,10 @@ class TestSummary:
         repo, key_a, key_b = repo_with_data
         before = repo.task_summary(key_b, "p")
         # alice's private record would be task m=1's best and a new owner
-        repo.upload(
-            PerformanceRecord(
-                "p", {"m": 1}, {"x": 0}, 0.01, accessibility=Accessibility("private")
-            ),
-            key_a,
+        private = PerformanceRecord(
+            "p", {"m": 1}, {"x": 0}, 0.01, accessibility=Accessibility("private")
         )
+        repo.upload_many([private], key_a)
         assert repo.task_summary(key_b, "p") == before
         mine = {repr(t["task_parameters"]): t for t in repo.task_summary(key_a, "p")}
         theirs = {repr(t["task_parameters"]): t for t in before}

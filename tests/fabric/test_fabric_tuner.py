@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Tuner, TunerOptions
+from repro.core import Tuner, TunerOptions, TuningProblem
 from repro.fabric import DurableJobQueue, FabricOptions, FabricTuner
 from repro.service import build_service
 from repro.tla import StrategyProvider, TransferTuner, get_strategy
@@ -152,6 +152,32 @@ class TestCrowdIntegration:
             )
             # fabric bookkeeping rides along in the machine configuration
             assert all("worker" in r["machine_configuration"] for r in records)
+
+    def test_a_non_finite_result_is_stored_as_a_failure(self, quadratic_problem):
+        """An ``inf`` objective is a failed evaluation, stored in the crowd
+        as a failed record (null output), not refused."""
+
+        def objective(task, cfg):
+            return float("inf") if cfg["x"] > 0.5 else (cfg["x"] - 0.37) ** 2
+
+        q = quadratic_problem
+        problem = TuningProblem(
+            "cliff", q.input_space, q.parameter_space, q.output_space, objective
+        )
+        with build_service(2) as svc:
+            _, key = svc.register_user("fabric-w0", "w0@crowd.io")
+            tuner = FabricTuner(
+                problem, opts(), FabricOptions(n_procs=1), crowd=svc.client, api_key=key
+            )
+            res = tuner.tune({"t": 1}, 6, seed=0)
+            assert any(e.failed for e in res.history)
+            assert res.perf["counters"]["crowd_uploads"] == 6
+            assert "crowd_upload_errors" not in res.perf["counters"]
+            query = {"route": "query", "api_key": key, "require_success": False}
+            records = svc.client.handle(query)["records"]
+            assert sorted(r["output"] is None for r in records) == sorted(
+                e.failed for e in res.history
+            )
 
     def test_consult_seeds_surrogate_without_spending_budget(
         self, quadratic_problem

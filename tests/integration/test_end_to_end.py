@@ -8,10 +8,13 @@ from repro.apps import DemoFunction, HypreAMG, PDGEQRF, SuperLUDist2D
 from repro.apps.hypre import HYPRE_DEFAULTS
 from repro.apps.superlu import SUPERLU_DEFAULTS
 from repro.core import TaskData, Tuner, TunerOptions
-from repro.crowd import CrowdClient, CrowdRepository, MetaDescription, PerformanceRecord
+from repro.core.problem import Evaluation
+from repro.crowd import CrowdClient, MetaDescription
+from repro.service import CrowdShard, RemoteRepository
 from repro.hpc import cori_haswell
 from repro.sensitivity import SensitivityAnalyzer, reduce_space
 from repro.tla import EnsembleProposed, MultitaskTS, TransferTuner
+from tests.conftest import register
 
 
 def _collect(app, task, n, seed=0, run=999):
@@ -101,9 +104,9 @@ class TestCrowdLifecycle:
     """The full Fig. 1 loop: tune -> upload -> another user transfers."""
 
     def test_two_user_story(self):
-        repo = CrowdRepository()
-        _, key_a = repo.register_user("user_A", "a@lab.gov")
-        _, key_b = repo.register_user("user_B", "b@lab.gov")
+        node = CrowdShard("node")
+        users = node.repository.users
+        key_a, key_b = register(users, "user_A"), register(users, "user_B")
         app = DemoFunction()
         problem = app.make_problem(noisy=False)
 
@@ -116,9 +119,9 @@ class TestCrowdLifecycle:
                 "sync_crowd_repo": "yes",
             }
         )
-        client_a = CrowdClient(repo, meta_a)
+        client_a = CrowdClient(node, meta_a)
         client_a.tune(problem, {"t": 0.8}, 15, seed=0)
-        assert repo.count() == 15
+        assert node.count() == 15
 
         # user B transfers from A's data on a different task
         meta_b = MetaDescription.from_dict(
@@ -129,36 +132,30 @@ class TestCrowdLifecycle:
                 "sync_crowd_repo": "yes",
             }
         )
-        client_b = CrowdClient(repo, meta_b)
+        client_b = CrowdClient(node, meta_b)
         res = client_b.tune(
             problem, {"t": 1.0}, 5, strategy=MultitaskTS(), seed=1
         )
         assert res.tuner_name == "Multitask (TS)"
-        assert repo.count() == 20
+        assert node.count() == 20
         # records carry the normalized machine tag from user A
-        recs = repo.query(key_b, problem_name="demo")
+        recs = client_b.repository.query(key_b, problem_name="demo")
         assert any(
             r.machine_configuration.get("machine_name") == "Cori" for r in recs
         )
 
     def test_ensemble_through_crowd_api(self):
-        repo = CrowdRepository()
-        _, key = repo.register_user("solo", "s@lab.gov")
+        node = CrowdShard("node")
+        key = register(node.repository.users, "solo")
         app = DemoFunction()
         problem = app.make_problem(noisy=False)
-        # seed the repo with source data
+        # seed the node with source data
         rng = np.random.default_rng(0)
+        remote = RemoteRepository(node)
         for _ in range(25):
             cfg = problem.parameter_space.sample(rng)
-            repo.upload(
-                PerformanceRecord(
-                    problem_name="demo",
-                    task_parameters={"t": 0.8},
-                    tuning_parameters=cfg,
-                    output=problem.objective({"t": 0.8}, cfg),
-                ),
-                key,
-            )
+            evaluation = Evaluation({"t": 0.8}, cfg, problem.objective({"t": 0.8}, cfg))
+            remote.upload(key, "demo", evaluation, {}, {})
         meta = MetaDescription.from_dict(
             {
                 "api_key": key,
@@ -166,7 +163,7 @@ class TestCrowdLifecycle:
                 "problem_space": problem.describe(),
             }
         )
-        res = CrowdClient(repo, meta).tune(
+        res = CrowdClient(remote, meta).tune(
             problem, {"t": 1.2}, 6, strategy=EnsembleProposed(), seed=0
         )
         assert res.tuner_name == "Ensemble (proposed)"

@@ -23,6 +23,8 @@ from repro.registry import (
     record_counts,
     space_fingerprint,
 )
+from tests.conftest import register
+
 
 SPACE = {
     "parameter_space": [
@@ -39,7 +41,7 @@ def repo():
 
 @pytest.fixture
 def key(repo):
-    return repo.register_user("alice", "a@lab.gov")[1]
+    return register(repo.users, "alice")
 
 
 def _record(i, *, task=None, output=0.0, level="public", problem="demo"):
@@ -56,7 +58,7 @@ def _feed(registry, repo, key, n, *, task=None, start=0):
     """Upload + notify n eligible records, the way the server does."""
     for i in range(start, start + n):
         rec = _record(i, task=task, output=float(i))
-        repo.upload(rec, key)
+        repo.upload_many([rec], key)
         registry.notify([rec.to_doc()])
 
 
@@ -154,7 +156,7 @@ class TestBuildAndServe:
         entries = []
         for _ in range(2):
             repo = CrowdRepository()
-            k = repo.register_user("alice", "a@lab.gov")[1]
+            k = register(repo.users, "alice")
             registry = ModelRegistry(repo)
             registry.register_problem("demo", SPACE, timestamp=1.0)
             _feed(registry, repo, k, 6)
@@ -378,7 +380,7 @@ class TestReplicationHooks:
                 output=float(np.sin(3 * cfg["x"]) + cfg["y"] ** 2 - 0.5 * cfg["z"]),
                 accessibility=Accessibility(level="public"),
             )
-            repo.upload(rec, key)
+            repo.upload_many([rec], key)
             builder.notify([rec.to_doc()])
         entry = builder.entry_for("demo", TASK)
         assert entry is not None and entry.n_samples >= 32
@@ -411,7 +413,7 @@ class TestReplicationHooks:
         docs = []
         for i in range(3):
             rec = _record(i, output=float(i))
-            repo.upload(rec, key)
+            repo.upload_many([rec], key)
             docs.append(rec.to_doc())
         registry.notify(docs)
         assert registry.entry_for("demo", TASK) is not None

@@ -17,6 +17,8 @@ from repro.core.sparse import SparseGP, surrogate_from_dict
 from repro.crowd import CrowdRepository, PerformanceRecord
 from repro.crowd.records import Accessibility
 from repro.registry import ModelRegistry, RegistryOptions
+from tests.conftest import register
+
 
 SPACE = {
     "parameter_space": [
@@ -33,7 +35,7 @@ def repo():
 
 @pytest.fixture
 def key(repo):
-    return repo.register_user("alice", "a@lab.gov")[1]
+    return register(repo.users, "alice")
 
 
 def _upload_history(repo, key, n, seed=0):
@@ -48,7 +50,7 @@ def _upload_history(repo, key, n, seed=0):
             output=float(np.sin(6 * x) + 0.01 * rng.standard_normal()),
             accessibility=Accessibility(level="public"),
         )
-        repo.upload(rec, key)
+        repo.upload_many([rec], key)
 
 
 class TestSparseRegistryBuilds:
@@ -133,7 +135,7 @@ class TestSparseRegistryBuilds:
         a = registry.build("demo", TASK)
 
         repo2 = CrowdRepository()
-        key2 = repo2.register_user("bob", "b@lab.gov")[1]
+        key2 = register(repo2.users, "bob")
         registry2 = ModelRegistry(repo2, opts)
         registry2.register_problem("demo", SPACE)
         _upload_history(repo2, key2, 300)

@@ -203,7 +203,7 @@ class TestCrowdClientConsultation:
     def test_predictions_bit_identical_to_local_fallback(self, svc, key):
         for i in range(8):
             _upload(svc.client, key, i)
-        repo = svc.repository_view()
+        repo = svc.client
         via_registry = CrowdClient(repo, _meta(key))
         local = CrowdClient(repo, _meta(key), use_registry=False)
         via_registry.query_predict_output(PROBE, TASK)  # first call: builds
@@ -218,21 +218,21 @@ class TestCrowdClientConsultation:
     def test_surrogate_model_reconstructed_not_refit(self, svc, key):
         for i in range(8):
             _upload(svc.client, key, i)
-        client = CrowdClient(svc.repository_view(), _meta(key))
+        client = CrowdClient(svc.client, _meta(key))
         client.query_predict_output(PROBE, TASK)  # triggers the build
         with perf.collect() as stats:
             gp = client.query_surrogate_model(TASK)
         assert stats.counters.get("gp_fits", 0) == 0
         X = np.array([[c["x"]] for c in PROBE])
         local = CrowdClient(
-            svc.repository_view(), _meta(key), use_registry=False
+            svc.client, _meta(key), use_registry=False
         ).query_surrogate_model(TASK, seed=0)
         assert np.array_equal(gp.predict_mean(X), local.predict_mean(X))
 
     def test_sensitivity_report_served_fit_free(self, svc, key):
         for i in range(10):
             _upload(svc.client, key, i)
-        client = CrowdClient(svc.repository_view(), _meta(key))
+        client = CrowdClient(svc.client, _meta(key))
         client.query_predict_output(PROBE, TASK)  # triggers the build
         with perf.collect() as stats:
             report = client.query_sensitivity_analysis(TASK, n_base=64, seed=0)
@@ -244,7 +244,7 @@ class TestCrowdClientConsultation:
     def test_cross_task_and_max_samples_queries_fit_locally(self, svc, key):
         for i in range(8):
             _upload(svc.client, key, i)
-        client = CrowdClient(svc.repository_view(), _meta(key))
+        client = CrowdClient(svc.client, _meta(key))
         with perf.collect() as stats:
             client.query_predict_output(PROBE)  # task=None: local path
         assert stats.counters.get("gp_fits", 0) == 1
@@ -258,7 +258,7 @@ class TestCrowdClientConsultation:
             _, k = service.register_user("bob", "b@lab.gov")
             for i in range(6):
                 _upload(service.client, k, i)
-            client = CrowdClient(service.repository_view(), _meta(k))
+            client = CrowdClient(service.client, _meta(k))
             with perf.collect() as stats:
                 out = client.query_predict_output(PROBE, TASK, seed=0)
             assert stats.counters.get("gp_fits", 0) == 1
@@ -288,7 +288,7 @@ class TestMultitaskPSFromRegistryModels:
             )["ok"]
 
         _, bob = svc.register_user("bob", "bob@lab.gov")
-        client = CrowdClient(svc.repository_view(), _meta(bob))
+        client = CrowdClient(svc.client, _meta(bob))
         client.query_predict_output(PROBE, {"t": 0.8})  # triggers the build
         with perf.collect() as stats:
             gp = client.query_surrogate_model({"t": 0.8})

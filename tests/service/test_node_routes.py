@@ -105,6 +105,25 @@ class TestRecordRoutes:
         )
         assert [r["output"] for r in resp["records"]] == [1.0, 2.0]
 
+    def test_read_answers_are_stored_documents_without_node_ids(self, server, key):
+        """``query`` and ``query_sql`` answer the stored documents, in the
+        record schema's key order, as plain mutable dicts, and never with
+        the node-local ``_id`` (the router merges answers without one)."""
+        from repro.crowd import PerformanceRecord
+
+        _upload(server, key, out=3.0, machine_configuration={"machine_name": "cori"})
+        _upload(server, key, out=None, cfg={"x": 0.7})
+        stored = server.repository.store["performance_records"].find({})
+        schema = list(PerformanceRecord("p", {}, {}, None).to_doc())
+        for request in (
+            {"route": "query", "api_key": key, "require_success": False},
+            {"route": "query_sql", "api_key": key, "sql": "SELECT *"},
+        ):
+            records = server.handle(request)["records"]
+            assert all("_id" not in r and list(r) == schema for r in records)
+            assert records == [{k: v for k, v in d.items() if k != "_id"} for d in stored]
+            assert type(records[0]["machine_configuration"]) is dict
+
     def test_sql_syntax_error_is_bad_request(self, server, key):
         resp = server.handle(
             {"route": "query_sql", "api_key": key, "sql": "DROP TABLE users"}
@@ -287,7 +306,7 @@ class TestPoisonedOutput:
 
         repo = server.repository
         with pytest.raises(ValueError, match="output"):
-            repo.upload(record("fast"), key)
+            repo.upload_doc(record("fast").to_doc(), key)
         with pytest.raises(ValueError, match="output"):
             repo.upload_many([record(1.0), record(float("nan"))], key)
         assert repo.count() == 0

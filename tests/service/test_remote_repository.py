@@ -1,9 +1,9 @@
 """The crowd-tuning API (CrowdClient + TLA) over the sharded service.
 
-`RemoteRepository` adapts the service protocol back to the repository
-surface, so everything downstream — `query_source_data`, transfer
-tuning, evaluation sync — must behave exactly as against an in-process
-`CrowdRepository`.
+`RemoteRepository` is the one client path: the node's routes, as the
+crowd client calls them, so everything downstream — `query_source_data`,
+transfer tuning, evaluation sync — behaves the same against the sharded
+service as against one in-process node.
 """
 
 from __future__ import annotations
@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 
 from repro.apps.synthetic import DemoFunction
-from repro.crowd import CrowdClient, MetaDescription, PerformanceRecord
+from repro.core import TunerOptions, perf
+from repro.core.problem import Evaluation
+from repro.crowd import CrowdClient, MetaDescription
 from repro.crowd.users import AuthError
-from repro.service import build_service
+from repro.fabric import FabricOptions, FabricTuner
+from repro.service import CrowdShard, RegistryOptions, RemoteRepository, build_service
 from repro.tla import MultitaskTS
 
 
@@ -27,7 +30,7 @@ def svc():
 
 @pytest.fixture()
 def remote(svc):
-    return svc.repository_view()
+    return RemoteRepository(svc.client)
 
 
 @pytest.fixture()
@@ -70,15 +73,8 @@ def _seed_tasks(remote, key, problem, tasks, n, seed=0):
     for task in tasks:
         for _ in range(n):
             cfg = space.sample(rng)
-            remote.upload(
-                PerformanceRecord(
-                    problem_name=problem.name,
-                    task_parameters=dict(task),
-                    tuning_parameters=cfg,
-                    output=problem.objective(task, cfg),
-                ),
-                key,
-            )
+            evaluation = Evaluation(dict(task), cfg, problem.objective(task, cfg))
+            remote.upload(key, problem.name, evaluation, {}, {})
 
 
 class TestRemoteRepository:
@@ -89,6 +85,8 @@ class TestRemoteRepository:
         assert {r.owner for r in records} == {"user_A"}
         pinned = remote.query(key, problem_name="demo", task_parameters={"t": 1.0})
         assert len(pinned) == 4
+        with pytest.raises(TypeError):  # a misspelled filter, not every problem
+            remote.query(key, problem="demo")
 
     def test_query_sql_and_problems(self, remote, key, problem):
         _seed_tasks(remote, key, problem, [{"t": 3.0}], 5)
@@ -103,7 +101,7 @@ class TestRemoteRepository:
         with pytest.raises(AuthError):
             remote.query("not-a-key", problem_name="demo")
         with pytest.raises(AuthError):
-            remote.users.authenticate("not-a-key")
+            remote.authenticate("not-a-key")
 
 
 class TestCrowdClientOverService:
@@ -138,3 +136,61 @@ class TestCrowdClientOverService:
             key, problem_name="demo", task_parameters={"t": 5.0}
         )
         assert len(target) == 6
+
+
+class TestOneClientPath:
+    """Every caller reaches the crowd through the node's routes."""
+
+    def test_client_over_a_bare_node_serves_its_registry(self, problem):
+        """The registry answer equals the fit-locally answer under the
+        registry's seed, on one in-process node."""
+        node = CrowdShard("node", registry=RegistryOptions())
+        register = {"route": "register", "username": "u", "email": "u@lab.gov"}
+        key = node.handle(register)["api_key"]
+        _seed_tasks(RemoteRepository(node), key, problem, [{"t": 2.0}], 12)
+        client = CrowdClient(node, _meta(key))
+        assert isinstance(client.repository, RemoteRepository)
+        probes = [{"x": 0.1}, {"x": 0.55}, {"x": 0.9}]
+        answer = client.query_predict_output(probes, {"t": 2.0})  # registers the problem
+        served = client.repository.predict(key, "demo", {"t": 2.0}, probes)
+        assert served["ok"] and np.array_equal(served["mean"], answer)
+        local = CrowdClient(node, _meta(key), use_registry=False).query_predict_output(
+            probes, {"t": 2.0}, seed=RegistryOptions().seed
+        )
+        assert np.array_equal(served["mean"], local)
+
+    def test_source_data_and_fabric_consult_skip_the_same_records(self, svc, key, problem):
+        """One record -> observation rule: a record with a parameter the
+        space does not have is skipped, and counted, by both readers."""
+        task = {"t": 1.0}
+        for config in ({"x": 0.25}, {"x": 0.5}, {"x": 0.75, "extra": 3}, {"x": 0.9}):
+            response = svc.client.handle(
+                {
+                    "route": "upload",
+                    "api_key": key,
+                    "problem_name": problem.name,
+                    "task_parameters": task,
+                    "tuning_parameters": config,
+                    "output": problem.objective(task, {"x": config["x"]}),
+                }
+            )
+            assert response["ok"]
+        with perf.collect() as stats:
+            client = CrowdClient(RemoteRepository(svc.client), _meta(key))
+            (source,) = client.query_source_data(problem.parameter_space)
+        res = FabricTuner(
+            problem,
+            TunerOptions(n_initial=1),
+            FabricOptions(n_procs=1),
+            crowd=svc.client,
+            api_key=key,
+            consult=True,
+        ).tune(task, 1, seed=0)
+        seeded = [e for e in res.history if e.metadata.get("crowd_seed")]
+        assert source.n == len(seeded) == 3
+        assert np.array_equal(
+            source.X, problem.parameter_space.to_unit_array([e.config for e in seeded])
+        )
+        assert np.array_equal(source.y, [e.output for e in seeded])
+        assert stats.counters["crowd_source_skipped"] == 1
+        assert res.perf["counters"]["fabric_consult_skipped"] == 1
