@@ -22,8 +22,18 @@ bytes of one router ``leaderboard`` over 3 200 records / 64 tasks on 4
 shards at replication 2 — each shard reduces its own columns and ships
 one partial row per task.
 
+``test_write_path`` records what one upload costs
+(``results/service_write_path.json``): N uploads through a durable
+deployment (4 shards, replication 2, write quorum 2), each upload's wall
+and CPU (``process_time``) time, and the journal's fsyncs and images per
+upload — once insert-only, once with upsert churn (the problem space
+re-registered on every shard after each upload, so the replaced
+documents turn dead).
+
 Checks: >= 3x read throughput at 4 shards vs 1, and every acked write
-readable at full replication after the kill-and-rejoin cycle.  Smoke
+readable at full replication after the kill-and-rejoin cycle; exactly
+2 fsyncs per acked upload and no image on the insert-only run, and at
+least one image under churn (counts, exact at every scale).  Smoke
 mode (``REPRO_BENCH_SMOKE=1``) shrinks budgets and drops the thresholds
 to sanity checks — shared CI runners have noisy clocks.
 """
@@ -38,6 +48,7 @@ import tracemalloc
 import numpy as np
 
 from repro.core import perf
+from repro.registry import RegistryOptions
 from repro.service import RouterOptions, build_service
 
 from harness import FULL, SMOKE, save_results
@@ -224,6 +235,97 @@ def test_problem_wide_leaderboard():
             "smoke": SMOKE,
         },
     )
+
+
+WP_UPLOADS = 200 if SMOKE else 2000
+WP_TASKS = 64
+#: a problem space large next to one record, re-registered for churn
+WP_SPACE = {
+    "parameter_space": [
+        {"name": f"p{i}", "type": "real", "lower_bound": 0.0, "upper_bound": 1.0}
+        for i in range(32)
+    ]
+}
+
+
+def _write_path(data_dir, churn: bool) -> dict:
+    """Time ``WP_UPLOADS`` uploads one by one; with ``churn``, re-register
+    a problem space (on every shard) after each, outside the timed call."""
+    # builds never come due: only the problem-space upserts are registry work
+    registry = RegistryOptions(min_new_samples=10**9)
+    with build_service(
+        4, replication=2, write_quorum=2, data_dir=data_dir, registry=registry
+    ) as svc:
+        key = svc.register_user("bench", "bench@hpc.org")[1]
+        rng = np.random.default_rng(0)
+        requests = [
+            {
+                "route": "upload",
+                "api_key": key,
+                "problem_name": "bench",
+                "task_parameters": {"t": i % WP_TASKS},
+                "tuning_parameters": {"x": float(rng.uniform(-5, 5)), "n": i % 7},
+                "output": float(rng.uniform(0, 9)),
+                "machine_configuration": {"machine_name": "cori", "nodes": 1 + i % 3},
+            }
+            for i in range(WP_UPLOADS)
+        ]
+        churn_request = {
+            "route": "register_problem",
+            "api_key": key,
+            "problem_name": "churn",
+            "problem_space": WP_SPACE,
+        }
+        # the client asks for its id (journaled on every shard) first
+        assert svc.client.handle({**requests[0], "task_parameters": {"t": -1}})["ok"]
+        walls, cpus = [], []
+        with perf.collect() as stats:
+            for request in requests:
+                w0, c0 = time.perf_counter(), time.process_time()
+                response = svc.client.handle(request)
+                cpus.append(time.process_time() - c0)
+                walls.append(time.perf_counter() - w0)
+                assert response["ok"] and response["replicas_acked"] == 2, response
+                if churn:
+                    assert svc.client.handle(churn_request)["ok"]
+    counters = stats.counters
+    fsyncs = counters.get("wal_fsyncs", 0)
+    images = counters.get("wal_snapshots", 0)
+    return {
+        "uploads": WP_UPLOADS,
+        "churn": churn,
+        "wall_us_p50": 1e6 * float(np.median(walls)),
+        "wall_us_mean": 1e6 * float(np.mean(walls)),
+        "cpu_us_mean": 1e6 * float(np.mean(cpus)),
+        "wal_fsyncs": fsyncs,
+        "wal_fsyncs_per_upload": fsyncs / WP_UPLOADS,
+        "wal_snapshots": images,
+        "wal_snapshots_per_upload": images / WP_UPLOADS,
+    }
+
+
+def test_write_path(tmp_path):
+    insert_only = _write_path(tmp_path / "insert-only", churn=False)
+    churned = _write_path(tmp_path / "churn", churn=True)
+    for run in (insert_only, churned):
+        print(
+            f"\nwrite path ({'churn' if run['churn'] else 'insert-only'}): "
+            f"{run['uploads']} uploads, wall p50 {run['wall_us_p50']:.0f} us, "
+            f"CPU mean {run['cpu_us_mean']:.0f} us, "
+            f"{run['wal_fsyncs_per_upload']:.2f} fsyncs and "
+            f"{run['wal_snapshots']} images"
+        )
+    save_results(
+        "service_write_path",
+        {"shards": 4, "replication": 2, "write_quorum": 2, "smoke": SMOKE,
+         "insert_only": insert_only, "churn": churned},
+    )
+    # the insert-only run: one journal line and one fsync per replica
+    # write, and no image (every byte journaled is live)
+    assert insert_only["wal_fsyncs"] == 2 * WP_UPLOADS
+    assert insert_only["wal_snapshots"] == 0
+    # replaced documents are dead bytes: churn is checkpointed
+    assert churned["wal_snapshots"] >= 1
 
 
 KR_SHARDS = 4

@@ -93,12 +93,17 @@ def main() -> None:
     sources = client_b.query_source_data(problem.parameter_space)
     print(f"\nuser_B queried {sum(s.n for s in sources)} samples across "
           f"{len(sources)} source task(s)")
+    # the Spack spec's %gcc@8.3.0 is recorded as gcc software of its own,
+    # so the gcc clause selects user_A's task
+    if len(sources) != 1:
+        raise SystemExit(f"expected user_A's task as the one source, got {len(sources)}")
 
-    result_b = client_b.tune(
-        problem, {"m": 8000, "n": 8000}, 8, strategy=MultitaskTS(), seed=2
-    )
+    strategy = MultitaskTS()
+    result_b = client_b.tune(problem, {"m": 8000, "n": 8000}, 8, strategy=strategy, seed=2)
     print(f"user_B transfer-tuned m=n=8000 with {result_b.tuner_name}: "
           f"best {result_b.best_output:.2f} s in 8 evaluations")
+    if result_b.tuner_name != strategy.name:
+        raise SystemExit(f"user_B fell back to {result_b.tuner_name}: no transfer")
 
     # --- browse, then restart the node from its data directory ----------
     fastest = client_b.repository.query_sql(

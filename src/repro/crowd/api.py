@@ -136,7 +136,8 @@ class MetaDescription:
         ``machine_configuration`` may carry ``slurm: yes`` plus a
         ``slurm_environment`` dict; ``software_configuration`` may carry
         ``spack`` spec strings — the paper's automatic environment
-        parsing hooks.
+        parsing hooks.  A spec's compiler is software of its own too
+        (unless named here), so a ``gcc`` clause matches ``%gcc@8.3.0``.
         """
         machine = {
             k: v
@@ -155,6 +156,9 @@ class MetaDescription:
             for spec in specs:
                 parsed = parse_spack_spec(str(spec))
                 software[parsed.pop("name")] = parsed
+                compiler = dict(parsed.get("compiler", {}))
+                if compiler:
+                    software.setdefault(compiler.pop("name"), {**compiler, "source": "spack"})
         for key, value in self.software_configuration.items():
             if key != "spack":
                 software[key] = value
@@ -483,7 +487,8 @@ class CrowdClient:
         source task with ``min_source_samples`` successful samples (after
         excluding the target task itself), a
         :class:`~repro.tla.tuner.TransferTuner` drives the loop;
-        otherwise plain single-task BO.  All evaluations stream back to
+        otherwise plain single-task BO (``crowd_tla_fallbacks`` counts a
+        strategy that found no source).  All evaluations stream back to
         the crowd when the meta description enables syncing.
         """
         callbacks: list[Callable[[Evaluation], None]] = [self.record_evaluation]
@@ -501,5 +506,7 @@ class CrowdClient:
                 problem, strategy, sources, options=options, callbacks=callbacks
             )
         else:
+            if strategy is not None:
+                perf.incr("crowd_tla_fallbacks")
             tuner = Tuner(problem, options=options, callbacks=callbacks)
         return tuner.tune(task, n_samples, seed=seed)

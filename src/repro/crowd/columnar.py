@@ -114,6 +114,7 @@ __all__ = [
     "FrozenDict",
     "thaw",
     "Interner",
+    "KeyMemo",
     "ColumnarView",
     "QuerySyntaxError",
     "get_path",
@@ -133,7 +134,7 @@ def get_path(doc: Mapping[str, Any], path: str) -> Any:
     """Resolve a dotted path; missing segments yield ``None``."""
     cur: Any = doc
     for part in path.split("."):
-        if isinstance(cur, Mapping) and part in cur:
+        if (type(cur) is FrozenDict or isinstance(cur, Mapping)) and part in cur:
             cur = cur[part]
         else:
             return None
@@ -224,7 +225,7 @@ def freeze(value: Any) -> Any:
     key string, which would otherwise outweigh its values.
     """
     t = type(value)
-    if t is FrozenDict or t is FrozenList:
+    if t is FrozenDict or t is FrozenList or t is str or t in _NUMERIC:
         return value
     if isinstance(value, dict):
         return FrozenDict(
@@ -401,6 +402,22 @@ class Interner:
             return table
 
 
+class KeyMemo:
+    """``fn(name, block)`` once per name and stored (shared) block *object*,
+    held so its ``id`` stays its own until ``INTERN_MAX_DISTINCT`` entries."""
+
+    def __init__(self, fn: Callable[[Any, Any], Any]) -> None:
+        self._fn, self._memo = fn, {}
+
+    def __call__(self, name: Any, block: Any) -> Any:
+        hit = self._memo.get((name, id(block)))
+        if hit is None:
+            if len(self._memo) >= INTERN_MAX_DISTINCT:
+                self._memo.clear()
+            hit = self._memo[name, id(block)] = (block, self._fn(name, block))
+        return hit[1]
+
+
 # ---------------------------------------------------------------------------
 # columns
 # ---------------------------------------------------------------------------
@@ -466,15 +483,18 @@ class _Column:
         by_id: dict[int, int] = {}
 
         def code(value: Any) -> int:
-            if not isinstance(value, (dict, list)):
-                return col._code(value)  # a scalar's key costs nothing
+            if not isinstance(value, (dict, list)):  # a scalar is its own key
+                return col.lookup[value] if value in col.lookup else col._code(value)
             known = by_id.get(id(value))
             if known is None:
                 known = by_id[id(value)] = col._code(value)
             return known
 
+        values: Sequence[Any] = rows
+        for part in path.split("."):  # get_path, one level at a time for all rows
+            values = [v.get(part) if type(v) is FrozenDict else get_path(v, part) for v in values]
         n = len(rows)
-        codes = np.fromiter((code(get_path(doc, path)) for doc in rows), np.int32, n)
+        codes = np.fromiter(map(code, values), np.int32, n)
         size = _GROW  # the capacity appending would have reached
         while size < n:
             size *= 2

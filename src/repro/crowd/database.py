@@ -3,8 +3,8 @@
 The paper's shared database "manages collected performance samples in a
 JSON form using MongoDB".  No database server exists in this environment,
 so :class:`DocumentStore` implements the subset of MongoDB semantics the
-crowd-tuning workflows need, over plain Python dicts with JSON-file
-persistence:
+crowd-tuning workflows need, over plain Python dicts (a node persists
+its store through :class:`~repro.service.wal.DurableLog`):
 
 * collections with auto-assigned ``_id``,
 * ``find`` with filter documents supporting ``$eq``, ``$ne``, ``$gt``,
@@ -48,8 +48,9 @@ land while queries run concurrently, and the sharded service
 
 Durability hook: a store-level *mutation observer* receives one
 JSON-serializable op dict per mutation (insert / insert_many / update /
-delete / drop), in application order.  The service layer's write-ahead
-log (:mod:`repro.service.wal`) attaches here; replay goes through
+delete / drop), in application order (a :class:`Mutation`).  The
+service layer's write-ahead log (:mod:`repro.service.wal`) attaches
+here; replay goes through
 :meth:`Collection.restore` / :meth:`DocumentStore.apply_op`, which also
 accepts what earlier store versions wrote: one ``insert`` op per
 document, ``create_index`` ops and per-collection ``indexes`` lists in
@@ -61,7 +62,6 @@ from __future__ import annotations
 import json
 import threading
 from contextlib import contextmanager
-from pathlib import Path
 from collections.abc import Iterable, Iterator, Mapping
 from typing import Any, Callable
 
@@ -69,6 +69,20 @@ from ..core import perf
 from .columnar import ColumnarView, FrozenDict, Interner, QuerySyntaxError, thaw
 
 __all__ = ["DocumentStore", "Collection", "QuerySyntaxError"]
+
+_encode = json.JSONEncoder(sort_keys=True).encode
+_decode = json.JSONDecoder().decode
+
+
+class Mutation(dict):
+    """A store mutation as its observer gets it: the op a journal writes,
+    the stored documents it ``replaced`` and its JSON ``text``, if known."""
+
+    __slots__ = ("replaced", "text")
+
+    def __init__(self, op: dict, replaced: Iterable = (), text: str | None = None) -> None:
+        super().__init__(op)
+        self.replaced, self.text = replaced, text
 
 
 class Collection:
@@ -116,14 +130,28 @@ class Collection:
     # -- CRUD ------------------------------------------------------------------
     def insert(self, doc: Mapping[str, Any]) -> int:
         """Insert a document; returns its assigned ``_id``."""
-        return self.insert_frozen(doc)["_id"]
-
-    def insert_frozen(self, doc: Mapping[str, Any]) -> FrozenDict:
-        """:meth:`insert`, returning the stored frozen document itself
-        (zero copies; read-only, like ``find(..., frozen=True)``)."""
         with self._lock:
             stored = self._store_new(doc)
-            self._notify({"op": "insert", "c": self.name, "doc": stored})
+            self._notify(Mutation({"op": "insert", "c": self.name, "doc": stored}))
+        return stored["_id"]
+
+    def insert_canonical(self, doc: Mapping[str, Any]) -> FrozenDict:
+        """Insert ``doc`` (every key after ``"_id"``) as JSON has it: encoded
+        once, before the store changes (``TypeError`` for what JSON cannot
+        hold), stored decoded (as a restart reads it), journaled as encoded."""
+        text = _encode(doc)
+        if text[2:5] <= "_id":
+            raise ValueError("insert_canonical needs every key to sort after '_id'")
+        with self._lock:
+            text = f'{{"_id": {self._next_id}, {text[1:]}'
+            decoded = _decode(text)
+            for key, value in decoded.items():  # one object per number, not two
+                if type(value) in (int, float) and type(doc.get(key)) is type(value):
+                    decoded[key] = doc[key]
+            stored = self._store_new(decoded, decoded=True)
+            op = {"op": "insert", "c": self.name, "doc": stored}
+            line = f'{{"c": {_encode(self.name)}, "doc": {text}, "op": "insert"}}'
+            self._notify(Mutation(op, text=line))
         return stored
 
     def insert_many(self, docs: Iterable[Mapping[str, Any]]) -> list[int]:
@@ -136,7 +164,7 @@ class Collection:
             return []
         with self._lock:
             stored = [self._store_new(doc) for doc in docs]
-            self._notify({"op": "insert_many", "c": self.name, "docs": stored})
+            self._notify(Mutation({"op": "insert_many", "c": self.name, "docs": stored}))
         return [doc["_id"] for doc in stored]
 
     def _frozen(
@@ -155,10 +183,10 @@ class Collection:
             fields["_id"] = _id
         return FrozenDict(fields)
 
-    def _store_new(self, doc: Mapping[str, Any]) -> FrozenDict:
+    def _store_new(self, doc: Mapping[str, Any], decoded: bool = False) -> FrozenDict:
         """Freeze under the next id and column-append (lock held)."""
         _id = self._next_id
-        frozen = self._frozen(doc, _id)
+        frozen = self._frozen(doc, _id, decoded=decoded)
         self._next_id += 1
         self._docs[_id] = frozen
         self._columnar.on_insert(_id, frozen)
@@ -251,14 +279,8 @@ class Collection:
                 self._docs[doc["_id"]] = FrozenDict(merged)
             if matched:
                 self._columnar.mark_dirty()
-                self._notify(
-                    {
-                        "op": "update",
-                        "c": self.name,
-                        "flt": thaw(dict(flt)),
-                        "changes": thaw(dict(changes)),
-                    }
-                )
+                op = {"op": "update", "c": self.name, "flt": thaw(dict(flt))}
+                self._notify(Mutation({**op, "changes": thaw(dict(changes))}, matched))
         return len(matched)
 
     def delete(self, flt: Mapping[str, Any]) -> int:
@@ -269,9 +291,8 @@ class Collection:
                 del self._docs[doc["_id"]]
             if matched:
                 self._columnar.mark_dirty()
-                self._notify(
-                    {"op": "delete", "c": self.name, "flt": thaw(dict(flt))}
-                )
+                op = {"op": "delete", "c": self.name, "flt": thaw(dict(flt))}
+                self._notify(Mutation(op, matched))
         return len(matched)
 
     # -- persistence ------------------------------------------------------------
@@ -301,7 +322,7 @@ class Collection:
 
 
 class DocumentStore:
-    """A set of named collections, persistable to one JSON file."""
+    """A set of named collections."""
 
     def __init__(self) -> None:
         self._collections: dict[str, Collection] = {}
@@ -374,7 +395,8 @@ class DocumentStore:
         with self._lock:
             dropped = self._collections.pop(name, None)
             if dropped is not None and self._observer is not None:
-                self._observer({"op": "drop", "c": name})
+                replaced = list(dropped._docs.values())
+                self._observer(Mutation({"op": "drop", "c": name}, replaced))
 
     # -- persistence -------------------------------------------------------------
     def to_jsonable(self) -> dict[str, Any]:
@@ -384,9 +406,6 @@ class DocumentStore:
             "format": "gptunecrowd-store-v1",
             "collections": [c.to_jsonable() for c in collections],
         }
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_jsonable(), indent=1, sort_keys=True))
 
     @staticmethod
     def from_jsonable(blob: Mapping[str, Any]) -> "DocumentStore":
@@ -399,10 +418,3 @@ class DocumentStore:
         if blob.get("format") != "gptunecrowd-store-v1":
             raise ValueError("not a GPTuneCrowd store blob")
         return store
-
-    @staticmethod
-    def load(path: str | Path) -> "DocumentStore":
-        blob = json.loads(Path(path).read_text())
-        if blob.get("format") != "gptunecrowd-store-v1":
-            raise ValueError(f"{path}: not a GPTuneCrowd store file")
-        return DocumentStore.from_jsonable(blob)

@@ -113,37 +113,11 @@ class CrowdRepository:
             self.clock = max(self.clock, float(to))
 
     # -- upload ---------------------------------------------------------------
-    def upload_doc(
-        self,
-        doc: dict[str, Any],
-        api_key: str,
-        *,
-        timestamp: float | None = None,
-    ) -> Mapping[str, Any]:
-        """Store one record document (a :meth:`PerformanceRecord.to_doc`,
-        stamped in place) on behalf of the authenticated user; returns the
-        stored frozen document (the node's ``upload`` route).
-
-        The owner is forced to the authenticated user (uploads cannot
-        impersonate), and machine / software names are normalized against
-        the well-known tag database.  ``timestamp`` lets a trusted
-        front-end (the sharded router) stamp replicas of one logical write
-        with the same global time; end users never reach this parameter.
-        """
-        user = self.users.authenticate(api_key)
-        self._stamp(doc, user, timestamp)
-        return self.store[_RECORDS].insert_frozen(doc)
-
-    def _stamp(self, doc: dict[str, Any], user: User, timestamp: float | None) -> None:
-        """Check the result, stamp ownership/time and normalize tags, in
-        place."""
+    def owned(self, doc: dict[str, Any], user: User) -> dict[str, Any]:
+        """``doc`` as ``user`` stores it, in place: the result checked, the
+        owner forced (uploads cannot impersonate), tags normalized."""
         _check_output(doc["output"])
         doc["owner"] = user.username
-        if timestamp is not None:
-            doc["timestamp"] = float(timestamp)
-            self.advance_clock(timestamp)
-        else:
-            doc["timestamp"] = self._now()
         machine = doc["machine_configuration"]
         if machine.get("machine_name"):
             canonical = self.matcher.match_machine(machine["machine_name"])
@@ -154,14 +128,25 @@ class CrowdRepository:
             canonical = self.matcher.match_software(package)
             normalized_sw[canonical if canonical else package] = payload
         doc["software_configuration"] = normalized_sw
+        return doc
+
+    def insert_record(self, doc: dict[str, Any], timestamp: float | None) -> Mapping[str, Any]:
+        """Stamp an :meth:`owned` document (a trusted front-end's
+        ``timestamp``, else the next clock tick) and store it as JSON has
+        it (:meth:`Collection.insert_canonical`); returns the stored one."""
+        doc["timestamp"] = self._now() if timestamp is None else float(timestamp)
+        stored = self.store[_RECORDS].insert_canonical(doc)
+        if timestamp is not None:
+            self.advance_clock(timestamp)
+        return stored
 
     def upload_many(self, records: list[PerformanceRecord], api_key: str) -> list[int]:
         """Store a batch: one authentication, one lock acquisition, one
         batched journal op (one WAL line / fsync downstream)."""
         user = self.users.authenticate(api_key)
-        docs = [record.to_doc() for record in records]
+        docs = [self.owned(record.to_doc(), user) for record in records]
         for doc in docs:
-            self._stamp(doc, user, None)
+            doc["timestamp"] = self._now()
         return self.store[_RECORDS].insert_many(docs)
 
     # -- download ----------------------------------------------------------------

@@ -18,11 +18,10 @@ shards.  What is the queue's own:
   been running was never acknowledged, re-running it is correct);
 * ``redispatch`` ops are journaled so attempt counts survive recovery
   and a recovered queue keeps issuing fresh lease tokens;
-* snapshots follow the log's checkpoint rule (``snapshot_every`` ops
-  at least, and a journal that outgrew the last image) and are taken
-  under the queue lock, so the image holds exactly
-  the ops the snapshot covers (a replayed ``redispatch`` would count
-  twice over an image that already held it).
+* snapshots follow the log's checkpoint rule (the dead bytes are the
+  redispatches) and are taken under the queue lock, so the image holds
+  exactly the ops the snapshot covers (a replayed ``redispatch`` would
+  count twice over an image that already held it).
 
 Exactly-once completion reuses the idempotency-token pattern of the
 replicated service (PR 6): every lease carries a token
@@ -38,6 +37,7 @@ runs) with identical semantics minus persistence.
 
 from __future__ import annotations
 
+import json
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -52,6 +52,12 @@ __all__ = ["DurableJobQueue", "JobState"]
 _WAL_NAME = "queue.wal.jsonl"
 _SNAP_NAME = "queue.snapshot.json"
 _SNAP_FORMAT = "gptunecrowd-fabric-queue-v1"
+
+
+def _dead_bytes(op: Mapping[str, Any]) -> int:
+    """A ``redispatch`` line is dead as it is written (the job's document
+    counts attempts either way); its bytes, with ``, "seq": N`` and ``\\n``."""
+    return len(json.dumps(op)) + 18 if op["op"] == "redispatch" else 0
 
 
 class JobState:
@@ -120,9 +126,7 @@ class DurableJobQueue:
         memory only.
     snapshot_every:
         Fewest journaled ops between automatic snapshots; past that
-        floor one is taken once the journal has outgrown the last image
-        (snapshot + WAL truncation keeps recovery within about twice
-        the live queue, at O(journal) total image bytes).
+        floor one is taken once dead journal bytes reach the live ones.
     fsync_every:
         Passed through to the WAL — 1 (default) syncs every op.
     """
@@ -166,9 +170,10 @@ class DurableJobQueue:
                 self._jobs[job.job_id] = job
             self._next_job_id = int(image["next_job_id"])
 
-        def apply(op: Mapping[str, Any]) -> None:
+        def apply(op: Mapping[str, Any]) -> int:
             self._apply_op(op)
             perf.incr("fabric_queue_replayed")
+            return _dead_bytes(op)
 
         self._log.recover(load, apply)
         # un-completed jobs go back to pending in enqueue order: their
@@ -203,7 +208,7 @@ class DurableJobQueue:
         """Journal one op (queue lock held); snapshot when one is due."""
         if self._log is None:
             return
-        self._log.append(op)
+        self._log.append(op, _dead_bytes(op))
         if self._log.snapshot_due:
             self._write_snapshot()
 

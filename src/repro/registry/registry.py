@@ -47,6 +47,7 @@ from ..core.gp import GPFitError
 from ..core.sparse import make_surrogate, resolve_surrogate_kind, surrogate_from_dict
 from ..core.problem import task_key
 from ..core.space import Space
+from ..crowd.columnar import KeyMemo
 from ..crowd.database import Collection
 from ..crowd.query import build_filter
 from ..crowd.repository import CrowdRepository
@@ -132,13 +133,11 @@ class ModelRegistry:
         # version (how many stored records ``record_counts``) and the
         # version a build was last attempted at.  Both are read back from
         # the store, so a restart recovers the debounce with the records
+        self._keys = KeyMemo(lambda name, task: (name, repr(task_key(dict(task)))))
         self._version: dict[tuple[str, str], int] = {}
         for doc in repository.store[_RECORDS].find({}, frozen=True):
             if record_counts(doc):
-                key = (
-                    doc.get("problem_name", ""),
-                    repr(task_key(doc.get("task_parameters", {}))),
-                )
+                key = self._keys(doc.get("problem_name", ""), doc.get("task_parameters", {}))
                 self._version[key] = self._version.get(key, 0) + 1
         self._attempted: dict[tuple[str, str], int] = {
             (doc["problem_name"], doc["task_key"]): int(doc.get("data_version", 0))
@@ -250,8 +249,8 @@ class ModelRegistry:
         for doc in docs:
             if not record_counts(doc):
                 continue
-            task = dict(doc.get("task_parameters", {}))
-            key = (doc.get("problem_name", ""), repr(task_key(task)))
+            task = doc.get("task_parameters", {})
+            key = self._keys(doc.get("problem_name", ""), task)
             with self._lock:
                 version = self._version[key] = self._version.get(key, 0) + 1
                 due = (
@@ -263,7 +262,7 @@ class ModelRegistry:
             if not due:
                 continue
             try:
-                self.build(key[0], task)
+                self.build(key[0], dict(task))
             except _STORED_DATA_ERRORS as exc:
                 perf.incr("registry_build_errors")
                 self.last_build_error = (*key, repr(exc))

@@ -18,12 +18,12 @@ share the protocol's conventions:
   (``register`` alone requires no key),
 * success: ``{"ok": true, ...payload}``,
 * failure: ``{"ok": false, "error": <kind>, "message": <detail>}`` with
-  ``error`` in {"auth", "bad_request", "not_found"} — internal details
-  never leak into responses.
+  ``error`` in {"auth", "bad_request", "not_found", "conflict"} —
+  internal details never leak into responses.
 
 A :class:`~repro.service.wal.DurableLog` makes the node's document store
-durable (journal-then-ack, snapshots paid for by journal growth, crash
-recovery: the contract is stated there, once).  The shard never copies
+durable (journal-then-ack, an image once dead data reaches live data,
+crash recovery: the contract is stated there, once).  The shard never copies
 its store to persist or recover it: an image is serialized straight from
 the stored frozen documents, and a restart decodes the image one
 document at a time, in file order, into the store (which shares equal
@@ -46,14 +46,14 @@ import itertools
 import json
 import threading
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import Any
 
 from ..core import perf
-from ..crowd.columnar import sort_key, thaw
-from ..crowd.database import DocumentStore
-from ..crowd.records import Accessibility, PerformanceRecord
+from ..crowd.columnar import KeyMemo, sort_key, thaw
+from ..crowd.database import DocumentStore, Mutation
+from ..crowd.records import Accessibility
 from ..crowd.repository import CrowdRepository
 from ..crowd.users import AuthError, UserRegistry
 from ..crowd.views import contributor_stats, leaderboard
@@ -110,10 +110,15 @@ _SNAP_NAME = "snapshot.json"
 _SNAP_FORMAT = "gptunecrowd-shard-snapshot-v1"
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode
+_encode_task = json.JSONEncoder(sort_keys=True, default=str).encode
+#: the bytes stored documents take in a journal or an image
+_weight = lambda docs: sum(len(_encode(doc)) for doc in docs)
+
+
 def shard_key(problem_name: str, task_parameters: Mapping[str, Any] | None) -> str:
     """Canonical routing key for a record or a task-pinned query."""
-    task = json.dumps(dict(task_parameters or {}), sort_keys=True, default=str)
-    return f"{problem_name}\x00{task}"
+    return f"{problem_name}\x00{_encode_task(dict(task_parameters or {}))}"
 
 
 #: collections the healing protocol moves besides performance records
@@ -183,19 +188,11 @@ def newest_wins(docs: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
     return merged
 
 
-def _bucket_keys(collection: str, docs: list) -> Iterator[tuple[str, Mapping[str, Any]]]:
-    """``(bucket key, doc)`` per stored document of a scan.  Records and
-    registry entries co-locate under their task's ring key, problem docs
-    (broadcast to every shard) under the problem name.  A scan computes
-    each task's key once: equal stored task blocks are one object
-    (:class:`~repro.crowd.columnar.Interner`), alive while ``docs`` is."""
-    known: dict[tuple[Any, int], str] = {}
-    for doc in docs:
-        name, task = doc.get("problem_name", ""), doc.get("task_parameters")
-        if (name, id(task)) not in known:
-            ring_key = str(name) if collection == REGISTRY_PROBLEMS else shard_key(name, task)
-            known[name, id(task)] = bucket_key(collection, ring_key)
-        yield known[name, id(task)], doc
+def _bucket_key(name: tuple[str, Any], task: Any) -> str:
+    """The bucket of a ``(collection, problem)`` document, per its task."""
+    collection, problem = name
+    ring_key = str(problem) if collection == REGISTRY_PROBLEMS else shard_key(problem, task)
+    return bucket_key(collection, ring_key)
 
 
 class _BucketDigests:
@@ -212,6 +209,7 @@ class _BucketDigests:
     def __init__(self) -> None:
         #: collection -> bucket -> digest, for the collections kept current
         self._sums: dict[str, dict[str, int]] = {}
+        self.keys = KeyMemo(_bucket_key)  # a stored document's, per task block
 
     def load(self, collection: str, docs: list) -> None:
         """Rebuild one collection's sums from all its stored documents."""
@@ -220,7 +218,8 @@ class _BucketDigests:
 
     def _add(self, collection: str, docs: list) -> None:
         sums = self._sums[collection]
-        for key, doc in _bucket_keys(collection, docs):
+        for doc in docs:
+            key = self.keys((collection, doc.get("problem_name", "")), doc.get("task_parameters"))
             blob = f"{record_ident(doc)}@{doc.get('timestamp', 0.0)!r}".encode()
             digest = hashlib.blake2s(blob, digest_size=16).digest()
             sums[key] = (sums.get(key, 0) + int.from_bytes(digest, "little")) % (1 << 128)
@@ -318,9 +317,9 @@ class CrowdShard:
     demos).  With it, every store mutation is journaled before the
     response leaves :meth:`handle`, a snapshot is taken once at least
     ``snapshot_every`` ops were journaled since the last one and the
-    journal has outgrown it (counter ``wal_snapshots``), and
-    constructing a shard over an existing directory recovers snapshot +
-    WAL tail to exactly the last acknowledged state.
+    documents deleted or replaced since weigh as much as the live ones
+    (``wal_snapshots``), and constructing a shard over an existing
+    directory recovers snapshot + WAL tail to the last acknowledged state.
     """
 
     #: route -> handler method name, public and internal routes alike,
@@ -408,19 +407,24 @@ class CrowdShard:
         """
         assert self._log is not None
         store = DocumentStore()
+        replaced: list[Mapping[str, Any]] = []  # what the replayed op deleted
+        store.set_observer(observe := lambda op: replaced.extend(op.replaced))
 
         def load(image: Mapping[str, Any]) -> None:
             nonlocal store
             store = DocumentStore.from_jsonable(image["store"])
+            store.set_observer(observe)
 
-        def apply(op: dict[str, Any]) -> None:
+        def apply(op: dict[str, Any]) -> int:
             store.apply_op(op)
             perf.incr("wal_replayed")
+            dead, replaced[:] = _weight(replaced), []
+            return dead
 
         self._log.recover(load, apply)
         return store
 
-    def _journal(self, op: dict[str, Any]) -> None:
+    def _journal(self, op: Mutation) -> None:
         assert self._log is not None
         self._digests.observe(op)
         buffered = getattr(self._buffers, "ops", None)
@@ -431,7 +435,7 @@ class CrowdShard:
             return
         # runs under the collection lock, so a due snapshot is deferred:
         # handle() takes it after the request instead
-        self._log.append(op)
+        self._log.append(op.text or op, _weight(op.replaced))
 
     def snapshot(self) -> None:
         """Write a full store image and trim the journal.
@@ -470,7 +474,8 @@ class CrowdShard:
                     self._buffers.ops = None
                     if ops:
                         assert self._log is not None
-                        self._log.append_many(ops)
+                        dead = sum(_weight(op.replaced) for op in ops)
+                        self._log.append_many([op.text or op for op in ops], dead)
             else:
                 response = self._answer(route, request)
         perf.incr(self._requests)
@@ -539,15 +544,32 @@ class CrowdShard:
         # cross-shard reads deduplicate.  End users talk to the router,
         # which never forwards client-supplied values for them.
         uid = int(req.get("uid", 0)) or token_uid(req.get("idempotency_key"))
-        self.repository.users.authenticate(req["api_key"])
+        user = self.repository.users.authenticate(req["api_key"])
+        if not req["problem_name"]:
+            raise ValueError("record needs a problem name")
+        doc = {  # the stored document, checked as PerformanceRecord checks it
+            "problem_name": req["problem_name"],
+            "task_parameters": dict(req["task_parameters"]),
+            "tuning_parameters": dict(req["tuning_parameters"]),
+            "output": req.get("output"),
+            "machine_configuration": dict(req.get("machine_configuration", {})),
+            "software_configuration": dict(req.get("software_configuration", {})),
+            "accessibility": Accessibility.from_dict(req.get("accessibility")).to_dict(),
+            "uid": uid,
+        }
+        self.repository.owned(doc, user)
         if uid:
             # idempotent replay: a retry names the uid of its first
             # attempt, and a stored record is not duplicated; under a new
             # stamp the answer names the one kept (the new one is unused)
             coll = self.repository.store[_RECORDS]
             if coll.contains("uid", uid):
+                held = coll.find_one({"uid": uid}, frozen=True)
+                kept, unstamped = held.get("timestamp"), {"_id": 0, "timestamp": 0}
+                if _encode({**held, **unstamped}) != _encode({**doc, **unstamped}):
+                    message = f"uid {uid} names a stored record with other content"
+                    return {"ok": False, "error": "conflict", "message": message}
                 answer = {"ok": True, "uid": uid, "duplicate": True}
-                kept = coll.find_one({"uid": uid}, frozen=True).get("timestamp")
                 if req.get("timestamp") not in (None, kept):
                     answer["timestamp"] = kept
                 return answer
@@ -559,22 +581,11 @@ class CrowdShard:
             # resumes the clock past every stored stamp
             ts = self.repository._now() if ts is None else ts
             uid = int(ts)
-        record = PerformanceRecord(
-            problem_name=req["problem_name"],
-            task_parameters=dict(req["task_parameters"]),
-            tuning_parameters=dict(req["tuning_parameters"]),
-            output=req.get("output"),
-            machine_configuration=dict(req.get("machine_configuration", {})),
-            software_configuration=dict(req.get("software_configuration", {})),
-            accessibility=Accessibility.from_dict(req.get("accessibility")),
-            uid=uid,
-        )
-        stored = self.repository.upload_doc(
-            record.to_doc(), req["api_key"], timestamp=None if ts is None else float(ts)
-        )
+        doc["uid"] = uid
+        stored = self.repository.insert_record(doc, None if ts is None else float(ts))
         if self.registry is not None:
             self.registry.notify([stored])
-        return {"ok": True, "uid": stored["uid"]}
+        return {"ok": True, "uid": uid}
 
     def _route_query(self, req: Mapping[str, Any]) -> dict[str, Any]:
         task = req.get("task_parameters")
@@ -746,7 +757,9 @@ class CrowdShard:
             if collection != _RECORDS and collection not in _HEALED_COLLECTIONS:
                 raise ValueError(f"collection {collection!r} is not healed")
             docs = self.repository.store[collection].find({}, frozen=True)
-            for key, doc in _bucket_keys(collection, docs):
+            for doc in docs:
+                name = (collection, doc.get("problem_name", ""))
+                key = self._digests.keys(name, doc.get("task_parameters"))
                 if key in out:
                     out[key].append(doc)
         return out

@@ -27,16 +27,14 @@ thread wrote it** (``docs/architecture.md``, "Durability").
   the journal (the image may already contain it — see the caller's op
   vocabulary for why replaying it again is sound).
 * **The checkpoint rule**: an image is due once ``snapshot_every`` ops
-  were journaled since the last one (the floor) *and* the journal has
-  outgrown that image in bytes.  Every image of size S is thereby paid
-  for by at least S journaled bytes: an insert-only history writes
-  O(log n) images and O(n) image bytes in total instead of
-  O(n / ``snapshot_every``) images and O(n² / ``snapshot_every``) bytes,
-  and recovery reads at most about twice the live data (an image plus a
-  journal no larger than it, give or take ``snapshot_every`` ops).  The
-  three quantities are counted on append and re-read from disk by
-  :meth:`DurableLog.recover` and the trim, so a process that restarts
-  often checkpoints as if it had never stopped.
+  were journaled since the last one (the floor) *and* the dead bytes
+  have reached the live ones.  Each append says how many bytes on disk
+  it makes dead (the documents a delete or an upsert replaces, a
+  superseded queue transition), and recovery recounts them as it
+  replays, so a process that restarts often checkpoints as if it had
+  never stopped.  An insert-only history writes no image (replaying a
+  journaled insert decodes the same document an image would), and
+  recovery reads at most about twice the live data.
 * Images are written member by member (:func:`_json_chunks`), never as
   one string, and read back the same way: recovery hands the caller's
   ``load`` a lazy image whose outer containers are walked member by
@@ -86,12 +84,12 @@ class DurableLog:
     the cost of possibly losing the unsynced tail on an OS-level crash
     (a process crash alone loses nothing: appends always reach the OS).
 
-    :attr:`snapshot_due` turns true once at least ``snapshot_every`` ops
-    were journaled since the last snapshot and the journal is at least
-    as large as that snapshot (the module docstring's checkpoint rule);
-    the caller then calls :meth:`snapshot` from wherever it can produce
-    a consistent image.  Call :meth:`recover` once before the first
-    append.
+    An op is a mapping or its sorted JSON text (every key before
+    ``"seq"``); its line goes straight to the file descriptor.
+    :attr:`snapshot_due` turns true under the module docstring's
+    checkpoint rule; the caller then calls :meth:`snapshot` from wherever
+    it can produce a consistent image.  Call :meth:`recover` once before
+    the first append.
     """
 
     def __init__(
@@ -118,14 +116,13 @@ class DurableLog:
         self._lock = threading.Lock()
         #: one snapshot at a time; never taken with ``_lock`` held
         self._snapshot_lock = threading.Lock()
-        self._fh: Any = None
+        self._fh: Any = None  # unbuffered: a write is one write(2)
         self._seq = 0  # last sequence number handed out
         self._since_sync = 0
-        #: what the checkpoint rule weighs: ops journaled since the last
-        #: image, the journal's size and that image's, in bytes
+        #: the checkpoint rule's: ops since the image, bytes on disk, dead ones
         self._since_snapshot = 0
-        self._wal_bytes = 0
-        self._image_bytes = 0
+        self._bytes = 0
+        self._dead = 0
 
     @property
     def seq(self) -> int:
@@ -137,7 +134,7 @@ class DurableLog:
     def recover(
         self,
         load: Callable[[Mapping[str, Any]], None] | None = None,
-        apply: Callable[[dict[str, Any]], None] | None = None,
+        apply: Callable[[dict[str, Any]], int | None] | None = None,
     ) -> None:
         """Read the directory and open the journal for append.
 
@@ -151,24 +148,24 @@ class DurableLog:
         ``apply`` then receives each journal op the snapshot does not
         cover, in order, sequence number stripped, *as it is parsed* —
         the tail may be as large as the image, and is never held as a
-        list.  Numbering continues after the last op seen, and the
-        checkpoint rule resumes from what is on disk: the image's size,
-        the journal's size, the ops in the tail.
+        list — and returns the bytes it makes dead, as the append did.
+        Numbering and the checkpoint rule's counts resume from disk.
         """
         if self.snapshot_path.exists():
             self._load_image(load)
+            self._bytes = self.snapshot_path.stat().st_size
         covered = self._seq
         for entry in iter_wal(self.wal_path):
             seq = int(entry.pop("seq", 0))
             if seq <= covered:
                 continue  # already in the snapshot (the trim never ran)
             if apply is not None:
-                apply(entry)
+                self._dead += apply(entry) or 0
             self._seq = max(self._seq, seq)
             self._since_snapshot += 1
         self._repair_tail()
-        self._fh = open(self.wal_path, "a", encoding="utf-8")
-        self._wal_bytes = self.wal_path.stat().st_size
+        self._fh = open(self.wal_path, "ab", buffering=0)
+        self._bytes += self._fh.seek(0, os.SEEK_END)
         self._check_due_locked()
 
     def _load_image(self, load: Callable[[Mapping[str, Any]], None] | None) -> None:
@@ -182,7 +179,6 @@ class DurableLog:
                 raise ValueError(
                     f"{self.snapshot_path}: not a {self.snapshot_format} snapshot"
                 )
-            self._image_bytes = self.snapshot_path.stat().st_size
             if load is not None:
                 load(image)
             self._seq = int(image["wal_seq"])
@@ -222,45 +218,44 @@ class DurableLog:
             os.fsync(fh.fileno())
 
     # -- journaling ----------------------------------------------------------
-    def append(self, op: Mapping[str, Any]) -> int:
-        """Journal one op; returns its sequence number."""
+    def append(self, op: Mapping[str, Any] | str, dead: int = 0) -> int:
+        """Journal one op that kills ``dead`` bytes on disk; its sequence number."""
         with self._lock:
-            self._seq += 1
-            self._write_locked(json.dumps({"seq": self._seq, **op}, sort_keys=True), 1)
-            return self._seq
+            return self._write_locked([op], dead)
 
-    def append_many(self, ops: list[Mapping[str, Any]]) -> int:
-        """Journal a batch of ops under one lock acquisition, one buffer
-        write and one fsync accounting pass; returns the last sequence
-        number (or the current one for an empty batch)."""
+    def append_many(self, ops: list[Mapping[str, Any] | str], dead: int = 0) -> int:
+        """Journal a batch of ops under one lock acquisition, one write
+        and one fsync accounting pass; returns the last sequence number
+        (or the current one for an empty batch)."""
         with self._lock:
             if not ops:
                 return self._seq
-            lines = []
-            for op in ops:
-                self._seq += 1
-                lines.append(json.dumps({"seq": self._seq, **op}, sort_keys=True))
-            self._write_locked("\n".join(lines), len(ops))
             perf.incr("wal_batch_appends")
-            return self._seq
+            return self._write_locked(ops, dead)
 
-    def _write_locked(self, text: str, n: int) -> None:
-        self._fh.write(text + "\n")
-        self._fh.flush()
-        self._since_sync += n
+    def _write_locked(self, ops: list[Mapping[str, Any] | str], dead: int) -> int:
+        text = ""
+        for op in ops:
+            self._seq += 1
+            text += _line(op, self._seq) + "\n"
+        view = memoryview(text.encode())  # json escapes to ASCII
+        while view:  # a regular file takes it whole unless the disk is full
+            view = view[self._fh.write(view) :]
+        self._since_sync += len(ops)
         if self._since_sync >= self.fsync_every:
             self._sync_locked()
-        perf.incr("wal_appends", n)
-        self._since_snapshot += n
-        self._wal_bytes += len(text) + 1  # json.dumps escapes to ASCII
+        perf.incr("wal_appends", len(ops))
+        self._since_snapshot += len(ops)
+        self._bytes += len(text)
+        self._dead += dead
         self._check_due_locked()
+        return self._seq
 
     def _check_due_locked(self) -> None:
-        """The checkpoint rule: the floor of ops, and a journal that has
-        outgrown the image — each image is paid for by as many journaled
-        bytes, so images cost O(journal) in total and recovery reads at
-        most twice the live data."""
-        if self._since_snapshot >= self.snapshot_every and self._wal_bytes >= self._image_bytes:
+        """The checkpoint rule: the floor of ops, and dead bytes that
+        reached the live ones — an image drops at least as many bytes as
+        it keeps, and recovery reads at most about twice the live data."""
+        if self._since_snapshot >= self.snapshot_every and 2 * self._dead >= self._bytes:
             self.snapshot_due = True
 
     def _sync_locked(self) -> None:
@@ -291,32 +286,36 @@ class DurableLog:
             image_bytes = self.snapshot_path.stat().st_size
             perf.incr("wal_snapshot_bytes", image_bytes)
             with self._lock:
-                self._image_bytes = image_bytes
                 self._trim_locked(covered)
+                self._bytes += image_bytes
+                self._dead = 0
 
     def _trim_locked(self, covered: int) -> None:
         """Drop journal entries ``<= covered`` (they are in the snapshot)."""
         self._fh.close()
         if self._seq == covered:
-            self._fh = open(self.wal_path, "w", encoding="utf-8")
-            self._fh.flush()
+            self._fh = open(self.wal_path, "wb", buffering=0)
             os.fsync(self._fh.fileno())
         else:
             kept = [e for e in iter_wal(self.wal_path) if e["seq"] > covered]
             _replace_atomic(
                 self.wal_path, (json.dumps(e, sort_keys=True) + "\n" for e in kept)
             )
-            self._fh = open(self.wal_path, "a", encoding="utf-8")
+            self._fh = open(self.wal_path, "ab", buffering=0)
         self._since_sync = 0
-        self._wal_bytes = self.wal_path.stat().st_size
+        self._bytes = self._fh.seek(0, os.SEEK_END)
 
     def close(self) -> None:
-        """Flush, sync and close the journal (idempotent)."""
+        """Sync and close the journal (idempotent)."""
         with self._lock:
             if self._fh is not None and not self._fh.closed:
-                self._fh.flush()
                 os.fsync(self._fh.fileno())
                 self._fh.close()
+
+
+def _line(op: Mapping[str, Any] | str, seq: int) -> str:
+    """One journal line: the op's sorted JSON with its sequence number."""
+    return f'{op[:-1]}, "seq": {seq}}}' if type(op) is str else _encode({"seq": seq, **op})
 
 
 def iter_wal(path: str | Path) -> Iterator[dict[str, Any]]:

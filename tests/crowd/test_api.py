@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.apps.synthetic import DemoFunction
+from repro.core import perf
 from repro.core.problem import Evaluation
 from repro.crowd import CrowdClient, MetaDescription
 from repro.crowd.users import AuthError
@@ -130,6 +131,62 @@ class TestMetaDescription:
         machine, software = meta.resolve_environment()
         assert machine["nodes"] == 8 and machine["partition"] == "haswell"
         assert software["scalapack"]["version_split"] == [2, 1, 0]
+        # the spec's compiler is software of its own, unless named
+        assert software["gcc"] == {"version_split": [9, 3, 0], "source": "spack"}
+        named = _meta(
+            keys["user_A"],
+            software_configuration={
+                "spack": "scalapack@2.1.0%gcc@9.3.0",
+                "gcc": {"version_split": [9, 4, 0]},
+            },
+        )
+        assert named.resolve_environment()[1]["gcc"] == {"version_split": [9, 4, 0]}
+
+
+class TestSpackCompilerClause:
+    """The walkthrough's flow (``examples/crowd_repository.py``): records
+    described by a Spack spec match a ``gcc`` clause on its compiler."""
+
+    def _share(self, node, keys, demo_problem):
+        meta = _meta(
+            keys["user_A"],
+            sync="yes",
+            software_configuration={"spack": "scalapack@2.1.0%gcc@8.3.0"},
+        )
+        CrowdClient(node, meta).tune(demo_problem, {"t": 0.8}, 8, seed=1)
+
+    def _client_b(self, node, keys, software):
+        space = {"software_configurations": software, "user_configurations": ["user_A"]}
+        return CrowdClient(node, _meta(keys["user_B"], configuration_space=space))
+
+    def test_a_gcc_clause_selects_the_specs_records_and_transfer_tunes(
+        self, node, keys, demo_problem
+    ):
+        self._share(node, keys, demo_problem)
+        gcc8 = [{"gcc": {"version_from": [8, 0, 0], "version_to": [9, 0, 0]}}]
+        client = self._client_b(node, keys, gcc8)
+        sources = client.query_source_data(demo_problem.parameter_space)
+        assert [s.n for s in sources] == [8]
+        for clause in ([{"scalapack": {"version_from": [2, 0, 0]}}], []):
+            other = self._client_b(node, keys, clause)
+            assert len(other.query_function_evaluations()) == 8
+        strategy = MultitaskTS()
+        with perf.collect() as stats:
+            result = client.tune(demo_problem, {"t": 2.5}, 4, strategy=strategy, seed=2)
+        assert result.tuner_name == strategy.name
+        assert "crowd_tla_fallbacks" not in stats.counters
+
+    def test_a_strategy_without_a_source_is_counted_as_a_fallback(
+        self, node, keys, demo_problem
+    ):
+        self._share(node, keys, demo_problem)
+        gcc9 = [{"gcc": {"version_from": [9, 0, 0], "version_to": [10, 0, 0]}}]
+        client = self._client_b(node, keys, gcc9)
+        assert client.query_function_evaluations() == []
+        with perf.collect() as stats:
+            result = client.tune(demo_problem, {"t": 2.5}, 3, strategy=MultitaskTS(), seed=2)
+        assert result.tuner_name != MultitaskTS().name
+        assert stats.counters["crowd_tla_fallbacks"] == 1
 
 
 class TestCrowdClient:

@@ -205,22 +205,6 @@ class TestStore:
         store.drop("a")
         assert "a" not in store
 
-    def test_persistence_roundtrip(self, tmp_path, coll):
-        store = DocumentStore()
-        store._collections["records"] = coll
-        path = tmp_path / "db.json"
-        store.save(path)
-        loaded = DocumentStore.load(path)
-        assert loaded["records"].count() == 4
-        assert loaded["records"].find_one({"name": "b"})["value"] == 5
-        assert len(loaded["records"].find({"name": "a"})) == 1
-
-    def test_load_rejects_foreign_files(self, tmp_path):
-        p = tmp_path / "x.json"
-        p.write_text('{"something": "else"}')
-        with pytest.raises(ValueError):
-            DocumentStore.load(p)
-
 
 class TestPropertyBased:
     @given(

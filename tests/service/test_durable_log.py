@@ -12,24 +12,28 @@ both through one parametrized fixture:
   journal/snapshot protocol, reopen the directory: every acknowledged op
   is present, nothing that was never attempted is;
 * **the checkpoint rule** — an image is due after ``snapshot_every`` ops
-  *and* a journal that outgrew the last image, counted from what is on
-  disk: restarting before every ``snapshot_every``-th op still
-  checkpoints, and an insert-only run writes O(log n) images whose bytes
-  sum to O(final image);
+  *and* once the dead bytes reached the live ones, counted from what is
+  on disk: an insert-only history writes no image, dead bytes reaching
+  live bytes write exactly one, restarting before every op still
+  checkpoints, and recovery reads at most about twice the live data.
+  The tests above that need an image first journal dead data
+  (``prime``), so from then on the floor of ops decides when it comes;
 * **on-disk compatibility** — the bytes a fixed single-threaded call
   sequence writes equal the ones commit ``c5d1889`` wrote, and the
   directories that commit wrote (torn final line included) recover to
   the same documents / jobs.  The shard snapshot literal since lost one
   element, the empty ``surrogate_models`` collection the deleted model
   store created in every shard's store (an image that still holds it
-  recovers: ``test_wal_recovery.py`` pins that).
+  recovers: ``test_wal_recovery.py`` pins that).  The sequences take
+  that image explicitly: on their insert-only data the checkpoint rule
+  writes none.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
+import shutil
 import sys
 import threading
 
@@ -40,6 +44,9 @@ from repro.fabric import DurableJobQueue
 from repro.service import CrowdShard
 from repro.service import wal
 from repro.service.shard import shard_key
+
+#: a dead-data document: large next to everything the tests write after it
+_PAD = "x" * (1 << 16)
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +64,14 @@ class _User:
     def open(self, data_dir, snapshot_every=10_000):
         self.opened.append(self._open(data_dir, snapshot_every))
         return self.opened[-1]
+
+    def primed(self, data_dir, snapshot_every):
+        """A handle whose journal already holds more dead bytes than the
+        test will write live, so its first image comes at the test's
+        ``snapshot_every``-th op (the priming ops not counted)."""
+        handle = self.open(data_dir, self.prime_ops + snapshot_every)
+        self.prime(handle)
+        return handle
 
 
 class ShardUser(_User):
@@ -77,16 +92,31 @@ class ShardUser(_User):
     def _open(self, data_dir, snapshot_every):
         return CrowdShard("s0", data_dir, users=self.users, snapshot_every=snapshot_every)
 
-    def write(self, shard, i: int) -> int:
+    #: a padded upload, then the drop of its bucket
+    prime_ops = 2
+    #: churns per write that outweigh it
+    churns = 1
+
+    def prime(self, shard) -> None:
+        self.churn(shard, _PAD)
+
+    def churn(self, shard, pad: str = _PAD[:1024]) -> None:
+        """Two ops that leave the padded document dead."""
+        task = {"t": -1}
+        assert self.write(shard, -1, problem="churn", task=task, pad=pad) == -1
+        key = shard_key("churn", task)
+        assert shard.handle({"route": "drop_bucket", "key": key})["dropped"] == 1
+
+    def write(self, shard, i: int, problem="demo", task=None, pad=None) -> int:
         response = shard.handle(
             {
                 "route": "upload",
                 "api_key": self.key,
-                "problem_name": "demo",
-                "task_parameters": {"t": i % 3},
-                "tuning_parameters": {"x": i},
+                "problem_name": problem,
+                "task_parameters": {"t": i % 3} if task is None else task,
+                "tuning_parameters": {"x": i} if pad is None else {"pad": pad},
                 "output": float(i),
-                "uid": i + 1,
+                "uid": i + 10_000 if i < 0 else i + 1,
                 "timestamp": float(i + 1),
             }
         )
@@ -109,8 +139,25 @@ class QueueUser(_User):
     #: the queue snapshots under its own lock: writers wait for it
     writes_during_snapshot = False
 
+    #: a churn job, leased and redispatched (dead as it is written) 40 times
+    prime_ops = 41
+
     def _open(self, data_dir, snapshot_every):
         return DurableJobQueue(data_dir, snapshot_every=snapshot_every)
+
+    def prime(self, queue) -> None:
+        job_id = queue.enqueue({"churn": True})
+        for _ in range(40):
+            self.churn(queue, job_id)
+
+    #: churns per write that outweigh it
+    churns = 8
+
+    def churn(self, queue, job_id=None) -> None:
+        """One dead op: a lease of the oldest pending job, redispatched."""
+        job = queue.lease(0, 0.0, 1.0)
+        assert job is not None and job_id in (None, job.job_id)
+        queue.redispatch(job.job_id)
 
     def write(self, queue, i: int) -> int:
         job_id = queue.enqueue({"i": i})
@@ -148,7 +195,7 @@ def test_write_acked_during_a_snapshot_survives(user, tmp_path, monkeypatch):
     """A second thread's write lands between the image and the journal
     trim.  (At c5d1889 the shard acknowledged it, counted it, and lost it
     on restart: ``truncate()`` wiped an op the image did not hold.)"""
-    handle = user.open(tmp_path, snapshot_every=3)
+    handle = user.primed(tmp_path, snapshot_every=3)
     acked: list[int] = []
     inside_window: list[bool] = []
     real = wal.write_json_atomic
@@ -217,8 +264,8 @@ class _Kill(BaseException):
 def _kill_after_append(monkeypatch, user):
     real = wal.DurableLog.append
 
-    def append_then_die(self, op):
-        real(self, op)
+    def append_then_die(self, op, dead=0):
+        real(self, op, dead)
         raise _Kill
 
     monkeypatch.setattr(wal.DurableLog, "append", append_then_die)
@@ -262,7 +309,7 @@ KILL_POINTS = {
 def test_acked_ops_survive_kill(user, point, tmp_path, monkeypatch):
     if point == "mid-tail-rewrite" and not user.writes_during_snapshot:
         pytest.skip("the queue snapshots under its lock: its trim is a plain truncate")
-    handle = user.open(tmp_path, snapshot_every=5 * user.ops_per_write)
+    handle = user.primed(tmp_path, snapshot_every=5 * user.ops_per_write)
     acked = {user.write(handle, i) for i in range(4)}
     if point == "mid-tail-rewrite":
         # a second writer gets in while the snapshot file is written, so
@@ -293,7 +340,7 @@ def test_acked_ops_survive_kill(user, point, tmp_path, monkeypatch):
 
 
 def test_torn_final_journal_line_is_discarded_and_cut_off(user, tmp_path):
-    handle = user.open(tmp_path, snapshot_every=3 * user.ops_per_write)
+    handle = user.primed(tmp_path, snapshot_every=3 * user.ops_per_write)
     acked = {user.write(handle, i) for i in range(5)}  # snapshot + a tail
     journal = tmp_path / user.wal_name
     assert (tmp_path / user.snapshot_name).exists() and journal.stat().st_size > 0
@@ -311,35 +358,8 @@ def test_torn_final_journal_line_is_discarded_and_cut_off(user, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_restarting_before_every_checkpoint_still_checkpoints(user, tmp_path):
-    """Five runs of ``snapshot_every - 1`` ops each.  (Before the counts
-    came from disk, every run started its op count at zero, no run ever
-    reached ``snapshot_every``, and the journal grew without bound.)"""
-    writes = 5
-    every = writes * user.ops_per_write + 1
-    acked = set()
-    for cycle in range(5):
-        handle = user.open(tmp_path, snapshot_every=every)
-        acked |= {user.write(handle, 10 * cycle + i) for i in range(writes)}
-        handle.close()
-    image, journal = tmp_path / user.snapshot_name, tmp_path / user.wal_name
-    assert image.exists()
-    # what the rule leaves behind: fewer than the floor of ops, or a
-    # journal smaller than the image it would be folded into
-    journaled = len(wal.read_wal(journal))
-    assert journaled < every + user.ops_per_write or (
-        journal.stat().st_size < image.stat().st_size
-    )
-    assert user.present(_restart(user, tmp_path)) == acked
-
-
-def test_images_are_paid_for_by_journal_growth(user, tmp_path, monkeypatch):
-    """Insert-only: each image is at least ~twice the last, so a run of
-    N ops writes O(log N) images and their bytes sum to a small multiple
-    of the final one (every ``snapshot_every`` ops it was O(N) images and
-    O(N^2 / snapshot_every) bytes)."""
-    every = 4 * user.ops_per_write
-    writes = 60 * 4
+def _images_written(monkeypatch) -> list[int]:
+    """The size of every image written from here on."""
     sizes: list[int] = []
     real = wal.write_json_atomic
 
@@ -348,13 +368,95 @@ def test_images_are_paid_for_by_journal_growth(user, tmp_path, monkeypatch):
         sizes.append(os.path.getsize(path))
 
     monkeypatch.setattr(wal, "write_json_atomic", measured)
-    handle = user.open(tmp_path, snapshot_every=every)
-    acked = {user.write(handle, i) for i in range(writes)}
-    assert 2 <= len(sizes) <= math.ceil(math.log2(writes * user.ops_per_write / every)) + 1
-    assert sizes == sorted(sizes) and sum(sizes) <= 3 * sizes[-1]
-    # recovery reads at most about twice the live data
-    assert (tmp_path / user.wal_name).stat().st_size <= sizes[-1] + sizes[-1] // 4
+    return sizes
+
+
+def _on_disk(user, tmp_path) -> int:
+    """The bytes recovery reads: the image and the journal."""
+    return sum(
+        path.stat().st_size
+        for path in (tmp_path / user.snapshot_name, tmp_path / user.wal_name)
+        if path.exists()
+    )
+
+
+def test_an_insert_only_history_writes_no_image(user, tmp_path, monkeypatch):
+    """Replaying a journaled insert decodes the document an image would:
+    re-encoding live data buys nothing at recovery."""
+    sizes = _images_written(monkeypatch)
+    handle = user.open(tmp_path, snapshot_every=4 * user.ops_per_write)
+    acked = {user.write(handle, i) for i in range(240)}
+    assert sizes == [] and not (tmp_path / user.snapshot_name).exists()
     assert user.present(_restart(user, tmp_path, handle)) == acked
+
+
+def test_dead_bytes_reaching_live_bytes_write_one_image(user, tmp_path, monkeypatch):
+    every = 4 * user.ops_per_write
+    handle = user.open(tmp_path, snapshot_every=every)
+    acked = {user.write(handle, i) for i in range(20)}
+    if user.name == "queue":
+        handle.enqueue({"churn": True})
+    sizes = _images_written(monkeypatch)
+    churned = 0
+    while not sizes:
+        # dead bytes below the live ones: no image yet
+        assert 2 * churned < 1000
+        user.churn(handle)
+        churned += 1
+    assert len(sizes) == 1
+    # the image holds the live data and the journal starts over
+    assert (tmp_path / user.wal_name).stat().st_size == 0
+    assert user.present(_restart(user, tmp_path, handle)) == acked
+
+
+def test_restarting_before_every_checkpoint_still_checkpoints(user, tmp_path):
+    """A process restarted before every op: the ops since the image and
+    the dead bytes are recounted from disk.  (Before the counts came from
+    disk, every run started its op count at zero and the journal grew
+    without bound.)"""
+    every = 5 * user.ops_per_write + 1
+    handle = user.open(tmp_path, snapshot_every=every)
+    acked = {user.write(handle, i) for i in range(5)}
+    if user.name == "queue":
+        handle.enqueue({"churn": True})
+    for _ in range(200):
+        handle.close()
+        handle = user.open(tmp_path, snapshot_every=every)
+        user.churn(handle)
+        if (tmp_path / user.snapshot_name).exists():
+            break
+    assert (tmp_path / user.snapshot_name).exists()
+    assert user.present(_restart(user, tmp_path, handle)) == acked
+
+
+def test_recovery_reads_at_most_about_twice_the_live_data(user, tmp_path, monkeypatch):
+    """Writes and churn interleaved: whatever point the process stops
+    at, recovery reads the live data plus at most as many dead bytes,
+    give or take the floor's ops."""
+    every = 4 * user.ops_per_write
+    sizes = _images_written(monkeypatch)
+    live_dir, probe_dir = tmp_path / "live", tmp_path / "probe"
+    handle = user.open(live_dir, snapshot_every=every)
+    if user.name == "queue":
+        handle.enqueue({"churn": True})
+    acked = set()
+    for i in range(120):
+        acked.add(user.write(handle, i))
+        for _ in range(user.churns):
+            user.churn(handle)
+        if i % 20 == 19:
+            # the live data: an image of the same state, taken in a copy
+            images = len(sizes)
+            shutil.copytree(live_dir, probe_dir)
+            probe = user.open(probe_dir)
+            probe.snapshot()
+            probe.close()
+            live = sizes.pop()
+            assert len(sizes) == images
+            shutil.rmtree(probe_dir)
+            assert _on_disk(user, live_dir) <= 2 * live + every * 1200
+    assert len(sizes) >= 2  # the churn was checkpointed along the way
+    assert user.present(_restart(user, live_dir, handle)) == acked
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +482,8 @@ def shard_sequence(data_dir) -> dict[str, list]:
     shard = CrowdShard("s0", data_dir, users=who.users, snapshot_every=5)
     for uid in range(1, 7):
         assert shard.handle({"route": "upload", "api_key": who.key, **_record(uid, uid % 2)})["ok"]
+        if uid == 5:
+            shard.snapshot()
     healed = [{**_record(uid, 1), "owner": "bob"} for uid in (50, 51)]
     assert shard.handle({"route": "replicate", "records": healed})["applied"] == 2
     assert shard.handle({"route": "drop_bucket", "key": shard_key("demo", {"t": 0})})["dropped"] == 3
@@ -400,6 +504,7 @@ def queue_sequence(data_dir) -> list[dict]:
         queue.enqueue({"x": i / 4})
     first = queue.lease(0, 0.0, 1.0)
     assert queue.complete(first.job_id, first.lease_token, {"y": 0.5}) == "applied"
+    queue.snapshot()
     second = queue.lease(0, 0.0, 1.0)
     queue.redispatch(second.job_id)
     third = queue.lease(1, 2.0, 1.0)

@@ -106,9 +106,11 @@ class TestRecordRoutes:
         assert [r["output"] for r in resp["records"]] == [1.0, 2.0]
 
     def test_read_answers_are_stored_documents_without_node_ids(self, server, key):
-        """``query`` and ``query_sql`` answer the stored documents, in the
-        record schema's key order, as plain mutable dicts, and never with
-        the node-local ``_id`` (the router merges answers without one)."""
+        """``query`` and ``query_sql`` answer the stored documents, with
+        the record schema's keys in sorted order (the journal's, so a
+        restart answers the same bytes), as plain mutable dicts, and never
+        with the node-local ``_id`` (the router merges answers without
+        one)."""
         from repro.crowd import PerformanceRecord
 
         _upload(server, key, out=3.0, machine_configuration={"machine_name": "cori"})
@@ -120,7 +122,7 @@ class TestRecordRoutes:
             {"route": "query_sql", "api_key": key, "sql": "SELECT *"},
         ):
             records = server.handle(request)["records"]
-            assert all("_id" not in r and list(r) == schema for r in records)
+            assert all("_id" not in r and list(r) == sorted(schema) for r in records)
             assert records == [{k: v for k, v in d.items() if k != "_id"} for d in stored]
             assert type(records[0]["machine_configuration"]) is dict
 
@@ -306,7 +308,7 @@ class TestPoisonedOutput:
 
         repo = server.repository
         with pytest.raises(ValueError, match="output"):
-            repo.upload_doc(record("fast").to_doc(), key)
+            repo.owned(record("fast").to_doc(), repo.users.authenticate(key))
         with pytest.raises(ValueError, match="output"):
             repo.upload_many([record(1.0), record(float("nan"))], key)
         assert repo.count() == 0

@@ -161,6 +161,43 @@ class TestRetryNamesTheSameRecord:
                 assert sum(len(copies) for copies in held.values()) == 2
             assert svc.total_records() == 6
 
+    def test_a_reissued_uid_with_other_content_is_refused_not_acked(self):
+        """A rolling replacement of every shard, then a router restart:
+        the new shards never journaled client id 1, so the next client is
+        issued it again and names its first upload with client A's uid.
+        That upload is refused as a ``conflict``, never acknowledged (it
+        was acked and stored nowhere); a true retry is still a duplicate."""
+        with build_service(2, replication=2) as svc:
+            key = svc.register_user("alice", "a@lab.gov")[1]
+            first = _upload(ServiceClient(svc), key, 0)
+            assert first["ok"]
+            svc.add_shard()
+            svc.add_shard()
+            for name in ("shard-0", "shard-1"):
+                svc.remove_shard(name)
+            svc.restart_router()
+            client_b = ServiceClient(svc)
+            response = _upload(client_b, key, 7)
+            assert not response["ok"] and response["error"] == "conflict"
+            assert response.get("uid") is None and "replicas_acked" not in response
+            held = _held(svc, first["uid"])
+            assert [len(copies) for copies in held.values()] == [1, 1]
+            assert all('"x": 0' in copies[0] for copies in held.values())
+            # the same content under the same uid is a retry, not a conflict
+            retry = svc.router.handle(
+                {
+                    "route": "upload",
+                    "api_key": key,
+                    "problem_name": "demo",
+                    "task_parameters": TASK,
+                    "tuning_parameters": {"x": 0},
+                    "output": 0.0,
+                    "idempotency_key": [first["uid"] // TOKEN_N, first["uid"] % TOKEN_N],
+                }
+            )
+            assert retry["ok"] and retry["uid"] == first["uid"]
+            assert svc.total_records() == 2
+
     def test_a_new_client_gets_a_tokened_upload_while_a_shard_is_down(self):
         with build_service(3, replication=2) as svc:
             key = svc.register_user("alice", "a@lab.gov")[1]

@@ -11,6 +11,9 @@ route built its stored document in one pass (the literals below; run
 this module to print them for the checkout on ``PYTHONPATH``).  The
 snapshot literal since lost one element, the empty ``surrogate_models``
 collection: the deleted model store created it in every shard's store.
+The ``documents`` literal since took the journal's key order (sorted,
+``_id`` first): the store keeps the decoding of the line it journals,
+so a restarted node reads back the same bytes.
 
 Every upload is router-stamped (``uid`` given): an unstamped one draws
 from the process-wide uid counter, whose value depends on what ran
@@ -101,40 +104,39 @@ PARENT = {
         {"ok": True, "uid": 7},
     ],
     "documents": (
-        '[{"uid": 1, "problem_name": "demo", "task_parameters": {"t": 0}, "tuning_par'
-        'ameters": {"x": 0.125, "mb": 4}, "output": 1.5, "owner": "alice", "machine_c'
-        'onfiguration": {"machine_name": "Cori", "haswell": {"nodes": 8, "cores": 32}'
-        '}, "software_configuration": {"scalapack": {"version_split": [2, 1, 0]}, "gc'
-        'c": {"version_split": [9, 1, 0]}}, "accessibility": {"level": "public", "gro'
-        'ups": []}, "timestamp": 1.0, "_id": 1}, {"uid": 2, "problem_name": "demo", "'
-        'task_parameters": {"t": 0}, "tuning_parameters": {"x": 0.25, "mb": 8}, "outp'
-        'ut": null, "owner": "alice", "machine_configuration": {"machine_name": "Cori'
-        '", "haswell": {"nodes": 8, "cores": 32}}, "software_configuration": {"scalap'
-        'ack": {"version_split": [2, 1, 0]}, "gcc": {"version_split": [9, 1, 0]}}, "a'
-        'ccessibility": {"level": "public", "groups": []}, "timestamp": 2.0, "_id": 2'
-        '}, {"uid": 3, "problem_name": "demo", "task_parameters": {"t": 1}, "tuning_p'
-        'arameters": {"x": 0.375, "mb": 12}, "output": 0.25, "owner": "alice", "machi'
-        'ne_configuration": {"machine_name": "Cori", "haswell": {"nodes": 8, "cores":'
-        ' 32}}, "software_configuration": {"scalapack": {"version_split": [2, 1, 0]},'
-        ' "gcc": {"version_split": [9, 1, 0]}}, "accessibility": {"level": "private",'
-        ' "groups": []}, "timestamp": 3.0, "_id": 3}, {"uid": 5, "problem_name": "dem'
-        'o", "task_parameters": {"t": 1}, "tuning_parameters": {"x": 0.625, "mb": 20}'
-        ', "output": 7, "owner": "alice", "machine_configuration": {"machine_name": "'
-        'Cori", "haswell": {"nodes": 8, "cores": 32}}, "software_configuration": {"sc'
-        'alapack": {"version_split": [2, 1, 0]}, "gcc": {"version_split": [9, 1, 0]}}'
-        ', "accessibility": {"level": "group", "groups": ["g"]}, "timestamp": 5.0, "_'
-        'id": 4}, {"uid": 6, "problem_name": "demo", "task_parameters": {"t": 0}, "tu'
-        'ning_parameters": {"x": 0.75, "mb": 24}, "output": 2.0, "owner": "alice", "m'
-        'achine_configuration": {"machine_name": "Cori", "haswell": {"nodes": 8, "cor'
-        'es": 32}}, "software_configuration": {"scalapack": {"version_split": [2, 1, '
-        '0]}, "gcc": {"version_split": [9, 1, 0]}}, "accessibility": {"level": "publi'
-        'c", "groups": []}, "timestamp": 6.0, "_id": 5}, {"uid": 7, "problem_name": "'
-        'demo", "task_parameters": {"t": 1}, "tuning_parameters": {"x": 0.875, "mb": '
-        '28}, "output": 3.0, "owner": "alice", "machine_configuration": {"machine_nam'
-        'e": "Cori", "haswell": {"nodes": 8, "cores": 32}}, "software_configuration":'
-        ' {"scalapack": {"version_split": [2, 1, 0]}, "gcc": {"version_split": [9, 1,'
-        ' 0]}}, "accessibility": {"level": "public", "groups": []}, "timestamp": 9.0,'
-        ' "_id": 6}]'
+        '[{"_id": 1, "accessibility": {"groups": [], "level": "public"}, "machine_confi'
+        'guration": {"haswell": {"cores": 32, "nodes": 8}, "machine_name": "Cori"}, "ou'
+        'tput": 1.5, "owner": "alice", "problem_name": "demo", "software_configuration"'
+        ': {"gcc": {"version_split": [9, 1, 0]}, "scalapack": {"version_split": [2, 1, '
+        '0]}}, "task_parameters": {"t": 0}, "timestamp": 1.0, "tuning_parameters": {"mb'
+        '": 4, "x": 0.125}, "uid": 1}, {"_id": 2, "accessibility": {"groups": [], "leve'
+        'l": "public"}, "machine_configuration": {"haswell": {"cores": 32, "nodes": 8},'
+        ' "machine_name": "Cori"}, "output": null, "owner": "alice", "problem_name": "d'
+        'emo", "software_configuration": {"gcc": {"version_split": [9, 1, 0]}, "scalapa'
+        'ck": {"version_split": [2, 1, 0]}}, "task_parameters": {"t": 0}, "timestamp": '
+        '2.0, "tuning_parameters": {"mb": 8, "x": 0.25}, "uid": 2}, {"_id": 3, "accessi'
+        'bility": {"groups": [], "level": "private"}, "machine_configuration": {"haswel'
+        'l": {"cores": 32, "nodes": 8}, "machine_name": "Cori"}, "output": 0.25, "owner'
+        '": "alice", "problem_name": "demo", "software_configuration": {"gcc": {"versio'
+        'n_split": [9, 1, 0]}, "scalapack": {"version_split": [2, 1, 0]}}, "task_parame'
+        'ters": {"t": 1}, "timestamp": 3.0, "tuning_parameters": {"mb": 12, "x": 0.375}'
+        ', "uid": 3}, {"_id": 4, "accessibility": {"groups": ["g"], "level": "group"}, '
+        '"machine_configuration": {"haswell": {"cores": 32, "nodes": 8}, "machine_name"'
+        ': "Cori"}, "output": 7, "owner": "alice", "problem_name": "demo", "software_co'
+        'nfiguration": {"gcc": {"version_split": [9, 1, 0]}, "scalapack": {"version_spl'
+        'it": [2, 1, 0]}}, "task_parameters": {"t": 1}, "timestamp": 5.0, "tuning_param'
+        'eters": {"mb": 20, "x": 0.625}, "uid": 5}, {"_id": 5, "accessibility": {"group'
+        's": [], "level": "public"}, "machine_configuration": {"haswell": {"cores": 32,'
+        ' "nodes": 8}, "machine_name": "Cori"}, "output": 2.0, "owner": "alice", "probl'
+        'em_name": "demo", "software_configuration": {"gcc": {"version_split": [9, 1, 0'
+        ']}, "scalapack": {"version_split": [2, 1, 0]}}, "task_parameters": {"t": 0}, "'
+        'timestamp": 6.0, "tuning_parameters": {"mb": 24, "x": 0.75}, "uid": 6}, {"_id"'
+        ': 6, "accessibility": {"groups": [], "level": "public"}, "machine_configuratio'
+        'n": {"haswell": {"cores": 32, "nodes": 8}, "machine_name": "Cori"}, "output": '
+        '3.0, "owner": "alice", "problem_name": "demo", "software_configuration": {"gcc'
+        '": {"version_split": [9, 1, 0]}, "scalapack": {"version_split": [2, 1, 0]}}, "'
+        'task_parameters": {"t": 1}, "timestamp": 9.0, "tuning_parameters": {"mb": 28, '
+        '"x": 0.875}, "uid": 7}]'
     ),
     "files": {
         'wal.jsonl': (
