@@ -22,14 +22,14 @@ threshold to a sanity check — shared CI runners are noisy).
 ``test_store_memory_and_checkpoints`` records absolute rows
 (``results/store_memory.json``) for one durable shard fed uploads shaped
 like the end-to-end benchmark's (3 machine x 2 software x 64 task
-blocks): traced bytes per stored record, images written and image bytes
-for the run (none: the uploads are insert-only, and the checkpoint rule
-writes an image only once dead bytes reach live ones), journal and image
-bytes left on disk, and the seconds a
-restart takes with none and with half of the records in the journal tail
-— plus its traced peak above the store it rebuilds, which must stay
-under 0.3 MB when there is no tail, whatever the image's size (the image
-is read through a bounded window and decoded a document at a time).
+blocks): traced bytes per stored record, compactions ("images") written
+and their bytes for the run (none: the uploads are insert-only, and the
+checkpoint rule compacts only once dead bytes reach live ones), the
+compacted and the journaled-after bytes left on disk, and the seconds a
+restart takes with none and with half of the records journaled after
+the compacted part — plus its traced peak above the store it rebuilds,
+which must stay under 0.3 MB when everything is compacted, whatever the
+journal's size (it is read and applied a line at a time).
 """
 
 from __future__ import annotations
@@ -132,9 +132,18 @@ def test_columnar_read_paths():
 
 
 def _journal(tmp: str) -> DurableLog:
-    log = DurableLog(tmp, "wal.jsonl", "snapshot.json", "bench-v1", snapshot_every=10**9)
+    log = DurableLog(tmp, "wal.jsonl", snapshot_every=10**9)
     log.recover()
     return log
+
+
+def _compacted_bytes(journal: str) -> int:
+    """The bytes of a journal's compacted part, through its checkpoint
+    line (0: never compacted)."""
+    marker = b'{"op": "checkpoint"}\n'
+    with open(journal, "rb") as fh:
+        end = fh.read().find(marker)
+    return 0 if end < 0 else end + len(marker)
 
 
 def test_batched_insert_and_journal():
@@ -234,7 +243,7 @@ def test_store_memory_and_checkpoints():
     users.register("alice", "a@lab.gov")
     key = users.issue_api_key("alice")
 
-    # the library's defaults: what a record costs, what the images cost
+    # the library's defaults: what a record costs, what compactions cost
     stats = perf.PerfStats()
     with tempfile.TemporaryDirectory() as tmp:
         gc.collect()
@@ -246,10 +255,13 @@ def test_store_memory_and_checkpoints():
             gc.collect()
             bytes_per_record = (tracemalloc.get_traced_memory()[0] - before) / n
         tracemalloc.stop()
-        on_disk = {p.name: p.stat().st_size for p in shard.data_dir.iterdir()}
+        journal = os.path.join(tmp, "wal.jsonl")
+        compacted_on_disk = _compacted_bytes(journal)
+        journal_on_disk = os.path.getsize(journal) - compacted_on_disk
     counters = stats.snapshot()["counters"]
 
-    # a restart, with half of the store in the journal tail and with none:
+    # a restart, with half of the store journaled after the compacted part
+    # and with none:
     # its wall time, and its traced peak above the store it rebuilds
     with tempfile.TemporaryDirectory() as tmp:
 
@@ -282,7 +294,7 @@ def test_store_memory_and_checkpoints():
             shard.snapshot()
         recover_no_tail_s = _wall(restart_s)
         recover_no_tail_peak = restart_peak_bytes()
-        recover_image_bytes = os.path.getsize(os.path.join(tmp, "snapshot.json"))
+        recover_image_bytes = os.path.getsize(os.path.join(tmp, "wal.jsonl"))
 
     row = {
         "records": n,
@@ -291,8 +303,8 @@ def test_store_memory_and_checkpoints():
         "image_bytes_written": counters.get("wal_snapshot_bytes", 0),
         "interned_values": counters.get("store_interned_values", 0),
         "intern_overflows": counters.get("store_intern_overflows", 0),
-        "image_bytes_on_disk": on_disk.get("snapshot.json", 0),
-        "journal_bytes_on_disk": on_disk.get("wal.jsonl", 0),
+        "image_bytes_on_disk": compacted_on_disk,
+        "journal_bytes_on_disk": journal_on_disk,
         "recover_s_tail_0pct": recover_no_tail_s,
         "recover_s_tail_50pct": recover_half_tail_s,
         "recover_image_bytes": recover_image_bytes,
@@ -306,9 +318,8 @@ def test_store_memory_and_checkpoints():
         print(f"  {name:<30} {value:.4g}" if isinstance(value, float) else f"  {name:<30} {value}")
     save_results("store_memory", row)
     assert row["images_written"] == 0 and row["interned_values"] > n
-    # recovery reads the image through a bounded window and decodes it a
-    # document at a time: its scratch does not grow with the image (the
-    # image's text read whole was 0.98x its bytes, the parsed image 4.45x)
+    # recovery reads the compacted journal a line at a time: its scratch
+    # does not grow with the journal
     assert recover_no_tail_peak <= 0.3e6
 
 

@@ -321,7 +321,7 @@ def _cmd_service(args: argparse.Namespace) -> int:
                 print(f"registry predict unavailable: {pred.get('message')}")
         if args.data_dir:
             svc.snapshot_all()
-            print(f"snapshots + WALs persisted under {args.data_dir}")
+            print(f"compacted shard journals persisted under {args.data_dir}")
     finally:
         svc.close()
     return 0
@@ -483,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     p_svc.add_argument("--read-quorum", type=int, default=1,
                        help="replicas consulted (and read-repaired) per pinned read")
     p_svc.add_argument("--uploads", type=int, default=32)
-    p_svc.add_argument("--data-dir", help="persist shard WALs/snapshots here")
+    p_svc.add_argument("--data-dir", help="persist shard journals here")
     p_svc.add_argument("--registry", action="store_true",
                        help="attach the frozen surrogate-model registry "
                             "and demo server-side prediction")
@@ -508,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="hard-kill one busy worker after N completions "
                             "(crash demo; 0 = no kill)")
     p_fab.add_argument("--data-dir",
-                       help="durable job-queue directory (WAL + snapshots)")
+                       help="durable job-queue directory (one journal)")
     p_fab.add_argument("--shards", type=int, default=2,
                        help="crowd-service shards behind the streamed uploads")
     p_fab.set_defaults(func=_cmd_fabric)

@@ -345,8 +345,8 @@ class Interner:
         return self._freeze(doc, False)
 
     def freeze_decoded(self, doc: Mapping[str, Any]) -> dict[str, Any]:
-        """:meth:`freeze_fields` for a document of a store image or
-        journal, built of exactly the JSON types (as a decoder or the
+        """:meth:`freeze_fields` for a document of a journal, built of
+        exactly the JSON types (as a decoder or the
         store hands them out): the ``repr`` of such a value identifies
         it, so one equal to a table entry is that entry's twin and is
         shared without being walked; only a new value is weighed."""

@@ -25,17 +25,14 @@ Documents are stored deep-frozen (:mod:`repro.crowd.columnar`) and
 copied on the way in and out, so callers can never mutate stored state
 by aliasing — important because the repository layer enforces access
 control on these documents.  Every way in (``insert`` / ``insert_many``
-/ ``restore`` / ``update`` / ``from_jsonable``) goes through the
+/ ``update`` / journal replay through ``apply_op``) goes through the
 collection's :class:`~repro.crowd.columnar.Interner`, so equal small
 sub-documents and short strings — the machine, software, task and
 accessibility blocks, problem name and owner every crowd record repeats
 — are one shared immutable object per collection (counters
-``store_interned_values``, ``store_intern_overflows``).  The replay
-paths, ``apply_op`` and ``from_jsonable``, take an image's or a
-journal's documents, built of exactly the JSON types, and share one
-equal to a stored value without walking it.  ``to_jsonable`` hands out
-the stored frozen documents themselves, so an image is serialized
-without a copy.
+``store_interned_values``, ``store_intern_overflows``).  Replay takes a
+journal's documents, built of exactly the JSON types, and shares one
+equal to a stored value without walking it.
 ``find(..., frozen=True)`` hands read-only callers the stored immutable
 views directly (zero copies, mutation raises; counter
 ``store_zero_copy_reads``); the default remains a mutable deep copy.
@@ -50,11 +47,13 @@ Durability hook: a store-level *mutation observer* receives one
 JSON-serializable op dict per mutation (insert / insert_many / update /
 delete / drop), in application order (a :class:`Mutation`).  The
 service layer's write-ahead log (:mod:`repro.service.wal`) attaches
-here; replay goes through
-:meth:`Collection.restore` / :meth:`DocumentStore.apply_op`, which also
-accepts what earlier store versions wrote: one ``insert`` op per
-document, ``create_index`` ops and per-collection ``indexes`` lists in
-snapshots (both ignored — there are no indexes to rebuild).
+here, and compacts itself to :meth:`DocumentStore.journal_lines` — the
+stored documents themselves, encoded as their inserts journaled them,
+never a copy.  Replay goes through :meth:`DocumentStore.apply_op`, which
+also accepts what earlier store versions wrote: one ``insert`` op per
+document, ``create_index`` ops (ignored — there are no indexes to
+rebuild) and a whole store image (the ``image`` op a journal's
+migration hands over).
 """
 
 from __future__ import annotations
@@ -72,6 +71,12 @@ __all__ = ["DocumentStore", "Collection", "QuerySyntaxError"]
 
 _encode = json.JSONEncoder(sort_keys=True).encode
 _decode = json.JSONDecoder().decode
+
+
+def _insert_line(name: str, doc: str) -> str:
+    """An ``insert`` op's journal line from the encoded collection name
+    and document."""
+    return f'{{"c": {name}, "doc": {doc}, "op": "insert"}}'
 
 
 class Mutation(dict):
@@ -150,8 +155,7 @@ class Collection:
                     decoded[key] = doc[key]
             stored = self._store_new(decoded, decoded=True)
             op = {"op": "insert", "c": self.name, "doc": stored}
-            line = f'{{"c": {_encode(self.name)}, "doc": {text}, "op": "insert"}}'
-            self._notify(Mutation(op, text=line))
+            self._notify(Mutation(op, text=_insert_line(_encode(self.name), text)))
         return stored
 
     def insert_many(self, docs: Iterable[Mapping[str, Any]]) -> list[int]:
@@ -172,8 +176,8 @@ class Collection:
     ) -> FrozenDict:
         """The stored form of ``doc`` (lock held): deep-frozen, its small
         sub-documents and short strings shared with every equal one
-        already stored (``decoded``: ``doc`` comes from an image or a
-        journal, :meth:`Interner.freeze_decoded`); with ``_id``, stamped
+        already stored (``decoded``: ``doc`` comes from a journal or a
+        request body, :meth:`Interner.freeze_decoded`); with ``_id``, stamped
         (in place if the document carries the key)."""
         if not isinstance(doc, Mapping):
             raise TypeError("documents must be mappings")
@@ -192,18 +196,12 @@ class Collection:
         self._columnar.on_insert(_id, frozen)
         return frozen
 
-    def restore(self, doc: Mapping[str, Any]) -> int:
-        """Re-insert a document preserving its ``_id`` (WAL replay/import).
-
-        Idempotent for identical replays: re-restoring an ``_id`` simply
-        overwrites it with the same content.  The observer is *not*
-        notified — replay must never re-journal itself.
-        """
-        return self._restore(doc, decoded=False)
-
-    def _restore(self, doc: Mapping[str, Any], *, decoded: bool) -> int:
+    def _restore(self, doc: Mapping[str, Any]) -> None:
+        """Store a journaled document under its own ``_id`` (replay: the
+        observer is not notified, and replaying an ``_id`` again
+        overwrites it with the same content)."""
         with self._lock:
-            stored = self._frozen(doc, decoded=decoded)
+            stored = self._frozen(doc, decoded=True)
             _id = int(stored["_id"])
             known = _id in self._docs
             self._docs[_id] = stored
@@ -212,7 +210,6 @@ class Collection:
                 self._columnar.mark_dirty()
             else:
                 self._columnar.on_insert(_id, stored)
-        return _id
 
     def find(
         self,
@@ -295,31 +292,6 @@ class Collection:
                 self._notify(Mutation(op, matched))
         return len(matched)
 
-    # -- persistence ------------------------------------------------------------
-    def to_jsonable(self) -> dict[str, Any]:
-        """The collection's image.  ``docs`` are the stored frozen
-        documents themselves — they cannot change, so serializing them
-        needs no copy; ``thaw`` one before editing it."""
-        with self._lock:
-            return {
-                "name": self.name,
-                "next_id": self._next_id,
-                "docs": list(self._docs.values()),
-            }
-
-    @staticmethod
-    def from_jsonable(blob: Mapping[str, Any]) -> "Collection":
-        """Inverse of :meth:`to_jsonable`; ``docs`` may be any iterable
-        and is consumed one document at a time.  Members are read in
-        sorted-key order — ``docs``, ``name``, ``next_id`` — the order an
-        image streamed off disk hands them out in."""
-        coll = Collection("")
-        for doc in blob["docs"]:
-            coll._docs[int(doc["_id"])] = coll._frozen(doc, decoded=True)
-        coll.name = blob["name"]
-        coll._next_id = int(blob["next_id"])
-        return coll
-
 
 class DocumentStore:
     """A set of named collections."""
@@ -354,23 +326,34 @@ class DocumentStore:
                 coll._observer = fn
 
     def apply_op(self, op: Mapping[str, Any]) -> None:
-        """Re-apply one observed op (WAL replay / journal shipping).
+        """Re-apply one journaled op (WAL replay / journal shipping).
 
-        Accepts both the historical one-document ``insert`` form and
-        the batched ``insert_many`` form, and skips the ``create_index``
-        ops older journals carry, so journals written by any store
+        Besides what the observer hands out, it takes a compacted
+        journal's ``collection`` op (a collection and its ``next_id``),
+        the historical one-document ``insert`` form, the ``create_index``
+        ops older journals carry (skipped) and an earlier version's
+        whole store image (``image``), so journals written by any store
         version replay on this one.
         """
         kind = op.get("op")
         if kind == "drop":
             self.drop(op["c"])
             return
+        if kind == "image":
+            for blob in op["store"]["collections"]:
+                coll = self.collection(blob["name"])
+                coll._next_id = max(coll._next_id, int(blob["next_id"]))
+                for doc in blob["docs"]:
+                    coll._restore(doc)
+            return
         coll = self.collection(op["c"])
         if kind == "insert":
-            coll._restore(op["doc"], decoded=True)
+            coll._restore(op["doc"])
         elif kind == "insert_many":
             for doc in op["docs"]:
-                coll._restore(doc, decoded=True)
+                coll._restore(doc)
+        elif kind == "collection":
+            coll._next_id = max(coll._next_id, int(op["next_id"]))
         elif kind == "update":
             coll.update(op["flt"], op["changes"])
         elif kind == "delete":
@@ -379,6 +362,22 @@ class DocumentStore:
             pass  # an older store's journal: there is no index to rebuild
         else:
             raise ValueError(f"unknown journal op {kind!r}")
+
+    def journal_lines(self) -> Iterator[str]:
+        """The journal that rebuilds the store through :meth:`apply_op`:
+        per collection, a ``collection`` op carrying its ``next_id``, then
+        one ``insert`` line per stored document, the bytes its insert
+        journaled.  Each collection is listed under its lock and encoded
+        outside it, from the stored frozen documents themselves."""
+        with self._lock:
+            collections = list(self._collections.values())
+        for coll in collections:
+            with coll._lock:
+                next_id, docs = coll._next_id, list(coll._docs.values())
+            name = _encode(coll.name)
+            yield f'{{"c": {name}, "next_id": {next_id}, "op": "collection"}}'
+            for doc in docs:
+                yield _insert_line(name, _encode(doc))
 
     def __getitem__(self, name: str) -> Collection:
         return self.collection(name)
@@ -397,24 +396,3 @@ class DocumentStore:
             if dropped is not None and self._observer is not None:
                 replaced = list(dropped._docs.values())
                 self._observer(Mutation({"op": "drop", "c": name}, replaced))
-
-    # -- persistence -------------------------------------------------------------
-    def to_jsonable(self) -> dict[str, Any]:
-        with self._lock:
-            collections = list(self._collections.values())
-        return {
-            "format": "gptunecrowd-store-v1",
-            "collections": [c.to_jsonable() for c in collections],
-        }
-
-    @staticmethod
-    def from_jsonable(blob: Mapping[str, Any]) -> "DocumentStore":
-        """Inverse of :meth:`to_jsonable`, reading ``collections`` before
-        ``format`` (sorted-key order, see :meth:`Collection.from_jsonable`)."""
-        store = DocumentStore()
-        for cblob in blob.get("collections", ()):
-            coll = Collection.from_jsonable(cblob)
-            store._collections[coll.name] = coll
-        if blob.get("format") != "gptunecrowd-store-v1":
-            raise ValueError("not a GPTuneCrowd store blob")
-        return store

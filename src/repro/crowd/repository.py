@@ -14,7 +14,7 @@ visible reads of them, with
 Users never call it: every caller reaches the crowd through the node's
 routes (:class:`~repro.crowd.api.CrowdClient` over
 :class:`~repro.service.client.RemoteRepository`), and persistence is the
-durable node's journal and snapshots (:class:`~repro.service.wal.DurableLog`).
+durable node's journal (:class:`~repro.service.wal.DurableLog`).
 """
 
 from __future__ import annotations

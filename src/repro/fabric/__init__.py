@@ -9,8 +9,8 @@ processes under its lease / re-dispatch loop, with one retry bound
 The in-thread :class:`~repro.core.tuner.InlineExecutor` is the
 sequential reference it is pinned against.
 
-* :mod:`~repro.fabric.jobqueue` — a durable on-disk job queue (JSONL
-  WAL + atomic snapshots, crash recovery, exactly-once completion via
+* :mod:`~repro.fabric.jobqueue` — a durable on-disk job queue (one
+  JSONL journal compacted in place, crash recovery, exactly-once completion via
   idempotent lease tokens),
 * :mod:`~repro.fabric.worker` — the :mod:`multiprocessing` worker
   entry: evaluate, heartbeat, ship results (and perf snapshots) home,

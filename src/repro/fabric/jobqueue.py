@@ -1,13 +1,9 @@
 """Durable on-disk job queue for the tuning fabric.
 
 One queue directory holds the full lifecycle of a tuning run's
-evaluation jobs::
-
-    <data_dir>/
-        queue.wal.jsonl       append-only journal, one JSON op per line
-        queue.snapshot.json   latest full queue image (atomic replace)
-
-Both files belong to a :class:`~repro.service.wal.DurableLog` — the
+evaluation jobs in one file, ``queue.wal.jsonl`` — an append-only
+journal, one JSON op per line, compacted in place to one ``job`` line
+per job.  It belongs to a :class:`~repro.service.wal.DurableLog` — the
 same primitive, and the same journal-then-ack contract, as the crowd
 shards.  What is the queue's own:
 
@@ -18,10 +14,10 @@ shards.  What is the queue's own:
   been running was never acknowledged, re-running it is correct);
 * ``redispatch`` ops are journaled so attempt counts survive recovery
   and a recovered queue keeps issuing fresh lease tokens;
-* snapshots follow the log's checkpoint rule (the dead bytes are the
-  redispatches) and are taken under the queue lock, so the image holds
-  exactly the ops the snapshot covers (a replayed ``redispatch`` would
-  count twice over an image that already held it).
+* compactions follow the log's checkpoint rule (the dead bytes are the
+  redispatches) and run under the queue lock, so the job lines hold
+  exactly the ops journaled before them (a replayed ``redispatch`` would
+  count twice over a job line that already held it).
 
 Exactly-once completion reuses the idempotency-token pattern of the
 replicated service (PR 6): every lease carries a token
@@ -50,14 +46,12 @@ from ..service.wal import DurableLog
 __all__ = ["DurableJobQueue", "JobState"]
 
 _WAL_NAME = "queue.wal.jsonl"
-_SNAP_NAME = "queue.snapshot.json"
-_SNAP_FORMAT = "gptunecrowd-fabric-queue-v1"
 
 
 def _dead_bytes(op: Mapping[str, Any]) -> int:
-    """A ``redispatch`` line is dead as it is written (the job's document
-    counts attempts either way); its bytes, with ``, "seq": N`` and ``\\n``."""
-    return len(json.dumps(op)) + 18 if op["op"] == "redispatch" else 0
+    """A ``redispatch`` line is dead as it is written (the job's line
+    counts attempts either way); its bytes, ``\\n`` included."""
+    return len(json.dumps(op, sort_keys=True)) + 1 if op["op"] == "redispatch" else 0
 
 
 class JobState:
@@ -92,7 +86,7 @@ class FabricJob:
         return f"{self.job_id}.{self.attempt}"
 
     def to_doc(self) -> dict[str, Any]:
-        """Persistent image: volatile lease state collapses to pending."""
+        """Persistent form: volatile lease state collapses to pending."""
         return {
             "job_id": self.job_id,
             "config": dict(self.config),
@@ -122,11 +116,11 @@ class DurableJobQueue:
     Parameters
     ----------
     data_dir:
-        Directory for the WAL and snapshots; ``None`` keeps the queue in
-        memory only.
+        Directory for the journal; ``None`` keeps the queue in memory
+        only.
     snapshot_every:
-        Fewest journaled ops between automatic snapshots; past that
-        floor one is taken once dead journal bytes reach the live ones.
+        Fewest journaled ops between automatic compactions; past that
+        floor one runs once dead journal bytes reach the live ones.
     fsync_every:
         Passed through to the WAL — 1 (default) syncs every op.
     """
@@ -151,8 +145,6 @@ class DurableJobQueue:
             self._log = DurableLog(
                 self.data_dir,
                 _WAL_NAME,
-                _SNAP_NAME,
-                _SNAP_FORMAT,
                 snapshot_every=self.snapshot_every,
                 fsync_every=fsync_every,
             )
@@ -160,22 +152,15 @@ class DurableJobQueue:
 
     # -- recovery ------------------------------------------------------------
     def _recover(self) -> None:
-        """Rebuild the job table from the log's snapshot + journal tail."""
+        """Rebuild the job table from the log's journal."""
         assert self._log is not None
-
-        def load(image: Mapping[str, Any]) -> None:
-            # members in file order (DurableLog.recover); a job is read whole
-            for doc in image["jobs"]:
-                job = FabricJob.from_doc(dict(doc))
-                self._jobs[job.job_id] = job
-            self._next_job_id = int(image["next_job_id"])
 
         def apply(op: Mapping[str, Any]) -> int:
             self._apply_op(op)
             perf.incr("fabric_queue_replayed")
             return _dead_bytes(op)
 
-        self._log.recover(load, apply)
+        self._log.recover(apply)
         # un-completed jobs go back to pending in enqueue order: their
         # leases (if any) died with the coordinator
         for job_id in sorted(self._jobs):
@@ -184,6 +169,8 @@ class DurableJobQueue:
                 job.state = JobState.PENDING
                 job.worker = None
                 self._pending.append(job_id)
+        if self._log.snapshot_due:
+            self._write_snapshot()
 
     def _apply_op(self, entry: Mapping[str, Any]) -> None:
         op = entry["op"]
@@ -200,12 +187,19 @@ class DurableJobQueue:
             job.state = JobState.DONE
             job.token = entry["token"]
             job.result = entry.get("result")
+        elif op in ("job", "image"):
+            # a compacted journal's job as it stands, or the whole job
+            # table an earlier version kept beside its journal
+            for doc in entry["jobs"] if op == "image" else (entry,):
+                job = FabricJob.from_doc(doc)
+                self._jobs[job.job_id] = job
+                self._next_job_id = max(self._next_job_id, job.job_id + 1)
         else:  # pragma: no cover - future-proofing
             raise ValueError(f"unknown fabric queue op {op!r}")
 
     # -- journaling ----------------------------------------------------------
     def _journal(self, op: dict[str, Any]) -> None:
-        """Journal one op (queue lock held); snapshot when one is due."""
+        """Journal one op (queue lock held); compact when one is due."""
         if self._log is None:
             return
         self._log.append(op, _dead_bytes(op))
@@ -215,15 +209,12 @@ class DurableJobQueue:
     def _write_snapshot(self) -> None:
         assert self._log is not None
         self._log.snapshot(
-            lambda: {
-                "next_job_id": self._next_job_id,
-                "jobs": [self._jobs[i].to_doc() for i in sorted(self._jobs)],
-            }
+            lambda: ({"op": "job", **self._jobs[i].to_doc()} for i in sorted(self._jobs))
         )
         perf.incr("fabric_queue_snapshots")
 
     def snapshot(self) -> None:
-        """Write a full queue image and truncate the journal."""
+        """Compact the journal to one line per job."""
         with self._lock:
             if self._log is not None:
                 self._write_snapshot()

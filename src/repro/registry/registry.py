@@ -16,7 +16,7 @@ prediction from the frozen factorization:
   after a restart (the version is a record count, ``attempted`` the
   stored entry's ``data_version``).  Built entries are plain store
   documents in the ``registry_models`` collection, so the owning shard's
-  WAL + snapshot machinery persists, recovers and anti-entropy heals
+  journal persists, recovers and anti-entropy heals
   them exactly like performance records.
 * **read side** — ``predict`` / ``model_meta`` / ``sensitivity``
   deserialize the entry once into a resident surrogate (bounded LRU,

@@ -8,8 +8,8 @@ able to take concurrent traffic:
 * :mod:`~repro.service.shard` — consistent-hash sharding of performance
   records by ``(problem_name, task)`` over N :class:`CrowdShard` nodes
   with K-way replication,
-* :mod:`~repro.service.wal` — :class:`DurableLog`, the journal +
-  snapshot primitive under every shard (and the fabric's job queue);
+* :mod:`~repro.service.wal` — :class:`DurableLog`, the journal
+  (compacted in place) under every shard (and the fabric's job queue);
   a killed shard recovers bit-identical state from disk,
 * :mod:`~repro.service.router` — protocol-compatible front-end: smart
   routing, parallel cross-shard fan-out with exact deduplication,
@@ -174,13 +174,13 @@ class CrowdService:
         """Crash-restart a shard from its data directory.
 
         The in-memory node is closed and freed first, then rebuilt by
-        WAL/snapshot recovery — the simulation of a real process restart,
+        journal replay — the simulation of a real process restart,
         which never holds two copies of a node.  The node is down while
         it recovers: a request for it fails over (writes go to the other
         replicas, like during any outage) instead of reaching the closed
         node.  Its transport then goes back to the state it was in; if
         that was up, the revive round heals at once whatever the shard
-        missed meanwhile or lost to an old snapshot image — a restart
+        missed meanwhile or lost to an older copy of its directory — a restart
         that missed nothing costs the digests only.  If recovery raises,
         the node stays down and out of :attr:`shards`.
         """

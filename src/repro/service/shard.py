@@ -22,20 +22,20 @@ share the protocol's conventions:
   internal details never leak into responses.
 
 A :class:`~repro.service.wal.DurableLog` makes the node's document store
-durable (journal-then-ack, an image once dead data reaches live data,
-crash recovery: the contract is stated there, once).  The shard never copies
-its store to persist or recover it: an image is serialized straight from
-the stored frozen documents, and a restart decodes the image one
-document at a time, in file order, into the store (which shares equal
-sub-documents and strings, :class:`~repro.crowd.columnar.Interner`) and
-applies the journal tail one op at a time — beside the store it holds a
-bounded window of the image file and one document, never the image's
-text or the parsed image.  A closed node keeps
+durable (journal-then-ack, a compaction in place once dead data reaches
+live data, crash recovery: the contract is stated there, once).  The
+shard never copies its store to persist or recover it: a compaction
+writes the stored frozen documents straight to the journal
+(:meth:`~repro.crowd.database.DocumentStore.journal_lines`), and a
+restart applies the journal one op at a time as it is read into the
+store (which shares equal sub-documents and strings,
+:class:`~repro.crowd.columnar.Interner`) — beside the store it holds one
+line, never the journal's text.  A closed node keeps
 nothing alive: its store stops referring to it, and nothing in it refers
 to itself, so it is freed by refcount the moment its last holder lets
 go.  Shards share one :class:`~repro.crowd.users.UserRegistry` (accounts
 are not sharded, mirroring the usual service split of an auth tier in
-front of storage tiers); credentials never touch the WAL or snapshots,
+front of storage tiers); credentials never touch the journal,
 matching the repository's existing never-persist-credentials rule.
 """
 
@@ -106,13 +106,11 @@ _CLIENTS = "service_clients"
 #: as a float64 (how the columnar view reads uids) for ids below 2**21
 TOKEN_N, CLIENT_IDS = 1 << 32, 1 << 21
 _WAL_NAME = "wal.jsonl"
-_SNAP_NAME = "snapshot.json"
-_SNAP_FORMAT = "gptunecrowd-shard-snapshot-v1"
 
 
 _encode = json.JSONEncoder(sort_keys=True).encode
 _encode_task = json.JSONEncoder(sort_keys=True, default=str).encode
-#: the bytes stored documents take in a journal or an image
+#: the bytes stored documents take in a journal
 _weight = lambda docs: sum(len(_encode(doc)) for doc in docs)
 
 
@@ -315,11 +313,11 @@ class CrowdShard:
 
     Without ``data_dir`` the shard is memory-only (tests, throwaway
     demos).  With it, every store mutation is journaled before the
-    response leaves :meth:`handle`, a snapshot is taken once at least
-    ``snapshot_every`` ops were journaled since the last one and the
-    documents deleted or replaced since weigh as much as the live ones
-    (``wal_snapshots``), and constructing a shard over an existing
-    directory recovers snapshot + WAL tail to the last acknowledged state.
+    response leaves :meth:`handle`, the journal is compacted once at
+    least ``snapshot_every`` ops were journaled since the last compaction
+    and the documents deleted or replaced since weigh as much as the live
+    ones (``wal_snapshots``), and constructing a shard over an existing
+    directory replays the journal to the last acknowledged state.
     """
 
     #: route -> handler method name, public and internal routes alike,
@@ -356,8 +354,6 @@ class CrowdShard:
             self._log = DurableLog(
                 self.data_dir,
                 _WAL_NAME,
-                _SNAP_NAME,
-                _SNAP_FORMAT,
                 snapshot_every=self.snapshot_every,
                 fsync_every=self.fsync_every,
             )
@@ -380,7 +376,7 @@ class CrowdShard:
         self._clients_lock = threading.Lock()
         self._digests = _BucketDigests()
         self._digests.load(_RECORDS, records)
-        # registry entries recover from snapshot + WAL like records, and
+        # registry entries recover from the journal like records, and
         # the version tracker's construction scan sees the recovered
         # store, so staleness accounting survives a crash too
         self.registry: ModelRegistry | None = (
@@ -393,27 +389,17 @@ class CrowdShard:
         self.repository.store.set_observer(
             self._digests.observe if self._log is None else self._journal
         )
+        if self._log is not None and self._log.snapshot_due:
+            self.snapshot()  # recovery found a compaction due (or an old image)
 
     # -- durability ---------------------------------------------------------
     def _recover_store(self) -> DocumentStore:
-        """The store as of the last acknowledged op: image + journal tail.
-
-        Beside the store it becomes, recovery holds a window of the image
-        file (64 KiB, longer only while one document is) and one
-        document: :meth:`DurableLog.recover` decodes the image one
-        document at a time, in file order, as the store freezes (and
-        shares) them; the file is closed before the tail is replayed,
-        and the tail's ops are applied as they are read.
-        """
+        """The store as of the last acknowledged op: the journal, each op
+        applied as it is read (:meth:`DurableLog.recover`)."""
         assert self._log is not None
         store = DocumentStore()
         replaced: list[Mapping[str, Any]] = []  # what the replayed op deleted
-        store.set_observer(observe := lambda op: replaced.extend(op.replaced))
-
-        def load(image: Mapping[str, Any]) -> None:
-            nonlocal store
-            store = DocumentStore.from_jsonable(image["store"])
-            store.set_observer(observe)
+        store.set_observer(lambda op: replaced.extend(op.replaced))
 
         def apply(op: dict[str, Any]) -> int:
             store.apply_op(op)
@@ -421,7 +407,7 @@ class CrowdShard:
             dead, replaced[:] = _weight(replaced), []
             return dead
 
-        self._log.recover(load, apply)
+        self._log.recover(apply)
         return store
 
     def _journal(self, op: Mutation) -> None:
@@ -438,18 +424,18 @@ class CrowdShard:
         self._log.append(op.text or op, _weight(op.replaced))
 
     def snapshot(self) -> None:
-        """Write a full store image and trim the journal.
+        """Compact the journal to the store's documents.
 
-        The image is taken collection by collection while other threads
-        keep writing; whatever they journal meanwhile stays in the
-        journal (:meth:`DurableLog.snapshot`), and replaying it over an
-        image that already holds some of it is sound because the ops a
-        shard journals — ``insert``/``insert_many`` (restore by ``_id``),
-        ``delete``, ``drop`` — are idempotent over such an image.
+        The store is listed collection by collection while other threads
+        keep writing; whatever they journal meanwhile follows it in the
+        compacted journal (:meth:`DurableLog.snapshot`), and replaying it
+        over a listing that already holds some of it is sound because the
+        ops a shard journals — ``insert``/``insert_many`` (restore by
+        ``_id``), ``delete``, ``drop`` — are idempotent over such a state.
         """
         if self._log is None:
             return
-        self._log.snapshot(lambda: {"store": self.repository.store.to_jsonable()})
+        self._log.snapshot(self.repository.store.journal_lines)
         perf.incr("wal_snapshots")
 
     # -- serving ------------------------------------------------------------

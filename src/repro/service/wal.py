@@ -1,103 +1,93 @@
-"""The one durability primitive: journal + snapshot + crash recovery.
+"""The one durability primitive: one journal, compacted in place.
 
-:class:`DurableLog` owns one data directory::
+:class:`DurableLog` owns one JSONL file, one op per line, in a data
+directory, and has two callers: :class:`~repro.service.shard.CrowdShard`
+(``wal.jsonl``, a ``DocumentStore``) and
+:class:`~repro.fabric.jobqueue.DurableJobQueue` (``queue.wal.jsonl``,
+the job table).  The contract both inherit: **an acknowledged op is in
+the journal, whatever thread wrote it** (``docs/architecture.md``,
+"Durability").
 
-    <data_dir>/
-        <wal_name>           append-only journal, one JSON op per line
-        <snapshot_name>      latest full state image (atomic replace)
-
-and has two callers: :class:`~repro.service.shard.CrowdShard`
-(``wal.jsonl`` / ``snapshot.json``, a full ``DocumentStore`` image) and
-:class:`~repro.fabric.jobqueue.DurableJobQueue` (``queue.wal.jsonl`` /
-``queue.snapshot.json``, the job table).  The contract both inherit:
-**an acknowledged op is in the snapshot or in the journal, whatever
-thread wrote it** (``docs/architecture.md``, "Durability").
-
-* Every op is appended — with a monotonically increasing sequence
-  number — *before* the caller acknowledges it.
-* A snapshot embeds the sequence number it covers (``wal_seq``);
-  recovery loads the snapshot and replays only journal entries with
-  ``seq > wal_seq``, so a crash between the snapshot write and the
-  journal trim replays nothing twice.
-* :meth:`DurableLog.snapshot` records the covered sequence *before* it
-  asks the caller for the image and afterwards drops only entries
-  ``<= covered``: a plain truncate when nothing was appended in between,
-  otherwise an atomic keep-the-tail rewrite.  An op a second thread
-  journals while the image is being taken or written therefore stays in
-  the journal (the image may already contain it — see the caller's op
-  vocabulary for why replaying it again is sound).
-* **The checkpoint rule**: an image is due once ``snapshot_every`` ops
-  were journaled since the last one (the floor) *and* the dead bytes
-  have reached the live ones.  Each append says how many bytes on disk
-  it makes dead (the documents a delete or an upsert replaces, a
-  superseded queue transition), and recovery recounts them as it
-  replays, so a process that restarts often checkpoints as if it had
-  never stopped.  An insert-only history writes no image (replaying a
-  journaled insert decodes the same document an image would), and
-  recovery reads at most about twice the live data.
-* Images are written member by member (:func:`_json_chunks`), never as
-  one string, and read back the same way: recovery hands the caller's
-  ``load`` a lazy image whose outer containers are walked member by
-  member down to the depth they were written at, each document below
-  that decoded by one ``raw_decode`` call as it is reached, from a
-  window of the file 64 KiB long (longer only while one document is) —
-  the scratch is that window and one document, never the image's text
-  or the parsed image.  So a ``load`` reads members in file order (keys
-  are sorted).  Then every
-  uncovered journal op goes to ``apply`` *as it is parsed* — the tail
-  can be as large as the image and is never a list.
-* A torn final journal line (the classic power-cut artifact) is
-  discarded on recovery (``wal_torn_tail`` counter) — the op it belonged
-  to was never acknowledged — and cut off before the journal is reopened
-  for append.
-* Snapshots and journal rewrites go through a temp file, ``os.replace``
-  and a parent-directory fsync (POSIX), so a crash leaves the old file
-  or the new one, never a mix, and a power cut after return cannot roll
-  the rename back behind an already-trimmed journal.
+* Every op is appended *before* the caller acknowledges it.
+* A checkpoint (:meth:`DurableLog.snapshot`) compacts the journal in
+  place: the caller's live state, written as the ops that rebuild it,
+  goes to a temp file and ends at a ``{"op": "checkpoint"}`` line; then,
+  under the log lock, the bytes appended since the checkpoint began
+  follow it, and the temp file replaces the journal (fsync,
+  ``os.replace``, parent-directory fsync).  A crash leaves the old
+  journal or the new one, never a mix, and a power cut after return
+  cannot roll the rename back.  An op another thread journals while the
+  state is being written is in the copied tail and may be in the state
+  too (see the caller's op vocabulary for why replaying it again is
+  sound).
+* **The checkpoint rule**: a checkpoint is due once ``snapshot_every``
+  ops were journaled after the compacted part (the floor) *and* the
+  dead bytes have reached the live ones.  Each append says how many
+  bytes on disk it makes dead (the documents a delete or an upsert
+  replaces, a superseded queue transition), and recovery recounts them
+  as it replays, so a process that restarts often checkpoints as if it
+  had never stopped.  An insert-only history never compacts (its
+  journal already is the live data), and recovery reads at most about
+  twice the live data.
+* Recovery hands every op to ``apply`` *as its line is parsed* — the
+  journal is never held whole — so it holds one line beside the state
+  it rebuilds.  A torn final line (the classic power-cut artifact) is
+  discarded (``wal_torn_tail`` counter) — the op it belonged to was
+  never acknowledged — and cut off before the journal is reopened for
+  append.
+* A directory an earlier version wrote may still hold its image beside
+  the journal (``snapshot.json`` beside ``wal.jsonl``,
+  ``queue.snapshot.json`` beside ``queue.wal.jsonl``) and number its
+  lines (``"seq"``).  Recovery reads that image whole, once, and hands
+  it to ``apply`` as one ``{"op": "image", ...}`` op, skips the lines it
+  covers (``seq <= wal_seq``) and ignores every other ``seq``; a
+  checkpoint is then due at once, and it deletes the image.
 
 Perf counters: ``wal_appends``, ``wal_batch_appends``, ``wal_fsyncs``,
-``wal_torn_tail``, ``wal_snapshot_bytes`` (image bytes written).  The
-callers count their own replays and snapshots: ``wal_replayed`` /
+``wal_torn_tail``, ``wal_snapshot_bytes`` (compacted bytes written).
+The callers count their own replays and checkpoints: ``wal_replayed`` /
 ``wal_snapshots``, ``fabric_queue_replayed`` / ``fabric_queue_snapshots``.
 """
 
 from __future__ import annotations
 
-import codecs
 import json
 import os
-import re
+import shutil
 import threading
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..core import perf
 
 __all__ = ["DurableLog"]
 
+#: the line that ends a compacted journal's rebuilt state
+_CHECKPOINT = {"op": "checkpoint"}
+_encode = json.JSONEncoder(sort_keys=True).encode
+#: how far back :meth:`DurableLog._repair_tail` reads at a time
+_TAIL_BLOCK = 1 << 16
+
 
 class DurableLog:
-    """Append-only JSONL journal + atomic snapshots over one directory.
+    """An append-only JSONL journal over one directory, compacted in place.
 
     ``fsync_every=1`` (the default) syncs every append — the durable
     choice.  Larger values amortize the sync over batches of appends at
     the cost of possibly losing the unsynced tail on an OS-level crash
     (a process crash alone loses nothing: appends always reach the OS).
 
-    An op is a mapping or its sorted JSON text (every key before
-    ``"seq"``); its line goes straight to the file descriptor.
-    :attr:`snapshot_due` turns true under the module docstring's
-    checkpoint rule; the caller then calls :meth:`snapshot` from wherever
-    it can produce a consistent image.  Call :meth:`recover` once before
-    the first append.
+    An op is a mapping or its sorted JSON text; its line goes straight to
+    the file descriptor.  :attr:`snapshot_due` turns true under the
+    module docstring's checkpoint rule; the caller then calls
+    :meth:`snapshot` from wherever it can list its live state.  Call
+    :meth:`recover` once before the first append.
     """
 
     def __init__(
         self,
         data_dir: str | Path,
         wal_name: str,
-        snapshot_name: str,
-        snapshot_format: str,
         *,
         snapshot_every: int,
         fsync_every: int = 1,
@@ -107,86 +97,70 @@ class DurableLog:
         data_dir = Path(data_dir)
         data_dir.mkdir(parents=True, exist_ok=True)
         self.wal_path = data_dir / wal_name
-        self.snapshot_path = data_dir / snapshot_name
-        self.snapshot_format = snapshot_format
+        self._tmp = data_dir / (wal_name + ".tmp")
+        #: the image an earlier version kept beside the journal
+        self._old_image = data_dir / (wal_name.removesuffix("wal.jsonl") + "snapshot.json")
         self.snapshot_every = int(snapshot_every)
         self.fsync_every = int(fsync_every)
         #: the checkpoint rule holds (:meth:`_check_due_locked`)
         self.snapshot_due = False
         self._lock = threading.Lock()
-        #: one snapshot at a time; never taken with ``_lock`` held
+        #: one checkpoint at a time; never taken with ``_lock`` held
         self._snapshot_lock = threading.Lock()
         self._fh: Any = None  # unbuffered: a write is one write(2)
-        self._seq = 0  # last sequence number handed out
         self._since_sync = 0
-        #: the checkpoint rule's: ops since the image, bytes on disk, dead ones
+        #: the checkpoint rule's: ops after the compacted part, bytes on
+        #: disk, dead ones
         self._since_snapshot = 0
         self._bytes = 0
         self._dead = 0
 
-    @property
-    def seq(self) -> int:
-        """Sequence number of the most recently appended op."""
-        with self._lock:
-            return self._seq
-
     # -- recovery ------------------------------------------------------------
-    def recover(
-        self,
-        load: Callable[[Mapping[str, Any]], None] | None = None,
-        apply: Callable[[dict[str, Any]], int | None] | None = None,
-    ) -> None:
-        """Read the directory and open the journal for append.
+    def recover(self, apply: Callable[[dict[str, Any]], int | None] | None = None) -> None:
+        """Replay the journal and open it for append.
 
-        ``load`` receives the snapshot payload (not called without a
-        snapshot) as a lazy, read-once mapping: its members must be read
-        in file order, which is sorted-key order.  Asking for a member
-        decodes the ones it passes whole; a container asked for above the
-        documents is handed out lazily in turn, and asking past an array
-        that was handed out but not read to its end raises ``ValueError``
-        — its items are never skipped.
-        ``apply`` then receives each journal op the snapshot does not
-        cover, in order, sequence number stripped, *as it is parsed* —
-        the tail may be as large as the image, and is never held as a
-        list — and returns the bytes it makes dead, as the append did.
-        Numbering and the checkpoint rule's counts resume from disk.
+        ``apply`` receives each op, in order, *as its line is parsed* —
+        the journal may be as large as the live data, and is never held
+        as a list — and returns the bytes it makes dead, as the append
+        did.  The checkpoint rule's counts resume from disk.
         """
-        if self.snapshot_path.exists():
-            self._load_image(load)
-            self._bytes = self.snapshot_path.stat().st_size
-        covered = self._seq
-        for entry in iter_wal(self.wal_path):
-            seq = int(entry.pop("seq", 0))
-            if seq <= covered:
-                continue  # already in the snapshot (the trim never ran)
+        self._tmp.unlink(missing_ok=True)  # a compaction that never replaced the journal
+        covered = self._migrate(apply)
+        for op in iter_wal(self.wal_path):
+            seq = op.pop("seq", None)  # only an earlier version numbered its lines
+            if seq is not None and seq <= covered:
+                continue  # in that version's image already
+            if op == _CHECKPOINT:  # what came before is the compacted state
+                self._since_snapshot = self._dead = 0
+                continue
             if apply is not None:
-                self._dead += apply(entry) or 0
-            self._seq = max(self._seq, seq)
+                self._dead += apply(op) or 0
             self._since_snapshot += 1
         self._repair_tail()
         self._fh = open(self.wal_path, "ab", buffering=0)
-        self._bytes += self._fh.seek(0, os.SEEK_END)
+        self._bytes = self._fh.seek(0, os.SEEK_END)
         self._check_due_locked()
 
-    def _load_image(self, load: Callable[[Mapping[str, Any]], None] | None) -> None:
-        """Hand the snapshot to ``load`` and resume numbering after it;
-        the file is read through the cursor's window and closed on return,
-        before the journal tail is replayed."""
-        with open(self.snapshot_path, "rb") as fh:
-            cursor = _Cursor(fh)
-            image = _LazyObject(cursor, _CHUNK_DEPTH)
-            if image.get("format") != self.snapshot_format:
-                raise ValueError(
-                    f"{self.snapshot_path}: not a {self.snapshot_format} snapshot"
-                )
-            if load is not None:
-                load(image)
-            self._seq = int(image["wal_seq"])
-            _finish(image)
-            if cursor.peek():
-                raise ValueError(
-                    f"{self.snapshot_path}: data after the image at {cursor.offset()}"
-                )
+    def _migrate(self, apply: Callable[[dict[str, Any]], int | None] | None) -> int:
+        """Hand the image an earlier version kept beside the journal to
+        ``apply`` as one ``image`` op and make a checkpoint due, which
+        deletes it; the sequence number it covers (0 without one)."""
+        if not self._old_image.exists():
+            return 0
+        lines = iter_wal(self.wal_path)
+        first = next(lines, None)
+        lines.close()
+        if first is not None and "seq" not in first:
+            # the journal was compacted, and the image outlived it
+            self._old_image.unlink()
+            return 0
+        with open(self._old_image, encoding="utf-8") as fh:
+            image = json.load(fh)
+        covered = int(image.pop("wal_seq"))
+        if apply is not None:
+            apply({**image, "op": "image"})
+        self.snapshot_due = True
+        return covered
 
     def _repair_tail(self) -> None:
         """Truncate a torn final line before reopening for append.
@@ -218,26 +192,21 @@ class DurableLog:
             os.fsync(fh.fileno())
 
     # -- journaling ----------------------------------------------------------
-    def append(self, op: Mapping[str, Any] | str, dead: int = 0) -> int:
-        """Journal one op that kills ``dead`` bytes on disk; its sequence number."""
+    def append(self, op: Mapping[str, Any] | str, dead: int = 0) -> None:
+        """Journal one op that kills ``dead`` bytes on disk."""
         with self._lock:
-            return self._write_locked([op], dead)
+            self._write_locked([op], dead)
 
-    def append_many(self, ops: list[Mapping[str, Any] | str], dead: int = 0) -> int:
+    def append_many(self, ops: list[Mapping[str, Any] | str], dead: int = 0) -> None:
         """Journal a batch of ops under one lock acquisition, one write
-        and one fsync accounting pass; returns the last sequence number
-        (or the current one for an empty batch)."""
+        and one fsync accounting pass (an empty batch writes nothing)."""
         with self._lock:
-            if not ops:
-                return self._seq
-            perf.incr("wal_batch_appends")
-            return self._write_locked(ops, dead)
+            if ops:
+                perf.incr("wal_batch_appends")
+                self._write_locked(ops, dead)
 
-    def _write_locked(self, ops: list[Mapping[str, Any] | str], dead: int) -> int:
-        text = ""
-        for op in ops:
-            self._seq += 1
-            text += _line(op, self._seq) + "\n"
+    def _write_locked(self, ops: list[Mapping[str, Any] | str], dead: int) -> None:
+        text = "".join([f"{_line(op)}\n" for op in ops])
         view = memoryview(text.encode())  # json escapes to ASCII
         while view:  # a regular file takes it whole unless the disk is full
             view = view[self._fh.write(view) :]
@@ -249,12 +218,11 @@ class DurableLog:
         self._bytes += len(text)
         self._dead += dead
         self._check_due_locked()
-        return self._seq
 
     def _check_due_locked(self) -> None:
         """The checkpoint rule: the floor of ops, and dead bytes that
-        reached the live ones — an image drops at least as many bytes as
-        it keeps, and recovery reads at most about twice the live data."""
+        reached the live ones — a checkpoint drops at least as many bytes
+        as it keeps, and recovery reads at most about twice the live data."""
         if self._since_snapshot >= self.snapshot_every and 2 * self._dead >= self._bytes:
             self.snapshot_due = True
 
@@ -265,45 +233,46 @@ class DurableLog:
             self._since_sync = 0
             perf.incr("wal_fsyncs")
 
-    # -- snapshots -----------------------------------------------------------
-    def snapshot(self, payload_fn: Callable[[], Mapping[str, Any]]) -> None:
-        """Write ``payload_fn()`` as the new snapshot and trim the journal.
+    # -- checkpoints ---------------------------------------------------------
+    def snapshot(self, ops: Callable[[], Iterable[Mapping[str, Any] | str]]) -> None:
+        """Compact the journal to ``ops()``, the ops that rebuild the
+        caller's live state, followed by whatever was appended meanwhile.
 
-        The covered sequence is fixed first; ``payload_fn`` then runs
-        *without* the log lock (it may take whatever locks the caller's
-        state needs, and concurrent appends proceed), so the image holds
-        every op ``<= covered`` and possibly some later ones — which stay
-        in the journal, because only entries ``<= covered`` are dropped.
+        The journal's length is taken first; ``ops`` then runs *without*
+        the log lock (it may take whatever locks the caller's state
+        needs, and concurrent appends proceed), so the state holds every
+        op journaled before that point and possibly some later ones — and
+        the later ones are copied after it, under the lock, just before
+        the new file replaces the journal.
         """
         with self._snapshot_lock:
             with self._lock:
-                self._sync_locked()
-                covered = self._seq
+                start, dead = self._bytes, self._dead
                 self._since_snapshot = 0
                 self.snapshot_due = False
-            blob = {"format": self.snapshot_format, "wal_seq": covered, **payload_fn()}
-            write_json_atomic(self.snapshot_path, blob)
-            image_bytes = self.snapshot_path.stat().st_size
-            perf.incr("wal_snapshot_bytes", image_bytes)
-            with self._lock:
-                self._trim_locked(covered)
-                self._bytes += image_bytes
-                self._dead = 0
-
-    def _trim_locked(self, covered: int) -> None:
-        """Drop journal entries ``<= covered`` (they are in the snapshot)."""
-        self._fh.close()
-        if self._seq == covered:
-            self._fh = open(self.wal_path, "wb", buffering=0)
-            os.fsync(self._fh.fileno())
-        else:
-            kept = [e for e in iter_wal(self.wal_path) if e["seq"] > covered]
-            _replace_atomic(
-                self.wal_path, (json.dumps(e, sort_keys=True) + "\n" for e in kept)
-            )
-            self._fh = open(self.wal_path, "ab", buffering=0)
-        self._since_sync = 0
-        self._bytes = self._fh.seek(0, os.SEEK_END)
+            with open(self._tmp, "wb") as out:
+                out.writelines(f"{_line(op)}\n".encode() for op in ops())
+                out.write(f"{_encode(_CHECKPOINT)}\n".encode())
+                compacted = out.tell()
+                _flush(out)
+                with self._lock:
+                    with open(self.wal_path, "rb") as old:
+                        old.seek(start)
+                        shutil.copyfileobj(old, out)
+                    if out.tell() > compacted:
+                        _flush(out)
+                    out.close()
+                    os.replace(self._tmp, self.wal_path)
+                    _fsync_dir(self.wal_path.parent)
+                    self._fh.close()
+                    self._fh = open(self.wal_path, "ab", buffering=0)
+                    self._since_sync = 0
+                    self._bytes = self._fh.seek(0, os.SEEK_END)
+                    self._dead -= dead
+            perf.incr("wal_snapshot_bytes", compacted)
+            if self._old_image.exists():  # migrated: the journal holds it now
+                self._old_image.unlink()
+                _fsync_dir(self.wal_path.parent)
 
     def close(self) -> None:
         """Sync and close the journal (idempotent)."""
@@ -313,9 +282,9 @@ class DurableLog:
                 self._fh.close()
 
 
-def _line(op: Mapping[str, Any] | str, seq: int) -> str:
-    """One journal line: the op's sorted JSON with its sequence number."""
-    return f'{op[:-1]}, "seq": {seq}}}' if type(op) is str else _encode({"seq": seq, **op})
+def _line(op: Mapping[str, Any] | str) -> str:
+    """One journal line: the op's sorted JSON."""
+    return op if type(op) is str else _encode(op)
 
 
 def iter_wal(path: str | Path) -> Iterator[dict[str, Any]]:
@@ -340,252 +309,10 @@ def iter_wal(path: str | Path) -> Iterator[dict[str, Any]]:
             yield op
 
 
-def read_wal(path: str | Path) -> list[dict[str, Any]]:
-    """All intact ops in the journal, tolerating a torn final line."""
-    return list(iter_wal(path))
-
-
-#: an image's outermost containers are written member by member, this
-#: many levels down (a shard's documents sit under five: payload, store,
-#: collections, collection, ``docs``); below that it is one C-encoder call
-_CHUNK_DEPTH = 5
-_encode = json.JSONEncoder(sort_keys=True).encode
-_decode = json.JSONDecoder().raw_decode
-_BLANK = re.compile(r"[ \t\n\r]*")
-#: how far back :meth:`DurableLog._repair_tail` reads at a time
-_TAIL_BLOCK = 1 << 16
-#: how much of an image :class:`_Cursor` reads at a time, in bytes
-_WINDOW = 1 << 16
-
-
-def _json_chunks(value: Any, depth: int = _CHUNK_DEPTH) -> Iterator[str]:
-    """``json.dumps(value, sort_keys=True)`` in pieces, so an image is
-    written without first existing as one string (and a second time as
-    bytes)."""
-    if depth and value and type(value) is dict and all(type(k) is str for k in value):
-        opener = "{"
-        for key in sorted(value):
-            yield f"{opener}{_encode(key)}: "
-            yield from _json_chunks(value[key], depth - 1)
-            opener = ", "
-        yield "}"
-    elif depth and value and type(value) is list:
-        opener = "["
-        for item in value:
-            yield opener
-            yield from _json_chunks(item, depth - 1)
-            opener = ", "
-        yield "]"
-    else:
-        yield _encode(value)
-
-
-class _Cursor:
-    """One forward position in an image file, shared by all of its lazy
-    containers.
-
-    Only a window of the text is held: what is unread of the last read,
-    plus the next ``_WINDOW`` bytes once that runs out.  A document that
-    does not fit is read again over a window twice the size, so the
-    window outgrows ``_WINDOW`` only while one document is larger.
-    """
-
-    __slots__ = ("_fh", "_utf8", "text", "pos", "_base", "_eof")
-
-    def __init__(self, fh: BinaryIO) -> None:
-        self._fh = fh  # binary: a text file's reads hold several copies
-        self._utf8 = codecs.getincrementaldecoder("utf-8")()
-        self.text = ""
-        self.pos = 0
-        #: characters of the file before ``text``
-        self._base = 0
-        self._eof = False
-
-    def offset(self) -> int:
-        """The cursor's position in the file, in characters."""
-        return self._base + self.pos
-
-    def _more(self) -> bool:
-        """Drop the text read so far and append the next stretch of the
-        file to what is left (``_WINDOW`` bytes, or as many as are left if
-        that is more); ``False`` at the end of the file."""
-        if self._eof:
-            return False
-        # the read text goes before the next stretch comes in
-        rest, self.text = self.text[self.pos :], ""
-        self._base += self.pos
-        self.pos = 0
-        data = self._fh.read(max(_WINDOW, len(rest)))
-        self._eof = not data
-        chunk = self._utf8.decode(data, self._eof)
-        del data
-        self.text = rest + chunk
-        return not self._eof
-
-    def peek(self) -> str:
-        """The next non-blank character (``""`` at the end), not consumed."""
-        while True:
-            self.pos = _BLANK.match(self.text, self.pos).end()
-            if self.pos < len(self.text) or not self._more():
-                return self.text[self.pos : self.pos + 1]
-
-    def expect(self, char: str) -> None:
-        if self.peek() != char:
-            raise ValueError(f"image: expected {char!r} at character {self.offset()}")
-        self.pos += 1
-
-    def decode(self) -> Any:
-        """The JSON value at the cursor (which :meth:`peek` moved past
-        blank space), decoded whole.  A value that ends the window may go
-        on past it (a number) and one that fails may be cut by it, so
-        either is decoded again over more of the file."""
-        while True:
-            try:
-                value, end = _decode(self.text, self.pos)
-            except json.JSONDecodeError:
-                if self._more():
-                    continue
-                raise
-            if end < len(self.text) or not self._more():
-                self.pos = end
-                return value
-
-    def value(self, depth: int) -> Any:
-        """The value at the cursor: a lazy container while ``depth``
-        lasts, below that one document decoded whole."""
-        char = self.peek()
-        if depth and char == "{":
-            return _LazyObject(self, depth)
-        if depth and char == "[":
-            return _LazyArray(self, depth)
-        return self.decode()
-
-
-class _LazyObject(Mapping[str, Any]):
-    """An image object, read member by member in file order.
-
-    Asking for a key reads up to it: members passed on the way are
-    decoded whole and kept, the one asked for is handed out lazily if it
-    is a container above the documents (:meth:`DurableLog.recover`).
-    """
-
-    def __init__(self, cursor: _Cursor, depth: int) -> None:
-        cursor.expect("{")
-        self._cursor = cursor
-        self._depth = depth
-        self._members: dict[str, Any] = {}
-        #: the container last handed out, which the cursor may be inside
-        self._open: Any = None
-        self._done = cursor.peek() == "}"
-        if self._done:
-            cursor.pos += 1
-
-    def _advance(self, wanted: str | None) -> bool:
-        """Read the next member (lazily only if it is ``wanted``);
-        ``False`` once the object is over."""
-        if self._done:
-            return False
-        cursor = self._cursor
-        _finish(self._open)
-        self._open = None
-        if cursor.peek() == "}":
-            cursor.pos += 1
-            self._done = True
-            return False
-        if self._members:
-            cursor.expect(",")
-        cursor.peek()
-        key = cursor.decode()
-        if type(key) is not str:
-            raise ValueError(f"image: expected a key at character {cursor.offset()}")
-        cursor.expect(":")
-        value = cursor.value(self._depth - 1 if key == wanted else 0)
-        self._members[key] = value
-        if type(value) in (_LazyObject, _LazyArray):
-            self._open = value
-        return True
-
-    def __getitem__(self, key: str) -> Any:
-        while key not in self._members:
-            if not self._advance(key):
-                raise KeyError(key)
-        return self._members[key]
-
-    def __iter__(self) -> Iterator[str]:
-        while self._advance(None):
-            pass
-        return iter(self._members)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-
-class _LazyArray:
-    """An image array, iterated once, one item at a time."""
-
-    def __init__(self, cursor: _Cursor, depth: int) -> None:
-        cursor.expect("[")
-        self._cursor = cursor
-        self._depth = depth
-        self._started = False
-        self._done = cursor.peek() == "]"
-        if self._done:
-            cursor.pos += 1
-
-    def __iter__(self) -> Iterator[Any]:
-        if self._started:
-            raise ValueError("image: an array is read once")
-        self._started = True
-        return self._items()
-
-    def _items(self) -> Iterator[Any]:
-        cursor = self._cursor
-        first = True
-        while not self._done:
-            if cursor.peek() == "]":
-                cursor.pos += 1
-                self._done = True
-                return
-            if not first:
-                cursor.expect(",")
-            first = False
-            item = cursor.value(self._depth - 1)
-            yield item
-            _finish(item)
-
-
-def _finish(value: Any) -> None:
-    """Move the cursor past a container handed out of an image: an
-    object's unread members are decoded and kept, but an array left
-    before its end is an error — its remaining items would be skipped."""
-    if type(value) is _LazyObject:
-        while value._advance(None):
-            pass
-    elif type(value) is _LazyArray and not value._done:
-        raise ValueError(
-            "image: an array was left before its end; read an image's "
-            "members in file order"
-        )
-
-
-def write_json_atomic(path: str | Path, blob: Mapping[str, Any]) -> None:
-    """Durably replace ``path`` with ``blob`` as sorted JSON."""
-    _replace_atomic(Path(path), _json_chunks(blob))
-
-
-def _replace_atomic(path: Path, chunks: Iterable[str]) -> None:
-    """Write-to-temp + fsync + ``os.replace`` + parent-directory fsync:
-    a crash at any point leaves either the old file or the new one,
-    never a torn mix, and a power cut after return cannot roll the
-    rename back."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / (path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(chunks)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(path.parent)
+def _flush(fh: Any) -> None:
+    """Push a buffered file's writes to stable storage."""
+    fh.flush()
+    os.fsync(fh.fileno())
 
 
 def _fsync_dir(path: Path) -> None:
@@ -593,7 +320,8 @@ def _fsync_dir(path: Path) -> None:
 
     ``os.replace`` updates the directory entry, not the file — without
     syncing the directory a power cut can lose the rename and bring the
-    old snapshot back, behind the already-truncated WAL.
+    uncompacted journal back (or, after a migration, lose the journal
+    that replaced an image whose deletion did reach the disk).
     """
     flags = getattr(os, "O_DIRECTORY", None)
     if flags is None:  # pragma: no cover - non-POSIX platforms

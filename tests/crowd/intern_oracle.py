@@ -10,8 +10,9 @@ store to it byte for byte, and measure what sharing saves.
 
 from __future__ import annotations
 
+import json
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from typing import Any
 
 from repro.crowd.columnar import Interner, freeze
@@ -36,15 +37,14 @@ class PrivateStore(DocumentStore):
             coll._interner = PrivateCopies()
         return coll
 
-    @staticmethod
-    def from_jsonable(blob: Mapping[str, Any]) -> "PrivateStore":
-        store = PrivateStore()
-        for cblob in blob["collections"]:
-            coll = store.collection(cblob["name"])
-            for doc in cblob["docs"]:
-                coll.restore(doc)
-            coll._next_id = int(cblob["next_id"])
-        return store
+
+
+def replay(store: DocumentStore, lines: Iterable[str]) -> DocumentStore:
+    """``store`` after applying journal ``lines``, each parsed on its own
+    (a restart from a journal, compacted or not)."""
+    for line in lines:
+        store.apply_op(json.loads(line))
+    return store
 
 
 def same(a: Any, b: Any) -> bool:

@@ -147,9 +147,10 @@ class _Rows:
         return len(hit)
 
 
-def _pair(docs):
-    """(collection, row oracle) holding identical documents."""
-    fast, slow = Collection("c"), _Rows()
+def _pair(docs, store=None):
+    """(collection ``c`` of ``store``, row oracle) holding identical
+    documents."""
+    fast, slow = (store or DocumentStore())["c"], _Rows()
     for d in docs:
         fast.insert(d)
         slow.insert(d)
@@ -310,7 +311,8 @@ class TestRowColumnParity:
 
     def test_parity_under_mutation_interleavings(self):
         rng = random.Random(99)
-        fast, slow = _pair([_random_doc(rng) for _ in range(60)])
+        store = DocumentStore()
+        fast, slow = _pair([_random_doc(rng) for _ in range(60)], store)
         for step in range(40):
             roll = rng.random()
             if roll < 0.45:
@@ -327,10 +329,10 @@ class TestRowColumnParity:
                 flt = {"timestamp": {"$gt": rng.uniform(0, 100)}}
                 assert fast.delete(flt) == slow.delete(flt)
             else:
-                # out-of-order restore: forces a dirty rebuild
+                # out-of-order replay: forces a dirty rebuild
                 doc = _random_doc(rng)
                 doc["_id"] = rng.randint(1, 300)
-                fast.restore(doc)
+                store.apply_op({"op": "insert", "c": "c", "doc": doc})
                 slow.restore(doc)
             flt = rng.choice(_FILTERS)
             sort = rng.choice(_SORTS)
@@ -562,9 +564,10 @@ class TestViewMaintenance:
         assert coll.count({"a": 1}) == 0
 
     def test_out_of_order_restore_keeps_id_order(self):
-        coll = Collection("c")
-        coll.restore({"_id": 5, "a": "late"})
-        coll.restore({"_id": 2, "a": "early"})
+        store = DocumentStore()
+        store.apply_op({"op": "insert", "c": "c", "doc": {"_id": 5, "a": "late"}})
+        store.apply_op({"op": "insert", "c": "c", "doc": {"_id": 2, "a": "early"}})
+        coll = store["c"]
         assert [d["_id"] for d in coll.find({})] == [2, 5]
         assert [d["_id"] for d in coll.find({}, frozen=True)] == [2, 5]
 

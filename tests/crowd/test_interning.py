@@ -1,5 +1,5 @@
 """Hash-consing is invisible: a store that shares sub-documents answers,
-journals and images exactly like one that keeps private copies
+journals and compacts exactly like one that keeps private copies
 (:mod:`tests.crowd.intern_oracle`), for documents built to collide —
 ``1`` / ``1.0`` / ``True`` / ``"1"``, permuted key orders, ``-0.0``,
 ``NaN``, nested empty containers, tuples beside lists."""
@@ -20,7 +20,7 @@ from repro.crowd import columnar
 from repro.crowd.columnar import INTERN_MAX_DISTINCT
 from repro.crowd.database import DocumentStore
 
-from .intern_oracle import PrivateStore, same
+from .intern_oracle import PrivateStore, replay, same
 
 #: sub-documents that are ``==`` or ``hashable_key``-equal to a neighbour
 #: without being the same value
@@ -72,9 +72,10 @@ journaled = st.one_of(
     st.tuples(st.just("update"), st.integers(0, 4), documents),
     st.tuples(st.just("delete"), st.integers(0, 4)),
 )
-#: ``restore`` is the replay path itself: it never journals
+#: ``replay`` is a journaled document applied under its ``_id`` — the
+#: replay path itself: it never journals
 operations = st.one_of(
-    journaled, st.tuples(st.just("restore"), st.integers(1, 12), documents)
+    journaled, st.tuples(st.just("replay"), st.integers(1, 12), documents)
 )
 
 
@@ -93,7 +94,8 @@ def run(store: DocumentStore, ops) -> list[str]:
         elif op[0] == "delete":
             coll.delete({"k": op[1]})
         else:
-            coll.restore({**op[2], "_id": op[1]})
+            doc = json.loads(json.dumps({**op[2], "_id": op[1]}))
+            store.apply_op({"op": "insert", "c": "c", "doc": doc})
     store.set_observer(None)
     return lines
 
@@ -105,7 +107,7 @@ def assert_indistinguishable(store: DocumentStore, oracle: DocumentStore) -> Non
             want = oracle["c"].find({}, frozen=frozen, **kwargs)
             assert same(got, want)
             assert json.dumps(got) == json.dumps(want)
-    assert json.dumps(store.to_jsonable()) == json.dumps(oracle.to_jsonable())
+    assert list(store.journal_lines()) == list(oracle.journal_lines())
 
 
 class TestInterningIsInvisible:
@@ -116,30 +118,21 @@ class TestInterningIsInvisible:
         assert run(store, ops) == run(oracle, copy.deepcopy(ops))
         assert_indistinguishable(store, oracle)
 
-        # the in-memory image (tuples survive) and the one a disk holds
-        blob = store.to_jsonable()
-        assert_indistinguishable(
-            DocumentStore.from_jsonable(blob), PrivateStore.from_jsonable(blob)
-        )
-        text = json.dumps(blob, sort_keys=True)
-        assert text == json.dumps(oracle.to_jsonable(), sort_keys=True)
-        reloaded = DocumentStore.from_jsonable(json.loads(text))
-        assert_indistinguishable(reloaded, PrivateStore.from_jsonable(json.loads(text)))
-        assert json.dumps(reloaded.to_jsonable(), sort_keys=True) == text
+        # compacted, and restarted from the compacted journal
+        lines = list(store.journal_lines())
+        assert lines == list(oracle.journal_lines())
+        reloaded = replay(DocumentStore(), lines)
+        assert_indistinguishable(reloaded, replay(PrivateStore(), lines))
+        assert list(reloaded.journal_lines()) == lines
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(journaled, max_size=12))
     def test_replaying_the_journal_rebuilds_the_same_store(self, ops):
         store = DocumentStore()
         lines = run(store, ops)
-        replayed, oracle = DocumentStore(), PrivateStore()
-        for line in lines:
-            replayed.apply_op(json.loads(line))
-            oracle.apply_op(json.loads(line))
-        assert_indistinguishable(replayed, oracle)
-        assert json.dumps(replayed.to_jsonable(), sort_keys=True) == json.dumps(
-            store.to_jsonable(), sort_keys=True
-        )
+        replayed = replay(DocumentStore(), lines)
+        assert_indistinguishable(replayed, replay(PrivateStore(), lines))
+        assert list(replayed.journal_lines()) == list(store.journal_lines())
 
     def test_near_equal_values_never_share(self):
         coll = DocumentStore()["c"]
@@ -155,12 +148,11 @@ class TestSharing:
         for order in (values, values[::-1]):
             store = DocumentStore()
             lines = run(store, [("insert", {"k": 0, "f": copy.deepcopy(v)}) for v in order])
-            replayed = DocumentStore()
-            for line in lines:
-                replayed.apply_op(json.loads(line))
-            for built in (store, DocumentStore.from_jsonable(store.to_jsonable()), replayed):
+            replayed = replay(DocumentStore(), lines)
+            compacted = replay(DocumentStore(), store.journal_lines())
+            for built in (store, compacted, replayed):
                 got = [doc["f"] for doc in built["c"].find({}, frozen=True)]
-                want = order if built is not replayed else json.loads(json.dumps(order))
+                want = order if built is store else json.loads(json.dumps(order))
                 assert all(same(columnar.thaw(g), w) for g, w in zip(got, want))
                 twins = [g for g in got if type(g) is str and g == "()"]
                 assert len(twins) == 2 and twins[0] is twins[1]
@@ -172,7 +164,10 @@ class TestSharing:
                 [{"i": i, "m": {"name": "cori", "nodes": {"n": 8}}} for i in range(5)]
             )
             store["c"].update({"i": 0}, {"m": {"name": "cori", "nodes": {"n": 8}}})
-            store["c"].restore({"_id": 9, "i": 9, "m": {"name": "cori", "nodes": {"n": 8}}})
+            store.apply_op(
+                {"op": "insert", "c": "c",
+                 "doc": {"_id": 9, "i": 9, "m": {"name": "cori", "nodes": {"n": 8}}}}
+            )
         docs = store["c"].find({}, frozen=True)
         assert len(docs) == 6 and len({id(doc["m"]) for doc in docs}) == 1
         assert stats.counters["store_interned_values"] == 6

@@ -16,7 +16,7 @@ from repro.crowd.database import DocumentStore
 from repro.crowd.users import UserRegistry
 from repro.service import CrowdShard
 
-from .intern_oracle import PrivateStore
+from .intern_oracle import PrivateStore, replay
 
 N = 2000
 MACHINES = [
@@ -87,10 +87,10 @@ def test_a_stored_record_costs_under_half_of_a_private_copy():
     store, shared = traced(lambda: filled(DocumentStore()))
     assert shared <= 0.45 * private
 
-    # the same after a trip through an image on disk ...
-    image = json.dumps(store.to_jsonable(), sort_keys=True)
-    reloaded, from_image = traced(lambda: DocumentStore.from_jsonable(json.loads(image)))
-    assert from_image <= 0.45 * private
+    # the same after a compaction and a restart from it ...
+    compacted = list(store.journal_lines())
+    reloaded, from_compacted = traced(lambda: replay(DocumentStore(), compacted))
+    assert from_compacted <= 0.45 * private
 
     # ... and after replaying the journal, one separately parsed line per op
     lines: list[str] = []
@@ -98,16 +98,10 @@ def test_a_stored_record_costs_under_half_of_a_private_copy():
     journaling.set_observer(lambda op: lines.append(json.dumps(op, sort_keys=True)))
     filled(journaling)
 
-    def replay() -> DocumentStore:
-        replayed = DocumentStore()
-        for line in lines:
-            replayed.apply_op(json.loads(line))
-        return replayed
-
-    replayed, from_journal = traced(replay)
+    replayed, from_journal = traced(lambda: replay(DocumentStore(), lines))
     assert from_journal <= 0.45 * private
-    assert json.dumps(replayed.to_jsonable(), sort_keys=True) == image
-    assert json.dumps(reloaded.to_jsonable(), sort_keys=True) == image
+    assert list(replayed.journal_lines()) == compacted
+    assert list(reloaded.journal_lines()) == compacted
 
 
 def _shard(data_dir, users) -> CrowdShard:
@@ -125,7 +119,8 @@ def _alice() -> tuple[UserRegistry, str]:
 
 
 def _filled_shard(data_dir, users, key, *, image: bool, n: int = N) -> None:
-    """``n`` uploads, all in an image (``image``) or all in the journal."""
+    """``n`` uploads, all in a compacted journal (``image``) or all as
+    they were journaled."""
     with _shard(data_dir, users) as shard:
         for i in range(n):
             _upload(shard, key, i)
@@ -147,23 +142,23 @@ def test_a_snapshot_builds_no_second_document_tree(tmp_path):
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        image_bytes = (tmp_path / "snapshot.json").stat().st_size
+        image_bytes = (tmp_path / "wal.jsonl").stat().st_size
         assert image_bytes > 400 * N
-        # a thawed copy of the store alone is several times the image
+        # a thawed copy of the store alone is several times the journal
         assert peak <= 1.1 * image_bytes
 
 
 def test_an_image_only_restart_holds_a_window_of_the_image(tmp_path):
-    """The image is read through a bounded window and decoded a document
-    at a time as the store takes them, so the scratch does not grow with
-    the image.  (Read whole, the image's text was 0.98x its bytes; parsed
-    whole, its plain tree beside the store it became was 4.45x.)"""
+    """A compacted journal is read a line at a time and each line's
+    document is applied as the store takes it, so the scratch does not
+    grow with the journal."""
     users, key = _alice()
     for n in (N, 2 * N):
         data_dir = tmp_path / str(n)
         _filled_shard(data_dir, users, key, image=True, n=n)
-        assert (data_dir / "wal.jsonl").stat().st_size == 0
-        assert (data_dir / "snapshot.json").stat().st_size > 400 * n
+        journal = (data_dir / "wal.jsonl").read_bytes()
+        assert journal.endswith(b'{"op": "checkpoint"}\n') and len(journal) > 400 * n
+        del journal
         restarted, extra = scratch(lambda: _shard(data_dir, users))
         with restarted:
             assert restarted.count() == n
@@ -192,11 +187,11 @@ def test_a_restarted_shard_holds_one_copy_of_each_repeated_string(tmp_path):
 
 
 def test_a_tail_only_restart_never_holds_the_journal(tmp_path):
-    """No image: every op is replayed as its line is read, and the torn
-    tail check reads the journal's end, not the whole file."""
+    """Never compacted: every op is replayed as its line is read, and the
+    torn tail check reads the journal's end, not the whole file."""
     users, key = _alice()
     _filled_shard(tmp_path, users, key, image=False)
-    assert not (tmp_path / "snapshot.json").exists()
+    assert b'"checkpoint"' not in (tmp_path / "wal.jsonl").read_bytes()
     journal_bytes = (tmp_path / "wal.jsonl").stat().st_size
     assert journal_bytes > 400 * N
     restarted, extra = scratch(lambda: _shard(tmp_path, users))
@@ -213,15 +208,15 @@ def test_a_restart_from_image_plus_a_long_tail_costs_what_the_live_shard_did(tmp
         for i in range(N):
             _upload(shard, key, i)
             if i == N // 2 - 1:
-                shard.snapshot()  # the other half stays in the journal
+                shard.snapshot()  # the other half is journaled after it
         return shard
 
     shard, before = traced(live)
-    image = json.dumps(shard.repository.store.to_jsonable(), sort_keys=True)
+    image = list(shard.repository.store.journal_lines())
     shard.close()
     del shard
     restarted, after = traced(lambda: _shard(tmp_path, users))
     with restarted:
         assert restarted.count() == N
-        assert json.dumps(restarted.repository.store.to_jsonable(), sort_keys=True) == image
+        assert list(restarted.repository.store.journal_lines()) == image
     assert abs(after - before) <= 0.15 * before

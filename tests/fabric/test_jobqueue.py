@@ -5,10 +5,10 @@ any point mid-stream, recover the queue from its directory, and
 
 * no acknowledged completion is lost (WAL-then-ack),
 * no job is ever *applied* twice (exactly-once via lease tokens),
-* the WAL tail past the last snapshot replays.
+* the journal past the last compaction replays.
 
-The kill points of the journal/snapshot protocol (torn final line,
-snapshot written but journal not trimmed, ...) are in
+The kill points of the journal/compaction protocol (torn final line,
+compacted file written but not yet in place, ...) are in
 ``tests/service/test_durable_log.py``, run against this queue and the
 crowd shard alike.
 """
@@ -20,7 +20,7 @@ import json
 import pytest
 
 from repro.fabric import DurableJobQueue, JobState
-from repro.fabric.jobqueue import _SNAP_NAME, _WAL_NAME
+from repro.fabric.jobqueue import _WAL_NAME
 
 
 def fill(queue: DurableJobQueue, n: int) -> list[int]:
@@ -176,18 +176,15 @@ class TestCrashRecovery:
     def test_explicit_snapshot_truncates_wal(self, tmp_path):
         q = DurableJobQueue(tmp_path)
         fill(q, 4)
+        q.redispatch(q.lease(0, 0.0, 10.0).job_id)
         q.snapshot()
-        assert (tmp_path / _WAL_NAME).stat().st_size == 0
-        blob = json.loads((tmp_path / _SNAP_NAME).read_text())
-        assert blob["format"] == "gptunecrowd-fabric-queue-v1"
-        assert len(blob["jobs"]) == 4
+        assert [p.name for p in tmp_path.iterdir()] == [_WAL_NAME]
+        ops = [json.loads(line) for line in (tmp_path / _WAL_NAME).read_text().splitlines()]
+        # one line per job as it stands, then the end of the compacted part
+        assert [op["op"] for op in ops] == ["job"] * 4 + ["checkpoint"]
+        assert [op["attempt"] for op in ops[:4]] == [1, 0, 0, 0]
         del q
         assert DurableJobQueue(tmp_path).n_pending == 4
-
-    def test_foreign_snapshot_rejected(self, tmp_path):
-        (tmp_path / _SNAP_NAME).write_text(json.dumps({"format": "other"}))
-        with pytest.raises(ValueError, match="not a gptunecrowd-fabric-queue-v1 snapshot"):
-            DurableJobQueue(tmp_path)
 
 
 class TestMisc:

@@ -4,29 +4,31 @@
 (:class:`repro.service.wal.DurableLog`), so every test here runs against
 both through one parametrized fixture:
 
-* **no lost acknowledged write** — an op acknowledged while a snapshot
-  is being written (deterministic interleaving), and under four
-  concurrent writers with a snapshot every 8 ops, is there after a
+* **no lost acknowledged write** — an op acknowledged while the journal
+  is being compacted (deterministic interleaving), and under four
+  concurrent writers with a checkpoint every 8 ops, is there after a
   restart from disk;
 * **the crash matrix** — kill the process at each point of the
-  journal/snapshot protocol, reopen the directory: every acknowledged op
-  is present, nothing that was never attempted is;
-* **the checkpoint rule** — an image is due after ``snapshot_every`` ops
-  *and* once the dead bytes reached the live ones, counted from what is
-  on disk: an insert-only history writes no image, dead bytes reaching
-  live bytes write exactly one, restarting before every op still
+  journal/compaction protocol, reopen the directory: every acknowledged
+  op is present, nothing that was never attempted is;
+* **the checkpoint rule** — a compaction is due after ``snapshot_every``
+  ops *and* once the dead bytes reached the live ones, counted from what
+  is on disk: an insert-only history never compacts, dead bytes reaching
+  live bytes compact exactly once, restarting before every op still
   checkpoints, and recovery reads at most about twice the live data.
-  The tests above that need an image first journal dead data
+  The tests above that need a compaction first journal dead data
   (``prime``), so from then on the floor of ops decides when it comes;
-* **on-disk compatibility** — the bytes a fixed single-threaded call
-  sequence writes equal the ones commit ``c5d1889`` wrote, and the
-  directories that commit wrote (torn final line included) recover to
-  the same documents / jobs.  The shard snapshot literal since lost one
-  element, the empty ``surrogate_models`` collection the deleted model
-  store created in every shard's store (an image that still holds it
-  recovers: ``test_wal_recovery.py`` pins that).  The sequences take
-  that image explicitly: on their insert-only data the checkpoint rule
-  writes none.
+* **on-disk format** — the bytes a fixed single-threaded call sequence
+  writes are pinned (the compacted state, its ``checkpoint`` line, then
+  the ops journaled after it), and the directories commit ``c5d1889``
+  wrote — an image beside a numbered journal, torn final line included —
+  recover to the same documents / jobs and are compacted to the one
+  journal at once, also when that migration is killed halfway.  The
+  shard image literal since lost one element, the empty
+  ``surrogate_models`` collection the deleted model store created in
+  every shard's store (an image that still holds it recovers:
+  ``test_wal_recovery.py`` pins that).  The sequences compact
+  explicitly: on their insert-only data the checkpoint rule never does.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import os
 import shutil
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -79,8 +82,9 @@ class ShardUser(_User):
 
     name = "shard"
     ops_per_write = 1
-    wal_name, snapshot_name = "wal.jsonl", "snapshot.json"
-    #: a second thread's write proceeds while a snapshot is being written
+    #: the journal, and the image an earlier version kept beside it
+    wal_name, parent_image = "wal.jsonl", "snapshot.json"
+    #: a second thread's write proceeds while the journal is being compacted
     writes_during_snapshot = True
 
     def __init__(self) -> None:
@@ -135,8 +139,8 @@ class QueueUser(_User):
 
     name = "queue"
     ops_per_write = 2
-    wal_name, snapshot_name = "queue.wal.jsonl", "queue.snapshot.json"
-    #: the queue snapshots under its own lock: writers wait for it
+    wal_name, parent_image = "queue.wal.jsonl", "queue.snapshot.json"
+    #: the queue compacts under its own lock: writers wait for it
     writes_during_snapshot = False
 
     #: a churn job, leased and redispatched (dead as it is written) 40 times
@@ -186,42 +190,70 @@ def _restart(user, tmp_path, handle=None):
     return user.open(tmp_path)
 
 
+#: the line that ends a compacted journal's rebuilt state
+_CHECKPOINT = b'{"op": "checkpoint"}\n'
+
+
+def _compacted(journal) -> int | None:
+    """The bytes of the journal's compacted part (through its checkpoint
+    line), ``None`` if it was never compacted."""
+    end = journal.read_bytes().find(_CHECKPOINT)
+    return None if end < 0 else end + len(_CHECKPOINT)
+
+
+def _during_compaction(monkeypatch, step):
+    """Run ``step`` inside the next compaction, once the live state is
+    listed and before the log takes its lock to copy what was appended
+    meanwhile."""
+    real = wal.DurableLog.snapshot
+
+    def snapshot(self, ops):
+        monkeypatch.setattr(wal.DurableLog, "snapshot", real)  # this one only
+
+        def listed_then_step():
+            yield from ops()
+            step()
+
+        real(self, listed_then_step)
+
+    monkeypatch.setattr(wal.DurableLog, "snapshot", snapshot)
+
+
 # ---------------------------------------------------------------------------
-# no acknowledged write is lost to a snapshot
+# no acknowledged write is lost to a compaction
 # ---------------------------------------------------------------------------
 
 
 def test_write_acked_during_a_snapshot_survives(user, tmp_path, monkeypatch):
-    """A second thread's write lands between the image and the journal
-    trim.  (At c5d1889 the shard acknowledged it, counted it, and lost it
-    on restart: ``truncate()`` wiped an op the image did not hold.)"""
+    """A second thread's write lands after the live state was listed and
+    before the compacted file replaces the journal.  (At c5d1889 the
+    shard acknowledged it, counted it, and lost it on restart:
+    ``truncate()`` wiped an op the image did not hold.)"""
     handle = user.primed(tmp_path, snapshot_every=3)
     acked: list[int] = []
     inside_window: list[bool] = []
-    real = wal.write_json_atomic
+    writers: list[threading.Thread] = []
 
-    def write_with_a_concurrent_writer(path, blob):
-        monkeypatch.setattr(wal, "write_json_atomic", real)  # first snapshot only
+    def concurrent_writer():
         writer = threading.Thread(target=lambda: acked.append(user.write(handle, 100)))
         writer.start()
         # the shard's writer finishes inside the window; the queue's waits
-        # for the queue lock the snapshot holds, so stop waiting for it
+        # for the queue lock the compaction holds, so stop waiting for it
         writer.join(timeout=30 if user.writes_during_snapshot else 0.2)
         inside_window.append(not writer.is_alive())
-        real(path, blob)
         writers.append(writer)
 
-    writers: list[threading.Thread] = []
-    monkeypatch.setattr(wal, "write_json_atomic", write_with_a_concurrent_writer)
+    _during_compaction(monkeypatch, concurrent_writer)
     for i in range(3):
         acked.append(user.write(handle, i))
     for writer in writers:
         writer.join(timeout=30)
         assert not writer.is_alive()
     assert inside_window == [user.writes_during_snapshot]
-    assert (tmp_path / user.snapshot_name).exists()
+    assert _compacted(tmp_path / user.wal_name) is not None
     assert len(acked) == 4 and user.present(handle) == set(acked)
     assert user.present(_restart(user, tmp_path, handle)) == set(acked)
+    assert [path.name for path in tmp_path.iterdir()] == [user.wal_name]
 
 
 def test_concurrent_writers_lose_nothing_across_a_restart(user, tmp_path):
@@ -271,69 +303,67 @@ def _kill_after_append(monkeypatch, user):
     monkeypatch.setattr(wal.DurableLog, "append", append_then_die)
 
 
-def _kill_before_replacing(name_of):
+def _kill_at_replace(after: bool):
+    """Die as the compacted file replaces the journal: before the rename,
+    or after it and before the journal is reopened."""
+
     def arm(monkeypatch, user):
         real = os.replace
 
-        def replace_or_die(src, dst):
-            if os.path.basename(dst) == name_of(user):
-                raise _Kill
-            real(src, dst)
+        def replace_and_die(src, dst):
+            if os.path.basename(dst) != user.wal_name:
+                real(src, dst)
+                return
+            if after:
+                real(src, dst)
+            raise _Kill
 
-        monkeypatch.setattr(os, "replace", replace_or_die)
+        monkeypatch.setattr(os, "replace", replace_and_die)
 
     return arm
 
 
-def _kill_before_trim(monkeypatch, user):
-    def die(self, covered):
-        raise _Kill
-
-    monkeypatch.setattr(wal.DurableLog, "_trim_locked", die)
-
-
 #: kill point -> how to arm it; each fires inside write number 5 (the
-#: one that makes the snapshot due) or, for the append point, write 5's
-#: first journaled op
+#: one that makes the compaction due) or, for the append point, write 5's
+#: first journaled op.  ``mid-tail-rewrite`` is the compacted file not yet
+#: in place while a second writer was acknowledged during the compaction
+#: (the queue's waits for the queue lock, and gets in once the kill has
+#: released it): the old journal holds that write either way.
 KILL_POINTS = {
     "appended-not-acked": _kill_after_append,
-    "snapshot-tmp-not-replaced": _kill_before_replacing(
-        lambda user: user.snapshot_name
-    ),
-    "snapshot-replaced-not-trimmed": _kill_before_trim,
-    "mid-tail-rewrite": _kill_before_replacing(lambda user: user.wal_name),
+    "snapshot-tmp-not-replaced": _kill_at_replace(after=False),
+    "snapshot-replaced-not-reopened": _kill_at_replace(after=True),
+    "mid-tail-rewrite": _kill_at_replace(after=False),
 }
 
 
 @pytest.mark.parametrize("point", sorted(KILL_POINTS))
 def test_acked_ops_survive_kill(user, point, tmp_path, monkeypatch):
-    if point == "mid-tail-rewrite" and not user.writes_during_snapshot:
-        pytest.skip("the queue snapshots under its lock: its trim is a plain truncate")
     handle = user.primed(tmp_path, snapshot_every=5 * user.ops_per_write)
     acked = {user.write(handle, i) for i in range(4)}
+    writers: list[threading.Thread] = []
     if point == "mid-tail-rewrite":
-        # a second writer gets in while the snapshot file is written, so
-        # the trim has a tail to keep and goes through temp + replace
-        real = wal.write_json_atomic
 
-        def write_with_a_concurrent_writer(path, blob):
-            monkeypatch.setattr(wal, "write_json_atomic", real)
+        def concurrent_writer():
             writer = threading.Thread(target=lambda: acked.add(user.write(handle, 50)))
             writer.start()
-            writer.join(timeout=30)
-            assert not writer.is_alive()
-            real(path, blob)
+            writer.join(timeout=30 if user.writes_during_snapshot else 0.2)
+            writers.append(writer)
 
-        monkeypatch.setattr(wal, "write_json_atomic", write_with_a_concurrent_writer)
+        _during_compaction(monkeypatch, concurrent_writer)
     KILL_POINTS[point](monkeypatch, user)
     with pytest.raises(_Kill):
         user.write(handle, 4)  # in flight: never acknowledged
     monkeypatch.undo()
+    for writer in writers:
+        writer.join(timeout=30)
+        assert not writer.is_alive() and 50 in acked
     if point != "appended-not-acked":
-        # the dying write had journaled everything before the snapshot began
+        # the dying write had journaled everything before the compaction began
         acked.add(4)
     recovered = _restart(user, tmp_path)
     assert acked <= user.present(recovered) <= acked | {4}
+    assert [path.name for path in tmp_path.iterdir()] == [user.wal_name]
     # the recovered directory keeps working: write, restart, still there
     acked.add(user.write(recovered, 7))
     assert acked <= user.present(_restart(user, tmp_path, recovered)) <= acked | {4}
@@ -341,10 +371,10 @@ def test_acked_ops_survive_kill(user, point, tmp_path, monkeypatch):
 
 def test_torn_final_journal_line_is_discarded_and_cut_off(user, tmp_path):
     handle = user.primed(tmp_path, snapshot_every=3 * user.ops_per_write)
-    acked = {user.write(handle, i) for i in range(5)}  # snapshot + a tail
+    acked = {user.write(handle, i) for i in range(5)}  # a compaction + a tail
     journal = tmp_path / user.wal_name
-    assert (tmp_path / user.snapshot_name).exists() and journal.stat().st_size > 0
-    journal.write_bytes(journal.read_bytes() + b'{"seq": 999, "op": "ins')  # power cut
+    assert journal.stat().st_size > _compacted(journal)
+    journal.write_bytes(journal.read_bytes() + b'{"op": "ins')  # power cut
     recovered = _restart(user, tmp_path)
     assert user.present(recovered) == acked
     # the fragment is gone, so the next entry starts on its own line
@@ -358,35 +388,26 @@ def test_torn_final_journal_line_is_discarded_and_cut_off(user, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _images_written(monkeypatch) -> list[int]:
-    """The size of every image written from here on."""
+def _compactions(monkeypatch) -> list[int]:
+    """The size of every compacted state written from here on."""
     sizes: list[int] = []
-    real = wal.write_json_atomic
+    real = wal.DurableLog.snapshot
 
-    def measured(path, blob):
-        real(path, blob)
-        sizes.append(os.path.getsize(path))
+    def measured(self, ops):
+        real(self, ops)
+        sizes.append(_compacted(self.wal_path))
 
-    monkeypatch.setattr(wal, "write_json_atomic", measured)
+    monkeypatch.setattr(wal.DurableLog, "snapshot", measured)
     return sizes
 
 
-def _on_disk(user, tmp_path) -> int:
-    """The bytes recovery reads: the image and the journal."""
-    return sum(
-        path.stat().st_size
-        for path in (tmp_path / user.snapshot_name, tmp_path / user.wal_name)
-        if path.exists()
-    )
-
-
 def test_an_insert_only_history_writes_no_image(user, tmp_path, monkeypatch):
-    """Replaying a journaled insert decodes the document an image would:
-    re-encoding live data buys nothing at recovery."""
-    sizes = _images_written(monkeypatch)
+    """Replaying a journaled insert decodes the document a compacted
+    journal would: re-encoding live data buys nothing at recovery."""
+    sizes = _compactions(monkeypatch)
     handle = user.open(tmp_path, snapshot_every=4 * user.ops_per_write)
     acked = {user.write(handle, i) for i in range(240)}
-    assert sizes == [] and not (tmp_path / user.snapshot_name).exists()
+    assert sizes == [] and _compacted(tmp_path / user.wal_name) is None
     assert user.present(_restart(user, tmp_path, handle)) == acked
 
 
@@ -396,24 +417,24 @@ def test_dead_bytes_reaching_live_bytes_write_one_image(user, tmp_path, monkeypa
     acked = {user.write(handle, i) for i in range(20)}
     if user.name == "queue":
         handle.enqueue({"churn": True})
-    sizes = _images_written(monkeypatch)
+    sizes = _compactions(monkeypatch)
     churned = 0
     while not sizes:
-        # dead bytes below the live ones: no image yet
+        # dead bytes below the live ones: no compaction yet
         assert 2 * churned < 1000
         user.churn(handle)
         churned += 1
     assert len(sizes) == 1
-    # the image holds the live data and the journal starts over
-    assert (tmp_path / user.wal_name).stat().st_size == 0
+    # the journal is the live data, and nothing was journaled after it
+    assert (tmp_path / user.wal_name).stat().st_size == sizes[0]
     assert user.present(_restart(user, tmp_path, handle)) == acked
 
 
 def test_restarting_before_every_checkpoint_still_checkpoints(user, tmp_path):
-    """A process restarted before every op: the ops since the image and
-    the dead bytes are recounted from disk.  (Before the counts came from
-    disk, every run started its op count at zero and the journal grew
-    without bound.)"""
+    """A process restarted before every op: the ops since the compaction
+    and the dead bytes are recounted from disk.  (Before the counts came
+    from disk, every run started its op count at zero and the journal
+    grew without bound.)"""
     every = 5 * user.ops_per_write + 1
     handle = user.open(tmp_path, snapshot_every=every)
     acked = {user.write(handle, i) for i in range(5)}
@@ -423,9 +444,28 @@ def test_restarting_before_every_checkpoint_still_checkpoints(user, tmp_path):
         handle.close()
         handle = user.open(tmp_path, snapshot_every=every)
         user.churn(handle)
-        if (tmp_path / user.snapshot_name).exists():
+        if _compacted(tmp_path / user.wal_name) is not None:
             break
-    assert (tmp_path / user.snapshot_name).exists()
+    assert _compacted(tmp_path / user.wal_name) is not None
+    assert user.present(_restart(user, tmp_path, handle)) == acked
+
+
+def test_the_floor_counts_only_what_follows_the_compacted_part(user, tmp_path, monkeypatch):
+    """Recovery restarts the floor at the checkpoint line: the compacted
+    lines rebuild the state, they are not ops journaled since the last
+    compaction."""
+    every = user.prime_ops + 3
+    handle = user.open(tmp_path, snapshot_every=every)
+    acked = {user.write(handle, i) for i in range(5)}
+    handle.snapshot()
+    handle.close()
+    sizes = _compactions(monkeypatch)
+    handle = user.open(tmp_path, snapshot_every=every)
+    user.prime(handle)  # dead bytes past the live ones, the floor not reached
+    assert sizes == []
+    for _ in range(3):
+        user.churn(handle)
+    assert len(sizes) == 1
     assert user.present(_restart(user, tmp_path, handle)) == acked
 
 
@@ -434,7 +474,7 @@ def test_recovery_reads_at_most_about_twice_the_live_data(user, tmp_path, monkey
     at, recovery reads the live data plus at most as many dead bytes,
     give or take the floor's ops."""
     every = 4 * user.ops_per_write
-    sizes = _images_written(monkeypatch)
+    sizes = _compactions(monkeypatch)
     live_dir, probe_dir = tmp_path / "live", tmp_path / "probe"
     handle = user.open(live_dir, snapshot_every=every)
     if user.name == "queue":
@@ -445,22 +485,22 @@ def test_recovery_reads_at_most_about_twice_the_live_data(user, tmp_path, monkey
         for _ in range(user.churns):
             user.churn(handle)
         if i % 20 == 19:
-            # the live data: an image of the same state, taken in a copy
-            images = len(sizes)
+            # the live data: a compaction of the same state, in a copy
+            compactions = len(sizes)
             shutil.copytree(live_dir, probe_dir)
             probe = user.open(probe_dir)
             probe.snapshot()
             probe.close()
             live = sizes.pop()
-            assert len(sizes) == images
+            assert len(sizes) == compactions
             shutil.rmtree(probe_dir)
-            assert _on_disk(user, live_dir) <= 2 * live + every * 1200
-    assert len(sizes) >= 2  # the churn was checkpointed along the way
+            assert (live_dir / user.wal_name).stat().st_size <= 2 * live + every * 1200
+    assert len(sizes) >= 2  # the churn was compacted along the way
     assert user.present(_restart(user, live_dir, handle)) == acked
 
 
 # ---------------------------------------------------------------------------
-# on-disk compatibility with c5d1889
+# the on-disk format, and the one migration from c5d1889's
 # ---------------------------------------------------------------------------
 
 
@@ -476,8 +516,8 @@ def _record(uid: int, task: int) -> dict:
 
 
 def shard_sequence(data_dir) -> dict[str, list]:
-    """A fixed call sequence: a snapshot after op 5, then a tail holding
-    an ``insert``, a batched ``insert_many`` and a ``delete``."""
+    """A fixed call sequence: a compaction after op 5, then a tail
+    holding an ``insert``, a batched ``insert_many`` and a ``delete``."""
     who = ShardUser()
     shard = CrowdShard("s0", data_dir, users=who.users, snapshot_every=5)
     for uid in range(1, 7):
@@ -497,8 +537,8 @@ def _shard_state(shard) -> dict[str, list]:
 
 
 def queue_sequence(data_dir) -> list[dict]:
-    """A fixed call sequence: a snapshot after op 5, then a tail holding
-    a ``redispatch``, a ``complete`` and an ``enqueue``."""
+    """A fixed call sequence: a compaction after op 5, then a tail
+    holding a ``redispatch``, a ``complete`` and an ``enqueue``."""
     queue = DurableJobQueue(data_dir, snapshot_every=5)
     for i in range(4):
         queue.enqueue({"x": i / 4})
@@ -517,6 +557,58 @@ def queue_sequence(data_dir) -> list[dict]:
 def _queue_state(queue) -> list[dict]:
     return [job.to_doc() for job in sorted(queue.jobs(), key=lambda j: j.job_id)]
 
+
+#: what the two sequences write, byte for byte
+WRITTEN_BYTES = {
+    'wal.jsonl': (
+        '{"c": "performance_records", "next_id": 6, "op": "collection"}\n'
+        '{"c": "performance_records", "doc": {"_id": 1, "accessibility": {"groups": [], '
+        '"level": "public"}, "machine_configuration": {}, "output": 1.0, "owner": "alice", '
+        '"problem_name": "demo", "software_configuration": {}, "task_parameters": {"t": 1}, '
+        '"timestamp": 1.0, "tuning_parameters": {"x": 1}, "uid": 1}, "op": "insert"}\n'
+        '{"c": "performance_records", "doc": {"_id": 2, "accessibility": {"groups": [], '
+        '"level": "public"}, "machine_configuration": {}, "output": 2.0, "owner": "alice", '
+        '"problem_name": "demo", "software_configuration": {}, "task_parameters": {"t": 0}, '
+        '"timestamp": 2.0, "tuning_parameters": {"x": 2}, "uid": 2}, "op": "insert"}\n'
+        '{"c": "performance_records", "doc": {"_id": 3, "accessibility": {"groups": [], '
+        '"level": "public"}, "machine_configuration": {}, "output": 3.0, "owner": "alice", '
+        '"problem_name": "demo", "software_configuration": {}, "task_parameters": {"t": 1}, '
+        '"timestamp": 3.0, "tuning_parameters": {"x": 3}, "uid": 3}, "op": "insert"}\n'
+        '{"c": "performance_records", "doc": {"_id": 4, "accessibility": {"groups": [], '
+        '"level": "public"}, "machine_configuration": {}, "output": 4.0, "owner": "alice", '
+        '"problem_name": "demo", "software_configuration": {}, "task_parameters": {"t": 0}, '
+        '"timestamp": 4.0, "tuning_parameters": {"x": 4}, "uid": 4}, "op": "insert"}\n'
+        '{"c": "performance_records", "doc": {"_id": 5, "accessibility": {"groups": [], '
+        '"level": "public"}, "machine_configuration": {}, "output": 5.0, "owner": "alice", '
+        '"problem_name": "demo", "software_configuration": {}, "task_parameters": {"t": 1}, '
+        '"timestamp": 5.0, "tuning_parameters": {"x": 5}, "uid": 5}, "op": "insert"}\n'
+        '{"op": "checkpoint"}\n'
+        '{"c": "performance_records", "doc": {"_id": 6, "accessibility": {"groups": [], '
+        '"level": "public"}, "machine_configuration": {}, "output": 6.0, "owner": "alice", '
+        '"problem_name": "demo", "software_configuration": {}, "task_parameters": {"t": 0}, '
+        '"timestamp": 6.0, "tuning_parameters": {"x": 6}, "uid": 6}, "op": "insert"}\n'
+        '{"c": "performance_records", "docs": [{"_id": 7, "output": 50.0, "owner": "bob", '
+        '"problem_name": "demo", "task_parameters": {"t": 1}, "timestamp": 50.0, '
+        '"tuning_parameters": {"x": 50}, "uid": 50}, {"_id": 8, "output": 51.0, "owner": '
+        '"bob", "problem_name": "demo", "task_parameters": {"t": 1}, "timestamp": 51.0, '
+        '"tuning_parameters": {"x": 51}, "uid": 51}], "op": "insert_many"}\n'
+        '{"c": "performance_records", "flt": {"_id": {"$in": [2, 4, 6]}}, "op": "delete"}\n'
+    ),
+    'queue.wal.jsonl': (
+        '{"attempt": 0, "config": {"x": 0.0}, "job_id": 0, "op": "job", "redispatches": 0, '
+        '"result": {"y": 0.5}, "state": "done", "token": "0.0"}\n'
+        '{"attempt": 0, "config": {"x": 0.25}, "job_id": 1, "op": "job", "redispatches": 0, '
+        '"result": null, "state": "pending", "token": null}\n'
+        '{"attempt": 0, "config": {"x": 0.5}, "job_id": 2, "op": "job", "redispatches": 0, '
+        '"result": null, "state": "pending", "token": null}\n'
+        '{"attempt": 0, "config": {"x": 0.75}, "job_id": 3, "op": "job", "redispatches": 0, '
+        '"result": null, "state": "pending", "token": null}\n'
+        '{"op": "checkpoint"}\n'
+        '{"attempt": 1, "job_id": 1, "op": "redispatch"}\n'
+        '{"job_id": 2, "op": "complete", "result": {"worker": 1, "y": 1.5}, "token": "2.0"}\n'
+        '{"config": {"x": 0.9}, "job_id": 4, "op": "enqueue"}\n'
+    ),
+}
 
 #: what the two sequences left on disk at c5d1889, byte for byte
 PARENT_BYTES = {
@@ -575,12 +667,20 @@ PARENT_BYTES = {
 SEQUENCES = {"shard": (shard_sequence, _shard_state), "queue": (queue_sequence, _queue_state)}
 
 
-def test_fixed_sequence_writes_the_parents_bytes(user, tmp_path):
+def test_fixed_sequence_writes_the_pinned_bytes(user, tmp_path):
     SEQUENCES[user.name][0](tmp_path)
     written = {path.name: path.read_text() for path in tmp_path.iterdir()}
-    assert written == {
-        name: PARENT_BYTES[name] for name in (user.wal_name, user.snapshot_name)
-    }
+    assert written == {user.wal_name: WRITTEN_BYTES[user.wal_name]}
+
+
+def _parent_directory(user, path, torn: bool):
+    """The directory the user's sequence left at c5d1889."""
+    path.mkdir()
+    for name in (user.wal_name, user.parent_image):
+        (path / name).write_text(PARENT_BYTES[name])
+    if torn:
+        with open(path / user.wal_name, "a") as fh:
+            fh.write('{"seq": 9, "op": "enq')
 
 
 @pytest.mark.parametrize("torn", [False, True], ids=["intact", "torn-final-line"])
@@ -588,20 +688,45 @@ def test_parent_written_directory_recovers(user, torn, tmp_path):
     sequence, state = SEQUENCES[user.name]
     expected = sequence(tmp_path / "live")
     old = tmp_path / "old"
-    old.mkdir()
-    for name in (user.wal_name, user.snapshot_name):
-        (old / name).write_text(PARENT_BYTES[name])
-    if torn:
-        with open(old / user.wal_name, "a") as fh:
-            fh.write('{"seq": 9, "op": "enq')
+    _parent_directory(user, old, torn)
     recovered = user.open(old)
     assert state(recovered) == expected
     recovered.close()
+    # compacted at once: the image is in the journal, and gone
+    assert [path.name for path in old.iterdir()] == [user.wal_name]
+    assert state(user.open(old)) == expected
 
 
-if __name__ == "__main__":  # prints the literals above (run at c5d1889)
+def test_a_migration_killed_before_the_image_goes_recovers(user, tmp_path, monkeypatch):
+    """Killed after the compacted journal replaced the numbered one and
+    before the image it now holds was deleted: the next recovery sees a
+    compacted journal and drops the image unread (replaying the old image
+    under the compacted journal would bring back what the old journal
+    had deleted)."""
+    sequence, state = SEQUENCES[user.name]
+    expected = sequence(tmp_path / "live")
+    old = tmp_path / "old"
+    _parent_directory(user, old, torn=False)
+    real = Path.unlink
+
+    def unlink_or_die(path, missing_ok=False):
+        if path.name == user.parent_image:
+            raise _Kill
+        real(path, missing_ok)
+
+    monkeypatch.setattr(Path, "unlink", unlink_or_die)
+    with pytest.raises(_Kill):
+        user.open(old)
+    monkeypatch.undo()
+    assert sorted(path.name for path in old.iterdir()) == sorted(
+        [user.wal_name, user.parent_image]
+    )
+    assert state(user.open(old)) == expected
+    assert [path.name for path in old.iterdir()] == [user.wal_name]
+
+
+if __name__ == "__main__":  # prints WRITTEN_BYTES for the checkout on PYTHONPATH
     import tempfile
-    from pathlib import Path
 
     for label, sequence in (("SHARD", shard_sequence), ("QUEUE", queue_sequence)):
         with tempfile.TemporaryDirectory() as tmp:

@@ -1,11 +1,11 @@
-"""Durability tests: the journal, snapshots, and shard crash recovery.
+"""Durability tests: the journal, its compaction, and shard crash recovery.
 
 The pinned acceptance test is :func:`TestCrashRecovery.
 test_shard_killed_mid_stream_recovers_bit_identical`: a shard is killed
 (its in-memory state simply dropped, no close/snapshot) in the middle of
-a write stream and must recover snapshot + WAL tail to *bit-identical*
-``DocumentStore`` contents.  The kill points of the journal/snapshot
-protocol itself (torn tail, snapshot written but journal not trimmed,
+a write stream and must recover from its journal to *bit-identical*
+``DocumentStore`` contents.  The kill points of the journal/compaction
+protocol itself (torn tail, compacted file written but not yet in place,
 ...) are in ``test_durable_log.py``, run against the shard and the
 fabric's job queue alike.
 """
@@ -21,7 +21,7 @@ from repro.crowd.database import DocumentStore
 from repro.crowd.users import UserRegistry
 from repro.service import CrowdShard, DurableLog
 from repro.service import wal as wal_module
-from repro.service.wal import read_wal
+from repro.service.wal import iter_wal
 
 
 def _upload(shard, key, i, problem="demo"):
@@ -46,91 +46,101 @@ def _new_shard(tmp_path, name="s0", **kwargs):
 
 
 def _store_bytes(shard) -> str:
-    return json.dumps(shard.repository.store.to_jsonable(), sort_keys=True)
+    return "\n".join(shard.repository.store.journal_lines())
 
 
 def _journal(data_dir, **kwargs) -> DurableLog:
     """A bare log over ``data_dir/wal.jsonl``, open for append."""
-    log = DurableLog(
-        data_dir, "wal.jsonl", "snapshot.json", "test-v1", snapshot_every=10_000, **kwargs
-    )
+    log = DurableLog(data_dir, "wal.jsonl", snapshot_every=10_000, **kwargs)
     log.recover()
     return log
 
 
 def _recovered(data_dir):
-    """The store and last sequence number a shard recovers from disk."""
+    """The store a shard recovers from disk."""
     with CrowdShard("s0", data_dir, users=UserRegistry()) as shard:
-        store, last_seq = shard.repository.store, shard._log.seq
+        store = shard.repository.store
     store.set_observer(None)  # the shard is closed: a plain store from here on
-    return store, last_seq
+    return store
 
 
 class TestWriteAheadLog:
-    def test_append_assigns_increasing_seq(self, tmp_path):
-        wal = _journal(tmp_path)
-        assert wal.append({"op": "insert", "c": "x", "doc": {"_id": 1}}) == 1
-        assert wal.append({"op": "delete", "c": "x", "flt": {}}) == 2
-        wal.close()
-        ops = read_wal(tmp_path / "wal.jsonl")
-        assert [o["seq"] for o in ops] == [1, 2]
-
     def test_torn_tail_is_discarded(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         wal = _journal(tmp_path)
         wal.append({"op": "insert", "c": "x", "doc": {"_id": 1}})
         wal.close()
         with open(path, "a") as fh:
-            fh.write('{"seq": 2, "op": "insert", "c": "x", "doc": {"_i')
-        ops = read_wal(path)
+            fh.write('{"op": "insert", "c": "x", "doc": {"_i')
+        ops = list(iter_wal(path))
         assert len(ops) == 1
 
     def test_corrupt_middle_entry_raises(self, tmp_path):
         path = tmp_path / "wal.jsonl"
-        path.write_text('not json\n{"seq": 1, "op": "drop", "c": "x"}\n')
+        path.write_text('not json\n{"op": "drop", "c": "x"}\n')
         with pytest.raises(ValueError, match="corrupt WAL entry"):
-            read_wal(path)
+            list(iter_wal(path))
 
     def test_fsync_batching(self, tmp_path):
         wal = _journal(tmp_path, fsync_every=3)
         for i in range(4):
             wal.append({"op": "drop", "c": f"c{i}"})
         wal.close()
-        assert len(read_wal(tmp_path / "wal.jsonl")) == 4
+        assert len(list(iter_wal(tmp_path / "wal.jsonl"))) == 4
+
+    def test_a_torn_tail_longer_than_a_read_block_is_cut(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wal_module, "_TAIL_BLOCK", 4)
+        log = _journal(tmp_path)
+        log.append({"op": "drop", "c": "a"})
+        log.close()
+        journal = tmp_path / "wal.jsonl"
+        intact = journal.read_bytes()
+        journal.write_bytes(intact + b'{"op": "drop", "c": "torn')
+        _journal(tmp_path).close()
+        assert journal.read_bytes() == intact
+        journal.write_bytes(b'{"op": "drop", "c"')  # no newline at all
+        _journal(tmp_path).close()
+        assert journal.read_bytes() == b""
 
     def test_rejects_bad_config(self, tmp_path):
         with pytest.raises(ValueError):
             _journal(tmp_path, fsync_every=0)
 
     def test_append_many_numbers_like_individual_appends(self, tmp_path):
-        wal = _journal(tmp_path)
-        wal.append({"op": "drop", "c": "a"})
-        last = wal.append_many(
-            [
-                {"op": "insert", "c": "x", "doc": {"_id": 1}},
-                {"op": "insert", "c": "x", "doc": {"_id": 2}},
-                {"op": "delete", "c": "x", "flt": {}},
-            ]
-        )
-        assert last == 4
-        wal.append({"op": "drop", "c": "b"})
+        """A batch writes the lines its ops would one append at a time."""
+        ops = [
+            {"op": "drop", "c": "a"},
+            {"op": "insert", "c": "x", "doc": {"_id": 1}},
+            {"op": "insert", "c": "x", "doc": {"_id": 2}},
+            {"op": "delete", "c": "x", "flt": {}},
+            {"op": "drop", "c": "b"},
+        ]
+        batched, single = tmp_path / "batched", tmp_path / "single"
+        wal = _journal(batched)
+        wal.append(ops[0])
+        wal.append_many(ops[1:4])
+        wal.append(ops[4])
         wal.close()
-        ops = read_wal(tmp_path / "wal.jsonl")
-        assert [o["seq"] for o in ops] == [1, 2, 3, 4, 5]
-        assert [o["op"] for o in ops] == ["drop", "insert", "insert", "delete", "drop"]
+        wal = _journal(single)
+        for op in ops:
+            wal.append(op)
+        wal.close()
+        text = (batched / "wal.jsonl").read_text()
+        assert text == (single / "wal.jsonl").read_text()
+        assert list(iter_wal(batched / "wal.jsonl")) == ops
 
     def test_append_many_empty_batch_is_a_noop(self, tmp_path):
         wal = _journal(tmp_path)
         wal.append({"op": "drop", "c": "a"})
-        assert wal.append_many([]) == 1
+        wal.append_many([])
         wal.close()
-        assert len(read_wal(tmp_path / "wal.jsonl")) == 1
+        assert len(list(iter_wal(tmp_path / "wal.jsonl"))) == 1
 
     def test_append_many_respects_fsync_batching(self, tmp_path):
         wal = _journal(tmp_path, fsync_every=100)
         wal.append_many([{"op": "drop", "c": f"c{i}"} for i in range(10)])
         wal.close()
-        assert len(read_wal(tmp_path / "wal.jsonl")) == 10
+        assert len(list(iter_wal(tmp_path / "wal.jsonl"))) == 10
 
     def test_mixed_op_form_journal_recovers(self, tmp_path):
         """A journal holding both historical per-insert ops and the
@@ -142,10 +152,9 @@ class TestWriteAheadLog:
         src["c"].insert_many([{"a": 2}, {"a": 3}])  # batched op
         src["c"].update({"a": 2}, {"a": 20})
         wal.close()
-        ops = read_wal(tmp_path / "wal.jsonl")
+        ops = list(iter_wal(tmp_path / "wal.jsonl"))
         assert [o["op"] for o in ops] == ["insert", "insert_many", "update"]
-        store, last_seq = _recovered(tmp_path)
-        assert last_seq == 3
+        store = _recovered(tmp_path)
         assert store["c"].find({}) == src["c"].find({})
 
 
@@ -247,10 +256,15 @@ class TestCrashRecovery:
         shard, key = _new_shard(tmp_path, snapshot_every=10_000)
         for i in range(5):
             _upload(shard, key, i)
-        assert len(read_wal(tmp_path / "s0" / "wal.jsonl")) == 5
+        assert len(list(iter_wal(tmp_path / "s0" / "wal.jsonl"))) == 5
         shard.snapshot()
-        assert read_wal(tmp_path / "s0" / "wal.jsonl") == []
-        # state still fully recoverable from the snapshot alone
+        # the journal is the store's documents now, one insert apiece
+        ops = list(iter_wal(tmp_path / "s0" / "wal.jsonl"))
+        assert [op["op"] for op in ops if op["op"] != "collection"] == ["insert"] * 5 + [
+            "checkpoint"
+        ]
+        assert [p.name for p in (tmp_path / "s0").iterdir()] == ["wal.jsonl"]
+        # state still fully recoverable from the compacted journal alone
         pre = _store_bytes(shard)
         del shard
         recovered, _ = _new_shard(tmp_path, snapshot_every=10_000)
@@ -266,139 +280,6 @@ class TestCrashRecovery:
         assert shard.count() == 1
         assert list(Path(tmp_path).iterdir()) == []
         shard.close()
-
-
-# ---------------------------------------------------------------------------
-# the image is read a member at a time, in file order
-# ---------------------------------------------------------------------------
-
-
-def _image_log(data_dir, text: str | None = None) -> DurableLog:
-    """A log over ``data_dir`` not yet recovered, its image ``text`` if given."""
-    if text is not None:
-        (data_dir / "snapshot.json").write_text(text)
-    return DurableLog(data_dir, "wal.jsonl", "snapshot.json", "test-v1", snapshot_every=10)
-
-
-class TestStreamedImage:
-    PAYLOAD = {
-        "store": {
-            "collections": [
-                {"docs": [{"_id": 1, "a": [1, {"b": None}]}, {"_id": 2}], "name": "x", "next_id": 3},
-                {"docs": [], "name": "y", "next_id": 1},
-            ],
-            "format": "gptunecrowd-store-v1",
-        },
-        "empty": {},
-        "text": 'a "quoted" é value',
-    }
-
-    def _written(self, data_dir) -> str:
-        log = _journal(data_dir)
-        log.append({"op": "drop", "c": "z"})
-        log.snapshot(lambda: self.PAYLOAD)
-        log.close()
-        return (data_dir / "snapshot.json").read_text()
-
-    def test_every_member_reads_back_as_written(self, tmp_path):
-        text = self._written(tmp_path)
-        seen = []
-        log = _image_log(tmp_path)
-        log.recover(lambda image: seen.append(dict(image)))
-        log.close()
-        assert seen == [json.loads(text)]
-        assert log.seq == 1
-
-    def test_blank_space_anywhere_is_read(self, tmp_path):
-        text = json.dumps({"format": "test-v1", "wal_seq": 4, **self.PAYLOAD}, indent=2)
-        stores = []
-        log = _image_log(tmp_path, "\n " + text + "\n")
-        log.recover(lambda image: stores.append(DocumentStore.from_jsonable(image["store"])))
-        log.close()
-        assert stores[0]["x"].find({}) == self.PAYLOAD["store"]["collections"][0]["docs"]
-        assert stores[0].collection_names() == ["x", "y"] and log.seq == 4
-
-    def test_reading_past_an_unread_array_raises(self, tmp_path):
-        self._written(tmp_path)
-
-        def load(image):
-            collection = next(iter(image["store"]["collections"]))
-            collection["docs"]  # handed out, never read
-            collection["name"]
-
-        log = _image_log(tmp_path)
-        with pytest.raises(ValueError, match="left before its end"):
-            log.recover(load)
-
-    def test_an_array_is_read_once(self, tmp_path):
-        self._written(tmp_path)
-
-        def load(image):
-            docs = next(iter(image["store"]["collections"]))["docs"]
-            list(docs)
-            list(docs)
-
-        log = _image_log(tmp_path)
-        with pytest.raises(ValueError, match="read once"):
-            log.recover(load)
-
-    def test_a_member_passed_on_the_way_is_decoded_whole(self, tmp_path):
-        self._written(tmp_path)
-        seen = []
-
-        def load(image):
-            seen.append(image["text"])
-            seen.append(image["store"])  # before "text" in file order
-
-        log = _image_log(tmp_path)
-        log.recover(load)
-        log.close()
-        assert seen == [self.PAYLOAD["text"], self.PAYLOAD["store"]]
-
-    @pytest.mark.parametrize("window", [1, 2, 5, 64])
-    def test_every_cut_of_the_read_window_reads_the_same(self, tmp_path, monkeypatch, window):
-        """The window ends inside numbers, strings, keys, blank space,
-        a two-byte character and documents longer than it; each reads
-        back whole."""
-        monkeypatch.setattr(wal_module, "_WINDOW", window)
-        written = json.loads(self._written(tmp_path))
-        seen = []
-        log = _image_log(tmp_path)
-        log.recover(lambda image: seen.append(dict(image)))
-        log.close()
-        assert seen == [written]
-        blob = {"format": "test-v1", "wal_seq": 123456789, **self.PAYLOAD}
-        text = "\n " + json.dumps(blob, indent=3, ensure_ascii=False) + "\n"
-        (tmp_path / "snapshot.json").write_bytes(text.encode("utf-8"))
-        log = _image_log(tmp_path)
-        log.recover(lambda image: seen.append(dict(image)))
-        log.close()
-        assert seen[1] == json.loads(json.dumps(blob)) and log.seq == 123456789
-
-    @pytest.mark.parametrize(
-        "text",
-        ['{"format": "test-v1", "wal_seq": 1} {}', '{"format": "test-v1", "wal_seq": 1', "[]", ""],
-        ids=["trailing-data", "truncated", "not-an-object", "empty"],
-    )
-    def test_a_malformed_image_raises(self, tmp_path, monkeypatch, text):
-        for window in (1, 1 << 16):
-            monkeypatch.setattr(wal_module, "_WINDOW", window)
-            with pytest.raises(ValueError):
-                _image_log(tmp_path, text).recover()
-
-    def test_a_torn_tail_longer_than_a_read_block_is_cut(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(wal_module, "_TAIL_BLOCK", 4)
-        log = _journal(tmp_path)
-        log.append({"op": "drop", "c": "a"})
-        log.close()
-        journal = tmp_path / "wal.jsonl"
-        intact = journal.read_bytes()
-        journal.write_bytes(intact + b'{"seq": 2, "op": "drop", "c": "torn')
-        _journal(tmp_path).close()
-        assert journal.read_bytes() == intact
-        journal.write_bytes(b'{"seq": 1, "op": "drop", "c"')  # no newline at all
-        _journal(tmp_path).close()
-        assert journal.read_bytes() == b""
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +321,9 @@ class TestIndexedStoreCompatibility:
     def test_old_snapshot_and_wal_tail_recover(self, tmp_path):
         (tmp_path / "snapshot.json").write_text(_OLD_SNAPSHOT)
         (tmp_path / "wal.jsonl").write_text(_OLD_WAL)
-        store, last_seq = _recovered(tmp_path)
-        assert last_seq == 6
+        store = _recovered(tmp_path)
+        # recovery compacted the directory: the image is in the journal now
+        assert [p.name for p in tmp_path.iterdir()] == ["wal.jsonl"]
         assert store.collection_names() == [
             "performance_records",
             "registry_models",
@@ -457,15 +339,16 @@ class TestIndexedStoreCompatibility:
         ]
         assert store["performance_records"].find_one({"uid": 10})["owner"] == "bob"
         assert store["performance_records"].insert({"uid": 11}) == 5
-        # a shard opens the directory and re-snapshots without the key
+        # a shard opens the directory and compacts it without the key
         users = UserRegistry()
         shard = CrowdShard("s0", tmp_path, users=users)
         assert shard.count() == 3
         shard.snapshot()
         shard.close()
-        blob = json.loads((tmp_path / "snapshot.json").read_text())
-        assert all("indexes" not in c for c in blob["store"]["collections"])
-        assert len(_recovered(tmp_path)[0]["performance_records"]) == 3
+        ops = list(iter_wal(tmp_path / "wal.jsonl"))
+        assert {op["op"] for op in ops} == {"collection", "insert", "checkpoint"}
+        assert all("indexes" not in op for op in ops)
+        assert len(_recovered(tmp_path)["performance_records"]) == 3
 
     def test_journaled_ops_are_byte_identical(self):
         store = DocumentStore()

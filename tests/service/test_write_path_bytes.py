@@ -4,16 +4,19 @@ A fixed request sequence against a durable :class:`CrowdShard` with a
 registry attached: a new upload, a duplicate-uid replay, a failed run
 (``None`` output), a machine name the tag database normalizes
 (``"Cori-Haswell"``), a ``private`` record, a refused upload, a clock-
-stamped upload, a snapshot, then a journal tail.  The responses, the
-bytes of ``wal.jsonl`` and of the snapshot, and the registry's per-key
-data versions must equal what the sequence produced before the upload
-route built its stored document in one pass (the literals below; run
-this module to print them for the checkout on ``PYTHONPATH``).  The
-snapshot literal since lost one element, the empty ``surrogate_models``
+stamped upload, a compaction, then a journal tail.  The responses, the
+bytes of the data directory and the registry's per-key data versions
+must equal what the sequence produced before the upload route built its
+stored document in one pass (the literals below; run this module to
+print them for the checkout on ``PYTHONPATH``).  The image those bytes
+then held since lost one element, the empty ``surrogate_models``
 collection: the deleted model store created it in every shard's store.
 The ``documents`` literal since took the journal's key order (sorted,
 ``_id`` first): the store keeps the decoding of the line it journals,
-so a restarted node reads back the same bytes.
+so a restarted node reads back the same bytes.  The ``files`` literal
+since became one journal: the image's documents as the ops that rebuild
+them (a ``collection`` op per collection, an ``insert`` per document),
+a ``checkpoint`` line, then the tail, no line numbered.
 
 Every upload is router-stamped (``uid`` given): an unstamped one draws
 from the process-wide uid counter, whose value depends on what ran
@@ -78,7 +81,7 @@ def write_sequence(data_dir) -> dict:
     # the stored documents in their own key order (the files sort keys)
     documents = json.dumps(shard.repository.store["performance_records"].find({}))
     shard.close()
-    files = {name: (data_dir / name).read_text() for name in ("wal.jsonl", "snapshot.json")}
+    files = {path.name: path.read_text() for path in sorted(data_dir.iterdir())}
     return {
         "responses": responses,
         "documents": documents,
@@ -140,47 +143,52 @@ PARENT = {
     ),
     "files": {
         'wal.jsonl': (
-            '{"c": "performance_records", "doc": {"_id": 6, "accessibility": {"groups": ['
-            '], "level": "public"}, "machine_configuration": {"haswell": {"cores": 32, "n'
-            'odes": 8}, "machine_name": "Cori"}, "output": 3.0, "owner": "alice", "proble'
-            'm_name": "demo", "software_configuration": {"gcc": {"version_split": [9, 1, '
-            '0]}, "scalapack": {"version_split": [2, 1, 0]}}, "task_parameters": {"t": 1}'
-            ', "timestamp": 9.0, "tuning_parameters": {"mb": 28, "x": 0.875}, "uid": 7}, '
-            '"op": "insert", "seq": 6}\n'
-        ),
-        'snapshot.json': (
-            '{"format": "gptunecrowd-shard-snapshot-v1", "store": {"collections": [{"docs'
-            '": [{"_id": 1, "accessibility": {"groups": [], "level": "public"}, "machine_'
-            'configuration": {"haswell": {"cores": 32, "nodes": 8}, "machine_name": "Cori'
-            '"}, "output": 1.5, "owner": "alice", "problem_name": "demo", "software_confi'
-            'guration": {"gcc": {"version_split": [9, 1, 0]}, "scalapack": {"version_spli'
-            't": [2, 1, 0]}}, "task_parameters": {"t": 0}, "timestamp": 1.0, "tuning_para'
-            'meters": {"mb": 4, "x": 0.125}, "uid": 1}, {"_id": 2, "accessibility": {"gro'
-            'ups": [], "level": "public"}, "machine_configuration": {"haswell": {"cores":'
-            ' 32, "nodes": 8}, "machine_name": "Cori"}, "output": null, "owner": "alice",'
-            ' "problem_name": "demo", "software_configuration": {"gcc": {"version_split":'
-            ' [9, 1, 0]}, "scalapack": {"version_split": [2, 1, 0]}}, "task_parameters": '
-            '{"t": 0}, "timestamp": 2.0, "tuning_parameters": {"mb": 8, "x": 0.25}, "uid"'
-            ': 2}, {"_id": 3, "accessibility": {"groups": [], "level": "private"}, "machi'
-            'ne_configuration": {"haswell": {"cores": 32, "nodes": 8}, "machine_name": "C'
-            'ori"}, "output": 0.25, "owner": "alice", "problem_name": "demo", "software_c'
-            'onfiguration": {"gcc": {"version_split": [9, 1, 0]}, "scalapack": {"version_'
-            'split": [2, 1, 0]}}, "task_parameters": {"t": 1}, "timestamp": 3.0, "tuning_'
-            'parameters": {"mb": 12, "x": 0.375}, "uid": 3}, {"_id": 4, "accessibility": '
-            '{"groups": ["g"], "level": "group"}, "machine_configuration": {"haswell": {"'
-            'cores": 32, "nodes": 8}, "machine_name": "Cori"}, "output": 7, "owner": "ali'
-            'ce", "problem_name": "demo", "software_configuration": {"gcc": {"version_spl'
-            'it": [9, 1, 0]}, "scalapack": {"version_split": [2, 1, 0]}}, "task_parameter'
-            's": {"t": 1}, "timestamp": 5.0, "tuning_parameters": {"mb": 20, "x": 0.625},'
-            ' "uid": 5}, {"_id": 5, "accessibility": {"groups": [], "level": "public"}, "'
-            'machine_configuration": {"haswell": {"cores": 32, "nodes": 8}, "machine_name'
-            '": "Cori"}, "output": 2.0, "owner": "alice", "problem_name": "demo", "softwa'
-            're_configuration": {"gcc": {"version_split": [9, 1, 0]}, "scalapack": {"vers'
-            'ion_split": [2, 1, 0]}}, "task_parameters": {"t": 0}, "timestamp": 6.0, "tun'
-            'ing_parameters": {"mb": 24, "x": 0.75}, "uid": 6}], "name": "performance_rec'
-            'ords", "next_id": 6}, {"docs": [], "name": "registry_models", "next_id": 1},'
-            ' {"docs": [], "name": "registry_problems", "next_id": 1}], "format": "gptune'
-            'crowd-store-v1"}, "wal_seq": 5}'
+            '{"c": "performance_records", "next_id": 6, "op": "collection"}\n'
+            '{"c": "performance_records", "doc": {"_id": 1, "accessibility": {"groups": [],'
+            ' "level": "public"}, "machine_configuration": {"haswell": {"cores": 32, "nodes'
+            '": 8}, "machine_name": "Cori"}, "output": 1.5, "owner": "alice", "problem_name'
+            '": "demo", "software_configuration": {"gcc": {"version_split": [9, 1, 0]}, "sc'
+            'alapack": {"version_split": [2, 1, 0]}}, "task_parameters": {"t": 0}, "timesta'
+            'mp": 1.0, "tuning_parameters": {"mb": 4, "x": 0.125}, "uid": 1}, "op": "insert'
+            '"}\n'
+            '{"c": "performance_records", "doc": {"_id": 2, "accessibility": {"groups": [],'
+            ' "level": "public"}, "machine_configuration": {"haswell": {"cores": 32, "nodes'
+            '": 8}, "machine_name": "Cori"}, "output": null, "owner": "alice", "problem_nam'
+            'e": "demo", "software_configuration": {"gcc": {"version_split": [9, 1, 0]}, "s'
+            'calapack": {"version_split": [2, 1, 0]}}, "task_parameters": {"t": 0}, "timest'
+            'amp": 2.0, "tuning_parameters": {"mb": 8, "x": 0.25}, "uid": 2}, "op": "insert'
+            '"}\n'
+            '{"c": "performance_records", "doc": {"_id": 3, "accessibility": {"groups": [],'
+            ' "level": "private"}, "machine_configuration": {"haswell": {"cores": 32, "node'
+            's": 8}, "machine_name": "Cori"}, "output": 0.25, "owner": "alice", "problem_na'
+            'me": "demo", "software_configuration": {"gcc": {"version_split": [9, 1, 0]}, "'
+            'scalapack": {"version_split": [2, 1, 0]}}, "task_parameters": {"t": 1}, "times'
+            'tamp": 3.0, "tuning_parameters": {"mb": 12, "x": 0.375}, "uid": 3}, "op": "ins'
+            'ert"}\n'
+            '{"c": "performance_records", "doc": {"_id": 4, "accessibility": {"groups": ["g'
+            '"], "level": "group"}, "machine_configuration": {"haswell": {"cores": 32, "nod'
+            'es": 8}, "machine_name": "Cori"}, "output": 7, "owner": "alice", "problem_name'
+            '": "demo", "software_configuration": {"gcc": {"version_split": [9, 1, 0]}, "sc'
+            'alapack": {"version_split": [2, 1, 0]}}, "task_parameters": {"t": 1}, "timesta'
+            'mp": 5.0, "tuning_parameters": {"mb": 20, "x": 0.625}, "uid": 5}, "op": "inser'
+            't"}\n'
+            '{"c": "performance_records", "doc": {"_id": 5, "accessibility": {"groups": [],'
+            ' "level": "public"}, "machine_configuration": {"haswell": {"cores": 32, "nodes'
+            '": 8}, "machine_name": "Cori"}, "output": 2.0, "owner": "alice", "problem_name'
+            '": "demo", "software_configuration": {"gcc": {"version_split": [9, 1, 0]}, "sc'
+            'alapack": {"version_split": [2, 1, 0]}}, "task_parameters": {"t": 0}, "timesta'
+            'mp": 6.0, "tuning_parameters": {"mb": 24, "x": 0.75}, "uid": 6}, "op": "insert'
+            '"}\n'
+            '{"c": "registry_models", "next_id": 1, "op": "collection"}\n'
+            '{"c": "registry_problems", "next_id": 1, "op": "collection"}\n'
+            '{"op": "checkpoint"}\n'
+            '{"c": "performance_records", "doc": {"_id": 6, "accessibility": {"groups": [],'
+            ' "level": "public"}, "machine_configuration": {"haswell": {"cores": 32, "nodes'
+            '": 8}, "machine_name": "Cori"}, "output": 3.0, "owner": "alice", "problem_name'
+            '": "demo", "software_configuration": {"gcc": {"version_split": [9, 1, 0]}, "sc'
+            'alapack": {"version_split": [2, 1, 0]}}, "task_parameters": {"t": 1}, "timesta'
+            'mp": 9.0, "tuning_parameters": {"mb": 28, "x": 0.875}, "uid": 7}, "op": "inser'
+            't"}\n'
         ),
     },
     "versions": {"0": 2, "1": 1},
