@@ -142,7 +142,7 @@ class CrowdService:
 
     def restart_router(self) -> None:
         """Restart the front end: close the old router (its anti-entropy
-        thread, its fan-out pool) and start one over the same transports,
+        thread, its sender pool) and start one over the same transports,
         its clock and client-id count the shards'.  A retry names its uid
         by its token."""
         self.router.close()
@@ -261,7 +261,7 @@ class CrowdService:
     def close(self) -> None:
         """Shut the whole deployment down (idempotent).
 
-        Stops the router's anti-entropy thread and fan-out pool and
+        Stops the router's anti-entropy thread and sender pool and
         closes every WAL.  Safe to call repeatedly and after partial
         teardown — fabric runs and tests can always
         ``with build_service(...) as svc:`` without leaking daemon

@@ -18,15 +18,15 @@ the protocol the router:
   list on the consistent-hash ring — K-way replication, every replica
   stamped with the same ``uid`` and logical timestamp so cross-shard
   reads deduplicate exactly (``_stamped_write``: ``upload`` to the key's
-  replicas, ``register_problem`` to every shard).  An upload's uid is
-  the one its client's token names, so a retry lands on the record it
-  retries whatever came between; an untokened write's is a tick of the
-  write clock, the router's only write state.  The router acknowledges
-  only after ``write_quorum`` replicas confirm and
-  reports ``replicas_acked``/``replicas_total`` (plus a ``degraded``
-  status) in every upload response; a replica that missed the write is
-  healed by anti-entropy, at the latest when its transport comes back
-  up;
+  replicas, ``register_problem`` to every shard, all at once: the first
+  on the calling thread, the others on the sender pool, so their
+  journal fsyncs overlap).  An upload's uid is the one its client's
+  token names, so a retry lands on the record it retries whatever came
+  between; an untokened write's is a tick of the write clock, the
+  router's only write state.  The router answers once every replica
+  has, acknowledging only when ``write_quorum`` confirm, with
+  ``replicas_acked``/``replicas_total`` (and a ``degraded`` status); a
+  replica that missed the write is healed by anti-entropy;
 * **serves task-pinned reads** — ``query`` with a task, ``predict``,
   ``model_meta``, ``sensitivity`` — from the primary with fallback
   through the replicas when shards are unreachable
@@ -45,7 +45,7 @@ the protocol the router:
   stream each rekeyed bucket to its new owners before dropping the old
   copies (graceful handoff; a crashed shard is simply removed and
   anti-entropy restores the replication factor from the survivors);
-* **fans out** problem-wide reads across all shards in parallel and
+* **fans out** problem-wide reads across all shards the same way and
   merges (``_collect``: unreachable shards skipped, a refusal is every
   shard's verdict, nobody reachable is ``unavailable``):
 
@@ -70,8 +70,8 @@ the protocol the router:
   instead of service time (clients retry after the hint).
 
 With the default ``(write_quorum=1, read_quorum=1, anti-entropy off)``
-an upload is acknowledged once one replica stores it (the others are
-written in the same call), a pinned read answers from the first
+an upload is acknowledged once one replica stores it (every replica
+is written before the answer), a pinned read answers from the first
 reachable replica in preference order, and only a revived shard heals
 (its own buckets).  Upload responses carry ``replicas_acked`` /
 ``replicas_total`` / ``status`` whatever the quorum.
@@ -89,9 +89,10 @@ router's ``last_antientropy_error``.
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 from dataclasses import dataclass
 from collections.abc import Mapping
 from typing import Any, Callable
@@ -124,6 +125,28 @@ def _unavailable(message: str, **extra: Any) -> dict[str, Any]:
 
 def _limited(docs: list[dict], limit: Any) -> list[dict]:
     return docs if limit is None else docs[: max(int(limit), 0)]
+
+
+class _Senders:
+    """``n`` daemon threads ``crowd-fanout-<i>`` answer ``(connection, request, retry,
+    reply)`` jobs (or put what raised) until closed or dropped; none waits on the pool."""
+
+    def __init__(self, n: int) -> None:
+        self.jobs = jobs = queue.SimpleQueue()
+        def send() -> None:  # holds the queue, not the pool
+            for connection, request, retry, reply in iter(jobs.get, None):
+                try:
+                    reply.put(connection.handle(request, retry=retry))
+                except BaseException as exc:  # re-raised on the caller's thread
+                    reply.put(exc)
+                del connection, request, reply  # an idle sender holds no way back
+            jobs.put(None)  # stops the next sender
+
+        self.close = weakref.finalize(self, jobs.put, None)
+        self.threads = [threading.Thread(target=send, daemon=True, name=f"crowd-fanout-{i}")
+                        for i in range(n)]
+        for thread in self.threads:
+            thread.start()
 
 
 @dataclass
@@ -229,7 +252,7 @@ class CrowdRouter:
         self._clock_lock = threading.Lock()
         self._write_clock = float(write_clock)
         self._client_ids = int(client_ids)
-        self._pool: ThreadPoolExecutor | None = None
+        self._pool: _Senders | None = None
         self._pool_lock = threading.Lock()
         self._membership_lock = threading.Lock()
         self._ae_stop: threading.Event | None = None
@@ -260,9 +283,7 @@ class CrowdRouter:
 
     # -- plumbing ------------------------------------------------------------
     def _connect(self, channel: Any) -> ServiceClient:
-        if isinstance(channel, ServiceClient):
-            return channel
-        return ServiceClient(channel)
+        return channel if isinstance(channel, ServiceClient) else ServiceClient(channel)
 
     def _fanout(
         self, request: Mapping[str, Any], retry: RetryPolicy | None = None
@@ -270,19 +291,23 @@ class CrowdRouter:
         """Send ``request`` to every shard in parallel (under ``retry``,
         else each connection's policy); name -> response."""
         perf.incr("service_fanouts")
-        names = list(self._shards)
-        if len(names) == 1:
-            return {names[0]: self._shards[names[0]].handle(request, retry=retry)}
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=len(names), thread_name_prefix="crowd-fanout"
-                )
-            pool = self._pool
-        futures = {
-            n: pool.submit(self._shards[n].handle, request, retry=retry) for n in names
-        }
-        return {n: f.result() for n, f in futures.items()}
+        return dict(zip(self._shards, self._send_all(list(self._shards), request, retry)))
+
+    def _send_all(self, names: list[str], request: Mapping[str, Any],
+                  retry: RetryPolicy | None = None) -> list[dict[str, Any]]:
+        """The named shards' answers, in order: the first asked here, the others by the
+        sender pool, so their round trips (fsyncs) overlap.  What one raised, raises."""
+        replies = [queue.SimpleQueue() for _ in names[1:]]
+        with self._pool_lock:  # a job queued here is answered before a close
+            for name, reply in zip(names[1:], replies):
+                self._pool = self._pool or _Senders(len(self._shards))
+                self._pool.jobs.put((self._shards[name], request, retry, reply))
+        answers = [self._shards[names[0]].handle(request, retry=retry)]
+        answers += [reply.get() for reply in replies]
+        for answer in answers:
+            if isinstance(answer, BaseException):
+                raise answer
+        return answers
 
     def _throttle(self, api_key: str) -> dict[str, Any] | None:
         if self.options.rate_limit is None:
@@ -322,7 +347,7 @@ class CrowdRouter:
         self._sweep_due = now + self.options.burst / self.options.rate_limit
 
     def close(self) -> None:
-        """Stop background healing and the fan-out pool (idempotent)."""
+        """Stop background healing and the sender pool (idempotent)."""
         self.stop_anti_entropy()
         self._shutdown_pool()
 
@@ -333,10 +358,12 @@ class CrowdRouter:
         self.close()
 
     def _shutdown_pool(self) -> None:
-        """Drop the fan-out pool (closing, or membership changed its sizing)."""
+        """Stop the sender pool (closing, or membership changed its sizing)."""
         with self._pool_lock:
             if self._pool is not None:
-                self._pool.shutdown(wait=True)
+                self._pool.close()
+                for thread in self._pool.threads:
+                    thread.join()
                 self._pool = None
 
     # -- dispatch ------------------------------------------------------------
@@ -406,12 +433,12 @@ class CrowdRouter:
     def _stamped_write(
         self, request: Mapping[str, Any], targets: list[str]
     ) -> tuple[int, list[dict[str, Any]], dict[str, Any] | None]:
-        """One logical write under one stamp, to every target.
+        """One logical write under one stamp, to every target at once.
 
-        Returns ``(uid, oks, rejected)``: the ok responses in target
-        order and a refusal (auth / bad_request — the same on every
-        shard, so the loop stops at the first).  A target that could not
-        be reached takes the write from a peer by anti-entropy.
+        Returns ``(uid, oks, rejected)``: the ok responses and the first refusal (auth /
+        bad_request, or a token's ``conflict``) in target order.  Every target is asked, so
+        one that has not seen a token stores what another refused (until client ids travel
+        with membership); one not reached takes the write from a peer by anti-entropy.
 
         The stamp is the write clock's next tick, and the uid the one the
         request's token names (:func:`token_uid`) or else that tick.
@@ -425,8 +452,7 @@ class CrowdRouter:
         stamped["uid"] = uid
         stamped["timestamp"] = ts
         oks: list[dict[str, Any]] = []
-        for name in targets:
-            response = self._shards[name].handle(stamped)
+        for response in self._send_all(targets, stamped):
             if response.get("ok"):
                 oks.append(response)
             elif response.get("error") != "unavailable":
@@ -506,9 +532,7 @@ class CrowdRouter:
         """
         if not request.get("problem_name"):
             return bad_request("register_problem needs a problem_name")
-        uid, oks, rejected = self._stamped_write(
-            request, sorted(self._shards)
-        )
+        uid, oks, rejected = self._stamped_write(request, sorted(self._shards))
         if rejected is not None:
             return rejected
         if not oks:

@@ -41,6 +41,7 @@ matching the repository's existing never-persist-credentials rule.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -51,7 +52,7 @@ from pathlib import Path
 from typing import Any
 
 from ..core import perf
-from ..crowd.columnar import KeyMemo, sort_key, thaw
+from ..crowd.columnar import INTERN_MAX_DISTINCT, KeyMemo, sort_key, thaw
 from ..crowd.database import DocumentStore, Mutation
 from ..crowd.records import Accessibility
 from ..crowd.repository import CrowdRepository
@@ -286,6 +287,8 @@ class ShardRing:
         points.sort()
         self._hashes = [h for h, _ in points]
         self._owners = [n for _, n in points]
+        self._walk = functools.lru_cache(INTERN_MAX_DISTINCT)(  # holds no ring: no cycle
+            functools.partial(self._ring_walk, self._hashes, self._owners))
 
     def preference(self, key: str, k: int = 1) -> list[str]:
         """The first ``k`` distinct shards clockwise of ``key``'s hash.
@@ -293,11 +296,14 @@ class ShardRing:
         Index 0 is the primary; the rest are the replicas, in fallback
         order.  ``k`` is capped at the number of shards.
         """
-        k = min(max(int(k), 1), len(self.names))
-        start = bisect_right(self._hashes, _ring_hash(key))
+        return list(self._walk(key, min(max(int(k), 1), len(self.names))))
+
+    @staticmethod
+    def _ring_walk(hashes: list[int], owners: list[str], key: str, k: int) -> list[str]:
+        start = bisect_right(hashes, _ring_hash(key))
         out: list[str] = []
-        for i in range(len(self._owners)):
-            name = self._owners[(start + i) % len(self._owners)]
+        for i in range(len(owners)):
+            name = owners[(start + i) % len(owners)]
             if name not in out:
                 out.append(name)
                 if len(out) == k:

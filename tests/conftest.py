@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -108,3 +113,22 @@ def make_source_data(problem: TuningProblem, task, n, seed=0, label="src") -> Ta
 @pytest.fixture
 def source_factory():
     return make_source_data
+
+
+def crowd_threads() -> list[str]:
+    """The live threads a crowd router starts (fan-out senders,
+    anti-entropy loop): every one is stopped by the router's ``close()``."""
+    return sorted(t.name for t in threading.enumerate() if t.name.startswith("crowd-"))
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the run while a router thread outlives the tests.  A router
+    nobody closed stops its senders once it is collected, so collect
+    first and give a stopped thread a moment to end."""
+    gc.collect()
+    deadline = time.monotonic() + 2.0
+    while crowd_threads() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if crowd_threads():
+        print(f"\nthreads left running: {crowd_threads()}", file=sys.stderr)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED

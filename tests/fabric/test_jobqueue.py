@@ -161,17 +161,25 @@ class TestCrashRecovery:
         assert rec.lease(2, 2.0, 10.0).lease_token == f"{jid}.2"
 
     def test_snapshot_plus_wal_tail(self, tmp_path):
-        """Ops after the last snapshot replay from the journal tail."""
+        """A compaction keeps one line per job, and the ops after its
+        checkpoint replay from the journal tail."""
         q = DurableJobQueue(tmp_path, snapshot_every=5)
-        fill(q, 7)  # snapshot fires at op 5; ops 6..7 live in the tail
+        fill(q, 3)
+        for _ in range(4):  # dead lines: the fourth makes a compaction due
+            q.redispatch(q.lease(0, 0.0, 10.0).job_id)
+        fill(q, 2)  # tail ops
         job = q.lease(0, 0.0, 10.0)
         q.complete(job.job_id, job.lease_token, {"y": 0.5})  # tail op
+        lines = (tmp_path / _WAL_NAME).read_text().splitlines()
+        ops = [json.loads(line)["op"] for line in lines]
+        assert ops == ["job"] * 3 + ["checkpoint", "enqueue", "enqueue", "complete"]
         del q
 
         rec = DurableJobQueue(tmp_path)
-        assert rec.n_jobs == 7
+        assert rec.n_jobs == 5
         assert rec.n_done == 1
         assert rec.job(job.job_id).result == {"y": 0.5}
+        assert [rec.job(i).attempt for i in range(5)] == [2, 1, 1, 0, 0]
 
     def test_explicit_snapshot_truncates_wal(self, tmp_path):
         q = DurableJobQueue(tmp_path)

@@ -17,6 +17,8 @@ import itertools
 import json
 import tracemalloc
 
+import pytest
+
 from repro.core import perf
 from repro.crowd import records as records_module
 from repro.crowd.database import Collection
@@ -197,6 +199,37 @@ class TestRetryNamesTheSameRecord:
             )
             assert retry["ok"] and retry["uid"] == first["uid"]
             assert svc.total_records() == 2
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 23: client ids travel with membership")
+    def test_a_refused_rewrite_never_replaces_an_acked_record(self):
+        """A write one replica holds (the other's link lost it), then the
+        same token with other content: the holder refuses it as a
+        ``conflict``, but every target is asked, so the replica that
+        missed the first write stores it, and anti-entropy's newest-wins
+        spreads it over the acknowledged record."""
+        with build_service(2, replication=2) as svc:
+            key = svc.register_user("alice", "a@lab.gov")[1]
+
+            def write(x: int) -> dict:
+                return svc.router.handle(
+                    {
+                        "route": "upload",
+                        "api_key": key,
+                        "problem_name": "demo",
+                        "task_parameters": TASK,
+                        "tuning_parameters": {"x": x},
+                        "output": float(x),
+                        "idempotency_key": [1, 1],
+                    }
+                )
+
+            with lossy(svc.transports["shard-1"]):
+                acked = write(0)
+            assert acked["ok"] and acked["replicas_acked"] == 1
+            assert write(7)["error"] == "conflict"
+            svc.router.anti_entropy_round()
+            held = _held(svc, acked["uid"])
+            assert all('"x": 0' in copies[0] for copies in held.values()), held
 
     def test_a_new_client_gets_a_tokened_upload_while_a_shard_is_down(self):
         with build_service(3, replication=2) as svc:
