@@ -25,15 +25,16 @@ one partial row per task.
 ``test_write_path`` records what one upload costs
 (``results/service_write_path.json``): N uploads through a durable
 deployment (4 shards, replication 2, write quorum 2), each upload's wall
-and CPU (``process_time``) time, and the journal's fsyncs and images per
-upload — once insert-only, once with upsert churn (the problem space
-re-registered on every shard after each upload, so the replaced
-documents turn dead).
+and CPU (``process_time``) time, and the journal's fsyncs, allocations
+of zeros and images per upload — once insert-only, once with upsert
+churn (the problem space re-registered on every shard after each upload,
+so the replaced documents turn dead).
 
 Checks: >= 3x read throughput at 4 shards vs 1, and every acked write
 readable at full replication after the kill-and-rejoin cycle; exactly
-2 fsyncs per acked upload and no image on the insert-only run, and at
-least one image under churn (counts, exact at every scale).  Smoke
+2 fsyncs per acked upload and no image on the insert-only run, at
+least one image under churn, and at most a few allocations per journal
+on both (counts, exact at every scale).  Smoke
 mode (``REPRO_BENCH_SMOKE=1``) shrinks budgets and drops the thresholds
 to sanity checks — shared CI runners have noisy clocks.
 """
@@ -238,6 +239,9 @@ def test_problem_wide_leaderboard():
 
 
 WP_UPLOADS = 200 if SMOKE else 2000
+WP_SHARDS = 4
+#: the allocations a journal may make over the run: 64 KiB, doubling
+WP_GROWS_PER_JOURNAL = 6
 WP_TASKS = 64
 #: a problem space large next to one record, re-registered for churn
 WP_SPACE = {
@@ -254,7 +258,7 @@ def _write_path(data_dir, churn: bool) -> dict:
     # builds never come due: only the problem-space upserts are registry work
     registry = RegistryOptions(min_new_samples=10**9)
     with build_service(
-        4, replication=2, write_quorum=2, data_dir=data_dir, registry=registry
+        WP_SHARDS, replication=2, write_quorum=2, data_dir=data_dir, registry=registry
     ) as svc:
         key = svc.register_user("bench", "bench@hpc.org")[1]
         rng = np.random.default_rng(0)
@@ -291,6 +295,7 @@ def _write_path(data_dir, churn: bool) -> dict:
     counters = stats.counters
     fsyncs = counters.get("wal_fsyncs", 0)
     images = counters.get("wal_snapshots", 0)
+    grows = counters.get("wal_grows", 0)
     return {
         "uploads": WP_UPLOADS,
         "churn": churn,
@@ -301,6 +306,7 @@ def _write_path(data_dir, churn: bool) -> dict:
         "wal_fsyncs_per_upload": fsyncs / WP_UPLOADS,
         "wal_snapshots": images,
         "wal_snapshots_per_upload": images / WP_UPLOADS,
+        "wal_grows": grows,
     }
 
 
@@ -312,18 +318,26 @@ def test_write_path(tmp_path):
             f"\nwrite path ({'churn' if run['churn'] else 'insert-only'}): "
             f"{run['uploads']} uploads, wall p50 {run['wall_us_p50']:.0f} us, "
             f"CPU mean {run['cpu_us_mean']:.0f} us, "
-            f"{run['wal_fsyncs_per_upload']:.2f} fsyncs and "
-            f"{run['wal_snapshots']} images"
+            f"{run['wal_fsyncs_per_upload']:.2f} fsyncs, "
+            f"{run['wal_grows']} allocations and {run['wal_snapshots']} images"
         )
     save_results(
         "service_write_path",
-        {"shards": 4, "replication": 2, "write_quorum": 2, "smoke": SMOKE,
+        {"shards": WP_SHARDS, "replication": 2, "write_quorum": 2, "smoke": SMOKE,
          "insert_only": insert_only, "churn": churned},
     )
     # the insert-only run: one journal line and one fsync per replica
     # write, and no image (every byte journaled is live)
     assert insert_only["wal_fsyncs"] == 2 * WP_UPLOADS
     assert insert_only["wal_snapshots"] == 0
+    # a journal allocates zeros ahead of its appends, doubling: a few times
+    # per journal, whatever the number of uploads (once per append would
+    # put the size's metadata commit back into every sync); a compaction
+    # leaves the journal at its live size, and the next one comes once the
+    # dead bytes reach the live ones: a few allocations in between
+    for run in (insert_only, churned):
+        allowed = WP_GROWS_PER_JOURNAL * WP_SHARDS + 3 * run["wal_snapshots"]
+        assert run["wal_grows"] <= allowed, run
     # replaced documents are dead bytes: churn is checkpointed
     assert churned["wal_snapshots"] >= 1
 

@@ -52,6 +52,7 @@ from repro.service import CrowdShard
 from repro.service.wal import DurableLog
 
 from harness import FULL, SMOKE, save_results
+from tests.service.journal import journal_bytes
 
 SIZES = [500, 2_000] if SMOKE else [5_000, 50_000]
 N_TASKS = 8
@@ -141,8 +142,7 @@ def _compacted_bytes(journal: str) -> int:
     """The bytes of a journal's compacted part, through its checkpoint
     line (0: never compacted)."""
     marker = b'{"op": "checkpoint"}\n'
-    with open(journal, "rb") as fh:
-        end = fh.read().find(marker)
+    end = journal_bytes(journal).find(marker)
     return 0 if end < 0 else end + len(marker)
 
 
@@ -257,7 +257,7 @@ def test_store_memory_and_checkpoints():
         tracemalloc.stop()
         journal = os.path.join(tmp, "wal.jsonl")
         compacted_on_disk = _compacted_bytes(journal)
-        journal_on_disk = os.path.getsize(journal) - compacted_on_disk
+        journal_on_disk = len(journal_bytes(journal)) - compacted_on_disk
     counters = stats.snapshot()["counters"]
 
     # a restart, with half of the store journaled after the compacted part
@@ -294,7 +294,7 @@ def test_store_memory_and_checkpoints():
             shard.snapshot()
         recover_no_tail_s = _wall(restart_s)
         recover_no_tail_peak = restart_peak_bytes()
-        recover_image_bytes = os.path.getsize(os.path.join(tmp, "wal.jsonl"))
+        recover_image_bytes = len(journal_bytes(os.path.join(tmp, "wal.jsonl")))
 
     row = {
         "records": n,

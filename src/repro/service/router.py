@@ -18,15 +18,15 @@ the protocol the router:
   list on the consistent-hash ring — K-way replication, every replica
   stamped with the same ``uid`` and logical timestamp so cross-shard
   reads deduplicate exactly (``_stamped_write``: ``upload`` to the key's
-  replicas, ``register_problem`` to every shard, all at once: the first
-  on the calling thread, the others on the sender pool, so their
-  journal fsyncs overlap).  An upload's uid is the one its client's
-  token names, so a retry lands on the record it retries whatever came
-  between; an untokened write's is a tick of the write clock, the
-  router's only write state.  The router answers once every replica
-  has, acknowledging only when ``write_quorum`` confirm, with
-  ``replicas_acked``/``replicas_total`` (and a ``degraded`` status); a
-  replica that missed the write is healed by anti-entropy;
+  replicas, ``register_problem`` to every shard, in order on the calling
+  thread: a handoff costs more CPU than the journal sync it would hide).
+  An upload's uid is the one its client's token names, so a retry lands
+  on the record it retries whatever came between; an untokened write's
+  is a tick of the write clock, the router's only write state.  The
+  router answers once every replica has, acknowledging only when
+  ``write_quorum`` confirm, with ``replicas_acked``/``replicas_total``
+  (and a ``degraded`` status); a replica that missed the write is
+  healed by anti-entropy;
 * **serves task-pinned reads** — ``query`` with a task, ``predict``,
   ``model_meta``, ``sensitivity`` — from the primary with fallback
   through the replicas when shards are unreachable
@@ -45,7 +45,8 @@ the protocol the router:
   stream each rekeyed bucket to its new owners before dropping the old
   copies (graceful handoff; a crashed shard is simply removed and
   anti-entropy restores the replication factor from the survivors);
-* **fans out** problem-wide reads across all shards the same way and
+* **fans out** problem-wide reads across all shards at once (the first
+  asked on the calling thread, the others by the sender pool) and
   merges (``_collect``: unreachable shards skipped, a refusal is every
   shard's verdict, nobody reachable is ``unavailable``):
 
@@ -288,15 +289,11 @@ class CrowdRouter:
     def _fanout(
         self, request: Mapping[str, Any], retry: RetryPolicy | None = None
     ) -> dict[str, dict[str, Any]]:
-        """Send ``request`` to every shard in parallel (under ``retry``,
-        else each connection's policy); name -> response."""
+        """Send ``request`` to every shard (under ``retry``, else each connection's
+        policy): the first asked here, the others by the sender pool, so their round
+        trips overlap; name -> response.  What one raised, raises."""
         perf.incr("service_fanouts")
-        return dict(zip(self._shards, self._send_all(list(self._shards), request, retry)))
-
-    def _send_all(self, names: list[str], request: Mapping[str, Any],
-                  retry: RetryPolicy | None = None) -> list[dict[str, Any]]:
-        """The named shards' answers, in order: the first asked here, the others by the
-        sender pool, so their round trips (fsyncs) overlap.  What one raised, raises."""
+        names = list(self._shards)
         replies = [queue.SimpleQueue() for _ in names[1:]]
         with self._pool_lock:  # a job queued here is answered before a close
             for name, reply in zip(names[1:], replies):
@@ -307,7 +304,7 @@ class CrowdRouter:
         for answer in answers:
             if isinstance(answer, BaseException):
                 raise answer
-        return answers
+        return dict(zip(names, answers))
 
     def _throttle(self, api_key: str) -> dict[str, Any] | None:
         if self.options.rate_limit is None:
@@ -433,7 +430,7 @@ class CrowdRouter:
     def _stamped_write(
         self, request: Mapping[str, Any], targets: list[str]
     ) -> tuple[int, list[dict[str, Any]], dict[str, Any] | None]:
-        """One logical write under one stamp, to every target at once.
+        """One logical write under one stamp, to every target in order, on this thread.
 
         Returns ``(uid, oks, rejected)``: the ok responses and the first refusal (auth /
         bad_request, or a token's ``conflict``) in target order.  Every target is asked, so
@@ -452,11 +449,15 @@ class CrowdRouter:
         stamped["uid"] = uid
         stamped["timestamp"] = ts
         oks: list[dict[str, Any]] = []
-        for response in self._send_all(targets, stamped):
+        rejected = None
+        for name in targets:
+            response = self._shards[name].handle(stamped)
             if response.get("ok"):
                 oks.append(response)
-            elif response.get("error") != "unavailable":
-                return uid, oks, response
+            elif rejected is None and response.get("error") != "unavailable":
+                rejected = response
+        if rejected is not None:
+            return uid, oks, rejected
         if len(oks) == len(targets) and all("timestamp" in r for r in oks):
             # a retry every replica kept under its first stamp stored its
             # tick nowhere: take it back unless a later one was issued

@@ -8,18 +8,22 @@ the job table).  The contract both inherit: **an acknowledged op is in
 the journal, whatever thread wrote it** (``docs/architecture.md``,
 "Durability").
 
-* Every op is appended *before* the caller acknowledges it.
+* Every op is appended *before* the caller acknowledges it, at the
+  logical end, into zeros a full ``fsync`` made durable, then synced with
+  ``fdatasync``: no metadata to commit.  An append past the zeros writes
+  more (real ones: an unwritten extent is a metadata commit), 64 KiB and
+  doubling, at most 1 MiB at a time, and syncs in full (``wal_grows``).
 * A checkpoint (:meth:`DurableLog.snapshot`) compacts the journal in
   place: the caller's live state, written as the ops that rebuild it,
   goes to a temp file and ends at a ``{"op": "checkpoint"}`` line; then,
   under the log lock, the bytes appended since the checkpoint began
-  follow it, and the temp file replaces the journal (fsync,
-  ``os.replace``, parent-directory fsync).  A crash leaves the old
-  journal or the new one, never a mix, and a power cut after return
-  cannot roll the rename back.  An op another thread journals while the
-  state is being written is in the copied tail and may be in the state
-  too (see the caller's op vocabulary for why replaying it again is
-  sound).
+  (up to the logical end) follow it, and the temp file replaces the
+  journal (fsync, ``os.replace``, parent-directory fsync).  A crash
+  leaves the old journal or the new one, never a mix, and a power cut
+  after return cannot roll the rename back.  An op another thread
+  journals while the state is being written is in the copied tail and
+  may be in the state too (see the caller's op vocabulary for why
+  replaying it again is sound).
 * **The checkpoint rule**: a checkpoint is due once ``snapshot_every``
   ops were journaled after the compacted part (the floor) *and* the
   dead bytes have reached the live ones.  Each append says how many
@@ -31,10 +35,11 @@ the journal, whatever thread wrote it** (``docs/architecture.md``,
   twice the live data.
 * Recovery hands every op to ``apply`` *as its line is parsed* — the
   journal is never held whole — so it holds one line beside the state
-  it rebuilds.  A torn final line (the classic power-cut artifact) is
-  discarded (``wal_torn_tail`` counter) — the op it belonged to was
-  never acknowledged — and cut off before the journal is reopened for
-  append.
+  it rebuilds.  The logical end is the end of the last complete line
+  before the first NUL byte (JSON never holds one).  Past it, what is not
+  zeros is a torn append, never acknowledged (a power cut: a prefix, and
+  maybe pages that reached the disk out of order); it is cut off
+  (``wal_torn_tail``) before the journal is reopened for append.
 * A directory an earlier version wrote may still hold its image beside
   the journal (``snapshot.json`` beside ``wal.jsonl``,
   ``queue.snapshot.json`` beside ``queue.wal.jsonl``) and number its
@@ -44,7 +49,7 @@ the journal, whatever thread wrote it** (``docs/architecture.md``,
   checkpoint is then due at once, and it deletes the image.
 
 Perf counters: ``wal_appends``, ``wal_batch_appends``, ``wal_fsyncs``,
-``wal_torn_tail``, ``wal_snapshot_bytes`` (compacted bytes written).
+``wal_grows``, ``wal_torn_tail``, ``wal_snapshot_bytes`` (compacted bytes).
 The callers count their own replays and checkpoints: ``wal_replayed`` /
 ``wal_snapshots``, ``fabric_queue_replayed`` / ``fabric_queue_snapshots``.
 """
@@ -53,8 +58,8 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import threading
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -65,8 +70,11 @@ __all__ = ["DurableLog"]
 #: the line that ends a compacted journal's rebuilt state
 _CHECKPOINT = {"op": "checkpoint"}
 _encode = json.JSONEncoder(sort_keys=True).encode
-#: how far back :meth:`DurableLog._repair_tail` reads at a time
-_TAIL_BLOCK = 1 << 16
+#: the zeros the first allocation adds past the logical end, and the most one adds
+_GROW_MIN, _GROW_MAX = 1 << 16, 1 << 20
+#: the most a journal read takes at a time (a longer line is read in parts)
+_BLOCK = 1 << 16
+_datasync = getattr(os, "fdatasync", os.fsync)
 
 
 class DurableLog:
@@ -107,13 +115,11 @@ class DurableLog:
         self._lock = threading.Lock()
         #: one checkpoint at a time; never taken with ``_lock`` held
         self._snapshot_lock = threading.Lock()
-        self._fh: Any = None  # unbuffered: a write is one write(2)
+        self._fh: Any = None  # unbuffered, written with pwrite(2) at the logical end
         self._since_sync = 0
-        #: the checkpoint rule's: ops after the compacted part, bytes on
-        #: disk, dead ones
-        self._since_snapshot = 0
-        self._bytes = 0
-        self._dead = 0
+        #: the checkpoint rule's: ops after the compacted part, bytes up to
+        #: the logical end, dead ones; and the file's size (zeros after the end)
+        self._since_snapshot = self._bytes = self._dead = self._alloc = 0
 
     # -- recovery ------------------------------------------------------------
     def recover(self, apply: Callable[[dict[str, Any]], int | None] | None = None) -> None:
@@ -126,7 +132,8 @@ class DurableLog:
         """
         self._tmp.unlink(missing_ok=True)  # a compaction that never replaced the journal
         covered = self._migrate(apply)
-        for op in iter_wal(self.wal_path):
+        end = 0
+        for op, end in _intact(self.wal_path):
             seq = op.pop("seq", None)  # only an earlier version numbered its lines
             if seq is not None and seq <= covered:
                 continue  # in that version's image already
@@ -136,9 +143,12 @@ class DurableLog:
             if apply is not None:
                 self._dead += apply(op) or 0
             self._since_snapshot += 1
-        self._repair_tail()
-        self._fh = open(self.wal_path, "ab", buffering=0)
-        self._bytes = self._fh.seek(0, os.SEEK_END)
+        self._fh = _open(self.wal_path)
+        self._bytes, self._alloc = end, self._fh.seek(0, os.SEEK_END)
+        if not _zeros_from(self._fh.fileno(), end):  # a torn append: never acknowledged
+            perf.incr("wal_torn_tail")
+            self._alloc = self._fh.truncate(end)
+            os.fsync(self._fh.fileno())
         self._check_due_locked()
 
     def _migrate(self, apply: Callable[[dict[str, Any]], int | None] | None) -> int:
@@ -162,35 +172,6 @@ class DurableLog:
         self.snapshot_due = True
         return covered
 
-    def _repair_tail(self) -> None:
-        """Truncate a torn final line before reopening for append.
-
-        The fragment belongs to an op that was never acknowledged
-        (recovery already discarded it); left in place, the next append
-        would glue onto it and corrupt a *valid* entry.  Only the end of
-        the journal is read: its last byte, and when that is not a
-        newline, blocks backwards up to the last one.
-        """
-        if not self.wal_path.exists():
-            return
-        with open(self.wal_path, "r+b") as fh:
-            cut = fh.seek(0, os.SEEK_END)
-            if cut == 0:
-                return
-            fh.seek(cut - 1)
-            if fh.read(1) == b"\n":
-                return
-            while cut > 0:
-                start = max(0, cut - _TAIL_BLOCK)
-                fh.seek(start)
-                newline = fh.read(cut - start).rfind(b"\n")
-                if newline >= 0:
-                    cut = start + newline + 1
-                    break
-                cut = start
-            fh.truncate(cut)
-            os.fsync(fh.fileno())
-
     # -- journaling ----------------------------------------------------------
     def append(self, op: Mapping[str, Any] | str, dead: int = 0) -> None:
         """Journal one op that kills ``dead`` bytes on disk."""
@@ -206,16 +187,20 @@ class DurableLog:
                 self._write_locked(ops, dead)
 
     def _write_locked(self, ops: list[Mapping[str, Any] | str], dead: int) -> None:
-        text = "".join([f"{_line(op)}\n" for op in ops])
-        view = memoryview(text.encode())  # json escapes to ASCII
-        while view:  # a regular file takes it whole unless the disk is full
-            view = view[self._fh.write(view) :]
+        data = "".join([f"{_line(op)}\n" for op in ops]).encode()  # json escapes to ASCII
+        end, fd = self._bytes + len(data), self._fh.fileno()
+        _pwrite(fd, data, self._bytes)
         self._since_sync += len(ops)
-        if self._since_sync >= self.fsync_every:
+        if end > self._alloc:  # past the zeros: allocate more, and sync the size too
+            self._alloc = end + min(max(self._alloc, _GROW_MIN), _GROW_MAX)
+            _pwrite(fd, bytes(self._alloc - end), end)
+            perf.incr("wal_grows")
+            self._sync_locked(os.fsync)
+        elif self._since_sync >= self.fsync_every:
             self._sync_locked()
         perf.incr("wal_appends", len(ops))
         self._since_snapshot += len(ops)
-        self._bytes += len(text)
+        self._bytes = end
         self._dead += dead
         self._check_due_locked()
 
@@ -226,10 +211,10 @@ class DurableLog:
         if self._since_snapshot >= self.snapshot_every and 2 * self._dead >= self._bytes:
             self.snapshot_due = True
 
-    def _sync_locked(self) -> None:
+    def _sync_locked(self, sync: Callable[[int], None] = _datasync) -> None:
         """Force any batched appends to stable storage."""
         if self._since_sync:
-            os.fsync(self._fh.fileno())
+            sync(self._fh.fileno())
             self._since_sync = 0
             perf.incr("wal_fsyncs")
 
@@ -256,18 +241,16 @@ class DurableLog:
                 compacted = out.tell()
                 _flush(out)
                 with self._lock:
-                    with open(self.wal_path, "rb") as old:
-                        old.seek(start)
-                        shutil.copyfileobj(old, out)
+                    out.write(os.pread(self._fh.fileno(), self._bytes - start, start))
                     if out.tell() > compacted:
                         _flush(out)
                     out.close()
                     os.replace(self._tmp, self.wal_path)
                     _fsync_dir(self.wal_path.parent)
                     self._fh.close()
-                    self._fh = open(self.wal_path, "ab", buffering=0)
+                    self._fh = _open(self.wal_path)
                     self._since_sync = 0
-                    self._bytes = self._fh.seek(0, os.SEEK_END)
+                    self._bytes = self._alloc = self._fh.seek(0, os.SEEK_END)
                     self._dead -= dead
             perf.incr("wal_snapshot_bytes", compacted)
             if self._old_image.exists():  # migrated: the journal holds it now
@@ -288,25 +271,53 @@ def _line(op: Mapping[str, Any] | str) -> str:
 
 
 def iter_wal(path: str | Path) -> Iterator[dict[str, Any]]:
-    """The intact ops of a journal, parsed one line at a time; a torn
-    final line ends the iteration (``wal_torn_tail``)."""
-    path = Path(path)
+    """The intact ops of a journal, parsed one line at a time."""
+    return (op for op, _ in _intact(Path(path)))
+
+
+def _intact(path: Path) -> Iterator[tuple[dict[str, Any], int]]:
+    """Each op of the journal at ``path`` and the offset its line ends at:
+    the complete lines before the first NUL byte, read ``_BLOCK`` bytes at
+    most at a time, so the zeros past the logical end are never one line."""
     if not path.exists():
         return
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                op = json.loads(line)
-            except json.JSONDecodeError:
-                if next(fh, None) is None:
-                    # torn tail: the op was never acknowledged, drop it
-                    perf.incr("wal_torn_tail")
-                    return
-                raise ValueError(f"{path}: corrupt WAL entry at line {i}") from None
-            yield op
+    with open(path, "rb") as fh:
+        line, end, number = b"", 0, 0
+        for part in iter(partial(fh.readline, _BLOCK), b""):
+            part, nul, _ = part.partition(b"\0")
+            line += part
+            if nul:
+                return
+            if line.endswith(b"\n"):
+                number, end = number + 1, end + len(line)
+                if line.strip():
+                    try:
+                        op = json.loads(line)
+                    except json.JSONDecodeError:
+                        raise ValueError(f"{path}: corrupt WAL entry at line {number}") from None
+                    yield op, end
+                line = b""
+
+
+def _open(path: Path) -> Any:
+    """The journal, read-write: an append goes to the logical end, not to EOF."""
+    return open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b", buffering=0)
+
+
+def _zeros_from(fd: int, offset: int) -> bool:
+    """Whether every byte of the open file ``fd`` from ``offset`` on is zero."""
+    while block := os.pread(fd, _BLOCK, offset):
+        if block.strip(b"\0"):
+            return False
+        offset += len(block)
+    return True
+
+
+def _pwrite(fd: int, data: bytes, offset: int) -> None:
+    view = memoryview(data)
+    while view:  # a regular file takes it whole unless the disk is full
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
 
 
 def _flush(fh: Any) -> None:

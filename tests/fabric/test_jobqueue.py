@@ -22,6 +22,8 @@ import pytest
 from repro.fabric import DurableJobQueue, JobState
 from repro.fabric.jobqueue import _WAL_NAME
 
+from ..service.journal import journal_bytes
+
 
 def fill(queue: DurableJobQueue, n: int) -> list[int]:
     return [queue.enqueue({"x": i / 10}) for i in range(n)]
@@ -170,7 +172,7 @@ class TestCrashRecovery:
         fill(q, 2)  # tail ops
         job = q.lease(0, 0.0, 10.0)
         q.complete(job.job_id, job.lease_token, {"y": 0.5})  # tail op
-        lines = (tmp_path / _WAL_NAME).read_text().splitlines()
+        lines = journal_bytes(tmp_path / _WAL_NAME).splitlines()
         ops = [json.loads(line)["op"] for line in lines]
         assert ops == ["job"] * 3 + ["checkpoint", "enqueue", "enqueue", "complete"]
         del q
@@ -187,7 +189,7 @@ class TestCrashRecovery:
         q.redispatch(q.lease(0, 0.0, 10.0).job_id)
         q.snapshot()
         assert [p.name for p in tmp_path.iterdir()] == [_WAL_NAME]
-        ops = [json.loads(line) for line in (tmp_path / _WAL_NAME).read_text().splitlines()]
+        ops = [json.loads(line) for line in journal_bytes(tmp_path / _WAL_NAME).splitlines()]
         # one line per job as it stands, then the end of the compacted part
         assert [op["op"] for op in ops] == ["job"] * 4 + ["checkpoint"]
         assert [op["attempt"] for op in ops[:4]] == [1, 0, 0, 0]

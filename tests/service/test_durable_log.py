@@ -48,6 +48,8 @@ from repro.service import CrowdShard
 from repro.service import wal
 from repro.service.shard import shard_key
 
+from .journal import journal_bytes
+
 #: a dead-data document: large next to everything the tests write after it
 _PAD = "x" * (1 << 16)
 
@@ -197,7 +199,7 @@ _CHECKPOINT = b'{"op": "checkpoint"}\n'
 def _compacted(journal) -> int | None:
     """The bytes of the journal's compacted part (through its checkpoint
     line), ``None`` if it was never compacted."""
-    end = journal.read_bytes().find(_CHECKPOINT)
+    end = journal_bytes(journal).find(_CHECKPOINT)
     return None if end < 0 else end + len(_CHECKPOINT)
 
 
@@ -251,7 +253,8 @@ def test_write_acked_during_a_snapshot_survives(user, tmp_path, monkeypatch):
         assert not writer.is_alive()
     assert inside_window == [user.writes_during_snapshot]
     assert _compacted(tmp_path / user.wal_name) is not None
-    assert len(acked) == 4 and user.present(handle) == set(acked)
+    acked.append(user.write(handle, 101))  # follows the copied tail, not its zeros
+    assert len(acked) == 5 and user.present(handle) == set(acked)
     assert user.present(_restart(user, tmp_path, handle)) == set(acked)
     assert [path.name for path in tmp_path.iterdir()] == [user.wal_name]
 
@@ -323,14 +326,43 @@ def _kill_at_replace(after: bool):
     return arm
 
 
+def _kill_mid_growth(holes: bool):
+    """Die in an append that allocates: its line is written, and then the
+    file ends right after it (the zeros never written) or only its new
+    size reached the disk (a hole where the zeros go)."""
+
+    def arm(monkeypatch, user):
+        real = wal.DurableLog._write_locked
+
+        def exhausted(self, ops, dead):
+            self._alloc = self._bytes  # the zeros run out here
+            real(self, ops, dead)
+
+        def write_line_then_die(fd, data, offset):
+            if data.strip(b"\0"):
+                os.pwrite(fd, data, offset)
+                return
+            os.ftruncate(fd, offset)
+            if holes:
+                os.ftruncate(fd, offset + len(data))
+            raise _Kill
+
+        monkeypatch.setattr(wal.DurableLog, "_write_locked", exhausted)
+        monkeypatch.setattr(wal, "_pwrite", write_line_then_die)
+
+    return arm
+
+
 #: kill point -> how to arm it; each fires inside write number 5 (the
-#: one that makes the compaction due) or, for the append point, write 5's
-#: first journaled op.  ``mid-tail-rewrite`` is the compacted file not yet
+#: one that makes the compaction due) or, for the append and growth
+#: points, write 5's first journaled op.  ``mid-tail-rewrite`` is the compacted file not yet
 #: in place while a second writer was acknowledged during the compaction
 #: (the queue's waits for the queue lock, and gets in once the kill has
 #: released it): the old journal holds that write either way.
 KILL_POINTS = {
     "appended-not-acked": _kill_after_append,
+    "grown-short": _kill_mid_growth(holes=False),
+    "grown-with-holes": _kill_mid_growth(holes=True),
     "snapshot-tmp-not-replaced": _kill_at_replace(after=False),
     "snapshot-replaced-not-reopened": _kill_at_replace(after=True),
     "mid-tail-rewrite": _kill_at_replace(after=False),
@@ -358,29 +390,50 @@ def test_acked_ops_survive_kill(user, point, tmp_path, monkeypatch):
     for writer in writers:
         writer.join(timeout=30)
         assert not writer.is_alive() and 50 in acked
-    if point != "appended-not-acked":
+    if point.startswith("snapshot") or point == "mid-tail-rewrite":
         # the dying write had journaled everything before the compaction began
         acked.add(4)
     recovered = _restart(user, tmp_path)
     assert acked <= user.present(recovered) <= acked | {4}
     assert [path.name for path in tmp_path.iterdir()] == [user.wal_name]
+    journal_bytes(tmp_path / user.wal_name)  # zeros past the logical end
     # the recovered directory keeps working: write, restart, still there
     acked.add(user.write(recovered, 7))
     assert acked <= user.present(_restart(user, tmp_path, recovered)) <= acked | {4}
+    journal_bytes(tmp_path / user.wal_name)
 
 
-def test_torn_final_journal_line_is_discarded_and_cut_off(user, tmp_path):
+def _torn_append_is_cut_off(user, tmp_path, *parts: tuple[int, bytes]) -> None:
+    """A power cut tore an append: ``parts`` are what reached the disk, as
+    ``(offset past the logical end, bytes)``.  Recovery keeps the acked ops
+    and cuts the rest off, and the next entry starts on its own line."""
     handle = user.primed(tmp_path, snapshot_every=3 * user.ops_per_write)
     acked = {user.write(handle, i) for i in range(5)}  # a compaction + a tail
     journal = tmp_path / user.wal_name
-    assert journal.stat().st_size > _compacted(journal)
-    journal.write_bytes(journal.read_bytes() + b'{"op": "ins')  # power cut
+    end = len(journal_bytes(journal))
+    assert end > _compacted(journal)
+    with open(journal, "r+b") as fh:  # power cut
+        for at, data in parts:
+            fh.seek(end + at)
+            fh.write(data)
     recovered = _restart(user, tmp_path)
     assert user.present(recovered) == acked
-    # the fragment is gone, so the next entry starts on its own line
+    assert len(journal_bytes(journal)) == end  # cut off: zeros past the end
     acked.add(user.write(recovered, 9))
     assert user.present(_restart(user, tmp_path)) == acked
-    assert all(json.loads(line) for line in journal.read_text().splitlines())
+    assert all(json.loads(line) for line in journal_bytes(journal).splitlines())
+
+
+def test_torn_final_journal_line_is_discarded_and_cut_off(user, tmp_path):
+    # a prefix of the line, the zeros after it untouched
+    _torn_append_is_cut_off(user, tmp_path, (0, b'{"op": "ins'))
+
+
+def test_a_torn_append_whose_pages_landed_out_of_order_is_cut_off(user, tmp_path):
+    # a prefix, a gap of zeros inside the line, then a later page
+    _torn_append_is_cut_off(
+        user, tmp_path, (0, b'{"op": "ins'), (4096, b'ert", "c": 1}\n{"op": "dr')
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +479,7 @@ def test_dead_bytes_reaching_live_bytes_write_one_image(user, tmp_path, monkeypa
         churned += 1
     assert len(sizes) == 1
     # the journal is the live data, and nothing was journaled after it
-    assert (tmp_path / user.wal_name).stat().st_size == sizes[0]
+    assert len(journal_bytes(tmp_path / user.wal_name)) == sizes[0]
     assert user.present(_restart(user, tmp_path, handle)) == acked
 
 
@@ -494,7 +547,7 @@ def test_recovery_reads_at_most_about_twice_the_live_data(user, tmp_path, monkey
             live = sizes.pop()
             assert len(sizes) == compactions
             shutil.rmtree(probe_dir)
-            assert (live_dir / user.wal_name).stat().st_size <= 2 * live + every * 1200
+            assert len(journal_bytes(live_dir / user.wal_name)) <= 2 * live + every * 1200
     assert len(sizes) >= 2  # the churn was compacted along the way
     assert user.present(_restart(user, live_dir, handle)) == acked
 
@@ -669,7 +722,7 @@ SEQUENCES = {"shard": (shard_sequence, _shard_state), "queue": (queue_sequence, 
 
 def test_fixed_sequence_writes_the_pinned_bytes(user, tmp_path):
     SEQUENCES[user.name][0](tmp_path)
-    written = {path.name: path.read_text() for path in tmp_path.iterdir()}
+    written = {path.name: journal_bytes(path).decode() for path in tmp_path.iterdir()}
     assert written == {user.wal_name: WRITTEN_BYTES[user.wal_name]}
 
 
@@ -732,4 +785,4 @@ if __name__ == "__main__":  # prints WRITTEN_BYTES for the checkout on PYTHONPAT
         with tempfile.TemporaryDirectory() as tmp:
             sequence(tmp)
             for path in sorted(Path(tmp).iterdir()):
-                sys.stdout.write(f"{label} {path.name} = {path.read_text()!r}\n")
+                sys.stdout.write(f"{label} {path.name} = {journal_bytes(path).decode()!r}\n")

@@ -13,15 +13,19 @@ fabric's job queue alike.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from repro.core import perf
 from repro.crowd.database import DocumentStore
 from repro.crowd.users import UserRegistry
 from repro.service import CrowdShard, DurableLog
 from repro.service import wal as wal_module
 from repro.service.wal import iter_wal
+
+from .journal import journal_bytes
 
 
 def _upload(shard, key, i, problem="demo"):
@@ -89,13 +93,17 @@ class TestWriteAheadLog:
         assert len(list(iter_wal(tmp_path / "wal.jsonl"))) == 4
 
     def test_a_torn_tail_longer_than_a_read_block_is_cut(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(wal_module, "_TAIL_BLOCK", 4)
+        """Lines longer than a read are read in parts: whole when they
+        end, and cut off when torn (here a journal that an earlier
+        version wrote, no zeros after it)."""
+        monkeypatch.setattr(wal_module, "_BLOCK", 4)
         log = _journal(tmp_path)
         log.append({"op": "drop", "c": "a"})
         log.close()
         journal = tmp_path / "wal.jsonl"
-        intact = journal.read_bytes()
+        intact = journal_bytes(journal)
         journal.write_bytes(intact + b'{"op": "drop", "c": "torn')
+        assert list(iter_wal(journal)) == [{"op": "drop", "c": "a"}]
         _journal(tmp_path).close()
         assert journal.read_bytes() == intact
         journal.write_bytes(b'{"op": "drop", "c"')  # no newline at all
@@ -125,8 +133,8 @@ class TestWriteAheadLog:
         for op in ops:
             wal.append(op)
         wal.close()
-        text = (batched / "wal.jsonl").read_text()
-        assert text == (single / "wal.jsonl").read_text()
+        text = journal_bytes(batched / "wal.jsonl")
+        assert text == journal_bytes(single / "wal.jsonl")
         assert list(iter_wal(batched / "wal.jsonl")) == ops
 
     def test_append_many_empty_batch_is_a_noop(self, tmp_path):
@@ -156,6 +164,125 @@ class TestWriteAheadLog:
         assert [o["op"] for o in ops] == ["insert", "insert_many", "update"]
         store = _recovered(tmp_path)
         assert store["c"].find({}) == src["c"].find({})
+
+
+#: the acked ops of :class:`TestPreallocatedJournal`'s journal, and the
+#: line of an append a power cut tore
+_ACKED = [{"op": "drop", "c": f"c{i}"} for i in range(3)]
+_TORN = b'{"op": "drop", "c": "never acknowledged"}\n'
+
+
+def _write_at(journal: Path, offset: int, data: bytes) -> None:
+    with open(journal, "r+b") as fh:
+        fh.seek(offset)
+        fh.write(data)
+
+
+def _grown_short(journal: Path, end: int) -> None:
+    """Growing: part of the line reached the disk, the zeros after it did not."""
+    os.truncate(journal, end)
+    _write_at(journal, end, _TORN[:20])
+
+
+def _grown_with_holes(journal: Path, end: int) -> None:
+    """Growing: the new size reached the disk, the blocks under it did not."""
+    os.truncate(journal, end)
+    os.truncate(journal, end + (1 << 20))
+    _write_at(journal, end, _TORN[:20])
+
+
+#: what a power cut can leave past the logical end ``end`` of a journal
+CRASHES = {
+    "prefix-then-zeros": lambda journal, end: _write_at(journal, end, _TORN[:20]),
+    # pages that reached the disk out of order: a gap of zeros inside the line
+    "prefix-gap-junk": lambda journal, end: (
+        _write_at(journal, end, _TORN[:5]), _write_at(journal, end + 4096, _TORN[9:])
+    ),
+    "junk-after-the-zeros": lambda journal, end: _write_at(
+        journal, journal.stat().st_size, _TORN
+    ),
+    "grown-short": _grown_short,
+    "grown-with-holes": _grown_with_holes,
+}
+
+
+class TestPreallocatedJournal:
+    """The journal keeps zeros past its logical end; a torn append there
+    is cut off, and the next append follows the last intact line."""
+
+    def test_appends_go_into_zeros_synced_by_data_only(self, tmp_path, monkeypatch):
+        full: list[int] = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (full.append(fd), real(fd)))
+        log = _journal(tmp_path)
+        with perf.collect() as stats:
+            for op in _ACKED:
+                log.append(op)
+        log.close()
+        journal = tmp_path / "wal.jsonl"
+        assert journal.stat().st_size > len(journal_bytes(journal))
+        # one allocation, synced in full; the other appends sync their data
+        assert stats.counters["wal_grows"] == 1 and stats.counters["wal_fsyncs"] == 3
+        assert len(full) == 1 + 1  # the growth, and the close
+
+    def test_allocations_double_up_to_a_cap(self, tmp_path):
+        """Each allocation adds as many zeros as the file held (64 KiB at
+        least, 1 MiB at most), so growing to 7.2 MB allocates eleven times."""
+        log = _journal(tmp_path)
+        journal = tmp_path / "wal.jsonl"
+        size, zeros = 0, []
+        with perf.collect() as stats:
+            for _ in range(900):
+                log.append({"op": "drop", "c": "x" * 8000})
+                if journal.stat().st_size != size:
+                    zeros.append(journal.stat().st_size - log._bytes)
+                    assert zeros[-1] == min(max(size, 1 << 16), 1 << 20)
+                    size = journal.stat().st_size
+        log.close()
+        assert zeros[0] == 1 << 16 and zeros[-1] == 1 << 20
+        assert stats.counters["wal_grows"] == len(zeros) == 11
+
+    @pytest.mark.parametrize("crash", sorted(CRASHES))
+    def test_recovery_keeps_the_acked_ops_and_appends_after_them(self, tmp_path, crash):
+        log = _journal(tmp_path)
+        for op in _ACKED:
+            log.append(op)
+        log.close()
+        journal = tmp_path / "wal.jsonl"
+        intact = journal_bytes(journal)
+        CRASHES[crash](journal, len(intact))
+        replayed: list[dict] = []
+        log = DurableLog(tmp_path, "wal.jsonl", snapshot_every=10_000)
+        log.recover(replayed.append)
+        assert replayed == _ACKED
+        assert journal_bytes(journal) == intact  # every byte past the end is zero
+        log.append({"op": "drop", "c": "next"})
+        log.close()
+        assert list(iter_wal(journal)) == [*_ACKED, {"op": "drop", "c": "next"}]
+        assert journal_bytes(journal).startswith(intact)
+
+    def test_a_compaction_copies_only_the_logical_tail(self, tmp_path):
+        """An op appended while the state is listed follows the checkpoint
+        line, and the zeros after it in the old journal are not copied:
+        the next append follows it."""
+        log = _journal(tmp_path)
+        for op in _ACKED:
+            log.append(op)
+
+        def state():
+            yield {"op": "collection", "c": "kept"}
+            log.append({"op": "drop", "c": "meanwhile"})  # the log lock is not held
+
+        log.snapshot(state)
+        log.append({"op": "drop", "c": "after"})
+        log.close()
+        assert list(iter_wal(tmp_path / "wal.jsonl")) == [
+            {"op": "collection", "c": "kept"},
+            {"op": "checkpoint"},
+            {"op": "drop", "c": "meanwhile"},
+            {"op": "drop", "c": "after"},
+        ]
+        journal_bytes(tmp_path / "wal.jsonl")
 
 
 class TestCrashRecovery:

@@ -34,6 +34,8 @@ from repro.crowd.users import UserRegistry
 from repro.registry import RegistryOptions
 from repro.service import CrowdShard
 
+from .journal import journal_bytes
+
 _MACHINE = {"machine_name": "Cori-Haswell", "haswell": {"nodes": 8, "cores": 32}}
 _SOFTWARE = {"ScaLAPACK": {"version_split": [2, 1, 0]}, "gcc": {"version_split": [9, 1, 0]}}
 
@@ -81,7 +83,7 @@ def write_sequence(data_dir) -> dict:
     # the stored documents in their own key order (the files sort keys)
     documents = json.dumps(shard.repository.store["performance_records"].find({}))
     shard.close()
-    files = {path.name: path.read_text() for path in sorted(data_dir.iterdir())}
+    files = {path.name: journal_bytes(path).decode() for path in sorted(data_dir.iterdir())}
     return {
         "responses": responses,
         "documents": documents,
