@@ -127,13 +127,3 @@ class PendingPenalty(Acquisition):
         dist = np.sqrt(np.maximum(d2, 0.0)).min(axis=1)
         return s * np.clip(dist / self.radius, 0.0, 1.0)
 
-
-_ACQS = {"ei": ExpectedImprovement, "lcb": LowerConfidenceBound}
-
-
-def get_acquisition(name: str, **kwargs) -> Acquisition:
-    """Look up an acquisition by name (``ei``, ``lcb``)."""
-    try:
-        return _ACQS[name](**kwargs)
-    except KeyError:
-        raise ValueError(f"unknown acquisition {name!r}; choose from {sorted(_ACQS)}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -47,7 +47,8 @@ class RepeatGroup:
     task_parameters: dict[str, Any]
     tuning_parameters: dict[str, Any]
     outputs: list[float] = field(default_factory=list)
-    uids: list[int] = field(default_factory=list)
+    #: where each measurement stands in the records grouped
+    positions: list[int] = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -92,7 +93,7 @@ def group_repeats(
 ) -> list[RepeatGroup]:
     """Group successful records by (task, configuration)."""
     groups: dict[tuple, RepeatGroup] = {}
-    for rec in records:
+    for position, rec in enumerate(records):
         if rec.failed:
             continue
         key = _config_key(rec)
@@ -101,7 +102,7 @@ def group_repeats(
                 dict(rec.task_parameters), dict(rec.tuning_parameters)
             )
         groups[key].outputs.append(float(rec.output))
-        groups[key].uids.append(rec.uid)
+        groups[key].positions.append(position)
     return sorted(
         (g for g in groups.values() if g.n >= min_repeats),
         key=lambda g: g.n,
@@ -193,12 +194,11 @@ def detect_outliers(
     least 3 measurements can convict an outlier.
     """
     records = list(records)
-    by_uid: Mapping[int, PerformanceRecord] = {r.uid: r for r in records}
     out: list[tuple[PerformanceRecord, float]] = []
     for group in group_repeats(records, min_repeats=3):
         z = group.modified_z_scores()
-        for uid, zi in zip(group.uids, z):
+        for position, zi in zip(group.positions, z):
             if abs(zi) > z_threshold:
-                out.append((by_uid[uid], float(zi)))
+                out.append((records[position], float(zi)))
     out.sort(key=lambda pair: -abs(pair[1]))
     return out

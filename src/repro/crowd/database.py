@@ -50,10 +50,9 @@ service layer's write-ahead log (:mod:`repro.service.wal`) attaches
 here, and compacts itself to :meth:`DocumentStore.journal_lines` — the
 stored documents themselves, encoded as their inserts journaled them,
 never a copy.  Replay goes through :meth:`DocumentStore.apply_op`, which
-also accepts what earlier store versions wrote: one ``insert`` op per
-document, ``create_index`` ops (ignored — there are no indexes to
-rebuild) and a whole store image (the ``image`` op a journal's
-migration hands over).
+takes those ops and what the observer hands out, nothing older: a
+journal of the store image's era is refused before it is replayed
+(:mod:`repro.service.wal`).
 """
 
 from __future__ import annotations
@@ -329,22 +328,11 @@ class DocumentStore:
         """Re-apply one journaled op (WAL replay / journal shipping).
 
         Besides what the observer hands out, it takes a compacted
-        journal's ``collection`` op (a collection and its ``next_id``),
-        the historical one-document ``insert`` form, the ``create_index``
-        ops older journals carry (skipped) and an earlier version's
-        whole store image (``image``), so journals written by any store
-        version replay on this one.
+        journal's ``collection`` op (a collection and its ``next_id``).
         """
         kind = op.get("op")
         if kind == "drop":
             self.drop(op["c"])
-            return
-        if kind == "image":
-            for blob in op["store"]["collections"]:
-                coll = self.collection(blob["name"])
-                coll._next_id = max(coll._next_id, int(blob["next_id"]))
-                for doc in blob["docs"]:
-                    coll._restore(doc)
             return
         coll = self.collection(op["c"])
         if kind == "insert":
@@ -358,8 +346,6 @@ class DocumentStore:
             coll.update(op["flt"], op["changes"])
         elif kind == "delete":
             coll.delete(op["flt"])
-        elif kind == "create_index":
-            pass  # an older store's journal: there is no index to rebuild
         else:
             raise ValueError(f"unknown journal op {kind!r}")
 
@@ -385,10 +371,6 @@ class DocumentStore:
     def __contains__(self, name: object) -> bool:
         with self._lock:
             return name in self._collections
-
-    def collection_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._collections)
 
     def drop(self, name: str) -> None:
         with self._lock:

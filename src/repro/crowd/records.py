@@ -9,7 +9,6 @@ Fig. 2.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -19,8 +18,6 @@ __all__ = ["PerformanceRecord", "Accessibility"]
 
 #: recognized accessibility levels
 ACCESS_LEVELS = ("public", "private", "group")
-
-_uid_counter = itertools.count(1)
 
 
 class Accessibility:
@@ -70,8 +67,6 @@ class PerformanceRecord:
     def __post_init__(self) -> None:
         if not self.problem_name:
             raise ValueError("record needs a problem name")
-        if self.uid == 0:
-            self.uid = next(_uid_counter)
 
     @property
     def failed(self) -> bool:

@@ -142,11 +142,13 @@ class CrowdRepository:
 
     def upload_many(self, records: list[PerformanceRecord], api_key: str) -> list[int]:
         """Store a batch: one authentication, one lock acquisition, one
-        batched journal op (one WAL line / fsync downstream)."""
+        batched journal op (one WAL line / fsync downstream).  A record
+        without a uid is named by its timestamp, as a node names one."""
         user = self.users.authenticate(api_key)
         docs = [self.owned(record.to_doc(), user) for record in records]
         for doc in docs:
             doc["timestamp"] = self._now()
+            doc["uid"] = doc["uid"] or int(doc["timestamp"])
         return self.store[_RECORDS].insert_many(docs)
 
     # -- download ----------------------------------------------------------------

@@ -187,13 +187,10 @@ class DurableJobQueue:
             job.state = JobState.DONE
             job.token = entry["token"]
             job.result = entry.get("result")
-        elif op in ("job", "image"):
-            # a compacted journal's job as it stands, or the whole job
-            # table an earlier version kept beside its journal
-            for doc in entry["jobs"] if op == "image" else (entry,):
-                job = FabricJob.from_doc(doc)
-                self._jobs[job.job_id] = job
-                self._next_job_id = max(self._next_job_id, job.job_id + 1)
+        elif op == "job":  # a compacted journal's job as it stands
+            job = FabricJob.from_doc(entry)
+            self._jobs[job.job_id] = job
+            self._next_job_id = max(self._next_job_id, job.job_id + 1)
         else:  # pragma: no cover - future-proofing
             raise ValueError(f"unknown fabric queue op {op!r}")
 

@@ -140,13 +140,6 @@ class SobolSequence:
         self._count = 0
 
 
-def sobol_sample(
-    n: int, dim: int, *, skip: int = 0, scramble: bool = False, seed: int | None = None
-) -> np.ndarray:
-    """Convenience wrapper: the first ``n`` Sobol' points in ``dim`` dims."""
-    return SobolSequence(dim, skip=skip, scramble=scramble, seed=seed).generate(n)
-
-
 def _lowest_zero_bit(k: int) -> int:
     """Index of the lowest zero bit of ``k`` (Antonov–Saleev Gray-code step)."""
     c = 0

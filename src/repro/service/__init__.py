@@ -12,7 +12,7 @@ able to take concurrent traffic:
   (compacted in place) under every shard (and the fabric's job queue);
   a killed shard recovers bit-identical state from disk,
 * :mod:`~repro.service.router` — protocol-compatible front-end: smart
-  routing, parallel cross-shard fan-out with exact deduplication,
+  routing, cross-shard fan-out with exact deduplication,
   token-bucket backpressure, no read cache,
 * :mod:`~repro.service.transport` — deterministic simulated RPC with
   fault injection,
@@ -142,9 +142,8 @@ class CrowdService:
 
     def restart_router(self) -> None:
         """Restart the front end: close the old router (its anti-entropy
-        thread, its sender pool) and start one over the same transports,
-        its clock and client-id count the shards'.  A retry names its uid
-        by its token."""
+        thread) and start one over the same transports, its clock and
+        client-id count the shards'.  A retry names its uid by its token."""
         self.router.close()
         self._start_router()
 
@@ -261,11 +260,10 @@ class CrowdService:
     def close(self) -> None:
         """Shut the whole deployment down (idempotent).
 
-        Stops the router's anti-entropy thread and sender pool and
-        closes every WAL.  Safe to call repeatedly and after partial
-        teardown — fabric runs and tests can always
-        ``with build_service(...) as svc:`` without leaking daemon
-        threads across test boundaries.
+        Stops the router's anti-entropy thread and closes every WAL.
+        Safe to call repeatedly and after partial teardown — fabric runs
+        and tests can always ``with build_service(...) as svc:`` without
+        leaking daemon threads across test boundaries.
         """
         if self._closed:
             return

@@ -32,9 +32,10 @@ the protocol the router:
   through the replicas when shards are unreachable
   (``_first_reachable``); with ``read_quorum`` > 1 a pinned ``query``
   reads R replicas, merges them with
-  :func:`~repro.service.shard.newest_wins` (the one newest-wins rule:
-  per ``record_ident``, the greater timestamp), and **read-repairs**
-  stale replicas by streaming them the records they miss;
+  :func:`~repro.service.shard.oldest_wins` (the one replication rule:
+  per ``record_ident``, the smaller timestamp, since only a record's
+  first write can have been acknowledged), and **read-repairs** stale
+  replicas by streaming them the records they miss;
 * **heals by delta anti-entropy**, the one repair path —
   :meth:`CrowdRouter.anti_entropy_round` compares per-bucket digests
   and ships each replica only the documents it lacks; a revived shard
@@ -45,16 +46,17 @@ the protocol the router:
   stream each rekeyed bucket to its new owners before dropping the old
   copies (graceful handoff; a crashed shard is simply removed and
   anti-entropy restores the replication factor from the survivors);
-* **fans out** problem-wide reads across all shards at once (the first
-  asked on the calling thread, the others by the sender pool) and
-  merges (``_collect``: unreachable shards skipped, a refusal is every
-  shard's verdict, nobody reachable is ``unavailable``):
+* **fans out** problem-wide reads to every shard in turn on the calling
+  thread (under ``SimTransport`` latency a fan-out costs one round trip
+  per shard; overlap returns with a real RPC plane, which is parked) and merges
+  (``_collect``: unreachable shards skipped, a refusal is every shard's
+  verdict, nobody reachable is ``unavailable``):
 
   ================================ ======================= ==========================
   public read                      each shard is asked     the router merges
   ================================ ======================= ==========================
   ``query`` (no task),             the same request        records, deduplicated by
-  ``query_sql``                                            ``uid`` newest-wins;
+  ``query_sql``                                            ``uid`` oldest-wins;
                                                            order and limit re-applied
   ``problems``                     the same request        union
   ``leaderboard``,                 ``summary`` (shard-     one partial row per task,
@@ -90,10 +92,8 @@ router's ``last_antientropy_error``.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
-import weakref
 from dataclasses import dataclass
 from collections.abc import Mapping
 from typing import Any, Callable
@@ -106,7 +106,7 @@ from ..crowd.views import summary_contributors, summary_leaderboard
 from ..registry import REGISTRY_PROBLEMS
 from .client import RetryPolicy, ServiceClient
 from .shard import (
-    CLIENT_IDS, ShardRing, bad_request, newest_wins, record_ident, shard_key,
+    CLIENT_IDS, ShardRing, bad_request, oldest_wins, record_ident, shard_key,
     split_bucket_key, token_uid,
 )
 
@@ -128,28 +128,6 @@ def _limited(docs: list[dict], limit: Any) -> list[dict]:
     return docs if limit is None else docs[: max(int(limit), 0)]
 
 
-class _Senders:
-    """``n`` daemon threads ``crowd-fanout-<i>`` answer ``(connection, request, retry,
-    reply)`` jobs (or put what raised) until closed or dropped; none waits on the pool."""
-
-    def __init__(self, n: int) -> None:
-        self.jobs = jobs = queue.SimpleQueue()
-        def send() -> None:  # holds the queue, not the pool
-            for connection, request, retry, reply in iter(jobs.get, None):
-                try:
-                    reply.put(connection.handle(request, retry=retry))
-                except BaseException as exc:  # re-raised on the caller's thread
-                    reply.put(exc)
-                del connection, request, reply  # an idle sender holds no way back
-            jobs.put(None)  # stops the next sender
-
-        self.close = weakref.finalize(self, jobs.put, None)
-        self.threads = [threading.Thread(target=send, daemon=True, name=f"crowd-fanout-{i}")
-                        for i in range(n)]
-        for thread in self.threads:
-            thread.start()
-
-
 @dataclass
 class RouterOptions:
     """Front-end knobs (defaults match a small trusted deployment)."""
@@ -163,9 +141,9 @@ class RouterOptions:
     #: replicas that must ack before an upload is acknowledged (W);
     #: 1 = acknowledged once any one replica stores it
     write_quorum: int = 1
-    #: replicas consulted by a task-pinned read (R); 1 = the primary,
-    #: falling back through the replicas, >1 adds newest-wins merge +
-    #: read-repair
+    #: replicas consulted, in turn, by a task-pinned read (R); 1 = the
+    #: primary, falling back through the replicas, >1 adds the
+    #: oldest-wins merge + read-repair
     read_quorum: int = 1
     #: seconds between background anti-entropy rounds (None = no thread;
     #: rounds can always be driven manually via ``anti_entropy_round``)
@@ -253,8 +231,6 @@ class CrowdRouter:
         self._clock_lock = threading.Lock()
         self._write_clock = float(write_clock)
         self._client_ids = int(client_ids)
-        self._pool: _Senders | None = None
-        self._pool_lock = threading.Lock()
         self._membership_lock = threading.Lock()
         self._ae_stop: threading.Event | None = None
         self._ae_thread: threading.Thread | None = None
@@ -289,22 +265,13 @@ class CrowdRouter:
     def _fanout(
         self, request: Mapping[str, Any], retry: RetryPolicy | None = None
     ) -> dict[str, dict[str, Any]]:
-        """Send ``request`` to every shard (under ``retry``, else each connection's
-        policy): the first asked here, the others by the sender pool, so their round
-        trips overlap; name -> response.  What one raised, raises."""
+        """Send ``request`` to every shard in turn on this thread (under ``retry``,
+        else each connection's policy); name -> response.  What one raised, raises."""
         perf.incr("service_fanouts")
-        names = list(self._shards)
-        replies = [queue.SimpleQueue() for _ in names[1:]]
-        with self._pool_lock:  # a job queued here is answered before a close
-            for name, reply in zip(names[1:], replies):
-                self._pool = self._pool or _Senders(len(self._shards))
-                self._pool.jobs.put((self._shards[name], request, retry, reply))
-        answers = [self._shards[names[0]].handle(request, retry=retry)]
-        answers += [reply.get() for reply in replies]
-        for answer in answers:
-            if isinstance(answer, BaseException):
-                raise answer
-        return dict(zip(names, answers))
+        return {
+            name: shard.handle(request, retry=retry)
+            for name, shard in list(self._shards.items())
+        }
 
     def _throttle(self, api_key: str) -> dict[str, Any] | None:
         if self.options.rate_limit is None:
@@ -344,24 +311,14 @@ class CrowdRouter:
         self._sweep_due = now + self.options.burst / self.options.rate_limit
 
     def close(self) -> None:
-        """Stop background healing and the sender pool (idempotent)."""
+        """Stop background healing (idempotent)."""
         self.stop_anti_entropy()
-        self._shutdown_pool()
 
     def __enter__(self) -> "CrowdRouter":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _shutdown_pool(self) -> None:
-        """Stop the sender pool (closing, or membership changed its sizing)."""
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.close()
-                for thread in self._pool.threads:
-                    thread.join()
-                self._pool = None
 
     # -- dispatch ------------------------------------------------------------
     def handle(self, request: Mapping[str, Any]) -> dict[str, Any]:
@@ -575,7 +532,7 @@ class CrowdRouter:
     def _quorum_pinned_read(
         self, request: Mapping[str, Any], prefs: list[str]
     ) -> dict[str, Any]:
-        """Read R replicas, merge newest-wins, write repairs back.
+        """Read R replicas, merge oldest-wins, write repairs back.
 
         Visibility and ``require_success`` filtering are identical on
         every replica (record-level data travels with the doc), so a
@@ -601,11 +558,11 @@ class CrowdRouter:
             return _unavailable(f"all replicas of {prefs} are unreachable")
         if skipped:
             perf.incr("service_replica_fallbacks")
-        merged = newest_wins(doc for docs in consulted.values() for doc in docs)
+        merged = oldest_wins(doc for docs in consulted.values() for doc in docs)
         limit = request.get("limit")
         if limit is None and len(consulted) > 1:
             for name, docs in consulted.items():
-                # the merged copy carries the newest timestamp, so a
+                # the merged copy carries the oldest timestamp, so a
                 # replica is stale exactly where it holds another one
                 held = {(record_ident(d), d.get("timestamp")) for d in docs}
                 stale = [
@@ -641,11 +598,11 @@ class CrowdRouter:
         """Fan out a record-returning request; dedup replicas by uid.
 
         Divergent replicas (a stale node that rejoined before healing)
-        may return different versions under one uid — the merge keeps
-        the newest timestamp, matching read-repair's newest-wins rule.
+        may return different copies under one uid — the merge keeps
+        the oldest timestamp, matching read-repair's oldest-wins rule.
         """
         docs, error = self._collect(request, "records")
-        return list(newest_wins(docs).values()), error
+        return list(oldest_wins(docs).values()), error
 
     def _merge_problems(self, request: Mapping[str, Any]) -> dict[str, Any]:
         names, error = self._collect(request, "problems")
@@ -662,7 +619,7 @@ class CrowdRouter:
         first partial (shard-name order) is the task's.  A task whose
         holders disagree — a stale replica before healing, a copy left
         behind by a handoff — or that holds unstamped records (no
-        witness) is re-read as documents, deduplicated newest-wins like
+        witness) is re-read as documents, deduplicated oldest-wins like
         any fanned-out query, and reduced by the same
         :meth:`ColumnarView.task_summary`: the union, at the cost of the
         tasks that diverge.
@@ -778,10 +735,10 @@ class CrowdRouter:
 
     def _repair(self, diverged: Mapping[str, tuple[list[str], list[str]]]) -> int:
         """Send each target of a diverged bucket exactly the documents it
-        lacks or holds older; returns how many the targets applied.
+        lacks or holds newer; returns how many the targets applied.
 
         The holders list their ``[record_ident, timestamp]`` entries;
-        per entry the newest wins (:func:`newest_wins`), one ``fetch``
+        per entry the oldest wins (:func:`oldest_wins`), one ``fetch``
         per holder pulls what the targets need from it and one
         ``replicate`` per target and collection ships it (counter
         ``service_antientropy_records_shipped``).  Registry entries and
@@ -799,17 +756,17 @@ class CrowdRouter:
         pull: dict[str, dict[str, list[str]]] = {}  # holder -> bucket -> idents
         owed: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
         for key, (targets, holders) in diverged.items():
-            newest: dict[str, tuple[Any, str]] = {}
+            oldest: dict[str, tuple[Any, str]] = {}
             for name in holders:
                 for ident, ts in held.get(name, {}).get(key, {}).items():
-                    if ident not in newest or sort_key(ts) > sort_key(newest[ident][0]):
-                        newest[ident] = (ts, name)
+                    if ident not in oldest or sort_key(ts) < sort_key(oldest[ident][0]):
+                        oldest[ident] = (ts, name)
             for name in targets:
                 if name in holders and name not in held:
                     continue  # its entries did not arrive: the next round
                 mine = held.get(name, {}).get(key, {})
-                for ident, (ts, source) in newest.items():
-                    if ident not in mine or sort_key(mine[ident]) < sort_key(ts):
+                for ident, (ts, source) in oldest.items():
+                    if ident not in mine or sort_key(mine[ident]) > sort_key(ts):
                         pull.setdefault(source, {}).setdefault(key, []).append(ident)
                         owed.setdefault((name, split_bucket_key(key)[0]), []).append(
                             (source, key, ident)
@@ -885,7 +842,6 @@ class CrowdRouter:
                 raise ValueError(f"shard {name!r} already in the cluster")
             self._shards[name] = self._connect(channel)
             self.ring = ShardRing(list(self._shards))
-            self._shutdown_pool()
             return self.rebalance() if rebalance else {}
 
     def remove_shard(self, name: str, *, graceful: bool = True) -> dict:
@@ -909,7 +865,6 @@ class CrowdRouter:
             del self._shards[name]
             if self._admin == name:
                 self._admin = next(iter(self._shards))
-            self._shutdown_pool()
             return stats
 
     def rebalance(self, max_rounds: int = 5) -> dict:

@@ -73,7 +73,7 @@ __all__ = [
     "CrowdShard",
     "shard_key",
     "record_ident",
-    "newest_wins",
+    "oldest_wins",
     "split_bucket_key",
     "bad_request",
     "token_uid",
@@ -168,19 +168,20 @@ def token_uid(token: Any) -> int:
     return token[0] * TOKEN_N + token[1]
 
 
-def newest_wins(docs: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
+def oldest_wins(docs: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
     """Merge replica copies of records: ``record_ident -> document``.
 
-    The replication rule, spelled once: an incoming copy replaces the
-    held one iff its timestamp is greater (first seen wins a tie).  Keys
-    keep first-seen order, so a caller's shard-name iteration order is
-    the order of the merged values.
+    The replication rule, spelled once: a record is immutable per uid
+    (only its first write can have been acknowledged), so an incoming
+    copy replaces the held one iff its timestamp is smaller (first seen
+    wins a tie).  Keys keep first-seen order, so a caller's shard-name
+    iteration order is the order of the merged values.
     """
     merged: dict[str, Any] = {}
     for doc in docs:
         ident = record_ident(doc)
         held = merged.get(ident)
-        if held is None or sort_key(doc.get("timestamp")) > sort_key(
+        if held is None or sort_key(doc.get("timestamp")) < sort_key(
             held.get("timestamp")
         ):
             merged[ident] = doc
@@ -396,7 +397,7 @@ class CrowdShard:
             self._digests.observe if self._log is None else self._journal
         )
         if self._log is not None and self._log.snapshot_due:
-            self.snapshot()  # recovery found a compaction due (or an old image)
+            self.snapshot()  # recovery found a compaction due
 
     # -- durability ---------------------------------------------------------
     def _recover_store(self) -> DocumentStore:
@@ -702,12 +703,13 @@ class CrowdShard:
         return upsert_newest(self.repository.store[collection], match, version, doc)
 
     def _route_replicate(self, req: Mapping[str, Any]) -> dict[str, Any]:
-        """Store full docs verbatim, newest-wins.
+        """Store full docs verbatim: the oldest copy of a record, the
+        newest version of a registry document.
 
         ``collection`` (default: performance records, the pre-registry
         wire format) selects what the docs are: records deduplicate by
-        uid/content and merge newest-wins by timestamp; registry entries
-        and problem docs upsert newest-wins per key.
+        uid/content and keep the oldest timestamp (:func:`oldest_wins`);
+        registry entries and problem docs upsert newest-wins per key.
         """
         collection = str(req.get("collection", _RECORDS))
         docs = ({k: v for k, v in dict(doc).items() if k != "_id"} for doc in req["records"])
@@ -723,13 +725,13 @@ class CrowdShard:
         # the batch's own copies merge first; its inserts then go in as
         # one batch (one lock acquisition, one journaled op)
         pending: list[dict[str, Any]] = []
-        for doc in newest_wins(docs).values():
+        for doc in oldest_wins(docs).values():
             uid = int(doc.get("uid", 0) or 0)
             ts = float(doc.get("timestamp", 0.0) or 0.0)
             held = coll.find_one({"uid": uid} if uid else doc, frozen=True)
             if held is not None:
-                if not uid or float(held.get("timestamp", 0.0) or 0.0) >= ts:
-                    continue  # this version or a newer one is stored already
+                if not uid or float(held.get("timestamp", 0.0) or 0.0) <= ts:
+                    continue  # this copy or an older one is stored already
                 coll.delete({"_id": held["_id"]})
             pending.append(doc)
             self.repository.advance_clock(ts)

@@ -40,13 +40,14 @@ the journal, whatever thread wrote it** (``docs/architecture.md``,
   zeros is a torn append, never acknowledged (a power cut: a prefix, and
   maybe pages that reached the disk out of order); it is cut off
   (``wal_torn_tail``) before the journal is reopened for append.
-* A directory an earlier version wrote may still hold its image beside
-  the journal (``snapshot.json`` beside ``wal.jsonl``,
-  ``queue.snapshot.json`` beside ``queue.wal.jsonl``) and number its
-  lines (``"seq"``).  Recovery reads that image whole, once, and hands
-  it to ``apply`` as one ``{"op": "image", ...}`` op, skips the lines it
-  covers (``seq <= wal_seq``) and ignores every other ``seq``; a
-  checkpoint is then due at once, and it deletes the image.
+* One format is read.  A directory a version before the one-journal
+  format wrote — an image beside the journal (``snapshot.json`` beside
+  ``wal.jsonl``, ``queue.snapshot.json`` beside ``queue.wal.jsonl``), or
+  journal lines numbered ``"seq"`` — makes :meth:`DurableLog.recover`
+  raise ``ValueError`` naming the file, before it changes anything in
+  the directory: replaying it as this format would drop the image's
+  state or replay what the image already holds.  That version numbered
+  every line, so the first one refuses it before ``apply`` sees an op.
 
 Perf counters: ``wal_appends``, ``wal_batch_appends``, ``wal_fsyncs``,
 ``wal_grows``, ``wal_torn_tail``, ``wal_snapshot_bytes`` (compacted bytes).
@@ -75,6 +76,7 @@ _GROW_MIN, _GROW_MAX = 1 << 16, 1 << 20
 #: the most a journal read takes at a time (a longer line is read in parts)
 _BLOCK = 1 << 16
 _datasync = getattr(os, "fdatasync", os.fsync)
+_OLD_FORMAT = "written before the one-journal format, which no longer opens"
 
 
 class DurableLog:
@@ -106,7 +108,7 @@ class DurableLog:
         data_dir.mkdir(parents=True, exist_ok=True)
         self.wal_path = data_dir / wal_name
         self._tmp = data_dir / (wal_name + ".tmp")
-        #: the image an earlier version kept beside the journal
+        #: the image a version before the one-journal format kept beside it
         self._old_image = data_dir / (wal_name.removesuffix("wal.jsonl") + "snapshot.json")
         self.snapshot_every = int(snapshot_every)
         self.fsync_every = int(fsync_every)
@@ -128,21 +130,22 @@ class DurableLog:
         ``apply`` receives each op, in order, *as its line is parsed* —
         the journal may be as large as the live data, and is never held
         as a list — and returns the bytes it makes dead, as the append
-        did.  The checkpoint rule's counts resume from disk.
+        did.  The checkpoint rule's counts resume from disk.  A directory
+        an older format wrote raises ``ValueError``, unchanged.
         """
-        self._tmp.unlink(missing_ok=True)  # a compaction that never replaced the journal
-        covered = self._migrate(apply)
+        if self._old_image.exists():
+            raise ValueError(f"{self._old_image}: {_OLD_FORMAT}")
         end = 0
         for op, end in _intact(self.wal_path):
-            seq = op.pop("seq", None)  # only an earlier version numbered its lines
-            if seq is not None and seq <= covered:
-                continue  # in that version's image already
+            if "seq" in op:
+                raise ValueError(f"{self.wal_path}: numbered lines: {_OLD_FORMAT}")
             if op == _CHECKPOINT:  # what came before is the compacted state
                 self._since_snapshot = self._dead = 0
                 continue
             if apply is not None:
                 self._dead += apply(op) or 0
             self._since_snapshot += 1
+        self._tmp.unlink(missing_ok=True)  # a compaction that never replaced the journal
         self._fh = _open(self.wal_path)
         self._bytes, self._alloc = end, self._fh.seek(0, os.SEEK_END)
         if not _zeros_from(self._fh.fileno(), end):  # a torn append: never acknowledged
@@ -150,27 +153,6 @@ class DurableLog:
             self._alloc = self._fh.truncate(end)
             os.fsync(self._fh.fileno())
         self._check_due_locked()
-
-    def _migrate(self, apply: Callable[[dict[str, Any]], int | None] | None) -> int:
-        """Hand the image an earlier version kept beside the journal to
-        ``apply`` as one ``image`` op and make a checkpoint due, which
-        deletes it; the sequence number it covers (0 without one)."""
-        if not self._old_image.exists():
-            return 0
-        lines = iter_wal(self.wal_path)
-        first = next(lines, None)
-        lines.close()
-        if first is not None and "seq" not in first:
-            # the journal was compacted, and the image outlived it
-            self._old_image.unlink()
-            return 0
-        with open(self._old_image, encoding="utf-8") as fh:
-            image = json.load(fh)
-        covered = int(image.pop("wal_seq"))
-        if apply is not None:
-            apply({**image, "op": "image"})
-        self.snapshot_due = True
-        return covered
 
     # -- journaling ----------------------------------------------------------
     def append(self, op: Mapping[str, Any] | str, dead: int = 0) -> None:
@@ -253,9 +235,6 @@ class DurableLog:
                     self._bytes = self._alloc = self._fh.seek(0, os.SEEK_END)
                     self._dead -= dead
             perf.incr("wal_snapshot_bytes", compacted)
-            if self._old_image.exists():  # migrated: the journal holds it now
-                self._old_image.unlink()
-                _fsync_dir(self.wal_path.parent)
 
     def close(self) -> None:
         """Sync and close the journal (idempotent)."""
@@ -331,8 +310,7 @@ def _fsync_dir(path: Path) -> None:
 
     ``os.replace`` updates the directory entry, not the file — without
     syncing the directory a power cut can lose the rename and bring the
-    uncompacted journal back (or, after a migration, lose the journal
-    that replaced an image whose deletion did reach the disk).
+    uncompacted journal back.
     """
     flags = getattr(os, "O_DIRECTORY", None)
     if flags is None:  # pragma: no cover - non-POSIX platforms

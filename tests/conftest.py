@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import sys
 import threading
 import time
@@ -116,16 +115,14 @@ def source_factory():
 
 
 def crowd_threads() -> list[str]:
-    """The live threads a crowd router starts (fan-out senders,
-    anti-entropy loop): every one is stopped by the router's ``close()``."""
+    """The live threads a crowd router starts (its anti-entropy loop,
+    ``crowd-antientropy``): the router's ``close()`` stops it."""
     return sorted(t.name for t in threading.enumerate() if t.name.startswith("crowd-"))
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Fail the run while a router thread outlives the tests.  A router
-    nobody closed stops its senders once it is collected, so collect
-    first and give a stopped thread a moment to end."""
-    gc.collect()
+    """Fail the run while a router thread outlives the tests; give a
+    stopped thread a moment to end."""
     deadline = time.monotonic() + 2.0
     while crowd_threads() and time.monotonic() < deadline:
         time.sleep(0.01)

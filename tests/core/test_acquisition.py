@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core import ExpectedImprovement, LowerConfidenceBound
-from repro.core.acquisition import get_acquisition
 
 
 def _const_predict(mean, std):
@@ -69,13 +68,3 @@ class TestLowerConfidenceBound:
         certain = lcb(_const_predict(0.0, 0.1), X1, 0.0)[0]
         uncertain = lcb(_const_predict(0.0, 1.0), X1, 0.0)[0]
         assert uncertain > certain
-
-
-class TestRegistry:
-    def test_lookup(self):
-        assert isinstance(get_acquisition("ei"), ExpectedImprovement)
-        assert isinstance(get_acquisition("lcb", beta=3.0), LowerConfidenceBound)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            get_acquisition("thompson")

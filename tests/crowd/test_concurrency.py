@@ -170,7 +170,7 @@ class TestRepositoryConcurrency:
         assert query_errors == []
         records = repo.query_docs(key, problem_name="demo")
         assert len(records) == N_WRITERS * N_OPS
-        # uids unique even though uploads raced on the uid counter
+        # uids unique even though uploads raced: each is named by its clock tick
         assert len({r["uid"] for r in records}) == N_WRITERS * N_OPS
         # timestamps strictly increase — the logical clock never forked
         stamps = sorted(r["timestamp"] for r in records)

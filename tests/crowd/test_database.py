@@ -190,7 +190,6 @@ class TestStore:
         c1 = store.collection("a")
         assert store["a"] is c1
         assert "a" in store and "b" not in store
-        assert store.collection_names() == ["a"]
 
     def test_invalid_names(self):
         store = DocumentStore()

@@ -55,9 +55,10 @@ class TestPerformanceRecord:
         with pytest.raises(ValueError):
             self._rec(problem_name="")
 
-    def test_uids_unique(self):
-        a, b = self._rec(), self._rec()
-        assert a.uid != b.uid
+    def test_a_record_made_without_a_uid_is_unnamed(self):
+        # the node that stores it names it (a token's uid, else a clock tick)
+        assert self._rec().uid == 0
+        assert self._rec(uid=7).uid == 7
 
     def test_failed_flag(self):
         assert self._rec(output=None).failed

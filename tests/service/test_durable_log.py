@@ -20,21 +20,22 @@ both through one parametrized fixture:
   (``prime``), so from then on the floor of ops decides when it comes;
 * **on-disk format** — the bytes a fixed single-threaded call sequence
   writes are pinned (the compacted state, its ``checkpoint`` line, then
-  the ops journaled after it), and the directories commit ``c5d1889``
-  wrote — an image beside a numbered journal, torn final line included —
-  recover to the same documents / jobs and are compacted to the one
-  journal at once, also when that migration is killed halfway.  The
-  shard image literal since lost one element, the empty
-  ``surrogate_models`` collection the deleted model store created in
-  every shard's store (an image that still holds it recovers:
-  ``test_wal_recovery.py`` pins that).  The sequences compact
-  explicitly: on their insert-only data the checkpoint rule never does.
+  the ops journaled after it; the sequences compact explicitly: on their
+  insert-only data the checkpoint rule never does).  One format is read:
+  the directories commit ``c5d1889`` wrote — an image beside a numbered
+  journal, torn final line included — its numbered journal alone, and an
+  image beside a compacted journal (a migration killed before the image
+  went) are refused with a ``ValueError`` naming the file, every byte of
+  the directory left as it was.  The shard image literal lost one
+  element, the empty ``surrogate_models`` collection the deleted model
+  store created in every shard's store.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import sys
 import threading
@@ -84,7 +85,7 @@ class ShardUser(_User):
 
     name = "shard"
     ops_per_write = 1
-    #: the journal, and the image an earlier version kept beside it
+    #: the journal, and the image a version before it kept beside it
     wal_name, parent_image = "wal.jsonl", "snapshot.json"
     #: a second thread's write proceeds while the journal is being compacted
     writes_during_snapshot = True
@@ -568,7 +569,7 @@ def _record(uid: int, task: int) -> dict:
     }
 
 
-def shard_sequence(data_dir) -> dict[str, list]:
+def shard_sequence(data_dir) -> None:
     """A fixed call sequence: a compaction after op 5, then a tail
     holding an ``insert``, a batched ``insert_many`` and a ``delete``."""
     who = ShardUser()
@@ -581,15 +582,9 @@ def shard_sequence(data_dir) -> dict[str, list]:
     assert shard.handle({"route": "replicate", "records": healed})["applied"] == 2
     assert shard.handle({"route": "drop_bucket", "key": shard_key("demo", {"t": 0})})["dropped"] == 3
     shard.close()
-    return _shard_state(shard)
 
 
-def _shard_state(shard) -> dict[str, list]:
-    store = shard.repository.store
-    return {name: store[name].find({}) for name in store.collection_names()}
-
-
-def queue_sequence(data_dir) -> list[dict]:
+def queue_sequence(data_dir) -> None:
     """A fixed call sequence: a compaction after op 5, then a tail
     holding a ``redispatch``, a ``complete`` and an ``enqueue``."""
     queue = DurableJobQueue(data_dir, snapshot_every=5)
@@ -604,11 +599,6 @@ def queue_sequence(data_dir) -> list[dict]:
     assert queue.complete(third.job_id, third.lease_token, {"y": 1.5, "worker": 1}) == "applied"
     queue.enqueue({"x": 0.9})
     queue.close()
-    return _queue_state(queue)
-
-
-def _queue_state(queue) -> list[dict]:
-    return [job.to_doc() for job in sorted(queue.jobs(), key=lambda j: j.job_id)]
 
 
 #: what the two sequences write, byte for byte
@@ -717,65 +707,51 @@ PARENT_BYTES = {
         '{"config": {"x": 0.9}, "job_id": 4, "op": "enqueue", "seq": 8}\n'
     ),
 }
-SEQUENCES = {"shard": (shard_sequence, _shard_state), "queue": (queue_sequence, _queue_state)}
+SEQUENCES = {"shard": shard_sequence, "queue": queue_sequence}
 
 
 def test_fixed_sequence_writes_the_pinned_bytes(user, tmp_path):
-    SEQUENCES[user.name][0](tmp_path)
+    SEQUENCES[user.name](tmp_path)
     written = {path.name: journal_bytes(path).decode() for path in tmp_path.iterdir()}
     assert written == {user.wal_name: WRITTEN_BYTES[user.wal_name]}
 
 
-def _parent_directory(user, path, torn: bool):
-    """The directory the user's sequence left at c5d1889."""
+def _directory(path, files: dict[str, str]):
     path.mkdir()
-    for name in (user.wal_name, user.parent_image):
-        (path / name).write_text(PARENT_BYTES[name])
-    if torn:
-        with open(path / user.wal_name, "a") as fh:
-            fh.write('{"seq": 9, "op": "enq')
+    for name, text in files.items():
+        (path / name).write_text(text)
+    return path
+
+
+def _refused(user, path, offending: str) -> None:
+    """Opening ``path`` raises a ``ValueError`` naming ``offending`` and
+    leaves every byte of the directory as it was."""
+    before = {p.name: p.read_bytes() for p in path.iterdir()}
+    with pytest.raises(ValueError, match=re.escape(str(path / offending))):
+        user.open(path)
+    assert {p.name: p.read_bytes() for p in path.iterdir()} == before
 
 
 @pytest.mark.parametrize("torn", [False, True], ids=["intact", "torn-final-line"])
-def test_parent_written_directory_recovers(user, torn, tmp_path):
-    sequence, state = SEQUENCES[user.name]
-    expected = sequence(tmp_path / "live")
-    old = tmp_path / "old"
-    _parent_directory(user, old, torn)
-    recovered = user.open(old)
-    assert state(recovered) == expected
-    recovered.close()
-    # compacted at once: the image is in the journal, and gone
-    assert [path.name for path in old.iterdir()] == [user.wal_name]
-    assert state(user.open(old)) == expected
+def test_parent_written_directory_is_refused(user, torn, tmp_path):
+    """The directory the user's sequence left at c5d1889."""
+    journal = PARENT_BYTES[user.wal_name] + ('{"seq": 9, "op": "enq' if torn else "")
+    files = {user.wal_name: journal, user.parent_image: PARENT_BYTES[user.parent_image]}
+    _refused(user, _directory(tmp_path / "old", files), user.parent_image)
 
 
-def test_a_migration_killed_before_the_image_goes_recovers(user, tmp_path, monkeypatch):
-    """Killed after the compacted journal replaced the numbered one and
-    before the image it now holds was deleted: the next recovery sees a
-    compacted journal and drops the image unread (replaying the old image
-    under the compacted journal would bring back what the old journal
-    had deleted)."""
-    sequence, state = SEQUENCES[user.name]
-    expected = sequence(tmp_path / "live")
-    old = tmp_path / "old"
-    _parent_directory(user, old, torn=False)
-    real = Path.unlink
+def test_a_numbered_journal_without_its_image_is_refused(user, tmp_path):
+    files = {user.wal_name: PARENT_BYTES[user.wal_name]}
+    _refused(user, _directory(tmp_path / "old", files), user.wal_name)
 
-    def unlink_or_die(path, missing_ok=False):
-        if path.name == user.parent_image:
-            raise _Kill
-        real(path, missing_ok)
 
-    monkeypatch.setattr(Path, "unlink", unlink_or_die)
-    with pytest.raises(_Kill):
-        user.open(old)
-    monkeypatch.undo()
-    assert sorted(path.name for path in old.iterdir()) == sorted(
-        [user.wal_name, user.parent_image]
-    )
-    assert state(user.open(old)) == expected
-    assert [path.name for path in old.iterdir()] == [user.wal_name]
+def test_an_image_beside_a_compacted_journal_is_refused(user, tmp_path):
+    """What a migration killed before it deleted the image left behind."""
+    files = {
+        user.wal_name: WRITTEN_BYTES[user.wal_name],
+        user.parent_image: PARENT_BYTES[user.parent_image],
+    }
+    _refused(user, _directory(tmp_path / "old", files), user.parent_image)
 
 
 if __name__ == "__main__":  # prints WRITTEN_BYTES for the checkout on PYTHONPATH

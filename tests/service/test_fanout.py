@@ -1,13 +1,11 @@
-"""The sender pool serves fan-outs; a write's replicas are written in order.
+"""A router asks its shards in turn, on the calling thread.
 
-A problem-wide read (and a client-id request) asks the first shard on
-the calling thread and hands the others to the router's sender pool
-(``crowd-fanout-<i>`` threads), so their round trips overlap.  A
-replicated write asks its targets one after the other on the calling
-thread: with a journal synced by ``fdatasync``, a thread handoff costs
-more than the sync it would hide.  What a connection raises reaches the
-caller, and membership changes, router restarts and ``close()`` leave no
-sender of an old pool behind.
+A problem-wide read (and a client-id request) asks every shard one
+after the other, and a replicated write asks its targets one after the
+other: on every deployment the service runs, a thread handoff costs
+more than the round trip it would hide, so the router starts no thread
+of its own to serve a request.  Under simulated latency a fan-out costs
+one round trip per shard.  What a connection raises reaches the caller.
 """
 
 from __future__ import annotations
@@ -36,14 +34,6 @@ def _upload(key: str, t: int = 0) -> dict:
     }
 
 
-def _senders() -> set[threading.Thread]:
-    return {t for t in threading.enumerate() if t.name.startswith("crowd-fanout")}
-
-
-def _own(router: CrowdRouter) -> set[threading.Thread]:
-    return set() if router._pool is None else set(router._pool.threads)
-
-
 class _Recorded:
     """A channel that records the thread each request arrives on."""
 
@@ -55,28 +45,47 @@ class _Recorded:
         return self.target(request)
 
 
-class TestFanoutsOverlap:
-    def test_a_fanout_costs_one_round_trip(self):
+@pytest.fixture
+def started_threads(monkeypatch) -> list[str]:
+    """The names of the threads started while the test runs."""
+    started: list[str] = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+class TestFanoutsAskInTurn:
+    def test_a_fanout_asks_every_shard_on_the_calling_thread(self, started_threads):
         with build_service(2, replication=2, latency_s=LATENCY_S, seed=1) as svc:
             key = svc.register_user("alice", "a@lab.gov")[1]
+            channels = {name: _Recorded(t.target) for name, t in svc.transports.items()}
+            for name, channel in channels.items():
+                svc.transports[name].retarget(channel)
             # each delivery sleeps LATENCY_S * (0.75 + 0.5 u), u drawn per
-            # (seed, endpoint, sequence number): one after the other, this
-            # read's two shard requests would take at least 2 * LATENCY_S
+            # (seed, endpoint, sequence number): asked in turn, the read
+            # takes one round trip per shard
             delays = [
                 LATENCY_S * (0.75 + 0.5 * _draw(t.seed, t.name, t.n_requests + 1))
                 for t in svc.transports.values()
             ]
-            assert sum(delays) >= 2 * LATENCY_S
             t0 = time.perf_counter()
             response = svc.router.handle({"route": "problems", "api_key": key})
             elapsed = time.perf_counter() - t0
             assert response["ok"]
-            assert elapsed < 1.5 * LATENCY_S, (elapsed, delays)
+            assert [c.threads for c in channels.values()] == [[threading.current_thread()]] * 2
+            assert elapsed >= 0.99 * sum(delays), (elapsed, delays)
+        assert started_threads == []
 
 
 class TestReplicasInOrder:
-    def test_a_replicated_upload_writes_its_replicas_on_the_calling_thread(self):
-        before = _senders()
+    def test_a_replicated_upload_writes_its_replicas_on_the_calling_thread(
+        self, started_threads
+    ):
         with build_service(2, replication=2) as svc:
             key = svc.register_user("alice", "a@lab.gov")[1]
             channels = {name: _Recorded(t.target) for name, t in svc.transports.items()}
@@ -85,7 +94,7 @@ class TestReplicasInOrder:
             response = svc.router.handle(_upload(key))
             assert response["ok"] and response["replicas_acked"] == 2
             assert [c.threads for c in channels.values()] == [[threading.current_thread()]] * 2
-            assert svc.router._pool is None and _senders() == before
+        assert started_threads == []
 
     def test_concurrent_callers_each_get_their_own_answers(self):
         """More callers than cores, switching threads every 10 µs: every
@@ -137,34 +146,12 @@ class TestExceptionsReachTheCaller:
         with CrowdRouter({"a": CrowdShard("a"), "b": _Broken(), "c": CrowdShard("c")}) as router:
             with pytest.raises(RuntimeError, match="connection bug"):
                 router._fanout({"route": "problems"})
-            # the senders go on serving
+            # the router goes on serving
             with pytest.raises(RuntimeError, match="connection bug"):
                 router.handle({"route": "problems", "api_key": "k"})
 
 
-class TestNoSenderOutlivesItsPool:
-    def test_membership_restart_and_close_leave_only_the_current_senders(self):
-        before = _senders()
-        with build_service(2, replication=2) as svc:
-            key = svc.register_user("alice", "a@lab.gov")[1]
-
-            def settled() -> bool:
-                # a fan-out starts a pool sized to the shards; uploads need none
-                assert svc.router.handle({"route": "problems", "api_key": key})["ok"]
-                for t in range(4):
-                    assert svc.client.handle(_upload(key, t))["ok"]
-                return _senders() - before == _own(svc.router) != set()
-
-            assert settled()
-            svc.add_shard()
-            assert settled()
-            svc.remove_shard("shard-0")
-            assert settled()
-            old = svc.router
-            svc.restart_router()
-            assert old._pool is None and settled()
-        assert _senders() == before
-
+class TestRingMemo:
     def test_a_new_ring_forgets_the_memoized_preferences(self):
         with build_service(2, replication=1) as svc:
             key = svc.register_user("alice", "a@lab.gov")[1]

@@ -314,24 +314,24 @@ class TestReadRepair:
         assert "service_read_repairs" not in stats.snapshot()["counters"]
         assert svc.shards[stale].repository.store[_RECORDS].find({}) == []
 
-    def test_fanout_merge_is_newest_wins(self, svc, key):
+    def test_fanout_merge_is_oldest_wins(self, svc, key):
         task = {"t": 2}
         uid = _upload(svc.client, key, 0, task=task)["uid"]
         prefs = svc.router.ring.preference(shard_key("demo", task), 2)
-        # plant an older divergent version of the same uid on one replica
+        # plant a later-stamped rewrite of the same uid on one replica
         doc = svc.shards[prefs[0]].repository.store[_RECORDS].find(
             {"uid": uid}
         )[0]
         doc.pop("_id")
         doc["output"] = -99.0
-        doc["timestamp"] = doc["timestamp"] - 0.5
+        doc["timestamp"] = doc["timestamp"] + 0.5
         svc.shards[prefs[1]].repository.store[_RECORDS].delete({"uid": uid})
         svc.shards[prefs[1]].handle({"route": "replicate", "records": [doc]})
         response = svc.client.handle(
             {"route": "query", "api_key": key, "problem_name": "demo"}
         )
         (record,) = response["records"]
-        assert record["output"] == 0.0  # newest version won the merge
+        assert record["output"] == 0.0  # the acknowledged, oldest copy won the merge
 
 
 class TestIdempotentRetry:
@@ -483,8 +483,8 @@ class TestAntiEntropy:
 
     def test_kept_digests_see_a_copy_lost_or_replaced_after_a_round(self, svc, key):
         """Shards keep their digests between rounds: a copy deleted from
-        one replica, or replaced there by a newer version, must show in
-        the next round."""
+        one replica, or replaced there by an older copy (the one the
+        replication rule keeps), must show in the next round."""
         uid = _upload(svc.client, key, 0, task={"t": 0})["uid"]
         prefs = svc.router.ring.preference(shard_key("demo", {"t": 0}), 2)
         assert svc.router.anti_entropy_round()["healed"] == 0
@@ -495,8 +495,8 @@ class TestAntiEntropy:
         doc = svc.shards[prefs[0]].repository.store[_RECORDS].find({"uid": uid})[0]
         doc.pop("_id")
         doc["output"] = 7.0
-        doc["timestamp"] += 0.5
-        svc.shards[prefs[0]].handle({"route": "replicate", "records": [doc]})
+        doc["timestamp"] -= 0.5
+        assert svc.shards[prefs[0]].handle({"route": "replicate", "records": [doc]})["applied"] == 1
         assert svc.router.anti_entropy_round()["healed"] == 1
         for name in prefs:
             (held,) = svc.shards[name].repository.store[_RECORDS].find({"uid": uid})

@@ -64,9 +64,9 @@ class TestServiceClose:
         assert wait_gone() == []
 
     def test_a_registry_starts_no_thread_of_its_own(self, tmp_path, monkeypatch):
-        """Builds run on the thread that stored the record: the only
-        threads a serving deployment starts are the router's fan-out
-        workers, and ``close()`` leaves none."""
+        """Builds run on the thread that stored the record, and the router
+        asks its shards on the calling thread: a deployment without
+        anti-entropy starts no thread, and ``close()`` leaves none."""
         started = []
         start = threading.Thread.start
 
@@ -93,7 +93,7 @@ class TestServiceClose:
             assert svc.client.handle(
                 {**request, "route": "predict", "configurations": [{"x": 0.5}]}
             )["ok"]
-        assert all(n.startswith("crowd-fanout") for n in started), started
+        assert started == []
         assert set(threading.enumerate()) <= before
 
     def test_close_is_idempotent(self):

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.core import perf
 from repro.crowd.records import Accessibility
 from repro.service import CrowdShard, RouterOptions, build_service
-from repro.service.shard import newest_wins
+from repro.service.shard import oldest_wins
 
 from ..crowd import views_oracle
 from .links import lossy
@@ -142,13 +142,13 @@ class Cluster:
                 self.apply(upload)
 
     def union(self) -> list[dict]:
-        """Every stored record once: newest wins per uid."""
+        """Every stored record once: the oldest copy per uid."""
         docs = [
             {k: v for k, v in doc.items() if k != "_id"}
             for name in sorted(self.svc.shards)
             for doc in self.svc.shards[name].repository.store["performance_records"].find({})
         ]
-        return list(newest_wins(docs).values())
+        return list(oldest_wins(docs).values())
 
     def single_server(self, docs: list[dict]) -> CrowdShard:
         """One ``CrowdShard`` holding ``docs`` under their router stamps."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ import pytest
 from repro.core import perf
 from repro.crowd.database import DocumentStore
 from repro.crowd.users import UserRegistry
+from repro.fabric import DurableJobQueue
 from repro.service import CrowdShard, DurableLog
 from repro.service import wal as wal_module
 from repro.service.wal import iter_wal
@@ -423,7 +425,7 @@ _OLD_SNAPSHOT = (
     ' {"docs": [], "indexes": ["problem_name"], "name": "surrogate_models",'
     ' "next_id": 1}], "format": "gptunecrowd-store-v1"}, "wal_seq": 1}'
 )
-#: ... and a journal tail with a ``create_index`` op and both insert forms
+#: ... and a numbered journal tail with a ``create_index`` op and both insert forms
 _OLD_WAL = """\
 {"c": "performance_records", "doc": {"_id": 1, "output": 1.5, "owner": "alice", "problem_name": "p", "task_parameters": {"m": 1}, "uid": 7}, "op": "insert", "seq": 1}
 {"c": "registry_models", "field": "task_key", "op": "create_index", "seq": 2}
@@ -444,38 +446,33 @@ _OLD_JOURNAL = [
 ]
 
 
+#: each user of the journal, and its journal and image file names
+_OWNERS = {
+    "shard": (
+        lambda data_dir: CrowdShard("s0", data_dir, users=UserRegistry()),
+        "wal.jsonl",
+        "snapshot.json",
+    ),
+    "queue": (DurableJobQueue, "queue.wal.jsonl", "queue.snapshot.json"),
+}
+
+
 class TestIndexedStoreCompatibility:
-    def test_old_snapshot_and_wal_tail_recover(self, tmp_path):
-        (tmp_path / "snapshot.json").write_text(_OLD_SNAPSHOT)
-        (tmp_path / "wal.jsonl").write_text(_OLD_WAL)
-        store = _recovered(tmp_path)
-        # recovery compacted the directory: the image is in the journal now
-        assert [p.name for p in tmp_path.iterdir()] == ["wal.jsonl"]
-        assert store.collection_names() == [
-            "performance_records",
-            "registry_models",
-            "surrogate_models",
-        ]
-        assert store["performance_records"].find({}) == [
-            {"_id": 1, "output": 2.5, "owner": "alice", "problem_name": "p",
-             "tags": ["x"], "task_parameters": {"m": 1}, "uid": 7},
-            {"_id": 3, "output": 0.25, "owner": "alice", "problem_name": "q",
-             "task_parameters": {"m": 1}, "uid": 9},
-            {"_id": 4, "output": 4.0, "owner": "bob", "problem_name": "q",
-             "task_parameters": {"m": 1}, "uid": 10},
-        ]
-        assert store["performance_records"].find_one({"uid": 10})["owner"] == "bob"
-        assert store["performance_records"].insert({"uid": 11}) == 5
-        # a shard opens the directory and compacts it without the key
-        users = UserRegistry()
-        shard = CrowdShard("s0", tmp_path, users=users)
-        assert shard.count() == 3
-        shard.snapshot()
-        shard.close()
-        ops = list(iter_wal(tmp_path / "wal.jsonl"))
-        assert {op["op"] for op in ops} == {"collection", "insert", "checkpoint"}
-        assert all("indexes" not in op for op in ops)
-        assert len(_recovered(tmp_path)["performance_records"]) == 3
+    @pytest.mark.parametrize("owner", sorted(_OWNERS))
+    @pytest.mark.parametrize("image", [True, False], ids=["with-image", "tail-only"])
+    def test_old_snapshot_and_wal_tail_are_refused(self, tmp_path, owner, image):
+        """The image, else the first numbered line, refuses the directory
+        before anything in it is read as this format or changed (the
+        refusal looks at the format, not at what the image holds)."""
+        open_, wal_name, image_name = _OWNERS[owner]
+        (tmp_path / wal_name).write_text(_OLD_WAL)
+        if image:
+            (tmp_path / image_name).write_text(_OLD_SNAPSHOT)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        offending = tmp_path / (image_name if image else wal_name)
+        with pytest.raises(ValueError, match=re.escape(str(offending))):
+            open_(tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_journaled_ops_are_byte_identical(self):
         store = DocumentStore()
